@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet vet-cmd build test race bench-smoke bench bench-gate fuzz-smoke cover obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
+.PHONY: ci vet vet-cmd build test race bench-test bench-smoke bench bench-gate fuzz-smoke cover obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
 
-ci: vet vet-cmd build race fuzz-smoke cover bench-smoke bench-gate obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
+ci: vet vet-cmd build race bench-test fuzz-smoke cover bench-smoke bench-gate obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +20,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness is a nested module that root `go test ./...` does
+# not see: its smoke run of all six workloads (~4 s) is what notices a
+# signature the harness calls changing.
+bench-test:
+	cd bench && $(GO) test .
 
 # Quick benchmark smoke: proves the kernel benchmarks still run without
 # paying for a full measurement.
@@ -52,10 +58,11 @@ bench-gate:
 	[ -n "$$allocs" ] && [ "$$allocs" -le $(T3_CEILING_ALLOCS) ] || { echo "bench-gate: BenchmarkTable3 $$allocs allocs/op exceeds $(T3_CEILING_ALLOCS)"; exit 1; }
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
-# decoder regressions without a dedicated fuzzing job.
+# decoder and batching-lane regressions without a dedicated fuzzing job.
 fuzz-smoke:
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzProgramValidate$$' -fuzztime 5s
+	$(GO) test ./internal/latency -run '^$$' -fuzz '^FuzzLane$$' -fuzztime 5s
 
 # Observability smoke, race-enabled: boots the ops HTTP endpoint on a
 # random port, scrapes /metrics and /healthz, validates the exported trace

@@ -174,9 +174,7 @@ func (c *Cluster) scaleDown(a *app, rep *replica, rate float64) {
 	a.router.Remove(rep.id)
 	rep.draining = true
 	rep.fillGen++ // void any armed fill timer
-	orphans := append([]request(nil), rep.queue...)
-	rep.queue = rep.queue[:0]
-	for _, r := range orphans {
+	for _, r := range rep.lane.Drain(nil) {
 		// Drained requests keep their arrival time and re-route without
 		// burning a failover attempt: the replica left gracefully.
 		c.route(a, r)

@@ -246,13 +246,8 @@ func (c *Cluster) partitionHost(h *host) {
 			}
 			// Unlike a kill, resident requests do not fail over cleanly:
 			// they hang until the partition timeout, then re-route.
-			orphans := append(append([]request(nil), rep.inFlight...), rep.queue...)
-			for range orphans {
-				a.router.AddLoad(rep.id, -1)
-			}
-			inFlight := len(rep.inFlight)
-			rep.inFlight = nil
-			rep.queue = rep.queue[:0]
+			orphans, inFlight := rep.orphan()
+			a.router.AddLoad(rep.id, -int64(len(orphans)))
 			if len(orphans) > 0 {
 				c.log(h.id, "blackhole", fmt.Sprintf("%s replica r%d: %d in-flight + %d queued requests hang for %.2f ms",
 					a.cfg.Name, rep.id, inFlight, len(orphans)-inFlight, c.partitionTimeout(a)*1e3))

@@ -6,15 +6,17 @@
 // state machine, failover) only tells half that story: placement, routing,
 // cross-host failover and autoscaling emerge at pod scale.
 //
-// The simulator composes the existing pieces instead of re-deriving them:
-// per-replica service times come from the same latency.ServiceModel the
-// Table 4 study uses, batching decisions are the serve package's resolved
-// Plan (SafeBatch, MaxWait fill window, bounded-queue admission,
-// shed-at-dispatch), replica health is runtime.HealthState, and offered
+// The simulator shares the single-server pieces instead of re-deriving
+// them: every replica is a latency.Lane — the one implementation of
+// bounded-queue admission, the MaxWait fill window, take-up-to-SafeBatch
+// and shed-at-dispatch that Table 4 and the serve load sweep also run —
+// built from the serve package's resolved Plan and priced from the same
+// latency.ServiceModel; replica health is runtime.HealthState, and offered
 // load is a workload.Curve driven through a non-homogeneous Poisson
-// process. Everything runs on the internal/des event loop — no wall-clock
-// sleeps — so thousands of devices simulate seconds of fleet time in
-// milliseconds, and a seeded run replays byte-for-byte.
+// process. What is the fleet's own lives here: device contention,
+// routing, failover, accounting. Everything runs on the internal/des event
+// loop — no wall-clock sleeps — so thousands of devices simulate seconds of
+// fleet time in milliseconds, and a seeded run replays byte-for-byte.
 package cluster
 
 import (
@@ -191,6 +193,9 @@ type request struct {
 	attempts int
 }
 
+// ArrivedAt implements latency.Arrival.
+func (r request) ArrivedAt() float64 { return r.arrival }
+
 // device is one accelerator card: Weight Memory capacity and a single
 // execution engine its resident replicas' batches serialize on.
 type device struct {
@@ -220,16 +225,16 @@ type host struct {
 	cordoned bool
 }
 
-// replica is one placed instance of an app: a batching lane on a device,
-// with the app's resolved serving plan.
+// replica is one placed instance of an app: the batching lane of the app's
+// resolved serving plan, on a device.
 type replica struct {
 	id  int
 	app *app
 	dev *device
 
 	state    runtime.HealthState
-	queue    []request
-	inFlight []request // the batch currently on the device
+	lane     latency.Lane[request]
+	inFlight []request // the batch currently on the device, in the lane's buffer
 	fillGen  uint64    // invalidates scheduled fill timers
 	pending  bool      // queued on the device's waiter list
 	svcGen   uint64    // invalidates in-flight completions (host death)
@@ -543,18 +548,33 @@ func (c *Cluster) route(a *app, r request) {
 	c.enqueue(a.replicas[id], r)
 }
 
-// enqueue is bounded-queue admission, the serve layer's first overload
-// defense: a request joins only if fewer than QueueLimit are waiting. With
-// retries enabled, a shed request gets another spin through the router
-// while its deadline, attempt count and the app's retry budget allow —
-// only the final give-up counts as a shed.
+// BatchSeconds implements latency.ServiceModel: the app's memoized curve,
+// stretched by the host's chaos slow-down and the replica's rollout factor.
+func (rep *replica) BatchSeconds(n int) (float64, error) {
+	return rep.app.svc[n] * rep.dev.host.slow * rep.svcScale, nil
+}
+
+// orphan empties the replica: its in-flight batch (copied out, because the
+// lane's next Take overwrites the buffer) followed by its queue.
+func (rep *replica) orphan() (orphans []request, inFlight int) {
+	inFlight = len(rep.inFlight)
+	orphans = rep.lane.Drain(append([]request(nil), rep.inFlight...))
+	rep.inFlight = nil
+	return orphans, inFlight
+}
+
+// enqueue offers the request to the replica's lane. With retries enabled,
+// a refused request gets another spin through the router while its
+// deadline, attempt count and the app's retry budget allow — only the
+// final give-up counts as a shed.
 func (c *Cluster) enqueue(rep *replica, r request) {
 	a := rep.app
 	co := a.cohortOf(rep)
 	if co != nil {
 		co.offered++
 	}
-	if len(rep.queue) >= a.plan.QueueLimit {
+	r.enq = c.loop.Now()
+	if !rep.lane.Offer(r) {
 		if co != nil {
 			co.shed++ // queue pressure counts against the cohort even if retried
 		}
@@ -566,9 +586,7 @@ func (c *Cluster) enqueue(rep *replica, r request) {
 		c.tel.onShedQueue(rep)
 		return
 	}
-	r.enq = c.loop.Now()
 	rep.routed++
-	rep.queue = append(rep.queue, r)
 	a.router.AddLoad(rep.id, 1)
 	c.maybeDispatch(rep)
 }
@@ -576,89 +594,63 @@ func (c *Cluster) enqueue(rep *replica, r request) {
 // maybeDispatch decides whether the replica's head batch should go now,
 // wait for fill, or wait for the device.
 func (c *Cluster) maybeDispatch(rep *replica) {
-	if len(rep.queue) == 0 || rep.serving || rep.pending {
+	if rep.lane.Len() == 0 || rep.serving || rep.pending {
 		return
 	}
 	if !rep.dev.host.alive || rep.state == runtime.Quarantined {
 		return
 	}
-	plan := rep.app.plan
 	if rep.dev.busy {
 		rep.pending = true
 		rep.dev.waiters = append(rep.dev.waiters, rep)
 		return
 	}
-	now := c.loop.Now()
-	fill := rep.queue[0].arrival + plan.MaxWaitSeconds
-	if len(rep.queue) >= plan.SafeBatch {
+	due, full := rep.lane.Due()
+	switch {
+	case full:
 		c.dispatch(rep, trigBatchFull)
-		return
-	}
-	// A gracefully draining replica stops waiting for fill: admissions have
-	// ceased, so the queue can only shrink — flush it.
-	if now >= fill || rep.draining {
+	case c.loop.Now() >= due || rep.draining:
+		// A gracefully draining replica stops waiting for fill: admissions
+		// have ceased, so the queue can only shrink — flush it.
 		c.dispatch(rep, trigFillWait)
-		return
-	}
-	// Wait for the batch to fill, bounded by the head request's MaxWait —
-	// the same trade the single-host dispatcher makes. The generation
-	// counter voids the timer if a dispatch happens first.
-	gen := rep.fillGen
-	c.loop.At(fill, func() {
-		if rep.fillGen == gen && len(rep.queue) > 0 && !rep.serving && !rep.pending {
-			if rep.dev.busy {
-				rep.pending = true
-				rep.dev.waiters = append(rep.dev.waiters, rep)
-				return
+	default:
+		// Look again when the head has waited MaxWait. Every dispatch, death
+		// and drain bumps the generation, voiding the timer.
+		gen := rep.fillGen
+		c.loop.At(due, func() {
+			if rep.fillGen == gen {
+				c.maybeDispatch(rep)
 			}
-			c.dispatch(rep, trigFillWait)
-		}
-	})
+		})
+	}
 }
 
-// dispatch takes up to SafeBatch requests, sheds the ones that can no
-// longer meet the SLA (shed-at-dispatch keeps the p99 of served requests
-// bounded by construction), and puts the batch on the device. trig names
-// what fired the dispatch; telemetry uses it to attribute the batch's
-// queue time to fill waiting vs device contention.
+// dispatch takes the lane's next batch — up to SafeBatch requests, minus
+// the ones shed because they can no longer meet the SLA — and puts it on
+// the device. trig names what fired the dispatch; telemetry uses it to
+// attribute the batch's queue time to fill waiting vs device contention.
 func (c *Cluster) dispatch(rep *replica, trig trigger) {
 	a := rep.app
 	rep.fillGen++
 	rep.pending = false
-	if len(rep.queue) == 0 {
-		return
-	}
-	plan := a.plan
 	now := c.loop.Now()
-	n := len(rep.queue)
-	if n > plan.SafeBatch {
-		n = plan.SafeBatch
-	}
-	svc := a.svc[n] * rep.dev.host.slow * rep.svcScale
-	co := a.cohortOf(rep)
-	kept := make([]request, 0, n)
-	expired := 0
-	for _, r := range rep.queue[:n] {
-		if plan.Expired(r.arrival, now, svc) {
-			a.expired++
-			a.winShed++
-			expired++
-			if co != nil {
-				co.shed++
-			}
-			a.router.AddLoad(rep.id, -1)
-			continue
+	// The replica prices from the app's memoized table and cannot fail.
+	kept, svc, expired, _ := rep.lane.Take(now, rep)
+	if expired > 0 {
+		a.expired += uint64(expired)
+		a.winShed += expired
+		if co := a.cohortOf(rep); co != nil {
+			co.shed += uint64(expired)
 		}
-		kept = append(kept, r)
+		a.router.AddLoad(rep.id, -int64(expired))
+		c.tel.onExpired(rep, expired)
 	}
-	c.tel.onExpired(rep, expired)
-	rep.queue = rep.queue[:copy(rep.queue, rep.queue[n:])]
 	if len(kept) == 0 {
-		// Entire batch was stale; try again with what is queued now.
+		// Nothing queued, or the entire batch was stale; try again with
+		// what is queued now.
 		c.maybeDispatch(rep)
 		return
 	}
-	svcKept := a.svc[len(kept)] * rep.dev.host.slow * rep.svcScale
 	rep.serving = true
 	rep.inFlight = kept
 	rep.dev.busy = true
@@ -666,7 +658,7 @@ func (c *Cluster) dispatch(rep *replica, trig trigger) {
 	rep.trig = trig
 	c.tel.onDispatch(rep, len(kept), trig)
 	gen := rep.svcGen
-	done := now + svcKept
+	done := now + svc
 	c.loop.At(done, func() {
 		if rep.svcGen != gen {
 			return // the host died under this batch; its requests failed over
@@ -695,7 +687,7 @@ func (c *Cluster) complete(rep *replica, batch []request, done float64) {
 	rep.serving = false
 	rep.inFlight = nil
 	rep.dev.busy = false
-	if rep.draining && (!rep.graceful || len(rep.queue) == 0) {
+	if rep.draining && (!rep.graceful || rep.lane.Len() == 0) {
 		c.finalizeRemoval(rep)
 		c.grantDevice(rep.dev)
 		return
@@ -709,7 +701,7 @@ func (c *Cluster) grantDevice(d *device) {
 	for len(d.waiters) > 0 && !d.busy {
 		next := d.waiters[0]
 		d.waiters = d.waiters[:copy(d.waiters, d.waiters[1:])]
-		if next.pending && len(next.queue) > 0 && !next.serving {
+		if next.pending && next.lane.Len() > 0 && !next.serving {
 			c.dispatch(next, trigDeviceFree)
 		} else {
 			next.pending = false
@@ -758,13 +750,8 @@ func (c *Cluster) killHost(h *host, why string) {
 			}
 			// Cross-host failover: queued and in-flight requests re-route
 			// through the router to surviving replicas.
-			orphans := append(append([]request(nil), rep.inFlight...), rep.queue...)
-			for range orphans {
-				a.router.AddLoad(rep.id, -1)
-			}
-			inFlight := len(rep.inFlight)
-			rep.inFlight = nil
-			rep.queue = rep.queue[:0]
+			orphans, inFlight := rep.orphan()
+			a.router.AddLoad(rep.id, -int64(len(orphans)))
 			if len(orphans) > 0 {
 				c.log(h.id, "failover-reroute", fmt.Sprintf("%s replica r%d: %d in-flight + %d queued requests re-routed",
 					a.cfg.Name, rep.id, inFlight, len(orphans)-inFlight))

@@ -34,7 +34,7 @@ func testApp(name string, rate float64, replicas int) AppConfig {
 func inSystem(a *app) int {
 	n := 0
 	for _, rep := range a.replicas {
-		n += len(rep.queue) + len(rep.inFlight)
+		n += rep.lane.Len() + len(rep.inFlight)
 	}
 	return n
 }

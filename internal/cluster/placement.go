@@ -7,7 +7,11 @@
 // execution engine).
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"tpusim/internal/serve"
+)
 
 // place creates and registers one replica of the app on the best
 // available device, or fails when no alive device has the weight capacity.
@@ -28,7 +32,8 @@ func (c *Cluster) placeReplica(a *app, version int, canary bool) (*replica, erro
 	if d == nil {
 		return nil, fmt.Errorf("no alive device with %d weight bytes free for %s", a.cfg.WeightBytes, a.cfg.Name)
 	}
-	rep := &replica{id: a.nextID, app: a, dev: d, version: version, svcScale: c.versionScale(version)}
+	rep := &replica{id: a.nextID, app: a, dev: d, version: version, svcScale: c.versionScale(version),
+		lane: serve.Lane[request](a.plan)}
 	a.nextID++
 	d.freeBytes -= a.cfg.WeightBytes
 	d.replicas = append(d.replicas, rep)

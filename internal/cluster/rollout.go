@@ -432,12 +432,12 @@ func (c *Cluster) drainReplica(rep *replica, deadline float64) {
 	rep.draining = true
 	rep.graceful = true
 	rep.fillGen++ // void any armed fill timer; drain dispatches immediately
-	if !rep.serving && len(rep.queue) == 0 {
+	if !rep.serving && rep.lane.Len() == 0 {
 		c.finalizeRemoval(rep)
 		return
 	}
 	c.log(rep.dev.host.id, "drain-begin", fmt.Sprintf("%s replica r%d: graceful drain of %d queued + %d in flight, deadline %.1f ms",
-		a.cfg.Name, rep.id, len(rep.queue), len(rep.inFlight), deadline*1e3))
+		a.cfg.Name, rep.id, rep.lane.Len(), len(rep.inFlight), deadline*1e3))
 	c.maybeDispatch(rep)
 	c.loop.After(deadline, func() { c.drainExpire(rep) })
 }
@@ -451,18 +451,15 @@ func (c *Cluster) drainExpire(rep *replica) {
 	if cur, ok := a.replicas[rep.id]; !ok || cur != rep || !rep.draining {
 		return // drained gracefully before the deadline
 	}
-	orphans := append(append([]request(nil), rep.inFlight...), rep.queue...)
-	inFlight := len(rep.inFlight)
+	orphans, inFlight := rep.orphan()
 	wasServing := rep.serving
 	if wasServing {
 		rep.svcGen++ // void the in-flight completion
 		rep.serving = false
-		rep.inFlight = nil
 		rep.dev.busy = false
 	}
 	rep.fillGen++
 	rep.pending = false
-	rep.queue = rep.queue[:0]
 	if len(orphans) > 0 {
 		c.log(rep.dev.host.id, "drain-deadline", fmt.Sprintf("%s replica r%d: deadline hit, %d in-flight + %d queued requests fail over",
 			a.cfg.Name, rep.id, inFlight, len(orphans)-inFlight))

@@ -173,7 +173,7 @@ func TestGracefulDrainFinishesQueue(t *testing.T) {
 	var queued int
 	c.loop.At(1, func() {
 		rep := a.replicas[0]
-		queued = len(rep.queue) + len(rep.inFlight)
+		queued = rep.lane.Len() + len(rep.inFlight)
 		c.drainReplica(rep, 10) // deadline far beyond what the queue needs
 	})
 	c.Run(3)
@@ -220,7 +220,7 @@ func TestDrainDeadlineFailsOver(t *testing.T) {
 	var queued int
 	c.loop.At(1, func() {
 		rep := a.replicas[0]
-		queued = len(rep.queue) + len(rep.inFlight)
+		queued = rep.lane.Len() + len(rep.inFlight)
 		c.drainReplica(rep, 0.002) // far too short for a saturated queue
 	})
 	c.Run(2)

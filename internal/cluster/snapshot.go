@@ -180,7 +180,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 				State: rep.state, Draining: rep.draining,
 				Version: rep.version,
 				Routed:  rep.routed, Completed: rep.completed,
-				QueueLen: len(rep.queue),
+				QueueLen: rep.lane.Len(),
 			})
 		}
 		s.Decisions = append(s.Decisions, a.decisions...)

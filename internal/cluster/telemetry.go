@@ -552,7 +552,7 @@ func (f *FleetMetrics) sample(a *app, am *appMetrics) {
 	depth := 0
 	for _, rep := range a.replicas {
 		am.perHost[rep.dev.host.id].Routed += rep.routed
-		depth += len(rep.queue)
+		depth += rep.lane.Len()
 	}
 	am.queueDepth = depth
 	if depth > am.maxQueueDepth {

@@ -1,19 +1,18 @@
-// Package latency is the 99th-percentile response-time simulator behind
-// Table 4: an open-loop arrival stream feeds a batching server, and the
-// distribution of request latencies (queueing plus batch service) yields
-// the p99 the paper's 7 ms application limit is checked against.
+// Package latency is the batching-server model behind Table 4: an open-loop
+// arrival stream feeds a batching server, and the distribution of request
+// latencies (queueing plus batch service) yields the p99 the paper's 7 ms
+// application limit is checked against.
 //
 // "Larger batch sizes increase throughput, but their longer response times
 // exceed the limit, so CPUs and GPUs must use less-efficient, smaller batch
 // sizes (16 vs. 200)."
+//
+// The queueing rules live in one place, Lane, which every virtual-time
+// simulator in the repo runs: Simulate and serve.Simulate through the
+// arrival-scan driver (Drive), each cluster replica through des events.
 package latency
 
-import (
-	"fmt"
-
-	"tpusim/internal/stats"
-	"tpusim/internal/workload"
-)
+import "fmt"
 
 // ServiceModel gives the time one batch of a given size takes to execute,
 // including host overheads.
@@ -59,99 +58,50 @@ type Result struct {
 // Simulate runs the batching queue: requests arrive open-loop; whenever the
 // server is free it takes up to Batch waiting requests (at least one) and
 // serves them together; a request's latency spans its arrival to its
-// batch's completion.
+// batch's completion. It is the Lane with no fill wait, no queue bound and
+// no deadline, under the arrival-scan driver.
 func Simulate(sm ServiceModel, cfg Config) (Result, error) {
+	return simulate(sm, cfg, &Lane[At]{})
+}
+
+// simulate runs one simulation on a caller-owned lane, so a rate search
+// reuses the lane's buffers across its probes.
+func simulate(sm ServiceModel, cfg Config, l *Lane[At]) (Result, error) {
 	if cfg.Batch <= 0 {
 		return Result{}, fmt.Errorf("latency: non-positive batch %d", cfg.Batch)
 	}
-	if cfg.Requests <= 0 {
-		return Result{}, fmt.Errorf("latency: non-positive request count %d", cfg.Requests)
-	}
-	arr, err := workload.NewPoisson(cfg.RatePerSecond, cfg.Seed)
+	l.Cap = cfg.Batch
+	run, err := OpenLoop(l, sm, cfg.RatePerSecond, cfg.Requests, cfg.Seed)
 	if err != nil {
 		return Result{}, err
 	}
-	arrivals := workload.Collect(arr, cfg.Requests)
-
-	latencies := make([]float64, 0, cfg.Requests)
-	var serverFree float64
-	batches, maxQueue := 0, 0
-	i := 0
-	for i < len(arrivals) {
-		// The server picks up work at the later of its availability and
-		// the first waiting request's arrival.
-		start := serverFree
-		if arrivals[i] > start {
-			start = arrivals[i]
-		}
-		// Take every request that has arrived by start, up to Batch.
-		j := i
-		for j < len(arrivals) && j-i < cfg.Batch && arrivals[j] <= start {
-			j++
-		}
-		if depth := waiting(arrivals, i, start); depth > maxQueue {
-			maxQueue = depth
-		}
-		if j == i {
-			j = i + 1 // at least the first request
-		}
-		n := j - i
-		svc, err := sm.BatchSeconds(n)
-		if err != nil {
-			return Result{}, err
-		}
-		if svc <= 0 {
-			return Result{}, fmt.Errorf("latency: non-positive service time %v for batch %d", svc, n)
-		}
-		done := start + svc
-		for k := i; k < j; k++ {
-			latencies = append(latencies, done-arrivals[k])
-		}
-		serverFree = done
-		batches++
-		i = j
-	}
-
-	p50, err := stats.Percentile(latencies, 50)
+	p50, p99, mean, err := run.Quantiles()
 	if err != nil {
 		return Result{}, err
 	}
-	p99, err := stats.Percentile(latencies, 99)
-	if err != nil {
-		return Result{}, err
-	}
-	mean, err := stats.Mean(latencies)
-	if err != nil {
-		return Result{}, err
-	}
-	span := serverFree - arrivals[0]
 	return Result{
 		Offered: cfg.RatePerSecond,
 		P50:     p50, P99: p99, Mean: mean,
-		Throughput: float64(cfg.Requests) / span,
-		MeanBatch:  float64(cfg.Requests) / float64(batches),
-		MaxQueue:   maxQueue,
+		Throughput: float64(cfg.Requests) / run.Span,
+		MeanBatch:  float64(cfg.Requests) / float64(run.Batches),
+		MaxQueue:   run.MaxQueue,
 	}, nil
 }
 
-// waiting counts requests at or after index i that have arrived by time t —
-// the queue depth the server sees at a dispatch point.
-func waiting(arrivals []float64, i int, t float64) int {
-	n := 0
-	for k := i; k < len(arrivals) && arrivals[k] <= t; k++ {
-		n++
+// price is the batch's service time, which must be positive.
+func price(sm ServiceModel, batch int) (float64, error) {
+	svc, err := sm.BatchSeconds(batch)
+	if err == nil && svc <= 0 {
+		err = fmt.Errorf("latency: non-positive service time %v for batch %d", svc, batch)
 	}
-	return n
+	return svc, err
 }
 
 // Capacity returns the server's saturation throughput at a batch size.
 func Capacity(sm ServiceModel, batch int) (float64, error) {
-	svc, err := sm.BatchSeconds(batch)
+	svc, err := price(sm, batch)
 	if err != nil {
 		return 0, err
-	}
-	if svc <= 0 {
-		return 0, fmt.Errorf("latency: non-positive service time %v", svc)
 	}
 	return float64(batch) / svc, nil
 }
@@ -160,11 +110,11 @@ func Capacity(sm ServiceModel, batch int) (float64, error) {
 // whose p99 stays within the SLA at the given batch size. It returns the
 // simulation at that operating point.
 func MaxRateUnderSLA(sm ServiceModel, batch int, slaSeconds float64, requests int, seed int64) (Result, error) {
-	cap_, err := Capacity(sm, batch)
+	svc, err := price(sm, batch)
 	if err != nil {
 		return Result{}, err
 	}
-	svc, _ := sm.BatchSeconds(batch)
+	cap_ := float64(batch) / svc
 	if svc > slaSeconds {
 		// Even an empty queue misses the SLA at this batch size; probe a
 		// single-request batch to see if any operating point exists.
@@ -179,9 +129,10 @@ func MaxRateUnderSLA(sm ServiceModel, batch int, slaSeconds float64, requests in
 	lo, hi := cap_*0.01, cap_*0.999
 	var best Result
 	found := false
+	lane := &Lane[At]{}
 	for iter := 0; iter < 22; iter++ {
 		mid := (lo + hi) / 2
-		r, err := Simulate(sm, Config{Batch: batch, RatePerSecond: mid, Requests: requests, Seed: seed})
+		r, err := simulate(sm, Config{Batch: batch, RatePerSecond: mid, Requests: requests, Seed: seed}, lane)
 		if err != nil {
 			return Result{}, err
 		}

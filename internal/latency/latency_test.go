@@ -1,6 +1,7 @@
 package latency
 
 import (
+	"errors"
 	"testing"
 
 	"tpusim/internal/baseline"
@@ -102,6 +103,23 @@ func TestMaxRateUnderSLA(t *testing.T) {
 	cap_, _ := Capacity(sm, 16)
 	if r.Throughput <= 0 || r.Throughput > cap_ {
 		t.Errorf("throughput %v outside (0, capacity %v]", r.Throughput, cap_)
+	}
+}
+
+// TestMaxRatePricesOnce: the search prices the batch once up front, and a
+// service model that fails on any later call fails the search instead of
+// being read as a zero service time.
+func TestMaxRatePricesOnce(t *testing.T) {
+	errSecond := errors.New("second call fails")
+	calls := 0
+	sm := ServiceFunc(func(n int) (float64, error) {
+		if calls++; calls == 2 {
+			return 0, errSecond
+		}
+		return 1e-3 + 0.1e-3*float64(n), nil
+	})
+	if _, err := MaxRateUnderSLA(sm, 16, 7e-3, 1000, 6); !errors.Is(err, errSecond) {
+		t.Errorf("err = %v, want the service model's error from its second call", err)
 	}
 }
 

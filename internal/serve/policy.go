@@ -7,7 +7,7 @@ import (
 )
 
 // slaSlop absorbs float rounding when comparing latencies against the SLA.
-const slaSlop = 1e-12
+const slaSlop = latency.SLASlop
 
 // Policy is the per-model serving policy. The zero values of MaxWaitSeconds
 // and QueueLimit are resolved from the latency model (see Resolve); MaxBatch
@@ -131,8 +131,13 @@ func (p Policy) Resolve(sm latency.ServiceModel) (Plan, error) {
 }
 
 // Expired reports whether a request that arrived at arr and would complete
-// at start+svc violates the SLA — the shared shed-at-dispatch decision of
-// both the wall-clock server and the virtual-time simulator.
+// at start+svc violates the SLA — the shed-at-dispatch decision the
+// wall-clock server shares with the lane.
 func (p Plan) Expired(arr, start, svc float64) bool {
-	return start+svc-arr > p.SLASeconds+slaSlop
+	return latency.Late(arr, start, svc, p.SLASeconds)
+}
+
+// Lane returns an empty batching lane that runs on the plan's numbers.
+func Lane[R latency.Arrival](p Plan) latency.Lane[R] {
+	return latency.Lane[R]{Cap: p.SafeBatch, MaxWait: p.MaxWaitSeconds, Limit: p.QueueLimit, SLA: p.SLASeconds}
 }

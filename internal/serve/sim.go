@@ -1,12 +1,6 @@
 package serve
 
-import (
-	"fmt"
-
-	"tpusim/internal/latency"
-	"tpusim/internal/stats"
-	"tpusim/internal/workload"
-)
+import "tpusim/internal/latency"
 
 // SimConfig drives one virtual-time serving simulation.
 type SimConfig struct {
@@ -57,8 +51,9 @@ func (r SimResult) ShedFrac() float64 {
 }
 
 // Simulate replays the deadline-aware batcher in virtual time against an
-// open-loop Poisson arrival stream. The decision sequence is identical to
-// the wall-clock Server's:
+// open-loop Poisson arrival stream: the resolved Plan's latency.Lane under
+// the arrival-scan driver, so the decision sequence is the one every
+// cluster replica runs and the wall-clock Server mirrors:
 //
 //  1. Admission: an arrival joins the queue only if fewer than QueueLimit
 //     requests are waiting; otherwise it is shed immediately. The bounded
@@ -78,124 +73,25 @@ func Simulate(sm latency.ServiceModel, cfg SimConfig) (SimResult, error) {
 	if err != nil {
 		return SimResult{}, err
 	}
-	if cfg.Requests <= 0 {
-		return SimResult{}, fmt.Errorf("serve: non-positive request count %d", cfg.Requests)
-	}
-	arr, err := workload.NewPoisson(cfg.RatePerSecond, cfg.Seed)
+	lane := Lane[latency.At](plan)
+	run, err := latency.OpenLoop(&lane, sm, cfg.RatePerSecond, cfg.Requests, cfg.Seed)
 	if err != nil {
 		return SimResult{}, err
 	}
-	arrivals := workload.Collect(arr, cfg.Requests)
-
-	res := SimResult{Plan: plan, Offered: cfg.RatePerSecond}
-	latencies := make([]float64, 0, cfg.Requests)
-	pending := make([]float64, 0, plan.QueueLimit) // admitted arrival times, FIFO
-	next := 0                                      // next arrival to admit or shed
-	var serverFree, lastDone float64
-	var batchSum int
-
-	// admitUpTo processes arrivals through time t in order: each joins the
-	// queue if there is room, and is shed otherwise. The queue only drains
-	// at dispatch points, so admission between dispatches is a simple scan.
-	admitUpTo := func(t float64) {
-		for next < len(arrivals) && arrivals[next] <= t {
-			if len(pending) < plan.QueueLimit {
-				pending = append(pending, arrivals[next])
-			} else {
-				res.ShedQueue++
-			}
-			next++
-		}
+	res := SimResult{
+		Plan: plan, Offered: cfg.RatePerSecond,
+		Completed: len(run.Latencies), Shed: run.Refused + run.Expired,
+		ShedQueue: run.Refused, Expired: run.Expired,
+		Batches: run.Batches, MaxQueue: run.MaxQueue,
 	}
-
-	for {
-		if len(pending) == 0 {
-			if next >= len(arrivals) {
-				break
-			}
-			// Idle server: jump to the next arrival, which is always
-			// admitted into an empty queue.
-			pending = append(pending, arrivals[next])
-			next++
-		}
-		head := pending[0]
-		ready := serverFree
-		if head > ready {
-			ready = head
-		}
-		admitUpTo(ready)
-		// Fill wait: leave when the safe batch is queued or the head has
-		// waited MaxWait — but never before the server is ready anyway.
-		start := ready
-		if fill := head + plan.MaxWaitSeconds; len(pending) < plan.SafeBatch && fill > ready {
-			for next < len(arrivals) && arrivals[next] <= fill && len(pending) < plan.SafeBatch {
-				start = arrivals[next]
-				pending = append(pending, arrivals[next])
-				next++
-			}
-			if len(pending) < plan.SafeBatch {
-				start = fill // waited the full window, batch still short
-			}
-		}
-		admitUpTo(start)
-		if len(pending) > res.MaxQueue {
-			res.MaxQueue = len(pending)
-		}
-		n := len(pending)
-		if n > plan.SafeBatch {
-			n = plan.SafeBatch
-		}
-		svc, err := sm.BatchSeconds(n)
-		if err != nil {
-			return SimResult{}, err
-		}
-		if svc <= 0 {
-			return SimResult{}, fmt.Errorf("serve: non-positive service time %v for batch %d", svc, n)
-		}
-		// Shed batch members that would violate the SLA if served now.
-		// Shedding only shrinks the batch, which only shortens the service
-		// time, so the kept requests' deadline check is conservative.
-		kept := make([]float64, 0, n)
-		for _, a := range pending[:n] {
-			if plan.Expired(a, start, svc) {
-				res.Expired++
-				continue
-			}
-			kept = append(kept, a)
-		}
-		pending = pending[:copy(pending, pending[n:])]
-		if len(kept) == 0 {
-			continue // stale requests shed without occupying the server
-		}
-		svcKept, err := sm.BatchSeconds(len(kept))
-		if err != nil {
-			return SimResult{}, err
-		}
-		done := start + svcKept
-		for _, a := range kept {
-			latencies = append(latencies, done-a)
-		}
-		serverFree, lastDone = done, done
-		res.Batches++
-		batchSum += len(kept)
-	}
-
-	res.Shed = res.ShedQueue + res.Expired
-	res.Completed = len(latencies)
 	if res.Completed > 0 {
-		if res.P50, err = stats.Percentile(latencies, 50); err != nil {
+		if res.P50, res.P99, res.Mean, err = run.Quantiles(); err != nil {
 			return SimResult{}, err
 		}
-		if res.P99, err = stats.Percentile(latencies, 99); err != nil {
-			return SimResult{}, err
+		if run.Span > 0 {
+			res.Throughput = float64(res.Completed) / run.Span
 		}
-		if res.Mean, err = stats.Mean(latencies); err != nil {
-			return SimResult{}, err
-		}
-		if span := lastDone - arrivals[0]; span > 0 {
-			res.Throughput = float64(res.Completed) / span
-		}
-		res.MeanBatch = float64(batchSum) / float64(res.Batches)
+		res.MeanBatch = float64(res.Completed) / float64(res.Batches)
 	}
 	return res, nil
 }

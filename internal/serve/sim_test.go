@@ -1,7 +1,13 @@
 package serve
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
+
+	"tpusim/internal/latency"
+	"tpusim/internal/stats"
+	"tpusim/internal/workload"
 )
 
 // mlp0Like is a service model shaped like the TPU's MLP0 batch-time curve:
@@ -150,5 +156,206 @@ func TestSimulateErrors(t *testing.T) {
 	}
 	if _, err := Simulate(sm, SimConfig{Policy: Policy{MaxBatch: 0, SLASeconds: 7e-3}, RatePerSecond: 10, Requests: 10}); err == nil {
 		t.Error("invalid policy accepted")
+	}
+}
+
+// TestSimulateHugeQueueLimit: a caller-set queue bound is a bound, not a
+// buffer size — the old loop pre-sized its queue with it and panicked.
+func TestSimulateHugeQueueLimit(t *testing.T) {
+	sm := linearService(0.75e-3, 0.4e-6)
+	pol := Policy{MaxBatch: 200, SLASeconds: 7e-3, QueueLimit: 1 << 60}
+	plan, err := pol.Resolve(sm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := float64(plan.SafeBatch) / plan.SafeServiceSeconds
+	r, err := Simulate(sm, SimConfig{Policy: pol, RatePerSecond: 1.5 * capacity, Requests: 20000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Completed+r.Shed != 20000 || r.Shed != r.ShedQueue+r.Expired {
+		t.Errorf("accounting broken: %d completed + %d shed (%d queue + %d expired) != 20000",
+			r.Completed, r.Shed, r.ShedQueue, r.Expired)
+	}
+	if r.ShedQueue != 0 || r.Expired == 0 {
+		t.Errorf("an effectively unbounded queue sheds only at dispatch: %d refused, %d expired", r.ShedQueue, r.Expired)
+	}
+}
+
+// oracleSimulate is the scan loop Simulate ran before latency.Lane existed,
+// kept verbatim (but for the queue pre-size that panicked on huge limits)
+// as the reference the lane driver must reproduce bit for bit.
+func oracleSimulate(sm latency.ServiceModel, cfg SimConfig) (SimResult, error) {
+	plan, err := cfg.Policy.Resolve(sm)
+	if err != nil {
+		return SimResult{}, err
+	}
+	if cfg.Requests <= 0 {
+		return SimResult{}, fmt.Errorf("serve: non-positive request count %d", cfg.Requests)
+	}
+	arr, err := workload.NewPoisson(cfg.RatePerSecond, cfg.Seed)
+	if err != nil {
+		return SimResult{}, err
+	}
+	arrivals := workload.Collect(arr, cfg.Requests)
+
+	res := SimResult{Plan: plan, Offered: cfg.RatePerSecond}
+	latencies := make([]float64, 0, cfg.Requests)
+	var pending []float64 // admitted arrival times, FIFO
+	next := 0             // next arrival to admit or shed
+	var serverFree, lastDone float64
+	var batchSum int
+
+	// admitUpTo processes arrivals through time t in order: each joins the
+	// queue if there is room, and is shed otherwise. The queue only drains
+	// at dispatch points, so admission between dispatches is a simple scan.
+	admitUpTo := func(t float64) {
+		for next < len(arrivals) && arrivals[next] <= t {
+			if len(pending) < plan.QueueLimit {
+				pending = append(pending, arrivals[next])
+			} else {
+				res.ShedQueue++
+			}
+			next++
+		}
+	}
+
+	for {
+		if len(pending) == 0 {
+			if next >= len(arrivals) {
+				break
+			}
+			// Idle server: jump to the next arrival, which is always
+			// admitted into an empty queue.
+			pending = append(pending, arrivals[next])
+			next++
+		}
+		head := pending[0]
+		ready := serverFree
+		if head > ready {
+			ready = head
+		}
+		admitUpTo(ready)
+		// Fill wait: leave when the safe batch is queued or the head has
+		// waited MaxWait — but never before the server is ready anyway.
+		start := ready
+		if fill := head + plan.MaxWaitSeconds; len(pending) < plan.SafeBatch && fill > ready {
+			for next < len(arrivals) && arrivals[next] <= fill && len(pending) < plan.SafeBatch {
+				start = arrivals[next]
+				pending = append(pending, arrivals[next])
+				next++
+			}
+			if len(pending) < plan.SafeBatch {
+				start = fill // waited the full window, batch still short
+			}
+		}
+		admitUpTo(start)
+		if len(pending) > res.MaxQueue {
+			res.MaxQueue = len(pending)
+		}
+		n := len(pending)
+		if n > plan.SafeBatch {
+			n = plan.SafeBatch
+		}
+		svc, err := sm.BatchSeconds(n)
+		if err != nil {
+			return SimResult{}, err
+		}
+		if svc <= 0 {
+			return SimResult{}, fmt.Errorf("serve: non-positive service time %v for batch %d", svc, n)
+		}
+		// Shed batch members that would violate the SLA if served now.
+		// Shedding only shrinks the batch, which only shortens the service
+		// time, so the kept requests' deadline check is conservative.
+		kept := make([]float64, 0, n)
+		for _, a := range pending[:n] {
+			if plan.Expired(a, start, svc) {
+				res.Expired++
+				continue
+			}
+			kept = append(kept, a)
+		}
+		pending = pending[:copy(pending, pending[n:])]
+		if len(kept) == 0 {
+			continue // stale requests shed without occupying the server
+		}
+		svcKept, err := sm.BatchSeconds(len(kept))
+		if err != nil {
+			return SimResult{}, err
+		}
+		done := start + svcKept
+		for _, a := range kept {
+			latencies = append(latencies, done-a)
+		}
+		serverFree, lastDone = done, done
+		res.Batches++
+		batchSum += len(kept)
+	}
+
+	res.Shed = res.ShedQueue + res.Expired
+	res.Completed = len(latencies)
+	if res.Completed > 0 {
+		if res.P50, err = stats.Percentile(latencies, 50); err != nil {
+			return SimResult{}, err
+		}
+		if res.P99, err = stats.Percentile(latencies, 99); err != nil {
+			return SimResult{}, err
+		}
+		if res.Mean, err = stats.Mean(latencies); err != nil {
+			return SimResult{}, err
+		}
+		if span := lastDone - arrivals[0]; span > 0 {
+			res.Throughput = float64(res.Completed) / span
+		}
+		res.MeanBatch = float64(batchSum) / float64(res.Batches)
+	}
+	return res, nil
+}
+
+// TestSimulateMatchesOracle: over seeded random (rate, batch, MaxWait,
+// QueueLimit, SLA, service curve) draws from light load to deep overload,
+// the lane driver returns the deleted loop's SimResult exactly. A drawn
+// QueueLimit is never below the safe batch: there the old loop's fill wait
+// appended past the bound its own admission scan enforced, and the lane
+// (like the cluster before it) keeps the bound.
+func TestSimulateMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	shed, expired := 0, 0
+	for draw := 0; draw < 300; draw++ {
+		sla := 1e-3 + rng.Float64()*9e-3
+		sm := linearService(rng.Float64()*0.6*sla, rng.Float64()*sla/100)
+		pol := Policy{MaxBatch: 1 + rng.Intn(256), SLASeconds: sla}
+		plan, err := pol.Resolve(sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(2) == 0 {
+			pol.MaxWaitSeconds = rng.Float64() * sla
+		}
+		if rng.Intn(2) == 0 {
+			pol.QueueLimit = plan.SafeBatch + rng.Intn(4*plan.SafeBatch)
+		}
+		cfg := SimConfig{
+			Policy:        pol,
+			RatePerSecond: float64(plan.SafeBatch) / plan.SafeServiceSeconds * (0.05 + 1.6*rng.Float64()),
+			Requests:      1 + rng.Intn(3000),
+			Seed:          rng.Int63(),
+		}
+		want, err := oracleSimulate(sm, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Simulate(sm, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("draw %d (%+v):\n got %+v\nwant %+v", draw, cfg, got, want)
+		}
+		shed += got.ShedQueue
+		expired += got.Expired
+	}
+	if shed == 0 || expired == 0 {
+		t.Errorf("draws never exercised both shed paths: %d refused, %d expired", shed, expired)
 	}
 }
