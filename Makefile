@@ -1,8 +1,14 @@
 GO ?= go
 
-.PHONY: ci vet vet-cmd build test race bench-test bench-smoke bench bench-gate fuzz-smoke cover obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
+.PHONY: ci fmt-check vet vet-cmd build test race bench-test bench-smoke bench bench-gate fuzz-smoke cover obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
 
-ci: vet vet-cmd build race bench-test fuzz-smoke cover bench-smoke bench-gate obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
+ci: fmt-check vet vet-cmd build race bench-test fuzz-smoke cover bench-smoke bench-gate obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
+
+# Fails when any file is not gofmt-clean. The benchmark's build directory
+# holds a Go cache, not source.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	[ -z "$$out" ] || { echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -38,7 +44,8 @@ bench:
 
 # Performance gates (BENCH_PR6.json). The alloc gates are exact and
 # noise-free: a zero-allocation packed matmul, a zero-allocation Submit
-# round trip, and a per-dispatch object ceiling on the runtime backend.
+# round trip, a per-dispatch object ceiling on the runtime backend, and a
+# steady fleet run at no more than one allocation per hundred events.
 # The BenchmarkTable3 ceilings are min-of-3 wall clock (generous — the CI
 # container's scheduler jitter swings tens of percent, but the ceiling
 # still sits well under the pre-optimization ~1 ms) and an exact
@@ -49,6 +56,8 @@ T3_CEILING_ALLOCS ?= 48
 bench-gate:
 	$(GO) test -count=1 ./internal/systolic -run TestMultiplyIntoZeroAlloc
 	$(GO) test -count=1 ./internal/serve -run SteadyStateAllocs
+	$(GO) test -count=1 ./internal/des -run TestSteadyStateAllocs
+	$(GO) test -count=1 ./internal/cluster -run TestClusterRunAllocs
 	@$(GO) test -run xxx -bench 'BenchmarkTable3$$' -benchtime 600x -benchmem -count 3 . > bench-gate.out || { cat bench-gate.out; rm -f bench-gate.out; exit 1; }; \
 	min=$$(awk '/^BenchmarkTable3/ && $$4 == "ns/op" {if (min == "" || $$3+0 < min) min = $$3+0} END {print min}' bench-gate.out); \
 	allocs=$$(awk '/^BenchmarkTable3/ && $$8 == "allocs/op" {a = $$7+0} END {print a}' bench-gate.out); \

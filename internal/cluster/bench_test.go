@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"tpusim/internal/latency"
@@ -14,18 +15,12 @@ import (
 	"tpusim/internal/workload"
 )
 
-// benchCluster builds a 250-host x 4-device pod (1000 devices) running 10
-// apps x 100 replicas with steady Poisson load.
-func benchCluster(b *testing.B) *Cluster {
-	b.Helper()
-	return benchClusterWith(b, nil)
-}
-
-// benchClusterWith is the same pod with telemetry attached, for the
-// enabled-overhead benchmark.
-func benchClusterWith(b *testing.B, tel *Telemetry) *Cluster {
-	b.Helper()
-	apps := make([]AppConfig, 10)
+// steadyPod builds hosts x 4 devices running apps x replicas under steady
+// Poisson load with the autoscaler off, optionally with telemetry attached.
+// The benchmarks run 250 hosts (1000 devices) with 10 apps x 100 replicas.
+func steadyPod(tb testing.TB, hosts, nApps, replicas int, tel *Telemetry) *Cluster {
+	tb.Helper()
+	apps := make([]AppConfig, nApps)
 	for i := range apps {
 		apps[i] = AppConfig{
 			Name:            "APP" + string(rune('0'+i)),
@@ -33,11 +28,11 @@ func benchClusterWith(b *testing.B, tel *Telemetry) *Cluster {
 			Policy:          serve.Policy{MaxBatch: 64, SLASeconds: 7e-3},
 			WeightBytes:     256 << 20,
 			Curve:           workload.Constant(4000),
-			InitialReplicas: 100,
+			InitialReplicas: replicas,
 		}
 	}
 	c, err := New(Config{
-		Hosts: 250, DevicesPerHost: 4,
+		Hosts: hosts, DevicesPerHost: 4,
 		Router:    BoundedHash,
 		Apps:      apps,
 		Autoscale: AutoscaleConfig{Disabled: true},
@@ -45,24 +40,51 @@ func benchClusterWith(b *testing.B, tel *Telemetry) *Cluster {
 		Telemetry: tel,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c
 }
 
+func mallocs() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.Mallocs
+}
+
+// TestClusterRunAllocs gates the allocation-free event path: on a small
+// steady fleet with telemetry off, once queues, lanes and the calendar have
+// their capacity, a virtual second costs at most one allocation per hundred
+// events (what is left is the latency slices doubling). A closure per
+// arrival, fill timer or completion is 0.3 per event and fails this.
+func TestClusterRunAllocs(t *testing.T) {
+	c := steadyPod(t, 4, 2, 8, nil)
+	c.Run(1)
+	events, before := c.EventsProcessed(), mallocs()
+	c.Run(2)
+	events, allocs := c.EventsProcessed()-events, mallocs()-before
+	if events < 10_000 {
+		t.Fatalf("only %d events in the measured second; the gate needs a busy fleet", events)
+	}
+	if per := float64(allocs) / float64(events); per > 0.01 {
+		t.Fatalf("%d allocations over %d events = %.4f per event, want <= 0.01", allocs, events, per)
+	}
+}
+
 func BenchmarkClusterSim(b *testing.B) {
 	const virtualSeconds = 10.0
-	var events uint64
+	var events, allocs uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c := benchCluster(b)
+		c := steadyPod(b, 250, 10, 100, nil)
+		before := mallocs()
 		b.StartTimer()
 		c.Run(virtualSeconds)
+		b.StopTimer()
+		allocs += mallocs() - before
 		events = c.EventsProcessed()
 	}
-	b.StopTimer()
 	if events == 0 {
 		b.Fatal("benchmark processed no events")
 	}
@@ -70,6 +92,7 @@ func BenchmarkClusterSim(b *testing.B) {
 	b.ReportMetric(float64(events)/perIter, "events/s")
 	b.ReportMetric(float64(events), "events/run")
 	b.ReportMetric(virtualSeconds/perIter, "virtual-s/wall-s")
+	b.ReportMetric(float64(allocs)/float64(b.N)/float64(events), "allocs/event")
 }
 
 // BenchmarkClusterSimTelemetry is the enabled-overhead twin: the same pod
@@ -82,7 +105,7 @@ func BenchmarkClusterSimTelemetry(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c := benchClusterWith(b, &Telemetry{
+		c := steadyPod(b, 250, 10, 100, &Telemetry{
 			Tracer:      obs.NewTracer(obs.DefaultCapacity),
 			Metrics:     NewFleetMetrics(0.1),
 			SampleEvery: 256,

@@ -260,6 +260,7 @@ type replica struct {
 
 // app is one application's cluster-level serving state.
 type app struct {
+	c    *Cluster
 	cfg  AppConfig
 	idx  int
 	plan serve.Plan
@@ -400,6 +401,7 @@ func New(cfg Config) (*Cluster, error) {
 			ac.MaxReplicas = fleetDevices
 		}
 		a := &app{
+			c:          c,
 			cfg:        ac,
 			idx:        i,
 			plan:       plan,
@@ -510,19 +512,48 @@ func (c *Cluster) KillHostAt(t float64, hostID int) error {
 	return nil
 }
 
+// The three per-request events are handler views of objects that already
+// exist, so scheduling one allocates nothing: the loop stores the pointer
+// and the one word the firing needs. Rare controller events (chaos,
+// rollout, autoscaler, telemetry) stay closures through loop.At / After.
+type (
+	arrival    app     // arg: the request key
+	fillTimer  replica // arg: the fillGen the timer was armed under
+	completion replica // arg: the svcGen the batch was dispatched under
+)
+
 // scheduleNextArrival draws the app's next arrival and request key and
 // queues the arrival event. The chain is infinite; Run's horizon bounds
 // what fires.
 func (c *Cluster) scheduleNextArrival(a *app) {
-	at := a.arrivals.Next()
-	key := a.keys.Uint64()
-	c.loop.At(at, func() {
-		c.scheduleNextArrival(a)
-		a.offered++
-		a.winArrivals++
-		c.earnRetryToken(a)
-		c.route(a, request{arrival: at, key: key})
-	})
+	c.loop.Schedule(a.arrivals.Next(), (*arrival)(a), a.keys.Uint64())
+}
+
+// Fire admits one request; its arrival instant is the event's own time.
+func (ar *arrival) Fire(key uint64) {
+	a := (*app)(ar)
+	c := a.c
+	c.scheduleNextArrival(a)
+	a.offered++
+	a.winArrivals++
+	c.earnRetryToken(a)
+	c.route(a, request{arrival: c.loop.Now(), key: key})
+}
+
+// Fire looks at the replica again once its head has waited MaxWait. Every
+// dispatch, death and drain bumps fillGen, voiding the timer.
+func (ft *fillTimer) Fire(gen uint64) {
+	if rep := (*replica)(ft); rep.fillGen == gen {
+		rep.app.c.maybeDispatch(rep)
+	}
+}
+
+// Fire retires the in-flight batch, unless the host died (or the drain
+// expired) under it: its requests failed over and svcGen moved on.
+func (cp *completion) Fire(gen uint64) {
+	if rep := (*replica)(cp); rep.svcGen == gen {
+		rep.app.c.complete(rep)
+	}
 }
 
 // route sends a request through the app's router into a replica queue.
@@ -555,7 +586,9 @@ func (rep *replica) BatchSeconds(n int) (float64, error) {
 }
 
 // orphan empties the replica: its in-flight batch (copied out, because the
-// lane's next Take overwrites the buffer) followed by its queue.
+// lane's next Take overwrites the buffer) followed by its queue. The pending
+// completion reads inFlight when it fires, so every caller that orphans a
+// serving replica must also bump svcGen to void it.
 func (rep *replica) orphan() (orphans []request, inFlight int) {
 	inFlight = len(rep.inFlight)
 	orphans = rep.lane.Drain(append([]request(nil), rep.inFlight...))
@@ -614,14 +647,7 @@ func (c *Cluster) maybeDispatch(rep *replica) {
 		// have ceased, so the queue can only shrink — flush it.
 		c.dispatch(rep, trigFillWait)
 	default:
-		// Look again when the head has waited MaxWait. Every dispatch, death
-		// and drain bumps the generation, voiding the timer.
-		gen := rep.fillGen
-		c.loop.At(due, func() {
-			if rep.fillGen == gen {
-				c.maybeDispatch(rep)
-			}
-		})
+		c.loop.Schedule(due, (*fillTimer)(rep), rep.fillGen)
 	}
 }
 
@@ -657,20 +683,14 @@ func (c *Cluster) dispatch(rep *replica, trig trigger) {
 	rep.dispatchAt = now
 	rep.trig = trig
 	c.tel.onDispatch(rep, len(kept), trig)
-	gen := rep.svcGen
-	done := now + svc
-	c.loop.At(done, func() {
-		if rep.svcGen != gen {
-			return // the host died under this batch; its requests failed over
-		}
-		c.complete(rep, kept, done)
-	})
+	c.loop.Schedule(now+svc, (*completion)(rep), rep.svcGen)
 }
 
-// complete retires a served batch and hands the device to the next waiting
-// replica, FIFO.
-func (c *Cluster) complete(rep *replica, batch []request, done float64) {
+// complete retires the replica's in-flight batch and hands the device to
+// the next waiting replica, FIFO.
+func (c *Cluster) complete(rep *replica) {
 	a := rep.app
+	batch, done := rep.inFlight, c.loop.Now()
 	c.tel.onComplete(rep, batch, done)
 	co := a.cohortOf(rep)
 	for _, r := range batch {
@@ -682,8 +702,8 @@ func (c *Cluster) complete(rep *replica, batch []request, done float64) {
 			co.completed++
 			co.lats = append(co.lats, lat)
 		}
-		a.router.AddLoad(rep.id, -1)
 	}
+	a.router.AddLoad(rep.id, -int64(len(batch)))
 	rep.serving = false
 	rep.inFlight = nil
 	rep.dev.busy = false

@@ -14,9 +14,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -97,8 +99,15 @@ type Router struct {
 	policy RouterPolicy
 	boundC float64
 	eps    map[int]*endpoint
-	order  []*endpoint // sorted by id, rebuilt on membership change
-	ring   []ringSlot  // sorted by hash, rebuilt on membership change
+	stale  bool        // membership changed since order and ring were built
+	order  []*endpoint // sorted by id; valid while !stale
+	ring   []ringSlot  // sorted by hash; valid while !stale
+
+	// Running sums over routable endpoints — the bounded-hash bound per
+	// request without a scan. Every write to an endpoint's state or load,
+	// and every membership change, keeps them exact.
+	routableLoad int64
+	routableN    int
 }
 
 // NewRouter creates an empty router with the given policy.
@@ -121,7 +130,8 @@ func (r *Router) Add(id int, weight float64) error {
 		return fmt.Errorf("cluster: replica %d already routed", id)
 	}
 	r.eps[id] = &endpoint{id: id, weight: weight, state: runtime.Healthy}
-	r.rebuild()
+	r.routableN++
+	r.stale = true
 	return nil
 }
 
@@ -129,11 +139,22 @@ func (r *Router) Add(id int, weight float64) error {
 func (r *Router) Remove(id int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.eps[id]; !ok {
+	ep, ok := r.eps[id]
+	if !ok {
 		return
 	}
+	r.count(ep, -1)
 	delete(r.eps, id)
-	r.rebuild()
+	r.stale = true
+}
+
+// count adds (sign +1) or withdraws (-1) an endpoint's contribution to the
+// running routable sums.
+func (r *Router) count(ep *endpoint, sign int) {
+	if routable(ep) {
+		r.routableN += sign
+		r.routableLoad += int64(sign) * ep.load
+	}
 }
 
 // SetState moves a replica through the health state machine as the router
@@ -142,7 +163,9 @@ func (r *Router) SetState(id int, st runtime.HealthState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ep, ok := r.eps[id]; ok {
+		r.count(ep, -1)
 		ep.state = st
+		r.count(ep, +1)
 	}
 }
 
@@ -162,10 +185,9 @@ func (r *Router) AddLoad(id int, delta int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ep, ok := r.eps[id]; ok {
-		ep.load += delta
-		if ep.load < 0 {
-			ep.load = 0
-		}
+		r.count(ep, -1)
+		ep.load = max(ep.load+delta, 0)
+		r.count(ep, +1)
 	}
 }
 
@@ -183,6 +205,9 @@ func (r *Router) Load(id int) int64 {
 func (r *Router) IDs() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.stale {
+		r.rebuild()
+	}
 	out := make([]int, len(r.order))
 	for i, ep := range r.order {
 		out[i] = ep.id
@@ -202,6 +227,9 @@ func (r *Router) Len() int {
 func (r *Router) Route(key uint64) (int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.stale {
+		r.rebuild()
+	}
 	switch r.policy {
 	case WeightedRoundRobin:
 		return r.routeWRR()
@@ -262,17 +290,7 @@ func (r *Router) routeLeastLoaded() (int, bool) {
 // change), it falls back to the least-loaded routable one — traffic is
 // never refused while any replica can take it.
 func (r *Router) routeBoundedHash(key uint64) (int, bool) {
-	if len(r.ring) == 0 {
-		return 0, false
-	}
-	var total int64
-	routableN := 0
-	for _, ep := range r.order {
-		if routable(ep) {
-			total += ep.load
-			routableN++
-		}
-	}
+	total, routableN := r.routableLoad, r.routableN
 	if routableN == 0 {
 		return 0, false
 	}
@@ -294,26 +312,29 @@ func (r *Router) routeBoundedHash(key uint64) (int, bool) {
 	return r.routeLeastLoaded()
 }
 
-// rebuild refreshes the deterministic iteration order and the hash ring
-// after a membership change. Ring positions depend only on replica ids, so
-// a rejoining replica reclaims exactly its old arcs (bounded key movement).
+// rebuild refreshes the deterministic iteration order and the hash ring.
+// Add and Remove only mark membership stale; the next Route or IDs calls
+// this once, under the lock, so a thousand Adds cost one build and not a
+// thousand. Ring positions depend only on replica ids, so a rejoining
+// replica reclaims exactly its old arcs (bounded key movement).
 func (r *Router) rebuild() {
-	r.order = r.order[:0]
+	r.stale = false
+	r.order = make([]*endpoint, 0, len(r.eps))
 	for _, ep := range r.eps {
 		r.order = append(r.order, ep)
 	}
-	sort.Slice(r.order, func(i, j int) bool { return r.order[i].id < r.order[j].id })
-	r.ring = r.ring[:0]
+	slices.SortFunc(r.order, func(a, b *endpoint) int { return cmp.Compare(a.id, b.id) })
+	r.ring = make([]ringSlot, 0, len(r.order)*vnodes)
 	for _, ep := range r.order {
 		for v := 0; v < vnodes; v++ {
 			r.ring = append(r.ring, ringSlot{hash: vnodeHash(ep.id, v), ep: ep})
 		}
 	}
-	sort.Slice(r.ring, func(i, j int) bool {
-		if r.ring[i].hash != r.ring[j].hash {
-			return r.ring[i].hash < r.ring[j].hash
+	slices.SortFunc(r.ring, func(a, b ringSlot) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return r.ring[i].ep.id < r.ring[j].ep.id
+		return cmp.Compare(a.ep.id, b.ep.id)
 	})
 }
 

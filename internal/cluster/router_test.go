@@ -7,6 +7,9 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -306,5 +309,192 @@ func TestRouterConcurrentChurn(t *testing.T) {
 				t.Fatal("router unroutable after churn settled")
 			}
 		})
+	}
+}
+
+// eagerRouter is the router as it was before the ring went lazy, kept as
+// the reference: it rebuilds order and ring on every membership change and
+// rescans every endpoint for the bounded-hash bound on every request.
+type eagerRouter struct {
+	policy RouterPolicy
+	eps    map[int]*endpoint
+	order  []*endpoint
+	ring   []ringSlot
+}
+
+func (r *eagerRouter) rebuild() {
+	r.order = r.order[:0]
+	for _, ep := range r.eps {
+		r.order = append(r.order, ep)
+	}
+	sort.Slice(r.order, func(i, j int) bool { return r.order[i].id < r.order[j].id })
+	r.ring = r.ring[:0]
+	for _, ep := range r.order {
+		for v := 0; v < vnodes; v++ {
+			r.ring = append(r.ring, ringSlot{hash: vnodeHash(ep.id, v), ep: ep})
+		}
+	}
+	sort.Slice(r.ring, func(i, j int) bool {
+		if r.ring[i].hash != r.ring[j].hash {
+			return r.ring[i].hash < r.ring[j].hash
+		}
+		return r.ring[i].ep.id < r.ring[j].ep.id
+	})
+}
+
+func (r *eagerRouter) add(id int, weight float64) bool {
+	if _, ok := r.eps[id]; ok {
+		return false
+	}
+	r.eps[id] = &endpoint{id: id, weight: weight, state: runtime.Healthy}
+	r.rebuild()
+	return true
+}
+
+func (r *eagerRouter) remove(id int) {
+	if _, ok := r.eps[id]; ok {
+		delete(r.eps, id)
+		r.rebuild()
+	}
+}
+
+func (r *eagerRouter) addLoad(id int, delta int64) {
+	if ep, ok := r.eps[id]; ok {
+		ep.load += delta
+		if ep.load < 0 {
+			ep.load = 0
+		}
+	}
+}
+
+// routableSums is the fresh scan the new router's running totals replace.
+func (r *eagerRouter) routableSums() (total int64, n int) {
+	for _, ep := range r.order {
+		if routable(ep) {
+			total += ep.load
+			n++
+		}
+	}
+	return total, n
+}
+
+func (r *eagerRouter) leastLoaded() (int, bool) {
+	var best *endpoint
+	for _, ep := range r.order {
+		if routable(ep) && (best == nil || ep.state < best.state ||
+			(ep.state == best.state && ep.load < best.load)) {
+			best = ep
+		}
+	}
+	if best == nil {
+		return 0, false
+	}
+	return best.id, true
+}
+
+func (r *eagerRouter) route(key uint64) (int, bool) {
+	switch r.policy {
+	case WeightedRoundRobin:
+		var best *endpoint
+		var total float64
+		for _, ep := range r.order {
+			if !routable(ep) {
+				continue
+			}
+			ep.current += ep.weight
+			total += ep.weight
+			if best == nil || ep.current > best.current {
+				best = ep
+			}
+		}
+		if best == nil {
+			return 0, false
+		}
+		best.current -= total
+		return best.id, true
+	case LeastLoaded:
+		return r.leastLoaded()
+	}
+	total, n := r.routableSums()
+	if n == 0 {
+		return 0, false
+	}
+	bound := int64(math.Ceil(defaultBoundC * float64(total+1) / float64(n)))
+	h := mix64(key)
+	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
+	seen := map[int]bool{}
+	for k := 0; k < len(r.ring) && len(seen) < n; k++ {
+		ep := r.ring[(i+k)%len(r.ring)].ep
+		if !routable(ep) || seen[ep.id] {
+			continue
+		}
+		if ep.load+1 <= bound {
+			return ep.id, true
+		}
+		seen[ep.id] = true
+	}
+	return r.leastLoaded()
+}
+
+// TestRouterMatchesEagerOracle: over seeded random interleavings of every
+// mutating and reading call, the lazy router answers every Route and IDs
+// exactly as the eager one does, and after every step its running routable
+// load and count equal a fresh sum — including AddLoad deltas that clamp
+// at zero and state flips in and out of Quarantined.
+func TestRouterMatchesEagerOracle(t *testing.T) {
+	states := []runtime.HealthState{runtime.Healthy, runtime.Degraded, runtime.Quarantined}
+	for _, policy := range []RouterPolicy{WeightedRoundRobin, LeastLoaded, BoundedHash} {
+		for seed := int64(1); seed <= 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			r := NewRouter(policy)
+			o := &eagerRouter{policy: policy, eps: map[int]*endpoint{}}
+			for step := 0; step < 400; step++ {
+				id := rng.Intn(12)
+				switch op := rng.Intn(10); {
+				case op < 2:
+					w := float64(1 + rng.Intn(3))
+					if got, want := r.Add(id, w) == nil, o.add(id, w); got != want {
+						t.Fatalf("%v seed %d step %d: Add(%d) ok=%v, oracle %v", policy, seed, step, id, got, want)
+					}
+				case op < 3:
+					r.Remove(id)
+					o.remove(id)
+				case op < 5:
+					st := states[rng.Intn(len(states))]
+					r.SetState(id, st)
+					if ep, ok := o.eps[id]; ok {
+						ep.state = st
+					}
+				case op < 7:
+					delta := int64(rng.Intn(9) - 5) // negative often enough to hit the clamp
+					r.AddLoad(id, delta)
+					o.addLoad(id, delta)
+				case op < 9:
+					key := rng.Uint64()
+					gotID, gotOK := r.Route(key)
+					wantID, wantOK := o.route(key)
+					if gotID != wantID || gotOK != wantOK {
+						t.Fatalf("%v seed %d step %d: Route(%d) = %d,%v, oracle %d,%v",
+							policy, seed, step, key, gotID, gotOK, wantID, wantOK)
+					}
+					if gotOK && rng.Intn(2) == 0 {
+						r.AddLoad(gotID, 1)
+						o.addLoad(gotID, 1)
+					}
+				default:
+					want := make([]int, len(o.order))
+					for i, ep := range o.order {
+						want[i] = ep.id
+					}
+					if got := r.IDs(); !slices.Equal(got, want) {
+						t.Fatalf("%v seed %d step %d: IDs = %v, oracle %v", policy, seed, step, got, want)
+					}
+				}
+				if total, n := o.routableSums(); r.routableLoad != total || r.routableN != n {
+					t.Fatalf("%v seed %d step %d: running load/count %d/%d, fresh sum %d/%d",
+						policy, seed, step, r.routableLoad, r.routableN, total, n)
+				}
+			}
+		}
 	}
 }

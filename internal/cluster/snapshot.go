@@ -22,9 +22,9 @@ type AppSnapshot struct {
 	Completed, ShedQueue, Expired uint64
 	Failovers, Errors, RouterMiss uint64
 	// Retry-defense counters (nonzero only with Config.Retry.Enabled).
-	Retries, BudgetDenied         uint64
-	DeadlineDrops, Blackholed     uint64
-	P50Ms, P99Ms                  float64
+	Retries, BudgetDenied     uint64
+	DeadlineDrops, Blackholed uint64
+	P50Ms, P99Ms              float64
 	// ShedFrac is (queue sheds + dispatch expiries) over offered load;
 	// ErrorRate is client-visible failures over offered load.
 	ShedFrac, ErrorRate float64
@@ -138,20 +138,20 @@ func (c *Cluster) Snapshot() *Snapshot {
 	}
 	for _, a := range c.apps {
 		as := AppSnapshot{
-			Name:       a.cfg.Name,
-			Replicas:   a.liveReplicas(),
-			Offered:    a.offered,
-			Completed:  a.completed,
-			ShedQueue:  a.shedQueue,
-			Expired:    a.expired,
-			Failovers:  a.failovers,
-			Errors:     a.errors,
-			RouterMiss: a.routerMiss,
-			Retries:    a.retries,
+			Name:          a.cfg.Name,
+			Replicas:      a.liveReplicas(),
+			Offered:       a.offered,
+			Completed:     a.completed,
+			ShedQueue:     a.shedQueue,
+			Expired:       a.expired,
+			Failovers:     a.failovers,
+			Errors:        a.errors,
+			RouterMiss:    a.routerMiss,
+			Retries:       a.retries,
 			BudgetDenied:  a.budgetDenied,
 			DeadlineDrops: a.deadlineDrops,
 			Blackholed:    a.blackholed,
-			Decisions:  len(a.decisions),
+			Decisions:     len(a.decisions),
 		}
 		if len(a.latencies) > 0 {
 			// Percentile sorts a copy; latencies stay in completion order.

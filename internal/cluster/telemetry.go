@@ -617,12 +617,12 @@ type appMetrics struct {
 	retries, budgetDenied                          uint64
 	deadlineDrops, blackholed                      uint64
 	scaleUps, scaleDowns, scaleBlocked, scaleHolds uint64
-	batches, batched                   uint64
-	trig                               [numTriggers]uint64
-	queueDepth, maxQueueDepth          int
-	liveReplicas                       int
-	replicaSeconds                     float64
-	busySeconds                        float64
+	batches, batched                               uint64
+	trig                                           [numTriggers]uint64
+	queueDepth, maxQueueDepth                      int
+	liveReplicas                                   int
+	replicaSeconds                                 float64
+	busySeconds                                    float64
 
 	// Latency decomposition of completed requests, seconds.
 	queueWait, fillWait, service, failoverDelay, total serve.Histogram
@@ -669,7 +669,7 @@ type FleetMetrics struct {
 	rolloutStage  int // RolloutStage numeric value
 	rollbacks     int
 	cordonedHosts int
-	zoneUp         []bool // per failure domain: any host alive
+	zoneUp        []bool // per failure domain: any host alive
 }
 
 // DefaultWindowSeconds is the sampling window when NewFleetMetrics is

@@ -277,11 +277,11 @@ func compile(m *nn.Model, qm *nn.QuantizedModel, opts Options) (*Artifact, error
 // shapeKey identifies a compiled shape. A comparable struct key keeps the
 // hint lookup off fmt.Sprintf on the recompile path.
 type shapeKey struct {
-	name    string
-	batch   int
-	alloc   Kind
-	w16     bool
-	a16     bool
+	name  string
+	batch int
+	alloc Kind
+	w16   bool
+	a16   bool
 }
 
 // capHint remembers a compiled shape's emitted instruction count and weight

@@ -262,9 +262,9 @@ func (lo *lowering) lowerMatrixLayer(layer, rows, cols, totalRows int, in, out e
 			acc := uint16(accBase + c*r)
 			for rt := 0; rt < rowTiles; rt++ {
 				lo.emit(isa.Instruction{
-					Op:         isa.OpReadWeights,
-					Addr: lo.tileAddr(layer, rt, c, rowTiles),
-					TileCount:  1,
+					Op:        isa.OpReadWeights,
+					Addr:      lo.tileAddr(layer, rt, c, rowTiles),
+					TileCount: 1,
 				})
 				flags := baseFlags
 				if rt > 0 {

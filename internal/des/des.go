@@ -5,9 +5,16 @@
 // pod scale, and pod scale is unaffordable in wall-clock time: a thousand
 // simulated devices sleeping out real service times would take hours per
 // run. The event loop here replaces sleeps with a time-ordered calendar:
-// every actor schedules a callback at a virtual instant, the loop pops
-// events in (time, insertion) order, and ten virtual seconds of a
-// thousand-device fleet execute in well under a wall-clock second.
+// every actor schedules a firing at a virtual instant, the loop pops events
+// in (time, insertion) order, and ten virtual seconds of a thousand-device
+// fleet execute in well under a wall-clock second.
+//
+// An event is a Handler plus one uint64 word, held by value in a typed
+// binary heap: an actor that schedules itself (a pointer is free to put in
+// an interface) with the word it needs — a request key, a generation to
+// check against — costs no allocation per event. At, After and Every take a
+// plain func() and are sugar over the same Schedule through Func, for the
+// rare controller events where a closure reads better than a type.
 //
 // Determinism is the core contract. Two events at the same virtual time
 // fire in the order they were scheduled (a monotone sequence number breaks
@@ -15,37 +22,31 @@
 // cluster golden snapshots and failover replay tests pin.
 package des
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// event is one scheduled callback.
+// Handler is what an event fires: an object that already exists, given the
+// one word the firing needs (a request key, a generation to check).
+type Handler interface{ Fire(arg uint64) }
+
+// Func adapts a plain func() to Handler. A func value is pointer-shaped, so
+// the conversion into the interface does not allocate either; the closure
+// itself, if the caller builds one per event, still does.
+type Func func()
+
+// Fire calls the function; arg is ignored.
+func (f Func) Fire(uint64) { f() }
+
+// event is one scheduled firing.
 type event struct {
 	at  float64
 	seq uint64
-	fn  func()
+	h   Handler
+	arg uint64
 }
 
-// calendar is the event min-heap, ordered by (time, schedule order).
-type calendar []event
-
-func (c calendar) Len() int { return len(c) }
-func (c calendar) Less(i, j int) bool {
-	if c[i].at != c[j].at {
-		return c[i].at < c[j].at
-	}
-	return c[i].seq < c[j].seq
-}
-func (c calendar) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-func (c *calendar) Push(x any)   { *c = append(*c, x.(event)) }
-func (c *calendar) Pop() any {
-	old := *c
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = event{} // release the closure
-	*c = old[:n-1]
-	return e
+// before orders the calendar by (time, schedule order).
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // Loop is a single-threaded discrete-event loop. The zero value is ready to
@@ -54,7 +55,7 @@ func (c *calendar) Pop() any {
 // run starts), which is what makes the event order — and therefore the
 // simulation — deterministic.
 type Loop struct {
-	cal       calendar
+	cal       []event // binary min-heap on (at, seq)
 	seq       uint64
 	now       float64
 	processed uint64
@@ -70,19 +71,38 @@ func (l *Loop) Processed() uint64 { return l.processed }
 // Pending returns the number of scheduled, not-yet-fired events.
 func (l *Loop) Pending() int { return len(l.cal) }
 
-// At schedules fn at absolute virtual time t. Scheduling in the past is a
-// programming error worth failing loudly on: a silent clamp would reorder
-// cause and effect.
-func (l *Loop) At(t float64, fn func()) {
-	if t < l.now {
+// Schedule queues h.Fire(arg) at absolute virtual time t — the one
+// scheduling primitive; At, After and Every are sugar over it. Scheduling in
+// the past is a programming error worth failing loudly on: a silent clamp
+// would reorder cause and effect. The guard is written so that a NaN time,
+// which would sit in the heap and break the order of every later event,
+// panics too; +Inf is legal and simply never fires under RunUntil.
+func (l *Loop) Schedule(t float64, h Handler, arg uint64) {
+	if !(t >= l.now) {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, l.now))
 	}
 	l.seq++
-	heap.Push(&l.cal, event{at: t, seq: l.seq, fn: fn})
+	l.cal = append(l.cal, event{at: t, seq: l.seq, h: h, arg: arg})
+	// Sift the new event up to its place.
+	c := l.cal
+	i := len(c) - 1
+	e := c[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&c[parent]) {
+			break
+		}
+		c[i] = c[parent]
+		i = parent
+	}
+	c[i] = e
 }
 
+// At schedules fn at absolute virtual time t.
+func (l *Loop) At(t float64, fn func()) { l.Schedule(t, Func(fn), 0) }
+
 // After schedules fn d seconds from now.
-func (l *Loop) After(d float64, fn func()) { l.At(l.now+d, fn) }
+func (l *Loop) After(d float64, fn func()) { l.Schedule(l.now+d, Func(fn), 0) }
 
 // Every schedules fn every d seconds, first firing d seconds from now. The
 // chain is infinite — RunUntil's deadline bounds what actually fires — and
@@ -124,8 +144,32 @@ func (l *Loop) RunUntil(deadline float64) {
 
 // step pops and fires the earliest event.
 func (l *Loop) step() {
-	e := heap.Pop(&l.cal).(event)
+	c := l.cal
+	e := c[0]
+	n := len(c) - 1
+	last := c[n]
+	c[n] = event{} // release the handler
+	l.cal = c[:n]
+	// Sift the former last event down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && c[r].before(&c[child]) {
+			child = r
+		}
+		if !c[child].before(&last) {
+			break
+		}
+		c[i] = c[child]
+		i = child
+	}
+	if n > 0 {
+		c[i] = last
+	}
 	l.now = e.at
 	l.processed++
-	e.fn()
+	e.h.Fire(e.arg)
 }

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -134,6 +136,32 @@ func TestPastSchedulingPanics(t *testing.T) {
 	l.At(1, func() {})
 }
 
+// TestNaNSchedulingPanics: NaN compares false with everything, so a t < now
+// guard would let it into the heap, where it breaks (at, seq) ordering for
+// every later event. It must fail as loudly as the past does.
+func TestNaNSchedulingPanics(t *testing.T) {
+	var l Loop
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling at NaN did not panic")
+		}
+	}()
+	l.At(math.NaN(), func() {})
+}
+
+// TestInfSchedulingNeverFires: +Inf is a legal "never" — it stays queued
+// behind every finite horizon and does not disturb earlier events.
+func TestInfSchedulingNeverFires(t *testing.T) {
+	var l Loop
+	fired := 0
+	l.At(math.Inf(1), func() { t.Error("the +Inf event fired") })
+	l.At(1, func() { fired++ })
+	l.RunUntil(math.MaxFloat64)
+	if fired != 1 || l.Pending() != 1 {
+		t.Fatalf("fired %d finite events with %d pending, want 1 and 1", fired, l.Pending())
+	}
+}
+
 // TestRandomizedOrder: a fuzz-ish shuffle of schedule times still fires in
 // nondecreasing time order.
 func TestRandomizedOrder(t *testing.T) {
@@ -149,5 +177,156 @@ func TestRandomizedOrder(t *testing.T) {
 		if got[i] < got[i-1] {
 			t.Fatalf("time went backwards at %d: %v after %v", i, got[i], got[i-1])
 		}
+	}
+}
+
+// oracleLoop is the calendar this package used to run on — container/heap
+// over boxed events, one closure per event — kept as the reference the
+// typed heap is checked against.
+type oracleLoop struct {
+	cal oracleCalendar
+	seq uint64
+	now float64
+}
+
+type oracleEvent struct {
+	at  float64
+	seq uint64
+	fn  func()
+}
+
+type oracleCalendar []oracleEvent
+
+func (c oracleCalendar) Len() int { return len(c) }
+func (c oracleCalendar) Less(i, j int) bool {
+	if c[i].at != c[j].at {
+		return c[i].at < c[j].at
+	}
+	return c[i].seq < c[j].seq
+}
+func (c oracleCalendar) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
+func (c *oracleCalendar) Push(x any)   { *c = append(*c, x.(oracleEvent)) }
+func (c *oracleCalendar) Pop() any {
+	old := *c
+	n := len(old)
+	e := old[n-1]
+	*c = old[:n-1]
+	return e
+}
+
+func (l *oracleLoop) Now() float64 { return l.now }
+
+func (l *oracleLoop) At(t float64, fn func()) {
+	l.seq++
+	heap.Push(&l.cal, oracleEvent{at: t, seq: l.seq, fn: fn})
+}
+
+func (l *oracleLoop) Schedule(t float64, h Handler, arg uint64) {
+	l.At(t, func() { h.Fire(arg) })
+}
+
+func (l *oracleLoop) RunUntil(deadline float64) {
+	for len(l.cal) > 0 && l.cal[0].at <= deadline {
+		e := heap.Pop(&l.cal).(oracleEvent)
+		l.now = e.at
+		e.fn()
+	}
+	if deadline > l.now {
+		l.now = deadline
+	}
+}
+
+// calendarAPI is what a random program drives: the Loop or its oracle.
+type calendarAPI interface {
+	Now() float64
+	At(t float64, fn func())
+	Schedule(t float64, h Handler, arg uint64)
+	RunUntil(deadline float64)
+}
+
+type firing struct {
+	at float64
+	id uint64 // schedule order, which is the calendar's seq
+}
+
+// program is one seeded random workload: events on a coarse time grid (so
+// instants collide), scheduled half through At and half through Schedule,
+// each of which may schedule more from inside its firing — at Now() and
+// later — across several RunUntil segments with fresh events in between.
+type program struct {
+	l      calendarAPI
+	rng    *rand.Rand
+	nextID uint64
+	budget int
+	log    []firing
+}
+
+func (p *program) schedule(t float64) {
+	p.nextID++
+	p.budget--
+	id := p.nextID
+	if p.rng.Intn(2) == 0 {
+		p.l.At(t, func() { p.Fire(id) })
+	} else {
+		p.l.Schedule(t, p, id)
+	}
+}
+
+func (p *program) Fire(id uint64) {
+	p.log = append(p.log, firing{p.l.Now(), id})
+	for k := p.rng.Intn(3); k > 0 && p.budget > 0; k-- {
+		p.schedule(p.l.Now() + 0.25*float64(p.rng.Intn(4)))
+	}
+}
+
+func runProgram(seed int64, l calendarAPI) []firing {
+	p := &program{l: l, rng: rand.New(rand.NewSource(seed)), budget: 400}
+	for seg := 0; seg < 4; seg++ {
+		for k := 5 + p.rng.Intn(20); k > 0; k-- {
+			p.schedule(l.Now() + 0.25*float64(p.rng.Intn(12)))
+		}
+		l.RunUntil(l.Now() + 2*p.rng.Float64())
+	}
+	l.RunUntil(math.MaxFloat64)
+	return p.log
+}
+
+// TestDifferentialAgainstHeapOracle: the typed heap fires exactly the
+// (time, seq) sequence the container/heap calendar does.
+func TestDifferentialAgainstHeapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 250; seed++ {
+		got := runProgram(seed, &Loop{})
+		want := runProgram(seed, &oracleLoop{})
+		if len(got) != len(want) || len(got) < 20 {
+			t.Fatalf("seed %d: fired %d events, oracle %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d is %+v, oracle %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// ticker is a pointer handler that reschedules itself: the shape of every
+// per-request event in the cluster simulator.
+type ticker struct{ l *Loop }
+
+func (tk *ticker) Fire(n uint64) { tk.l.Schedule(tk.l.Now()+1, tk, n+1) }
+
+// TestSteadyStateAllocs: once the heap has its capacity, a fire-and-
+// reschedule cycle allocates nothing — not for a pointer handler with an
+// arg, and not for After with a func() built once.
+func TestSteadyStateAllocs(t *testing.T) {
+	var l Loop
+	tk := &ticker{l: &l}
+	var tick func()
+	tick = func() { l.After(1, tick) }
+	for i := 0; i < 64; i++ {
+		l.Schedule(float64(i)/64, tk, 0)
+		l.After(float64(i)/64, tick)
+	}
+	if avg := testing.AllocsPerRun(1000, l.step); avg != 0 {
+		t.Fatalf("steady Schedule/step cycle allocates %v objects per event, want 0", avg)
 	}
 }
