@@ -2,6 +2,7 @@ package memory
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tpusim/internal/fixed"
 	"tpusim/internal/isa"
@@ -10,16 +11,23 @@ import (
 // Accumulators is the 4 MiB accumulator file: 4096 registers of 256 32-bit
 // sums ("The 4 MiB represents 4096, 256-element, 32-bit accumulators").
 // The size was picked so the compiler can double-buffer while the matrix
-// unit runs at peak (Section 2).
+// unit runs at peak (Section 2) — so a compiled model alternates between
+// the two halves, and the registers it writes are a few rows at 0 and a few
+// at 2048, not a prefix. The file therefore tracks what a run dirtied per
+// block of registers, and Reset costs what the model touched.
 type Accumulators struct {
 	regs [][isa.MatrixDim]int32
 	// parity is the optional per-register XOR parity sidecar (EnableGuard);
 	// nil costs one nil check per store.
 	parity []uint32
-	// highWater is the highest register index ever touched (exclusive),
-	// bounding how much Reset must zero.
-	highWater int
+	// dirty has one bit per block of accBlock registers, set when a store,
+	// clear or injected flip may have left the block nonzero; Reset zeroes
+	// exactly the set blocks.
+	dirty uint64
 }
+
+// accBlock is the dirty-tracking granularity: 4096 registers / 64 mask bits.
+const accBlock = isa.AccumulatorCount / 64
 
 // NewAccumulators allocates the full 4096-register file.
 func NewAccumulators() *Accumulators {
@@ -29,30 +37,29 @@ func NewAccumulators() *Accumulators {
 // Count returns the register count (4096).
 func (a *Accumulators) Count() int { return len(a.regs) }
 
-// touch advances the high-water mark over registers [idx, idx+n).
+// touch marks the blocks covering registers [idx, idx+n) dirty. Callers
+// have bounds-checked the range; an empty range marks nothing.
 func (a *Accumulators) touch(idx, n int) {
-	if end := idx + n; end > a.highWater {
-		a.highWater = end
+	if n <= 0 {
+		return
 	}
+	lo, hi := idx/accBlock, (idx+n-1)/accBlock
+	a.dirty |= (^uint64(0) >> (63 - (hi - lo))) << lo
 }
 
 // Reset returns the file to its freshly-allocated state — every register
-// zero — without reallocating the 4 MiB backing store. Only registers up to
-// the high-water mark are zeroed; parity words over the same range return
-// to zero with them (the parity of a zero register is zero).
+// zero — without reallocating the 4 MiB backing store. Only dirty blocks
+// are zeroed; their parity words return to zero with them (the parity of a
+// zero register is zero).
 func (a *Accumulators) Reset() {
-	if a.highWater == 0 {
-		return
+	for m := a.dirty; m != 0; m &= m - 1 {
+		lo := bits.TrailingZeros64(m) * accBlock
+		clear(a.regs[lo : lo+accBlock])
+		if a.parity != nil {
+			clear(a.parity[lo : lo+accBlock])
+		}
 	}
-	hw := a.highWater
-	if hw > len(a.regs) {
-		hw = len(a.regs)
-	}
-	clear(a.regs[:hw])
-	if a.parity != nil {
-		clear(a.parity[:hw])
-	}
-	a.highWater = 0
+	a.dirty = 0
 }
 
 // Store writes one 256-wide partial sum into register idx. With accumulate

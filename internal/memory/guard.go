@@ -121,14 +121,19 @@ func (s *Sidecar) blockData(data []int8, b int) []int8 {
 const ubGuardBlock = 256
 
 // EnableGuard attaches a per-row CRC sidecar to the buffer, seeded over
-// its current (zeroed) contents. Idempotent.
+// its current contents: the zero-row codeword for every row, then the real
+// one for the rows the backed prefix holds. Idempotent.
 func (u *UnifiedBuffer) EnableGuard() {
 	if u.guard != nil {
 		return
 	}
-	g, err := NewSidecar("unified-buffer", len(u.data), ubGuardBlock)
+	g, err := NewSidecar("unified-buffer", u.Size(), ubGuardBlock)
 	if err != nil {
 		panic(err) // static sizes; cannot happen
+	}
+	zeroRow := integrity.CRC(make([]int8, ubGuardBlock))
+	for i := range g.sums {
+		g.sums[i] = zeroRow
 	}
 	g.Seed(u.data)
 	u.guard = g
@@ -144,6 +149,7 @@ func (u *UnifiedBuffer) VerifyGuard(addr uint32, n int) []int {
 	if u.guard == nil {
 		return nil
 	}
+	u.extend(int(addr) + n)
 	return u.guard.VerifyRange(u.data, int(addr), n)
 }
 
@@ -153,6 +159,7 @@ func (u *UnifiedBuffer) ResyncGuard(addr uint32, n int) {
 	if u.guard == nil {
 		return
 	}
+	u.extend(int(addr) + n)
 	lo, hi := u.guard.blockRange(int(addr), n)
 	for b := lo; b < hi; b++ {
 		u.guard.Resync(u.data, b)
@@ -161,17 +168,20 @@ func (u *UnifiedBuffer) ResyncGuard(addr uint32, n int) {
 
 // FlipBit flips one bit in the buffer *without* updating the guard — the
 // fault-injection seam modeling an SRAM upset. Out-of-range addresses are
-// ignored.
+// ignored. The byte joins the dirtied extent, so the upset does not outlive
+// Reset.
 func (u *UnifiedBuffer) FlipBit(addr uint32, bit uint8) {
-	if int(addr) >= len(u.data) {
+	if int(addr) >= u.Size() {
 		return
 	}
+	u.extend(int(addr) + 1)
 	u.data[addr] ^= 1 << (bit % 8)
+	u.highWater = max(u.highWater, int(addr)+1)
 }
 
-// HighWater returns the highest byte offset ever written (exclusive) — the
-// live extent fault injection maps addresses into so flips land in bytes a
-// program actually uses.
+// HighWater returns the highest byte offset ever written or flipped
+// (exclusive) — the live extent fault injection maps addresses into so
+// flips land in bytes a program actually uses.
 func (u *UnifiedBuffer) HighWater() int { return u.highWater }
 
 // EnableGuard attaches per-register XOR parity to the accumulator file:
@@ -227,10 +237,12 @@ func (a *Accumulators) VerifyParity(idx, n int) []int {
 
 // FlipBit flips one bit of the byte at byte offset off within register
 // idx, bypassing parity — the fault-injection seam for accumulator SRAM.
+// The register is marked dirty, so the upset does not outlive Reset.
 func (a *Accumulators) FlipBit(idx int, off int, bit uint8) {
 	if idx < 0 || idx >= len(a.regs) {
 		return
 	}
+	a.touch(idx, 1)
 	lane := (off / 4) % isa.MatrixDim
 	shift := uint(off%4)*8 + uint(bit%8)
 	a.regs[idx][lane] ^= 1 << shift

@@ -3,6 +3,11 @@
 // accumulator file below the matrix unit, the off-chip 8 GiB Weight Memory
 // with its DDR3 bandwidth, and the four-tile-deep on-chip Weight FIFO that
 // stages tiles for the matrix unit.
+//
+// The two on-chip memories are reused run after run by one device, so both
+// keep their cost proportional to what a program touches: the Unified
+// Buffer backs only its addressed prefix, and both Reset in place over the
+// extent the last run dirtied (fault-injection flips included).
 package memory
 
 import (
@@ -14,29 +19,49 @@ import (
 // UnifiedBuffer is the 24 MiB software-managed on-chip activation store.
 // "The intermediate results are held in the 24 MiB on-chip Unified Buffer,
 // which can serve as inputs to the Matrix Unit."
+//
+// The buffer is 24 MiB to its callers — Size and every bounds check say so
+// — but it is backed on demand: only the addressed prefix has storage, and
+// every byte beyond it is zero by definition. A device serving a model that
+// addresses a few hundred KB holds that much, not 24 MiB.
 type UnifiedBuffer struct {
+	// data is the addressed prefix of the buffer, a whole number of guard
+	// rows long; extend grows it before any access past its end.
 	data []int8
 	// guard is the optional per-row CRC sidecar (EnableGuard); nil costs
 	// one nil check per write.
 	guard *Sidecar
-	// highWater is the highest byte offset ever written (exclusive).
+	// highWater is the highest byte offset ever written or flipped
+	// (exclusive), bounding how much Reset must zero.
 	highWater int
 }
 
-// NewUnifiedBuffer allocates a zeroed 24 MiB buffer.
-func NewUnifiedBuffer() *UnifiedBuffer {
-	return &UnifiedBuffer{data: make([]int8, isa.UnifiedBufferBytes)}
-}
+// NewUnifiedBuffer returns a zeroed 24 MiB buffer with no storage behind it
+// yet.
+func NewUnifiedBuffer() *UnifiedBuffer { return &UnifiedBuffer{} }
 
 // Size returns the buffer capacity in bytes.
-func (u *UnifiedBuffer) Size() int { return len(u.data) }
+func (u *UnifiedBuffer) Size() int { return isa.UnifiedBufferBytes }
+
+// extend backs the buffer up to byte offset end (clamped to Size): the
+// store grows geometrically, in whole guard rows, and the new bytes are
+// zero — what the unbacked buffer already read as.
+func (u *UnifiedBuffer) extend(end int) {
+	if end = min(end, u.Size()); end <= len(u.data) {
+		return
+	}
+	rows := (end + ubGuardBlock - 1) / ubGuardBlock
+	grown := make([]int8, min(max(2*len(u.data), rows*ubGuardBlock), u.Size()))
+	copy(grown, u.data)
+	u.data = grown
+}
 
 // Reset returns the buffer to its freshly-allocated state — all zeros, no
-// recorded writes — without reallocating the 24 MiB backing store. Only the
-// dirtied prefix (up to the high-water mark) is zeroed, so a device serving
-// a model that touches a few hundred KB pays for that much memclr, not the
-// full buffer. An attached guard is re-synced over the zeroed prefix, which
-// also clears any injected corruption, exactly as a fresh buffer would.
+// recorded writes — keeping the storage it has grown. Only the dirtied
+// prefix (up to the high-water mark) is zeroed, so a device serving a model
+// that touches a few hundred KB pays for that much memclr. An attached
+// guard is re-synced over the zeroed prefix, which also clears any injected
+// corruption, exactly as a fresh buffer would.
 func (u *UnifiedBuffer) Reset() {
 	if u.highWater == 0 {
 		return
@@ -50,13 +75,13 @@ func (u *UnifiedBuffer) Reset() {
 
 // Write copies src into the buffer at addr.
 func (u *UnifiedBuffer) Write(addr uint32, src []int8) error {
-	if int(addr)+len(src) > len(u.data) {
-		return fmt.Errorf("memory: UB write %#x+%d overruns %d-byte buffer", addr, len(src), len(u.data))
+	end := int(addr) + len(src)
+	if end > u.Size() {
+		return fmt.Errorf("memory: UB write %#x+%d overruns %d-byte buffer", addr, len(src), u.Size())
 	}
+	u.extend(end)
 	copy(u.data[addr:], src)
-	if end := int(addr) + len(src); end > u.highWater {
-		u.highWater = end
-	}
+	u.highWater = max(u.highWater, end)
 	if u.guard != nil {
 		u.guard.Update(u.data, int(addr), len(src))
 	}
@@ -65,19 +90,23 @@ func (u *UnifiedBuffer) Write(addr uint32, src []int8) error {
 
 // Read copies n bytes at addr into a fresh slice.
 func (u *UnifiedBuffer) Read(addr uint32, n int) ([]int8, error) {
-	if n < 0 || int(addr)+n > len(u.data) {
-		return nil, fmt.Errorf("memory: UB read %#x+%d overruns %d-byte buffer", addr, n, len(u.data))
+	if n < 0 || int(addr)+n > u.Size() {
+		return nil, fmt.Errorf("memory: UB read %#x+%d overruns %d-byte buffer", addr, n, u.Size())
 	}
+	u.extend(int(addr) + n)
 	out := make([]int8, n)
 	copy(out, u.data[addr:])
 	return out, nil
 }
 
 // View returns a read-only window without copying; callers must not hold it
-// across writes.
+// across writes. That is load-bearing: a write past the backed prefix moves
+// the store, and a view taken before it keeps reading the old one. The
+// device copies or consumes every view before its next write.
 func (u *UnifiedBuffer) View(addr uint32, n int) ([]int8, error) {
-	if n < 0 || int(addr)+n > len(u.data) {
-		return nil, fmt.Errorf("memory: UB view %#x+%d overruns %d-byte buffer", addr, n, len(u.data))
+	if n < 0 || int(addr)+n > u.Size() {
+		return nil, fmt.Errorf("memory: UB view %#x+%d overruns %d-byte buffer", addr, n, u.Size())
 	}
+	u.extend(int(addr) + n)
 	return u.data[addr : int(addr)+n : int(addr)+n], nil
 }

@@ -34,12 +34,15 @@ type Tile struct {
 	// lanes lazily caches the SWAR layout the batched kernel consumes: each
 	// weight row as 32 uint64 words of 8 bias-shifted bytes (see packed).
 	// Like the abft checksums it is latched at first use and assumes W is
-	// not mutated afterwards; fault injection corrupts weight DRAM before
-	// the tile is fetched, or datapath scratch after, never a live tile.
+	// not mutated afterwards except through Load, which drops both; fault
+	// injection corrupts weight DRAM before the tile is fetched, or datapath
+	// scratch after, never a live tile.
 	lanes packedLanes
 }
 
-// packedLanes holds the lazily built SWAR lane image of a tile.
+// packedLanes holds the lazily built SWAR lane image of a tile. words
+// outlives Load — the storage is reused, the image rebuilt — so it is only
+// valid once once has fired.
 type packedLanes struct {
 	once  sync.Once
 	words []uint64
@@ -61,11 +64,15 @@ const (
 // packed returns the tile's SWAR lane image, building it on first use: word
 // g of row r holds the eight bias-128 weight bytes W[r][8g..8g+7]+128 in
 // little-endian byte order at words[r*laneGroups+g]. The build runs once per
-// tile (sync.Once, safe under MultiplyInto's worker fan-out) and costs one
-// pass over the 64 KiB tile — amortized across every multiply against it.
+// load of a tile (sync.Once, safe under MultiplyInto's worker fan-out) and
+// costs one pass over the 64 KiB tile — amortized across every multiply
+// against it.
 func (t *Tile) packed() []uint64 {
 	t.lanes.once.Do(func() {
-		w := make([]uint64, isa.MatrixDim*laneGroups)
+		w := t.lanes.words
+		if w == nil {
+			w = make([]uint64, isa.MatrixDim*laneGroups)
+		}
 		for r := 0; r < isa.MatrixDim; r++ {
 			row := &t.W[r]
 			base := r * laneGroups
@@ -86,15 +93,31 @@ func (t *Tile) packed() []uint64 {
 	return t.lanes.words
 }
 
-// TileFromBytes builds a tile from the 64 KiB row-major layout Weight
-// Memory delivers.
-func TileFromBytes(b []int8) (*Tile, error) {
+// Load overwrites the tile with the 64 KiB row-major layout Weight Memory
+// delivers and drops what was latched from the previous contents: the next
+// Checksums and the next multiply recompute from the new bytes (a stale
+// lane image would multiply against the old weights, stale checksums fail
+// every ABFT check). Only the lane image's storage is kept. The tile must
+// not be loaded while an Array is multiplying against it; the device loads
+// the matrix unit's non-resident buffer, between matmuls.
+func (t *Tile) Load(b []int8) error {
 	if len(b) != isa.WeightTileBytes {
-		return nil, fmt.Errorf("systolic: tile is %d bytes, want %d", len(b), isa.WeightTileBytes)
+		return fmt.Errorf("systolic: tile is %d bytes, want %d", len(b), isa.WeightTileBytes)
 	}
-	t := &Tile{}
 	for r := 0; r < isa.MatrixDim; r++ {
 		copy(t.W[r][:], b[r*isa.MatrixDim:(r+1)*isa.MatrixDim])
+	}
+	t.abft = abft{}
+	t.lanes.once = sync.Once{}
+	return nil
+}
+
+// TileFromBytes builds a fresh tile from the 64 KiB row-major layout Weight
+// Memory delivers.
+func TileFromBytes(b []int8) (*Tile, error) {
+	t := &Tile{}
+	if err := t.Load(b); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -47,14 +47,15 @@ func (d *Device) matmulData(in *isa.Instruction, rows, usedRows int) error {
 		return fmt.Errorf("matmul writes accumulators %d..%d beyond %d", in.AccAddr, int(in.AccAddr)+rows, isa.AccumulatorCount)
 	}
 	// Fault seam: UB upsets land just before the first matmul consumes the
-	// buffer, mapped into the written extent so they hit bytes in use.
+	// buffer, mapped into the written extent so they hit bytes in use. The
+	// extent is read once: a flip advances it.
 	if !d.ubFlipped && rows > 0 {
 		d.ubFlipped = true
+		hw := d.ub.HighWater()
+		if hw == 0 {
+			hw = d.ub.Size()
+		}
 		d.applyFlips(FlipUB, func(f Flip) {
-			hw := d.ub.HighWater()
-			if hw == 0 {
-				hw = d.ub.Size()
-			}
 			d.ub.FlipBit(uint32(f.Addr%uint64(hw)), f.Bit)
 		})
 	}

@@ -126,6 +126,12 @@ type Device struct {
 	// next ReadWeights fetches into it instead of allocating. Survives
 	// reset, so steady-state runs fetch with zero allocation.
 	tileBufFree [][]int8
+	// tileFree holds the matrix unit's non-resident tile buffers — the chip
+	// has two, "one 64 KiB tile of weights plus one for double-buffering".
+	// A tile load takes one (allocating only when the list is empty) and
+	// overwrites it from the FIFO bytes; the tile it displaces from the array
+	// comes back, the resident one at reset. Survives reset.
+	tileFree []*systolic.Tile
 
 	// Integrity state. gw is the live weight DRAM (keyed to gwProg so
 	// corruption persists across runs of one program until scrubbed), ledger
@@ -259,20 +265,24 @@ func (d *Device) reset() {
 	*d = Device{cfg: d.cfg, ub: d.ub, acc: d.acc, arr: d.arr,
 		fifoTiles: fifoTiles, fifoReady: fifoReady, fifoMeta: fifoMeta, popTimes: popTimes,
 		fifoCRC:     d.fifoCRC[:0],
-		tileBufFree: d.tileBufFree,
-		profTags:    d.profTags[:0], profMarks: d.profMarks[:0],
+		tileBufFree: d.tileBufFree, tileFree: d.tileFree,
+		profTags: d.profTags[:0], profMarks: d.profMarks[:0],
 		// Integrity state survives reset: the live weight DRAM keeps its
 		// corruption, the ledger its history, the flip queue its injections.
 		gw: d.gw, gwProg: d.gwProg, ledger: d.ledger, pendingFlips: d.pendingFlips}
 	if d.cfg.Functional {
-		// Zero the storage in place instead of reallocating 28 MiB per run:
-		// Reset clears only the previous run's dirtied extent (high-water
-		// marks), so a model touching a few hundred KB pays that much
-		// memclr, and repeated runs on one device produce no garbage. The
-		// array is two pointers; a fresh one keeps the "no tile loaded"
-		// start state exactly.
+		// Zero the storage in place instead of rebuilding it per run: Reset
+		// clears only what the previous run dirtied (the UB's written
+		// prefix, the accumulator blocks it stored to), so a model touching
+		// a few hundred KB pays that much memclr, and repeated runs on one
+		// device produce no garbage. The array is two pointers; a fresh one
+		// keeps the "no tile loaded" start state exactly, once the resident
+		// tile's buffer is back on the free list.
 		d.ub.Reset()
 		d.acc.Reset()
+		if t := d.arr.Active(); t != nil {
+			d.tileFree = append(d.tileFree, t)
+		}
 		d.arr = systolic.New()
 	}
 }
@@ -484,18 +494,30 @@ func (d *Device) execMatmul(in *isa.Instruction) error {
 				return err
 			}
 			d.tileHead++
-			tile, err := systolic.TileFromBytes(tileBytes)
-			if err != nil {
+			// Contents are copied and re-packed fresh on every load, so
+			// weight-DRAM corruption reaches the integrity checks; only the
+			// tile's storage is recycled.
+			var tile *systolic.Tile
+			if n := len(d.tileFree); n > 0 {
+				tile, d.tileFree = d.tileFree[n-1], d.tileFree[:n-1]
+			} else {
+				tile = &systolic.Tile{}
+			}
+			if err := tile.Load(tileBytes); err != nil {
 				return err
 			}
-			// TileFromBytes copied the payload; the fetch buffer is free.
+			// Load copied the payload; the fetch buffer is free.
 			d.fifoTiles[d.tileHead-1] = nil
 			d.tileBufFree = append(d.tileBufFree, tileBytes)
+			displaced := d.arr.Active()
 			if err := d.arr.LoadShadow(tile); err != nil {
 				return err
 			}
 			if err := d.arr.Commit(); err != nil {
 				return err
+			}
+			if displaced != nil {
+				d.tileFree = append(d.tileFree, displaced)
 			}
 		}
 	}

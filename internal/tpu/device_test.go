@@ -33,7 +33,7 @@ func TestDefaultConfigIsProductionTPU(t *testing.T) {
 
 // functionalSetup compiles a tiny model and returns everything needed to
 // run it both on the device and through the quantized reference.
-func functionalSetup(t *testing.T, name string) (*compiler.Artifact, *nn.QuantizedModel, *tensor.I8) {
+func functionalSetup(t testing.TB, name string) (*compiler.Artifact, *nn.QuantizedModel, *tensor.I8) {
 	t.Helper()
 	m, err := models.Tiny(name)
 	if err != nil {
