@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet vet-cmd build test race bench-test bench-smoke bench bench-gate fuzz-smoke cover obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
+.PHONY: ci fmt-check vet vet-cmd build test race bench-test bench-smoke bench bench-gate fuzz-smoke loc cover obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
 
 ci: fmt-check vet vet-cmd build race bench-test fuzz-smoke cover bench-smoke bench-gate obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
 
@@ -71,11 +71,21 @@ bench-gate:
 	[ -n "$$allocs" ] && [ "$$allocs" -le $(T3_CEILING_ALLOCS) ] || { echo "bench-gate: BenchmarkTable3 $$allocs allocs/op exceeds $(T3_CEILING_ALLOCS)"; exit 1; }
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
-# decoder and batching-lane regressions without a dedicated fuzzing job.
+# decoder, batching-lane and plan-spec parser regressions without a
+# dedicated fuzzing job.
 fuzz-smoke:
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzProgramValidate$$' -fuzztime 5s
 	$(GO) test ./internal/latency -run '^$$' -fuzz '^FuzzLane$$' -fuzztime 5s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzPlanSpecs$$' -fuzztime 5s
+
+# Source size: non-test .go lines per internal package and in total — the
+# number a simplification PR is judged on.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' $$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l) $$d; \
+	done; \
+	printf '%6d total\n' $$(cat $$(ls internal/*/*.go | grep -v _test.go) | wc -l)
 
 # Observability smoke, race-enabled: boots the ops HTTP endpoint on a
 # random port, scrapes /metrics and /healthz, validates the exported trace

@@ -31,6 +31,7 @@ import (
 	"strconv"
 	"strings"
 
+	"tpusim/internal/fault"
 	"tpusim/internal/runtime"
 )
 
@@ -165,7 +166,7 @@ func (c *Cluster) reviveHost(h *host, why string) {
 	h.slow = 1 // a repaired machine comes back at full speed
 	c.zoneAlive[h.zone]++
 	c.log(h.id, "revive", fmt.Sprintf("host%d %s: %d devices rejoin placement and routing", h.id, why, len(h.devices)))
-	c.tel.onRevive(h.id)
+	c.tel.instant("revive", "host", h.id)
 	c.readmit(h, why)
 	c.incidentEnd()
 }
@@ -223,7 +224,7 @@ func (c *Cluster) partitionHost(h *host) {
 	}
 	h.partitioned = true
 	c.log(h.id, "partition", fmt.Sprintf("host%d unreachable from router: traffic flows around it, resident requests black-hole", h.id))
-	c.tel.onPartition(h.id)
+	c.tel.instant("partition", "host", h.id)
 	c.incidentBegin("partition")
 	for _, d := range h.devices {
 		d.busy = false
@@ -274,7 +275,7 @@ func (c *Cluster) healPartition(h *host) {
 	}
 	h.partitioned = false
 	c.log(h.id, "partition-heal", fmt.Sprintf("host%d reachable again", h.id))
-	c.tel.onPartitionHeal(h.id)
+	c.tel.instant("partition-heal", "host", h.id)
 	c.readmit(h, "partition healed")
 	c.incidentEnd()
 }
@@ -381,7 +382,7 @@ func (c *Cluster) ReviveZoneAt(t float64, zone int) error {
 func (c *Cluster) killZone(zone int) {
 	hosts := c.zoneHosts(zone)
 	c.log(-1, "zone-down", fmt.Sprintf("zone%d dark: %s fail together", zone, hostList(hosts)))
-	c.tel.onZoneDown(zone)
+	c.tel.instant("zone-down", "zone", zone)
 	for _, h := range hosts {
 		c.killHost(h, "zone-down")
 	}
@@ -390,7 +391,7 @@ func (c *Cluster) killZone(zone int) {
 func (c *Cluster) reviveZone(zone int) {
 	hosts := c.zoneHosts(zone)
 	c.log(-1, "zone-up", fmt.Sprintf("zone%d recovered: %s rejoin together", zone, hostList(hosts)))
-	c.tel.onZoneUp(zone)
+	c.tel.instant("zone-up", "zone", zone)
 	for _, h := range hosts {
 		c.reviveHost(h, "zone recovered")
 	}
@@ -570,15 +571,9 @@ func ParseChaosPlan(spec string) (ChaosPlan, error) {
 	if strings.TrimSpace(spec) == "" {
 		return p, nil
 	}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return ChaosPlan{}, fmt.Errorf("cluster: chaos spec %q: want key=value, got %q", spec, kv)
-		}
+	terms, bad := fault.SpecTerms(spec)
+	for _, kv := range terms {
+		k, v := kv[0], kv[1]
 		act := ChaosAction{Kind: k}
 		var err error
 		switch k {
@@ -597,6 +592,9 @@ func ParseChaosPlan(spec string) (ChaosPlan, error) {
 			return ChaosPlan{}, fmt.Errorf("cluster: chaos spec %q: %v", spec, err)
 		}
 		p.Actions = append(p.Actions, act)
+	}
+	if bad != "" {
+		return ChaosPlan{}, fmt.Errorf("cluster: chaos spec %q: want key=value, got %q", spec, bad)
 	}
 	if err := p.Validate(); err != nil {
 		return ChaosPlan{}, err

@@ -747,7 +747,7 @@ func (c *Cluster) killHost(h *host, why string) {
 		c.incidentBegin(why)
 	}
 	c.log(h.id, "kill", fmt.Sprintf("host%d hard-killed", h.id))
-	c.tel.onKill(h.id)
+	c.tel.instant("kill", "host", h.id)
 	for _, d := range h.devices {
 		d.busy = false
 		d.waiters = nil

@@ -38,6 +38,7 @@ import (
 	"strconv"
 	"strings"
 
+	"tpusim/internal/fault"
 	"tpusim/internal/runtime"
 	"tpusim/internal/stats"
 )
@@ -235,15 +236,9 @@ func ParseRolloutPlan(spec string) (RolloutPlan, error) {
 	if strings.TrimSpace(spec) == "" {
 		return p, fmt.Errorf("cluster: empty rollout spec")
 	}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return RolloutPlan{}, fmt.Errorf("cluster: rollout spec %q: want key=value, got %q", spec, kv)
-		}
+	terms, bad := fault.SpecTerms(spec)
+	for _, kv := range terms {
+		k, v := kv[0], kv[1]
 		var err error
 		switch k {
 		case "start":
@@ -270,6 +265,9 @@ func ParseRolloutPlan(spec string) (RolloutPlan, error) {
 		if err != nil {
 			return RolloutPlan{}, fmt.Errorf("cluster: rollout spec %q: bad value for %s: %v", spec, k, err)
 		}
+	}
+	if bad != "" {
+		return RolloutPlan{}, fmt.Errorf("cluster: rollout spec %q: want key=value, got %q", spec, bad)
 	}
 	if err := p.Validate(); err != nil {
 		return RolloutPlan{}, err
@@ -395,7 +393,7 @@ func (c *Cluster) cordon(h *host) {
 	}
 	h.cordoned = true
 	c.log(h.id, "cordon", fmt.Sprintf("host%d cordoned: placement skips it, residents keep serving", h.id))
-	c.tel.onCordon(h.id)
+	c.tel.instant("cordon", "host", h.id)
 }
 
 func (c *Cluster) uncordon(h *host) {
@@ -404,7 +402,7 @@ func (c *Cluster) uncordon(h *host) {
 	}
 	h.cordoned = false
 	c.log(h.id, "uncordon", fmt.Sprintf("host%d uncordoned: placement resumes", h.id))
-	c.tel.onUncordon(h.id)
+	c.tel.instant("uncordon", "host", h.id)
 }
 
 // cordonedHosts counts hosts currently cordoned.

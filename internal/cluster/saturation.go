@@ -34,7 +34,7 @@ import (
 	"sort"
 	"strings"
 
-	"tpusim/internal/serve"
+	"tpusim/internal/obs"
 )
 
 // Knee-detection tuning: a window needs enough arrivals for its ratios to
@@ -59,7 +59,7 @@ type ComponentQuantiles struct {
 	Count  uint64  `json:"count"`
 }
 
-func quantiles(h *serve.Histogram) ComponentQuantiles {
+func quantiles(h *obs.Histogram) ComponentQuantiles {
 	return ComponentQuantiles{
 		P50Ms:  h.Quantile(0.50) * 1e3,
 		P99Ms:  h.Quantile(0.99) * 1e3,

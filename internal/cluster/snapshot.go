@@ -153,14 +153,10 @@ func (c *Cluster) Snapshot() *Snapshot {
 			Blackholed:    a.blackholed,
 			Decisions:     len(a.decisions),
 		}
-		if len(a.latencies) > 0 {
-			// Percentile sorts a copy; latencies stay in completion order.
-			if p, err := stats.Percentile(a.latencies, 50); err == nil {
-				as.P50Ms = p * 1e3
-			}
-			if p, err := stats.Percentile(a.latencies, 99); err == nil {
-				as.P99Ms = p * 1e3
-			}
+		// Percentiles sorts one copy; latencies stay in completion order. It
+		// fails on an empty slice only.
+		if qs, err := stats.Percentiles(a.latencies, 50, 99); err == nil {
+			as.P50Ms, as.P99Ms = qs[0]*1e3, qs[1]*1e3
 		}
 		if a.offered > 0 {
 			as.ShedFrac = float64(a.shedQueue+a.expired) / float64(a.offered)

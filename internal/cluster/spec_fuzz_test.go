@@ -1,0 +1,60 @@
+package cluster
+
+import (
+	"fmt"
+	"testing"
+
+	"tpusim/internal/fault"
+)
+
+// specRoundTrip is the contract every plan parser keeps: a spec it accepts
+// renders (String) to a spec it accepts again, and that rendering is a
+// fixed point. A rejected spec is fine; a panic fails the fuzz run.
+func specRoundTrip[P fmt.Stringer](parse func(string) (P, error), spec string) error {
+	p, err := parse(spec)
+	if err != nil {
+		return nil
+	}
+	s := p.String()
+	q, err := parse(s)
+	if err != nil {
+		return fmt.Errorf("Parse(%q) succeeds but its String %q does not parse: %v", spec, s, err)
+	}
+	if again := q.String(); again != s {
+		return fmt.Errorf("String is not a fixed point for %q: %q then %q", spec, s, again)
+	}
+	return nil
+}
+
+// FuzzPlanSpecs runs every spec through the three plan parsers that share
+// fault.SpecTerms. Seeds: the specs in bench/fleet_ops.go, the README and
+// the golden chaos scenario, plus the malformed shapes the tokenizer sorts.
+func FuzzPlanSpecs(f *testing.F) {
+	for _, seed := range []string{
+		"seed=7,rate=0.02,corrupt=0.01,slow=0.05,slowx=8,dead=0+2",
+		"flip=ub@0x4d2.3+weights@65536.7",
+		"zone-down=0@0.5,zone-up=0@0.8,part=4@0.55-0.7,slow=1x2.5@0.2,flap=3@0.1x4/0.05",
+		"part=4@0.55-0.7,flap=5@0.9x2/0.1",
+		"slow=1x2.5@1,zone-down=0@2,part=2@2.5-3.2,zone-up=0@4,flap=3@4.5x2/0.4",
+		"start=0.2,factor=4,canary=0.1,windows=2,window=0.05,wave=2,drain=0.05",
+		"start=0.5,shedtol=0.02,errtol=0.01",
+		"", " , ,", "kill", "kill=", "=1", "a=b=c", "start=1,,wave", "seed=1, rate = 0.5 ,",
+	} {
+		f.Add(seed)
+	}
+	parsers := []struct {
+		name      string
+		roundTrip func(spec string) error
+	}{
+		{"fault.ParsePlan", func(s string) error { return specRoundTrip(fault.ParsePlan, s) }},
+		{"ParseChaosPlan", func(s string) error { return specRoundTrip(ParseChaosPlan, s) }},
+		{"ParseRolloutPlan", func(s string) error { return specRoundTrip(ParseRolloutPlan, s) }},
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		for _, p := range parsers {
+			if err := p.roundTrip(spec); err != nil {
+				t.Errorf("%s: %v", p.name, err)
+			}
+		}
+	})
+}

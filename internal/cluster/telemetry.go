@@ -10,12 +10,13 @@
 //     the whole ramp — kill, failover storm, scale-ups — on one timeline
 //     Perfetto can load.
 //   - FleetMetrics: a mutex-protected registry of per-app x per-host
-//     rollups (routed/served/shed), latency-component histograms reusing
-//     the serve package's bucket geometry, dispatch-trigger counters,
+//     rollups (routed/served/shed), latency-component histograms
+//     (obs.Histogram, the one bucket geometry), dispatch-trigger counters,
 //     device busy-time integration, and a windowed time series the
 //     saturation analyzer and SLO burn-rate computation read. It renders
-//     as text and as Prometheus exposition, so a live scrape of a running
-//     simulation works exactly like scraping the wall-clock server.
+//     as text and, through the fleetFamilies table and obs.Render, as
+//     Prometheus exposition, so a live scrape of a running simulation
+//     works exactly like scraping the wall-clock server.
 //   - Latency attribution: each completed request's latency decomposes
 //     into failover delay (time lost re-routing after a host death or
 //     drain), fill wait or queue wait (the time between final enqueue and
@@ -38,7 +39,6 @@ import (
 	"time"
 
 	"tpusim/internal/obs"
-	"tpusim/internal/serve"
 )
 
 // Telemetry wires a Cluster's observability. Any field may be nil: a nil
@@ -331,52 +331,30 @@ func (t *Telemetry) onBatchKilled(rep *replica) {
 	rep.span = nil
 }
 
-// onKill marks a host death as an instant span on the cluster lifecycle
-// track and on the host's own process group.
-func (t *Telemetry) onKill(hostID int) {
+// instant marks a fleet lifecycle event — kind is the event-log kind
+// logged on the line above each call ("kill", "zone-down", "cordon", ...),
+// noun and id name what it happened to ("host" 3, "zone" 0) — as an instant
+// span on the cluster's hosts track. A kill or revive also lands on the
+// host's own lifecycle track.
+func (t *Telemetry) instant(kind, noun string, id int) {
 	if t == nil || t.Tracer == nil {
 		return
 	}
-	_, sp := t.Tracer.StartRoot(context.Background(), "kill host"+strconv.Itoa(hostID), "hosts")
+	_, sp := t.Tracer.StartRoot(context.Background(), kind+" "+noun+strconv.Itoa(id), "hosts")
 	sp.SetProc("cluster")
 	sp.End()
-	_, hsp := t.Tracer.StartRoot(context.Background(), "killed", "lifecycle")
-	hsp.SetProc("host" + strconv.Itoa(hostID))
+	var past string
+	switch kind {
+	case "kill":
+		past = "killed"
+	case "revive":
+		past = "revived"
+	default:
+		return
+	}
+	_, hsp := t.Tracer.StartRoot(context.Background(), past, "lifecycle")
+	hsp.SetProc("host" + strconv.Itoa(id))
 	hsp.End()
-}
-
-// onRevive marks a host revival as an instant span on the cluster
-// lifecycle track and on the host's own process group.
-func (t *Telemetry) onRevive(hostID int) {
-	if t == nil || t.Tracer == nil {
-		return
-	}
-	_, sp := t.Tracer.StartRoot(context.Background(), "revive host"+strconv.Itoa(hostID), "hosts")
-	sp.SetProc("cluster")
-	sp.End()
-	_, hsp := t.Tracer.StartRoot(context.Background(), "revived", "lifecycle")
-	hsp.SetProc("host" + strconv.Itoa(hostID))
-	hsp.End()
-}
-
-// onPartition marks a router<->host partition start as an instant span.
-func (t *Telemetry) onPartition(hostID int) {
-	if t == nil || t.Tracer == nil {
-		return
-	}
-	_, sp := t.Tracer.StartRoot(context.Background(), "partition host"+strconv.Itoa(hostID), "hosts")
-	sp.SetProc("cluster")
-	sp.End()
-}
-
-// onPartitionHeal marks a partition healing as an instant span.
-func (t *Telemetry) onPartitionHeal(hostID int) {
-	if t == nil || t.Tracer == nil {
-		return
-	}
-	_, sp := t.Tracer.StartRoot(context.Background(), "partition-heal host"+strconv.Itoa(hostID), "hosts")
-	sp.SetProc("cluster")
-	sp.End()
 }
 
 // onDegrade marks a host service-time degradation (or restore) as an
@@ -387,46 +365,6 @@ func (t *Telemetry) onDegrade(hostID int, factor float64) {
 	}
 	_, sp := t.Tracer.StartRoot(context.Background(), "degrade host"+strconv.Itoa(hostID), "hosts",
 		obs.Float("factor", factor))
-	sp.SetProc("cluster")
-	sp.End()
-}
-
-// onZoneDown marks a correlated zone failure as an instant span.
-func (t *Telemetry) onZoneDown(zone int) {
-	if t == nil || t.Tracer == nil {
-		return
-	}
-	_, sp := t.Tracer.StartRoot(context.Background(), "zone-down zone"+strconv.Itoa(zone), "hosts")
-	sp.SetProc("cluster")
-	sp.End()
-}
-
-// onZoneUp marks a zone recovery as an instant span.
-func (t *Telemetry) onZoneUp(zone int) {
-	if t == nil || t.Tracer == nil {
-		return
-	}
-	_, sp := t.Tracer.StartRoot(context.Background(), "zone-up zone"+strconv.Itoa(zone), "hosts")
-	sp.SetProc("cluster")
-	sp.End()
-}
-
-// onCordon marks a host cordon as an instant span on the hosts track.
-func (t *Telemetry) onCordon(hostID int) {
-	if t == nil || t.Tracer == nil {
-		return
-	}
-	_, sp := t.Tracer.StartRoot(context.Background(), "cordon host"+strconv.Itoa(hostID), "hosts")
-	sp.SetProc("cluster")
-	sp.End()
-}
-
-// onUncordon marks a cordon's removal as an instant span.
-func (t *Telemetry) onUncordon(hostID int) {
-	if t == nil || t.Tracer == nil {
-		return
-	}
-	_, sp := t.Tracer.StartRoot(context.Background(), "uncordon host"+strconv.Itoa(hostID), "hosts")
 	sp.SetProc("cluster")
 	sp.End()
 }
@@ -544,8 +482,6 @@ func (f *FleetMetrics) sampleRollout(c *Cluster) {
 func (f *FleetMetrics) sample(a *app, am *appMetrics) {
 	am.offered = a.offered
 	am.budgetDenied = a.budgetDenied
-	am.deadlineDrops = a.deadlineDrops
-	am.blackholed = a.blackholed
 	for h := range am.perHost {
 		am.perHost[h].Routed = am.baseRouted[h]
 	}
@@ -555,9 +491,6 @@ func (f *FleetMetrics) sample(a *app, am *appMetrics) {
 		depth += rep.lane.Len()
 	}
 	am.queueDepth = depth
-	if depth > am.maxQueueDepth {
-		am.maxQueueDepth = depth
-	}
 }
 
 // telemetryFlush runs once at the end of Run: a final cumulative sample
@@ -605,7 +538,7 @@ type cell struct {
 // simulator's own counter at tick time, not accumulated here).
 type winAccum struct {
 	completed, shed, errors uint64
-	lat                     serve.Histogram
+	lat                     obs.Histogram
 }
 
 // appMetrics is one app's fleet-level counters.
@@ -615,17 +548,15 @@ type appMetrics struct {
 	shedQueue, expired                             uint64
 	failovers, errors                              uint64
 	retries, budgetDenied                          uint64
-	deadlineDrops, blackholed                      uint64
 	scaleUps, scaleDowns, scaleBlocked, scaleHolds uint64
 	batches, batched                               uint64
 	trig                                           [numTriggers]uint64
-	queueDepth, maxQueueDepth                      int
-	liveReplicas                                   int
+	queueDepth, liveReplicas                       int
 	replicaSeconds                                 float64
 	busySeconds                                    float64
 
 	// Latency decomposition of completed requests, seconds.
-	queueWait, fillWait, service, failoverDelay, total serve.Histogram
+	queueWait, fillWait, service, failoverDelay, total obs.Histogram
 
 	// baseRouted holds per-host routed counts folded in from retired
 	// replicas; sample() adds the live replicas' counters on top.
@@ -639,7 +570,7 @@ type appMetrics struct {
 // totalLat is the cumulative end-to-end latency histogram including the
 // still-open window (the closed windows were folded in at each tick).
 // Returns a copy; the caller holds the registry lock.
-func (am *appMetrics) totalLat() serve.Histogram {
+func (am *appMetrics) totalLat() obs.Histogram {
 	t := am.total
 	t.Merge(&am.win.lat)
 	return t
@@ -651,11 +582,10 @@ type hostMetrics struct {
 }
 
 // FleetMetrics is the cluster metrics registry: per-app x per-host
-// rollups, latency-component histograms on the serve package's bucket
-// geometry, and the windowed series behind the saturation report. All
-// methods are safe for concurrent use — a scraper may call Text,
-// WritePrometheus or Windows from another goroutine while the simulator
-// mutates the registry.
+// rollups, latency-component histograms, and the windowed series behind
+// the saturation report. All methods are safe for concurrent use — a
+// scraper may call Text, WritePrometheus or Windows from another goroutine
+// while the simulator mutates the registry.
 type FleetMetrics struct {
 	mu             sync.Mutex
 	window         float64
@@ -677,7 +607,7 @@ type FleetMetrics struct {
 const DefaultWindowSeconds = 0.05
 
 // NewFleetMetrics builds a registry sampling on the given virtual-time
-// window (DefaultWindowSeconds if w <= 0). The SLO target defaults to
+// window (DefaultWindowSeconds if w <= 0). The SLO target is
 // 99% — the paper's applications bound the 99th percentile.
 func NewFleetMetrics(windowSeconds float64) *FleetMetrics {
 	if windowSeconds <= 0 {
@@ -685,20 +615,6 @@ func NewFleetMetrics(windowSeconds float64) *FleetMetrics {
 	}
 	return &FleetMetrics{window: windowSeconds, sloTarget: 0.99}
 }
-
-// SetSLOTarget overrides the availability target (fraction of offered
-// requests that must settle successfully), e.g. 0.999.
-func (f *FleetMetrics) SetSLOTarget(target float64) {
-	if target <= 0 || target >= 1 {
-		return
-	}
-	f.mu.Lock()
-	f.sloTarget = target
-	f.mu.Unlock()
-}
-
-// WindowSeconds returns the sampling window.
-func (f *FleetMetrics) WindowSeconds() float64 { return f.window }
 
 // register sizes the registry for the fleet. Called once from cluster.New.
 func (f *FleetMetrics) register(hosts, devicesPerHost, zones int, appNames []string) {
@@ -738,19 +654,6 @@ func (f *FleetMetrics) Windows(app string) []Window {
 	return out
 }
 
-// HostCells returns a copy of one app's per-host rollups, indexed by host.
-func (f *FleetMetrics) HostCells(app string) []cell {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	am := f.byName[app]
-	if am == nil {
-		return nil
-	}
-	out := make([]cell, len(am.perHost))
-	copy(out, am.perHost)
-	return out
-}
-
 // Text renders the registry as aligned tables: per-app totals and
 // latency components, the app x host rollup, and per-host device
 // utilization.
@@ -774,7 +677,7 @@ func (f *FleetMetrics) Text() string {
 	}
 	b.WriteString("\nlatency components ms (p50/p99):\n")
 	fmt.Fprintf(&b, "%-6s %13s %13s %13s %13s %13s\n", "app", "queue", "fill", "service", "failover", "total")
-	ms := func(h *serve.Histogram, q float64) float64 { return h.Quantile(q) * 1e3 }
+	ms := func(h *obs.Histogram, q float64) float64 { return h.Quantile(q) * 1e3 }
 	for _, am := range f.apps {
 		tot := am.totalLat()
 		fmt.Fprintf(&b, "%-6s %6.3f/%6.3f %6.3f/%6.3f %6.3f/%6.3f %6.3f/%6.3f %6.3f/%6.3f\n",
@@ -798,142 +701,111 @@ func (f *FleetMetrics) Text() string {
 	}
 	b.WriteString("\nhost device utilization:\n")
 	for h, hm := range f.hosts {
-		util := 0.0
-		if f.elapsed > 0 && f.devicesPerHost > 0 {
-			util = hm.busySeconds / (f.elapsed * float64(f.devicesPerHost))
-		}
-		fmt.Fprintf(&b, "  host%-3d busy %8.3fs  util %6.2f%%\n", h, hm.busySeconds, util*100)
+		fmt.Fprintf(&b, "  host%-3d busy %8.3fs  util %6.2f%%\n", h, hm.busySeconds, f.utilization(hm)*100)
 	}
 	return b.String()
+}
+
+// utilization is the busy fraction of one host's device pool since t=0.
+// Caller holds f.mu.
+func (f *FleetMetrics) utilization(hm *hostMetrics) float64 {
+	if f.elapsed <= 0 || f.devicesPerHost <= 0 {
+		return 0
+	}
+	return hm.busySeconds / (f.elapsed * float64(f.devicesPerHost))
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition
 // format, mirroring the serve registry's family shapes with a
-// tpucluster_ prefix. Families are deterministic for a given registry
-// state: apps in config order, hosts in id order.
-func (f *FleetMetrics) WritePrometheus(w io.Writer) {
+// tpucluster_ prefix. A failed write is the scraper's to notice: an
+// exposition has no error channel.
+func (f *FleetMetrics) WritePrometheus(w io.Writer) { _, _ = io.WriteString(w, f.Prometheus()) }
+
+// Prometheus renders the exposition as a string. Families are
+// deterministic for a given registry state: apps in config order, hosts in
+// id order.
+func (f *FleetMetrics) Prometheus() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	fam := func(name, typ, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-	fam("tpucluster_virtual_seconds", "gauge", "Virtual time of the last sampler tick.")
-	fmt.Fprintf(w, "tpucluster_virtual_seconds %g\n", f.elapsed)
+	return string(obs.Render(f, fleetFamilies))
+}
 
-	fam("tpucluster_requests_offered_total", "counter", "Requests offered to each app's router.")
-	for _, am := range f.apps {
-		fmt.Fprintf(w, "tpucluster_requests_offered_total{app=%q} %d\n", am.name, am.offered)
-	}
-	fam("tpucluster_requests_routed_total", "counter", "Requests admitted into a host's replica queues (re-routes count again).")
-	for _, am := range f.apps {
-		for h, cl := range am.perHost {
-			fmt.Fprintf(w, "tpucluster_requests_routed_total{app=%q,host=\"%d\"} %d\n", am.name, h, cl.Routed)
+// appRows is the row set of every per-app family.
+func appRows(f *FleetMetrics) []*appMetrics { return f.apps }
+
+// perCell collects a family with one sample per app x host rollup.
+func perCell(v func(cl cell) uint64) func(*FleetMetrics, *obs.Emitter) {
+	return func(f *FleetMetrics, e *obs.Emitter) {
+		for _, am := range f.apps {
+			for h, cl := range am.perHost {
+				e.Uint(v(cl), am.name, strconv.Itoa(h))
+			}
 		}
-	}
-	fam("tpucluster_requests_completed_total", "counter", "Requests served, by app and host.")
-	for _, am := range f.apps {
-		for h, cl := range am.perHost {
-			fmt.Fprintf(w, "tpucluster_requests_completed_total{app=%q,host=\"%d\"} %d\n", am.name, h, cl.Completed)
-		}
-	}
-	fam("tpucluster_requests_shed_total", "counter", "Requests shed (admission queue_full + dispatch deadline), by app and host.")
-	for _, am := range f.apps {
-		for h, cl := range am.perHost {
-			fmt.Fprintf(w, "tpucluster_requests_shed_total{app=%q,host=\"%d\"} %d\n", am.name, h, cl.Shed)
-		}
-	}
-	fam("tpucluster_failovers_total", "counter", "Requests re-routed after losing their replica.")
-	for _, am := range f.apps {
-		fmt.Fprintf(w, "tpucluster_failovers_total{app=%q} %d\n", am.name, am.failovers)
-	}
-	fam("tpucluster_errors_total", "counter", "Client-visible failures (router miss or failover exhaustion).")
-	for _, am := range f.apps {
-		fmt.Fprintf(w, "tpucluster_errors_total{app=%q} %d\n", am.name, am.errors)
-	}
-	fam("tpucluster_retries_total", "counter", "Granted retries: failover re-routes plus admission-shed retries within budget.")
-	for _, am := range f.apps {
-		fmt.Fprintf(w, "tpucluster_retries_total{app=%q} %d\n", am.name, am.retries)
-	}
-	fam("tpucluster_retry_budget_exhausted_total", "counter", "Retries refused because the app's token-bucket retry budget was empty.")
-	for _, am := range f.apps {
-		fmt.Fprintf(w, "tpucluster_retry_budget_exhausted_total{app=%q} %d\n", am.name, am.budgetDenied)
-	}
-	fam("tpucluster_autoscaler_actions_total", "counter", "Autoscaler decisions by action.")
-	for _, am := range f.apps {
-		fmt.Fprintf(w, "tpucluster_autoscaler_actions_total{app=%q,action=\"scale-up\"} %d\n", am.name, am.scaleUps)
-		fmt.Fprintf(w, "tpucluster_autoscaler_actions_total{app=%q,action=\"scale-down\"} %d\n", am.name, am.scaleDowns)
-		fmt.Fprintf(w, "tpucluster_autoscaler_actions_total{app=%q,action=\"scale-blocked\"} %d\n", am.name, am.scaleBlocked)
-		fmt.Fprintf(w, "tpucluster_autoscaler_actions_total{app=%q,action=\"scale-hold\"} %d\n", am.name, am.scaleHolds)
-	}
-	fam("tpucluster_dispatch_triggers_total", "counter", "Batch dispatches by what fired them.")
-	for _, am := range f.apps {
-		for tr := trigger(0); tr < numTriggers; tr++ {
-			fmt.Fprintf(w, "tpucluster_dispatch_triggers_total{app=%q,trigger=%q} %d\n", am.name, tr.String(), am.trig[tr])
-		}
-	}
-	fam("tpucluster_batch_size", "summary", "Requests per dispatched batch.")
-	for _, am := range f.apps {
-		fmt.Fprintf(w, "tpucluster_batch_size_sum{app=%q} %d\n", am.name, am.batched)
-		fmt.Fprintf(w, "tpucluster_batch_size_count{app=%q} %d\n", am.name, am.batches)
-	}
-	fam("tpucluster_queue_depth", "gauge", "Queued requests per app at the last sampler tick.")
-	for _, am := range f.apps {
-		fmt.Fprintf(w, "tpucluster_queue_depth{app=%q} %d\n", am.name, am.queueDepth)
-	}
-	fam("tpucluster_replicas_live", "gauge", "Routable replicas per app at the last sampler tick.")
-	for _, am := range f.apps {
-		fmt.Fprintf(w, "tpucluster_replicas_live{app=%q} %d\n", am.name, am.liveReplicas)
-	}
-	fam("tpucluster_device_busy_seconds_total", "counter", "Device execution-engine busy time per host.")
-	for h, hm := range f.hosts {
-		fmt.Fprintf(w, "tpucluster_device_busy_seconds_total{host=\"%d\"} %g\n", h, hm.busySeconds)
-	}
-	fam("tpucluster_device_utilization", "gauge", "Busy fraction of each host's device pool since t=0.")
-	for h, hm := range f.hosts {
-		util := 0.0
-		if f.elapsed > 0 && f.devicesPerHost > 0 {
-			util = hm.busySeconds / (f.elapsed * float64(f.devicesPerHost))
-		}
-		fmt.Fprintf(w, "tpucluster_device_utilization{host=\"%d\"} %g\n", h, util)
-	}
-	fam("tpucluster_zone_state", "gauge", "Failure-domain state at the last sampler tick: 1 when any host in the zone is alive, 0 when the zone is dark.")
-	for z, up := range f.zoneUp {
-		v := 0
-		if up {
-			v = 1
-		}
-		fmt.Fprintf(w, "tpucluster_zone_state{zone=\"%d\"} %d\n", z, v)
-	}
-	fam("tpucluster_rollout_state", "gauge", "Rollout controller stage at the last sampler tick: 0 idle, 1 canary, 2 wave, 3 hold, 4 done, 5 rolled-back.")
-	fmt.Fprintf(w, "tpucluster_rollout_state %d\n", f.rolloutStage)
-	fam("tpucluster_rollbacks_total", "counter", "Automatic rollbacks executed by the rollout controller.")
-	fmt.Fprintf(w, "tpucluster_rollbacks_total %d\n", f.rollbacks)
-	fam("tpucluster_cordoned_hosts", "gauge", "Hosts cordoned (serving but excluded from placement) at the last sampler tick.")
-	fmt.Fprintf(w, "tpucluster_cordoned_hosts %d\n", f.cordonedHosts)
-	fam("tpucluster_request_component_seconds", "histogram",
-		"Served request latency decomposed into queue, fill, service and failover components.")
-	for _, am := range f.apps {
-		am.queueWait.WriteBuckets(w, "tpucluster_request_component_seconds",
-			fmt.Sprintf("app=%q,component=\"queue\"", am.name))
-		am.fillWait.WriteBuckets(w, "tpucluster_request_component_seconds",
-			fmt.Sprintf("app=%q,component=\"fill\"", am.name))
-		am.service.WriteBuckets(w, "tpucluster_request_component_seconds",
-			fmt.Sprintf("app=%q,component=\"service\"", am.name))
-		am.failoverDelay.WriteBuckets(w, "tpucluster_request_component_seconds",
-			fmt.Sprintf("app=%q,component=\"failover\"", am.name))
-	}
-	fam("tpucluster_request_latency_seconds", "histogram",
-		"End-to-end served request latency (arrival to completion).")
-	for _, am := range f.apps {
-		tot := am.totalLat()
-		tot.WriteBuckets(w, "tpucluster_request_latency_seconds",
-			fmt.Sprintf("app=%q", am.name))
 	}
 }
 
-// Prometheus renders the exposition as a string.
-func (f *FleetMetrics) Prometheus() string {
-	var b strings.Builder
-	f.WritePrometheus(&b)
-	return b.String()
+var (
+	byApp     = []string{"app"}
+	byAppHost = []string{"app", "host"}
+	byHost    = []string{"host"}
+)
+
+// fleetFamilies is the fleet registry's exposition, one row per family.
+// Collect runs with the registry lock held.
+var fleetFamilies = []obs.Family[*FleetMetrics]{
+	{Name: "tpucluster_virtual_seconds", Type: "gauge", Help: "Virtual time of the last sampler tick.", Collect: func(f *FleetMetrics, e *obs.Emitter) { e.Float(f.elapsed) }},
+	{Name: "tpucluster_requests_offered_total", Type: "counter", Help: "Requests offered to each app's router.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.offered, am.name) })},
+	{Name: "tpucluster_requests_routed_total", Type: "counter", Help: "Requests admitted into a host's replica queues (re-routes count again).", Labels: byAppHost, Collect: perCell(func(cl cell) uint64 { return cl.Routed })},
+	{Name: "tpucluster_requests_completed_total", Type: "counter", Help: "Requests served, by app and host.", Labels: byAppHost, Collect: perCell(func(cl cell) uint64 { return cl.Completed })},
+	{Name: "tpucluster_requests_shed_total", Type: "counter", Help: "Requests shed (admission queue_full + dispatch deadline), by app and host.", Labels: byAppHost, Collect: perCell(func(cl cell) uint64 { return cl.Shed })},
+	{Name: "tpucluster_failovers_total", Type: "counter", Help: "Requests re-routed after losing their replica.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.failovers, am.name) })},
+	{Name: "tpucluster_errors_total", Type: "counter", Help: "Client-visible failures (router miss or failover exhaustion).", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.errors, am.name) })},
+	{Name: "tpucluster_retries_total", Type: "counter", Help: "Granted retries: failover re-routes plus admission-shed retries within budget.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.retries, am.name) })},
+	{Name: "tpucluster_retry_budget_exhausted_total", Type: "counter", Help: "Retries refused because the app's token-bucket retry budget was empty.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.budgetDenied, am.name) })},
+	{Name: "tpucluster_autoscaler_actions_total", Type: "counter", Help: "Autoscaler decisions by action.", Labels: []string{"app", "action"}, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) {
+		e.Uint(am.scaleUps, am.name, "scale-up")
+		e.Uint(am.scaleDowns, am.name, "scale-down")
+		e.Uint(am.scaleBlocked, am.name, "scale-blocked")
+		e.Uint(am.scaleHolds, am.name, "scale-hold")
+	})},
+	{Name: "tpucluster_dispatch_triggers_total", Type: "counter", Help: "Batch dispatches by what fired them.", Labels: []string{"app", "trigger"}, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) {
+		for tr := trigger(0); tr < numTriggers; tr++ {
+			e.Uint(am.trig[tr], am.name, tr.String())
+		}
+	})},
+	{Name: "tpucluster_batch_size", Type: "summary", Help: "Requests per dispatched batch.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Summary(am.batched, am.batches, am.name) })},
+	{Name: "tpucluster_queue_depth", Type: "gauge", Help: "Queued requests per app at the last sampler tick.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Int(int64(am.queueDepth), am.name) })},
+	{Name: "tpucluster_replicas_live", Type: "gauge", Help: "Routable replicas per app at the last sampler tick.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Int(int64(am.liveReplicas), am.name) })},
+	{Name: "tpucluster_device_busy_seconds_total", Type: "counter", Help: "Device execution-engine busy time per host.", Labels: byHost, Collect: func(f *FleetMetrics, e *obs.Emitter) {
+		for h, hm := range f.hosts {
+			e.Float(hm.busySeconds, strconv.Itoa(h))
+		}
+	}},
+	{Name: "tpucluster_device_utilization", Type: "gauge", Help: "Busy fraction of each host's device pool since t=0.", Labels: byHost, Collect: func(f *FleetMetrics, e *obs.Emitter) {
+		for h, hm := range f.hosts {
+			e.Float(f.utilization(hm), strconv.Itoa(h))
+		}
+	}},
+	{Name: "tpucluster_zone_state", Type: "gauge", Help: "Failure-domain state at the last sampler tick: 1 when any host in the zone is alive, 0 when the zone is dark.", Labels: []string{"zone"}, Collect: func(f *FleetMetrics, e *obs.Emitter) {
+		for z, up := range f.zoneUp {
+			v := uint64(0)
+			if up {
+				v = 1
+			}
+			e.Uint(v, strconv.Itoa(z))
+		}
+	}},
+	{Name: "tpucluster_rollout_state", Type: "gauge", Help: "Rollout controller stage at the last sampler tick: 0 idle, 1 canary, 2 wave, 3 hold, 4 done, 5 rolled-back.", Collect: func(f *FleetMetrics, e *obs.Emitter) { e.Int(int64(f.rolloutStage)) }},
+	{Name: "tpucluster_rollbacks_total", Type: "counter", Help: "Automatic rollbacks executed by the rollout controller.", Collect: func(f *FleetMetrics, e *obs.Emitter) { e.Int(int64(f.rollbacks)) }},
+	{Name: "tpucluster_cordoned_hosts", Type: "gauge", Help: "Hosts cordoned (serving but excluded from placement) at the last sampler tick.", Collect: func(f *FleetMetrics, e *obs.Emitter) { e.Int(int64(f.cordonedHosts)) }},
+	{Name: "tpucluster_request_component_seconds", Type: "histogram", Help: "Served request latency decomposed into queue, fill, service and failover components.", Labels: []string{"app", "component"}, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) {
+		e.Histogram(&am.queueWait, am.name, "queue")
+		e.Histogram(&am.fillWait, am.name, "fill")
+		e.Histogram(&am.service, am.name, "service")
+		e.Histogram(&am.failoverDelay, am.name, "failover")
+	})},
+	{Name: "tpucluster_request_latency_seconds", Type: "histogram", Help: "End-to-end served request latency (arrival to completion).", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) {
+		tot := am.totalLat()
+		e.Histogram(&tot, am.name)
+	})},
 }

@@ -7,12 +7,16 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
 	"tpusim/internal/obs"
+	"tpusim/internal/runtime"
+	"tpusim/internal/serve"
+	"tpusim/internal/tpu"
 )
 
 // telemetry builds the golden scenario's Telemetry: a large span ring so
@@ -59,18 +63,12 @@ func TestTelemetryDisabledAllocs(t *testing.T) {
 		tel.onDispatch(rep, 1, trigBatchFull)
 		tel.onComplete(rep, batch, 0.2)
 		tel.onBatchKilled(rep)
-		tel.onKill(0)
+		tel.instant("kill", "host", 0)
 		tel.onQuarantine(rep)
 		tel.onDecision(a, Decision{})
 		tel.onRetry(a)
-		tel.onRevive(0)
-		tel.onPartition(0)
-		tel.onPartitionHeal(0)
+		tel.instant("zone-down", "zone", 0)
 		tel.onDegrade(0, 2.0)
-		tel.onZoneDown(0)
-		tel.onZoneUp(0)
-		tel.onCordon(0)
-		tel.onUncordon(0)
 		tel.onRolloutEvent("rollout", "x")
 	})
 	if allocs != 0 {
@@ -167,9 +165,8 @@ func TestFleetMetricsText(t *testing.T) {
 	}
 }
 
-// TestFleetMetricsPrometheus checks the exposition is well-formed (every
-// line is a comment or name{labels} value) and carries the families the
-// scrape contract names.
+// TestFleetMetricsPrometheus checks the exposition is well-formed (the
+// strict obs checker) and carries the families the scrape contract names.
 func TestFleetMetricsPrometheus(t *testing.T) {
 	c, tel := telemeteredCluster(t)
 	c.Run(6)
@@ -197,14 +194,63 @@ func TestFleetMetricsPrometheus(t *testing.T) {
 			t.Errorf("exposition missing family %s", fam)
 		}
 	}
-	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-		if strings.HasPrefix(line, "# ") {
-			continue
-		}
-		if !strings.HasPrefix(line, "tpucluster_") || !strings.Contains(line, " ") {
-			t.Errorf("malformed exposition line: %q", line)
+	if err := obs.CheckExposition(out); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestOneScrapeServesEveryRegistry is the composition the ops endpoint
+// exists for: the serve registry, a runtime server and the fleet registry
+// as collectors of one Ops, scraped over HTTP. The concatenated body must
+// pass the strict checker — no family name declared by two registries, no
+// sample outside its family — with a model name that needs every escape.
+func TestOneScrapeServesEveryRegistry(t *testing.T) {
+	c, tel := telemeteredCluster(t)
+	c.Run(1)
+	sm := serve.NewMetrics()
+	sm.Model("a\"b\\c\nd\te").Completed(1e-3)
+	rs, err := runtime.NewServer(2, tpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	ops := obs.NewOps(tel.Tracer)
+	ops.AddCollector(sm.WritePrometheus)
+	ops.AddCollector(rs.WritePrometheus)
+	ops.AddCollector(tel.Metrics.WritePrometheus)
+	srv, err := ops.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.CheckExposition(string(body)); err != nil {
+		t.Error(err)
+	}
+	for _, fam := range []string{"tpuserve_up", "tpu_device_runs_total", "tpucluster_virtual_seconds", "obs_spans_dropped_total"} {
+		if !strings.Contains(string(body), "# TYPE "+fam+" ") {
+			t.Errorf("scrape lacks family %s", fam)
 		}
 	}
+}
+
+// TestGoldenFleetPrometheus pins the fleet exposition byte for byte on the
+// chaos scenario (slow host, zone kill, partition, flap, retries,
+// autoscaler), so every family and label the registry renders is covered
+// by a golden, as the serve and runtime expositions are.
+func TestGoldenFleetPrometheus(t *testing.T) {
+	tel := telemetry()
+	c := chaosCluster(t, tel)
+	c.Run(6)
+	checkGolden(t, "prometheus.txt", tel.Metrics.Prometheus())
 }
 
 // TestClusterTrace pins the virtual-time trace: spans are stamped on the
@@ -263,6 +309,42 @@ func TestClusterTrace(t *testing.T) {
 			t.Errorf("exported trace does not name process %q", want)
 		}
 	}
+
+	// Every span that is not a batch or one of its requests — lifecycle,
+	// chaos, cordon, quarantine and autoscaler instants — in recording
+	// order, from a run that fires each kind: the chaos plan plus a manual
+	// cordon and uncordon.
+	tel = telemetry()
+	cc := chaosCluster(t, tel)
+	if err := cc.CordonHostAt(1.5, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.UncordonHostAt(3.5, 3); err != nil {
+		t.Fatal(err)
+	}
+	cc.Run(6)
+	if d := tel.Tracer.Dropped(); d != 0 {
+		t.Fatalf("span ring evicted %d spans; the instant list would be partial", d)
+	}
+	var list strings.Builder
+	for _, s := range tel.Tracer.Spans() {
+		if s.Name == "request" || isBatchSpan(s) {
+			continue
+		}
+		fmt.Fprintf(&list, "%s\t%s\t%s\t%.6f\n", s.Name, s.Track, s.Proc, float64(s.Start.UnixNano())/1e9)
+	}
+	checkGolden(t, "trace_instants.txt", list.String())
+}
+
+// isBatchSpan reports whether s is a dispatched batch's span: the only
+// kind carrying a batch size.
+func isBatchSpan(s obs.SpanData) bool {
+	for _, a := range s.Attrs {
+		if a.Key == "batch" {
+			return true
+		}
+	}
+	return false
 }
 
 // TestFleetMetricsConcurrentScrape is the -race test for the scrape

@@ -322,15 +322,9 @@ func ParsePlan(spec string) (Plan, error) {
 	if strings.TrimSpace(spec) == "" {
 		return p, nil
 	}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("fault: spec %q: want key=value, got %q", spec, kv)
-		}
+	terms, bad := SpecTerms(spec)
+	for _, kv := range terms {
+		k, v := kv[0], kv[1]
 		var err error
 		switch k {
 		case "seed":
@@ -374,10 +368,34 @@ func ParsePlan(spec string) (Plan, error) {
 			return Plan{}, fmt.Errorf("fault: spec %q: bad value for %q: %v", spec, k, err)
 		}
 	}
+	if bad != "" {
+		return Plan{}, fmt.Errorf("fault: spec %q: want key=value, got %q", spec, bad)
+	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
 	return p, nil
+}
+
+// SpecTerms tokenizes the spec syntax this package's plans and the
+// cluster's chaos and rollout plans share: comma-separated key=value terms,
+// blanks around a term trimmed, empty terms skipped. A term without '='
+// ends the walk and is returned as bad, after the pairs that precede it,
+// so a parser that handles the pairs first reports problems in spec order.
+func SpecTerms(spec string) (pairs [][2]string, bad string) {
+	terms := strings.Split(spec, ",")
+	pairs = make([][2]string, 0, len(terms))
+	for _, term := range terms {
+		if term = strings.TrimSpace(term); term == "" {
+			continue
+		}
+		k, v, ok := strings.Cut(term, "=")
+		if !ok {
+			return pairs, term
+		}
+		pairs = append(pairs, [2]string{k, v})
+	}
+	return pairs, ""
 }
 
 // flipKindByName maps the spec's short target names to kinds.

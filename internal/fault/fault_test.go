@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -463,5 +464,39 @@ func TestFlipOnce(t *testing.T) {
 	}
 	if got := in.Counts()["flip-weights"]; got != 1 {
 		t.Fatalf("Counts()[flip-weights] = %d, want 1", got)
+	}
+}
+
+// TestSpecTerms pins the tokenizer the three plan parsers share: terms are
+// trimmed, empty ones skipped, a value keeps any later '=', and the first
+// term without '=' ends the walk and is handed back with the pairs before
+// it — which is what lets a parser report an unknown key at position one
+// ahead of a malformed term at position two.
+func TestSpecTerms(t *testing.T) {
+	for _, tc := range []struct {
+		spec  string
+		pairs [][2]string
+		bad   string
+	}{
+		{"", nil, ""},
+		{" , ,", nil, ""},
+		{"a=1", [][2]string{{"a", "1"}}, ""},
+		{" a=1 ,, b = 2 ,", [][2]string{{"a", "1"}, {"b ", " 2"}}, ""},
+		{"a=b=c,=x,y=", [][2]string{{"a", "b=c"}, {"", "x"}, {"y", ""}}, ""},
+		{"a=1, oops ,b=2", [][2]string{{"a", "1"}}, "oops"},
+		{"oops", nil, "oops"},
+	} {
+		pairs, bad := SpecTerms(tc.spec)
+		if !slices.Equal(pairs, tc.pairs) || bad != tc.bad {
+			t.Errorf("SpecTerms(%q) = %q, %q; want %q, %q", tc.spec, pairs, bad, tc.pairs, tc.bad)
+		}
+	}
+	_, err := ParsePlan("nope=1,oops")
+	if err == nil || !strings.Contains(err.Error(), `unknown key "nope"`) {
+		t.Errorf("errors are not reported in spec order: %v", err)
+	}
+	_, err = ParsePlan("seed=3,oops")
+	if err == nil || !strings.Contains(err.Error(), `want key=value, got "oops"`) {
+		t.Errorf("malformed term: %v", err)
 	}
 }

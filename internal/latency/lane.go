@@ -131,14 +131,12 @@ type Scan struct {
 
 // Quantiles summarizes the served latencies.
 func (s Scan) Quantiles() (p50, p99, mean float64, err error) {
-	if p50, err = stats.Percentile(s.Latencies, 50); err != nil {
-		return 0, 0, 0, err
-	}
-	if p99, err = stats.Percentile(s.Latencies, 99); err != nil {
+	qs, err := stats.Percentiles(s.Latencies, 50, 99)
+	if err != nil {
 		return 0, 0, 0, err
 	}
 	mean, err = stats.Mean(s.Latencies)
-	return p50, p99, mean, err
+	return qs[0], qs[1], mean, err
 }
 
 // OpenLoop drives an empty lane with a seeded Poisson arrival stream of the

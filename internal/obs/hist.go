@@ -1,18 +1,21 @@
-package serve
+package obs
 
-import (
-	"fmt"
-	"io"
-	"math"
+import "math"
+
+// Latency histogram geometry: 72 geometric buckets from 10 us with 25%
+// growth cover 10 us .. ~100 s, enough resolution to read a p99 against a
+// 7 ms SLA without storing raw samples.
+const (
+	latBuckets = 72
+	latLo      = 1e-5
+	latGrowth  = 1.25
 )
 
-// Histogram is the serving layer's latency histogram — 72 geometric
-// buckets from 10 us with 25% growth (10 us .. ~100 s), enough resolution
-// to read a p99 against a 7 ms SLA without storing raw samples. It is
-// exported so other layers (the cluster fleet registry) reuse the exact
-// bucket geometry and exposition format instead of re-deriving them; like
-// the rest of the registry it is plain data, and the caller provides
-// locking.
+// Histogram is the one latency histogram: every registry (serve's
+// per-model latencies, the cluster's latency components and windows)
+// holds it by value, so all of them share the bucket geometry above and
+// Emitter.Histogram renders them alike. It is plain data, and the caller
+// provides locking.
 type Histogram struct {
 	counts   [latBuckets]uint64
 	n        uint64
@@ -62,9 +65,6 @@ func (h *Histogram) Merge(o *Histogram) {
 // Count returns the number of observed samples.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Sum returns the sum of observed samples in seconds.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Max returns the largest observed sample in seconds.
 func (h *Histogram) Max() float64 { return h.max }
 
@@ -75,10 +75,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return h.sum / float64(h.n)
 }
-
-// Reset clears the histogram — the windowed-series idiom: snapshot, reset,
-// accumulate the next window.
-func (h *Histogram) Reset() { *h = Histogram{} }
 
 // Quantile interpolates the q-th quantile (0..1) from the buckets, clamped
 // at the observed maximum so a sparse top bucket cannot overstate the tail.
@@ -105,22 +101,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum = next
 	}
 	return h.max
-}
-
-// WriteBuckets renders the histogram in Prometheus exposition format:
-// cumulative `<family>_bucket{<labels>,le="..."}` lines over the geometric
-// bounds plus `+Inf`, then `<family>_sum` and `<family>_count`. labels is
-// the pre-rendered label list without braces, e.g. `model="MLP0"`.
-func (h *Histogram) WriteBuckets(w io.Writer, family, labels string) {
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		_, hi := latBucketBounds(i)
-		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", family, labels, formatLe(hi), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", family, labels, cum)
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", family, labels, h.sum)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", family, labels, h.n)
 }
 
 // invLogGrowth caches 1/ln(latGrowth) so the hot bucket lookup pays one

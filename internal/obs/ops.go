@@ -76,10 +76,12 @@ func (o *Ops) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, f := range collectors {
 		f(w)
 	}
-	// The endpoint's own meta-metrics: span ring pressure.
-	fmt.Fprintf(w, "# HELP obs_spans_dropped_total Spans evicted from the trace ring.\n")
-	fmt.Fprintf(w, "# TYPE obs_spans_dropped_total counter\n")
-	fmt.Fprintf(w, "obs_spans_dropped_total %d\n", o.tracer.Dropped())
+	_, _ = w.Write(Render(o.tracer, opsFamilies)) // a failed scrape is the scraper's to notice
+}
+
+// opsFamilies is the endpoint's own meta-metrics: span ring pressure.
+var opsFamilies = []Family[*Tracer]{
+	{Name: "obs_spans_dropped_total", Type: "counter", Help: "Spans evicted from the trace ring.", Collect: func(t *Tracer, e *Emitter) { e.Uint(t.Dropped()) }},
 }
 
 func (o *Ops) serveTrace(w http.ResponseWriter, r *http.Request) {

@@ -1,9 +1,9 @@
 package runtime
 
 import (
-	"fmt"
 	"io"
 
+	"tpusim/internal/obs"
 	"tpusim/internal/tpu"
 )
 
@@ -75,113 +75,52 @@ func (s *Server) Stats() []DriverStats {
 //
 //	ops.AddCollector(func(w io.Writer) { runtimeSrv.WritePrometheus(w) })
 func (s *Server) WritePrometheus(w io.Writer) {
-	stats := s.Stats()
-	writeFam(w, "tpu_device_runs_total", "counter",
-		"Completed inference batches per device.")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_device_runs_total{device=%q} %d\n", st.Device, st.Runs)
-	}
-	writeFam(w, "tpu_device_cycles_total", "counter",
-		"Total simulated device cycles per device.")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_device_cycles_total{device=%q} %d\n", st.Device, st.Cycles)
-	}
-	writeFam(w, "tpu_device_busy_seconds_total", "counter",
-		"Accumulated simulated device time per device.")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_device_busy_seconds_total{device=%q} %g\n", st.Device, st.DeviceSeconds)
-	}
-	writeFam(w, "tpu_device_matrix_utilization", "gauge",
-		"Lifetime matrix-unit active cycles over total cycles (Table 3 row 1).")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_device_matrix_utilization{device=%q} %g\n", st.Device, st.MatrixUtilization())
-	}
-	writeFam(w, "tpu_device_compilations_total", "counter",
-		"Slow-path model compilations per device.")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_device_compilations_total{device=%q} %d\n", st.Device, st.Compilations)
-	}
-	writeFam(w, "tpu_device_models_resident", "gauge",
-		"Compiled models currently cached on the device's driver.")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_device_models_resident{device=%q} %d\n", st.Device, st.ModelsResident)
-	}
-	writeFam(w, "tpu_device_weight_bytes_reserved", "gauge",
-		"Weight Memory allocation high-water mark in bytes.")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_device_weight_bytes_reserved{device=%q} %d\n", st.Device, st.WeightBytesReserved)
-	}
+	// A failed write is the scraper's to notice: an exposition has no error channel.
+	_, _ = w.Write(obs.Render(scrape{s.Stats(), s.Health(), s.ResilienceStats()}, families))
+}
 
-	health := s.Health()
-	writeFam(w, "tpu_device_state", "gauge",
-		"Device health state: 0 healthy, 1 degraded, 2 quarantined.")
-	for _, h := range health {
-		fmt.Fprintf(w, "tpu_device_state{device=%q} %d\n", h.Device, int(h.State))
-	}
-	writeFam(w, "tpu_device_state_transitions_total", "counter",
-		"Health state transitions per device.")
-	for _, h := range health {
-		fmt.Fprintf(w, "tpu_device_state_transitions_total{device=%q} %d\n", h.Device, h.Transitions)
-	}
-	writeFam(w, "tpu_device_failures_total", "counter",
-		"Failed run attempts charged to the device (injected faults and timeouts).")
-	for _, h := range health {
-		fmt.Fprintf(w, "tpu_device_failures_total{device=%q} %d\n", h.Device, h.Failures)
-	}
-	writeFam(w, "tpu_device_probes_total", "counter",
-		"Background health probes sent to the device while quarantined.")
-	for _, h := range health {
-		fmt.Fprintf(w, "tpu_device_probes_total{device=%q} %d\n", h.Device, h.Probes)
-	}
+// scrape is what one exposition reads: every device's accounting and
+// health record, and the server's resilience counters.
+type scrape struct {
+	stats  []DriverStats
+	health []DeviceHealth
+	res    ResilienceStats
+}
 
-	writeFam(w, "tpu_integrity_checks_total", "counter",
-		"Integrity checks executed per device (ABFT rows, CRC ranges, parity, PCIe frames).")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_integrity_checks_total{device=%q} %d\n", st.Device, st.Integrity.Checks)
-	}
-	writeFam(w, "tpu_integrity_detected_total", "counter",
-		"Integrity checks that caught silent data corruption, per device.")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_integrity_detected_total{device=%q} %d\n", st.Device, st.Integrity.Detected)
-	}
-	writeFam(w, "tpu_integrity_corrected_total", "counter",
-		"In-place repairs per device (ABFT algebraic corrections and fetch-time weight-tile repairs).")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_integrity_corrected_total{device=%q} %d\n", st.Device, st.Integrity.Corrected)
-	}
-	writeFam(w, "tpu_integrity_scrub_repairs_total", "counter",
-		"Weight tiles repaired from the golden image by scrub passes, per device.")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_integrity_scrub_repairs_total{device=%q} %d\n", st.Device, st.Integrity.ScrubRepairs)
-	}
-	writeFam(w, "tpu_integrity_recomputed_tiles_total", "counter",
-		"Matmul rows recomputed after ABFT flagged damage algebra could not localize, per device.")
-	for _, st := range stats {
-		fmt.Fprintf(w, "tpu_integrity_recomputed_tiles_total{device=%q} %d\n", st.Device, st.Integrity.Recomputed)
-	}
+// deviceRows and healthRows are the row sets of the per-device families.
+func deviceRows(s scrape) []DriverStats  { return s.stats }
+func healthRows(s scrape) []DeviceHealth { return s.health }
 
-	rs := s.ResilienceStats()
-	writeFam(w, "tpu_retries_total", "counter",
-		"Run attempts retried after a failed attempt.")
-	fmt.Fprintf(w, "tpu_retries_total %d\n", rs.Retries)
-	writeFam(w, "tpu_failovers_total", "counter",
-		"Requests answered by a device other than the preferred one.")
-	fmt.Fprintf(w, "tpu_failovers_total %d\n", rs.Failovers)
-	writeFam(w, "tpu_hedges_total", "counter",
-		"Backup attempts launched after the p99-based hedge delay.")
-	fmt.Fprintf(w, "tpu_hedges_total %d\n", rs.Hedges)
-	writeFam(w, "tpu_hedge_wins_total", "counter",
-		"Hedged requests where the backup attempt answered first.")
-	fmt.Fprintf(w, "tpu_hedge_wins_total %d\n", rs.HedgeWins)
-	writeFam(w, "tpu_attempt_timeouts_total", "counter",
-		"Attempts cancelled by the per-attempt timeout.")
-	fmt.Fprintf(w, "tpu_attempt_timeouts_total %d\n", rs.AttemptTimeouts)
-	writeFam(w, "tpu_crosscheck_mismatches_total", "counter",
-		"Output cross-checks whose two devices disagreed.")
-	fmt.Fprintf(w, "tpu_crosscheck_mismatches_total %d\n", rs.CrossCheckMismatches)
-	writeFam(w, "tpu_sdc_failures_total", "counter",
-		"Attempts failed by a device-level integrity check catching corruption before it shipped.")
-	fmt.Fprintf(w, "tpu_sdc_failures_total %d\n", rs.SDCFailures)
+var byDevice = []string{"device"}
+
+// families is the runtime's exposition, one row per family.
+var families = []obs.Family[scrape]{
+	{Name: "tpu_device_runs_total", Type: "counter", Help: "Completed inference batches per device.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Runs, st.Device) })},
+	{Name: "tpu_device_cycles_total", Type: "counter", Help: "Total simulated device cycles per device.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Cycles, st.Device) })},
+	{Name: "tpu_device_busy_seconds_total", Type: "counter", Help: "Accumulated simulated device time per device.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Float(st.DeviceSeconds, st.Device) })},
+	{Name: "tpu_device_matrix_utilization", Type: "gauge", Help: "Lifetime matrix-unit active cycles over total cycles (Table 3 row 1).", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Float(st.MatrixUtilization(), st.Device) })},
+	{Name: "tpu_device_compilations_total", Type: "counter", Help: "Slow-path model compilations per device.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(int64(st.Compilations), st.Device) })},
+	{Name: "tpu_device_models_resident", Type: "gauge", Help: "Compiled models currently cached on the device's driver.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(int64(st.ModelsResident), st.Device) })},
+	{Name: "tpu_device_weight_bytes_reserved", Type: "gauge", Help: "Weight Memory allocation high-water mark in bytes.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Uint(st.WeightBytesReserved, st.Device) })},
+
+	{Name: "tpu_device_state", Type: "gauge", Help: "Device health state: 0 healthy, 1 degraded, 2 quarantined.", Labels: byDevice, Collect: obs.Each(healthRows, func(e *obs.Emitter, h DeviceHealth) { e.Int(int64(h.State), h.Device) })},
+	{Name: "tpu_device_state_transitions_total", Type: "counter", Help: "Health state transitions per device.", Labels: byDevice, Collect: obs.Each(healthRows, func(e *obs.Emitter, h DeviceHealth) { e.Int(h.Transitions, h.Device) })},
+	{Name: "tpu_device_failures_total", Type: "counter", Help: "Failed run attempts charged to the device (injected faults and timeouts).", Labels: byDevice, Collect: obs.Each(healthRows, func(e *obs.Emitter, h DeviceHealth) { e.Int(h.Failures, h.Device) })},
+	{Name: "tpu_device_probes_total", Type: "counter", Help: "Background health probes sent to the device while quarantined.", Labels: byDevice, Collect: obs.Each(healthRows, func(e *obs.Emitter, h DeviceHealth) { e.Int(h.Probes, h.Device) })},
+
+	{Name: "tpu_integrity_checks_total", Type: "counter", Help: "Integrity checks executed per device (ABFT rows, CRC ranges, parity, PCIe frames).", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Integrity.Checks, st.Device) })},
+	{Name: "tpu_integrity_detected_total", Type: "counter", Help: "Integrity checks that caught silent data corruption, per device.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Integrity.Detected, st.Device) })},
+	{Name: "tpu_integrity_corrected_total", Type: "counter", Help: "In-place repairs per device (ABFT algebraic corrections and fetch-time weight-tile repairs).", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Integrity.Corrected, st.Device) })},
+	{Name: "tpu_integrity_scrub_repairs_total", Type: "counter", Help: "Weight tiles repaired from the golden image by scrub passes, per device.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Integrity.ScrubRepairs, st.Device) })},
+	{Name: "tpu_integrity_recomputed_tiles_total", Type: "counter", Help: "Matmul rows recomputed after ABFT flagged damage algebra could not localize, per device.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Integrity.Recomputed, st.Device) })},
+
+	{Name: "tpu_retries_total", Type: "counter", Help: "Run attempts retried after a failed attempt.", Collect: func(s scrape, e *obs.Emitter) { e.Int(s.res.Retries) }},
+	{Name: "tpu_failovers_total", Type: "counter", Help: "Requests answered by a device other than the preferred one.", Collect: func(s scrape, e *obs.Emitter) { e.Int(s.res.Failovers) }},
+	{Name: "tpu_hedges_total", Type: "counter", Help: "Backup attempts launched after the p99-based hedge delay.", Collect: func(s scrape, e *obs.Emitter) { e.Int(s.res.Hedges) }},
+	{Name: "tpu_hedge_wins_total", Type: "counter", Help: "Hedged requests where the backup attempt answered first.", Collect: func(s scrape, e *obs.Emitter) { e.Int(s.res.HedgeWins) }},
+	{Name: "tpu_attempt_timeouts_total", Type: "counter", Help: "Attempts cancelled by the per-attempt timeout.", Collect: func(s scrape, e *obs.Emitter) { e.Int(s.res.AttemptTimeouts) }},
+	{Name: "tpu_crosscheck_mismatches_total", Type: "counter", Help: "Output cross-checks whose two devices disagreed.", Collect: func(s scrape, e *obs.Emitter) { e.Int(s.res.CrossCheckMismatches) }},
+	{Name: "tpu_sdc_failures_total", Type: "counter", Help: "Attempts failed by a device-level integrity check catching corruption before it shipped.", Collect: func(s scrape, e *obs.Emitter) { e.Int(s.res.SDCFailures) }},
 }
 
 // DeviceHealth is one device's health snapshot for the ops endpoint.
@@ -221,9 +160,4 @@ func (s *Server) Health() []DeviceHealth {
 		h.mu.Unlock()
 	}
 	return out
-}
-
-// writeFam writes one metric family's HELP/TYPE header.
-func writeFam(w io.Writer, name, typ, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }

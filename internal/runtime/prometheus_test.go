@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"tpusim/internal/obs"
 	"tpusim/internal/tpu"
 )
 
@@ -55,6 +56,9 @@ func TestRuntimePrometheusGolden(t *testing.T) {
 	var b strings.Builder
 	s.WritePrometheus(&b)
 	got := b.String()
+	if err := obs.CheckExposition(got); err != nil {
+		t.Error(err)
+	}
 
 	path := filepath.Join("testdata", "prometheus.golden")
 	if *update {

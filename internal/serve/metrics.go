@@ -7,15 +7,8 @@ import (
 	"strings"
 	"sync"
 	"time"
-)
 
-// Latency histogram geometry: 72 geometric buckets from 10 us with 25%
-// growth cover 10 us .. ~100 s, enough resolution to read a p99 against a
-// 7 ms SLA without storing raw samples.
-const (
-	latBuckets = 72
-	latLo      = 1e-5
-	latGrowth  = 1.25
+	"tpusim/internal/obs"
 )
 
 // Metrics is the serving-layer registry: one ModelMetrics per model, safe
@@ -60,7 +53,7 @@ type ModelMetrics struct {
 	maxQueueDepth             int
 	breakerState              int
 	batchDist                 map[int]uint64
-	hist                      Histogram
+	hist                      obs.Histogram
 }
 
 // Submitted records an admission attempt.
@@ -158,6 +151,12 @@ type ModelSnapshot struct {
 	P99Ms         float64        `json:"p99_ms"`
 	MeanMs        float64        `json:"mean_ms"`
 	MaxMs         float64        `json:"max_ms"`
+
+	// What the exposition renders and the fields above only summarize: the
+	// breaker gauge's number, the batch-size sum and the latency histogram.
+	breakerState int
+	batched      uint64
+	hist         obs.Histogram
 }
 
 // Snapshot is the full registry state at one instant.
@@ -182,18 +181,20 @@ func (mm *ModelMetrics) snapshot() ModelSnapshot {
 		P50Ms: mm.hist.Quantile(0.50) * 1e3,
 		P99Ms: mm.hist.Quantile(0.99) * 1e3,
 		MaxMs: mm.hist.Max() * 1e3,
+
+		breakerState: mm.breakerState,
+		hist:         mm.hist,
 	}
 	settled := mm.shedQueue + mm.shedBrownout + mm.shedBreaker + mm.expired + mm.errored + mm.completed
 	if mm.submitted > settled {
 		s.InFlight = mm.submitted - settled
 	}
-	var servedInBatches uint64
 	for size, count := range mm.batchDist {
 		s.BatchDist[size] = count
-		servedInBatches += uint64(size) * count
+		s.batched += uint64(size) * count
 	}
 	if mm.batches > 0 {
-		s.MeanBatch = float64(servedInBatches) / float64(mm.batches)
+		s.MeanBatch = float64(s.batched) / float64(mm.batches)
 	}
 	if mm.completed > 0 {
 		s.MeanMs = mm.hist.Mean() * 1e3

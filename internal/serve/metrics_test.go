@@ -138,19 +138,3 @@ func TestMetricsEmptyModel(t *testing.T) {
 		t.Error("Model() not idempotent")
 	}
 }
-
-func TestLatBucketBounds(t *testing.T) {
-	for _, s := range []float64{1e-6, 1e-5, 1e-3, 7e-3, 1, 1000} {
-		i := latBucket(s)
-		lo, hi := latBucketBounds(i)
-		if i != 0 && i != latBuckets-1 && (s < lo || s >= hi) {
-			t.Errorf("latency %v landed in bucket %d [%v, %v)", s, i, lo, hi)
-		}
-	}
-	if latBucket(0) != 0 {
-		t.Error("zero latency not in bucket 0")
-	}
-	if latBucket(1e9) != latBuckets-1 {
-		t.Error("huge latency not clamped")
-	}
-}

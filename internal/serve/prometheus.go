@@ -1,144 +1,46 @@
 package serve
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
-	"time"
+
+	"tpusim/internal/obs"
 )
 
-// promView is one model's state copied under its lock so a scrape renders
-// a consistent snapshot per model.
-type promView struct {
-	name                      string
-	submitted, completed      uint64
-	shedQueue, expired        uint64
-	shedBrownout, shedBreaker uint64
-	errored, batches          uint64
-	inFlight                  uint64
-	batchSum                  uint64
-	queueDepth                int
-	maxQueueDepth             int
-	breakerState              int
-	hist                      Histogram
-}
-
-// promSnapshot copies every model's state, sorted by model name.
-func (m *Metrics) promSnapshot() (views []promView, uptime float64) {
-	m.mu.Lock()
-	mms := make([]*ModelMetrics, 0, len(m.models))
-	for _, mm := range m.models {
-		mms = append(mms, mm)
-	}
-	uptime = time.Since(m.start).Seconds()
-	m.mu.Unlock()
-	sort.Slice(mms, func(i, j int) bool { return mms[i].name < mms[j].name })
-	for _, mm := range mms {
-		mm.mu.Lock()
-		v := promView{
-			name:      mm.name,
-			submitted: mm.submitted, completed: mm.completed,
-			shedQueue: mm.shedQueue, expired: mm.expired,
-			shedBrownout: mm.shedBrownout, shedBreaker: mm.shedBreaker,
-			errored: mm.errored, batches: mm.batches,
-			queueDepth: mm.queueDepth, maxQueueDepth: mm.maxQueueDepth,
-			breakerState: mm.breakerState,
-			hist:         mm.hist,
-		}
-		for size, count := range mm.batchDist {
-			v.batchSum += uint64(size) * count
-		}
-		settled := mm.shedQueue + mm.shedBrownout + mm.shedBreaker + mm.expired + mm.errored + mm.completed
-		if mm.submitted > settled {
-			v.inFlight = mm.submitted - settled
-		}
-		mm.mu.Unlock()
-		views = append(views, v)
-	}
-	return views, uptime
-}
-
 // WritePrometheus renders the registry in Prometheus text exposition
-// format (version 0.0.4): counters for every admission outcome, gauges for
-// queue depth and in-flight requests, a summary for batch sizes, and the
-// full request-latency histogram with the registry's geometric buckets.
-// Models render in sorted name order so the exposition is deterministic
-// for a given registry state (modulo the uptime gauge).
-func (m *Metrics) WritePrometheus(w io.Writer) {
-	views, uptime := m.promSnapshot()
-
-	writeFam(w, "tpuserve_up", "gauge", "Whether the serving registry is live (always 1 when scraped).")
-	fmt.Fprintf(w, "tpuserve_up 1\n")
-	writeFam(w, "tpuserve_uptime_seconds", "gauge", "Seconds since the metrics registry was created.")
-	fmt.Fprintf(w, "tpuserve_uptime_seconds %g\n", uptime)
-
-	writeFam(w, "tpuserve_requests_submitted_total", "counter", "Requests offered to admission control.")
-	for _, v := range views {
-		fmt.Fprintf(w, "tpuserve_requests_submitted_total{model=%q} %d\n", v.name, v.submitted)
-	}
-	writeFam(w, "tpuserve_requests_completed_total", "counter", "Requests served within the SLA.")
-	for _, v := range views {
-		fmt.Fprintf(w, "tpuserve_requests_completed_total{model=%q} %d\n", v.name, v.completed)
-	}
-	writeFam(w, "tpuserve_requests_shed_total", "counter",
-		"Requests shed, by reason: queue_full at admission, deadline at dispatch, brownout/breaker_open from the circuit breaker.")
-	for _, v := range views {
-		fmt.Fprintf(w, "tpuserve_requests_shed_total{model=%q,reason=\"queue_full\"} %d\n", v.name, v.shedQueue)
-		fmt.Fprintf(w, "tpuserve_requests_shed_total{model=%q,reason=\"deadline\"} %d\n", v.name, v.expired)
-		fmt.Fprintf(w, "tpuserve_requests_shed_total{model=%q,reason=\"brownout\"} %d\n", v.name, v.shedBrownout)
-		fmt.Fprintf(w, "tpuserve_requests_shed_total{model=%q,reason=\"breaker_open\"} %d\n", v.name, v.shedBreaker)
-	}
-	writeFam(w, "tpuserve_breaker_state", "gauge",
-		"Per-model circuit breaker state: 0 closed, 1 brownout, 2 open.")
-	for _, v := range views {
-		fmt.Fprintf(w, "tpuserve_breaker_state{model=%q} %d\n", v.name, v.breakerState)
-	}
-	writeFam(w, "tpuserve_requests_errored_total", "counter", "Requests failed by the backend.")
-	for _, v := range views {
-		fmt.Fprintf(w, "tpuserve_requests_errored_total{model=%q} %d\n", v.name, v.errored)
-	}
-	writeFam(w, "tpuserve_requests_in_flight", "gauge", "Requests admitted but not yet settled.")
-	for _, v := range views {
-		fmt.Fprintf(w, "tpuserve_requests_in_flight{model=%q} %d\n", v.name, v.inFlight)
-	}
-	writeFam(w, "tpuserve_batches_total", "counter", "Batches dispatched to the backend.")
-	for _, v := range views {
-		fmt.Fprintf(w, "tpuserve_batches_total{model=%q} %d\n", v.name, v.batches)
-	}
-	writeFam(w, "tpuserve_batch_size", "summary", "Requests per dispatched batch.")
-	for _, v := range views {
-		fmt.Fprintf(w, "tpuserve_batch_size_sum{model=%q} %d\n", v.name, v.batchSum)
-		fmt.Fprintf(w, "tpuserve_batch_size_count{model=%q} %d\n", v.name, v.batches)
-	}
-	writeFam(w, "tpuserve_queue_depth", "gauge", "Current per-model queue depth.")
-	for _, v := range views {
-		fmt.Fprintf(w, "tpuserve_queue_depth{model=%q} %d\n", v.name, v.queueDepth)
-	}
-	writeFam(w, "tpuserve_queue_depth_max", "gauge", "High-water per-model queue depth.")
-	for _, v := range views {
-		fmt.Fprintf(w, "tpuserve_queue_depth_max{model=%q} %d\n", v.name, v.maxQueueDepth)
-	}
-	writeFam(w, "tpuserve_request_latency_seconds", "histogram",
-		"Served request latency (enqueue to completion), geometric buckets.")
-	for _, v := range views {
-		v.hist.WriteBuckets(w, "tpuserve_request_latency_seconds", fmt.Sprintf("model=%q", v.name))
-	}
-}
+// format: counters for every admission outcome, gauges for queue depth and
+// in-flight requests, a summary for batch sizes, and the full
+// request-latency histogram. Models render in sorted name order so the
+// exposition is deterministic for a given registry state (modulo the
+// uptime gauge). A failed write is the scraper's to notice: an exposition
+// has no error channel.
+func (m *Metrics) WritePrometheus(w io.Writer) { _, _ = io.WriteString(w, m.Prometheus()) }
 
 // Prometheus renders the exposition as a string.
-func (m *Metrics) Prometheus() string {
-	var b strings.Builder
-	m.WritePrometheus(&b)
-	return b.String()
-}
+func (m *Metrics) Prometheus() string { return string(obs.Render(m.Snapshot(), families)) }
 
-// formatLe renders a histogram bucket upper bound: shortest exact float
-// form, matching Prometheus convention.
-func formatLe(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// modelRows is the row set of every per-model family.
+func modelRows(s Snapshot) []ModelSnapshot { return s.Models }
 
-// writeFam writes one metric family's HELP/TYPE header.
-func writeFam(w io.Writer, name, typ, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+var byModel = []string{"model"}
+
+// families is the serving registry's exposition, one row per family.
+var families = []obs.Family[Snapshot]{
+	{Name: "tpuserve_up", Type: "gauge", Help: "Whether the serving registry is live (always 1 when scraped).", Collect: func(_ Snapshot, e *obs.Emitter) { e.Uint(1) }},
+	{Name: "tpuserve_uptime_seconds", Type: "gauge", Help: "Seconds since the metrics registry was created.", Collect: func(s Snapshot, e *obs.Emitter) { e.Float(s.UptimeSeconds) }},
+	{Name: "tpuserve_requests_submitted_total", Type: "counter", Help: "Requests offered to admission control.", Labels: byModel, Collect: obs.Each(modelRows, func(e *obs.Emitter, m ModelSnapshot) { e.Uint(m.Submitted, m.Model) })},
+	{Name: "tpuserve_requests_completed_total", Type: "counter", Help: "Requests served within the SLA.", Labels: byModel, Collect: obs.Each(modelRows, func(e *obs.Emitter, m ModelSnapshot) { e.Uint(m.Completed, m.Model) })},
+	{Name: "tpuserve_requests_shed_total", Type: "counter", Help: "Requests shed, by reason: queue_full at admission, deadline at dispatch, brownout/breaker_open from the circuit breaker.", Labels: []string{"model", "reason"}, Collect: obs.Each(modelRows, func(e *obs.Emitter, m ModelSnapshot) {
+		e.Uint(m.ShedQueue, m.Model, "queue_full")
+		e.Uint(m.Expired, m.Model, "deadline")
+		e.Uint(m.ShedBrownout, m.Model, "brownout")
+		e.Uint(m.ShedBreaker, m.Model, "breaker_open")
+	})},
+	{Name: "tpuserve_breaker_state", Type: "gauge", Help: "Per-model circuit breaker state: 0 closed, 1 brownout, 2 open.", Labels: byModel, Collect: obs.Each(modelRows, func(e *obs.Emitter, m ModelSnapshot) { e.Int(int64(m.breakerState), m.Model) })},
+	{Name: "tpuserve_requests_errored_total", Type: "counter", Help: "Requests failed by the backend.", Labels: byModel, Collect: obs.Each(modelRows, func(e *obs.Emitter, m ModelSnapshot) { e.Uint(m.Errored, m.Model) })},
+	{Name: "tpuserve_requests_in_flight", Type: "gauge", Help: "Requests admitted but not yet settled.", Labels: byModel, Collect: obs.Each(modelRows, func(e *obs.Emitter, m ModelSnapshot) { e.Uint(m.InFlight, m.Model) })},
+	{Name: "tpuserve_batches_total", Type: "counter", Help: "Batches dispatched to the backend.", Labels: byModel, Collect: obs.Each(modelRows, func(e *obs.Emitter, m ModelSnapshot) { e.Uint(m.Batches, m.Model) })},
+	{Name: "tpuserve_batch_size", Type: "summary", Help: "Requests per dispatched batch.", Labels: byModel, Collect: obs.Each(modelRows, func(e *obs.Emitter, m ModelSnapshot) { e.Summary(m.batched, m.Batches, m.Model) })},
+	{Name: "tpuserve_queue_depth", Type: "gauge", Help: "Current per-model queue depth.", Labels: byModel, Collect: obs.Each(modelRows, func(e *obs.Emitter, m ModelSnapshot) { e.Int(int64(m.QueueDepth), m.Model) })},
+	{Name: "tpuserve_queue_depth_max", Type: "gauge", Help: "High-water per-model queue depth.", Labels: byModel, Collect: obs.Each(modelRows, func(e *obs.Emitter, m ModelSnapshot) { e.Int(int64(m.MaxQueueDepth), m.Model) })},
+	{Name: "tpuserve_request_latency_seconds", Type: "histogram", Help: "Served request latency (enqueue to completion), geometric buckets.", Labels: byModel, Collect: obs.Each(modelRows, func(e *obs.Emitter, m ModelSnapshot) { e.Histogram(&m.hist, m.Model) })},
 }

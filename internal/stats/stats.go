@@ -1,7 +1,6 @@
 // Package stats provides the summary statistics the paper's evaluation
-// uses: geometric and weighted means (Table 6, Figure 9), percentiles
-// (Table 4's 99th-percentile response times), and simple histograms for the
-// load-bucket analysis of Figure 10.
+// uses: geometric and weighted means (Table 6, Figure 9) and percentiles
+// (Table 4's 99th-percentile response times).
 package stats
 
 import (
@@ -50,26 +49,37 @@ func WeightedMean(xs, ws []float64) (float64, error) {
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. xs need not be sorted.
 func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: percentile of empty slice")
+	qs, err := Percentiles(xs, p)
+	if err != nil {
+		return 0, err
 	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of [0, 100]", p)
+	return qs[0], nil
+}
+
+// Percentiles returns the ps-th percentiles of xs, in the order asked,
+// from one copy and one sort of xs — a reader that wants a p50 and a p99
+// of the same samples pays for the sort once.
+func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
+	if len(xs) == 0 {
+		return nil, fmt.Errorf("stats: percentile of empty slice")
 	}
 	s := make([]float64, len(xs))
 	copy(s, xs)
 	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		if p < 0 || p > 100 {
+			return nil, fmt.Errorf("stats: percentile %v out of [0, 100]", p)
+		}
+		rank := p / 100 * float64(len(s)-1)
+		lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+		out[i] = s[lo]
+		if lo != hi {
+			frac := rank - float64(lo)
+			out[i] = s[lo]*(1-frac) + s[hi]*frac
+		}
 	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
+	return out, nil
 }
 
 // Mean returns the arithmetic mean.
@@ -82,54 +92,4 @@ func Mean(xs []float64) (float64, error) {
 		sum += x
 	}
 	return sum / float64(len(xs)), nil
-}
-
-// Histogram buckets values into n equal-width bins over [lo, hi]. Values
-// outside the range clamp into the end bins, matching how utilization
-// measurements are "collected in buckets of 10% delta of workload".
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram creates an n-bin histogram over [lo, hi].
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bin count, got %d", n)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v] is empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	i := int(float64(n) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	t := h.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(t)
 }

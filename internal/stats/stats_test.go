@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +136,56 @@ func TestPercentileErrors(t *testing.T) {
 	}
 }
 
+// percentileOracle is Percentile as it was before Percentiles: its own
+// copy and sort per call.
+func percentileOracle(xs []float64, p float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if len(s) == 1 {
+		return s[0]
+	}
+	rank := p / 100 * float64(len(s)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := rank - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// TestPercentilesSortOnce: several percentiles from one call are bit-equal
+// to one call each, in the order asked, and the input is left alone.
+func TestPercentilesSortOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ps := []float64{99, 0, 50, 100, 37.5, 50}
+	for n := 1; n < 40; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.ExpFloat64()
+		}
+		orig := append([]float64(nil), xs...)
+		got, err := Percentiles(xs, ps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range ps {
+			if want := percentileOracle(xs, p); got[i] != want {
+				t.Errorf("n=%d p=%v: Percentiles %v, one-at-a-time %v", n, p, got[i], want)
+			}
+		}
+		if !slices.Equal(xs, orig) {
+			t.Fatal("Percentiles mutated its input")
+		}
+	}
+	if _, err := Percentiles([]float64{1}, 50, 101); err == nil {
+		t.Error("out-of-range percentile accepted")
+	}
+	if _, err := Percentiles(nil); err == nil {
+		t.Error("empty input accepted")
+	}
+}
+
 func TestPercentileMonotoneProperty(t *testing.T) {
 	// For any data, percentile is nondecreasing in p.
 	f := func(seed int64) bool {
@@ -182,41 +235,5 @@ func TestGMLessOrEqualAMProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(5)    // bin 0
-	h.Add(95)   // bin 9
-	h.Add(-10)  // clamps to bin 0
-	h.Add(1000) // clamps to bin 9
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total() != 4 {
-		t.Errorf("Total = %d, want 4", h.Total())
-	}
-	if h.Fraction(0) != 0.5 {
-		t.Errorf("Fraction(0) = %v, want 0.5", h.Fraction(0))
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 100, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
-func TestHistogramEmptyFraction(t *testing.T) {
-	h, _ := NewHistogram(0, 1, 2)
-	if h.Fraction(0) != 0 {
-		t.Error("empty histogram fraction should be 0")
 	}
 }
