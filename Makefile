@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet vet-cmd build test race bench-test bench-smoke bench bench-gate fuzz-smoke loc cover obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
+.PHONY: ci fmt-check vet vet-cmd build cross test race bench-test bench-smoke bench bench-gate fuzz-smoke loc cover obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
 
-ci: fmt-check vet vet-cmd build race bench-test fuzz-smoke cover bench-smoke bench-gate obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
+ci: fmt-check vet vet-cmd build cross race bench-test fuzz-smoke cover bench-smoke bench-gate obs-smoke chaos-smoke integrity-smoke cluster-smoke cluster-chaos-smoke report-smoke rollout-smoke
 
 # Fails when any file is not gofmt-clean. The benchmark's build directory
 # holds a Go cache, not source.
@@ -21,6 +21,13 @@ vet-cmd:
 build:
 	$(GO) build ./...
 
+# The matrix kernel has an amd64 assembly file; build everything and vet the
+# kernel package (tests included) for another GOARCH so the portable file
+# set cannot rot. Works offline.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/systolic/...
+
 test:
 	$(GO) test ./...
 
@@ -33,10 +40,12 @@ race:
 bench-test:
 	cd bench && $(GO) test .
 
-# Quick benchmark smoke: proves the kernel benchmarks still run without
-# paying for a full measurement.
+# Quick benchmark smoke: proves the kernel benchmarks still run — every
+# kernel arm of BenchmarkMultiply (avx2 where the host has it, swar, scalar)
+# — without paying for a full measurement.
 bench-smoke:
 	$(GO) test ./internal/systolic -run xxx -bench BenchmarkMulRow -benchtime 100x
+	$(GO) test ./internal/systolic -run xxx -bench 'BenchmarkMultiply/B=64' -benchtime 20x
 
 # Full benchmark sweep (tables, figures, kernels).
 bench:
@@ -71,9 +80,10 @@ bench-gate:
 	[ -n "$$allocs" ] && [ "$$allocs" -le $(T3_CEILING_ALLOCS) ] || { echo "bench-gate: BenchmarkTable3 $$allocs allocs/op exceeds $(T3_CEILING_ALLOCS)"; exit 1; }
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
-# decoder, batching-lane and plan-spec parser regressions without a
-# dedicated fuzzing job.
+# decoder, kernel-equivalence, batching-lane and plan-spec parser regressions
+# without a dedicated fuzzing job.
 fuzz-smoke:
+	$(GO) test ./internal/systolic -run '^$$' -fuzz '^FuzzMulRowEquivalence$$' -fuzztime 5s
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzProgramValidate$$' -fuzztime 5s
 	$(GO) test ./internal/latency -run '^$$' -fuzz '^FuzzLane$$' -fuzztime 5s

@@ -60,8 +60,9 @@ type ChaosConfig struct {
 	Slow []int
 	// SlowFactor is the mid-run throttle multiplier. 0 means 8.
 	SlowFactor float64
-	// FaultAt is the fraction of Duration at which Kill/Slow strike.
-	// 0 means 0.3.
+	// FaultAt is the fraction of the stream (Duration, or the shortest
+	// app stream when MaxRequests clamps one below it) at which Kill/Slow
+	// strike. 0 means 0.3.
 	FaultAt float64
 
 	// Resilience overrides the runtime recovery policy. Nil gets a policy
@@ -293,12 +294,19 @@ func chaosPass(cfg ChaosConfig, chaotic bool) (*ChaosPass, error) {
 		}
 	}
 
-	// Mid-stream chaos: kill and throttle on a wall-clock trigger.
+	// Mid-stream chaos: kill and throttle on a wall-clock trigger, FaultAt
+	// of the way through the shortest stream — one clamped at MaxRequests
+	// ends before Duration, and on a fast host before FaultAt*Duration, so a
+	// trigger timed from Duration alone would strike after the traffic.
 	var faultTimer *time.Timer
 	if chaotic && (len(cfg.Kill) > 0 || len(cfg.Slow) > 0) {
 		injs := rs.Injectors()
+		stream := cfg.Duration.Seconds()
+		for _, a := range apps {
+			stream = min(stream, float64(a.n)/a.rate)
+		}
 		faultTimer = time.AfterFunc(
-			time.Duration(cfg.FaultAt*float64(cfg.Duration)), func() {
+			time.Duration(cfg.FaultAt*stream*float64(time.Second)), func() {
 				for _, d := range cfg.Kill {
 					injs[d].Kill()
 				}

@@ -56,12 +56,13 @@ func BenchmarkMultiplyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiply sweeps batch size across the packed SWAR kernel and
-// the retained scalar kernel, serial versus sharded across GOMAXPROCS
-// workers. All arms are bit-identical (see
-// TestMultiplyIntoParallelDeterministic and FuzzMulRowEquivalence); only
-// the wall clock differs. MB/s counts activation input bytes, so
-// benchstat comparisons across kernels and batch sizes are one command:
+// BenchmarkMultiply sweeps batch size across the batched kernels this host
+// can run (avx2 is skipped where the CPU lacks it), serial versus sharded
+// across GOMAXPROCS workers, and the scalar oracle, which has no sharded
+// form. All arms are bit-identical (see TestMultiplyIntoParallelDeterministic
+// and FuzzMulRowEquivalence); only the wall clock differs. MB/s counts
+// activation input bytes, so benchstat comparisons across kernels and batch
+// sizes are one command:
 //
 //	go test ./internal/systolic -bench BenchmarkMultiply -count 10 | benchstat -
 func BenchmarkMultiply(b *testing.B) {
@@ -72,14 +73,7 @@ func BenchmarkMultiply(b *testing.B) {
 			in[i] = int8(i * 7)
 		}
 		out := make([][isa.MatrixDim]int32, batch)
-		a.active.packed() // latch the lane image outside the timer
-		for _, kc := range []struct {
-			name string
-			rng  mulRangeFn
-		}{
-			{"packed", a.packedRange()},
-			{"scalar", a.scalarRange()},
-		} {
+		for _, portable := range []bool{false, true} {
 			for _, bc := range []struct {
 				name    string
 				workers int
@@ -87,16 +81,33 @@ func BenchmarkMultiply(b *testing.B) {
 				{"serial", 1},
 				{fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), 0},
 			} {
-				b.Run(fmt.Sprintf("B=%d/%s/%s", batch, kc.name, bc.name), func(b *testing.B) {
+				name := "avx2"
+				if portable {
+					name = "swar"
+				}
+				b.Run(fmt.Sprintf("B=%d/%s/%s", batch, name, bc.name), func(b *testing.B) {
+					forceKernel(b, portable)
+					if Kernel() != name {
+						b.Skip("no AVX2 on this host")
+					}
+					if err := a.MultiplyInto(in, out, 1); err != nil { // latch the lane image outside the timer
+						b.Fatal(err)
+					}
 					b.SetBytes(int64(len(in)))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if err := a.multiplyIntoWith(kc.rng, in, out, bc.workers); err != nil {
+						if err := a.MultiplyInto(in, out, bc.workers); err != nil {
 							b.Fatal(err)
 						}
 					}
 				})
 			}
 		}
+		b.Run(fmt.Sprintf("B=%d/scalar/serial", batch), func(b *testing.B) {
+			b.SetBytes(int64(len(in)))
+			for i := 0; i < b.N; i++ {
+				a.mulRangeScalar(in, out, 0, batch)
+			}
+		})
 	}
 }

@@ -82,37 +82,39 @@ func TestMultiplyMatchesMulRow(t *testing.T) {
 }
 
 // TestMultiplyIntoParallelDeterministic: sharding the batch across any
-// worker count must be bit-identical to the serial kernel — each output row
-// is owned by exactly one goroutine and computed in the same block order.
+// worker count must be bit-identical to the serial kernel under both kernels
+// — each output row is owned by exactly one goroutine. The batches sit around
+// the AVX2 kernel's four-row group, where chunks are rounded up to whole
+// groups and the last one may be short.
 func TestMultiplyIntoParallelDeterministic(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
+	eachKernel(t, func(t *testing.T) {
 		a := New()
-		loadTile(t, a, randomTile(seed+50, 0.4))
-		b := []int{1, 5, 64, 251}[seed]
-		in := randomBatch(seed*13+2, b, 0.5)
-
-		ref := make([][isa.MatrixDim]int32, b)
-		if err := a.MultiplyInto(in, ref, 1); err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 2, 3, 8, runtime.GOMAXPROCS(0), b + 5} {
-			out := make([][isa.MatrixDim]int32, b)
-			// Poison the output to prove every row is overwritten.
-			for i := range out {
-				for c := range out[i] {
-					out[i][c] = -1
+		loadTile(t, a, randomTile(50, 0.4))
+		for _, b := range []int{1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 251} {
+			in := randomBatch(int64(b)*13+2, b, 0.5)
+			ref := make([][isa.MatrixDim]int32, b)
+			if err := a.MultiplyInto(in, ref, 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{0, 2, 3, 4, 5, 8, runtime.GOMAXPROCS(0), b + 5} {
+				out := make([][isa.MatrixDim]int32, b)
+				// Poison the output to prove every row is overwritten.
+				for i := range out {
+					for c := range out[i] {
+						out[i][c] = -1
+					}
+				}
+				if err := a.MultiplyInto(in, out, workers); err != nil {
+					t.Fatalf("B=%d workers=%d: %v", b, workers, err)
+				}
+				for i := range ref {
+					if out[i] != ref[i] {
+						t.Fatalf("B=%d workers=%d: row %d differs from serial result", b, workers, i)
+					}
 				}
 			}
-			if err := a.MultiplyInto(in, out, workers); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			for i := range ref {
-				if out[i] != ref[i] {
-					t.Fatalf("seed %d workers=%d: row %d differs from serial result", seed, workers, i)
-				}
-			}
 		}
-	}
+	})
 }
 
 // TestMultiplyIntoRejectsBadShapes covers the error paths of the batched

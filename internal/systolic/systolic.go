@@ -31,12 +31,13 @@ type Tile struct {
 	// shift into the array.
 	abft abft
 
-	// lanes lazily caches the SWAR layout the batched kernel consumes: each
-	// weight row as 32 uint64 words of 8 bias-shifted bytes (see packed).
-	// Like the abft checksums it is latched at first use and assumes W is
-	// not mutated afterwards except through Load, which drops both; fault
-	// injection corrupts weight DRAM before the tile is fetched, or datapath
-	// scratch after, never a live tile.
+	// lanes lazily caches the layout the portable SWAR kernel consumes: each
+	// weight row as 32 uint64 words of 8 bias-shifted bytes (see packed). The
+	// AVX2 kernel reads W directly and never builds it. Like the abft
+	// checksums it is latched at first use and assumes W is not mutated
+	// afterwards except through Load, which drops both; fault injection
+	// corrupts weight DRAM before the tile is fetched, or datapath scratch
+	// after, never a live tile.
 	lanes packedLanes
 }
 
@@ -195,19 +196,10 @@ func (a *Array) MulRow(in *[isa.MatrixDim]int8) (*[isa.MatrixDim]int32, error) {
 	return &out, nil
 }
 
-// blockRows is the contraction-dimension block size of the cache-blocked
-// kernel: 32 weight rows x 256 columns = 8 KiB of int8 weights, small
-// enough to stay resident in L1d alongside one activation row (256 B) and
-// one 1 KiB output accumulator row while every batch row is streamed
-// against the block. The per-row MulRow path instead re-reads the whole
-// 64 KiB tile from L2 for every activation row.
-const blockRows = 32
-
 // Multiply pushes B rows (flat, B*256 int8) through the array, returning
 // B 256-wide partial sums. It is the functional body of one MatrixMultiply
-// instruction against the active tile. The computation is cache-blocked
-// (one pass over the weight tile per batch, not per row) and bit-identical
-// to calling MulRow row by row.
+// instruction against the active tile, bit-identical to calling MulRow row
+// by row.
 func (a *Array) Multiply(in []int8) ([][isa.MatrixDim]int32, error) {
 	if len(in)%isa.MatrixDim != 0 {
 		return nil, fmt.Errorf("systolic: input length %d not a multiple of %d", len(in), isa.MatrixDim)
@@ -219,30 +211,45 @@ func (a *Array) Multiply(in []int8) ([][isa.MatrixDim]int32, error) {
 	return out, nil
 }
 
+// kernel is one batched kernel body: mulRange computes output rows [lo, hi),
+// taking activation rows `rows` at a time.
+type kernel struct {
+	name     string
+	rows     int
+	mulRange func(a *Array, in []int8, out [][isa.MatrixDim]int32, lo, hi int)
+}
+
+var swar = kernel{name: "swar", rows: 1, mulRange: (*Array).mulRangeSWAR}
+
+// native is the kernel MultiplyInto runs, chosen once from what the CPU
+// reports: the AVX2 assembly kernel where the host has it, the portable SWAR
+// kernel everywhere else. forcePortable exists so that tests exercise the
+// SWAR kernel on an AVX2 host; nothing else writes it.
+var (
+	native        = nativeKernel()
+	forcePortable bool
+)
+
+// selected is the kernel the next MultiplyInto runs.
+func selected() *kernel {
+	if forcePortable {
+		return &swar
+	}
+	return native
+}
+
+// Kernel names the batched kernel in use, "avx2" or "swar", for benchmark
+// lines and bug reports.
+func Kernel() string { return selected().name }
+
 // MultiplyInto is the allocation-free batched kernel behind Multiply: it
 // computes the B partial-sum rows for in (flat, B*256 int8) into out
 // (length B), overwriting out. workers sets how many goroutines shard the
 // batch rows; <= 0 means GOMAXPROCS and 1 runs serially on the caller's
-// goroutine. Each output row is produced by exactly one goroutine with the
-// same block iteration order as the serial path, so results are
-// deterministic and bit-identical for every worker count.
+// goroutine. Each output row is produced by exactly one goroutine, and
+// int32 sums of int8 products are exact in any order, so results are
+// deterministic and bit-identical for every worker count and kernel.
 func (a *Array) MultiplyInto(in []int8, out [][isa.MatrixDim]int32, workers int) error {
-	return a.multiplyIntoWith((*Array).mulRange, in, out, workers)
-}
-
-// mulRangeFn is a batched kernel body: it computes output rows [lo, hi).
-// The two implementations are (*Array).mulRange (SWAR) and
-// (*Array).mulRangeScalar; both are method expressions — static function
-// values — so selecting one costs no allocation.
-type mulRangeFn func(a *Array, in []int8, out [][isa.MatrixDim]int32, lo, hi int)
-
-// packedRange and scalarRange expose the two kernel bodies to the
-// packed-vs-scalar benchmark dimension.
-func (a *Array) packedRange() mulRangeFn { return (*Array).mulRange }
-func (a *Array) scalarRange() mulRangeFn { return (*Array).mulRangeScalar }
-
-// multiplyIntoWith is MultiplyInto with an explicit kernel body.
-func (a *Array) multiplyIntoWith(rng mulRangeFn, in []int8, out [][isa.MatrixDim]int32, workers int) error {
 	if a.active == nil {
 		return fmt.Errorf("systolic: no active weight tile")
 	}
@@ -253,34 +260,35 @@ func (a *Array) multiplyIntoWith(rng mulRangeFn, in []int8, out [][isa.MatrixDim
 	if len(out) < b {
 		return fmt.Errorf("systolic: output has %d rows, need %d", len(out), b)
 	}
+	k := selected()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > b {
-		workers = b
-	}
-	if workers <= 1 {
-		rng(a, in, out, 0, b)
+	// Shard the batch rows into contiguous per-worker chunks, each a whole
+	// number of the kernel's row groups so that only the last chunk pads a
+	// short group. Chunks never overlap, so no synchronization beyond the
+	// WaitGroup is needed.
+	chunk := (b + workers - 1) / workers
+	chunk = (chunk + k.rows - 1) / k.rows * k.rows
+	if chunk >= b {
+		k.mulRange(a, in, out, 0, b)
 		return nil
 	}
-	// Shard the batch rows into contiguous per-worker chunks. Chunks never
-	// overlap, so no synchronization beyond the WaitGroup is needed.
 	var wg sync.WaitGroup
-	chunk := (b + workers - 1) / workers
 	for lo := 0; lo < b; lo += chunk {
 		hi := min(lo+chunk, b)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			rng(a, in, out, lo, hi)
+			k.mulRange(a, in, out, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
 	return nil
 }
 
-// mulRange computes output rows [lo, hi) of the batched matmul with the
-// SWAR kernel: one uint64 multiply handles 8 weight columns at once.
+// mulRangeSWAR computes output rows [lo, hi) of the batched matmul with the
+// portable SWAR kernel: one uint64 multiply handles 8 weight columns at once.
 //
 // The trick is the bias-128 encoding in the packed lane image (see packed):
 // with w' = w+128 in [0,255] and u = |v| in [1,128] for a nonzero
@@ -301,7 +309,7 @@ func (a *Array) multiplyIntoWith(rng mulRangeFn, in []int8, out [][isa.MatrixDim
 // subtracted once per column. Every step is exact integer arithmetic, so
 // results are bit-identical to MulRow for any worker count and any
 // accumulation order; the zero-row skip carries over from the gather.
-func (a *Array) mulRange(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
+func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
 	t := a.active
 	pw := t.packed()
 	// Gather scratch, reused across the range's activation rows: |v|, the
@@ -388,61 +396,6 @@ func (a *Array) mulRange(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
 			o[c+5] = int32(a15>>32) - corr
 			o[c+6] = int32(a26>>32) - corr
 			o[c+7] = int32(a37>>32) - corr
-		}
-	}
-}
-
-// mulRangeScalar is the pre-SWAR cache-blocked kernel, kept as the scalar
-// arm of BenchmarkMultiply's packed-vs-scalar comparison and as a second
-// reference implementation for the equivalence tests. For each activation
-// row it walks the weight tile in blockRows x 256 blocks: the block's
-// nonzero activation values and weight-row pointers are gathered once (the
-// zero-row skip), then each 8-column group accumulates the whole block in
-// registers before storing. It visits rows in ascending order like MulRow,
-// so it too is bit-identical.
-func (a *Array) mulRangeScalar(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
-	t := a.active
-	for i := lo; i < hi; i++ {
-		// Slice-to-array-pointer conversions give the compiler fixed
-		// 256-element bounds, eliminating bounds checks in the MAC loop.
-		row := (*[isa.MatrixDim]int8)(in[i*isa.MatrixDim:])
-		o := &out[i]
-		*o = [isa.MatrixDim]int32{}
-		for r0 := 0; r0 < isa.MatrixDim; r0 += blockRows {
-			// Gather the block's nonzero rows: quantized activations are
-			// zero-heavy (ReLU), and a zero contributes nothing to any
-			// column.
-			var vs [blockRows]int32
-			var ws [blockRows]*[isa.MatrixDim]int8
-			n := 0
-			for r := r0; r < r0+blockRows; r++ {
-				if v := int32(row[r]); v != 0 {
-					vs[n] = v
-					ws[n] = &t.W[r]
-					n++
-				}
-			}
-			if n == 0 {
-				continue
-			}
-			for c := 0; c < isa.MatrixDim; c += 8 {
-				a0, a1, a2, a3 := o[c], o[c+1], o[c+2], o[c+3]
-				a4, a5, a6, a7 := o[c+4], o[c+5], o[c+6], o[c+7]
-				for k := 0; k < n; k++ {
-					v := vs[k]
-					w := ws[k]
-					a0 += v * int32(w[c])
-					a1 += v * int32(w[c+1])
-					a2 += v * int32(w[c+2])
-					a3 += v * int32(w[c+3])
-					a4 += v * int32(w[c+4])
-					a5 += v * int32(w[c+5])
-					a6 += v * int32(w[c+6])
-					a7 += v * int32(w[c+7])
-				}
-				o[c], o[c+1], o[c+2], o[c+3] = a0, a1, a2, a3
-				o[c+4], o[c+5], o[c+6], o[c+7] = a4, a5, a6, a7
-			}
 		}
 	}
 }
