@@ -52,10 +52,12 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # Performance gates (BENCH_PR6.json). The alloc gates are exact and
-# noise-free: a zero-allocation packed matmul, a zero-allocation Submit
-# round trip, per-dispatch object and byte ceilings on the runtime backend
-# (printed with what the dispatch measured), and a steady fleet run at no
-# more than one allocation per hundred events.
+# noise-free: a zero-allocation packed matmul, a tile load that aliases the
+# live weight image by address with a warmed-up device run under 16 KiB, a
+# functional device that costs under 1 MiB to construct, a zero-allocation
+# Submit round trip, per-dispatch object and byte ceilings on the runtime
+# backend (printed with what the dispatch measured), and a steady fleet run
+# at no more than one allocation per hundred events.
 # The BenchmarkTable3 ceilings are min-of-3 wall clock (generous — the CI
 # container's scheduler jitter swings tens of percent, but the ceiling
 # still sits well under the pre-optimization ~1 ms) and an exact
@@ -67,6 +69,7 @@ T3_CEILING_ALLOCS ?= 48
 
 bench-gate:
 	$(GO) test -count=1 ./internal/systolic -run TestMultiplyIntoZeroAlloc
+	$(GO) test -count=1 ./internal/tpu -run 'TestTileLoadAliasesWeightDRAM|TestNewDeviceFootprint'
 	@out=$$($(GO) test -count=1 -v ./internal/serve -run SteadyStateAllocs) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -E 'backend dispatch:|^ok'
 	$(GO) test -count=1 ./internal/des -run TestSteadyStateAllocs

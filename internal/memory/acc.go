@@ -13,50 +13,74 @@ import (
 // The size was picked so the compiler can double-buffer while the matrix
 // unit runs at peak (Section 2) — so a compiled model alternates between
 // the two halves, and the registers it writes are a few rows at 0 and a few
-// at 2048, not a prefix. The file therefore tracks what a run dirtied per
-// block of registers, and Reset costs what the model touched.
+// at 2048, not a prefix. The file is 4096 registers to its callers — Count
+// and every bounds check say so — but it is backed, tracked and reset per
+// block of registers: a block has storage once something is written into
+// it, every register of an unbacked block reads as zero, and Reset costs
+// what the last run touched.
 type Accumulators struct {
-	regs [][isa.MatrixDim]int32
+	// blocks[b] backs registers [b*accBlock, (b+1)*accBlock): nil until a
+	// store or an injected flip lands in the block, kept from then on.
+	blocks [accBlocks]*[accBlock][isa.MatrixDim]int32
 	// parity is the optional per-register XOR parity sidecar (EnableGuard);
 	// nil costs one nil check per store.
 	parity []uint32
-	// dirty has one bit per block of accBlock registers, set when a store,
-	// clear or injected flip may have left the block nonzero; Reset zeroes
-	// exactly the set blocks.
+	// dirty has one bit per block, set when a store or injected flip may
+	// have left the (then backed) block nonzero; Reset zeroes the set blocks.
 	dirty uint64
 }
 
-// accBlock is the dirty-tracking granularity: 4096 registers / 64 mask bits.
-const accBlock = isa.AccumulatorCount / 64
+// The file is backed and dirty-tracked in accBlocks blocks — one per bit of
+// the mask — of accBlock registers (64, so 64 KiB) each.
+const (
+	accBlocks = 64
+	accBlock  = isa.AccumulatorCount / accBlocks
+)
 
-// NewAccumulators allocates the full 4096-register file.
-func NewAccumulators() *Accumulators {
-	return &Accumulators{regs: make([][isa.MatrixDim]int32, isa.AccumulatorCount)}
-}
+// zeroReg is what every register of an unbacked block reads as. Load hands
+// out its address, so nothing may write through a loaded register.
+var zeroReg [isa.MatrixDim]int32
+
+// NewAccumulators returns the 4096-register file with no storage behind it.
+func NewAccumulators() *Accumulators { return &Accumulators{} }
 
 // Count returns the register count (4096).
-func (a *Accumulators) Count() int { return len(a.regs) }
+func (a *Accumulators) Count() int { return isa.AccumulatorCount }
 
-// touch marks the blocks covering registers [idx, idx+n) dirty. Callers
-// have bounds-checked the range; an empty range marks nothing.
+// reg returns register idx for reading: its storage, or zeroReg.
+func (a *Accumulators) reg(idx int) *[isa.MatrixDim]int32 {
+	if b := a.blocks[idx/accBlock]; b != nil {
+		return &b[idx%accBlock]
+	}
+	return &zeroReg
+}
+
+// touch backs the blocks covering registers [idx, idx+n) and marks them
+// dirty, ahead of a write. Callers have bounds-checked the range; an empty
+// range touches nothing.
 func (a *Accumulators) touch(idx, n int) {
 	if n <= 0 {
 		return
 	}
 	lo, hi := idx/accBlock, (idx+n-1)/accBlock
+	for b := lo; b <= hi; b++ {
+		if a.blocks[b] == nil {
+			a.blocks[b] = new([accBlock][isa.MatrixDim]int32)
+		}
+	}
 	a.dirty |= (^uint64(0) >> (63 - (hi - lo))) << lo
 }
 
 // Reset returns the file to its freshly-allocated state — every register
-// zero — without reallocating the 4 MiB backing store. Only dirty blocks
-// are zeroed; their parity words return to zero with them (the parity of a
-// zero register is zero).
+// zero — keeping the storage it has grown. Only dirty blocks are zeroed;
+// their parity words return to zero with them (the parity of a zero
+// register is zero).
 func (a *Accumulators) Reset() {
 	for m := a.dirty; m != 0; m &= m - 1 {
-		lo := bits.TrailingZeros64(m) * accBlock
-		clear(a.regs[lo : lo+accBlock])
+		b := bits.TrailingZeros64(m)
+		clear(a.blocks[b][:])
 		if a.parity != nil {
-			clear(a.parity[lo : lo+accBlock])
+			clear(a.parity[b*accBlock : (b+1)*accBlock])
 		}
 	}
 	a.dirty = 0
@@ -66,20 +90,11 @@ func (a *Accumulators) Reset() {
 // set, values add saturating into the existing contents (summing partial
 // products across weight-tile rows); otherwise they overwrite.
 func (a *Accumulators) Store(idx int, row *[isa.MatrixDim]int32, accumulate bool) error {
-	if idx < 0 || idx >= len(a.regs) {
-		return fmt.Errorf("memory: accumulator index %d outside [0,%d)", idx, len(a.regs))
+	if idx < 0 || idx >= isa.AccumulatorCount {
+		return fmt.Errorf("memory: accumulator index %d outside [0,%d)", idx, isa.AccumulatorCount)
 	}
 	a.touch(idx, 1)
-	if !accumulate {
-		a.regs[idx] = *row
-		a.updateParity(idx, 1)
-		return nil
-	}
-	dst := &a.regs[idx]
-	for i := range dst {
-		dst[i] = fixed.SatAdd32(dst[i], row[i])
-	}
-	a.updateParity(idx, 1)
+	a.store(idx, row, accumulate)
 	return nil
 }
 
@@ -88,43 +103,53 @@ func (a *Accumulators) Store(idx int, row *[isa.MatrixDim]int32, accumulate bool
 // to calling Store row by row: with accumulate set each row saturating-adds
 // into the existing register, otherwise the rows overwrite.
 func (a *Accumulators) StoreRows(idx int, rows [][isa.MatrixDim]int32, accumulate bool) error {
-	if idx < 0 || idx+len(rows) > len(a.regs) {
-		return fmt.Errorf("memory: accumulator range [%d,%d) outside [0,%d)", idx, idx+len(rows), len(a.regs))
+	if idx < 0 || idx+len(rows) > isa.AccumulatorCount {
+		return fmt.Errorf("memory: accumulator range [%d,%d) outside [0,%d)", idx, idx+len(rows), isa.AccumulatorCount)
 	}
 	a.touch(idx, len(rows))
-	if !accumulate {
-		copy(a.regs[idx:], rows)
-		a.updateParity(idx, len(rows))
-		return nil
-	}
 	for i := range rows {
-		dst := &a.regs[idx+i]
-		src := &rows[i]
-		for j := range dst {
-			dst[j] = fixed.SatAdd32(dst[j], src[j])
-		}
+		a.store(idx+i, &rows[i], accumulate)
 	}
-	a.updateParity(idx, len(rows))
 	return nil
 }
 
-// Load reads register idx.
-func (a *Accumulators) Load(idx int) (*[isa.MatrixDim]int32, error) {
-	if idx < 0 || idx >= len(a.regs) {
-		return nil, fmt.Errorf("memory: accumulator index %d outside [0,%d)", idx, len(a.regs))
+// store writes one row into the backed register idx, parity word included.
+func (a *Accumulators) store(idx int, row *[isa.MatrixDim]int32, accumulate bool) {
+	dst := &a.blocks[idx/accBlock][idx%accBlock]
+	if accumulate {
+		for j := range dst {
+			dst[j] = fixed.SatAdd32(dst[j], row[j])
+		}
+	} else {
+		*dst = *row
 	}
-	return &a.regs[idx], nil
+	if a.parity != nil {
+		a.parity[idx] = parityOf(dst)
+	}
 }
 
-// Clear zeroes a contiguous register range.
+// Load reads register idx. The result is read-only: a register nothing has
+// been stored into is the one zero register every such Load shares.
+func (a *Accumulators) Load(idx int) (*[isa.MatrixDim]int32, error) {
+	if idx < 0 || idx >= isa.AccumulatorCount {
+		return nil, fmt.Errorf("memory: accumulator index %d outside [0,%d)", idx, isa.AccumulatorCount)
+	}
+	return a.reg(idx), nil
+}
+
+// Clear zeroes a contiguous register range. Unbacked blocks already read as
+// zero and stay unbacked.
 func (a *Accumulators) Clear(idx, n int) error {
-	if idx < 0 || n < 0 || idx+n > len(a.regs) {
-		return fmt.Errorf("memory: accumulator clear [%d,%d) outside [0,%d)", idx, idx+n, len(a.regs))
+	if idx < 0 || n < 0 || idx+n > isa.AccumulatorCount {
+		return fmt.Errorf("memory: accumulator clear [%d,%d) outside [0,%d)", idx, idx+n, isa.AccumulatorCount)
 	}
-	a.touch(idx, n)
 	for i := idx; i < idx+n; i++ {
-		a.regs[i] = [isa.MatrixDim]int32{}
+		if b := a.blocks[i/accBlock]; b != nil {
+			b[i%accBlock] = zeroReg
+			if a.parity != nil {
+				a.parity[i] = 0
+			}
+		}
 	}
-	a.updateParity(idx, n)
 	return nil
 }

@@ -191,7 +191,7 @@ func (u *UnifiedBuffer) HighWater() int { return u.highWater }
 // job). Idempotent.
 func (a *Accumulators) EnableGuard() {
 	if a.parity == nil {
-		a.parity = make([]uint32, len(a.regs))
+		a.parity = make([]uint32, isa.AccumulatorCount)
 	}
 }
 
@@ -207,28 +207,16 @@ func parityOf(reg *[isa.MatrixDim]int32) uint32 {
 	return p
 }
 
-// updateParity recomputes parity for registers [idx, idx+n).
-func (a *Accumulators) updateParity(idx, n int) {
-	if a.parity == nil {
-		return
-	}
-	for i := idx; i < idx+n && i < len(a.regs); i++ {
-		a.parity[i] = parityOf(&a.regs[i])
-	}
-}
-
 // VerifyParity checks registers [idx, idx+n) against their parity words
-// and returns the indices that fail (nil when clean or unguarded).
+// and returns the indices that fail (nil when clean or unguarded). An
+// unbacked register is zero with zero parity, so it passes.
 func (a *Accumulators) VerifyParity(idx, n int) []int {
 	if a.parity == nil {
 		return nil
 	}
 	var bad []int
-	for i := idx; i < idx+n && i < len(a.regs); i++ {
-		if i < 0 {
-			continue
-		}
-		if parityOf(&a.regs[i]) != a.parity[i] {
+	for i, end := max(idx, 0), min(idx+n, isa.AccumulatorCount); i < end; i++ {
+		if parityOf(a.reg(i)) != a.parity[i] {
 			bad = append(bad, i)
 		}
 	}
@@ -237,13 +225,14 @@ func (a *Accumulators) VerifyParity(idx, n int) []int {
 
 // FlipBit flips one bit of the byte at byte offset off within register
 // idx, bypassing parity — the fault-injection seam for accumulator SRAM.
-// The register is marked dirty, so the upset does not outlive Reset.
+// The register's block is backed and marked dirty, so the upset does not
+// outlive Reset.
 func (a *Accumulators) FlipBit(idx int, off int, bit uint8) {
-	if idx < 0 || idx >= len(a.regs) {
+	if idx < 0 || idx >= isa.AccumulatorCount {
 		return
 	}
 	a.touch(idx, 1)
 	lane := (off / 4) % isa.MatrixDim
 	shift := uint(off%4)*8 + uint(bit%8)
-	a.regs[idx][lane] ^= 1 << shift
+	a.blocks[idx/accBlock][idx%accBlock][lane] ^= 1 << shift
 }

@@ -190,23 +190,21 @@ func TestGuardedWeights(t *testing.T) {
 	if g.VerifyTile(isa.WeightTileBytes) {
 		t.Fatal("flip in tile 1 undetected")
 	}
-	got, err := g.FetchTile(isa.WeightTileBytes)
-	if err != nil {
-		t.Fatal(err)
+	// The fetch is a view of the live image, never the golden one: it shows
+	// the flip now and the scrub's repair afterwards, through the same window.
+	view, ok := g.TileView(isa.WeightTileBytes)
+	if !ok || &view[0] != &g.live[isa.WeightTileBytes] {
+		t.Fatalf("TileView: ok %v, not the live image's bytes", ok)
 	}
-	if got[1234] == golden[isa.WeightTileBytes+1234] {
+	if view[1234] == golden[isa.WeightTileBytes+1234] {
 		t.Fatal("corruption not visible in fetch")
 	}
 	scanned, repaired := g.Scrub()
 	if scanned != 3 || repaired != 1 {
 		t.Fatalf("scrub scanned %d repaired %d, want 3/1", scanned, repaired)
 	}
-	got, err = g.FetchTile(isa.WeightTileBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != golden[isa.WeightTileBytes+i] {
+	for i := range view {
+		if view[i] != golden[isa.WeightTileBytes+i] {
 			t.Fatalf("byte %d not repaired", i)
 		}
 	}

@@ -46,22 +46,13 @@ func (g *GuardedWeights) Base() uint64 { return g.mem.base }
 // Len returns the image length in bytes.
 func (g *GuardedWeights) Len() int { return len(g.live) }
 
-// FetchTile reads the 64 KiB tile at a tile-aligned address from the live
-// image (zero weights beyond it) — same semantics as WeightMemory.FetchTile
-// but corruption in the live copy is visible.
-func (g *GuardedWeights) FetchTile(addr uint64) ([]int8, error) {
-	return g.mem.FetchTile(addr)
-}
-
-// FetchTileInto is FetchTile reusing the caller's buffer (see
-// WeightMemory.FetchTileInto).
-func (g *GuardedWeights) FetchTileInto(addr uint64, tile []int8) ([]int8, error) {
-	return g.mem.FetchTileInto(addr, tile)
-}
-
-// TileFetchCycles forwards the DDR3 timing model.
-func (g *GuardedWeights) TileFetchCycles(clockMHz float64) float64 {
-	return g.mem.TileFetchCycles(clockMHz)
+// TileView returns the tile at addr as a window of the live image when the
+// image covers all of it (see WeightMemory.TileView). FlipBit, RepairTile
+// and Scrub write through to it; a device run holds views because FlipBit
+// precedes it, Scrub cannot overlap it, and RepairTile only touches a tile
+// being fetched for the first time.
+func (g *GuardedWeights) TileView(addr uint64) ([]int8, bool) {
+	return g.mem.TileView(addr)
 }
 
 // VerifyTile checks the tile at addr against its CRC and reports whether it

@@ -190,52 +190,65 @@ func TestWeightMemoryErrors(t *testing.T) {
 // configuration, one tile fetch costs ~1350 cycles — the paper's roofline
 // ridge point, because each cycle of fetch delay buys one 256-wide MAC row.
 func TestTileFetchCyclesIsRidgePoint(t *testing.T) {
-	wm, _ := NewWeightMemory(nil, 34)
-	c := wm.TileFetchCycles(700)
+	c := TileFetchCycles(34, 700)
 	if math.Abs(c-1350) > 10 {
 		t.Errorf("tile fetch = %.0f cycles, want ~1350", c)
 	}
 }
 
-func TestWeightFIFO(t *testing.T) {
-	f := NewWeightFIFO()
-	if f.Depth() != 4 {
-		t.Errorf("Depth = %d, want 4 (paper: four tiles deep)", f.Depth())
+// TestWeightMemoryTileView: a tile the image fully covers is handed out as
+// a window of the image itself — same address, capacity clipped to the
+// tile, later image writes visible — and everything else (a tile the image
+// covers partly or not at all, below the base, unaligned, out of range) is
+// declined.
+func TestWeightMemoryTileView(t *testing.T) {
+	const base = 7 * isa.WeightTileBytes
+	img := make([]int8, 2*isa.WeightTileBytes+100) // two whole tiles and a stub
+	for i := range img {
+		img[i] = int8(i % 251)
 	}
-	mk := func(v int8) []int8 {
-		tile := make([]int8, isa.WeightTileBytes)
-		tile[0] = v
-		return tile
+	wm, err := NewWeightMemoryAt(img, 34, base)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := int8(0); i < 4; i++ {
-		if err := f.Push(mk(i)); err != nil {
-			t.Fatalf("push %d: %v", i, err)
+	for tile := 0; tile < 2; tile++ {
+		off := tile * isa.WeightTileBytes
+		v, ok := wm.TileView(base + uint64(off))
+		if !ok {
+			t.Fatalf("covered tile %d declined", tile)
+		}
+		if &v[0] != &img[off] || len(v) != isa.WeightTileBytes || cap(v) != isa.WeightTileBytes {
+			t.Fatalf("tile %d: view is not the image's bytes (len %d cap %d)", tile, len(v), cap(v))
+		}
+		img[off+9] ^= 0x40
+		if v[9] != img[off+9] {
+			t.Fatalf("tile %d: view does not see a later image write", tile)
 		}
 	}
-	if f.Free() {
-		t.Error("FIFO should be full")
-	}
-	if err := f.Push(mk(9)); err == nil {
-		t.Error("push into full FIFO accepted")
-	}
-	for i := int8(0); i < 4; i++ {
-		tile, err := f.Pop()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tile[0] != i {
-			t.Errorf("FIFO order broken: got %d, want %d", tile[0], i)
+	for _, addr := range []uint64{
+		base + 2*isa.WeightTileBytes, // partly covered: 100 image bytes, the rest unwritten
+		base + 3*isa.WeightTileBytes, // past the image
+		base - isa.WeightTileBytes,   // below the base
+		base + 256,                   // unaligned
+		isa.WeightMemoryBytes,        // outside the DRAM
+	} {
+		if _, ok := wm.TileView(addr); ok {
+			t.Errorf("TileView(%#x) handed out a view", addr)
 		}
 	}
-	if _, err := f.Pop(); err == nil {
-		t.Error("pop from empty FIFO accepted")
+	// The partly covered tile through FetchTile's copy: image bytes, then zeros.
+	tile, err := wm.FetchTile(base + 2*isa.WeightTileBytes)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestWeightFIFOWrongSize(t *testing.T) {
-	f := NewWeightFIFO()
-	if err := f.Push(make([]int8, 100)); err == nil {
-		t.Error("wrong-size tile accepted")
+	for i, v := range tile {
+		want := int8(0)
+		if i < 100 {
+			want = img[2*isa.WeightTileBytes+i]
+		}
+		if v != want {
+			t.Fatalf("copied stub tile byte %d = %d, want %d", i, v, want)
+		}
 	}
 }
 

@@ -9,29 +9,43 @@ import (
 )
 
 // requireFreshAccumulators fails unless every register and parity word of a
-// equals a freshly allocated file's.
+// reads as a freshly allocated file's does: all zero, parity clean.
 func requireFreshAccumulators(t *testing.T, a *Accumulators, guarded bool) {
 	t.Helper()
-	fresh := NewAccumulators()
-	if guarded {
-		fresh.EnableGuard()
-	}
-	for i := range fresh.regs {
-		if a.regs[i] != fresh.regs[i] {
-			t.Fatalf("register %d differs from a fresh file after Reset", i)
+	for i := 0; i < a.Count(); i++ {
+		reg, err := a.Load(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *reg != ([isa.MatrixDim]int32{}) {
+			t.Fatalf("register %d is not zero after Reset", i)
 		}
 	}
-	if len(a.parity) != len(fresh.parity) {
-		t.Fatalf("parity sidecar has %d words, fresh has %d", len(a.parity), len(fresh.parity))
+	if a.Guarded() != guarded {
+		t.Fatalf("Guarded() = %v after Reset, want %v", a.Guarded(), guarded)
 	}
-	for i := range fresh.parity {
-		if a.parity[i] != fresh.parity[i] {
-			t.Fatalf("parity word %d = %#x after Reset, fresh %#x", i, a.parity[i], fresh.parity[i])
+	for i, p := range a.parity {
+		if p != 0 {
+			t.Fatalf("parity word %d = %#x after Reset, fresh 0", i, p)
 		}
+	}
+	if bad := a.VerifyParity(0, a.Count()); bad != nil {
+		t.Fatalf("parity flags %v after Reset", bad)
 	}
 	if a.dirty != 0 {
 		t.Fatalf("dirty mask %#x after Reset", a.dirty)
 	}
+}
+
+// backedBlocks counts the blocks of a that have storage.
+func backedBlocks(a *Accumulators) int {
+	n := 0
+	for _, b := range a.blocks {
+		if b != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestAccumulatorsResetEqualsFresh is the differential test of the dirty-
@@ -81,16 +95,17 @@ func TestAccumulatorsResetEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestAccumulatorsDirtyMask pins the mask arithmetic: an empty range marks
-// nothing, a range marks exactly the blocks it overlaps, and the whole file
-// marks every block.
+// TestAccumulatorsDirtyMask pins the mask arithmetic and the backing that
+// follows it: an empty range marks nothing, a store marks and backs exactly
+// the blocks it overlaps, a clear backs nothing, and a store over the whole
+// file marks every block.
 func TestAccumulatorsDirtyMask(t *testing.T) {
 	a := NewAccumulators()
 	if err := a.Clear(100, 0); err != nil {
 		t.Fatal(err)
 	}
-	if a.dirty != 0 {
-		t.Fatalf("Clear(100, 0) dirtied %#x", a.dirty)
+	if a.dirty != 0 || backedBlocks(a) != 0 {
+		t.Fatalf("Clear(100, 0) dirtied %#x, backed %d blocks", a.dirty, backedBlocks(a))
 	}
 	var rows [8][isa.MatrixDim]int32
 	if err := a.StoreRows(0, rows[:], false); err != nil {
@@ -99,23 +114,93 @@ func TestAccumulatorsDirtyMask(t *testing.T) {
 	if err := a.StoreRows(2048, rows[:], false); err != nil {
 		t.Fatal(err)
 	}
-	if want := uint64(1) | 1<<(2048/accBlock); a.dirty != want {
-		t.Fatalf("rows 0..7 and 2048..2055 dirtied %#x, want %#x", a.dirty, want)
+	if want := uint64(1) | 1<<(2048/accBlock); a.dirty != want || backedBlocks(a) != 2 {
+		t.Fatalf("rows 0..7 and 2048..2055 dirtied %#x (want %#x), backed %d blocks (want 2)", a.dirty, want, backedBlocks(a))
 	}
 	if err := a.StoreRows(accBlock-1, rows[:2], false); err != nil { // straddles blocks 0 and 1
 		t.Fatal(err)
 	}
-	if a.dirty&3 != 3 {
-		t.Fatalf("a store straddling blocks 0 and 1 dirtied %#x", a.dirty)
+	if a.dirty&3 != 3 || backedBlocks(a) != 3 {
+		t.Fatalf("a store straddling blocks 0 and 1 dirtied %#x, backed %d blocks", a.dirty, backedBlocks(a))
 	}
 	if err := a.Clear(0, a.Count()); err != nil {
 		t.Fatal(err)
 	}
-	if a.dirty != ^uint64(0) {
-		t.Fatalf("clearing the whole file dirtied %#x", a.dirty)
+	if backedBlocks(a) != 3 {
+		t.Fatalf("clearing the whole file backed %d blocks, want the 3 already written", backedBlocks(a))
+	}
+	if err := a.StoreRows(0, make([][isa.MatrixDim]int32, a.Count()), false); err != nil {
+		t.Fatal(err)
+	}
+	if a.dirty != ^uint64(0) || backedBlocks(a) != accBlocks {
+		t.Fatalf("storing the whole file dirtied %#x, backed %d blocks", a.dirty, backedBlocks(a))
 	}
 	a.Reset()
 	requireFreshAccumulators(t, a, false)
+}
+
+// TestAccumulatorsBackedOnDemand: a fresh file has no storage and reads as
+// zero everywhere — Load of an unbacked register is the all-zero register,
+// parity over unbacked blocks is clean — and stores and clears that cross a
+// block boundary behave exactly as they do inside one block.
+func TestAccumulatorsBackedOnDemand(t *testing.T) {
+	a := NewAccumulators()
+	a.EnableGuard()
+	requireFreshAccumulators(t, a, true)
+	if backedBlocks(a) != 0 {
+		t.Fatalf("reading a fresh file backed %d blocks", backedBlocks(a))
+	}
+
+	var rows [6][isa.MatrixDim]int32
+	for i := range rows {
+		for j := range rows[i] {
+			rows[i][j] = int32(1000*i + j + 1)
+		}
+	}
+	// Registers at..at+5 straddle blocks 4 and 5.
+	const at = 5*accBlock - 3
+	for pass := 1; pass <= 2; pass++ { // overwrite, then accumulate on top
+		if err := a.StoreRows(at, rows[:], pass == 2); err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows {
+			got, err := a.Load(at + i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range got {
+				if want := int32(pass) * rows[i][j]; got[j] != want {
+					t.Fatalf("pass %d: register %d lane %d = %d, want %d", pass, at+i, j, got[j], want)
+				}
+			}
+		}
+	}
+	if backedBlocks(a) != 2 {
+		t.Fatalf("a store across one block boundary backed %d blocks, want 2", backedBlocks(a))
+	}
+	if bad := a.VerifyParity(0, a.Count()); bad != nil {
+		t.Fatalf("parity flags %v after clean stores", bad)
+	}
+	// Clear the middle four across the boundary; the outer two keep their sums.
+	if err := a.Clear(at+1, 4); err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		got, _ := a.Load(at + i)
+		if zero, want := *got == [isa.MatrixDim]int32{}, i >= 1 && i <= 4; zero != want {
+			t.Fatalf("register %d after Clear(%d, 4): zero = %v, want %v", at+i, at+1, zero, want)
+		}
+	}
+	if bad := a.VerifyParity(0, a.Count()); bad != nil {
+		t.Fatalf("parity flags %v after Clear", bad)
+	}
+	// An unbacked register far from anything written: zero, and not storage
+	// of its own — a Load does not back a block.
+	if got, _ := a.Load(3000); *got != ([isa.MatrixDim]int32{}) || backedBlocks(a) != 2 {
+		t.Fatalf("Load(3000) nonzero or backed a block (%d backed)", backedBlocks(a))
+	}
+	a.Reset()
+	requireFreshAccumulators(t, a, true)
 }
 
 // BenchmarkAccumulatorsResetTwoHalves is the reset a two-layer model pays:
@@ -166,6 +251,12 @@ func TestFlipBitDoesNotOutliveReset(t *testing.T) {
 		const ubAddr = 17<<20 + 123 // far beyond the written prefix
 		u.FlipBit(ubAddr, 6)
 		a.FlipBit(3000, 41, 2)
+		if backedBlocks(a) != 2 || a.blocks[3000/accBlock] == nil {
+			t.Fatalf("a flip in an unbacked register must back its block (%d backed)", backedBlocks(a))
+		}
+		if got, _ := a.Load(3000); got[41/4] != 1<<(41%4*8+2) {
+			t.Fatalf("flipped lane reads %#x", got[41/4])
+		}
 		if guarded {
 			if bad := u.VerifyGuard(ubAddr, 1); len(bad) != 1 || bad[0] != ubAddr/ubGuardBlock {
 				t.Fatalf("UB flip beyond the prefix: bad blocks %v", bad)

@@ -1,13 +1,15 @@
 // Package memory implements the TPU's storage hierarchy (Figure 1): the
 // 24 MiB Unified Buffer that holds intermediate activations, the 4 MiB
-// accumulator file below the matrix unit, the off-chip 8 GiB Weight Memory
-// with its DDR3 bandwidth, and the four-tile-deep on-chip Weight FIFO that
-// stages tiles for the matrix unit.
+// accumulator file below the matrix unit, and the off-chip 8 GiB Weight
+// Memory with its DDR3 bandwidth. (The four-tile-deep Weight FIFO between
+// Weight Memory and the matrix unit is queue state of the device, in
+// internal/tpu.)
 //
 // The two on-chip memories are reused run after run by one device, so both
 // keep their cost proportional to what a program touches: the Unified
-// Buffer backs only its addressed prefix, and both Reset in place over the
-// extent the last run dirtied (fault-injection flips included).
+// Buffer backs only its addressed prefix and the accumulator file only the
+// register blocks written, and both Reset in place over the extent the last
+// run dirtied (fault-injection flips included).
 package memory
 
 import (

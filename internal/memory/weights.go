@@ -26,16 +26,26 @@ func NewWeightMemory(image []int8, bandwidthGBs float64) (*WeightMemory, error) 
 // NewWeightMemoryAt places the image at a tile-aligned base address,
 // supporting multiple resident models in the 8 GiB DRAM.
 func NewWeightMemoryAt(image []int8, bandwidthGBs float64, base uint64) (*WeightMemory, error) {
-	if base%isa.WeightTileBytes != 0 {
-		return nil, fmt.Errorf("memory: weight base %#x not tile-aligned", base)
-	}
-	if base+uint64(len(image)) > isa.WeightMemoryBytes {
-		return nil, fmt.Errorf("memory: weight image %d bytes at %#x exceeds 8 GiB", len(image), base)
-	}
-	if bandwidthGBs <= 0 {
-		return nil, fmt.Errorf("memory: non-positive weight bandwidth %v", bandwidthGBs)
+	if err := CheckWeightPlacement(len(image), bandwidthGBs, base); err != nil {
+		return nil, err
 	}
 	return &WeightMemory{image: image, base: base, BandwidthGBs: bandwidthGBs}, nil
+}
+
+// CheckWeightPlacement is NewWeightMemoryAt's validation on its own (a device
+// run needs the verdict, not the memory): the base is tile-aligned, the image
+// ends inside the 8 GiB DRAM and the bandwidth is positive.
+func CheckWeightPlacement(imageBytes int, bandwidthGBs float64, base uint64) error {
+	if base%isa.WeightTileBytes != 0 {
+		return fmt.Errorf("memory: weight base %#x not tile-aligned", base)
+	}
+	if base+uint64(imageBytes) > isa.WeightMemoryBytes {
+		return fmt.Errorf("memory: weight image %d bytes at %#x exceeds 8 GiB", imageBytes, base)
+	}
+	if bandwidthGBs <= 0 {
+		return fmt.Errorf("memory: non-positive weight bandwidth %v", bandwidthGBs)
+	}
+	return nil
 }
 
 // FetchTile returns the 64 KiB tile at a tile-aligned address. Addresses
@@ -68,53 +78,28 @@ func (w *WeightMemory) FetchTileInto(addr uint64, tile []int8) ([]int8, error) {
 	return tile, nil
 }
 
+// TileView returns the tile at addr as a window of the image itself — no
+// copy, capacity clipped to the tile — when the image covers all 64 KiB of
+// it. ok is false for every other address (a tile covered partly or not at
+// all, unaligned, out of range): FetchTileInto serves those, zero-filling
+// or failing. The window sees later writes to the image, and callers must
+// not write through it.
+func (w *WeightMemory) TileView(addr uint64) (tile []int8, ok bool) {
+	if addr%isa.WeightTileBytes != 0 || addr < w.base {
+		return nil, false
+	}
+	off := addr - w.base
+	if off+isa.WeightTileBytes > uint64(len(w.image)) {
+		return nil, false
+	}
+	return w.image[off : off+isa.WeightTileBytes : off+isa.WeightTileBytes], true
+}
+
 // TileFetchCycles returns how many device clock cycles fetching one 64 KiB
-// tile occupies the DRAM channel. At 700 MHz and 34 GB/s this is ~1349
-// cycles — exactly the paper's ~1350 ops/byte ridge point, since the matrix
-// unit retires one 256-wide row of MACs per cycle.
-func (w *WeightMemory) TileFetchCycles(clockMHz float64) float64 {
-	bytesPerCycle := w.BandwidthGBs * 1e9 / (clockMHz * 1e6)
+// tile occupies a DRAM channel of the given bandwidth. At 700 MHz and
+// 34 GB/s this is ~1349 cycles — exactly the paper's ~1350 ops/byte ridge
+// point, since the matrix unit retires one 256-wide row of MACs per cycle.
+func TileFetchCycles(bandwidthGBs, clockMHz float64) float64 {
+	bytesPerCycle := bandwidthGBs * 1e9 / (clockMHz * 1e6)
 	return float64(isa.WeightTileBytes) / bytesPerCycle
-}
-
-// WeightFIFO is the four-tile on-chip FIFO between Weight Memory and the
-// matrix unit ("The weight FIFO is four tiles deep"). Read_Weights pushes
-// tiles; MatrixMultiply with FlagLoadTile pops them into the matrix unit's
-// double buffer.
-type WeightFIFO struct {
-	tiles [][]int8
-}
-
-// NewWeightFIFO returns an empty FIFO.
-func NewWeightFIFO() *WeightFIFO { return &WeightFIFO{} }
-
-// Depth returns the capacity in tiles (4).
-func (f *WeightFIFO) Depth() int { return isa.WeightFIFODepth }
-
-// Len returns the number of queued tiles.
-func (f *WeightFIFO) Len() int { return len(f.tiles) }
-
-// Free reports whether another tile fits.
-func (f *WeightFIFO) Free() bool { return len(f.tiles) < isa.WeightFIFODepth }
-
-// Push enqueues a fetched tile.
-func (f *WeightFIFO) Push(tile []int8) error {
-	if !f.Free() {
-		return fmt.Errorf("memory: weight FIFO full (%d tiles)", isa.WeightFIFODepth)
-	}
-	if len(tile) != isa.WeightTileBytes {
-		return fmt.Errorf("memory: tile is %d bytes, want %d", len(tile), isa.WeightTileBytes)
-	}
-	f.tiles = append(f.tiles, tile)
-	return nil
-}
-
-// Pop dequeues the oldest tile.
-func (f *WeightFIFO) Pop() ([]int8, error) {
-	if len(f.tiles) == 0 {
-		return nil, fmt.Errorf("memory: weight FIFO empty")
-	}
-	t := f.tiles[0]
-	f.tiles = f.tiles[1:]
-	return t, nil
 }

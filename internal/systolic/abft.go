@@ -47,7 +47,7 @@ type Checksums struct {
 func Checksum(t *Tile) *Checksums {
 	cs := &Checksums{}
 	for r := 0; r < isa.MatrixDim; r++ {
-		w := &t.W[r]
+		w := t.row(r)
 		var s int32
 		var ws int64
 		for c := 0; c < isa.MatrixDim; c++ {

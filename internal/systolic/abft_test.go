@@ -9,10 +9,10 @@ import (
 
 // randTile builds a random int8 weight tile.
 func randTile(rng *rand.Rand) *Tile {
-	t := &Tile{}
+	t := newTile()
 	for r := 0; r < isa.MatrixDim; r++ {
 		for c := 0; c < isa.MatrixDim; c++ {
-			t.W[r][c] = int8(rng.Intn(256) - 128)
+			t.set(r, c, int8(rng.Intn(256)-128))
 		}
 	}
 	return t
@@ -140,7 +140,7 @@ func TestABFTWeightFlipDetected(t *testing.T) {
 	cs := Checksum(tile) // latch checksums of the clean tile
 	r := rng.Intn(isa.MatrixDim)
 	c := rng.Intn(isa.MatrixDim)
-	tile.W[r][c] ^= 1 << uint(rng.Intn(8))
+	tile.set(r, c, tile.row(r)[c]^int8(1<<uint(rng.Intn(8))))
 
 	detected := false
 	for i := 0; i < 16; i++ {

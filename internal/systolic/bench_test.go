@@ -11,10 +11,10 @@ import (
 func benchArray(b *testing.B) *Array {
 	b.Helper()
 	a := New()
-	tile := &Tile{}
+	tile := newTile()
 	for r := 0; r < isa.MatrixDim; r++ {
 		for c := 0; c < isa.MatrixDim; c++ {
-			tile.W[r][c] = int8(r ^ c)
+			tile.set(r, c, int8(r^c))
 		}
 	}
 	a.LoadShadow(tile)

@@ -24,7 +24,7 @@ func nativeKernel() *kernel {
 func cpuHasAVX2() bool
 
 //go:noescape
-func mulGroupAVX2(w *[isa.MatrixDim][isa.MatrixDim]int8, rows *[isa.MatrixDim]uint32, vals *[isa.MatrixDim / 2][avx2Rows][2]int16, pairs int, out *[isa.MatrixDim]int32, n int)
+func mulGroupAVX2(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim]uint32, vals *[isa.MatrixDim / 2][avx2Rows][2]int16, pairs int, out *[isa.MatrixDim]int32, n int)
 
 // mulRangeAVX2 computes output rows [lo, hi) with the assembly kernel, which
 // reads the tile's int8 bytes as Weight Memory delivered them: no lane image
@@ -73,7 +73,7 @@ func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 			p[0][1], p[1][1], p[2][1], p[3][1] = 0, 0, 0, 0
 			n++
 		}
-		mulGroupAVX2(&a.active.W, &rows, &vals, n/2, &out[i], g)
+		mulGroupAVX2(a.active.w, &rows, &vals, n/2, &out[i], g)
 	}
 }
 

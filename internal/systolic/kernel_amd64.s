@@ -50,7 +50,7 @@ done:
 	VMOVDQU    Y8, (1024*row)(DI); \
 	VMOVDQU    Y9, (1024*row+32)(DI)
 
-// func mulGroupAVX2(w *[256][256]int8, rows *[256]uint32, vals *[128][4][2]int16, pairs int, out *[256]int32, n int)
+// func mulGroupAVX2(w *[65536]int8, rows *[256]uint32, vals *[128][4][2]int16, pairs int, out *[256]int32, n int)
 //
 // Computes four activation rows against the tile and stores the first n
 // (1..4) as consecutive 256-wide output rows at out. For each 16-column

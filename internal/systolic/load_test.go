@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"tpusim/internal/isa"
 )
@@ -21,7 +22,7 @@ func TestLoadedTileEqualsFresh(t *testing.T) {
 
 func testLoadedTileEqualsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	recycled := &Tile{}
+	recycled := newTile()
 	raw := make([]int8, isa.WeightTileBytes)
 	const rows = 6
 	in := make([]int8, rows*isa.MatrixDim)
@@ -77,5 +78,38 @@ func testLoadedTileEqualsFresh(t *testing.T) {
 	}
 	if err := recycled.Load(raw[:100]); err == nil {
 		t.Error("Load accepted a short image")
+	}
+}
+
+// TestTileIsAView: a tile owns no weight storage — it is the buffer it was
+// loaded from, by address, after TileFromBytes and after every Load — and an
+// unloaded tile is refused by the array rather than multiplied against.
+func TestTileIsAView(t *testing.T) {
+	if size := unsafe.Sizeof(Tile{}); size > 256 {
+		t.Fatalf("Tile is %d bytes; it must hold a view, not a 64 KiB array", size)
+	}
+	a, b := make([]int8, isa.WeightTileBytes), make([]int8, isa.WeightTileBytes)
+	tile, err := TileFromBytes(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tile.Bytes(); &got[0] != &a[0] || len(got) != len(a) {
+		t.Fatal("TileFromBytes copied the buffer")
+	}
+	if err := tile.Load(b); err != nil {
+		t.Fatal(err)
+	}
+	if got := tile.Bytes(); &got[0] != &b[0] {
+		t.Fatal("Load did not re-point the tile at the new buffer")
+	}
+	tile.Checksums()
+	tile.Unload()
+	for _, unloaded := range []*Tile{{}, tile} {
+		if unloaded.Bytes() != nil || unloaded.abft.cs != nil {
+			t.Fatal("an unloaded tile has bytes or checksums")
+		}
+		if err := New().LoadShadow(unloaded); err == nil {
+			t.Fatal("the array accepted an unloaded tile")
+		}
 	}
 }

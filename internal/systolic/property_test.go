@@ -12,11 +12,11 @@ import (
 // fraction of nonzero weights.
 func randomTile(seed int64, density float64) *Tile {
 	rng := rand.New(rand.NewSource(seed))
-	t := &Tile{}
+	t := newTile()
 	for r := 0; r < isa.MatrixDim; r++ {
 		for c := 0; c < isa.MatrixDim; c++ {
 			if rng.Float64() < density {
-				t.W[r][c] = int8(rng.Intn(256) - 128)
+				t.set(r, c, int8(rng.Intn(256)-128))
 			}
 		}
 	}

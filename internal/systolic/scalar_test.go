@@ -10,6 +10,19 @@ import "tpusim/internal/isa"
 // 64 KiB tile from L2 for every activation row.
 const blockRows = 32
 
+// newTile returns a tile viewing its own zeroed 64 KiB buffer, for tests
+// that fill the weights in place (set) before the first multiply.
+func newTile() *Tile {
+	t, err := TileFromBytes(make([]int8, isa.WeightTileBytes))
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// set writes weight (r, c) through the view: the test owns the buffer.
+func (t *Tile) set(r, c int, v int8) { t.w[r*isa.MatrixDim+c] = v }
+
 // mulRangeScalar is the pre-SWAR cache-blocked kernel, kept as the scalar
 // arm of BenchmarkMultiply's kernel comparison and as a second reference
 // implementation (the oracle) for the differential tests. For each activation
@@ -36,7 +49,7 @@ func (a *Array) mulRangeScalar(in []int8, out [][isa.MatrixDim]int32, lo, hi int
 			for r := r0; r < r0+blockRows; r++ {
 				if v := int32(row[r]); v != 0 {
 					vs[n] = v
-					ws[n] = &t.W[r]
+					ws[n] = t.row(r)
 					n++
 				}
 			}

@@ -97,13 +97,13 @@ var groupBatches = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}
 // 256*(-128)*(-128) = +4,194,304 and the most negative one (weights +127)
 // must both come out exact, at every group shape.
 func TestSWAROverflowBoundary(t *testing.T) {
-	tile := &Tile{}
+	tile := newTile()
 	for r := 0; r < isa.MatrixDim; r++ {
 		for c := 0; c < isa.MatrixDim; c++ {
 			if c%2 == 0 {
-				tile.W[r][c] = -128 // max positive product with v=-128
+				tile.set(r, c, -128) // max positive product with v=-128
 			} else {
-				tile.W[r][c] = 127 // max negative product with v=-128
+				tile.set(r, c, 127) // max negative product with v=-128
 			}
 		}
 	}
@@ -193,9 +193,9 @@ func TestKernelsAgreeOnGroupShapes(t *testing.T) {
 func TestSWARSingleRowTail(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		for _, v := range []int8{1, -1, 127, -128} {
-			tile := &Tile{}
+			tile := newTile()
 			for c := 0; c < isa.MatrixDim; c++ {
-				tile.W[3][c] = int8(c - 128)
+				tile.set(3, c, int8(c-128))
 			}
 			a := swarArray(t, tile)
 			var in [isa.MatrixDim]int8
@@ -228,10 +228,10 @@ func TestScalarKernelMatchesPacked(t *testing.T) {
 // goroutine.
 func TestMultiplyIntoZeroAlloc(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
-		tile := &Tile{}
+		tile := newTile()
 		for r := 0; r < isa.MatrixDim; r++ {
 			for c := 0; c < isa.MatrixDim; c++ {
-				tile.W[r][c] = int8(r ^ c)
+				tile.set(r, c, int8(r^c))
 			}
 		}
 		a := swarArray(t, tile)
@@ -292,15 +292,15 @@ func FuzzMulRowEquivalence(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, wBias, aBias int8, sparsity, rows uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		tile := &Tile{}
+		tile := newTile()
 		for r := 0; r < isa.MatrixDim; r++ {
 			for c := 0; c < isa.MatrixDim; c++ {
 				// Mix random weights with the bias value so mutated seeds
 				// can saturate whole tiles at the extremes.
 				if rng.Intn(4) == 0 {
-					tile.W[r][c] = wBias
+					tile.set(r, c, wBias)
 				} else {
-					tile.W[r][c] = int8(rng.Intn(256) - 128)
+					tile.set(r, c, int8(rng.Intn(256)-128))
 				}
 			}
 		}

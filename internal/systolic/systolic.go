@@ -20,10 +20,14 @@ import (
 	"tpusim/internal/isa"
 )
 
-// Tile is one 256x256 weight tile, stored as [row][col]: row indexes the
-// input (contraction) dimension, col the output dimension.
+// Tile is one 256x256 weight tile: a view of the 64 KiB row-major buffer it
+// was loaded from (row indexes the input — contraction — dimension, col the
+// output dimension). Weight Memory delivers tiles in the form the array
+// consumes, so a tile owns no storage of its own and loading one copies
+// nothing: every multiply and every checksum reads the bytes of the buffer
+// itself, which nothing may write while the tile is loaded.
 type Tile struct {
-	W [isa.MatrixDim][isa.MatrixDim]int8
+	w *[isa.WeightTileBytes]int8
 
 	// abft lazily caches the tile's ABFT checksum encoding (see abft.go);
 	// it is latched when the tile first serves an integrity-checked matmul,
@@ -33,12 +37,17 @@ type Tile struct {
 
 	// lanes lazily caches the layout the portable SWAR kernel consumes: each
 	// weight row as 32 uint64 words of 8 bias-shifted bytes (see packed). The
-	// AVX2 kernel reads W directly and never builds it. Like the abft
-	// checksums it is latched at first use and assumes W is not mutated
-	// afterwards except through Load, which drops both; fault injection
-	// corrupts weight DRAM before the tile is fetched, or datapath scratch
-	// after, never a live tile.
+	// AVX2 kernel reads the viewed bytes directly and never builds it. Like
+	// the abft checksums it is latched at first use and assumes the bytes do
+	// not change afterwards; Load drops both. Fault injection corrupts weight
+	// DRAM before the tile is fetched, or datapath scratch after, never a
+	// loaded tile.
 	lanes packedLanes
+}
+
+// row returns weight row r of the viewed buffer.
+func (t *Tile) row(r int) *[isa.MatrixDim]int8 {
+	return (*[isa.MatrixDim]int8)(t.w[r*isa.MatrixDim:])
 }
 
 // packedLanes holds the lazily built SWAR lane image of a tile. words
@@ -63,7 +72,8 @@ const (
 )
 
 // packed returns the tile's SWAR lane image, building it on first use: word
-// g of row r holds the eight bias-128 weight bytes W[r][8g..8g+7]+128 in
+// g of row r holds the eight bias-128 weight bytes of row r, columns
+// 8g..8g+7, plus 128, in
 // little-endian byte order at words[r*laneGroups+g]. The build runs once per
 // load of a tile (sync.Once, safe under MultiplyInto's worker fan-out) and
 // costs one pass over the 64 KiB tile — amortized across every multiply
@@ -75,7 +85,7 @@ func (t *Tile) packed() []uint64 {
 			w = make([]uint64, isa.MatrixDim*laneGroups)
 		}
 		for r := 0; r < isa.MatrixDim; r++ {
-			row := &t.W[r]
+			row := t.row(r)
 			base := r * laneGroups
 			for g := 0; g < laneGroups; g++ {
 				c := g * 8
@@ -94,27 +104,35 @@ func (t *Tile) packed() []uint64 {
 	return t.lanes.words
 }
 
-// Load overwrites the tile with the 64 KiB row-major layout Weight Memory
-// delivers and drops what was latched from the previous contents: the next
+// Load re-points the tile at b, the 64 KiB row-major layout Weight Memory
+// delivers, and drops what was latched from the previous contents: the next
 // Checksums and the next multiply recompute from the new bytes (a stale
 // lane image would multiply against the old weights, stale checksums fail
-// every ABFT check). Only the lane image's storage is kept. The tile must
-// not be loaded while an Array is multiplying against it; the device loads
-// the matrix unit's non-resident buffer, between matmuls.
+// every ABFT check). Only the lane image's storage is kept. Nothing is
+// copied — the tile aliases b, so b must stay unwritten until the tile is
+// loaded again. The tile must not be loaded while an Array is multiplying
+// against it; the device loads the matrix unit's non-resident tile, between
+// matmuls.
 func (t *Tile) Load(b []int8) error {
 	if len(b) != isa.WeightTileBytes {
 		return fmt.Errorf("systolic: tile is %d bytes, want %d", len(b), isa.WeightTileBytes)
 	}
-	for r := 0; r < isa.MatrixDim; r++ {
-		copy(t.W[r][:], b[r*isa.MatrixDim:(r+1)*isa.MatrixDim])
-	}
-	t.abft = abft{}
-	t.lanes.once = sync.Once{}
+	t.Unload()
+	t.w = (*[isa.WeightTileBytes]int8)(b)
 	return nil
 }
 
-// TileFromBytes builds a fresh tile from the 64 KiB row-major layout Weight
-// Memory delivers.
+// Unload drops the view and what was latched from it, keeping only the lane
+// image's storage: a tile waiting to be loaded again holds no buffer
+// reachable. LoadShadow refuses an unloaded tile.
+func (t *Tile) Unload() {
+	t.w = nil
+	t.abft = abft{}
+	t.lanes.once = sync.Once{}
+}
+
+// TileFromBytes returns a fresh tile viewing b, the 64 KiB row-major layout
+// Weight Memory delivers (see Load for the aliasing contract).
 func TileFromBytes(b []int8) (*Tile, error) {
 	t := &Tile{}
 	if err := t.Load(b); err != nil {
@@ -123,13 +141,13 @@ func TileFromBytes(b []int8) (*Tile, error) {
 	return t, nil
 }
 
-// Bytes serializes the tile back to the Weight Memory layout.
+// Bytes returns the 64 KiB buffer the tile views, in the Weight Memory
+// layout (nil before the first Load); callers must not write through it.
 func (t *Tile) Bytes() []int8 {
-	out := make([]int8, isa.WeightTileBytes)
-	for r := 0; r < isa.MatrixDim; r++ {
-		copy(out[r*isa.MatrixDim:], t.W[r][:])
+	if t.w == nil {
+		return nil
 	}
-	return out
+	return t.w[:]
 }
 
 // Array is the matrix unit: an active tile computing and a shadow tile
@@ -146,8 +164,8 @@ func New() *Array { return &Array{} }
 
 // LoadShadow begins shifting a tile into the double buffer.
 func (a *Array) LoadShadow(t *Tile) error {
-	if t == nil {
-		return fmt.Errorf("systolic: nil tile")
+	if t == nil || t.w == nil {
+		return fmt.Errorf("systolic: nil or unloaded tile")
 	}
 	if a.shadow != nil {
 		return fmt.Errorf("systolic: shadow buffer already occupied")
@@ -188,7 +206,7 @@ func (a *Array) MulRow(in *[isa.MatrixDim]int8) (*[isa.MatrixDim]int32, error) {
 		if v == 0 {
 			continue
 		}
-		w := &a.active.W[r]
+		w := a.active.row(r)
 		for c := 0; c < isa.MatrixDim; c++ {
 			out[c] += v * int32(w[c])
 		}

@@ -23,7 +23,7 @@ func TestTileRoundTrip(t *testing.T) {
 			t.Fatalf("byte %d: %d != %d", i, back[i], b[i])
 		}
 	}
-	if tile.W[1][0] != b[256] {
+	if tile.row(1)[0] != b[256] {
 		t.Error("row-major layout broken")
 	}
 }
@@ -45,7 +45,7 @@ func TestDoubleBufferProtocol(t *testing.T) {
 	if err := a.LoadShadow(nil); err == nil {
 		t.Error("nil tile accepted")
 	}
-	tile := &Tile{}
+	tile := newTile()
 	if err := a.LoadShadow(tile); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDoubleBufferProtocol(t *testing.T) {
 	}
 	// Shadow is free again: the double buffer allows the next tile to
 	// shift in while this one computes.
-	if err := a.LoadShadow(&Tile{}); err != nil {
+	if err := a.LoadShadow(newTile()); err != nil {
 		t.Errorf("shadow not freed by commit: %v", err)
 	}
 }
@@ -75,10 +75,10 @@ func TestMulRowRequiresTile(t *testing.T) {
 
 func TestMulRowKnown(t *testing.T) {
 	a := New()
-	tile := &Tile{}
+	tile := newTile()
 	// Identity-ish: W[r][c] = 1 if r==c.
 	for i := 0; i < isa.MatrixDim; i++ {
-		tile.W[i][i] = 1
+		tile.set(i, i, 1)
 	}
 	a.LoadShadow(tile)
 	a.Commit()
@@ -102,12 +102,12 @@ func TestMultiplyMatchesReferenceGEMM(t *testing.T) {
 			r = r*6364136223846793005 + 1442695040888963407
 			return int8(r >> 56)
 		}
-		tile := &Tile{}
+		tile := newTile()
 		w := tensor.NewI8(isa.MatrixDim, isa.MatrixDim)
 		for rr := 0; rr < isa.MatrixDim; rr++ {
 			for c := 0; c < isa.MatrixDim; c++ {
 				v := next()
-				tile.W[rr][c] = v
+				tile.set(rr, c, v)
 				w.Set(rr, c, v)
 			}
 		}
@@ -145,7 +145,7 @@ func TestMultiplyMatchesReferenceGEMM(t *testing.T) {
 
 func TestMultiplyBadLength(t *testing.T) {
 	a := New()
-	a.LoadShadow(&Tile{})
+	a.LoadShadow(newTile())
 	a.Commit()
 	if _, err := a.Multiply(make([]int8, 100)); err == nil {
 		t.Error("non-multiple-of-256 input accepted")
@@ -208,10 +208,10 @@ func TestZeroSkipEquivalence(t *testing.T) {
 	// The MulRow zero-skip fast path must not change results: an input of
 	// zeros yields zeros regardless of weights.
 	a := New()
-	tile := &Tile{}
+	tile := newTile()
 	for r := 0; r < isa.MatrixDim; r++ {
 		for c := 0; c < isa.MatrixDim; c++ {
-			tile.W[r][c] = int8(r + c)
+			tile.set(r, c, int8(r+c))
 		}
 	}
 	a.LoadShadow(tile)

@@ -105,7 +105,6 @@ type Device struct {
 	ub   *memory.UnifiedBuffer
 	acc  *memory.Accumulators
 	arr  *systolic.Array
-	wm   *memory.WeightMemory
 	regs [isa.RegCount]uint32
 
 	// FIFO state: tile payloads (functional), ready times (timing), and
@@ -121,16 +120,12 @@ type Device struct {
 	tileHead  int
 	fetchIdx  int
 	popTimes  []float64
-	// tileBufFree recycles 64 KiB tile fetch buffers: a buffer returns here
-	// once the matrix unit has copied its tile out of the FIFO, and the
-	// next ReadWeights fetches into it instead of allocating. Survives
-	// reset, so steady-state runs fetch with zero allocation.
-	tileBufFree [][]int8
-	// tileFree holds the matrix unit's non-resident tile buffers — the chip
-	// has two, "one 64 KiB tile of weights plus one for double-buffering".
-	// A tile load takes one (allocating only when the list is empty) and
-	// overwrites it from the FIFO bytes; the tile it displaces from the array
-	// comes back, the resident one at reset. Survives reset.
+	// tileFree holds the matrix unit's non-resident tiles — the chip has two,
+	// "one 64 KiB tile of weights plus one for double-buffering". A tile is
+	// a view plus what it latched from the bytes (ABFT checksums, the SWAR
+	// lane image's storage); a load takes one (allocating only when the list
+	// is empty) and re-points it at the FIFO entry, the tile it displaces
+	// from the array comes back, the resident one at reset. Survives reset.
 	tileFree []*systolic.Tile
 
 	// Integrity state. gw is the live weight DRAM (keyed to gwProg so
@@ -197,43 +192,12 @@ func (d *Device) Run(p *isa.Program, host []int8) (Counters, error) {
 
 // run is the real, hook-free execution path.
 func (d *Device) run(p *isa.Program, host []int8) (Counters, error) {
-	if err := p.Validate(); err != nil {
+	if err := d.start(p, host); err != nil {
 		return Counters{}, err
 	}
-	if d.cfg.Functional && p.WeightImage == nil {
-		return Counters{}, fmt.Errorf("tpu: functional run requires a weight image")
-	}
-	d.reset()
 	// The run's integrity counters fold into the lifetime ledger on every
 	// exit path — a detected-corruption failure still counts its checks.
 	defer d.flushInteg()
-	d.prog = p
-	d.host = host
-	var err error
-	d.wm, err = memory.NewWeightMemoryAt(p.WeightImage, d.cfg.WeightGBs, p.WeightBase)
-	if err != nil {
-		return Counters{}, err
-	}
-	if d.cfg.Functional {
-		// Functional fetches go through the live weight DRAM so injected
-		// corruption persists across runs of this program until scrubbed.
-		if d.gwProg != p {
-			gw, err := memory.NewGuardedWeights(p.WeightImage, d.cfg.WeightGBs, p.WeightBase)
-			if err != nil {
-				return Counters{}, err
-			}
-			d.gw, d.gwProg = gw, p
-		}
-		d.applyFlips(FlipWeights, func(f Flip) { d.gw.FlipBit(f.Addr, f.Bit) })
-		if d.cfg.Integrity != IntegrityOff {
-			d.ub.EnableGuard()
-			d.acc.EnableGuard()
-		}
-	}
-	d.tileFetchCycles = d.wm.TileFetchCycles(d.cfg.ClockMHz)
-	d.fifoCap = d.cfg.fifoDepth()
-	d.sizeFIFOs(p)
-
 	for i := range p.Instructions {
 		in := &p.Instructions[i]
 		if d.cfg.Trace {
@@ -257,15 +221,55 @@ func (d *Device) run(p *isa.Program, host []int8) (Counters, error) {
 	return d.c, nil
 }
 
+// start readies the device for one run of p: validation, reset, the live
+// weight DRAM (and the weight flips queued for this run — the only writes
+// it sees until the run ends, bar a fetch-time repair), the per-run
+// constants and the FIFO queues.
+func (d *Device) start(p *isa.Program, host []int8) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if d.cfg.Functional && p.WeightImage == nil {
+		return fmt.Errorf("tpu: functional run requires a weight image")
+	}
+	d.reset()
+	d.prog = p
+	d.host = host
+	if err := memory.CheckWeightPlacement(len(p.WeightImage), d.cfg.WeightGBs, p.WeightBase); err != nil {
+		return err
+	}
+	if d.cfg.Functional {
+		// Functional fetches go through the live weight DRAM so injected
+		// corruption persists across runs of this program until scrubbed.
+		if d.gwProg != p {
+			gw, err := memory.NewGuardedWeights(p.WeightImage, d.cfg.WeightGBs, p.WeightBase)
+			if err != nil {
+				return err
+			}
+			d.gw, d.gwProg = gw, p
+		}
+		d.applyFlips(FlipWeights, func(f Flip) { d.gw.FlipBit(f.Addr, f.Bit) })
+		if d.cfg.Integrity != IntegrityOff {
+			d.ub.EnableGuard()
+			d.acc.EnableGuard()
+		}
+	}
+	d.tileFetchCycles = memory.TileFetchCycles(d.cfg.WeightGBs, d.cfg.ClockMHz)
+	d.fifoCap = d.cfg.fifoDepth()
+	d.sizeFIFOs(p)
+	return nil
+}
+
 func (d *Device) reset() {
+	clear(d.fifoTiles) // drop the views: the queue's storage outlives the weight image
 	// Keep the FIFO backing arrays so repeated runs on one device reuse
 	// their allocations.
 	fifoTiles, fifoReady := d.fifoTiles[:0], d.fifoReady[:0]
 	fifoMeta, popTimes := d.fifoMeta[:0], d.popTimes[:0]
 	*d = Device{cfg: d.cfg, ub: d.ub, acc: d.acc, arr: d.arr,
 		fifoTiles: fifoTiles, fifoReady: fifoReady, fifoMeta: fifoMeta, popTimes: popTimes,
-		fifoCRC:     d.fifoCRC[:0],
-		tileBufFree: d.tileBufFree, tileFree: d.tileFree,
+		fifoCRC:  d.fifoCRC[:0],
+		tileFree: d.tileFree,
 		profTags: d.profTags[:0], profMarks: d.profMarks[:0],
 		// Integrity state survives reset: the live weight DRAM keeps its
 		// corruption, the ledger its history, the flip queue its injections.
@@ -277,14 +281,22 @@ func (d *Device) reset() {
 		// a few hundred KB pays that much memclr, and repeated runs on one
 		// device produce no garbage. The array is two pointers; a fresh one
 		// keeps the "no tile loaded" start state exactly, once the resident
-		// tile's buffer is back on the free list.
+		// tile is back on the free list.
 		d.ub.Reset()
 		d.acc.Reset()
 		if t := d.arr.Active(); t != nil {
-			d.tileFree = append(d.tileFree, t)
+			d.freeTile(t)
 		}
 		d.arr = systolic.New()
 	}
+}
+
+// freeTile returns a tile that has left the array to the free list without
+// its view, so the list keeps no weight image reachable after the device has
+// moved on to another program.
+func (d *Device) freeTile(t *systolic.Tile) {
+	t.Unload()
+	d.tileFree = append(d.tileFree, t)
 }
 
 // sizeFIFOs pre-sizes the FIFO queues to the program's total tile count so
@@ -433,11 +445,7 @@ func (d *Device) execReadWeights(in *isa.Instruction) error {
 		d.c.WeightTilesFetched++
 		d.c.WeightBytesFetched += isa.WeightTileBytes
 		if d.cfg.Functional {
-			var buf []int8
-			if n := len(d.tileBufFree); n > 0 {
-				buf, d.tileBufFree = d.tileBufFree[n-1], d.tileBufFree[:n-1]
-			}
-			tile, err := d.fetchGuardedTile(addr, buf)
+			tile, err := d.fetchGuardedTile(addr)
 			if err != nil {
 				return err
 			}
@@ -489,26 +497,24 @@ func (d *Device) execMatmul(in *isa.Instruction) error {
 			d.c.WeightShift += int64(shiftWait)
 		}
 		if d.cfg.Functional {
-			tileBytes := d.fifoTiles[d.tileHead]
-			if err := d.verifyFIFOTile(d.tileHead, tileBytes); err != nil {
+			entry := d.fifoTiles[d.tileHead]
+			if err := d.verifyFIFOTile(d.tileHead, entry); err != nil {
 				return err
 			}
 			d.tileHead++
-			// Contents are copied and re-packed fresh on every load, so
-			// weight-DRAM corruption reaches the integrity checks; only the
-			// tile's storage is recycled.
+			// The tile views the FIFO entry's bytes — for a tile the weight
+			// image covers, the live DRAM bytes themselves — so weight-DRAM
+			// corruption reaches every check and every multiply; Load drops
+			// what the recycled tile latched from its previous bytes.
 			var tile *systolic.Tile
 			if n := len(d.tileFree); n > 0 {
 				tile, d.tileFree = d.tileFree[n-1], d.tileFree[:n-1]
 			} else {
 				tile = &systolic.Tile{}
 			}
-			if err := tile.Load(tileBytes); err != nil {
+			if err := tile.Load(entry); err != nil {
 				return err
 			}
-			// Load copied the payload; the fetch buffer is free.
-			d.fifoTiles[d.tileHead-1] = nil
-			d.tileBufFree = append(d.tileBufFree, tileBytes)
 			displaced := d.arr.Active()
 			if err := d.arr.LoadShadow(tile); err != nil {
 				return err
@@ -517,7 +523,7 @@ func (d *Device) execMatmul(in *isa.Instruction) error {
 				return err
 			}
 			if displaced != nil {
-				d.tileFree = append(d.tileFree, displaced)
+				d.freeTile(displaced)
 			}
 		}
 	}

@@ -96,3 +96,34 @@ func TestActivateMissingLUT(t *testing.T) {
 	p.ActTable = []isa.ActMeta{{SrcScale: 1}} // no Lut
 	expectRunError(t, p, "lookup table")
 }
+
+// TestRunRejectsBadWeightPlacement: run builds no WeightMemory, but Weight
+// Memory's three placement errors still stop it — on a timing-only device
+// too, before anything executes.
+func TestRunRejectsBadWeightPlacement(t *testing.T) {
+	for _, functional := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Functional = functional
+		for _, tc := range []struct {
+			name   string
+			mutate func(d *Device, p *isa.Program)
+			want   string
+		}{
+			{"image past 8 GiB", func(d *Device, p *isa.Program) { p.WeightBase = isa.WeightMemoryBytes - isa.WeightTileBytes }, "exceeds 8 GiB"},
+			{"unaligned base", func(d *Device, p *isa.Program) { p.WeightBase = 100 }, "not tile-aligned"},
+			{"no bandwidth", func(d *Device, p *isa.Program) { d.cfg.WeightGBs = 0 }, "non-positive weight bandwidth"},
+		} {
+			dev, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := funcProg()
+			p.WeightImage = make([]int8, 2*isa.WeightTileBytes)
+			tc.mutate(dev, p)
+			_, err = dev.Run(p, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("functional=%v, %s: error %v, want one containing %q", functional, tc.name, err, tc.want)
+			}
+		}
+	}
+}

@@ -224,10 +224,13 @@ func (d *Device) noteRecomputed()    { d.c.TilesRecomputed++ }
 
 // fetchGuardedTile is the integrity-aware weight fetch: the per-tile DRAM
 // CRC is checked before the bytes enter the FIFO. Detect fails the run;
-// Correct repairs the tile from the golden image in place and proceeds.
-// fetchGuardedTile reads one weight tile into buf (recycled when capacity
-// allows), running the DRAM CRC check first when integrity is on.
-func (d *Device) fetchGuardedTile(addr uint64, buf []int8) ([]int8, error) {
+// Correct repairs the tile from the golden image in place and proceeds. The
+// FIFO entry it returns is a window of the live weight image — the DRAM
+// bytes by address, copied nowhere between Weight Memory and the multiply.
+// Within a run nothing writes through it: the live image is written only by
+// FlipBit at run start and by RepairTile here, on a tile that no FIFO entry
+// or array tile of this run views yet.
+func (d *Device) fetchGuardedTile(addr uint64) ([]int8, error) {
 	if d.cfg.Integrity != IntegrityOff {
 		d.noteChecks(1)
 		if !d.gw.VerifyTile(addr) {
@@ -241,7 +244,12 @@ func (d *Device) fetchGuardedTile(addr uint64, buf []int8) ([]int8, error) {
 			}
 		}
 	}
-	return d.gw.FetchTileInto(addr, buf)
+	view, ok := d.gw.TileView(addr)
+	if !ok {
+		// Program.Validate keeps every ReadWeights inside the image.
+		return nil, fmt.Errorf("tile %#x not covered by the weight image", addr)
+	}
+	return view, nil
 }
 
 // verifyFIFOTile re-checks a popped tile against the CRC sealed at push —

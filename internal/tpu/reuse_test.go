@@ -8,6 +8,7 @@ import (
 
 	"tpusim/internal/compiler"
 	"tpusim/internal/isa"
+	"tpusim/internal/models"
 )
 
 // TestRecycledTilesSeeWeightCorruption is the device-level half of the
@@ -107,52 +108,94 @@ func tinyRunner(tb testing.TB) (*Device, func()) {
 	}
 }
 
-// TestTileBuffersRecycled: the matrix unit has two tile buffers and a
-// device holds on to no more — after any number of runs of a multi-layer
-// program the free list is short, and a warmed-up run allocates no Tile
-// (64 KiB) and no lane image (64 KiB).
-func TestTileBuffersRecycled(t *testing.T) {
+// TestTileLoadAliasesWeightDRAM: a tile load copies nothing. After a
+// warmed-up run of a multi-layer program the array's resident tile is, by
+// address, the last tile of the device's live weight image; the device holds
+// no more than the matrix unit's two or three tiles, and the ones waiting on
+// the free list view nothing; and a warmed-up run allocates no tile-sized
+// object at all (no fetch buffer, no lane image — 64 KiB each).
+func TestTileLoadAliasesWeightDRAM(t *testing.T) {
 	dev, run := tinyRunner(t)
 	for i := 0; i < 20; i++ {
 		run()
 		if n := len(dev.tileFree) + 1; n > 3 { // + the resident tile
-			t.Fatalf("run %d: device holds %d tile buffers", i, n)
+			t.Fatalf("run %d: device holds %d tiles", i, n)
+		}
+		for _, free := range dev.tileFree {
+			if free.Bytes() != nil {
+				t.Fatalf("run %d: a tile on the free list still views a weight image", i)
+			}
 		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const runs = 50
-	for i := 0; i < runs; i++ {
-		run()
+	last := dev.prog.WeightBase + uint64(dev.prog.WeightTiles()-1)*isa.WeightTileBytes
+	live, ok := dev.gw.TileView(last)
+	if !ok {
+		t.Fatal("the image does not cover its last tile")
 	}
-	runtime.ReadMemStats(&after)
-	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 16<<10 {
+	if resident := dev.arr.Active().Bytes(); &resident[0] != &live[0] {
+		t.Fatal("the resident tile's bytes are not the live weight image's bytes")
+	}
+	if perRun := allocBytesPerRun(50, run); perRun > 16<<10 {
 		t.Fatalf("a warmed-up run allocates %d B, want well under one 64 KiB tile", perRun)
 	}
 }
 
-// TestNewDeviceFootprint: a functional device costs its 4 MiB accumulator
-// file up front and nothing for the 24 MiB Unified Buffer until a program
-// addresses it (it was 28 MiB per device).
+// TestNewDeviceFootprint: a functional device costs nothing up front for its
+// 4 MiB accumulator file or its 24 MiB Unified Buffer — both are backed as a
+// program addresses them (it was 28 MiB per device, then 4).
 func TestNewDeviceFootprint(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Functional = true
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	dev, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 6<<20 {
-		t.Fatalf("tpu.New(functional) allocated %.1f MiB, want < 6", float64(grew)/(1<<20))
+	var dev *Device
+	grew := allocBytesPerRun(1, func() {
+		var err error
+		if dev, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if grew >= 1<<20 {
+		t.Fatalf("tpu.New(functional) allocated %.1f MiB, want < 1", float64(grew)/(1<<20))
 	}
 	runtime.KeepAlive(dev)
 }
 
+// TestNothingWritesThroughAccumulatorLoad: Load hands out the one shared
+// zero register for every register of an unbacked block, so a datapath that
+// wrote through a loaded register would corrupt all of them. After every
+// tiny model has run (Activate drains are the device's only Load), registers
+// no model stores to still read as zero.
+func TestNothingWritesThroughAccumulatorLoad(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Functional = true
+	cfg.Integrity = IntegrityCorrect
+	dev, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range models.Names() {
+		art, _, qin := functionalSetup(t, name)
+		host, err := compiler.PackInput(art, qin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dev.Run(art.Program, host); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, idx := range []int{isa.AccumulatorCount/2 - 1, isa.AccumulatorCount - 1} {
+			reg, err := dev.acc.Load(idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *reg != ([isa.MatrixDim]int32{}) {
+				t.Fatalf("after %s: register %d, which nothing stores to, is not zero", name, idx)
+			}
+		}
+	}
+}
+
 // BenchmarkRunTiny is one warmed-up functional run of MLP0-tiny on one
 // device — what a serve dispatch costs below the runtime. B/op is the
-// number to watch: the device recycles its tile buffers, so it should stay
+// number to watch: tile loads copy and allocate nothing, so it should stay
 // far below one 64 KiB tile.
 func BenchmarkRunTiny(b *testing.B) {
 	_, run := tinyRunner(b)
