@@ -74,8 +74,8 @@ func BenchmarkTable3Serial(b *testing.B) {
 // an *armed* zero-rate fault injector on every device: the hook runs on
 // every program execution (one mutex acquire, no PRNG draw, no fault ever
 // fires), pricing what a chaos-ready fleet pays when nothing is wrong.
-// BENCH_PR4.json records this against BenchmarkTable3; the acceptance
-// bound is <=2% overhead. The loop mirrors experiments.CompileAndRunAll
+// Read it against BenchmarkTable3 (the path bench/'s device_sim workload
+// times); the acceptance bound is <=2% overhead. The loop mirrors experiments.CompileAndRunAll
 // (serial under one worker, one goroutine per app otherwise) so the two
 // benchmarks differ only in the hook.
 func BenchmarkTable3ZeroRateFault(b *testing.B) {
@@ -196,16 +196,16 @@ func BenchmarkTable3IntegrityOff(b *testing.B) {
 // BenchmarkTable3IntegrityDetect prices the detect tier end to end: ABFT
 // checksum columns on every matmul row, CRC over weight DRAM/FIFO and the
 // consumed UB spans, accumulator parity, and the 2/256 ABFT timing charge.
-// BENCH_PR5.json pins this against the Off baseline; the acceptance bound
-// is <10% added latency.
+// Read it against BenchmarkTable3IntegrityOff; the acceptance bound is
+// <10% added latency.
 func BenchmarkTable3IntegrityDetect(b *testing.B) {
 	table3IntegrityLoop(b, tpu.IntegrityDetect, 1)
 }
 
 // BenchmarkTable3CrossCheck prices what SDC coverage costs without ABFT:
 // full duplication, every program executed twice (the paranoid tier's
-// cross-check on a second device). BENCH_PR5.json pins the ratio of this
-// added cost against the detect tier's — the bound is ABFT at least 2x
+// cross-check on a second device). Read its added cost over the Off
+// baseline against the detect tier's — the bound is ABFT at least 2x
 // cheaper than duplication.
 func BenchmarkTable3CrossCheck(b *testing.B) {
 	table3IntegrityLoop(b, tpu.IntegrityOff, 2)

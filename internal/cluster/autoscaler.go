@@ -66,8 +66,7 @@ func (c *Cluster) autoscaleTick() {
 	}
 	for _, a := range c.apps {
 		c.autoscaleApp(a, interval)
-		a.winArrivals = 0
-		a.winShed = 0
+		a.tickOffered, a.tickShed = a.offered, a.shedQueue+a.expired
 	}
 	c.loop.After(interval, c.autoscaleTick)
 }
@@ -75,11 +74,12 @@ func (c *Cluster) autoscaleTick() {
 // autoscaleApp makes one scaling decision for one app from its window.
 func (c *Cluster) autoscaleApp(a *app, interval float64) {
 	cfg := c.cfg.Autoscale
-	rate := float64(a.winArrivals) / interval
+	arrivals := a.offered - a.tickOffered
+	rate := float64(arrivals) / interval
 	capacity := a.liveCapacity()
 	shedFrac := 0.0
-	if a.winArrivals > 0 {
-		shedFrac = float64(a.winShed) / float64(a.winArrivals)
+	if arrivals > 0 {
+		shedFrac = float64(a.shedQueue+a.expired-a.tickShed) / float64(arrivals)
 	}
 	live := a.liveReplicas()
 
@@ -207,6 +207,5 @@ func (c *Cluster) newestRemovable(a *app) *replica {
 func (c *Cluster) decide(a *app, action string, from, to int, reason string) {
 	d := Decision{Time: c.loop.Now(), App: a.cfg.Name, Action: action, From: from, To: to, Reason: reason}
 	a.decisions = append(a.decisions, d)
-	c.log(-1, action, fmt.Sprintf("%s %d -> %d (%s)", a.cfg.Name, from, to, reason))
-	c.tel.onDecision(a, d)
+	c.log(-1, action, fmt.Sprintf("%s %d -> %d (%s)", a.cfg.Name, from, to, reason), subject{decision: d})
 }

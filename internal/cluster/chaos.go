@@ -27,6 +27,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,11 +150,7 @@ func (c *Cluster) incidentEnd() {
 // quarantined replicas re-admit to routing, and its devices re-enter
 // placement. Reviving an alive host is a no-op.
 func (c *Cluster) ReviveHostAt(t float64, hostID int) error {
-	if hostID < 0 || hostID >= len(c.hosts) {
-		return fmt.Errorf("cluster: host %d outside fleet of %d", hostID, len(c.hosts))
-	}
-	c.loop.At(t, func() { c.reviveHost(c.hosts[hostID], "revived") })
-	return nil
+	return c.at(t, "host", hostID, len(c.hosts), func() { c.reviveHost(c.hosts[hostID], "revived") })
 }
 
 // reviveHost executes a host revival.
@@ -165,8 +162,7 @@ func (c *Cluster) reviveHost(h *host, why string) {
 	h.partitioned = false
 	h.slow = 1 // a repaired machine comes back at full speed
 	c.zoneAlive[h.zone]++
-	c.log(h.id, "revive", fmt.Sprintf("host%d %s: %d devices rejoin placement and routing", h.id, why, len(h.devices)))
-	c.tel.instant("revive", "host", h.id)
+	c.log(h.id, "revive", fmt.Sprintf("host%d %s: %d devices rejoin placement and routing", h.id, why, len(h.devices)), subject{})
 	c.readmit(h, why)
 	c.incidentEnd()
 }
@@ -182,7 +178,7 @@ func (c *Cluster) readmit(h *host, why string) {
 			rep.state = runtime.Healthy
 			rep.app.router.SetState(rep.id, runtime.Healthy)
 			c.log(h.id, "readmit", fmt.Sprintf("%s replica r%d (host%d/dev%d) quarantined -> healthy: %s",
-				rep.app.cfg.Name, rep.id, h.id, d.idx, why))
+				rep.app.cfg.Name, rep.id, h.id, d.idx, why), subject{})
 		}
 	}
 }
@@ -194,15 +190,13 @@ func (c *Cluster) readmit(h *host, why string) {
 // burns a failover attempt and, when retry budgets are enabled, a retry
 // token. At until the partition heals and the replicas re-admit.
 func (c *Cluster) PartitionHostAt(from, until float64, hostID int) error {
-	if hostID < 0 || hostID >= len(c.hosts) {
-		return fmt.Errorf("cluster: host %d outside fleet of %d", hostID, len(c.hosts))
-	}
-	if until <= from {
+	if !(until > from) { // also catches a NaN end
 		return fmt.Errorf("cluster: partition window [%v, %v) is empty", from, until)
 	}
-	h := c.hosts[hostID]
-	c.loop.At(from, func() { c.partitionHost(h) })
-	c.loop.At(until, func() { c.healPartition(h) })
+	if err := c.at(from, "host", hostID, len(c.hosts), func() { c.partitionHost(c.hosts[hostID]) }); err != nil {
+		return err
+	}
+	c.loop.At(until, func() { c.healPartition(c.hosts[hostID]) })
 	return nil
 }
 
@@ -223,48 +217,25 @@ func (c *Cluster) partitionHost(h *host) {
 		return
 	}
 	h.partitioned = true
-	c.log(h.id, "partition", fmt.Sprintf("host%d unreachable from router: traffic flows around it, resident requests black-hole", h.id))
-	c.tel.instant("partition", "host", h.id)
+	c.log(h.id, "partition", fmt.Sprintf("host%d unreachable from router: traffic flows around it, resident requests black-hole", h.id), subject{})
 	c.incidentBegin("partition")
-	for _, d := range h.devices {
-		d.busy = false
-		d.waiters = nil
-		for _, rep := range d.replicas {
-			a := rep.app
-			c.tel.onBatchKilled(rep)
-			// Void in-flight completions and fill timers: results computed
-			// behind the partition never reach the router.
-			rep.svcGen++
-			rep.fillGen++
-			rep.serving = false
-			rep.pending = false
-			if rep.state != runtime.Quarantined {
-				rep.state = runtime.Quarantined
-				a.router.SetState(rep.id, runtime.Quarantined)
-				c.log(h.id, "quarantine", fmt.Sprintf("%s replica r%d (host%d/dev%d) healthy -> quarantined: network partition",
-					a.cfg.Name, rep.id, h.id, d.idx))
-				c.tel.onQuarantine(rep)
-			}
-			// Unlike a kill, resident requests do not fail over cleanly:
-			// they hang until the partition timeout, then re-route.
-			orphans, inFlight := rep.orphan()
-			a.router.AddLoad(rep.id, -int64(len(orphans)))
-			if len(orphans) > 0 {
-				c.log(h.id, "blackhole", fmt.Sprintf("%s replica r%d: %d in-flight + %d queued requests hang for %.2f ms",
-					a.cfg.Name, rep.id, inFlight, len(orphans)-inFlight, c.partitionTimeout(a)*1e3))
-			}
-			timeout := c.partitionTimeout(a)
-			for _, r := range orphans {
-				a.blackholed++
-				a.blackholePending++
-				rr := r
-				c.loop.After(timeout, func() {
-					a.blackholePending--
-					c.failover(a, rr)
-				})
-			}
+	// Unlike a kill, resident requests do not fail over cleanly: they hang
+	// until the partition timeout, then re-route.
+	c.evictHost(h, "network partition", func(rep *replica, orphans []request, inFlight int) {
+		a := rep.app
+		timeout := c.partitionTimeout(a)
+		c.log(h.id, "blackhole", fmt.Sprintf("%s replica r%d: %d in-flight + %d queued requests hang for %.2f ms",
+			a.cfg.Name, rep.id, inFlight, len(orphans)-inFlight, timeout*1e3), subject{})
+		for _, r := range orphans {
+			a.blackholed++
+			a.blackholePending++
+			rr := r
+			c.loop.After(timeout, func() {
+				a.blackholePending--
+				c.failover(a, rr)
+			})
 		}
-	}
+	})
 }
 
 // healPartition executes the partition end: the host was healthy all
@@ -274,8 +245,7 @@ func (c *Cluster) healPartition(h *host) {
 		return
 	}
 	h.partitioned = false
-	c.log(h.id, "partition-heal", fmt.Sprintf("host%d reachable again", h.id))
-	c.tel.instant("partition-heal", "host", h.id)
+	c.log(h.id, "partition-heal", fmt.Sprintf("host%d reachable again", h.id), subject{})
 	c.readmit(h, "partition healed")
 	c.incidentEnd()
 }
@@ -286,11 +256,10 @@ func (c *Cluster) healPartition(h *host) {
 // capacity accounting discounts the host, and shed-at-dispatch sheds the
 // requests the stretched service time pushes past their SLA.
 func (c *Cluster) SetHostSlowAt(t float64, hostID int, factor float64) error {
-	if hostID < 0 || hostID >= len(c.hosts) {
-		return fmt.Errorf("cluster: host %d outside fleet of %d", hostID, len(c.hosts))
+	if math.IsNaN(factor) {
+		return fmt.Errorf("cluster: slow-down factor for host %d is NaN", hostID)
 	}
-	c.loop.At(t, func() { c.degradeHost(c.hosts[hostID], factor) })
-	return nil
+	return c.at(t, "host", hostID, len(c.hosts), func() { c.degradeHost(c.hosts[hostID], factor) })
 }
 
 // degradeHost executes the slow-down (or restore at factor <= 1).
@@ -299,29 +268,26 @@ func (c *Cluster) degradeHost(h *host, factor float64) {
 		factor = 1
 	}
 	h.slow = factor
+	detail := fmt.Sprintf("host%d restored to full speed", h.id)
 	if factor > 1 {
-		c.log(h.id, "degrade", fmt.Sprintf("host%d degraded: service times x%.2f", h.id, factor))
-	} else {
-		c.log(h.id, "degrade", fmt.Sprintf("host%d restored to full speed", h.id))
+		detail = fmt.Sprintf("host%d degraded: service times x%.2f", h.id, factor)
 	}
-	c.tel.onDegrade(h.id, factor)
+	c.log(h.id, "degrade", detail, subject{factor: factor})
 }
 
 // FlapHostAt schedules cycles of kill/revive starting at t: the host dies
 // at t + k*period and revives half a period later, for k in [0, cycles).
 // It ends the sequence alive.
 func (c *Cluster) FlapHostAt(t float64, hostID, cycles int, period float64) error {
-	if hostID < 0 || hostID >= len(c.hosts) {
-		return fmt.Errorf("cluster: host %d outside fleet of %d", hostID, len(c.hosts))
-	}
-	if cycles < 1 || period <= 0 {
+	if cycles < 1 || !(period > 0) { // also catches a NaN period
 		return fmt.Errorf("cluster: flap needs cycles >= 1 and period > 0, got %d x %v", cycles, period)
 	}
-	h := c.hosts[hostID]
 	for k := 0; k < cycles; k++ {
 		down := t + float64(k)*period
-		c.loop.At(down, func() { c.killHost(h, "flap") })
-		c.loop.At(down+period/2, func() { c.reviveHost(h, "flap revive") })
+		if err := c.at(down, "host", hostID, len(c.hosts), func() { c.killHost(c.hosts[hostID], "flap") }); err != nil {
+			return err // the first cycle's: later ones are later and on the same host
+		}
+		c.loop.At(down+period/2, func() { c.reviveHost(c.hosts[hostID], "flap revive") })
 	}
 	return nil
 }
@@ -363,26 +329,17 @@ func (c *Cluster) zoneDark() bool {
 // KillZoneAt schedules a correlated failure: every host of the zone dies
 // as one unit (power domain, network spine).
 func (c *Cluster) KillZoneAt(t float64, zone int) error {
-	if zone < 0 || zone >= c.cfg.zones() {
-		return fmt.Errorf("cluster: zone %d outside %d zones", zone, c.cfg.zones())
-	}
-	c.loop.At(t, func() { c.killZone(zone) })
-	return nil
+	return c.at(t, "zone", zone, c.cfg.zones(), func() { c.killZone(zone) })
 }
 
 // ReviveZoneAt schedules the zone's recovery as one unit.
 func (c *Cluster) ReviveZoneAt(t float64, zone int) error {
-	if zone < 0 || zone >= c.cfg.zones() {
-		return fmt.Errorf("cluster: zone %d outside %d zones", zone, c.cfg.zones())
-	}
-	c.loop.At(t, func() { c.reviveZone(zone) })
-	return nil
+	return c.at(t, "zone", zone, c.cfg.zones(), func() { c.reviveZone(zone) })
 }
 
 func (c *Cluster) killZone(zone int) {
 	hosts := c.zoneHosts(zone)
-	c.log(-1, "zone-down", fmt.Sprintf("zone%d dark: %s fail together", zone, hostList(hosts)))
-	c.tel.instant("zone-down", "zone", zone)
+	c.log(-1, "zone-down", fmt.Sprintf("zone%d dark: %s fail together", zone, hostList(hosts)), subject{zone: zone})
 	for _, h := range hosts {
 		c.killHost(h, "zone-down")
 	}
@@ -390,8 +347,7 @@ func (c *Cluster) killZone(zone int) {
 
 func (c *Cluster) reviveZone(zone int) {
 	hosts := c.zoneHosts(zone)
-	c.log(-1, "zone-up", fmt.Sprintf("zone%d recovered: %s rejoin together", zone, hostList(hosts)))
-	c.tel.instant("zone-up", "zone", zone)
+	c.log(-1, "zone-up", fmt.Sprintf("zone%d recovered: %s rejoin together", zone, hostList(hosts)), subject{zone: zone})
 	for _, h := range hosts {
 		c.reviveHost(h, "zone recovered")
 	}
@@ -434,7 +390,7 @@ func (c *Cluster) takeRetryToken(a *app) bool {
 	a.budgetDenyStreak++
 	if a.budgetDenyStreak == 1 {
 		c.log(-1, "retry-budget-exhausted", fmt.Sprintf("%s retry budget empty after %d granted retries: failing fast",
-			a.cfg.Name, a.retries))
+			a.cfg.Name, a.retries), subject{})
 	}
 	return false
 }
@@ -465,7 +421,6 @@ func (c *Cluster) shedRetry(a *app, r request) bool {
 	}
 	r.attempts++
 	a.retries++
-	c.tel.onRetry(a)
 	c.route(a, r)
 	return true
 }
@@ -505,6 +460,18 @@ func (a ChaosAction) String() string {
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// finite reports whether every value is a real number. A NaN passes every
+// range check written as a comparison and then panics the calendar mid-run,
+// so plans reject it (and the infinities) by name.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // ChaosPlan is a replayable failure script. Applied to a cluster before
 // Run, it schedules every action on the discrete-event loop; the same plan
 // on the same (config, seed) replays the identical event log.
@@ -528,6 +495,9 @@ func (p ChaosPlan) String() string {
 // fleet at ApplyChaos time).
 func (p ChaosPlan) Validate() error {
 	for _, a := range p.Actions {
+		if !finite(a.At, a.Until, a.Factor, a.Period) {
+			return fmt.Errorf("cluster: chaos action %s: non-finite number", a)
+		}
 		if a.At < 0 {
 			return fmt.Errorf("cluster: chaos action %s: negative time", a)
 		}

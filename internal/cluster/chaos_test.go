@@ -709,6 +709,83 @@ func TestApplyChaosValidatesFleet(t *testing.T) {
 	}
 }
 
+// TestPlansAndSchedulersReturnErrors: a number that is not a time (NaN), a
+// NaN factor / period / window, or a time already behind the clock is an
+// error from Validate / Apply... / ...At — never a panic out of the calendar,
+// at scheduling time or (the NaN slow-down) halfway through Run.
+func TestPlansAndSchedulersReturnErrors(t *testing.T) {
+	for _, spec := range []string{
+		"slow=6xNaN@0.3", "slow=0x2@NaN", "kill=0@NaN", "revive=0@NaN", "zone-down=0@NaN",
+		"part=0@NaN-0.5", "part=0@0.1-NaN", "flap=0@0.1x2/NaN", "flap=0@NaNx2/0.1", "kill=0@+Inf",
+	} {
+		if p, err := ParseChaosPlan(spec); err == nil {
+			t.Errorf("ParseChaosPlan(%q) accepted %+v", spec, p.Actions)
+		}
+	}
+	for _, spec := range []string{
+		"start=NaN", "start=1,factor=NaN", "start=1,window=NaN", "start=1,canary=NaN",
+		"start=1,drain=NaN", "start=1,shedtol=NaN", "start=1,errtol=NaN", "start=Inf",
+	} {
+		if p, err := ParseRolloutPlan(spec); err == nil {
+			t.Errorf("ParseRolloutPlan(%q) accepted %+v", spec, p)
+		}
+	}
+	// Hand-built plans skip the parser; Validate is the gate Apply runs.
+	if err := (ChaosPlan{Actions: []ChaosAction{{Kind: "slow", Factor: math.NaN(), At: 0.3}}}).Validate(); err == nil {
+		t.Error("ChaosPlan.Validate accepted a NaN factor")
+	}
+	if err := (RolloutPlan{Start: math.NaN()}).Validate(); err == nil {
+		t.Error("RolloutPlan.Validate accepted a NaN start")
+	}
+
+	c, err := New(Config{
+		Hosts: 2, DevicesPerHost: 1, Zones: 2,
+		Router:    LeastLoaded,
+		Apps:      []AppConfig{testApp("APP0", 1000, 1)},
+		Autoscale: AutoscaleConfig{Disabled: true},
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(1)
+	nan, pending := math.NaN(), c.loop.Pending()
+	for name, call := range map[string]func() error{
+		"KillHostAt past":         func() error { return c.KillHostAt(0.5, 0) },
+		"KillHostAt NaN":          func() error { return c.KillHostAt(nan, 0) },
+		"ReviveHostAt past":       func() error { return c.ReviveHostAt(0.5, 0) },
+		"PartitionHostAt past":    func() error { return c.PartitionHostAt(0.5, 2, 0) },
+		"PartitionHostAt NaN end": func() error { return c.PartitionHostAt(1.5, nan, 0) },
+		"SetHostSlowAt past":      func() error { return c.SetHostSlowAt(0.5, 0, 2) },
+		"SetHostSlowAt NaN x":     func() error { return c.SetHostSlowAt(1.5, 0, nan) },
+		"FlapHostAt past":         func() error { return c.FlapHostAt(0.5, 0, 2, 0.1) },
+		"FlapHostAt NaN period":   func() error { return c.FlapHostAt(1.5, 0, 2, nan) },
+		"KillZoneAt past":         func() error { return c.KillZoneAt(0.5, 0) },
+		"ReviveZoneAt NaN":        func() error { return c.ReviveZoneAt(nan, 0) },
+		"CordonHostAt past":       func() error { return c.CordonHostAt(0.5, 0) },
+		"UncordonHostAt NaN":      func() error { return c.UncordonHostAt(nan, 0) },
+		"ApplyChaos past": func() error {
+			return c.ApplyChaos(ChaosPlan{Actions: []ChaosAction{{Kind: "kill", Target: 0, At: 0.5}}})
+		},
+		"ApplyRollout past": func() error { return c.ApplyRollout(RolloutPlan{Start: 0.5}) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: scheduled without error at now=%v", name, c.Now())
+		}
+	}
+	if got := c.loop.Pending(); got != pending {
+		t.Errorf("rejected calls left %d events on the calendar", got-pending)
+	}
+	// The same calls are fine at or after now, and the run goes on.
+	if err := c.KillHostAt(1, 0); err != nil {
+		t.Errorf("KillHostAt(now): %v", err)
+	}
+	if err := c.ApplyRollout(RolloutPlan{Start: 1.2}); err != nil {
+		t.Errorf("ApplyRollout in the future: %v", err)
+	}
+	c.Run(2)
+}
+
 // chaosCluster is the pinned chaos scenario: the golden fleet with two
 // failure domains, retry budgets on, and a plan that exercises every
 // chaos mode — a degraded host, a full zone outage mid-ramp, a partition

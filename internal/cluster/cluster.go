@@ -160,7 +160,10 @@ func (c Config) maxRouteAttempts() int {
 // Event is one entry in the cluster's ordered event log: placements,
 // kills, quarantines, failovers and autoscaler decisions. A run's log is a
 // pure function of (config, seed), and a shorter run's log is a prefix of
-// a longer one's — the replay property the failover tests pin.
+// a longer one's — the replay property the failover tests pin. The log is
+// also the source every instant span derives from: an entry and its span
+// are emitted together by the one function that appends to the log, so a
+// state change cannot be logged without being traced or the reverse.
 type Event struct {
 	// Seq is the global order of the event.
 	Seq uint64
@@ -255,7 +258,8 @@ type replica struct {
 	trig       trigger
 	span       *obs.Span
 
-	routed, completed uint64
+	// Cumulative outcomes at this replica; telemetry sums them per host.
+	routed, completed, shed uint64
 }
 
 // app is one application's cluster-level serving state.
@@ -286,11 +290,12 @@ type app struct {
 	budgetTokens          float64
 	budgetDenyStreak      int
 
-	// Autoscaler window state.
-	winArrivals, winShed int
-	lowTicks             int
-	holdLogged           bool // incident guard announced for this incident
-	decisions            []Decision
+	// Autoscaler state. Its decision window is the difference between the
+	// cumulative counters and their values at its last tick.
+	tickOffered, tickShed uint64
+	lowTicks              int
+	holdLogged            bool // incident guard announced for this incident
+	decisions             []Decision
 
 	// Rollout state: the version scale-ups place, the app's rollout-local
 	// bookkeeping (nil without a rollout), and the one-shot rollout-guard
@@ -460,12 +465,14 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// log appends one event to the ordered log.
-func (c *Cluster) log(hostID int, kind, detail string) {
+// log is the one emission point of a state change: it appends the entry to
+// the ordered log and derives the entry's instant span from it. on carries
+// the typed facts the span needs that the entry only has as prose.
+func (c *Cluster) log(hostID int, kind, detail string, on subject) {
 	c.eventSeq++
-	c.events = append(c.events, Event{
-		Seq: c.eventSeq, Time: c.loop.Now(), Host: hostID, Kind: kind, Detail: detail,
-	})
+	e := Event{Seq: c.eventSeq, Time: c.loop.Now(), Host: hostID, Kind: kind, Detail: detail}
+	c.events = append(c.events, e)
+	c.tel.logSpan(e, on)
 }
 
 // Events returns the full ordered event log.
@@ -505,10 +512,31 @@ func (c *Cluster) Run(until float64) {
 // quarantined, in-flight batches are lost, and queued plus in-flight
 // requests fail over through the router to surviving hosts.
 func (c *Cluster) KillHostAt(t float64, hostID int) error {
-	if hostID < 0 || hostID >= len(c.hosts) {
-		return fmt.Errorf("cluster: host %d outside fleet of %d", hostID, len(c.hosts))
+	return c.at(t, "host", hostID, len(c.hosts), func() { c.killHost(c.hosts[hostID], "host-kill") })
+}
+
+// at is the shared body of every scheduling method: id must name one of the
+// fleet's n hosts or zones and t must pass checkTime, then fn goes on the
+// calendar.
+func (c *Cluster) at(t float64, noun string, id, n int, fn func()) error {
+	if id < 0 || id >= n {
+		return fmt.Errorf("cluster: %s %d outside the fleet's %d %ss", noun, id, n, noun)
 	}
-	c.loop.At(t, func() { c.killHost(c.hosts[hostID], "host-kill") })
+	if err := c.checkTime(t); err != nil {
+		return err
+	}
+	c.loop.At(t, fn)
+	return nil
+}
+
+// checkTime reports whether the calendar accepts t. des.Schedule panics on
+// a NaN or past time — right for a bug in the simulator, wrong for a value
+// that arrived in a plan spec or in a call made after Run — so both are
+// errors here.
+func (c *Cluster) checkTime(t float64) error {
+	if now := c.loop.Now(); !(t >= now) {
+		return fmt.Errorf("cluster: cannot schedule at t=%v: not a time at or after now (%v)", t, now)
+	}
 	return nil
 }
 
@@ -535,7 +563,6 @@ func (ar *arrival) Fire(key uint64) {
 	c := a.c
 	c.scheduleNextArrival(a)
 	a.offered++
-	a.winArrivals++
 	c.earnRetryToken(a)
 	c.route(a, request{arrival: c.loop.Now(), key: key})
 }
@@ -573,7 +600,6 @@ func (c *Cluster) route(a *app, r request) {
 	if !ok {
 		a.routerMiss++
 		a.errors++
-		c.tel.onError(a)
 		return
 	}
 	c.enqueue(a.replicas[id], r)
@@ -615,8 +641,7 @@ func (c *Cluster) enqueue(rep *replica, r request) {
 			return
 		}
 		a.shedQueue++
-		a.winShed++
-		c.tel.onShedQueue(rep)
+		rep.shed++
 		return
 	}
 	rep.routed++
@@ -664,12 +689,11 @@ func (c *Cluster) dispatch(rep *replica, trig trigger) {
 	kept, svc, expired, _ := rep.lane.Take(now, rep)
 	if expired > 0 {
 		a.expired += uint64(expired)
-		a.winShed += expired
+		rep.shed += uint64(expired)
 		if co := a.cohortOf(rep); co != nil {
 			co.shed += uint64(expired)
 		}
 		a.router.AddLoad(rep.id, -int64(expired))
-		c.tel.onExpired(rep, expired)
 	}
 	if len(kept) == 0 {
 		// Nothing queued, or the entire batch was stale; try again with
@@ -746,38 +770,49 @@ func (c *Cluster) killHost(h *host, why string) {
 	} else {
 		c.incidentBegin(why)
 	}
-	c.log(h.id, "kill", fmt.Sprintf("host%d hard-killed", h.id))
-	c.tel.instant("kill", "host", h.id)
+	c.log(h.id, "kill", fmt.Sprintf("host%d hard-killed", h.id), subject{})
+	// Cross-host failover: queued and in-flight requests re-route through
+	// the router to surviving replicas.
+	c.evictHost(h, "host dead", func(rep *replica, orphans []request, inFlight int) {
+		a := rep.app
+		c.log(h.id, "failover-reroute", fmt.Sprintf("%s replica r%d: %d in-flight + %d queued requests re-routed",
+			a.cfg.Name, rep.id, inFlight, len(orphans)-inFlight), subject{})
+		for _, r := range orphans {
+			c.failover(a, r)
+		}
+	})
+}
+
+// evictHost takes every replica on the host out of service — a hard kill
+// and a network partition look the same to the router — and hands each
+// replica's stranded requests (in-flight batch first, then the queue) to
+// strand, which decides what becomes of them. strand is not called for a
+// replica that held none.
+func (c *Cluster) evictHost(h *host, reason string, strand func(rep *replica, orphans []request, inFlight int)) {
 	for _, d := range h.devices {
 		d.busy = false
 		d.waiters = nil
 		for _, rep := range d.replicas {
 			a := rep.app
 			c.tel.onBatchKilled(rep)
-			// Void in-flight completions and fill timers.
+			// Void in-flight completions and fill timers: results computed on
+			// an unreachable host never reach the router.
 			rep.svcGen++
 			rep.fillGen++
 			rep.serving = false
 			rep.pending = false
-			// The health machine: a dead host's replicas go straight to
-			// Quarantined, and the router stops sending them traffic.
+			// The health machine: an unreachable host's replicas go straight
+			// to Quarantined, and the router stops sending them traffic.
 			if rep.state != runtime.Quarantined {
 				rep.state = runtime.Quarantined
 				a.router.SetState(rep.id, runtime.Quarantined)
-				c.log(h.id, "quarantine", fmt.Sprintf("%s replica r%d (host%d/dev%d) healthy -> quarantined: host dead",
-					a.cfg.Name, rep.id, h.id, d.idx))
-				c.tel.onQuarantine(rep)
+				c.log(h.id, "quarantine", fmt.Sprintf("%s replica r%d (host%d/dev%d) healthy -> quarantined: %s",
+					a.cfg.Name, rep.id, h.id, d.idx, reason), subject{rep: rep})
 			}
-			// Cross-host failover: queued and in-flight requests re-route
-			// through the router to surviving replicas.
 			orphans, inFlight := rep.orphan()
 			a.router.AddLoad(rep.id, -int64(len(orphans)))
 			if len(orphans) > 0 {
-				c.log(h.id, "failover-reroute", fmt.Sprintf("%s replica r%d: %d in-flight + %d queued requests re-routed",
-					a.cfg.Name, rep.id, inFlight, len(orphans)-inFlight))
-			}
-			for _, r := range orphans {
-				c.failover(a, r)
+				strand(rep, orphans, inFlight)
 			}
 		}
 	}
@@ -795,25 +830,20 @@ func (c *Cluster) failover(a *app, r request) {
 	r.attempts++
 	if r.attempts > c.cfg.maxRouteAttempts() {
 		a.errors++
-		c.tel.onError(a)
 		return
 	}
 	if c.cfg.Retry.Enabled {
 		if !c.deadlineCovers(a, r) {
 			a.deadlineDrops++
 			a.errors++
-			c.tel.onError(a)
 			return
 		}
 		if !c.takeRetryToken(a) {
 			a.errors++
-			c.tel.onError(a)
 			return
 		}
 		a.retries++
-		c.tel.onRetry(a)
 	}
 	a.failovers++
-	c.tel.onFailover(a)
 	c.route(a, r)
 }

@@ -51,7 +51,7 @@ func (c *Cluster) placeReplica(a *app, version int, canary bool) (*replica, erro
 	if canary {
 		detail += " canary"
 	}
-	c.log(d.host.id, "place", detail)
+	c.log(d.host.id, "place", detail, subject{})
 	return rep, nil
 }
 
@@ -139,7 +139,7 @@ func (c *Cluster) finalizeRemoval(rep *replica) {
 	c.tel.onRetire(rep)
 	delete(a.replicas, rep.id)
 	c.log(d.host.id, "drain", fmt.Sprintf("%s replica r%d removed from host%d/dev%d",
-		a.cfg.Name, rep.id, d.host.id, d.idx))
+		a.cfg.Name, rep.id, d.host.id, d.idx), subject{})
 	if rep.waveDrain {
 		rep.waveDrain = false
 		if ro := c.ro; ro != nil && ro.stage == RolloutWave {

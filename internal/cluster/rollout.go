@@ -201,6 +201,9 @@ func (p RolloutPlan) String() string {
 
 // Validate checks field ranges.
 func (p RolloutPlan) Validate() error {
+	if !finite(p.Start, p.Factor, p.CanaryFrac, p.WindowSeconds, p.DrainSeconds, p.ShedTol, p.ErrTol) {
+		return fmt.Errorf("cluster: rollout plan %s: non-finite number", p)
+	}
 	if p.Start <= 0 {
 		return fmt.Errorf("cluster: rollout plan needs start > 0, got %v", p.Start)
 	}
@@ -332,6 +335,9 @@ func (c *Cluster) ApplyRollout(p RolloutPlan) error {
 	if c.ro != nil {
 		return fmt.Errorf("cluster: a rollout is already applied")
 	}
+	if err := c.checkTime(p.Start); err != nil {
+		return err
+	}
 	c.ro = &rolloutState{plan: p, splitKeys: uint64(p.canaryFrac()*1024 + 0.5)}
 	c.loop.At(p.Start, c.rolloutBegin)
 	return nil
@@ -360,31 +366,21 @@ func (c *Cluster) rolloutActive() bool {
 	return c.ro != nil && (c.ro.stage == RolloutCanary || c.ro.stage == RolloutWave || c.ro.stage == RolloutHold)
 }
 
-// rolloutLog records a rollout event in the cluster log and telemetry.
-func (c *Cluster) rolloutLog(kind, detail string) {
-	c.log(-1, kind, detail)
-	c.tel.onRolloutEvent(kind, detail)
-}
+// rolloutLog records a rollout controller transition: a cluster-level
+// entry whose span needs nothing beyond its kind and detail.
+func (c *Cluster) rolloutLog(kind, detail string) { c.log(-1, kind, detail, subject{}) }
 
 // ---- cordon ----
 
 // CordonHostAt schedules a cordon: the host keeps serving but placement
 // skips it.
 func (c *Cluster) CordonHostAt(t float64, hostID int) error {
-	if hostID < 0 || hostID >= len(c.hosts) {
-		return fmt.Errorf("cluster: host %d outside fleet of %d", hostID, len(c.hosts))
-	}
-	c.loop.At(t, func() { c.cordon(c.hosts[hostID]) })
-	return nil
+	return c.at(t, "host", hostID, len(c.hosts), func() { c.cordon(c.hosts[hostID]) })
 }
 
 // UncordonHostAt schedules the cordon's removal.
 func (c *Cluster) UncordonHostAt(t float64, hostID int) error {
-	if hostID < 0 || hostID >= len(c.hosts) {
-		return fmt.Errorf("cluster: host %d outside fleet of %d", hostID, len(c.hosts))
-	}
-	c.loop.At(t, func() { c.uncordon(c.hosts[hostID]) })
-	return nil
+	return c.at(t, "host", hostID, len(c.hosts), func() { c.uncordon(c.hosts[hostID]) })
 }
 
 func (c *Cluster) cordon(h *host) {
@@ -392,8 +388,7 @@ func (c *Cluster) cordon(h *host) {
 		return
 	}
 	h.cordoned = true
-	c.log(h.id, "cordon", fmt.Sprintf("host%d cordoned: placement skips it, residents keep serving", h.id))
-	c.tel.instant("cordon", "host", h.id)
+	c.log(h.id, "cordon", fmt.Sprintf("host%d cordoned: placement skips it, residents keep serving", h.id), subject{})
 }
 
 func (c *Cluster) uncordon(h *host) {
@@ -401,8 +396,7 @@ func (c *Cluster) uncordon(h *host) {
 		return
 	}
 	h.cordoned = false
-	c.log(h.id, "uncordon", fmt.Sprintf("host%d uncordoned: placement resumes", h.id))
-	c.tel.instant("uncordon", "host", h.id)
+	c.log(h.id, "uncordon", fmt.Sprintf("host%d uncordoned: placement resumes", h.id), subject{})
 }
 
 // cordonedHosts counts hosts currently cordoned.
@@ -435,7 +429,7 @@ func (c *Cluster) drainReplica(rep *replica, deadline float64) {
 		return
 	}
 	c.log(rep.dev.host.id, "drain-begin", fmt.Sprintf("%s replica r%d: graceful drain of %d queued + %d in flight, deadline %.1f ms",
-		a.cfg.Name, rep.id, rep.lane.Len(), len(rep.inFlight), deadline*1e3))
+		a.cfg.Name, rep.id, rep.lane.Len(), len(rep.inFlight), deadline*1e3), subject{})
 	c.maybeDispatch(rep)
 	c.loop.After(deadline, func() { c.drainExpire(rep) })
 }
@@ -460,7 +454,7 @@ func (c *Cluster) drainExpire(rep *replica) {
 	rep.pending = false
 	if len(orphans) > 0 {
 		c.log(rep.dev.host.id, "drain-deadline", fmt.Sprintf("%s replica r%d: deadline hit, %d in-flight + %d queued requests fail over",
-			a.cfg.Name, rep.id, inFlight, len(orphans)-inFlight))
+			a.cfg.Name, rep.id, inFlight, len(orphans)-inFlight), subject{})
 	}
 	c.finalizeRemoval(rep)
 	for _, r := range orphans {
@@ -825,7 +819,7 @@ func (c *Cluster) rollback(reason string) {
 		placed := 0
 		for i := liveV1; i < aro.baseline; i++ {
 			if _, err := c.placeReplica(a, 1, false); err != nil {
-				c.log(-1, "rollback", fmt.Sprintf("%s: v1 re-placement blocked: %v", a.cfg.Name, err))
+				c.rolloutLog("rollback", fmt.Sprintf("%s: v1 re-placement blocked: %v", a.cfg.Name, err))
 				break
 			}
 			placed++

@@ -258,6 +258,12 @@ func TestDrainDeadlineFailsOver(t *testing.T) {
 // at moderate load, autoscaler frozen so replica motion is the rollout's.
 func rolloutCluster(t *testing.T, plan RolloutPlan, zones int) *Cluster {
 	t.Helper()
+	return rolloutClusterWith(t, plan, zones, nil)
+}
+
+// rolloutClusterWith is the same scenario with observability attached.
+func rolloutClusterWith(t *testing.T, plan RolloutPlan, zones int, tel *Telemetry) *Cluster {
+	t.Helper()
 	c, err := New(Config{
 		Hosts: 4, DevicesPerHost: 2,
 		Router: BoundedHash,
@@ -269,6 +275,7 @@ func rolloutCluster(t *testing.T, plan RolloutPlan, zones int) *Cluster {
 		Seed:      9,
 		Autoscale: AutoscaleConfig{Disabled: true},
 		Retry:     RetryConfig{Enabled: true},
+		Telemetry: tel,
 	})
 	if err != nil {
 		t.Fatal(err)

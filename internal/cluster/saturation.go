@@ -247,12 +247,8 @@ func (c *Cluster) SaturationReport() (*SaturationReport, error) {
 	}
 	sort.Slice(r.Apps, func(i, j int) bool { return r.Apps[i].Name < r.Apps[j].Name })
 	for h, hm := range f.hosts {
-		util := 0.0
-		if f.elapsed > 0 && f.devicesPerHost > 0 {
-			util = hm.busySeconds / (f.elapsed * float64(f.devicesPerHost))
-		}
 		r.HostUtils = append(r.HostUtils, HostUtilization{
-			Host: h, Alive: c.hosts[h].alive, BusySeconds: hm.busySeconds, Utilization: util,
+			Host: h, Alive: c.hosts[h].alive, BusySeconds: hm.busySeconds, Utilization: f.utilization(hm),
 		})
 	}
 	return r, nil

@@ -28,7 +28,10 @@ func specRoundTrip[P fmt.Stringer](parse func(string) (P, error), spec string) e
 
 // FuzzPlanSpecs runs every spec through the three plan parsers that share
 // fault.SpecTerms. Seeds: the specs in bench/fleet_ops.go, the README and
-// the golden chaos scenario, plus the malformed shapes the tokenizer sorts.
+// the golden chaos scenario, plus the malformed shapes the tokenizer sorts
+// and the NaN / Inf spellings strconv accepts. A cluster plan that parses
+// must hold only finite numbers: a NaN slips past every range comparison
+// and panics the calendar mid-run.
 func FuzzPlanSpecs(f *testing.F) {
 	for _, seed := range []string{
 		"seed=7,rate=0.02,corrupt=0.01,slow=0.05,slowx=8,dead=0+2",
@@ -39,6 +42,7 @@ func FuzzPlanSpecs(f *testing.F) {
 		"start=0.2,factor=4,canary=0.1,windows=2,window=0.05,wave=2,drain=0.05",
 		"start=0.5,shedtol=0.02,errtol=0.01",
 		"", " , ,", "kill", "kill=", "=1", "a=b=c", "start=1,,wave", "seed=1, rate = 0.5 ,",
+		"slow=6xNaN@0.3", "kill=0@nan", "part=0@NaN-0.5", "flap=0@0.1x2/+Inf", "start=NaN", "start=1,window=inf",
 	} {
 		f.Add(seed)
 	}
@@ -55,6 +59,17 @@ func FuzzPlanSpecs(f *testing.F) {
 			if err := p.roundTrip(spec); err != nil {
 				t.Errorf("%s: %v", p.name, err)
 			}
+		}
+		if p, err := ParseChaosPlan(spec); err == nil {
+			for _, a := range p.Actions {
+				if !finite(a.At, a.Until, a.Factor, a.Period) {
+					t.Errorf("ParseChaosPlan(%q) accepted a non-finite number in %s", spec, a)
+				}
+			}
+		}
+		if p, err := ParseRolloutPlan(spec); err == nil &&
+			!finite(p.Start, p.Factor, p.CanaryFrac, p.WindowSeconds, p.DrainSeconds, p.ShedTol, p.ErrTol) {
+			t.Errorf("ParseRolloutPlan(%q) accepted a non-finite number: %s", spec, p)
 		}
 	})
 }

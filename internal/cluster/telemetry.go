@@ -4,8 +4,9 @@
 //
 //   - Spans: every dispatched batch is a span on its device's track inside
 //     its host's Chrome-trace process group, sampled completed requests are
-//     spans on the app's track, and host kills, quarantines and autoscaler
-//     decisions are instant spans on cluster-level tracks. The obs.Tracer's
+//     spans on the app's track, and the state changes the event log records
+//     — host kills, quarantines, rollout steps, autoscaler decisions — are
+//     instant spans on cluster-level tracks. The obs.Tracer's
 //     clock is rerouted through the des loop, so an exported trace shows
 //     the whole ramp — kill, failover storm, scale-ups — on one timeline
 //     Perfetto can load.
@@ -22,6 +23,28 @@
 //     drain), fill wait or queue wait (the time between final enqueue and
 //     dispatch, attributed by what triggered the dispatch), and service
 //     time.
+//
+// The simulator keeps the only set of books. Who owns which number:
+//
+//	simulator's, sampled at the     offered, completed, shed (queue-full + expired),
+//	window tick and at the end of   failovers, errors, retries, budget denials,
+//	Run (FleetMetrics.sample)       autoscaler actions (the Decision ledger), per-host
+//	                                routed / completed / shed (replica counters; onRetire
+//	                                folds a departing replica's), queue depth, live
+//	                                replicas, zone and rollout gauges
+//	simulator's, derived from the   every instant span
+//	log entry as Cluster.log
+//	appends it (logSpan)
+//	registry's, pushed by           latency-component histograms, busy seconds, batch
+//	onDispatch / onComplete /       sizes, dispatch triggers, batch and request spans
+//	onBatchKilled
+//
+// A closed Window is the difference between two ticks' samples, so the
+// request path never takes the registry lock to count. The price is
+// staleness, not error: a scrape from another goroutine in the middle of
+// Run reads every sampled counter as of the last sampler tick
+// (tpucluster_virtual_seconds says when) while the pushed histograms run up
+// to one window ahead; when Run returns the two agree exactly.
 //
 // Telemetry is strictly opt-in and passive: with Config.Telemetry nil the
 // simulator schedules no extra events, allocates nothing, and replays
@@ -130,17 +153,13 @@ func (t trigger) String() string {
 
 // ---- hooks called from the simulator hot path ----
 //
-// Every hook is nil-safe and does nothing when the relevant sink is nil,
-// so instrumented call sites need no guards and the telemetry-off path
+// Only what the simulator does not keep itself is pushed (see the owner
+// table above): the latency components, busy time and spans of a dispatched
+// batch. Every hook is nil-safe and does nothing when the relevant sink is
+// nil, so instrumented call sites need no guards and the telemetry-off path
 // stays allocation-free (pinned by TestTelemetryDisabledAllocs).
 
-// Arrivals and admissions have no hooks at all: the simulator already
-// counts them (app.offered, replica.routed), so the sampler tick reads
-// those sim-owned counters instead of paying a mutex round trip on every
-// request — the classic pull-at-interval design that keeps the hot path's
-// telemetry cost at zero for the two highest-frequency events.
-
-// onRetire folds a departing replica's cumulative routed count into the
+// onRetire folds a departing replica's cumulative counters into the
 // registry before placement forgets the replica, so tick-time sampling
 // (which sums over live replicas) stays exact across scale-downs.
 func (t *Telemetry) onRetire(rep *replica) {
@@ -149,72 +168,7 @@ func (t *Telemetry) onRetire(rep *replica) {
 	}
 	f := t.Metrics
 	f.mu.Lock()
-	f.apps[rep.app.idx].baseRouted[rep.dev.host.id] += rep.routed
-	f.mu.Unlock()
-}
-
-// onShedQueue records an admission shed (queue full) at a replica.
-func (t *Telemetry) onShedQueue(rep *replica) {
-	if t == nil || t.Metrics == nil {
-		return
-	}
-	f := t.Metrics
-	f.mu.Lock()
-	am := f.apps[rep.app.idx]
-	am.shedQueue++
-	am.win.shed++
-	am.perHost[rep.dev.host.id].Shed++
-	f.mu.Unlock()
-}
-
-// onExpired records n requests shed at dispatch (deadline unmeetable).
-func (t *Telemetry) onExpired(rep *replica, n int) {
-	if t == nil || t.Metrics == nil || n == 0 {
-		return
-	}
-	f := t.Metrics
-	f.mu.Lock()
-	am := f.apps[rep.app.idx]
-	am.expired += uint64(n)
-	am.win.shed += uint64(n)
-	am.perHost[rep.dev.host.id].Shed += uint64(n)
-	f.mu.Unlock()
-}
-
-// onFailover records one failover re-route.
-func (t *Telemetry) onFailover(a *app) {
-	if t == nil || t.Metrics == nil {
-		return
-	}
-	f := t.Metrics
-	f.mu.Lock()
-	f.apps[a.idx].failovers++
-	f.mu.Unlock()
-}
-
-// onRetry records one granted retry (failover re-route or admission-shed
-// retry) against the app's retries_total counter.
-func (t *Telemetry) onRetry(a *app) {
-	if t == nil || t.Metrics == nil {
-		return
-	}
-	f := t.Metrics
-	f.mu.Lock()
-	f.apps[a.idx].retries++
-	f.mu.Unlock()
-}
-
-// onError records one client-visible error (router miss or failover
-// exhaustion).
-func (t *Telemetry) onError(a *app) {
-	if t == nil || t.Metrics == nil {
-		return
-	}
-	f := t.Metrics
-	f.mu.Lock()
-	am := f.apps[a.idx]
-	am.errors++
-	am.win.errors++
+	f.apps[rep.app.idx].retired[rep.dev.host.id].add(rep)
 	f.mu.Unlock()
 }
 
@@ -254,9 +208,9 @@ func (t *Telemetry) onDispatch(rep *replica, n int, trig trigger) {
 	}
 }
 
-// onComplete retires a served batch: component histograms, per-host
-// rollups, busy-time integration, the batch span, and sampled request
-// spans. Called before the replica's dispatch state is reset.
+// onComplete retires a served batch: component histograms, busy-time
+// integration, the batch span, and sampled request spans. Called before the
+// replica's dispatch state is reset.
 func (t *Telemetry) onComplete(rep *replica, batch []request, done float64) {
 	if t == nil {
 		return
@@ -268,9 +222,6 @@ func (t *Telemetry) onComplete(rep *replica, batch []request, done float64) {
 	if f := t.Metrics; f != nil {
 		f.mu.Lock()
 		am := f.apps[a.idx]
-		am.completed += uint64(len(batch))
-		am.win.completed += uint64(len(batch))
-		am.perHost[hostID].Completed += uint64(len(batch))
 		am.busySeconds += svcSeconds
 		f.hosts[hostID].busySeconds += svcSeconds
 		// One bucket computation for the batch's shared service time; the
@@ -287,7 +238,7 @@ func (t *Telemetry) onComplete(rep *replica, batch []request, done float64) {
 			if fo := r.enq - r.arrival; fo > 0 {
 				am.failoverDelay.Observe(fo)
 			}
-			am.win.lat.Observe(done - r.arrival)
+			am.winLat.Observe(done - r.arrival)
 		}
 		f.mu.Unlock()
 	}
@@ -331,20 +282,56 @@ func (t *Telemetry) onBatchKilled(rep *replica) {
 	rep.span = nil
 }
 
-// instant marks a fleet lifecycle event — kind is the event-log kind
-// logged on the line above each call ("kill", "zone-down", "cordon", ...),
-// noun and id name what it happened to ("host" 3, "zone" 0) — as an instant
-// span on the cluster's hosts track. A kill or revive also lands on the
-// host's own lifecycle track.
-func (t *Telemetry) instant(kind, noun string, id int) {
+// subject carries what an event's instant span needs beyond the log
+// entry's Host, Kind and Detail. It travels typed beside the entry so the
+// derivation never parses the prose.
+type subject struct {
+	zone     int      // zone-down, zone-up
+	rep      *replica // quarantine
+	factor   float64  // degrade
+	decision Decision // scale-up, scale-down, scale-blocked, scale-hold
+}
+
+// logSpan derives the instant span of the event-log entry Cluster.log just
+// appended: lifecycle and chaos events on the cluster's hosts track (a kill
+// or revive also on the host's own lifecycle track), a quarantine on its
+// device's track, rollout steps and autoscaler decisions on tracks of their
+// own. Kinds without a case (place, readmit, failover-reroute, blackhole,
+// retry-budget-exhausted, drain*) are log-only.
+func (t *Telemetry) logSpan(e Event, on subject) {
 	if t == nil || t.Tracer == nil {
 		return
 	}
-	_, sp := t.Tracer.StartRoot(context.Background(), kind+" "+noun+strconv.Itoa(id), "hosts")
-	sp.SetProc("cluster")
+	name, track, proc := "", "hosts", "cluster"
+	var attrs []obs.Attr
+	switch e.Kind {
+	case "kill", "revive", "partition", "partition-heal", "cordon", "uncordon":
+		name = e.Kind + " host" + strconv.Itoa(e.Host)
+	case "zone-down", "zone-up":
+		name = e.Kind + " zone" + strconv.Itoa(on.zone)
+	case "degrade":
+		name = "degrade host" + strconv.Itoa(e.Host)
+		attrs = []obs.Attr{obs.Float("factor", on.factor)}
+	case "quarantine":
+		name = "quarantine " + on.rep.app.cfg.Name + " r" + strconv.Itoa(on.rep.id)
+		track, proc = t.devTrack[on.rep.dev.idx], t.hostProc[e.Host]
+	case "scale-up", "scale-down", "scale-blocked", "scale-hold":
+		d := on.decision
+		name = fmt.Sprintf("%s %s %d->%d", d.Action, d.App, d.From, d.To)
+		track = "autoscaler"
+		attrs = []obs.Attr{obs.String("reason", d.Reason)}
+	case "rollout", "canary", "canary-verdict", "promote", "wave", "wave-hold",
+		"wave-resume", "rollback", "rollout-done":
+		name, track = e.Kind, "rollout"
+		attrs = []obs.Attr{obs.String("detail", e.Detail)}
+	default:
+		return
+	}
+	_, sp := t.Tracer.StartRoot(context.Background(), name, track, attrs...)
+	sp.SetProc(proc)
 	sp.End()
 	var past string
-	switch kind {
+	switch e.Kind {
 	case "kill":
 		past = "killed"
 	case "revive":
@@ -353,79 +340,14 @@ func (t *Telemetry) instant(kind, noun string, id int) {
 		return
 	}
 	_, hsp := t.Tracer.StartRoot(context.Background(), past, "lifecycle")
-	hsp.SetProc("host" + strconv.Itoa(id))
+	hsp.SetProc(t.hostProc[e.Host])
 	hsp.End()
 }
 
-// onDegrade marks a host service-time degradation (or restore) as an
-// instant span.
-func (t *Telemetry) onDegrade(hostID int, factor float64) {
-	if t == nil || t.Tracer == nil {
-		return
-	}
-	_, sp := t.Tracer.StartRoot(context.Background(), "degrade host"+strconv.Itoa(hostID), "hosts",
-		obs.Float("factor", factor))
-	sp.SetProc("cluster")
-	sp.End()
-}
-
-// onRolloutEvent marks a rollout controller transition (canary verdicts,
-// waves, promotions, rollbacks) as an instant span on its own track.
-func (t *Telemetry) onRolloutEvent(kind, detail string) {
-	if t == nil || t.Tracer == nil {
-		return
-	}
-	_, sp := t.Tracer.StartRoot(context.Background(), kind, "rollout", obs.String("detail", detail))
-	sp.SetProc("cluster")
-	sp.End()
-}
-
-// onQuarantine marks a replica quarantine as an instant span on its
-// device's track.
-func (t *Telemetry) onQuarantine(rep *replica) {
-	if t == nil || t.Tracer == nil {
-		return
-	}
-	_, sp := t.Tracer.StartRoot(context.Background(),
-		"quarantine "+rep.app.cfg.Name+" r"+strconv.Itoa(rep.id),
-		"dev"+strconv.Itoa(rep.dev.idx))
-	sp.SetProc("host" + strconv.Itoa(rep.dev.host.id))
-	sp.End()
-}
-
-// onDecision records an autoscaler action: a counter by action and an
-// instant span on the cluster autoscaler track.
-func (t *Telemetry) onDecision(a *app, d Decision) {
-	if t == nil {
-		return
-	}
-	if f := t.Metrics; f != nil {
-		f.mu.Lock()
-		am := f.apps[a.idx]
-		switch d.Action {
-		case "scale-up":
-			am.scaleUps++
-		case "scale-down":
-			am.scaleDowns++
-		case "scale-blocked":
-			am.scaleBlocked++
-		case "scale-hold":
-			am.scaleHolds++
-		}
-		f.mu.Unlock()
-	}
-	if t.Tracer != nil {
-		_, sp := t.Tracer.StartRoot(context.Background(),
-			fmt.Sprintf("%s %s %d->%d", d.Action, d.App, d.From, d.To), "autoscaler",
-			obs.String("reason", d.Reason))
-		sp.SetProc("cluster")
-		sp.End()
-	}
-}
-
 // telemetryTick is the window sampler, scheduled on the des loop every
-// FleetMetrics window: it samples queue-depth gauges, integrates live
-// replica capacity, and rolls each app's window accumulator into the
+// FleetMetrics window: it samples the simulator's counters and queue-depth
+// gauges, integrates live replica capacity, and closes each app's window —
+// the difference between this tick's counters and the last one's — into the
 // deterministic time series the saturation analyzer reads. It only reads
 // simulator state, so enabling it perturbs no arrival, dispatch or
 // autoscaler decision.
@@ -437,60 +359,74 @@ func (c *Cluster) telemetryTick() {
 	for i, a := range c.apps {
 		am := f.apps[i]
 		f.sample(a, am)
-		live := a.liveReplicas()
-		am.liveReplicas = live
-		am.replicaSeconds += float64(live) * f.window
+		am.replicaSeconds += float64(am.liveReplicas) * f.window
+		cur := am.counts()
 		am.windows = append(am.windows, Window{
 			Start:     now - f.window,
 			End:       now,
-			Offered:   am.offered - am.lastOffered,
-			Completed: am.win.completed,
-			Shed:      am.win.shed,
-			Errors:    am.win.errors,
-			P99:       am.win.lat.Quantile(0.99),
-			Replicas:  live,
+			Offered:   cur.offered - am.closed.offered,
+			Completed: cur.completed - am.closed.completed,
+			Shed:      cur.shed - am.closed.shed,
+			Errors:    cur.errors - am.closed.errors,
+			P99:       am.winLat.Quantile(0.99),
+			Replicas:  am.liveReplicas,
 		})
-		am.lastOffered = am.offered
-		am.total.Merge(&am.win.lat)
-		am.win = winAccum{}
+		am.closed = cur
+		am.total.Merge(&am.winLat)
+		am.winLat = obs.Histogram{}
 	}
-	f.sampleZones(c)
-	f.sampleRollout(c)
+	f.sampleFleet(c)
 	f.mu.Unlock()
 }
 
-// sampleZones refreshes the per-zone up/dark gauges from the simulator's
-// alive counts. Caller holds f.mu on the simulator goroutine.
-func (f *FleetMetrics) sampleZones(c *Cluster) {
+// sampleFleet refreshes the per-zone up/dark gauges from the simulator's
+// alive counts and the change-management gauges from the rollout
+// controller. Caller holds f.mu on the simulator goroutine.
+func (f *FleetMetrics) sampleFleet(c *Cluster) {
 	for z := range f.zoneUp {
 		f.zoneUp[z] = c.zoneAlive[z] > 0
 	}
-}
-
-// sampleRollout refreshes the change-management gauges from the rollout
-// controller. Caller holds f.mu on the simulator goroutine.
-func (f *FleetMetrics) sampleRollout(c *Cluster) {
 	f.rolloutStage = int(c.RolloutStage())
 	f.rollbacks = c.Rollbacks()
 	f.cordonedHosts = c.cordonedHosts()
 }
 
-// sample pulls one app's simulator-owned counters into the registry:
-// total arrivals, per-host routed traffic (retired replicas' counts live
-// in baseRouted), and queue depth. Caller holds f.mu and runs on the
-// simulator goroutine, so reading sim state here is race-free.
+// sample pulls one app's simulator-owned counters into the registry: the
+// request-outcome totals, the autoscaler actions its Decision ledger gained
+// since the last sample, per-host traffic (live replicas' counters on top
+// of the retired replicas' folded ones), queue depth and live replicas.
+// Caller holds f.mu and runs on the simulator goroutine, so reading sim
+// state here is race-free.
 func (f *FleetMetrics) sample(a *app, am *appMetrics) {
 	am.offered = a.offered
+	am.completed = a.completed
+	am.shedQueue = a.shedQueue
+	am.expired = a.expired
+	am.failovers = a.failovers
+	am.errors = a.errors
+	am.retries = a.retries
 	am.budgetDenied = a.budgetDenied
-	for h := range am.perHost {
-		am.perHost[h].Routed = am.baseRouted[h]
+	for _, d := range a.decisions[am.decisionsSeen:] {
+		switch d.Action {
+		case "scale-up":
+			am.scaleUps++
+		case "scale-down":
+			am.scaleDowns++
+		case "scale-blocked":
+			am.scaleBlocked++
+		case "scale-hold":
+			am.scaleHolds++
+		}
 	}
+	am.decisionsSeen = len(a.decisions)
+	copy(am.perHost, am.retired)
 	depth := 0
 	for _, rep := range a.replicas {
-		am.perHost[rep.dev.host.id].Routed += rep.routed
+		am.perHost[rep.dev.host.id].add(rep)
 		depth += rep.lane.Len()
 	}
 	am.queueDepth = depth
+	am.liveReplicas = a.liveReplicas()
 }
 
 // telemetryFlush runs once at the end of Run: a final cumulative sample
@@ -501,12 +437,9 @@ func (c *Cluster) telemetryFlush() {
 	f.mu.Lock()
 	f.elapsed = c.loop.Now()
 	for i, a := range c.apps {
-		am := f.apps[i]
-		f.sample(a, am)
-		am.liveReplicas = a.liveReplicas()
+		f.sample(a, f.apps[i])
 	}
-	f.sampleZones(c)
-	f.sampleRollout(c)
+	f.sampleFleet(c)
 	f.mu.Unlock()
 }
 
@@ -534,37 +467,51 @@ type cell struct {
 	Shed uint64
 }
 
-// winAccum accumulates the open window (arrivals are sampled from the
-// simulator's own counter at tick time, not accumulated here).
-type winAccum struct {
-	completed, shed, errors uint64
-	lat                     obs.Histogram
+// add accumulates one replica's cumulative counters into its host's cell.
+func (cl *cell) add(rep *replica) {
+	cl.Routed += rep.routed
+	cl.Completed += rep.completed
+	cl.Shed += rep.shed
 }
 
 // appMetrics is one app's fleet-level counters.
 type appMetrics struct {
-	name                                           string
-	offered, lastOffered, completed                uint64
+	name string
+	// Sampled from the simulator (see sample); exact as of the last tick.
+	offered, completed                             uint64
 	shedQueue, expired                             uint64
 	failovers, errors                              uint64
 	retries, budgetDenied                          uint64
 	scaleUps, scaleDowns, scaleBlocked, scaleHolds uint64
-	batches, batched                               uint64
-	trig                                           [numTriggers]uint64
+	decisionsSeen                                  int // of the app's Decision ledger
 	queueDepth, liveReplicas                       int
-	replicaSeconds                                 float64
-	busySeconds                                    float64
+	// Pushed by onDispatch / onComplete.
+	batches, batched uint64
+	trig             [numTriggers]uint64
+	replicaSeconds   float64
+	busySeconds      float64
 
-	// Latency decomposition of completed requests, seconds.
-	queueWait, fillWait, service, failoverDelay, total obs.Histogram
+	// Latency decomposition of completed requests, seconds. total holds the
+	// closed windows' end-to-end latencies, winLat the open window's.
+	queueWait, fillWait, service, failoverDelay, total, winLat obs.Histogram
 
-	// baseRouted holds per-host routed counts folded in from retired
-	// replicas; sample() adds the live replicas' counters on top.
-	baseRouted []uint64
-
+	// retired holds the per-host counters folded in from retired replicas;
+	// sample() adds the live replicas' counters on top to make perHost.
+	retired []cell
 	perHost []cell
-	win     winAccum
+
+	// closed is the cumulative counts as of the last closed window; the
+	// next window is the difference from them.
+	closed  windowCounts
 	windows []Window
+}
+
+// windowCounts is the cumulative form of a Window's four counts.
+type windowCounts struct{ offered, completed, shed, errors uint64 }
+
+// counts returns the sampled cumulative counters a window differences.
+func (am *appMetrics) counts() windowCounts {
+	return windowCounts{am.offered, am.completed, am.shedQueue + am.expired, am.errors}
 }
 
 // totalLat is the cumulative end-to-end latency histogram including the
@@ -572,7 +519,7 @@ type appMetrics struct {
 // Returns a copy; the caller holds the registry lock.
 func (am *appMetrics) totalLat() obs.Histogram {
 	t := am.total
-	t.Merge(&am.win.lat)
+	t.Merge(&am.winLat)
 	return t
 }
 
@@ -635,7 +582,7 @@ func (f *FleetMetrics) register(hosts, devicesPerHost, zones int, appNames []str
 	f.apps = make([]*appMetrics, len(appNames))
 	f.byName = make(map[string]*appMetrics, len(appNames))
 	for i, name := range appNames {
-		am := &appMetrics{name: name, perHost: make([]cell, hosts), baseRouted: make([]uint64, hosts)}
+		am := &appMetrics{name: name, perHost: make([]cell, hosts), retired: make([]cell, hosts)}
 		f.apps[i] = am
 		f.byName[name] = am
 	}

@@ -39,10 +39,10 @@ func telemeteredCluster(t *testing.T) (*Cluster, *Telemetry) {
 }
 
 // TestTelemetryDisabledAllocs pins the telemetry-off contract: every hook
-// on a nil *Telemetry is a branch, not an allocation. This is the cluster
-// twin of the obs package's disabled-path test — the hot loop calls these
-// unconditionally, so a single allocation here would multiply by millions
-// of events in BenchmarkClusterSim.
+// on a nil *Telemetry is a branch, not an allocation — the pushed hooks the
+// hot loop calls unconditionally, and the span derivation Cluster.log runs
+// on every entry. A single allocation here would multiply by millions of
+// events in BenchmarkClusterSim.
 func TestTelemetryDisabledAllocs(t *testing.T) {
 	c := goldenCluster(t)
 	c.Run(0.5)
@@ -56,20 +56,15 @@ func TestTelemetryDisabledAllocs(t *testing.T) {
 	batch := []request{{arrival: 0.1, enq: 0.1}}
 	allocs := testing.AllocsPerRun(1000, func() {
 		tel.onRetire(rep)
-		tel.onShedQueue(rep)
-		tel.onExpired(rep, 1)
-		tel.onFailover(a)
-		tel.onError(a)
 		tel.onDispatch(rep, 1, trigBatchFull)
 		tel.onComplete(rep, batch, 0.2)
 		tel.onBatchKilled(rep)
-		tel.instant("kill", "host", 0)
-		tel.onQuarantine(rep)
-		tel.onDecision(a, Decision{})
-		tel.onRetry(a)
-		tel.instant("zone-down", "zone", 0)
-		tel.onDegrade(0, 2.0)
-		tel.onRolloutEvent("rollout", "x")
+		tel.logSpan(Event{Host: 0, Kind: "kill"}, subject{})
+		tel.logSpan(Event{Host: -1, Kind: "zone-down"}, subject{zone: 0})
+		tel.logSpan(Event{Host: 0, Kind: "quarantine"}, subject{rep: rep})
+		tel.logSpan(Event{Host: 0, Kind: "degrade"}, subject{factor: 2})
+		tel.logSpan(Event{Host: -1, Kind: "scale-up"}, subject{decision: Decision{App: "MLP"}})
+		tel.logSpan(Event{Host: -1, Kind: "rollout", Detail: "x"}, subject{})
 	})
 	if allocs != 0 {
 		t.Errorf("disabled telemetry hooks allocate %v objects per pass, want 0", allocs)
@@ -98,54 +93,123 @@ func TestTelemetryPassive(t *testing.T) {
 	}
 }
 
-// TestFleetMetricsAccounting checks the registry against the simulator's
-// own cumulative counters: offered/completed/shed must agree exactly, and
-// the per-host rollup must sum to the app totals.
+// TestFleetMetricsAccounting checks that the registry keeps no books of its
+// own: after every Run segment of the golden (autoscaler scale-down), chaos
+// (zone kill, partition, flap, retries) and rollout (wave drains) scenarios,
+// every sampled counter equals the simulator's, the per-host cells sum to
+// the app totals — including the replicas retired along the way — and the
+// closed windows plus the open remainder add up to the cumulative counts.
 func TestFleetMetricsAccounting(t *testing.T) {
-	c, tel := telemeteredCluster(t)
-	c.Run(6)
-	f := tel.Metrics
+	fixtures := []struct {
+		name     string
+		build    func(*testing.T, *Telemetry) *Cluster
+		segments []float64
+	}{
+		{"golden", goldenClusterWith, []float64{1, 3.3, 5.2, 6}},
+		{"chaos", chaosCluster, []float64{1.9, 2.6, 4.6, 6}},
+		{"rollout", func(t *testing.T, tel *Telemetry) *Cluster {
+			return rolloutClusterWith(t, goodPlan(), 0, tel)
+		}, []float64{0.55, 0.8, 1.4, 3}},
+	}
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			tel := telemetry()
+			c := fx.build(t, tel)
+			for _, until := range fx.segments {
+				c.Run(until)
+				checkOneSetOfBooks(t, c, tel.Metrics)
+			}
+			// Every scenario retires replicas (scale-downs, wave drains), so
+			// each must have exercised the retire fold.
+			var retired uint64
+			for _, am := range tel.Metrics.apps {
+				for _, cl := range am.retired {
+					retired += cl.Routed
+				}
+			}
+			if retired == 0 {
+				t.Error("no replica retired: the retire fold went unexercised")
+			}
+			if got := tel.Metrics.Windows(c.apps[0].cfg.Name); len(got) == 0 {
+				t.Error("no closed windows on a 50 ms sampler")
+			}
+		})
+	}
+}
+
+// checkOneSetOfBooks compares the registry with the simulator's own
+// counters at the end of a Run segment.
+func checkOneSetOfBooks(t *testing.T, c *Cluster, f *FleetMetrics) {
+	t.Helper()
 	for i, a := range c.apps {
 		am := f.apps[i]
-		if am.offered != a.offered {
-			t.Errorf("%s offered: registry %d, simulator %d", a.cfg.Name, am.offered, a.offered)
+		at := fmt.Sprintf("t=%.2f %s", c.Now(), a.cfg.Name)
+		for _, ctr := range []struct {
+			name      string
+			reg, want uint64
+		}{
+			{"offered", am.offered, a.offered},
+			{"completed", am.completed, a.completed},
+			{"shedQueue", am.shedQueue, a.shedQueue},
+			{"expired", am.expired, a.expired},
+			{"failovers", am.failovers, a.failovers},
+			{"errors", am.errors, a.errors},
+			{"retries", am.retries, a.retries},
+			{"budgetDenied", am.budgetDenied, a.budgetDenied},
+		} {
+			if ctr.reg != ctr.want {
+				t.Errorf("%s %s: registry %d, simulator %d", at, ctr.name, ctr.reg, ctr.want)
+			}
 		}
-		if am.completed != a.completed {
-			t.Errorf("%s completed: registry %d, simulator %d", a.cfg.Name, am.completed, a.completed)
+		actions := map[string]uint64{}
+		for _, d := range a.decisions {
+			actions[d.Action]++
 		}
-		if am.shedQueue != a.shedQueue || am.expired != a.expired {
-			t.Errorf("%s shed: registry %d/%d, simulator %d/%d",
-				a.cfg.Name, am.shedQueue, am.expired, a.shedQueue, a.expired)
+		if am.scaleUps != actions["scale-up"] || am.scaleDowns != actions["scale-down"] ||
+			am.scaleBlocked != actions["scale-blocked"] || am.scaleHolds != actions["scale-hold"] {
+			t.Errorf("%s autoscaler actions: registry %d/%d/%d/%d, ledger %v", at,
+				am.scaleUps, am.scaleDowns, am.scaleBlocked, am.scaleHolds, actions)
 		}
-		if am.failovers != a.failovers || am.errors != a.errors {
-			t.Errorf("%s failovers/errors: registry %d/%d, simulator %d/%d",
-				a.cfg.Name, am.failovers, am.errors, a.failovers, a.errors)
-		}
-		var completed uint64
+		var sum cell
 		for _, cl := range am.perHost {
-			completed += cl.Completed
+			sum.Routed += cl.Routed
+			sum.Completed += cl.Completed
+			sum.Shed += cl.Shed
 		}
-		if completed != am.completed {
-			t.Errorf("%s per-host completions sum to %d, want %d", a.cfg.Name, completed, am.completed)
+		var routed uint64 // admissions: live replicas plus the retired fold
+		for _, rep := range a.replicas {
+			routed += rep.routed
 		}
-		if tot := am.totalLat(); tot.Count() != am.completed {
-			t.Errorf("%s latency histogram has %d observations for %d completions",
-				a.cfg.Name, tot.Count(), am.completed)
-		}
-		var routed uint64
-		for _, cl := range am.perHost {
+		for _, cl := range am.retired {
 			routed += cl.Routed
 		}
-		var simRouted uint64
-		for _, rep := range a.replicas {
-			simRouted += rep.routed
+		if sum.Routed != routed || sum.Completed != a.completed || sum.Shed != a.shedQueue+a.expired {
+			t.Errorf("%s per-host cells sum to routed %d completed %d shed %d, want %d / %d / %d", at,
+				sum.Routed, sum.Completed, sum.Shed, routed, a.completed, a.shedQueue+a.expired)
 		}
-		if routed < simRouted {
-			t.Errorf("%s per-host routed sums to %d, want at least %d", a.cfg.Name, routed, simRouted)
+		if tot := am.totalLat(); tot.Count() != a.completed {
+			t.Errorf("%s latency histogram has %d observations for %d completions", at, tot.Count(), a.completed)
 		}
-	}
-	if got := f.Windows("MLP"); len(got) == 0 {
-		t.Error("no closed windows after a 6 s run on a 50 ms sampler")
+		// Closed windows + open remainder = cumulative. The open window's
+		// completions have an independent witness: the pushed histogram.
+		var closed windowCounts
+		for _, w := range f.Windows(a.cfg.Name) {
+			closed.offered += w.Offered
+			closed.completed += w.Completed
+			closed.shed += w.Shed
+			closed.errors += w.Errors
+		}
+		if closed != am.closed {
+			t.Errorf("%s closed windows sum to %+v, registry says %+v", at, closed, am.closed)
+		}
+		if closed.completed+am.winLat.Count() != a.completed {
+			t.Errorf("%s windows hold %d completions + %d in the open window, simulator %d", at,
+				closed.completed, am.winLat.Count(), a.completed)
+		}
+		cum := am.counts()
+		if closed.offered > cum.offered || closed.shed > cum.shed || closed.errors > cum.errors {
+			t.Errorf("%s closed windows %+v exceed the cumulative counters %+v", at, closed, cum)
+		}
 	}
 }
 

@@ -119,6 +119,61 @@ type ClusterResult struct {
 	Spans []obs.SpanData
 }
 
+// fleetMix builds the app mix every fleet experiment serves: Table 1's six
+// models, each priced by the Table 4 analytic model and resolved to its
+// deadline-safe operating point at the SLA, starting at the given replica
+// count. load turns one un-shared replica's saturation rate into the app's
+// offered-load curve and its peak. An app with no operating point at the
+// SLA (CNN1 under tight deadlines), or one the optional keep predicate
+// turns down, is dropped from the mix and named in skipped rather than
+// failing the experiment; the fleet serves the apps that remain.
+func fleetMix(sla float64, replicas int, keep func(serve.Plan) bool,
+	load func(one float64) (curve workload.Curve, peak float64, err error),
+) ([]cluster.AppConfig, []ClusterAppInfo, []string, error) {
+	var (
+		apps    []cluster.AppConfig
+		info    []ClusterAppInfo
+		skipped []string
+	)
+	for _, b := range models.All() {
+		name := b.Model.Name
+		svc := latency.ServiceFunc(func(n int) (float64, error) { return TPUBatchSeconds(name, n) })
+		pol := serve.Policy{MaxBatch: b.Model.Batch, SLASeconds: sla}
+		plan, err := pol.Resolve(svc)
+		if err != nil || (keep != nil && !keep(plan)) {
+			skipped = append(skipped, name)
+			continue
+		}
+		one := float64(plan.SafeBatch) / plan.SafeServiceSeconds
+		curve, peak, err := load(one)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("experiments: %s load curve: %w", name, err)
+		}
+		weights := compiler.WeightFootprint(b.Model, false)
+		info = append(info, ClusterAppInfo{
+			Name:        name,
+			DeployShare: b.DeployShare,
+			WeightBytes: weights,
+			SafeBatch:   plan.SafeBatch,
+			ReplicaRate: one,
+			PeakRate:    peak,
+		})
+		apps = append(apps, cluster.AppConfig{
+			Name:            name,
+			Service:         svc,
+			Policy:          pol,
+			WeightBytes:     weights,
+			Curve:           curve,
+			InitialReplicas: replicas,
+			MinReplicas:     replicas,
+		})
+	}
+	if len(apps) == 0 {
+		return nil, nil, nil, fmt.Errorf("experiments: no app has an operating point at SLA %.1f ms", sla*1e3)
+	}
+	return apps, info, skipped, nil
+}
+
 // RunCluster builds the six-app fleet and drives it through the ramp.
 // Each app's load curve ramps from StartFrac to PeakFrac of its own
 // initial rated capacity, so every app — not just the big MLPs — crosses
@@ -130,47 +185,17 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		return nil, err
 	}
 	res := &ClusterResult{Cfg: cfg}
-	var apps []cluster.AppConfig
-	for _, b := range models.All() {
-		name := b.Model.Name
-		svc := latency.ServiceFunc(func(n int) (float64, error) { return TPUBatchSeconds(name, n) })
-		pol := serve.Policy{MaxBatch: b.Model.Batch, SLASeconds: cfg.SLASeconds}
-		plan, err := pol.Resolve(svc)
-		if err != nil {
-			// No deadline-safe operating point at this SLA (CNN1 under
-			// tight deadlines): the fleet serves the apps that have one.
-			res.Skipped = append(res.Skipped, name)
-			continue
-		}
-		one := float64(plan.SafeBatch) / plan.SafeServiceSeconds
+	apps, info, skipped, err := fleetMix(cfg.SLASeconds, 1, nil, func(one float64) (workload.Curve, float64, error) {
 		ramp, err := workload.NewPiecewiseLinear(
 			workload.Point{T: 0, Rate: cfg.StartFrac * one},
 			workload.Point{T: cfg.RampSeconds, Rate: cfg.PeakFrac * one},
 		)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s ramp: %w", name, err)
-		}
-		res.Apps = append(res.Apps, ClusterAppInfo{
-			Name:        name,
-			DeployShare: b.DeployShare,
-			WeightBytes: compiler.WeightFootprint(b.Model, false),
-			SafeBatch:   plan.SafeBatch,
-			ReplicaRate: one,
-			PeakRate:    cfg.PeakFrac * one,
-		})
-		apps = append(apps, cluster.AppConfig{
-			Name:            name,
-			Service:         svc,
-			Policy:          pol,
-			WeightBytes:     compiler.WeightFootprint(b.Model, false),
-			Curve:           ramp,
-			InitialReplicas: 1,
-			MinReplicas:     1,
-		})
+		return ramp, cfg.PeakFrac * one, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(apps) == 0 {
-		return nil, fmt.Errorf("experiments: no app has an operating point at SLA %.1f ms", cfg.SLASeconds*1e3)
-	}
+	res.Apps, res.Skipped = info, skipped
 	// Fleet observability rides along on every run: the registry's sampler
 	// tick only reads simulator state, so the snapshot and event log are
 	// byte-identical to an uninstrumented run. 20 windows across the ramp

@@ -16,10 +16,6 @@ import (
 	"strings"
 
 	"tpusim/internal/cluster"
-	"tpusim/internal/compiler"
-	"tpusim/internal/latency"
-	"tpusim/internal/models"
-	"tpusim/internal/serve"
 	"tpusim/internal/workload"
 )
 
@@ -147,46 +143,18 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResult, error) {
 	// Two replicas per app: zone anti-affinity places them in distinct
 	// failure domains, so one dark zone leaves every app with quorum.
 	const initialReplicas = 2
-	var apps []cluster.AppConfig
-	for _, b := range models.All() {
-		name := b.Model.Name
-		svc := latency.ServiceFunc(func(n int) (float64, error) { return TPUBatchSeconds(name, n) })
-		pol := serve.Policy{MaxBatch: b.Model.Batch, SLASeconds: cfg.SLASeconds}
-		plan, err := pol.Resolve(svc)
-		if err != nil {
-			res.Skipped = append(res.Skipped, name)
-			continue
-		}
-		one := float64(plan.SafeBatch) / plan.SafeServiceSeconds
-		rated := float64(initialReplicas) * one
+	apps, info, skipped, err := fleetMix(cfg.SLASeconds, initialReplicas, nil, func(one float64) (workload.Curve, float64, error) {
+		rated := initialReplicas * one
 		ramp, err := workload.NewPiecewiseLinear(
 			workload.Point{T: 0, Rate: cfg.StartFrac * rated},
 			workload.Point{T: cfg.RampSeconds, Rate: cfg.PeakFrac * rated},
 		)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s ramp: %w", name, err)
-		}
-		res.Apps = append(res.Apps, ClusterAppInfo{
-			Name:        name,
-			DeployShare: b.DeployShare,
-			WeightBytes: compiler.WeightFootprint(b.Model, false),
-			SafeBatch:   plan.SafeBatch,
-			ReplicaRate: one,
-			PeakRate:    cfg.PeakFrac * rated,
-		})
-		apps = append(apps, cluster.AppConfig{
-			Name:            name,
-			Service:         svc,
-			Policy:          pol,
-			WeightBytes:     compiler.WeightFootprint(b.Model, false),
-			Curve:           ramp,
-			InitialReplicas: initialReplicas,
-			MinReplicas:     initialReplicas,
-		})
+		return ramp, cfg.PeakFrac * rated, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(apps) == 0 {
-		return nil, fmt.Errorf("experiments: no app has an operating point at SLA %.1f ms", cfg.SLASeconds*1e3)
-	}
+	res.Apps, res.Skipped = info, skipped
 
 	build := func(chaotic, noBudget bool) (*cluster.Cluster, error) {
 		tel := &cluster.Telemetry{Metrics: cluster.NewFleetMetrics(cfg.RampSeconds / 20)}

@@ -16,9 +16,6 @@ import (
 	"strings"
 
 	"tpusim/internal/cluster"
-	"tpusim/internal/compiler"
-	"tpusim/internal/latency"
-	"tpusim/internal/models"
 	"tpusim/internal/serve"
 	"tpusim/internal/workload"
 )
@@ -152,48 +149,20 @@ func RunRollout(cfg RolloutConfig) (*RolloutResult, error) {
 	// Two replicas per app: the 10% canary rounds to one canary each,
 	// and zone anti-affinity keeps the pair in distinct failure domains.
 	const initialReplicas = 2
-	var apps []cluster.AppConfig
-	for _, b := range models.All() {
-		name := b.Model.Name
-		svc := latency.ServiceFunc(func(n int) (float64, error) { return TPUBatchSeconds(name, n) })
-		pol := serve.Policy{MaxBatch: b.Model.Batch, SLASeconds: cfg.SLASeconds}
-		plan, err := pol.Resolve(svc)
-		if err != nil {
-			res.Skipped = append(res.Skipped, name)
-			continue
-		}
-		// A rolling change cannot be SLO-neutral for an app whose safe
-		// service time consumes most of the deadline: drain-induced queue
-		// wait expires requests in both cohorts and the canary verdict
-		// drowns in shed noise (CNN1's safe batch runs at ~100% of the
-		// 7 ms SLA). Skip apps without 2x deadline headroom.
-		if plan.SafeServiceSeconds > 0.5*cfg.SLASeconds {
-			res.Skipped = append(res.Skipped, name)
-			continue
-		}
-		one := float64(plan.SafeBatch) / plan.SafeServiceSeconds
-		rated := float64(initialReplicas) * one
-		res.Apps = append(res.Apps, ClusterAppInfo{
-			Name:        name,
-			DeployShare: b.DeployShare,
-			WeightBytes: compiler.WeightFootprint(b.Model, false),
-			SafeBatch:   plan.SafeBatch,
-			ReplicaRate: one,
-			PeakRate:    cfg.LoadFrac * rated,
-		})
-		apps = append(apps, cluster.AppConfig{
-			Name:            name,
-			Service:         svc,
-			Policy:          pol,
-			WeightBytes:     compiler.WeightFootprint(b.Model, false),
-			Curve:           workload.Constant(cfg.LoadFrac * rated),
-			InitialReplicas: initialReplicas,
-			MinReplicas:     initialReplicas,
-		})
+	// A rolling change cannot be SLO-neutral for an app whose safe
+	// service time consumes most of the deadline: drain-induced queue
+	// wait expires requests in both cohorts and the canary verdict
+	// drowns in shed noise (CNN1's safe batch runs at ~100% of the
+	// 7 ms SLA). Skip apps without 2x deadline headroom.
+	headroom := func(plan serve.Plan) bool { return plan.SafeServiceSeconds <= 0.5*cfg.SLASeconds }
+	apps, info, skipped, err := fleetMix(cfg.SLASeconds, initialReplicas, headroom, func(one float64) (workload.Curve, float64, error) {
+		rate := cfg.LoadFrac * (initialReplicas * one)
+		return workload.Constant(rate), rate, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(apps) == 0 {
-		return nil, fmt.Errorf("experiments: no app has an operating point at SLA %.1f ms", cfg.SLASeconds*1e3)
-	}
+	res.Apps, res.Skipped = info, skipped
 
 	build := func(plan *cluster.RolloutPlan) (*cluster.Cluster, error) {
 		tel := &cluster.Telemetry{Metrics: cluster.NewFleetMetrics(cfg.BaseSeconds / 20)}
