@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet vet-cmd build cross test race bench-test bench-smoke bench bench-gate fuzz-smoke loc cover obs-smoke chaos-smoke integrity-smoke cluster-smoke report-smoke
+.PHONY: ci fmt-check vet build cross test race bench-test bench-smoke bench bench-gate fuzz-smoke loc cover obs-smoke chaos-smoke integrity-smoke cluster-smoke report-smoke
 
-ci: fmt-check vet vet-cmd build cross race bench-test fuzz-smoke cover bench-smoke bench-gate obs-smoke chaos-smoke integrity-smoke cluster-smoke report-smoke
+ci: fmt-check vet build cross race bench-test fuzz-smoke cover bench-smoke bench-gate obs-smoke chaos-smoke integrity-smoke cluster-smoke report-smoke
 
 # Fails when any file is not gofmt-clean. The benchmark's build directory
 # holds a Go cache, not source.
@@ -10,13 +10,10 @@ fmt-check:
 	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); \
 	[ -z "$$out" ] || { echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; }
 
+# Every package, the command entry points included, and asmdecl over the
+# matrix kernel's assembly.
 vet:
 	$(GO) vet ./...
-
-# Explicit vet of the command entry points (also covered by vet, kept as a
-# named target so CI output shows the binaries were checked).
-vet-cmd:
-	$(GO) vet ./cmd/...
 
 build:
 	$(GO) build ./...
@@ -41,8 +38,8 @@ bench-test:
 	cd bench && $(GO) test .
 
 # Quick benchmark smoke: proves the kernel benchmarks still run — every
-# kernel arm of BenchmarkMultiply (avx2 where the host has it, swar, scalar)
-# — without paying for a full measurement.
+# kernel arm of BenchmarkMultiply (each assembly kernel the host can run,
+# swar, scalar) — without paying for a full measurement.
 bench-smoke:
 	$(GO) test ./internal/systolic -run xxx -bench BenchmarkMulRow -benchtime 100x
 	$(GO) test ./internal/systolic -run xxx -bench 'BenchmarkMultiply/B=64' -benchtime 20x

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"tpusim/internal/isa"
@@ -144,6 +145,18 @@ func TestAccumulatorsClear(t *testing.T) {
 	}
 }
 
+// fetchTile is the copying fetch the device used before tiles became views,
+// kept as the oracle for what weight DRAM reads at a tile-aligned address: a
+// fresh 64 KiB buffer holding image bytes where the image covers the tile and
+// zeros (unwritten DRAM) beyond.
+func (w *WeightMemory) fetchTile(addr uint64) []int8 {
+	tile := make([]int8, isa.WeightTileBytes)
+	if addr >= w.base && addr-w.base < uint64(len(w.image)) {
+		copy(tile, w.image[addr-w.base:])
+	}
+	return tile
+}
+
 func TestWeightMemoryFetch(t *testing.T) {
 	img := make([]int8, 2*isa.WeightTileBytes)
 	img[isa.WeightTileBytes] = 99 // first byte of tile 1
@@ -151,10 +164,7 @@ func TestWeightMemoryFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile, err := wm.FetchTile(isa.WeightTileBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tile := wm.fetchTile(isa.WeightTileBytes)
 	if len(tile) != isa.WeightTileBytes || tile[0] != 99 {
 		t.Errorf("tile[0] = %d, len %d", tile[0], len(tile))
 	}
@@ -162,10 +172,7 @@ func TestWeightMemoryFetch(t *testing.T) {
 
 func TestWeightMemoryZeroFill(t *testing.T) {
 	wm, _ := NewWeightMemory(make([]int8, isa.WeightTileBytes), 34)
-	tile, err := wm.FetchTile(isa.WeightTileBytes * 5) // beyond image
-	if err != nil {
-		t.Fatal(err)
-	}
+	tile := wm.fetchTile(isa.WeightTileBytes * 5) // beyond image
 	for _, v := range tile {
 		if v != 0 {
 			t.Fatal("unwritten DRAM should read zero")
@@ -178,10 +185,10 @@ func TestWeightMemoryErrors(t *testing.T) {
 		t.Error("zero bandwidth accepted")
 	}
 	wm, _ := NewWeightMemory(nil, 34)
-	if _, err := wm.FetchTile(100); err == nil {
+	if _, ok := wm.TileView(100); ok {
 		t.Error("unaligned fetch accepted")
 	}
-	if _, err := wm.FetchTile(isa.WeightMemoryBytes); err == nil {
+	if _, ok := wm.TileView(isa.WeightMemoryBytes); ok {
 		t.Error("out-of-range fetch accepted")
 	}
 }
@@ -220,6 +227,9 @@ func TestWeightMemoryTileView(t *testing.T) {
 		if &v[0] != &img[off] || len(v) != isa.WeightTileBytes || cap(v) != isa.WeightTileBytes {
 			t.Fatalf("tile %d: view is not the image's bytes (len %d cap %d)", tile, len(v), cap(v))
 		}
+		if !slices.Equal(v, wm.fetchTile(base+uint64(off))) {
+			t.Fatalf("tile %d: view differs from the copying oracle", tile)
+		}
 		img[off+9] ^= 0x40
 		if v[9] != img[off+9] {
 			t.Fatalf("tile %d: view does not see a later image write", tile)
@@ -236,11 +246,8 @@ func TestWeightMemoryTileView(t *testing.T) {
 			t.Errorf("TileView(%#x) handed out a view", addr)
 		}
 	}
-	// The partly covered tile through FetchTile's copy: image bytes, then zeros.
-	tile, err := wm.FetchTile(base + 2*isa.WeightTileBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The partly covered tile through the copying oracle: image bytes, then zeros.
+	tile := wm.fetchTile(base + 2*isa.WeightTileBytes)
 	for i, v := range tile {
 		want := int8(0)
 		if i < 100 {
@@ -261,19 +268,13 @@ func TestWeightMemoryAtBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The image is visible at its base address...
-	tile, err := wm.FetchTile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tile := wm.fetchTile(base)
 	if tile[0] != 42 {
 		t.Errorf("tile[0] = %d at base", tile[0])
 	}
 	// ...and addresses below the base read as zero (another model's region
 	// or unwritten DRAM).
-	below, err := wm.FetchTile(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	below := wm.fetchTile(0)
 	if below[0] != 0 {
 		t.Error("address below base should read zero")
 	}

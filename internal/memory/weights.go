@@ -48,42 +48,12 @@ func CheckWeightPlacement(imageBytes int, bandwidthGBs float64, base uint64) err
 	return nil
 }
 
-// FetchTile returns the 64 KiB tile at a tile-aligned address. Addresses
-// beyond the image return zero weights (unwritten DRAM).
-func (w *WeightMemory) FetchTile(addr uint64) ([]int8, error) {
-	return w.FetchTileInto(addr, nil)
-}
-
-// FetchTileInto is FetchTile reusing the caller's buffer when its capacity
-// allows (it may be nil). The tile is fully overwritten — image bytes where
-// the image covers it, zeros beyond — so recycled buffers carry nothing
-// over.
-func (w *WeightMemory) FetchTileInto(addr uint64, tile []int8) ([]int8, error) {
-	if addr%isa.WeightTileBytes != 0 {
-		return nil, fmt.Errorf("memory: tile address %#x not aligned", addr)
-	}
-	if addr+isa.WeightTileBytes > isa.WeightMemoryBytes {
-		return nil, fmt.Errorf("memory: tile address %#x outside 8 GiB", addr)
-	}
-	if cap(tile) >= isa.WeightTileBytes {
-		tile = tile[:isa.WeightTileBytes]
-	} else {
-		tile = make([]int8, isa.WeightTileBytes)
-	}
-	n := 0
-	if addr >= w.base && addr-w.base < uint64(len(w.image)) {
-		n = copy(tile, w.image[addr-w.base:])
-	}
-	clear(tile[n:])
-	return tile, nil
-}
-
 // TileView returns the tile at addr as a window of the image itself — no
 // copy, capacity clipped to the tile — when the image covers all 64 KiB of
 // it. ok is false for every other address (a tile covered partly or not at
-// all, unaligned, out of range): FetchTileInto serves those, zero-filling
-// or failing. The window sees later writes to the image, and callers must
-// not write through it.
+// all, unaligned, out of range); isa.Validate keeps a program's fetches off
+// those. The window sees later writes to the image, and callers must not
+// write through it.
 func (w *WeightMemory) TileView(addr uint64) (tile []int8, ok bool) {
 	if addr%isa.WeightTileBytes != 0 || addr < w.base {
 		return nil, false

@@ -56,13 +56,12 @@ func BenchmarkMultiplyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiply sweeps batch size across the batched kernels this host
-// can run (avx2 is skipped where the CPU lacks it), serial versus sharded
-// across GOMAXPROCS workers, and the scalar oracle, which has no sharded
-// form. All arms are bit-identical (see TestMultiplyIntoParallelDeterministic
-// and FuzzMulRowEquivalence); only the wall clock differs. MB/s counts
-// activation input bytes, so benchstat comparisons across kernels and batch
-// sizes are one command:
+// BenchmarkMultiply sweeps batch size across every batched kernel this host
+// can run, serial versus sharded across GOMAXPROCS workers, and the scalar
+// oracle, which has no sharded form. All arms are bit-identical (see
+// TestMultiplyIntoParallelDeterministic and FuzzMulRowEquivalence); only the
+// wall clock differs. MB/s counts activation input bytes, so benchstat
+// comparisons across kernels and batch sizes are one command:
 //
 //	go test ./internal/systolic -bench BenchmarkMultiply -count 10 | benchstat -
 func BenchmarkMultiply(b *testing.B) {
@@ -73,7 +72,7 @@ func BenchmarkMultiply(b *testing.B) {
 			in[i] = int8(i * 7)
 		}
 		out := make([][isa.MatrixDim]int32, batch)
-		for _, portable := range []bool{false, true} {
+		for ki, k := range kernels {
 			for _, bc := range []struct {
 				name    string
 				workers int
@@ -81,15 +80,8 @@ func BenchmarkMultiply(b *testing.B) {
 				{"serial", 1},
 				{fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), 0},
 			} {
-				name := "avx2"
-				if portable {
-					name = "swar"
-				}
-				b.Run(fmt.Sprintf("B=%d/%s/%s", batch, name, bc.name), func(b *testing.B) {
-					forceKernel(b, portable)
-					if Kernel() != name {
-						b.Skip("no AVX2 on this host")
-					}
+				b.Run(fmt.Sprintf("B=%d/%s/%s", batch, k.name, bc.name), func(b *testing.B) {
+					forceKernel(b, ki)
 					if err := a.MultiplyInto(in, out, 1); err != nil { // latch the lane image outside the timer
 						b.Fatal(err)
 					}

@@ -7,32 +7,92 @@ import (
 	"tpusim/internal/isa"
 )
 
-// avx2Rows is how many activation rows mulGroupAVX2 computes together: each
-// sign-extended, interleaved weight pair is multiplied against all of them.
-const avx2Rows = 4
+// How many activation rows each assembly kernel computes together: every
+// weight vector it builds is multiplied against all of them.
+const (
+	avx2Rows = 4
+	vnniRows = 6
+)
 
-var avx2 = kernel{name: "avx2", rows: avx2Rows, mulRange: (*Array).mulRangeAVX2}
+var (
+	vnni = kernel{name: "avx512vnni", rows: vnniRows, mulRange: (*Array).mulRangeVNNI}
+	avx2 = kernel{name: "avx2", rows: avx2Rows, mulRange: (*Array).mulRangeAVX2}
+)
 
-// nativeKernel picks the kernel from what the CPU reports.
-func nativeKernel() *kernel {
-	if cpuHasAVX2() {
-		return &avx2
+// hostKernels lists the kernels the CPU and the OS between them can run,
+// fastest first. An instruction set counts only when CPUID reports it and
+// XCR0 shows the OS saving the registers it needs: XMM and YMM state (bits 1
+// and 2) for AVX2; opmask and both halves of the ZMM file on top (bits 5, 6
+// and 7) for AVX-512, of which the VNNI kernel uses F, BW (the byte and word
+// unpacks) and VNNI.
+func hostKernels() []*kernel {
+	const (
+		osxsave, avx               = 1 << 27, 1 << 28         // leaf 1 ECX
+		avx2Bit, avx512f, avx512bw = 1 << 5, 1 << 16, 1 << 30 // leaf 7 EBX
+		avx512vnni                 = 1 << 11                  // leaf 7 ECX
+		ymmState, zmmState         = 0x06, 0xE6               // XCR0
+	)
+	var ks []*kernel
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, c1, _ := cpuid(1, 0)
+	if maxLeaf >= 7 && c1&(osxsave|avx) == osxsave|avx {
+		xcr := xcr0()
+		_, b7, c7, _ := cpuid(7, 0)
+		if xcr&zmmState == zmmState && b7&(avx512f|avx512bw) == avx512f|avx512bw && c7&avx512vnni != 0 {
+			ks = append(ks, &vnni)
+		}
+		if xcr&ymmState == ymmState && b7&avx2Bit != 0 {
+			ks = append(ks, &avx2)
+		}
 	}
-	return &swar
+	return append(ks, &swar)
 }
 
-func cpuHasAVX2() bool
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xcr0() uint32
 
 //go:noescape
 func mulGroupAVX2(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim]uint32, vals *[isa.MatrixDim / 2][avx2Rows][2]int16, pairs int, out *[isa.MatrixDim]int32, n int)
 
-// mulRangeAVX2 computes output rows [lo, hi) with the assembly kernel, which
-// reads the tile's int8 bytes as Weight Memory delivered them: no lane image
-// is built. Activation rows are taken avx2Rows at a time (a short last group
-// is padded with zero rows). For each group the wrapper gathers the
-// contraction rows where any of the group's activations is nonzero — the
-// zero-row skip — and pairs them, padding an odd count with a zero
-// activation, because VPMADDWD consumes two contraction rows per int32 sum.
+//go:noescape
+func mulGroupVNNI(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim / 4]uint32, vals *[isa.MatrixDim / 4][vnniRows]uint32, quads int, out *[isa.MatrixDim]int32, n int)
+
+// zeroRow pads a short last group of activation rows; nothing writes it.
+var zeroRow [isa.MatrixDim]int8
+
+// group points act at the len(act) activation rows starting at row i of in,
+// padding a short last group (the batch ends at row hi) with zeroRow, and
+// returns how many of them are real.
+func group(act []*[isa.MatrixDim]int8, in []int8, i, hi int) int {
+	g := min(len(act), hi-i)
+	for j := range act {
+		act[j] = &zeroRow
+		if j < g {
+			act[j] = (*[isa.MatrixDim]int8)(in[(i+j)*isa.MatrixDim:])
+		}
+	}
+	return g
+}
+
+// nonzero8 tests eight contraction rows at once: byte k of the result is
+// nonzero iff contraction row r0+k is nonzero in some activation row of the
+// group. Both assembly kernels' zero-row skip walks these masks.
+func nonzero8(act []*[isa.MatrixDim]int8, r0 int) uint64 {
+	var m uint64
+	for _, a := range act {
+		m |= *(*uint64)(unsafe.Pointer(&a[r0]))
+	}
+	return m
+}
+
+// mulRangeAVX2 computes output rows [lo, hi) with the AVX2 assembly kernel,
+// which reads the tile's int8 bytes as Weight Memory delivered them: no lane
+// image is built. Activation rows are taken avx2Rows at a time. For each
+// group the wrapper gathers the contraction rows where any of the group's
+// activations is nonzero — the zero-row skip — and pairs them, padding an odd
+// count with a zero activation, because VPMADDWD consumes two contraction
+// rows per int32 sum.
 //
 // Exactness: sign-extended int8 operands in int16 lanes give pair sums of
 // magnitude at most 2*128*128 = 2^15 in int32 (VPMADDWD's only wrapping
@@ -41,29 +101,23 @@ func mulGroupAVX2(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim]uint32, val
 // result is bit-identical to MulRow whatever the grouping and pairing.
 func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
 	var (
-		zero [isa.MatrixDim]int8
+		act  [avx2Rows]*[isa.MatrixDim]int8
 		rows [isa.MatrixDim]uint32
 		vals [isa.MatrixDim / 2][avx2Rows][2]int16
 	)
 	for i := lo; i < hi; i += avx2Rows {
-		g := min(avx2Rows, hi-i)
-		act := [avx2Rows]*[isa.MatrixDim]int8{&zero, &zero, &zero, &zero}
-		for j := 0; j < g; j++ {
-			act[j] = (*[isa.MatrixDim]int8)(in[(i+j)*isa.MatrixDim:])
-		}
-		a0, a1, a2, a3 := act[0], act[1], act[2], act[3]
+		g := group(act[:], in, i, hi)
 		n := 0
 		for r0 := 0; r0 < isa.MatrixDim; r0 += 8 {
-			// Eight contraction rows per test: byte k of m is nonzero iff
-			// row r0+k is nonzero in some activation row of the group.
-			m := load64(&a0[r0]) | load64(&a1[r0]) | load64(&a2[r0]) | load64(&a3[r0])
-			for m != 0 {
+			for m := nonzero8(act[:], r0); m != 0; {
 				k := bits.TrailingZeros64(m) >> 3
 				m &^= 0xff << (k * 8)
 				r := r0 + k
 				rows[n] = uint32(r * isa.MatrixDim)
 				p, h := &vals[n>>1], n&1
-				p[0][h], p[1][h], p[2][h], p[3][h] = int16(a0[r]), int16(a1[r]), int16(a2[r]), int16(a3[r])
+				for j, aj := range act {
+					p[j][h] = int16(aj[r])
+				}
 				n++
 			}
 		}
@@ -77,6 +131,42 @@ func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 	}
 }
 
-// load64 reads eight activation bytes at once (amd64 allows the unaligned
-// load; the caller keeps p at least eight bytes from the end of its row).
-func load64(p *int8) uint64 { return *(*uint64)(unsafe.Pointer(p)) }
+// mulRangeVNNI computes output rows [lo, hi) with the AVX-512 VNNI assembly
+// kernel, which like the AVX2 one reads the tile's bytes where they lie.
+// Activation rows are taken vnniRows at a time. VPDPBUSD consumes four
+// contraction rows per int32 sum, so the zero-row skip works on aligned quads
+// of them: a quad is gathered when any of its 4 x vnniRows activations is
+// nonzero, and what the kernel needs of it is the four activation bytes of
+// each row exactly as they lie — one 32-bit load, no padding, no shuffling.
+//
+// Exactness: the kernel multiplies the biased weights w+128 in [0, 255] by
+// the signed activations, so a lane's four products have magnitude at most
+// 255*128 each and are summed in int32 (VPDPBUSD, not its saturating form).
+// Every accumulator starts at -128*sum(a) of its activation row, at most 2^22
+// in magnitude, and 64 quads add at most 2^23 more, so nothing wraps on the
+// way to sum((w+128)*a) - 128*sum(a) = sum(w*a): bit-identical to MulRow.
+func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
+	var (
+		act  [vnniRows]*[isa.MatrixDim]int8
+		rows [isa.MatrixDim / 4]uint32
+		vals [isa.MatrixDim / 4][vnniRows]uint32
+	)
+	for i := lo; i < hi; i += vnniRows {
+		g := group(act[:], in, i, hi)
+		n := 0
+		for r0 := 0; r0 < isa.MatrixDim; r0 += 8 {
+			m := nonzero8(act[:], r0)
+			for r := r0; m != 0; r, m = r+4, m>>32 {
+				if uint32(m) == 0 {
+					continue
+				}
+				rows[n] = uint32(r * isa.MatrixDim)
+				for j, aj := range act {
+					vals[n][j] = *(*uint32)(unsafe.Pointer(&aj[r]))
+				}
+				n++
+			}
+		}
+		mulGroupVNNI(a.active.w, &rows, &vals, n, &out[i], g)
+	}
+}

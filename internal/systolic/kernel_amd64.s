@@ -1,35 +1,24 @@
 #include "textflag.h"
 
-// func cpuHasAVX2() bool
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xcr0() uint32
 //
-// AVX2 is usable when CPUID reports OSXSAVE and AVX (leaf 1, ECX bits 27 and
-// 28), the OS has enabled XMM and YMM state (XCR0 bits 1 and 2), and leaf 7
-// reports AVX2 (EBX bit 5).
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	XORL CX, CX
-	CPUID
-	CMPL AX, $7
-	JLT  done
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  done
+// The low half of extended control register 0: which register state the OS
+// saves and restores. Only valid when CPUID reports OSXSAVE.
+TEXT ·xcr0(SB), NOSPLIT, $0-4
 	XORL CX, CX
 	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  done
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	BTL  $5, BX
-	JCC  done
-	MOVB $1, ret+0(FP)
-done:
+	MOVL AX, ret+0(FP)
 	RET
 
 // MADD4 multiplies the interleaved weight words in Y10 (columns 0-3, 8-11)
@@ -113,6 +102,174 @@ store:
 next:
 	ADDQ $16, SI
 	ADDQ $64, DI
+	DECQ R10
+	JNZ  strip
+	VZEROUPPER
+	RET
+
+// DOT4 adds activation row j's four signed bytes of this quad, broadcast from
+// vals, times the four unsigned weight bytes in every int32 lane of Z26-Z29
+// into the row's four accumulators.
+#define DOT4(j, a0, a1, a2, a3) \
+	VPDPBUSD.BCST (4*j)(DX), Z26, a0; \
+	VPDPBUSD.BCST (4*j)(DX), Z27, a1; \
+	VPDPBUSD.BCST (4*j)(DX), Z28, a2; \
+	VPDPBUSD.BCST (4*j)(DX), Z29, a3
+
+// BIAS4 starts activation row j's four accumulators at -128 * (sum of the
+// row's activations), left in the frame by the bias pass.
+#define BIAS4(j, a0, a1, a2, a3) \
+	VPBROADCASTD bias-24+4*j(SP), a0; \
+	VMOVDQA64    a0, a1;              \
+	VMOVDQA64    a0, a2;              \
+	VMOVDQA64    a0, a3
+
+// NEGSHL7 turns the activation sum in every lane of acc into -128 * sum and
+// leaves it in the frame as row j's bias (Z0 is zero).
+#define NEGSHL7(j, acc, lo) \
+	VPSLLD $7, acc, acc;     \
+	VPSUBD acc, Z0, acc;     \
+	VMOVD  lo, bias-24+4*j(SP)
+
+// STORE64 puts an activation row's 64 column sums back in column order. In
+// accumulator ak, 128-bit lane L holds columns 16L+4k .. 16L+4k+3, so the
+// output's lane k of register L is lane L of ak: a 4x4 transpose of lanes.
+#define STORE64(row, a0, a1, a2, a3) \
+	VSHUFI32X4 $0x44, a1, a0, Z24;   \
+	VSHUFI32X4 $0xEE, a1, a0, Z25;   \
+	VSHUFI32X4 $0x44, a3, a2, Z26;   \
+	VSHUFI32X4 $0xEE, a3, a2, Z27;   \
+	VSHUFI32X4 $0x88, Z26, Z24, Z28; \
+	VSHUFI32X4 $0xDD, Z26, Z24, Z29; \
+	VSHUFI32X4 $0x88, Z27, Z25, Z24; \
+	VSHUFI32X4 $0xDD, Z27, Z25, Z26; \
+	VMOVDQU32  Z28, (1024*row)(DI);     \
+	VMOVDQU32  Z29, (1024*row+64)(DI);  \
+	VMOVDQU32  Z24, (1024*row+128)(DI); \
+	VMOVDQU32  Z26, (1024*row+192)(DI)
+
+// func mulGroupVNNI(w *[65536]int8, rows *[64]uint32, vals *[64][6]uint32, quads int, out *[256]int32, n int)
+//
+// Computes six activation rows against the tile and stores the first n
+// (1..6) as consecutive 256-wide output rows at out. rows[k] is the byte
+// offset in w of the first of gathered quad k's four consecutive weight rows,
+// vals[k][j] the four activations activation row j has for them, as they lie
+// in the row.
+//
+// VPDPBUSD multiplies unsigned by signed bytes, four to an int32 lane. The
+// activations are the signed operand, broadcast from vals; the weights are
+// made unsigned by flipping their sign bits (w ^ 0x80 = w + 128), and since
+// sum((w+128)*a) = sum(w*a) + 128*sum(a), starting every accumulator of
+// activation row j at -128*sum(a_j) leaves exactly sum(w*a). The bias pass
+// computes those sums with the same instruction against a register of ones.
+//
+// For each 64-column strip and quad the four 64-byte weight rows are loaded
+// as they lie and interleaved, bytes then words, so that each int32 lane
+// holds one column's four weights in row order. The 24 accumulators (six
+// activation rows x four registers) stay in Z0-Z23 for the whole walk and are
+// stored once per strip.
+TEXT ·mulGroupVNNI(SB), NOSPLIT, $24-48
+	MOVQ w+0(FP), SI
+	MOVQ out+32(FP), DI
+	MOVQ n+40(FP), R11
+
+	// Bias pass: Z24-Z29 gather each activation row's sum in every lane.
+	MOVL         $0x01010101, AX
+	VPBROADCASTD AX, Z30
+	VPXORD       Z0, Z0, Z0
+	VMOVDQA64    Z0, Z24
+	VMOVDQA64    Z0, Z25
+	VMOVDQA64    Z0, Z26
+	VMOVDQA64    Z0, Z27
+	VMOVDQA64    Z0, Z28
+	VMOVDQA64    Z0, Z29
+	MOVQ         vals+16(FP), DX
+	MOVQ         quads+24(FP), CX
+	TESTQ        CX, CX
+	JZ           biased
+
+sum:
+	VPDPBUSD.BCST 0(DX), Z30, Z24
+	VPDPBUSD.BCST 4(DX), Z30, Z25
+	VPDPBUSD.BCST 8(DX), Z30, Z26
+	VPDPBUSD.BCST 12(DX), Z30, Z27
+	VPDPBUSD.BCST 16(DX), Z30, Z28
+	VPDPBUSD.BCST 20(DX), Z30, Z29
+	ADDQ          $24, DX
+	DECQ          CX
+	JNZ           sum
+
+biased:
+	NEGSHL7(0, Z24, X24)
+	NEGSHL7(1, Z25, X25)
+	NEGSHL7(2, Z26, X26)
+	NEGSHL7(3, Z27, X27)
+	NEGSHL7(4, Z28, X28)
+	NEGSHL7(5, Z29, X29)
+
+	MOVL         $0x80808080, AX
+	VPBROADCASTD AX, Z31
+	MOVQ         $4, R10 // strips left
+
+strip:
+	MOVQ  rows+8(FP), BX
+	MOVQ  vals+16(FP), DX
+	MOVQ  quads+24(FP), CX
+	BIAS4(0, Z0, Z1, Z2, Z3)
+	BIAS4(1, Z4, Z5, Z6, Z7)
+	BIAS4(2, Z8, Z9, Z10, Z11)
+	BIAS4(3, Z12, Z13, Z14, Z15)
+	BIAS4(4, Z16, Z17, Z18, Z19)
+	BIAS4(5, Z20, Z21, Z22, Z23)
+	TESTQ CX, CX
+	JZ    store
+
+quad:
+	MOVL       (BX), R8
+	VPXORD     (SI)(R8*1), Z31, Z24
+	VPXORD     256(SI)(R8*1), Z31, Z25
+	VPXORD     512(SI)(R8*1), Z31, Z26
+	VPXORD     768(SI)(R8*1), Z31, Z27
+	VPUNPCKLBW Z25, Z24, Z28 // rows 0,1 of columns 16L+0..7
+	VPUNPCKHBW Z25, Z24, Z29 // rows 0,1 of columns 16L+8..15
+	VPUNPCKLBW Z27, Z26, Z24 // rows 2,3 of columns 16L+0..7
+	VPUNPCKHBW Z27, Z26, Z25 // rows 2,3 of columns 16L+8..15
+	VPUNPCKLWD Z24, Z28, Z26 // columns 16L+0..3
+	VPUNPCKHWD Z24, Z28, Z27 // columns 16L+4..7
+	VPUNPCKLWD Z25, Z29, Z28 // columns 16L+8..11
+	VPUNPCKHWD Z25, Z29, Z29 // columns 16L+12..15
+	DOT4(0, Z0, Z1, Z2, Z3)
+	DOT4(1, Z4, Z5, Z6, Z7)
+	DOT4(2, Z8, Z9, Z10, Z11)
+	DOT4(3, Z12, Z13, Z14, Z15)
+	DOT4(4, Z16, Z17, Z18, Z19)
+	DOT4(5, Z20, Z21, Z22, Z23)
+	ADDQ       $4, BX
+	ADDQ       $24, DX
+	DECQ       CX
+	JNZ        quad
+
+store:
+	STORE64(0, Z0, Z1, Z2, Z3)
+	CMPQ R11, $2
+	JLT  next
+	STORE64(1, Z4, Z5, Z6, Z7)
+	CMPQ R11, $3
+	JLT  next
+	STORE64(2, Z8, Z9, Z10, Z11)
+	CMPQ R11, $4
+	JLT  next
+	STORE64(3, Z12, Z13, Z14, Z15)
+	CMPQ R11, $5
+	JLT  next
+	STORE64(4, Z16, Z17, Z18, Z19)
+	CMPQ R11, $6
+	JLT  next
+	STORE64(5, Z20, Z21, Z22, Z23)
+
+next:
+	ADDQ $64, SI
+	ADDQ $256, DI
 	DECQ R10
 	JNZ  strip
 	VZEROUPPER

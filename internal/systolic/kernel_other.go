@@ -2,5 +2,5 @@
 
 package systolic
 
-// nativeKernel: only amd64 has an assembly kernel.
-func nativeKernel() *kernel { return &swar }
+// hostKernels: only amd64 has assembly kernels.
+func hostKernels() []*kernel { return []*kernel{&swar} }

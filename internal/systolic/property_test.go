@@ -82,15 +82,15 @@ func TestMultiplyMatchesMulRow(t *testing.T) {
 }
 
 // TestMultiplyIntoParallelDeterministic: sharding the batch across any
-// worker count must be bit-identical to the serial kernel under both kernels
+// worker count must be bit-identical to the serial kernel under every kernel
 // — each output row is owned by exactly one goroutine. The batches sit around
-// the AVX2 kernel's four-row group, where chunks are rounded up to whole
-// groups and the last one may be short.
+// the assembly kernels' four- and six-row groups, where chunks are rounded up
+// to whole groups and the last one may be short.
 func TestMultiplyIntoParallelDeterministic(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		a := New()
 		loadTile(t, a, randomTile(50, 0.4))
-		for _, b := range []int{1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 251} {
+		for _, b := range []int{1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 63, 64, 65, 66, 67, 251} {
 			in := randomBatch(int64(b)*13+2, b, 0.5)
 			ref := make([][isa.MatrixDim]int32, b)
 			if err := a.MultiplyInto(in, ref, 1); err != nil {

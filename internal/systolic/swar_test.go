@@ -21,24 +21,20 @@ func swarArray(t testing.TB, tile *Tile) *Array {
 	return a
 }
 
-// forceKernel makes MultiplyInto run the portable kernel (or, with false,
-// the host's native one) until the test ends.
-func forceKernel(tb testing.TB, portable bool) {
-	old := forcePortable
-	forcePortable = portable
-	tb.Cleanup(func() { forcePortable = old })
+// forceKernel makes MultiplyInto run kernels[i] until the test ends.
+func forceKernel(tb testing.TB, i int) {
+	runUnder(i)
+	tb.Cleanup(func() { runUnder(0) })
 }
 
 // eachKernel runs f as a subtest under every batched kernel this host can
-// run: "swar" always, "avx2" where the CPU has it.
+// run, fastest first: "swar" always, above it "avx2" and "avx512vnni" where
+// the CPU has them.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	for _, portable := range []bool{false, true} {
-		if !portable && native == &swar {
-			continue // no assembly kernel on this host
-		}
-		forceKernel(t, portable)
-		t.Run(Kernel(), f)
+	for i, k := range kernels {
+		forceKernel(t, i)
+		t.Run(k.name, f)
 	}
 }
 
@@ -69,33 +65,39 @@ func checkKernels(t *testing.T, a *Array, in []int8) {
 	}
 	a.mulRangeScalar(in, got, 0, b)
 	compare("scalar")
-	for _, portable := range []bool{false, true} {
-		forceKernel(t, portable)
+	for i, k := range kernels {
+		forceKernel(t, i)
 		for i := range got {
 			got[i][0] = -1 // every row must be overwritten
 		}
 		if err := a.MultiplyInto(in, got, 1); err != nil {
 			t.Fatal(err)
 		}
-		compare(Kernel())
+		compare(k.name)
 	}
 }
 
-// groupBatches are the batch sizes around the AVX2 kernel's four-row group
-// and a production-sized batch: full groups, every short last group, and
-// one row more or fewer than a whole number of groups.
-var groupBatches = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}
+// groupBatches are the batch sizes around the AVX2 kernel's four-row group,
+// the VNNI kernel's six-row group and a production-sized batch: full groups,
+// every short last group, and a row or two more or fewer than a whole number
+// of groups.
+var groupBatches = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 63, 64, 65, 66, 67}
 
-// TestSWAROverflowBoundary drives every lane of both kernels to its provable
+// TestSWAROverflowBoundary drives every lane of every kernel to its provable
 // maximum: all 256 weights in a column at -128 and all 256 activations at
 // -128. In the SWAR kernel each 16-bit lane product is then 128*255 = 32640,
 // each pair sum 65280 — the last value below a 16-bit carry — and each
 // widened 32-bit lane accumulates the full-rank maximum 256*32640 =
 // 8,355,840, the last point below a cross-lane carry at the widening step.
 // In the AVX2 kernel each VPMADDWD pair sum is 2*(-128)*(-128) = 2^15, its
-// largest, and 128 of them stack to 2^22. The true dot product
-// 256*(-128)*(-128) = +4,194,304 and the most negative one (weights +127)
-// must both come out exact, at every group shape.
+// largest, and 128 of them stack to 2^22. In the VNNI kernel the accumulators
+// start at their largest bias, -128*256*(-128) = 2^22; against the weights at
+// +127 every VPDPBUSD lane then adds its most negative sum, 4*255*(-128), 64
+// times over, and against the weights at -128 the biased operand is zero and
+// the bias alone is the answer. (FuzzMulRowEquivalence's saturated seeds add
+// the activations at +127.) The true dot product 256*(-128)*(-128) =
+// +4,194,304 and the most negative one (weights +127) must both come out
+// exact, at every group shape.
 func TestSWAROverflowBoundary(t *testing.T) {
 	tile := newTile()
 	for r := 0; r < isa.MatrixDim; r++ {
@@ -130,8 +132,8 @@ func TestSWAROverflowBoundary(t *testing.T) {
 	}
 }
 
-// TestKernelsAgreeOnGroupShapes covers what the AVX2 wrapper's gather has to
-// get right, at every batch in groupBatches: an odd count of nonzero
+// TestKernelsAgreeOnGroupShapes covers what the assembly wrappers' gathers
+// have to get right, at every batch in groupBatches: an odd count of nonzero
 // contraction rows (the zero-padded pair tail), a contraction row that is
 // nonzero in exactly one of a group's activation rows, all-zero activation
 // rows inside a group, all-zero groups, and a dense batch.
@@ -162,8 +164,8 @@ func TestKernelsAgreeOnGroupShapes(t *testing.T) {
 		}},
 		{"zero-groups", func(in []int8, b int, rng *rand.Rand) {
 			for i := 0; i < b; i++ {
-				if i/4%2 == 1 {
-					continue // every other four-row group is all zero
+				if i/4%2 == 1 || i/6%2 == 1 {
+					continue // every other four-row and every other six-row group is all zero
 				}
 				for r := 0; r < isa.MatrixDim; r += 3 {
 					in[i*isa.MatrixDim+r] = int8(rng.Intn(256) - 128)
@@ -222,8 +224,8 @@ func TestScalarKernelMatchesPacked(t *testing.T) {
 }
 
 // TestMultiplyIntoZeroAlloc is the kernel-side allocation gate: the batched
-// multiply must not allocate in steady state under either kernel (the SWAR
-// lane image is latched on first use; the AVX2 wrapper's gather scratch
+// multiply must not allocate in steady state under any kernel (the SWAR
+// lane image is latched on first use; the assembly wrappers' gather scratch
 // stays on the stack), at any worker count that stays on the caller's
 // goroutine.
 func TestMultiplyIntoZeroAlloc(t *testing.T) {
@@ -235,7 +237,7 @@ func TestMultiplyIntoZeroAlloc(t *testing.T) {
 			}
 		}
 		a := swarArray(t, tile)
-		const batch = 18 // four full groups and a short one
+		const batch = 21 // full groups and a short one, of four rows or of six
 		in := make([]int8, batch*isa.MatrixDim)
 		for i := range in {
 			in[i] = int8(i * 7)
@@ -255,49 +257,82 @@ func TestMultiplyIntoZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestAVX2BuildsNoLaneImage: the assembly kernel multiplies the weight bytes
-// as loaded, so a tile that has only served it has no lane storage — the
-// 64 KiB image is neither built nor allocated.
-func TestAVX2BuildsNoLaneImage(t *testing.T) {
-	if native == &swar {
-		t.Skip("no AVX2 on this host")
+// TestAssemblyKernelsBuildNoLaneImage: the assembly kernels multiply the
+// weight bytes as loaded, so a tile that has only served them has no lane
+// storage — the 64 KiB image is neither built nor allocated.
+func TestAssemblyKernelsBuildNoLaneImage(t *testing.T) {
+	if len(kernels) == 1 {
+		t.Skip("no assembly kernel on this host")
 	}
-	forceKernel(t, false)
 	tile := randomTile(3, 1)
 	a := swarArray(t, tile)
 	in := randomBatch(4, 9, 0.5)
 	out := make([][isa.MatrixDim]int32, 9)
-	for _, workers := range []int{1, 3} {
-		if err := a.MultiplyInto(in, out, workers); err != nil {
-			t.Fatal(err)
+	for i, k := range kernels {
+		if k == &swar {
+			continue
 		}
-	}
-	if tile.lanes.words != nil {
-		t.Fatal("a multiply on the AVX2 path built the SWAR lane image")
+		forceKernel(t, i)
+		for _, workers := range []int{1, 3} {
+			if err := a.MultiplyInto(in, out, workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tile.lanes.words != nil {
+			t.Fatalf("a multiply on the %s path built the SWAR lane image", k.name)
+		}
 	}
 }
 
+// The activation layouts FuzzMulRowEquivalence draws from.
+const (
+	// shapeMix: random weights and activations salted with the bias values,
+	// zeros at the given sparsity, some activation rows zero throughout.
+	shapeMix = iota
+	// shapeQuadPositions: in every aligned quad of contraction rows, 1 +
+	// sparsity%4 positions (the same in every activation row) are nonzero
+	// and the rest zero; a third of the quads are zero throughout.
+	shapeQuadPositions
+	// shapeLastQuad: only contraction rows 252-255 are nonzero.
+	shapeLastQuad
+	// shapeSaturated: every weight is wBias and every activation aBias.
+	shapeSaturated
+	numShapes
+)
+
 // FuzzMulRowEquivalence feeds random tiles and activation batches —
-// including the ±128 extremes, whole zero rows and every group shape from 1
-// to 65 rows — through both batched kernels and the scalar oracle and checks
-// every output word against the naive MulRow reference. The corpus seeds pin
-// the boundary cases; the fuzzer mutates from there.
+// including the ±128 extremes, whole zero rows, every group shape from 1 to
+// 67 rows and the quad layouts the VNNI kernel's gather has to get right —
+// through every batched kernel this host can run and the scalar oracle and
+// checks every output word against the naive MulRow reference. The corpus
+// seeds pin the boundary cases; the fuzzer mutates from there.
 func FuzzMulRowEquivalence(f *testing.F) {
-	f.Add(int64(1), int8(-128), int8(-128), uint8(0), uint8(2))
-	f.Add(int64(2), int8(127), int8(-128), uint8(3), uint8(2))
-	f.Add(int64(3), int8(-128), int8(127), uint8(128), uint8(2))
-	f.Add(int64(4), int8(1), int8(-1), uint8(255), uint8(2))
+	f.Add(int64(1), int8(-128), int8(-128), uint8(0), uint8(2), uint8(shapeMix))
+	f.Add(int64(2), int8(127), int8(-128), uint8(3), uint8(2), uint8(shapeMix))
+	f.Add(int64(3), int8(-128), int8(127), uint8(128), uint8(2), uint8(shapeMix))
+	f.Add(int64(4), int8(1), int8(-1), uint8(255), uint8(2), uint8(shapeMix))
 	for i, b := range groupBatches {
-		f.Add(int64(5+i), int8(-128), int8(-128), uint8(40*i), uint8(b-1))
+		f.Add(int64(5+i), int8(-128), int8(-128), uint8(14*i), uint8(b-1), uint8(shapeMix))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, wBias, aBias int8, sparsity, rows uint8) {
+	for k := 0; k < 4; k++ { // k+1 nonzero positions per quad, short and full six-row groups
+		f.Add(int64(30+k), int8(5), int8(-7), uint8(k), uint8(4+k), uint8(shapeQuadPositions))
+	}
+	f.Add(int64(40), int8(-128), int8(127), uint8(0), uint8(6), uint8(shapeLastQuad))
+	f.Add(int64(41), int8(9), int8(0), uint8(0), uint8(12), uint8(shapeSaturated)) // an all-zero batch
+	for i, w := range []int8{-128, 127} {                                          // the bias extremes
+		for j, v := range []int8{-128, 127} {
+			f.Add(int64(42+2*i+j), w, v, uint8(0), uint8(10+2*i+j), uint8(shapeSaturated))
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, wBias, aBias int8, sparsity, rows, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
+		shape %= numShapes
 		tile := newTile()
 		for r := 0; r < isa.MatrixDim; r++ {
 			for c := 0; c < isa.MatrixDim; c++ {
 				// Mix random weights with the bias value so mutated seeds
 				// can saturate whole tiles at the extremes.
-				if rng.Intn(4) == 0 {
+				if shape == shapeSaturated || rng.Intn(4) == 0 {
 					tile.set(r, c, wBias)
 				} else {
 					tile.set(r, c, int8(rng.Intn(256)-128))
@@ -305,20 +340,45 @@ func FuzzMulRowEquivalence(f *testing.F) {
 			}
 		}
 		a := swarArray(t, tile)
-		batch := 1 + int(rows)%65
+		batch := 1 + int(rows)%67
 		in := make([]int8, batch*isa.MatrixDim)
-		for i := 0; i < batch; i++ {
-			if rng.Intn(8) == 0 {
-				continue // a whole zero activation row
-			}
-			for r := 0; r < isa.MatrixDim; r++ {
-				switch {
-				case rng.Intn(256) < int(sparsity):
-				case rng.Intn(4) == 0:
-					in[i*isa.MatrixDim+r] = aBias
-				default:
-					in[i*isa.MatrixDim+r] = int8(rng.Intn(256) - 128)
+		nonzero := func() int8 { return int8(1 + rng.Intn(255)) } // never 0
+		switch shape {
+		case shapeMix:
+			for i := 0; i < batch; i++ {
+				if rng.Intn(8) == 0 {
+					continue // a whole zero activation row
 				}
+				for r := 0; r < isa.MatrixDim; r++ {
+					switch {
+					case rng.Intn(256) < int(sparsity):
+					case rng.Intn(4) == 0:
+						in[i*isa.MatrixDim+r] = aBias
+					default:
+						in[i*isa.MatrixDim+r] = int8(rng.Intn(256) - 128)
+					}
+				}
+			}
+		case shapeQuadPositions:
+			for q := 0; q < isa.MatrixDim; q += 4 {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				for _, k := range rng.Perm(4)[:1+sparsity%4] {
+					for i := 0; i < batch; i++ {
+						in[i*isa.MatrixDim+q+k] = nonzero()
+					}
+				}
+			}
+		case shapeLastQuad:
+			for i := 0; i < batch; i++ {
+				for r := isa.MatrixDim - 4; r < isa.MatrixDim; r++ {
+					in[i*isa.MatrixDim+r] = nonzero()
+				}
+			}
+		case shapeSaturated:
+			for i := range in {
+				in[i] = aBias
 			}
 		}
 		checkKernels(t, a, in)

@@ -37,7 +37,7 @@ type Tile struct {
 
 	// lanes lazily caches the layout the portable SWAR kernel consumes: each
 	// weight row as 32 uint64 words of 8 bias-shifted bytes (see packed). The
-	// AVX2 kernel reads the viewed bytes directly and never builds it. Like
+	// assembly kernels read the viewed bytes directly and never build it. Like
 	// the abft checksums it is latched at first use and assumes the bytes do
 	// not change afterwards; Load drops both. Fault injection corrupts weight
 	// DRAM before the tile is fetched, or datapath scratch after, never a
@@ -239,26 +239,32 @@ type kernel struct {
 
 var swar = kernel{name: "swar", rows: 1, mulRange: (*Array).mulRangeSWAR}
 
-// native is the kernel MultiplyInto runs, chosen once from what the CPU
-// reports: the AVX2 assembly kernel where the host has it, the portable SWAR
-// kernel everywhere else. forcePortable exists so that tests exercise the
-// SWAR kernel on an AVX2 host; nothing else writes it.
+// kernels lists the batched kernels this host can run, fastest first, chosen
+// once from what the CPU reports: the assembly kernels the host has the
+// instructions for, then the portable SWAR kernel. MultiplyInto runs running,
+// which is the first of them except while a test has moved it with runUnder;
+// nothing else writes it.
 var (
-	native        = nativeKernel()
-	forcePortable bool
+	kernels = hostKernels()
+	running = kernels[0]
 )
 
-// selected is the kernel the next MultiplyInto runs.
-func selected() *kernel {
-	if forcePortable {
-		return &swar
+// runUnder makes MultiplyInto run kernels[i] and returns its name; ok is
+// false, and nothing changes, past the end of the list. It exists so that
+// tests exercise every kernel the host can run, not only the fastest:
+// in-package tests call it directly, other packages' tests go through
+// systolic/kerneltest, which reaches it by linkname.
+func runUnder(i int) (name string, ok bool) {
+	if i >= len(kernels) {
+		return "", false
 	}
-	return native
+	running = kernels[i]
+	return running.name, true
 }
 
-// Kernel names the batched kernel in use, "avx2" or "swar", for benchmark
-// lines and bug reports.
-func Kernel() string { return selected().name }
+// Kernel names the batched kernel in use — "avx512vnni", "avx2" or "swar" —
+// for benchmark lines and bug reports.
+func Kernel() string { return running.name }
 
 // MultiplyInto is the allocation-free batched kernel behind Multiply: it
 // computes the B partial-sum rows for in (flat, B*256 int8) into out
@@ -278,7 +284,7 @@ func (a *Array) MultiplyInto(in []int8, out [][isa.MatrixDim]int32, workers int)
 	if len(out) < b {
 		return fmt.Errorf("systolic: output has %d rows, need %d", len(out), b)
 	}
-	k := selected()
+	k := running
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

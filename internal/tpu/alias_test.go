@@ -21,8 +21,8 @@ import (
 
 // runCopyOracle is run with the weight path the views replaced, kept as the
 // oracle: every tile ReadWeights fetches is copied out of weight DRAM into a
-// buffer of its own as it enters the FIFO (what FetchTileInto did for every
-// tile), so the array multiplies a snapshot taken at fetch time rather than
+// buffer of its own as it enters the FIFO (what the copying fetch did for
+// every tile), so the array multiplies a snapshot taken at fetch time rather than
 // the live bytes. (The old second copy, FIFO buffer into the tile's own
 // array, snapshotted a buffer nothing writes and is not reproduced.) The two
 // paths agree exactly when nothing writes the live image between a tile's
