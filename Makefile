@@ -1,8 +1,11 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build cross test race bench-test bench-smoke bench bench-gate fuzz-smoke loc cover obs-smoke chaos-smoke integrity-smoke cluster-smoke report-smoke
+.PHONY: ci fmt-check vet build cross test race bench-test bench-smoke bench bench-gate fuzz-smoke loc cover report-smoke
+.PHONY: obs-smoke chaos-smoke integrity-smoke cluster-smoke
 
-ci: fmt-check vet build cross race bench-test fuzz-smoke cover bench-smoke bench-gate obs-smoke chaos-smoke integrity-smoke cluster-smoke report-smoke
+# `race` runs every package under -race, so the four -race smokes below are
+# developer shortcuts (one subsystem's tests, named), not CI steps.
+ci: fmt-check vet build cross race bench-test fuzz-smoke cover bench-smoke bench-gate report-smoke
 
 # Fails when any file is not gofmt-clean. The benchmark's build directory
 # holds a Go cache, not source.

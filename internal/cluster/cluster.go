@@ -686,8 +686,8 @@ func (c *Cluster) dispatch(rep *replica, trig trigger) {
 	rep.pending = false
 	now := c.loop.Now()
 	// The replica prices from the app's memoized table and cannot fail.
-	kept, svc, expired, _ := rep.lane.Take(now, rep)
-	if expired > 0 {
+	kept, shed, svc, _ := rep.lane.Take(now, rep)
+	if expired := len(shed); expired > 0 {
 		a.expired += uint64(expired)
 		rep.shed += uint64(expired)
 		if co := a.cohortOf(rep); co != nil {

@@ -3,6 +3,7 @@ package latency
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tpusim/internal/stats"
 	"tpusim/internal/workload"
@@ -12,8 +13,8 @@ import (
 const SLASlop = 1e-12
 
 // Late reports whether a request that arrived at arr and would complete at
-// start+svc misses the SLA — the one shed-at-dispatch decision the lane,
-// serve.Plan.Expired and the wall-clock server share.
+// start+svc misses the SLA — the one shed-at-dispatch decision every lane
+// driver and serve.Plan.Expired share.
 func Late(arr, start, svc, sla float64) bool {
 	return start+svc-arr > sla+SLASlop
 }
@@ -32,10 +33,11 @@ func (a At) ArrivedAt() float64 { return float64(a) }
 
 // Lane is the batching server's queueing rule set, written once: a FIFO of
 // requests and the four numbers it runs on. It holds no clock — the driver
-// (Drive's arrival scan, the cluster's des events) says what time it is —
-// so every virtual-time simulator runs the same admit / fill-wait / take /
-// shed decisions. The zero Lane with Cap set is Table 4's server: no fill
-// wait, unbounded queue, no shedding.
+// (Drive's arrival scan, the cluster's des events, the wall-clock
+// serve.Server) says what time it is — so every simulator and the real
+// server run the same admit / fill-wait / take / shed decisions. The zero
+// Lane with Cap set is Table 4's server: no fill wait, unbounded queue, no
+// shedding.
 type Lane[R Arrival] struct {
 	// Cap is the largest batch Take assembles.
 	Cap int
@@ -47,7 +49,7 @@ type Lane[R Arrival] struct {
 	SLA float64
 
 	queue []R
-	batch []R // the last Take's kept batch, overwritten by the next
+	batch []R // the last Take's kept and shed requests, overwritten by the next
 }
 
 // Len returns the number of queued requests.
@@ -80,31 +82,36 @@ func (l *Lane[R]) Due() (at float64, full bool) {
 // Take pops up to Cap requests at time now and sheds the ones that would
 // miss the SLA at the popped batch's price: shedding only shrinks the batch,
 // which only shortens the service time, so the check is conservative for
-// the kept requests. It returns the kept batch (in a buffer the next Take
-// overwrites), its service time — re-priced only if something was shed —
-// and the number shed. An all-stale batch returns no kept requests and
-// should not occupy the server.
-func (l *Lane[R]) Take(now float64, sm ServiceModel) (kept []R, svc float64, expired int, err error) {
+// the kept requests. It returns the kept batch and the shed requests, each
+// in FIFO order (in one buffer the next Take overwrites), and the kept
+// batch's service time — re-priced only if something was shed. An
+// all-stale batch returns no kept requests and should not occupy the
+// server. Take always pops: if pricing fails, the requests not yet shed
+// come back in kept beside the error.
+func (l *Lane[R]) Take(now float64, sm ServiceModel) (kept, shed []R, svc float64, err error) {
 	n := min(len(l.queue), l.Cap)
 	if n == 0 {
-		return nil, 0, 0, nil
+		return nil, nil, 0, nil
 	}
-	if svc, err = sm.BatchSeconds(n); err != nil {
-		return nil, 0, 0, err
-	}
-	kept = l.batch[:0]
+	buf := slices.Grow(l.batch[:0], n)[:n]
+	k, s := 0, n // kept fill buf from the front, shed from the back
+	svc, err = sm.BatchSeconds(n)
 	for _, r := range l.queue[:n] {
-		if l.SLA > 0 && Late(r.ArrivedAt(), now, svc, l.SLA) {
-			continue
+		if err == nil && l.SLA > 0 && Late(r.ArrivedAt(), now, svc, l.SLA) {
+			s--
+			buf[s] = r
+		} else {
+			buf[k] = r
+			k++
 		}
-		kept = append(kept, r)
 	}
-	l.batch = kept
+	slices.Reverse(buf[s:])
+	l.batch = buf
 	l.queue = l.queue[:copy(l.queue, l.queue[n:])]
-	if expired = n - len(kept); expired > 0 && len(kept) > 0 {
-		svc, err = sm.BatchSeconds(len(kept))
+	if err == nil && k < n && k > 0 {
+		svc, err = sm.BatchSeconds(k)
 	}
-	return kept, svc, expired, err
+	return buf[:k:k], buf[s:], svc, err
 }
 
 // Drain appends the queued requests to dst and empties the queue — for a
@@ -191,14 +198,14 @@ func Drive(l *Lane[At], arrivals []float64, sm ServiceModel) (Scan, error) {
 			offerThrough(start)
 		}
 		run.MaxQueue = max(run.MaxQueue, l.Len())
-		kept, svc, expired, err := l.Take(start, sm)
+		kept, shed, svc, err := l.Take(start, sm)
 		if err != nil {
 			return Scan{}, err
 		}
 		if svc <= 0 {
-			return Scan{}, fmt.Errorf("latency: non-positive service time %v for batch %d", svc, len(kept)+expired)
+			return Scan{}, fmt.Errorf("latency: non-positive service time %v for batch %d", svc, len(kept)+len(shed))
 		}
-		run.Expired += expired
+		run.Expired += len(shed)
 		if len(kept) == 0 {
 			continue // stale requests shed without occupying the server
 		}

@@ -208,29 +208,37 @@ func FuzzLane(f *testing.F) {
 				}
 			case 2:
 				n := min(len(model), l.Cap)
-				batch, svc, shed, err := l.Take(now, sm)
+				batch, shed, svc, err := l.Take(now, sm)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(batch)+shed != n {
-					t.Fatalf("Take popped %d kept + %d shed, want %d (cap %d, %d queued)", len(batch), shed, n, l.Cap, len(model))
+				if len(batch)+len(shed) != n {
+					t.Fatalf("Take popped %d kept + %d shed, want %d (cap %d, %d queued)", len(batch), len(shed), n, l.Cap, len(model))
 				}
 				if n == 0 {
 					break
 				}
 				popped, _ := sm.BatchSeconds(n)
-				var want []float64
+				var want, wantShed []float64
 				for _, a := range model[:n] {
 					if l.SLA == 0 || !Late(a, now, popped, l.SLA) {
 						want = append(want, a)
+					} else {
+						wantShed = append(wantShed, a)
 					}
 				}
 				model = model[n:]
 				if len(batch) != len(want) {
 					t.Fatalf("Take kept %d of %d, the popped batch's price keeps %d", len(batch), n, len(want))
 				}
+				// Kept and shed partition the popped prefix, each in FIFO order.
+				for i, a := range shed {
+					if float64(a) != wantShed[i] {
+						t.Fatalf("shed[%d] arrived %v, FIFO says %v", i, a, wantShed[i])
+					}
+				}
 				price := popped
-				if shed > 0 && len(batch) > 0 {
+				if len(shed) > 0 && len(batch) > 0 {
 					price, _ = sm.BatchSeconds(len(batch))
 				}
 				if svc != price {
@@ -245,7 +253,7 @@ func FuzzLane(f *testing.F) {
 					}
 				}
 				kept += len(batch)
-				expired += shed
+				expired += len(shed)
 			case 3:
 				at, full := l.Due()
 				if full != (len(model) >= l.Cap) {

@@ -28,21 +28,22 @@ type BreakerConfig struct {
 	// MinSamples gates state changes until the window has at least this
 	// many outcomes. 0 means half the window.
 	MinSamples int
-	// BrownoutFrac is the failure fraction that triggers brownout.
-	// 0 means 0.3.
-	BrownoutFrac float64
-	// OpenFrac is the failure fraction that opens the breaker. 0 means 0.7.
-	OpenFrac float64
 	// OpenFor is the interval between trial requests while open.
 	// 0 means 250ms.
 	OpenFor time.Duration
 	// BrownoutBatchFrac scales the deadline-safe batch target during
 	// brownout (minimum 1). 0 means 0.5.
 	BrownoutBatchFrac float64
-	// BrownoutQueueFrac scales the admission queue bound during brownout
-	// (minimum 1). 0 means 0.5.
-	BrownoutQueueFrac float64
 }
+
+// The failure fractions that trigger brownout and open the breaker, and
+// the share of the admission queue bound a browned-out lane keeps
+// (minimum 1).
+const (
+	brownoutFrac      = 0.3
+	openFrac          = 0.7
+	brownoutQueueFrac = 0.5
+)
 
 func (c BreakerConfig) window() int {
 	if c.Window <= 0 {
@@ -58,20 +59,6 @@ func (c BreakerConfig) minSamples() int {
 	return c.MinSamples
 }
 
-func (c BreakerConfig) brownoutFrac() float64 {
-	if c.BrownoutFrac <= 0 {
-		return 0.3
-	}
-	return c.BrownoutFrac
-}
-
-func (c BreakerConfig) openFrac() float64 {
-	if c.OpenFrac <= 0 {
-		return 0.7
-	}
-	return c.OpenFrac
-}
-
 func (c BreakerConfig) openFor() time.Duration {
 	if c.OpenFor <= 0 {
 		return 250 * time.Millisecond
@@ -84,13 +71,6 @@ func (c BreakerConfig) brownoutBatchFrac() float64 {
 		return 0.5
 	}
 	return c.BrownoutBatchFrac
-}
-
-func (c BreakerConfig) brownoutQueueFrac() float64 {
-	if c.BrownoutQueueFrac <= 0 {
-		return 0.5
-	}
-	return c.BrownoutQueueFrac
 }
 
 // BreakerState is a lane breaker's position.
@@ -179,10 +159,10 @@ func (b *breaker) record(failed bool) (from, to BreakerState) {
 	}
 	frac := float64(fails) / float64(b.n)
 	switch {
-	case frac >= b.cfg.openFrac():
+	case frac >= openFrac:
 		to = BreakerOpen
 		b.lastTrial = time.Time{} // first trial is immediate after OpenFor
-	case frac >= b.cfg.brownoutFrac():
+	case frac >= brownoutFrac:
 		to = BreakerBrownout
 	default:
 		to = BreakerClosed
@@ -215,7 +195,7 @@ func (b *breaker) admit(depth, capacity int) (ok bool, shedReason string) {
 		}
 		return false, "breaker_open"
 	case BreakerBrownout:
-		limit := int(float64(capacity) * b.cfg.brownoutQueueFrac())
+		limit := int(float64(capacity) * brownoutQueueFrac)
 		if limit < 1 {
 			limit = 1
 		}

@@ -131,8 +131,8 @@ func (p Policy) Resolve(sm latency.ServiceModel) (Plan, error) {
 }
 
 // Expired reports whether a request that arrived at arr and would complete
-// at start+svc violates the SLA — the shed-at-dispatch decision the
-// wall-clock server shares with the lane.
+// at start+svc violates the SLA — the lane's shed-at-dispatch decision,
+// which the cluster's failover check asks of a request outside any lane.
 func (p Plan) Expired(arr, start, svc float64) bool {
 	return latency.Late(arr, start, svc, p.SLASeconds)
 }

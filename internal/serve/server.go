@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +20,9 @@ type ModelConfig struct {
 	Policy Policy
 	// Service is the latency model that sizes the deadline-safe batch and
 	// drives shed-at-dispatch decisions. For the TPU this is the analytic
-	// batch-time model of experiments.TPUBatchSeconds.
+	// batch-time model of experiments.TPUBatchSeconds. The dispatcher
+	// prices batches under the lane's lock, so BatchSeconds must return
+	// promptly and never call back into the Server.
 	Service latency.ServiceModel
 	// Breaker enables the model's circuit breaker and brownout policy;
 	// nil (the default) serves without one.
@@ -36,9 +39,9 @@ type Response struct {
 	BatchSize int
 }
 
-// Server is the wall-clock serving front end: per-model lanes, each with a
-// bounded queue and a dispatcher goroutine that assembles deadline-safe
-// batches and executes them on the Backend.
+// Server is the wall-clock serving front end: per-model lanes, each a
+// latency.Lane on the wall clock and a dispatcher goroutine that takes
+// deadline-safe batches from it and executes them on the Backend.
 type Server struct {
 	backend Backend
 	metrics *Metrics
@@ -54,7 +57,7 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// lane is one model's bounded queue plus its dispatcher's state.
+// lane is one model's batching lane plus its dispatcher's state.
 type lane struct {
 	model string
 	plan  Plan
@@ -69,34 +72,45 @@ type lane struct {
 	// without one (all breaker methods are nil-safe).
 	br *breaker
 
+	// epoch is the lane's clock zero: arrivals and the dispatcher's now are
+	// seconds since it. wake (capacity 1) is how Submit and Close rouse a
+	// sleeping dispatcher; a token left over only costs it one more look.
+	epoch time.Time
+	wake  chan struct{}
+
 	// Dispatcher-owned scratch, touched only by the lane's single dispatch
-	// goroutine: the batch under assembly, the input-pointer slice handed
-	// to the backend, and the fill-wait timer. Reusing them keeps the
-	// steady-state dispatch loop allocation-free.
-	batch  []*call
+	// goroutine: the input-pointer slice handed to the backend and the
+	// fill-wait timer. Reusing them keeps the steady-state dispatch loop
+	// allocation-free.
 	inputs []*tensor.F32
 	timer  *time.Timer
 
 	mu     sync.Mutex
 	closed bool
-	ch     chan *call
+	q      latency.Lane[*call]
 }
+
+// now is the lane's clock: seconds since its epoch.
+func (l *lane) now() float64 { return time.Since(l.epoch).Seconds() }
 
 // call is one in-flight request.
 type call struct {
 	// ctx carries the request's trace context into the dispatcher and
 	// backend; span is the request root, qspan the queue-residency span
-	// (ended by the dispatcher when it picks the call). Ownership of qspan
-	// transfers with the call over the lane channel.
+	// (ended by the dispatcher when Take pops the call). Ownership of qspan
+	// transfers with the call into the lane.
 	ctx   context.Context
 	span  *obs.Span
 	qspan *obs.Span
 	id    uint64
 
-	input *tensor.F32
-	enq   time.Time
-	done  chan callDone
+	input   *tensor.F32
+	arrived float64 // on the lane's clock
+	done    chan callDone
 }
+
+// ArrivedAt implements latency.Arrival.
+func (c *call) ArrivedAt() float64 { return c.arrived }
 
 type callDone struct {
 	resp Response
@@ -172,7 +186,9 @@ func (s *Server) Register(model string, cfg ModelConfig) (Plan, error) {
 		mm:        s.metrics.Model(model),
 		reqTrack:  "serve/" + model,
 		laneTrack: "lane/" + model,
-		ch:        make(chan *call, plan.QueueLimit),
+		epoch:     time.Now(),
+		wake:      make(chan struct{}, 1),
+		q:         Lane[*call](plan),
 	}
 	if cfg.Breaker != nil {
 		l.br = newBreaker(*cfg.Breaker)
@@ -194,7 +210,7 @@ func (s *Server) Submit(model string, input *tensor.F32) (Response, error) {
 // attached (Observe) and head sampling keeps the request, the whole
 // request becomes one trace: a root "request" span on the model's serve
 // track, an "admit" span around the admission decision, a "queue" span for
-// queue residency (ended by the dispatcher when it picks the call), the
+// queue residency (ended when the dispatcher's Take pops the call), the
 // dispatcher's "fill-wait"/"dispatch" spans on the lane track, and — with
 // a context-aware backend — the runtime's compile/device-pick/run spans
 // down to the device's cycle timeline.
@@ -212,13 +228,13 @@ func (s *Server) SubmitCtx(ctx context.Context, model string, input *tensor.F32)
 			obs.String("model", model), obs.String("request_id", obs.RequestID(reqID)))
 	}
 	c := getCall()
-	c.ctx, c.span, c.id, c.input, c.enq = ctx, root, reqID, input, time.Now()
+	c.ctx, c.span, c.id, c.input, c.arrived = ctx, root, reqID, input, l.now()
 
 	var admit *obs.Span
 	if root.Recording() {
 		_, admit = obs.Start(ctx, "admit", l.reqTrack)
-		// The queue span must exist before the call is published on the
-		// channel: after the send, the dispatcher owns it.
+		// The queue span must exist before the call joins the lane: once
+		// offered, the dispatcher owns it.
 		_, c.qspan = obs.Start(ctx, "queue", l.reqTrack)
 	}
 
@@ -230,7 +246,7 @@ func (s *Server) SubmitCtx(ctx context.Context, model string, input *tensor.F32)
 		return Response{}, ErrClosed
 	}
 	l.mm.Submitted()
-	if ok, reason := l.br.admit(len(l.ch), cap(l.ch)); !ok {
+	if ok, reason := l.br.admit(l.q.Len(), l.q.Limit); !ok {
 		l.mm.ShedBreaker(reason)
 		l.mu.Unlock()
 		putCall(c)
@@ -245,9 +261,7 @@ func (s *Server) SubmitCtx(ctx context.Context, model string, input *tensor.F32)
 		}
 		return Response{}, ErrBrownout
 	}
-	select {
-	case l.ch <- c:
-	default:
+	if !l.q.Offer(c) {
 		l.mm.ShedQueue()
 		l.mu.Unlock()
 		putCall(c)
@@ -255,13 +269,19 @@ func (s *Server) SubmitCtx(ctx context.Context, model string, input *tensor.F32)
 		if s.logger != nil {
 			s.logger.Warn("request shed at admission",
 				"model", model, "request_id", obs.RequestID(reqID),
-				"reason", "queue_full", "queue_limit", cap(l.ch))
+				"reason", "queue_full", "queue_limit", l.q.Limit)
 		}
 		return Response{}, ErrOverloaded
 	}
-	depth := len(l.ch)
+	depth := l.q.Len()
 	l.mm.SetQueueDepth(depth)
+	// The dispatcher sleeps only on an empty lane or a batch short of Cap,
+	// so only the first arrival and the one that fills the batch rouse it.
+	rouse := depth == 1 || depth >= l.q.Cap
 	l.mu.Unlock()
+	if rouse {
+		l.signal()
+	}
 	if admit.Recording() {
 		admit.SetAttr(obs.String("outcome", "admitted"), obs.Int("queue_depth", depth))
 		admit.End()
@@ -322,129 +342,113 @@ func outcomeOf(err error) string {
 	}
 }
 
-// dispatch is one lane's batching loop: block for the head request, fill
-// until the deadline-safe batch size or the fill-wait deadline, shed
-// whatever can no longer meet the SLA, and run the rest on the backend.
+// dispatch is the lane's wall-clock driver: it asks the lane when its head
+// batch is due, sleeps until then or until Submit fills the batch, and runs
+// what Take keeps. After Close it never sleeps, so the queue drains.
 func (s *Server) dispatch(l *lane) {
 	defer s.wg.Done()
+	// fw is the fill-wait span of the head the dispatcher is holding for
+	// company; it belongs to the head request's trace and ends at Take.
+	var fw *obs.Span
 	for {
-		head, ok := <-l.ch
-		if !ok {
-			return
-		}
-		picked(head)
-		batch := append(l.batch[:0], head)
-		// The breaker can shrink the batch target mid-flight (brownout) or
-		// pin it to 1 (open: trials ride alone), so resolve it per batch.
-		target := l.br.batchLimit(l.plan.SafeBatch)
-		if target > 1 {
-			// The fill-wait span belongs to the head request's trace: the
-			// head is what the batcher is holding while it waits for
-			// company.
-			var fw *obs.Span
-			if head.span.Recording() {
+		l.mu.Lock()
+		// The breaker can shrink the batch target (brownout) or pin it to 1
+		// (open: trials ride alone), so resolve it per batch.
+		l.q.Cap = l.br.batchLimit(l.plan.SafeBatch)
+		at, full := l.q.Due()
+		now := l.now()
+		if !full && now < at && !l.closed {
+			var head *call
+			if fw == nil && l.q.Len() > 0 {
+				head = l.q.Head()
+			}
+			l.mu.Unlock()
+			if head != nil && head.span.Recording() {
 				_, fw = obs.Start(head.ctx, "fill-wait", l.laneTrack)
 			}
-			wait := l.plan.MaxWaitSeconds - time.Since(head.enq).Seconds()
-			if wait > 0 {
-				// One timer per lane, Reset per batch: since Go 1.23 a
-				// Reset without draining cannot deliver a stale tick, so
-				// the plain Reset/Stop pair is race-free here.
-				if l.timer == nil {
-					l.timer = time.NewTimer(time.Duration(wait * float64(time.Second)))
-				} else {
-					l.timer.Reset(time.Duration(wait * float64(time.Second)))
-				}
-			fill:
-				for len(batch) < target {
-					select {
-					case c, ok := <-l.ch:
-						if !ok {
-							break fill
-						}
-						picked(c)
-						batch = append(batch, c)
-					case <-l.timer.C:
-						break fill
-					}
-				}
-				l.timer.Stop()
-			}
-			// Greedily drain anything already queued up to the safe batch:
-			// the wait budget is spent, but a fuller batch is free.
-		greedy:
-			for len(batch) < target {
-				select {
-				case c, ok := <-l.ch:
-					if !ok {
-						break greedy
-					}
-					picked(c)
-					batch = append(batch, c)
-				default:
-					break greedy
-				}
-			}
-			if fw.Recording() {
-				fw.SetAttr(obs.Int("filled", len(batch)), obs.Int("safe_batch", target))
-				fw.End()
-			}
+			l.sleep(at - now)
+			continue
 		}
-		l.mm.SetQueueDepth(len(l.ch))
-		// Keep the (possibly grown) backing array for the next batch. The
-		// stale *call pointers left in it are dead the moment runBatch
-		// returns — every member has had its done send by then — and are
-		// overwritten before the next dispatch reads them.
-		l.batch = batch[:0]
-		s.runBatch(l, batch)
+		if l.q.Len() == 0 { // closed and drained
+			l.mu.Unlock()
+			return
+		}
+		head := l.q.Head()
+		kept, shed, svc, err := l.q.Take(now, l.sm)
+		l.mm.SetQueueDepth(l.q.Len())
+		l.mu.Unlock()
+		if fw.Recording() {
+			fw.SetAttr(obs.Int("filled", len(kept)+len(shed)), obs.Int("safe_batch", l.q.Cap))
+			fw.End()
+			fw = nil
+		}
+		for _, c := range kept {
+			c.qspan.End()
+		}
+		for _, c := range shed {
+			c.qspan.End()
+		}
+		s.runBatch(l, head, kept, shed, svc, err)
 	}
 }
 
-// picked marks a call's exit from the queue: its queue-residency span ends
-// the moment the dispatcher takes ownership.
-func picked(c *call) {
-	c.qspan.End()
+// signal wakes the dispatcher without blocking; a pending token suffices.
+func (l *lane) signal() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
 }
 
-// runBatch sheds expired members, executes the rest, and delivers results.
-// The dispatch span rides the head request's trace and links every other
+// sleep parks the dispatcher until Submit or Close wakes it or, when d is
+// finite, d seconds pass. One timer per lane, Reset per wait: since Go 1.23
+// a Reset without draining cannot deliver a stale tick.
+func (l *lane) sleep(d float64) {
+	if math.IsInf(d, 1) {
+		<-l.wake
+		return
+	}
+	wait := time.Duration(d * float64(time.Second))
+	if l.timer == nil {
+		l.timer = time.NewTimer(wait)
+	} else {
+		l.timer.Reset(wait)
+	}
+	select {
+	case <-l.wake:
+	case <-l.timer.C:
+	}
+	l.timer.Stop()
+}
+
+// runBatch answers what Take shed, executes the kept batch, and delivers
+// results; err is Take's pricing error, which fails the kept batch. The
+// dispatch span rides the head request's trace and links every other kept
 // member's request span, so a batch reads as one fan-in in the exported
 // trace; the backend call runs under the dispatch span's context so a
 // context-aware backend (RuntimeBackend) extends the same trace down to
 // the device.
-func (s *Server) runBatch(l *lane, batch []*call) {
-	ctx := batch[0].ctx
+func (s *Server) runBatch(l *lane, head *call, kept, shed []*call, svc float64, err error) {
+	ctx := head.ctx
 	var dsp *obs.Span
-	if batch[0].span.Recording() {
-		ctx, dsp = obs.Start(ctx, "dispatch", l.laneTrack, obs.Int("batch", len(batch)))
+	if head.span.Recording() {
+		ctx, dsp = obs.Start(ctx, "dispatch", l.laneTrack, obs.Int("batch", len(kept)+len(shed)))
 		defer dsp.End()
-	}
-	svc, err := l.sm.BatchSeconds(len(batch))
-	if err != nil {
-		s.failBatch(l, batch, err)
-		return
-	}
-	now := time.Now()
-	expired := 0
-	kept := batch[:0]
-	for _, c := range batch {
-		age := now.Sub(c.enq).Seconds()
-		if l.plan.Expired(0, age, svc) { // arrived at 0, dispatching at age
-			l.mm.Expired()
-			expired++
-			c.done <- callDone{err: ErrDeadline}
-			continue
-		}
-		kept = append(kept, c)
-	}
-	if dsp.Recording() {
-		dsp.SetAttr(obs.Int("expired", expired), obs.Int("kept", len(kept)),
+		dsp.SetAttr(obs.Int("expired", len(shed)), obs.Int("kept", len(kept)),
 			obs.Float("svc_seconds", svc))
 		for _, c := range kept {
-			if c != batch[0] {
+			if c != head {
 				dsp.Link(c.span.ID())
 			}
 		}
+	}
+	for _, c := range shed {
+		l.mm.Expired()
+		c.done <- callDone{err: ErrDeadline}
+	}
+	if err != nil {
+		s.failBatch(l, kept, err)
+		return
 	}
 	if len(kept) == 0 {
 		return
@@ -470,12 +474,12 @@ func (s *Server) runBatch(l *lane, batch []*call) {
 		return
 	}
 	s.recordBreaker(l, false)
-	done := time.Now()
+	done := l.now()
 	l.mm.Batch(len(kept))
 	for i, c := range kept {
-		lat := done.Sub(c.enq)
-		l.mm.Completed(lat.Seconds())
-		c.done <- callDone{resp: Response{Output: outputs[i], Latency: lat, BatchSize: len(kept)}}
+		lat := done - c.arrived
+		l.mm.Completed(lat)
+		c.done <- callDone{resp: Response{Output: outputs[i], Latency: time.Duration(lat * float64(time.Second)), BatchSize: len(kept)}}
 	}
 }
 
@@ -552,11 +556,9 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	for _, l := range lanes {
 		l.mu.Lock()
-		if !l.closed {
-			l.closed = true
-			close(l.ch)
-		}
+		l.closed = true
 		l.mu.Unlock()
+		l.signal()
 	}
 	s.wg.Wait()
 	for _, l := range lanes {

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"tpusim/internal/latency"
 	"tpusim/internal/tensor"
 )
 
@@ -259,6 +261,64 @@ func TestServerBackendShortOutputIsError(t *testing.T) {
 		t.Error("output count mismatch accepted")
 	}
 	s.Close()
+}
+
+// TestServerPricingErrorFailsTakenBatch: a batch the latency model cannot
+// price leaves the lane anyway — its members fail with the pricing error
+// instead of wedging the dispatcher — and the next batch is served.
+func TestServerPricingErrorFailsTakenBatch(t *testing.T) {
+	errPricing := errors.New("no price for a batch of 2")
+	var armed atomic.Bool // Resolve prices 2 while sizing the plan
+	sm := latency.ServiceFunc(func(n int) (float64, error) {
+		if armed.Load() && n == 2 {
+			return 0, errPricing
+		}
+		return 1e-4, nil
+	})
+	b := NewSimBackend(0)
+	b.AddModel("m", sm)
+	s := NewServer(b)
+	// A 10 s fill window: only a full pair or Close dispatches.
+	if _, err := s.Register("m", ModelConfig{
+		Policy:  Policy{MaxBatch: 2, SLASeconds: 30, MaxWaitSeconds: 10},
+		Service: sm,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+
+	pair := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { _, err := s.Submit("m", row()); pair <- err }()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-pair:
+			if !errors.Is(err, errPricing) {
+				t.Errorf("member of the unpriceable pair got %v, want the pricing error", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the unpriceable pair never left the lane")
+		}
+	}
+
+	later := make(chan error, 1)
+	go func() { _, err := s.Submit("m", row()); later <- err }()
+	waitForDepth(t, s, "m", 1)
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	if err := <-later; err != nil {
+		t.Errorf("request after the failed batch: %v", err)
+	}
+	ms := s.Metrics().Snapshot().Models[0]
+	if ms.Errored != 2 || ms.Completed != 1 {
+		t.Errorf("errored/completed = %d/%d, want 2/1", ms.Errored, ms.Completed)
+	}
 }
 
 // TestServerConcurrencyInvariants is the batcher's -race stress test:

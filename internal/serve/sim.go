@@ -53,7 +53,7 @@ func (r SimResult) ShedFrac() float64 {
 // Simulate replays the deadline-aware batcher in virtual time against an
 // open-loop Poisson arrival stream: the resolved Plan's latency.Lane under
 // the arrival-scan driver, so the decision sequence is the one every
-// cluster replica runs and the wall-clock Server mirrors:
+// cluster replica and the wall-clock Server run:
 //
 //  1. Admission: an arrival joins the queue only if fewer than QueueLimit
 //     requests are waiting; otherwise it is shed immediately. The bounded
