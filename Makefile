@@ -14,19 +14,21 @@ fmt-check:
 	[ -z "$$out" ] || { echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; }
 
 # Every package, the command entry points included, and asmdecl over the
-# matrix kernel's assembly.
+# assembly: the matrix kernels (systolic/kernel_amd64.s), the fixed-point row
+# passes (fixed/fixed_amd64.s) and the CPUID reads (cpu/cpu_amd64.s).
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
 
-# The matrix kernel has an amd64 assembly file; build everything and vet the
-# kernel package (tests included) for another GOARCH so the portable file
-# set cannot rot. Works offline.
+# The matrix kernel, the fixed-point row passes and the CPUID reads have
+# amd64 assembly files; build everything and vet their packages (tests
+# included) for another GOARCH so the portable file sets cannot rot. Works
+# offline.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/systolic/...
+	GOARCH=arm64 $(GO) vet ./internal/systolic/... ./internal/fixed/... ./internal/cpu/...
 
 test:
 	$(GO) test ./...
@@ -42,10 +44,12 @@ bench-test:
 
 # Quick benchmark smoke: proves the kernel benchmarks still run — every
 # kernel arm of BenchmarkMultiply (each assembly kernel the host can run,
-# swar, scalar) — without paying for a full measurement.
+# swar, scalar) and both paths of the fixed-point row passes — without
+# paying for a full measurement.
 bench-smoke:
 	$(GO) test ./internal/systolic -run xxx -bench BenchmarkMulRow -benchtime 100x
 	$(GO) test ./internal/systolic -run xxx -bench 'BenchmarkMultiply/B=64' -benchtime 20x
+	$(GO) test ./internal/fixed -run xxx -bench 'DrainRow|SatAddRows|QuantizeInto' -benchtime 100x
 
 # Full benchmark sweep (tables, figures, kernels).
 bench:
@@ -85,10 +89,13 @@ bench-gate:
 	[ -n "$$allocs" ] && [ "$$allocs" -le $(T3_CEILING_ALLOCS) ] || { echo "bench-gate: BenchmarkTable3 $$allocs allocs/op exceeds $(T3_CEILING_ALLOCS)"; exit 1; }
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
-# decoder, kernel-equivalence, batching-lane and plan-spec parser regressions
-# without a dedicated fuzzing job.
+# decoder, kernel-equivalence, row-pass-equivalence, batching-lane and
+# plan-spec parser regressions without a dedicated fuzzing job.
 fuzz-smoke:
 	$(GO) test ./internal/systolic -run '^$$' -fuzz '^FuzzMulRowEquivalence$$' -fuzztime 5s
+	$(GO) test ./internal/fixed -run '^$$' -fuzz '^FuzzDrainRow$$' -fuzztime 5s
+	$(GO) test ./internal/fixed -run '^$$' -fuzz '^FuzzSatAddRows$$' -fuzztime 5s
+	$(GO) test ./internal/fixed -run '^$$' -fuzz '^FuzzQuantizeInto$$' -fuzztime 5s
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzProgramValidate$$' -fuzztime 5s
 	$(GO) test ./internal/latency -run '^$$' -fuzz '^FuzzLane$$' -fuzztime 5s

@@ -13,7 +13,25 @@ package fixed
 import (
 	"fmt"
 	"math"
+
+	"tpusim/internal/cpu"
 )
+
+// vector selects the assembly row passes behind SatAddRow, QuantizeInto and
+// DrainRow where the host has AVX2. Each pass is bit-identical to the scalar
+// loop beside it, which is the portable path and the oracle the tests hold
+// the passes to. Only useVector writes it.
+var vector = cpu.AVX2
+
+// useVector turns the row passes on, where the host has them, or off, and
+// reports whether they are on. It exists so that tests cover both paths:
+// this package's tests call it directly, other packages' tests go through
+// systolic/kerneltest, which reaches it by linkname and turns the passes off
+// on the portable kernel rung. The switch is process-wide.
+func useVector(on bool) bool {
+	vector = on && cpu.AVX2
+	return vector
+}
 
 // Params describes an affine quantization: real = Scale * (q - ZeroPoint).
 // For int8 weights the TPU convention in this repo is symmetric quantization
@@ -32,10 +50,43 @@ func (p Params) Validate() error {
 }
 
 // Quantize maps a real value to int8 under p, with round-to-nearest-even and
-// saturation to [-128, 127].
+// saturation to [-128, 127] (see roundSat for infinities and NaN).
 func (p Params) Quantize(x float32) int8 {
-	q := float64(x)/float64(p.Scale) + float64(p.ZeroPoint)
-	return SatInt8(int32(math.RoundToEven(q)))
+	return roundSat(float64(x)/float64(p.Scale) + float64(p.ZeroPoint))
+}
+
+// QuantizeInto quantizes src into dst under p: dst[i] = p.Quantize(src[i])
+// for every element of src. len(dst) must be at least len(src). Where the
+// host has AVX2 it is one vector pass — widen, divide, add, round, clamp,
+// narrow, eight elements at a time — doing the same IEEE float64 operations
+// in the same order as Quantize, so the bytes are the same.
+func QuantizeInto(dst []int8, src []float32, p Params) {
+	dst = dst[:len(src)]
+	n := 0
+	if vector && len(src) >= 8 {
+		n = len(src) &^ 7
+		// Quantize's x/scale + zp is (x*1)/scale + zp exactly.
+		quantizeAVX2(&dst[0], &src[0], n, 1, float64(p.Scale), float64(p.ZeroPoint))
+	}
+	for i := n; i < len(src); i++ {
+		dst[i] = p.Quantize(src[i])
+	}
+}
+
+// roundSat rounds q half to even and saturates it to int8. It clamps in the
+// float domain before converting, so every input has one answer on every
+// architecture (Go leaves converting an out-of-range float to an integer to
+// the implementation: amd64 yields MinInt32, arm64 saturates). Above 127, +Inf
+// included, is 127; below -128, -Inf and NaN are -128.
+func roundSat(q float64) int8 {
+	switch {
+	case q > math.MaxInt8:
+		return math.MaxInt8
+	case q >= math.MinInt8:
+		return int8(math.RoundToEven(q))
+	default: // below -128, or NaN
+		return math.MinInt8
+	}
 }
 
 // Dequantize maps an int8 back to the real line under p.
@@ -71,18 +122,6 @@ func ChooseParamsFor(data []float32) Params {
 	return ChooseParams(m)
 }
 
-// SatInt8 clamps a 32-bit value into int8 range.
-func SatInt8(v int32) int8 {
-	switch {
-	case v > math.MaxInt8:
-		return math.MaxInt8
-	case v < math.MinInt8:
-		return math.MinInt8
-	default:
-		return int8(v)
-	}
-}
-
 // SatUint8 clamps a 32-bit value into uint8 range.
 func SatUint8(v int32) uint8 {
 	switch {
@@ -111,6 +150,26 @@ func SatAdd32(a, b int32) int32 {
 	}
 }
 
+// SatAddRow adds src into dst lane by lane, saturating — dst[j] =
+// SatAdd32(dst[j], src[j]) for every lane of dst — and returns the XOR of
+// the lanes it wrote, the new row's parity word. len(src) must be at least
+// len(dst). Where the host has AVX2 it is one vector pass: a wrapping add, an
+// overflow mask (the sum's sign differs from both operands') and a blend
+// with the rail on the operands' side, parity folded in.
+func SatAddRow(dst, src []int32) (parity uint32) {
+	src = src[:len(dst)]
+	n := 0
+	if vector && len(dst) >= 8 {
+		n = len(dst) &^ 7
+		parity = satAddAVX2(&dst[0], &src[0], n)
+	}
+	for j := n; j < len(dst); j++ {
+		dst[j] = SatAdd32(dst[j], src[j])
+		parity ^= uint32(dst[j])
+	}
+	return parity
+}
+
 // MulI8 multiplies two signed 8-bit values into the 16-bit product the MAC
 // cells produce ("The 16-bit products are collected in the 4 MiB of 32-bit
 // Accumulators").
@@ -124,8 +183,7 @@ func MulI8(a, b int8) int16 {
 // Unified Buffer.
 func Requantize(acc int32, srcScale float32, dst Params) int8 {
 	real := float64(acc) * float64(srcScale)
-	q := real/float64(dst.Scale) + float64(dst.ZeroPoint)
-	return SatInt8(int32(math.RoundToEven(q)))
+	return roundSat(real/float64(dst.Scale) + float64(dst.ZeroPoint))
 }
 
 // Multiplier returns the combined rescale factor applied during

@@ -1,0 +1,16 @@
+//go:build !amd64
+
+package fixed
+
+// Off amd64 there is no assembly: cpu.AVX2 is false, so vector is never set
+// and the row passes are never called.
+
+func satAddAVX2(dst, src *int32, n int) uint32 { panic("fixed: no AVX2 off amd64") }
+
+func requantizeAVX2(dst *int8, src *int32, n int, s, d, zp float64) {
+	panic("fixed: no AVX2 off amd64")
+}
+
+func quantizeAVX2(dst *int8, src *float32, n int, s, d, zp float64) {
+	panic("fixed: no AVX2 off amd64")
+}

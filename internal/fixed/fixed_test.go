@@ -66,21 +66,6 @@ func TestChooseParamsFor(t *testing.T) {
 	}
 }
 
-func TestSatInt8(t *testing.T) {
-	cases := []struct {
-		in   int32
-		want int8
-	}{
-		{0, 0}, {127, 127}, {128, 127}, {1 << 20, 127},
-		{-128, -128}, {-129, -128}, {-(1 << 20), -128}, {42, 42},
-	}
-	for _, c := range cases {
-		if got := SatInt8(c.in); got != c.want {
-			t.Errorf("SatInt8(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 func TestSatUint8(t *testing.T) {
 	cases := []struct {
 		in   int32

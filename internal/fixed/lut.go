@@ -91,25 +91,29 @@ func (l *LUT) LookupSlice(dst, src []int8) {
 // DrainRow is the batched activation drain: it requantizes one accumulator
 // row holding products at srcScale into the pre-activation domain and maps
 // each value through the table, dst[j] = Lookup(Requantize(acc[j],
-// srcScale, pre)). The per-element arithmetic is the exact float64
-// expression of Requantize — (float64(acc)*s)/d + zp, round-to-even,
-// saturate — evaluated in the same order, so results are bit-identical to
-// the per-element path; the win is hoisting the scale and zero-point
-// conversions and the two call frames out of the per-element loop, which
-// runs once per 256-wide row draining the accumulators. len(acc) must be at
-// least len(dst).
+// srcScale, pre)). len(acc) must be at least len(dst).
+//
+// Where the host has AVX2 the requantize is one vector pass, four lanes per
+// register: widen to float64, multiply by the source scale, divide by the
+// pre-activation scale, add the zero point, round half to even, clamp to
+// [-128, 127] (NaN to -128), narrow and saturating-pack to int8. Those are
+// the IEEE float64 operations of Requantize in the same order, and the clamp
+// is roundSat's, so the row is bit-identical. The table is then looked up
+// from the packed row.
 func (l *LUT) DrainRow(dst []int8, acc []int32, srcScale float32, pre Params) {
-	s := float64(srcScale)
-	d := float64(pre.Scale)
-	zp := float64(pre.ZeroPoint)
-	tab := &l.Table
-	if len(dst) == 0 {
-		return
-	}
 	acc = acc[:len(dst)]
-	for j := range dst {
-		q := float64(acc[j])*s/d + zp
-		dst[j] = tab[int(SatInt8(int32(math.RoundToEven(q))))+128]
+	s, d, zp := float64(srcScale), float64(pre.Scale), float64(pre.ZeroPoint)
+	tab := &l.Table
+	n := 0
+	if vector && len(dst) >= 8 {
+		n = len(dst) &^ 7
+		requantizeAVX2(&dst[0], &acc[0], n, s, d, zp)
+		for j, v := range dst[:n] {
+			dst[j] = tab[int(v)+128]
+		}
+	}
+	for j := n; j < len(dst); j++ {
+		dst[j] = tab[int(roundSat(float64(acc[j])*s/d+zp))+128]
 	}
 }
 

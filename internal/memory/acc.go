@@ -26,8 +26,11 @@ type Accumulators struct {
 	// nil costs one nil check per store.
 	parity []uint32
 	// dirty has one bit per block, set when a store or injected flip may
-	// have left the (then backed) block nonzero; Reset zeroes the set blocks.
-	dirty uint64
+	// have left the (then backed) block nonzero, and written[b] is the range
+	// of dirty block b's registers, [lo, hi), that it may have left nonzero.
+	// Reset zeroes those ranges.
+	dirty   uint64
+	written [accBlocks]struct{ lo, hi uint8 }
 }
 
 // The file is backed and dirty-tracked in accBlocks blocks — one per bit of
@@ -55,32 +58,38 @@ func (a *Accumulators) reg(idx int) *[isa.MatrixDim]int32 {
 	return &zeroReg
 }
 
-// touch backs the blocks covering registers [idx, idx+n) and marks them
-// dirty, ahead of a write. Callers have bounds-checked the range; an empty
-// range touches nothing.
+// touch backs the blocks covering registers [idx, idx+n) and marks the
+// registers dirty, ahead of a write. Callers have bounds-checked the range;
+// an empty range touches nothing.
 func (a *Accumulators) touch(idx, n int) {
-	if n <= 0 {
-		return
-	}
-	lo, hi := idx/accBlock, (idx+n-1)/accBlock
-	for b := lo; b <= hi; b++ {
+	for i, end := idx, idx+n; i < end; {
+		b, r := i/accBlock, i%accBlock
+		rEnd := min(accBlock, r+end-i)
 		if a.blocks[b] == nil {
 			a.blocks[b] = new([accBlock][isa.MatrixDim]int32)
 		}
+		w := &a.written[b]
+		if a.dirty&(1<<b) == 0 {
+			w.lo, w.hi = uint8(r), uint8(rEnd)
+			a.dirty |= 1 << b
+		} else {
+			w.lo, w.hi = min(w.lo, uint8(r)), max(w.hi, uint8(rEnd))
+		}
+		i += rEnd - r
 	}
-	a.dirty |= (^uint64(0) >> (63 - (hi - lo))) << lo
 }
 
 // Reset returns the file to its freshly-allocated state — every register
-// zero — keeping the storage it has grown. Only dirty blocks are zeroed;
-// their parity words return to zero with them (the parity of a zero
-// register is zero).
+// zero — keeping the storage it has grown. Only the written range of each
+// dirty block is zeroed; its parity words return to zero with it (the parity
+// of a zero register is zero).
 func (a *Accumulators) Reset() {
 	for m := a.dirty; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
-		clear(a.blocks[b][:])
+		lo, hi := int(a.written[b].lo), int(a.written[b].hi)
+		clear(a.blocks[b][lo:hi])
 		if a.parity != nil {
-			clear(a.parity[b*accBlock : (b+1)*accBlock])
+			clear(a.parity[b*accBlock+lo : b*accBlock+hi])
 		}
 	}
 	a.dirty = 0
@@ -88,7 +97,8 @@ func (a *Accumulators) Reset() {
 
 // Store writes one 256-wide partial sum into register idx. With accumulate
 // set, values add saturating into the existing contents (summing partial
-// products across weight-tile rows); otherwise they overwrite.
+// products across weight-tile rows, fixed.SatAddRow); otherwise they
+// overwrite.
 func (a *Accumulators) Store(idx int, row *[isa.MatrixDim]int32, accumulate bool) error {
 	if idx < 0 || idx >= isa.AccumulatorCount {
 		return fmt.Errorf("memory: accumulator index %d outside [0,%d)", idx, isa.AccumulatorCount)
@@ -117,12 +127,13 @@ func (a *Accumulators) StoreRows(idx int, rows [][isa.MatrixDim]int32, accumulat
 func (a *Accumulators) store(idx int, row *[isa.MatrixDim]int32, accumulate bool) {
 	dst := &a.blocks[idx/accBlock][idx%accBlock]
 	if accumulate {
-		for j := range dst {
-			dst[j] = fixed.SatAdd32(dst[j], row[j])
+		p := fixed.SatAddRow(dst[:], row[:])
+		if a.parity != nil {
+			a.parity[idx] = p
 		}
-	} else {
-		*dst = *row
+		return
 	}
+	*dst = *row
 	if a.parity != nil {
 		a.parity[idx] = parityOf(dst)
 	}

@@ -180,6 +180,14 @@ func TestGuardedWeights(t *testing.T) {
 			t.Fatalf("clean tile %d flagged", tile)
 		}
 	}
+	// Until something flips a bit the live image is the golden one: no copy,
+	// and nothing to repair.
+	if view, _ := g.TileView(isa.WeightTileBytes); &view[0] != &golden[isa.WeightTileBytes] {
+		t.Fatal("an unflipped weight memory copied its image")
+	}
+	if scanned, repaired := g.Scrub(); scanned != 3 || repaired != 0 || g.RepairTile(0) {
+		t.Fatalf("an unflipped weight memory: scrub scanned %d repaired %d, or RepairTile found a corrupt tile", scanned, repaired)
+	}
 	// Flip a bit in tile 1; it persists, is detected only there, and the
 	// fetched tile differs from golden.
 	off := uint64(isa.WeightTileBytes + 1234)

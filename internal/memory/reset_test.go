@@ -117,11 +117,17 @@ func TestAccumulatorsDirtyMask(t *testing.T) {
 	if want := uint64(1) | 1<<(2048/accBlock); a.dirty != want || backedBlocks(a) != 2 {
 		t.Fatalf("rows 0..7 and 2048..2055 dirtied %#x (want %#x), backed %d blocks (want 2)", a.dirty, want, backedBlocks(a))
 	}
+	if w := a.written[2048/accBlock]; w.lo != 0 || w.hi != 8 {
+		t.Fatalf("rows 2048..2055 recorded as written rows [%d, %d) of their block, want [0, 8)", w.lo, w.hi)
+	}
 	if err := a.StoreRows(accBlock-1, rows[:2], false); err != nil { // straddles blocks 0 and 1
 		t.Fatal(err)
 	}
 	if a.dirty&3 != 3 || backedBlocks(a) != 3 {
 		t.Fatalf("a store straddling blocks 0 and 1 dirtied %#x, backed %d blocks", a.dirty, backedBlocks(a))
+	}
+	if w0, w1 := a.written[0], a.written[1]; w0.lo != 0 || w0.hi != accBlock || w1.lo != 0 || w1.hi != 1 {
+		t.Fatalf("written rows of blocks 0 and 1: [%d, %d) and [%d, %d), want [0, %d) and [0, 1)", w0.lo, w0.hi, w1.lo, w1.hi, accBlock)
 	}
 	if err := a.Clear(0, a.Count()); err != nil {
 		t.Fatal(err)
@@ -205,8 +211,9 @@ func TestAccumulatorsBackedOnDemand(t *testing.T) {
 
 // BenchmarkAccumulatorsResetTwoHalves is the reset a two-layer model pays:
 // the compiler alternates accumulator halves, so the run wrote rows 0..7
-// and 2048..2055. clearedB/op is what Reset zeroed for it — two 64-register
-// blocks, where a high-water mark cleared everything up to register 2056.
+// and 2048..2055. clearedB/op is what Reset zeroed for it — the sixteen
+// written registers, where whole dirty blocks were 128 KiB and a high-water
+// mark cleared everything up to register 2056.
 func BenchmarkAccumulatorsResetTwoHalves(b *testing.B) {
 	a := NewAccumulators()
 	var rows [8][isa.MatrixDim]int32
@@ -223,7 +230,11 @@ func BenchmarkAccumulatorsResetTwoHalves(b *testing.B) {
 		if err := a.StoreRows(isa.AccumulatorCount/2, rows[:], false); err != nil {
 			b.Fatal(err)
 		}
-		cleared = bits.OnesCount64(a.dirty) * accBlock * isa.MatrixDim * 4
+		cleared = 0
+		for m := a.dirty; m != 0; m &= m - 1 {
+			w := a.written[bits.TrailingZeros64(m)]
+			cleared += int(w.hi-w.lo) * isa.MatrixDim * 4
+		}
 		a.Reset()
 	}
 	b.ReportMetric(float64(cleared), "clearedB/op")

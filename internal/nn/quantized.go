@@ -89,9 +89,7 @@ func QuantizeModel(m *Model, p *Params, calib *tensor.F32) (*QuantizedModel, err
 		wp := fixed.ChooseParamsFor(w.Data)
 		qm.WScale[i] = wp.Scale
 		qi := &tensor.I8{Shape: w.Shape.Clone(), Data: make([]int8, len(w.Data))}
-		for j, v := range w.Data {
-			qi.Data[j] = wp.Quantize(v)
-		}
+		fixed.QuantizeInto(qi.Data, w.Data, wp)
 		qm.Weights[i] = qi
 	}
 	return qm, nil
@@ -129,17 +127,16 @@ func (qm *QuantizedModel) QuantizeInputInto(in *tensor.F32, dst *tensor.I8) *ten
 	} else {
 		dst.Shape = in.Shape.Clone()
 	}
-	for i, v := range in.Data {
-		dst.Data[i] = qm.Edge[0].Quantize(v)
-	}
+	fixed.QuantizeInto(dst.Data, in.Data, qm.Edge[0])
 	return dst
 }
 
 // DequantizeOutput converts the model's int8 output back to real values.
 func (qm *QuantizedModel) DequantizeOutput(out *tensor.I8) *tensor.F32 {
+	p := qm.Edge[len(qm.Model.Layers)]
 	f := tensor.NewF32(out.Shape...)
 	for i, v := range out.Data {
-		f.Data[i] = qm.Edge[len(qm.Model.Layers)].Dequantize(v)
+		f.Data[i] = p.Dequantize(v)
 	}
 	return f
 }

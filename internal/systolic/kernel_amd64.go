@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"unsafe"
 
+	"tpusim/internal/cpu"
 	"tpusim/internal/isa"
 )
 
@@ -20,37 +21,18 @@ var (
 )
 
 // hostKernels lists the kernels the CPU and the OS between them can run,
-// fastest first. An instruction set counts only when CPUID reports it and
-// XCR0 shows the OS saving the registers it needs: XMM and YMM state (bits 1
-// and 2) for AVX2; opmask and both halves of the ZMM file on top (bits 5, 6
-// and 7) for AVX-512, of which the VNNI kernel uses F, BW (the byte and word
-// unpacks) and VNNI.
+// fastest first (see package cpu for what "can run" takes). The VNNI kernel
+// uses AVX-512 F, BW (the byte and word unpacks) and VNNI.
 func hostKernels() []*kernel {
-	const (
-		osxsave, avx               = 1 << 27, 1 << 28         // leaf 1 ECX
-		avx2Bit, avx512f, avx512bw = 1 << 5, 1 << 16, 1 << 30 // leaf 7 EBX
-		avx512vnni                 = 1 << 11                  // leaf 7 ECX
-		ymmState, zmmState         = 0x06, 0xE6               // XCR0
-	)
 	var ks []*kernel
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	_, _, c1, _ := cpuid(1, 0)
-	if maxLeaf >= 7 && c1&(osxsave|avx) == osxsave|avx {
-		xcr := xcr0()
-		_, b7, c7, _ := cpuid(7, 0)
-		if xcr&zmmState == zmmState && b7&(avx512f|avx512bw) == avx512f|avx512bw && c7&avx512vnni != 0 {
-			ks = append(ks, &vnni)
-		}
-		if xcr&ymmState == ymmState && b7&avx2Bit != 0 {
-			ks = append(ks, &avx2)
-		}
+	if cpu.AVX512VNNI {
+		ks = append(ks, &vnni)
+	}
+	if cpu.AVX2 {
+		ks = append(ks, &avx2)
 	}
 	return append(ks, &swar)
 }
-
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xcr0() uint32
 
 //go:noescape
 func mulGroupAVX2(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim]uint32, vals *[isa.MatrixDim / 2][avx2Rows][2]int16, pairs int, out *[isa.MatrixDim]int32, n int)
@@ -76,8 +58,9 @@ func group(act []*[isa.MatrixDim]int8, in []int8, i, hi int) int {
 }
 
 // nonzero8 tests eight contraction rows at once: byte k of the result is
-// nonzero iff contraction row r0+k is nonzero in some activation row of the
-// group. Both assembly kernels' zero-row skip walks these masks.
+// nonzero iff contraction row r0+k is nonzero in some row of act. Both
+// assembly kernels' zero-row skip walks these masks over the real rows of a
+// group only: the padding rows are zero.
 func nonzero8(act []*[isa.MatrixDim]int8, r0 int) uint64 {
 	var m uint64
 	for _, a := range act {
@@ -109,7 +92,7 @@ func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 		g := group(act[:], in, i, hi)
 		n := 0
 		for r0 := 0; r0 < isa.MatrixDim; r0 += 8 {
-			for m := nonzero8(act[:], r0); m != 0; {
+			for m := nonzero8(act[:g], r0); m != 0; {
 				k := bits.TrailingZeros64(m) >> 3
 				m &^= 0xff << (k * 8)
 				r := r0 + k
@@ -155,7 +138,7 @@ func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 		g := group(act[:], in, i, hi)
 		n := 0
 		for r0 := 0; r0 < isa.MatrixDim; r0 += 8 {
-			m := nonzero8(act[:], r0)
+			m := nonzero8(act[:g], r0)
 			for r := r0; m != 0; r, m = r+4, m>>32 {
 				if uint32(m) == 0 {
 					continue

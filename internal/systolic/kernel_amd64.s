@@ -1,26 +1,5 @@
 #include "textflag.h"
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xcr0() uint32
-//
-// The low half of extended control register 0: which register state the OS
-// saves and restores. Only valid when CPUID reports OSXSAVE.
-TEXT ·xcr0(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET
-
 // MADD4 multiplies the interleaved weight words in Y10 (columns 0-3, 8-11)
 // and Y11 (columns 4-7, 12-15) by activation row j's (v_r, v_r') pair and
 // adds the int32 pair sums into the row's two accumulators.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"tpusim/internal/fixed"
 	"tpusim/internal/isa"
 )
 
@@ -298,18 +297,26 @@ func (d *Device) activateVector(in *isa.Instruction, meta isa.ActMeta) error {
 	defer actPool.Put(s)
 	out := s.growOut(n)
 	acc := s.growAcc(n)
-	switch {
-	case in.Flags&isa.FlagVecScale != 0:
-		for i := 0; i < n; i++ {
-			acc[i] = int32(src[i]) * int32(operand[i%width])
+	if operand == nil {
+		for i, v := range src {
+			acc[i] = int32(v)
 		}
-	case in.Flags&isa.FlagVecBias != 0:
-		for i := 0; i < n; i++ {
-			acc[i] = fixed.SatAdd32(int32(src[i]), int32(operand[i%width]))
-		}
-	default:
-		for i := 0; i < n; i++ {
-			acc[i] = int32(src[i])
+	} else {
+		// The operand repeats every width elements: walk src a width at a
+		// time against the whole operand.
+		scale := in.Flags&isa.FlagVecScale != 0
+		for lo := 0; lo < n; lo += width {
+			a := acc[lo:min(lo+width, n)]
+			x, op := src[lo:lo+len(a)], operand[:len(a)]
+			if scale {
+				for i := range a {
+					a[i] = int32(x[i]) * int32(op[i])
+				}
+			} else {
+				for i := range a {
+					a[i] = int32(x[i]) + int32(op[i]) // two int8s: never saturates
+				}
+			}
 		}
 	}
 	meta.Lut.DrainRow(out, acc, meta.SrcScale, meta.Pre)

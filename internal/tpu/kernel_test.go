@@ -11,9 +11,16 @@ import (
 // the multiply through recycled tiles, and the flip detection and correction
 // tests — under each batched kernel the host can run, so every rung below
 // the one the host selects (AVX2 on an AVX-512 host, the portable SWAR kernel
-// on both) stays covered.
+// on both) stays covered. The datapath around the kernel rides the same
+// ladder: the assembly rungs run fixed's vector accumulate-store, drain and
+// quantize passes, the swar rung their scalar code, and the device is held
+// to nn's reference on every model structure (FC, LSTM, CNN with its
+// convolution gather and pooling) and on random models whose vector layers
+// and sigmoid / tanh tables take the table-lookup drain.
 func TestUnderEachKernel(t *testing.T) {
 	kerneltest.Each(t, func(t *testing.T) {
+		t.Run("DeviceMatchesQuantizedReference", TestDeviceMatchesQuantizedReference)
+		t.Run("DeviceBitExactOnRandomModels", TestDeviceBitExactOnRandomModels)
 		t.Run("FunctionalBitExactAcrossParallelism", TestFunctionalBitExactAcrossParallelism)
 		t.Run("RecycledTilesSeeWeightCorruption", TestRecycledTilesSeeWeightCorruption)
 		t.Run("IntegrityDetectsEveryFlipKind", TestIntegrityDetectsEveryFlipKind)
