@@ -24,11 +24,14 @@ build:
 
 # The matrix kernel, the fixed-point row passes and the CPUID reads have
 # amd64 assembly files; build everything and vet their packages (tests
-# included) for another GOARCH so the portable file sets cannot rot. Works
-# offline.
+# included) for another GOARCH so the portable file sets cannot rot. The
+# portable matrix kernel reads weight words where they lie, so it is also
+# built and vetted for a big-endian GOARCH. Works offline.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/systolic/... ./internal/fixed/... ./internal/cpu/...
+	GOARCH=s390x $(GO) build ./internal/systolic/...
+	GOARCH=s390x $(GO) vet ./internal/systolic/...
 
 test:
 	$(GO) test ./...

@@ -89,10 +89,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -265,6 +267,9 @@ func clusterArtifacts(r *experiments.ClusterResult, report, reportJSON, traceJSO
 // comparison.
 func chaos(spec string, devices int, killSpec, slowSpec string, slowX, faultAt float64,
 	duration time.Duration, loadFrac float64) error {
+	if err := errors.Join(positive("load", loadFrac), positive("slowx", slowX), positive("fault-at", faultAt)); err != nil {
+		return err
+	}
 	plan, err := fault.ParsePlan(spec)
 	if err != nil {
 		return err
@@ -309,14 +314,24 @@ func chaos(spec string, devices int, killSpec, slowSpec string, slowX, faultAt f
 	return nil
 }
 
+// positive rejects a float flag's value unless it is a positive finite
+// number. NaN fails every comparison, so the condition admits x > 0 instead
+// of refusing x <= 0, which NaN would pass.
+func positive(flag string, x float64) error {
+	if !(x > 0 && x <= math.MaxFloat64) {
+		return fmt.Errorf("-%s %v: want a positive finite number", flag, x)
+	}
+	return nil
+}
+
 // live drives the wall-clock server with Poisson arrivals for each app.
 // Modeled service times are stretched by scale, and offered rates shrink by
 // the same factor, so the batching dynamics (relative to the SLA) are
 // preserved while staying at laptop-friendly request rates.
 func live(duration time.Duration, scale, loadFrac float64, asJSON bool,
 	listen string, metricsEvery time.Duration, sampleEvery int) error {
-	if scale <= 0 || loadFrac <= 0 {
-		return fmt.Errorf("need positive -timescale and -load")
+	if err := errors.Join(positive("timescale", scale), positive("load", loadFrac)); err != nil {
+		return err
 	}
 	// The backend sleeps exactly the modeled time: the service model below
 	// is already stretched by scale.

@@ -1,0 +1,41 @@
+package main
+
+import (
+	"math"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestMalformedFloatFlagsRejected: a float flag that is NaN, infinite, zero
+// or negative fails the run before any load is offered, with an error that
+// names the flag. NaN slips past a `<= 0` check, so each mode must reject
+// it explicitly.
+func TestMalformedFloatFlagsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	live := func(scale, load float64) func() error {
+		return func() error { return live(time.Millisecond, scale, load, false, "", 0, 1) }
+	}
+	chaos := func(slowX, faultAt, load float64) func() error {
+		return func() error { return chaos("seed=1", 4, "", "", slowX, faultAt, time.Millisecond, load) }
+	}
+	for _, c := range []struct {
+		flag string
+		run  func() error
+	}{
+		{"-load", live(500, nan)},
+		{"-load", live(500, -1)},
+		{"-timescale", live(nan, 0.8)},
+		{"-timescale", live(inf, 0.8)},
+		{"-timescale", live(0, 0.8)},
+		{"-fault-at", chaos(8, nan, 0.8)},
+		{"-fault-at", chaos(8, inf, 0.8)},
+		{"-slowx", chaos(nan, 0.3, 0.8)},
+		{"-load", chaos(8, 0.3, nan)},
+	} {
+		err := c.run()
+		if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
+			t.Errorf("%s: got error %v, want one naming the flag", c.flag, err)
+		}
+	}
+}

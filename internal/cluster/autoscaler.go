@@ -73,7 +73,6 @@ func (c *Cluster) autoscaleTick() {
 
 // autoscaleApp makes one scaling decision for one app from its window.
 func (c *Cluster) autoscaleApp(a *app, interval float64) {
-	cfg := c.cfg.Autoscale
 	arrivals := a.offered - a.tickOffered
 	rate := float64(arrivals) / interval
 	capacity := a.liveCapacity()
@@ -84,8 +83,8 @@ func (c *Cluster) autoscaleApp(a *app, interval float64) {
 	live := a.liveReplicas()
 
 	needUp := (capacity == 0 && rate > 0) ||
-		(capacity > 0 && rate > cfg.upUtil()*capacity) ||
-		shedFrac > cfg.shedUpFrac()
+		(capacity > 0 && rate > upUtil*capacity) ||
+		shedFrac > shedUpFrac
 	if needUp && live < a.cfg.MaxReplicas {
 		a.lowTicks = 0
 		c.scaleUp(a, rate, capacity, shedFrac)
@@ -122,7 +121,7 @@ func (c *Cluster) autoscaleApp(a *app, interval float64) {
 	// noisy lull must not shed warm capacity.
 	if live > a.cfg.MinReplicas && capacity > 0 {
 		newest := c.newestRemovable(a)
-		if newest != nil && rate < cfg.downUtil()*(capacity-perReplicaRate(newest)) {
+		if newest != nil && rate < downUtil*(capacity-perReplicaRate(newest)) {
 			a.lowTicks++
 			if a.lowTicks >= 2 {
 				a.lowTicks = 0
@@ -137,15 +136,14 @@ func (c *Cluster) autoscaleApp(a *app, interval float64) {
 // scaleUp adds enough replicas to bring utilization back under the
 // threshold, capped by the per-tick step and the app's replica ceiling.
 func (c *Cluster) scaleUp(a *app, rate, capacity, shedFrac float64) {
-	cfg := c.cfg.Autoscale
 	one := float64(a.plan.SafeBatch) / a.plan.SafeServiceSeconds // un-shared replica rate
-	deficit := rate/cfg.upUtil() - capacity
+	deficit := rate/upUtil - capacity
 	need := int(math.Ceil(deficit / one))
 	if need < 1 {
 		need = 1
 	}
-	if need > cfg.maxStepUp() {
-		need = cfg.maxStepUp()
+	if need > maxStepUp {
+		need = maxStepUp
 	}
 	from := a.liveReplicas()
 	if from+need > a.cfg.MaxReplicas {
@@ -180,7 +178,7 @@ func (c *Cluster) scaleDown(a *app, rep *replica, rate float64) {
 		c.route(a, r)
 	}
 	c.decide(a, "scale-down", from, from-1,
-		fmt.Sprintf("rate %.0f/s under %.0f%% of post-drain capacity", rate, c.cfg.Autoscale.downUtil()*100))
+		fmt.Sprintf("rate %.0f/s under %.0f%% of post-drain capacity", rate, downUtil*100))
 	if !rep.serving {
 		c.finalizeRemoval(rep)
 	}

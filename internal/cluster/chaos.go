@@ -39,36 +39,26 @@ import (
 // RetryConfig tunes the anti-retry-storm defenses. The zero value disables
 // them entirely — the simulator behaves exactly as before this layer
 // existed (admission sheds do not retry, failover re-routes are bounded
-// only by MaxRouteAttempts).
+// only by maxRouteAttempts).
 type RetryConfig struct {
 	// Enabled turns on client-style retries of admission sheds and the two
 	// defenses that keep them from becoming a storm: the per-app retry
 	// token bucket and deadline-aware failover.
 	Enabled bool
-	// BudgetRatio is the token earn rate: each offered request adds this
-	// many retry tokens (classic ~10% retry budget). 0 means 0.1.
-	BudgetRatio float64
-	// BudgetBurst caps the bucket, bounding the retry burst after an idle
-	// stretch. 0 means 64.
-	BudgetBurst float64
 	// NoBudget removes the token bucket while keeping retries enabled —
 	// the control run that demonstrates the storm the budget prevents.
 	NoBudget bool
 }
 
-func (r RetryConfig) ratio() float64 {
-	if r.BudgetRatio <= 0 {
-		return 0.1
-	}
-	return r.BudgetRatio
-}
-
-func (r RetryConfig) burst() float64 {
-	if r.BudgetBurst <= 0 {
-		return 64
-	}
-	return r.BudgetBurst
-}
+// The retry token bucket's shape.
+const (
+	// budgetRatio is the token earn rate: each offered request adds this
+	// many retry tokens (classic ~10% retry budget).
+	budgetRatio = 0.1
+	// budgetBurst caps the bucket, bounding the retry burst after an idle
+	// stretch.
+	budgetBurst = 64
+)
 
 // Incident is one contiguous interval during which at least one host was
 // dead or partitioned. The saturation analyzer attributes saturated
@@ -368,10 +358,7 @@ func (c *Cluster) earnRetryToken(a *app) {
 	if !c.cfg.Retry.Enabled || c.cfg.Retry.NoBudget {
 		return
 	}
-	a.budgetTokens += c.cfg.Retry.ratio()
-	if burst := c.cfg.Retry.burst(); a.budgetTokens > burst {
-		a.budgetTokens = burst
-	}
+	a.budgetTokens = min(a.budgetTokens+budgetRatio, budgetBurst)
 }
 
 // takeRetryToken spends one retry token, reporting whether the retry is
@@ -409,7 +396,7 @@ func (c *Cluster) deadlineCovers(a *app, r request) bool {
 // still covers a service time, and the app's token bucket has budget.
 // Reports whether the request was re-routed (false: the caller sheds it).
 func (c *Cluster) shedRetry(a *app, r request) bool {
-	if r.attempts+1 > c.cfg.maxRouteAttempts() {
+	if r.attempts+1 > maxRouteAttempts {
 		return false
 	}
 	if !c.deadlineCovers(a, r) {

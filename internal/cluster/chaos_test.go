@@ -478,7 +478,7 @@ func TestRetryBudgetBoundsStorm(t *testing.T) {
 	control.Run(3)
 	ab, ac := budgeted.apps[0], control.apps[0]
 
-	cap := budgeted.cfg.Retry.ratio()*float64(ab.offered) + budgeted.cfg.Retry.burst()
+	cap := budgetRatio*float64(ab.offered) + budgetBurst
 	if float64(ab.retries) > cap+1 {
 		t.Errorf("budgeted retries %d exceed the budget cap %.0f (ratio x offered + burst)", ab.retries, cap)
 	}

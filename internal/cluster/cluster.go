@@ -31,9 +31,27 @@ import (
 	"tpusim/internal/workload"
 )
 
-// DefaultDeviceWeightBytes is the per-device Weight Memory capacity a
-// replica's footprint is packed against — the paper's 8 GiB weight DRAM.
-const DefaultDeviceWeightBytes = 8 << 30
+// DeviceWeightBytes is the per-device Weight Memory capacity a replica's
+// footprint is packed against — the paper's 8 GiB weight DRAM.
+const DeviceWeightBytes = 8 << 30
+
+// maxRouteAttempts bounds per-request failover re-routes after a host death.
+const maxRouteAttempts = 3
+
+// The autoscaler's thresholds.
+const (
+	// upUtil is the utilization (window arrival rate over live capacity)
+	// above which an app scales up.
+	upUtil = 0.75
+	// downUtil: when utilization would stay under this even after removing
+	// a replica, for two consecutive ticks, one replica drains.
+	downUtil = 0.3
+	// maxStepUp caps replicas added per app per tick.
+	maxStepUp = 2
+	// shedUpFrac: a window shed fraction above this forces a scale-up
+	// regardless of estimated utilization.
+	shedUpFrac = 0.01
+)
 
 // AppConfig describes one served application.
 type AppConfig struct {
@@ -63,17 +81,6 @@ type AutoscaleConfig struct {
 	Disabled bool
 	// Interval is the decision tick in virtual seconds. 0 means 0.25.
 	Interval float64
-	// UpUtil is the utilization (window arrival rate over live capacity)
-	// above which the app scales up. 0 means 0.75.
-	UpUtil float64
-	// DownUtil: when utilization would stay under this even after removing
-	// a replica, for two consecutive ticks, one replica drains. 0 means 0.3.
-	DownUtil float64
-	// MaxStepUp caps replicas added per app per tick. 0 means 2.
-	MaxStepUp int
-	// ShedUpFrac: a window shed fraction above this forces a scale-up
-	// regardless of estimated utilization. 0 means 0.01.
-	ShedUpFrac float64
 }
 
 func (a AutoscaleConfig) interval() float64 {
@@ -83,40 +90,10 @@ func (a AutoscaleConfig) interval() float64 {
 	return a.Interval
 }
 
-func (a AutoscaleConfig) upUtil() float64 {
-	if a.UpUtil <= 0 {
-		return 0.75
-	}
-	return a.UpUtil
-}
-
-func (a AutoscaleConfig) downUtil() float64 {
-	if a.DownUtil <= 0 {
-		return 0.3
-	}
-	return a.DownUtil
-}
-
-func (a AutoscaleConfig) maxStepUp() int {
-	if a.MaxStepUp <= 0 {
-		return 2
-	}
-	return a.MaxStepUp
-}
-
-func (a AutoscaleConfig) shedUpFrac() float64 {
-	if a.ShedUpFrac <= 0 {
-		return 0.01
-	}
-	return a.ShedUpFrac
-}
-
 // Config describes the fleet.
 type Config struct {
 	// Hosts and DevicesPerHost size the fleet.
 	Hosts, DevicesPerHost int
-	// DeviceWeightBytes is per-device Weight Memory. 0 means 8 GiB.
-	DeviceWeightBytes int64
 	// Router selects the routing policy for every app's replica set.
 	Router RouterPolicy
 	// Apps are the served applications.
@@ -126,9 +103,6 @@ type Config struct {
 	// Seed pins arrivals and request keys; two runs with the same config
 	// and seed are byte-identical.
 	Seed int64
-	// MaxRouteAttempts bounds per-request failover re-routes after a host
-	// death. 0 means 3.
-	MaxRouteAttempts int
 	// Zones groups hosts into contiguous failure domains (host h is in zone
 	// h*Zones/Hosts) that fail and recover as one unit via KillZoneAt /
 	// ReviveZoneAt. Placement spreads an app's replicas across zones before
@@ -148,13 +122,6 @@ type Config struct {
 	// (see telemetry.go). nil is the guaranteed zero-overhead path — no
 	// extra events on the loop, no allocations, byte-identical replays.
 	Telemetry *Telemetry
-}
-
-func (c Config) maxRouteAttempts() int {
-	if c.MaxRouteAttempts <= 0 {
-		return 3
-	}
-	return c.MaxRouteAttempts
 }
 
 // Event is one entry in the cluster's ordered event log: placements,
@@ -360,9 +327,6 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Apps) == 0 {
 		return nil, fmt.Errorf("cluster: no apps configured")
 	}
-	if cfg.DeviceWeightBytes == 0 {
-		cfg.DeviceWeightBytes = DefaultDeviceWeightBytes
-	}
 	if cfg.Zones > cfg.Hosts {
 		return nil, fmt.Errorf("cluster: %d zones need at least %d hosts, have %d", cfg.Zones, cfg.Zones, cfg.Hosts)
 	}
@@ -375,7 +339,7 @@ func New(cfg Config) (*Cluster, error) {
 	for h := 0; h < cfg.Hosts; h++ {
 		hst := &host{id: h, zone: h * zones / cfg.Hosts, alive: true, slow: 1}
 		for d := 0; d < cfg.DevicesPerHost; d++ {
-			hst.devices = append(hst.devices, &device{host: hst, idx: d, freeBytes: cfg.DeviceWeightBytes})
+			hst.devices = append(hst.devices, &device{host: hst, idx: d, freeBytes: DeviceWeightBytes})
 		}
 		c.hosts = append(c.hosts, hst)
 		c.zoneAlive[hst.zone]++
@@ -388,9 +352,9 @@ func New(cfg Config) (*Cluster, error) {
 		if ac.Service == nil || ac.Curve == nil {
 			return nil, fmt.Errorf("cluster: app %s needs a service model and a load curve", ac.Name)
 		}
-		if ac.WeightBytes < 0 || ac.WeightBytes > cfg.DeviceWeightBytes {
+		if ac.WeightBytes < 0 || ac.WeightBytes > DeviceWeightBytes {
 			return nil, fmt.Errorf("cluster: app %s footprint %d does not fit a %d-byte device",
-				ac.Name, ac.WeightBytes, cfg.DeviceWeightBytes)
+				ac.Name, ac.WeightBytes, DeviceWeightBytes)
 		}
 		plan, err := ac.Policy.Resolve(ac.Service)
 		if err != nil {
@@ -819,7 +783,7 @@ func (c *Cluster) evictHost(h *host, reason string, strand func(rep *replica, or
 }
 
 // failover re-routes one request that lost its replica (host death or a
-// partition timeout). A request that exhausts MaxRouteAttempts (or finds
+// partition timeout). A request that exhausts maxRouteAttempts (or finds
 // no routable replica) is an error — the client-visible failure the
 // acceptance bound caps at 1%. With retries enabled, two further gates
 // apply before the re-route: deadline-aware failover refuses a request
@@ -828,7 +792,7 @@ func (c *Cluster) evictHost(h *host, reason string, strand func(rep *replica, or
 // instead of feeding a storm.
 func (c *Cluster) failover(a *app, r request) {
 	r.attempts++
-	if r.attempts > c.cfg.maxRouteAttempts() {
+	if r.attempts > maxRouteAttempts {
 		a.errors++
 		return
 	}

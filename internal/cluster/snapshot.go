@@ -132,8 +132,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 	}
 	if c.cfg.Retry.Enabled {
 		s.RetryEnabled = true
-		s.BudgetRatio = c.cfg.Retry.ratio()
-		s.BudgetBurst = c.cfg.Retry.burst()
+		s.BudgetRatio, s.BudgetBurst = budgetRatio, budgetBurst
 		s.NoBudget = c.cfg.Retry.NoBudget
 	}
 	for _, a := range c.apps {

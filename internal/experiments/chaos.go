@@ -11,6 +11,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	goruntime "runtime"
 	"strings"
@@ -155,6 +156,14 @@ type ChaosResult struct {
 // under the plan with mid-stream kills/throttles — over fresh fleets.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	cfg = cfg.normalized()
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"LoadFrac", cfg.LoadFrac}, {"SlowFactor", cfg.SlowFactor}, {"FaultAt", cfg.FaultAt}} {
+		if !(f.v > 0 && f.v <= math.MaxFloat64) { // NaN fails every comparison
+			return nil, fmt.Errorf("experiments: chaos %s is %v, want a positive finite number", f.name, f.v)
+		}
+	}
 	base, err := chaosPass(cfg, false)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos baseline: %w", err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -111,6 +112,28 @@ func TestChaosSweepHoldsTail(t *testing.T) {
 	}
 	if res.Baseline.FaultSummary != "" {
 		t.Errorf("baseline injected faults: %q", res.Baseline.FaultSummary)
+	}
+}
+
+// TestRunChaosRejectsMalformedFloats: a NaN, infinite or negative load
+// fraction, throttle factor or fault point fails the sweep before either
+// pass starts, naming the field, instead of running with NaN rates.
+func TestRunChaosRejectsMalformedFloats(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*ChaosConfig, float64)
+	}{
+		{"LoadFrac", func(c *ChaosConfig, v float64) { c.LoadFrac = v }},
+		{"SlowFactor", func(c *ChaosConfig, v float64) { c.SlowFactor = v }},
+		{"FaultAt", func(c *ChaosConfig, v float64) { c.FaultAt = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+			cfg := chaosTestConfig()
+			c.set(&cfg, v)
+			if _, err := RunChaos(cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s = %v: got error %v, want one naming the field", c.field, v, err)
+			}
+		}
 	}
 }
 

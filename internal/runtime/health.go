@@ -43,33 +43,36 @@ func (h HealthState) String() string {
 	return healthNames[h]
 }
 
+// The recovery policy's fixed knobs.
+const (
+	// quarantineAfter is the consecutive-failure count that quarantines a
+	// device.
+	quarantineAfter = 3
+	// baseBackoff is the first retry's backoff, doubled per attempt up to
+	// maxBackoff.
+	baseBackoff = 200 * time.Microsecond
+	maxBackoff  = 10 * time.Millisecond
+	// timeoutFloor is the minimum derived attempt timeout.
+	timeoutFloor = 25 * time.Millisecond
+)
+
 // Resilience is the fleet recovery policy. The zero value is a usable
 // default; fields override individual knobs.
 type Resilience struct {
 	// MaxAttempts caps run attempts per request, first try included.
 	// 0 means 3.
 	MaxAttempts int
-	// QuarantineAfter is the consecutive-failure count that quarantines a
-	// device. 0 means 3.
-	QuarantineAfter int
 	// ProbeEvery is the quarantine probe interval. 0 means 100ms; negative
 	// disables probing (a quarantined device stays out until revived by
 	// hand via ReadmitDevice).
 	ProbeEvery time.Duration
-	// BaseBackoff is the first retry's backoff, doubled per attempt up to
-	// MaxBackoff. 0 means 200µs (and 10ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff. 0 means 10ms.
-	MaxBackoff time.Duration
 	// AttemptTimeout fixes the per-attempt timeout. 0 derives it from the
 	// timing model: TimeoutFactor x the model's expected wall latency,
-	// floored at TimeoutFloor.
+	// floored at timeoutFloor (25ms).
 	AttemptTimeout time.Duration
 	// TimeoutFactor scales the expected latency into a timeout when
 	// AttemptTimeout is 0. 0 means 16.
 	TimeoutFactor float64
-	// TimeoutFloor is the minimum derived timeout. 0 means 25ms.
-	TimeoutFloor time.Duration
 	// HedgeAfterP99 launches a backup attempt on a second device when the
 	// first has been out for HedgeAfterP99 x the model's observed p99
 	// wall latency. 0 means 2; negative disables hedging.
@@ -102,13 +105,6 @@ func (r *Resilience) maxAttempts() int {
 	return r.MaxAttempts
 }
 
-func (r *Resilience) quarantineAfter() int {
-	if r.QuarantineAfter <= 0 {
-		return 3
-	}
-	return r.QuarantineAfter
-}
-
 func (r *Resilience) probeEvery() time.Duration {
 	switch {
 	case r.ProbeEvery < 0:
@@ -119,32 +115,11 @@ func (r *Resilience) probeEvery() time.Duration {
 	return r.ProbeEvery
 }
 
-func (r *Resilience) baseBackoff() time.Duration {
-	if r.BaseBackoff <= 0 {
-		return 200 * time.Microsecond
-	}
-	return r.BaseBackoff
-}
-
-func (r *Resilience) maxBackoff() time.Duration {
-	if r.MaxBackoff <= 0 {
-		return 10 * time.Millisecond
-	}
-	return r.MaxBackoff
-}
-
 func (r *Resilience) timeoutFactor() float64 {
 	if r.TimeoutFactor <= 0 {
 		return 16
 	}
 	return r.TimeoutFactor
-}
-
-func (r *Resilience) timeoutFloor() time.Duration {
-	if r.TimeoutFloor <= 0 {
-		return 25 * time.Millisecond
-	}
-	return r.TimeoutFloor
 }
 
 func (r *Resilience) hedgeFactor() float64 {
@@ -210,10 +185,6 @@ func (s *Server) recordSuccess(dev int) {
 // recordFailure moves a device toward Quarantined and arms the background
 // probe when it gets there.
 func (s *Server) recordFailure(dev int, err error) {
-	quarAfter := 3
-	if s.res != nil {
-		quarAfter = s.res.quarantineAfter()
-	}
 	h := s.health[dev]
 	h.mu.Lock()
 	h.failures++
@@ -222,7 +193,7 @@ func (s *Server) recordFailure(dev int, err error) {
 	from := h.state
 	to := from
 	switch {
-	case h.consecFail >= quarAfter:
+	case h.consecFail >= quarantineAfter:
 		to = Quarantined
 	case from == Healthy:
 		to = Degraded

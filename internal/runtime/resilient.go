@@ -161,7 +161,7 @@ func (s *Server) observeWall(model string, r *InferenceResult) {
 // policy timeout if set, otherwise TimeoutFactor x the model's expected
 // wall latency (observed EWMA, falling back to the timing model's cycle
 // count scaled by the learned wall-per-cycle rate), floored at
-// TimeoutFloor so a cold cache never yields a hair-trigger timeout.
+// timeoutFloor so a cold cache never yields a hair-trigger timeout.
 func (s *Server) attemptTimeout(dev int, model string) time.Duration {
 	if s.res.AttemptTimeout > 0 {
 		return s.res.AttemptTimeout
@@ -186,10 +186,7 @@ func (s *Server) attemptTimeout(dev int, model string) time.Duration {
 		}
 	}
 	to := time.Duration(s.res.timeoutFactor() * expected * float64(time.Second))
-	if floor := s.res.timeoutFloor(); to < floor {
-		to = floor
-	}
-	return to
+	return max(to, timeoutFloor)
 }
 
 // hedgeDelay returns the hedge trigger delay for a model, or 0 when
@@ -263,7 +260,7 @@ func (s *Server) runResilient(ctx context.Context, preferred int, m *nn.Model, p
 	// resilient request, nothing on the raw path.
 	in = in.Clone()
 	excluded := map[int]bool{}
-	backoff := s.res.baseBackoff()
+	backoff := baseBackoff
 	var lastErr error
 
 	var sp *obs.Span
@@ -373,10 +370,7 @@ func (s *Server) runResilient(ctx context.Context, preferred int, m *nn.Model, p
 		if !sleepCtx(ctx, backoff) {
 			return nil, ctx.Err()
 		}
-		backoff *= 2
-		if max := s.res.maxBackoff(); backoff > max {
-			backoff = max
-		}
+		backoff = min(2*backoff, maxBackoff)
 	}
 	if lastErr != nil {
 		return nil, fmt.Errorf("runtime: all attempts failed: %w", lastErr)

@@ -90,13 +90,12 @@ func TestRuntimeBackendSteadyStateAllocs(t *testing.T) {
 	// Payload that must stay per-dispatch: each request's output tensor
 	// (header+shape+data, 3 per request) plus the driver's dequantized
 	// output and result struct. Measured 31 objects and ~2.5 KB per dispatch
-	// at Batch=8; the margins absorb jitter. Every weight-tile load still
-	// copies the tile's contents out of weight DRAM and re-packs them — kept
-	// fresh deliberately, so corruption injected there stays visible to the
-	// integrity checks instead of being masked by a cached pack — but into
-	// the device's recycled tile buffers: allocating a Tile and a lane image
-	// per load costs 128 KiB per tile (700 KB per dispatch here) and ten
-	// objects, and either ceiling fails loudly if that comes back.
+	// at Batch=8; the margins absorb jitter. Every weight-tile load views
+	// the tile's bytes in weight DRAM through one of the device's two tile
+	// buffers — fresh every load, so corruption injected there stays visible
+	// to the integrity checks — and copies nothing: a copy of the weights per
+	// load costs 64 KiB per tile (hundreds of KB per dispatch here), and the
+	// byte ceiling fails loudly if that comes back.
 	objLimit := float64(10 + 3*m.Batch)
 	const byteCeiling = 6 << 10
 	var before, after runtime.MemStats

@@ -70,8 +70,8 @@ func nonzero8(act []*[isa.MatrixDim]int8, r0 int) uint64 {
 }
 
 // mulRangeAVX2 computes output rows [lo, hi) with the AVX2 assembly kernel,
-// which reads the tile's int8 bytes as Weight Memory delivered them: no lane
-// image is built. Activation rows are taken avx2Rows at a time. For each
+// which reads the tile's int8 bytes as Weight Memory delivered them.
+// Activation rows are taken avx2Rows at a time. For each
 // group the wrapper gathers the contraction rows where any of the group's
 // activations is nonzero — the zero-row skip — and pairs them, padding an odd
 // count with a zero activation, because VPMADDWD consumes two contraction

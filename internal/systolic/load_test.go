@@ -12,10 +12,9 @@ import (
 // TestLoadedTileEqualsFresh is the recycling contract: one Tile loaded with
 // 60 seeded random byte images in sequence behaves, after each Load, exactly
 // like TileFromBytes of the same bytes — each batched kernel at 1 and 4
-// workers (the SWAR one consumes the lane image Load must rebuild), MulRow
-// (which reads W), the ABFT checksums (the other cache Load must drop) and
-// Bytes. Both caches are latched before the next Load, so a Load that kept
-// either would compute against the previous weights.
+// workers, MulRow (which reads W), the ABFT checksums (the cache Load must
+// drop) and Bytes. The checksums are latched before the next Load, so a Load
+// that kept them would check against the previous weights.
 func TestLoadedTileEqualsFresh(t *testing.T) {
 	eachKernel(t, testLoadedTileEqualsFresh)
 }

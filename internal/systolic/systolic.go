@@ -13,9 +13,11 @@
 package systolic
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"tpusim/internal/isa"
 )
@@ -25,24 +27,18 @@ import (
 // output dimension). Weight Memory delivers tiles in the form the array
 // consumes, so a tile owns no storage of its own and loading one copies
 // nothing: every multiply and every checksum reads the bytes of the buffer
-// itself, which nothing may write while the tile is loaded.
+// itself, which nothing may write while the tile is loaded. Every kernel
+// multiplies those bytes where they lie; no kernel builds anything at Load.
 type Tile struct {
 	w *[isa.WeightTileBytes]int8
 
 	// abft lazily caches the tile's ABFT checksum encoding (see abft.go);
 	// it is latched when the tile first serves an integrity-checked matmul,
 	// the way the physical checksum columns would be computed during the
-	// shift into the array.
+	// shift into the array. It assumes the bytes do not change afterwards:
+	// fault injection corrupts weight DRAM before the tile is fetched, or
+	// datapath scratch after, never a loaded tile.
 	abft abft
-
-	// lanes lazily caches the layout the portable SWAR kernel consumes: each
-	// weight row as 32 uint64 words of 8 bias-shifted bytes (see packed). The
-	// assembly kernels read the viewed bytes directly and never build it. Like
-	// the abft checksums it is latched at first use and assumes the bytes do
-	// not change afterwards; Load drops both. Fault injection corrupts weight
-	// DRAM before the tile is fetched, or datapath scratch after, never a
-	// loaded tile.
-	lanes packedLanes
 }
 
 // row returns weight row r of the viewed buffer.
@@ -50,20 +46,12 @@ func (t *Tile) row(r int) *[isa.MatrixDim]int8 {
 	return (*[isa.MatrixDim]int8)(t.w[r*isa.MatrixDim:])
 }
 
-// packedLanes holds the lazily built SWAR lane image of a tile. words
-// outlives Load — the storage is reused, the image rebuilt — so it is only
-// valid once once has fired.
-type packedLanes struct {
-	once  sync.Once
-	words []uint64
-}
-
 // SWAR kernel geometry: 8 weight bytes per 64-bit word, 32 words per row.
 const laneGroups = isa.MatrixDim / 8
 
 const (
 	// biasWord flips every int8 sign bit: b ^ 0x80 == b+128 as a uint8, so
-	// packed bytes are the bias-128 weights in [0, 255].
+	// a weight word XOR biasWord holds the bias-128 weights in [0, 255].
 	biasWord = 0x8080808080808080
 	// evenBytes extracts bytes 0,2,4,6 of a word into four 16-bit lanes.
 	evenBytes = 0x00FF00FF00FF00FF
@@ -71,48 +59,12 @@ const (
 	loHalves = 0x0000FFFF0000FFFF
 )
 
-// packed returns the tile's SWAR lane image, building it on first use: word
-// g of row r holds the eight bias-128 weight bytes of row r, columns
-// 8g..8g+7, plus 128, in
-// little-endian byte order at words[r*laneGroups+g]. The build runs once per
-// load of a tile (sync.Once, safe under MultiplyInto's worker fan-out) and
-// costs one pass over the 64 KiB tile — amortized across every multiply
-// against it.
-func (t *Tile) packed() []uint64 {
-	t.lanes.once.Do(func() {
-		w := t.lanes.words
-		if w == nil {
-			w = make([]uint64, isa.MatrixDim*laneGroups)
-		}
-		for r := 0; r < isa.MatrixDim; r++ {
-			row := t.row(r)
-			base := r * laneGroups
-			for g := 0; g < laneGroups; g++ {
-				c := g * 8
-				w[base+g] = (uint64(uint8(row[c])) |
-					uint64(uint8(row[c+1]))<<8 |
-					uint64(uint8(row[c+2]))<<16 |
-					uint64(uint8(row[c+3]))<<24 |
-					uint64(uint8(row[c+4]))<<32 |
-					uint64(uint8(row[c+5]))<<40 |
-					uint64(uint8(row[c+6]))<<48 |
-					uint64(uint8(row[c+7]))<<56) ^ biasWord
-			}
-		}
-		t.lanes.words = w
-	})
-	return t.lanes.words
-}
-
 // Load re-points the tile at b, the 64 KiB row-major layout Weight Memory
-// delivers, and drops what was latched from the previous contents: the next
-// Checksums and the next multiply recompute from the new bytes (a stale
-// lane image would multiply against the old weights, stale checksums fail
-// every ABFT check). Only the lane image's storage is kept. Nothing is
-// copied — the tile aliases b, so b must stay unwritten until the tile is
-// loaded again. The tile must not be loaded while an Array is multiplying
-// against it; the device loads the matrix unit's non-resident tile, between
-// matmuls.
+// delivers, and drops the checksums latched from the previous contents (stale
+// checksums would fail every ABFT check). Nothing is copied — the tile
+// aliases b, so b must stay unwritten until the tile is loaded again. The
+// tile must not be loaded while an Array is multiplying against it; the
+// device loads the matrix unit's non-resident tile, between matmuls.
 func (t *Tile) Load(b []int8) error {
 	if len(b) != isa.WeightTileBytes {
 		return fmt.Errorf("systolic: tile is %d bytes, want %d", len(b), isa.WeightTileBytes)
@@ -122,13 +74,11 @@ func (t *Tile) Load(b []int8) error {
 	return nil
 }
 
-// Unload drops the view and what was latched from it, keeping only the lane
-// image's storage: a tile waiting to be loaded again holds no buffer
-// reachable. LoadShadow refuses an unloaded tile.
+// Unload drops the view and the checksums latched from it, so the tile keeps
+// no buffer reachable. LoadShadow refuses an unloaded tile.
 func (t *Tile) Unload() {
 	t.w = nil
 	t.abft = abft{}
-	t.lanes.once = sync.Once{}
 }
 
 // TileFromBytes returns a fresh tile viewing b, the 64 KiB row-major layout
@@ -314,33 +264,34 @@ func (a *Array) MultiplyInto(in []int8, out [][isa.MatrixDim]int32, workers int)
 // mulRangeSWAR computes output rows [lo, hi) of the batched matmul with the
 // portable SWAR kernel: one uint64 multiply handles 8 weight columns at once.
 //
-// The trick is the bias-128 encoding in the packed lane image (see packed):
-// with w' = w+128 in [0,255] and u = |v| in [1,128] for a nonzero
-// activation v,
+// The trick is the bias-128 encoding: with w' = w+128 in [0,255] and
+// u = |v| in [1,128] for a nonzero activation v,
 //
 //	v > 0: v*w = u*w'       - 128*u
 //	v < 0: v*w = u*(255-w') - 127*u
 //
-// and 255-w' per byte is just the complement, so XORing the whole packed
-// word with ^0 (negative v) or 0 (positive v) yields the operand byte in
-// [0,255] either way. The kernel multiplies the masked even/odd bytes of
-// the word by u — each 16-bit lane product is at most 128*255 = 32640 <
-// 2^15, so two rows' products sum to < 2^16 with no cross-lane carry —
-// then widens the four 16-bit lanes into four uint64 accumulators holding
-// 2x32-bit lanes each. 256 contraction rows add at most 256*32640 =
-// 8,355,840 < 2^31 per 32-bit lane, so the widened sums never carry and
-// fit int32. The per-row scalar correction corr = sum(128*u | 127*u) is
-// subtracted once per column. Every step is exact integer arithmetic, so
-// results are bit-identical to MulRow for any worker count and any
-// accumulation order; the zero-row skip carries over from the gather.
+// Per byte, w' is w ^ 0x80 and 255-w' its complement, w ^ 0x7F, so one XOR
+// of the eight weight bytes as they lie in the tile — with biasWord (positive
+// v) or ^biasWord (negative v), the activation's mask — yields the operand
+// bytes in [0,255] either way; the words are loaded little-endian, so every
+// byte lands in the lane of its column on any host. The kernel multiplies
+// the masked even/odd bytes of the word by u — each 16-bit lane product is
+// at most 128*255 = 32640 < 2^15, so two rows' products sum to < 2^16 with
+// no cross-lane carry — then widens the four 16-bit lanes into four uint64
+// accumulators holding 2x32-bit lanes each. 256 contraction rows add at most
+// 256*32640 = 8,355,840 < 2^31 per 32-bit lane, so the widened sums never
+// carry and fit int32. The per-row scalar correction corr = sum(128*u |
+// 127*u) is subtracted once per column. Every step is exact integer
+// arithmetic, so results are bit-identical to MulRow for any worker count
+// and any accumulation order; the zero-row skip carries over from the gather.
 func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
 	t := a.active
-	pw := t.packed()
 	// Gather scratch, reused across the range's activation rows: |v|, the
-	// packed-row pointer, and the complement mask per nonzero row.
+	// weight row as 8-byte groups (group g is columns 8g..8g+7), and the
+	// bias-and-complement mask per nonzero row.
 	var (
 		us  [isa.MatrixDim]uint64
-		rws [isa.MatrixDim]*[laneGroups]uint64
+		rws [isa.MatrixDim]*[laneGroups][8]byte
 		xms [isa.MatrixDim]uint64
 	)
 	for i := lo; i < hi; i++ {
@@ -355,58 +306,35 @@ func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 			}
 			u := v
 			if v > 0 {
-				xms[n] = 0
+				xms[n] = biasWord
 				corr += u << 7 // 128*u
 			} else {
 				u = -v
-				xms[n] = ^uint64(0)
+				xms[n] = ^uint64(biasWord)
 				corr += u<<7 - u // 127*u
 			}
 			us[n] = uint64(u)
-			rws[n] = (*[laneGroups]uint64)(pw[r*laneGroups:])
+			rws[n] = (*[laneGroups][8]byte)(unsafe.Pointer(t.row(r)))
 			n++
 		}
 		if n == 0 {
 			*o = [isa.MatrixDim]int32{}
 			continue
 		}
+		if n%2 == 1 { // pair the last row with one times u = 0: it adds nothing
+			us[n], rws[n], xms[n] = 0, rws[n-1], 0
+			n++
+		}
 		// acc is the widened accumulator strip: 4 words per 8-column group.
 		// acc[4g+0] holds columns 8g+0 (low 32 bits) and 8g+4 (high),
 		// acc[4g+1] 8g+1/8g+5, acc[4g+2] 8g+2/8g+6, acc[4g+3] 8g+3/8g+7.
-		// At 1 KiB it stays L1-resident while row pairs stream the packed
-		// tile sequentially — rows outer, groups inner, so the 64 KiB lane
-		// image is read once per activation row with unit stride instead of
-		// 32 strided re-walks.
+		// At 1 KiB it stays L1-resident while row pairs stream the tile
+		// sequentially — rows outer, groups inner, so the 64 KiB of weights
+		// are read once per activation row with unit stride instead of 32
+		// strided re-walks.
 		var acc [4 * laneGroups]uint64
-		k := 0
-		for ; k+1 < n; k += 2 {
-			r1, r2 := rws[k], rws[k+1]
-			u1, u2 := us[k], us[k+1]
-			x1, x2 := xms[k], xms[k+1]
-			for g := 0; g < laneGroups; g++ {
-				w1 := r1[g] ^ x1
-				w2 := r2[g] ^ x2
-				se := (w1&evenBytes)*u1 + (w2&evenBytes)*u2
-				so := (w1>>8&evenBytes)*u1 + (w2>>8&evenBytes)*u2
-				j := g * 4
-				acc[j] += se & loHalves
-				acc[j+1] += so & loHalves
-				acc[j+2] += se >> 16 & loHalves
-				acc[j+3] += so >> 16 & loHalves
-			}
-		}
-		if k < n {
-			r1, u1, x1 := rws[k], us[k], xms[k]
-			for g := 0; g < laneGroups; g++ {
-				w1 := r1[g] ^ x1
-				se := (w1 & evenBytes) * u1
-				so := (w1 >> 8 & evenBytes) * u1
-				j := g * 4
-				acc[j] += se & loHalves
-				acc[j+1] += so & loHalves
-				acc[j+2] += se >> 16 & loHalves
-				acc[j+3] += so >> 16 & loHalves
-			}
+		for k := 0; k < n; k += 2 {
+			swarPair(&acc, rws[k], rws[k+1], us[k], us[k+1], xms[k], xms[k+1])
 		}
 		for g := 0; g < laneGroups; g++ {
 			j := g * 4
@@ -421,6 +349,23 @@ func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 			o[c+6] = int32(a26>>32) - corr
 			o[c+7] = int32(a37>>32) - corr
 		}
+	}
+}
+
+// swarPair adds weight rows r1 and r2, masked with x1 and x2 and multiplied
+// by u1 and u2, into mulRangeSWAR's accumulator strip. A function of its own
+// so that the loop keeps its operands in registers.
+func swarPair(acc *[4 * laneGroups]uint64, r1, r2 *[laneGroups][8]byte, u1, u2, x1, x2 uint64) {
+	for g := 0; g < laneGroups; g++ {
+		w1 := binary.LittleEndian.Uint64(r1[g][:]) ^ x1
+		w2 := binary.LittleEndian.Uint64(r2[g][:]) ^ x2
+		se := (w1&evenBytes)*u1 + (w2&evenBytes)*u2
+		so := (w1>>8&evenBytes)*u1 + (w2>>8&evenBytes)*u2
+		j := g * 4
+		acc[j] += se & loHalves
+		acc[j+1] += so & loHalves
+		acc[j+2] += se >> 16 & loHalves
+		acc[j+3] += so >> 16 & loHalves
 	}
 }
 

@@ -120,13 +120,13 @@ type Device struct {
 	tileHead  int
 	fetchIdx  int
 	popTimes  []float64
-	// tileFree holds the matrix unit's non-resident tiles — the chip has two,
-	// "one 64 KiB tile of weights plus one for double-buffering". A tile is
-	// a view plus what it latched from the bytes (ABFT checksums, the SWAR
-	// lane image's storage); a load takes one (allocating only when the list
-	// is empty) and re-points it at the FIFO entry, the tile it displaces
-	// from the array comes back, the resident one at reset. Survives reset.
-	tileFree []*systolic.Tile
+	// tiles are the matrix unit's two tile buffers, "one 64 KiB tile of
+	// weights plus one for double-buffering", used alternately: a load
+	// re-points the one not resident at the FIFO entry, and the tile it
+	// displaces from the array is unloaded, so it views nothing. A tile is a
+	// view plus the ABFT checksums it latched from the bytes. Behind a
+	// pointer so that reset's struct copy copies no lock; survives reset.
+	tiles *[2]systolic.Tile
 
 	// Integrity state. gw is the live weight DRAM (keyed to gwProg so
 	// corruption persists across runs of one program until scrubbed), ledger
@@ -177,6 +177,7 @@ func New(cfg Config) (*Device, error) {
 		d.ub = memory.NewUnifiedBuffer()
 		d.acc = memory.NewAccumulators()
 		d.arr = systolic.New()
+		d.tiles = new([2]systolic.Tile)
 	}
 	return d, nil
 }
@@ -268,8 +269,7 @@ func (d *Device) reset() {
 	fifoMeta, popTimes := d.fifoMeta[:0], d.popTimes[:0]
 	*d = Device{cfg: d.cfg, ub: d.ub, acc: d.acc, arr: d.arr,
 		fifoTiles: fifoTiles, fifoReady: fifoReady, fifoMeta: fifoMeta, popTimes: popTimes,
-		fifoCRC:  d.fifoCRC[:0],
-		tileFree: d.tileFree,
+		fifoCRC: d.fifoCRC[:0], tiles: d.tiles,
 		profTags: d.profTags[:0], profMarks: d.profMarks[:0],
 		// Integrity state survives reset: the live weight DRAM keeps its
 		// corruption, the ledger its history, the flip queue its injections.
@@ -280,23 +280,16 @@ func (d *Device) reset() {
 		// prefix, the accumulator blocks it stored to), so a model touching
 		// a few hundred KB pays that much memclr, and repeated runs on one
 		// device produce no garbage. The array is two pointers; a fresh one
-		// keeps the "no tile loaded" start state exactly, once the resident
-		// tile is back on the free list.
+		// keeps the "no tile loaded" start state exactly, and the resident
+		// tile is unloaded so that no weight image stays reachable after the
+		// device has moved on to another program.
 		d.ub.Reset()
 		d.acc.Reset()
 		if t := d.arr.Active(); t != nil {
-			d.freeTile(t)
+			t.Unload()
 		}
 		d.arr = systolic.New()
 	}
-}
-
-// freeTile returns a tile that has left the array to the free list without
-// its view, so the list keeps no weight image reachable after the device has
-// moved on to another program.
-func (d *Device) freeTile(t *systolic.Tile) {
-	t.Unload()
-	d.tileFree = append(d.tileFree, t)
 }
 
 // sizeFIFOs pre-sizes the FIFO queues to the program's total tile count so
@@ -502,20 +495,18 @@ func (d *Device) execMatmul(in *isa.Instruction) error {
 				return err
 			}
 			d.tileHead++
-			// The tile views the FIFO entry's bytes — for a tile the weight
-			// image covers, the live DRAM bytes themselves — so weight-DRAM
-			// corruption reaches every check and every multiply; Load drops
-			// what the recycled tile latched from its previous bytes.
-			var tile *systolic.Tile
-			if n := len(d.tileFree); n > 0 {
-				tile, d.tileFree = d.tileFree[n-1], d.tileFree[:n-1]
-			} else {
-				tile = &systolic.Tile{}
+			// The tile buffer not resident views the FIFO entry's bytes — for
+			// a tile the weight image covers, the live DRAM bytes themselves —
+			// so weight-DRAM corruption reaches every check and every
+			// multiply.
+			displaced := d.arr.Active()
+			tile := &d.tiles[0]
+			if tile == displaced {
+				tile = &d.tiles[1]
 			}
 			if err := tile.Load(entry); err != nil {
 				return err
 			}
-			displaced := d.arr.Active()
 			if err := d.arr.LoadShadow(tile); err != nil {
 				return err
 			}
@@ -523,7 +514,7 @@ func (d *Device) execMatmul(in *isa.Instruction) error {
 				return err
 			}
 			if displaced != nil {
-				d.freeTile(displaced)
+				displaced.Unload()
 			}
 		}
 	}

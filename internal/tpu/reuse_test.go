@@ -13,11 +13,11 @@ import (
 
 // TestRecycledTilesSeeWeightCorruption is the device-level half of the
 // recycling contract: a device that has already run a program — so every
-// tile it loads next is a recycled buffer with a latched lane image and
-// latched checksums — still computes from the bytes weight DRAM delivers.
-// A burst of weight flips before the second run changes the output at
+// tile it loads next is one of its two tile buffers, which has latched
+// checksums before — still computes from the bytes weight DRAM delivers. A
+// burst of weight flips before the second run changes the output at
 // IntegrityOff, fails the run at Detect and is repaired at Correct; a load
-// that kept a stale pack would hide the corruption from all three.
+// that kept a stale copy would hide the corruption from all three.
 func TestRecycledTilesSeeWeightCorruption(t *testing.T) {
 	art, _, qin := functionalSetup(t, "MLP0")
 	packed, err := compiler.PackInput(art, qin)
@@ -111,20 +111,25 @@ func tinyRunner(tb testing.TB) (*Device, func()) {
 // TestTileLoadAliasesWeightDRAM: a tile load copies nothing. After a
 // warmed-up run of a multi-layer program the array's resident tile is, by
 // address, the last tile of the device's live weight image; the device holds
-// no more than the matrix unit's two or three tiles, and the ones waiting on
-// the free list view nothing; and a warmed-up run allocates no tile-sized
-// object at all (no fetch buffer, no lane image — 64 KiB each).
+// exactly the matrix unit's two tiles — the resident one is always one of
+// them — and the non-resident one views nothing; and a warmed-up run
+// allocates no tile-sized object at all (no fetch buffer, no copy of the
+// weights — 64 KiB each).
 func TestTileLoadAliasesWeightDRAM(t *testing.T) {
 	dev, run := tinyRunner(t)
 	for i := 0; i < 20; i++ {
 		run()
-		if n := len(dev.tileFree) + 1; n > 3 { // + the resident tile
-			t.Fatalf("run %d: device holds %d tiles", i, n)
+		resident := dev.arr.Active()
+		idle := &dev.tiles[0]
+		switch resident {
+		case &dev.tiles[0]:
+			idle = &dev.tiles[1]
+		case &dev.tiles[1]:
+		default:
+			t.Fatalf("run %d: the resident tile is not one of the device's two tiles", i)
 		}
-		for _, free := range dev.tileFree {
-			if free.Bytes() != nil {
-				t.Fatalf("run %d: a tile on the free list still views a weight image", i)
-			}
+		if idle.Bytes() != nil {
+			t.Fatalf("run %d: the non-resident tile still views a weight image", i)
 		}
 	}
 	last := dev.prog.WeightBase + uint64(dev.prog.WeightTiles()-1)*isa.WeightTileBytes
