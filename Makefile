@@ -15,23 +15,31 @@ fmt-check:
 
 # Every package, the command entry points included, and asmdecl over the
 # assembly: the matrix kernels (systolic/kernel_amd64.s), the fixed-point row
-# passes (fixed/fixed_amd64.s) and the CPUID reads (cpu/cpu_amd64.s).
+# passes (fixed/fixed_amd64.s), the float calibration pass
+# (tensor/tensor_amd64.s) and the CPUID reads (cpu/cpu_amd64.s).
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
 
-# The matrix kernel, the fixed-point row passes and the CPUID reads have
-# amd64 assembly files; build everything and vet their packages (tests
-# included) for another GOARCH so the portable file sets cannot rot. The
-# portable matrix kernel reads weight words where they lie, so it is also
-# built and vetted for a big-endian GOARCH. Works offline.
+# The matrix kernel, the fixed-point row passes, the float calibration pass
+# and the CPUID reads have amd64 assembly files; build everything and vet
+# their packages (tests included) for another GOARCH so the portable file
+# sets cannot rot. The portable matrix kernel reads weight words where they
+# lie, and the CRC views int8 data as bytes, so both are also built and
+# vetted for a big-endian GOARCH. The float kernels must not fuse a multiply
+# into an add (that rounds once, and every quantization scale would differ
+# from amd64's), so arm64's assembly of internal/tensor may hold no
+# FMADD/FMSUB/FNMADD/FNMSUB. Works offline.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/systolic/... ./internal/fixed/... ./internal/cpu/...
-	GOARCH=s390x $(GO) build ./internal/systolic/...
-	GOARCH=s390x $(GO) vet ./internal/systolic/...
+	GOARCH=arm64 $(GO) vet ./internal/systolic/... ./internal/fixed/... ./internal/cpu/... ./internal/tensor/... ./internal/integrity/...
+	GOARCH=s390x $(GO) build ./internal/systolic/... ./internal/tensor/... ./internal/integrity/...
+	GOARCH=s390x $(GO) vet ./internal/systolic/... ./internal/tensor/... ./internal/integrity/...
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor 2>&1) || { echo "$$asm"; exit 1; }; \
+	if echo "$$asm" | grep -E '\sFN?M(ADD|SUB)[SD]\s'; then \
+		echo "cross: fused multiply-add in arm64 internal/tensor"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -47,12 +55,15 @@ bench-test:
 
 # Quick benchmark smoke: proves the kernel benchmarks still run — every
 # kernel arm of BenchmarkMultiply (each assembly kernel the host can run,
-# swar, scalar) and both paths of the fixed-point row passes — without
-# paying for a full measurement.
+# swar, scalar), both paths of the fixed-point row passes and of the float
+# calibration matmul, and the CRC against its table oracle — without paying
+# for a full measurement.
 bench-smoke:
 	$(GO) test ./internal/systolic -run xxx -bench BenchmarkMulRow -benchtime 100x
 	$(GO) test ./internal/systolic -run xxx -bench 'BenchmarkMultiply/B=64' -benchtime 20x
 	$(GO) test ./internal/fixed -run xxx -bench 'DrainRow|SatAddRows|QuantizeInto' -benchtime 100x
+	$(GO) test ./internal/tensor -run xxx -bench BenchmarkMatMulF32 -benchtime 5x
+	$(GO) test ./internal/integrity -run xxx -bench BenchmarkCRC -benchtime 100x
 
 # Full benchmark sweep (tables, figures, kernels).
 bench:
@@ -92,13 +103,16 @@ bench-gate:
 	[ -n "$$allocs" ] && [ "$$allocs" -le $(T3_CEILING_ALLOCS) ] || { echo "bench-gate: BenchmarkTable3 $$allocs allocs/op exceeds $(T3_CEILING_ALLOCS)"; exit 1; }
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
-# decoder, kernel-equivalence, row-pass-equivalence, batching-lane and
-# plan-spec parser regressions without a dedicated fuzzing job.
+# decoder, kernel-equivalence, row-pass-equivalence, float-matmul, CRC,
+# batching-lane and plan-spec parser regressions without a dedicated fuzzing
+# job.
 fuzz-smoke:
 	$(GO) test ./internal/systolic -run '^$$' -fuzz '^FuzzMulRowEquivalence$$' -fuzztime 5s
 	$(GO) test ./internal/fixed -run '^$$' -fuzz '^FuzzDrainRow$$' -fuzztime 5s
 	$(GO) test ./internal/fixed -run '^$$' -fuzz '^FuzzSatAddRows$$' -fuzztime 5s
 	$(GO) test ./internal/fixed -run '^$$' -fuzz '^FuzzQuantizeInto$$' -fuzztime 5s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulF32$$' -fuzztime 5s
+	$(GO) test ./internal/integrity -run '^$$' -fuzz '^FuzzCRC$$' -fuzztime 5s
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzProgramValidate$$' -fuzztime 5s
 	$(GO) test ./internal/latency -run '^$$' -fuzz '^FuzzLane$$' -fuzztime 5s

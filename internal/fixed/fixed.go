@@ -112,14 +112,19 @@ func ChooseParams(absMax float32) Params {
 
 // ChooseParamsFor scans data and returns symmetric parameters that cover it.
 func ChooseParamsFor(data []float32) Params {
+	return ChooseParams(AbsMax(data))
+}
+
+// AbsMax returns the largest |v| in data, 0 when data is empty. NaNs are
+// ignored, so the result is never NaN; an infinity is returned as +Inf.
+func AbsMax(data []float32) float32 {
 	var m float32
 	for _, v := range data {
-		a := float32(math.Abs(float64(v)))
-		if a > m {
+		if a := float32(math.Abs(float64(v))); a > m {
 			m = a
 		}
 	}
-	return ChooseParams(m)
+	return m
 }
 
 // SatUint8 clamps a 32-bit value into uint8 range.

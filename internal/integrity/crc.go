@@ -10,26 +10,10 @@
 // depend on it without cycles.
 package integrity
 
-// Castagnoli is the CRC-32C polynomial (reversed representation), the one
-// iSCSI/ext4 use and the one hardware CRC instructions implement.
-const Castagnoli = 0x82F63B78
-
-// table is the byte-at-a-time lookup table for CRC-32C.
-var table [256]uint32
-
-func init() {
-	for i := range table {
-		crc := uint32(i)
-		for k := 0; k < 8; k++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ Castagnoli
-			} else {
-				crc >>= 1
-			}
-		}
-		table[i] = crc
-	}
-}
+import (
+	"hash/crc32"
+	"unsafe"
+)
 
 // CRC returns the CRC-32C of data.
 func CRC(data []int8) uint32 {
@@ -37,20 +21,12 @@ func CRC(data []int8) uint32 {
 }
 
 // Update continues a CRC-32C over more data; Update(0, a+b) ==
-// Update(Update(0, a), b).
+// Update(Update(0, a), b). crc32.Update recognises the Castagnoli table and
+// uses the CPU's CRC32 instruction where there is one (SSE4.2 on amd64, the
+// CRC extension on arm64). MakeTable builds that table and the instruction's
+// folding tables (~9 KiB of heap) once, at the first call, so a process that
+// never checks a CRC does not hold them.
 func Update(crc uint32, data []int8) uint32 {
-	crc = ^crc
-	for _, b := range data {
-		crc = table[byte(crc)^byte(b)] ^ crc>>8
-	}
-	return ^crc
-}
-
-// CRCBytes is CRC over the native byte domain (host-side buffers).
-func CRCBytes(data []byte) uint32 {
-	crc := ^uint32(0)
-	for _, b := range data {
-		crc = table[byte(crc)^b] ^ crc>>8
-	}
-	return ^crc
+	bytes := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), len(data))
+	return crc32.Update(crc, crc32.MakeTable(crc32.Castagnoli), bytes)
 }

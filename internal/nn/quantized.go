@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"tpusim/internal/fixed"
 	"tpusim/internal/tensor"
@@ -54,12 +53,7 @@ func QuantizeModel(m *Model, p *Params, calib *tensor.F32) (*QuantizedModel, err
 	preMax := make([]float32, n)
 	x := calib
 	record := func(dst *float32, t *tensor.F32) {
-		for _, v := range t.Data {
-			a := float32(math.Abs(float64(v)))
-			if a > *dst {
-				*dst = a
-			}
-		}
+		*dst = max(*dst, fixed.AbsMax(t.Data)) // neither is ever NaN
 	}
 	for step := 0; step < m.TimeSteps; step++ {
 		record(&edgeMax[0], x)

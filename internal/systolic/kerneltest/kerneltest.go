@@ -1,8 +1,8 @@
 // Package kerneltest lets tests outside package systolic run under each of
-// its batched kernels. It reaches systolic's unexported test switch, and
-// fixed's switch for its row passes, by linkname, so neither switch is part
-// of an API. (systolic's own in-package tests cannot import this package — it
-// imports systolic — and call the switch directly.)
+// its batched kernels. It reaches systolic's unexported test switch, and the
+// switches for fixed's row passes and tensor's float pass, by linkname, so
+// no switch is part of an API. (systolic's own in-package tests cannot import
+// this package — it imports systolic — and call the switch directly.)
 package kerneltest
 
 import (
@@ -11,6 +11,7 @@ import (
 
 	_ "tpusim/internal/fixed"    // defines useVector
 	_ "tpusim/internal/systolic" // defines runUnder
+	_ "tpusim/internal/tensor"   // defines useVector
 )
 
 //go:linkname runUnder tpusim/internal/systolic.runUnder
@@ -19,17 +20,21 @@ func runUnder(i int) (name string, ok bool)
 //go:linkname useVector tpusim/internal/fixed.useVector
 func useVector(on bool) bool
 
+//go:linkname useFloatVector tpusim/internal/tensor.useVector
+func useFloatVector(on bool) bool
+
 // Each runs f as a subtest under every batched kernel this host can run,
 // fastest first: "swar" always, above it "avx2" and "avx512vnni" where the
-// CPU has them. The assembly rungs run with fixed's vector row passes on;
-// "swar", the portable rung, runs with them off too, so that it is what a
-// host without assembly runs. It must not be used from parallel tests: the
-// switches are process-wide.
+// CPU has them. The assembly rungs run with fixed's and tensor's vector
+// passes on; "swar", the portable rung, runs with them off too, so that it is
+// what a host without assembly runs. It must not be used from parallel
+// tests: the switches are process-wide.
 func Each(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	t.Cleanup(func() {
 		runUnder(0)
 		useVector(true)
+		useFloatVector(true)
 	})
 	for i := 0; ; i++ {
 		name, ok := runUnder(i)
@@ -37,6 +42,7 @@ func Each(t *testing.T, f func(t *testing.T)) {
 			return
 		}
 		useVector(name != "swar")
+		useFloatVector(name != "swar")
 		t.Run(name, f)
 	}
 }

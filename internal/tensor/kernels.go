@@ -1,12 +1,76 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"tpusim/internal/cpu"
+)
+
+// vector selects the AVX2 pass behind axpy where the host has it. The pass is
+// bit-identical to the scalar loop beside it, which is the portable path and
+// the oracle the tests hold the pass to. Only useVector writes it.
+var vector = cpu.AVX2
+
+// useVector turns the pass on, where the host has it, or off, and reports
+// whether it is on. It exists so that tests cover both paths: this package's
+// tests call it directly, other packages' tests go through
+// systolic/kerneltest, which reaches it by linkname. The switch is
+// process-wide.
+func useVector(on bool) bool {
+	vector = on && cpu.AVX2
+	return vector
+}
+
+// axpy adds a*x[j] to dst[j] for every lane of dst; len(x) must be at least
+// len(dst). Each product is rounded to float32 before the add: the
+// conversion forbids fusing the two, so every GOARCH computes the same
+// floats. Where the host has AVX2 it is one vector pass (VMULPS, then
+// VADDPS) over whole groups of eight lanes, the same two roundings per lane.
+func axpy(dst, x []float32, a float32) {
+	x = x[:len(dst)]
+	n := 0
+	if vector && len(dst) >= 8 {
+		n = len(dst) &^ 7
+		axpyAVX2(&dst[0], &x[0], n, a)
+	}
+	for j := n; j < len(dst); j++ {
+		dst[j] += float32(a * x[j])
+	}
+}
+
+// fits reports an error unless shape s has no negative dimension and the n
+// elements of an operand's data cover it: the kernels index by shape, so a
+// short operand would panic part-way through.
+func fits(op string, s Shape, n int) error {
+	for _, d := range s {
+		if d < 0 {
+			return fmt.Errorf("tensor: %s operand shape %v has a negative dimension", op, s)
+		}
+	}
+	if n < s.Elems() {
+		return fmt.Errorf("tensor: %s operand has %d elements, shape %v needs %d", op, n, s, s.Elems())
+	}
+	return nil
+}
+
+// rowBlock is how many rows of a MatMulF32 share one pass over w: each
+// weight row is read once per block, while the block's output rows stay in
+// cache.
+const rowBlock = 8
 
 // MatMulF32 computes out = a (BxK) * w (KxN) in float32. It is the reference
-// kernel the quantized systolic datapath is validated against.
+// kernel the quantized systolic datapath is validated against, and the
+// calibration pass of nn.QuantizeModel. Each output sums its products in kk
+// order, skipping zero activations, whatever the blocking or the path.
 func MatMulF32(a, w *F32) (*F32, error) {
 	if len(a.Shape) != 2 || len(w.Shape) != 2 {
 		return nil, fmt.Errorf("tensor: MatMulF32 needs rank-2 operands, got %v x %v", a.Shape, w.Shape)
+	}
+	if err := fits("MatMulF32", a.Shape, len(a.Data)); err != nil {
+		return nil, err
+	}
+	if err := fits("MatMulF32", w.Shape, len(w.Data)); err != nil {
+		return nil, err
 	}
 	b, k := a.Shape[0], a.Shape[1]
 	k2, n := w.Shape[0], w.Shape[1]
@@ -14,17 +78,14 @@ func MatMulF32(a, w *F32) (*F32, error) {
 		return nil, fmt.Errorf("tensor: inner dimensions disagree: %d vs %d", k, k2)
 	}
 	out := NewF32(b, n)
-	for i := 0; i < b; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
+	for i0 := 0; i0 < b; i0 += rowBlock {
+		i1 := min(i0+rowBlock, b)
 		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
 			wrow := w.Data[kk*n : (kk+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * wrow[j]
+			for i := i0; i < i1; i++ {
+				if av := a.Data[i*k+kk]; av != 0 {
+					axpy(out.Data[i*n:(i+1)*n], wrow, av)
+				}
 			}
 		}
 	}
@@ -37,6 +98,12 @@ func MatMulF32(a, w *F32) (*F32, error) {
 func MatMulI8(a, w *I8) (*I32, error) {
 	if len(a.Shape) != 2 || len(w.Shape) != 2 {
 		return nil, fmt.Errorf("tensor: MatMulI8 needs rank-2 operands, got %v x %v", a.Shape, w.Shape)
+	}
+	if err := fits("MatMulI8", a.Shape, len(a.Data)); err != nil {
+		return nil, err
+	}
+	if err := fits("MatMulI8", w.Shape, len(w.Data)); err != nil {
+		return nil, err
 	}
 	b, k := a.Shape[0], a.Shape[1]
 	k2, n := w.Shape[0], w.Shape[1]
@@ -81,16 +148,27 @@ func (c Conv2DShape) MACsPerExample() int {
 	return c.OutH() * c.OutW() * c.K * c.K * c.Cin * c.Cout
 }
 
+// convInput checks a convolution input against cs: shape [N, H, W, Cin] and
+// the data to fill it.
+func convInput(op string, in *F32, cs Conv2DShape) error {
+	if len(in.Shape) != 4 || !in.Shape.Equal(Shape{in.Shape[0], cs.H, cs.W, cs.Cin}) {
+		return fmt.Errorf("tensor: %s input shape %v, want [N %d %d %d]", op, in.Shape, cs.H, cs.W, cs.Cin)
+	}
+	return fits(op, in.Shape, len(in.Data))
+}
+
 // Conv2DF32 computes a same-padded 2-D convolution in float32. Input is
 // [N, H, W, Cin], weights are [K, K, Cin, Cout], output is [N, OH, OW, Cout].
 func Conv2DF32(in, w *F32, cs Conv2DShape) (*F32, error) {
-	wantIn := Shape{in.Shape[0], cs.H, cs.W, cs.Cin}
-	if len(in.Shape) != 4 || !in.Shape.Equal(wantIn) {
-		return nil, fmt.Errorf("tensor: conv input shape %v, want %v", in.Shape, wantIn)
+	if err := convInput("conv", in, cs); err != nil {
+		return nil, err
 	}
 	wantW := Shape{cs.K, cs.K, cs.Cin, cs.Cout}
 	if !w.Shape.Equal(wantW) {
 		return nil, fmt.Errorf("tensor: conv weight shape %v, want %v", w.Shape, wantW)
+	}
+	if err := fits("conv weight", w.Shape, len(w.Data)); err != nil {
+		return nil, err
 	}
 	n := in.Shape[0]
 	oh, ow := cs.OutH(), cs.OutW()
@@ -99,6 +177,7 @@ func Conv2DF32(in, w *F32, cs Conv2DShape) (*F32, error) {
 	for img := 0; img < n; img++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
+				orow := out.Data[((img*oh+oy)*ow+ox)*cs.Cout:][:cs.Cout]
 				for ky := 0; ky < cs.K; ky++ {
 					iy := oy*cs.S + ky - pad
 					if iy < 0 || iy >= cs.H {
@@ -110,16 +189,12 @@ func Conv2DF32(in, w *F32, cs Conv2DShape) (*F32, error) {
 							continue
 						}
 						inBase := ((img*cs.H+iy)*cs.W + ix) * cs.Cin
-						outBase := ((img*oh+oy)*ow + ox) * cs.Cout
 						for ci := 0; ci < cs.Cin; ci++ {
 							v := in.Data[inBase+ci]
 							if v == 0 {
 								continue
 							}
-							wBase := ((ky*cs.K+kx)*cs.Cin + ci) * cs.Cout
-							for co := 0; co < cs.Cout; co++ {
-								out.Data[outBase+co] += v * w.Data[wBase+co]
-							}
+							axpy(orow, w.Data[((ky*cs.K+kx)*cs.Cin+ci)*cs.Cout:], v)
 						}
 					}
 				}
@@ -135,6 +210,9 @@ func Conv2DF32(in, w *F32, cs Conv2DShape) (*F32, error) {
 func MaxPool2DF32(in *F32, p int) (*F32, error) {
 	if len(in.Shape) != 4 {
 		return nil, fmt.Errorf("tensor: pool input must be rank 4, got %v", in.Shape)
+	}
+	if err := fits("pool", in.Shape, len(in.Data)); err != nil {
+		return nil, err
 	}
 	n, h, w, c := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
 	if p <= 0 || h%p != 0 || w%p != 0 {
@@ -168,9 +246,8 @@ func MaxPool2DF32(in *F32, p int) (*F32, error) {
 // convolution. This is exactly how the TPU's matrix unit "can perform either
 // a matrix multiply or a convolution": convolution is a matmul over patches.
 func Im2Col(in *F32, cs Conv2DShape) (*F32, error) {
-	wantIn := Shape{in.Shape[0], cs.H, cs.W, cs.Cin}
-	if len(in.Shape) != 4 || !in.Shape.Equal(wantIn) {
-		return nil, fmt.Errorf("tensor: im2col input shape %v, want %v", in.Shape, wantIn)
+	if err := convInput("im2col", in, cs); err != nil {
+		return nil, err
 	}
 	n := in.Shape[0]
 	oh, ow := cs.OutH(), cs.OutW()

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -162,5 +164,213 @@ func TestIm2ColBadShape(t *testing.T) {
 	cs := Conv2DShape{H: 5, W: 5, Cin: 3, K: 3, S: 1, Cout: 4}
 	if _, err := Im2Col(NewF32(1, 4, 4, 3), cs); err == nil {
 		t.Error("wrong shape accepted")
+	}
+}
+
+// eachPath runs f with the vector pass off, then on where the host has it,
+// and leaves it on.
+func eachPath(t testing.TB, f func(path string)) {
+	t.Helper()
+	defer useVector(true)
+	for _, on := range []bool{false, true} {
+		if useVector(on) != on {
+			continue
+		}
+		path := "scalar"
+		if on {
+			path = "vector"
+		}
+		f(path)
+	}
+}
+
+// sameFloat is bitwise equality, except that any NaN equals any NaN: the
+// payload of a NaN is not part of the arithmetic the kernels define.
+func sameFloat(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
+}
+
+// matMulOracle is MatMulF32 as one row at a time, the loop the blocked and
+// vector kernel must reproduce float for float: every output adds its
+// rounded products in kk order and skips zero activations.
+func matMulOracle(a, w *F32) *F32 {
+	b, k, n := a.Shape[0], a.Shape[1], w.Shape[1]
+	out := NewF32(b, n)
+	for i := 0; i < b; i++ {
+		for kk := 0; kk < k; kk++ {
+			av := a.Data[i*k+kk]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				out.Data[i*n+j] += float32(av * w.Data[kk*n+j])
+			}
+		}
+	}
+	return out
+}
+
+// FuzzMatMulF32 holds MatMulF32, on both paths, to matMulOracle bit for bit
+// over any float32 bit patterns: b up to 20 rows (partial row blocks), n up
+// to 80 columns (whole groups of eight lanes and a scalar tail), and a mask
+// of zeroed activations. Seeds put zero activations against ±Inf
+// and NaN weights — a product taken instead of skipped would turn the
+// output NaN — sums that cancel to ±0, and inexact products that a fused
+// multiply-add would round differently.
+func FuzzMatMulF32(f *testing.F) {
+	floats := func(vals ...float32) []byte {
+		b := make([]byte, 0, 4*len(vals))
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		return b
+	}
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	f.Add(floats(1, 2, 3, 4, 5, 6, 7), uint8(8), uint8(3), uint8(33), uint8(0))
+	f.Add(floats(0, 1, inf, -inf, 2, nan, -3), uint8(9), uint8(4), uint8(16), uint8(0x55))
+	f.Add(floats(inf, -inf, 0.5, 0), uint8(19), uint8(11), uint8(79), uint8(0xf0))
+	f.Add(floats(negZero, 1, -1, 1e-45, 3e38, -3e38), uint8(12), uint8(5), uint8(40), uint8(0x0f))
+	f.Add(floats(0.1, -0.7, 1.3, 2.9, -0.33, 0.61, 1e-3, 7.77, -5.5, 0.123, 3.3), uint8(9), uint8(7), uint8(24), uint8(0))
+	f.Add(floats(0.1, 0.2, 0.3), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, b, k, n, zeros uint8) {
+		words := make([]float32, min(len(raw)/4, 1024))
+		for i := range words {
+			words[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		word := func(i int) float32 {
+			if len(words) == 0 {
+				return 0
+			}
+			return words[i%len(words)]
+		}
+		a := NewF32(1+int(b%20), 1+int(k%12))
+		w := NewF32(a.Shape[1], 1+int(n%80))
+		for i := range a.Data {
+			if zeros>>(i%8)&1 == 0 {
+				a.Data[i] = word(i)
+			}
+		}
+		for i := range w.Data {
+			w.Data[i] = word(len(a.Data) + i)
+		}
+		want := matMulOracle(a, w)
+		eachPath(t, func(path string) {
+			got, err := MatMulF32(a, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				if !sameFloat(got.Data[i], want.Data[i]) {
+					t.Fatalf("%s %v x %v: out[%d] = %v, oracle %v", path, a.Shape, w.Shape, i, got.Data[i], want.Data[i])
+				}
+			}
+		})
+	})
+}
+
+// TestConv2DF32PathsAgree: the convolution's Cout run is the same pass, so
+// both paths give the same floats, with a scalar tail and without.
+func TestConv2DF32PathsAgree(t *testing.T) {
+	for _, cs := range []Conv2DShape{
+		{H: 5, W: 5, Cin: 3, K: 3, S: 1, Cout: 13},
+		{H: 6, W: 6, Cin: 2, K: 3, S: 2, Cout: 40},
+	} {
+		in := NewF32(2, cs.H, cs.W, cs.Cin)
+		in.FillRandom(3, 1)
+		for i := 0; i < len(in.Data); i += 3 {
+			in.Data[i] = 0
+		}
+		w := NewF32(cs.K, cs.K, cs.Cin, cs.Cout)
+		w.FillRandom(4, 1)
+		var outs []*F32
+		eachPath(t, func(path string) {
+			out, err := Conv2DF32(in, w, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, out)
+		})
+		for _, out := range outs[1:] {
+			for i := range out.Data {
+				if !sameFloat(out.Data[i], outs[0].Data[i]) {
+					t.Fatalf("%+v: paths differ at %d: %v vs %v", cs, i, out.Data[i], outs[0].Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsRejectMalformedOperands: an operand whose data is shorter than
+// its shape, or whose shape is negative or of the wrong rank, is an error,
+// not a panic part-way through the loops.
+func TestKernelsRejectMalformedOperands(t *testing.T) {
+	short := func(shape ...int) *F32 {
+		x := NewF32(shape...)
+		x.Data = x.Data[:len(x.Data)-1]
+		return x
+	}
+	shortI8 := func(shape ...int) *I8 {
+		x := NewI8(shape...)
+		x.Data = x.Data[:len(x.Data)-1]
+		return x
+	}
+	cs := Conv2DShape{H: 3, W: 3, Cin: 1, K: 3, S: 1, Cout: 2}
+	for name, run := range map[string]func() error{
+		"MatMulF32 short a":  func() error { _, err := MatMulF32(short(2, 3), NewF32(3, 2)); return err },
+		"MatMulF32 short w":  func() error { _, err := MatMulF32(NewF32(2, 3), short(3, 2)); return err },
+		"MatMulF32 negative": func() error { _, err := MatMulF32(&F32{Shape: Shape{-1, 2}}, NewF32(2, 2)); return err },
+		"MatMulI8 short a":   func() error { _, err := MatMulI8(shortI8(2, 3), NewI8(3, 2)); return err },
+		"MatMulI8 short w":   func() error { _, err := MatMulI8(NewI8(2, 3), shortI8(3, 2)); return err },
+		"Conv2DF32 short in": func() error { _, err := Conv2DF32(short(1, 3, 3, 1), NewF32(3, 3, 1, 2), cs); return err },
+		"Conv2DF32 short w":  func() error { _, err := Conv2DF32(NewF32(1, 3, 3, 1), short(3, 3, 1, 2), cs); return err },
+		"Conv2DF32 rank 0":   func() error { _, err := Conv2DF32(&F32{}, NewF32(3, 3, 1, 2), cs); return err },
+		"Im2Col short in":    func() error { _, err := Im2Col(short(1, 3, 3, 1), cs); return err },
+		"Im2Col rank 0":      func() error { _, err := Im2Col(&F32{}, cs); return err },
+		"MaxPool2DF32 short": func() error { _, err := MaxPool2DF32(short(1, 2, 2, 1), 2); return err },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", name, r)
+				}
+			}()
+			if err := run(); err == nil {
+				t.Errorf("%s: accepted", name)
+			}
+		}()
+	}
+}
+
+// BenchmarkMatMulF32 is one calibration layer of the wide MLP: a 64 x 1024
+// batch, half its activations zero (as after a ReLU), times a 1024 x 1024
+// weight matrix, on each path.
+func BenchmarkMatMulF32(b *testing.B) {
+	a := NewF32(64, 1024)
+	a.FillRandom(1, 1)
+	r := rand.New(rand.NewSource(2))
+	for i := range a.Data {
+		if r.Intn(2) == 0 {
+			a.Data[i] = 0
+		}
+	}
+	w := NewF32(1024, 1024)
+	w.FillRandom(3, 0.05)
+	defer useVector(true)
+	for _, on := range []bool{false, true} {
+		if useVector(on) != on {
+			continue
+		}
+		name := "scalar"
+		if on {
+			name = "vector"
+		}
+		b.Run(name, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := MatMulF32(a, w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
