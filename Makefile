@@ -74,7 +74,9 @@ bench:
 # and fleet_pod, plus a Table 3 wall-clock ceiling. The alloc gates are exact and
 # noise-free: a zero-allocation packed matmul, a tile load that aliases the
 # live weight image by address with a warmed-up device run under 16 KiB, a
-# functional device that costs under 1 MiB to construct, a zero-allocation
+# functional device that costs under 1 MiB to construct, a server whose two
+# devices warmed on the wide MLP hold one weight image and no quantized layer
+# weights (the second device's warm-up grows the heap under 1 MiB), a zero-allocation
 # Submit round trip, per-dispatch object and byte ceilings on the runtime
 # backend (printed with what the dispatch measured), and a steady fleet run
 # at no more than one allocation per hundred events.
@@ -90,6 +92,7 @@ T3_CEILING_ALLOCS ?= 48
 bench-gate:
 	$(GO) test -count=1 ./internal/systolic -run TestMultiplyIntoZeroAlloc
 	$(GO) test -count=1 ./internal/tpu -run 'TestTileLoadAliasesWeightDRAM|TestNewDeviceFootprint'
+	$(GO) test -count=1 ./internal/runtime -run TestServerWeightFootprint
 	@out=$$($(GO) test -count=1 -v ./internal/serve -run SteadyStateAllocs) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -E 'backend dispatch:|^ok'
 	$(GO) test -count=1 ./internal/des -run TestSteadyStateAllocs

@@ -39,9 +39,6 @@ func NewSidecar(region string, size, block int) (*Sidecar, error) {
 // Region returns the sidecar's region name (for error messages and logs).
 func (s *Sidecar) Region() string { return s.region }
 
-// BlockBytes returns the block granularity.
-func (s *Sidecar) BlockBytes() int { return s.block }
-
 // Blocks returns the number of guarded blocks.
 func (s *Sidecar) Blocks() int { return len(s.sums) }
 

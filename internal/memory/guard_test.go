@@ -2,8 +2,10 @@ package memory
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"tpusim/internal/integrity"
 	"tpusim/internal/isa"
 )
 
@@ -168,6 +170,7 @@ func TestGuardedWeights(t *testing.T) {
 	for i := range golden {
 		golden[i] = int8(rng.Intn(256) - 128)
 	}
+	crc := integrity.CRC(golden)
 	g, err := NewGuardedWeights(golden, 34, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -198,11 +201,11 @@ func TestGuardedWeights(t *testing.T) {
 	if g.VerifyTile(isa.WeightTileBytes) {
 		t.Fatal("flip in tile 1 undetected")
 	}
-	// The fetch is a view of the live image, never the golden one: it shows
-	// the flip now and the scrub's repair afterwards, through the same window.
+	// The fetch of the upset tile is a view of its copy, never the golden
+	// bytes; after the scrub it is the golden window again.
 	view, ok := g.TileView(isa.WeightTileBytes)
-	if !ok || &view[0] != &g.live[isa.WeightTileBytes] {
-		t.Fatalf("TileView: ok %v, not the live image's bytes", ok)
+	if !ok || g.copies[1] == nil || &view[0] != &g.copies[1][0] || g.Copies() != 1 {
+		t.Fatalf("TileView: ok %v, not the upset tile's copy (%d copies)", ok, g.Copies())
 	}
 	if view[1234] == golden[isa.WeightTileBytes+1234] {
 		t.Fatal("corruption not visible in fetch")
@@ -211,10 +214,8 @@ func TestGuardedWeights(t *testing.T) {
 	if scanned != 3 || repaired != 1 {
 		t.Fatalf("scrub scanned %d repaired %d, want 3/1", scanned, repaired)
 	}
-	for i := range view {
-		if view[i] != golden[isa.WeightTileBytes+i] {
-			t.Fatalf("byte %d not repaired", i)
-		}
+	if view, _ := g.TileView(isa.WeightTileBytes); &view[0] != &golden[isa.WeightTileBytes] || g.Copies() != 0 {
+		t.Fatalf("the scrubbed tile is not golden again (%d copies)", g.Copies())
 	}
 	if _, repaired := g.Scrub(); repaired != 0 {
 		t.Fatalf("second scrub repaired %d", repaired)
@@ -235,9 +236,42 @@ func TestGuardedWeights(t *testing.T) {
 		t.Fatal("out-of-image repair claimed success")
 	}
 	// The golden image itself was never touched.
+	if integrity.CRC(golden) != crc {
+		t.Fatal("a flip wrote the golden image")
+	}
+}
+
+// TestGuardedWeightsFlipCopiesOneTile: a flip pays for the one tile it hits
+// — 64 KiB, not an image — and a repair gives the memory back to "no
+// copies", including when a second flip has undone the first.
+func TestGuardedWeightsFlipCopiesOneTile(t *testing.T) {
+	golden := make([]int8, 64*isa.WeightTileBytes) // 4 MiB
 	for i := range golden {
-		if golden[i] != g.golden[i] {
-			t.Fatal("golden aliasing bug")
-		}
+		golden[i] = int8(i * 7)
+	}
+	g, err := NewGuardedWeights(golden, 34, 4*isa.WeightTileBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.FlipBit(5*isa.WeightTileBytes+17, 3)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > isa.WeightTileBytes+1024 {
+		t.Fatalf("one FlipBit allocated %d B, want <= 64 KiB + 1 KiB", grew)
+	}
+	if g.Copies() != 1 {
+		t.Fatalf("%d tiles copied after one flip, want 1", g.Copies())
+	}
+	addr := g.Base() + 5*isa.WeightTileBytes
+	if g.VerifyTile(addr) || !g.RepairTile(addr) || g.Copies() != 0 {
+		t.Fatalf("the flip was not detected and repaired (%d copies left)", g.Copies())
+	}
+	// Two flips of one bit restore the bytes: the tile is clean, and the
+	// repair still drops its copy.
+	g.FlipBit(9, 1)
+	g.FlipBit(9, 1)
+	if !g.VerifyTile(g.Base()) || g.RepairTile(g.Base()) || g.Copies() != 0 {
+		t.Fatalf("a flipped-back tile: clean %v, %d copies after repair", g.VerifyTile(g.Base()), g.Copies())
 	}
 }

@@ -1,137 +1,157 @@
 package memory
 
 import (
-	"fmt"
-	"slices"
-
+	"tpusim/internal/integrity"
 	"tpusim/internal/isa"
 )
 
 // GuardedWeights wraps Weight Memory with the two things real DRAM has that
-// the plain model lacks: a *live* weight image that corruption persists in
-// (a flipped DRAM bit stays flipped until something rewrites it), and a
-// per-tile CRC-32C sidecar — the model of DRAM ECC's detection half — seeded
-// from the golden image at install time. The golden image is never mutated:
-// it is the program's WeightImage, shared with the compile cache, and serves
-// as the repair source the background scrubber copies from (the paper's
-// weights are read-only, so the host always has a clean copy to re-ship).
-// Until the first FlipBit the live image *is* the golden one — only an upset
-// needs bytes of its own, so a memory that never sees one holds no second
-// image.
+// the plain model lacks: corruption that persists (a flipped DRAM bit stays
+// flipped until something rewrites it), and a per-tile CRC-32C codeword — the
+// model of DRAM ECC's detection half — of the golden bytes. The golden image
+// is never written: it is the program's WeightImage, which the compile cache
+// and every other device of the server running the same weights read too,
+// and it is the repair source (the paper's weights are read-only, so the host
+// always has a clean copy to re-ship). A tile's live bytes are its golden
+// window until FlipBit upsets it: the flip copies that one tile and flips the
+// copy, and a repair drops the copy. So a memory holds 64 KiB per upset tile
+// and nothing for the rest. A golden tile is clean by construction, so its
+// codeword is taken when the first flip copies it — the value install-time
+// seeding would give, since golden never changes.
 type GuardedWeights struct {
-	mem    *WeightMemory
+	mem    *WeightMemory // over golden
 	golden []int8
-	live   []int8
-	guard  *Sidecar
+	// copies[b] is tile b's live bytes once a flip has upset it; nil means
+	// the tile is golden. sums[b] is tile b's golden codeword, valid while
+	// copies[b] is set.
+	copies []*[isa.WeightTileBytes]int8
+	sums   []uint32
 }
 
 // NewGuardedWeights builds a guarded weight memory over a golden image at a
-// tile-aligned base. The live image starts as golden itself, and the sidecar
-// (one CRC per 64 KiB tile) is seeded over it.
+// tile-aligned base, every tile golden.
 func NewGuardedWeights(golden []int8, bandwidthGBs float64, base uint64) (*GuardedWeights, error) {
 	mem, err := NewWeightMemoryAt(golden, bandwidthGBs, base)
 	if err != nil {
 		return nil, err
 	}
-	guard, err := NewSidecar("weight-dram", len(golden), isa.WeightTileBytes)
-	if err != nil {
-		return nil, fmt.Errorf("memory: weight guard: %w", err)
-	}
-	guard.Seed(golden)
-	return &GuardedWeights{mem: mem, golden: golden, live: golden, guard: guard}, nil
+	tiles := (len(golden) + isa.WeightTileBytes - 1) / isa.WeightTileBytes
+	return &GuardedWeights{mem: mem, golden: golden,
+		copies: make([]*[isa.WeightTileBytes]int8, tiles), sums: make([]uint32, tiles)}, nil
 }
 
 // Base returns the tile-aligned DRAM base address of the image.
 func (g *GuardedWeights) Base() uint64 { return g.mem.base }
 
 // Len returns the image length in bytes.
-func (g *GuardedWeights) Len() int { return len(g.live) }
+func (g *GuardedWeights) Len() int { return len(g.golden) }
 
-// TileView returns the tile at addr as a window of the live image when the
-// image covers all of it (see WeightMemory.TileView). RepairTile and Scrub
-// write through to it, and so does FlipBit once the live image has bytes of
-// its own; a device run holds views because FlipBit precedes it, Scrub
-// cannot overlap it, and RepairTile only touches a tile being fetched for
-// the first time.
+// Copies returns how many tiles hold bytes of their own: upset by a flip and
+// not repaired since.
+func (g *GuardedWeights) Copies() int {
+	n := 0
+	for _, c := range g.copies {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TileView returns the tile at addr as a window of its live bytes — the
+// tile's copy if a flip has upset it, else the golden image — when the image
+// covers all of it (see WeightMemory.TileView). A later FlipBit writes
+// through a copy's window, and a repair drops the copy from under it; a
+// device run holds views because FlipBit precedes it, Scrub cannot overlap
+// it, and RepairTile only touches a tile being fetched for the first time.
 func (g *GuardedWeights) TileView(addr uint64) ([]int8, bool) {
-	return g.mem.TileView(addr)
+	view, ok := g.mem.TileView(addr)
+	if ok {
+		if c := g.copies[(addr-g.mem.base)/isa.WeightTileBytes]; c != nil {
+			return c[:], true
+		}
+	}
+	return view, ok
 }
 
 // VerifyTile checks the tile at addr against its CRC and reports whether it
 // is clean. Tiles outside the image are trivially clean (unwritten DRAM).
 func (g *GuardedWeights) VerifyTile(addr uint64) bool {
-	if addr < g.mem.base || addr-g.mem.base >= uint64(len(g.live)) {
-		return true
-	}
-	off := int(addr - g.mem.base)
-	return len(g.guard.VerifyRange(g.live, off, isa.WeightTileBytes)) == 0
+	b, ok := g.block(addr)
+	return !ok || g.clean(b)
 }
 
-// RepairTile copies the golden bytes of the tile covering addr back over the
-// live copy and resyncs its codeword. Reports whether the tile was actually
-// corrupt. Addresses outside the image, and an image nothing has flipped,
-// are no-ops.
+// RepairTile drops the copy of the tile covering addr, so that it reads as
+// golden again, and reports whether the tile was actually corrupt. Addresses
+// outside the image, and golden tiles, are no-ops.
 func (g *GuardedWeights) RepairTile(addr uint64) bool {
-	if g.shared() || addr < g.mem.base || addr-g.mem.base >= uint64(len(g.live)) {
+	b, ok := g.block(addr)
+	if !ok || g.copies[b] == nil {
 		return false
 	}
-	off := int(addr-g.mem.base) / isa.WeightTileBytes * isa.WeightTileBytes
-	end := off + isa.WeightTileBytes
-	if end > len(g.live) {
-		end = len(g.live)
-	}
-	bad := g.guard.VerifyRange(g.live, off, end-off)
-	copy(g.live[off:end], g.golden[off:end])
-	for _, b := range bad {
-		g.guard.Resync(g.live, b)
-	}
-	return len(bad) > 0
+	bad := !g.clean(b)
+	g.copies[b] = nil
+	return bad
 }
 
-// Scrub walks every tile, repairs corrupt ones from the golden image, and
-// returns (tiles scanned, tiles repaired) — the background DRAM scrubber's
-// one pass. An image nothing has flipped is golden and is left alone.
+// Scrub is the background DRAM scrubber's one pass over every tile: each
+// copy is checked and dropped. It returns (tiles scanned, tiles repaired).
 func (g *GuardedWeights) Scrub() (scanned, repaired int) {
-	if g.shared() {
-		return g.guard.Blocks(), 0
-	}
-	for b := 0; b < g.guard.Blocks(); b++ {
-		scanned++
-		off := b * g.guard.BlockBytes()
-		end := off + g.guard.BlockBytes()
-		if end > len(g.live) {
-			end = len(g.live)
+	for b, c := range g.copies {
+		if c == nil {
+			continue
 		}
-		if len(g.guard.VerifyRange(g.live, off, end-off)) != 0 {
-			copy(g.live[off:end], g.golden[off:end])
-			g.guard.Resync(g.live, b)
+		if !g.clean(b) {
 			repaired++
 		}
+		g.copies[b] = nil
 	}
-	return scanned, repaired
+	return len(g.copies), repaired
 }
 
 // FlipBit flips one bit of the live image at byte offset off (mod image
 // length, so fault injection always lands in real weights), bypassing the
-// sidecar — the DRAM-upset seam. The first flip gives the live image bytes
-// of its own, a copy of golden, and re-points the memory at them; views
-// taken before it keep showing golden, so it must precede a run's fetches.
-// Empty images are a no-op.
+// codeword — the DRAM-upset seam. The first flip of a tile copies that tile
+// and flips the copy; views of it taken before keep showing golden, so a
+// flip must precede a run's fetches. Empty images are a no-op.
 func (g *GuardedWeights) FlipBit(off uint64, bit uint8) {
-	if len(g.live) == 0 {
+	if len(g.golden) == 0 {
 		return
 	}
-	if g.shared() {
-		g.live = slices.Clone(g.golden)
-		g.mem.image = g.live
+	i := int(off % uint64(len(g.golden)))
+	b := i / isa.WeightTileBytes
+	c := g.copies[b]
+	if c == nil {
+		golden := g.tile(b)
+		g.sums[b] = integrity.CRC(golden)
+		c = new([isa.WeightTileBytes]int8)
+		copy(c[:], golden)
+		g.copies[b] = c
 	}
-	i := int(off % uint64(len(g.live)))
-	g.live[i] ^= 1 << (bit % 8)
+	c[i%isa.WeightTileBytes] ^= 1 << (bit % 8)
 }
 
-// shared reports whether the live image is still the golden one. Other
-// devices and the compile cache read those bytes, so until FlipBit gives the
-// live image its own, nothing here writes it.
-func (g *GuardedWeights) shared() bool {
-	return len(g.live) > 0 && &g.live[0] == &g.golden[0]
+// block returns the index of the tile covering addr, ok false outside the
+// image.
+func (g *GuardedWeights) block(addr uint64) (int, bool) {
+	if addr < g.mem.base || addr-g.mem.base >= uint64(len(g.golden)) {
+		return 0, false
+	}
+	return int((addr - g.mem.base) / isa.WeightTileBytes), true
+}
+
+// tile returns tile b's live bytes: its copy, else its golden window (short
+// for a last tile the image covers only partly).
+func (g *GuardedWeights) tile(b int) []int8 {
+	off := b * isa.WeightTileBytes
+	n := min(isa.WeightTileBytes, len(g.golden)-off)
+	if c := g.copies[b]; c != nil {
+		return c[:n]
+	}
+	return g.golden[off : off+n]
+}
+
+// clean reports whether tile b's live bytes match its golden codeword.
+func (g *GuardedWeights) clean(b int) bool {
+	return g.copies[b] == nil || integrity.CRC(g.tile(b)) == g.sums[b]
 }

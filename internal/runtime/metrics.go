@@ -28,6 +28,10 @@ type DriverStats struct {
 	ModelsResident int
 	// WeightBytesReserved is the Weight Memory allocation high-water mark.
 	WeightBytesReserved uint64
+	// WeightImageBytes is the host bytes of weight image this device's cached
+	// programs reference. Devices of one server sharing an image each count
+	// it; Server.WeightImageBytes counts it once.
+	WeightImageBytes uint64
 	// Integrity is the lifetime integrity ledger aggregated across every
 	// compiled model's device on this driver: checks executed, corruption
 	// detected/corrected, rows recomputed, scrub repairs.
@@ -47,7 +51,12 @@ func (d *Driver) Stats() DriverStats {
 	integ := d.IntegrityStats()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	var images uint64
+	for _, e := range d.ready {
+		images += uint64(len(e.art.Program.WeightImage))
+	}
 	return DriverStats{
+		WeightImageBytes:    images,
 		Integrity:           integ,
 		Device:              d.label,
 		Runs:                d.runs,

@@ -6,6 +6,12 @@
 // following evaluations run at full speed", plus the multi-device server
 // abstraction (a server carries four TPUs).
 //
+// A model's int8 weights live once per server: after compile a driver keeps
+// only the quantized model's input and output domains, and the program's
+// weight image is the one copy the device reads. A server's drivers share
+// byte-identical images (see weightImages), so its TPUs running one model
+// hold its weights once; a standalone driver keeps its own.
+//
 // The driver is safe for concurrent use: first evaluations of a model are
 // single-flighted (exactly one compilation per model, however many
 // goroutines race in cold), Weight Memory regions are reserved atomically
@@ -71,9 +77,8 @@ type Driver struct {
 	// first-fit so a compile failure never leaks Weight Memory.
 	weightNext uint64
 	weightFree []region
-	// expCycles maps model name to the timing model's cycle count for one
-	// batch, recorded at compile time for timeout derivation.
-	expCycles map[string]int64
+	// images is the server's weight-image table, nil on a standalone driver.
+	images *weightImages
 	// Compilations counts slow-path compiles (for observing the caching
 	// behaviour the paper describes).
 	Compilations int
@@ -93,8 +98,16 @@ type entry struct {
 	reg  region
 
 	art *compiler.Artifact
+	// qm is the quantized model's Model and Edge only: its layer weights
+	// live in art's weight image alone.
 	qm  *nn.QuantizedModel
 	dev *tpu.Device
+	// img is art's weight image's hold in the server's table (nil on a
+	// standalone driver).
+	img *sharedImage
+	// cycles is the timing model's cycle count for one batch, for timeout
+	// derivation; written under the driver's mu.
+	cycles int64
 
 	runSem chan struct{} // cap 1
 
@@ -132,8 +145,7 @@ func NewDriver(cfg tpu.Config) (*Driver, error) {
 	if _, err := tpu.New(cfg); err != nil {
 		return nil, err
 	}
-	return &Driver{cfg: cfg, label: "tpu", cache: map[string]*entry{},
-		expCycles: map[string]int64{}}, nil
+	return &Driver{cfg: cfg, label: "tpu", cache: map[string]*entry{}}, nil
 }
 
 // InferenceResult is one batch's outcome.
@@ -193,7 +205,8 @@ func (d *Driver) releaseWeights(r region) {
 
 // compile is the single-flighted slow path: quantize, reserve a Weight
 // Memory region sized by the model's exact tile footprint, compile at that
-// base, and create the model's device. On any failure the region is
+// base, create the model's device, and on a server trade the weight image
+// for the table's copy. On any failure the region is
 // returned, so a failed compile never leaks Weight Memory. The caller that
 // wins the compile race donates its trace context, so the span lands in
 // the request that actually paid for the compile.
@@ -235,9 +248,15 @@ func (d *Driver) compile(ctx context.Context, e *entry, m *nn.Model, params *nn.
 		d.releaseWeights(reg)
 		return err
 	}
-	e.art, e.qm, e.dev, e.reg = art, qm, dev, reg
+	if d.images != nil {
+		e.img = d.images.adopt(art.Program.WeightImage)
+		art.Program.WeightImage = e.img.bytes
+	}
+	e.art, e.dev, e.reg = art, dev, reg
+	e.qm = &nn.QuantizedModel{Model: qm.Model, Edge: qm.Edge}
+	cycles := expectedCycles(d.cfg, art.Program)
 	d.mu.Lock()
-	d.expCycles[m.Name] = expectedCycles(d.cfg, art.Program)
+	e.cycles = cycles
 	d.Compilations++
 	d.ready = append(d.ready, e)
 	d.mu.Unlock()
@@ -399,8 +418,9 @@ func (d *Driver) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in 
 	}, nil
 }
 
-// Invalidate drops a cached program (e.g. after retraining) and returns
-// its Weight Memory region to the allocator.
+// Invalidate drops a cached program (e.g. after retraining), returns its
+// Weight Memory region to the allocator and releases its weight image; its
+// ExpectedCycles reads 0 until it compiles again.
 func (d *Driver) Invalidate(modelName string) {
 	d.mu.Lock()
 	e, ok := d.cache[modelName]
@@ -418,6 +438,9 @@ func (d *Driver) Invalidate(modelName string) {
 	e.once.Do(func() { e.err = fmt.Errorf("runtime: %s invalidated before first compile", modelName) })
 	if e.err == nil {
 		d.releaseWeights(e.reg)
+		if e.img != nil {
+			d.images.release(e.img)
+		}
 		d.mu.Lock()
 		for i, re := range d.ready {
 			if re == e {
@@ -467,7 +490,10 @@ func (d *Driver) Probe(ctx context.Context) error {
 func (d *Driver) ExpectedCycles(modelName string) int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.expCycles[modelName]
+	if e, ok := d.cache[modelName]; ok {
+		return e.cycles
+	}
+	return 0
 }
 
 // Server is one datacenter server: a host plus several TPUs behind it (4
@@ -479,6 +505,9 @@ type Server struct {
 	drivers []*Driver
 	next    int
 	mu      sync.Mutex
+	// images holds one copy of each distinct weight image the drivers'
+	// cached programs use.
+	images *weightImages
 
 	// Resilience state (nil res means the PR-3 fast path: no retries, no
 	// health tracking overhead on the run path beyond a success record).
@@ -532,6 +561,7 @@ func NewServerWith(n int, cfg tpu.Config, opts ServerOptions) (*Server, error) {
 		closed:    make(chan struct{}),
 		logger:    slog.Default(),
 		modelWall: map[string]*wallStats{},
+		images:    &weightImages{held: map[imageKey][]*sharedImage{}},
 	}
 	for i := 0; i < n; i++ {
 		dcfg := cfg
@@ -551,6 +581,7 @@ func NewServerWith(n int, cfg tpu.Config, opts ServerOptions) (*Server, error) {
 		}
 		dr.label = fmt.Sprintf("tpu%d", i)
 		dr.inj = inj
+		dr.images = s.images
 		s.drivers = append(s.drivers, dr)
 		s.injs = append(s.injs, inj)
 		s.health = append(s.health, &deviceHealth{})
@@ -582,6 +613,11 @@ func (s *Server) Close() { s.closeOnce.Do(func() { close(s.closed) }) }
 
 // Devices returns the TPU count.
 func (s *Server) Devices() int { return len(s.drivers) }
+
+// WeightImageBytes returns the host bytes of weight image the server holds
+// for its drivers' cached programs, an image shared by several devices
+// counted once. The per-device figure is DriverStats.WeightImageBytes.
+func (s *Server) WeightImageBytes() uint64 { return s.images.size() }
 
 // Run dispatches a batch to the next device round robin.
 func (s *Server) Run(m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {

@@ -86,7 +86,14 @@ func TestDriverInvalidate(t *testing.T) {
 	if _, err := d.Run(m, p, in); err != nil {
 		t.Fatal(err)
 	}
+	cycles := d.ExpectedCycles(m.Name)
+	if cycles <= 0 {
+		t.Fatalf("ExpectedCycles = %d after a compile, want > 0", cycles)
+	}
 	d.Invalidate(m.Name)
+	if got := d.ExpectedCycles(m.Name); got != 0 {
+		t.Errorf("ExpectedCycles = %d after Invalidate, want 0 (not compiled)", got)
+	}
 	r, err := d.Run(m, p, in)
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +103,9 @@ func TestDriverInvalidate(t *testing.T) {
 	}
 	if d.Compilations != 2 {
 		t.Errorf("compilations = %d, want 2", d.Compilations)
+	}
+	if got := d.ExpectedCycles(m.Name); got != cycles {
+		t.Errorf("ExpectedCycles = %d after recompiling, want %d", got, cycles)
 	}
 }
 

@@ -128,8 +128,9 @@ type Device struct {
 	// pointer so that reset's struct copy copies no lock; survives reset.
 	tiles *[2]systolic.Tile
 
-	// Integrity state. gw is the live weight DRAM (keyed to gwProg so
-	// corruption persists across runs of one program until scrubbed), ledger
+	// Integrity state. gw is the live weight DRAM — the program's golden
+	// image plus a copy of each tile a flip has upset, keyed to gwProg so
+	// corruption persists across runs of one program until scrubbed — ledger
 	// the lifetime ledger (allocated once so concurrent metric reads stay
 	// safe), pendingFlips the queued fault injections; all three survive
 	// reset. ubFlipped is the per-run "UB flips applied" latch.

@@ -181,10 +181,10 @@ func (d *Device) flushInteg() {
 	d.ledger.mu.Unlock()
 }
 
-// Scrub runs one pass of the weight-DRAM scrubber: every tile of the live
-// image is CRC-checked and corrupt tiles are rewritten from the golden
-// image. Returns tiles scanned and repaired; devices that have not run a
-// functional program yet scan nothing. Not safe concurrently with Run.
+// Scrub runs one pass of the weight-DRAM scrubber: every tile a flip has
+// copied is CRC-checked and read from the golden image again. Returns tiles
+// scanned and repaired; devices that have not run a functional program yet
+// scan nothing. Not safe concurrently with Run.
 func (d *Device) Scrub() (scanned, repaired int) {
 	if d.gw == nil {
 		return 0, 0
@@ -194,6 +194,16 @@ func (d *Device) Scrub() (scanned, repaired int) {
 	d.ledger.s.ScrubRepairs += int64(repaired)
 	d.ledger.mu.Unlock()
 	return scanned, repaired
+}
+
+// WeightTileCopies returns how many tiles of the live weight DRAM hold bytes
+// of their own — upset by a flip and not yet repaired; every other tile reads
+// the program's golden image. Not safe concurrently with Run.
+func (d *Device) WeightTileCopies() int {
+	if d.gw == nil {
+		return 0
+	}
+	return d.gw.Copies()
 }
 
 // inject queues a flip for the next run (see Invocation.Inject).
@@ -224,12 +234,12 @@ func (d *Device) noteRecomputed()    { d.c.TilesRecomputed++ }
 
 // fetchGuardedTile is the integrity-aware weight fetch: the per-tile DRAM
 // CRC is checked before the bytes enter the FIFO. Detect fails the run;
-// Correct repairs the tile from the golden image in place and proceeds. The
-// FIFO entry it returns is a window of the live weight image — the DRAM
+// Correct repairs the tile — it reads the golden image again — and proceeds.
+// The FIFO entry it returns is a window of the tile's live bytes — the DRAM
 // bytes by address, copied nowhere between Weight Memory and the multiply.
-// Within a run nothing writes through it: the live image is written only by
-// FlipBit at run start and by RepairTile here, on a tile that no FIFO entry
-// or array tile of this run views yet.
+// Within a run nothing changes them: the live image is written only by
+// FlipBit at run start and repaired only by RepairTile here, on a tile that
+// no FIFO entry or array tile of this run views yet.
 func (d *Device) fetchGuardedTile(addr uint64) ([]int8, error) {
 	if d.cfg.Integrity != IntegrityOff {
 		d.noteChecks(1)
