@@ -74,9 +74,10 @@ bench:
 # and fleet_pod, plus a Table 3 wall-clock ceiling. The alloc gates are exact and
 # noise-free: a zero-allocation packed matmul, a tile load that aliases the
 # live weight image by address with a warmed-up device run under 16 KiB, a
-# functional device that costs under 1 MiB to construct, a server whose two
-# devices warmed on the wide MLP hold one weight image and no quantized layer
-# weights (the second device's warm-up grows the heap under 1 MiB), a zero-allocation
+# functional device that costs under 1 MiB to construct, a server whose four
+# devices warmed on the wide MLP run one program, compiled once, and hold no
+# quantized layer weights (the second device's warm-up grows the heap under
+# 1 MiB), a zero-allocation
 # Submit round trip, per-dispatch object and byte ceilings on the runtime
 # backend (printed with what the dispatch measured), and a steady fleet run
 # at no more than one allocation per hundred events.

@@ -7,14 +7,22 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+// clusterChaosCampaign is the default campaign, run once for the acceptance
+// test and for its determinism twin to compare a rerun against.
+var clusterChaosCampaign = sync.OnceValues(func() (*ClusterChaosResult, error) {
+	return RunClusterChaos(ClusterChaosConfig{})
+})
 
 // TestClusterChaosAcceptance runs the default campaign and checks every
 // acceptance criterion, then pins the report and the saturation analysis
 // (incident attribution, not a misread capacity knee).
 func TestClusterChaosAcceptance(t *testing.T) {
-	res, err := RunClusterChaos(ClusterChaosConfig{})
+	t.Parallel()
+	res, err := clusterChaosCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,16 +67,16 @@ func TestClusterChaosAcceptance(t *testing.T) {
 }
 
 // TestClusterChaosDeterminism: the whole three-way campaign is a pure
-// function of (config, seed) — run twice, the defended run's event logs
-// are byte-identical and all three snapshots render identically. A
-// half-length ramp keeps the doubled campaign affordable under -race.
+// function of (config, seed) — a rerun of the acceptance campaign,
+// concurrent with it, has a byte-identical defended-run event log and
+// renders all three snapshots identically.
 func TestClusterChaosDeterminism(t *testing.T) {
-	cfg := ClusterChaosConfig{RampSeconds: 0.2}
-	a, err := RunClusterChaos(cfg)
+	t.Parallel()
+	b, err := RunClusterChaos(ClusterChaosConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunClusterChaos(cfg)
+	a, err := clusterChaosCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,21 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+// rolloutCampaign is the default campaign, run once for the acceptance test
+// and for its determinism twin to compare a rerun against.
+var rolloutCampaign = sync.OnceValues(func() (*RolloutResult, error) {
+	return RunRollout(RolloutConfig{})
+})
 
 // TestRolloutAcceptance runs the default campaign and checks every
 // acceptance criterion, then pins the report.
 func TestRolloutAcceptance(t *testing.T) {
-	res, err := RunRollout(RolloutConfig{})
+	t.Parallel()
+	res, err := rolloutCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +61,16 @@ func TestRolloutAcceptance(t *testing.T) {
 }
 
 // TestRolloutDeterminism: the whole three-way campaign is a pure function
-// of (config, seed) — run twice, both rollout runs' event logs are
-// byte-identical and all three snapshots render identically. A half-length
-// base unit keeps the doubled campaign affordable under -race.
+// of (config, seed) — a rerun of the acceptance campaign, concurrent with
+// it, has byte-identical rollout event logs and renders all three snapshots
+// identically.
 func TestRolloutDeterminism(t *testing.T) {
-	cfg := RolloutConfig{BaseSeconds: 0.2}
-	a, err := RunRollout(cfg)
+	t.Parallel()
+	b, err := RunRollout(RolloutConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunRollout(cfg)
+	a, err := rolloutCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}

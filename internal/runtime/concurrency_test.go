@@ -12,15 +12,12 @@ import (
 	"tpusim/internal/tpu"
 )
 
-// TestDriverRunConcurrentColdCache hammers Run for one model from eight
-// goroutines against a cold cache: the singleflight must compile exactly
-// once, every caller must see the same output, and no Weight Memory must
-// leak (run with -race to exercise the synchronization).
+// TestDriverRunConcurrentColdCache hammers one model from eight goroutines
+// across two devices against a cold cache: the server must compile exactly
+// once, each device load it once, every caller see the same output, and no
+// Weight Memory leak (run with -race to exercise the synchronization).
 func TestDriverRunConcurrentColdCache(t *testing.T) {
-	d, err := NewDriver(tpu.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 2, tpu.DefaultConfig())
 	m, p, in := testModel()
 	const goroutines = 8
 	outs := make([]*tensor.F32, goroutines)
@@ -30,7 +27,7 @@ func TestDriverRunConcurrentColdCache(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			r, err := d.Run(m, p, in)
+			r, err := s.RunOn(g%2, m, p, in)
 			if err != nil {
 				errs[g] = err
 				return
@@ -44,27 +41,29 @@ func TestDriverRunConcurrentColdCache(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
-	if d.Compilations != 1 {
-		t.Errorf("compilations = %d, want 1 (check-then-compile race)", d.Compilations)
+	if n := compilations(s); n != 1 {
+		t.Errorf("compilations = %d, want 1 (check-then-compile race)", n)
 	}
 	for g := 1; g < goroutines; g++ {
-		for i := range outs[0].Data {
-			if outs[g].Data[i] != outs[0].Data[i] {
-				t.Fatalf("goroutine %d output[%d] = %v, goroutine 0 saw %v",
-					g, i, outs[g].Data[i], outs[0].Data[i])
-			}
+		if !equalOutputs(outs[g], outs[0]) {
+			t.Fatalf("goroutine %d's output differs from goroutine 0's", g)
 		}
 	}
-	e := d.cache[m.Name]
-	if e == nil {
-		t.Fatal("model missing from cache after concurrent runs")
+	for _, d := range s.drivers {
+		if n := len(d.readySlots()); n != 1 {
+			t.Errorf("%s holds %d loaded models, want 1", d.label, n)
+		}
 	}
-	if got := uint64(len(e.art.Program.WeightImage)); e.reg.size != got {
-		t.Errorf("reserved weight region %d bytes, image is %d", e.reg.size, got)
+	pr := s.programs[m.Name]
+	if pr == nil {
+		t.Fatal("model missing from the server's cache after concurrent runs")
 	}
-	if d.weightNext != e.reg.base+e.reg.size {
+	if got := uint64(len(pr.art.Program.WeightImage)); pr.reg.size != got {
+		t.Errorf("reserved weight region %d bytes, image is %d", pr.reg.size, got)
+	}
+	if s.weightNext != pr.reg.base+pr.reg.size {
 		t.Errorf("weightNext = %#x, want %#x (weight region leaked)",
-			d.weightNext, e.reg.base+e.reg.size)
+			s.weightNext, pr.reg.base+pr.reg.size)
 	}
 }
 
@@ -72,10 +71,7 @@ func TestDriverRunConcurrentColdCache(t *testing.T) {
 // once and checks that their Weight Memory regions never overlap and that
 // no space leaks between or after the compiles.
 func TestDriverConcurrentDistinctModels(t *testing.T) {
-	d, err := NewDriver(tpu.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 1, tpu.DefaultConfig())
 	const nModels = 6
 	type job struct {
 		m  *nn.Model
@@ -103,7 +99,7 @@ func TestDriverConcurrentDistinctModels(t *testing.T) {
 			wg.Add(1)
 			go func(i int, j job) {
 				defer wg.Done()
-				_, errs[i] = d.Run(j.m, j.p, j.in)
+				_, errs[i] = s.Run(j.m, j.p, j.in)
 			}(i, j)
 		}
 		wg.Wait()
@@ -113,20 +109,20 @@ func TestDriverConcurrentDistinctModels(t *testing.T) {
 			}
 		}
 	}
-	if d.Compilations != nModels {
-		t.Errorf("compilations = %d, want %d", d.Compilations, nModels)
+	if n := compilations(s); n != nModels {
+		t.Errorf("compilations = %d, want %d", n, nModels)
 	}
 	// Regions must be pairwise disjoint and sum to weightNext (no holes
 	// were freed, so nothing may leak).
 	regs := make([]region, 0, nModels)
 	var total uint64
 	for _, j := range jobs {
-		e := d.cache[j.m.Name]
-		if e == nil {
+		pr := s.programs[j.m.Name]
+		if pr == nil {
 			t.Fatalf("%s missing from cache", j.m.Name)
 		}
-		regs = append(regs, e.reg)
-		total += e.reg.size
+		regs = append(regs, pr.reg)
+		total += pr.reg.size
 	}
 	sort.Slice(regs, func(a, b int) bool { return regs[a].base < regs[b].base })
 	for i := 1; i < len(regs); i++ {
@@ -135,7 +131,7 @@ func TestDriverConcurrentDistinctModels(t *testing.T) {
 				regs[i-1].base, regs[i-1].size, regs[i].base, regs[i].size)
 		}
 	}
-	if d.weightNext != total {
-		t.Errorf("weightNext = %#x, want %#x (regions leaked or overlapped)", d.weightNext, total)
+	if s.weightNext != total {
+		t.Errorf("weightNext = %#x, want %#x (regions leaked or overlapped)", s.weightNext, total)
 	}
 }

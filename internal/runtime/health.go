@@ -66,12 +66,8 @@ type Resilience struct {
 	// disables probing (a quarantined device stays out until revived by
 	// hand via ReadmitDevice).
 	ProbeEvery time.Duration
-	// AttemptTimeout fixes the per-attempt timeout. 0 derives it from the
-	// timing model: TimeoutFactor x the model's expected wall latency,
-	// floored at timeoutFloor (25ms).
-	AttemptTimeout time.Duration
-	// TimeoutFactor scales the expected latency into a timeout when
-	// AttemptTimeout is 0. 0 means 16.
+	// TimeoutFactor scales a model's expected wall latency into its
+	// per-attempt timeout, floored at timeoutFloor (25ms). 0 means 16.
 	TimeoutFactor float64
 	// HedgeAfterP99 launches a backup attempt on a second device when the
 	// first has been out for HedgeAfterP99 x the model's observed p99

@@ -71,37 +71,43 @@ func (r *Resilience) crossCheck() bool {
 	return r.CrossCheck || r.Integrity == IntegrityParanoid
 }
 
-// readyEntries snapshots the driver's successfully compiled model entries.
-// Entries land on the list under d.mu after their compile completes, so
-// e.dev and e.art are safe to read from the snapshot.
-func (d *Driver) readyEntries() []*entry {
+// readySlots snapshots the driver's successfully loaded models. A slot is
+// marked loaded under d.mu after its load completes, so sl.dev and sl.p are
+// safe to read from the snapshot.
+func (d *Driver) readySlots() []*slot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]*entry(nil), d.ready...)
+	var ready []*slot
+	for _, sl := range d.slots {
+		if sl.loaded {
+			ready = append(ready, sl)
+		}
+	}
+	return ready
 }
 
 // IntegrityStats aggregates the lifetime integrity ledger across every
-// compiled model's device on this driver. Safe to call concurrently with
+// loaded model's device on this driver. Safe to call concurrently with
 // runs (each device's ledger is mutex-guarded).
 func (d *Driver) IntegrityStats() tpu.IntegrityStats {
 	var agg tpu.IntegrityStats
-	for _, e := range d.readyEntries() {
-		agg.Add(e.dev.IntegrityStats())
+	for _, sl := range d.readySlots() {
+		agg.Add(sl.dev.IntegrityStats())
 	}
 	return agg
 }
 
-// Scrub runs one weight-DRAM scrub pass over every compiled model's device,
+// Scrub runs one weight-DRAM scrub pass over every loaded model's device,
 // repairing corrupt tiles from each program's golden weight image. Each
 // device is scrubbed under its run semaphore, so scrubbing never races a
 // run; a cancelled ctx abandons the remaining devices.
 func (d *Driver) Scrub(ctx context.Context) (scanned, repaired int) {
-	for _, e := range d.readyEntries() {
-		if err := e.acquire(ctx); err != nil {
+	for _, sl := range d.readySlots() {
+		if err := sl.acquire(ctx); err != nil {
 			return scanned, repaired
 		}
-		s, r := e.dev.Scrub()
-		e.release()
+		s, r := sl.dev.Scrub()
+		sl.release()
 		scanned += s
 		repaired += r
 	}

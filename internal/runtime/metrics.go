@@ -22,18 +22,16 @@ type DriverStats struct {
 	MatrixActive int64
 	// DeviceSeconds is accumulated simulated device time.
 	DeviceSeconds float64
-	// Compilations counts slow-path compiles.
+	// Compilations counts the server's compiles that this device's first
+	// evaluations ran (a model compiles once per server).
 	Compilations int
-	// ModelsResident is how many compiled models are cached right now.
+	// ModelsResident is how many models are loaded on the device right now.
 	ModelsResident int
-	// WeightBytesReserved is the Weight Memory allocation high-water mark.
+	// WeightBytesReserved is the high-water mark of the server's Weight
+	// Memory allocator, which places each model at one base on every device.
 	WeightBytesReserved uint64
-	// WeightImageBytes is the host bytes of weight image this device's cached
-	// programs reference. Devices of one server sharing an image each count
-	// it; Server.WeightImageBytes counts it once.
-	WeightImageBytes uint64
 	// Integrity is the lifetime integrity ledger aggregated across every
-	// compiled model's device on this driver: checks executed, corruption
+	// loaded model's device on this driver: checks executed, corruption
 	// detected/corrected, rows recomputed, scrub repairs.
 	Integrity tpu.IntegrityStats
 }
@@ -49,23 +47,21 @@ func (st DriverStats) MatrixUtilization() float64 {
 // Stats snapshots the driver's lifetime accounting.
 func (d *Driver) Stats() DriverStats {
 	integ := d.IntegrityStats()
+	d.srv.mu.Lock()
+	reserved := d.srv.weightNext
+	d.srv.mu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var images uint64
-	for _, e := range d.ready {
-		images += uint64(len(e.art.Program.WeightImage))
-	}
 	return DriverStats{
-		WeightImageBytes:    images,
 		Integrity:           integ,
 		Device:              d.label,
 		Runs:                d.runs,
 		Cycles:              d.cycles,
 		MatrixActive:        d.matrixActive,
 		DeviceSeconds:       d.deviceSeconds,
-		Compilations:        d.Compilations,
-		ModelsResident:      len(d.cache),
-		WeightBytesReserved: d.weightNext,
+		Compilations:        d.compilations,
+		ModelsResident:      len(d.slots),
+		WeightBytesReserved: reserved,
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -112,21 +113,13 @@ func (w *wallStats) observe(sec float64) {
 // samples it degrades toward the max, which is the conservative direction
 // for a hedge trigger.
 func (w *wallStats) p99() float64 {
-	n := w.n
-	if n > len(w.window) {
-		n = len(w.window)
-	}
+	n := min(w.n, len(w.window))
 	if n == 0 {
 		return 0
 	}
-	xs := make([]float64, n)
-	copy(xs, w.window[:n])
-	sort.Float64s(xs)
-	idx := (n * 99) / 100
-	if idx >= n {
-		idx = n - 1
-	}
-	return xs[idx]
+	xs := slices.Clone(w.window[:n])
+	slices.Sort(xs)
+	return xs[n*99/100]
 }
 
 // observeWall records a successful run's wall latency against its model and
@@ -157,15 +150,12 @@ func (s *Server) observeWall(model string, r *InferenceResult) {
 	s.wallMu.Unlock()
 }
 
-// attemptTimeout derives the per-attempt timeout for a model: the fixed
-// policy timeout if set, otherwise TimeoutFactor x the model's expected
-// wall latency (observed EWMA, falling back to the timing model's cycle
-// count scaled by the learned wall-per-cycle rate), floored at
-// timeoutFloor so a cold cache never yields a hair-trigger timeout.
+// attemptTimeout derives the per-attempt timeout for a model: TimeoutFactor
+// x the model's expected wall latency (observed EWMA, falling back to the
+// timing model's cycle count scaled by the learned wall-per-cycle rate),
+// floored at timeoutFloor so a cold cache never yields a hair-trigger
+// timeout.
 func (s *Server) attemptTimeout(dev int, model string) time.Duration {
-	if s.res.AttemptTimeout > 0 {
-		return s.res.AttemptTimeout
-	}
 	s.wallMu.Lock()
 	var expected float64
 	if ws := s.modelWall[model]; ws != nil {
@@ -174,7 +164,7 @@ func (s *Server) attemptTimeout(dev int, model string) time.Duration {
 	spc := s.wallPerCycle
 	s.wallMu.Unlock()
 	if expected == 0 {
-		if cyc := s.drivers[dev].ExpectedCycles(model); cyc > 0 {
+		if cyc := s.ExpectedCycles(model); cyc > 0 {
 			if spc > 0 {
 				// Learned wall seconds per cycle x the timing model's
 				// cycle count for this program.
@@ -394,21 +384,17 @@ func isTimeout(err error) bool {
 }
 
 func merged(a, b map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(a)+len(b))
-	for k := range a {
-		out[k] = true
-	}
-	for k := range b {
-		out[k] = true
-	}
+	out := maps.Clone(a)
+	maps.Copy(out, b)
 	return out
 }
 
 // crossCheck reruns the request on a device distinct from the winner and
-// compares outputs exactly (the simulator is bit-deterministic, so any
-// difference is corruption). On mismatch a third device votes: the
-// minority device is recorded as failing and the majority output wins.
-// With no distinct device available the first result is returned unchecked.
+// compares outputs exactly (the simulator is bit-deterministic and every
+// device runs the server's one program, so any difference is corruption).
+// On mismatch a third device votes: the minority device is recorded as
+// failing and the majority output wins. With no distinct device available
+// the first result is returned unchecked.
 func (s *Server) crossCheck(ctx context.Context, first attemptOut, m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {
 	dev2, ok := s.pickDevice(-1, map[int]bool{first.dev: true})
 	if !ok {
@@ -468,15 +454,7 @@ func equalOutputs(a, b *tensor.F32) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Data, b.Data)
 }
 
 // sleepCtx sleeps for d or until ctx is cancelled; it reports whether the

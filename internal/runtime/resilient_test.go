@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tpusim/internal/compiler"
 	"tpusim/internal/fault"
 	"tpusim/internal/tpu"
 )
@@ -130,7 +131,7 @@ func TestTransientRetries(t *testing.T) {
 func TestCrossCheckCatchesCorruption(t *testing.T) {
 	s := newChaosServer(t, 4, fault.Plan{Seed: 9}, &Resilience{CrossCheck: true})
 	// A plan's rates apply to every device, so arm device 0's hook alone
-	// (its driver builds its device at the first compile, below).
+	// (its driver builds its device at the model's first load, below).
 	s.drivers[0].cfg.Hook = fault.Plan{Seed: 9, CorruptRate: 1}.Injector(0).ArmedHook()
 	m, p, in := testModel()
 	clean, err := NewServer(1, tpu.DefaultConfig())
@@ -185,10 +186,11 @@ func TestHedgeFiresOnStraggler(t *testing.T) {
 }
 
 // TestAttemptTimeoutCancelsHang pins that a hang is bounded by the derived
-// per-attempt timeout and charged to the device.
+// per-attempt timeout (a never-run model gets the 25ms floor) and charged to
+// the device.
 func TestAttemptTimeoutCancelsHang(t *testing.T) {
 	s := newChaosServer(t, 2, fault.Plan{Seed: 4, HangRate: 1, HangSeconds: 30},
-		&Resilience{AttemptTimeout: 20 * time.Millisecond, MaxAttempts: 2})
+		&Resilience{MaxAttempts: 2})
 	m, p, in := testModel()
 	start := time.Now()
 	_, err := s.RunCtx(context.Background(), m, p, in)
@@ -222,17 +224,14 @@ func TestRunCtxCancelledWhileWaitingForDevice(t *testing.T) {
 		}
 		return inv.Run()
 	}
-	d, err := NewDriver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 1, cfg)
 	m, p, in := testModel()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := d.Run(m, p, in); err != nil {
+		if _, err := s.Run(m, p, in); err != nil {
 			t.Errorf("holder run failed: %v", err)
 		}
 	}()
@@ -241,7 +240,7 @@ func TestRunCtxCancelledWhileWaitingForDevice(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err = d.RunCtx(ctx, m, p, in)
+	_, err := s.drivers[0].RunCtx(ctx, m, p, in)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("queued run returned %v, want context.Canceled", err)
 	}
@@ -253,7 +252,7 @@ func TestRunCtxCancelledWhileWaitingForDevice(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.RunCtx(ctx2, m, p, in)
+		_, err := s.drivers[0].RunCtx(ctx2, m, p, in)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -317,17 +316,16 @@ func TestCompileFaultRetryable(t *testing.T) {
 	if r.Cached {
 		t.Error("retry after failed compile claims a cache hit")
 	}
-	d := s.drivers[0]
-	if d.Compilations != 1 {
-		t.Errorf("successful compilations = %d, want 1", d.Compilations)
+	if n := compilations(s); n != 1 {
+		t.Errorf("successful compilations = %d, want 1", n)
 	}
-	// The failed compile returned its region: high-water mark equals one
+	// The failed compile reserved nothing: the high-water mark equals one
 	// residency's footprint, and the free list is empty.
-	d.mu.Lock()
-	free := len(d.weightFree)
-	d.mu.Unlock()
-	if free != 0 {
-		t.Errorf("failed compile leaked %d free-list regions", free)
+	s.mu.Lock()
+	next, free := s.weightNext, len(s.weightFree)
+	s.mu.Unlock()
+	if want := uint64(compiler.WeightFootprint(m, false)); next != want || free != 0 {
+		t.Errorf("Weight Memory high-water mark %d B with %d free-list regions, want %d B and none", next, free, want)
 	}
 }
 

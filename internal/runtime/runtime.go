@@ -6,24 +6,29 @@
 // following evaluations run at full speed", plus the multi-device server
 // abstraction (a server carries four TPUs).
 //
-// A model's int8 weights live once per server: after compile a driver keeps
-// only the quantized model's input and output domains, and the program's
-// weight image is the one copy the device reads. A server's drivers share
-// byte-identical images (see weightImages), so its TPUs running one model
-// hold its weights once; a standalone driver keeps its own.
+// The host compiles, and its TPUs run the result: a Server quantizes and
+// compiles each model once, calibrating on the first batch it sees for the
+// model, and reserves the model's Weight Memory region once, so the model
+// sits at the same base on every device. Each device's Driver loads that one
+// program on its first use of the model. After compile the server keeps
+// only the quantized model's input and output domains; the program's weight
+// image is the one copy of the int8 weights, which every device reads and
+// none writes (a device's weight flips go to tile copies of its own). So a
+// server's devices give one answer per input.
 //
-// The driver is safe for concurrent use: first evaluations of a model are
-// single-flighted (exactly one compilation per model, however many
-// goroutines race in cold), Weight Memory regions are reserved atomically
-// and returned to a free list on compile failure or Invalidate, and each
-// cached model's device is serialized independently so different models
-// evaluate in parallel on one driver.
+// The server is safe for concurrent use: a model compiles once however many
+// goroutines race in cold, and loads once per device; Weight Memory regions
+// are reserved atomically and returned to a free list on compile failure or
+// Invalidate; and each loaded model's device is serialized independently so
+// different models evaluate in parallel on one TPU.
 package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,12 +51,33 @@ type region struct {
 // span from the tracer's bounded ring.
 const maxDeviceSpans = 1024
 
-// Driver is the User Space Driver: it owns a device per cached model and a
-// compilation cache keyed by model name.
+// errInvalidated fails a compile that an Invalidate resolved before it
+// started; the run that wanted it loads the model afresh.
+var errInvalidated = errors.New("runtime: model invalidated")
+
+// program is the server's one compile of a model. once single-flights it:
+// the first goroutine to need the model compiles inside once.Do while every
+// concurrent caller blocks on the same Do and then shares the result.
+type program struct {
+	once sync.Once
+	err  error
+	art  *compiler.Artifact
+	// qm is the quantized model's Model and Edge only: its layer weights
+	// live in art's weight image alone.
+	qm *nn.QuantizedModel
+	// reg and cycles (the timing model's cycle count for one batch, for
+	// timeout derivation) are written under the server's mu.
+	reg    region
+	cycles int64
+}
+
+// Driver is the User Space Driver's per-device half: a device per loaded
+// model, each running the server's program for that model.
 type Driver struct {
+	srv *Server
 	cfg tpu.Config
 	// label names the driver's device on telemetry tracks and in the
-	// per-device Prometheus gauges ("tpu0".."tpu3" on a server).
+	// per-device Prometheus gauges ("tpu0".."tpu3").
 	label string
 	// inj is the driver's fault injector when the server was built with a
 	// chaos plan; nil in production. The injector's Hook is already wired
@@ -60,54 +86,31 @@ type Driver struct {
 	inj *fault.Injector
 
 	mu    sync.Mutex
-	cache map[string]*entry
-	// ready lists entries whose compile succeeded, appended under mu at the
-	// end of compile; the integrity scrubber and metrics aggregation walk it
-	// without touching entries still mid-compile.
-	ready []*entry
+	slots map[string]*slot
 	// Lifetime per-device accounting behind the /metrics device gauges.
 	runs          int64
 	cycles        int64
 	matrixActive  int64
 	deviceSeconds float64
-	// weightNext is the next free tile-aligned Weight Memory offset; each
-	// compiled model gets its own region so many stay resident at once
-	// ("8 GiB supports many simultaneously active models"). weightFree
-	// holds regions returned by failed compiles and Invalidate, reused
-	// first-fit so a compile failure never leaks Weight Memory.
-	weightNext uint64
-	weightFree []region
-	// images is the server's weight-image table, nil on a standalone driver.
-	images *weightImages
-	// Compilations counts slow-path compiles (for observing the caching
-	// behaviour the paper describes).
-	Compilations int
+	// compilations counts the server compiles this device's first
+	// evaluations ran.
+	compilations int
 }
 
-// entry is one cached model. once single-flights the slow path: the first
-// goroutine to evaluate the model compiles inside once.Do while every
-// concurrent caller blocks on the same Do and then reuses the artifact.
-// runSem serializes access to the entry's device (the functional simulator
+// slot is one model loaded on one device. once single-flights the load.
+// runSem serializes access to the slot's device (the functional simulator
 // is stateful); distinct models run concurrently on their own devices.
 // Unlike a mutex, the semaphore is context-aware: a caller whose context is
 // cancelled while queued behind a long run returns ctx.Err() promptly
 // instead of waiting its turn for a device it no longer wants.
-type entry struct {
+type slot struct {
 	once sync.Once
 	err  error
-	reg  region
-
-	art *compiler.Artifact
-	// qm is the quantized model's Model and Edge only: its layer weights
-	// live in art's weight image alone.
-	qm  *nn.QuantizedModel
-	dev *tpu.Device
-	// img is art's weight image's hold in the server's table (nil on a
-	// standalone driver).
-	img *sharedImage
-	// cycles is the timing model's cycle count for one batch, for timeout
-	// derivation; written under the driver's mu.
-	cycles int64
+	p    *program
+	dev  *tpu.Device
+	// loaded is set under the driver's mu when the load succeeds; the
+	// integrity scrubber and metrics aggregation skip slots mid-load.
+	loaded bool
 
 	runSem chan struct{} // cap 1
 
@@ -120,33 +123,22 @@ type entry struct {
 	qout *tensor.I8
 }
 
-// acquire takes the entry's device, or gives up when ctx is cancelled.
-func (e *entry) acquire(ctx context.Context) error {
+// acquire takes the slot's device, or gives up when ctx is cancelled.
+func (sl *slot) acquire(ctx context.Context) error {
 	select {
-	case e.runSem <- struct{}{}:
+	case sl.runSem <- struct{}{}:
 		return nil
 	default:
 	}
 	select {
-	case e.runSem <- struct{}{}:
+	case sl.runSem <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-func (e *entry) release() { <-e.runSem }
-
-// NewDriver creates a driver for devices with the given configuration;
-// functional execution is forced on because the driver's purpose is to run
-// real data.
-func NewDriver(cfg tpu.Config) (*Driver, error) {
-	cfg.Functional = true
-	if _, err := tpu.New(cfg); err != nil {
-		return nil, err
-	}
-	return &Driver{cfg: cfg, label: "tpu", cache: map[string]*entry{}}, nil
-}
+func (sl *slot) release() { <-sl.runSem }
 
 // InferenceResult is one batch's outcome.
 type InferenceResult struct {
@@ -162,103 +154,107 @@ type InferenceResult struct {
 	// learner behind timeouts and hedge delays. 0 on the raw path.
 	WallSeconds float64
 	// Device is the device index that produced the result (set by the
-	// server's resilient path; 0 on a bare driver).
+	// server's resilient path; 0 on the raw path).
 	Device int
-	// Cached reports whether the compiled program image was reused.
+	// Cached reports whether the device already held the model's program,
+	// so the run neither compiled nor loaded it.
 	Cached bool
 }
 
 // reserveWeights returns a tile-aligned Weight Memory base for n bytes,
 // reusing freed regions first-fit before extending the high-water mark.
-func (d *Driver) reserveWeights(n uint64) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i, r := range d.weightFree {
+func (s *Server) reserveWeights(n uint64) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, r := range s.weightFree {
 		if r.size >= n {
 			if r.size == n {
-				d.weightFree = append(d.weightFree[:i], d.weightFree[i+1:]...)
+				s.weightFree = slices.Delete(s.weightFree, i, i+1)
 			} else {
-				d.weightFree[i] = region{base: r.base + n, size: r.size - n}
+				s.weightFree[i] = region{base: r.base + n, size: r.size - n}
 			}
 			return r.base
 		}
 	}
-	base := d.weightNext
-	d.weightNext += n
+	base := s.weightNext
+	s.weightNext += n
 	return base
 }
 
 // releaseWeights returns a region to the allocator. The top-most region
-// rolls the high-water mark back; interior regions go on the free list.
-func (d *Driver) releaseWeights(r region) {
+// rolls the high-water mark back, absorbing the free regions it uncovers;
+// interior regions go on the free list.
+func (s *Server) releaseWeights(r region) {
 	if r.size == 0 {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if r.base+r.size == d.weightNext {
-		d.weightNext = r.base
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r.base+r.size != s.weightNext {
+		s.weightFree = append(s.weightFree, r)
 		return
 	}
-	d.weightFree = append(d.weightFree, r)
+	s.weightNext = r.base
+	for {
+		i := slices.IndexFunc(s.weightFree, func(f region) bool { return f.base+f.size == s.weightNext })
+		if i < 0 {
+			return
+		}
+		s.weightNext = s.weightFree[i].base
+		s.weightFree = slices.Delete(s.weightFree, i, i+1)
+	}
+}
+
+// program returns the server's compile of m, compiling it on the first batch
+// the server sees for the model; d is the driver whose evaluation pays.
+func (s *Server) program(d *Driver, m *nn.Model, params *nn.Params, in *tensor.F32) (*program, error) {
+	s.mu.Lock()
+	p := s.programs[m.Name]
+	if p == nil {
+		p = &program{}
+		s.programs[m.Name] = p
+	}
+	s.mu.Unlock()
+	p.once.Do(func() { p.err = s.compile(d, p, m, params, in) })
+	if p.err != nil {
+		// Drop the poisoned program so a later evaluation can retry.
+		s.mu.Lock()
+		if s.programs[m.Name] == p {
+			delete(s.programs, m.Name)
+		}
+		s.mu.Unlock()
+		return nil, p.err
+	}
+	return p, nil
 }
 
 // compile is the single-flighted slow path: quantize, reserve a Weight
 // Memory region sized by the model's exact tile footprint, compile at that
-// base, create the model's device, and on a server trade the weight image
-// for the table's copy. On any failure the region is
-// returned, so a failed compile never leaks Weight Memory. The caller that
-// wins the compile race donates its trace context, so the span lands in
-// the request that actually paid for the compile.
-func (d *Driver) compile(ctx context.Context, e *entry, m *nn.Model, params *nn.Params, in *tensor.F32) (err error) {
-	if obs.FromContext(ctx) != nil {
-		_, sp := obs.Start(ctx, "compile", d.label, obs.String("model", m.Name))
-		defer func() {
-			if err != nil {
-				sp.SetAttr(obs.String("error", err.Error()))
-			} else {
-				sp.SetAttr(obs.Int64("weight_bytes", int64(e.reg.size)),
-					obs.Int("instructions", len(e.art.Program.Instructions)))
-			}
-			sp.End()
-		}()
-	}
-	if d.inj != nil {
-		if err := d.inj.CompileErr(); err != nil {
-			return fmt.Errorf("runtime: compiling %s: %w", m.Name, err)
-		}
-	}
+// base and time one batch. On any failure the region is returned, so a
+// failed compile never leaks Weight Memory.
+func (s *Server) compile(d *Driver, p *program, m *nn.Model, params *nn.Params, in *tensor.F32) error {
 	qm, err := nn.QuantizeModel(m, params, in)
 	if err != nil {
 		return fmt.Errorf("runtime: quantizing %s: %w", m.Name, err)
 	}
 	need := uint64(compiler.WeightFootprint(m, false))
-	reg := region{base: d.reserveWeights(need), size: need}
+	reg := region{base: s.reserveWeights(need), size: need}
 	art, err := compiler.Compile(qm, compiler.Options{Allocator: compiler.Reuse, WeightBase: reg.base})
+	if err == nil && uint64(len(art.Program.WeightImage)) != need {
+		err = fmt.Errorf("weight image %d bytes, reserved %d", len(art.Program.WeightImage), need)
+	}
 	if err != nil {
-		d.releaseWeights(reg)
+		s.releaseWeights(reg)
 		return fmt.Errorf("runtime: compiling %s: %w", m.Name, err)
 	}
-	if got := uint64(len(art.Program.WeightImage)); got != need {
-		d.releaseWeights(reg)
-		return fmt.Errorf("runtime: %s weight image %d bytes, reserved %d", m.Name, got, need)
-	}
-	dev, err := tpu.New(d.cfg)
-	if err != nil {
-		d.releaseWeights(reg)
-		return err
-	}
-	if d.images != nil {
-		e.img = d.images.adopt(art.Program.WeightImage)
-		art.Program.WeightImage = e.img.bytes
-	}
-	e.art, e.dev, e.reg = art, dev, reg
-	e.qm = &nn.QuantizedModel{Model: qm.Model, Edge: qm.Edge}
+	p.art = art
+	p.qm = &nn.QuantizedModel{Model: qm.Model, Edge: qm.Edge}
 	cycles := expectedCycles(d.cfg, art.Program)
+	s.mu.Lock()
+	p.reg, p.cycles = reg, cycles
+	s.mu.Unlock()
 	d.mu.Lock()
-	e.cycles = cycles
-	d.Compilations++
-	d.ready = append(d.ready, e)
+	d.compilations++
 	d.mu.Unlock()
 	return nil
 }
@@ -283,83 +279,128 @@ func expectedCycles(cfg tpu.Config, p *isa.Program) int64 {
 	return c.Cycles
 }
 
-// Run evaluates one batch of a model. The first evaluation quantizes and
-// compiles (the slow path); later evaluations reuse the cached program
-// image and weight image. Safe for concurrent use: racing first
-// evaluations compile exactly once, and runs of the same model serialize
-// on its device while different models proceed in parallel.
-func (d *Driver) Run(m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {
-	return d.RunCtx(context.Background(), m, params, in)
+// resident returns the device's slot for m, loading the model on first use.
+// A load whose compile an Invalidate resolved first is retried afresh.
+func (d *Driver) resident(ctx context.Context, m *nn.Model, params *nn.Params, in *tensor.F32) (sl *slot, cached bool, err error) {
+	for {
+		d.mu.Lock()
+		sl, cached = d.slots[m.Name]
+		if !cached {
+			sl = &slot{runSem: make(chan struct{}, 1)}
+			d.slots[m.Name] = sl
+		}
+		d.mu.Unlock()
+		sl.once.Do(func() { sl.err = d.load(ctx, sl, m, params, in) })
+		if sl.err == nil {
+			return sl, cached, nil
+		}
+		// Drop the poisoned slot so a later evaluation can retry.
+		d.mu.Lock()
+		if d.slots[m.Name] == sl {
+			delete(d.slots, m.Name)
+		}
+		d.mu.Unlock()
+		if !errors.Is(sl.err, errInvalidated) {
+			return nil, false, sl.err
+		}
+	}
 }
 
-// RunCtx is Run with request-scoped telemetry: when ctx carries a
-// recording obs span, the driver emits a compile span for the slow path
-// and a run span for device execution, and — when the device was created
-// with Config.Trace — stitches the run's cycle-domain unit-occupancy
-// events into the run span as wall-clock child spans (cycle 0 anchored at
-// the run's start, scaled so the cycle timeline tiles the wall-clock run
-// exactly). With no span in ctx the cost over Run is one context lookup.
+// load is the device's slow path for a model: take the server's program,
+// compiling it if this is the server's first batch of the model, and create
+// the device that runs it. The caller that wins the load race donates its
+// trace context, so the span lands in the request that actually paid.
+func (d *Driver) load(ctx context.Context, sl *slot, m *nn.Model, params *nn.Params, in *tensor.F32) (err error) {
+	if obs.FromContext(ctx) != nil {
+		_, sp := obs.Start(ctx, "compile", d.label, obs.String("model", m.Name))
+		defer func() {
+			if err != nil {
+				sp.SetAttr(obs.String("error", err.Error()))
+			} else {
+				sp.SetAttr(obs.Int64("weight_bytes", int64(len(sl.p.art.Program.WeightImage))),
+					obs.Int("instructions", len(sl.p.art.Program.Instructions)))
+			}
+			sp.End()
+		}()
+	}
+	if d.inj != nil {
+		if err := d.inj.CompileErr(); err != nil {
+			return fmt.Errorf("runtime: compiling %s: %w", m.Name, err)
+		}
+	}
+	p, err := d.srv.program(d, m, params, in)
+	if err != nil {
+		return err
+	}
+	dev, err := tpu.New(d.cfg)
+	if err != nil {
+		return err
+	}
+	sl.p, sl.dev = p, dev
+	d.mu.Lock()
+	sl.loaded = true
+	d.mu.Unlock()
+	return nil
+}
+
+// RunCtx evaluates one batch of a model on the driver's device. The first
+// evaluation loads the server's program (the slow path); later evaluations
+// reuse it. Runs of the same model serialize on its device while different
+// models proceed in parallel.
+//
+// When ctx carries a recording obs span, the driver emits a compile span
+// for the slow path and a run span for device execution, and — when the
+// device was created with Config.Trace — stitches the run's cycle-domain
+// unit-occupancy events into the run span as wall-clock child spans (cycle
+// 0 anchored at the run's start, scaled so the cycle timeline tiles the
+// wall-clock run exactly). With no span in ctx the cost is one context
+// lookup.
 func (d *Driver) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
-	e, ok := d.cache[m.Name]
-	if !ok {
-		e = &entry{runSem: make(chan struct{}, 1)}
-		d.cache[m.Name] = e
-	}
-	d.mu.Unlock()
-	cached := ok
-
-	e.once.Do(func() { e.err = d.compile(ctx, e, m, params, in) })
-	if e.err != nil {
-		err := e.err
-		// Drop the poisoned entry so a later evaluation can retry.
-		d.mu.Lock()
-		if d.cache[m.Name] == e {
-			delete(d.cache, m.Name)
-		}
-		d.mu.Unlock()
+	sl, cached, err := d.resident(ctx, m, params, in)
+	if err != nil {
 		return nil, err
 	}
+	art, qm := sl.p.art, sl.p.qm
 
 	var rsp *obs.Span
 	if obs.FromContext(ctx) != nil {
 		_, rsp = obs.Start(ctx, "run", d.label,
-			obs.String("model", m.Name), obs.Int("batch", e.art.Layout.Batch))
+			obs.String("model", m.Name), obs.Int("batch", art.Layout.Batch))
 	}
-	if err := e.acquire(ctx); err != nil {
+	if err := sl.acquire(ctx); err != nil {
 		if rsp.Recording() {
 			rsp.SetAttr(obs.String("error", err.Error()))
 			rsp.End()
 		}
 		return nil, err
 	}
-	// Quantize and pack inside the semaphore region so the entry's scratch
+	// Quantize and pack inside the semaphore region so the slot's scratch
 	// buffers (qin, host, qout) can be reused batch after batch: the
 	// semaphore already serializes the device per model, and these stages
 	// cost microseconds against a multi-millisecond device run.
-	e.qin = e.qm.QuantizeInputInto(in, e.qin)
-	host, err := compiler.PackInputInto(e.art, e.qin, e.host)
+	sl.qin = qm.QuantizeInputInto(in, sl.qin)
+	host, err := compiler.PackInputInto(art, sl.qin, sl.host)
 	if err != nil {
-		e.release()
+		sl.release()
 		if rsp.Recording() {
 			rsp.SetAttr(obs.String("error", err.Error()))
 			rsp.End()
 		}
 		return nil, err
 	}
-	e.host = host
+	sl.host = host
 	wallStart := time.Now()
-	c, err := e.dev.RunCtx(ctx, e.art.Program, host)
+	c, err := sl.dev.RunCtx(ctx, art.Program, host)
 	var devSpans []obs.SpanData
 	if err == nil && rsp.Recording() && d.cfg.Trace && c.Cycles > 0 {
 		// Stitch the cycle-domain device timeline into the wall-clock run
 		// span: cycle 0 at the run's start, scaled so total cycles span
 		// the wall duration (reading the trace still recovers true device
 		// time from the cycle_* attrs and the clock).
-		devSpans = tpu.TraceSpans(e.dev.Trace(), tpu.SpanMapping{
+		devSpans = tpu.TraceSpans(sl.dev.Trace(), tpu.SpanMapping{
 			Base:            wallStart,
 			SecondsPerCycle: time.Since(wallStart).Seconds() / float64(c.Cycles),
 			Track:           d.label,
@@ -370,20 +411,20 @@ func (d *Driver) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in 
 		})
 	}
 	// Unpack and dequantize before releasing the semaphore: host and qout
-	// are entry scratch, overwritten the moment the next run acquires the
+	// are slot scratch, overwritten the moment the next run acquires the
 	// device. The dequantized output is freshly allocated — it escapes to
 	// the caller with the result.
 	var output *tensor.F32
 	var unpackErr error
 	if err == nil {
 		var qout *tensor.I8
-		qout, unpackErr = compiler.UnpackOutputInto(e.art, host, e.qout)
+		qout, unpackErr = compiler.UnpackOutputInto(art, host, sl.qout)
 		if unpackErr == nil {
-			e.qout = qout
-			output = e.qm.DequantizeOutput(qout)
+			sl.qout = qout
+			output = qm.DequantizeOutput(qout)
 		}
 	}
-	e.release()
+	sl.release()
 	for _, sd := range devSpans {
 		rsp.Tracer().Emit(sd)
 	}
@@ -418,37 +459,31 @@ func (d *Driver) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in 
 	}, nil
 }
 
-// Invalidate drops a cached program (e.g. after retraining), returns its
-// Weight Memory region to the allocator and releases its weight image; its
+// Invalidate drops a compiled model (e.g. after retraining) from every
+// device and returns its Weight Memory region to the allocator; its
 // ExpectedCycles reads 0 until it compiles again.
-func (d *Driver) Invalidate(modelName string) {
-	d.mu.Lock()
-	e, ok := d.cache[modelName]
-	if ok {
-		delete(d.cache, modelName)
+func (s *Server) Invalidate(modelName string) {
+	s.mu.Lock()
+	p := s.programs[modelName]
+	delete(s.programs, modelName)
+	s.mu.Unlock()
+	// A load in flight on a device may finish with the dropped program and
+	// serve its own run; later runs load afresh.
+	for _, d := range s.drivers {
+		d.mu.Lock()
+		delete(d.slots, modelName)
+		d.mu.Unlock()
 	}
-	d.mu.Unlock()
-	if !ok {
+	if p == nil {
 		return
 	}
-	// Resolve the entry's once: either the in-flight compile finishes (Do
-	// blocks until then, making e.reg safe to read) or a never-compiled
-	// entry is poisoned so racing waiters fail cleanly instead of using a
+	// Resolve the program's once: either the in-flight compile finishes (Do
+	// blocks until then, making p.reg safe to read) or a never-compiled
+	// program is poisoned, so its waiters load afresh instead of using a
 	// half-built artifact.
-	e.once.Do(func() { e.err = fmt.Errorf("runtime: %s invalidated before first compile", modelName) })
-	if e.err == nil {
-		d.releaseWeights(e.reg)
-		if e.img != nil {
-			d.images.release(e.img)
-		}
-		d.mu.Lock()
-		for i, re := range d.ready {
-			if re == e {
-				d.ready = append(d.ready[:i], d.ready[i+1:]...)
-				break
-			}
-		}
-		d.mu.Unlock()
+	p.once.Do(func() { p.err = errInvalidated })
+	if p.err == nil {
+		s.releaseWeights(p.reg)
 	}
 }
 
@@ -486,12 +521,12 @@ func (d *Driver) Probe(ctx context.Context) error {
 }
 
 // ExpectedCycles returns the timing model's cycle count for one batch of a
-// cached model, or 0 when the model has not compiled on this driver yet.
-func (d *Driver) ExpectedCycles(modelName string) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if e, ok := d.cache[modelName]; ok {
-		return e.cycles
+// compiled model, or 0 when the model has not compiled on this server yet.
+func (s *Server) ExpectedCycles(modelName string) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p := s.programs[modelName]; p != nil {
+		return p.cycles
 	}
 	return 0
 }
@@ -503,11 +538,21 @@ func (d *Driver) ExpectedCycles(modelName string) int64 {
 // retries with failover, hedged requests and output cross-checking.
 type Server struct {
 	drivers []*Driver
-	next    int
-	mu      sync.Mutex
-	// images holds one copy of each distinct weight image the drivers'
-	// cached programs use.
-	images *weightImages
+	// mu guards next, the telemetry sinks, programs and the Weight Memory
+	// allocator.
+	mu   sync.Mutex
+	next int
+	// programs is the compile cache, one single-flight program per model
+	// name; every device that runs the model loads that program.
+	programs map[string]*program
+	// weightNext is the next free tile-aligned Weight Memory offset; each
+	// compiled model gets its own region, at the same base on every device,
+	// so many stay resident at once ("8 GiB supports many simultaneously
+	// active models"). weightFree holds regions returned by failed compiles
+	// and Invalidate, reused first-fit so a compile failure never leaks
+	// Weight Memory.
+	weightNext uint64
+	weightFree []region
 
 	// Resilience state (nil res means the PR-3 fast path: no retries, no
 	// health tracking overhead on the run path beyond a success record).
@@ -546,44 +591,41 @@ func NewServer(n int, cfg tpu.Config) (*Server, error) {
 }
 
 // NewServerWith builds a server with n TPUs, optionally injecting faults
-// and/or enabling the resilience layer.
+// and/or enabling the resilience layer. Functional execution is forced on
+// because the server's purpose is to run real data.
 func NewServerWith(n int, cfg tpu.Config, opts ServerOptions) (*Server, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("runtime: server needs at least one TPU, got %d", n)
+	}
+	if _, err := tpu.New(cfg); err != nil {
+		return nil, err
 	}
 	if opts.Faults != nil {
 		if err := opts.Faults.Validate(); err != nil {
 			return nil, err
 		}
 	}
+	cfg.Functional = true
 	s := &Server{
+		programs:  map[string]*program{},
 		res:       opts.Resilience,
 		closed:    make(chan struct{}),
 		logger:    slog.Default(),
 		modelWall: map[string]*wallStats{},
-		images:    &weightImages{held: map[imageKey][]*sharedImage{}},
 	}
 	for i := 0; i < n; i++ {
-		dcfg := cfg
+		d := &Driver{srv: s, cfg: cfg, label: fmt.Sprintf("tpu%d", i), slots: map[string]*slot{}}
 		if opts.Resilience != nil {
 			// The fleet integrity tier builds every device with the
 			// corresponding on-device machinery.
-			dcfg.Integrity = opts.Resilience.Integrity.deviceLevel()
+			d.cfg.Integrity = opts.Resilience.Integrity.deviceLevel()
 		}
-		var inj *fault.Injector
 		if opts.Faults != nil {
-			inj = opts.Faults.Injector(i)
-			dcfg.Hook = inj.ArmedHook()
+			d.inj = opts.Faults.Injector(i)
+			d.cfg.Hook = d.inj.ArmedHook()
 		}
-		dr, err := NewDriver(dcfg)
-		if err != nil {
-			return nil, err
-		}
-		dr.label = fmt.Sprintf("tpu%d", i)
-		dr.inj = inj
-		dr.images = s.images
-		s.drivers = append(s.drivers, dr)
-		s.injs = append(s.injs, inj)
+		s.drivers = append(s.drivers, d)
+		s.injs = append(s.injs, d.inj)
 		s.health = append(s.health, &deviceHealth{})
 	}
 	if opts.Resilience != nil && opts.Resilience.ScrubEvery > 0 {
@@ -614,10 +656,17 @@ func (s *Server) Close() { s.closeOnce.Do(func() { close(s.closed) }) }
 // Devices returns the TPU count.
 func (s *Server) Devices() int { return len(s.drivers) }
 
-// WeightImageBytes returns the host bytes of weight image the server holds
-// for its drivers' cached programs, an image shared by several devices
-// counted once. The per-device figure is DriverStats.WeightImageBytes.
-func (s *Server) WeightImageBytes() uint64 { return s.images.size() }
+// WeightImageBytes returns the host bytes of weight image the server holds:
+// one image per compiled model, however many devices run it.
+func (s *Server) WeightImageBytes() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n uint64
+	for _, p := range s.programs {
+		n += p.reg.size
+	}
+	return n
+}
 
 // Run dispatches a batch to the next device round robin.
 func (s *Server) Run(m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {
@@ -649,9 +698,9 @@ func (s *Server) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in 
 }
 
 // RunOn dispatches a batch to a specific device. The serving layer pins
-// each model to one TPU so its compiled program image and weight region
-// stay resident on that device's driver (maximizing the Section 2 cache
-// behaviour); different models pinned to different devices run in parallel.
+// each model to one TPU so its loaded program stays resident on that
+// device's driver (maximizing the Section 2 cache behaviour); different
+// models pinned to different devices run in parallel.
 func (s *Server) RunOn(device int, m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {
 	return s.RunOnCtx(context.Background(), device, m, params, in)
 }
@@ -705,7 +754,7 @@ func (s *Server) RunAll(reqs []Request) ([]*InferenceResult, error) {
 		go func(w int, dr *Driver) {
 			defer wg.Done()
 			for i := w; i < len(reqs); i += len(s.drivers) {
-				r, err := dr.Run(reqs[i].Model, reqs[i].Params, reqs[i].Input)
+				r, err := dr.RunCtx(context.Background(), reqs[i].Model, reqs[i].Params, reqs[i].Input)
 				if err != nil {
 					if errs[w] == nil {
 						errs[w] = fmt.Errorf("runtime: request %d: %w", i, err)

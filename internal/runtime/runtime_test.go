@@ -25,34 +25,50 @@ func testModel() (*nn.Model, *nn.Params, *tensor.F32) {
 	return m, p, in
 }
 
-func TestDriverCompileOnceRunMany(t *testing.T) {
-	d, err := NewDriver(tpu.DefaultConfig())
+// newTestServer builds a fault-free n-device server closed with the test.
+func newTestServer(t *testing.T, n int, cfg tpu.Config) *Server {
+	t.Helper()
+	s, err := NewServer(n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+// compilations is the server's compile count, summed over the devices
+// whose evaluations ran them.
+func compilations(s *Server) int {
+	n := 0
+	for _, st := range s.Stats() {
+		n += st.Compilations
+	}
+	return n
+}
+
+func TestDriverCompileOnceRunMany(t *testing.T) {
+	s := newTestServer(t, 1, tpu.DefaultConfig())
 	m, p, in := testModel()
-	r1, err := d.Run(m, p, in)
+	r1, err := s.Run(m, p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Cached {
 		t.Error("first run should compile")
 	}
-	r2, err := d.Run(m, p, in)
+	r2, err := s.Run(m, p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r2.Cached {
 		t.Error("second run should hit the program cache")
 	}
-	if d.Compilations != 1 {
-		t.Errorf("compilations = %d, want 1", d.Compilations)
+	if n := compilations(s); n != 1 {
+		t.Errorf("compilations = %d, want 1", n)
 	}
 	// Identical inputs give identical outputs (deterministic device).
-	for i := range r1.Output.Data {
-		if r1.Output.Data[i] != r2.Output.Data[i] {
-			t.Fatal("cached run diverged from first run")
-		}
+	if !equalOutputs(r1.Output, r2.Output) {
+		t.Fatal("cached run diverged from first run")
 	}
 	if r1.DeviceSeconds <= 0 {
 		t.Error("no device time recorded")
@@ -60,12 +76,9 @@ func TestDriverCompileOnceRunMany(t *testing.T) {
 }
 
 func TestDriverOutputMatchesReference(t *testing.T) {
-	d, err := NewDriver(tpu.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 1, tpu.DefaultConfig())
 	m, p, in := testModel()
-	r, err := d.Run(m, p, in)
+	r, err := s.Run(m, p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,70 +94,68 @@ func TestDriverOutputMatchesReference(t *testing.T) {
 }
 
 func TestDriverInvalidate(t *testing.T) {
-	d, _ := NewDriver(tpu.DefaultConfig())
+	s := newTestServer(t, 1, tpu.DefaultConfig())
 	m, p, in := testModel()
-	if _, err := d.Run(m, p, in); err != nil {
+	if _, err := s.Run(m, p, in); err != nil {
 		t.Fatal(err)
 	}
-	cycles := d.ExpectedCycles(m.Name)
+	cycles := s.ExpectedCycles(m.Name)
 	if cycles <= 0 {
 		t.Fatalf("ExpectedCycles = %d after a compile, want > 0", cycles)
 	}
-	d.Invalidate(m.Name)
-	if got := d.ExpectedCycles(m.Name); got != 0 {
+	s.Invalidate(m.Name)
+	if got := s.ExpectedCycles(m.Name); got != 0 {
 		t.Errorf("ExpectedCycles = %d after Invalidate, want 0 (not compiled)", got)
 	}
-	r, err := d.Run(m, p, in)
+	r, err := s.Run(m, p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Cached {
 		t.Error("run after invalidation should recompile")
 	}
-	if d.Compilations != 2 {
-		t.Errorf("compilations = %d, want 2", d.Compilations)
+	if n := compilations(s); n != 2 {
+		t.Errorf("compilations = %d, want 2", n)
 	}
-	if got := d.ExpectedCycles(m.Name); got != cycles {
+	if got := s.ExpectedCycles(m.Name); got != cycles {
 		t.Errorf("ExpectedCycles = %d after recompiling, want %d", got, cycles)
 	}
 }
 
 func TestDriverRejectsInvalidModel(t *testing.T) {
-	d, _ := NewDriver(tpu.DefaultConfig())
+	s := newTestServer(t, 1, tpu.DefaultConfig())
 	bad := &nn.Model{Name: "bad"}
-	if _, err := d.Run(bad, &nn.Params{}, tensor.NewF32(1, 1)); err == nil {
+	if _, err := s.Run(bad, &nn.Params{}, tensor.NewF32(1, 1)); err == nil {
 		t.Error("invalid model accepted")
 	}
 }
 
-func TestNewDriverBadConfig(t *testing.T) {
-	if _, err := NewDriver(tpu.Config{}); err == nil {
+func TestNewServerBadConfig(t *testing.T) {
+	if _, err := NewServer(1, tpu.Config{}); err == nil {
 		t.Error("zero config accepted")
 	}
 }
 
+// TestServerRoundRobin: round-robin runs visit every device, and the server
+// compiles the model once for all four.
 func TestServerRoundRobin(t *testing.T) {
-	s, err := NewServer(4, tpu.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 4, tpu.DefaultConfig())
 	if s.Devices() != 4 {
 		t.Errorf("Devices = %d", s.Devices())
 	}
 	m, p, in := testModel()
-	// Four runs should compile on all four devices (round robin), then
-	// reuse caches.
 	for i := 0; i < 8; i++ {
 		if _, err := s.Run(m, p, in); err != nil {
 			t.Fatal(err)
 		}
 	}
-	compiles := 0
-	for _, d := range s.drivers {
-		compiles += d.Compilations
+	if n := compilations(s); n != 1 {
+		t.Errorf("total compilations = %d, want 1 (one per server)", n)
 	}
-	if compiles != 4 {
-		t.Errorf("total compilations = %d, want 4 (one per device)", compiles)
+	for _, st := range s.Stats() {
+		if st.Runs != 2 || st.ModelsResident != 1 {
+			t.Errorf("%s: %d runs, %d models loaded, want 2 and 1", st.Device, st.Runs, st.ModelsResident)
+		}
 	}
 }
 
@@ -155,20 +166,19 @@ func TestServerErrors(t *testing.T) {
 }
 
 func TestServerRunOn(t *testing.T) {
-	s, err := NewServer(2, tpu.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 2, tpu.DefaultConfig())
 	m, p, in := testModel()
-	// Pinned runs stay on one device: its driver compiles once, the other
-	// driver never compiles at all.
+	// Pinned runs stay on one device: its evaluation compiles once, the
+	// other device never loads the model at all.
 	for i := 0; i < 3; i++ {
 		if _, err := s.RunOn(1, m, p, in); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c0, c1 := s.drivers[0].Compilations, s.drivers[1].Compilations; c0 != 0 || c1 != 1 {
-		t.Errorf("compilations = %d/%d, want 0/1 (pinned to device 1)", c0, c1)
+	st := s.Stats()
+	if st[0].Compilations != 0 || st[1].Compilations != 1 || st[0].ModelsResident != 0 {
+		t.Errorf("compilations = %d/%d, device 0 holds %d models, want 0/1 and 0 (pinned to device 1)",
+			st[0].Compilations, st[1].Compilations, st[0].ModelsResident)
 	}
 	// Pinned and round-robin runs agree on the answer.
 	rr, err := s.Run(m, p, in)
@@ -179,10 +189,8 @@ func TestServerRunOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range rr.Output.Data {
-		if rr.Output.Data[i] != pinned.Output.Data[i] {
-			t.Fatal("pinned run diverged from round-robin run")
-		}
+	if !equalOutputs(rr.Output, pinned.Output) {
+		t.Fatal("pinned run diverged from round-robin run")
 	}
 	for _, dev := range []int{-1, 2} {
 		if _, err := s.RunOn(dev, m, p, in); err == nil {
@@ -193,10 +201,7 @@ func TestServerRunOn(t *testing.T) {
 
 func TestDriverTinyBenchmarks(t *testing.T) {
 	// All six benchmark structures run end to end through the driver.
-	d, err := NewDriver(tpu.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 1, tpu.DefaultConfig())
 	for _, name := range models.Names() {
 		m, err := models.Tiny(name)
 		if err != nil {
@@ -211,7 +216,7 @@ func TestDriverTinyBenchmarks(t *testing.T) {
 			in = tensor.NewF32(m.Batch, m.InputElems())
 		}
 		in.FillRandom(10, 1)
-		r, err := d.Run(m, p, in)
+		r, err := s.Run(m, p, in)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -221,14 +226,11 @@ func TestDriverTinyBenchmarks(t *testing.T) {
 	}
 }
 
-// TestMultiModelResidency: two different models cached on one driver get
+// TestMultiModelResidency: two different models compiled on one server get
 // disjoint Weight Memory regions, both keep answering correctly — the
 // paper's "8 GiB supports many simultaneously active models".
 func TestMultiModelResidency(t *testing.T) {
-	d, err := NewDriver(tpu.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, 1, tpu.DefaultConfig())
 	m1, p1, in1 := testModel()
 	m2 := &nn.Model{
 		Name: "second", Class: nn.MLP, Batch: 2, TimeSteps: 1,
@@ -238,29 +240,27 @@ func TestMultiModelResidency(t *testing.T) {
 	in2 := tensor.NewF32(2, 8)
 	in2.FillRandom(32, 1)
 
-	r1a, err := d.Run(m1, p1, in1)
+	r1a, err := s.Run(m1, p1, in1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(m2, p2, in2); err != nil {
+	if _, err := s.Run(m2, p2, in2); err != nil {
 		t.Fatal(err)
 	}
 	// The second model's weights live above the first model's region.
-	e1 := d.cache[m1.Name].art.Program
-	e2 := d.cache[m2.Name].art.Program
+	e1 := s.programs[m1.Name].art.Program
+	e2 := s.programs[m2.Name].art.Program
 	if e2.WeightBase < e1.WeightBase+uint64(len(e1.WeightImage)) {
 		t.Errorf("weight regions overlap: model2 at %#x, model1 ends at %#x",
 			e2.WeightBase, e1.WeightBase+uint64(len(e1.WeightImage)))
 	}
 	// Running the first model again (cached) still gives the same answer.
-	r1b, err := d.Run(m1, p1, in1)
+	r1b, err := s.Run(m1, p1, in1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range r1a.Output.Data {
-		if r1a.Output.Data[i] != r1b.Output.Data[i] {
-			t.Fatal("first model's output changed after loading the second model")
-		}
+	if !equalOutputs(r1a.Output, r1b.Output) {
+		t.Fatal("first model's output changed after loading the second model")
 	}
 	if !r1b.Cached {
 		t.Error("first model lost its cache entry")
