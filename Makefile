@@ -97,7 +97,7 @@ bench-gate:
 	@out=$$($(GO) test -count=1 -v ./internal/serve -run SteadyStateAllocs) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -E 'backend dispatch:|^ok'
 	$(GO) test -count=1 ./internal/des -run TestSteadyStateAllocs
-	$(GO) test -count=1 ./internal/cluster -run TestClusterRunAllocs
+	$(GO) test -count=1 ./internal/cluster -run 'TestClusterRunAllocs|TestRouteZeroAlloc'
 	@$(GO) test -run xxx -bench 'BenchmarkTable3$$' -cpu 1 -benchtime 600x -benchmem -count 3 . > bench-gate.out || { cat bench-gate.out; rm -f bench-gate.out; exit 1; }; \
 	min=$$(awk '/^BenchmarkTable3/ && $$4 == "ns/op" {if (min == "" || $$3+0 < min) min = $$3+0} END {print min}' bench-gate.out); \
 	allocs=$$(awk '/^BenchmarkTable3/ && $$8 == "allocs/op" {a = $$7+0} END {print a}' bench-gate.out); \

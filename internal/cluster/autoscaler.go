@@ -13,6 +13,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tpusim/internal/runtime"
 )
@@ -35,11 +36,13 @@ func perReplicaRate(rep *replica) float64 {
 	return float64(plan.SafeBatch) / plan.SafeServiceSeconds / float64(sharing) / rep.dev.host.slow
 }
 
-// liveCapacity sums the routable replicas' saturation rates.
+// liveCapacity sums the routable replicas' saturation rates, in id order:
+// the rates differ between shared and slowed replicas, and float addition
+// is order-sensitive.
 func (a *app) liveCapacity() float64 {
 	total := 0.0
 	for _, rep := range a.replicas {
-		if rep.state == runtime.Quarantined || rep.draining {
+		if rep == nil || rep.state == runtime.Quarantined || rep.draining {
 			continue
 		}
 		total += perReplicaRate(rep)
@@ -188,16 +191,12 @@ func (c *Cluster) scaleDown(a *app, rep *replica, rate float64) {
 // live replica (highest id), so the stable core of the replica set keeps
 // its hash-ring arcs and long-lived key affinity.
 func (c *Cluster) newestRemovable(a *app) *replica {
-	var best *replica
-	for _, rep := range a.replicas {
-		if rep.state == runtime.Quarantined || rep.draining {
-			continue
-		}
-		if best == nil || rep.id > best.id {
-			best = rep
+	for _, rep := range slices.Backward(a.replicas) {
+		if rep != nil && rep.state != runtime.Quarantined && !rep.draining {
+			return rep
 		}
 	}
-	return best
+	return nil
 }
 
 // decide records one autoscaler decision in the app's ledger and the

@@ -36,7 +36,7 @@ func countEvents(c *Cluster, kind string, host int) int {
 func replicaOnHost(a *app, hostID int) *replica {
 	var found *replica
 	for _, rep := range a.replicas {
-		if rep.dev.host.id == hostID {
+		if rep != nil && rep.dev.host.id == hostID {
 			found = rep
 		}
 	}

@@ -21,6 +21,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"tpusim/internal/des"
@@ -79,7 +80,8 @@ type AppConfig struct {
 type AutoscaleConfig struct {
 	// Disabled freezes replica counts at their initial placement.
 	Disabled bool
-	// Interval is the decision tick in virtual seconds. 0 means 0.25.
+	// Interval is the decision tick in virtual seconds. 0 or negative means
+	// 0.25; NaN and ±Inf are an error from New.
 	Interval float64
 }
 
@@ -238,7 +240,7 @@ type app struct {
 	svc  []float64 // memoized batch -> service seconds, index 1..SafeBatch
 
 	router   *Router
-	replicas map[int]*replica
+	replicas []*replica // by id; nil once a replica is removed
 	nextID   int
 
 	arrivals *workload.NHPP
@@ -276,7 +278,7 @@ type app struct {
 func (a *app) liveReplicas() int {
 	n := 0
 	for _, rep := range a.replicas {
-		if rep.state != runtime.Quarantined && !rep.draining {
+		if rep != nil && rep.state != runtime.Quarantined && !rep.draining {
 			n++
 		}
 	}
@@ -333,6 +335,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Zones < 0 {
 		return nil, fmt.Errorf("cluster: negative zone count %d", cfg.Zones)
 	}
+	if iv := cfg.Autoscale.Interval; math.IsNaN(iv) || math.IsInf(iv, 0) {
+		return nil, fmt.Errorf("cluster: autoscale interval %v is not a finite number of seconds", iv)
+	}
 	c := &Cluster{cfg: cfg, loop: &des.Loop{}}
 	zones := cfg.zones()
 	c.zoneAlive = make([]int, zones)
@@ -375,7 +380,6 @@ func New(cfg Config) (*Cluster, error) {
 			idx:        i,
 			plan:       plan,
 			router:     NewRouter(cfg.Router),
-			replicas:   map[int]*replica{},
 			keys:       rand.New(rand.NewSource(cfg.Seed*7919 + int64(i)*104729 + 1)),
 			curVersion: 1,
 		}
@@ -554,7 +558,7 @@ func (cp *completion) Fire(gen uint64) {
 func (c *Cluster) route(a *app, r request) {
 	if ro := a.ro; ro != nil && ro.splitting && len(ro.canaryIDs) > 0 && r.key&1023 < c.ro.splitKeys {
 		id := ro.canaryIDs[int((r.key>>10)%uint64(len(ro.canaryIDs)))]
-		if rep, ok := a.replicas[id]; ok && rep.state != runtime.Quarantined && !rep.draining &&
+		if rep := a.replicas[id]; rep != nil && rep.state != runtime.Quarantined && !rep.draining &&
 			rep.dev.host.alive && !rep.dev.host.partitioned {
 			c.enqueue(rep, r)
 			return

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,6 +36,9 @@ func testApp(name string, rate float64, replicas int) AppConfig {
 func inSystem(a *app) int {
 	n := 0
 	for _, rep := range a.replicas {
+		if rep == nil {
+			continue
+		}
 		n += rep.lane.Len() + len(rep.inFlight)
 	}
 	return n
@@ -388,5 +393,89 @@ func TestRunSegmentsCompose(t *testing.T) {
 	segmented.Run(5)
 	if a, b := oneShot.Snapshot().Render(), segmented.Snapshot().Render(); a != b {
 		t.Fatalf("segmented run diverged from one-shot:\n--- one ---\n%s--- seg ---\n%s", a, b)
+	}
+}
+
+// TestBadValuesRejected: a config value or router weight that is not a
+// number is an error, not a panic on the calendar or a NaN spread through
+// every smooth-WRR accumulator.
+func TestBadValuesRejected(t *testing.T) {
+	withInterval := func(iv float64) func() error {
+		return func() error {
+			_, err := New(Config{Hosts: 1, DevicesPerHost: 1, Apps: []AppConfig{testApp("APP0", 50, 1)},
+				Autoscale: AutoscaleConfig{Interval: iv}, Seed: 1})
+			return err
+		}
+	}
+	r := NewRouter(WeightedRoundRobin)
+	for name, call := range map[string]func() error{
+		"autoscale interval NaN":  withInterval(math.NaN()),
+		"autoscale interval +Inf": withInterval(math.Inf(1)),
+		"autoscale interval -Inf": withInterval(math.Inf(-1)),
+		"router weight NaN":       func() error { return r.Add(0, math.NaN()) },
+		"router weight +Inf":      func() error { return r.Add(0, math.Inf(1)) },
+		"router weight -Inf":      func() error { return r.Add(0, math.Inf(-1)) },
+		"router negative id":      func() error { return r.Add(-1, 1) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if n := r.Len(); n != 0 {
+		t.Errorf("rejected Adds registered %d replicas", n)
+	}
+	// The defaults still hold: 0 and negative intervals mean 0.25 s.
+	for _, iv := range []float64{0, -1} {
+		if err := withInterval(iv)(); err != nil {
+			t.Errorf("interval %v: %v", iv, err)
+		}
+	}
+}
+
+// TestLiveCapacityIDOrder: the autoscaler's capacity is summed in replica
+// id order, bit for bit, on a fleet whose per-replica rates differ — one
+// device shared by five replicas, the other by four on a slowed host — and
+// where another summation order gives a different last bit.
+func TestLiveCapacityIDOrder(t *testing.T) {
+	c, err := New(Config{
+		Hosts: 2, DevicesPerHost: 1,
+		Apps:      []AppConfig{testApp("APP0", 50, 7), testApp("APP1", 50, 2)},
+		Autoscale: AutoscaleConfig{Disabled: true},
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.hosts[1].slow = 1.7
+	a := c.apps[0]
+	rates := make([]float64, a.nextID) // by id, collected from the devices
+	for _, h := range c.hosts {
+		for _, d := range h.devices {
+			for _, rep := range d.replicas {
+				if rep.app == a {
+					rates[rep.id] = perReplicaRate(rep)
+				}
+			}
+		}
+	}
+	sum := func(rates []float64) float64 {
+		total := 0.0
+		for _, r := range rates {
+			total += r
+		}
+		return total
+	}
+	want := sum(rates)
+	reordered := false
+	for i := range rates {
+		rot := append(slices.Clone(rates[i:]), rates[:i]...)
+		slices.Reverse(rot)
+		reordered = reordered || sum(rot) != want
+	}
+	if len(rates) != 7 || !reordered {
+		t.Fatalf("%d replicas, order-sensitive sum %v: the fleet does not test summation order", len(rates), reordered)
+	}
+	if got := a.liveCapacity(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("liveCapacity = %v, id-order sum %v", got, want)
 	}
 }

@@ -37,7 +37,7 @@ func (c *Cluster) placeReplica(a *app, version int, canary bool) (*replica, erro
 	a.nextID++
 	d.freeBytes -= a.cfg.WeightBytes
 	d.replicas = append(d.replicas, rep)
-	a.replicas[rep.id] = rep
+	a.replicas = append(a.replicas, rep) // rep.id == len(a.replicas)
 	if !canary {
 		if err := a.router.Add(rep.id, 1); err != nil {
 			return nil, err
@@ -137,7 +137,7 @@ func (c *Cluster) finalizeRemoval(rep *replica) {
 	}
 	d.freeBytes += a.cfg.WeightBytes
 	c.tel.onRetire(rep)
-	delete(a.replicas, rep.id)
+	a.replicas[rep.id] = nil
 	c.log(d.host.id, "drain", fmt.Sprintf("%s replica r%d removed from host%d/dev%d",
 		a.cfg.Name, rep.id, d.host.id, d.idx), subject{})
 	if rep.waveDrain {

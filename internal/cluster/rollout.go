@@ -34,7 +34,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -440,7 +439,7 @@ func (c *Cluster) drainReplica(rep *replica, deadline float64) {
 // gate, retry-budget tokens) — instead of stalling the wave forever.
 func (c *Cluster) drainExpire(rep *replica) {
 	a := rep.app
-	if cur, ok := a.replicas[rep.id]; !ok || cur != rep || !rep.draining {
+	if a.replicas[rep.id] != rep || !rep.draining {
 		return // drained gracefully before the deadline
 	}
 	orphans, inFlight := rep.orphan()
@@ -633,8 +632,8 @@ func (c *Cluster) promoteCanaries() {
 		aro.splitting = false
 		joined := 0
 		for _, id := range aro.canaryIDs {
-			rep, ok := a.replicas[id]
-			if !ok || rep.draining {
+			rep := a.replicas[id]
+			if rep == nil || rep.draining {
 				continue
 			}
 			if err := a.router.Add(rep.id, 1); err != nil {
@@ -790,29 +789,16 @@ func (c *Cluster) rollback(reason string) {
 			continue
 		}
 		aro.splitting = false
-		ids := make([]int, 0, len(a.replicas))
-		for id := range a.replicas {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
 		drained := 0
-		for _, id := range ids {
-			rep, ok := a.replicas[id]
-			if !ok {
-				continue
-			}
-			if rep.version >= 2 && !rep.draining {
+		for _, rep := range a.replicas {
+			if rep != nil && rep.version >= 2 && !rep.draining {
 				c.drainReplica(rep, ro.plan.drainSeconds())
 				drained++
 			}
 		}
 		liveV1 := 0
-		for _, id := range ids {
-			rep, ok := a.replicas[id]
-			if !ok {
-				continue
-			}
-			if rep.version < 2 && !rep.draining && rep.state != runtime.Quarantined {
+		for _, rep := range a.replicas {
+			if rep != nil && rep.version < 2 && !rep.draining && rep.state != runtime.Quarantined {
 				liveV1++
 			}
 		}

@@ -180,7 +180,7 @@ func TestGracefulDrainFinishesQueue(t *testing.T) {
 	if queued == 0 {
 		t.Fatal("replica had nothing queued at drain time; scenario is vacuous")
 	}
-	if _, ok := a.replicas[0]; ok {
+	if a.replicas[0] != nil {
 		t.Fatal("drained replica still registered")
 	}
 	if a.failovers != 0 || a.errors != 0 {
@@ -227,7 +227,7 @@ func TestDrainDeadlineFailsOver(t *testing.T) {
 	if queued < 2 {
 		t.Fatalf("replica only held %d requests at drain time; saturation scenario is vacuous", queued)
 	}
-	if _, ok := a.replicas[0]; ok {
+	if a.replicas[0] != nil {
 		t.Fatal("deadline-expired replica still registered — the wave would stall")
 	}
 	deadline := false
@@ -553,8 +553,8 @@ func TestRolloutCanaryQuarantinedOnKill(t *testing.T) {
 			continue
 		}
 		for _, id := range a.ro.canaryIDs {
-			rep, ok := a.replicas[id]
-			if ok && rep.dev.host.id == canaryHost && rep.state != runtime.Quarantined {
+			rep := a.replicas[id]
+			if rep != nil && rep.dev.host.id == canaryHost && rep.state != runtime.Quarantined {
 				t.Errorf("%s canary r%d on the dead host is %s, want quarantined", a.cfg.Name, id, rep.state)
 			}
 		}

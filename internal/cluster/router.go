@@ -18,8 +18,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"tpusim/internal/runtime"
@@ -85,6 +85,7 @@ type endpoint struct {
 	state   runtime.HealthState
 	load    int64
 	current float64 // smooth-WRR accumulator
+	walk    uint64  // the last bounded-hash walk that passed this endpoint
 }
 
 // ringSlot is one virtual node on the consistent-hash ring.
@@ -98,10 +99,16 @@ type Router struct {
 	mu     sync.Mutex
 	policy RouterPolicy
 	boundC float64
-	eps    map[int]*endpoint
-	stale  bool        // membership changed since order and ring were built
+	eps    []*endpoint // by replica id; nil where none is registered
+	n      int         // registered endpoints
+	stale  bool        // membership changed since order, ring and index were built
 	order  []*endpoint // sorted by id; valid while !stale
 	ring   []ringSlot  // sorted by hash; valid while !stale
+	// index[b] is the first ring slot whose hash has top bits >= b, so a
+	// lookup starts within a few slots of its answer; valid while !stale.
+	index []int32
+	shift uint   // 64 minus the index's bit width
+	walk  uint64 // bounded-hash walks so far; stamps the endpoints each passes
 
 	// Running sums over routable endpoints — the bounded-hash bound per
 	// request without a scan. Every write to an endpoint's state or load,
@@ -112,24 +119,35 @@ type Router struct {
 
 // NewRouter creates an empty router with the given policy.
 func NewRouter(policy RouterPolicy) *Router {
-	return &Router{policy: policy, boundC: defaultBoundC, eps: map[int]*endpoint{}}
+	return &Router{policy: policy, boundC: defaultBoundC}
 }
 
 // Policy returns the router's policy.
 func (r *Router) Policy() RouterPolicy { return r.policy }
 
 // Add registers a replica with the given weight (<=0 means 1). New
-// replicas start Healthy.
+// replicas start Healthy. Ids are non-negative and index a slice, so they
+// should be dense from 0, as the cluster's are.
 func (r *Router) Add(id int, weight float64) error {
+	if id < 0 {
+		return fmt.Errorf("cluster: negative replica id %d", id)
+	}
+	if math.IsNaN(weight) || math.IsInf(weight, 0) {
+		return fmt.Errorf("cluster: replica %d weight %v is not a finite number", id, weight)
+	}
 	if weight <= 0 {
 		weight = 1
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.eps[id]; ok {
+	if r.get(id) != nil {
 		return fmt.Errorf("cluster: replica %d already routed", id)
 	}
+	if id >= len(r.eps) {
+		r.eps = append(r.eps, make([]*endpoint, id+1-len(r.eps))...)
+	}
 	r.eps[id] = &endpoint{id: id, weight: weight, state: runtime.Healthy}
+	r.n++
 	r.routableN++
 	r.stale = true
 	return nil
@@ -139,13 +157,22 @@ func (r *Router) Add(id int, weight float64) error {
 func (r *Router) Remove(id int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ep, ok := r.eps[id]
-	if !ok {
+	ep := r.get(id)
+	if ep == nil {
 		return
 	}
 	r.count(ep, -1)
-	delete(r.eps, id)
+	r.eps[id] = nil
+	r.n--
 	r.stale = true
+}
+
+// get returns the endpoint registered under id, or nil.
+func (r *Router) get(id int) *endpoint {
+	if id < 0 || id >= len(r.eps) {
+		return nil
+	}
+	return r.eps[id]
 }
 
 // count adds (sign +1) or withdraws (-1) an endpoint's contribution to the
@@ -162,7 +189,7 @@ func (r *Router) count(ep *endpoint, sign int) {
 func (r *Router) SetState(id int, st runtime.HealthState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if ep, ok := r.eps[id]; ok {
+	if ep := r.get(id); ep != nil {
 		r.count(ep, -1)
 		ep.state = st
 		r.count(ep, +1)
@@ -173,7 +200,7 @@ func (r *Router) SetState(id int, st runtime.HealthState) {
 func (r *Router) State(id int) runtime.HealthState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if ep, ok := r.eps[id]; ok {
+	if ep := r.get(id); ep != nil {
 		return ep.state
 	}
 	return runtime.Healthy
@@ -184,7 +211,7 @@ func (r *Router) State(id int) runtime.HealthState {
 func (r *Router) AddLoad(id int, delta int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if ep, ok := r.eps[id]; ok {
+	if ep := r.get(id); ep != nil {
 		r.count(ep, -1)
 		ep.load = max(ep.load+delta, 0)
 		r.count(ep, +1)
@@ -195,7 +222,7 @@ func (r *Router) AddLoad(id int, delta int64) {
 func (r *Router) Load(id int) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if ep, ok := r.eps[id]; ok {
+	if ep := r.get(id); ep != nil {
 		return ep.load
 	}
 	return 0
@@ -219,7 +246,7 @@ func (r *Router) IDs() []int {
 func (r *Router) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.eps)
+	return r.n
 }
 
 // Route picks a replica for the key. ok is false when no routable (non-
@@ -296,34 +323,55 @@ func (r *Router) routeBoundedHash(key uint64) (int, bool) {
 	}
 	// ceil(c * (total+1) / n): the +1 accounts for the request being placed.
 	bound := int64(math.Ceil(r.boundC * float64(total+1) / float64(routableN)))
-	h := mix64(key)
-	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
-	seen := map[int]bool{}
-	for k := 0; k < len(r.ring) && len(seen) < routableN; k++ {
-		ep := r.ring[(i+k)%len(r.ring)].ep
-		if !routable(ep) || seen[ep.id] {
+	i := r.search(mix64(key))
+	// Each over-bound endpoint the walk passes is stamped with this walk's
+	// number, so a later vnode of it is skipped without a per-call set.
+	r.walk++
+	passed := 0
+	for k := 0; k < len(r.ring) && passed < routableN; k++ {
+		j := i + k
+		if j >= len(r.ring) {
+			j -= len(r.ring)
+		}
+		ep := r.ring[j].ep
+		if !routable(ep) || ep.walk == r.walk {
 			continue
 		}
 		if ep.load+1 <= bound {
 			return ep.id, true
 		}
-		seen[ep.id] = true
+		ep.walk = r.walk
+		passed++
 	}
 	return r.routeLeastLoaded()
 }
 
-// rebuild refreshes the deterministic iteration order and the hash ring.
-// Add and Remove only mark membership stale; the next Route or IDs calls
-// this once, under the lock, so a thousand Adds cost one build and not a
-// thousand. Ring positions depend only on replica ids, so a rejoining
-// replica reclaims exactly its old arcs (bounded key movement).
+// search returns the first ring slot whose hash is >= h, or len(ring) when
+// h is past the last one: sort.Search's answer without the binary search.
+// The index bucket of h's top bits starts the scan at or before the
+// answer, and buckets outnumber slots / 4, so the scan steps over a few
+// slots on average.
+func (r *Router) search(h uint64) int {
+	i := int(r.index[h>>r.shift])
+	for i < len(r.ring) && r.ring[i].hash < h {
+		i++
+	}
+	return i
+}
+
+// rebuild refreshes the deterministic iteration order, the hash ring and
+// its index. Add and Remove only mark membership stale; the next Route or
+// IDs calls this once, under the lock, so a thousand Adds cost one build
+// and not a thousand. Ring positions depend only on replica ids, so a
+// rejoining replica reclaims exactly its old arcs (bounded key movement).
 func (r *Router) rebuild() {
 	r.stale = false
-	r.order = make([]*endpoint, 0, len(r.eps))
+	r.order = make([]*endpoint, 0, r.n)
 	for _, ep := range r.eps {
-		r.order = append(r.order, ep)
+		if ep != nil {
+			r.order = append(r.order, ep)
+		}
 	}
-	slices.SortFunc(r.order, func(a, b *endpoint) int { return cmp.Compare(a.id, b.id) })
 	r.ring = make([]ringSlot, 0, len(r.order)*vnodes)
 	for _, ep := range r.order {
 		for v := 0; v < vnodes; v++ {
@@ -336,6 +384,18 @@ func (r *Router) rebuild() {
 		}
 		return cmp.Compare(a.ep.id, b.ep.id)
 	})
+	// More buckets than ring slots / 4: a 100-replica ring of 6400 slots
+	// gets 2048 buckets, 8 KiB of index.
+	width := bits.Len(uint(len(r.ring) / 4))
+	r.shift = uint(64 - width)
+	r.index = make([]int32, 1<<width)
+	i := 0
+	for b := range r.index {
+		for i < len(r.ring) && r.ring[i].hash>>r.shift < uint64(b) {
+			i++
+		}
+		r.index[b] = int32(i)
+	}
 }
 
 // vnodeHash positions one virtual node of a replica on the ring.

@@ -444,57 +444,143 @@ func (r *eagerRouter) route(key uint64) (int, bool) {
 func TestRouterMatchesEagerOracle(t *testing.T) {
 	states := []runtime.HealthState{runtime.Healthy, runtime.Degraded, runtime.Quarantined}
 	for _, policy := range []RouterPolicy{WeightedRoundRobin, LeastLoaded, BoundedHash} {
-		for seed := int64(1); seed <= 40; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			r := NewRouter(policy)
-			o := &eagerRouter{policy: policy, eps: map[int]*endpoint{}}
-			for step := 0; step < 400; step++ {
-				id := rng.Intn(12)
-				switch op := rng.Intn(10); {
-				case op < 2:
-					w := float64(1 + rng.Intn(3))
-					if got, want := r.Add(id, w) == nil, o.add(id, w); got != want {
-						t.Fatalf("%v seed %d step %d: Add(%d) ok=%v, oracle %v", policy, seed, step, id, got, want)
+		t.Run(policy.String(), func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(1); seed <= 40; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				r := NewRouter(policy)
+				o := &eagerRouter{policy: policy, eps: map[int]*endpoint{}}
+				for step := 0; step < 400; step++ {
+					id := rng.Intn(70) // enough replicas to resize the ring's index
+					switch op := rng.Intn(10); {
+					case op < 2:
+						w := float64(1 + rng.Intn(3))
+						if got, want := r.Add(id, w) == nil, o.add(id, w); got != want {
+							t.Fatalf("%v seed %d step %d: Add(%d) ok=%v, oracle %v", policy, seed, step, id, got, want)
+						}
+					case op < 3:
+						r.Remove(id)
+						o.remove(id)
+					case op < 5:
+						st := states[rng.Intn(len(states))]
+						r.SetState(id, st)
+						if ep, ok := o.eps[id]; ok {
+							ep.state = st
+						}
+					case op < 7:
+						delta := int64(rng.Intn(9) - 5) // negative often enough to hit the clamp
+						r.AddLoad(id, delta)
+						o.addLoad(id, delta)
+					case op < 9:
+						key := rng.Uint64()
+						gotID, gotOK := r.Route(key)
+						wantID, wantOK := o.route(key)
+						if gotID != wantID || gotOK != wantOK {
+							t.Fatalf("%v seed %d step %d: Route(%d) = %d,%v, oracle %d,%v",
+								policy, seed, step, key, gotID, gotOK, wantID, wantOK)
+						}
+						if gotOK && rng.Intn(2) == 0 {
+							r.AddLoad(gotID, 1)
+							o.addLoad(gotID, 1)
+						}
+					default:
+						want := make([]int, len(o.order))
+						for i, ep := range o.order {
+							want[i] = ep.id
+						}
+						if got := r.IDs(); !slices.Equal(got, want) {
+							t.Fatalf("%v seed %d step %d: IDs = %v, oracle %v", policy, seed, step, got, want)
+						}
 					}
-				case op < 3:
-					r.Remove(id)
-					o.remove(id)
-				case op < 5:
-					st := states[rng.Intn(len(states))]
-					r.SetState(id, st)
-					if ep, ok := o.eps[id]; ok {
-						ep.state = st
+					if total, n := o.routableSums(); r.routableLoad != total || r.routableN != n {
+						t.Fatalf("%v seed %d step %d: running load/count %d/%d, fresh sum %d/%d",
+							policy, seed, step, r.routableLoad, r.routableN, total, n)
 					}
-				case op < 7:
-					delta := int64(rng.Intn(9) - 5) // negative often enough to hit the clamp
-					r.AddLoad(id, delta)
-					o.addLoad(id, delta)
-				case op < 9:
-					key := rng.Uint64()
-					gotID, gotOK := r.Route(key)
-					wantID, wantOK := o.route(key)
-					if gotID != wantID || gotOK != wantOK {
-						t.Fatalf("%v seed %d step %d: Route(%d) = %d,%v, oracle %d,%v",
-							policy, seed, step, key, gotID, gotOK, wantID, wantOK)
-					}
-					if gotOK && rng.Intn(2) == 0 {
-						r.AddLoad(gotID, 1)
-						o.addLoad(gotID, 1)
-					}
-				default:
-					want := make([]int, len(o.order))
-					for i, ep := range o.order {
-						want[i] = ep.id
-					}
-					if got := r.IDs(); !slices.Equal(got, want) {
-						t.Fatalf("%v seed %d step %d: IDs = %v, oracle %v", policy, seed, step, got, want)
-					}
-				}
-				if total, n := o.routableSums(); r.routableLoad != total || r.routableN != n {
-					t.Fatalf("%v seed %d step %d: running load/count %d/%d, fresh sum %d/%d",
-						policy, seed, step, r.routableLoad, r.routableN, total, n)
 				}
 			}
+		})
+	}
+}
+
+// TestRingIndexMatchesSearch: the bucket index finds the slot sort.Search
+// finds — including past the last slot, where both return len(ring) — on
+// rings whose index width runs from 5 to 13 bits, at every slot's own hash,
+// one either side of it, both ends of the key space and random keys.
+func TestRingIndexMatchesSearch(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(1))
+	r := NewRouter(BoundedHash)
+	for n := 1; n <= 300; n++ {
+		if err := r.Add(n-1, 1); err != nil {
+			t.Fatal(err)
 		}
+		r.rebuild()
+		check := func(h uint64) {
+			want := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
+			if got := r.search(h); got != want {
+				t.Fatalf("%d replicas: search(%#x) = %d, sort.Search %d", n, h, got, want)
+			}
+		}
+		check(0)
+		check(math.MaxUint64)
+		for _, slot := range r.ring {
+			check(slot.hash - 1)
+			check(slot.hash)
+			check(slot.hash + 1)
+		}
+		for k := 0; k < 10_000; k++ {
+			check(rng.Uint64())
+		}
+	}
+}
+
+// TestRouteZeroAlloc: a bounded-hash Route allocates nothing, even when
+// its walk passes more over-bound replicas than a stack-allocated set of
+// them could hold, and neither does AddLoad.
+func TestRouteZeroAlloc(t *testing.T) {
+	const replicas, loaded = 40, 30
+	r := NewRouter(BoundedHash)
+	for id := 0; id < replicas; id++ {
+		if err := r.Add(id, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.rebuild()
+	// The first 30 replicas clockwise from slot 0 hold 100 requests each,
+	// over the bound of ceil(1.25 x 3001/40) = 94, so a key landing on slot
+	// 0 walks past all of them to an empty one.
+	held := make([]bool, replicas)
+	for i, n := 0, 0; n < loaded; i++ {
+		if id := r.ring[i].ep.id; !held[id] {
+			held[id] = true
+			r.AddLoad(id, 100)
+			n++
+		}
+	}
+	key := uint64(0)
+	for r.search(mix64(key)) != 0 {
+		key++
+	}
+	id, ok := r.Route(key)
+	if !ok || held[id] {
+		t.Fatalf("Route(%d) = %d,%v, want an empty replica", key, id, ok)
+	}
+	passed := 0
+	for _, ep := range r.eps {
+		if ep.walk == r.walk {
+			passed++
+		}
+	}
+	if passed < 9 {
+		t.Fatalf("the walk passed %d over-bound replicas, want >= 9", passed)
+	}
+	if n := testing.AllocsPerRun(1000, func() { r.Route(key) }); n != 0 {
+		t.Errorf("bounded-hash Route passing %d replicas: %v allocs per call, want 0", passed, n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		r.AddLoad(id, 1)
+		r.AddLoad(id, -1)
+	}); n != 0 {
+		t.Errorf("AddLoad: %v allocs per call pair, want 0", n)
 	}
 }

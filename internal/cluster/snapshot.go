@@ -162,15 +162,12 @@ func (c *Cluster) Snapshot() *Snapshot {
 			as.ErrorRate = float64(a.errors) / float64(a.offered)
 		}
 		s.Apps = append(s.Apps, as)
-		ids := make([]int, 0, len(a.replicas))
-		for id := range a.replicas {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			rep := a.replicas[id]
+		for _, rep := range a.replicas {
+			if rep == nil {
+				continue
+			}
 			s.Replicas = append(s.Replicas, ReplicaSnapshot{
-				App: a.cfg.Name, ID: id,
+				App: a.cfg.Name, ID: rep.id,
 				Host: rep.dev.host.id, Dev: rep.dev.idx,
 				State: rep.state, Draining: rep.draining,
 				Version: rep.version,

@@ -422,6 +422,9 @@ func (f *FleetMetrics) sample(a *app, am *appMetrics) {
 	copy(am.perHost, am.retired)
 	depth := 0
 	for _, rep := range a.replicas {
+		if rep == nil {
+			continue
+		}
 		am.perHost[rep.dev.host.id].add(rep)
 		depth += rep.lane.Len()
 	}

@@ -49,8 +49,10 @@ func TestTelemetryDisabledAllocs(t *testing.T) {
 	a := c.apps[0]
 	var rep *replica
 	for _, r := range a.replicas {
-		rep = r
-		break
+		if r != nil {
+			rep = r
+			break
+		}
 	}
 	var tel *Telemetry
 	batch := []request{{arrival: 0.1, enq: 0.1}}
@@ -178,7 +180,9 @@ func checkOneSetOfBooks(t *testing.T, c *Cluster, f *FleetMetrics) {
 		}
 		var routed uint64 // admissions: live replicas plus the retired fold
 		for _, rep := range a.replicas {
-			routed += rep.routed
+			if rep != nil {
+				routed += rep.routed
+			}
 		}
 		for _, cl := range am.retired {
 			routed += cl.Routed
