@@ -79,8 +79,10 @@ bench:
 # quantized layer weights (the second device's warm-up grows the heap under
 # 1 MiB), a zero-allocation
 # Submit round trip, per-dispatch object and byte ceilings on the runtime
-# backend (printed with what the dispatch measured), and a steady fleet run
-# at no more than one allocation per hundred events.
+# backend (printed with what the dispatch measured), a zero-allocation
+# des fire-and-reschedule cycle that reuses its slot, percentiles that
+# allocate only their copy and their result, and a steady fleet run at no
+# more than one allocation per hundred events.
 # The BenchmarkTable3 ceilings are min-of-3 wall clock (generous — the CI
 # container's scheduler jitter swings tens of percent, but the ceiling
 # still sits well under the pre-optimization ~1 ms) and an exact
@@ -97,6 +99,7 @@ bench-gate:
 	@out=$$($(GO) test -count=1 -v ./internal/serve -run SteadyStateAllocs) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -E 'backend dispatch:|^ok'
 	$(GO) test -count=1 ./internal/des -run TestSteadyStateAllocs
+	$(GO) test -count=1 ./internal/stats -run TestPercentilesAllocs
 	$(GO) test -count=1 ./internal/cluster -run 'TestClusterRunAllocs|TestRouteZeroAlloc'
 	@$(GO) test -run xxx -bench 'BenchmarkTable3$$' -cpu 1 -benchtime 600x -benchmem -count 3 . > bench-gate.out || { cat bench-gate.out; rm -f bench-gate.out; exit 1; }; \
 	min=$$(awk '/^BenchmarkTable3/ && $$4 == "ns/op" {if (min == "" || $$3+0 < min) min = $$3+0} END {print min}' bench-gate.out); \
@@ -108,8 +111,8 @@ bench-gate:
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
 # decoder, kernel-equivalence, row-pass-equivalence, float-matmul, CRC,
-# batching-lane and plan-spec parser regressions without a dedicated fuzzing
-# job.
+# batching-lane, plan-spec parser and percentile-selection regressions
+# without a dedicated fuzzing job.
 fuzz-smoke:
 	$(GO) test ./internal/systolic -run '^$$' -fuzz '^FuzzMulRowEquivalence$$' -fuzztime 5s
 	$(GO) test ./internal/fixed -run '^$$' -fuzz '^FuzzDrainRow$$' -fuzztime 5s
@@ -121,6 +124,7 @@ fuzz-smoke:
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzProgramValidate$$' -fuzztime 5s
 	$(GO) test ./internal/latency -run '^$$' -fuzz '^FuzzLane$$' -fuzztime 5s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzPlanSpecs$$' -fuzztime 5s
+	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzPercentiles$$' -fuzztime 5s
 
 # Source size: non-test .go lines per internal package and in total — the
 # number a simplification PR is judged on.

@@ -152,7 +152,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 			Blackholed:    a.blackholed,
 			Decisions:     len(a.decisions),
 		}
-		// Percentiles sorts one copy; latencies stay in completion order. It
+		// Percentiles selects on one copy; latencies stay in completion order. It
 		// fails on an empty slice only.
 		if qs, err := stats.Percentiles(a.latencies, 50, 99); err == nil {
 			as.P50Ms, as.P99Ms = qs[0]*1e3, qs[1]*1e3

@@ -9,12 +9,14 @@
 // in (time, insertion) order, and ten virtual seconds of a thousand-device
 // fleet execute in well under a wall-clock second.
 //
-// An event is a Handler plus one uint64 word, held by value in a typed
-// binary heap: an actor that schedules itself (a pointer is free to put in
-// an interface) with the word it needs — a request key, a generation to
-// check against — costs no allocation per event. At, After and Every take a
-// plain func() and are sugar over the same Schedule through Func, for the
-// rare controller events where a closure reads better than a type.
+// An event is a Handler plus one uint64 word: an actor that schedules itself
+// (a pointer is free to put in an interface) with the word it needs — a
+// request key, a generation to check against — costs no allocation per
+// event. The binary heap holds only (time, seq, slot), no pointers, so the
+// collector never scans it and a sift takes no write barrier; the handler
+// and its word wait in a slab slot that the loop reuses. At, After and Every
+// take a plain func() and are sugar over the same Schedule through Func, for
+// the rare controller events where a closure reads better than a type.
 //
 // Determinism is the core contract. Two events at the same virtual time
 // fire in the order they were scheduled (a monotone sequence number breaks
@@ -36,10 +38,16 @@ type Func func()
 // Fire calls the function; arg is ignored.
 func (f Func) Fire(uint64) { f() }
 
-// event is one scheduled firing.
+// event is one scheduled firing: when, in what order, and the slab slot
+// holding what it fires.
 type event struct {
-	at  float64
-	seq uint64
+	at   float64
+	seq  uint64
+	slot uint32
+}
+
+// action is what an event fires.
+type action struct {
 	h   Handler
 	arg uint64
 }
@@ -55,7 +63,9 @@ func (e *event) before(o *event) bool {
 // run starts), which is what makes the event order — and therefore the
 // simulation — deterministic.
 type Loop struct {
-	cal       []event // binary min-heap on (at, seq)
+	cal       []event  // binary min-heap on (at, seq)
+	slots     []action // by event slot; a free one is zero
+	free      []uint32 // free slots
 	seq       uint64
 	now       float64
 	processed uint64
@@ -81,8 +91,17 @@ func (l *Loop) Schedule(t float64, h Handler, arg uint64) {
 	if !(t >= l.now) {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, l.now))
 	}
+	var slot uint32
+	if n := len(l.free); n > 0 {
+		slot = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		slot = uint32(len(l.slots))
+		l.slots = append(l.slots, action{})
+	}
+	l.slots[slot] = action{h, arg}
 	l.seq++
-	l.cal = append(l.cal, event{at: t, seq: l.seq, h: h, arg: arg})
+	l.cal = append(l.cal, event{at: t, seq: l.seq, slot: slot})
 	// Sift the new event up to its place.
 	c := l.cal
 	i := len(c) - 1
@@ -148,7 +167,6 @@ func (l *Loop) step() {
 	e := c[0]
 	n := len(c) - 1
 	last := c[n]
-	c[n] = event{} // release the handler
 	l.cal = c[:n]
 	// Sift the former last event down from the root.
 	i := 0
@@ -169,7 +187,10 @@ func (l *Loop) step() {
 	if n > 0 {
 		c[i] = last
 	}
+	a := l.slots[e.slot]
+	l.slots[e.slot] = action{} // release the handler
+	l.free = append(l.free, e.slot)
 	l.now = e.at
 	l.processed++
-	e.h.Fire(e.arg)
+	a.h.Fire(a.arg)
 }

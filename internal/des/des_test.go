@@ -316,7 +316,8 @@ func (tk *ticker) Fire(n uint64) { tk.l.Schedule(tk.l.Now()+1, tk, n+1) }
 
 // TestSteadyStateAllocs: once the heap has its capacity, a fire-and-
 // reschedule cycle allocates nothing — not for a pointer handler with an
-// arg, and not for After with a func() built once.
+// arg, and not for After with a func() built once — and the rescheduled
+// event takes the slot its firing freed, so the slab does not grow.
 func TestSteadyStateAllocs(t *testing.T) {
 	var l Loop
 	tk := &ticker{l: &l}
@@ -328,5 +329,43 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, l.step); avg != 0 {
 		t.Fatalf("steady Schedule/step cycle allocates %v objects per event, want 0", avg)
+	}
+	if len(l.slots) != 128 || len(l.free) != 0 {
+		t.Fatalf("%d slots, %d free after the cycle, want 128 and 0", len(l.slots), len(l.free))
+	}
+}
+
+// counter counts its firings.
+type counter struct{ fired int }
+
+func (c *counter) Fire(uint64) { c.fired++ }
+
+// TestFiredSlotCleared: once an event fires, its slot no longer holds the
+// handler (the calendar must not keep a fired actor alive) and is free for
+// the next Schedule.
+func TestFiredSlotCleared(t *testing.T) {
+	var l Loop
+	c := &counter{}
+	for i := 0; i < 8; i++ {
+		l.Schedule(float64(i), c, uint64(i))
+	}
+	l.RunUntil(3.5)
+	if c.fired != 4 || len(l.free) != 4 {
+		t.Fatalf("fired %d with %d free slots, want 4 and 4", c.fired, len(l.free))
+	}
+	for _, s := range l.free {
+		if l.slots[s] != (action{}) {
+			t.Fatalf("fired slot %d still holds %+v", s, l.slots[s])
+		}
+	}
+	l.Run()
+	for i, a := range l.slots {
+		if a != (action{}) {
+			t.Fatalf("slot %d holds %+v after the calendar drained", i, a)
+		}
+	}
+	l.Schedule(l.Now(), c, 0)
+	if len(l.slots) != 8 {
+		t.Fatalf("a Schedule after the drain grew the slab to %d slots, want 8", len(l.slots))
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -109,17 +110,15 @@ func (w *wallStats) observe(sec float64) {
 	w.n++
 }
 
-// p99 approximates the 99th percentile of the recent window; with few
-// samples it degrades toward the max, which is the conservative direction
-// for a hedge trigger.
+// p99 is the 99th percentile of the recent window: index n*99/100 of the
+// sorted samples, which for n ≤ 32 is n-1, so the window's max — the
+// conservative direction for a hedge trigger.
 func (w *wallStats) p99() float64 {
-	n := min(w.n, len(w.window))
-	if n == 0 {
-		return 0
+	m := 0.0
+	for _, x := range w.window[:min(w.n, len(w.window))] {
+		m = max(m, x)
 	}
-	xs := slices.Clone(w.window[:n])
-	slices.Sort(xs)
-	return xs[n*99/100]
+	return m
 }
 
 // observeWall records a successful run's wall latency against its model and
@@ -129,8 +128,8 @@ func (s *Server) observeWall(model string, r *InferenceResult) {
 	if r.WallSeconds > 0 {
 		sec = r.WallSeconds
 	}
-	if sec <= 0 {
-		return
+	if !(sec > 0 && sec <= math.MaxFloat64) {
+		return // a NaN or +Inf would poison the EWMA and the window
 	}
 	s.wallMu.Lock()
 	ws := s.modelWall[model]

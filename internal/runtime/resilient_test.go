@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -368,5 +371,52 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	if strings.Join(a, ";") != strings.Join(b, ";") {
 		t.Fatalf("same plan diverged:\n a=%v\n b=%v", a, b)
+	}
+}
+
+// TestWallP99IsWindowMax: the hedge trigger's p99 (a max over the window)
+// equals what sorting a copy of the window and reading index n*99/100 gave,
+// for every fill from 1 to 32 samples and after the ring wraps.
+func TestWallP99IsWindowMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		var w wallStats
+		for k := 1 + rng.Intn(80); k > 0; k-- {
+			w.observe(rng.ExpFloat64() * 1e-3)
+			n := min(w.n, len(w.window))
+			xs := slices.Clone(w.window[:n])
+			slices.Sort(xs)
+			if got, want := w.p99(), xs[n*99/100]; got != want {
+				t.Fatalf("trial %d, %d samples: p99 %v, sorted window %v", trial, w.n, got, want)
+			}
+		}
+	}
+	if (&wallStats{}).p99() != 0 {
+		t.Error("an empty window's p99 is not 0")
+	}
+}
+
+// TestObserveWallRejectsNonFinite: a NaN or infinite latency never reaches a
+// model's wall record.
+func TestObserveWallRejectsNonFinite(t *testing.T) {
+	s, err := NewServer(1, tpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []InferenceResult{
+		{WallSeconds: math.Inf(1)},
+		{WallSeconds: math.NaN()},
+		{DeviceSeconds: math.NaN()},
+		{DeviceSeconds: math.Inf(1)},
+		{DeviceSeconds: -1},
+	} {
+		s.observeWall("m", &r)
+	}
+	if ws := s.modelWall["m"]; ws != nil {
+		t.Fatalf("non-finite latencies recorded: %+v", *ws)
+	}
+	s.observeWall("m", &InferenceResult{WallSeconds: 2e-3})
+	if ws := s.modelWall["m"]; ws == nil || ws.p99() != 2e-3 {
+		t.Fatal("a finite latency was not recorded")
 	}
 }

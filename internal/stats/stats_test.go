@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -40,6 +41,9 @@ func TestGeometricMeanErrors(t *testing.T) {
 	}
 	if _, err := GeometricMean([]float64{0}); err == nil {
 		t.Error("zero value accepted")
+	}
+	if _, err := GeometricMean([]float64{1, math.NaN()}); err == nil {
+		t.Error("NaN value accepted")
 	}
 }
 
@@ -89,6 +93,12 @@ func TestWeightedMeanErrors(t *testing.T) {
 	if _, err := WeightedMean([]float64{1, 2}, []float64{0, 0}); err == nil {
 		t.Error("zero weight sum accepted")
 	}
+	if _, err := WeightedMean([]float64{1, 2}, []float64{1, math.NaN()}); err == nil {
+		t.Error("NaN weight accepted")
+	}
+	if _, err := WeightedMean([]float64{math.NaN(), 2}, []float64{1, 1}); err == nil {
+		t.Error("NaN value accepted")
+	}
 }
 
 func TestPercentile(t *testing.T) {
@@ -133,6 +143,12 @@ func TestPercentileErrors(t *testing.T) {
 	}
 	if _, err := Percentile([]float64{1}, 101); err == nil {
 		t.Error("percentile > 100 accepted")
+	}
+	if _, err := Percentile([]float64{1, 2, 3}, math.NaN()); err == nil {
+		t.Error("NaN percentile accepted")
+	}
+	if _, err := Percentiles([]float64{1, 2, 3}, 50, math.NaN()); err == nil {
+		t.Error("NaN among percentiles accepted")
 	}
 }
 
@@ -236,4 +252,248 @@ func TestGMLessOrEqualAMProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// sameFloats is exact equality with NaN equal to NaN.
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool {
+		return x == y || (math.IsNaN(x) && math.IsNaN(y))
+	})
+}
+
+// checkAgainstOracle fails t unless Percentiles(xs, ps...) equals
+// percentileOracle (copy, sort.Float64s, interpolate) exactly and leaves xs
+// alone.
+func checkAgainstOracle(t *testing.T, name string, xs, ps []float64) {
+	t.Helper()
+	orig := slices.Clone(xs)
+	got, err := Percentiles(xs, ps...)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := make([]float64, len(ps))
+	for i, p := range ps {
+		want[i] = percentileOracle(orig, p)
+	}
+	if !sameFloats(got, want) {
+		t.Fatalf("%s (n=%d) ps %v: selection %v, sort %v", name, len(xs), ps, got, want)
+	}
+	if !sameFloats(xs, orig) {
+		t.Fatalf("%s: Percentiles mutated its input", name)
+	}
+}
+
+// TestPercentilesMatchSortOracle: selection gives the sort's answer, bit for
+// bit, over sizes that cross the insertion-sort threshold, heavy ties,
+// presorted, reversed and organ-pipe orders, and NaN and ±Inf samples.
+func TestPercentilesMatchSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pss := [][]float64{{0}, {50}, {99}, {100}, {50, 99}, {99, 50, 0, 100}, {37.5, 12.34, 99.9, 66.6}}
+	sizes := []int{}
+	for n := 1; n <= 70; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 127, 128, 129, 500, 1023, 1999, 2000)
+	orders := []struct {
+		name  string
+		order func(s []float64)
+	}{
+		{"random", func([]float64) {}},
+		{"sorted", func(s []float64) { sort.Float64s(s) }},
+		{"reversed", func(s []float64) { sort.Sort(sort.Reverse(sort.Float64Slice(s))) }},
+		{"organ-pipe", func(s []float64) {
+			sort.Float64s(s)
+			slices.Reverse(s[len(s)/2:])
+		}},
+	}
+	values := []struct {
+		name  string
+		value func() float64
+	}{
+		{"exp", rng.ExpFloat64},
+		{"ties", func() float64 { return float64(rng.Intn(3)) }},
+		{"special", func() float64 {
+			switch rng.Intn(8) {
+			case 0:
+				return math.NaN()
+			case 1:
+				return math.Inf(1)
+			case 2:
+				return math.Inf(-1)
+			}
+			return float64(rng.Intn(5))
+		}},
+	}
+	for _, v := range values {
+		for _, o := range orders {
+			for _, n := range sizes {
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = v.value()
+				}
+				o.order(xs)
+				for _, ps := range pss {
+					checkAgainstOracle(t, v.name+"/"+o.name, xs, ps)
+				}
+			}
+		}
+	}
+}
+
+// selectRankBy mirrors selectRank and partition over item ids under an
+// arbitrary order, so that an adversary can answer its comparisons.
+func selectRankBy(s []int, k int, less func(a, b int) bool) (sorted bool) {
+	for rounds := 2 * bits.Len(uint(len(s))); len(s) > insertionMax; rounds-- {
+		if k == len(s)-1 {
+			return false
+		}
+		if rounds == 0 {
+			return true
+		}
+		n, m := len(s), len(s)/2
+		if less(s[m], s[0]) {
+			s[m], s[0] = s[0], s[m]
+		}
+		if less(s[n-1], s[m]) {
+			s[n-1], s[m] = s[m], s[n-1]
+			if less(s[m], s[0]) {
+				s[m], s[0] = s[0], s[m]
+			}
+		}
+		s[0], s[m] = s[m], s[0]
+		pivot := s[0]
+		i, j := 0, n
+		for {
+			for i++; less(s[i], pivot); i++ {
+			}
+			for j--; less(pivot, s[j]); j-- {
+			}
+			if i >= j {
+				break
+			}
+			s[i], s[j] = s[j], s[i]
+		}
+		s[0], s[j] = s[j], s[0]
+		switch {
+		case k < j:
+			s = s[:j]
+		case k > j:
+			s, k = s[j+1:], k-j-1
+		default:
+			return false
+		}
+	}
+	return false
+}
+
+// medianOf3Killer builds, with McIlroy's adversary ("A Killer Adversary for
+// Quicksort", 1999), an input of n values on which selecting rank k uses
+// up every partition round. Every value starts as "gas", above all solid
+// values; when two gas values meet, the one likeliest to be a pivot is
+// frozen to the next smallest value, so each pivot lands near the bottom.
+func medianOf3Killer(n, k int) []float64 {
+	gas := n
+	val := make([]int, n)
+	for i := range val {
+		val[i] = gas
+	}
+	solid, candidate := 0, -1
+	freeze := func(x int) { val[x] = solid; solid++ }
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	selectRankBy(ids, k, func(a, b int) bool {
+		if val[a] == gas && val[b] == gas {
+			if a == candidate {
+				freeze(a)
+			} else {
+				freeze(b)
+			}
+		}
+		if val[a] == gas {
+			candidate = a
+		} else if val[b] == gas {
+			candidate = b
+		}
+		return val[a] < val[b]
+	})
+	xs := make([]float64, n)
+	for i, v := range val {
+		if v == gas {
+			freeze(i)
+			v = val[i]
+		}
+		xs[i] = float64(v)
+	}
+	return xs
+}
+
+// TestPercentilesKillerFallsBack: a median-of-3 killer runs selectRank out
+// of partition rounds, and the sort it falls back to still gives the
+// oracle's answer. The p50 is asked alone, so that Percentiles' first
+// selection is the one the killer was built against.
+func TestPercentilesKillerFallsBack(t *testing.T) {
+	const n = 2000
+	_, _, hi := rank(50, n)
+	xs := medianOf3Killer(n, hi)
+	if !selectRank(slices.Clone(xs), hi) {
+		t.Fatal("the median-of-3 killer did not reach the sort fallback")
+	}
+	checkAgainstOracle(t, "killer", xs, []float64{50})
+}
+
+// TestPercentilesAllocs: Percentiles allocates its copy and its result and
+// nothing else, however many percentiles it is asked for.
+func TestPercentilesAllocs(t *testing.T) {
+	xs := make([]float64, 30000)
+	rng := rand.New(rand.NewSource(5))
+	for i := range xs {
+		xs[i] = rng.ExpFloat64()
+	}
+	all := []float64{50, 99, 99.9, 0}
+	for k := 1; k <= len(all); k++ {
+		ps := all[:k]
+		if a := testing.AllocsPerRun(20, func() { _, _ = Percentiles(xs, ps...) }); a != 2 {
+			t.Errorf("Percentiles of %d percentiles: %v allocations, want 2", k, a)
+		}
+	}
+}
+
+// FuzzPercentiles: selection equals the sort oracle on any input. Each byte
+// of data is one sample: a small integer (so ties are common), or for the
+// top bytes NaN, ±Inf or -0. An out-of-range or NaN percentile must be an
+// error on both.
+func FuzzPercentiles(f *testing.F) {
+	f.Add([]byte{3, 1, 2}, 50.0, 99.0)
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), 0.0, 100.0)
+	f.Add([]byte{255, 254, 253, 252, 0, 0, 0}, 37.5, 12.25)
+	f.Fuzz(func(t *testing.T, data []byte, p1, p2 float64) {
+		if len(data) == 0 {
+			return
+		}
+		xs := make([]float64, len(data))
+		for i, b := range data {
+			switch b {
+			case 255:
+				xs[i] = math.NaN()
+			case 254:
+				xs[i] = math.Inf(1)
+			case 253:
+				xs[i] = math.Inf(-1)
+			case 252:
+				xs[i] = math.Copysign(0, -1)
+			default:
+				xs[i] = float64(b % 32)
+			}
+		}
+		ps := []float64{p1, p2}
+		if !(p1 >= 0 && p1 <= 100 && p2 >= 0 && p2 <= 100) {
+			if _, err := Percentiles(xs, ps...); err == nil {
+				t.Fatalf("percentiles %v accepted", ps)
+			}
+			return
+		}
+		checkAgainstOracle(t, "fuzz", xs, ps)
+	})
 }
