@@ -80,7 +80,7 @@ bench:
 # 1 MiB), a zero-allocation
 # Submit round trip, per-dispatch object and byte ceilings on the runtime
 # backend (printed with what the dispatch measured), a zero-allocation
-# des fire-and-reschedule cycle that reuses its slot, percentiles that
+# des fire-and-reschedule cycle 2000 events deep that reuses its slot, percentiles that
 # allocate only their copy and their result, and a steady fleet run at no
 # more than one allocation per hundred events.
 # The BenchmarkTable3 ceilings are min-of-3 wall clock (generous — the CI
@@ -111,8 +111,8 @@ bench-gate:
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
 # decoder, kernel-equivalence, row-pass-equivalence, float-matmul, CRC,
-# batching-lane, plan-spec parser and percentile-selection regressions
-# without a dedicated fuzzing job.
+# batching-lane, plan-spec parser, percentile-selection and event-calendar
+# regressions without a dedicated fuzzing job.
 fuzz-smoke:
 	$(GO) test ./internal/systolic -run '^$$' -fuzz '^FuzzMulRowEquivalence$$' -fuzztime 5s
 	$(GO) test ./internal/fixed -run '^$$' -fuzz '^FuzzDrainRow$$' -fuzztime 5s
@@ -125,6 +125,7 @@ fuzz-smoke:
 	$(GO) test ./internal/latency -run '^$$' -fuzz '^FuzzLane$$' -fuzztime 5s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzPlanSpecs$$' -fuzztime 5s
 	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzPercentiles$$' -fuzztime 5s
+	$(GO) test ./internal/des -run '^$$' -fuzz '^FuzzCalendar$$' -fuzztime 5s
 
 # Source size: non-test .go lines per internal package and in total — the
 # number a simplification PR is judged on.

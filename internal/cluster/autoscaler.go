@@ -71,7 +71,7 @@ func (c *Cluster) autoscaleTick() {
 		c.autoscaleApp(a, interval)
 		a.tickOffered, a.tickShed = a.offered, a.shedQueue+a.expired
 	}
-	c.loop.After(interval, c.autoscaleTick)
+	c.loop.After(interval, c.controller(c.autoscaleTick))
 }
 
 // autoscaleApp makes one scaling decision for one app from its window.

@@ -186,7 +186,7 @@ func (c *Cluster) PartitionHostAt(from, until float64, hostID int) error {
 	if err := c.at(from, "host", hostID, len(c.hosts), func() { c.partitionHost(c.hosts[hostID]) }); err != nil {
 		return err
 	}
-	c.loop.At(until, func() { c.healPartition(c.hosts[hostID]) })
+	c.loop.At(until, c.controller(func() { c.healPartition(c.hosts[hostID]) }))
 	return nil
 }
 
@@ -220,10 +220,10 @@ func (c *Cluster) partitionHost(h *host) {
 			a.blackholed++
 			a.blackholePending++
 			rr := r
-			c.loop.After(timeout, func() {
+			c.loop.After(timeout, c.controller(func() {
 				a.blackholePending--
 				c.failover(a, rr)
-			})
+			}))
 		}
 	})
 }
@@ -277,7 +277,7 @@ func (c *Cluster) FlapHostAt(t float64, hostID, cycles int, period float64) erro
 		if err := c.at(down, "host", hostID, len(c.hosts), func() { c.killHost(c.hosts[hostID], "flap") }); err != nil {
 			return err // the first cycle's: later ones are later and on the same host
 		}
-		c.loop.At(down+period/2, func() { c.reviveHost(c.hosts[hostID], "flap revive") })
+		c.loop.At(down+period/2, c.controller(func() { c.reviveHost(c.hosts[hostID], "flap revive") }))
 	}
 	return nil
 }

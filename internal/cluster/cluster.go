@@ -308,6 +308,7 @@ type Cluster struct {
 	events   []Event
 	eventSeq uint64
 	tel      *Telemetry
+	counts   EventCounts
 
 	// Failure-domain and incident bookkeeping (see chaos.go).
 	zoneAlive []int // alive hosts per zone
@@ -426,7 +427,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.scheduleNextArrival(a)
 	}
 	if !cfg.Autoscale.Disabled {
-		c.loop.At(cfg.Autoscale.interval(), c.autoscaleTick)
+		c.loop.At(cfg.Autoscale.interval(), c.controller(c.autoscaleTick))
 	}
 	c.tel = cfg.Telemetry
 	c.tel.attach(c)
@@ -467,6 +468,27 @@ func (c *Cluster) Now() float64 { return c.loop.Now() }
 // EventsProcessed returns the discrete-event count executed so far.
 func (c *Cluster) EventsProcessed() uint64 { return c.loop.Processed() }
 
+// EventCounts splits EventsProcessed by what fired. A voided fill timer or
+// completion found its replica's generation moved on — a dispatch, death
+// or drain came first — and did nothing but take a calendar slot.
+type EventCounts struct {
+	Arrivals          uint64
+	FillTimers        uint64
+	FillTimersVoided  uint64
+	Completions       uint64
+	CompletionsVoided uint64
+	// Controller counts every closure event: autoscaler, chaos, rollout
+	// and telemetry ticks, and actions scheduled through the Cluster.
+	Controller uint64
+}
+
+// EventCounts returns the events fired so far, by kind; the fields sum to
+// EventsProcessed.
+func (c *Cluster) EventCounts() EventCounts { return c.counts }
+
+// MaxPending returns the most events the calendar has held at once.
+func (c *Cluster) MaxPending() int { return c.loop.MaxPending() }
+
 // Run advances the fleet to the given virtual time. Segments compose:
 // Run(2) then Run(5) is Run(5).
 func (c *Cluster) Run(until float64) {
@@ -493,7 +515,7 @@ func (c *Cluster) at(t float64, noun string, id, n int, fn func()) error {
 	if err := c.checkTime(t); err != nil {
 		return err
 	}
-	c.loop.At(t, fn)
+	c.loop.At(t, c.controller(fn))
 	return nil
 }
 
@@ -525,10 +547,19 @@ func (c *Cluster) scheduleNextArrival(a *app) {
 	c.loop.Schedule(a.arrivals.Next(), (*arrival)(a), a.keys.Uint64())
 }
 
+// controller wraps a closure event so its firing is counted.
+func (c *Cluster) controller(fn func()) func() {
+	return func() {
+		c.counts.Controller++
+		fn()
+	}
+}
+
 // Fire admits one request; its arrival instant is the event's own time.
 func (ar *arrival) Fire(key uint64) {
 	a := (*app)(ar)
 	c := a.c
+	c.counts.Arrivals++
 	c.scheduleNextArrival(a)
 	a.offered++
 	c.earnRetryToken(a)
@@ -538,17 +569,27 @@ func (ar *arrival) Fire(key uint64) {
 // Fire looks at the replica again once its head has waited MaxWait. Every
 // dispatch, death and drain bumps fillGen, voiding the timer.
 func (ft *fillTimer) Fire(gen uint64) {
-	if rep := (*replica)(ft); rep.fillGen == gen {
-		rep.app.c.maybeDispatch(rep)
+	rep := (*replica)(ft)
+	c := rep.app.c
+	if rep.fillGen != gen {
+		c.counts.FillTimersVoided++
+		return
 	}
+	c.counts.FillTimers++
+	c.maybeDispatch(rep)
 }
 
 // Fire retires the in-flight batch, unless the host died (or the drain
 // expired) under it: its requests failed over and svcGen moved on.
 func (cp *completion) Fire(gen uint64) {
-	if rep := (*replica)(cp); rep.svcGen == gen {
-		rep.app.c.complete(rep)
+	rep := (*replica)(cp)
+	c := rep.app.c
+	if rep.svcGen != gen {
+		c.counts.CompletionsVoided++
+		return
 	}
+	c.counts.Completions++
+	c.complete(rep)
 }
 
 // route sends a request through the app's router into a replica queue.

@@ -479,3 +479,51 @@ func TestLiveCapacityIDOrder(t *testing.T) {
 		t.Fatalf("liveCapacity = %v, id-order sum %v", got, want)
 	}
 }
+
+// TestEventCounts: every event the calendar fires is counted once, by
+// kind, on the golden, chaos (with telemetry ticks) and rollout scenarios,
+// and the steady pod of BenchmarkClusterSim voids no fill timer: no replica
+// there takes a second arrival while its head waits for fill, so no timer
+// is armed twice under one generation.
+func TestEventCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		c     *Cluster
+		until float64
+	}{
+		{"golden", goldenCluster(t), 6},
+		{"chaos", chaosCluster(t, telemetry()), 6},
+		{"rollout", rolloutCluster(t, badPlan(), 0), 3},
+		{"pod", steadyPod(t, 250, 10, 100, nil), 1},
+	} {
+		tc.c.Run(tc.until)
+		n := tc.c.EventCounts()
+		sum := n.Arrivals + n.FillTimers + n.FillTimersVoided + n.Completions + n.CompletionsVoided + n.Controller
+		t.Logf("%s: %+v, calendar at most %d deep", tc.name, n, tc.c.MaxPending())
+		if processed := tc.c.EventsProcessed(); sum != processed {
+			t.Errorf("%s: the counts sum to %d, EventsProcessed is %d", tc.name, sum, processed)
+		}
+		if n.Arrivals == 0 || n.Completions == 0 || n.FillTimers == 0 {
+			t.Errorf("%s: %+v: the scenario does not exercise the request path", tc.name, n)
+		}
+		if tc.name != "pod" && n.Controller == 0 {
+			t.Errorf("%s: no controller event fired", tc.name)
+		}
+		if tc.name == "pod" && (n.FillTimersVoided != 0 || n.Controller != 0) {
+			t.Errorf("pod: %d fill timers voided and %d controller events, want 0 and 0", n.FillTimersVoided, n.Controller)
+		}
+	}
+}
+
+// TestNonFiniteTelemetryWindow: a NaN or infinite window falls back to the
+// default like a non-positive one, so cluster.New builds the fleet instead
+// of panicking when the sampler's first tick reaches the calendar.
+func TestNonFiniteTelemetryWindow(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		if got := NewFleetMetrics(w).window; got != DefaultWindowSeconds {
+			t.Errorf("NewFleetMetrics(%v) samples every %v s, want %v", w, got, DefaultWindowSeconds)
+		}
+		c := goldenClusterWith(t, &Telemetry{Metrics: NewFleetMetrics(w)})
+		c.Run(0.2)
+	}
+}

@@ -338,7 +338,7 @@ func (c *Cluster) ApplyRollout(p RolloutPlan) error {
 		return err
 	}
 	c.ro = &rolloutState{plan: p, splitKeys: uint64(p.canaryFrac()*1024 + 0.5)}
-	c.loop.At(p.Start, c.rolloutBegin)
+	c.loop.At(p.Start, c.controller(c.rolloutBegin))
 	return nil
 }
 
@@ -430,7 +430,7 @@ func (c *Cluster) drainReplica(rep *replica, deadline float64) {
 	c.log(rep.dev.host.id, "drain-begin", fmt.Sprintf("%s replica r%d: graceful drain of %d queued + %d in flight, deadline %.1f ms",
 		a.cfg.Name, rep.id, rep.lane.Len(), len(rep.inFlight), deadline*1e3), subject{})
 	c.maybeDispatch(rep)
-	c.loop.After(deadline, func() { c.drainExpire(rep) })
+	c.loop.After(deadline, c.controller(func() { c.drainExpire(rep) }))
 }
 
 // drainExpire is the drain-deadline hardening: a draining replica whose
@@ -521,7 +521,7 @@ func (c *Cluster) rolloutObserve(verdict func()) {
 func (c *Cluster) rolloutWindow(verdict func()) {
 	ro := c.ro
 	gen := ro.gen
-	c.loop.After(ro.plan.windowSeconds(), func() {
+	c.loop.After(ro.plan.windowSeconds(), c.controller(func() {
 		if ro.gen != gen {
 			return
 		}
@@ -534,7 +534,7 @@ func (c *Cluster) rolloutWindow(verdict func()) {
 			return
 		}
 		c.rolloutWindow(verdict)
-	})
+	}))
 }
 
 // rolloutHoldIfIncident pauses the controller while any host is dead or
@@ -552,7 +552,7 @@ func (c *Cluster) rolloutHoldIfIncident(resume func()) bool {
 		c.rolloutLog("wave-hold", fmt.Sprintf("rollout paused: open incident (%d hosts down or partitioned)", c.downHosts))
 	}
 	gen := ro.gen
-	c.loop.After(ro.plan.windowSeconds(), func() {
+	c.loop.After(ro.plan.windowSeconds(), c.controller(func() {
 		if ro.gen != gen {
 			return
 		}
@@ -563,7 +563,7 @@ func (c *Cluster) rolloutHoldIfIncident(resume func()) bool {
 		ro.stage = ro.resumeStage
 		c.rolloutLog("wave-resume", "incident cleared: rollout resumes with a fresh observation")
 		resume()
-	})
+	}))
 	return true
 }
 

@@ -56,6 +56,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -122,7 +123,7 @@ func (t *Telemetry) attach(c *Cluster) {
 			names[i] = a.cfg.Name
 		}
 		t.Metrics.register(len(c.hosts), c.cfg.DevicesPerHost, c.cfg.zones(), names)
-		c.loop.Every(t.Metrics.window, c.telemetryTick)
+		c.loop.Every(t.Metrics.window, c.controller(c.telemetryTick))
 	}
 }
 
@@ -553,14 +554,14 @@ type FleetMetrics struct {
 }
 
 // DefaultWindowSeconds is the sampling window when NewFleetMetrics is
-// given w <= 0.
+// given a w that is not a positive finite number.
 const DefaultWindowSeconds = 0.05
 
 // NewFleetMetrics builds a registry sampling on the given virtual-time
-// window (DefaultWindowSeconds if w <= 0). The SLO target is
+// window (DefaultWindowSeconds if w <= 0, NaN or ±Inf). The SLO target is
 // 99% — the paper's applications bound the 99th percentile.
 func NewFleetMetrics(windowSeconds float64) *FleetMetrics {
-	if windowSeconds <= 0 {
+	if !(windowSeconds > 0 && windowSeconds <= math.MaxFloat64) {
 		windowSeconds = DefaultWindowSeconds
 	}
 	return &FleetMetrics{window: windowSeconds, sloTarget: 0.99}

@@ -2,8 +2,11 @@ package des
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -112,15 +115,21 @@ func TestEvery(t *testing.T) {
 	}
 }
 
-// TestEveryBadInterval: a non-positive period would busy-loop the calendar.
+// TestEveryBadInterval: a non-positive period would busy-loop the calendar,
+// and a NaN one would reach Schedule as a NaN time. Every rejects both
+// itself, with its own message.
 func TestEveryBadInterval(t *testing.T) {
-	var l Loop
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Every(0) did not panic")
-		}
-	}()
-	l.Every(0, func() {})
+	for _, d := range []float64{0, -1, math.NaN()} {
+		func() {
+			var l Loop
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "tick interval") {
+					t.Errorf("Every(%v) panicked with %q, want the tick interval message", d, msg)
+				}
+			}()
+			l.Every(d, func() {})
+		}()
+	}
 }
 
 // TestPastSchedulingPanics: scheduling before now is a loud failure.
@@ -137,7 +146,7 @@ func TestPastSchedulingPanics(t *testing.T) {
 }
 
 // TestNaNSchedulingPanics: NaN compares false with everything, so a t < now
-// guard would let it into the heap, where it breaks (at, seq) ordering for
+// guard would let it into the calendar, where it breaks the time order of
 // every later event. It must fail as loudly as the past does.
 func TestNaNSchedulingPanics(t *testing.T) {
 	var l Loop
@@ -162,6 +171,38 @@ func TestInfSchedulingNeverFires(t *testing.T) {
 	}
 }
 
+// TestNegativeZeroIsZero: −0 passes the t >= now guard at time zero, but
+// its bits sort after +Inf. It is queued as 0: first, and FIFO with the
+// events at 0 around it.
+func TestNegativeZeroIsZero(t *testing.T) {
+	var l Loop
+	var got []int
+	negZero := math.Copysign(0, -1)
+	l.At(math.Inf(1), func() { got = append(got, 4) })
+	l.At(1, func() { got = append(got, 3) })
+	l.At(negZero, func() { got = append(got, 0) })
+	l.At(0, func() { got = append(got, 1) })
+	l.At(negZero, func() { got = append(got, 2) })
+	l.RunUntil(1)
+	if want := []int{0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// TestMaxPending: the high-water depth survives the calendar draining.
+func TestMaxPending(t *testing.T) {
+	var l Loop
+	for i := 0; i < 5; i++ {
+		l.At(float64(i), func() {})
+	}
+	l.RunUntil(2)
+	l.At(3, func() {})
+	l.Run()
+	if l.Pending() != 0 || l.MaxPending() != 5 {
+		t.Fatalf("Pending %d, MaxPending %d, want 0 and 5", l.Pending(), l.MaxPending())
+	}
+}
+
 // TestRandomizedOrder: a fuzz-ish shuffle of schedule times still fires in
 // nondecreasing time order.
 func TestRandomizedOrder(t *testing.T) {
@@ -182,7 +223,7 @@ func TestRandomizedOrder(t *testing.T) {
 
 // oracleLoop is the calendar this package used to run on — container/heap
 // over boxed events, one closure per event — kept as the reference the
-// typed heap is checked against.
+// radix calendar is checked against.
 type oracleLoop struct {
 	cal oracleCalendar
 	seq uint64
@@ -246,7 +287,7 @@ type calendarAPI interface {
 
 type firing struct {
 	at float64
-	id uint64 // schedule order, which is the calendar's seq
+	id uint64 // schedule order, which is the oracle's seq
 }
 
 // program is one seeded random workload: events on a coarse time grid (so
@@ -291,7 +332,7 @@ func runProgram(seed int64, l calendarAPI) []firing {
 	return p.log
 }
 
-// TestDifferentialAgainstHeapOracle: the typed heap fires exactly the
+// TestDifferentialAgainstHeapOracle: the calendar fires exactly the
 // (time, seq) sequence the container/heap calendar does.
 func TestDifferentialAgainstHeapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 250; seed++ {
@@ -308,30 +349,174 @@ func TestDifferentialAgainstHeapOracle(t *testing.T) {
 	}
 }
 
+// grid is the deep programs' time step: a power of two, so times on it are
+// exact and hundreds of events share an instant.
+const grid = 1.0 / 1024
+
+// deepProgram drives a calendar the way a fleet does: thousands of events
+// pending at once, most on a coarse grid so runs of identical times are
+// long, a few off it, a few at +Inf, each firing rescheduling one event —
+// sometimes at its own instant — until the budget is spent.
+type deepProgram struct {
+	l      calendarAPI
+	rng    *rand.Rand
+	nextID uint64
+	budget int
+	log    []firing
+}
+
+func (p *deepProgram) schedule(t float64) {
+	p.nextID++
+	id := p.nextID
+	if p.rng.Intn(2) == 0 {
+		p.l.At(t, func() { p.Fire(id) })
+	} else {
+		p.l.Schedule(t, p, id)
+	}
+}
+
+func (p *deepProgram) Fire(id uint64) {
+	now := p.l.Now()
+	p.log = append(p.log, firing{now, id})
+	if p.budget == 0 {
+		return
+	}
+	p.budget--
+	switch r := p.rng.Intn(16); {
+	case r == 0:
+		p.schedule(now)
+	case r == 1:
+		p.schedule(now + 64*grid*p.rng.Float64())
+	default:
+		p.schedule(now + grid*float64(1+p.rng.Intn(64)))
+	}
+}
+
+// gap returns a deadline between grid points past now, so it falls after
+// the instant that fired last and short of the next grid instant, and
+// schedules into the gap after RunUntil(gap) — the Schedule that a calendar
+// rebased onto an event beyond its deadline would misorder.
+func (p *deepProgram) gap() float64 {
+	return grid * (math.Floor(p.l.Now()/grid) + float64(p.rng.Intn(4)) + 0.5)
+}
+
+func (p *deepProgram) fillGap() {
+	p.schedule(p.l.Now())
+	p.schedule(p.l.Now() + grid/4)
+}
+
+func runDeep(seed int64, l calendarAPI) []firing {
+	p := &deepProgram{l: l, rng: rand.New(rand.NewSource(seed)), budget: 20000}
+	for i := 0; i < 2000; i++ {
+		p.schedule(grid * float64(p.rng.Intn(64)))
+	}
+	for i := 0; i < 4; i++ {
+		p.schedule(math.Inf(1))
+	}
+	for seg := 0; seg < 100; seg++ {
+		l.RunUntil(p.gap())
+		p.fillGap()
+	}
+	l.RunUntil(math.Inf(1))
+	return p.log
+}
+
+func sameFirings(t *testing.T, what string, got, want []firing) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: fired %d events, oracle %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: firing %d is %+v, oracle %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestDeepCalendarAgainstHeapOracle: at a fleet's depth — 2000 events
+// pending, long runs of one instant, +Inf events, and RunUntil deadlines
+// between the last instant fired and the next, each followed by Schedules
+// into that gap — the calendar fires the oracle's sequence.
+func TestDeepCalendarAgainstHeapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		l := &Loop{}
+		got := runDeep(seed, l)
+		sameFirings(t, fmt.Sprintf("seed %d", seed), got, runDeep(seed, &oracleLoop{}))
+		if l.MaxPending() < 2000 || l.Pending() != 0 {
+			t.Fatalf("seed %d: calendar at most %d deep, %d left, want >= 2000 and 0", seed, l.MaxPending(), l.Pending())
+		}
+	}
+}
+
+// runOps is FuzzCalendar's program: each byte of ops schedules (on the
+// grid, off it, at now, at +Inf, or at −0 while now is 0) or runs to a
+// deadline between grid points and fills the gap after it.
+func runOps(seed int64, ops []byte, l calendarAPI) []firing {
+	p := &deepProgram{l: l, rng: rand.New(rand.NewSource(seed)), budget: 4 * len(ops)}
+	for _, op := range ops {
+		now, v := l.Now(), float64(op>>3)
+		switch op & 7 {
+		case 0, 1, 2:
+			p.schedule(now + grid*v)
+		case 3:
+			p.schedule(now + grid*v*p.rng.Float64())
+		case 4:
+			p.schedule(now)
+		case 5:
+			if now == 0 {
+				p.schedule(math.Copysign(0, -1))
+			} else {
+				p.schedule(math.Inf(1))
+			}
+		default:
+			l.RunUntil(p.gap())
+			p.fillGap()
+		}
+	}
+	l.RunUntil(math.Inf(1))
+	return p.log
+}
+
+// FuzzCalendar: any schedule/run program fires the oracle's sequence.
+func FuzzCalendar(f *testing.F) {
+	f.Add(int64(1), []byte{0, 8, 16, 6, 4, 5, 3, 255, 7})
+	f.Add(int64(2), []byte{5, 5, 0, 0, 6, 13, 77, 255, 254, 14})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 4096 {
+			ops = ops[:4096]
+		}
+		sameFirings(t, "program", runOps(seed, ops, &Loop{}), runOps(seed, ops, &oracleLoop{}))
+	})
+}
+
 // ticker is a pointer handler that reschedules itself: the shape of every
 // per-request event in the cluster simulator.
 type ticker struct{ l *Loop }
 
 func (tk *ticker) Fire(n uint64) { tk.l.Schedule(tk.l.Now()+1, tk, n+1) }
 
-// TestSteadyStateAllocs: once the heap has its capacity, a fire-and-
-// reschedule cycle allocates nothing — not for a pointer handler with an
-// arg, and not for After with a func() built once — and the rescheduled
-// event takes the slot its firing freed, so the slab does not grow.
+// TestSteadyStateAllocs: at a fleet calendar's depth (2000 events, pairs
+// sharing an instant), a fire-and-reschedule cycle allocates nothing — not
+// for a pointer handler with an arg, and not for After with a func() built
+// once — and the rescheduled event takes the slot its firing freed, so the
+// slab does not grow.
 func TestSteadyStateAllocs(t *testing.T) {
+	const depth = 2000
 	var l Loop
 	tk := &ticker{l: &l}
 	var tick func()
 	tick = func() { l.After(1, tick) }
-	for i := 0; i < 64; i++ {
-		l.Schedule(float64(i)/64, tk, 0)
-		l.After(float64(i)/64, tick)
+	for i := 0; i < depth/2; i++ {
+		l.Schedule(float64(i)/depth, tk, 0)
+		l.After(float64(i)/depth, tick)
 	}
-	if avg := testing.AllocsPerRun(1000, l.step); avg != 0 {
+	fire := func() { l.step(math.Inf(1)) }
+	if avg := testing.AllocsPerRun(5*depth, fire); avg != 0 {
 		t.Fatalf("steady Schedule/step cycle allocates %v objects per event, want 0", avg)
 	}
-	if len(l.slots) != 128 || len(l.free) != 0 {
-		t.Fatalf("%d slots, %d free after the cycle, want 128 and 0", len(l.slots), len(l.free))
+	if len(l.slots) != depth || len(l.links) != depth || len(l.free) != 0 || l.Pending() != depth {
+		t.Fatalf("%d slots, %d links, %d free, %d pending after the cycle, want %d, %d, 0 and %d",
+			len(l.slots), len(l.links), len(l.free), l.Pending(), depth, depth, depth)
 	}
 }
 
