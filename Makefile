@@ -92,15 +92,33 @@ bench:
 T3_CEILING_NS ?= 800000
 T3_CEILING_ALLOCS ?= 48
 
+# A gate selects its tests by name, and `go test -run` passes with "no tests
+# to run" when a renamed test leaves a pattern matching nothing — a gate that
+# runs nothing gates nothing. $(call gate-names,pkg,pattern) fails unless
+# every |-alternative of the pattern names at least one test in the package;
+# $(call gate-run,pkg,pattern) checks the names, then runs the tests.
+define gate-names
+	@for alt in $$(echo '$(2)' | tr '|' ' '); do \
+		$(GO) test -list "$$alt" $(1) | grep -qv '^ok' || \
+			{ echo "bench-gate: -run alternative $$alt names no test in $(1)"; exit 1; }; \
+	done
+endef
+
+define gate-run
+	$(call gate-names,$(1),$(2))
+	$(GO) test -count=1 $(1) -run '$(2)'
+endef
+
 bench-gate:
-	$(GO) test -count=1 ./internal/systolic -run TestMultiplyIntoZeroAlloc
-	$(GO) test -count=1 ./internal/tpu -run 'TestTileLoadAliasesWeightDRAM|TestNewDeviceFootprint'
-	$(GO) test -count=1 ./internal/runtime -run TestServerWeightFootprint
+	$(call gate-run,./internal/systolic,TestMultiplyIntoZeroAlloc)
+	$(call gate-run,./internal/tpu,TestTileLoadAliasesWeightDRAM|TestNewDeviceFootprint)
+	$(call gate-run,./internal/runtime,TestServerWeightFootprint)
+	$(call gate-names,./internal/serve,SteadyStateAllocs)
 	@out=$$($(GO) test -count=1 -v ./internal/serve -run SteadyStateAllocs) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -E 'backend dispatch:|^ok'
-	$(GO) test -count=1 ./internal/des -run TestSteadyStateAllocs
-	$(GO) test -count=1 ./internal/stats -run TestPercentilesAllocs
-	$(GO) test -count=1 ./internal/cluster -run 'TestClusterRunAllocs|TestRouteZeroAlloc'
+	$(call gate-run,./internal/des,TestSteadyStateAllocs)
+	$(call gate-run,./internal/stats,TestPercentilesAllocs)
+	$(call gate-run,./internal/cluster,TestClusterRunAllocs|TestRouteZeroAlloc)
 	@$(GO) test -run xxx -bench 'BenchmarkTable3$$' -cpu 1 -benchtime 600x -benchmem -count 3 . > bench-gate.out || { cat bench-gate.out; rm -f bench-gate.out; exit 1; }; \
 	min=$$(awk '/^BenchmarkTable3/ && $$4 == "ns/op" {if (min == "" || $$3+0 < min) min = $$3+0} END {print min}' bench-gate.out); \
 	allocs=$$(awk '/^BenchmarkTable3/ && $$8 == "allocs/op" {a = $$7+0} END {print a}' bench-gate.out); \
@@ -166,7 +184,7 @@ integrity-smoke:
 	$(GO) test -race -count=1 -timeout 300s ./internal/systolic -run 'TestABFT|FuzzChecksumVerify'
 	$(GO) test -race -count=1 -timeout 300s ./internal/memory -run 'TestSidecar|TestUBGuard|TestAccumulatorParity|TestGuardedWeights'
 	$(GO) test -race -count=1 -timeout 300s ./internal/fault -run 'TestFlip|TestParsePlanFlipKinds'
-	$(GO) test -race -count=1 -timeout 300s ./internal/runtime -run 'TestDetectTier|TestCorrectTier|TestRepeatedSDC|TestParanoidTier|TestBackgroundScrubber|TestIntegrityTier'
+	$(GO) test -race -count=1 -timeout 300s ./internal/runtime -run 'TestDetectTier|TestCorrectTier|TestRepeatedSDC|TestCrossCheckOnCorrectTier|TestBackgroundScrubber|TestIntegrityTier'
 	$(GO) test -race -count=1 -timeout 300s ./internal/serve -run 'TestCloseDrainsQueuedRequests'
 	$(GO) test -race -count=1 -timeout 600s ./internal/experiments -run 'TestSDC'
 

@@ -203,8 +203,8 @@ func BenchmarkTable3IntegrityDetect(b *testing.B) {
 }
 
 // BenchmarkTable3CrossCheck prices what SDC coverage costs without ABFT:
-// full duplication, every program executed twice (the paranoid tier's
-// cross-check on a second device). Read its added cost over the Off
+// full duplication, every program executed twice (Resilience.CrossCheck's
+// rerun on a second device). Read its added cost over the Off
 // baseline against the detect tier's — the bound is ABFT at least 2x
 // cheaper than duplication.
 func BenchmarkTable3CrossCheck(b *testing.B) {

@@ -55,13 +55,7 @@ func main() {
 			log.Fatal(err)
 		}
 		params := nn.InitRandom(m, 1, 0.25)
-		var in *tensor.F32
-		if m.Class == nn.CNN {
-			c := m.Layers[0].Conv
-			in = tensor.NewF32(m.Batch, c.H, c.W, c.Cin)
-		} else {
-			in = tensor.NewF32(m.Batch, m.InputElems())
-		}
+		in := tensor.NewF32(m.BatchInputShape()...)
 		in.FillRandom(2, 1)
 		qm, err := nn.QuantizeModel(m, params, in)
 		if err != nil {

@@ -69,19 +69,19 @@ func (c *Cluster) autoscaleTick() {
 	}
 	for _, a := range c.apps {
 		c.autoscaleApp(a, interval)
-		a.tickOffered, a.tickShed = a.offered, a.shedQueue+a.expired
+		a.tickOffered, a.tickShed = a.Offered, a.ShedQueue+a.Expired
 	}
 	c.loop.After(interval, c.controller(c.autoscaleTick))
 }
 
 // autoscaleApp makes one scaling decision for one app from its window.
 func (c *Cluster) autoscaleApp(a *app, interval float64) {
-	arrivals := a.offered - a.tickOffered
+	arrivals := a.Offered - a.tickOffered
 	rate := float64(arrivals) / interval
 	capacity := a.liveCapacity()
 	shedFrac := 0.0
 	if arrivals > 0 {
-		shedFrac = float64(a.shedQueue+a.expired-a.tickShed) / float64(arrivals)
+		shedFrac = float64(a.ShedQueue+a.Expired-a.tickShed) / float64(arrivals)
 	}
 	live := a.liveReplicas()
 
@@ -182,7 +182,7 @@ func (c *Cluster) scaleDown(a *app, rep *replica, rate float64) {
 	}
 	c.decide(a, "scale-down", from, from-1,
 		fmt.Sprintf("rate %.0f/s under %.0f%% of post-drain capacity", rate, downUtil*100))
-	if !rep.serving {
+	if !rep.serving() {
 		c.finalizeRemoval(rep)
 	}
 }

@@ -28,7 +28,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -190,17 +189,6 @@ func (c *Cluster) PartitionHostAt(from, until float64, hostID int) error {
 	return nil
 }
 
-// partitionTimeout is how long a black-holed request hangs before its
-// client gives up and re-routes: the configured value, or half the app's
-// SLA — long enough to hurt, short enough that the deadline can still be
-// made on a surviving replica.
-func (c *Cluster) partitionTimeout(a *app) float64 {
-	if c.cfg.PartitionTimeoutSeconds > 0 {
-		return c.cfg.PartitionTimeoutSeconds
-	}
-	return 0.5 * a.plan.SLASeconds
-}
-
 // partitionHost executes the partition start.
 func (c *Cluster) partitionHost(h *host) {
 	if !h.alive || h.partitioned {
@@ -213,11 +201,14 @@ func (c *Cluster) partitionHost(h *host) {
 	// until the partition timeout, then re-route.
 	c.evictHost(h, "network partition", func(rep *replica, orphans []request, inFlight int) {
 		a := rep.app
-		timeout := c.partitionTimeout(a)
+		// A black-holed request hangs for half the app's SLA before its
+		// client gives up and re-routes: long enough to hurt, short enough
+		// that the deadline can still be made on a surviving replica.
+		timeout := 0.5 * a.plan.SLASeconds
 		c.log(h.id, "blackhole", fmt.Sprintf("%s replica r%d: %d in-flight + %d queued requests hang for %.2f ms",
 			a.cfg.Name, rep.id, inFlight, len(orphans)-inFlight, timeout*1e3), subject{})
 		for _, r := range orphans {
-			a.blackholed++
+			a.Blackholed++
 			a.blackholePending++
 			rr := r
 			c.loop.After(timeout, c.controller(func() {
@@ -373,11 +364,11 @@ func (c *Cluster) takeRetryToken(a *app) bool {
 		a.budgetDenyStreak = 0
 		return true
 	}
-	a.budgetDenied++
+	a.BudgetDenied++
 	a.budgetDenyStreak++
 	if a.budgetDenyStreak == 1 {
 		c.log(-1, "retry-budget-exhausted", fmt.Sprintf("%s retry budget empty after %d granted retries: failing fast",
-			a.cfg.Name, a.retries), subject{})
+			a.cfg.Name, a.Retries), subject{})
 	}
 	return false
 }
@@ -400,14 +391,14 @@ func (c *Cluster) shedRetry(a *app, r request) bool {
 		return false
 	}
 	if !c.deadlineCovers(a, r) {
-		a.deadlineDrops++
+		a.DeadlineDrops++
 		return false
 	}
 	if !c.takeRetryToken(a) {
 		return false
 	}
 	r.attempts++
-	a.retries++
+	a.Retries++
 	c.route(a, r)
 	return true
 }
@@ -680,10 +671,4 @@ func (c *Cluster) ApplyChaos(p ChaosPlan) error {
 		}
 	}
 	return nil
-}
-
-// sortActions orders a plan by time (stable within equal times), for
-// readable String output of programmatically built plans.
-func (p *ChaosPlan) Sort() {
-	sort.SliceStable(p.Actions, func(i, j int) bool { return p.Actions[i].At < p.Actions[j].At })
 }

@@ -47,10 +47,10 @@ func replicaOnHost(a *app, hostID int) *replica {
 // preserve: offered requests resolve exactly once.
 func checkAccounting(t *testing.T, a *app) {
 	t.Helper()
-	total := a.completed + a.shedQueue + a.expired + a.errors + uint64(inSystem(a)) + uint64(a.blackholePending)
-	if a.offered != total {
+	total := a.Completed + a.ShedQueue + a.Expired + a.Errors + uint64(inSystem(a)) + uint64(a.blackholePending)
+	if a.Offered != total {
 		t.Errorf("%s accounting leak: offered %d != completed %d + shedQ %d + expired %d + errors %d + inSystem %d + blackholePending %d",
-			a.cfg.Name, a.offered, a.completed, a.shedQueue, a.expired, a.errors, inSystem(a), a.blackholePending)
+			a.cfg.Name, a.Offered, a.Completed, a.ShedQueue, a.Expired, a.Errors, inSystem(a), a.blackholePending)
 	}
 }
 
@@ -197,7 +197,7 @@ func TestPartitionBlackholeAndReroute(t *testing.T) {
 	if rep.state != runtime.Quarantined {
 		t.Fatalf("partitioned replica in state %v, want quarantined", rep.state)
 	}
-	if a.blackholed == 0 {
+	if a.Blackholed == 0 {
 		t.Error("no requests black-holed by a partition of a loaded host")
 	}
 	s := c.Snapshot()
@@ -222,7 +222,7 @@ func TestPartitionBlackholeAndReroute(t *testing.T) {
 	if rep.completed <= frozenCompleted {
 		t.Error("healed replica completed nothing after re-admission")
 	}
-	if a.failovers == 0 {
+	if a.Failovers == 0 {
 		t.Error("black-holed requests never failed over after the timeout")
 	}
 	if a.blackholePending != 0 {
@@ -293,11 +293,11 @@ func TestRouterMissWhenAllPartitioned(t *testing.T) {
 	}
 	c.Run(3)
 	a := c.apps[0]
-	if a.routerMiss == 0 {
+	if a.RouterMiss == 0 {
 		t.Fatal("no router misses while the only replica was unreachable")
 	}
-	if a.errors < a.routerMiss {
-		t.Errorf("errors %d < routerMiss %d: a missed route must be a client-visible error", a.errors, a.routerMiss)
+	if a.Errors < a.RouterMiss {
+		t.Errorf("errors %d < routerMiss %d: a missed route must be a client-visible error", a.Errors, a.RouterMiss)
 	}
 	checkAccounting(t, a)
 }
@@ -372,10 +372,10 @@ func TestZoneKillRevive(t *testing.T) {
 	if !c.zoneDark() {
 		t.Error("zoneDark() false while zone 0 is dark")
 	}
-	mid := a.completed
+	mid := a.Completed
 
 	c.Run(2.9) // still dark: the zone-1 replica carries the app
-	if a.completed <= mid {
+	if a.Completed <= mid {
 		t.Error("app stopped serving during the zone outage despite an anti-affine surviving replica")
 	}
 
@@ -478,21 +478,21 @@ func TestRetryBudgetBoundsStorm(t *testing.T) {
 	control.Run(3)
 	ab, ac := budgeted.apps[0], control.apps[0]
 
-	cap := budgetRatio*float64(ab.offered) + budgetBurst
-	if float64(ab.retries) > cap+1 {
-		t.Errorf("budgeted retries %d exceed the budget cap %.0f (ratio x offered + burst)", ab.retries, cap)
+	cap := budgetRatio*float64(ab.Offered) + budgetBurst
+	if float64(ab.Retries) > cap+1 {
+		t.Errorf("budgeted retries %d exceed the budget cap %.0f (ratio x offered + burst)", ab.Retries, cap)
 	}
-	if ab.budgetDenied == 0 {
+	if ab.BudgetDenied == 0 {
 		t.Error("overload never exhausted the retry budget")
 	}
 	if countEvents(budgeted, "retry-budget-exhausted", -2) == 0 {
 		t.Error("budget exhaustion not logged")
 	}
-	if ac.retries <= 3*ab.retries {
+	if ac.Retries <= 3*ab.Retries {
 		t.Errorf("control run retried %d vs budgeted %d: the storm the budget prevents should dwarf it",
-			ac.retries, ab.retries)
+			ac.Retries, ab.Retries)
 	}
-	if ac.budgetDenied != 0 || countEvents(control, "retry-budget-exhausted", -2) != 0 {
+	if ac.BudgetDenied != 0 || countEvents(control, "retry-budget-exhausted", -2) != 0 {
 		t.Error("NoBudget control denied retries")
 	}
 	// Shed-at-dispatch keeps the served p99 inside the SLA even mid-storm.
@@ -513,16 +513,20 @@ func TestRetryBudgetBoundsStorm(t *testing.T) {
 
 // TestDeadlineAwareFailover: when a black-holed request's timeout burns
 // so much of its SLA that no replica could finish in time, the failover
-// path fails it fast instead of re-routing load that cannot succeed.
+// path fails it fast instead of re-routing load that cannot succeed. The
+// timeout is half the 7 ms SLA; with a 3.1 ms batch-1 service time, any
+// request that had waited 0.4 ms before the partition cannot be served
+// in time once its timeout fires.
 func TestDeadlineAwareFailover(t *testing.T) {
+	app := testApp("APP0", 2000, 2)
+	app.Service = testService(3e-3, 0.1e-3)
 	c, err := New(Config{
 		Hosts: 2, DevicesPerHost: 1,
-		Router:                  LeastLoaded,
-		Apps:                    []AppConfig{testApp("APP0", 4000, 2)},
-		Autoscale:               AutoscaleConfig{Disabled: true},
-		Retry:                   RetryConfig{Enabled: true},
-		PartitionTimeoutSeconds: 6.5e-3, // eats nearly the whole 7 ms SLA
-		Seed:                    3,
+		Router:    LeastLoaded,
+		Apps:      []AppConfig{app},
+		Autoscale: AutoscaleConfig{Disabled: true},
+		Retry:     RetryConfig{Enabled: true},
+		Seed:      3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -532,17 +536,17 @@ func TestDeadlineAwareFailover(t *testing.T) {
 	}
 	c.Run(5)
 	a := c.apps[0]
-	if a.blackholed == 0 {
+	if a.Blackholed == 0 {
 		t.Fatal("partition black-holed nothing")
 	}
-	if a.deadlineDrops == 0 {
+	if a.DeadlineDrops == 0 {
 		t.Error("no deadline-aware drops despite a timeout longer than the SLA remainder")
 	}
-	if a.deadlineDrops > a.blackholed {
-		t.Errorf("deadline drops %d exceed black-holed requests %d", a.deadlineDrops, a.blackholed)
+	if a.DeadlineDrops > a.Blackholed {
+		t.Errorf("deadline drops %d exceed black-holed requests %d", a.DeadlineDrops, a.Blackholed)
 	}
-	if a.errors < a.deadlineDrops {
-		t.Errorf("errors %d < deadline drops %d: a dropped request is a client-visible error", a.errors, a.deadlineDrops)
+	if a.Errors < a.DeadlineDrops {
+		t.Errorf("errors %d < deadline drops %d: a dropped request is a client-visible error", a.Errors, a.DeadlineDrops)
 	}
 	checkAccounting(t, a)
 }
@@ -614,7 +618,7 @@ func TestDegradedHost(t *testing.T) {
 	healthyRate := perReplicaRate(rep)
 
 	c.Run(2)
-	shedHealthy := a.shedQueue + a.expired
+	shedHealthy := a.ShedQueue + a.Expired
 
 	c.Run(2.1)
 	if got := perReplicaRate(rep); math.Abs(got-healthyRate/2) > 1e-6 {
@@ -622,13 +626,13 @@ func TestDegradedHost(t *testing.T) {
 	}
 
 	c.Run(4)
-	shedDegraded := a.shedQueue + a.expired - shedHealthy
+	shedDegraded := a.ShedQueue + a.Expired - shedHealthy
 	if shedDegraded == 0 {
 		t.Error("a 2x-slow host serving 130%% of its degraded capacity shed nothing")
 	}
 
 	c.Run(6)
-	shedRestored := a.shedQueue + a.expired - shedDegraded - shedHealthy
+	shedRestored := a.ShedQueue + a.Expired - shedDegraded - shedHealthy
 	if got := perReplicaRate(rep); math.Abs(got-healthyRate) > 1e-6 {
 		t.Errorf("restored capacity %.1f/s, want the healthy %.1f/s", got, healthyRate)
 	}

@@ -115,10 +115,6 @@ type Config struct {
 	// Retry tunes client-style retries and the anti-storm defenses (token
 	// bucket, deadline-aware failover). Zero value: disabled.
 	Retry RetryConfig
-	// PartitionTimeoutSeconds is how long a request black-holed behind a
-	// network partition hangs before re-routing. 0 means half the app's
-	// SLA.
-	PartitionTimeoutSeconds float64
 	// Telemetry opts into fleet observability: virtual-time spans, the
 	// FleetMetrics registry and the saturation analyzer's windowed series
 	// (see telemetry.go). nil is the guaranteed zero-overhead path — no
@@ -210,7 +206,6 @@ type replica struct {
 	fillGen  uint64    // invalidates scheduled fill timers
 	pending  bool      // queued on the device's waiter list
 	svcGen   uint64    // invalidates in-flight completions (host death)
-	serving  bool
 	draining bool
 
 	// Rollout state: the model version served, its service-time scale
@@ -222,7 +217,7 @@ type replica struct {
 	graceful  bool
 	waveDrain bool
 
-	// Telemetry state for the in-flight batch (meaningful while serving).
+	// Telemetry state for the in-flight batch (meaningful while serving()).
 	dispatchAt float64
 	trig       trigger
 	span       *obs.Span
@@ -246,18 +241,14 @@ type app struct {
 	arrivals *workload.NHPP
 	keys     *rand.Rand
 
-	// Cumulative counters.
-	offered, completed, shedQueue, expired uint64
-	failovers, errors, routerMiss          uint64
-	latencies                              []float64
+	// Cumulative request outcomes, and every served request's latency.
+	AppCounters
+	latencies []float64
 
 	// Retry-defense state (active only with Config.Retry.Enabled).
-	retries, budgetDenied uint64 // granted vs budget-refused retries
-	deadlineDrops         uint64 // retries refused: SLA cannot be met anyway
-	blackholed            uint64 // requests stranded behind a partition
-	blackholePending      int    // stranded requests whose timeout hasn't fired
-	budgetTokens          float64
-	budgetDenyStreak      int
+	blackholePending int // stranded requests whose timeout hasn't fired
+	budgetTokens     float64
+	budgetDenyStreak int
 
 	// Autoscaler state. Its decision window is the difference between the
 	// cumulative counters and their values at its last tick.
@@ -561,7 +552,7 @@ func (ar *arrival) Fire(key uint64) {
 	c := a.c
 	c.counts.Arrivals++
 	c.scheduleNextArrival(a)
-	a.offered++
+	a.Offered++
 	c.earnRetryToken(a)
 	c.route(a, request{arrival: c.loop.Now(), key: key})
 }
@@ -607,8 +598,8 @@ func (c *Cluster) route(a *app, r request) {
 	}
 	id, ok := a.router.Route(r.key)
 	if !ok {
-		a.routerMiss++
-		a.errors++
+		a.RouterMiss++
+		a.Errors++
 		return
 	}
 	c.enqueue(a.replicas[id], r)
@@ -619,6 +610,9 @@ func (c *Cluster) route(a *app, r request) {
 func (rep *replica) BatchSeconds(n int) (float64, error) {
 	return rep.app.svc[n] * rep.dev.host.slow * rep.svcScale, nil
 }
+
+// serving reports whether the replica has a batch on its device.
+func (rep *replica) serving() bool { return rep.inFlight != nil }
 
 // orphan empties the replica: its in-flight batch (copied out, because the
 // lane's next Take overwrites the buffer) followed by its queue. The pending
@@ -649,7 +643,7 @@ func (c *Cluster) enqueue(rep *replica, r request) {
 		if c.cfg.Retry.Enabled && c.shedRetry(a, r) {
 			return
 		}
-		a.shedQueue++
+		a.ShedQueue++
 		rep.shed++
 		return
 	}
@@ -661,7 +655,7 @@ func (c *Cluster) enqueue(rep *replica, r request) {
 // maybeDispatch decides whether the replica's head batch should go now,
 // wait for fill, or wait for the device.
 func (c *Cluster) maybeDispatch(rep *replica) {
-	if rep.lane.Len() == 0 || rep.serving || rep.pending {
+	if rep.lane.Len() == 0 || rep.serving() || rep.pending {
 		return
 	}
 	if !rep.dev.host.alive || rep.state == runtime.Quarantined {
@@ -697,7 +691,7 @@ func (c *Cluster) dispatch(rep *replica, trig trigger) {
 	// The replica prices from the app's memoized table and cannot fail.
 	kept, shed, svc, _ := rep.lane.Take(now, rep)
 	if expired := len(shed); expired > 0 {
-		a.expired += uint64(expired)
+		a.Expired += uint64(expired)
 		rep.shed += uint64(expired)
 		if co := a.cohortOf(rep); co != nil {
 			co.shed += uint64(expired)
@@ -710,7 +704,6 @@ func (c *Cluster) dispatch(rep *replica, trig trigger) {
 		c.maybeDispatch(rep)
 		return
 	}
-	rep.serving = true
 	rep.inFlight = kept
 	rep.dev.busy = true
 	rep.dispatchAt = now
@@ -725,19 +718,21 @@ func (c *Cluster) complete(rep *replica) {
 	a := rep.app
 	batch, done := rep.inFlight, c.loop.Now()
 	c.tel.onComplete(rep, batch, done)
-	co := a.cohortOf(rep)
+	// The canary verdict reads only the v2 cohort's served latencies.
+	var v2 *cohort
+	if rep.version >= 2 {
+		v2 = a.cohortOf(rep)
+	}
 	for _, r := range batch {
 		lat := done - r.arrival
 		a.latencies = append(a.latencies, lat)
-		a.completed++
+		a.Completed++
 		rep.completed++
-		if co != nil {
-			co.completed++
-			co.lats = append(co.lats, lat)
+		if v2 != nil {
+			v2.lats = append(v2.lats, lat)
 		}
 	}
 	a.router.AddLoad(rep.id, -int64(len(batch)))
-	rep.serving = false
 	rep.inFlight = nil
 	rep.dev.busy = false
 	if rep.draining && (!rep.graceful || rep.lane.Len() == 0) {
@@ -754,7 +749,7 @@ func (c *Cluster) grantDevice(d *device) {
 	for len(d.waiters) > 0 && !d.busy {
 		next := d.waiters[0]
 		d.waiters = d.waiters[:copy(d.waiters, d.waiters[1:])]
-		if next.pending && next.lane.Len() > 0 && !next.serving {
+		if next.pending && next.lane.Len() > 0 && !next.serving() {
 			c.dispatch(next, trigDeviceFree)
 		} else {
 			next.pending = false
@@ -808,7 +803,6 @@ func (c *Cluster) evictHost(h *host, reason string, strand func(rep *replica, or
 			// an unreachable host never reach the router.
 			rep.svcGen++
 			rep.fillGen++
-			rep.serving = false
 			rep.pending = false
 			// The health machine: an unreachable host's replicas go straight
 			// to Quarantined, and the router stops sending them traffic.
@@ -838,21 +832,21 @@ func (c *Cluster) evictHost(h *host, reason string, strand func(rep *replica, or
 func (c *Cluster) failover(a *app, r request) {
 	r.attempts++
 	if r.attempts > maxRouteAttempts {
-		a.errors++
+		a.Errors++
 		return
 	}
 	if c.cfg.Retry.Enabled {
 		if !c.deadlineCovers(a, r) {
-			a.deadlineDrops++
-			a.errors++
+			a.DeadlineDrops++
+			a.Errors++
 			return
 		}
 		if !c.takeRetryToken(a) {
-			a.errors++
+			a.Errors++
 			return
 		}
-		a.retries++
+		a.Retries++
 	}
-	a.failovers++
+	a.Failovers++
 	c.route(a, r)
 }

@@ -59,13 +59,13 @@ func TestServeAndAccounting(t *testing.T) {
 	}
 	c.Run(5)
 	a := c.apps[0]
-	if a.completed == 0 {
+	if a.Completed == 0 {
 		t.Fatal("no requests completed")
 	}
-	total := a.completed + a.shedQueue + a.expired + a.errors + uint64(inSystem(a))
-	if a.offered != total {
+	total := a.Completed + a.ShedQueue + a.Expired + a.Errors + uint64(inSystem(a))
+	if a.Offered != total {
 		t.Fatalf("accounting leak: offered %d != completed %d + shedQ %d + expired %d + errors %d + inSystem %d",
-			a.offered, a.completed, a.shedQueue, a.expired, a.errors, uint64(inSystem(a)))
+			a.Offered, a.Completed, a.ShedQueue, a.Expired, a.Errors, uint64(inSystem(a)))
 	}
 	s := c.Snapshot()
 	if got := s.Apps[0].P99Ms; got > 7.0+1e-9 {
@@ -154,7 +154,7 @@ func TestCrossHostFailover(t *testing.T) {
 	}
 	c.Run(5)
 	a := c.apps[0]
-	if a.failovers == 0 {
+	if a.Failovers == 0 {
 		t.Error("host kill caused no failovers")
 	}
 	s := c.Snapshot()
@@ -180,7 +180,7 @@ func TestCrossHostFailover(t *testing.T) {
 		t.Errorf("error rate %.4f, want < 1%%", got)
 	}
 	// Completions keep flowing after the kill: the surviving replica holds.
-	if before, after := eventsBefore(c, 2.0), a.completed; after == 0 || before == 0 {
+	if before, after := eventsBefore(c, 2.0), a.Completed; after == 0 || before == 0 {
 		t.Errorf("serving did not continue across the kill (before-kill events %d, completed %d)", before, after)
 	}
 	// The kill and per-replica quarantines are in the log.

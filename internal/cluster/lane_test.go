@@ -78,11 +78,11 @@ func TestSingleReplicaMatchesScanDriver(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if int(a.offered) != len(arrivals) || a.errors != 0 || a.failovers != 0 {
-				t.Fatalf("fleet offered %d (errors %d, failovers %d), the NHPP drew %d", a.offered, a.errors, a.failovers, len(arrivals))
+			if int(a.Offered) != len(arrivals) || a.Errors != 0 || a.Failovers != 0 {
+				t.Fatalf("fleet offered %d (errors %d, failovers %d), the NHPP drew %d", a.Offered, a.Errors, a.Failovers, len(arrivals))
 			}
-			if int(a.shedQueue) != run.Refused || int(a.expired) != run.Expired {
-				t.Errorf("fleet shed %d at admission + %d at dispatch, scan driver %d + %d", a.shedQueue, a.expired, run.Refused, run.Expired)
+			if int(a.ShedQueue) != run.Refused || int(a.Expired) != run.Expired {
+				t.Errorf("fleet shed %d at admission + %d at dispatch, scan driver %d + %d", a.ShedQueue, a.Expired, run.Refused, run.Expired)
 			}
 			refused += run.Refused
 			expired += run.Expired

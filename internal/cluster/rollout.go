@@ -294,10 +294,11 @@ type rolloutState struct {
 	reason        string // last verdict failure, for the snapshot
 }
 
-// cohort accumulates one version cohort's outcome over an observation.
+// cohort accumulates one version cohort's outcome over an observation:
+// admissions offered and shed, and (v2 only) served latencies.
 type cohort struct {
-	offered, shed, completed uint64
-	lats                     []float64
+	offered, shed uint64
+	lats          []float64
 }
 
 // appRollout is one app's rollout-local state.
@@ -423,7 +424,7 @@ func (c *Cluster) drainReplica(rep *replica, deadline float64) {
 	rep.draining = true
 	rep.graceful = true
 	rep.fillGen++ // void any armed fill timer; drain dispatches immediately
-	if !rep.serving && rep.lane.Len() == 0 {
+	if !rep.serving() && rep.lane.Len() == 0 {
 		c.finalizeRemoval(rep)
 		return
 	}
@@ -442,12 +443,12 @@ func (c *Cluster) drainExpire(rep *replica) {
 	if a.replicas[rep.id] != rep || !rep.draining {
 		return // drained gracefully before the deadline
 	}
+	wasServing := rep.serving()
 	orphans, inFlight := rep.orphan()
-	wasServing := rep.serving
 	if wasServing {
 		rep.svcGen++ // void the in-flight completion
-		rep.serving = false
 		rep.dev.busy = false
+		c.tel.onBatchKilled(rep)
 	}
 	rep.fillGen++
 	rep.pending = false
@@ -509,8 +510,8 @@ func (c *Cluster) rolloutObserve(verdict func()) {
 		if aro := a.ro; aro != nil {
 			aro.cohorts[0] = cohort{}
 			aro.cohorts[1] = cohort{}
-			aro.offBase = a.offered
-			aro.errBase = a.errors
+			aro.offBase = a.Offered
+			aro.errBase = a.Errors
 		}
 	}
 	c.ro.windowsSeen = 0
@@ -598,8 +599,8 @@ func (c *Cluster) rolloutVerdictFail() string {
 					a.cfg.Name, p*1e3, a.plan.SLASeconds*1e3)
 			}
 		}
-		if off := a.offered - aro.offBase; off > 0 {
-			if errRate := float64(a.errors-aro.errBase) / float64(off); errRate > plan.errTol() {
+		if off := a.Offered - aro.offBase; off > 0 {
+			if errRate := float64(a.Errors-aro.errBase) / float64(off); errRate > plan.errTol() {
 				return fmt.Sprintf("%s: error rate %.2f%% over the %.2f%% tolerance",
 					a.cfg.Name, errRate*100, plan.errTol()*100)
 			}

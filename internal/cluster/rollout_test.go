@@ -6,9 +6,11 @@
 package cluster
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
+	"tpusim/internal/obs"
 	"tpusim/internal/runtime"
 	"tpusim/internal/workload"
 )
@@ -183,8 +185,8 @@ func TestGracefulDrainFinishesQueue(t *testing.T) {
 	if a.replicas[0] != nil {
 		t.Fatal("drained replica still registered")
 	}
-	if a.failovers != 0 || a.errors != 0 {
-		t.Errorf("graceful drain caused %d failovers, %d errors — residents should finish in place", a.failovers, a.errors)
+	if a.Failovers != 0 || a.Errors != 0 {
+		t.Errorf("graceful drain caused %d failovers, %d errors — residents should finish in place", a.Failovers, a.Errors)
 	}
 	for _, e := range c.Events() {
 		if e.Kind == "drain-deadline" {
@@ -192,9 +194,9 @@ func TestGracefulDrainFinishesQueue(t *testing.T) {
 		}
 	}
 	// offered = completed + in-system on the survivor: nothing leaked.
-	total := a.completed + a.shedQueue + a.expired + a.errors + uint64(inSystem(a))
-	if a.offered != total {
-		t.Errorf("accounting leak across the drain: offered %d, accounted %d", a.offered, total)
+	total := a.Completed + a.ShedQueue + a.Expired + a.Errors + uint64(inSystem(a))
+	if a.Offered != total {
+		t.Errorf("accounting leak across the drain: offered %d, accounted %d", a.Offered, total)
 	}
 }
 
@@ -242,15 +244,70 @@ func TestDrainDeadlineFailsOver(t *testing.T) {
 	// Residents go through the failover gates: a saturated queue's requests
 	// have little SLA left, so deadline-aware failover refuses most (that
 	// refusal IS the accounting) and re-routes the rest within budget.
-	if a.failovers == 0 && a.deadlineDrops == 0 && a.budgetDenied == 0 {
+	if a.Failovers == 0 && a.DeadlineDrops == 0 && a.BudgetDenied == 0 {
 		t.Error("orphans bypassed the failover path entirely — dropped, not re-routed")
 	}
-	if a.errors == 0 && a.failovers == 0 {
+	if a.Errors == 0 && a.Failovers == 0 {
 		t.Error("deadline expiry resolved no orphan either way")
 	}
-	total := a.completed + a.shedQueue + a.expired + a.errors + uint64(inSystem(a))
-	if a.offered != total {
-		t.Errorf("accounting leak across the expiry: offered %d, accounted %d", a.offered, total)
+	total := a.Completed + a.ShedQueue + a.Expired + a.Errors + uint64(inSystem(a))
+	if a.Offered != total {
+		t.Errorf("accounting leak across the expiry: offered %d, accounted %d", a.Offered, total)
+	}
+}
+
+// TestDrainDeadlineEndsBatchSpan: a drain deadline that cuts a serving
+// replica's batch short ends the batch span opened at dispatch and marks
+// it killed, exactly like a host death — no batch dispatched on the
+// drained replica is left out of the trace.
+func TestDrainDeadlineEndsBatchSpan(t *testing.T) {
+	app := testApp("APP0", 30000, 2) // saturated, as in TestDrainDeadlineFailsOver
+	app.MaxReplicas = 2
+	tel := &Telemetry{Tracer: obs.NewTracer(1 << 16)} // every batch traced
+	c, err := New(Config{
+		Hosts: 2, DevicesPerHost: 1,
+		Router:    LeastLoaded,
+		Apps:      []AppConfig{app},
+		Seed:      3,
+		Autoscale: AutoscaleConfig{Disabled: true},
+		Retry:     RetryConfig{Enabled: true},
+		Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const drainAt, deadline = 1, 0.002
+	rep := c.apps[0].replicas[0]
+	servingAtDeadline := false
+	c.loop.At(drainAt, func() { c.drainReplica(rep, deadline) })
+	// Scheduled before the drain's own deadline closure, so it fires first
+	// at the same instant.
+	c.loop.At(drainAt+deadline, func() { servingAtDeadline = rep.serving() })
+	c.Run(2)
+	if !servingAtDeadline {
+		t.Fatal("replica not serving at the drain deadline: the scenario cuts no batch short")
+	}
+	if c.apps[0].replicas[rep.id] != nil {
+		t.Fatal("drained replica still registered")
+	}
+	if rep.span != nil {
+		t.Error("the cut batch's span is still open on the removed replica")
+	}
+	var batches, killed int
+	for _, sp := range tel.Tracer.Spans() {
+		if id, _ := spanAttr(sp, "replica"); sp.Name != app.Name || id != strconv.Itoa(rep.id) {
+			continue
+		}
+		batches++
+		if outcome, _ := spanAttr(sp, "outcome"); outcome == "killed" {
+			killed++
+		}
+	}
+	if batches == 0 {
+		t.Fatal("no batch spans from the drained replica")
+	}
+	if killed != 1 {
+		t.Errorf("%d batch spans marked killed on the drained replica, want 1", killed)
 	}
 }
 
@@ -563,8 +620,8 @@ func TestRolloutCanaryQuarantinedOnKill(t *testing.T) {
 	// quarantined canary.
 	c.Run(1.2)
 	for _, a := range c.apps {
-		if a.offered > 0 && float64(a.errors)/float64(a.offered) >= 0.02 {
-			t.Errorf("%s error rate %.4f with a dead canary, want < 2%%", a.cfg.Name, float64(a.errors)/float64(a.offered))
+		if a.Offered > 0 && float64(a.Errors)/float64(a.Offered) >= 0.02 {
+			t.Errorf("%s error rate %.4f with a dead canary, want < 2%%", a.cfg.Name, float64(a.Errors)/float64(a.Offered))
 		}
 	}
 }

@@ -264,10 +264,10 @@ func analyzeApp(a *app, am *appMetrics, window, sloTarget float64, incidents []I
 		FillWindowMs: a.plan.MaxWaitSeconds * 1e3,
 		Replicas:     am.liveReplicas,
 		MaxReplicas:  a.cfg.MaxReplicas,
-		Offered:      am.offered,
-		Completed:    am.completed,
-		Shed:         am.shedQueue + am.expired,
-		Errors:       am.errors,
+		Offered:      am.Offered,
+		Completed:    am.Completed,
+		Shed:         am.ShedQueue + am.Expired,
+		Errors:       am.Errors,
 		Triggers: TriggerMix{
 			BatchFull:  am.trig[trigBatchFull],
 			FillTimer:  am.trig[trigFillWait],
@@ -384,10 +384,10 @@ func classifyBottleneck(a *app, am *appMetrics, s AppSaturation) (string, string
 		return "device-limited", fmt.Sprintf(
 			"replicas %.0f%% busy with mean batch %.1f of safe %d",
 			s.Utilization*100, s.MeanBatch, a.plan.SafeBatch)
-	case am.shedQueue > 0 && am.shedQueue >= am.expired:
+	case am.ShedQueue > 0 && am.ShedQueue >= am.Expired:
 		return "queue-limited", fmt.Sprintf(
 			"admission sheds dominate (%d queue-full vs %d dispatch expiries)",
-			am.shedQueue, am.expired)
+			am.ShedQueue, am.Expired)
 	case am.scaleBlocked > 0 || am.liveReplicas >= a.cfg.MaxReplicas:
 		return "replica-count-limited", fmt.Sprintf(
 			"%d live of max %d replicas, %d placements blocked",
@@ -408,8 +408,8 @@ func burnRates(am *appMetrics, window, target float64) SLOBurn {
 		ShortWindowSeconds: window,
 		LongWindowSeconds:  float64(sloLongWindows) * window,
 	}
-	if am.offered > 0 {
-		b.BadFrac = float64(am.shedQueue+am.expired+am.errors) / float64(am.offered)
+	if am.Offered > 0 {
+		b.BadFrac = float64(am.ShedQueue+am.Expired+am.Errors) / float64(am.Offered)
 		b.BudgetSpent = b.BadFrac / budget
 	}
 	frac := func(ws []Window) float64 {

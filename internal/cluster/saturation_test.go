@@ -73,10 +73,10 @@ func TestDetectKnee(t *testing.T) {
 }
 
 func TestBurnRates(t *testing.T) {
-	am := &appMetrics{
-		offered:   1000,
-		shedQueue: 10, expired: 10, errors: 0, // bad = 20 of 1000 = 2%
-	}
+	am := &appMetrics{AppCounters: AppCounters{
+		Offered:   1000,
+		ShedQueue: 10, Expired: 10, Errors: 0, // bad = 20 of 1000 = 2%
+	}}
 	// Last window burns 5%; the four before are clean.
 	for i := 0; i < 4; i++ {
 		am.windows = append(am.windows, Window{Offered: 100, Completed: 100})
@@ -133,7 +133,7 @@ func TestClassifyBottleneck(t *testing.T) {
 		},
 		{
 			"queue", mkApp(16, 32),
-			&appMetrics{batches: 100, shedQueue: 500, expired: 20},
+			&appMetrics{batches: 100, AppCounters: AppCounters{ShedQueue: 500, Expired: 20}},
 			AppSaturation{MeanBatch: 15, Utilization: 0.5},
 			"queue-limited",
 		},

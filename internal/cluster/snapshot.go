@@ -14,17 +14,28 @@ import (
 	"tpusim/internal/stats"
 )
 
-// AppSnapshot is one app's cumulative serving outcome.
-type AppSnapshot struct {
-	Name                          string
-	Replicas                      int // routable replicas at snapshot time
+// AppCounters is one app's cumulative request outcomes. The simulator
+// counts them on its app state; a snapshot and the metrics registry copy
+// them whole.
+type AppCounters struct {
 	Offered                       uint64
 	Completed, ShedQueue, Expired uint64
+	// Errors counts client-visible failures: router misses, and failovers
+	// refused for attempts, deadline or retry budget.
 	Failovers, Errors, RouterMiss uint64
-	// Retry-defense counters (nonzero only with Config.Retry.Enabled).
+	// Retry-defense counters (nonzero only with Config.Retry.Enabled):
+	// granted vs budget-refused retries, retries refused because the SLA
+	// cannot be met anyway, and requests stranded behind a partition.
 	Retries, BudgetDenied     uint64
 	DeadlineDrops, Blackholed uint64
-	P50Ms, P99Ms              float64
+}
+
+// AppSnapshot is one app's cumulative serving outcome.
+type AppSnapshot struct {
+	Name     string
+	Replicas int // routable replicas at snapshot time
+	AppCounters
+	P50Ms, P99Ms float64
 	// ShedFrac is (queue sheds + dispatch expiries) over offered load;
 	// ErrorRate is client-visible failures over offered load.
 	ShedFrac, ErrorRate float64
@@ -137,29 +148,19 @@ func (c *Cluster) Snapshot() *Snapshot {
 	}
 	for _, a := range c.apps {
 		as := AppSnapshot{
-			Name:          a.cfg.Name,
-			Replicas:      a.liveReplicas(),
-			Offered:       a.offered,
-			Completed:     a.completed,
-			ShedQueue:     a.shedQueue,
-			Expired:       a.expired,
-			Failovers:     a.failovers,
-			Errors:        a.errors,
-			RouterMiss:    a.routerMiss,
-			Retries:       a.retries,
-			BudgetDenied:  a.budgetDenied,
-			DeadlineDrops: a.deadlineDrops,
-			Blackholed:    a.blackholed,
-			Decisions:     len(a.decisions),
+			Name:        a.cfg.Name,
+			Replicas:    a.liveReplicas(),
+			AppCounters: a.AppCounters,
+			Decisions:   len(a.decisions),
 		}
 		// Percentiles selects on one copy; latencies stay in completion order. It
 		// fails on an empty slice only.
 		if qs, err := stats.Percentiles(a.latencies, 50, 99); err == nil {
 			as.P50Ms, as.P99Ms = qs[0]*1e3, qs[1]*1e3
 		}
-		if a.offered > 0 {
-			as.ShedFrac = float64(a.shedQueue+a.expired) / float64(a.offered)
-			as.ErrorRate = float64(a.errors) / float64(a.offered)
+		if a.Offered > 0 {
+			as.ShedFrac = float64(a.ShedQueue+a.Expired) / float64(a.Offered)
+			as.ErrorRate = float64(a.Errors) / float64(a.Offered)
 		}
 		s.Apps = append(s.Apps, as)
 		for _, rep := range a.replicas {

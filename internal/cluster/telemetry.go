@@ -14,10 +14,10 @@
 //     rollups (routed/served/shed), latency-component histograms
 //     (obs.Histogram, the one bucket geometry), dispatch-trigger counters,
 //     device busy-time integration, and a windowed time series the
-//     saturation analyzer and SLO burn-rate computation read. It renders
-//     as text and, through the fleetFamilies table and obs.Render, as
-//     Prometheus exposition, so a live scrape of a running simulation
-//     works exactly like scraping the wall-clock server.
+//     saturation analyzer and SLO burn-rate computation read. It renders,
+//     through the fleetFamilies table and obs.Render, as Prometheus
+//     exposition, so a live scrape of a running simulation works exactly
+//     like scraping the wall-clock server.
 //   - Latency attribution: each completed request's latency decomposes
 //     into failover delay (time lost re-routing after a host death or
 //     drain), fill wait or queue wait (the time between final enqueue and
@@ -26,12 +26,11 @@
 //
 // The simulator keeps the only set of books. Who owns which number:
 //
-//	simulator's, sampled at the     offered, completed, shed (queue-full + expired),
-//	window tick and at the end of   failovers, errors, retries, budget denials,
-//	Run (FleetMetrics.sample)       autoscaler actions (the Decision ledger), per-host
-//	                                routed / completed / shed (replica counters; onRetire
-//	                                folds a departing replica's), queue depth, live
-//	                                replicas, zone and rollout gauges
+//	simulator's, sampled at the     the app's AppCounters (offered through blackholed,
+//	window tick and at the end of   copied whole), autoscaler actions (the Decision
+//	Run (FleetMetrics.sample)       ledger), per-host routed / completed / shed (replica
+//	                                counters; onRetire folds a departing replica's),
+//	                                queue depth, live replicas, zone and rollout gauges
 //	simulator's, derived from the   every instant span
 //	log entry as Cluster.log
 //	appends it (logSpan)
@@ -58,7 +57,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -273,7 +271,8 @@ func (t *Telemetry) onComplete(rep *replica, batch []request, done float64) {
 }
 
 // onBatchKilled closes a serving replica's open batch span when its host
-// dies under it; the batch's requests fail over and complete elsewhere.
+// dies under it or a drain deadline cuts the batch short; the batch's
+// requests fail over and complete elsewhere.
 func (t *Telemetry) onBatchKilled(rep *replica) {
 	if t == nil || t.Tracer == nil || rep.span == nil {
 		return
@@ -393,20 +392,14 @@ func (f *FleetMetrics) sampleFleet(c *Cluster) {
 }
 
 // sample pulls one app's simulator-owned counters into the registry: the
-// request-outcome totals, the autoscaler actions its Decision ledger gained
-// since the last sample, per-host traffic (live replicas' counters on top
-// of the retired replicas' folded ones), queue depth and live replicas.
+// request-outcome totals (one AppCounters copy), the autoscaler actions
+// its Decision ledger gained since the last sample, per-host traffic (live
+// replicas' counters on top of the retired replicas' folded ones), queue
+// depth and live replicas.
 // Caller holds f.mu and runs on the simulator goroutine, so reading sim
 // state here is race-free.
 func (f *FleetMetrics) sample(a *app, am *appMetrics) {
-	am.offered = a.offered
-	am.completed = a.completed
-	am.shedQueue = a.shedQueue
-	am.expired = a.expired
-	am.failovers = a.failovers
-	am.errors = a.errors
-	am.retries = a.retries
-	am.budgetDenied = a.budgetDenied
+	am.AppCounters = a.AppCounters
 	for _, d := range a.decisions[am.decisionsSeen:] {
 		switch d.Action {
 		case "scale-up":
@@ -482,10 +475,7 @@ func (cl *cell) add(rep *replica) {
 type appMetrics struct {
 	name string
 	// Sampled from the simulator (see sample); exact as of the last tick.
-	offered, completed                             uint64
-	shedQueue, expired                             uint64
-	failovers, errors                              uint64
-	retries, budgetDenied                          uint64
+	AppCounters
 	scaleUps, scaleDowns, scaleBlocked, scaleHolds uint64
 	decisionsSeen                                  int // of the app's Decision ledger
 	queueDepth, liveReplicas                       int
@@ -515,7 +505,7 @@ type windowCounts struct{ offered, completed, shed, errors uint64 }
 
 // counts returns the sampled cumulative counters a window differences.
 func (am *appMetrics) counts() windowCounts {
-	return windowCounts{am.offered, am.completed, am.shedQueue + am.expired, am.errors}
+	return windowCounts{am.Offered, am.Completed, am.ShedQueue + am.Expired, am.Errors}
 }
 
 // totalLat is the cumulative end-to-end latency histogram including the
@@ -535,8 +525,8 @@ type hostMetrics struct {
 // FleetMetrics is the cluster metrics registry: per-app x per-host
 // rollups, latency-component histograms, and the windowed series behind
 // the saturation report. All methods are safe for concurrent use — a
-// scraper may call Text, WritePrometheus or Windows from another goroutine
-// while the simulator mutates the registry.
+// scraper may call WritePrometheus from another goroutine while the
+// simulator mutates the registry.
 type FleetMetrics struct {
 	mu             sync.Mutex
 	window         float64
@@ -545,7 +535,6 @@ type FleetMetrics struct {
 	devicesPerHost int
 	hosts          []*hostMetrics
 	apps           []*appMetrics
-	byName         map[string]*appMetrics
 	// Change-management gauges, sampled from the rollout controller.
 	rolloutStage  int // RolloutStage numeric value
 	rollbacks     int
@@ -584,77 +573,9 @@ func (f *FleetMetrics) register(hosts, devicesPerHost, zones int, appNames []str
 		f.hosts[i] = &hostMetrics{}
 	}
 	f.apps = make([]*appMetrics, len(appNames))
-	f.byName = make(map[string]*appMetrics, len(appNames))
 	for i, name := range appNames {
-		am := &appMetrics{name: name, perHost: make([]cell, hosts), retired: make([]cell, hosts)}
-		f.apps[i] = am
-		f.byName[name] = am
+		f.apps[i] = &appMetrics{name: name, perHost: make([]cell, hosts), retired: make([]cell, hosts)}
 	}
-}
-
-// Windows returns a copy of one app's closed-window series.
-func (f *FleetMetrics) Windows(app string) []Window {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	am := f.byName[app]
-	if am == nil {
-		return nil
-	}
-	out := make([]Window, len(am.windows))
-	copy(out, am.windows)
-	return out
-}
-
-// Text renders the registry as aligned tables: per-app totals and
-// latency components, the app x host rollup, and per-host device
-// utilization.
-func (f *FleetMetrics) Text() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, "fleet metrics (virtual time %.3fs, window %.0fms, slo target %.2f%%)\n",
-		f.elapsed, f.window*1e3, f.sloTarget*100)
-	fmt.Fprintf(&b, "%-6s %4s %8s %9s %6s %7s %8s %5s %7s %9s %5s %11s\n",
-		"app", "repl", "offered", "completed", "shedQ", "expired", "failover", "errs", "batches", "meanbatch", "queue", "up/down/blk")
-	for _, am := range f.apps {
-		meanBatch := 0.0
-		if am.batches > 0 {
-			meanBatch = float64(am.batched) / float64(am.batches)
-		}
-		fmt.Fprintf(&b, "%-6s %4d %8d %9d %6d %7d %8d %5d %7d %9.1f %5d %5d/%d/%d\n",
-			am.name, am.liveReplicas, am.offered, am.completed, am.shedQueue, am.expired,
-			am.failovers, am.errors, am.batches, meanBatch, am.queueDepth,
-			am.scaleUps, am.scaleDowns, am.scaleBlocked)
-	}
-	b.WriteString("\nlatency components ms (p50/p99):\n")
-	fmt.Fprintf(&b, "%-6s %13s %13s %13s %13s %13s\n", "app", "queue", "fill", "service", "failover", "total")
-	ms := func(h *obs.Histogram, q float64) float64 { return h.Quantile(q) * 1e3 }
-	for _, am := range f.apps {
-		tot := am.totalLat()
-		fmt.Fprintf(&b, "%-6s %6.3f/%6.3f %6.3f/%6.3f %6.3f/%6.3f %6.3f/%6.3f %6.3f/%6.3f\n",
-			am.name,
-			ms(&am.queueWait, 0.50), ms(&am.queueWait, 0.99),
-			ms(&am.fillWait, 0.50), ms(&am.fillWait, 0.99),
-			ms(&am.service, 0.50), ms(&am.service, 0.99),
-			ms(&am.failoverDelay, 0.50), ms(&am.failoverDelay, 0.99),
-			ms(&tot, 0.50), ms(&tot, 0.99))
-	}
-	b.WriteString("\napp x host routed/completed/shed:\n")
-	for _, am := range f.apps {
-		fmt.Fprintf(&b, "%-6s", am.name)
-		for h, cl := range am.perHost {
-			if cl.Routed == 0 && cl.Shed == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "  h%d:%d/%d/%d", h, cl.Routed, cl.Completed, cl.Shed)
-		}
-		b.WriteString("\n")
-	}
-	b.WriteString("\nhost device utilization:\n")
-	for h, hm := range f.hosts {
-		fmt.Fprintf(&b, "  host%-3d busy %8.3fs  util %6.2f%%\n", h, hm.busySeconds, f.utilization(hm)*100)
-	}
-	return b.String()
 }
 
 // utilization is the busy fraction of one host's device pool since t=0.
@@ -705,14 +626,14 @@ var (
 // Collect runs with the registry lock held.
 var fleetFamilies = []obs.Family[*FleetMetrics]{
 	{Name: "tpucluster_virtual_seconds", Type: "gauge", Help: "Virtual time of the last sampler tick.", Collect: func(f *FleetMetrics, e *obs.Emitter) { e.Float(f.elapsed) }},
-	{Name: "tpucluster_requests_offered_total", Type: "counter", Help: "Requests offered to each app's router.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.offered, am.name) })},
+	{Name: "tpucluster_requests_offered_total", Type: "counter", Help: "Requests offered to each app's router.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.Offered, am.name) })},
 	{Name: "tpucluster_requests_routed_total", Type: "counter", Help: "Requests admitted into a host's replica queues (re-routes count again).", Labels: byAppHost, Collect: perCell(func(cl cell) uint64 { return cl.Routed })},
 	{Name: "tpucluster_requests_completed_total", Type: "counter", Help: "Requests served, by app and host.", Labels: byAppHost, Collect: perCell(func(cl cell) uint64 { return cl.Completed })},
 	{Name: "tpucluster_requests_shed_total", Type: "counter", Help: "Requests shed (admission queue_full + dispatch deadline), by app and host.", Labels: byAppHost, Collect: perCell(func(cl cell) uint64 { return cl.Shed })},
-	{Name: "tpucluster_failovers_total", Type: "counter", Help: "Requests re-routed after losing their replica.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.failovers, am.name) })},
-	{Name: "tpucluster_errors_total", Type: "counter", Help: "Client-visible failures (router miss or failover exhaustion).", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.errors, am.name) })},
-	{Name: "tpucluster_retries_total", Type: "counter", Help: "Granted retries: failover re-routes plus admission-shed retries within budget.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.retries, am.name) })},
-	{Name: "tpucluster_retry_budget_exhausted_total", Type: "counter", Help: "Retries refused because the app's token-bucket retry budget was empty.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.budgetDenied, am.name) })},
+	{Name: "tpucluster_failovers_total", Type: "counter", Help: "Requests re-routed after losing their replica.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.Failovers, am.name) })},
+	{Name: "tpucluster_errors_total", Type: "counter", Help: "Client-visible failures (router miss or failover exhaustion).", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.Errors, am.name) })},
+	{Name: "tpucluster_retries_total", Type: "counter", Help: "Granted retries: failover re-routes plus admission-shed retries within budget.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.Retries, am.name) })},
+	{Name: "tpucluster_retry_budget_exhausted_total", Type: "counter", Help: "Retries refused because the app's token-bucket retry budget was empty.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.BudgetDenied, am.name) })},
 	{Name: "tpucluster_autoscaler_actions_total", Type: "counter", Help: "Autoscaler decisions by action.", Labels: []string{"app", "action"}, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) {
 		e.Uint(am.scaleUps, am.name, "scale-up")
 		e.Uint(am.scaleDowns, am.name, "scale-down")

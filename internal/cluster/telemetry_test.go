@@ -132,7 +132,7 @@ func TestFleetMetricsAccounting(t *testing.T) {
 			if retired == 0 {
 				t.Error("no replica retired: the retire fold went unexercised")
 			}
-			if got := tel.Metrics.Windows(c.apps[0].cfg.Name); len(got) == 0 {
+			if len(tel.Metrics.apps[0].windows) == 0 {
 				t.Error("no closed windows on a 50 ms sampler")
 			}
 		})
@@ -146,22 +146,8 @@ func checkOneSetOfBooks(t *testing.T, c *Cluster, f *FleetMetrics) {
 	for i, a := range c.apps {
 		am := f.apps[i]
 		at := fmt.Sprintf("t=%.2f %s", c.Now(), a.cfg.Name)
-		for _, ctr := range []struct {
-			name      string
-			reg, want uint64
-		}{
-			{"offered", am.offered, a.offered},
-			{"completed", am.completed, a.completed},
-			{"shedQueue", am.shedQueue, a.shedQueue},
-			{"expired", am.expired, a.expired},
-			{"failovers", am.failovers, a.failovers},
-			{"errors", am.errors, a.errors},
-			{"retries", am.retries, a.retries},
-			{"budgetDenied", am.budgetDenied, a.budgetDenied},
-		} {
-			if ctr.reg != ctr.want {
-				t.Errorf("%s %s: registry %d, simulator %d", at, ctr.name, ctr.reg, ctr.want)
-			}
+		if am.AppCounters != a.AppCounters {
+			t.Errorf("%s counters: registry %+v, simulator %+v", at, am.AppCounters, a.AppCounters)
 		}
 		actions := map[string]uint64{}
 		for _, d := range a.decisions {
@@ -187,17 +173,17 @@ func checkOneSetOfBooks(t *testing.T, c *Cluster, f *FleetMetrics) {
 		for _, cl := range am.retired {
 			routed += cl.Routed
 		}
-		if sum.Routed != routed || sum.Completed != a.completed || sum.Shed != a.shedQueue+a.expired {
+		if sum.Routed != routed || sum.Completed != a.Completed || sum.Shed != a.ShedQueue+a.Expired {
 			t.Errorf("%s per-host cells sum to routed %d completed %d shed %d, want %d / %d / %d", at,
-				sum.Routed, sum.Completed, sum.Shed, routed, a.completed, a.shedQueue+a.expired)
+				sum.Routed, sum.Completed, sum.Shed, routed, a.Completed, a.ShedQueue+a.Expired)
 		}
-		if tot := am.totalLat(); tot.Count() != a.completed {
-			t.Errorf("%s latency histogram has %d observations for %d completions", at, tot.Count(), a.completed)
+		if tot := am.totalLat(); tot.Count() != a.Completed {
+			t.Errorf("%s latency histogram has %d observations for %d completions", at, tot.Count(), a.Completed)
 		}
 		// Closed windows + open remainder = cumulative. The open window's
 		// completions have an independent witness: the pushed histogram.
 		var closed windowCounts
-		for _, w := range f.Windows(a.cfg.Name) {
+		for _, w := range am.windows {
 			closed.offered += w.Offered
 			closed.completed += w.Completed
 			closed.shed += w.Shed
@@ -206,29 +192,13 @@ func checkOneSetOfBooks(t *testing.T, c *Cluster, f *FleetMetrics) {
 		if closed != am.closed {
 			t.Errorf("%s closed windows sum to %+v, registry says %+v", at, closed, am.closed)
 		}
-		if closed.completed+am.winLat.Count() != a.completed {
+		if closed.completed+am.winLat.Count() != a.Completed {
 			t.Errorf("%s windows hold %d completions + %d in the open window, simulator %d", at,
-				closed.completed, am.winLat.Count(), a.completed)
+				closed.completed, am.winLat.Count(), a.Completed)
 		}
 		cum := am.counts()
 		if closed.offered > cum.offered || closed.shed > cum.shed || closed.errors > cum.errors {
 			t.Errorf("%s closed windows %+v exceed the cumulative counters %+v", at, closed, cum)
-		}
-	}
-}
-
-// TestFleetMetricsText spot-checks the human rendering.
-func TestFleetMetricsText(t *testing.T) {
-	c, tel := telemeteredCluster(t)
-	c.Run(6)
-	out := tel.Metrics.Text()
-	for _, want := range []string{
-		"fleet metrics", "MLP", "LSTM", "CNN",
-		"latency components ms", "app x host routed/completed/shed",
-		"host device utilization",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Text() missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -396,7 +366,7 @@ func TestClusterTrace(t *testing.T) {
 	}
 	var list strings.Builder
 	for _, s := range tel.Tracer.Spans() {
-		if s.Name == "request" || isBatchSpan(s) {
+		if _, batch := spanAttr(s, "batch"); s.Name == "request" || batch {
 			continue
 		}
 		fmt.Fprintf(&list, "%s\t%s\t%s\t%.6f\n", s.Name, s.Track, s.Proc, float64(s.Start.UnixNano())/1e9)
@@ -404,15 +374,15 @@ func TestClusterTrace(t *testing.T) {
 	checkGolden(t, "trace_instants.txt", list.String())
 }
 
-// isBatchSpan reports whether s is a dispatched batch's span: the only
-// kind carrying a batch size.
-func isBatchSpan(s obs.SpanData) bool {
+// spanAttr returns the value of s's attribute key and whether s has one.
+// A dispatched batch's span is the only kind carrying "batch".
+func spanAttr(s obs.SpanData, key string) (string, bool) {
 	for _, a := range s.Attrs {
-		if a.Key == "batch" {
-			return true
+		if a.Key == key {
+			return a.Value, true
 		}
 	}
-	return false
+	return "", false
 }
 
 // TestFleetMetricsConcurrentScrape is the -race test for the scrape

@@ -39,16 +39,9 @@ type ChaosConfig struct {
 	// Duration is the target wall length of each pass's arrival stream.
 	// 0 means 1 second.
 	Duration time.Duration
-	// MinRequests and MaxRequests clamp the per-app request count derived
-	// from Duration and the app's offered rate. 0 means 16 and 240.
-	MinRequests, MaxRequests int
 	// LoadFrac is the offered load as a fraction of each app's measured
 	// device-share capacity. 0 means 0.75.
 	LoadFrac float64
-	// SLASeconds is the serving deadline. Wall-clock chaos runs need slack
-	// for retries, so this is a generous envelope, not the paper's 7 ms
-	// virtual-time bound. 0 means 0.5.
-	SLASeconds float64
 	// Seed drives arrival processes and weight init.
 	Seed int64
 
@@ -62,17 +55,26 @@ type ChaosConfig struct {
 	// SlowFactor is the mid-run throttle multiplier. 0 means 8.
 	SlowFactor float64
 	// FaultAt is the fraction of the stream (Duration, or the shortest
-	// app stream when MaxRequests clamps one below it) at which Kill/Slow
-	// strike. 0 means 0.3.
+	// app stream when the request cap clamps one below it) at which
+	// Kill/Slow strike. 0 means 0.3.
 	FaultAt float64
 
 	// Resilience overrides the runtime recovery policy. Nil gets a policy
 	// tuned for wall-clock chaos: tight attempt timeouts (3x expected) and
 	// aggressive hedging (1x observed p99).
 	Resilience *runtime.Resilience
-	// Breaker overrides the per-model circuit breaker. Nil gets defaults.
-	Breaker *serve.BreakerConfig
 }
+
+// The chaos sweep's fixed serving envelope. Each app's stream is clamped to
+// [chaosMinRequests, chaosMaxRequests] requests, and every request gets a
+// chaosSLASeconds deadline: wall-clock chaos runs need slack for retries,
+// so this is a generous envelope, not the paper's 7 ms virtual-time bound.
+// Every model runs behind the default circuit breaker.
+const (
+	chaosMinRequests = 16
+	chaosMaxRequests = 240
+	chaosSLASeconds  = 0.5
+)
 
 func (c ChaosConfig) normalized() ChaosConfig {
 	if c.Devices == 0 {
@@ -84,17 +86,8 @@ func (c ChaosConfig) normalized() ChaosConfig {
 	if c.Duration == 0 {
 		c.Duration = time.Second
 	}
-	if c.MinRequests == 0 {
-		c.MinRequests = 16
-	}
-	if c.MaxRequests == 0 {
-		c.MaxRequests = 240
-	}
 	if c.LoadFrac == 0 {
 		c.LoadFrac = 0.75
-	}
-	if c.SLASeconds == 0 {
-		c.SLASeconds = 0.5
 	}
 	if c.SlowFactor == 0 {
 		c.SlowFactor = 8
@@ -108,9 +101,6 @@ func (c ChaosConfig) normalized() ChaosConfig {
 			TimeoutFactor: 3,
 			HedgeAfterP99: 1,
 		}
-	}
-	if c.Breaker == nil {
-		c.Breaker = &serve.BreakerConfig{}
 	}
 	return c
 }
@@ -221,15 +211,7 @@ func chaosPass(cfg ChaosConfig, chaotic bool) (*ChaosPass, error) {
 		}
 		a.rows = make([]*tensor.F32, m.Batch)
 		rowIn := m.InputElems()
-		// Image models keep their (batch, H, W, Cin) geometry for conv
-		// calibration; the row-major layout is one request row after
-		// another either way (mirrors the runtime backend's stacking).
-		shape := []int{m.Batch, rowIn}
-		if m.Class == nn.CNN && len(m.Layers) > 0 && m.Layers[0].Kind == nn.Conv {
-			c := m.Layers[0].Conv
-			shape = []int{m.Batch, c.H, c.W, c.Cin}
-		}
-		a.batch = tensor.NewF32(shape...)
+		a.batch = tensor.NewF32(m.BatchInputShape()...)
 		for j := range a.rows {
 			r := tensor.NewF32(1, rowIn)
 			r.FillRandom(cfg.Seed*100+int64(i*16+j), 1)
@@ -275,14 +257,7 @@ func chaosPass(cfg ChaosConfig, chaotic bool) (*ChaosPass, error) {
 	}
 	for _, a := range apps {
 		a.rate = cfg.LoadFrac * hostScale * float64(a.m.Batch) / a.svcSec / float64(share[a.dev])
-		n := int(a.rate * cfg.Duration.Seconds())
-		if n < cfg.MinRequests {
-			n = cfg.MinRequests
-		}
-		if n > cfg.MaxRequests {
-			n = cfg.MaxRequests
-		}
-		a.n = n
+		a.n = min(max(int(a.rate*cfg.Duration.Seconds()), chaosMinRequests), chaosMaxRequests)
 	}
 
 	srv := serve.NewServer(backend)
@@ -292,11 +267,11 @@ func chaosPass(cfg ChaosConfig, chaotic bool) (*ChaosPass, error) {
 		_, err := srv.Register(a.m.Name, serve.ModelConfig{
 			Policy: serve.Policy{
 				MaxBatch:       a.m.Batch,
-				SLASeconds:     cfg.SLASeconds,
+				SLASeconds:     chaosSLASeconds,
 				MaxWaitSeconds: svc,
 			},
 			Service: latency.ServiceFunc(func(int) (float64, error) { return svc, nil }),
-			Breaker: cfg.Breaker,
+			Breaker: &serve.BreakerConfig{},
 		})
 		if err != nil {
 			return nil, err
@@ -304,7 +279,7 @@ func chaosPass(cfg ChaosConfig, chaotic bool) (*ChaosPass, error) {
 	}
 
 	// Mid-stream chaos: kill and throttle on a wall-clock trigger, FaultAt
-	// of the way through the shortest stream — one clamped at MaxRequests
+	// of the way through the shortest stream — one clamped at chaosMaxRequests
 	// ends before Duration, and on a fast host before FaultAt*Duration, so a
 	// trigger timed from Duration alone would strike after the traffic.
 	var faultTimer *time.Timer

@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tpusim/internal/cluster"
@@ -21,6 +20,17 @@ import (
 	"tpusim/internal/obs"
 	"tpusim/internal/serve"
 	"tpusim/internal/workload"
+)
+
+// fleetSLASeconds is the per-request deadline every fleet campaign serves
+// to: the paper's 7 ms.
+const fleetSLASeconds = 7e-3
+
+// The ramp experiment's load bounds, as fractions of each app's initial
+// rated capacity: 25% -> 150%, so every app crosses its scale-up threshold.
+const (
+	clusterStartFrac = 0.25
+	clusterPeakFrac  = 1.5
 )
 
 // ClusterConfig parameterizes the fleet experiment. Zero values mean the
@@ -35,15 +45,9 @@ type ClusterConfig struct {
 	// RampSeconds is the virtual-time length of the load ramp; the run
 	// holds peak load for another RampSeconds/2 after it. 0 means 0.4.
 	RampSeconds float64
-	// StartFrac and PeakFrac bound the ramp as fractions of each app's
-	// initial rated capacity. 0 means 0.25 -> 1.5.
-	StartFrac, PeakFrac float64
-	// NoKill skips the mid-ramp host kill; otherwise KillHost dies at half
+	// NoKill skips the mid-ramp host kill; otherwise host 0 dies at half
 	// the ramp.
-	NoKill   bool
-	KillHost int
-	// SLASeconds is the per-request deadline. 0 means the paper's 7 ms.
-	SLASeconds float64
+	NoKill bool
 	// Seed pins arrivals and request keys. 0 means 42.
 	Seed int64
 	// Trace records the whole ramp — every dispatched batch with its member
@@ -64,15 +68,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.RampSeconds == 0 {
 		c.RampSeconds = 0.4
-	}
-	if c.StartFrac == 0 {
-		c.StartFrac = 0.25
-	}
-	if c.PeakFrac == 0 {
-		c.PeakFrac = 1.5
-	}
-	if c.SLASeconds == 0 {
-		c.SLASeconds = 7e-3
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -121,13 +116,13 @@ type ClusterResult struct {
 
 // fleetMix builds the app mix every fleet experiment serves: Table 1's six
 // models, each priced by the Table 4 analytic model and resolved to its
-// deadline-safe operating point at the SLA, starting at the given replica
-// count. load turns one un-shared replica's saturation rate into the app's
+// deadline-safe operating point at the fleet SLA, starting at the given
+// replica count. load turns one un-shared replica's saturation rate into the app's
 // offered-load curve and its peak. An app with no operating point at the
 // SLA (CNN1 under tight deadlines), or one the optional keep predicate
 // turns down, is dropped from the mix and named in skipped rather than
 // failing the experiment; the fleet serves the apps that remain.
-func fleetMix(sla float64, replicas int, keep func(serve.Plan) bool,
+func fleetMix(replicas int, keep func(serve.Plan) bool,
 	load func(one float64) (curve workload.Curve, peak float64, err error),
 ) ([]cluster.AppConfig, []ClusterAppInfo, []string, error) {
 	var (
@@ -138,7 +133,7 @@ func fleetMix(sla float64, replicas int, keep func(serve.Plan) bool,
 	for _, b := range models.All() {
 		name := b.Model.Name
 		svc := latency.ServiceFunc(func(n int) (float64, error) { return TPUBatchSeconds(name, n) })
-		pol := serve.Policy{MaxBatch: b.Model.Batch, SLASeconds: sla}
+		pol := serve.Policy{MaxBatch: b.Model.Batch, SLASeconds: fleetSLASeconds}
 		plan, err := pol.Resolve(svc)
 		if err != nil || (keep != nil && !keep(plan)) {
 			skipped = append(skipped, name)
@@ -169,14 +164,14 @@ func fleetMix(sla float64, replicas int, keep func(serve.Plan) bool,
 		})
 	}
 	if len(apps) == 0 {
-		return nil, nil, nil, fmt.Errorf("experiments: no app has an operating point at SLA %.1f ms", sla*1e3)
+		return nil, nil, nil, fmt.Errorf("experiments: no app has an operating point at SLA %.1f ms", fleetSLASeconds*1e3)
 	}
 	return apps, info, skipped, nil
 }
 
 // RunCluster builds the six-app fleet and drives it through the ramp.
-// Each app's load curve ramps from StartFrac to PeakFrac of its own
-// initial rated capacity, so every app — not just the big MLPs — crosses
+// Each app's load curve ramps from 25% to 150% of its own initial rated
+// capacity, so every app — not just the big MLPs — crosses
 // its scale-up threshold and the autoscaler must act while a host dies.
 func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	cfg = cfg.withDefaults()
@@ -185,12 +180,12 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		return nil, err
 	}
 	res := &ClusterResult{Cfg: cfg}
-	apps, info, skipped, err := fleetMix(cfg.SLASeconds, 1, nil, func(one float64) (workload.Curve, float64, error) {
+	apps, info, skipped, err := fleetMix(1, nil, func(one float64) (workload.Curve, float64, error) {
 		ramp, err := workload.NewPiecewiseLinear(
-			workload.Point{T: 0, Rate: cfg.StartFrac * one},
-			workload.Point{T: cfg.RampSeconds, Rate: cfg.PeakFrac * one},
+			workload.Point{T: 0, Rate: clusterStartFrac * one},
+			workload.Point{T: cfg.RampSeconds, Rate: clusterPeakFrac * one},
 		)
-		return ramp, cfg.PeakFrac * one, err
+		return ramp, clusterPeakFrac * one, err
 	})
 	if err != nil {
 		return nil, err
@@ -227,7 +222,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 	if !cfg.NoKill {
 		res.KilledAt = cfg.RampSeconds / 2
-		if err := c.KillHostAt(res.KilledAt, cfg.KillHost); err != nil {
+		if err := c.KillHostAt(res.KilledAt, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -249,9 +244,9 @@ func RenderCluster(r *ClusterResult) string {
 	fmt.Fprintf(&b, "Cluster scale-out: %d hosts x %d devices, router=%s, seed=%d\n",
 		r.Cfg.Hosts, r.Cfg.DevicesPerHost, r.Cfg.Router, r.Cfg.Seed)
 	fmt.Fprintf(&b, "ramp %.0f%% -> %.0f%% of initial rated capacity over %.2fs virtual, hold %.2fs",
-		r.Cfg.StartFrac*100, r.Cfg.PeakFrac*100, r.Cfg.RampSeconds, r.Cfg.RampSeconds/2)
+		clusterStartFrac*100, clusterPeakFrac*100, r.Cfg.RampSeconds, r.Cfg.RampSeconds/2)
 	if r.KilledAt > 0 {
-		fmt.Fprintf(&b, ", host%d killed at %.2fs", r.Cfg.KillHost, r.KilledAt)
+		fmt.Fprintf(&b, ", host0 killed at %.2fs", r.KilledAt)
 	}
 	b.WriteString("\n\n")
 	fmt.Fprintf(&b, "%-6s %7s %10s %6s %12s %12s\n",
@@ -262,28 +257,11 @@ func RenderCluster(r *ClusterResult) string {
 	}
 	if len(r.Skipped) > 0 {
 		fmt.Fprintf(&b, "skipped (no operating point at %.1f ms SLA): %s\n",
-			r.Cfg.SLASeconds*1e3, strings.Join(r.Skipped, ", "))
+			fleetSLASeconds*1e3, strings.Join(r.Skipped, ", "))
 	}
 	b.WriteString("\n")
 	b.WriteString(r.Snap.Render())
-
 	// Digest the event log by kind: the log itself is pinned by tests.
-	counts := map[string]int{}
-	for _, e := range r.Events {
-		counts[e.Kind]++
-	}
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	b.WriteString("\nevent log: ")
-	for i, k := range kinds {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d %s", counts[k], k)
-	}
-	fmt.Fprintf(&b, " (%d total)\n", len(r.Events))
+	fmt.Fprintf(&b, "\nevent log: %s\n", eventDigest(r.Events))
 	return b.String()
 }

@@ -12,11 +12,19 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tpusim/internal/cluster"
 	"tpusim/internal/workload"
+)
+
+// The campaign's load bounds, as fractions of each app's initial rated
+// capacity (two replicas x one replica's saturation rate): 25% -> 75%, so
+// the fleet sits at 75% load when the zone goes dark and each surviving
+// replica sees 150% overload until the autoscaler reacts.
+const (
+	clusterChaosStartFrac = 0.25
+	clusterChaosPeakFrac  = 0.75
 )
 
 // ClusterChaosConfig parameterizes the campaign. Zero values mean the
@@ -33,16 +41,6 @@ type ClusterChaosConfig struct {
 	// RampSeconds is the load ramp length; the zone dies at 1.25x this,
 	// revives at 2x, and the run ends at 2.75x. 0 means 0.4.
 	RampSeconds float64
-	// StartFrac and PeakFrac bound the ramp as fractions of each app's
-	// initial rated capacity (InitialReplicas x one replica's saturation
-	// rate). 0 means 0.25 -> 0.75: the fleet sits at 75% load when the
-	// zone goes dark, so each surviving replica sees 150% overload until
-	// the autoscaler reacts.
-	StartFrac, PeakFrac float64
-	// Zone is the failure domain killed. Defaults to 0.
-	Zone int
-	// SLASeconds is the per-request deadline. 0 means the paper's 7 ms.
-	SLASeconds float64
 	// Seed pins arrivals and request keys. 0 means 42.
 	Seed int64
 	// ExtraChaos is an optional -chaos-plan spec layered on top of the
@@ -66,15 +64,6 @@ func (c ClusterChaosConfig) withDefaults() ClusterChaosConfig {
 	if c.RampSeconds == 0 {
 		c.RampSeconds = 0.4
 	}
-	if c.StartFrac == 0 {
-		c.StartFrac = 0.25
-	}
-	if c.PeakFrac == 0 {
-		c.PeakFrac = 0.75
-	}
-	if c.SLASeconds == 0 {
-		c.SLASeconds = 7e-3
-	}
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
@@ -82,7 +71,7 @@ func (c ClusterChaosConfig) withDefaults() ClusterChaosConfig {
 }
 
 // ZoneDownAt is the virtual time the zone dies: just past the ramp top,
-// with the fleet at PeakFrac load.
+// with the fleet at its peak load.
 func (c ClusterChaosConfig) ZoneDownAt() float64 { return 1.25 * c.RampSeconds }
 
 // ZoneUpAt is the virtual time the zone revives.
@@ -97,11 +86,11 @@ func (c ClusterChaosConfig) Horizon() float64 { return 2.75 * c.RampSeconds }
 type ClusterChaosResult struct {
 	Cfg ClusterChaosConfig
 	// Apps are the served apps' profiles, Table 1 order; PeakRate is
-	// PeakFrac x the two-replica initial rated capacity.
+	// 75% of the two-replica initial rated capacity.
 	Apps []ClusterAppInfo
 	// Skipped lists apps with no deadline-safe operating point at the SLA.
 	Skipped []string
-	// ZoneHosts are the killed zone's host ids.
+	// ZoneHosts are the killed zone's (zone 0's) host ids.
 	ZoneHosts []int
 	// Healthy is the no-chaos baseline's final snapshot.
 	Healthy *cluster.Snapshot
@@ -135,7 +124,7 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResult, error) {
 	}
 	res := &ClusterChaosResult{Cfg: cfg}
 	for h := 0; h < cfg.Hosts; h++ {
-		if h*cfg.Zones/cfg.Hosts == cfg.Zone {
+		if h*cfg.Zones/cfg.Hosts == 0 {
 			res.ZoneHosts = append(res.ZoneHosts, h)
 		}
 	}
@@ -143,13 +132,13 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResult, error) {
 	// Two replicas per app: zone anti-affinity places them in distinct
 	// failure domains, so one dark zone leaves every app with quorum.
 	const initialReplicas = 2
-	apps, info, skipped, err := fleetMix(cfg.SLASeconds, initialReplicas, nil, func(one float64) (workload.Curve, float64, error) {
+	apps, info, skipped, err := fleetMix(initialReplicas, nil, func(one float64) (workload.Curve, float64, error) {
 		rated := initialReplicas * one
 		ramp, err := workload.NewPiecewiseLinear(
-			workload.Point{T: 0, Rate: cfg.StartFrac * rated},
-			workload.Point{T: cfg.RampSeconds, Rate: cfg.PeakFrac * rated},
+			workload.Point{T: 0, Rate: clusterChaosStartFrac * rated},
+			workload.Point{T: cfg.RampSeconds, Rate: clusterChaosPeakFrac * rated},
 		)
-		return ramp, cfg.PeakFrac * rated, err
+		return ramp, clusterChaosPeakFrac * rated, err
 	})
 	if err != nil {
 		return nil, err
@@ -173,10 +162,10 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResult, error) {
 			return nil, err
 		}
 		if chaotic {
-			if err := c.KillZoneAt(cfg.ZoneDownAt(), cfg.Zone); err != nil {
+			if err := c.KillZoneAt(cfg.ZoneDownAt(), 0); err != nil {
 				return nil, err
 			}
-			if err := c.ReviveZoneAt(cfg.ZoneUpAt(), cfg.Zone); err != nil {
+			if err := c.ReviveZoneAt(cfg.ZoneUpAt(), 0); err != nil {
 				return nil, err
 			}
 			if err := c.ApplyChaos(extra); err != nil {
@@ -287,9 +276,9 @@ func RenderClusterChaos(r *ClusterChaosResult) string {
 	cfg := r.Cfg
 	fmt.Fprintf(&b, "Cluster chaos campaign: %d hosts x %d devices in %d zones, router=%s, seed=%d\n",
 		cfg.Hosts, cfg.DevicesPerHost, cfg.Zones, cfg.Router, cfg.Seed)
-	fmt.Fprintf(&b, "ramp %.0f%% -> %.0f%% of initial rated capacity over %.2fs; zone%d (%s, 1/%d of hosts) dark %.2fs -> %.2fs; horizon %.2fs\n",
-		cfg.StartFrac*100, cfg.PeakFrac*100, cfg.RampSeconds,
-		cfg.Zone, hostNames(r.ZoneHosts), cfg.Zones, cfg.ZoneDownAt(), cfg.ZoneUpAt(), cfg.Horizon())
+	fmt.Fprintf(&b, "ramp %.0f%% -> %.0f%% of initial rated capacity over %.2fs; zone0 (%s, 1/%d of hosts) dark %.2fs -> %.2fs; horizon %.2fs\n",
+		clusterChaosStartFrac*100, clusterChaosPeakFrac*100, cfg.RampSeconds,
+		hostNames(r.ZoneHosts), cfg.Zones, cfg.ZoneDownAt(), cfg.ZoneUpAt(), cfg.Horizon())
 	if cfg.ExtraChaos != "" {
 		fmt.Fprintf(&b, "extra chaos: %s\n", cfg.ExtraChaos)
 	}
@@ -303,7 +292,7 @@ func RenderClusterChaos(r *ClusterChaosResult) string {
 	}
 	if len(r.Skipped) > 0 {
 		fmt.Fprintf(&b, "skipped (no operating point at %.1f ms SLA): %s\n",
-			cfg.SLASeconds*1e3, strings.Join(r.Skipped, ", "))
+			fleetSLASeconds*1e3, strings.Join(r.Skipped, ", "))
 	}
 
 	// The three-way comparison: healthy / defended / storm control.
@@ -326,24 +315,7 @@ func RenderClusterChaos(r *ClusterChaosResult) string {
 	}
 	fmt.Fprintf(&b, "completions on the revived zone's hosts after the revive: %d\n", r.RecoveredCompletions)
 
-	// Event digest by kind, like RenderCluster.
-	counts := map[string]int{}
-	for _, e := range r.Events {
-		counts[e.Kind]++
-	}
-	kinds := make([]string, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	b.WriteString("\nevent log (defended run): ")
-	for i, k := range kinds {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d %s", counts[k], k)
-	}
-	fmt.Fprintf(&b, " (%d total)\n", len(r.Events))
+	fmt.Fprintf(&b, "\nevent log (defended run): %s\n", eventDigest(r.Events))
 
 	if bad := r.Acceptance(); len(bad) == 0 {
 		b.WriteString("\nacceptance: PASS (p99 <= 2x healthy, errors < 1%, retries within budget, full recovery, storm demonstrated)\n")

@@ -36,13 +36,7 @@ func QuantizationStudy() ([]QuantizationRow, error) {
 			return nil, err
 		}
 		params := nn.InitRandom(m, 21, 0.25)
-		var in *tensor.F32
-		if m.Class == nn.CNN {
-			c := m.Layers[0].Conv
-			in = tensor.NewF32(m.Batch, c.H, c.W, c.Cin)
-		} else {
-			in = tensor.NewF32(m.Batch, m.InputElems())
-		}
+		in := tensor.NewF32(m.BatchInputShape()...)
 		in.FillRandom(22, 1)
 
 		want, err := nn.Forward(m, params, in)

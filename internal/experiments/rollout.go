@@ -20,6 +20,10 @@ import (
 	"tpusim/internal/workload"
 )
 
+// rolloutLoadFrac is the steady offered load as a fraction of each app's
+// initial rated capacity (two replicas x one replica's saturation rate).
+const rolloutLoadFrac = 0.75
+
 // RolloutConfig parameterizes the campaign. Zero values mean the
 // acceptance defaults: an 8x4 fleet in 4 zones, bounded-load hashing,
 // constant load at 75% of initial rated capacity, the rollout starting
@@ -35,12 +39,6 @@ type RolloutConfig struct {
 	// 0.5x, canary/wave windows and drain deadlines are 1/8x, and the
 	// run ends at 4x. 0 means 0.4.
 	BaseSeconds float64
-	// LoadFrac is the steady offered load as a fraction of each app's
-	// initial rated capacity (InitialReplicas x one replica's saturation
-	// rate). 0 means 0.75.
-	LoadFrac float64
-	// SLASeconds is the per-request deadline. 0 means the paper's 7 ms.
-	SLASeconds float64
 	// Seed pins arrivals and request keys. 0 means 42.
 	Seed int64
 	// BadFactor is the bad v2's service-time inflation. 0 means 4.
@@ -65,12 +63,6 @@ func (c RolloutConfig) withDefaults() RolloutConfig {
 	}
 	if c.BaseSeconds == 0 {
 		c.BaseSeconds = 0.4
-	}
-	if c.LoadFrac == 0 {
-		c.LoadFrac = 0.75
-	}
-	if c.SLASeconds == 0 {
-		c.SLASeconds = 7e-3
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -110,7 +102,7 @@ func (c RolloutConfig) badPlan() (cluster.RolloutPlan, error) {
 type RolloutResult struct {
 	Cfg RolloutConfig
 	// Apps are the served apps' profiles, Table 1 order; PeakRate is
-	// LoadFrac x the two-replica initial rated capacity.
+	// 75% of the two-replica initial rated capacity.
 	Apps []ClusterAppInfo
 	// Skipped lists apps with no deadline-safe operating point at the SLA.
 	Skipped []string
@@ -154,9 +146,9 @@ func RunRollout(cfg RolloutConfig) (*RolloutResult, error) {
 	// wait expires requests in both cohorts and the canary verdict
 	// drowns in shed noise (CNN1's safe batch runs at ~100% of the
 	// 7 ms SLA). Skip apps without 2x deadline headroom.
-	headroom := func(plan serve.Plan) bool { return plan.SafeServiceSeconds <= 0.5*cfg.SLASeconds }
-	apps, info, skipped, err := fleetMix(cfg.SLASeconds, initialReplicas, headroom, func(one float64) (workload.Curve, float64, error) {
-		rate := cfg.LoadFrac * (initialReplicas * one)
+	headroom := func(plan serve.Plan) bool { return plan.SafeServiceSeconds <= 0.5*fleetSLASeconds }
+	apps, info, skipped, err := fleetMix(initialReplicas, headroom, func(one float64) (workload.Curve, float64, error) {
+		rate := rolloutLoadFrac * (initialReplicas * one)
 		return workload.Constant(rate), rate, nil
 	})
 	if err != nil {
@@ -336,7 +328,7 @@ func RenderRollout(r *RolloutResult) string {
 	fmt.Fprintf(&b, "Safe change management campaign: %d hosts x %d devices in %d zones, router=%s, seed=%d\n",
 		cfg.Hosts, cfg.DevicesPerHost, cfg.Zones, cfg.Router, cfg.Seed)
 	fmt.Fprintf(&b, "steady load %.0f%% of initial rated capacity; horizon %.2fs\n",
-		cfg.LoadFrac*100, cfg.Horizon())
+		rolloutLoadFrac*100, cfg.Horizon())
 	fmt.Fprintf(&b, "bad plan:  %s\n", r.BadPlan)
 	fmt.Fprintf(&b, "good plan: %s\n", r.GoodPlan)
 	b.WriteString("\n")
@@ -349,7 +341,7 @@ func RenderRollout(r *RolloutResult) string {
 	}
 	if len(r.Skipped) > 0 {
 		fmt.Fprintf(&b, "skipped (no SLO-safe rolling change at %.1f ms SLA): %s\n",
-			cfg.SLASeconds*1e3, strings.Join(r.Skipped, ", "))
+			fleetSLASeconds*1e3, strings.Join(r.Skipped, ", "))
 	}
 
 	// The three-way comparison: no change / bad v2 / good v2.

@@ -310,12 +310,7 @@ func RunSDC(cfg SDCConfig) (*SDCResult, error) {
 // sdcInput builds the app's batch input with the geometry the runtime
 // backend expects (conv models keep (batch, H, W, Cin)).
 func sdcInput(m *nn.Model, seed int64) *tensor.F32 {
-	shape := []int{m.Batch, m.InputElems()}
-	if m.Class == nn.CNN && len(m.Layers) > 0 && m.Layers[0].Kind == nn.Conv {
-		c := m.Layers[0].Conv
-		shape = []int{m.Batch, c.H, c.W, c.Cin}
-	}
-	in := tensor.NewF32(shape...)
+	in := tensor.NewF32(m.BatchInputShape()...)
 	in.FillRandom(seed, 1)
 	return in
 }

@@ -179,13 +179,6 @@ func (f TargetedFlip) String() string {
 	return fmt.Sprintf("%s@%#x.%d", name, f.Addr, f.Bit)
 }
 
-// Enabled reports whether the plan can inject anything at all.
-func (p Plan) Enabled() bool {
-	return p.totalRate() > 0 || p.FailCompiles > 0 ||
-		len(p.DeadDevices) > 0 || len(p.SlowDevices) > 0 ||
-		len(p.TargetedFlips) > 0
-}
-
 func (p Plan) totalRate() float64 {
 	return p.TransientRate + p.CorruptRate + p.SlowRate + p.HangRate + p.DeathRate +
 		p.flipRate()
@@ -568,13 +561,6 @@ func (in *Injector) SetStaticSlow(factor float64) {
 	in.mu.Unlock()
 }
 
-// Dead reports whether the device is currently dead.
-func (in *Injector) Dead() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.dead
-}
-
 // Counts returns injected-fault counts by kind name (kinds that never
 // fired are omitted).
 func (in *Injector) Counts() map[string]int64 {
@@ -716,20 +702,10 @@ func corrupt(host []int8, off int) {
 	}
 }
 
-// Hook returns the tpu.RunHook realizing the injector's faults, or nil
-// when the plan can never touch a run on this device (so a rate-0 chaos
-// flag costs nothing).
-func (in *Injector) Hook() tpu.RunHook {
-	if !in.plan.Enabled() {
-		return nil
-	}
-	return in.ArmedHook()
-}
-
-// ArmedHook is Hook but never nil: even a plan that currently injects
-// nothing keeps the injector attached, so a chaos script can Kill or
-// throttle the device mid-load. The runtime server installs armed hooks
-// whenever it is built with a plan.
+// ArmedHook returns the tpu.RunHook realizing the injector's faults. Even
+// a plan that currently injects nothing keeps the injector attached, so a
+// chaos script can Kill or throttle the device mid-load. The runtime
+// server installs armed hooks whenever it is built with a plan.
 func (in *Injector) ArmedHook() tpu.RunHook {
 	return func(ctx context.Context, inv tpu.Invocation) (tpu.Counters, error) {
 		kind, factor, off, flips := in.next()

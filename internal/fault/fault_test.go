@@ -16,10 +16,7 @@ import (
 // run and returns the per-run fault kinds (KindNone for untouched runs).
 func drive(t *testing.T, in *Injector, host []int8, n int) []Kind {
 	t.Helper()
-	hook := in.Hook()
-	if hook == nil {
-		t.Fatal("enabled plan returned a nil hook")
-	}
+	hook := in.ArmedHook()
 	kinds := make([]Kind, 0, n)
 	for i := 0; i < n; i++ {
 		before := append([]int8(nil), host...)
@@ -157,7 +154,7 @@ func TestInjectorRates(t *testing.T) {
 func TestDeadDeviceAndRevive(t *testing.T) {
 	p := Plan{Seed: 1, DeadDevices: []int{2}}
 	in := p.Injector(2)
-	hook := in.Hook()
+	hook := in.ArmedHook()
 	_, err := hook(context.Background(), tpu.Invocation{
 		Run: func() (tpu.Counters, error) { return tpu.Counters{}, nil },
 	})
@@ -171,16 +168,16 @@ func TestDeadDeviceAndRevive(t *testing.T) {
 		t.Fatalf("revived device still failing: %v", err)
 	}
 	// Other devices of the same plan are untouched (plan only marks dev 2
-	// dead); their hooks are non-nil because the plan is enabled.
+	// dead).
 	other := p.Injector(0)
-	if _, err := other.Hook()(context.Background(), tpu.Invocation{
+	if _, err := other.ArmedHook()(context.Background(), tpu.Invocation{
 		Run: func() (tpu.Counters, error) { return tpu.Counters{}, nil },
 	}); err != nil {
 		t.Fatalf("healthy device failed: %v", err)
 	}
 	// Kill mid-flight.
 	other.Kill()
-	if _, err := other.Hook()(context.Background(), tpu.Invocation{
+	if _, err := other.ArmedHook()(context.Background(), tpu.Invocation{
 		Run: func() (tpu.Counters, error) { return tpu.Counters{}, nil },
 	}); !errors.Is(err, ErrDeviceDead) {
 		t.Fatalf("killed device kept running: err=%v", err)
@@ -189,7 +186,7 @@ func TestDeadDeviceAndRevive(t *testing.T) {
 
 func TestStaticSlowScalesCyclesAndWall(t *testing.T) {
 	in := Plan{Seed: 1, SlowDevices: []int{0}, SlowFactor: 3}.Injector(0)
-	hook := in.Hook()
+	hook := in.ArmedHook()
 	c, err := hook(context.Background(), tpu.Invocation{
 		Run: func() (tpu.Counters, error) {
 			time.Sleep(time.Millisecond)
@@ -206,7 +203,7 @@ func TestStaticSlowScalesCyclesAndWall(t *testing.T) {
 
 func TestHangHonoursContext(t *testing.T) {
 	in := Plan{Seed: 2, HangRate: 1, HangSeconds: 10}.Injector(0)
-	hook := in.Hook()
+	hook := in.ArmedHook()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -223,7 +220,7 @@ func TestHangHonoursContext(t *testing.T) {
 
 func TestCorruptFlipsOutputBytes(t *testing.T) {
 	in := Plan{Seed: 5, CorruptRate: 1}.Injector(0)
-	hook := in.Hook()
+	hook := in.ArmedHook()
 	host := make([]int8, 32)
 	if _, err := hook(context.Background(), tpu.Invocation{
 		Host: host,
@@ -254,12 +251,17 @@ func TestCompileErrFailsFirstN(t *testing.T) {
 	}
 }
 
+// TestZeroPlanIsFree: a zero-rate plan's armed hook passes every run
+// through untouched and counts nothing.
 func TestZeroPlanIsFree(t *testing.T) {
-	if (Plan{Seed: 9}).Enabled() {
-		t.Error("zero-rate plan reports enabled")
+	in := Plan{Seed: 9}.Injector(0)
+	for i, k := range drive(t, in, make([]int8, 8), 1000) {
+		if k != KindNone {
+			t.Fatalf("run %d: zero-rate plan injected %v", i, k)
+		}
 	}
-	if hook := (Plan{Seed: 9}).Injector(0).Hook(); hook != nil {
-		t.Error("zero-rate plan built a hook")
+	if got := in.Counts(); len(got) != 0 {
+		t.Errorf("zero-rate plan counted faults %v", got)
 	}
 }
 
@@ -366,9 +368,6 @@ func TestParsePlanFlipKinds(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p, want) {
 		t.Fatalf("parsed %+v, want %+v", p, want)
-	}
-	if !p.Enabled() {
-		t.Error("flip-only plan reports disabled")
 	}
 	// String renders a spec that parses back to the same plan.
 	p2, err := ParsePlan(p.String())

@@ -94,12 +94,6 @@ func (p Params) Dequantize(q int8) float32 {
 	return p.Scale * float32(int32(q)-p.ZeroPoint)
 }
 
-// DequantizeI32 maps a 32-bit accumulator value back to the real line under
-// the product scale of its two operands.
-func DequantizeI32(acc int32, productScale float32) float32 {
-	return float32(acc) * productScale
-}
-
 // ChooseParams picks symmetric quantization parameters covering [-absMax,
 // absMax]. A zero absMax yields a unit scale so that quantization stays
 // well-defined.

@@ -146,3 +146,15 @@ func (m *Model) InputElems() int {
 	}
 	return m.Layers[0].InputElems()
 }
+
+// BatchInputShape is the full-batch input shape the runtime expects: images
+// keep their (batch, H, W, Cin) geometry for quantization calibration;
+// everything else is flat rows. Either way the row-major data layout is one
+// example row after another, so request stacking is shape-agnostic.
+func (m *Model) BatchInputShape() []int {
+	if m.Class == CNN && len(m.Layers) > 0 && m.Layers[0].Kind == Conv {
+		c := m.Layers[0].Conv
+		return []int{m.Batch, c.H, c.W, c.Cin}
+	}
+	return []int{m.Batch, m.InputElems()}
+}

@@ -63,8 +63,8 @@ type Resilience struct {
 	// 0 means 3.
 	MaxAttempts int
 	// ProbeEvery is the quarantine probe interval. 0 means 100ms; negative
-	// disables probing (a quarantined device stays out until revived by
-	// hand via ReadmitDevice).
+	// disables probing (a quarantined device stays out for the server's
+	// lifetime).
 	ProbeEvery time.Duration
 	// TimeoutFactor scales a model's expected wall latency into its
 	// per-attempt timeout, floored at timeoutFloor (25ms). 0 means 16.
@@ -76,15 +76,17 @@ type Resilience struct {
 	// CrossCheck reruns every successful request on a second device and
 	// compares outputs byte-for-byte, catching silent output corruption at
 	// the cost of doubling device work. Mismatches are settled by majority
-	// vote on a third device when one is available.
+	// vote on a third device when one is available. It composes with any
+	// Integrity tier: CrossCheck with IntegrityCorrect is the
+	// belt-and-suspenders setting.
 	CrossCheck bool
 	// Integrity selects the data-integrity tier (off, detect,
-	// detect+correct, paranoid). Non-off tiers build every device with the
+	// detect+correct). Non-off tiers build every device with the
 	// corresponding on-device machinery — ABFT matmul checks, CRC/parity
 	// memory sidecars, PCIe frames — and make detected-corruption failures
 	// retryable: an attempt that fails with an SDCError was caught before
 	// shipping corrupt output, so the resilient ladder scrubs the device
-	// and reruns cleanly. Paranoid additionally implies CrossCheck.
+	// and reruns cleanly.
 	Integrity Integrity
 	// ScrubEvery runs a background weight-DRAM scrub pass over every
 	// device at this interval, repairing persistent weight corruption from
@@ -264,26 +266,6 @@ func (s *Server) probeDevice(dev int) {
 	h.probeArmed = false
 	h.mu.Unlock()
 	s.emitTransition(dev, from, Degraded, "probe ok")
-}
-
-// ReadmitDevice force-resets a device to Healthy (an operator action after
-// a hardware swap when probing is disabled).
-func (s *Server) ReadmitDevice(dev int) {
-	if dev < 0 || dev >= len(s.health) {
-		return
-	}
-	h := s.health[dev]
-	h.mu.Lock()
-	from := h.state
-	h.state = Healthy
-	h.consecFail = 0
-	if from != Healthy {
-		h.transitions++
-	}
-	h.mu.Unlock()
-	if from != Healthy {
-		s.emitTransition(dev, from, Healthy, "operator readmit")
-	}
 }
 
 // DeviceState returns a device's current health state.

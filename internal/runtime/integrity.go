@@ -30,11 +30,6 @@ const (
 	// golden copy allows: ABFT-localized output elements, flagged matmul
 	// rows, and corrupt weight tiles at fetch.
 	IntegrityCorrect
-	// IntegrityParanoid is IntegrityCorrect plus the PR-4 output
-	// cross-check: every successful request reruns on a second device and
-	// the outputs must agree byte-for-byte. Roughly doubles device work;
-	// the belt-and-suspenders tier.
-	IntegrityParanoid
 )
 
 // String names the tier for logs and policy dumps.
@@ -46,8 +41,6 @@ func (t Integrity) String() string {
 		return "detect"
 	case IntegrityCorrect:
 		return "detect+correct"
-	case IntegrityParanoid:
-		return "paranoid"
 	default:
 		return fmt.Sprintf("Integrity(%d)", int(t))
 	}
@@ -58,17 +51,11 @@ func (t Integrity) deviceLevel() tpu.IntegrityLevel {
 	switch t {
 	case IntegrityDetect:
 		return tpu.IntegrityDetect
-	case IntegrityCorrect, IntegrityParanoid:
+	case IntegrityCorrect:
 		return tpu.IntegrityCorrect
 	default:
 		return tpu.IntegrityOff
 	}
-}
-
-// crossCheck reports whether the policy reruns successful requests on a
-// second device (the explicit CrossCheck knob or the paranoid tier).
-func (r *Resilience) crossCheck() bool {
-	return r.CrossCheck || r.Integrity == IntegrityParanoid
 }
 
 // readySlots snapshots the driver's successfully loaded models. A slot is

@@ -148,18 +148,19 @@ func TestRepeatedSDCWalksHealthMachine(t *testing.T) {
 	}
 }
 
-// TestParanoidTierImpliesCrossCheck: the paranoid tier reruns successful
-// requests on a second device even with CrossCheck unset.
-func TestParanoidTierImpliesCrossCheck(t *testing.T) {
+// TestCrossCheckOnCorrectTier: CrossCheck composes with the
+// detect+correct tier — successful requests rerun on a second device, and
+// a clean fleet's outputs agree.
+func TestCrossCheckOnCorrectTier(t *testing.T) {
 	s := newChaosServer(t, 2, fault.Plan{Seed: 5},
-		&Resilience{Integrity: IntegrityParanoid, ProbeEvery: -1})
+		&Resilience{Integrity: IntegrityCorrect, CrossCheck: true, ProbeEvery: -1})
 	m, p, in := testModel()
 	if _, err := s.RunCtx(context.Background(), m, p, in); err != nil {
 		t.Fatal(err)
 	}
 	rs := s.ResilienceStats()
 	if rs.CrossChecks == 0 {
-		t.Error("paranoid tier ran no cross-check")
+		t.Error("CrossCheck on the detect+correct tier ran no cross-check")
 	}
 	if rs.CrossCheckMismatches != 0 {
 		t.Errorf("clean cross-check mismatched %d times", rs.CrossCheckMismatches)
@@ -200,10 +201,9 @@ func TestBackgroundScrubberRepairsSilently(t *testing.T) {
 // TestIntegrityTierStrings pins the policy names used in logs and docs.
 func TestIntegrityTierStrings(t *testing.T) {
 	for tier, want := range map[Integrity]string{
-		IntegrityOff:      "off",
-		IntegrityDetect:   "detect",
-		IntegrityCorrect:  "detect+correct",
-		IntegrityParanoid: "paranoid",
+		IntegrityOff:     "off",
+		IntegrityDetect:  "detect",
+		IntegrityCorrect: "detect+correct",
 	} {
 		if got := tier.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(tier), got, want)

@@ -339,7 +339,7 @@ func (s *Server) runResilient(ctx context.Context, preferred int, m *nn.Model, p
 				if sp.Recording() {
 					sp.SetAttr(obs.Int("device", o.dev), obs.Int("attempts", attempt+1))
 				}
-				if s.res.crossCheck() {
+				if s.res.CrossCheck {
 					return s.crossCheck(ctx, o, m, params, in)
 				}
 				return o.res, nil

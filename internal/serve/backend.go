@@ -88,18 +88,6 @@ func (b *SimBackend) Run(model string, inputs []*tensor.F32) ([]*tensor.F32, err
 	return inputs, nil
 }
 
-// batchInputShape is the full-batch input shape the driver expects: images
-// keep their (batch, H, W, Cin) geometry for quantization calibration;
-// everything else is flat rows. Either way the row-major data layout is
-// one request row after another, so request stacking is shape-agnostic.
-func batchInputShape(m *nn.Model) []int {
-	if m.Class == nn.CNN && len(m.Layers) > 0 && m.Layers[0].Kind == nn.Conv {
-		c := m.Layers[0].Conv
-		return []int{m.Batch, c.H, c.W, c.Cin}
-	}
-	return []int{m.Batch, m.InputElems()}
-}
-
 // servedModel is one model registered with the runtime backend.
 type servedModel struct {
 	m      *nn.Model
@@ -178,7 +166,7 @@ func (b *RuntimeBackend) RunCtx(ctx context.Context, model string, inputs []*ten
 	sm.batchMu.Lock()
 	defer sm.batchMu.Unlock()
 	if sm.in == nil {
-		sm.in = tensor.NewF32(batchInputShape(sm.m)...)
+		sm.in = tensor.NewF32(sm.m.BatchInputShape()...)
 	}
 	in := sm.in
 	for i, t := range inputs {
