@@ -640,6 +640,9 @@ func (c *Cluster) promoteCanaries() {
 			if err := a.router.Add(rep.id, 1); err != nil {
 				continue
 			}
+			// Canary traffic was enqueued around the router, so the entry
+			// joins without the requests the canary already holds.
+			a.router.AddLoad(rep.id, int64(rep.lane.Len()+len(rep.inFlight)))
 			if rep.state == runtime.Quarantined {
 				// A canary on a host that died mid-canary joins quarantined
 				// and re-admits with the host.
