@@ -203,17 +203,22 @@ cluster-smoke:
 	$(GO) test -race -count=1 -timeout 300s ./internal/des ./internal/cluster
 	$(GO) test -race -count=1 -timeout 900s ./internal/experiments -run 'TestCluster|TestRollout'
 
-# Saturation-report smoke: build the CLI, run the seeded acceptance-default
-# cluster ramp, and diff the saturation report against the pinned golden —
+# Report smoke: build the CLI, run the seeded acceptance-default cluster
+# ramp, zone-kill campaign and rollout campaign, and diff the saturation
+# report and the two campaigns' stdout against the pinned goldens —
 # end-to-end proof that the binary, the experiment wiring and the analyzer
 # produce the exact bytes the test suite pins.
 report-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/tpuserve ./cmd/tpuserve; \
-	$$tmp/tpuserve -mode cluster -report $$tmp/saturation.txt > /dev/null; \
-	diff -u internal/experiments/testdata/golden/cluster_saturation.txt $$tmp/saturation.txt \
-		&& echo "report-smoke: saturation report matches golden" \
-		|| { echo "report-smoke: saturation report drifted from golden"; exit 1; }
+	$$tmp/tpuserve -mode cluster -report $$tmp/cluster_saturation.txt > /dev/null; \
+	$$tmp/tpuserve -mode cluster-chaos > $$tmp/cluster_chaos_campaign.txt; \
+	$$tmp/tpuserve -mode rollout > $$tmp/rollout_campaign.txt; \
+	for f in cluster_saturation.txt cluster_chaos_campaign.txt rollout_campaign.txt; do \
+		diff -u internal/experiments/testdata/golden/$$f $$tmp/$$f \
+			&& echo "report-smoke: $$f matches golden" \
+			|| { echo "report-smoke: $$f drifted from golden"; exit 1; }; \
+	done
 
 # Coverage floor: the tier-1 packages must keep at least 80% statement
 # coverage (examples are exercised separately by their smoke test).

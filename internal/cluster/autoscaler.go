@@ -4,10 +4,10 @@
 // construction (shed-at-dispatch); what overload actually costs is shed
 // traffic. So the scaler watches two signals per decision window — the
 // arrival rate against live capacity, and the shed fraction — and sizes
-// the replica set so neither breaches its threshold. Decisions are logged
-// and surfaced in the snapshot; capacity accounting divides a device's
-// rate among its resident replicas, so co-location is never double
-// counted.
+// the replica set so neither breaches its threshold. Decisions are
+// event-log entries, which the snapshot and the metrics registry read
+// back; capacity accounting divides a device's rate among its resident
+// replicas, so co-location is never double counted.
 package cluster
 
 import (
@@ -29,11 +29,8 @@ func perReplicaRate(rep *replica) float64 {
 			sharing++
 		}
 	}
-	if sharing == 0 {
-		sharing = 1
-	}
 	plan := rep.app.plan
-	return float64(plan.SafeBatch) / plan.SafeServiceSeconds / float64(sharing) / rep.dev.host.slow
+	return float64(plan.SafeBatch) / plan.SafeServiceSeconds / float64(max(sharing, 1)) / rep.dev.host.slow
 }
 
 // liveCapacity sums the routable replicas' saturation rates, in id order:
@@ -101,7 +98,7 @@ func (c *Cluster) autoscaleApp(a *app, interval float64) {
 	if c.zoneDark() {
 		if !a.holdLogged {
 			a.holdLogged = true
-			c.decide(a, "scale-hold", live, live, "incident guard: a zone is dark, scale-down frozen")
+			c.decide(a, actScaleHold, live, live, "incident guard: a zone is dark, scale-down frozen")
 		}
 		a.lowTicks = 0
 		return
@@ -113,7 +110,7 @@ func (c *Cluster) autoscaleApp(a *app, interval float64) {
 	if c.rolloutActive() {
 		if !a.rolloutHold {
 			a.rolloutHold = true
-			c.decide(a, "scale-hold", live, live, "rollout guard: change in progress, scale-down frozen")
+			c.decide(a, actScaleHold, live, live, "rollout guard: change in progress, scale-down frozen")
 		}
 		a.lowTicks = 0
 		return
@@ -141,28 +138,19 @@ func (c *Cluster) autoscaleApp(a *app, interval float64) {
 func (c *Cluster) scaleUp(a *app, rate, capacity, shedFrac float64) {
 	one := float64(a.plan.SafeBatch) / a.plan.SafeServiceSeconds // un-shared replica rate
 	deficit := rate/upUtil - capacity
-	need := int(math.Ceil(deficit / one))
-	if need < 1 {
-		need = 1
-	}
-	if need > maxStepUp {
-		need = maxStepUp
-	}
 	from := a.liveReplicas()
-	if from+need > a.cfg.MaxReplicas {
-		need = a.cfg.MaxReplicas - from
-	}
+	need := min(max(int(math.Ceil(deficit/one)), 1), maxStepUp, a.cfg.MaxReplicas-from)
 	added := 0
 	for i := 0; i < need; i++ {
 		if _, err := c.place(a); err != nil {
-			c.decide(a, "scale-blocked", from+added, from+added,
+			c.decide(a, actScaleBlocked, from+added, from+added,
 				fmt.Sprintf("placement failed: %v", err))
 			break
 		}
 		added++
 	}
 	if added > 0 {
-		c.decide(a, "scale-up", from, from+added,
+		c.decide(a, actScaleUp, from, from+added,
 			fmt.Sprintf("rate %.0f/s vs capacity %.0f/s, shed %.1f%%", rate, capacity, shedFrac*100))
 	}
 }
@@ -180,7 +168,7 @@ func (c *Cluster) scaleDown(a *app, rep *replica, rate float64) {
 		// burning a failover attempt: the replica left gracefully.
 		c.route(a, r)
 	}
-	c.decide(a, "scale-down", from, from-1,
+	c.decide(a, actScaleDown, from, from-1,
 		fmt.Sprintf("rate %.0f/s under %.0f%% of post-drain capacity", rate, downUtil*100))
 	if !rep.serving() {
 		c.finalizeRemoval(rep)
@@ -199,10 +187,26 @@ func (c *Cluster) newestRemovable(a *app) *replica {
 	return nil
 }
 
-// decide records one autoscaler decision in the app's ledger and the
-// cluster event log.
-func (c *Cluster) decide(a *app, action string, from, to int, reason string) {
-	d := Decision{Time: c.loop.Now(), App: a.cfg.Name, Action: action, From: from, To: to, Reason: reason}
-	a.decisions = append(a.decisions, d)
-	c.log(-1, action, fmt.Sprintf("%s %d -> %d (%s)", a.cfg.Name, from, to, reason), subject{decision: d})
+// scaleAction is the kind of an autoscaler decision; its String is the
+// decision's Action and its event-log Kind.
+type scaleAction uint8
+
+const (
+	actScaleUp scaleAction = iota
+	actScaleDown
+	actScaleBlocked
+	actScaleHold
+	numScaleActions
+)
+
+var scaleActionNames = [numScaleActions]string{"scale-up", "scale-down", "scale-blocked", "scale-hold"}
+
+func (s scaleAction) String() string { return scaleActionNames[s] }
+
+// decide records one autoscaler decision: an event-log entry carrying the
+// typed Decision, its only record.
+func (c *Cluster) decide(a *app, act scaleAction, from, to int, reason string) {
+	d := &Decision{Time: c.loop.Now(), App: a.cfg.Name, Action: act.String(), From: from, To: to, Reason: reason,
+		app: a.idx, act: act}
+	c.log(-1, d.Action, fmt.Sprintf("%s %d -> %d (%s)", a.cfg.Name, from, to, reason), subject{decision: d})
 }

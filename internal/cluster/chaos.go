@@ -23,6 +23,8 @@
 // A ChaosPlan is the seeded/replayable script format (the same style as
 // internal/fault's Plan): parse a spec, apply it to a cluster, and the
 // ordered event log replays byte-for-byte on the same (config, seed).
+// ApplyChaos is the only way to schedule a fault, so the CLI's -chaos-plan
+// and a test drive the same code.
 package cluster
 
 import (
@@ -135,14 +137,9 @@ func (c *Cluster) incidentEnd() {
 
 // ---- failure-side primitives ----
 
-// ReviveHostAt schedules a host revival: the host rejoins the fleet, its
+// reviveHost executes a host revival: the host rejoins the fleet, its
 // quarantined replicas re-admit to routing, and its devices re-enter
 // placement. Reviving an alive host is a no-op.
-func (c *Cluster) ReviveHostAt(t float64, hostID int) error {
-	return c.at(t, "host", hostID, len(c.hosts), func() { c.reviveHost(c.hosts[hostID], "revived") })
-}
-
-// reviveHost executes a host revival.
 func (c *Cluster) reviveHost(h *host, why string) {
 	if h.alive {
 		return
@@ -172,24 +169,11 @@ func (c *Cluster) readmit(h *host, why string) {
 	}
 }
 
-// PartitionHostAt schedules a router<->host network partition for
-// [from, until): the router quarantines the host's replicas immediately
-// (health checks fail), but requests already queued or in flight there
-// black-hole until the partition timeout, then re-route — each timeout
-// burns a failover attempt and, when retry budgets are enabled, a retry
-// token. At until the partition heals and the replicas re-admit.
-func (c *Cluster) PartitionHostAt(from, until float64, hostID int) error {
-	if !(until > from) { // also catches a NaN end
-		return fmt.Errorf("cluster: partition window [%v, %v) is empty", from, until)
-	}
-	if err := c.at(from, "host", hostID, len(c.hosts), func() { c.partitionHost(c.hosts[hostID]) }); err != nil {
-		return err
-	}
-	c.loop.At(until, c.controller(func() { c.healPartition(c.hosts[hostID]) }))
-	return nil
-}
-
-// partitionHost executes the partition start.
+// partitionHost executes the start of a router<->host network partition:
+// the router quarantines the host's replicas immediately (health checks
+// fail), but requests already queued or in flight there black-hole until
+// the partition timeout, then re-route — each timeout burns a failover
+// attempt and, when retry budgets are enabled, a retry token.
 func (c *Cluster) partitionHost(h *host) {
 	if !h.alive || h.partitioned {
 		return
@@ -231,19 +215,11 @@ func (c *Cluster) healPartition(h *host) {
 	c.incidentEnd()
 }
 
-// SetHostSlowAt schedules a service-time multiplier on a host (thermal
-// throttle, degraded link). factor < 1 restores full speed. Every batch
+// degradeHost executes a service-time multiplier on a host (thermal
+// throttle, degraded link); factor <= 1 restores full speed. Every batch
 // dispatched on the host pays factor x its service time, the autoscaler's
 // capacity accounting discounts the host, and shed-at-dispatch sheds the
 // requests the stretched service time pushes past their SLA.
-func (c *Cluster) SetHostSlowAt(t float64, hostID int, factor float64) error {
-	if math.IsNaN(factor) {
-		return fmt.Errorf("cluster: slow-down factor for host %d is NaN", hostID)
-	}
-	return c.at(t, "host", hostID, len(c.hosts), func() { c.degradeHost(c.hosts[hostID], factor) })
-}
-
-// degradeHost executes the slow-down (or restore at factor <= 1).
 func (c *Cluster) degradeHost(h *host, factor float64) {
 	if factor < 1 {
 		factor = 1
@@ -254,23 +230,6 @@ func (c *Cluster) degradeHost(h *host, factor float64) {
 		detail = fmt.Sprintf("host%d degraded: service times x%.2f", h.id, factor)
 	}
 	c.log(h.id, "degrade", detail, subject{factor: factor})
-}
-
-// FlapHostAt schedules cycles of kill/revive starting at t: the host dies
-// at t + k*period and revives half a period later, for k in [0, cycles).
-// It ends the sequence alive.
-func (c *Cluster) FlapHostAt(t float64, hostID, cycles int, period float64) error {
-	if cycles < 1 || !(period > 0) { // also catches a NaN period
-		return fmt.Errorf("cluster: flap needs cycles >= 1 and period > 0, got %d x %v", cycles, period)
-	}
-	for k := 0; k < cycles; k++ {
-		down := t + float64(k)*period
-		if err := c.at(down, "host", hostID, len(c.hosts), func() { c.killHost(c.hosts[hostID], "flap") }); err != nil {
-			return err // the first cycle's: later ones are later and on the same host
-		}
-		c.loop.At(down+period/2, c.controller(func() { c.reviveHost(c.hosts[hostID], "flap revive") }))
-	}
-	return nil
 }
 
 // zones returns the configured failure-domain count, at least 1.
@@ -307,17 +266,8 @@ func (c *Cluster) zoneDark() bool {
 	return false
 }
 
-// KillZoneAt schedules a correlated failure: every host of the zone dies
-// as one unit (power domain, network spine).
-func (c *Cluster) KillZoneAt(t float64, zone int) error {
-	return c.at(t, "zone", zone, c.cfg.zones(), func() { c.killZone(zone) })
-}
-
-// ReviveZoneAt schedules the zone's recovery as one unit.
-func (c *Cluster) ReviveZoneAt(t float64, zone int) error {
-	return c.at(t, "zone", zone, c.cfg.zones(), func() { c.reviveZone(zone) })
-}
-
+// killZone executes a correlated failure: every host of the zone dies as
+// one unit (power domain, network spine).
 func (c *Cluster) killZone(zone int) {
 	hosts := c.zoneHosts(zone)
 	c.log(-1, "zone-down", fmt.Sprintf("zone%d dark: %s fail together", zone, hostList(hosts)), subject{zone: zone})
@@ -326,6 +276,7 @@ func (c *Cluster) killZone(zone int) {
 	}
 }
 
+// reviveZone executes the zone's recovery as one unit.
 func (c *Cluster) reviveZone(zone int) {
 	hosts := c.zoneHosts(zone)
 	c.log(-1, "zone-up", fmt.Sprintf("zone%d recovered: %s rejoin together", zone, hostList(hosts)), subject{zone: zone})
@@ -417,7 +368,9 @@ type ChaosAction struct {
 	Until float64
 	// Factor is the slow-down multiplier (slow only; <= 1 restores).
 	Factor float64
-	// Cycles and Period shape a flap sequence (flap only).
+	// Cycles and Period shape a flap sequence (flap only): the host dies at
+	// At + k*Period and revives half a period later, for k in [0, Cycles),
+	// ending the sequence alive.
 	Cycles int
 	Period float64
 }
@@ -643,32 +596,64 @@ func parseFlap(v string, act *ChaosAction) error {
 }
 
 // ApplyChaos validates the plan against the fleet and schedules every
-// action. Call before Run reaches the earliest action time.
+// action, or none when any is invalid. Call before Run reaches the
+// earliest action time.
 func (c *Cluster) ApplyChaos(p ChaosPlan) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	for _, a := range p.Actions {
-		var err error
-		switch a.Kind {
-		case "kill":
-			err = c.KillHostAt(a.At, a.Target)
-		case "revive":
-			err = c.ReviveHostAt(a.At, a.Target)
-		case "part":
-			err = c.PartitionHostAt(a.At, a.Until, a.Target)
-		case "slow":
-			err = c.SetHostSlowAt(a.At, a.Target, a.Factor)
-		case "flap":
-			err = c.FlapHostAt(a.At, a.Target, a.Cycles, a.Period)
-		case "zone-down":
-			err = c.KillZoneAt(a.At, a.Target)
-		case "zone-up":
-			err = c.ReviveZoneAt(a.At, a.Target)
-		}
-		if err != nil {
+		if err := c.checkAction(a); err != nil {
 			return fmt.Errorf("cluster: chaos action %s: %w", a, err)
 		}
 	}
+	for _, a := range p.Actions {
+		c.scheduleAction(a)
+	}
 	return nil
+}
+
+// checkAction checks what Validate cannot: the action's target against the
+// fleet and its time against the calendar.
+func (c *Cluster) checkAction(a ChaosAction) error {
+	noun, n := "host", len(c.hosts)
+	if a.Kind == "zone-down" || a.Kind == "zone-up" {
+		noun, n = "zone", c.cfg.zones()
+	}
+	if a.Target >= n {
+		return fmt.Errorf("cluster: %s %d outside the fleet's %d %ss", noun, a.Target, n, noun)
+	}
+	return c.checkTime(a.At)
+}
+
+// scheduleAction puts a checked action on the calendar: a partition as its
+// start and its heal, a flap as one kill/revive pair per cycle.
+func (c *Cluster) scheduleAction(a ChaosAction) {
+	at := func(t float64, fn func()) { c.loop.At(t, c.controller(fn)) }
+	switch a.Kind {
+	case "zone-down":
+		at(a.At, func() { c.killZone(a.Target) })
+		return
+	case "zone-up":
+		at(a.At, func() { c.reviveZone(a.Target) })
+		return
+	}
+	h := c.hosts[a.Target]
+	switch a.Kind {
+	case "kill":
+		at(a.At, func() { c.killHost(h, "host-kill") })
+	case "revive":
+		at(a.At, func() { c.reviveHost(h, "revived") })
+	case "part":
+		at(a.At, func() { c.partitionHost(h) })
+		at(a.Until, func() { c.healPartition(h) })
+	case "slow":
+		at(a.At, func() { c.degradeHost(h, a.Factor) })
+	case "flap":
+		for k := range a.Cycles {
+			down := a.At + float64(k)*a.Period
+			at(down, func() { c.killHost(h, "flap") })
+			at(down+a.Period/2, func() { c.reviveHost(h, "flap revive") })
+		}
+	}
 }

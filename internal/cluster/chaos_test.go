@@ -9,6 +9,7 @@
 package cluster
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -19,6 +20,31 @@ import (
 	"tpusim/internal/runtime"
 	"tpusim/internal/workload"
 )
+
+// chaos schedules the chaos-plan spec fmt.Sprintf(format, args...) through
+// ApplyChaos, the one entry point the CLI's -chaos-plan also drives.
+func chaos(t *testing.T, c *Cluster, format string, args ...any) {
+	t.Helper()
+	p, err := ParseChaosPlan(fmt.Sprintf(format, args...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ApplyChaos(p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appDecisions returns one app's autoscaler decisions, read from the event
+// log like every other consumer of them.
+func appDecisions(c *Cluster, a *app) []Decision {
+	var out []Decision
+	for _, e := range c.events {
+		if d := e.decision; d != nil && d.app == a.idx {
+			out = append(out, *d)
+		}
+	}
+	return out
+}
 
 // countEvents tallies log entries of one kind, optionally for one host
 // (host -2 matches any).
@@ -68,12 +94,7 @@ func TestReviveReadmitsReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.KillHostAt(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReviveHostAt(3, 0); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "kill=0@2,revive=0@3")
 	a := c.apps[0]
 	rep := replicaOnHost(a, 0)
 	if rep == nil {
@@ -127,12 +148,7 @@ func TestRevivedHostReentersPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.KillHostAt(0.5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReviveHostAt(1, 1); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "kill=1@0.5,revive=1@1")
 	a := c.apps[0]
 	c.Run(0.6)
 	if d := c.bestDevice(a); d == nil || d.host.id != 0 {
@@ -158,9 +174,7 @@ func TestPlacementSkipsPartitionedHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PartitionHostAt(0.5, 2, 1); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "part=1@0.5-2")
 	a := c.apps[0]
 	c.Run(1) // host1 partitioned: only host0 is placeable
 	if d := c.bestDevice(a); d == nil || d.host.id != 0 {
@@ -187,9 +201,7 @@ func TestPartitionBlackholeAndReroute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PartitionHostAt(2, 2.5, 0); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "part=0@2-2.5")
 	a := c.apps[0]
 	rep := replicaOnHost(a, 0)
 
@@ -255,9 +267,7 @@ func TestNoPolicyRoutesToPartitionedReplica(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.PartitionHostAt(1, 3, 0); err != nil {
-				t.Fatal(err)
-			}
+			chaos(t, c, "part=0@1-3")
 			a := c.apps[0]
 			rep := replicaOnHost(a, 0)
 			c.Run(1.001)
@@ -288,9 +298,7 @@ func TestRouterMissWhenAllPartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PartitionHostAt(1, 1.2, 0); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "part=0@1-1.2")
 	c.Run(3)
 	a := c.apps[0]
 	if a.RouterMiss == 0 {
@@ -353,12 +361,7 @@ func TestZoneKillRevive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.KillZoneAt(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReviveZoneAt(3, 0); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "zone-down=0@2,zone-up=0@3")
 	a := c.apps[0]
 
 	c.Run(2.5) // zone 0 dark
@@ -422,15 +425,10 @@ func TestAutoscalerIncidentGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.KillZoneAt(0.3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReviveZoneAt(2, 0); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "zone-down=0@0.3,zone-up=0@2")
 	c.Run(4)
 	holds, downsDuring, downsAfter := 0, 0, 0
-	for _, d := range c.apps[0].decisions {
+	for _, d := range appDecisions(c, c.apps[0]) {
 		switch {
 		case d.Action == "scale-hold":
 			holds++
@@ -531,9 +529,7 @@ func TestDeadlineAwareFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PartitionHostAt(2, 2.2, 0); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "part=0@2-2.2")
 	c.Run(5)
 	a := c.apps[0]
 	if a.Blackholed == 0 {
@@ -564,9 +560,7 @@ func TestFlapHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.FlapHostAt(1, 0, 3, 0.5); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "flap=0@1x3/0.5")
 	c.Run(4)
 	if got := countEvents(c, "kill", 0); got != 3 {
 		t.Errorf("flap killed host0 %d times, want 3", got)
@@ -607,12 +601,7 @@ func TestDegradedHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetHostSlowAt(2, 0, 2.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetHostSlowAt(4, 0, 1.0); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "slow=0x2@2,slow=0x1@4")
 	a := c.apps[0]
 	rep := replicaOnHost(a, 0)
 	healthyRate := perReplicaRate(rep)
@@ -714,9 +703,11 @@ func TestApplyChaosValidatesFleet(t *testing.T) {
 }
 
 // TestPlansAndSchedulersReturnErrors: a number that is not a time (NaN), a
-// NaN factor / period / window, or a time already behind the clock is an
-// error from Validate / Apply... / ...At — never a panic out of the calendar,
-// at scheduling time or (the NaN slow-down) halfway through Run.
+// non-finite factor / period / window, a malformed partition or flap, a
+// target outside the fleet, or a time already behind the clock is an error
+// from Validate / ApplyChaos / ApplyRollout — never a panic out of the
+// calendar, at scheduling time or (the NaN slow-down) halfway through Run.
+// A plan with one bad action schedules nothing.
 func TestPlansAndSchedulersReturnErrors(t *testing.T) {
 	for _, spec := range []string{
 		"slow=6xNaN@0.3", "slow=0x2@NaN", "kill=0@NaN", "revive=0@NaN", "zone-down=0@NaN",
@@ -753,37 +744,38 @@ func TestPlansAndSchedulersReturnErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(1)
-	nan, pending := math.NaN(), c.loop.Pending()
-	for name, call := range map[string]func() error{
-		"KillHostAt past":         func() error { return c.KillHostAt(0.5, 0) },
-		"KillHostAt NaN":          func() error { return c.KillHostAt(nan, 0) },
-		"ReviveHostAt past":       func() error { return c.ReviveHostAt(0.5, 0) },
-		"PartitionHostAt past":    func() error { return c.PartitionHostAt(0.5, 2, 0) },
-		"PartitionHostAt NaN end": func() error { return c.PartitionHostAt(1.5, nan, 0) },
-		"SetHostSlowAt past":      func() error { return c.SetHostSlowAt(0.5, 0, 2) },
-		"SetHostSlowAt NaN x":     func() error { return c.SetHostSlowAt(1.5, 0, nan) },
-		"FlapHostAt past":         func() error { return c.FlapHostAt(0.5, 0, 2, 0.1) },
-		"FlapHostAt NaN period":   func() error { return c.FlapHostAt(1.5, 0, 2, nan) },
-		"KillZoneAt past":         func() error { return c.KillZoneAt(0.5, 0) },
-		"ReviveZoneAt NaN":        func() error { return c.ReviveZoneAt(nan, 0) },
-		"CordonHostAt past":       func() error { return c.CordonHostAt(0.5, 0) },
-		"UncordonHostAt NaN":      func() error { return c.UncordonHostAt(nan, 0) },
-		"ApplyChaos past": func() error {
-			return c.ApplyChaos(ChaosPlan{Actions: []ChaosAction{{Kind: "kill", Target: 0, At: 0.5}}})
-		},
-		"ApplyRollout past": func() error { return c.ApplyRollout(RolloutPlan{Start: 0.5}) },
+	nan, inf, pending := math.NaN(), math.Inf(1), c.loop.Pending()
+	for name, bad := range map[string]ChaosAction{
+		"kill past":         {Kind: "kill", At: 0.5},
+		"kill NaN":          {Kind: "kill", At: nan},
+		"kill outside":      {Kind: "kill", Target: 2, At: 1.5},
+		"revive past":       {Kind: "revive", At: 0.5},
+		"part past":         {Kind: "part", At: 0.5, Until: 2},
+		"part NaN end":      {Kind: "part", At: 1.5, Until: nan},
+		"part empty window": {Kind: "part", At: 1.5, Until: 1.5},
+		"slow past":         {Kind: "slow", At: 0.5, Factor: 2},
+		"slow NaN factor":   {Kind: "slow", At: 1.5, Factor: nan},
+		"slow Inf factor":   {Kind: "slow", At: 1.5, Factor: inf},
+		"flap past":         {Kind: "flap", At: 0.5, Cycles: 2, Period: 0.1},
+		"flap NaN period":   {Kind: "flap", At: 1.5, Cycles: 2, Period: nan},
+		"flap no cycles":    {Kind: "flap", At: 1.5, Period: 0.1},
+		"zone-down past":    {Kind: "zone-down", At: 0.5},
+		"zone-down outside": {Kind: "zone-down", Target: 2, At: 1.5},
+		"zone-up NaN":       {Kind: "zone-up", At: nan},
 	} {
-		if err := call(); err == nil {
+		// Behind a good action, which must not be scheduled either.
+		if err := c.ApplyChaos(ChaosPlan{Actions: []ChaosAction{{Kind: "kill", At: 1.5}, bad}}); err == nil {
 			t.Errorf("%s: scheduled without error at now=%v", name, c.Now())
 		}
 	}
+	if err := c.ApplyRollout(RolloutPlan{Start: 0.5}); err == nil {
+		t.Errorf("rollout in the past: scheduled without error at now=%v", c.Now())
+	}
 	if got := c.loop.Pending(); got != pending {
-		t.Errorf("rejected calls left %d events on the calendar", got-pending)
+		t.Errorf("rejected plans left %d events on the calendar", got-pending)
 	}
 	// The same calls are fine at or after now, and the run goes on.
-	if err := c.KillHostAt(1, 0); err != nil {
-		t.Errorf("KillHostAt(now): %v", err)
-	}
+	chaos(t, c, "kill=0@1")
 	if err := c.ApplyRollout(RolloutPlan{Start: 1.2}); err != nil {
 		t.Errorf("ApplyRollout in the future: %v", err)
 	}

@@ -106,10 +106,10 @@ type Config struct {
 	// and seed are byte-identical.
 	Seed int64
 	// Zones groups hosts into contiguous failure domains (host h is in zone
-	// h*Zones/Hosts) that fail and recover as one unit via KillZoneAt /
-	// ReviveZoneAt. Placement spreads an app's replicas across zones before
-	// doubling up (zone anti-affinity) and the autoscaler freezes
-	// scale-down while a zone is dark. 0 or 1 means one zone — behavior is
+	// h*Zones/Hosts) that fail and recover as one unit (a ChaosPlan's
+	// zone-down / zone-up). Placement spreads an app's replicas across
+	// zones before doubling up (zone anti-affinity) and the autoscaler
+	// freezes scale-down while a zone is dark. 0 or 1 means one zone — behavior is
 	// identical to before zones existed.
 	Zones int
 	// Retry tunes client-style retries and the anti-storm defenses (token
@@ -151,6 +151,14 @@ type Event struct {
 // String renders one log line.
 func (e Event) String() string {
 	return fmt.Sprintf("#%d %.6fs host=%d %s: %s", e.Seq, e.Time, e.Host, e.Kind, e.Detail)
+}
+
+// logEntry is one slot of the event log: the entry, and for an autoscaler
+// decision the typed Decision it records. The log is the autoscaler's only
+// ledger — Snapshot.Decisions and the registry's action counters read it.
+type logEntry struct {
+	Event
+	decision *Decision
 }
 
 // request is one in-flight request.
@@ -255,7 +263,6 @@ type app struct {
 	tickOffered, tickShed uint64
 	lowTicks              int
 	holdLogged            bool // incident guard announced for this incident
-	decisions             []Decision
 
 	// Rollout state: the version scale-ups place, the app's rollout-local
 	// bookkeeping (nil without a rollout), and the one-shot rollout-guard
@@ -280,9 +287,12 @@ func (a *app) liveReplicas() int {
 type Decision struct {
 	Time     float64
 	App      string
-	Action   string // scale-up, scale-down, scale-blocked
+	Action   string // scale-up, scale-down, scale-blocked, scale-hold
 	From, To int
 	Reason   string
+
+	app int         // the app's index: New does not require unique names
+	act scaleAction // Action, as an index
 }
 
 // String renders one decision line.
@@ -292,14 +302,13 @@ func (d Decision) String() string {
 
 // Cluster is the simulated fleet.
 type Cluster struct {
-	cfg      Config
-	loop     *des.Loop
-	hosts    []*host
-	apps     []*app
-	events   []Event
-	eventSeq uint64
-	tel      *Telemetry
-	counts   EventCounts
+	cfg    Config
+	loop   *des.Loop
+	hosts  []*host
+	apps   []*app
+	events []logEntry
+	tel    *Telemetry
+	counts EventCounts
 
 	// Failure-domain and incident bookkeeping (see chaos.go).
 	zoneAlive []int // alive hosts per zone
@@ -399,9 +408,7 @@ func New(cfg Config) (*Cluster, error) {
 	// app land on distinct hosts before any app doubles up.
 	maxInit := 0
 	for _, a := range c.apps {
-		if a.cfg.InitialReplicas > maxInit {
-			maxInit = a.cfg.InitialReplicas
-		}
+		maxInit = max(maxInit, a.cfg.InitialReplicas)
 	}
 	for round := 0; round < maxInit; round++ {
 		for _, a := range c.apps {
@@ -429,26 +436,16 @@ func New(cfg Config) (*Cluster, error) {
 // the ordered log and derives the entry's instant span from it. on carries
 // the typed facts the span needs that the entry only has as prose.
 func (c *Cluster) log(hostID int, kind, detail string, on subject) {
-	c.eventSeq++
-	e := Event{Seq: c.eventSeq, Time: c.loop.Now(), Host: hostID, Kind: kind, Detail: detail}
-	c.events = append(c.events, e)
+	e := Event{Seq: uint64(len(c.events)) + 1, Time: c.loop.Now(), Host: hostID, Kind: kind, Detail: detail}
+	c.events = append(c.events, logEntry{e, on.decision})
 	c.tel.logSpan(e, on)
 }
 
 // Events returns the full ordered event log.
 func (c *Cluster) Events() []Event {
 	out := make([]Event, len(c.events))
-	copy(out, c.events)
-	return out
-}
-
-// HostEvents filters the log to one host's events, in order.
-func (c *Cluster) HostEvents(hostID int) []Event {
-	var out []Event
-	for _, e := range c.events {
-		if e.Host == hostID {
-			out = append(out, e)
-		}
+	for i, e := range c.events {
+		out[i] = e.Event
 	}
 	return out
 }
@@ -487,27 +484,6 @@ func (c *Cluster) Run(until float64) {
 	if c.tel != nil && c.tel.Metrics != nil {
 		c.telemetryFlush()
 	}
-}
-
-// KillHostAt schedules a hard host death: every replica on it is
-// quarantined, in-flight batches are lost, and queued plus in-flight
-// requests fail over through the router to surviving hosts.
-func (c *Cluster) KillHostAt(t float64, hostID int) error {
-	return c.at(t, "host", hostID, len(c.hosts), func() { c.killHost(c.hosts[hostID], "host-kill") })
-}
-
-// at is the shared body of every scheduling method: id must name one of the
-// fleet's n hosts or zones and t must pass checkTime, then fn goes on the
-// calendar.
-func (c *Cluster) at(t float64, noun string, id, n int, fn func()) error {
-	if id < 0 || id >= n {
-		return fmt.Errorf("cluster: %s %d outside the fleet's %d %ss", noun, id, n, noun)
-	}
-	if err := c.checkTime(t); err != nil {
-		return err
-	}
-	c.loop.At(t, c.controller(fn))
-	return nil
 }
 
 // checkTime reports whether the calendar accepts t. des.Schedule panics on
@@ -757,9 +733,11 @@ func (c *Cluster) grantDevice(d *device) {
 	}
 }
 
-// killHost executes a hard host death. why tags the incident trigger
-// (host-kill, zone-down, flap). Death is no longer one-way: reviveHost
-// (chaos.go) brings the host back and re-admits its replicas.
+// killHost executes a hard host death: every replica on it is
+// quarantined, in-flight batches are lost, and queued plus in-flight
+// requests fail over through the router to surviving hosts. why tags the
+// incident trigger (host-kill, zone-down, flap). Death is not one-way:
+// reviveHost (chaos.go) brings the host back and re-admits its replicas.
 func (c *Cluster) killHost(h *host, why string) {
 	if !h.alive {
 		return

@@ -92,9 +92,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.KillHostAt(1.5, 0); err != nil {
-			t.Fatal(err)
-		}
+		chaos(t, c, "kill=0@1.5")
 		return c
 	}
 	a, b := build(), build()
@@ -149,9 +147,7 @@ func TestCrossHostFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.KillHostAt(2, 0); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "kill=0@2")
 	c.Run(5)
 	a := c.apps[0]
 	if a.Failovers == 0 {
@@ -223,21 +219,20 @@ func TestEventLogCommonPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.KillHostAt(1.0, 2); err != nil {
-			t.Fatal(err)
-		}
+		chaos(t, c, "kill=2@1")
 		// Scheduled in both runs, but fires only inside the long horizon:
 		// guarantees the long log strictly extends the short one.
-		if err := c.KillHostAt(3.0, 3); err != nil {
-			t.Fatal(err)
-		}
+		chaos(t, c, "kill=3@3")
 		return c
 	}
 	long, short := build(), build()
 	long.Run(4)
 	short.Run(2)
+	hostEvents := func(c *Cluster, h int) []Event {
+		return slices.DeleteFunc(c.Events(), func(e Event) bool { return e.Host != h })
+	}
 	for h := -1; h < 4; h++ {
-		le, se := long.HostEvents(h), short.HostEvents(h)
+		le, se := hostEvents(long, h), hostEvents(short, h)
 		if len(se) > len(le) {
 			t.Fatalf("host %d: short run logged more events (%d) than long (%d)", h, len(se), len(le))
 		}
@@ -289,7 +284,7 @@ func TestAutoscalerRampUpAndDown(t *testing.T) {
 		t.Errorf("autoscaler never scaled down: peak %d, final %d", peak, final)
 	}
 	ups, downs := 0, 0
-	for _, d := range c.apps[0].decisions {
+	for _, d := range appDecisions(c, c.apps[0]) {
 		switch d.Action {
 		case "scale-up":
 			ups++
@@ -301,7 +296,7 @@ func TestAutoscalerRampUpAndDown(t *testing.T) {
 		t.Errorf("decision ledger: %d ups, %d downs, want both > 0", ups, downs)
 	}
 	s := c.Snapshot()
-	if s.Apps[0].Decisions != len(c.apps[0].decisions) || len(s.Decisions) == 0 {
+	if len(s.Decisions) == 0 || len(s.Decisions) != len(appDecisions(c, c.apps[0])) {
 		t.Error("decisions missing from snapshot")
 	}
 	// Shed stays bounded once capacity catches up.
@@ -337,7 +332,7 @@ func TestPlacementHonorsWeightMemory(t *testing.T) {
 	}
 	c.Run(2)
 	blocked := false
-	for _, d := range c.apps[0].decisions {
+	for _, d := range appDecisions(c, c.apps[0]) {
 		if d.Action == "scale-blocked" {
 			blocked = true
 		}

@@ -68,9 +68,7 @@ func goldenClusterWith(t *testing.T, tel *Telemetry) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.KillHostAt(2.5, 1); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "kill=1@2.5")
 	return c
 }
 

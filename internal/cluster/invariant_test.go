@@ -21,13 +21,7 @@ import (
 func TestRouterAndHealthInvariants(t *testing.T) {
 	withZoneOutage := func(t *testing.T) *Cluster {
 		c := rolloutCluster(t, goodPlan(), 4)
-		plan, err := ParseChaosPlan("zone-down=3@0.55,zone-up=3@1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.ApplyChaos(plan); err != nil {
-			t.Fatal(err)
-		}
+		chaos(t, c, "zone-down=3@0.55,zone-up=3@1")
 		return c
 	}
 	for _, sc := range []struct {

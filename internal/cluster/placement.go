@@ -17,11 +17,7 @@ import (
 // available device, or fails when no alive device has the weight capacity.
 // The version is the app's current one — v1 until a rollout finishes.
 func (c *Cluster) place(a *app) (*replica, error) {
-	v := a.curVersion
-	if v == 0 {
-		v = 1
-	}
-	return c.placeReplica(a, v, false)
+	return c.placeReplica(a, a.curVersion, false)
 }
 
 // placeReplica places one replica at an explicit model version. A canary
@@ -59,7 +55,7 @@ func (c *Cluster) placeReplica(a *app, version int, canary bool) (*replica, erro
 // rollout plan's factor for v2+, exactly 1 otherwise.
 func (c *Cluster) versionScale(version int) float64 {
 	if version >= 2 && c.ro != nil {
-		return c.ro.plan.factor()
+		return c.ro.plan.Factor
 	}
 	return 1
 }

@@ -32,6 +32,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -61,21 +62,12 @@ const (
 	RolloutRolledBack
 )
 
+var stageNames = [...]string{"idle", "canary", "wave", "hold", "done", "rolled-back"}
+
 // String renders the stage for snapshots and reports.
 func (s RolloutStage) String() string {
-	switch s {
-	case RolloutIdle:
-		return "idle"
-	case RolloutCanary:
-		return "canary"
-	case RolloutWave:
-		return "wave"
-	case RolloutHold:
-		return "hold"
-	case RolloutDone:
-		return "done"
-	case RolloutRolledBack:
-		return "rolled-back"
+	if int(s) < len(stageNames) {
+		return stageNames[s]
 	}
 	return "unknown"
 }
@@ -109,60 +101,18 @@ type RolloutPlan struct {
 	ErrTol float64
 }
 
-func (p RolloutPlan) factor() float64 {
-	if p.Factor <= 0 {
-		return 1
-	}
-	return p.Factor
-}
-
-func (p RolloutPlan) canaryFrac() float64 {
-	if p.CanaryFrac <= 0 {
-		return 0.1
-	}
-	return p.CanaryFrac
-}
-
-func (p RolloutPlan) windows() int {
-	if p.Windows <= 0 {
-		return 3
-	}
-	return p.Windows
-}
-
-func (p RolloutPlan) windowSeconds() float64 {
-	if p.WindowSeconds <= 0 {
-		return 0.05
-	}
-	return p.WindowSeconds
-}
-
-func (p RolloutPlan) maxUnavailable() int {
-	if p.MaxUnavailable <= 0 {
-		return 1
-	}
-	return p.MaxUnavailable
-}
-
-func (p RolloutPlan) drainSeconds() float64 {
-	if p.DrainSeconds <= 0 {
-		return 0.05
-	}
-	return p.DrainSeconds
-}
-
-func (p RolloutPlan) shedTol() float64 {
-	if p.ShedTol <= 0 {
-		return 0.02
-	}
-	return p.ShedTol
-}
-
-func (p RolloutPlan) errTol() float64 {
-	if p.ErrTol <= 0 {
-		return 0.01
-	}
-	return p.ErrTol
+// withDefaults returns the plan with each zero field at its default. It
+// runs once, in ApplyRollout; the controller reads only the result.
+func (p RolloutPlan) withDefaults() RolloutPlan {
+	p.Factor = cmp.Or(p.Factor, 1)
+	p.CanaryFrac = cmp.Or(p.CanaryFrac, 0.1)
+	p.Windows = cmp.Or(p.Windows, 3)
+	p.WindowSeconds = cmp.Or(p.WindowSeconds, 0.05)
+	p.MaxUnavailable = cmp.Or(p.MaxUnavailable, 1)
+	p.DrainSeconds = cmp.Or(p.DrainSeconds, 0.05)
+	p.ShedTol = cmp.Or(p.ShedTol, 0.02)
+	p.ErrTol = cmp.Or(p.ErrTol, 0.01)
+	return p
 }
 
 // String renders the plan in the spec syntax ParseRolloutPlan accepts;
@@ -279,7 +229,7 @@ func ParseRolloutPlan(spec string) (RolloutPlan, error) {
 
 // rolloutState is the controller's cluster-level state.
 type rolloutState struct {
-	plan        RolloutPlan
+	plan        RolloutPlan // defaults resolved
 	stage       RolloutStage
 	resumeStage RolloutStage // stage to restore when a hold clears
 	splitKeys   uint64       // of 1024 key slots, how many divert to the canary
@@ -338,7 +288,8 @@ func (c *Cluster) ApplyRollout(p RolloutPlan) error {
 	if err := c.checkTime(p.Start); err != nil {
 		return err
 	}
-	c.ro = &rolloutState{plan: p, splitKeys: uint64(p.canaryFrac()*1024 + 0.5)}
+	p = p.withDefaults()
+	c.ro = &rolloutState{plan: p, splitKeys: uint64(p.CanaryFrac*1024 + 0.5)}
 	c.loop.At(p.Start, c.controller(c.rolloutBegin))
 	return nil
 }
@@ -372,17 +323,8 @@ func (c *Cluster) rolloutLog(kind, detail string) { c.log(-1, kind, detail, subj
 
 // ---- cordon ----
 
-// CordonHostAt schedules a cordon: the host keeps serving but placement
-// skips it.
-func (c *Cluster) CordonHostAt(t float64, hostID int) error {
-	return c.at(t, "host", hostID, len(c.hosts), func() { c.cordon(c.hosts[hostID]) })
-}
-
-// UncordonHostAt schedules the cordon's removal.
-func (c *Cluster) UncordonHostAt(t float64, hostID int) error {
-	return c.at(t, "host", hostID, len(c.hosts), func() { c.uncordon(c.hosts[hostID]) })
-}
-
+// cordon keeps the host serving while placement skips it — the wave's
+// first step.
 func (c *Cluster) cordon(h *host) {
 	if h.cordoned {
 		return
@@ -391,6 +333,7 @@ func (c *Cluster) cordon(h *host) {
 	c.log(h.id, "cordon", fmt.Sprintf("host%d cordoned: placement skips it, residents keep serving", h.id), subject{})
 }
 
+// uncordon returns the host to placement.
 func (c *Cluster) uncordon(h *host) {
 	if !h.cordoned {
 		return
@@ -476,15 +419,12 @@ func (c *Cluster) rolloutBegin() {
 	}
 	ro.stage = RolloutCanary
 	c.rolloutLog("rollout", fmt.Sprintf("rollout to v2: factor x%s, canary %.0f%%, %d windows of %s s, wave size %d, drain deadline %s s",
-		ftoa(ro.plan.factor()), ro.plan.canaryFrac()*100, ro.plan.windows(),
-		ftoa(ro.plan.windowSeconds()), ro.plan.maxUnavailable(), ftoa(ro.plan.drainSeconds())))
+		ftoa(ro.plan.Factor), ro.plan.CanaryFrac*100, ro.plan.Windows,
+		ftoa(ro.plan.WindowSeconds), ro.plan.MaxUnavailable, ftoa(ro.plan.DrainSeconds)))
 	for _, a := range c.apps {
 		aro := &appRollout{baseline: a.liveReplicas()}
 		a.ro = aro
-		n := int(math.Round(ro.plan.canaryFrac() * float64(aro.baseline)))
-		if n < 1 {
-			n = 1
-		}
+		n := max(int(math.Round(ro.plan.CanaryFrac*float64(aro.baseline))), 1)
 		for i := 0; i < n; i++ {
 			rep, err := c.placeReplica(a, 2, true)
 			if err != nil {
@@ -495,13 +435,13 @@ func (c *Cluster) rolloutBegin() {
 		}
 		aro.splitting = true
 		c.rolloutLog("canary", fmt.Sprintf("%s: %d canary replica(s) at v2, %.0f%% of traffic diverted",
-			a.cfg.Name, n, ro.plan.canaryFrac()*100))
+			a.cfg.Name, n, ro.plan.CanaryFrac*100))
 	}
 	c.rolloutObserve(c.canaryVerdict)
 }
 
 // rolloutObserve starts a fresh observation: cohort accumulators and
-// error baselines reset, then plan.windows() windows elapse before the
+// error baselines reset, then plan.Windows windows elapse before the
 // verdict runs. An incident opening mid-observation pauses and restarts
 // the observation after the heal, so a verdict never reads incident
 // damage as a bad model version.
@@ -522,7 +462,7 @@ func (c *Cluster) rolloutObserve(verdict func()) {
 func (c *Cluster) rolloutWindow(verdict func()) {
 	ro := c.ro
 	gen := ro.gen
-	c.loop.After(ro.plan.windowSeconds(), c.controller(func() {
+	c.loop.After(ro.plan.WindowSeconds, c.controller(func() {
 		if ro.gen != gen {
 			return
 		}
@@ -530,7 +470,7 @@ func (c *Cluster) rolloutWindow(verdict func()) {
 			return
 		}
 		ro.windowsSeen++
-		if ro.windowsSeen >= ro.plan.windows() {
+		if ro.windowsSeen >= ro.plan.Windows {
 			verdict()
 			return
 		}
@@ -553,7 +493,7 @@ func (c *Cluster) rolloutHoldIfIncident(resume func()) bool {
 		c.rolloutLog("wave-hold", fmt.Sprintf("rollout paused: open incident (%d hosts down or partitioned)", c.downHosts))
 	}
 	gen := ro.gen
-	c.loop.After(ro.plan.windowSeconds(), c.controller(func() {
+	c.loop.After(ro.plan.WindowSeconds, c.controller(func() {
 		if ro.gen != gen {
 			return
 		}
@@ -588,9 +528,9 @@ func (c *Cluster) rolloutVerdictFail() string {
 			if v1.offered > 0 {
 				shed1 = float64(v1.shed) / float64(v1.offered)
 			}
-			if shed2 > shed1+plan.shedTol() {
+			if shed2 > shed1+plan.ShedTol {
 				return fmt.Sprintf("%s: v2 shed %.1f%% vs v1 %.1f%% (tol %.1f%%)",
-					a.cfg.Name, shed2*100, shed1*100, plan.shedTol()*100)
+					a.cfg.Name, shed2*100, shed1*100, plan.ShedTol*100)
 			}
 		}
 		if len(v2.lats) > 0 {
@@ -600,9 +540,9 @@ func (c *Cluster) rolloutVerdictFail() string {
 			}
 		}
 		if off := a.Offered - aro.offBase; off > 0 {
-			if errRate := float64(a.Errors-aro.errBase) / float64(off); errRate > plan.errTol() {
+			if errRate := float64(a.Errors-aro.errBase) / float64(off); errRate > plan.ErrTol {
 				return fmt.Sprintf("%s: error rate %.2f%% over the %.2f%% tolerance",
-					a.cfg.Name, errRate*100, plan.errTol()*100)
+					a.cfg.Name, errRate*100, plan.ErrTol*100)
 			}
 		}
 	}
@@ -672,7 +612,7 @@ func (c *Cluster) startWave() {
 	ro.stage = RolloutWave
 	ro.waveHosts = hosts
 	c.rolloutLog("wave", fmt.Sprintf("wave %d: upgrading %s (max unavailable %d)",
-		ro.wave, hostList(hosts), ro.plan.maxUnavailable()))
+		ro.wave, hostList(hosts), ro.plan.MaxUnavailable))
 	for _, h := range hosts {
 		c.cordon(h)
 	}
@@ -702,7 +642,7 @@ func (c *Cluster) startWave() {
 	ro.waveRemaining = len(victims)
 	for _, rep := range victims {
 		rep.waveDrain = true
-		c.drainReplica(rep, ro.plan.drainSeconds())
+		c.drainReplica(rep, ro.plan.DrainSeconds)
 	}
 }
 
@@ -712,7 +652,7 @@ func (c *Cluster) startWave() {
 // silently — the incident hold at the wave boundary waits for them.
 func (c *Cluster) nextWaveHosts() []*host {
 	var out []*host
-	limit := c.ro.plan.maxUnavailable()
+	limit := c.ro.plan.MaxUnavailable
 	for _, h := range c.hosts {
 		if len(out) >= limit {
 			break
@@ -742,7 +682,7 @@ func (c *Cluster) waveDrained() {
 	}
 	ro.waveHosts = nil
 	c.rolloutLog("wave", fmt.Sprintf("wave %d drained: observing %d windows before promotion",
-		ro.wave, ro.plan.windows()))
+		ro.wave, ro.plan.Windows))
 	c.rolloutObserve(c.waveVerdict)
 }
 
@@ -796,7 +736,7 @@ func (c *Cluster) rollback(reason string) {
 		drained := 0
 		for _, rep := range a.replicas {
 			if rep != nil && rep.version >= 2 && !rep.draining {
-				c.drainReplica(rep, ro.plan.drainSeconds())
+				c.drainReplica(rep, ro.plan.DrainSeconds)
 				drained++
 			}
 		}

@@ -41,9 +41,13 @@ func TestParseRolloutPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.factor() != 1 || d.canaryFrac() != 0.1 || d.windows() != 3 || d.windowSeconds() != 0.05 ||
-		d.maxUnavailable() != 1 || d.drainSeconds() != 0.05 || d.shedTol() != 0.02 || d.errTol() != 0.01 {
-		t.Fatalf("defaults wrong: %+v", d)
+	want := RolloutPlan{Start: 1, Factor: 1, CanaryFrac: 0.1, Windows: 3, WindowSeconds: 0.05,
+		MaxUnavailable: 1, DrainSeconds: 0.05, ShedTol: 0.02, ErrTol: 0.01}
+	if got := d.withDefaults(); got != want {
+		t.Fatalf("defaults wrong: %+v", got)
+	}
+	if d.String() != "start=1" {
+		t.Errorf("String renders defaulted fields: %q", d.String())
 	}
 
 	for _, bad := range []string{
@@ -459,12 +463,7 @@ func TestRolloutChaosPause(t *testing.T) {
 		c := rolloutCluster(t, goodPlan(), 4)
 		// Dark during the canary observation and the first wave boundary;
 		// heals well before the horizon.
-		if err := c.KillZoneAt(0.55, 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.ReviveZoneAt(1.0, 3); err != nil {
-			t.Fatal(err)
-		}
+		chaos(t, c, "zone-down=3@0.55,zone-up=3@1")
 		c.Run(4)
 		return c
 	}
@@ -520,44 +519,6 @@ func TestRolloutChaosPause(t *testing.T) {
 	}
 }
 
-// TestRolloutManualCordon: the public cordon API composes with chaos
-// machinery — a killed-then-revived host that was cordoned meanwhile gets
-// no placements until uncordoned.
-func TestRolloutManualCordon(t *testing.T) {
-	c, err := New(Config{
-		Hosts: 2, DevicesPerHost: 2,
-		Router:    LeastLoaded,
-		Apps:      []AppConfig{testApp("APP0", 100, 1)},
-		Seed:      4,
-		Autoscale: AutoscaleConfig{Disabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CordonHostAt(0.5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.UncordonHostAt(1.5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CordonHostAt(0.5, 99); err == nil {
-		t.Error("out-of-fleet cordon target accepted")
-	}
-	c.Run(1)
-	if got := c.cordonedHosts(); got != 1 {
-		t.Fatalf("cordoned census %d at t=1, want 1", got)
-	}
-	if rep, err := c.place(c.apps[0]); err != nil {
-		t.Fatal(err)
-	} else if rep.dev.host.id == 1 {
-		t.Error("placement landed on the cordoned host")
-	}
-	c.Run(2)
-	if got := c.cordonedHosts(); got != 0 {
-		t.Fatalf("cordoned census %d at t=2, want 0", got)
-	}
-}
-
 // TestGoldenRolloutSnapshot pins the bad-version scenario at two
 // instants: mid-canary (v2 canaries placed, split live) and the final
 // post-rollback state. Regenerate with -update.
@@ -601,9 +562,7 @@ func TestRolloutCanaryQuarantinedOnKill(t *testing.T) {
 	if canaryHost < 0 {
 		t.Fatal("no canary placed by 0.52")
 	}
-	if err := c.KillHostAt(0.53, canaryHost); err != nil {
-		t.Fatal(err)
-	}
+	chaos(t, c, "kill=%d@0.53", canaryHost)
 	c.Run(0.56)
 	for _, a := range c.apps {
 		if a.ro == nil {
@@ -648,7 +607,7 @@ func TestRolloutAutoscalerFrozen(t *testing.T) {
 	}
 	c.Run(0.7) // inside the canary observation
 	hold := false
-	for _, d := range c.apps[0].decisions {
+	for _, d := range appDecisions(c, c.apps[0]) {
 		if d.Action == "scale-hold" && strings.Contains(d.Reason, "rollout guard") {
 			hold = true
 		}

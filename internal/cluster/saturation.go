@@ -388,10 +388,10 @@ func classifyBottleneck(a *app, am *appMetrics, s AppSaturation) (string, string
 		return "queue-limited", fmt.Sprintf(
 			"admission sheds dominate (%d queue-full vs %d dispatch expiries)",
 			am.ShedQueue, am.Expired)
-	case am.scaleBlocked > 0 || am.liveReplicas >= a.cfg.MaxReplicas:
+	case am.actions[actScaleBlocked] > 0 || am.liveReplicas >= a.cfg.MaxReplicas:
 		return "replica-count-limited", fmt.Sprintf(
 			"%d live of max %d replicas, %d placements blocked",
-			am.liveReplicas, a.cfg.MaxReplicas, am.scaleBlocked)
+			am.liveReplicas, a.cfg.MaxReplicas, am.actions[actScaleBlocked])
 	default:
 		return "headroom", fmt.Sprintf(
 			"replicas %.0f%% busy, no sustained shed", s.Utilization*100)

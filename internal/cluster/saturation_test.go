@@ -139,7 +139,7 @@ func TestClassifyBottleneck(t *testing.T) {
 		},
 		{
 			"replica-count", mkApp(16, 4),
-			&appMetrics{batches: 100, liveReplicas: 4, scaleBlocked: 3},
+			&appMetrics{batches: 100, liveReplicas: 4, actions: [numScaleActions]uint64{actScaleBlocked: 3}},
 			AppSaturation{MeanBatch: 15, Utilization: 0.5},
 			"replica-count-limited",
 		},

@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tpusim/internal/runtime"
@@ -39,7 +38,6 @@ type AppSnapshot struct {
 	// ShedFrac is (queue sheds + dispatch expiries) over offered load;
 	// ErrorRate is client-visible failures over offered load.
 	ShedFrac, ErrorRate float64
-	Decisions           int
 }
 
 // ReplicaSnapshot is one replica's placement and state.
@@ -127,8 +125,8 @@ func (c *Cluster) Snapshot() *Snapshot {
 		s.Rollout = &RolloutSnapshot{
 			Stage:      ro.stage.String(),
 			Wave:       ro.wave,
-			CanaryFrac: ro.plan.canaryFrac(),
-			Factor:     ro.plan.factor(),
+			CanaryFrac: ro.plan.CanaryFrac,
+			Factor:     ro.plan.Factor,
 			Rollbacks:  ro.rollbacks,
 			Reason:     ro.reason,
 		}
@@ -151,7 +149,6 @@ func (c *Cluster) Snapshot() *Snapshot {
 			Name:        a.cfg.Name,
 			Replicas:    a.liveReplicas(),
 			AppCounters: a.AppCounters,
-			Decisions:   len(a.decisions),
 		}
 		// Percentiles selects on one copy; latencies stay in completion order. It
 		// fails on an empty slice only.
@@ -176,11 +173,14 @@ func (c *Cluster) Snapshot() *Snapshot {
 				QueueLen: rep.lane.Len(),
 			})
 		}
-		s.Decisions = append(s.Decisions, a.decisions...)
 	}
-	// Decisions across apps, in decision-time order (stable within an app
-	// already; merge preserves config order on exact ties via stable sort).
-	sort.SliceStable(s.Decisions, func(i, j int) bool { return s.Decisions[i].Time < s.Decisions[j].Time })
+	// The log holds decisions in time order, and the autoscaler decides for
+	// the apps of one tick in config order.
+	for _, e := range c.events {
+		if e.decision != nil {
+			s.Decisions = append(s.Decisions, *e.decision)
+		}
+	}
 	return s
 }
 
@@ -193,33 +193,20 @@ func (s *Snapshot) Render() string {
 	}
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "virtual time %.3f s, hosts alive %d/%d", s.VirtualTime, s.HostsAlive, s.Hosts)
-	if len(s.DeadHosts) > 0 {
-		fmt.Fprintf(&b, " (dead:")
-		for _, h := range s.DeadHosts {
-			fmt.Fprintf(&b, " host%d", h)
+	for _, l := range []struct {
+		label, noun string
+		ids         []int
+	}{
+		{"dead", "host", s.DeadHosts}, {"partitioned", "host", s.PartitionedHosts},
+		{"cordoned", "host", s.CordonedHosts}, {"dark", "zone", s.DarkZones},
+	} {
+		if len(l.ids) > 0 {
+			fmt.Fprintf(&b, " (%s:", l.label)
+			for _, id := range l.ids {
+				fmt.Fprintf(&b, " %s%d", l.noun, id)
+			}
+			b.WriteString(")")
 		}
-		b.WriteString(")")
-	}
-	if len(s.PartitionedHosts) > 0 {
-		fmt.Fprintf(&b, " (partitioned:")
-		for _, h := range s.PartitionedHosts {
-			fmt.Fprintf(&b, " host%d", h)
-		}
-		b.WriteString(")")
-	}
-	if len(s.CordonedHosts) > 0 {
-		fmt.Fprintf(&b, " (cordoned:")
-		for _, h := range s.CordonedHosts {
-			fmt.Fprintf(&b, " host%d", h)
-		}
-		b.WriteString(")")
-	}
-	if len(s.DarkZones) > 0 {
-		fmt.Fprintf(&b, " (dark:")
-		for _, z := range s.DarkZones {
-			fmt.Fprintf(&b, " zone%d", z)
-		}
-		b.WriteString(")")
 	}
 	fmt.Fprintf(&b, ", log %d events\n\n", s.EventLogLen)
 

@@ -27,10 +27,12 @@
 // The simulator keeps the only set of books. Who owns which number:
 //
 //	simulator's, sampled at the     the app's AppCounters (offered through blackholed,
-//	window tick and at the end of   copied whole), autoscaler actions (the Decision
-//	Run (FleetMetrics.sample)       ledger), per-host routed / completed / shed (replica
-//	                                counters; onRetire folds a departing replica's),
-//	                                queue depth, live replicas, zone and rollout gauges
+//	window tick and at the end of   copied whole), per-host routed / completed / shed
+//	Run (FleetMetrics.sample)       (replica counters; onRetire folds a departing
+//	                                replica's), queue depth, live replicas, zone and
+//	                                rollout gauges
+//	simulator's event log, read at  autoscaler actions (the log's decision entries,
+//	the same instants (sampleFleet) counted by app index and action)
 //	simulator's, derived from the   every instant span
 //	log entry as Cluster.log
 //	appends it (logSpan)
@@ -286,10 +288,10 @@ func (t *Telemetry) onBatchKilled(rep *replica) {
 // entry's Host, Kind and Detail. It travels typed beside the entry so the
 // derivation never parses the prose.
 type subject struct {
-	zone     int      // zone-down, zone-up
-	rep      *replica // quarantine
-	factor   float64  // degrade
-	decision Decision // scale-up, scale-down, scale-blocked, scale-hold
+	zone     int       // zone-down, zone-up
+	rep      *replica  // quarantine
+	factor   float64   // degrade
+	decision *Decision // scale-up, scale-down, scale-blocked, scale-hold; kept in the log
 }
 
 // logSpan derives the instant span of the event-log entry Cluster.log just
@@ -379,10 +381,17 @@ func (c *Cluster) telemetryTick() {
 	f.mu.Unlock()
 }
 
-// sampleFleet refreshes the per-zone up/dark gauges from the simulator's
-// alive counts and the change-management gauges from the rollout
-// controller. Caller holds f.mu on the simulator goroutine.
+// sampleFleet counts the autoscaler decisions the event log gained since
+// the last sample, and refreshes the per-zone up/dark gauges from the
+// simulator's alive counts and the change-management gauges from the
+// rollout controller. Caller holds f.mu on the simulator goroutine.
 func (f *FleetMetrics) sampleFleet(c *Cluster) {
+	for _, e := range c.events[f.logSeen:] {
+		if d := e.decision; d != nil {
+			f.apps[d.app].actions[d.act]++
+		}
+	}
+	f.logSeen = len(c.events)
 	for z := range f.zoneUp {
 		f.zoneUp[z] = c.zoneAlive[z] > 0
 	}
@@ -392,27 +401,13 @@ func (f *FleetMetrics) sampleFleet(c *Cluster) {
 }
 
 // sample pulls one app's simulator-owned counters into the registry: the
-// request-outcome totals (one AppCounters copy), the autoscaler actions
-// its Decision ledger gained since the last sample, per-host traffic (live
+// request-outcome totals (one AppCounters copy), per-host traffic (live
 // replicas' counters on top of the retired replicas' folded ones), queue
 // depth and live replicas.
 // Caller holds f.mu and runs on the simulator goroutine, so reading sim
 // state here is race-free.
 func (f *FleetMetrics) sample(a *app, am *appMetrics) {
 	am.AppCounters = a.AppCounters
-	for _, d := range a.decisions[am.decisionsSeen:] {
-		switch d.Action {
-		case "scale-up":
-			am.scaleUps++
-		case "scale-down":
-			am.scaleDowns++
-		case "scale-blocked":
-			am.scaleBlocked++
-		case "scale-hold":
-			am.scaleHolds++
-		}
-	}
-	am.decisionsSeen = len(a.decisions)
 	copy(am.perHost, am.retired)
 	depth := 0
 	for _, rep := range a.replicas {
@@ -476,9 +471,8 @@ type appMetrics struct {
 	name string
 	// Sampled from the simulator (see sample); exact as of the last tick.
 	AppCounters
-	scaleUps, scaleDowns, scaleBlocked, scaleHolds uint64
-	decisionsSeen                                  int // of the app's Decision ledger
-	queueDepth, liveReplicas                       int
+	actions                  [numScaleActions]uint64 // autoscaler decisions, by scaleAction
+	queueDepth, liveReplicas int
 	// Pushed by onDispatch / onComplete.
 	batches, batched uint64
 	trig             [numTriggers]uint64
@@ -540,6 +534,7 @@ type FleetMetrics struct {
 	rollbacks     int
 	cordonedHosts int
 	zoneUp        []bool // per failure domain: any host alive
+	logSeen       int    // event-log entries already counted into actions
 }
 
 // DefaultWindowSeconds is the sampling window when NewFleetMetrics is
@@ -635,10 +630,9 @@ var fleetFamilies = []obs.Family[*FleetMetrics]{
 	{Name: "tpucluster_retries_total", Type: "counter", Help: "Granted retries: failover re-routes plus admission-shed retries within budget.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.Retries, am.name) })},
 	{Name: "tpucluster_retry_budget_exhausted_total", Type: "counter", Help: "Retries refused because the app's token-bucket retry budget was empty.", Labels: byApp, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) { e.Uint(am.BudgetDenied, am.name) })},
 	{Name: "tpucluster_autoscaler_actions_total", Type: "counter", Help: "Autoscaler decisions by action.", Labels: []string{"app", "action"}, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) {
-		e.Uint(am.scaleUps, am.name, "scale-up")
-		e.Uint(am.scaleDowns, am.name, "scale-down")
-		e.Uint(am.scaleBlocked, am.name, "scale-blocked")
-		e.Uint(am.scaleHolds, am.name, "scale-hold")
+		for act, n := range am.actions {
+			e.Uint(n, am.name, scaleAction(act).String())
+		}
 	})},
 	{Name: "tpucluster_dispatch_triggers_total", Type: "counter", Help: "Batch dispatches by what fired them.", Labels: []string{"app", "trigger"}, Collect: obs.Each(appRows, func(e *obs.Emitter, am *appMetrics) {
 		for tr := trigger(0); tr < numTriggers; tr++ {

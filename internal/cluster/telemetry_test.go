@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,6 +57,7 @@ func TestTelemetryDisabledAllocs(t *testing.T) {
 	}
 	var tel *Telemetry
 	batch := []request{{arrival: 0.1, enq: 0.1}}
+	dec := &Decision{App: "MLP"}
 	allocs := testing.AllocsPerRun(1000, func() {
 		tel.onRetire(rep)
 		tel.onDispatch(rep, 1, trigBatchFull)
@@ -65,7 +67,7 @@ func TestTelemetryDisabledAllocs(t *testing.T) {
 		tel.logSpan(Event{Host: -1, Kind: "zone-down"}, subject{zone: 0})
 		tel.logSpan(Event{Host: 0, Kind: "quarantine"}, subject{rep: rep})
 		tel.logSpan(Event{Host: 0, Kind: "degrade"}, subject{factor: 2})
-		tel.logSpan(Event{Host: -1, Kind: "scale-up"}, subject{decision: Decision{App: "MLP"}})
+		tel.logSpan(Event{Host: -1, Kind: "scale-up"}, subject{decision: dec})
 		tel.logSpan(Event{Host: -1, Kind: "rollout", Detail: "x"}, subject{})
 	})
 	if allocs != 0 {
@@ -149,14 +151,14 @@ func checkOneSetOfBooks(t *testing.T, c *Cluster, f *FleetMetrics) {
 		if am.AppCounters != a.AppCounters {
 			t.Errorf("%s counters: registry %+v, simulator %+v", at, am.AppCounters, a.AppCounters)
 		}
-		actions := map[string]uint64{}
-		for _, d := range a.decisions {
-			actions[d.Action]++
+		var logged [numScaleActions]uint64 // by the entry's Kind, for this app's index
+		for _, e := range c.events {
+			if e.decision != nil && e.decision.app == i {
+				logged[slices.Index(scaleActionNames[:], e.Kind)]++
+			}
 		}
-		if am.scaleUps != actions["scale-up"] || am.scaleDowns != actions["scale-down"] ||
-			am.scaleBlocked != actions["scale-blocked"] || am.scaleHolds != actions["scale-hold"] {
-			t.Errorf("%s autoscaler actions: registry %d/%d/%d/%d, ledger %v", at,
-				am.scaleUps, am.scaleDowns, am.scaleBlocked, am.scaleHolds, actions)
+		if am.actions != logged {
+			t.Errorf("%s autoscaler actions (%v): registry %v, event log %v", at, scaleActionNames, am.actions, logged)
 		}
 		var sum cell
 		for _, cl := range am.perHost {
@@ -350,16 +352,12 @@ func TestClusterTrace(t *testing.T) {
 
 	// Every span that is not a batch or one of its requests — lifecycle,
 	// chaos, cordon, quarantine and autoscaler instants — in recording
-	// order, from a run that fires each kind: the chaos plan plus a manual
-	// cordon and uncordon.
+	// order, from a run that fires each kind: the chaos plan plus a cordon
+	// and uncordon outside any rollout.
 	tel = telemetry()
 	cc := chaosCluster(t, tel)
-	if err := cc.CordonHostAt(1.5, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := cc.UncordonHostAt(3.5, 3); err != nil {
-		t.Fatal(err)
-	}
+	cc.loop.At(1.5, cc.controller(func() { cc.cordon(cc.hosts[3]) }))
+	cc.loop.At(3.5, cc.controller(func() { cc.uncordon(cc.hosts[3]) }))
 	cc.Run(6)
 	if d := tel.Tracer.Dropped(); d != 0 {
 		t.Fatalf("span ring evicted %d spans; the instant list would be partial", d)

@@ -222,7 +222,8 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 	if !cfg.NoKill {
 		res.KilledAt = cfg.RampSeconds / 2
-		if err := c.KillHostAt(res.KilledAt, 0); err != nil {
+		kill := cluster.ChaosAction{Kind: "kill", Target: 0, At: res.KilledAt}
+		if err := c.ApplyChaos(cluster.ChaosPlan{Actions: []cluster.ChaosAction{kill}}); err != nil {
 			return nil, err
 		}
 	}

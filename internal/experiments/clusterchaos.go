@@ -162,13 +162,11 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResult, error) {
 			return nil, err
 		}
 		if chaotic {
-			if err := c.KillZoneAt(cfg.ZoneDownAt(), 0); err != nil {
-				return nil, err
-			}
-			if err := c.ReviveZoneAt(cfg.ZoneUpAt(), 0); err != nil {
-				return nil, err
-			}
-			if err := c.ApplyChaos(extra); err != nil {
+			plan := cluster.ChaosPlan{Actions: append([]cluster.ChaosAction{
+				{Kind: "zone-down", Target: 0, At: cfg.ZoneDownAt()},
+				{Kind: "zone-up", Target: 0, At: cfg.ZoneUpAt()},
+			}, extra.Actions...)}
+			if err := c.ApplyChaos(plan); err != nil {
 				return nil, err
 			}
 		}
