@@ -207,15 +207,21 @@ cluster-smoke:
 # ramp, zone-kill campaign and rollout campaign, and diff the saturation
 # report and the two campaigns' stdout against the pinned goldens —
 # end-to-end proof that the binary, the experiment wiring and the analyzer
-# produce the exact bytes the test suite pins.
+# produce the exact bytes the test suite pins. Each campaign runs its arms
+# on goroutines of their own, so the campaigns are run a second time at
+# GOMAXPROCS=1 and diffed against the same goldens: the output must not
+# depend on the thread count.
 report-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; mkdir $$tmp/p1; \
 	$(GO) build -o $$tmp/tpuserve ./cmd/tpuserve; \
 	$$tmp/tpuserve -mode cluster -report $$tmp/cluster_saturation.txt > /dev/null; \
 	$$tmp/tpuserve -mode cluster-chaos > $$tmp/cluster_chaos_campaign.txt; \
 	$$tmp/tpuserve -mode rollout > $$tmp/rollout_campaign.txt; \
-	for f in cluster_saturation.txt cluster_chaos_campaign.txt rollout_campaign.txt; do \
-		diff -u internal/experiments/testdata/golden/$$f $$tmp/$$f \
+	GOMAXPROCS=1 $$tmp/tpuserve -mode cluster-chaos > $$tmp/p1/cluster_chaos_campaign.txt; \
+	GOMAXPROCS=1 $$tmp/tpuserve -mode rollout > $$tmp/p1/rollout_campaign.txt; \
+	for f in cluster_saturation.txt cluster_chaos_campaign.txt rollout_campaign.txt \
+		p1/cluster_chaos_campaign.txt p1/rollout_campaign.txt; do \
+		diff -u internal/experiments/testdata/golden/$${f#p1/} $$tmp/$$f \
 			&& echo "report-smoke: $$f matches golden" \
 			|| { echo "report-smoke: $$f drifted from golden"; exit 1; }; \
 	done

@@ -59,14 +59,18 @@ type AppConfig struct {
 	// Name labels the app in snapshots and logs.
 	Name string
 	// Service gives batch service times; the per-replica batcher resolves
-	// its Plan against it, exactly as the single-host server does.
+	// its Plan against it, exactly as the single-host server does. A config
+	// may be shared by clusters running on different goroutines, so
+	// Service must be safe for concurrent calls.
 	Service latency.ServiceModel
 	// Policy is the serving policy (MaxBatch and SLASeconds required).
 	Policy serve.Policy
 	// WeightBytes is the app's Weight Memory footprint; placement only
 	// puts a replica on a device with that much capacity free.
 	WeightBytes int64
-	// Curve is the offered-load profile in virtual time.
+	// Curve is the offered-load profile in virtual time. Like Service, it
+	// may be read by clusters on different goroutines at once, so its
+	// methods must be safe for concurrent calls.
 	Curve workload.Curve
 	// InitialReplicas is the starting replica count. 0 means 1.
 	InitialReplicas int

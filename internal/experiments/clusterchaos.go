@@ -173,50 +173,77 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResult, error) {
 		return c, nil
 	}
 
-	// Healthy baseline: same seed, same defenses, no failures.
-	healthy, err := build(false, false)
+	// The three arms share only the read-only app configs and the parsed
+	// extra plan, so each runs its own cluster on a goroutine of its own.
+	err = concurrently(
+		// Healthy baseline: same seed, same defenses, no failures.
+		func() error {
+			healthy, err := build(false, false)
+			if err != nil {
+				return err
+			}
+			healthy.Run(cfg.Horizon())
+			res.Healthy = healthy.Snapshot()
+			return nil
+		},
+		// The defended chaos run, segmented at the revive for the recovery delta.
+		func() error {
+			defended, err := build(true, false)
+			if err != nil {
+				return err
+			}
+			defended.Run(cfg.ZoneUpAt())
+			res.ChaosAtRevive = defended.Snapshot()
+			defended.Run(cfg.Horizon())
+			res.Chaos = defended.Snapshot()
+			res.Events = defended.Events()
+			res.Incidents = defended.Incidents()
+			res.RecoveredCompletions = completedSince(res.ChaosAtRevive, res.Chaos, res.ZoneHosts)
+			res.Report, err = defended.SaturationReport()
+			return err
+		},
+		// The NoBudget control: the same failures with the storm defense off.
+		func() error {
+			control, err := build(true, true)
+			if err != nil {
+				return err
+			}
+			control.Run(cfg.Horizon())
+			res.Control = control.Snapshot()
+			return nil
+		},
+	)
 	if err != nil {
 		return nil, err
 	}
-	healthy.Run(cfg.Horizon())
-	res.Healthy = healthy.Snapshot()
-
-	// The defended chaos run, segmented at the revive for the recovery delta.
-	defended, err := build(true, false)
-	if err != nil {
-		return nil, err
-	}
-	defended.Run(cfg.ZoneUpAt())
-	res.ChaosAtRevive = defended.Snapshot()
-	defended.Run(cfg.Horizon())
-	res.Chaos = defended.Snapshot()
-	res.Events = defended.Events()
-	res.Incidents = defended.Incidents()
-	if res.Report, err = defended.SaturationReport(); err != nil {
-		return nil, err
-	}
-	res.RecoveredCompletions = completedOnHosts(res.Chaos, res.ZoneHosts) - completedOnHosts(res.ChaosAtRevive, res.ZoneHosts)
-
-	// The NoBudget control: the same failures with the storm defense off.
-	control, err := build(true, true)
-	if err != nil {
-		return nil, err
-	}
-	control.Run(cfg.Horizon())
-	res.Control = control.Snapshot()
 	return res, nil
 }
 
-// completedOnHosts sums replica completions resident on the given hosts.
-func completedOnHosts(s *cluster.Snapshot, hosts []int) uint64 {
+// completedSince counts the batches completed on the given hosts between
+// two snapshots of one run, replica by replica: a replica in both (matched
+// by app, id and host) adds its growth, one placed after from adds all of
+// its completions, and one gone by to adds nothing. An aggregate
+// difference would wrap around when a replica listed in from is drained
+// before to.
+func completedSince(from, to *cluster.Snapshot, hosts []int) uint64 {
+	type key struct {
+		app      string
+		id, host int
+	}
 	in := map[int]bool{}
 	for _, h := range hosts {
 		in[h] = true
 	}
-	var total uint64
-	for _, r := range s.Replicas {
+	before := map[key]uint64{}
+	for _, r := range from.Replicas {
 		if in[r.Host] {
-			total += r.Completed
+			before[key{r.App, r.ID, r.Host}] = r.Completed
+		}
+	}
+	var total uint64
+	for _, r := range to.Replicas {
+		if in[r.Host] {
+			total += r.Completed - before[key{r.App, r.ID, r.Host}]
 		}
 	}
 	return total

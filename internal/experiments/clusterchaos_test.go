@@ -1,14 +1,19 @@
 // Cluster chaos campaign tests: the acceptance criteria of the robustness
 // story (p99 within 2x of healthy, errors under 1%, retries inside the
 // budget, full recovery after the revive, and a demonstrable storm in the
-// NoBudget control), a golden pin of the rendered report, and the
-// same-seed determinism twin over the full three-way campaign.
+// NoBudget control), a golden pin of the rendered report, the same-seed
+// determinism twin over the full three-way campaign, the per-replica
+// recovery delta, and both campaigns run twice at once to show their
+// concurrent arms share nothing.
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"tpusim/internal/cluster"
 )
 
 // clusterChaosCampaign is the default campaign, run once for the acceptance
@@ -110,5 +115,71 @@ func TestClusterChaosExtraPlan(t *testing.T) {
 	}
 	if _, err := RunClusterChaos(ClusterChaosConfig{ExtraChaos: "kill=99@0.1"}); err == nil {
 		t.Error("out-of-fleet ExtraChaos target accepted")
+	}
+}
+
+// TestCompletedSinceIsPerReplica: the recovery delta is taken replica by
+// replica, so a replica drained between the two snapshots cannot make it
+// wrap around (the aggregate difference here is 120+7 − 150, below zero).
+func TestCompletedSinceIsPerReplica(t *testing.T) {
+	from := &cluster.Snapshot{Replicas: []cluster.ReplicaSnapshot{
+		{App: "MLP0", ID: 0, Host: 0, Completed: 100},
+		{App: "MLP0", ID: 1, Host: 1, Completed: 50}, // drained before to
+		{App: "MLP1", ID: 0, Host: 1, Completed: 30},
+		{App: "MLP0", ID: 2, Host: 5, Completed: 900}, // off the zone
+	}}
+	to := &cluster.Snapshot{Replicas: []cluster.ReplicaSnapshot{
+		{App: "MLP0", ID: 0, Host: 0, Completed: 120},
+		{App: "MLP1", ID: 0, Host: 1, Completed: 30},
+		{App: "MLP1", ID: 3, Host: 0, Completed: 7}, // placed after from
+		{App: "MLP0", ID: 2, Host: 5, Completed: 1000},
+	}}
+	if got, want := completedSince(from, to, []int{0, 1}), uint64(20+0+7); got != want {
+		t.Errorf("completedSince = %d, want %d", got, want)
+	}
+	if got := completedSince(to, to, []int{0, 1}); got != 0 {
+		t.Errorf("completedSince of a snapshot against itself = %d, want 0", got)
+	}
+}
+
+// TestCampaignArmsShareNothing: each campaign runs its arms on goroutines
+// of their own, so two campaigns run at once on the same config must
+// still render byte-identical reports and event logs. Under -race this
+// also fails on any mutable state the arms (or the two campaigns) share.
+func TestCampaignArmsShareNothing(t *testing.T) {
+	t.Parallel()
+	const base = 0.05
+	var (
+		chaos   [2]*ClusterChaosResult
+		rollout [2]*RolloutResult
+	)
+	fns := make([]func() error, 0, 4)
+	for i := range 2 {
+		fns = append(fns,
+			func() (err error) {
+				chaos[i], err = RunClusterChaos(ClusterChaosConfig{RampSeconds: base})
+				return err
+			},
+			func() (err error) {
+				rollout[i], err = RunRollout(RolloutConfig{BaseSeconds: base})
+				return err
+			})
+	}
+	if err := concurrently(fns...); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmp := range []struct {
+		name string
+		a, b string
+	}{
+		{"chaos report", RenderClusterChaos(chaos[0]), RenderClusterChaos(chaos[1])},
+		{"chaos events", fmt.Sprint(chaos[0].Events), fmt.Sprint(chaos[1].Events)},
+		{"rollout report", RenderRollout(rollout[0]), RenderRollout(rollout[1])},
+		{"rollout bad events", fmt.Sprint(rollout[0].BadEvents), fmt.Sprint(rollout[1].BadEvents)},
+		{"rollout good events", fmt.Sprint(rollout[0].GoodEvents), fmt.Sprint(rollout[1].GoodEvents)},
+	} {
+		if cmp.a != cmp.b {
+			t.Errorf("concurrent same-seed campaigns differ in the %s:\n--- A ---\n%s\n--- B ---\n%s", cmp.name, cmp.a, cmp.b)
+		}
 	}
 }

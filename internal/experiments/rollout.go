@@ -180,32 +180,44 @@ func RunRollout(cfg RolloutConfig) (*RolloutResult, error) {
 		return c, nil
 	}
 
-	// Healthy baseline: same seed, no change in flight.
-	healthy, err := build(nil)
+	// The three arms share only the read-only app configs, so each runs
+	// its own cluster on a goroutine of its own.
+	err = concurrently(
+		// Healthy baseline: same seed, no change in flight.
+		func() error {
+			healthy, err := build(nil)
+			if err != nil {
+				return err
+			}
+			healthy.Run(cfg.Horizon())
+			res.Healthy = healthy.Snapshot()
+			return nil
+		},
+		// The bad v2: caught at the canary stage, auto-rolled-back.
+		func() error {
+			badRun, err := build(&bad)
+			if err != nil {
+				return err
+			}
+			badRun.Run(cfg.Horizon())
+			res.Bad = badRun.Snapshot()
+			res.BadEvents = badRun.Events()
+			return nil
+		},
+		// The good v2: promoted wave by wave to the whole fleet.
+		func() error {
+			goodRun, err := build(&good)
+			if err != nil {
+				return err
+			}
+			goodRun.Run(cfg.Horizon())
+			res.Good = goodRun.Snapshot()
+			res.GoodEvents = goodRun.Events()
+			res.GoodReport, err = goodRun.SaturationReport()
+			return err
+		},
+	)
 	if err != nil {
-		return nil, err
-	}
-	healthy.Run(cfg.Horizon())
-	res.Healthy = healthy.Snapshot()
-
-	// The bad v2: caught at the canary stage, auto-rolled-back.
-	badRun, err := build(&bad)
-	if err != nil {
-		return nil, err
-	}
-	badRun.Run(cfg.Horizon())
-	res.Bad = badRun.Snapshot()
-	res.BadEvents = badRun.Events()
-
-	// The good v2: promoted wave by wave to the whole fleet.
-	goodRun, err := build(&good)
-	if err != nil {
-		return nil, err
-	}
-	goodRun.Run(cfg.Horizon())
-	res.Good = goodRun.Snapshot()
-	res.GoodEvents = goodRun.Events()
-	if res.GoodReport, err = goodRun.SaturationReport(); err != nil {
 		return nil, err
 	}
 	return res, nil

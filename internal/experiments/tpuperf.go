@@ -115,20 +115,20 @@ func SimulateTPU(name string) (TPUPerf, error) {
 	return e.perf, e.err
 }
 
-// forEachApp runs fn for every benchmark app concurrently (one goroutine
-// per app — the six-app fan-out behind Table 3, Table 6, and Figure 9
-// regeneration) and returns the first error. Results are indexed by the
-// models.Names() order, so output ordering is deterministic.
-func forEachApp(fn func(i int, name string) error) error {
-	names := models.Names()
-	errs := make([]error, len(names))
+// concurrently runs every fn on a goroutine of its own, waits for all of
+// them, and returns the first non-nil error in argument order — the one a
+// serial loop over fns would have stopped at. Each fn writes only its own
+// results, so what the caller reads after the wait does not depend on the
+// interleaving.
+func concurrently(fns ...func() error) error {
+	errs := make([]error, len(fns))
 	var wg sync.WaitGroup
-	for i, name := range names {
+	for i, fn := range fns {
 		wg.Add(1)
-		go func(i int, name string) {
+		go func() {
 			defer wg.Done()
-			errs[i] = fn(i, name)
-		}(i, name)
+			errs[i] = fn()
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -137,6 +137,19 @@ func forEachApp(fn func(i int, name string) error) error {
 		}
 	}
 	return nil
+}
+
+// forEachApp runs fn for every benchmark app concurrently (one goroutine
+// per app — the six-app fan-out behind Table 3, Table 6, and Figure 9
+// regeneration) and returns the first error. Results are indexed by the
+// models.Names() order, so output ordering is deterministic.
+func forEachApp(fn func(i int, name string) error) error {
+	names := models.Names()
+	fns := make([]func() error, len(names))
+	for i, name := range names {
+		fns[i] = func() error { return fn(i, name) }
+	}
+	return concurrently(fns...)
 }
 
 // SimulateAll runs every benchmark, in Table 1 order, fanning the six apps
