@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -244,6 +245,11 @@ func TestGuardedWeights(t *testing.T) {
 // TestGuardedWeightsFlipCopiesOneTile: a flip pays for the one tile it hits
 // — 64 KiB, not an image — and a repair gives the memory back to "no
 // copies", including when a second flip has undone the first.
+//
+// TotalAlloc is process-wide, so whatever else allocates while a flip is
+// measured lands in its sample too; it can only add. The flip's own cost is
+// therefore the smallest of several fresh flips, each repaired before the
+// next.
 func TestGuardedWeightsFlipCopiesOneTile(t *testing.T) {
 	golden := make([]int8, 64*isa.WeightTileBytes) // 4 MiB
 	for i := range golden {
@@ -253,19 +259,23 @@ func TestGuardedWeightsFlipCopiesOneTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	g.FlipBit(5*isa.WeightTileBytes+17, 3)
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > isa.WeightTileBytes+1024 {
-		t.Fatalf("one FlipBit allocated %d B, want <= 64 KiB + 1 KiB", grew)
-	}
-	if g.Copies() != 1 {
-		t.Fatalf("%d tiles copied after one flip, want 1", g.Copies())
-	}
 	addr := g.Base() + 5*isa.WeightTileBytes
-	if g.VerifyTile(addr) || !g.RepairTile(addr) || g.Copies() != 0 {
-		t.Fatalf("the flip was not detected and repaired (%d copies left)", g.Copies())
+	grew := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g.FlipBit(5*isa.WeightTileBytes+17, 3)
+		runtime.ReadMemStats(&after)
+		grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		if g.Copies() != 1 {
+			t.Fatalf("%d tiles copied after one flip, want 1", g.Copies())
+		}
+		if g.VerifyTile(addr) || !g.RepairTile(addr) || g.Copies() != 0 {
+			t.Fatalf("the flip was not detected and repaired (%d copies left)", g.Copies())
+		}
+	}
+	if grew > isa.WeightTileBytes+1024 {
+		t.Fatalf("one FlipBit allocated %d B, want <= 64 KiB + 1 KiB", grew)
 	}
 	// Two flips of one bit restore the bytes: the tile is clean, and the
 	// repair still drops its copy.
