@@ -103,11 +103,59 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// invLogGrowth caches 1/ln(latGrowth) so the hot bucket lookup pays one
-// logarithm, not two.
+// latBucket returns the bucket of a sample: logBucket's answer, without the
+// logarithm. The float's exponent picks the bucket of the smallest sample of
+// its binade, and since a binade spans log(2)/log(1.25) < 4 buckets, at most
+// four comparisons against the bucket bounds finish the job. NaN (of either
+// sign) and +Inf share the all-ones exponent, whose guess is already the
+// overflow bucket.
+func latBucket(s float64) int {
+	if s <= latLo {
+		return 0
+	}
+	i := int(binadeBucket[math.Float64bits(s)>>52&(1<<11-1)])
+	for i < latBuckets-1 && s >= bucketFloor[i+1] {
+		i++
+	}
+	return i
+}
+
+// bucketFloor[i] is the smallest float64 that logBucket puts in bucket i or
+// above (bucketFloor[0] is unused), and binadeBucket[e] the bucket of the
+// smallest positive float64 with biased exponent e. Both are logBucket's
+// answers, taken at init; the bisection assumes logBucket never decreases,
+// and TestLatBucketMatchesLog checks that the two agree around every bound
+// and on random floats.
+var bucketFloor, binadeBucket = bucketTables()
+
+func bucketTables() (floor [latBuckets]float64, binade [1 << 11]uint8) {
+	for i := 1; i < latBuckets; i++ {
+		// Bisect over the bit patterns of the floats above latLo, which
+		// order like the floats; +Inf is in the overflow bucket.
+		lo, hi := math.Float64bits(latLo), math.Float64bits(math.Inf(1))
+		for lo+1 < hi {
+			mid := lo + (hi-lo)/2
+			if logBucket(math.Float64frombits(mid)) >= i {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		floor[i] = math.Float64frombits(hi)
+	}
+	for e := range binade {
+		binade[e] = uint8(logBucket(math.Float64frombits(uint64(e) << 52)))
+	}
+	return floor, binade
+}
+
+// invLogGrowth caches 1/ln(latGrowth) for logBucket.
 var invLogGrowth = 1 / math.Log(latGrowth)
 
-func latBucket(s float64) int {
+// logBucket is the bucket formula itself: which power of latGrowth above
+// latLo the sample reaches. latBucket answers the same from tables built from
+// it.
+func logBucket(s float64) int {
 	if s <= latLo {
 		return 0
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -71,5 +72,43 @@ func TestLatBucketBoundaries(t *testing.T) {
 	// non-negative latency.
 	if lo, _ := latBucketBounds(0); lo != 0 {
 		t.Errorf("bucket 0 lower bound %g, want 0", lo)
+	}
+}
+
+// TestLatBucketMatchesLog checks the table lookup against the logarithm it
+// was built from, wherever a float64 could tell them apart: 1000 floats
+// either side of every bucket bound, 10M random floats (random bit patterns,
+// and random samples in the histogram's range), and the special values. A
+// Prometheus or cluster golden that counts a sample in a different bucket
+// would otherwise move.
+func TestLatBucketMatchesLog(t *testing.T) {
+	check := func(s float64) {
+		if got, want := latBucket(s), logBucket(s); got != want {
+			t.Fatalf("latBucket(%v) = %d, logBucket = %d", s, got, want)
+		}
+	}
+	for i := 1; i < latBuckets; i++ {
+		lo, _ := latBucketBounds(i)
+		for _, bound := range []float64{lo, bucketFloor[i]} {
+			b := math.Float64bits(bound)
+			for d := uint64(0); d <= 1000; d++ {
+				check(math.Float64frombits(b + d))
+				check(math.Float64frombits(b - d))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 5_000_000 {
+		check(math.Float64frombits(rng.Uint64()))
+		check(latLo * math.Pow(latGrowth, rng.Float64()*(latBuckets+2)))
+	}
+	for _, s := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		check(s)
+	}
+	// NaN, of either sign, counts in the overflow bucket.
+	for _, s := range []float64{math.NaN(), math.Copysign(math.NaN(), -1)} {
+		if b := latBucket(s); b != latBuckets-1 {
+			t.Errorf("latBucket(%v) = %d, want the overflow bucket %d", s, b, latBuckets-1)
+		}
 	}
 }
