@@ -31,8 +31,12 @@ build:
 # vetted for a big-endian GOARCH. The float kernels must not fuse a multiply
 # into an add (that rounds once, and every quantization scale would differ
 # from amd64's), so arm64's assembly of internal/tensor may hold no
-# FMADD/FMSUB/FNMADD/FNMSUB. Works offline.
+# FMADD/FMSUB/FNMADD/FNMSUB. The AMX tiles are requested from Linux by
+# syscall, so the CPU flags and the matrix kernel are also built and vetted
+# for amd64 on another OS. Works offline.
 cross:
+	GOOS=darwin GOARCH=amd64 $(GO) build ./internal/cpu/... ./internal/systolic/...
+	GOOS=darwin GOARCH=amd64 $(GO) vet ./internal/cpu/... ./internal/systolic/...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/systolic/... ./internal/fixed/... ./internal/cpu/... ./internal/tensor/... ./internal/integrity/...
 	GOARCH=s390x $(GO) build ./internal/systolic/... ./internal/tensor/... ./internal/integrity/...
@@ -55,12 +59,13 @@ bench-test:
 
 # Quick benchmark smoke: proves the kernel benchmarks still run — every
 # kernel arm of BenchmarkMultiply (each assembly kernel the host can run,
-# swar, scalar), both paths of the fixed-point row passes and of the float
+# swar, scalar) at the shapes the repo runs (batches of 2, 16 and 64 rows,
+# and 128 rows of a 36-deep contraction), both paths of the fixed-point row passes and of the float
 # calibration matmul, and the CRC against its table oracle — without paying
 # for a full measurement.
 bench-smoke:
 	$(GO) test ./internal/systolic -run xxx -bench BenchmarkMulRow -benchtime 100x
-	$(GO) test ./internal/systolic -run xxx -bench 'BenchmarkMultiply/B=64' -benchtime 20x
+	$(GO) test ./internal/systolic -run xxx -bench 'BenchmarkMultiply/^B=(2|16|64|128,K=36)$$/' -benchtime 20x
 	$(GO) test ./internal/fixed -run xxx -bench 'DrainRow|SatAddRows|QuantizeInto' -benchtime 100x
 	$(GO) test ./internal/tensor -run xxx -bench BenchmarkMatMulF32 -benchtime 5x
 	$(GO) test ./internal/integrity -run xxx -bench BenchmarkCRC -benchtime 100x

@@ -3,4 +3,4 @@
 package cpu
 
 // detect: only amd64 has assembly.
-func detect() (avx2, avx512vnni bool) { return false, false }
+func detect() (avx2, avx512vnni, amx bool) { return false, false, false }

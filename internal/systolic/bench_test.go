@@ -56,20 +56,32 @@ func BenchmarkMultiplyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiply sweeps batch size across every batched kernel this host
-// can run, serial versus sharded across GOMAXPROCS workers, and the scalar
-// oracle, which has no sharded form. All arms are bit-identical (see
+// BenchmarkMultiply sweeps the shapes the repo runs across every batched
+// kernel this host can run, serial versus sharded across GOMAXPROCS workers,
+// and the scalar oracle, which has no sharded form: the tiny serving models'
+// batches of 2, 8 and 16 rows, the wide MLP's 64, a tiny convolution's 128
+// rows of a 36-deep contraction (K=36: the rest of each row is zero), and 256
+// and 1024 rows. All arms are bit-identical (see
 // TestMultiplyIntoParallelDeterministic and FuzzMulRowEquivalence); only the
 // wall clock differs. MB/s counts activation input bytes, so benchstat
 // comparisons across kernels and batch sizes are one command:
 //
 //	go test ./internal/systolic -bench BenchmarkMultiply -count 10 | benchstat -
 func BenchmarkMultiply(b *testing.B) {
-	for _, batch := range []int{8, 64, 256, 1024} {
+	for _, shape := range []struct{ batch, depth int }{
+		{2, isa.MatrixDim}, {8, isa.MatrixDim}, {16, isa.MatrixDim}, {64, isa.MatrixDim},
+		{128, 36}, {256, isa.MatrixDim}, {1024, isa.MatrixDim},
+	} {
+		batch, name := shape.batch, fmt.Sprintf("B=%d", shape.batch)
+		if shape.depth < isa.MatrixDim {
+			name += fmt.Sprintf(",K=%d", shape.depth)
+		}
 		a := benchArray(b)
 		in := make([]int8, batch*isa.MatrixDim)
 		for i := range in {
-			in[i] = int8(i * 7)
+			if i%isa.MatrixDim < shape.depth {
+				in[i] = int8(i * 7)
+			}
 		}
 		out := make([][isa.MatrixDim]int32, batch)
 		for ki, k := range kernels {
@@ -80,7 +92,7 @@ func BenchmarkMultiply(b *testing.B) {
 				{"serial", 1},
 				{fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), 0},
 			} {
-				b.Run(fmt.Sprintf("B=%d/%s/%s", batch, k.name, bc.name), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/%s/%s", name, k.name, bc.name), func(b *testing.B) {
 					forceKernel(b, ki)
 					b.SetBytes(int64(len(in)))
 					b.ResetTimer()
@@ -92,7 +104,7 @@ func BenchmarkMultiply(b *testing.B) {
 				})
 			}
 		}
-		b.Run(fmt.Sprintf("B=%d/scalar/serial", batch), func(b *testing.B) {
+		b.Run(name+"/scalar/serial", func(b *testing.B) {
 			b.SetBytes(int64(len(in)))
 			for i := 0; i < b.N; i++ {
 				a.mulRangeScalar(in, out, 0, batch)

@@ -9,8 +9,8 @@ import (
 
 // TestKernelSelectionMatchesCPUFlags checks hostKernels' reading of CPUID and
 // XCR0 against the kernel's: the ladder it built must be every rung whose
-// flags /proc/cpuinfo lists (Linux lists an AVX flag only when it has enabled
-// the register state), top rung first. A wrong bit would otherwise degrade to
+// flags /proc/cpuinfo lists (Linux lists an AVX or AMX flag only when it has
+// enabled the register state), top rung first. A wrong bit would otherwise degrade to
 // a slower kernel with every differential test green and nothing to show it.
 func TestKernelSelectionMatchesCPUFlags(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
@@ -32,6 +32,9 @@ func TestKernelSelectionMatchesCPUFlags(t *testing.T) {
 		return true
 	}
 	var want []string
+	if has("avx512f", "avx512bw", "avx512_vnni", "amx_tile", "amx_int8") {
+		want = append(want, amx.name)
+	}
 	if has("avx512f", "avx512bw", "avx512_vnni") {
 		want = append(want, vnni.name)
 	}

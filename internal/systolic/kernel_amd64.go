@@ -13,18 +13,24 @@ import (
 const (
 	avx2Rows = 4
 	vnniRows = 6
+	amxRows  = 16
 )
 
 var (
+	amx  = kernel{name: "amx", rows: amxRows, mulRange: (*Array).mulRangeAMX}
 	vnni = kernel{name: "avx512vnni", rows: vnniRows, mulRange: (*Array).mulRangeVNNI}
 	avx2 = kernel{name: "avx2", rows: avx2Rows, mulRange: (*Array).mulRangeAVX2}
 )
 
 // hostKernels lists the kernels the CPU and the OS between them can run,
 // fastest first (see package cpu for what "can run" takes). The VNNI kernel
-// uses AVX-512 F, BW (the byte and word unpacks) and VNNI.
+// uses AVX-512 F, BW (the byte and word unpacks) and VNNI; the AMX kernel is
+// the VNNI kernel plus the tiles.
 func hostKernels() []*kernel {
 	var ks []*kernel
+	if cpu.AMX && cpu.AVX512VNNI {
+		ks = append(ks, &amx)
+	}
 	if cpu.AVX512VNNI {
 		ks = append(ks, &vnni)
 	}
@@ -36,6 +42,9 @@ func hostKernels() []*kernel {
 
 //go:noescape
 func mulGroupAVX2(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim]uint32, vals *[isa.MatrixDim / 2][avx2Rows][2]int16, pairs int, out *[isa.MatrixDim]int32, n int)
+
+//go:noescape
+func mulBlocksAMX(w *[isa.WeightTileBytes]int8, in *[isa.MatrixDim]int8, out *[isa.MatrixDim]int32, blocks int)
 
 //go:noescape
 func mulGroupVNNI(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim / 4]uint32, vals *[isa.MatrixDim / 4][vnniRows]uint32, quads int, out *[isa.MatrixDim]int32, n int)
@@ -151,5 +160,25 @@ func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 			}
 		}
 		mulGroupVNNI(a.active.w, &rows, &vals, n, &out[i], g)
+	}
+}
+
+// mulRangeAMX computes output rows [lo, hi) with the AMX tiles, amxRows at a
+// time, and the rows left over — all of them in a range shorter than amxRows
+// — with the VNNI kernel. mulBlocksAMX packs the tile into the tiles' weight
+// layout on each call, in its own frame, so nothing is built at Load and
+// nothing outlives the call.
+//
+// Exactness: TDPBSSD multiplies the signed weights by the signed
+// activations as they are, no bias, and adds four products per int32 lane
+// without saturating; a column's 256 products sum to at most 256*128*128 =
+// 2^22 in magnitude, so nothing wraps: bit-identical to MulRow.
+func (a *Array) mulRangeAMX(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
+	if blocks := (hi - lo) / amxRows; blocks > 0 {
+		mulBlocksAMX(a.active.w, (*[isa.MatrixDim]int8)(in[lo*isa.MatrixDim:]), &out[lo], blocks)
+		lo += blocks * amxRows
+	}
+	if lo < hi {
+		a.mulRangeVNNI(in, out, lo, hi)
 	}
 }

@@ -1,3 +1,4 @@
+#include "funcdata.h"
 #include "textflag.h"
 
 // MADD4 multiplies the interleaved weight words in Y10 (columns 0-3, 8-11)
@@ -252,4 +253,247 @@ next:
 	DECQ R10
 	JNZ  strip
 	VZEROUPPER
+	RET
+
+// The tile instructions, which Go's assembler has no mnemonics for, as their
+// VEX encodings (all VEX.128.0F38.W0, three-byte form). t, c, a and b name
+// tile registers 0-7. TILELOADD and TILESTORED address base + index*1 + disp
+// with the row stride in the index register; base and index are register
+// numbers (AX 0, CX 1, DX 2, BX 3, SI 6, DI 7, R8-R13 8-13), and their high
+// bits go into VEX's inverted X and B bits.
+#define VEX_BX(base, index) BYTE $0xC4; BYTE $(0xE2 ^ (((index)>>3)<<6) ^ (((base)>>3)<<5))
+#define SIBDISP(t, base, index, disp) BYTE $(0x84 | (t)<<3); BYTE $((((index)&7)<<3) | ((base)&7)); LONG $(disp)
+#define TILELOADD(t, base, index, disp) VEX_BX(base, index); BYTE $0x7B; BYTE $0x4B; SIBDISP(t, base, index, disp)
+#define TILESTORED(base, index, disp, t) VEX_BX(base, index); BYTE $0x7A; BYTE $0x4B; SIBDISP(t, base, index, disp)
+#define TDPBSSD(c, a, b) BYTE $0xC4; BYTE $0xE2; BYTE $((15-(b))<<3 | 3); BYTE $0x5E; BYTE $(0xC0 | (c)<<3 | (a))
+#define TILEZERO(t) BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $(0xC0 | (t)<<3)
+#define LDTILECFG_AX BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0x00
+#define TILERELEASE BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0xC0
+
+// amxTileConfig is LDTILECFG's operand: palette 1, and all eight tile
+// registers 16 rows of 64 bytes — an A tile is 16 activation rows by one
+// 64-deep contraction block, a B tile 16 quads of weight rows by 16 columns,
+// a C tile 16 activation rows by 16 int32 column sums.
+DATA amxTileConfig<>+0(SB)/1, $1
+DATA amxTileConfig<>+16(SB)/8, $0x0040004000400040 // colsb, tiles 0-3
+DATA amxTileConfig<>+24(SB)/8, $0x0040004000400040 // colsb, tiles 4-7
+DATA amxTileConfig<>+48(SB)/8, $0x1010101010101010 // rows, tiles 0-7
+GLOBL amxTileConfig<>(SB), RODATA|NOPTR, $64
+
+// NONZERO64 shifts into R10 whether contraction block kb's accumulated OR in
+// z is nonzero (NEGL sets the carry for a nonzero mask, RCLL moves it in).
+#define NONZERO64(z) \
+	VPTESTMQ z, z, K1; \
+	KMOVW    K1, AX;   \
+	NEGL     AX;       \
+	RCLL     $1, R10
+
+// PACKSTRIP packs columns 64s..64s+63 of the weight-row quad at SI into B
+// layout at DI: the four rows are interleaved bytes then words as in
+// mulGroupVNNI, so that 128-bit lane L of the k-th result holds columns
+// 16L+4k..16L+4k+3, four bytes each in row order; a 4x4 transpose of lanes
+// then gathers lane L of all four into the 64-byte row of column block
+// 4s+L, stored 1 KiB (one B tile) apart.
+#define PACKSTRIP(s) \
+	VMOVDQU64  (64*s)(SI), Z24;     \
+	VMOVDQU64  (256+64*s)(SI), Z25; \
+	VMOVDQU64  (512+64*s)(SI), Z26; \
+	VMOVDQU64  (768+64*s)(SI), Z27; \
+	VPUNPCKLBW Z25, Z24, Z28;       \
+	VPUNPCKHBW Z25, Z24, Z29;       \
+	VPUNPCKLBW Z27, Z26, Z24;       \
+	VPUNPCKHBW Z27, Z26, Z25;       \
+	VPUNPCKLWD Z24, Z28, Z26;       \
+	VPUNPCKHWD Z24, Z28, Z27;       \
+	VPUNPCKLWD Z25, Z29, Z28;       \
+	VPUNPCKHWD Z25, Z29, Z29;       \
+	VSHUFI64X2 $0x44, Z27, Z26, Z24; \
+	VSHUFI64X2 $0xEE, Z27, Z26, Z25; \
+	VSHUFI64X2 $0x44, Z29, Z28, Z26; \
+	VSHUFI64X2 $0xEE, Z29, Z28, Z27; \
+	VSHUFI64X2 $0x88, Z26, Z24, Z28; \
+	VSHUFI64X2 $0xDD, Z26, Z24, Z29; \
+	VSHUFI64X2 $0x88, Z27, Z25, Z24; \
+	VSHUFI64X2 $0xDD, Z27, Z25, Z26; \
+	VMOVDQU64  Z28, (4096*s)(DI);      \
+	VMOVDQU64  Z29, (4096*s+1024)(DI); \
+	VMOVDQU64  Z24, (4096*s+2048)(DI); \
+	VMOVDQU64  Z26, (4096*s+3072)(DI)
+
+// func mulBlocksAMX(w *[65536]int8, in *[256]int8, out *[256]int32, blocks int)
+//
+// Computes blocks*16 consecutive activation rows, starting at in, against
+// the tile and stores them as consecutive 256-wide output rows at out.
+//
+// TDPBSSD multiplies signed by signed bytes, four to an int32 lane, and adds
+// into int32 without saturating: C[m][n] += sum over k, i of A[m][4k+i] *
+// B[k][4n+i]. With A = 16 activation rows by contraction rows 64kb..64kb+63,
+// as they lie (stride 256), and B[k][4n+i] = weight row 64kb+4k+i of column
+// 16cb+n, C is the contribution of contraction block kb to the 16 rows'
+// columns 16cb..16cb+15. So the only work besides the tile instructions is
+// packing the weights into B layout: each 64-deep block into sixteen 1 KiB
+// tiles, B[kb][cb] at kb*16 KiB + cb*1 KiB, in the frame, which is neither
+// zeroed nor kept.
+//
+// A contraction block that is zero in every activation row adds nothing, so
+// the first pass ORs the rows together and R10 gets bit kb for each block
+// that is not; blocks without the bit are neither packed nor multiplied.
+//
+// Tile registers: C in 0-3, A in 4-5, B in 6-7. Each 32-column pair of
+// column blocks is walked over the row blocks two at a time (four C tiles,
+// each A and B tile used twice), a last odd row block on its own (two C
+// tiles), so the pair's B tiles, at most 8 KiB, stay in L1 for every row
+// block. TILERELEASE returns the tile state to its initial configuration
+// before the function returns; the whole tile section is one assembly
+// function with no calls, which Go never preempts, so it never changes
+// thread with live tiles.
+TEXT ·mulBlocksAMX(SB), 0, $65616-32
+	NO_LOCAL_POINTERS
+
+	// Which contraction blocks are nonzero in some row: Z0-Z3 OR the
+	// rows' four 64-byte blocks together.
+	MOVQ   in+8(FP), SI
+	MOVQ   blocks+24(FP), CX
+	SHLQ   $4, CX
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+
+scan:
+	VPORQ (SI), Z0, Z0
+	VPORQ 64(SI), Z1, Z1
+	VPORQ 128(SI), Z2, Z2
+	VPORQ 192(SI), Z3, Z3
+	ADDQ  $256, SI
+	DECQ  CX
+	JNZ   scan
+	XORL  R10, R10
+	NONZERO64(Z3)
+	NONZERO64(Z2)
+	NONZERO64(Z1)
+	NONZERO64(Z0)
+
+	// Pack the nonzero blocks into the 64-byte aligned scratch at R8. The
+	// weight rows of quad q of block kb start at kb*16 KiB + q*1 KiB, its
+	// B rows at kb*16 KiB + q*64.
+	LEAQ 63(SP), R8
+	ANDQ $-64, R8
+	MOVQ w+0(FP), SI
+	MOVQ R8, DI
+	MOVQ R10, AX
+	TESTQ AX, AX
+	JZ   tiles
+
+pblock:
+	BTQ  $0, AX
+	JCC  pskip
+	MOVQ $16, CX
+
+pquad:
+	PACKSTRIP(0)
+	PACKSTRIP(1)
+	PACKSTRIP(2)
+	PACKSTRIP(3)
+	ADDQ $1024, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  pquad
+	ADDQ $(16384-1024), DI
+	JMP  pnext
+
+pskip:
+	ADDQ $16384, SI
+	ADDQ $16384, DI
+
+pnext:
+	SHRQ $1, AX
+	JNZ  pblock
+
+tiles:
+	VZEROUPPER
+	LEAQ amxTileConfig<>(SB), AX
+	LDTILECFG_AX
+	MOVQ $256, CX  // A stride: activation rows
+	MOVQ $64, DX   // B stride: packed quads
+	MOVQ $1024, BX // C stride: output rows
+	MOVQ R8, R11   // B tiles of column-block pair p
+	MOVQ out+16(FP), R12
+	LEAQ 1024(R12), AX
+	MOVQ AX, 65600(SP) // end of the column pairs
+
+cpair:
+	MOVQ in+8(FP), R13     // A: first row of the row-block pair
+	MOVQ R12, AX           // C: its output
+	MOVQ blocks+24(FP), R9 // row blocks left
+
+rpair:
+	CMPQ R9, $2
+	JLT  rone
+	TILEZERO(0)
+	TILEZERO(1)
+	TILEZERO(2)
+	TILEZERO(3)
+	MOVQ R13, SI
+	MOVQ R11, DI
+	MOVQ R10, R8
+
+kpair:
+	BTQ $0, R8
+	JCC kpairnext
+	TILELOADD(4, 6, 1, 0)
+	TILELOADD(5, 6, 1, 4096)
+	TILELOADD(6, 7, 2, 0)
+	TILELOADD(7, 7, 2, 1024)
+	TDPBSSD(0, 4, 6)
+	TDPBSSD(1, 4, 7)
+	TDPBSSD(2, 5, 6)
+	TDPBSSD(3, 5, 7)
+
+kpairnext:
+	ADDQ $64, SI
+	ADDQ $16384, DI
+	SHRQ $1, R8
+	JNZ  kpair
+	TILESTORED(0, 3, 0, 0)
+	TILESTORED(0, 3, 64, 1)
+	TILESTORED(0, 3, 16384, 2)
+	TILESTORED(0, 3, 16448, 3)
+	ADDQ $8192, R13
+	ADDQ $32768, AX
+	SUBQ $2, R9
+	JMP  rpair
+
+rone:
+	TESTQ R9, R9
+	JZ    cnext
+	TILEZERO(0)
+	TILEZERO(1)
+	MOVQ  R13, SI
+	MOVQ  R11, DI
+	MOVQ  R10, R8
+
+kone:
+	BTQ $0, R8
+	JCC konenext
+	TILELOADD(4, 6, 1, 0)
+	TILELOADD(6, 7, 2, 0)
+	TILELOADD(7, 7, 2, 1024)
+	TDPBSSD(0, 4, 6)
+	TDPBSSD(1, 4, 7)
+
+konenext:
+	ADDQ $64, SI
+	ADDQ $16384, DI
+	SHRQ $1, R8
+	JNZ  kone
+	TILESTORED(0, 3, 0, 0)
+	TILESTORED(0, 3, 64, 1)
+
+cnext:
+	ADDQ $2048, R11
+	ADDQ $128, R12
+	CMPQ R12, 65600(SP)
+	JNE  cpair
+	TILERELEASE
 	RET

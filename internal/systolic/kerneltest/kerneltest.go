@@ -24,8 +24,8 @@ func useVector(on bool) bool
 func useFloatVector(on bool) bool
 
 // Each runs f as a subtest under every batched kernel this host can run,
-// fastest first: "swar" always, above it "avx2" and "avx512vnni" where the
-// CPU has them. The assembly rungs run with fixed's and tensor's vector
+// fastest first: "swar" always, above it "avx2", "avx512vnni" and "amx"
+// where the CPU and the OS provide them. The assembly rungs run with fixed's and tensor's vector
 // passes on; "swar", the portable rung, runs with them off too, so that it is
 // what a host without assembly runs. It must not be used from parallel
 // tests: the switches are process-wide.

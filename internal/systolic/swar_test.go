@@ -28,8 +28,8 @@ func forceKernel(tb testing.TB, i int) {
 }
 
 // eachKernel runs f as a subtest under every batched kernel this host can
-// run, fastest first: "swar" always, above it "avx2" and "avx512vnni" where
-// the CPU has them.
+// run, fastest first: "swar" always, above it "avx2", "avx512vnni" and "amx"
+// where the CPU and the OS provide them.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	for i, k := range kernels {
@@ -190,6 +190,64 @@ func TestKernelsAgreeOnGroupShapes(t *testing.T) {
 	}
 }
 
+// fillBlocks fills the 64-deep contraction blocks of every activation row
+// whose bit is set in the low four bits of blocks with random values, a
+// quarter of them bias, and leaves the others zero in every row — the blocks
+// the AMX kernel neither packs nor multiplies.
+func fillBlocks(in []int8, blocks uint8, bias int8, rng *rand.Rand) {
+	for i := 0; i < len(in); i += isa.MatrixDim {
+		for kb := 0; kb < 4; kb++ {
+			if blocks>>kb&1 == 0 {
+				continue
+			}
+			for r := kb * 64; r < kb*64+64; r++ {
+				in[i+r] = int8(rng.Intn(256) - 128)
+				if rng.Intn(4) == 0 {
+					in[i+r] = bias
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsAgreeOnContractionBlocks covers what the AMX kernel has to get
+// right besides the tile arithmetic: every batch from 1 to 80 rows — whole
+// 16-row blocks, an odd block after the pairs, and the rows left over for the
+// VNNI kernel — each with a different set of all-zero 64-deep contraction
+// blocks (all 16 sets occur), and the operand extremes, where every column
+// sums 256 products of -128 or 127 by -128 or 127.
+func TestKernelsAgreeOnContractionBlocks(t *testing.T) {
+	a := swarArray(t, randomTile(11, 1))
+	for b := 1; b <= 80; b++ {
+		in := make([]int8, b*isa.MatrixDim)
+		fillBlocks(in, uint8(b%16), int8(-128+255*(b%2)), rand.New(rand.NewSource(int64(b))))
+		checkKernels(t, a, in)
+	}
+	for _, w := range []int8{-128, 127} {
+		tile := newTile()
+		for i := range tile.w {
+			tile.w[i] = w
+		}
+		a := swarArray(t, tile)
+		for _, v := range []int8{-128, 127} {
+			for _, b := range []int{16, 17, 48, 80} {
+				in := make([]int8, b*isa.MatrixDim)
+				for i := range in {
+					in[i] = v
+				}
+				checkKernels(t, a, in)
+				ref, err := a.MulRow((*[isa.MatrixDim]int8)(in))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := 256 * int32(w) * int32(v); ref[0] != want {
+					t.Fatalf("w=%d v=%d: MulRow reference %d, want %d", w, v, ref[0], want)
+				}
+			}
+		}
+	}
+}
+
 // TestSWARSingleRowTail exercises the odd-n tail (a lone row in the pair
 // loop) at both magnitude extremes.
 func TestSWARSingleRowTail(t *testing.T) {
@@ -280,12 +338,18 @@ const (
 	shapeLastQuad
 	// shapeSaturated: every weight is wBias and every activation aBias.
 	shapeSaturated
+	// shapeZeroBlocks: random activations, except that the 64-deep
+	// contraction blocks whose bit in sparsity is clear are zero in every
+	// row.
+	shapeZeroBlocks
 	numShapes
 )
 
 // FuzzMulRowEquivalence feeds random tiles and activation batches —
 // including the ±128 extremes, whole zero rows, every group shape from 1 to
-// 67 rows and the quad layouts the VNNI kernel's gather has to get right —
+// 80 rows (the AMX kernel's 16-row blocks and the rows left over), the quad
+// layouts the VNNI kernel's gather has to get right and the 64-deep
+// contraction blocks the AMX kernel skips —
 // through every batched kernel this host can run and the scalar oracle and
 // checks every output word against the naive MulRow reference. The corpus
 // seeds pin the boundary cases; the fuzzer mutates from there.
@@ -307,6 +371,11 @@ func FuzzMulRowEquivalence(f *testing.F) {
 			f.Add(int64(42+2*i+j), w, v, uint8(0), uint8(10+2*i+j), uint8(shapeSaturated))
 		}
 	}
+	// Around the AMX kernel's 16-row blocks, each with its own set of
+	// all-zero contraction blocks.
+	for i, b := range []int{15, 16, 17, 32, 33, 48, 79, 80} {
+		f.Add(int64(50+i), int8(-128), int8(127), uint8(i*5), uint8(b-1), uint8(shapeZeroBlocks))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, wBias, aBias int8, sparsity, rows, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		shape %= numShapes
@@ -323,7 +392,7 @@ func FuzzMulRowEquivalence(f *testing.F) {
 			}
 		}
 		a := swarArray(t, tile)
-		batch := 1 + int(rows)%67
+		batch := 1 + int(rows)%80
 		in := make([]int8, batch*isa.MatrixDim)
 		nonzero := func() int8 { return int8(1 + rng.Intn(255)) } // never 0
 		switch shape {
@@ -363,6 +432,8 @@ func FuzzMulRowEquivalence(f *testing.F) {
 			for i := range in {
 				in[i] = aBias
 			}
+		case shapeZeroBlocks:
+			fillBlocks(in, sparsity, aBias, rng)
 		}
 		checkKernels(t, a, in)
 	})

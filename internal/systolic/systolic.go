@@ -190,10 +190,10 @@ type kernel struct {
 var swar = kernel{name: "swar", rows: 1, mulRange: (*Array).mulRangeSWAR}
 
 // kernels lists the batched kernels this host can run, fastest first, chosen
-// once from what the CPU reports: the assembly kernels the host has the
-// instructions for, then the portable SWAR kernel. MultiplyInto runs running,
-// which is the first of them except while a test has moved it with runUnder;
-// nothing else writes it.
+// once from what package cpu reports: the assembly kernels the CPU has the
+// instructions and the OS the register state for, then the portable SWAR
+// kernel. MultiplyInto runs running, which is the first of them except while
+// a test has moved it with runUnder; nothing else writes it.
 var (
 	kernels = hostKernels()
 	running = kernels[0]
@@ -212,8 +212,8 @@ func runUnder(i int) (name string, ok bool) {
 	return running.name, true
 }
 
-// Kernel names the batched kernel in use — "avx512vnni", "avx2" or "swar" —
-// for benchmark lines and bug reports.
+// Kernel names the batched kernel in use — "amx", "avx512vnni", "avx2" or
+// "swar" — for benchmark lines and bug reports.
 func Kernel() string { return running.name }
 
 // MultiplyInto is the allocation-free batched kernel behind Multiply: it
