@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build cross test race bench-test bench-smoke bench bench-gate fuzz-smoke loc cover report-smoke
+.PHONY: ci fmt-check vet build cross test race bench-test bench-smoke bench bench-gate flake-repeat fuzz-smoke loc cover report-smoke
 .PHONY: obs-smoke chaos-smoke integrity-smoke cluster-smoke
 
 # `race` runs every package under -race, so the four -race smokes below are
 # developer shortcuts (one subsystem's tests, named), not CI steps.
-ci: fmt-check vet build cross race bench-test fuzz-smoke cover bench-smoke bench-gate report-smoke
+ci: fmt-check vet build cross race bench-test fuzz-smoke cover bench-smoke bench-gate flake-repeat report-smoke
 
 # Fails when any file is not gofmt-clean. The benchmark's build directory
 # holds a Go cache, not source.
@@ -105,7 +105,7 @@ T3_CEILING_ALLOCS ?= 48
 define gate-names
 	@for alt in $$(echo '$(2)' | tr '|' ' '); do \
 		$(GO) test -list "$$alt" $(1) | grep -qv '^ok' || \
-			{ echo "bench-gate: -run alternative $$alt names no test in $(1)"; exit 1; }; \
+			{ echo "gate-names: -run alternative $$alt names no test in $(1)"; exit 1; }; \
 	done
 endef
 
@@ -131,6 +131,15 @@ bench-gate:
 	echo "BenchmarkTable3: min $$min ns/op (ceiling $(T3_CEILING_NS)), $$allocs allocs/op (ceiling $(T3_CEILING_ALLOCS))"; \
 	[ -n "$$min" ] && [ "$$min" -le $(T3_CEILING_NS) ] || { echo "bench-gate: BenchmarkTable3 min $$min ns/op exceeds $(T3_CEILING_NS)"; exit 1; }; \
 	[ -n "$$allocs" ] && [ "$$allocs" -le $(T3_CEILING_ALLOCS) ] || { echo "bench-gate: BenchmarkTable3 $$allocs allocs/op exceeds $(T3_CEILING_ALLOCS)"; exit 1; }
+
+# A test that once flaked runs 500 times (~5 s), so the race its fix closed
+# stays closed: TestQuarantineProbeReadmits failed about 1 run in 40 while a
+# hedge on another device could win its final run before the re-admitted
+# device's own success was recorded. The pattern passes the same "names a
+# test" check as the gates above.
+flake-repeat:
+	$(call gate-names,./internal/runtime,^TestQuarantineProbeReadmits$$)
+	$(GO) test -count=500 -run '^TestQuarantineProbeReadmits$$' ./internal/runtime
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
 # decoder, kernel-equivalence, row-pass-equivalence, float-matmul, CRC,

@@ -39,7 +39,8 @@ func TestSingleReplicaMatchesScanDriver(t *testing.T) {
 		{"long fill wait", serve.Policy{MaxBatch: 16, SLASeconds: 7e-3, MaxWaitSeconds: 4e-3}, workload.Constant(0.3 * capacity), 2},
 		{"busy", serve.Policy{MaxBatch: 64, SLASeconds: 7e-3}, thenLull(0.9), 0.5},
 		{"overload", serve.Policy{MaxBatch: 64, SLASeconds: 7e-3}, thenLull(1.6), 0.5},
-		{"overload, deep queue", serve.Policy{MaxBatch: 32, SLASeconds: 7e-3, QueueLimit: 400}, thenLull(1.6), 0.5},
+		// svc(8) = 1.3 ms: the derived bound is its deepest, four safe batches.
+		{"overload, deep queue", serve.Policy{MaxBatch: 8, SLASeconds: 7e-3}, thenLull(1.6), 0.5},
 	}
 	refused, expired := 0, 0
 	for _, tc := range cases {

@@ -33,9 +33,6 @@ import (
 type ChaosConfig struct {
 	// Devices is the fleet size. 0 means 4.
 	Devices int
-	// Apps are the benchmark names (tiny variants are served). Empty means
-	// all six.
-	Apps []string
 	// Duration is the target wall length of each pass's arrival stream.
 	// 0 means 1 second.
 	Duration time.Duration
@@ -56,20 +53,16 @@ type ChaosConfig struct {
 	SlowFactor float64
 	// FaultAt is the fraction of the stream (Duration, or the shortest
 	// app stream when the request cap clamps one below it) at which
-	// Kill/Slow strike. 0 means 0.3.
+	// Kill/Slow strike; it must be below 1. 0 means 0.3.
 	FaultAt float64
-
-	// Resilience overrides the runtime recovery policy. Nil gets a policy
-	// tuned for wall-clock chaos: tight attempt timeouts (3x expected) and
-	// aggressive hedging (1x observed p99).
-	Resilience *runtime.Resilience
 }
 
 // The chaos sweep's fixed serving envelope. Each app's stream is clamped to
 // [chaosMinRequests, chaosMaxRequests] requests, and every request gets a
 // chaosSLASeconds deadline: wall-clock chaos runs need slack for retries,
 // so this is a generous envelope, not the paper's 7 ms virtual-time bound.
-// Every model runs behind the default circuit breaker.
+// Every model runs behind the circuit breaker, on a fleet whose recovery
+// policy is tuned for wall-clock chaos (see RunChaos).
 const (
 	chaosMinRequests = 16
 	chaosMaxRequests = 240
@@ -79,9 +72,6 @@ const (
 func (c ChaosConfig) normalized() ChaosConfig {
 	if c.Devices == 0 {
 		c.Devices = 4
-	}
-	if len(c.Apps) == 0 {
-		c.Apps = models.Names()
 	}
 	if c.Duration == 0 {
 		c.Duration = time.Second
@@ -94,13 +84,6 @@ func (c ChaosConfig) normalized() ChaosConfig {
 	}
 	if c.FaultAt == 0 {
 		c.FaultAt = 0.3
-	}
-	if c.Resilience == nil {
-		c.Resilience = &runtime.Resilience{
-			MaxAttempts:   4,
-			TimeoutFactor: 3,
-			HedgeAfterP99: 1,
-		}
 	}
 	return c
 }
@@ -142,8 +125,9 @@ type ChaosResult struct {
 	Chaos    ChaosPass
 }
 
-// RunChaos runs the sweep twice — once fault-free for the baseline, once
-// under the plan with mid-stream kills/throttles — over fresh fleets.
+// RunChaos runs the sweep over the six apps twice — once fault-free for the
+// baseline, once under the plan with mid-stream kills/throttles — over
+// fresh fleets.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	cfg = cfg.normalized()
 	for _, f := range []struct {
@@ -154,11 +138,21 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			return nil, fmt.Errorf("experiments: chaos %s is %v, want a positive finite number", f.name, f.v)
 		}
 	}
-	base, err := chaosPass(cfg, false)
+	if cfg.FaultAt >= 1 {
+		return nil, fmt.Errorf("experiments: chaos FaultAt is %v, want a fraction of the stream below 1", cfg.FaultAt)
+	}
+	if cfg.Duration < 0 {
+		return nil, fmt.Errorf("experiments: chaos Duration is %v, want a non-negative length", cfg.Duration)
+	}
+	// The fleets recover with tight attempt timeouts (3x expected) and
+	// aggressive hedging (1x observed p99).
+	apps := models.Names()
+	res := runtime.Resilience{MaxAttempts: 4, TimeoutFactor: 3, HedgeAfterP99: 1}
+	base, err := chaosPass(cfg, apps, res, false)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos baseline: %w", err)
 	}
-	chaos, err := chaosPass(cfg, true)
+	chaos, err := chaosPass(cfg, apps, res, true)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos pass: %w", err)
 	}
@@ -178,13 +172,15 @@ type chaosApp struct {
 	n      int
 }
 
-func chaosPass(cfg ChaosConfig, chaotic bool) (*ChaosPass, error) {
+// chaosPass serves names (tiny variants) on a fresh fleet recovering under
+// res, with cfg's faults when chaotic.
+func chaosPass(cfg ChaosConfig, names []string, res runtime.Resilience, chaotic bool) (*ChaosPass, error) {
 	for _, d := range append(append([]int{}, cfg.Kill...), cfg.Slow...) {
 		if d < 0 || d >= cfg.Devices {
 			return nil, fmt.Errorf("device %d outside fleet of %d", d, cfg.Devices)
 		}
 	}
-	opts := runtime.ServerOptions{Resilience: cfg.Resilience}
+	opts := runtime.ServerOptions{Resilience: &res}
 	if chaotic {
 		plan := cfg.Plan
 		opts.Faults = &plan
@@ -198,8 +194,8 @@ func chaosPass(cfg ChaosConfig, chaotic bool) (*ChaosPass, error) {
 
 	// Build the apps: tiny functional models, pinned round robin (the same
 	// order AddModel uses), inputs reused across requests.
-	apps := make([]*chaosApp, len(cfg.Apps))
-	for i, name := range cfg.Apps {
+	apps := make([]*chaosApp, len(names))
+	for i, name := range names {
 		m, err := models.Tiny(name)
 		if err != nil {
 			return nil, err
@@ -271,7 +267,7 @@ func chaosPass(cfg ChaosConfig, chaotic bool) (*ChaosPass, error) {
 				MaxWaitSeconds: svc,
 			},
 			Service: latency.ServiceFunc(func(int) (float64, error) { return svc, nil }),
-			Breaker: &serve.BreakerConfig{},
+			Breaker: true,
 		})
 		if err != nil {
 			return nil, err

@@ -116,8 +116,9 @@ func TestChaosSweepHoldsTail(t *testing.T) {
 }
 
 // TestRunChaosRejectsMalformedFloats: a NaN, infinite or negative load
-// fraction, throttle factor or fault point fails the sweep before either
-// pass starts, naming the field, instead of running with NaN rates.
+// fraction, throttle factor or fault point, a fault point of 1 or more, or
+// a negative duration fails the sweep before either pass starts, naming
+// the field, instead of running with NaN rates or a misdescribed stream.
 func TestRunChaosRejectsMalformedFloats(t *testing.T) {
 	for _, c := range []struct {
 		field string
@@ -135,6 +136,22 @@ func TestRunChaosRejectsMalformedFloats(t *testing.T) {
 			}
 		}
 	}
+	// A fault point at or past the end of the stream, or a negative stream
+	// length, would run a sweep the report misdescribes.
+	for _, c := range []struct {
+		field string
+		set   func(*ChaosConfig)
+	}{
+		{"FaultAt", func(c *ChaosConfig) { c.FaultAt = 1 }},
+		{"FaultAt", func(c *ChaosConfig) { c.FaultAt = 5 }},
+		{"Duration", func(c *ChaosConfig) { c.Duration = -time.Second }},
+	} {
+		cfg := chaosTestConfig()
+		c.set(&cfg)
+		if _, err := RunChaos(cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: got error %v, want one naming %s", cfg, err, c.field)
+		}
+	}
 }
 
 // TestChaosSeedReproducesFaultSequence pins the replayability contract at
@@ -149,20 +166,20 @@ func TestChaosSeedReproducesFaultSequence(t *testing.T) {
 	}
 	cfg := ChaosConfig{
 		Devices:  2,
-		Apps:     []string{"MLP0", "MLP1"},
 		Duration: 200 * time.Millisecond,
 		Seed:     11,
 		Plan:     fault.Plan{Seed: 11, TransientRate: 0.2},
-		// Hedging and probing race the request stream and would consume
-		// extra injector draws; disable them so a device's fault sequence
-		// is a pure function of its run count.
-		Resilience: &runtime.Resilience{MaxAttempts: 4, HedgeAfterP99: -1, ProbeEvery: -1},
-	}
-	a, err := chaosPass(cfg.normalized(), true)
+	}.normalized()
+	apps := []string{"MLP0", "MLP1"}
+	// Hedging and probing race the request stream and would consume extra
+	// injector draws; disable them so a device's fault sequence is a pure
+	// function of its run count.
+	res := runtime.Resilience{MaxAttempts: 4, HedgeAfterP99: -1, ProbeEvery: -1}
+	a, err := chaosPass(cfg, apps, res, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := chaosPass(cfg.normalized(), true)
+	b, err := chaosPass(cfg, apps, res, true)
 	if err != nil {
 		t.Fatal(err)
 	}

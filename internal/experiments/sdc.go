@@ -26,23 +26,18 @@ import (
 	"tpusim/internal/tpu"
 )
 
-// SDCConfig configures one campaign. The zero value sweeps all six apps
-// with 16 flips each on single-device fleets.
+// SDCConfig configures one campaign over the six apps (tiny variants) on
+// single-device fleets. The zero value injects 16 flips per app.
 type SDCConfig struct {
-	// Apps are the benchmark names (tiny variants are used). Empty means
-	// all six.
-	Apps []string
 	// FlipsPerApp is the number of injected flips per app, cycled over the
-	// four upset kinds (UB, weight DRAM, accumulator, PE). 0 means 16.
+	// four upset kinds (UB, weight DRAM, accumulator, PE). 0 means 16;
+	// negative is an error.
 	FlipsPerApp int
 	// Seed drives flip addresses/bits and weight init.
 	Seed int64
 }
 
 func (c SDCConfig) normalized() SDCConfig {
-	if len(c.Apps) == 0 {
-		c.Apps = models.Names()
-	}
 	if c.FlipsPerApp == 0 {
 		c.FlipsPerApp = 16
 	}
@@ -196,9 +191,17 @@ func sdcBit(rng *rand.Rand, kind fault.Kind) uint8 {
 // function of the seed, so a campaign replays exactly.
 func RunSDC(cfg SDCConfig) (*SDCResult, error) {
 	cfg = cfg.normalized()
+	if cfg.FlipsPerApp < 0 {
+		return nil, fmt.Errorf("experiments: sdc FlipsPerApp is %d, want >= 0", cfg.FlipsPerApp)
+	}
+	return runSDC(cfg, models.Names())
+}
+
+// runSDC is RunSDC's campaign over the named apps.
+func runSDC(cfg SDCConfig, names []string) (*SDCResult, error) {
 	res := &SDCResult{Config: cfg, Total: SDCApp{App: "total"}}
 	ctx := context.Background()
-	for i, name := range cfg.Apps {
+	for i, name := range names {
 		m, err := models.Tiny(name)
 		if err != nil {
 			return nil, err

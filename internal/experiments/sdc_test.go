@@ -81,16 +81,24 @@ func TestSDCCampaignReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cfg := SDCConfig{Seed: 23, FlipsPerApp: 4, Apps: []string{"MLP0", "CNN0"}}
-	a, err := RunSDC(cfg)
+	cfg, apps := SDCConfig{Seed: 23, FlipsPerApp: 4}, []string{"MLP0", "CNN0"}
+	a, err := runSDC(cfg, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSDC(cfg)
+	b, err := runSDC(cfg, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Total != b.Total {
 		t.Errorf("same seed, different ledgers:\n%+v\n%+v", a.Total, b.Total)
+	}
+}
+
+// TestRunSDCRejectsNegativeFlips: a negative flip count fails the campaign
+// instead of reporting a 0-flip sweep at a 100% detection rate.
+func TestRunSDCRejectsNegativeFlips(t *testing.T) {
+	if _, err := RunSDC(SDCConfig{FlipsPerApp: -2}); err == nil || !strings.Contains(err.Error(), "FlipsPerApp") {
+		t.Errorf("FlipsPerApp = -2: got error %v, want one naming the field", err)
 	}
 }

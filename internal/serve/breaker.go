@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// BreakerConfig tunes a model lane's circuit breaker and brownout policy.
+// A model lane's circuit breaker and brownout policy (ModelConfig.Breaker).
 // The breaker watches the lane's recent backend outcomes over a sliding
 // window and degrades service in two steps instead of letting a sick fleet
 // drown in retried work:
@@ -17,61 +17,23 @@ import (
 //     fraction of the queue (arrivals that would have queued deep are shed
 //     with a distinct "brownout" reason).
 //   - Open: at a high failure fraction the lane stops taking traffic
-//     entirely; one trial request per OpenFor interval probes the backend,
+//     entirely; one trial request per breakerOpenFor probes the backend,
 //     and a trial success steps the breaker back down to brownout.
 //
-// The zero value of every field selects a sensible default, so
-// &BreakerConfig{} enables the breaker with stock tuning.
-type BreakerConfig struct {
-	// Window is the outcome window length in batches. 0 means 16.
-	Window int
-	// MinSamples gates state changes until the window has at least this
-	// many outcomes. 0 means half the window.
-	MinSamples int
-	// OpenFor is the interval between trial requests while open.
-	// 0 means 250ms.
-	OpenFor time.Duration
-	// BrownoutBatchFrac scales the deadline-safe batch target during
-	// brownout (minimum 1). 0 means 0.5.
-	BrownoutBatchFrac float64
-}
-
-// The failure fractions that trigger brownout and open the breaker, and
-// the share of the admission queue bound a browned-out lane keeps
-// (minimum 1).
+// The window is breakerWindow batches, and the state holds until it has
+// breakerMinSamples outcomes. brownoutFrac and openFrac are the failure
+// fractions that trigger brownout and open the breaker; a browned-out lane
+// scales its deadline-safe batch target by brownoutBatchFrac and keeps
+// brownoutQueueFrac of the admission queue bound (each minimum 1).
 const (
+	breakerWindow     = 16
+	breakerMinSamples = 8
+	breakerOpenFor    = 250 * time.Millisecond
 	brownoutFrac      = 0.3
 	openFrac          = 0.7
+	brownoutBatchFrac = 0.5
 	brownoutQueueFrac = 0.5
 )
-
-func (c BreakerConfig) window() int {
-	if c.Window <= 0 {
-		return 16
-	}
-	return c.Window
-}
-
-func (c BreakerConfig) minSamples() int {
-	if c.MinSamples <= 0 {
-		return (c.window() + 1) / 2
-	}
-	return c.MinSamples
-}
-
-func (c BreakerConfig) openFor() time.Duration {
-	if c.OpenFor <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.OpenFor
-}
-
-func (c BreakerConfig) brownoutBatchFrac() float64 {
-	if c.BrownoutBatchFrac <= 0 {
-		return 0.5
-	}
-	return c.BrownoutBatchFrac
-}
 
 // BreakerState is a lane breaker's position.
 type BreakerState int32
@@ -99,17 +61,11 @@ func (b BreakerState) String() string {
 // breaker is one lane's failure-fraction state machine. All methods are
 // nil-safe: a lane without a breaker pays one nil check.
 type breaker struct {
-	cfg BreakerConfig
-
 	mu        sync.Mutex
-	ring      []bool // true = batch failed
+	ring      [breakerWindow]bool // true = batch failed
 	n, idx    int
 	state     BreakerState
 	lastTrial time.Time
-}
-
-func newBreaker(cfg BreakerConfig) *breaker {
-	return &breaker{cfg: cfg, ring: make([]bool, cfg.window())}
 }
 
 // State returns the breaker's current position.
@@ -148,7 +104,7 @@ func (b *breaker) record(failed bool) (from, to BreakerState) {
 	if b.n < len(b.ring) {
 		b.n++
 	}
-	if b.n < b.cfg.minSamples() {
+	if b.n < breakerMinSamples {
 		return from, to
 	}
 	fails := 0
@@ -161,7 +117,7 @@ func (b *breaker) record(failed bool) (from, to BreakerState) {
 	switch {
 	case frac >= openFrac:
 		to = BreakerOpen
-		b.lastTrial = time.Time{} // first trial is immediate after OpenFor
+		b.lastTrial = time.Time{} // the first trial is immediate
 	case frac >= brownoutFrac:
 		to = BreakerBrownout
 	default:
@@ -172,9 +128,7 @@ func (b *breaker) record(failed bool) (from, to BreakerState) {
 }
 
 func (b *breaker) clearLocked() {
-	for i := range b.ring {
-		b.ring[i] = false
-	}
+	b.ring = [breakerWindow]bool{}
 	b.n, b.idx = 0, 0
 }
 
@@ -189,7 +143,7 @@ func (b *breaker) admit(depth, capacity int) (ok bool, shedReason string) {
 	switch b.state {
 	case BreakerOpen:
 		now := time.Now()
-		if now.Sub(b.lastTrial) >= b.cfg.openFor() {
+		if now.Sub(b.lastTrial) >= breakerOpenFor {
 			b.lastTrial = now
 			return true, "" // the periodic trial request
 		}
@@ -214,7 +168,7 @@ func (b *breaker) batchLimit(safe int) int {
 	case BreakerOpen:
 		return 1
 	case BreakerBrownout:
-		limit := int(float64(safe) * b.cfg.brownoutBatchFrac())
+		limit := int(float64(safe) * brownoutBatchFrac)
 		if limit < 1 {
 			limit = 1
 		}

@@ -35,23 +35,31 @@ func (f *flakyBackend) Run(_ string, in []*tensor.F32) ([]*tensor.F32, error) {
 	return in, nil
 }
 
+// expireTrial moves an open breaker's last trial back by breakerOpenFor,
+// so its next admission is a trial without sleeping for it.
+func expireTrial(b *breaker) {
+	b.mu.Lock()
+	b.lastTrial = b.lastTrial.Add(-breakerOpenFor)
+	b.mu.Unlock()
+}
+
 // TestBreakerStateMachine drives the breaker directly through its
 // transitions: closed -> brownout -> open -> (trial success) -> brownout
 // -> closed.
 func TestBreakerStateMachine(t *testing.T) {
-	br := newBreaker(BreakerConfig{Window: 10, MinSamples: 4, OpenFor: time.Millisecond})
+	br := new(breaker)
 	if br.State() != BreakerClosed {
 		t.Fatal("new breaker not closed")
 	}
-	// 40% failures over 10 outcomes: brownout (>= 0.3, < 0.7).
-	for i := 0; i < 10; i++ {
+	// 40% failures over a full window: brownout (>= 0.3, < 0.7).
+	for i := 0; i < 5*breakerWindow; i++ {
 		br.record(i%5 < 2)
 	}
 	if br.State() != BreakerBrownout {
 		t.Fatalf("state after 40%% failures = %v, want brownout", br.State())
 	}
 	// All failures: open.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < breakerWindow; i++ {
 		br.record(true)
 	}
 	if br.State() != BreakerOpen {
@@ -67,12 +75,21 @@ func TestBreakerStateMachine(t *testing.T) {
 	if ok, reason := br.admit(0, 8); ok || reason != "breaker_open" {
 		t.Fatalf("second request inside trial interval admitted (reason %q)", reason)
 	}
+	// A trial failure keeps it open; the next trial waits breakerOpenFor.
+	if from, to := br.record(true); from != BreakerOpen || to != BreakerOpen {
+		t.Fatalf("trial failure moved %v->%v, want open->open", from, to)
+	}
+	expireTrial(br)
+	if ok, reason := br.admit(0, 8); !ok {
+		t.Fatalf("trial after breakerOpenFor rejected: %s", reason)
+	}
 	// Trial success steps down to brownout with a cleared window.
 	if from, to := br.record(false); from != BreakerOpen || to != BreakerBrownout {
 		t.Fatalf("trial success moved %v->%v, want open->brownout", from, to)
 	}
-	// Sustained successes close it.
-	for i := 0; i < 10; i++ {
+	// Sustained successes close it once the cleared window refills to
+	// breakerMinSamples.
+	for i := 0; i < breakerMinSamples; i++ {
 		br.record(false)
 	}
 	if br.State() != BreakerClosed {
@@ -86,9 +103,14 @@ func TestBreakerStateMachine(t *testing.T) {
 
 // TestBreakerBatchAndQueueLimits pins the brownout degradations.
 func TestBreakerBatchAndQueueLimits(t *testing.T) {
-	br := newBreaker(BreakerConfig{Window: 4, MinSamples: 2})
-	br.record(true)
-	br.record(true)
+	br := new(breaker)
+	// Below breakerMinSamples outcomes nothing moves, even all failures.
+	for i := 0; i < breakerMinSamples; i++ {
+		if br.State() != BreakerClosed {
+			t.Fatalf("state after %d failures = %v, want closed", i, br.State())
+		}
+		br.record(true)
+	}
 	if br.State() != BreakerOpen {
 		t.Fatalf("state = %v, want open", br.State())
 	}
@@ -129,12 +151,15 @@ func TestServerBreakerTripAndRecover(t *testing.T) {
 	_, err := s.Register("m", ModelConfig{
 		Policy:  Policy{MaxBatch: 4, SLASeconds: 1, MaxWaitSeconds: 1e-4},
 		Service: linearService(1e-4, 0),
-		Breaker: &BreakerConfig{Window: 4, MinSamples: 2, OpenFor: 2 * time.Millisecond},
+		Breaker: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.mu.Lock()
+	br := s.lanes["m"].br
+	s.mu.Unlock()
 
 	// Healthy service.
 	if _, err := s.Submit("m", row()); err != nil {
@@ -143,7 +168,7 @@ func TestServerBreakerTripAndRecover(t *testing.T) {
 
 	// Outage: enough failed batches trip the breaker open.
 	fb.setBroken(true)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < breakerWindow; i++ {
 		_, err := s.Submit("m", row())
 		if err == nil {
 			t.Fatalf("request %d served during outage", i)
@@ -151,7 +176,7 @@ func TestServerBreakerTripAndRecover(t *testing.T) {
 		if errors.Is(err, ErrBreakerOpen) {
 			break
 		}
-		if i == 9 {
+		if i == breakerWindow-1 {
 			t.Fatalf("breaker never opened; last err %v", err)
 		}
 	}
@@ -171,18 +196,15 @@ func TestServerBreakerTripAndRecover(t *testing.T) {
 		t.Fatal("no request shed with ErrBreakerOpen while open")
 	}
 
-	// Recovery: trials discover the healthy backend and the lane recloses.
+	// Recovery: a trial discovers the healthy backend and the lane
+	// recloses after breakerMinSamples more successes.
 	fb.setBroken(false)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if time.Now().After(deadline) {
+	for i := 0; mm.snapshot().BreakerState != "closed"; i++ {
+		if i == 2*breakerWindow {
 			t.Fatalf("lane never re-closed; state %s", mm.snapshot().BreakerState)
 		}
-		if _, err := s.Submit("m", row()); err == nil &&
-			mm.snapshot().BreakerState == "closed" {
-			break
-		}
-		time.Sleep(time.Millisecond)
+		expireTrial(br)
+		s.Submit("m", row()) //nolint:errcheck // sheds are expected until the trial
 	}
 	snap := mm.snapshot()
 	if snap.ShedBreaker == 0 {
@@ -200,11 +222,9 @@ func TestServerBrownoutShrinksBatches(t *testing.T) {
 	g := newGateBackend()
 	s := NewServer(g)
 	_, err := s.Register("m", ModelConfig{
-		Policy:  Policy{MaxBatch: 8, SLASeconds: 1, MaxWaitSeconds: 5e-3, QueueLimit: 16},
+		Policy:  Policy{MaxBatch: 8, SLASeconds: 1, MaxWaitSeconds: 5e-3},
 		Service: linearService(1e-4, 0),
-		// A huge window keeps the manually-seeded brownout state stable for
-		// the whole test.
-		Breaker: &BreakerConfig{Window: 1024, MinSamples: 8, BrownoutBatchFrac: 0.25},
+		Breaker: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,20 +234,22 @@ func TestServerBrownoutShrinksBatches(t *testing.T) {
 		t.Fatalf("safe batch = %d, want 8", plan.SafeBatch)
 	}
 
-	// Seed the window to 50% failures: brownout, and with 1024 slots the
-	// successes recorded below cannot dilute it back under 30%.
+	// Seed a full window oldest-first with 5 successes, then 11 failures
+	// (11/16, brownout). The 8 successes recorded below replace the 5
+	// successes and 3 failures, so the fraction stays in [8/16, 11/16]
+	// and the lane stays in brownout.
 	s.mu.Lock()
 	l := s.lanes["m"]
 	s.mu.Unlock()
-	for i := 0; i < 8; i++ {
-		l.br.record(i%2 == 0)
+	for i := 0; i < breakerWindow; i++ {
+		l.br.record(i >= 5)
 	}
 	if l.br.State() != BreakerBrownout {
 		t.Fatalf("seeded state = %v, want brownout", l.br.State())
 	}
 
-	// Fire 8 concurrent submits; the brownout target is 8/4 = 2, so no
-	// dispatched batch may exceed 2 even though all 8 queue together.
+	// Fire 8 concurrent submits; the brownout target is 8/2 = 4, so no
+	// dispatched batch may exceed 4 even though all 8 queue together.
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -254,8 +276,8 @@ func TestServerBrownoutShrinksBatches(t *testing.T) {
 		t.Fatal("no batches dispatched")
 	}
 	for _, size := range g.batches {
-		if size > 2 {
-			t.Errorf("brownout dispatched a batch of %d, limit 2 (all: %v)", size, g.batches)
+		if size > 4 {
+			t.Errorf("brownout dispatched a batch of %d, limit 4 (all: %v)", size, g.batches)
 		}
 	}
 }
@@ -288,11 +310,11 @@ func (e *erraticBackend) Run(_ string, in []*tensor.F32) ([]*tensor.F32, error) 
 func TestServerErroringBackendAccounting(t *testing.T) {
 	s := NewServer(&erraticBackend{})
 	_, err := s.Register("m", ModelConfig{
-		// Tight SLA + tiny queue force some expiry and queue shedding
+		// Tight SLA + short derived queue force some expiry and queue shedding
 		// alongside the backend errors.
-		Policy:  Policy{MaxBatch: 4, SLASeconds: 2e-3, MaxWaitSeconds: 2e-4, QueueLimit: 8},
+		Policy:  Policy{MaxBatch: 4, SLASeconds: 2e-3, MaxWaitSeconds: 2e-4},
 		Service: linearService(1e-4, 1e-5),
-		Breaker: &BreakerConfig{Window: 32, MinSamples: 8, OpenFor: time.Millisecond},
+		Breaker: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"tpusim/internal/latency"
 )
@@ -9,9 +10,9 @@ import (
 // slaSlop absorbs float rounding when comparing latencies against the SLA.
 const slaSlop = latency.SLASlop
 
-// Policy is the per-model serving policy. The zero values of MaxWaitSeconds
-// and QueueLimit are resolved from the latency model (see Resolve); MaxBatch
-// and SLASeconds must be set.
+// Policy is the per-model serving policy. A zero MaxWaitSeconds is resolved
+// from the latency model, and the admission bound always is (see Resolve);
+// MaxBatch and SLASeconds must be set.
 type Policy struct {
 	// MaxBatch is the upper bound on assembled batch size, typically the
 	// model's production batch (Table 1). The resolved deadline-safe batch
@@ -24,11 +25,6 @@ type Policy struct {
 	// the batch to fill. 0 derives half the slack left after serving a
 	// safe batch, so fill waiting alone can never spend the whole budget.
 	MaxWaitSeconds float64
-	// QueueLimit bounds the per-model queue; arrivals beyond it are shed
-	// at admission. 0 derives a deadline-aware bound: the largest backlog
-	// (in safe batches, capped at four) that can still drain within the
-	// SLA, so admitted requests are rarely doomed to expire at dispatch.
-	QueueLimit int
 }
 
 // Plan is a Policy resolved against a concrete latency model: the concrete
@@ -41,7 +37,9 @@ type Plan struct {
 	SafeServiceSeconds float64
 	// MaxWaitSeconds is the resolved head-of-line fill wait.
 	MaxWaitSeconds float64
-	// QueueLimit is the resolved admission bound.
+	// QueueLimit is the admission bound: the largest backlog (in safe
+	// batches, capped at four) that can still drain within the SLA, so
+	// admitted requests are rarely doomed to expire at dispatch.
 	QueueLimit int
 	// SLASeconds echoes the policy's deadline.
 	SLASeconds float64
@@ -52,14 +50,13 @@ func (p Policy) Validate() error {
 	if p.MaxBatch < 1 {
 		return fmt.Errorf("serve: MaxBatch %d, need >= 1", p.MaxBatch)
 	}
-	if p.SLASeconds <= 0 {
-		return fmt.Errorf("serve: SLASeconds %v, need > 0", p.SLASeconds)
+	// NaN fails every comparison, so each check admits the valid range
+	// instead of refusing the invalid one.
+	if !(p.SLASeconds > 0 && p.SLASeconds <= math.MaxFloat64) {
+		return fmt.Errorf("serve: SLASeconds %v, need a positive finite number", p.SLASeconds)
 	}
-	if p.MaxWaitSeconds < 0 {
-		return fmt.Errorf("serve: negative MaxWaitSeconds %v", p.MaxWaitSeconds)
-	}
-	if p.QueueLimit < 0 {
-		return fmt.Errorf("serve: negative QueueLimit %d", p.QueueLimit)
+	if !(p.MaxWaitSeconds >= 0 && p.MaxWaitSeconds <= math.MaxFloat64) {
+		return fmt.Errorf("serve: MaxWaitSeconds %v, need a finite number >= 0", p.MaxWaitSeconds)
 	}
 	return nil
 }
@@ -103,30 +100,20 @@ func (p Policy) Resolve(sm latency.ServiceModel) (Plan, error) {
 		SafeBatch:          lo,
 		SafeServiceSeconds: safeSvc,
 		MaxWaitSeconds:     p.MaxWaitSeconds,
-		QueueLimit:         p.QueueLimit,
 		SLASeconds:         p.SLASeconds,
 	}
 	if plan.MaxWaitSeconds == 0 {
 		plan.MaxWaitSeconds = (p.SLASeconds - safeSvc) / 2
 	}
-	if plan.QueueLimit == 0 {
-		// A request admitted into a queue of q safe batches waits at most
-		// the in-flight batch's remainder plus q service times before its
-		// own batch completes: latency <= (q+1)*svc. Bounding q at
-		// floor(SLA/svc - 1) keeps that inside the SLA; the cap of four
-		// batches bounds memory when svc is tiny relative to the SLA, and
-		// the floor of one batch lets full batches assemble even when the
-		// service time alone nearly fills the deadline (then the
-		// shed-at-dispatch check is the safety net).
-		q := int(p.SLASeconds/safeSvc - 1)
-		if q < 1 {
-			q = 1
-		}
-		if q > 4 {
-			q = 4
-		}
-		plan.QueueLimit = q * plan.SafeBatch
-	}
+	// A request admitted into a queue of q safe batches waits at most the
+	// in-flight batch's remainder plus q service times before its own batch
+	// completes: latency <= (q+1)*svc. Bounding q at floor(SLA/svc - 1)
+	// keeps that inside the SLA; the cap of four batches bounds memory when
+	// svc is tiny relative to the SLA, and the floor of one batch lets full
+	// batches assemble even when the service time alone nearly fills the
+	// deadline (then the shed-at-dispatch check is the safety net).
+	q := min(max(int(p.SLASeconds/safeSvc-1), 1), 4)
+	plan.QueueLimit = q * plan.SafeBatch
 	return plan, nil
 }
 

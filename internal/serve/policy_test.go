@@ -74,13 +74,13 @@ func TestResolveDerivesDefaults(t *testing.T) {
 	if tight.QueueLimit != tight.SafeBatch {
 		t.Errorf("tight-service queue limit %d, want one batch %d", tight.QueueLimit, tight.SafeBatch)
 	}
-	// Explicit values pass through untouched.
-	plan, err = Policy{MaxBatch: 100, SLASeconds: 7e-3, MaxWaitSeconds: 1e-3, QueueLimit: 7}.Resolve(sm)
+	// An explicit fill wait passes through untouched.
+	plan, err = Policy{MaxBatch: 100, SLASeconds: 7e-3, MaxWaitSeconds: 1e-3}.Resolve(sm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.MaxWaitSeconds != 1e-3 || plan.QueueLimit != 7 {
-		t.Errorf("explicit values overridden: %+v", plan)
+	if plan.MaxWaitSeconds != 1e-3 {
+		t.Errorf("explicit fill wait overridden: %+v", plan)
 	}
 }
 
@@ -121,7 +121,13 @@ func TestPolicyValidate(t *testing.T) {
 		{MaxBatch: 0, SLASeconds: 7e-3},
 		{MaxBatch: 8, SLASeconds: 0},
 		{MaxBatch: 8, SLASeconds: 7e-3, MaxWaitSeconds: -1},
-		{MaxBatch: 8, SLASeconds: 7e-3, QueueLimit: -1},
+		// NaN fails every comparison and must not pass for a valid number.
+		{MaxBatch: 8, SLASeconds: math.NaN()},
+		{MaxBatch: 8, SLASeconds: math.Inf(1)},
+		{MaxBatch: 8, SLASeconds: math.Inf(-1)},
+		{MaxBatch: 8, SLASeconds: 7e-3, MaxWaitSeconds: math.NaN()},
+		{MaxBatch: 8, SLASeconds: 7e-3, MaxWaitSeconds: math.Inf(1)},
+		{MaxBatch: 8, SLASeconds: 7e-3, MaxWaitSeconds: math.Inf(-1)},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

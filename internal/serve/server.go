@@ -24,9 +24,9 @@ type ModelConfig struct {
 	// prices batches under the lane's lock, so BatchSeconds must return
 	// promptly and never call back into the Server.
 	Service latency.ServiceModel
-	// Breaker enables the model's circuit breaker and brownout policy;
-	// nil (the default) serves without one.
-	Breaker *BreakerConfig
+	// Breaker enables the model's circuit breaker and brownout policy
+	// (see breaker.go); false serves without one.
+	Breaker bool
 }
 
 // Response is one served request's outcome.
@@ -190,8 +190,8 @@ func (s *Server) Register(model string, cfg ModelConfig) (Plan, error) {
 		wake:      make(chan struct{}, 1),
 		q:         Lane[*call](plan),
 	}
-	if cfg.Breaker != nil {
-		l.br = newBreaker(*cfg.Breaker)
+	if cfg.Breaker {
+		l.br = new(breaker)
 	}
 	s.lanes[model] = l
 	s.wg.Add(1)

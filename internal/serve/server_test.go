@@ -97,12 +97,17 @@ func TestServerServesBatches(t *testing.T) {
 func TestServerQueueFullSheds(t *testing.T) {
 	g := newGateBackend()
 	s := NewServer(g)
-	_, err := s.Register("m", ModelConfig{
-		Policy:  Policy{MaxBatch: 1, SLASeconds: time.Hour.Seconds(), QueueLimit: 2, MaxWaitSeconds: 1e-6},
-		Service: linearService(1e-4, 0),
+	// A 1 s batch against a 3.5 s SLA: two queued batches still drain in
+	// time ((2+1)*1 s <= 3.5 s), a third would not, so the bound is 2.
+	plan, err := s.Register("m", ModelConfig{
+		Policy:  Policy{MaxBatch: 1, SLASeconds: 3.5, MaxWaitSeconds: 1e-6},
+		Service: linearService(1, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if plan.QueueLimit != 2 {
+		t.Fatalf("queue limit = %d, want 2", plan.QueueLimit)
 	}
 	results := make(chan error, 3)
 	submit := func() { _, err := s.Submit("m", row()); results <- err }
@@ -447,7 +452,7 @@ func TestCloseDrainsQueuedRequests(t *testing.T) {
 	g := newGateBackend()
 	s := NewServer(g)
 	if _, err := s.Register("m", ModelConfig{
-		Policy:  Policy{MaxBatch: 2, SLASeconds: 30, MaxWaitSeconds: 1e-5, QueueLimit: 16},
+		Policy:  Policy{MaxBatch: 2, SLASeconds: 30, MaxWaitSeconds: 1e-5},
 		Service: linearService(1e-4, 1e-6),
 	}); err != nil {
 		t.Fatal(err)

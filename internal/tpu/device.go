@@ -41,17 +41,11 @@ type Config struct {
 	// WeightGBs is Weight Memory bandwidth (34 for DDR3; ~184 for the
 	// GDDR5 TPU' of Section 7).
 	WeightGBs float64
-	// PCIeGBs is effective host-link bandwidth (PCIe Gen3 x16, ~14 GB/s
-	// sustained).
-	PCIeGBs float64
 	// Functional enables the real datapath (Unified Buffer, systolic
 	// array, accumulators). Timing-only runs skip data movement so that
 	// full-size production models simulate quickly; the cycle accounting
 	// is identical in both modes.
 	Functional bool
-	// IssueCycles is the per-instruction front-end cost; the CISC
-	// instructions' own execution dwarfs it.
-	IssueCycles float64
 	// FIFODepth overrides the weight FIFO depth in tiles (0 means the
 	// production depth of 4). Exposed for the design-ablation study.
 	FIFODepth int
@@ -76,6 +70,15 @@ type Config struct {
 	Integrity IntegrityLevel
 }
 
+// The host link and the front end are fixed by the paper's §2 and swept by
+// no experiment: pcieGBs is the effective host-link bandwidth (PCIe Gen3
+// x16, ~14 GB/s sustained) and issueCycles the per-instruction front-end
+// cost, which the CISC instructions' own execution dwarfs.
+const (
+	pcieGBs     = 14
+	issueCycles = 4
+)
+
 // parallelism returns the effective functional worker count.
 func (c Config) parallelism() int {
 	if c.Parallelism > 0 {
@@ -94,7 +97,7 @@ func (c Config) fifoDepth() int {
 
 // DefaultConfig returns the production TPU configuration.
 func DefaultConfig() Config {
-	return Config{ClockMHz: 700, WeightGBs: 34, PCIeGBs: 14, IssueCycles: 4}
+	return Config{ClockMHz: 700, WeightGBs: 34}
 }
 
 // Device is one TPU.
@@ -170,7 +173,7 @@ type Device struct {
 
 // New creates a device.
 func New(cfg Config) (*Device, error) {
-	if cfg.ClockMHz <= 0 || cfg.WeightGBs <= 0 || cfg.PCIeGBs <= 0 {
+	if cfg.ClockMHz <= 0 || cfg.WeightGBs <= 0 {
 		return nil, fmt.Errorf("tpu: non-positive config parameter: %+v", cfg)
 	}
 	d := &Device{cfg: cfg, ledger: &integrityLedger{}}
@@ -322,7 +325,7 @@ func (d *Device) frontier() float64 {
 }
 
 func (d *Device) exec(in *isa.Instruction) error {
-	d.issue += d.cfg.IssueCycles
+	d.issue += issueCycles
 	switch in.Op {
 	case isa.OpDebugTag:
 		d.profTags = append(d.profTags, in.Tag)
@@ -355,7 +358,7 @@ func (d *Device) exec(in *isa.Instruction) error {
 }
 
 func (d *Device) pcieLink() pcie.Link {
-	return pcie.Link{GBs: d.cfg.PCIeGBs}
+	return pcie.Link{GBs: pcieGBs}
 }
 
 func (d *Device) execReadHost(in *isa.Instruction) error {

@@ -13,9 +13,8 @@ import (
 
 func TestNewRejectsBadConfig(t *testing.T) {
 	bad := []Config{
-		{ClockMHz: 0, WeightGBs: 34, PCIeGBs: 14},
-		{ClockMHz: 700, WeightGBs: 0, PCIeGBs: 14},
-		{ClockMHz: 700, WeightGBs: 34, PCIeGBs: 0},
+		{ClockMHz: 0, WeightGBs: 34},
+		{ClockMHz: 700, WeightGBs: 0},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
