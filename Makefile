@@ -144,20 +144,27 @@ flake-repeat:
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
 # decoder, kernel-equivalence, row-pass-equivalence, float-matmul, CRC,
 # batching-lane, plan-spec parser, percentile-selection and event-calendar
-# regressions without a dedicated fuzzing job.
+# regressions without a dedicated fuzzing job. `go test -fuzz` passes with
+# "no fuzz tests to fuzz" when the target is gone, so each target first
+# passes the gates' "names a test" check (`go test -list` lists fuzz targets).
+define fuzz-run
+	$(call gate-names,$(1),^$(2)$$)
+	$(GO) test $(1) -run '^$$' -fuzz '^$(2)$$' -fuzztime 5s
+endef
+
 fuzz-smoke:
-	$(GO) test ./internal/systolic -run '^$$' -fuzz '^FuzzMulRowEquivalence$$' -fuzztime 5s
-	$(GO) test ./internal/fixed -run '^$$' -fuzz '^FuzzDrainRow$$' -fuzztime 5s
-	$(GO) test ./internal/fixed -run '^$$' -fuzz '^FuzzSatAddRows$$' -fuzztime 5s
-	$(GO) test ./internal/fixed -run '^$$' -fuzz '^FuzzQuantizeInto$$' -fuzztime 5s
-	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulF32$$' -fuzztime 5s
-	$(GO) test ./internal/integrity -run '^$$' -fuzz '^FuzzCRC$$' -fuzztime 5s
-	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
-	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzProgramValidate$$' -fuzztime 5s
-	$(GO) test ./internal/latency -run '^$$' -fuzz '^FuzzLane$$' -fuzztime 5s
-	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzPlanSpecs$$' -fuzztime 5s
-	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzPercentiles$$' -fuzztime 5s
-	$(GO) test ./internal/des -run '^$$' -fuzz '^FuzzCalendar$$' -fuzztime 5s
+	$(call fuzz-run,./internal/systolic,FuzzMulRowEquivalence)
+	$(call fuzz-run,./internal/fixed,FuzzDrainRow)
+	$(call fuzz-run,./internal/fixed,FuzzSatAddRows)
+	$(call fuzz-run,./internal/fixed,FuzzQuantizeInto)
+	$(call fuzz-run,./internal/tensor,FuzzMatMulF32)
+	$(call fuzz-run,./internal/integrity,FuzzCRC)
+	$(call fuzz-run,./internal/isa,FuzzDecode)
+	$(call fuzz-run,./internal/isa,FuzzProgramValidate)
+	$(call fuzz-run,./internal/latency,FuzzLane)
+	$(call fuzz-run,./internal/cluster,FuzzPlanSpecs)
+	$(call fuzz-run,./internal/stats,FuzzPercentiles)
+	$(call fuzz-run,./internal/des,FuzzCalendar)
 
 # Source size: non-test .go lines per internal package and in total — the
 # number a simplification PR is judged on.

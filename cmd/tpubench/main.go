@@ -3,6 +3,9 @@
 //
 //	tpubench            # everything
 //	tpubench -only t3   # one experiment (t1-t8, f5-f11)
+//
+// The first line names the matrix kernel rung the host runs (amx,
+// avx512vnni, avx2 or swar): the kernel-bound numbers move with it.
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 	"tpusim/internal/models"
 	"tpusim/internal/platform"
 	"tpusim/internal/power"
+	"tpusim/internal/systolic"
 )
 
 func main() {
@@ -27,6 +31,7 @@ func main() {
 	flag.Parse()
 
 	if *csv {
+		fmt.Printf("# kernel %s\n", systolic.Kernel())
 		emitters := []struct {
 			name string
 			fn   func() (string, error)
@@ -235,6 +240,7 @@ func main() {
 		}},
 	}
 
+	fmt.Printf("kernel: %s\n\n", systolic.Kernel())
 	ran := 0
 	for _, e := range exps {
 		if *only != "" && e.id != *only {

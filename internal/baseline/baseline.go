@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"tpusim/internal/models"
-	"tpusim/internal/nn"
 	"tpusim/internal/platform"
 )
 
@@ -144,6 +143,3 @@ func (m *Model) SLAIPS(b models.Benchmark) (float64, error) {
 	}
 	return m.IPS(b, batch)
 }
-
-// Classes returns the NN class of an app (helper for reporting).
-func Classes(b models.Benchmark) nn.Class { return b.Model.Class }

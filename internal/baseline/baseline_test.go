@@ -163,9 +163,6 @@ func TestPlatformBinding(t *testing.T) {
 	if GPU().Platform.Kind != platform.GPU {
 		t.Error("GPU model bound to wrong platform")
 	}
-	if Classes(mustApp(t, "LSTM0")) != nn.LSTM {
-		t.Error("class helper wrong")
-	}
 }
 
 func mustApp(t *testing.T, name string) models.Benchmark {

@@ -410,9 +410,6 @@ type ChaosPlan struct {
 	Actions []ChaosAction
 }
 
-// Empty reports a plan with nothing scheduled.
-func (p ChaosPlan) Empty() bool { return len(p.Actions) == 0 }
-
 // String renders the plan in the spec syntax ParseChaosPlan accepts.
 func (p ChaosPlan) String() string {
 	parts := make([]string, len(p.Actions))

@@ -658,7 +658,7 @@ func TestParseChaosPlan(t *testing.T) {
 	if p2.String() != p.String() {
 		t.Error("String() not a fixed point of Parse(String())")
 	}
-	if empty, err := ParseChaosPlan("  "); err != nil || !empty.Empty() {
+	if empty, err := ParseChaosPlan("  "); err != nil || len(empty.Actions) != 0 {
 		t.Errorf("blank spec: plan %v, err %v, want empty plan", empty, err)
 	}
 	for _, bad := range []string{

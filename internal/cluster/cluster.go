@@ -462,7 +462,8 @@ func (c *Cluster) EventsProcessed() uint64 { return c.loop.Processed() }
 
 // EventCounts splits EventsProcessed by what fired. A voided fill timer or
 // completion found its replica's generation moved on — a dispatch, death
-// or drain came first — and did nothing but take a calendar slot.
+// or drain came first — and did nothing but take a calendar slot. Tests
+// read it through EventCounts (cluster_test.go).
 type EventCounts struct {
 	Arrivals          uint64
 	FillTimers        uint64
@@ -473,13 +474,6 @@ type EventCounts struct {
 	// and telemetry ticks, and actions scheduled through the Cluster.
 	Controller uint64
 }
-
-// EventCounts returns the events fired so far, by kind; the fields sum to
-// EventsProcessed.
-func (c *Cluster) EventCounts() EventCounts { return c.counts }
-
-// MaxPending returns the most events the calendar has held at once.
-func (c *Cluster) MaxPending() int { return c.loop.MaxPending() }
 
 // Run advances the fleet to the given virtual time. Segments compose:
 // Run(2) then Run(5) is Run(5).

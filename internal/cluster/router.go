@@ -228,20 +228,6 @@ func (r *Router) Load(id int) int64 {
 	return 0
 }
 
-// IDs returns the registered replica ids in ascending order.
-func (r *Router) IDs() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stale {
-		r.rebuild()
-	}
-	out := make([]int, len(r.order))
-	for i, ep := range r.order {
-		out[i] = ep.id
-	}
-	return out
-}
-
 // Len returns the registered replica count.
 func (r *Router) Len() int {
 	r.mu.Lock()

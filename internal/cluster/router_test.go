@@ -584,3 +584,17 @@ func TestRouteZeroAlloc(t *testing.T) {
 		t.Errorf("AddLoad: %v allocs per call pair, want 0", n)
 	}
 }
+
+// IDs returns the registered replica ids in ascending order.
+func (r *Router) IDs() []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.stale {
+		r.rebuild()
+	}
+	out := make([]int, len(r.order))
+	for i, ep := range r.order {
+		out[i] = ep.id
+	}
+	return out
+}

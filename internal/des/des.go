@@ -82,7 +82,7 @@ type Loop struct {
 	occupied   uint64     // bit i: buckets[i] is not empty
 	last       uint64     // the key of the event firing now, or last fired
 	pending    int
-	maxPending int      // Pending's high-water mark
+	maxPending int      // Pending's high-water mark, read by des_test.go's MaxPending
 	slots      []action // by event slot; a free one is zero
 	links      []link   // by event slot
 	free       []uint32 // free slots
@@ -99,9 +99,6 @@ func (l *Loop) Processed() uint64 { return l.processed }
 
 // Pending returns the number of scheduled, not-yet-fired events.
 func (l *Loop) Pending() int { return l.pending }
-
-// MaxPending returns the most events the calendar has held at once.
-func (l *Loop) MaxPending() int { return l.maxPending }
 
 // Schedule queues h.Fire(arg) at absolute virtual time t — the one
 // scheduling primitive; At, After and Every are sugar over it. Scheduling in

@@ -554,3 +554,6 @@ func TestFiredSlotCleared(t *testing.T) {
 		t.Fatalf("a Schedule after the drain grew the slab to %d slots, want 8", len(l.slots))
 	}
 }
+
+// MaxPending returns the most events the calendar has held at once.
+func (l *Loop) MaxPending() int { return l.maxPending }

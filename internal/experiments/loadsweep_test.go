@@ -116,3 +116,12 @@ func TestRenderLoadSweep(t *testing.T) {
 		}
 	}
 }
+
+// Knee returns the achieved throughput at the highest offered load — the
+// plateau value after the latency-bounded knee.
+func (s LoadSweep) Knee() float64 {
+	if len(s.Points) == 0 {
+		return 0
+	}
+	return s.Points[len(s.Points)-1].Result.Throughput
+}

@@ -20,21 +20,6 @@ func BenchmarkRequantize(b *testing.B) {
 	_ = s
 }
 
-func BenchmarkLUTLookupSlice(b *testing.B) {
-	in := ChooseParams(8)
-	lut := NewLUT(Sigmoid, in, OutputParams(Sigmoid, in))
-	src := make([]int8, 4096)
-	dst := make([]int8, 4096)
-	for i := range src {
-		src[i] = int8(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lut.LookupSlice(dst, src)
-	}
-	b.SetBytes(4096)
-}
-
 // benchPaths runs f as one sub-benchmark per path of the row passes: the
 // scalar loop, and the vector pass where the host has it.
 func benchPaths(b *testing.B, f func(b *testing.B)) {

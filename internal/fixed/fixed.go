@@ -121,18 +121,6 @@ func AbsMax(data []float32) float32 {
 	return m
 }
 
-// SatUint8 clamps a 32-bit value into uint8 range.
-func SatUint8(v int32) uint8 {
-	switch {
-	case v > math.MaxUint8:
-		return math.MaxUint8
-	case v < 0:
-		return 0
-	default:
-		return uint8(v)
-	}
-}
-
 // SatAdd32 adds two int32 values, saturating instead of wrapping. The TPU's
 // 32-bit accumulators saturate on overflow rather than wrapping, which keeps
 // an overflowing pre-activation pinned at the rail where the nonlinearity
@@ -169,13 +157,6 @@ func SatAddRow(dst, src []int32) (parity uint32) {
 	return parity
 }
 
-// MulI8 multiplies two signed 8-bit values into the 16-bit product the MAC
-// cells produce ("The 16-bit products are collected in the 4 MiB of 32-bit
-// Accumulators").
-func MulI8(a, b int8) int16 {
-	return int16(a) * int16(b)
-}
-
 // Requantize converts a 32-bit accumulator value holding a product at scale
 // srcScale into an int8 at dstScale with zero point dstZero. This is the
 // fixed-point step performed as activations leave the accumulators for the
@@ -183,11 +164,4 @@ func MulI8(a, b int8) int16 {
 func Requantize(acc int32, srcScale float32, dst Params) int8 {
 	real := float64(acc) * float64(srcScale)
 	return roundSat(real/float64(dst.Scale) + float64(dst.ZeroPoint))
-}
-
-// Multiplier returns the combined rescale factor applied during
-// requantization (srcScale / dstScale), useful for precomputing per-layer
-// output pipelines.
-func Multiplier(srcScale float32, dst Params) float64 {
-	return float64(srcScale) / float64(dst.Scale)
 }

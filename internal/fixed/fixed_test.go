@@ -66,20 +66,6 @@ func TestChooseParamsFor(t *testing.T) {
 	}
 }
 
-func TestSatUint8(t *testing.T) {
-	cases := []struct {
-		in   int32
-		want uint8
-	}{
-		{0, 0}, {255, 255}, {256, 255}, {-1, 0}, {200, 200},
-	}
-	for _, c := range cases {
-		if got := SatUint8(c.in); got != c.want {
-			t.Errorf("SatUint8(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 func TestSatAdd32(t *testing.T) {
 	if got := SatAdd32(math.MaxInt32, 1); got != math.MaxInt32 {
 		t.Errorf("positive overflow should saturate, got %d", got)
@@ -105,18 +91,6 @@ func TestSatAdd32Property(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMulI8NeverOverflows(t *testing.T) {
-	// Exhaustive: every int8 pair fits in int16 (max magnitude 128*128=16384).
-	for a := -128; a <= 127; a++ {
-		for b := -128; b <= 127; b++ {
-			got := MulI8(int8(a), int8(b))
-			if int(got) != a*b {
-				t.Fatalf("MulI8(%d,%d) = %d, want %d", a, b, got, a*b)
-			}
-		}
 	}
 }
 
@@ -147,12 +121,5 @@ func TestQuantizeRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMultiplier(t *testing.T) {
-	m := Multiplier(0.02, Params{Scale: 0.1})
-	if math.Abs(m-0.2) > 1e-7 {
-		t.Errorf("Multiplier = %v, want 0.2", m)
 	}
 }

@@ -81,13 +81,6 @@ func (l *LUT) Lookup(q int8) int8 {
 	return l.Table[int(q)+128]
 }
 
-// LookupSlice applies the table elementwise, dst and src may alias.
-func (l *LUT) LookupSlice(dst, src []int8) {
-	for i, v := range src {
-		dst[i] = l.Table[int(v)+128]
-	}
-}
-
 // DrainRow is the batched activation drain: it requantizes one accumulator
 // row holding products at srcScale into the pre-activation domain and maps
 // each value through the table, dst[j] = Lookup(Requantize(acc[j],
@@ -114,19 +107,5 @@ func (l *LUT) DrainRow(dst []int8, acc []int32, srcScale float32, pre Params) {
 	}
 	for j := n; j < len(dst); j++ {
 		dst[j] = tab[int(roundSat(float64(acc[j])*s/d+zp))+128]
-	}
-}
-
-// OutputParams returns natural symmetric output quantization domains for
-// each nonlinearity: sigmoid outputs lie in (0,1), tanh in (-1,1); ReLU and
-// identity preserve the input domain scaled by the requantization.
-func OutputParams(fn Nonlinearity, in Params) Params {
-	switch fn {
-	case Sigmoid:
-		return Params{Scale: 1.0 / 256.0, ZeroPoint: -128}
-	case Tanh:
-		return Params{Scale: 1.0 / 127.0}
-	default:
-		return in
 	}
 }

@@ -143,3 +143,24 @@ func TestOutputParams(t *testing.T) {
 			s.Dequantize(-128), s.Dequantize(127))
 	}
 }
+
+// OutputParams returns natural symmetric output quantization domains for
+// each nonlinearity: sigmoid outputs lie in (0,1), tanh in (-1,1); ReLU and
+// identity preserve the input domain scaled by the requantization.
+func OutputParams(fn Nonlinearity, in Params) Params {
+	switch fn {
+	case Sigmoid:
+		return Params{Scale: 1.0 / 256.0, ZeroPoint: -128}
+	case Tanh:
+		return Params{Scale: 1.0 / 127.0}
+	default:
+		return in
+	}
+}
+
+// LookupSlice applies the table elementwise, dst and src may alias.
+func (l *LUT) LookupSlice(dst, src []int8) {
+	for i, v := range src {
+		dst[i] = l.Table[int(v)+128]
+	}
+}

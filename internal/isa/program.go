@@ -174,46 +174,3 @@ func (p *Program) Count(op Opcode) int {
 	}
 	return n
 }
-
-// Builder incrementally assembles a program with validation at each step.
-type Builder struct {
-	prog *Program
-	err  error
-}
-
-// NewBuilder starts a program.
-func NewBuilder(name string) *Builder {
-	return &Builder{prog: &Program{Name: name}}
-}
-
-// Emit appends an instruction.
-func (b *Builder) Emit(in Instruction) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if err := in.Validate(); err != nil {
-		b.err = fmt.Errorf("isa: emit %d: %w", len(b.prog.Instructions), err)
-		return b
-	}
-	b.prog.Instructions = append(b.prog.Instructions, in)
-	return b
-}
-
-// SetWeightImage installs the weight memory contents.
-func (b *Builder) SetWeightImage(img []int8) *Builder {
-	if b.err == nil {
-		b.prog.WeightImage = img
-	}
-	return b
-}
-
-// Build returns the validated program.
-func (b *Builder) Build() (*Program, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if err := b.prog.Validate(); err != nil {
-		return nil, err
-	}
-	return b.prog, nil
-}

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -108,4 +109,48 @@ func TestCountRespectsRepeat(t *testing.T) {
 	if got := p.Count(OpSync); got != 0 {
 		t.Errorf("Count(sync) = %d, want 0", got)
 	}
+}
+
+// Builder incrementally assembles a test program with validation at each
+// step.
+type Builder struct {
+	prog *Program
+	err  error
+}
+
+// NewBuilder starts a program.
+func NewBuilder(name string) *Builder {
+	return &Builder{prog: &Program{Name: name}}
+}
+
+// Emit appends an instruction.
+func (b *Builder) Emit(in Instruction) *Builder {
+	if b.err != nil {
+		return b
+	}
+	if err := in.Validate(); err != nil {
+		b.err = fmt.Errorf("isa: emit %d: %w", len(b.prog.Instructions), err)
+		return b
+	}
+	b.prog.Instructions = append(b.prog.Instructions, in)
+	return b
+}
+
+// SetWeightImage installs the weight memory contents.
+func (b *Builder) SetWeightImage(img []int8) *Builder {
+	if b.err == nil {
+		b.prog.WeightImage = img
+	}
+	return b
+}
+
+// Build returns the validated program.
+func (b *Builder) Build() (*Program, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	if err := b.prog.Validate(); err != nil {
+		return nil, err
+	}
+	return b.prog, nil
 }

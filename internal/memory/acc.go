@@ -147,20 +147,3 @@ func (a *Accumulators) Load(idx int) (*[isa.MatrixDim]int32, error) {
 	}
 	return a.reg(idx), nil
 }
-
-// Clear zeroes a contiguous register range. Unbacked blocks already read as
-// zero and stay unbacked.
-func (a *Accumulators) Clear(idx, n int) error {
-	if idx < 0 || n < 0 || idx+n > isa.AccumulatorCount {
-		return fmt.Errorf("memory: accumulator clear [%d,%d) outside [0,%d)", idx, idx+n, isa.AccumulatorCount)
-	}
-	for i := idx; i < idx+n; i++ {
-		if b := a.blocks[i/accBlock]; b != nil {
-			b[i%accBlock] = zeroReg
-			if a.parity != nil {
-				a.parity[i] = 0
-			}
-		}
-	}
-	return nil
-}

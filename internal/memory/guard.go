@@ -19,9 +19,8 @@ import (
 // fixed-size; the last block may be short. The zero Sidecar is invalid —
 // use NewSidecar.
 type Sidecar struct {
-	region string
-	block  int
-	sums   []uint32
+	block int
+	sums  []uint32
 }
 
 // NewSidecar builds a sidecar for a size-byte region with the given block
@@ -33,14 +32,8 @@ func NewSidecar(region string, size, block int) (*Sidecar, error) {
 		return nil, fmt.Errorf("memory: sidecar %s: size %d / block %d invalid", region, size, block)
 	}
 	n := (size + block - 1) / block
-	return &Sidecar{region: region, block: block, sums: make([]uint32, n)}, nil
+	return &Sidecar{block: block, sums: make([]uint32, n)}, nil
 }
-
-// Region returns the sidecar's region name (for error messages and logs).
-func (s *Sidecar) Region() string { return s.region }
-
-// Blocks returns the number of guarded blocks.
-func (s *Sidecar) Blocks() int { return len(s.sums) }
 
 // blockRange returns the block index range [lo, hi) covering [addr,
 // addr+n) of the region.
@@ -91,14 +84,6 @@ func (s *Sidecar) Verify(data []int8) []int {
 	return s.VerifyRange(data, 0, len(data))
 }
 
-// Resync accepts a block's current contents as authoritative, recomputing
-// its codeword. Used after a repair writes golden data back.
-func (s *Sidecar) Resync(data []int8, block int) {
-	if block >= 0 && block < len(s.sums) {
-		s.sums[block] = integrity.CRC(s.blockData(data, block))
-	}
-}
-
 // blockData slices block b out of the region.
 func (s *Sidecar) blockData(data []int8, b int) []int8 {
 	lo := b * s.block
@@ -136,9 +121,6 @@ func (u *UnifiedBuffer) EnableGuard() {
 	u.guard = g
 }
 
-// Guarded reports whether the buffer carries a sidecar.
-func (u *UnifiedBuffer) Guarded() bool { return u.guard != nil }
-
 // VerifyGuard checks the guarded blocks covering [addr, addr+n) and
 // returns corrupted block indices (block size 256 B). Nil when clean or
 // unguarded.
@@ -148,19 +130,6 @@ func (u *UnifiedBuffer) VerifyGuard(addr uint32, n int) []int {
 	}
 	u.extend(int(addr) + n)
 	return u.guard.VerifyRange(u.data, int(addr), n)
-}
-
-// ResyncGuard re-accepts the blocks covering [addr, addr+n) — used after
-// a caller has rewritten them with known-good data outside Write.
-func (u *UnifiedBuffer) ResyncGuard(addr uint32, n int) {
-	if u.guard == nil {
-		return
-	}
-	u.extend(int(addr) + n)
-	lo, hi := u.guard.blockRange(int(addr), n)
-	for b := lo; b < hi; b++ {
-		u.guard.Resync(u.data, b)
-	}
 }
 
 // FlipBit flips one bit in the buffer *without* updating the guard — the
@@ -191,9 +160,6 @@ func (a *Accumulators) EnableGuard() {
 		a.parity = make([]uint32, isa.AccumulatorCount)
 	}
 }
-
-// Guarded reports whether the file carries parity.
-func (a *Accumulators) Guarded() bool { return a.parity != nil }
 
 // parityOf folds a register into its parity word.
 func parityOf(reg *[isa.MatrixDim]int32) uint32 {

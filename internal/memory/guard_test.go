@@ -23,8 +23,8 @@ func TestSidecarDetectsAndResyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Blocks() != 4 {
-		t.Fatalf("blocks = %d, want 4", s.Blocks())
+	if len(s.sums) != 4 {
+		t.Fatalf("blocks = %d, want 4", len(s.sums))
 	}
 	s.Seed(data)
 	if bad := s.Verify(data); bad != nil {
@@ -79,7 +79,7 @@ func TestUBGuard(t *testing.T) {
 	u := NewUnifiedBuffer()
 	u.EnableGuard()
 	u.EnableGuard() // idempotent
-	if !u.Guarded() {
+	if u.guard == nil {
 		t.Fatal("not guarded after EnableGuard")
 	}
 	src := make([]int8, 1000)
@@ -125,7 +125,7 @@ func TestUBGuard(t *testing.T) {
 func TestAccumulatorParity(t *testing.T) {
 	a := NewAccumulators()
 	a.EnableGuard()
-	if !a.Guarded() {
+	if a.parity == nil {
 		t.Fatal("not guarded")
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -283,5 +283,26 @@ func TestGuardedWeightsFlipCopiesOneTile(t *testing.T) {
 	g.FlipBit(9, 1)
 	if !g.VerifyTile(g.Base()) || g.RepairTile(g.Base()) || g.Copies() != 0 {
 		t.Fatalf("a flipped-back tile: clean %v, %d copies after repair", g.VerifyTile(g.Base()), g.Copies())
+	}
+}
+
+// ResyncGuard re-accepts the blocks covering [addr, addr+n) — used after
+// a caller has rewritten them with known-good data outside Write.
+func (u *UnifiedBuffer) ResyncGuard(addr uint32, n int) {
+	if u.guard == nil {
+		return
+	}
+	u.extend(int(addr) + n)
+	lo, hi := u.guard.blockRange(int(addr), n)
+	for b := lo; b < hi; b++ {
+		u.guard.Resync(u.data, b)
+	}
+}
+
+// Resync accepts a block's current contents as authoritative, recomputing
+// its codeword. Used after a repair writes golden data back.
+func (s *Sidecar) Resync(data []int8, block int) {
+	if block >= 0 && block < len(s.sums) {
+		s.sums[block] = integrity.CRC(s.blockData(data, block))
 	}
 }

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -160,7 +161,7 @@ func (w *WeightMemory) fetchTile(addr uint64) []int8 {
 func TestWeightMemoryFetch(t *testing.T) {
 	img := make([]int8, 2*isa.WeightTileBytes)
 	img[isa.WeightTileBytes] = 99 // first byte of tile 1
-	wm, err := NewWeightMemory(img, 34)
+	wm, err := NewWeightMemoryAt(img, 34, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestWeightMemoryFetch(t *testing.T) {
 }
 
 func TestWeightMemoryZeroFill(t *testing.T) {
-	wm, _ := NewWeightMemory(make([]int8, isa.WeightTileBytes), 34)
+	wm, _ := NewWeightMemoryAt(make([]int8, isa.WeightTileBytes), 34, 0)
 	tile := wm.fetchTile(isa.WeightTileBytes * 5) // beyond image
 	for _, v := range tile {
 		if v != 0 {
@@ -181,10 +182,10 @@ func TestWeightMemoryZeroFill(t *testing.T) {
 }
 
 func TestWeightMemoryErrors(t *testing.T) {
-	if _, err := NewWeightMemory(nil, 0); err == nil {
+	if _, err := NewWeightMemoryAt(nil, 0, 0); err == nil {
 		t.Error("zero bandwidth accepted")
 	}
-	wm, _ := NewWeightMemory(nil, 34)
+	wm, _ := NewWeightMemoryAt(nil, 34, 0)
 	if _, ok := wm.TileView(100); ok {
 		t.Error("unaligned fetch accepted")
 	}
@@ -288,4 +289,32 @@ func TestWeightMemoryAtErrors(t *testing.T) {
 		isa.WeightMemoryBytes-isa.WeightTileBytes/2); err == nil {
 		t.Error("image overflowing 8 GiB accepted")
 	}
+}
+
+// Clear zeroes a contiguous register range. Unbacked blocks already read as
+// zero and stay unbacked.
+func (a *Accumulators) Clear(idx, n int) error {
+	if idx < 0 || n < 0 || idx+n > isa.AccumulatorCount {
+		return fmt.Errorf("memory: accumulator clear [%d,%d) outside [0,%d)", idx, idx+n, isa.AccumulatorCount)
+	}
+	for i := idx; i < idx+n; i++ {
+		if b := a.blocks[i/accBlock]; b != nil {
+			b[i%accBlock] = zeroReg
+			if a.parity != nil {
+				a.parity[i] = 0
+			}
+		}
+	}
+	return nil
+}
+
+// Read copies n bytes at addr into a fresh slice.
+func (u *UnifiedBuffer) Read(addr uint32, n int) ([]int8, error) {
+	if n < 0 || int(addr)+n > u.Size() {
+		return nil, fmt.Errorf("memory: UB read %#x+%d overruns %d-byte buffer", addr, n, u.Size())
+	}
+	u.extend(int(addr) + n)
+	out := make([]int8, n)
+	copy(out, u.data[addr:])
+	return out, nil
 }

@@ -21,8 +21,8 @@ func requireFreshAccumulators(t *testing.T, a *Accumulators, guarded bool) {
 			t.Fatalf("register %d is not zero after Reset", i)
 		}
 	}
-	if a.Guarded() != guarded {
-		t.Fatalf("Guarded() = %v after Reset, want %v", a.Guarded(), guarded)
+	if (a.parity != nil) != guarded {
+		t.Fatalf("guarded = %v after Reset, want %v", a.parity != nil, guarded)
 	}
 	for i, p := range a.parity {
 		if p != 0 {

@@ -90,17 +90,6 @@ func (u *UnifiedBuffer) Write(addr uint32, src []int8) error {
 	return nil
 }
 
-// Read copies n bytes at addr into a fresh slice.
-func (u *UnifiedBuffer) Read(addr uint32, n int) ([]int8, error) {
-	if n < 0 || int(addr)+n > u.Size() {
-		return nil, fmt.Errorf("memory: UB read %#x+%d overruns %d-byte buffer", addr, n, u.Size())
-	}
-	u.extend(int(addr) + n)
-	out := make([]int8, n)
-	copy(out, u.data[addr:])
-	return out, nil
-}
-
 // View returns a read-only window without copying; callers must not hold it
 // across writes. That is load-bearing: a write past the backed prefix moves
 // the store, and a view taken before it keeps reading the old one. The

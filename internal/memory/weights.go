@@ -17,12 +17,6 @@ type WeightMemory struct {
 	BandwidthGBs float64
 }
 
-// NewWeightMemory wraps a weight image (tile-aligned, based at address 0)
-// with a bandwidth.
-func NewWeightMemory(image []int8, bandwidthGBs float64) (*WeightMemory, error) {
-	return NewWeightMemoryAt(image, bandwidthGBs, 0)
-}
-
 // NewWeightMemoryAt places the image at a tile-aligned base address,
 // supporting multiple resident models in the 8 GiB DRAM.
 func NewWeightMemoryAt(image []int8, bandwidthGBs float64, base uint64) (*WeightMemory, error) {

@@ -277,13 +277,3 @@ func cnn1() *nn.Model {
 	m.Layers = append(m.Layers, nn.Layer{Name: "fc3", Kind: nn.FC, In: 880, Out: 880, Act: fixed.Identity})
 	return m
 }
-
-// DeployWeights returns the six-element deployment-mix weight vector in
-// Table 1 order, used for the paper's weighted means.
-func DeployWeights() []float64 {
-	ws := make([]float64, 0, 6)
-	for _, b := range All() {
-		ws = append(ws, b.DeployShare)
-	}
-	return ws
-}

@@ -85,10 +85,18 @@ func perExampleIn(l nn.Layer) int {
 }
 
 func perExampleOut(l nn.Layer, prevIn int) int {
-	if l.Kind == nn.Pool {
+	switch l.Kind {
+	case nn.FC:
+		return l.Out
+	case nn.Conv:
+		return l.Conv.OutH() * l.Conv.OutW() * l.Conv.Cout
+	case nn.Vector:
+		return l.Width
+	case nn.Pool:
 		return prevIn / (l.PoolWindow * l.PoolWindow)
+	default:
+		return 0
 	}
-	return l.OutputElems()
 }
 
 // TestRecurrentConsistency: LSTM chains must return to their input width so
@@ -101,7 +109,7 @@ func TestRecurrentConsistency(t *testing.T) {
 		}
 		m := b.Model
 		first := m.Layers[0].InputElems()
-		last := m.Layers[len(m.Layers)-1].OutputElems()
+		last := perExampleOut(m.Layers[len(m.Layers)-1], 0)
 		if first != last {
 			t.Errorf("%s: chain input %d != output %d", name, first, last)
 		}
@@ -126,9 +134,12 @@ func TestByNameUnknown(t *testing.T) {
 }
 
 func TestDeployWeights(t *testing.T) {
-	ws := DeployWeights()
+	var ws []float64
+	for _, b := range All() {
+		ws = append(ws, b.DeployShare)
+	}
 	if len(ws) != 6 {
-		t.Fatalf("DeployWeights len = %d", len(ws))
+		t.Fatalf("%d deployment shares, want 6", len(ws))
 	}
 	sum := 0.0
 	for _, w := range ws {

@@ -120,22 +120,6 @@ func (l Layer) MACsPerExample() int {
 	}
 }
 
-// OutputElems returns the activation element count one example produces.
-func (l Layer) OutputElems() int {
-	switch l.Kind {
-	case FC:
-		return l.Out
-	case Conv:
-		return l.Conv.OutH() * l.Conv.OutW() * l.Conv.Cout
-	case Vector:
-		return l.Width
-	case Pool:
-		return 0 // depends on input; Model.Validate computes flow sizes
-	default:
-		return 0
-	}
-}
-
 // InputElems returns the activation element count one example consumes,
 // where determinable from the layer alone (Pool depends on its input).
 func (l Layer) InputElems() int {

@@ -17,9 +17,3 @@ func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 	}
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
 }
-
-// Discard is a logger that drops everything — handy as an explicit "no
-// logging" value where a nil *slog.Logger would need checks at every site.
-func Discard() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
-}

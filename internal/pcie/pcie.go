@@ -17,9 +17,6 @@ type Link struct {
 	LatencyCycles float64
 }
 
-// Gen3x16 returns the TPU's production link.
-func Gen3x16() Link { return Link{GBs: 14, LatencyCycles: 0} }
-
 // Validate reports configuration errors.
 func (l Link) Validate() error {
 	if l.GBs <= 0 {
@@ -42,9 +39,4 @@ func (l Link) TransferCycles(n int64, clockMHz float64) float64 {
 		return l.LatencyCycles
 	}
 	return l.LatencyCycles + float64(n)/l.BytesPerCycle(clockMHz)
-}
-
-// TransferSeconds returns wall time to move n bytes.
-func (l Link) TransferSeconds(n int64, clockMHz float64) float64 {
-	return l.TransferCycles(n, clockMHz) / (clockMHz * 1e6)
 }

@@ -60,3 +60,11 @@ func TestTransferSeconds(t *testing.T) {
 		t.Errorf("clock should not change wall time: %v", got2)
 	}
 }
+
+// Gen3x16 is the TPU's production link, the one tpu's pcieGBs prices.
+func Gen3x16() Link { return Link{GBs: 14, LatencyCycles: 0} }
+
+// TransferSeconds returns wall time to move n bytes.
+func (l Link) TransferSeconds(n int64, clockMHz float64) float64 {
+	return l.TransferCycles(n, clockMHz) / (clockMHz * 1e6)
+}

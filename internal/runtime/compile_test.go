@@ -291,3 +291,43 @@ func TestFlipInvisibleToSharingDevice(t *testing.T) {
 		t.Fatalf("device 0 after the scrub: err %v, or output differs from the clean reference", err)
 	}
 }
+
+// Invalidate drops a compiled model (e.g. after retraining) from every
+// device and returns its Weight Memory region to the allocator; its
+// ExpectedCycles reads 0 until it compiles again.
+func (s *Server) Invalidate(modelName string) {
+	s.mu.Lock()
+	p := s.programs[modelName]
+	delete(s.programs, modelName)
+	s.mu.Unlock()
+	// A load in flight on a device may finish with the dropped program and
+	// serve its own run; later runs load afresh.
+	for _, d := range s.drivers {
+		d.mu.Lock()
+		delete(d.slots, modelName)
+		d.mu.Unlock()
+	}
+	if p == nil {
+		return
+	}
+	// Resolve the program's once: either the in-flight compile finishes (Do
+	// blocks until then, making p.reg safe to read) or a never-compiled
+	// program is poisoned, so its waiters load afresh instead of using a
+	// half-built artifact.
+	p.once.Do(func() { p.err = errInvalidated })
+	if p.err == nil {
+		s.releaseWeights(p.reg)
+	}
+}
+
+// WeightImageBytes returns the host bytes of weight image the server holds:
+// one image per compiled model, however many devices run it.
+func (s *Server) WeightImageBytes() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n uint64
+	for _, p := range s.programs {
+		n += p.reg.size
+	}
+	return n
+}

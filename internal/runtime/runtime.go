@@ -19,8 +19,9 @@
 // The server is safe for concurrent use: a model compiles once however many
 // goroutines race in cold, and loads once per device; Weight Memory regions
 // are reserved atomically and returned to a free list on compile failure or
-// Invalidate; and each loaded model's device is serialized independently so
-// different models evaluate in parallel on one TPU.
+// Invalidate (a test-side method, compile_test.go); and each loaded model's
+// device is serialized independently so different models evaluate in
+// parallel on one TPU.
 package runtime
 
 import (
@@ -51,8 +52,8 @@ type region struct {
 // span from the tracer's bounded ring.
 const maxDeviceSpans = 1024
 
-// errInvalidated fails a compile that an Invalidate resolved before it
-// started; the run that wanted it loads the model afresh.
+// errInvalidated fails a compile that an Invalidate (compile_test.go)
+// resolved before it started; the run that wanted it loads the model afresh.
 var errInvalidated = errors.New("runtime: model invalidated")
 
 // program is the server's one compile of a model. once single-flights it:
@@ -459,34 +460,6 @@ func (d *Driver) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in 
 	}, nil
 }
 
-// Invalidate drops a compiled model (e.g. after retraining) from every
-// device and returns its Weight Memory region to the allocator; its
-// ExpectedCycles reads 0 until it compiles again.
-func (s *Server) Invalidate(modelName string) {
-	s.mu.Lock()
-	p := s.programs[modelName]
-	delete(s.programs, modelName)
-	s.mu.Unlock()
-	// A load in flight on a device may finish with the dropped program and
-	// serve its own run; later runs load afresh.
-	for _, d := range s.drivers {
-		d.mu.Lock()
-		delete(d.slots, modelName)
-		d.mu.Unlock()
-	}
-	if p == nil {
-		return
-	}
-	// Resolve the program's once: either the in-flight compile finishes (Do
-	// blocks until then, making p.reg safe to read) or a never-compiled
-	// program is poisoned, so its waiters load afresh instead of using a
-	// half-built artifact.
-	p.once.Do(func() { p.err = errInvalidated })
-	if p.err == nil {
-		s.releaseWeights(p.reg)
-	}
-}
-
 // probeProgram is the health probe: the cheapest valid program (a Nop and a
 // Halt). It exercises the full run path — including the fault hook, so a
 // dead or hung device fails its probes — without touching model state.
@@ -655,18 +628,6 @@ func (s *Server) Close() { s.closeOnce.Do(func() { close(s.closed) }) }
 
 // Devices returns the TPU count.
 func (s *Server) Devices() int { return len(s.drivers) }
-
-// WeightImageBytes returns the host bytes of weight image the server holds:
-// one image per compiled model, however many devices run it.
-func (s *Server) WeightImageBytes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n uint64
-	for _, p := range s.programs {
-		n += p.reg.size
-	}
-	return n
-}
 
 // Run dispatches a batch to the next device round robin.
 func (s *Server) Run(m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -37,7 +38,7 @@ func TestSubmitSpanTree(t *testing.T) {
 
 	tr := obs.NewTracer(obs.DefaultCapacity)
 	s := NewServer(b)
-	s.Observe(tr, obs.Discard())
+	s.Observe(tr, slog.New(slog.DiscardHandler))
 	if _, err := s.Register(m.Name, ModelConfig{
 		Policy:  Policy{MaxBatch: m.Batch, SLASeconds: 10, MaxWaitSeconds: 1e-4},
 		Service: linearService(1e-4, 1e-6),

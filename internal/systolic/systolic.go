@@ -136,9 +136,6 @@ func (a *Array) Commit() error {
 	return nil
 }
 
-// HasActive reports whether a weight tile is resident.
-func (a *Array) HasActive() bool { return a.active != nil }
-
 // Active returns the resident weight tile (nil when none) — the device's
 // integrity layer reads its ABFT checksum columns through this.
 func (a *Array) Active() *Tile { return a.active }
@@ -162,21 +159,6 @@ func (a *Array) MulRow(in *[isa.MatrixDim]int8) (*[isa.MatrixDim]int32, error) {
 		}
 	}
 	return &out, nil
-}
-
-// Multiply pushes B rows (flat, B*256 int8) through the array, returning
-// B 256-wide partial sums. It is the functional body of one MatrixMultiply
-// instruction against the active tile, bit-identical to calling MulRow row
-// by row.
-func (a *Array) Multiply(in []int8) ([][isa.MatrixDim]int32, error) {
-	if len(in)%isa.MatrixDim != 0 {
-		return nil, fmt.Errorf("systolic: input length %d not a multiple of %d", len(in), isa.MatrixDim)
-	}
-	out := make([][isa.MatrixDim]int32, len(in)/isa.MatrixDim)
-	if err := a.MultiplyInto(in, out, 1); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // kernel is one batched kernel body: mulRange computes output rows [lo, hi),
@@ -216,7 +198,7 @@ func runUnder(i int) (name string, ok bool) {
 // "swar" — for benchmark lines and bug reports.
 func Kernel() string { return running.name }
 
-// MultiplyInto is the allocation-free batched kernel behind Multiply: it
+// MultiplyInto is the allocation-free batched kernel: it
 // computes the B partial-sum rows for in (flat, B*256 int8) into out
 // (length B), overwriting out. workers sets how many goroutines shard the
 // batch rows; <= 0 means GOMAXPROCS and 1 runs serially on the caller's

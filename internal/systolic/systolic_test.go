@@ -1,6 +1,7 @@
 package systolic
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -36,7 +37,7 @@ func TestTileFromBytesWrongSize(t *testing.T) {
 
 func TestDoubleBufferProtocol(t *testing.T) {
 	a := New()
-	if a.HasActive() {
+	if a.active != nil {
 		t.Error("fresh array should have no active tile")
 	}
 	if err := a.Commit(); err == nil {
@@ -55,7 +56,7 @@ func TestDoubleBufferProtocol(t *testing.T) {
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if !a.HasActive() {
+	if a.active == nil {
 		t.Error("commit did not activate tile")
 	}
 	// Shadow is free again: the double buffer allows the next tile to
@@ -108,7 +109,7 @@ func TestMultiplyMatchesReferenceGEMM(t *testing.T) {
 			for c := 0; c < isa.MatrixDim; c++ {
 				v := next()
 				tile.set(rr, c, v)
-				w.Set(rr, c, v)
+				w.Data[rr*isa.MatrixDim+c] = v
 			}
 		}
 		const b = 3
@@ -226,4 +227,19 @@ func TestZeroSkipEquivalence(t *testing.T) {
 			t.Fatalf("zero input produced %d at col %d", v, c)
 		}
 	}
+}
+
+// Multiply pushes B rows (flat, B*256 int8) through the array, returning
+// B 256-wide partial sums. It is the functional body of one MatrixMultiply
+// instruction against the active tile, bit-identical to calling MulRow row
+// by row.
+func (a *Array) Multiply(in []int8) ([][isa.MatrixDim]int32, error) {
+	if len(in)%isa.MatrixDim != 0 {
+		return nil, fmt.Errorf("systolic: input length %d not a multiple of %d", len(in), isa.MatrixDim)
+	}
+	out := make([][isa.MatrixDim]int32, len(in)/isa.MatrixDim)
+	if err := a.MultiplyInto(in, out, 1); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

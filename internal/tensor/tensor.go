@@ -79,11 +79,6 @@ func (t *F32) At(i, j int) float32 {
 	return t.Data[i*t.Shape[1]+j]
 }
 
-// Set writes the element at 2-D index (i, j); the tensor must be rank 2.
-func (t *F32) Set(i, j int, v float32) {
-	t.Data[i*t.Shape[1]+j] = v
-}
-
 // FillRandom fills the tensor with deterministic pseudorandom values in
 // [-amp, amp] using the provided seed.
 func (t *F32) FillRandom(seed int64, amp float32) {
@@ -115,11 +110,6 @@ func NewI8(shape ...int) *I8 {
 // At returns the element at 2-D index (i, j); the tensor must be rank 2.
 func (t *I8) At(i, j int) int8 {
 	return t.Data[i*t.Shape[1]+j]
-}
-
-// Set writes the element at 2-D index (i, j); the tensor must be rank 2.
-func (t *I8) Set(i, j int, v int8) {
-	t.Data[i*t.Shape[1]+j] = v
 }
 
 // I32 is a row-major int32 tensor (accumulator values).

@@ -200,3 +200,13 @@ func TestMatMulI8MatchesF32Property(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Set writes the element at 2-D index (i, j); the tensor must be rank 2.
+func (t *F32) Set(i, j int, v float32) {
+	t.Data[i*t.Shape[1]+j] = v
+}
+
+// Set writes the element at 2-D index (i, j); the tensor must be rank 2.
+func (t *I8) Set(i, j int, v int8) {
+	t.Data[i*t.Shape[1]+j] = v
+}

@@ -7,7 +7,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -41,26 +40,6 @@ func (p *Poisson) Next() float64 {
 	return p.now
 }
 
-// Uniform is a deterministic constant-rate arrival process.
-type Uniform struct {
-	interval float64
-	now      float64
-}
-
-// NewUniform creates a uniform process at the given rate.
-func NewUniform(rate float64) (*Uniform, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("workload: non-positive rate %v", rate)
-	}
-	return &Uniform{interval: 1 / rate}, nil
-}
-
-// Next returns the next arrival time.
-func (u *Uniform) Next() float64 {
-	u.now += u.interval
-	return u.now
-}
-
 // UtilizationSweep returns the offered-load fractions for Figure 10's
 // energy-proportionality buckets: 0%, 10%, ..., 100%.
 func UtilizationSweep() []float64 {
@@ -78,16 +57,4 @@ func Collect(a Arrivals, n int) []float64 {
 		out[i] = a.Next()
 	}
 	return out
-}
-
-// MeanRate estimates the empirical rate of a timestamp series.
-func MeanRate(times []float64) float64 {
-	if len(times) < 2 {
-		return 0
-	}
-	span := times[len(times)-1] - times[0]
-	if span <= 0 {
-		return math.Inf(1)
-	}
-	return float64(len(times)-1) / span
 }

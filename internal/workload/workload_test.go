@@ -42,20 +42,6 @@ func TestPoissonErrors(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	u, err := NewUniform(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, t2 := u.Next(), u.Next()
-	if math.Abs(t2-t1-0.1) > 1e-12 {
-		t.Errorf("interval = %v, want 0.1", t2-t1)
-	}
-	if _, err := NewUniform(0); err == nil {
-		t.Error("zero rate accepted")
-	}
-}
-
 func TestUtilizationSweep(t *testing.T) {
 	s := UtilizationSweep()
 	if len(s) != 11 || s[0] != 0 || s[10] != 1 || s[5] != 0.5 {
@@ -73,4 +59,16 @@ func TestMeanRateDegenerate(t *testing.T) {
 	if !math.IsInf(MeanRate([]float64{1, 1}), 1) {
 		t.Error("zero span should be +inf")
 	}
+}
+
+// MeanRate estimates the empirical rate of a timestamp series.
+func MeanRate(times []float64) float64 {
+	if len(times) < 2 {
+		return 0
+	}
+	span := times[len(times)-1] - times[0]
+	if span <= 0 {
+		return math.Inf(1)
+	}
+	return float64(len(times)-1) / span
 }
