@@ -87,7 +87,7 @@ bench:
 # backend (printed with what the dispatch measured), a zero-allocation
 # des fire-and-reschedule cycle 2000 events deep that reuses its slot, percentiles that
 # allocate only their copy and their result, and a steady fleet run at no
-# more than one allocation per hundred events.
+# more than one allocation per five hundred events.
 # The BenchmarkTable3 ceilings are min-of-3 wall clock (generous — the CI
 # container's scheduler jitter swings tens of percent, but the ceiling
 # still sits well under the pre-optimization ~1 ms) and an exact
@@ -143,8 +143,8 @@ flake-repeat:
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
 # decoder, kernel-equivalence, row-pass-equivalence, float-matmul, CRC,
-# batching-lane, plan-spec parser, percentile-selection and event-calendar
-# regressions without a dedicated fuzzing job. `go test -fuzz` passes with
+# batching-lane, plan-spec parser, percentile-selection, event-calendar and
+# span-attribute-formatting regressions without a dedicated fuzzing job. `go test -fuzz` passes with
 # "no fuzz tests to fuzz" when the target is gone, so each target first
 # passes the gates' "names a test" check (`go test -list` lists fuzz targets).
 define fuzz-run
@@ -165,6 +165,7 @@ fuzz-smoke:
 	$(call fuzz-run,./internal/cluster,FuzzPlanSpecs)
 	$(call fuzz-run,./internal/stats,FuzzPercentiles)
 	$(call fuzz-run,./internal/des,FuzzCalendar)
+	$(call fuzz-run,./internal/obs,FuzzAttrValue)
 
 # Source size: non-test .go lines per internal package and in total — the
 # number a simplification PR is judged on.
@@ -231,16 +232,18 @@ cluster-smoke:
 # produce the exact bytes the test suite pins. Each campaign runs its arms
 # on goroutines of their own, so the campaigns are run a second time at
 # GOMAXPROCS=1 and diffed against the same goldens: the output must not
-# depend on the thread count.
+# depend on the thread count. The ramp's exported Chrome trace (~65 MB) is
+# pinned by its sha256: every span, attribute and formatted value.
 report-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; mkdir $$tmp/p1; \
 	$(GO) build -o $$tmp/tpuserve ./cmd/tpuserve; \
-	$$tmp/tpuserve -mode cluster -report $$tmp/cluster_saturation.txt > /dev/null; \
+	$$tmp/tpuserve -mode cluster -report $$tmp/cluster_saturation.txt -trace-json $$tmp/cluster_trace.json > /dev/null; \
+	sha256sum $$tmp/cluster_trace.json | cut -d' ' -f1 > $$tmp/cluster_trace.sha256; \
 	$$tmp/tpuserve -mode cluster-chaos > $$tmp/cluster_chaos_campaign.txt; \
 	$$tmp/tpuserve -mode rollout > $$tmp/rollout_campaign.txt; \
 	GOMAXPROCS=1 $$tmp/tpuserve -mode cluster-chaos > $$tmp/p1/cluster_chaos_campaign.txt; \
 	GOMAXPROCS=1 $$tmp/tpuserve -mode rollout > $$tmp/p1/rollout_campaign.txt; \
-	for f in cluster_saturation.txt cluster_chaos_campaign.txt rollout_campaign.txt \
+	for f in cluster_saturation.txt cluster_trace.sha256 cluster_chaos_campaign.txt rollout_campaign.txt \
 		p1/cluster_chaos_campaign.txt p1/rollout_campaign.txt; do \
 		diff -u internal/experiments/testdata/golden/$${f#p1/} $$tmp/$$f \
 			&& echo "report-smoke: $$f matches golden" \

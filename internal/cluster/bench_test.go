@@ -52,10 +52,13 @@ func mallocs() uint64 {
 }
 
 // TestClusterRunAllocs gates the allocation-free event path: on a small
-// steady fleet with telemetry off, once queues, lanes and the calendar have
-// their capacity, a virtual second costs at most one allocation per hundred
-// events (what is left is the latency slices doubling). A closure per
-// arrival, fill timer or completion is 0.3 per event and fails this.
+// steady fleet with telemetry off, once the calendar has its capacity, a
+// virtual second costs at most one allocation per five hundred events. What
+// is left is the lanes' queues still growing and a new 4096-latency chunk
+// per app's latency log every few thousand completions: 14 allocations over
+// 23,906 events, and up to 25 under -race beside other packages' tests,
+// whose runtime allocates too. A closure per arrival, fill timer or
+// completion is 0.3 per event and fails this.
 func TestClusterRunAllocs(t *testing.T) {
 	c := steadyPod(t, 4, 2, 8, nil)
 	c.Run(1)
@@ -65,8 +68,10 @@ func TestClusterRunAllocs(t *testing.T) {
 	if events < 10_000 {
 		t.Fatalf("only %d events in the measured second; the gate needs a busy fleet", events)
 	}
-	if per := float64(allocs) / float64(events); per > 0.01 {
-		t.Fatalf("%d allocations over %d events = %.4f per event, want <= 0.01", allocs, events, per)
+	per := float64(allocs) / float64(events)
+	t.Logf("%d allocations over %d events = %.5f per event", allocs, events, per)
+	if per > 0.002 {
+		t.Fatalf("%d allocations over %d events = %.5f per event, want <= 0.002", allocs, events, per)
 	}
 }
 

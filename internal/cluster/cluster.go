@@ -255,7 +255,7 @@ type app struct {
 
 	// Cumulative request outcomes, and every served request's latency.
 	AppCounters
-	latencies []float64
+	latencies latencyLog
 
 	// Retry-defense state (active only with Config.Retry.Enabled).
 	blackholePending int // stranded requests whose timeout hasn't fired
@@ -285,6 +285,34 @@ func (a *app) liveReplicas() int {
 		}
 	}
 	return n
+}
+
+// latencyLog holds served latencies in completion order. It grows by
+// fixed chunks, so an append never copies what the log already holds; the
+// one copy is gather's, which a percentile then selects on.
+type latencyLog struct {
+	chunks [][]float64
+	n      int
+}
+
+// latencyChunk is latencyLog's allocation unit: 32 KiB of latencies.
+const latencyChunk = 4096
+
+func (l *latencyLog) add(lat float64) {
+	if l.n%latencyChunk == 0 {
+		l.chunks = append(l.chunks, make([]float64, latencyChunk))
+	}
+	l.chunks[l.n/latencyChunk][l.n%latencyChunk] = lat
+	l.n++
+}
+
+// gather returns a new slice of the log's latencies in completion order.
+func (l *latencyLog) gather() []float64 {
+	out := make([]float64, l.n)
+	for i, c := range l.chunks {
+		copy(out[i*latencyChunk:], c)
+	}
+	return out
 }
 
 // Decision is one autoscaler action on one app.
@@ -699,11 +727,11 @@ func (c *Cluster) complete(rep *replica) {
 	}
 	for _, r := range batch {
 		lat := done - r.arrival
-		a.latencies = append(a.latencies, lat)
+		a.latencies.add(lat)
 		a.Completed++
 		rep.completed++
 		if v2 != nil {
-			v2.lats = append(v2.lats, lat)
+			v2.lats.add(lat)
 		}
 	}
 	a.router.AddLoad(rep.id, -int64(len(batch)))

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"tpusim/internal/latency"
 	"tpusim/internal/runtime"
 	"tpusim/internal/serve"
+	"tpusim/internal/stats"
 	"tpusim/internal/workload"
 )
 
@@ -526,3 +528,36 @@ func TestNonFiniteTelemetryWindow(t *testing.T) {
 // EventCounts returns the events fired so far, by kind; the fields sum to
 // EventsProcessed.
 func (c *Cluster) EventCounts() EventCounts { return c.counts }
+
+// TestLatencyLogPercentiles: a latency log gathers to the slice a plain
+// append would have built, so the snapshot's p50 and p99 are bit-identical
+// to a plain slice's at every chunk edge.
+func TestLatencyLogPercentiles(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for _, n := range []int{latencyChunk - 1, latencyChunk, latencyChunk + 1, 3 * latencyChunk} {
+		var log latencyLog
+		var plain []float64
+		for range n {
+			lat := rng.ExpFloat64() * 1e-3
+			log.add(lat)
+			plain = append(plain, lat)
+		}
+		got := log.gather()
+		if !slices.Equal(got, plain) {
+			t.Fatalf("n=%d: the log gathers to a different sequence than a plain slice", n)
+		}
+		qs, err := stats.PercentilesInPlace(got, 50, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := stats.Percentiles(plain, 50, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range qs {
+			if math.Float64bits(qs[i]) != math.Float64bits(want[i]) {
+				t.Errorf("n=%d: percentile %d is %v from the log, %v from a plain slice", n, i, qs[i], want[i])
+			}
+		}
+	}
+}

@@ -87,10 +87,11 @@ func TestSingleReplicaMatchesScanDriver(t *testing.T) {
 			}
 			refused += run.Refused
 			expired += run.Expired
-			if len(a.latencies) != len(run.Latencies) {
-				t.Fatalf("fleet completed %d, scan driver %d", len(a.latencies), len(run.Latencies))
+			lats := a.latencies.gather()
+			if len(lats) != len(run.Latencies) {
+				t.Fatalf("fleet completed %d, scan driver %d", len(lats), len(run.Latencies))
 			}
-			for i, lat := range a.latencies {
+			for i, lat := range lats {
 				if lat != run.Latencies[i] {
 					t.Fatalf("request %d: fleet latency %v, scan driver %v", i, lat, run.Latencies[i])
 				}

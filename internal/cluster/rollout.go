@@ -248,7 +248,7 @@ type rolloutState struct {
 // admissions offered and shed, and (v2 only) served latencies.
 type cohort struct {
 	offered, shed uint64
-	lats          []float64
+	lats          latencyLog
 }
 
 // appRollout is one app's rollout-local state.
@@ -533,11 +533,10 @@ func (c *Cluster) rolloutVerdictFail() string {
 					a.cfg.Name, shed2*100, shed1*100, plan.ShedTol*100)
 			}
 		}
-		if len(v2.lats) > 0 {
-			if p, err := stats.Percentile(v2.lats, 99); err == nil && p > a.plan.SLASeconds {
-				return fmt.Sprintf("%s: v2 p99 %.3f ms over the %.3f ms SLA",
-					a.cfg.Name, p*1e3, a.plan.SLASeconds*1e3)
-			}
+		// The percentile fails only when v2 served nothing.
+		if qs, err := stats.PercentilesInPlace(v2.lats.gather(), 99); err == nil && qs[0] > a.plan.SLASeconds {
+			return fmt.Sprintf("%s: v2 p99 %.3f ms over the %.3f ms SLA",
+				a.cfg.Name, qs[0]*1e3, a.plan.SLASeconds*1e3)
 		}
 		if off := a.Offered - aro.offBase; off > 0 {
 			if errRate := float64(a.Errors-aro.errBase) / float64(off); errRate > plan.ErrTol {

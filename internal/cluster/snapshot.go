@@ -150,9 +150,9 @@ func (c *Cluster) Snapshot() *Snapshot {
 			Replicas:    a.liveReplicas(),
 			AppCounters: a.AppCounters,
 		}
-		// Percentiles selects on one copy; latencies stay in completion order. It
-		// fails on an empty slice only.
-		if qs, err := stats.Percentiles(a.latencies, 50, 99); err == nil {
+		// Percentiles select on the log's one gathered copy; the log stays in
+		// completion order. They fail on an empty log only.
+		if qs, err := stats.PercentilesInPlace(a.latencies.gather(), 50, 99); err == nil {
 			as.P50Ms, as.P99Ms = qs[0]*1e3, qs[1]*1e3
 		}
 		if a.Offered > 0 {

@@ -75,6 +75,39 @@ func TestTelemetryDisabledAllocs(t *testing.T) {
 	}
 }
 
+// TestTelemetryTracedAllocs pins what a traced batch costs: with every
+// batch sampled, dispatching and completing a batch of n requests allocates
+// one []obs.Attr per request span and a constant for the batch span — its
+// Span, its context and its two attribute slices. An attribute formats
+// nothing when it is built, so no request span allocates a string.
+func TestTelemetryTracedAllocs(t *testing.T) {
+	const batchSpan = 4
+	tel := &Telemetry{Tracer: obs.NewTracer(64), SampleEvery: 1}
+	c := goldenClusterWith(t, tel)
+	c.Run(0.5)
+	var rep *replica
+	for _, r := range c.apps[0].replicas {
+		if r != nil {
+			rep = r
+			break
+		}
+	}
+	for _, n := range []int{1, 8, 64} {
+		batch := make([]request, n)
+		for i := range batch {
+			batch[i] = request{arrival: 0.1, enq: 0.15, attempts: 1}
+		}
+		// The first run fills the ring's one chunk; later ones reuse it.
+		allocs := testing.AllocsPerRun(100, func() {
+			tel.onDispatch(rep, n, trigFillWait)
+			tel.onComplete(rep, batch, 0.2)
+		})
+		if want := float64(n + batchSpan); allocs != want {
+			t.Errorf("a traced batch of %d allocates %v objects, want %v (one per request span, %d for the batch span)", n, allocs, want, batchSpan)
+		}
+	}
+}
+
 // TestTelemetryPassive pins the observer effect away: the same scenario
 // with and without telemetry attached renders byte-identical snapshots and
 // event logs. The sampler tick adds loop events but reads state only.
@@ -377,7 +410,7 @@ func TestClusterTrace(t *testing.T) {
 func spanAttr(s obs.SpanData, key string) (string, bool) {
 	for _, a := range s.Attrs {
 		if a.Key == key {
-			return a.Value, true
+			return a.Value(), true
 		}
 	}
 	return "", false

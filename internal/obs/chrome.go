@@ -124,7 +124,7 @@ func buildChromeEvents(spans []SpanData) []chromeEvent {
 			args["parent"] = s.Parent
 		}
 		for _, a := range s.Attrs {
-			args[a.Key] = a.Value
+			args[a.Key] = a.Value()
 		}
 		events = append(events, chromeEvent{
 			"name": s.Name, "cat": "span", "ph": "X",

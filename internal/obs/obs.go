@@ -18,9 +18,11 @@
 //   - Head-based sampling bounds overhead when enabled: the keep/drop
 //     decision is made once per root span (per request) and inherited by
 //     every child through the context, so traces are never half-recorded.
-//   - Finished spans land in a fixed-capacity ring; a scraper or exporter
-//     reads a consistent snapshot without ever blocking the serving path
-//     for more than a mutex-protected copy.
+//   - Finished spans land in a fixed-capacity ring, allocated by chunk as
+//     spans first reach it; a scraper or exporter reads a consistent
+//     snapshot without ever blocking the serving path for more than a
+//     mutex-protected copy. Attributes are typed and formatted only when
+//     read, so recording a span formats nothing.
 //
 // Span identity is three numbers: Trace groups every span of one request,
 // ID names the span, Parent nests it. Track is the display lane ("a thread"
@@ -30,33 +32,64 @@ package obs
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
-// Attr is one key/value annotation on a span.
+// Attr is one key/value annotation on a span. Its value is typed and is
+// formatted only when read (Value), by the exporter or a test, so emitting
+// a span formats nothing. It is 32 bytes: the key, then either a string's
+// data pointer and length, or a number's bits behind a tag pointer — the
+// representation log/slog.Value uses.
 type Attr struct {
-	Key, Value string
+	Key string
+	p   unsafe.Pointer // a string's data, or intTag / floatTag
+	n   uint64         // the string's length, or the number's bits
 }
 
+// The tags that mark an Attr's value as a number. Only their addresses
+// matter, and no string's data lies there: nothing else takes them, and
+// String stores nil for the empty string, whose data pointer Go leaves
+// unspecified.
+var intTag, floatTag byte
+
 // String builds a string attribute.
-func String(k, v string) Attr { return Attr{Key: k, Value: v} }
+func String(k, v string) Attr {
+	if v == "" {
+		return Attr{Key: k}
+	}
+	return Attr{Key: k, p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Int builds an integer attribute.
-func Int(k string, v int) Attr { return Attr{Key: k, Value: strconv.Itoa(v)} }
+func Int(k string, v int) Attr { return Int64(k, int64(v)) }
 
 // Int64 builds a 64-bit integer attribute.
-func Int64(k string, v int64) Attr { return Attr{Key: k, Value: strconv.FormatInt(v, 10)} }
+func Int64(k string, v int64) Attr { return Attr{Key: k, p: unsafe.Pointer(&intTag), n: uint64(v)} }
 
 // Float builds a float attribute with %g formatting.
 func Float(k string, v float64) Attr {
-	return Attr{Key: k, Value: strconv.FormatFloat(v, 'g', -1, 64)}
+	return Attr{Key: k, p: unsafe.Pointer(&floatTag), n: math.Float64bits(v)}
 }
 
-// SpanData is one finished span. It is plain data: safe to copy, marshal,
-// and export after the originating request is long gone.
+// Value renders the attribute's value: a string as it was given, an integer
+// in decimal, a float as strconv.FormatFloat(v, 'g', -1, 64).
+func (a Attr) Value() string {
+	switch a.p {
+	case unsafe.Pointer(&intTag):
+		return strconv.FormatInt(int64(a.n), 10)
+	case unsafe.Pointer(&floatTag):
+		return strconv.FormatFloat(math.Float64frombits(a.n), 'g', -1, 64)
+	}
+	return unsafe.String((*byte)(a.p), a.n)
+}
+
+// SpanData is one finished span. It is plain data: safe to copy and export
+// after the originating request is long gone.
 type SpanData struct {
 	// Trace groups all spans of one request.
 	Trace uint64 `json:"trace"`
@@ -99,22 +132,30 @@ type Tracer struct {
 	// SetClock before any span starts (see the data-race note there).
 	clock func() time.Time
 
-	mu   sync.Mutex
-	ring []SpanData
-	next int
-	full bool
+	// The ring: slot i is chunks[i/spanChunk][i%spanChunk], and a chunk is
+	// allocated when the ring first reaches it, so a large capacity costs
+	// only the slots spans have filled.
+	mu     sync.Mutex
+	chunks [][]SpanData
+	size   int // capacity, in slots
+	next   int
+	full   bool
 }
+
+// spanChunk is the ring's allocation unit, in spans.
+const spanChunk = 1024
 
 // DefaultCapacity is the span ring size when NewTracer is given n <= 0.
 const DefaultCapacity = 4096
 
 // NewTracer creates a tracer whose ring holds the last capacity finished
-// spans (DefaultCapacity if capacity <= 0).
+// spans (DefaultCapacity if capacity <= 0). The ring's chunks are
+// allocated as spans first reach them.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{ring: make([]SpanData, capacity)}
+	return &Tracer{chunks: make([][]SpanData, (capacity+spanChunk-1)/spanChunk), size: capacity}
 }
 
 // SetSampleEvery keeps 1 in n root spans (head sampling: the decision is
@@ -171,9 +212,13 @@ func (t *Tracer) Emit(d SpanData) {
 	if t.full {
 		t.dropped.Add(1)
 	}
-	t.ring[t.next] = d
+	c := &t.chunks[t.next/spanChunk]
+	if *c == nil {
+		*c = make([]SpanData, min(spanChunk, t.size-t.next))
+	}
+	(*c)[t.next%spanChunk] = d
 	t.next++
-	if t.next == len(t.ring) {
+	if t.next == t.size {
 		t.next = 0
 		t.full = true
 	}
@@ -188,13 +233,20 @@ func (t *Tracer) Spans() []SpanData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.full {
-		out := make([]SpanData, t.next)
-		copy(out, t.ring[:t.next])
-		return out
+		return t.appendSlots(make([]SpanData, 0, t.next), 0, t.next)
 	}
-	out := make([]SpanData, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
+	out := t.appendSlots(make([]SpanData, 0, t.size), t.next, t.size)
+	return t.appendSlots(out, 0, t.next)
+}
+
+// appendSlots appends the ring's slots [lo, hi) to out, chunk by chunk.
+func (t *Tracer) appendSlots(out []SpanData, lo, hi int) []SpanData {
+	for lo < hi {
+		c := t.chunks[lo/spanChunk][lo%spanChunk:]
+		c = c[:min(len(c), hi-lo)]
+		out = append(out, c...)
+		lo += len(c)
+	}
 	return out
 }
 

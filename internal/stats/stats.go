@@ -63,12 +63,21 @@ func Percentile(xs []float64, p float64) (float64, error) {
 }
 
 // Percentiles returns the ps-th percentiles of xs, in the order asked, from
-// one copy of xs. It does not sort the copy: it selects only the ranks the
-// interpolation reads, largest first, so each smaller rank is selected inside
-// the prefix the larger one left. The order is sort.Float64s's (NaN first),
-// so every value is the one a sorted copy would give.
+// one copy of xs (see PercentilesInPlace).
 func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
-	if len(xs) == 0 {
+	s := make([]float64, len(xs))
+	copy(s, xs)
+	return PercentilesInPlace(s, ps...)
+}
+
+// PercentilesInPlace is Percentiles on s itself, which it reorders: for a
+// caller that has just built s as its own copy. It does not sort s: it
+// selects only the ranks the interpolation reads, largest first, so each
+// smaller rank is selected inside the prefix the larger one left. The order
+// is sort.Float64s's (NaN first), so every value is the one a sorted copy
+// would give.
+func PercentilesInPlace(s []float64, ps ...float64) ([]float64, error) {
+	if len(s) == 0 {
 		return nil, fmt.Errorf("stats: percentile of empty slice")
 	}
 	for _, p := range ps {
@@ -76,8 +85,6 @@ func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
 			return nil, fmt.Errorf("stats: percentile %v out of [0, 100]", p)
 		}
 	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
 	// Select the largest rank not yet selected until none is left: s[bound:]
 	// holds selected ranks, s[:bound] the values below them.
 	for bound := len(s); ; {

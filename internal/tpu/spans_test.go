@@ -46,7 +46,7 @@ func TestTraceSpansMapping(t *testing.T) {
 	// Cycle truth preserved in attrs (attr values are rendered strings).
 	attrs := map[string]string{}
 	for _, a := range m.Attrs {
-		attrs[a.Key] = a.Value
+		attrs[a.Key] = a.Value()
 	}
 	if attrs["cycle_start"] != "100" || attrs["cycle_end"] != "400" || attrs["instr"] != "1" {
 		t.Errorf("cycle attrs lost: %v", attrs)
