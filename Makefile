@@ -123,7 +123,7 @@ bench-gate:
 	echo "$$out" | grep -E 'backend dispatch:|^ok'
 	$(call gate-run,./internal/des,TestSteadyStateAllocs)
 	$(call gate-run,./internal/stats,TestPercentilesAllocs)
-	$(call gate-run,./internal/cluster,TestClusterRunAllocs|TestRouteZeroAlloc)
+	$(call gate-run,./internal/cluster,TestClusterRunAllocs|TestRouteZeroAlloc|TestRebuildAllocs)
 	@$(GO) test -run xxx -bench 'BenchmarkTable3$$' -cpu 1 -benchtime 600x -benchmem -count 3 . > bench-gate.out || { cat bench-gate.out; rm -f bench-gate.out; exit 1; }; \
 	min=$$(awk '/^BenchmarkTable3/ && $$4 == "ns/op" {if (min == "" || $$3+0 < min) min = $$3+0} END {print min}' bench-gate.out); \
 	allocs=$$(awk '/^BenchmarkTable3/ && $$8 == "allocs/op" {a = $$7+0} END {print a}' bench-gate.out); \

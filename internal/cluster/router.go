@@ -8,19 +8,17 @@
 // design, reused here across hosts) turns into routing decisions: a dead
 // host's replicas are quarantined and traffic flows around them.
 //
-// The Router is safe for concurrent use — the cluster simulator drives it
-// from a single virtual-time goroutine, but a wall-clock front end (and the
-// -race interaction test) hits it from many.
+// A Router has one owner, as a des.Loop does: the cluster drives each
+// app's router from its one event-loop goroutine, and a campaign's
+// concurrent arms each build a cluster of their own. It is not safe for
+// concurrent use, so a request's Route and AddLoad take no lock.
 package cluster
 
 import (
-	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/bits"
-	"slices"
-	"sync"
 
 	"tpusim/internal/runtime"
 )
@@ -73,11 +71,6 @@ func ParsePolicy(s string) (RouterPolicy, error) {
 // rarely engages under even load.
 const vnodes = 64
 
-// defaultBoundC is the bounded-load factor: no replica's outstanding load
-// may exceed ceil(c x total/replicas). 1.25 is the classic
-// consistent-hashing-with-bounded-loads operating point.
-const defaultBoundC = 1.25
-
 // endpoint is one routable replica as the router tracks it.
 type endpoint struct {
 	id      int
@@ -94,11 +87,10 @@ type ringSlot struct {
 	ep   *endpoint
 }
 
-// Router routes request keys to replica ids under one policy.
+// Router routes request keys to replica ids under one policy. It is not
+// safe for concurrent use.
 type Router struct {
-	mu     sync.Mutex
 	policy RouterPolicy
-	boundC float64
 	eps    []*endpoint // by replica id; nil where none is registered
 	n      int         // registered endpoints
 	stale  bool        // membership changed since order, ring and index were built
@@ -119,7 +111,7 @@ type Router struct {
 
 // NewRouter creates an empty router with the given policy.
 func NewRouter(policy RouterPolicy) *Router {
-	return &Router{policy: policy, boundC: defaultBoundC}
+	return &Router{policy: policy}
 }
 
 // Policy returns the router's policy.
@@ -138,8 +130,6 @@ func (r *Router) Add(id int, weight float64) error {
 	if weight <= 0 {
 		weight = 1
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.get(id) != nil {
 		return fmt.Errorf("cluster: replica %d already routed", id)
 	}
@@ -155,8 +145,6 @@ func (r *Router) Add(id int, weight float64) error {
 
 // Remove deregisters a replica. Unknown ids are a no-op.
 func (r *Router) Remove(id int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	ep := r.get(id)
 	if ep == nil {
 		return
@@ -187,8 +175,6 @@ func (r *Router) count(ep *endpoint, sign int) {
 // SetState moves a replica through the health state machine as the router
 // sees it. Quarantined replicas take no traffic.
 func (r *Router) SetState(id int, st runtime.HealthState) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if ep := r.get(id); ep != nil {
 		r.count(ep, -1)
 		ep.state = st
@@ -198,8 +184,6 @@ func (r *Router) SetState(id int, st runtime.HealthState) {
 
 // State returns a replica's health state (Healthy for unknown ids).
 func (r *Router) State(id int) runtime.HealthState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if ep := r.get(id); ep != nil {
 		return ep.state
 	}
@@ -209,19 +193,17 @@ func (r *Router) State(id int) runtime.HealthState {
 // AddLoad adjusts a replica's outstanding-request gauge (admitted queue
 // plus in-flight). The least-loaded and bounded-hash policies route on it.
 func (r *Router) AddLoad(id int, delta int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if ep := r.get(id); ep != nil {
-		r.count(ep, -1)
-		ep.load = max(ep.load+delta, 0)
-		r.count(ep, +1)
+		load := max(ep.load+delta, 0)
+		if routable(ep) {
+			r.routableLoad += load - ep.load
+		}
+		ep.load = load
 	}
 }
 
 // Load returns a replica's outstanding-request gauge.
 func (r *Router) Load(id int) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if ep := r.get(id); ep != nil {
 		return ep.load
 	}
@@ -230,16 +212,12 @@ func (r *Router) Load(id int) int64 {
 
 // Len returns the registered replica count.
 func (r *Router) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.n
 }
 
 // Route picks a replica for the key. ok is false when no routable (non-
 // quarantined) replica exists. WRR and least-loaded ignore the key.
 func (r *Router) Route(key uint64) (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.stale {
 		r.rebuild()
 	}
@@ -307,8 +285,7 @@ func (r *Router) routeBoundedHash(key uint64) (int, bool) {
 	if routableN == 0 {
 		return 0, false
 	}
-	// ceil(c * (total+1) / n): the +1 accounts for the request being placed.
-	bound := int64(math.Ceil(r.boundC * float64(total+1) / float64(routableN)))
+	bound := loadBound(total, routableN)
 	i := r.search(mix64(key))
 	// Each over-bound endpoint the walk passes is stamped with this walk's
 	// number, so a later vnode of it is skipped without a per-call set.
@@ -332,6 +309,17 @@ func (r *Router) routeBoundedHash(key uint64) (int, bool) {
 	return r.routeLeastLoaded()
 }
 
+// loadBound is the most outstanding requests a replica may hold after
+// taking the one being placed: ceil(c·(total+1)/n) for the bounded-load
+// factor c = 1.25 = 5/4, the classic consistent-hashing-with-bounded-loads
+// operating point, over the n routable replicas' total load. In integers it
+// is exact; it equals the float64 math.Ceil(1.25*float64(total+1)/float64(n))
+// whenever 5·(total+1) < 2^53.
+func loadBound(total int64, n int) int64 {
+	d := 4 * int64(n)
+	return (5*(total+1) + d - 1) / d
+}
+
 // search returns the first ring slot whose hash is >= h, or len(ring) when
 // h is past the last one: sort.Search's answer without the binary search.
 // The index bucket of h's top bits starts the scan at or before the
@@ -347,9 +335,9 @@ func (r *Router) search(h uint64) int {
 
 // rebuild refreshes the deterministic iteration order, the hash ring and
 // its index. Add and Remove only mark membership stale; the next Route or
-// IDs calls this once, under the lock, so a thousand Adds cost one build
-// and not a thousand. Ring positions depend only on replica ids, so a
-// rejoining replica reclaims exactly its old arcs (bounded key movement).
+// IDs calls this once, so a thousand Adds cost one build and not a
+// thousand. Ring positions depend only on replica ids, so a rejoining
+// replica reclaims exactly its old arcs (bounded key movement).
 func (r *Router) rebuild() {
 	r.stale = false
 	r.order = make([]*endpoint, 0, r.n)
@@ -358,29 +346,51 @@ func (r *Router) rebuild() {
 			r.order = append(r.order, ep)
 		}
 	}
-	r.ring = make([]ringSlot, 0, len(r.order)*vnodes)
-	for _, ep := range r.order {
-		for v := 0; v < vnodes; v++ {
-			r.ring = append(r.ring, ringSlot{hash: vnodeHash(ep.id, v), ep: ep})
-		}
-	}
-	slices.SortFunc(r.ring, func(a, b ringSlot) int {
-		if c := cmp.Compare(a.hash, b.hash); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ep.id, b.ep.id)
-	})
+	r.ring = make([]ringSlot, len(r.order)*vnodes)
 	// More buckets than ring slots / 4: a 100-replica ring of 6400 slots
 	// gets 2048 buckets, 8 KiB of index.
 	width := bits.Len(uint(len(r.ring) / 4))
 	r.shift = uint(64 - width)
 	r.index = make([]int32, 1<<width)
-	i := 0
-	for b := range r.index {
-		for i < len(r.ring) && r.ring[i].hash>>r.shift < uint64(b) {
-			i++
+	fillRing(r.ring, r.index, r.shift, r.order, vnodeHash)
+}
+
+// fillRing lays the vnodes of order (ascending id) out on ring sorted by
+// (hash, id), and sets index[b] to the first slot whose hash has top bits
+// >= b, where a hash's top bits are hash>>shift. It is a counting sort on
+// those bits: count each bucket's slots, turn the counts into bucket ends,
+// place every slot below its bucket's end, then order each bucket by hash.
+// Nothing is allocated; ring and index come sized and index zeroed.
+func fillRing(ring []ringSlot, index []int32, shift uint, order []*endpoint, hash func(id, vnode int) uint64) {
+	for _, ep := range order {
+		for v := range vnodes {
+			index[hash(ep.id, v)>>shift]++
 		}
-		r.index[b] = int32(i)
+	}
+	for b := 1; b < len(index); b++ {
+		index[b] += index[b-1]
+	}
+	// Walking the slots backwards and filling each bucket from its end down
+	// keeps a bucket in ascending id, and leaves index[b] at its first slot.
+	for i := len(order) - 1; i >= 0; i-- {
+		ep := order[i]
+		for v := vnodes - 1; v >= 0; v-- {
+			h := hash(ep.id, v)
+			b := h >> shift
+			index[b]--
+			ring[index[b]] = ringSlot{hash: h, ep: ep}
+		}
+	}
+	// Every slot is in its bucket, so an insertion sort moves slots only
+	// within one (about three slots), and stops at an equal hash, which
+	// keeps equal hashes in ascending id.
+	for i := 1; i < len(ring); i++ {
+		s := ring[i]
+		j := i
+		for ; j > 0 && ring[j-1].hash > s.hash; j-- {
+			ring[j] = ring[j-1]
+		}
+		ring[j] = s
 	}
 }
 

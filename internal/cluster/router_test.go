@@ -1,16 +1,17 @@
 // Property tests for the routing policies: the consistent-hash balance
 // bound and bounded key movement (the two theorems bounded-load hashing
 // buys), quarantine avoidance across all policies, smooth-WRR
-// proportionality, and a -race churn test of concurrent submits during
-// replica kill and scale-up.
+// proportionality, an eager oracle that cross-checks every answer on
+// random traffic, and the ring's counting-pass build.
 package cluster
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"tpusim/internal/runtime"
@@ -59,7 +60,7 @@ func TestHashBalanceBound(t *testing.T) {
 	mean := float64(keys) / float64(replicas)
 	// The walk admits a replica only while load+1 <= ceil(c*(total+1)/n),
 	// so the final max is bounded by ceil(1.25 * keys / replicas).
-	limit := math.Ceil(defaultBoundC * keys / replicas)
+	limit := math.Ceil(1.25 * keys / replicas)
 	if float64(max) > limit {
 		t.Fatalf("max load %d exceeds bound %.0f (mean %.0f, max/mean %.3f)",
 			max, limit, mean, float64(max)/mean)
@@ -240,78 +241,6 @@ func TestBoundedHashSticky(t *testing.T) {
 	}
 }
 
-// TestRouterConcurrentChurn exercises the router under -race the way the
-// acceptance scenario does logically: submitter goroutines route and
-// adjust load while one goroutine kills and revives replicas (health
-// transitions) and another scales the replica set up and down. The
-// assertions are weak on purpose — the test's value is the race detector
-// plus "routing never returns an id that was never registered".
-func TestRouterConcurrentChurn(t *testing.T) {
-	for _, policy := range []RouterPolicy{WeightedRoundRobin, LeastLoaded, BoundedHash} {
-		t.Run(policy.String(), func(t *testing.T) {
-			r := NewRouter(policy)
-			const stable = 4 // ids 0..3 are never removed
-			for id := 0; id < stable; id++ {
-				if err := r.Add(id, 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var wg sync.WaitGroup
-			// Submitters: route, hold load briefly, release.
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < 3000; i++ {
-						key := uint64(g)<<32 | uint64(i)
-						id, ok := r.Route(key)
-						if !ok {
-							continue // transiently all-quarantined is legal
-						}
-						if id < 0 || id >= stable+8 {
-							t.Errorf("routed to id %d that was never registered", id)
-							return
-						}
-						r.AddLoad(id, 1)
-						r.AddLoad(id, -1)
-					}
-				}(g)
-			}
-			// Health: quarantine and revive a stable replica (the host kill).
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 2000; i++ {
-					r.SetState(1, runtime.Quarantined)
-					r.SetState(1, runtime.Healthy)
-				}
-			}()
-			// Autoscaler: add and remove replicas above the stable set.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 1000; i++ {
-					id := stable + i%8
-					_ = r.Add(id, 1)
-					r.AddLoad(id, 2)
-					r.Remove(id)
-				}
-			}()
-			wg.Wait()
-			// Stable replicas must all still be present and routable.
-			for id := 0; id < stable; id++ {
-				r.SetState(id, runtime.Healthy)
-			}
-			if got := r.Len(); got < stable {
-				t.Fatalf("%d replicas left, want >= %d", got, stable)
-			}
-			if _, ok := r.Route(42); !ok {
-				t.Fatal("router unroutable after churn settled")
-			}
-		})
-	}
-}
-
 // eagerRouter is the router as it was before the ring went lazy, kept as
 // the reference: it rebuilds order and ring on every membership change and
 // rescans every endpoint for the bounded-hash bound on every request.
@@ -419,7 +348,7 @@ func (r *eagerRouter) route(key uint64) (int, bool) {
 	if n == 0 {
 		return 0, false
 	}
-	bound := int64(math.Ceil(defaultBoundC * float64(total+1) / float64(n)))
+	bound := int64(math.Ceil(1.25 * float64(total+1) / float64(n)))
 	h := mix64(key)
 	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
 	seen := map[int]bool{}
@@ -502,35 +431,132 @@ func TestRouterMatchesEagerOracle(t *testing.T) {
 	}
 }
 
-// TestRingIndexMatchesSearch: the bucket index finds the slot sort.Search
-// finds — including past the last slot, where both return len(ring) — on
-// rings whose index width runs from 5 to 13 bits, at every slot's own hash,
-// one either side of it, both ends of the key space and random keys.
+// TestRingIndexMatchesSearch: the counting-pass ring equals every
+// replica's vnodes sorted by (hash, id) with slices.SortFunc, and the bucket
+// index finds the slot sort.Search finds — including past the last slot,
+// where both return len(ring) — on rings whose index width runs from 5 to
+// 13 bits, at every slot's own hash, one either side of it, both ends of
+// the key space and random keys. Then it checks the same on memberships
+// with holes that Remove left.
 func TestRingIndexMatchesSearch(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(1))
 	r := NewRouter(BoundedHash)
+	check := func(what string) {
+		t.Helper()
+		r.rebuild()
+		var want []ringSlot
+		for _, ep := range r.eps {
+			for v := 0; ep != nil && v < vnodes; v++ {
+				want = append(want, ringSlot{hash: vnodeHash(ep.id, v), ep: ep})
+			}
+		}
+		slices.SortFunc(want, func(a, b ringSlot) int {
+			if c := cmp.Compare(a.hash, b.hash); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ep.id, b.ep.id)
+		})
+		if !slices.Equal(r.ring, want) {
+			t.Fatalf("%s: ring is not sorted by (hash, id)", what)
+		}
+		search := func(h uint64) {
+			want := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
+			if got := r.search(h); got != want {
+				t.Fatalf("%s: search(%#x) = %d, sort.Search %d", what, h, got, want)
+			}
+		}
+		search(0)
+		search(math.MaxUint64)
+		for _, slot := range r.ring {
+			search(slot.hash - 1)
+			search(slot.hash)
+			search(slot.hash + 1)
+		}
+		for k := 0; k < 10_000; k++ {
+			search(rng.Uint64())
+		}
+	}
 	for n := 1; n <= 300; n++ {
 		if err := r.Add(n-1, 1); err != nil {
 			t.Fatal(err)
 		}
-		r.rebuild()
-		check := func(h uint64) {
-			want := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
-			if got := r.search(h); got != want {
-				t.Fatalf("%d replicas: search(%#x) = %d, sort.Search %d", n, h, got, want)
+		check(fmt.Sprintf("%d replicas", n))
+	}
+	for _, id := range rng.Perm(300)[:290] {
+		r.Remove(id)
+		if r.Len()%10 == 0 {
+			check(fmt.Sprintf("%d replicas after removes", r.Len()))
+		}
+	}
+}
+
+// TestFillRingKeepsIDOrderOnCollisions: when two replicas' vnodes hash
+// alike, the counting pass orders the colliding slots by ascending id,
+// whichever order the bucket's insertion sort meets them in.
+func TestFillRingKeepsIDOrderOnCollisions(t *testing.T) {
+	order := []*endpoint{{id: 3}, {id: 8}}
+	// Both replicas put every vnode on one of four hashes, in opposite
+	// vnode orders, so each hash holds one slot of each replica.
+	hashes := []uint64{7 << 60, 1 << 60, 1<<60 + 1, 15 << 60}
+	hash := func(id, vnode int) uint64 {
+		if id == 8 {
+			vnode = vnodes - 1 - vnode
+		}
+		return hashes[vnode%len(hashes)]
+	}
+	ring := make([]ringSlot, len(order)*vnodes)
+	const width = 5
+	index := make([]int32, 1<<width)
+	fillRing(ring, index, 64-width, order, hash)
+	for i := 1; i < len(ring); i++ {
+		a, b := ring[i-1], ring[i]
+		if a.hash > b.hash || (a.hash == b.hash && a.ep.id > b.ep.id) {
+			t.Fatalf("slots %d, %d = (%#x, %d), (%#x, %d): not in (hash, id) order",
+				i-1, i, a.hash, a.ep.id, b.hash, b.ep.id)
+		}
+	}
+	for b := range index {
+		want := sort.Search(len(ring), func(i int) bool { return ring[i].hash>>(64-width) >= uint64(b) })
+		if int(index[b]) != want {
+			t.Fatalf("index[%d] = %d, want %d", b, index[b], want)
+		}
+	}
+}
+
+// TestLoadBoundMatchesFloat: the integer bound is the float64
+// math.Ceil(1.25*float64(total+1)/float64(n)) it replaced, on every total
+// up to 64 requests a replica for 1 to 4096 replicas, and around 1<<40.
+func TestLoadBoundMatchesFloat(t *testing.T) {
+	t.Parallel()
+	float := func(total int64, n int) int64 {
+		return int64(math.Ceil(1.25 * float64(total+1) / float64(n)))
+	}
+	for n := 1; n <= 4096; n++ {
+		for total := int64(0); total <= 64*int64(n); total++ {
+			if got, want := loadBound(total, n), float(total, n); got != want {
+				t.Fatalf("loadBound(%d, %d) = %d, float %d", total, n, got, want)
 			}
 		}
-		check(0)
-		check(math.MaxUint64)
-		for _, slot := range r.ring {
-			check(slot.hash - 1)
-			check(slot.hash)
-			check(slot.hash + 1)
+		for total := int64(1<<40) - 4*int64(n); total <= 1<<40+4*int64(n); total++ {
+			if got, want := loadBound(total, n), float(total, n); got != want {
+				t.Fatalf("loadBound(%d, %d) = %d, float %d", total, n, got, want)
+			}
 		}
-		for k := 0; k < 10_000; k++ {
-			check(rng.Uint64())
+	}
+}
+
+// TestRebuildAllocs: a 100-replica rebuild allocates only the three slices
+// it keeps — order, ring and index — and no sort scratch.
+func TestRebuildAllocs(t *testing.T) {
+	r := NewRouter(BoundedHash)
+	for id := 0; id < 100; id++ {
+		if err := r.Add(id, 1); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if n := testing.AllocsPerRun(20, r.rebuild); n > 3 {
+		t.Errorf("100-replica rebuild: %v allocs, want <= 3 (order, ring, index)", n)
 	}
 }
 
@@ -587,8 +613,6 @@ func TestRouteZeroAlloc(t *testing.T) {
 
 // IDs returns the registered replica ids in ascending order.
 func (r *Router) IDs() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.stale {
 		r.rebuild()
 	}
