@@ -281,7 +281,7 @@ func TestOneScrapeServesEveryRegistry(t *testing.T) {
 	c, tel := telemeteredCluster(t)
 	c.Run(1)
 	sm := serve.NewMetrics()
-	sm.Model("a\"b\\c\nd\te").Completed(1e-3)
+	sm.Model("a\"b\\c\nd\te")
 	rs, err := runtime.NewServer(2, tpu.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -133,10 +133,10 @@ func (b *breaker) clearLocked() {
 }
 
 // admit decides whether a new request may enter a queue currently at depth
-// (capacity cap). shedReason is non-empty when the request must be shed.
-func (b *breaker) admit(depth, capacity int) (ok bool, shedReason string) {
+// (capacity cap): evAdmitted, or the kind of shed.
+func (b *breaker) admit(depth, capacity int) eventKind {
 	if b == nil {
-		return true, ""
+		return evAdmitted
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -145,19 +145,19 @@ func (b *breaker) admit(depth, capacity int) (ok bool, shedReason string) {
 		now := time.Now()
 		if now.Sub(b.lastTrial) >= breakerOpenFor {
 			b.lastTrial = now
-			return true, "" // the periodic trial request
+			return evAdmitted // the periodic trial request
 		}
-		return false, "breaker_open"
+		return evShedBreaker
 	case BreakerBrownout:
 		limit := int(float64(capacity) * brownoutQueueFrac)
 		if limit < 1 {
 			limit = 1
 		}
 		if depth >= limit {
-			return false, "brownout"
+			return evShedBrownout
 		}
 	}
-	return true, ""
+	return evAdmitted
 }
 
 // batchLimit scales the lane's deadline-safe batch target by the breaker's

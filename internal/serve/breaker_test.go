@@ -66,22 +66,21 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("state after 100%% failures = %v, want open", br.State())
 	}
 	// While open, admission sheds except one trial per interval.
-	ok, reason := br.admit(0, 8)
-	if !ok {
+	if kind := br.admit(0, 8); kind != evAdmitted {
 		// First trial fires after OpenFor from lastTrial (zeroed on open),
 		// so it is admitted immediately.
-		t.Fatalf("first trial rejected: %s", reason)
+		t.Fatalf("first trial rejected: %s", kinds[kind].outcome)
 	}
-	if ok, reason := br.admit(0, 8); ok || reason != "breaker_open" {
-		t.Fatalf("second request inside trial interval admitted (reason %q)", reason)
+	if kind := br.admit(0, 8); kind != evShedBreaker {
+		t.Fatalf("second request inside trial interval got %q, want breaker_open", kinds[kind].outcome)
 	}
 	// A trial failure keeps it open; the next trial waits breakerOpenFor.
 	if from, to := br.record(true); from != BreakerOpen || to != BreakerOpen {
 		t.Fatalf("trial failure moved %v->%v, want open->open", from, to)
 	}
 	expireTrial(br)
-	if ok, reason := br.admit(0, 8); !ok {
-		t.Fatalf("trial after breakerOpenFor rejected: %s", reason)
+	if kind := br.admit(0, 8); kind != evAdmitted {
+		t.Fatalf("trial after breakerOpenFor rejected: %s", kinds[kind].outcome)
 	}
 	// Trial success steps down to brownout with a cleared window.
 	if from, to := br.record(false); from != BreakerOpen || to != BreakerBrownout {
@@ -125,15 +124,15 @@ func TestBreakerBatchAndQueueLimits(t *testing.T) {
 		t.Errorf("brownout batch limit floor = %d, want 1", got)
 	}
 	// Brownout queue bound: capacity 8 x 0.5 = 4.
-	if ok, _ := br.admit(3, 8); !ok {
+	if br.admit(3, 8) != evAdmitted {
 		t.Error("depth 3 of 8 shed in brownout (limit should be 4)")
 	}
-	if ok, reason := br.admit(4, 8); ok || reason != "brownout" {
-		t.Errorf("depth 4 of 8 admitted in brownout (ok=%v reason=%q)", ok, reason)
+	if kind := br.admit(4, 8); kind != evShedBrownout {
+		t.Errorf("depth 4 of 8 in brownout got %q, want brownout", kinds[kind].outcome)
 	}
 	// Nil breaker is a no-op.
 	var nb *breaker
-	if ok, _ := nb.admit(100, 1); !ok {
+	if nb.admit(100, 1) != evAdmitted {
 		t.Error("nil breaker shed")
 	}
 	if nb.batchLimit(8) != 8 || nb.State() != BreakerClosed {

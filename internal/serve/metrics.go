@@ -36,98 +36,44 @@ func (m *Metrics) Model(name string) *ModelMetrics {
 	return mm
 }
 
-// ModelMetrics is one model's counters and distributions.
+// ModelMetrics is one model's counters and distributions, folded from the
+// lane's events by record, their one mutator.
 type ModelMetrics struct {
 	mu sync.Mutex
 
 	name string
-	// Counter semantics: submitted = shedQueue + shedBrownout + shedBreaker
-	// + expired + errored + completed + (still in flight). After a drain
-	// the in-flight term is zero and the equation balances exactly.
-	submitted, completed      uint64
-	shedQueue, expired        uint64
-	shedBrownout, shedBreaker uint64
-	errored                   uint64
-	batches                   uint64
-	queueDepth                int
-	maxQueueDepth             int
-	breakerState              int
-	batchDist                 map[int]uint64
-	hist                      obs.Histogram
+	// n counts requests by the kind of event that admitted, refused or
+	// settled them. Every request the server did not refuse as closed is
+	// admitted or shed at admission, and every admitted one ends expired,
+	// failed or served; after a drain none is left in flight.
+	n             [numKinds]uint64
+	queueDepth    int
+	maxQueueDepth int
+	breakerState  BreakerState
+	batchDist     map[int]uint64
+	hist          obs.Histogram
 }
 
-// Submitted records an admission attempt.
-func (mm *ModelMetrics) Submitted() {
+// record folds one lane event: one lock per admission, per take, per
+// settled batch and per breaker transition.
+func (mm *ModelMetrics) record(e *event) {
 	mm.mu.Lock()
-	mm.submitted++
-	mm.mu.Unlock()
-}
-
-// ShedQueue records a request shed at admission (queue full).
-func (mm *ModelMetrics) ShedQueue() {
-	mm.mu.Lock()
-	mm.shedQueue++
-	mm.mu.Unlock()
-}
-
-// ShedBreaker records a request shed by the breaker: reason "brownout"
-// (tightened queue) or "breaker_open" (lane taking trials only).
-func (mm *ModelMetrics) ShedBreaker(reason string) {
-	mm.mu.Lock()
-	if reason == "breaker_open" {
-		mm.shedBreaker++
-	} else {
-		mm.shedBrownout++
+	defer mm.mu.Unlock()
+	switch e.kind {
+	case evAdmitted, evTaken:
+		mm.queueDepth = e.depth
+		mm.maxQueueDepth = max(mm.maxQueueDepth, e.depth)
+	case evServed:
+		mm.batchDist[len(e.calls)]++
+		for _, c := range e.calls {
+			mm.hist.Observe(e.at - c.arrived)
+		}
+	case evBreaker:
+		mm.breakerState = e.to
 	}
-	mm.mu.Unlock()
-}
-
-// SetBreakerState records the lane breaker's state gauge (0 closed,
-// 1 brownout, 2 open).
-func (mm *ModelMetrics) SetBreakerState(state int) {
-	mm.mu.Lock()
-	mm.breakerState = state
-	mm.mu.Unlock()
-}
-
-// Expired records a request shed at dispatch (deadline unmeetable).
-func (mm *ModelMetrics) Expired() {
-	mm.mu.Lock()
-	mm.expired++
-	mm.mu.Unlock()
-}
-
-// Errored records a request failed by the backend.
-func (mm *ModelMetrics) Errored() {
-	mm.mu.Lock()
-	mm.errored++
-	mm.mu.Unlock()
-}
-
-// Completed records one served request's latency.
-func (mm *ModelMetrics) Completed(latencySeconds float64) {
-	mm.mu.Lock()
-	mm.completed++
-	mm.hist.Observe(latencySeconds)
-	mm.mu.Unlock()
-}
-
-// Batch records one dispatched batch's size.
-func (mm *ModelMetrics) Batch(size int) {
-	mm.mu.Lock()
-	mm.batches++
-	mm.batchDist[size]++
-	mm.mu.Unlock()
-}
-
-// SetQueueDepth records the current queue depth gauge.
-func (mm *ModelMetrics) SetQueueDepth(depth int) {
-	mm.mu.Lock()
-	mm.queueDepth = depth
-	if depth > mm.maxQueueDepth {
-		mm.maxQueueDepth = depth
-	}
-	mm.mu.Unlock()
+	// A batch event settles its calls; any other event is about one request
+	// (an admission) or none (n counts takes and transitions unread).
+	mm.n[e.kind] += uint64(max(len(e.calls), 1))
 }
 
 // ModelSnapshot is one model's exported state.
@@ -154,7 +100,7 @@ type ModelSnapshot struct {
 
 	// What the exposition renders and the fields above only summarize: the
 	// breaker gauge's number, the batch-size sum and the latency histogram.
-	breakerState int
+	breakerState BreakerState
 	batched      uint64
 	hist         obs.Histogram
 }
@@ -169,13 +115,17 @@ type Snapshot struct {
 func (mm *ModelMetrics) snapshot() ModelSnapshot {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
+	n := &mm.n
 	s := ModelSnapshot{
-		Model:     mm.name,
-		Submitted: mm.submitted, Completed: mm.completed,
-		ShedQueue: mm.shedQueue, Expired: mm.expired, Errored: mm.errored,
-		ShedBrownout: mm.shedBrownout, ShedBreaker: mm.shedBreaker,
-		BreakerState: BreakerState(mm.breakerState).String(),
-		Batches:      mm.batches,
+		Model:        mm.name,
+		Submitted:    n[evAdmitted] + n[evShedQueue] + n[evShedBrownout] + n[evShedBreaker],
+		Completed:    n[evServed],
+		ShedQueue:    n[evShedQueue],
+		ShedBrownout: n[evShedBrownout],
+		ShedBreaker:  n[evShedBreaker],
+		BreakerState: mm.breakerState.String(),
+		Expired:      n[evExpired],
+		Errored:      n[evFailed],
 		BatchDist:    make(map[int]uint64, len(mm.batchDist)),
 		QueueDepth:   mm.queueDepth, MaxQueueDepth: mm.maxQueueDepth,
 		P50Ms: mm.hist.Quantile(0.50) * 1e3,
@@ -185,18 +135,18 @@ func (mm *ModelMetrics) snapshot() ModelSnapshot {
 		breakerState: mm.breakerState,
 		hist:         mm.hist,
 	}
-	settled := mm.shedQueue + mm.shedBrownout + mm.shedBreaker + mm.expired + mm.errored + mm.completed
-	if mm.submitted > settled {
-		s.InFlight = mm.submitted - settled
+	if settled := n[evExpired] + n[evFailed] + n[evServed]; n[evAdmitted] > settled {
+		s.InFlight = n[evAdmitted] - settled
 	}
 	for size, count := range mm.batchDist {
 		s.BatchDist[size] = count
+		s.Batches += count
 		s.batched += uint64(size) * count
 	}
-	if mm.batches > 0 {
-		s.MeanBatch = float64(s.batched) / float64(mm.batches)
+	if s.Batches > 0 {
+		s.MeanBatch = float64(s.batched) / float64(s.Batches)
 	}
-	if mm.completed > 0 {
+	if s.Completed > 0 {
 		s.MeanMs = mm.hist.Mean() * 1e3
 	}
 	return s

@@ -6,21 +6,32 @@ import (
 	"testing"
 )
 
+// admitN folds n admission events of the given kind.
+func admitN(mm *ModelMetrics, kind eventKind, n int) {
+	for i := 0; i < n; i++ {
+		mm.record(&event{kind: kind})
+	}
+}
+
+// settle folds one batch event of the given kind whose n requests each took
+// lat seconds.
+func settle(mm *ModelMetrics, kind eventKind, n int, lat float64) {
+	calls := make([]*call, n)
+	for i := range calls {
+		calls[i] = &call{arrived: -lat}
+	}
+	mm.record(&event{kind: kind, calls: calls})
+}
+
 func TestMetricsCountersAndSnapshot(t *testing.T) {
 	m := NewMetrics()
 	mm := m.Model("MLP0")
-	for i := 0; i < 10; i++ {
-		mm.Submitted()
-	}
-	for i := 0; i < 6; i++ {
-		mm.Completed(2e-3)
-	}
-	mm.Batch(6)
-	mm.ShedQueue()
-	mm.ShedQueue()
-	mm.Expired()
-	mm.Errored()
-	mm.SetQueueDepth(3)
+	admitN(mm, evAdmitted, 8)
+	admitN(mm, evShedQueue, 2)
+	settle(mm, evServed, 6, 2e-3)
+	settle(mm, evExpired, 1, 0)
+	settle(mm, evFailed, 1, 0)
+	mm.record(&event{kind: evTaken, depth: 3})
 
 	snap := m.Snapshot()
 	if len(snap.Models) != 1 {
@@ -31,7 +42,7 @@ func TestMetricsCountersAndSnapshot(t *testing.T) {
 		t.Errorf("counters wrong: %+v", s)
 	}
 	if s.InFlight != 0 {
-		t.Errorf("in flight = %d, want 0 (10 = 6+2+1+1)", s.InFlight)
+		t.Errorf("in flight = %d, want 0 (8 admitted = 6+1+1)", s.InFlight)
 	}
 	if s.QueueDepth != 3 || s.MaxQueueDepth != 3 {
 		t.Errorf("queue depth %d/%d", s.QueueDepth, s.MaxQueueDepth)
@@ -55,9 +66,8 @@ func TestMetricsCountersAndSnapshot(t *testing.T) {
 func TestMetricsInFlight(t *testing.T) {
 	m := NewMetrics()
 	mm := m.Model("X")
-	mm.Submitted()
-	mm.Submitted()
-	mm.Completed(1e-3)
+	admitN(mm, evAdmitted, 2)
+	settle(mm, evServed, 1, 1e-3)
 	if got := mm.snapshot().InFlight; got != 1 {
 		t.Errorf("in flight = %d, want 1", got)
 	}
@@ -67,12 +77,8 @@ func TestMetricsQuantileSpread(t *testing.T) {
 	m := NewMetrics()
 	mm := m.Model("X")
 	// 95 fast requests and 5 slow: p50 near 1 ms, p99 lands in the tail.
-	for i := 0; i < 95; i++ {
-		mm.Completed(1e-3)
-	}
-	for i := 0; i < 5; i++ {
-		mm.Completed(50e-3)
-	}
+	settle(mm, evServed, 95, 1e-3)
+	settle(mm, evServed, 5, 50e-3)
 	s := mm.snapshot()
 	if s.P50Ms > 2 {
 		t.Errorf("p50 = %.2f ms, want ~1 ms", s.P50Ms)
@@ -88,9 +94,8 @@ func TestMetricsQuantileSpread(t *testing.T) {
 func TestMetricsJSONRoundTrip(t *testing.T) {
 	m := NewMetrics()
 	mm := m.Model("LSTM0")
-	mm.Submitted()
-	mm.Completed(3e-3)
-	mm.Batch(1)
+	admitN(mm, evAdmitted, 1)
+	settle(mm, evServed, 1, 3e-3)
 	data, err := m.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -111,9 +116,8 @@ func TestMetricsTextRendering(t *testing.T) {
 	m := NewMetrics()
 	for _, name := range []string{"B", "A"} {
 		mm := m.Model(name)
-		mm.Submitted()
-		mm.Completed(1e-3)
-		mm.Batch(1)
+		admitN(mm, evAdmitted, 1)
+		settle(mm, evServed, 1, 1e-3)
 	}
 	text := m.Text()
 	for _, want := range []string{"model", "submitted", "p99ms", "A", "B", "batch sizes"} {

@@ -22,39 +22,39 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 var sixApps = []string{"MLP0", "MLP1", "LSTM0", "LSTM1", "CNN0", "CNN1"}
 
 // fixedRegistry builds a registry with deterministic, distinct per-app
-// state so the golden file exercises every metric family.
+// state so the golden file exercises every metric family. It writes the
+// folded state directly: its completions are not the sum of its batch
+// sizes, which no sequence of lane events produces.
 func fixedRegistry() *Metrics {
 	m := NewMetrics()
 	for i, app := range sixApps {
 		mm := m.Model(app)
-		n := 10 * (i + 1)
-		for j := 0; j < n; j++ {
-			mm.Submitted()
-		}
-		for j := 0; j < n-i-3; j++ {
-			// Latencies spread across buckets: 0.2ms..~13ms.
-			mm.Completed(2e-4 * float64(j+1))
-		}
-		mm.ShedQueue()
+		n := &mm.n
+		n[evShedQueue] = 1
 		if i%2 == 0 {
-			mm.Expired()
+			n[evExpired] = 1
 		}
 		if i == 3 {
-			mm.Errored()
+			n[evFailed] = 1
 		}
 		if i == 4 {
-			mm.ShedBreaker("brownout")
-			mm.SetBreakerState(int(BreakerBrownout))
+			n[evShedBrownout] = 1
+			mm.breakerState = BreakerBrownout
 		}
 		if i == 5 {
-			mm.ShedBreaker("breaker_open")
-			mm.ShedBreaker("breaker_open")
-			mm.SetBreakerState(int(BreakerOpen))
+			n[evShedBreaker] = 2
+			mm.breakerState = BreakerOpen
 		}
-		mm.Batch(i + 1)
-		mm.Batch(2 * (i + 1))
-		mm.SetQueueDepth(i)
-		mm.SetQueueDepth(i / 2)
+		submitted := 10 * (i + 1)
+		n[evAdmitted] = uint64(submitted) - n[evShedQueue] - n[evShedBrownout] - n[evShedBreaker]
+		n[evServed] = uint64(submitted - i - 3)
+		for j := 0; j < submitted-i-3; j++ {
+			// Latencies spread across buckets: 0.2ms..~13ms.
+			mm.hist.Observe(2e-4 * float64(j+1))
+		}
+		mm.batchDist[i+1]++
+		mm.batchDist[2*(i+1)]++
+		mm.queueDepth, mm.maxQueueDepth = i/2, i
 	}
 	return m
 }

@@ -112,9 +112,12 @@ type call struct {
 // ArrivedAt implements latency.Arrival.
 func (c *call) ArrivedAt() float64 { return c.arrived }
 
+// callDone is what a settled request's caller receives: the kind of the
+// event that settled it, which names the root span's outcome.
 type callDone struct {
 	resp Response
 	err  error
+	kind eventKind
 }
 
 // callPool recycles call objects and their one-shot done channels across
@@ -156,9 +159,6 @@ func (s *Server) Observe(t *obs.Tracer, logger *slog.Logger) {
 	s.tracer = t
 	s.logger = logger
 }
-
-// Tracer returns the tracer set by Observe (nil if none).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Register adds a model lane. The policy is resolved against the latency
 // model immediately, so an SLA no operating point can meet fails loudly at
@@ -239,42 +239,22 @@ func (s *Server) SubmitCtx(ctx context.Context, model string, input *tensor.F32)
 	}
 
 	l.mu.Lock()
-	if l.closed {
+	kind := evClosed
+	if !l.closed {
+		if kind = l.br.admit(l.q.Len(), l.q.Limit); kind == evAdmitted && !l.q.Offer(c) {
+			kind = evShedQueue
+		}
+	}
+	if kind != evAdmitted {
 		l.mu.Unlock()
+		s.emit(l, event{kind: kind, call: c, admit: admit})
 		putCall(c) // never published; safe to recycle now
-		s.finishRejected(admit, root, "closed")
-		return Response{}, ErrClosed
+		return Response{}, kinds[kind].err
 	}
-	l.mm.Submitted()
-	if ok, reason := l.br.admit(l.q.Len(), l.q.Limit); !ok {
-		l.mm.ShedBreaker(reason)
-		l.mu.Unlock()
-		putCall(c)
-		s.finishRejected(admit, root, reason)
-		if s.logger != nil {
-			s.logger.Warn("request shed at admission",
-				"model", model, "request_id", obs.RequestID(reqID),
-				"reason", reason, "breaker", l.br.State().String())
-		}
-		if reason == "breaker_open" {
-			return Response{}, ErrBreakerOpen
-		}
-		return Response{}, ErrBrownout
-	}
-	if !l.q.Offer(c) {
-		l.mm.ShedQueue()
-		l.mu.Unlock()
-		putCall(c)
-		s.finishRejected(admit, root, "shed_queue")
-		if s.logger != nil {
-			s.logger.Warn("request shed at admission",
-				"model", model, "request_id", obs.RequestID(reqID),
-				"reason", "queue_full", "queue_limit", l.q.Limit)
-		}
-		return Response{}, ErrOverloaded
-	}
+	// The admission is folded under the lane lock, as every take is, so the
+	// queue-depth gauge moves in queue order.
 	depth := l.q.Len()
-	l.mm.SetQueueDepth(depth)
+	s.emit(l, event{kind: evAdmitted, call: c, admit: admit, depth: depth})
 	// The dispatcher sleeps only on an empty lane or a batch short of Cap,
 	// so only the first arrival and the one that fills the batch rouse it.
 	rouse := depth == 1 || depth >= l.q.Cap
@@ -282,64 +262,17 @@ func (s *Server) SubmitCtx(ctx context.Context, model string, input *tensor.F32)
 	if rouse {
 		l.signal()
 	}
-	if admit.Recording() {
-		admit.SetAttr(obs.String("outcome", "admitted"), obs.Int("queue_depth", depth))
-		admit.End()
-	}
 
 	d := <-c.done
 	putCall(c) // the dispatcher's done send was its last touch of c
 	if root.Recording() {
-		root.SetAttr(obs.String("outcome", outcomeOf(d.err)))
-		if d.err == nil {
+		root.SetAttr(obs.String("outcome", kinds[d.kind].outcome))
+		if d.kind == evServed {
 			root.SetAttr(obs.Int("batch", d.resp.BatchSize))
 		}
 		root.End()
 	}
-	if s.logger != nil {
-		switch d.err {
-		case nil:
-			s.logger.Debug("request served", "model", model,
-				"request_id", obs.RequestID(reqID),
-				"latency_ms", d.resp.Latency.Seconds()*1e3, "batch", d.resp.BatchSize)
-		case ErrDeadline:
-			s.logger.Warn("request shed at dispatch", "model", model,
-				"request_id", obs.RequestID(reqID), "reason", "deadline")
-		default:
-			s.logger.Error("request failed", "model", model,
-				"request_id", obs.RequestID(reqID), "error", d.err)
-		}
-	}
 	return d.resp, d.err
-}
-
-// finishRejected closes out the admit and root spans of a request rejected
-// at admission (its queue span is dropped unemitted).
-func (s *Server) finishRejected(admit, root *obs.Span, outcome string) {
-	if admit.Recording() {
-		admit.SetAttr(obs.String("outcome", outcome))
-		admit.End()
-	}
-	if root.Recording() {
-		root.SetAttr(obs.String("outcome", outcome))
-		root.End()
-	}
-}
-
-// outcomeOf maps a request's terminal error to its span outcome attr.
-func outcomeOf(err error) string {
-	switch err {
-	case nil:
-		return "ok"
-	case ErrDeadline:
-		return "expired"
-	case ErrOverloaded:
-		return "shed_queue"
-	case ErrClosed:
-		return "closed"
-	default:
-		return "error"
-	}
 }
 
 // dispatch is the lane's wall-clock driver: it asks the lane when its head
@@ -375,7 +308,7 @@ func (s *Server) dispatch(l *lane) {
 		}
 		head := l.q.Head()
 		kept, shed, svc, err := l.q.Take(now, l.sm)
-		l.mm.SetQueueDepth(l.q.Len())
+		s.emit(l, event{kind: evTaken, depth: l.q.Len()})
 		l.mu.Unlock()
 		if fw.Recording() {
 			fw.SetAttr(obs.Int("filled", len(kept)+len(shed)), obs.Int("safe_batch", l.q.Cap))
@@ -421,13 +354,13 @@ func (l *lane) sleep(d float64) {
 	l.timer.Stop()
 }
 
-// runBatch answers what Take shed, executes the kept batch, and delivers
-// results; err is Take's pricing error, which fails the kept batch. The
-// dispatch span rides the head request's trace and links every other kept
-// member's request span, so a batch reads as one fan-in in the exported
-// trace; the backend call runs under the dispatch span's context so a
-// context-aware backend (RuntimeBackend) extends the same trace down to
-// the device.
+// runBatch answers what Take shed, executes the kept batch, feeds the
+// backend's outcome to the lane's breaker and delivers results; err is
+// Take's pricing error, which fails the kept batch. The dispatch span rides
+// the head request's trace and links every other kept member's request
+// span, so a batch reads as one fan-in in the exported trace; the backend
+// call runs under the dispatch span's context so a context-aware backend
+// (RuntimeBackend) extends the same trace down to the device.
 func (s *Server) runBatch(l *lane, head *call, kept, shed []*call, svc float64, err error) {
 	ctx := head.ctx
 	var dsp *obs.Span
@@ -442,68 +375,38 @@ func (s *Server) runBatch(l *lane, head *call, kept, shed []*call, svc float64, 
 			}
 		}
 	}
-	for _, c := range shed {
-		l.mm.Expired()
-		c.done <- callDone{err: ErrDeadline}
-	}
-	if err != nil {
-		s.failBatch(l, kept, err)
-		return
+	if len(shed) > 0 {
+		s.emit(l, event{kind: evExpired, calls: shed})
 	}
 	if len(kept) == 0 {
 		return
 	}
-	inputs := l.inputs[:0]
-	for _, c := range kept {
-		inputs = append(inputs, c.input)
+	var outputs []*tensor.F32
+	if err == nil {
+		inputs := l.inputs[:0]
+		for _, c := range kept {
+			inputs = append(inputs, c.input)
+		}
+		// Note the backing array is NOT cleared after the run: a backend may
+		// alias it in its return value (SimBackend echoes inputs as outputs),
+		// and the stale refs it pins are bounded by one safe batch of rows.
+		l.inputs = inputs[:0]
+		outputs, err = s.runBackend(ctx, l.model, inputs)
+		if err != nil {
+			err = fmt.Errorf("serve: %s backend: %w", l.model, err)
+		} else if len(outputs) != len(kept) {
+			err = fmt.Errorf("serve: %s backend returned %d outputs for %d requests",
+				l.model, len(outputs), len(kept))
+		}
+		if from, to := l.br.record(err != nil); from != to {
+			s.emit(l, event{kind: evBreaker, from: from, to: to})
+		}
 	}
-	// Note the backing array is NOT cleared after the run: a backend may
-	// alias it in its return value (SimBackend echoes inputs as outputs),
-	// and the stale refs it pins are bounded by one safe batch of rows.
-	l.inputs = inputs[:0]
-	outputs, err := s.runBackend(ctx, l.model, inputs)
 	if err != nil {
-		s.recordBreaker(l, true)
-		s.failBatch(l, kept, fmt.Errorf("serve: %s backend: %w", l.model, err))
+		s.emit(l, event{kind: evFailed, calls: kept, err: err})
 		return
 	}
-	if len(outputs) != len(kept) {
-		s.recordBreaker(l, true)
-		s.failBatch(l, kept, fmt.Errorf("serve: %s backend returned %d outputs for %d requests",
-			l.model, len(outputs), len(kept)))
-		return
-	}
-	s.recordBreaker(l, false)
-	done := l.now()
-	l.mm.Batch(len(kept))
-	for i, c := range kept {
-		lat := done - c.arrived
-		l.mm.Completed(lat)
-		c.done <- callDone{resp: Response{Output: outputs[i], Latency: time.Duration(lat * float64(time.Second)), BatchSize: len(kept)}}
-	}
-}
-
-// recordBreaker feeds one backend outcome into the lane's breaker, keeping
-// the exported gauge current and logging/tracing every state transition.
-func (s *Server) recordBreaker(l *lane, failed bool) {
-	if l.br == nil {
-		return
-	}
-	from, to := l.br.record(failed)
-	l.mm.SetBreakerState(int(to))
-	if from == to {
-		return
-	}
-	if s.logger != nil {
-		s.logger.Warn("breaker transition", "model", l.model,
-			"from", from.String(), "to", to.String())
-	}
-	if s.tracer != nil {
-		_, sp := s.tracer.StartRoot(context.Background(), "breaker-transition",
-			l.laneTrack, obs.String("model", l.model),
-			obs.String("from", from.String()), obs.String("to", to.String()))
-		sp.End()
-	}
+	s.emit(l, event{kind: evServed, calls: kept, outputs: outputs, at: l.now()})
 }
 
 // runBackend invokes the backend, propagating the trace context when the
@@ -513,14 +416,6 @@ func (s *Server) runBackend(ctx context.Context, model string, inputs []*tensor.
 		return cb.RunCtx(ctx, model, inputs)
 	}
 	return s.backend.Run(model, inputs)
-}
-
-// failBatch errors out every request in a batch.
-func (s *Server) failBatch(l *lane, batch []*call, err error) {
-	for _, c := range batch {
-		l.mm.Errored()
-		c.done <- callDone{err: err}
-	}
 }
 
 // Plan returns the resolved plan of a registered model.
@@ -537,10 +432,11 @@ func (s *Server) Plan(model string) (Plan, error) {
 // Close is the graceful drain: stop admission (new Submits fail with
 // ErrClosed), flush every lane's queue — requests already admitted are
 // still batched, served or shed against their own deadlines, never
-// dropped — wait for the dispatchers to exit, then flush terminal metric
-// state (queue depth zero, final breaker gauge) so a scrape after shutdown
-// reads a quiesced server. Safe to call more than once and from multiple
-// goroutines; every call blocks until the drain completes.
+// dropped — and wait for the dispatchers to exit. A scrape after shutdown
+// reads a quiesced server: the last take emptied the queue-depth gauge, and
+// the breaker gauge moved with every transition. Safe to call more than
+// once and from multiple goroutines; every call blocks until the drain
+// completes.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -561,10 +457,4 @@ func (s *Server) Close() {
 		l.signal()
 	}
 	s.wg.Wait()
-	for _, l := range lanes {
-		l.mm.SetQueueDepth(0)
-		if l.br != nil {
-			l.mm.SetBreakerState(int(l.br.State()))
-		}
-	}
 }

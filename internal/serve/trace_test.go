@@ -130,7 +130,7 @@ func TestSubmitSpanTree(t *testing.T) {
 func TestObserveDisabledServesIdentically(t *testing.T) {
 	b, m, _ := tinyServed(t, "MLP0")
 	s := NewServer(b)
-	if s.Tracer() != nil {
+	if s.tracer != nil {
 		t.Fatal("fresh server has a tracer")
 	}
 	if _, err := s.Register(m.Name, ModelConfig{
