@@ -122,7 +122,7 @@ type sdcFleet struct {
 	srv *runtime.Server
 }
 
-func newSDCFleet(tier runtime.Integrity, seed int64) (*sdcFleet, error) {
+func newSDCFleet(tier tpu.IntegrityLevel, seed int64) (*sdcFleet, error) {
 	srv, err := runtime.NewServerWith(1, tpu.DefaultConfig(), runtime.ServerOptions{
 		Faults: &fault.Plan{Seed: seed},
 		Resilience: &runtime.Resilience{
@@ -210,9 +210,7 @@ func runSDC(cfg SDCConfig, names []string) (*SDCResult, error) {
 		in := sdcInput(m, cfg.Seed*100+int64(i))
 
 		tiers := make([]*sdcFleet, 3)
-		for t, tier := range []runtime.Integrity{
-			runtime.IntegrityOff, runtime.IntegrityDetect, runtime.IntegrityCorrect,
-		} {
+		for t, tier := range []tpu.IntegrityLevel{tpu.IntegrityOff, tpu.IntegrityDetect, tpu.IntegrityCorrect} {
 			f, err := newSDCFleet(tier, cfg.Seed+int64(i))
 			if err != nil {
 				return nil, err

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tpusim/internal/obs"
+	"tpusim/internal/tpu"
 )
 
 // HealthState is one device's position in the health state machine.
@@ -77,17 +78,17 @@ type Resilience struct {
 	// compares outputs byte-for-byte, catching silent output corruption at
 	// the cost of doubling device work. Mismatches are settled by majority
 	// vote on a third device when one is available. It composes with any
-	// Integrity tier: CrossCheck with IntegrityCorrect is the
+	// Integrity tier: CrossCheck with tpu.IntegrityCorrect is the
 	// belt-and-suspenders setting.
 	CrossCheck bool
-	// Integrity selects the data-integrity tier (off, detect,
-	// detect+correct). Non-off tiers build every device with the
-	// corresponding on-device machinery — ABFT matmul checks, CRC/parity
+	// Integrity selects the data-integrity tier (off, detect, correct).
+	// Non-off tiers build every device with the corresponding on-device
+	// machinery — ABFT matmul checks, CRC/parity
 	// memory sidecars, PCIe frames — and make detected-corruption failures
 	// retryable: an attempt that fails with an SDCError was caught before
 	// shipping corrupt output, so the resilient ladder scrubs the device
 	// and reruns cleanly.
-	Integrity Integrity
+	Integrity tpu.IntegrityLevel
 	// ScrubEvery runs a background weight-DRAM scrub pass over every
 	// device at this interval, repairing persistent weight corruption from
 	// each program's golden image before a fetch trips over it. 0 disables

@@ -1,6 +1,6 @@
-// The fleet's data-integrity tier: a Resilience knob that maps onto the
-// device-level integrity machinery (ABFT, CRC/parity sidecars, PCIe
-// frames) and the runtime recovery ladder above it. A detected SDC fails
+// The fleet's data-integrity tier: Resilience.Integrity, the
+// tpu.IntegrityLevel every device is built with (ABFT, CRC/parity
+// sidecars, PCIe frames), and the runtime recovery ladder above it. A detected SDC fails
 // the attempt with a clean device — the resilient path retries it (scrubbing
 // the weight DRAM of the implicated device first, so persistent corruption
 // does not fail the retry too), fails over, and feeds the device's health
@@ -10,53 +10,10 @@ package runtime
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"tpusim/internal/tpu"
 )
-
-// Integrity selects the fleet's data-integrity tier.
-type Integrity int
-
-const (
-	// IntegrityOff runs the bare datapath (the PR-4 behaviour).
-	IntegrityOff Integrity = iota
-	// IntegrityDetect enables every device-level check (ABFT matmul rows,
-	// CRC on weight DRAM/FIFO/UB, accumulator parity, PCIe frames); a
-	// violation fails the attempt and the resilient ladder retries it.
-	IntegrityDetect
-	// IntegrityCorrect additionally repairs on-device what algebra or a
-	// golden copy allows: ABFT-localized output elements, flagged matmul
-	// rows, and corrupt weight tiles at fetch.
-	IntegrityCorrect
-)
-
-// String names the tier for logs and policy dumps.
-func (t Integrity) String() string {
-	switch t {
-	case IntegrityOff:
-		return "off"
-	case IntegrityDetect:
-		return "detect"
-	case IntegrityCorrect:
-		return "detect+correct"
-	default:
-		return fmt.Sprintf("Integrity(%d)", int(t))
-	}
-}
-
-// deviceLevel maps the fleet tier onto the per-device integrity machinery.
-func (t Integrity) deviceLevel() tpu.IntegrityLevel {
-	switch t {
-	case IntegrityDetect:
-		return tpu.IntegrityDetect
-	case IntegrityCorrect:
-		return tpu.IntegrityCorrect
-	default:
-		return tpu.IntegrityOff
-	}
-}
 
 // readySlots snapshots the driver's successfully loaded models. A slot is
 // marked loaded under d.mu after its load completes, so sl.dev and sl.p are

@@ -7,6 +7,7 @@ import (
 
 	"tpusim/internal/fault"
 	"tpusim/internal/tensor"
+	"tpusim/internal/tpu"
 )
 
 // refOutput runs the model on a clean, integrity-free server and returns
@@ -30,7 +31,7 @@ func refOutput(t *testing.T) *tensor.F32 {
 func TestDetectTierScrubsAndRetries(t *testing.T) {
 	ref := refOutput(t)
 	s := newChaosServer(t, 1, fault.Plan{Seed: 2},
-		&Resilience{Integrity: IntegrityDetect, ProbeEvery: -1})
+		&Resilience{Integrity: tpu.IntegrityDetect, ProbeEvery: -1})
 	m, p, in := testModel()
 	ctx := context.Background()
 	if _, err := s.RunCtx(ctx, m, p, in); err != nil {
@@ -76,7 +77,7 @@ func TestDetectTierScrubsAndRetries(t *testing.T) {
 func TestCorrectTierRepairsInPlace(t *testing.T) {
 	ref := refOutput(t)
 	s := newChaosServer(t, 1, fault.Plan{Seed: 3},
-		&Resilience{Integrity: IntegrityCorrect, ProbeEvery: -1})
+		&Resilience{Integrity: tpu.IntegrityCorrect, ProbeEvery: -1})
 	m, p, in := testModel()
 	ctx := context.Background()
 	if _, err := s.RunCtx(ctx, m, p, in); err != nil {
@@ -115,7 +116,7 @@ func TestCorrectTierRepairsInPlace(t *testing.T) {
 // request still succeeds by failing over.
 func TestRepeatedSDCWalksHealthMachine(t *testing.T) {
 	s := newChaosServer(t, 2, fault.Plan{Seed: 4},
-		&Resilience{Integrity: IntegrityDetect, ProbeEvery: -1})
+		&Resilience{Integrity: tpu.IntegrityDetect, ProbeEvery: -1})
 	m, p, in := testModel()
 	ctx := context.Background()
 	// Warm both devices.
@@ -153,7 +154,7 @@ func TestRepeatedSDCWalksHealthMachine(t *testing.T) {
 // a clean fleet's outputs agree.
 func TestCrossCheckOnCorrectTier(t *testing.T) {
 	s := newChaosServer(t, 2, fault.Plan{Seed: 5},
-		&Resilience{Integrity: IntegrityCorrect, CrossCheck: true, ProbeEvery: -1})
+		&Resilience{Integrity: tpu.IntegrityCorrect, CrossCheck: true, ProbeEvery: -1})
 	m, p, in := testModel()
 	if _, err := s.RunCtx(context.Background(), m, p, in); err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func TestCrossCheckOnCorrectTier(t *testing.T) {
 // scrubber's next pass repairs it from the golden image.
 func TestBackgroundScrubberRepairsSilently(t *testing.T) {
 	s := newChaosServer(t, 1, fault.Plan{Seed: 6},
-		&Resilience{Integrity: IntegrityOff, ProbeEvery: -1, ScrubEvery: 2 * time.Millisecond})
+		&Resilience{Integrity: tpu.IntegrityOff, ProbeEvery: -1, ScrubEvery: 2 * time.Millisecond})
 	m, p, in := testModel()
 	ctx := context.Background()
 	if _, err := s.RunCtx(ctx, m, p, in); err != nil {
@@ -198,12 +199,12 @@ func TestBackgroundScrubberRepairsSilently(t *testing.T) {
 	}
 }
 
-// TestIntegrityTierStrings pins the policy names used in logs and docs.
+// TestIntegrityTierStrings pins the tier names used in logs and docs.
 func TestIntegrityTierStrings(t *testing.T) {
-	for tier, want := range map[Integrity]string{
-		IntegrityOff:     "off",
-		IntegrityDetect:  "detect",
-		IntegrityCorrect: "detect+correct",
+	for tier, want := range map[tpu.IntegrityLevel]string{
+		tpu.IntegrityOff:     "off",
+		tpu.IntegrityDetect:  "detect",
+		tpu.IntegrityCorrect: "correct",
 	} {
 		if got := tier.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(tier), got, want)

@@ -591,7 +591,7 @@ func NewServerWith(n int, cfg tpu.Config, opts ServerOptions) (*Server, error) {
 		if opts.Resilience != nil {
 			// The fleet integrity tier builds every device with the
 			// corresponding on-device machinery.
-			d.cfg.Integrity = opts.Resilience.Integrity.deviceLevel()
+			d.cfg.Integrity = opts.Resilience.Integrity
 		}
 		if opts.Faults != nil {
 			d.inj = opts.Faults.Injector(i)
