@@ -225,14 +225,15 @@ func main() {
 			return experiments.RenderEnergy(rows), nil
 		}},
 		{"dc", "Extension: datacenter provisioning (the 'voice search' origin story)", func() (string, error) {
+			tpuIPS := map[string]float64{}
 			for _, name := range models.Names() {
 				p, err := experiments.SimulateTPU(name)
 				if err != nil {
 					return "", err
 				}
-				datacenter.SetTPUPerf(name, p.IPS)
+				tpuIPS[name] = p.IPS
 			}
-			ps, err := datacenter.Compare(datacenter.UniformScaleDemand(10e6))
+			ps, err := datacenter.Compare(datacenter.UniformScaleDemand(10e6), tpuIPS)
 			if err != nil {
 				return "", err
 			}

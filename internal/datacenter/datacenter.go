@@ -51,46 +51,31 @@ type Provision struct {
 	PerApp map[string]float64
 }
 
-// serverIPS returns one server's throughput for an app on a platform.
-func serverIPS(k platform.Kind, b models.Benchmark) (float64, error) {
-	spec := platform.MustSpecs(k)
+// serverIPS returns one server's throughput for an app on a platform;
+// tpuIPS holds the TPU's per-die inferences/second (host overhead
+// included) per app, which the caller simulates (experiments.SimulateTPU).
+func serverIPS(k platform.Kind, b models.Benchmark, tpuIPS map[string]float64) (float64, error) {
+	var ips float64
+	var err error
 	switch k {
 	case platform.CPU:
-		ips, err := baseline.CPU().SLAIPS(b)
-		if err != nil {
-			return 0, err
-		}
-		return ips * float64(spec.Server.Dies), nil
+		ips, err = baseline.CPU().SLAIPS(b)
 	case platform.GPU:
-		ips, err := baseline.GPU().SLAIPS(b)
-		if err != nil {
-			return 0, err
-		}
-		return ips * float64(spec.Server.Dies), nil
+		ips, err = baseline.GPU().SLAIPS(b)
 	case platform.TPU:
-		// Per-die TPU throughput with host overhead, supplied by the
-		// caller through SetTPUPerf to avoid an import cycle with the
-		// experiments package.
-		ips, ok := tpuIPS[b.Model.Name]
-		if !ok {
-			return 0, fmt.Errorf("datacenter: TPU performance for %s not registered; call SetTPUPerf", b.Model.Name)
-		}
-		return ips * float64(spec.Server.Dies), nil
+		ips = tpuIPS[b.Model.Name]
 	default:
 		return 0, fmt.Errorf("datacenter: unsupported platform %v", k)
 	}
+	if err == nil && !(ips > 0) {
+		err = fmt.Errorf("datacenter: no %v throughput for %s", k, b.Model.Name)
+	}
+	return ips * float64(platform.MustSpecs(k).Server.Dies), err
 }
 
-var tpuIPS = map[string]float64{}
-
-// SetTPUPerf registers per-die TPU inferences/second (host overhead
-// included) for an app, typically from experiments.SimulateTPU.
-func SetTPUPerf(app string, ips float64) {
-	tpuIPS[app] = ips
-}
-
-// ProvisionFor computes the fleet one platform needs for a demand.
-func ProvisionFor(k platform.Kind, d Demand) (Provision, error) {
+// ProvisionFor computes the fleet one platform needs for a demand; tpuIPS
+// is the TPU's per-die throughput per app (see serverIPS).
+func ProvisionFor(k platform.Kind, d Demand, tpuIPS map[string]float64) (Provision, error) {
 	spec := platform.MustSpecs(k)
 	p := Provision{Platform: k, PerApp: map[string]float64{}}
 	for _, b := range models.All() {
@@ -98,7 +83,7 @@ func ProvisionFor(k platform.Kind, d Demand) (Provision, error) {
 		if !ok || rps == 0 {
 			continue
 		}
-		ips, err := serverIPS(k, b)
+		ips, err := serverIPS(k, b, tpuIPS)
 		if err != nil {
 			return Provision{}, err
 		}
@@ -115,11 +100,12 @@ func ProvisionFor(k platform.Kind, d Demand) (Provision, error) {
 	return p, nil
 }
 
-// Compare provisions all three platforms for a demand.
-func Compare(d Demand) ([]Provision, error) {
+// Compare provisions all three platforms for a demand, the TPU at the
+// per-die throughput per app tpuIPS.
+func Compare(d Demand, tpuIPS map[string]float64) ([]Provision, error) {
 	var out []Provision
 	for _, k := range []platform.Kind{platform.CPU, platform.GPU, platform.TPU} {
-		p, err := ProvisionFor(k, d)
+		p, err := ProvisionFor(k, d, tpuIPS)
 		if err != nil {
 			return nil, err
 		}

@@ -9,15 +9,18 @@ import (
 	"tpusim/internal/platform"
 )
 
-func register(t *testing.T) {
+// tpuPerf simulates the TPU's per-die throughput for every app.
+func tpuPerf(t *testing.T) map[string]float64 {
 	t.Helper()
+	ips := map[string]float64{}
 	for _, name := range models.Names() {
 		p, err := experiments.SimulateTPU(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetTPUPerf(name, p.IPS)
+		ips[name] = p.IPS
 	}
+	return ips
 }
 
 func TestUniformScaleDemand(t *testing.T) {
@@ -38,8 +41,7 @@ func TestUniformScaleDemand(t *testing.T) {
 // lower power than the CPU fleet — the cost-performance mandate that
 // justified building an ASIC.
 func TestFleetOrdering(t *testing.T) {
-	register(t)
-	ps, err := Compare(UniformScaleDemand(5e6))
+	ps, err := Compare(UniformScaleDemand(5e6), tpuPerf(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +69,15 @@ func TestFleetOrdering(t *testing.T) {
 // TestVoiceSearchScenario: the origin-story shape — adding a large new
 // MLP-style demand multiplies the CPU fleet but barely registers for TPUs.
 func TestVoiceSearchScenario(t *testing.T) {
-	register(t)
+	ips := tpuPerf(t)
 	base := Demand{"MLP0": 1e6}
 	surge := Demand{"MLP0": 3e6} // voice search triples MLP demand
-	cpuBase, err := ProvisionFor(platform.CPU, base)
+	cpuBase, err := ProvisionFor(platform.CPU, base, ips)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpuSurge, _ := ProvisionFor(platform.CPU, surge)
-	tpuSurge, _ := ProvisionFor(platform.TPU, surge)
+	cpuSurge, _ := ProvisionFor(platform.CPU, surge, ips)
+	tpuSurge, _ := ProvisionFor(platform.TPU, surge, ips)
 	if cpuSurge.Servers < 2.5*cpuBase.Servers {
 		t.Errorf("CPU fleet grew %vx, want ~3x", cpuSurge.Servers/cpuBase.Servers)
 	}
@@ -85,20 +87,16 @@ func TestVoiceSearchScenario(t *testing.T) {
 }
 
 func TestProvisionErrors(t *testing.T) {
-	if _, err := ProvisionFor(platform.TPUPrime, Demand{"MLP0": 1}); err == nil {
+	if _, err := ProvisionFor(platform.TPUPrime, Demand{"MLP0": 1}, nil); err == nil {
 		t.Error("unsupported platform accepted")
 	}
-	old := tpuIPS["MLP0"]
-	delete(tpuIPS, "MLP0")
-	if _, err := ProvisionFor(platform.TPU, Demand{"MLP0": 1}); err == nil {
-		t.Error("unregistered TPU perf accepted")
+	if _, err := ProvisionFor(platform.TPU, Demand{"MLP0": 1}, map[string]float64{"MLP1": 1e5}); err == nil {
+		t.Error("TPU demand without TPU throughput accepted")
 	}
-	tpuIPS["MLP0"] = old
 }
 
 func TestRender(t *testing.T) {
-	register(t)
-	ps, err := Compare(UniformScaleDemand(1e6))
+	ps, err := Compare(UniformScaleDemand(1e6), tpuPerf(t))
 	if err != nil {
 		t.Fatal(err)
 	}
