@@ -5,7 +5,6 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"slices"
-	"sync"
 	"testing"
 
 	"tpusim/internal/compiler"
@@ -161,81 +160,6 @@ func TestServerDevicesAgree(t *testing.T) {
 	})
 }
 
-// TestWeightImageReleasedOnInvalidate: the server holds a model's weight
-// image and Weight Memory region while the model is compiled, and one
-// Invalidate drops the model from every device and frees both.
-func TestWeightImageReleasedOnInvalidate(t *testing.T) {
-	s := newTestServer(t, 2, tpu.DefaultConfig())
-	m, p, in := testModel()
-	for dev := 0; dev < 2; dev++ {
-		if _, err := s.RunOn(dev, m, p, in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := s.WeightImageBytes(), uint64(compiler.WeightFootprint(m, false)); got != want {
-		t.Errorf("the server holds %d B of weight image, want %d", got, want)
-	}
-	s.Invalidate(m.Name)
-	if got := s.WeightImageBytes(); got != 0 {
-		t.Errorf("after Invalidate the server holds %d B of weight image", got)
-	}
-	for _, st := range s.Stats() {
-		if st.ModelsResident != 0 || st.WeightBytesReserved != 0 {
-			t.Errorf("%s after Invalidate: %d models loaded, %d B reserved", st.Device, st.ModelsResident, st.WeightBytesReserved)
-		}
-	}
-}
-
-// TestWeightImagesConcurrentCompileAndInvalidate: cold runs of one model on
-// four devices race Server.Invalidate. Every run answers the reference, and
-// once the model is invalidated for good nothing stays held: no program, no
-// Weight Memory, no loaded model (run with -race).
-func TestWeightImagesConcurrentCompileAndInvalidate(t *testing.T) {
-	s := newTestServer(t, 4, tpu.DefaultConfig())
-	m, p, in := testModel()
-	ref, err := s.RunOn(0, m, p, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Invalidate(m.Name)
-	var wg sync.WaitGroup
-	for dev := range s.drivers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 12; round++ {
-				r, err := s.RunOn(dev, m, p, in)
-				if err != nil {
-					t.Errorf("device %d round %d: %v", dev, round, err)
-					return
-				}
-				if !equalOutputs(r.Output, ref.Output) {
-					t.Errorf("device %d round %d: output differs from the reference", dev, round)
-				}
-				if round%3 == 2 {
-					s.Invalidate(m.Name)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	s.Invalidate(m.Name)
-	s.mu.Lock()
-	programs, next, free := len(s.programs), s.weightNext, len(s.weightFree)
-	s.mu.Unlock()
-	if programs != 0 || next != 0 || free != 0 {
-		t.Errorf("with nothing compiled the server holds %d programs, reserves %d B, lists %d free regions", programs, next, free)
-	}
-	for _, d := range s.drivers {
-		d.mu.Lock()
-		slots := len(d.slots)
-		d.mu.Unlock()
-		if slots != 0 {
-			t.Errorf("%s holds %d models with nothing compiled", d.label, slots)
-		}
-	}
-}
-
 // TestFlipInvisibleToSharingDevice: two devices of a server at the detect
 // tier run one model's program, and a weight flip on device 0 lands in a
 // tile copy of device 0's alone. Device 1 keeps answering the clean
@@ -289,34 +213,6 @@ func TestFlipInvisibleToSharingDevice(t *testing.T) {
 	}
 	if r, err := s.RunOn(0, m, p, in); err != nil || !equalOutputs(r.Output, ref.Output) {
 		t.Fatalf("device 0 after the scrub: err %v, or output differs from the clean reference", err)
-	}
-}
-
-// Invalidate drops a compiled model (e.g. after retraining) from every
-// device and returns its Weight Memory region to the allocator; its
-// ExpectedCycles reads 0 until it compiles again.
-func (s *Server) Invalidate(modelName string) {
-	s.mu.Lock()
-	p := s.programs[modelName]
-	delete(s.programs, modelName)
-	s.mu.Unlock()
-	// A load in flight on a device may finish with the dropped program and
-	// serve its own run; later runs load afresh.
-	for _, d := range s.drivers {
-		d.mu.Lock()
-		delete(d.slots, modelName)
-		d.mu.Unlock()
-	}
-	if p == nil {
-		return
-	}
-	// Resolve the program's once: either the in-flight compile finishes (Do
-	// blocks until then, making p.reg safe to read) or a never-compiled
-	// program is poisoned, so its waiters load afresh instead of using a
-	// half-built artifact.
-	p.once.Do(func() { p.err = errInvalidated })
-	if p.err == nil {
-		s.releaseWeights(p.reg)
 	}
 }
 

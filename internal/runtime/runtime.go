@@ -18,15 +18,13 @@
 //
 // The server is safe for concurrent use: a model compiles once however many
 // goroutines race in cold, and loads once per device; Weight Memory regions
-// are reserved atomically and returned to a free list on compile failure or
-// Invalidate (a test-side method, compile_test.go); and each loaded model's
-// device is serialized independently so different models evaluate in
-// parallel on one TPU.
+// are reserved atomically and returned to a free list on compile failure;
+// and each loaded model's device is serialized independently so different
+// models evaluate in parallel on one TPU.
 package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -51,10 +49,6 @@ type region struct {
 // into a live trace, so a single giant program cannot evict every other
 // span from the tracer's bounded ring.
 const maxDeviceSpans = 1024
-
-// errInvalidated fails a compile that an Invalidate (compile_test.go)
-// resolved before it started; the run that wanted it loads the model afresh.
-var errInvalidated = errors.New("runtime: model invalidated")
 
 // program is the server's one compile of a model. once single-flights it:
 // the first goroutine to need the model compiles inside once.Do while every
@@ -281,30 +275,25 @@ func expectedCycles(cfg tpu.Config, p *isa.Program) int64 {
 }
 
 // resident returns the device's slot for m, loading the model on first use.
-// A load whose compile an Invalidate resolved first is retried afresh.
 func (d *Driver) resident(ctx context.Context, m *nn.Model, params *nn.Params, in *tensor.F32) (sl *slot, cached bool, err error) {
-	for {
-		d.mu.Lock()
-		sl, cached = d.slots[m.Name]
-		if !cached {
-			sl = &slot{runSem: make(chan struct{}, 1)}
-			d.slots[m.Name] = sl
-		}
-		d.mu.Unlock()
-		sl.once.Do(func() { sl.err = d.load(ctx, sl, m, params, in) })
-		if sl.err == nil {
-			return sl, cached, nil
-		}
+	d.mu.Lock()
+	sl, cached = d.slots[m.Name]
+	if !cached {
+		sl = &slot{runSem: make(chan struct{}, 1)}
+		d.slots[m.Name] = sl
+	}
+	d.mu.Unlock()
+	sl.once.Do(func() { sl.err = d.load(ctx, sl, m, params, in) })
+	if sl.err != nil {
 		// Drop the poisoned slot so a later evaluation can retry.
 		d.mu.Lock()
 		if d.slots[m.Name] == sl {
 			delete(d.slots, m.Name)
 		}
 		d.mu.Unlock()
-		if !errors.Is(sl.err, errInvalidated) {
-			return nil, false, sl.err
-		}
+		return nil, false, sl.err
 	}
+	return sl, cached, nil
 }
 
 // load is the device's slow path for a model: take the server's program,
@@ -521,9 +510,9 @@ type Server struct {
 	// weightNext is the next free tile-aligned Weight Memory offset; each
 	// compiled model gets its own region, at the same base on every device,
 	// so many stay resident at once ("8 GiB supports many simultaneously
-	// active models"). weightFree holds regions returned by failed compiles
-	// and Invalidate, reused first-fit so a compile failure never leaks
-	// Weight Memory.
+	// active models"). weightFree holds regions returned by failed
+	// compiles, reused first-fit so a compile failure never leaks Weight
+	// Memory.
 	weightNext uint64
 	weightFree []region
 

@@ -93,35 +93,6 @@ func TestDriverOutputMatchesReference(t *testing.T) {
 	}
 }
 
-func TestDriverInvalidate(t *testing.T) {
-	s := newTestServer(t, 1, tpu.DefaultConfig())
-	m, p, in := testModel()
-	if _, err := s.Run(m, p, in); err != nil {
-		t.Fatal(err)
-	}
-	cycles := s.ExpectedCycles(m.Name)
-	if cycles <= 0 {
-		t.Fatalf("ExpectedCycles = %d after a compile, want > 0", cycles)
-	}
-	s.Invalidate(m.Name)
-	if got := s.ExpectedCycles(m.Name); got != 0 {
-		t.Errorf("ExpectedCycles = %d after Invalidate, want 0 (not compiled)", got)
-	}
-	r, err := s.Run(m, p, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cached {
-		t.Error("run after invalidation should recompile")
-	}
-	if n := compilations(s); n != 2 {
-		t.Errorf("compilations = %d, want 2", n)
-	}
-	if got := s.ExpectedCycles(m.Name); got != cycles {
-		t.Errorf("ExpectedCycles = %d after recompiling, want %d", got, cycles)
-	}
-}
-
 func TestDriverRejectsInvalidModel(t *testing.T) {
 	s := newTestServer(t, 1, tpu.DefaultConfig())
 	bad := &nn.Model{Name: "bad"}
