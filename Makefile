@@ -175,12 +175,23 @@ loc:
 	done; \
 	printf '%6d total\n' $$(cat $$(ls internal/*/*.go | grep -v _test.go) | wc -l)
 
+# The four -race smokes below select tests by name too, so each pattern
+# passes the gates' "names a test" check first: a renamed or deleted test
+# cannot leave an alternative that silently runs nothing.
+# $(call race-run,pkg,pattern[,timeout]) checks the names, then runs the
+# tests under -race.
+define race-run
+	$(call gate-names,$(1),$(2))
+	$(GO) test -race -count=1$(if $(3), -timeout $(3)) $(1) -run '$(2)'
+endef
+
 # Observability smoke, race-enabled: boots the ops HTTP endpoint on a
 # random port, scrapes /metrics and /healthz, validates the exported trace
-# JSON parses, and runs the end-to-end serve->runtime->device span test.
+# JSON parses, runs the end-to-end serve->runtime->device span test, and
+# checks the serve log line of every request fate.
 obs-smoke:
-	$(GO) test -race -count=1 ./internal/obs -run 'TestOps'
-	$(GO) test -race -count=1 ./internal/serve -run 'TestSubmitSpanTree|TestOpsServesServeMetrics'
+	$(call race-run,./internal/obs,TestOps)
+	$(call race-run,./internal/serve,TestSubmitSpanTree|TestOpsServesServeMetrics|TestServerLogLines)
 
 # Chaos smoke, race-enabled and bounded: the seeded fault injector's
 # determinism contract, the runtime's failover/quarantine/hedging paths,
@@ -189,9 +200,9 @@ obs-smoke:
 # bounds).
 chaos-smoke:
 	$(GO) test -race -count=1 -timeout 300s ./internal/fault
-	$(GO) test -race -count=1 -timeout 300s ./internal/runtime -run 'TestFailover|TestQuarantine|TestTransientRetries|TestHedge|TestChaosDeterminism'
-	$(GO) test -race -count=1 -timeout 300s ./internal/serve -run 'TestBreaker|TestServerBreaker|TestServerBrownout|TestServerErroringBackend'
-	$(GO) test -race -count=1 -timeout 600s ./internal/experiments -run 'TestChaos'
+	$(call race-run,./internal/runtime,TestFailover|TestQuarantine|TestTransientRetries|TestHedge|TestChaosDeterminism,300s)
+	$(call race-run,./internal/serve,TestBreaker|TestServerBreaker|TestServerBrownout|TestServerErroringBackend,300s)
+	$(call race-run,./internal/experiments,TestChaos,600s)
 
 # Integrity smoke, race-enabled: the ABFT algebra (clean/single/double
 # flip properties and the fuzz seed corpus), the CRC/parity guard units
@@ -203,27 +214,28 @@ chaos-smoke:
 # detect+correct bit-exact).
 integrity-smoke:
 	$(GO) test -race -count=1 -timeout 300s ./internal/integrity ./internal/pcie
-	$(GO) test -race -count=1 -timeout 300s ./internal/systolic -run 'TestABFT|FuzzChecksumVerify'
-	$(GO) test -race -count=1 -timeout 300s ./internal/memory -run 'TestSidecar|TestUBGuard|TestAccumulatorParity|TestGuardedWeights'
-	$(GO) test -race -count=1 -timeout 300s ./internal/fault -run 'TestFlip|TestParsePlanFlipKinds'
-	$(GO) test -race -count=1 -timeout 300s ./internal/runtime -run 'TestDetectTier|TestCorrectTier|TestRepeatedSDC|TestCrossCheckOnCorrectTier|TestBackgroundScrubber|TestIntegrityTier'
-	$(GO) test -race -count=1 -timeout 300s ./internal/serve -run 'TestCloseDrainsQueuedRequests'
-	$(GO) test -race -count=1 -timeout 600s ./internal/experiments -run 'TestSDC'
+	$(call race-run,./internal/systolic,TestABFT|FuzzChecksumVerify,300s)
+	$(call race-run,./internal/memory,TestSidecar|TestUBGuard|TestAccumulatorParity|TestGuardedWeights,300s)
+	$(call race-run,./internal/fault,TestFlip|TestParsePlanFlipKinds,300s)
+	$(call race-run,./internal/runtime,TestDetectTier|TestCorrectTier|TestRepeatedSDC|TestCrossCheckOnCorrectTier|TestBackgroundScrubber|TestIntegrityTier,300s)
+	$(call race-run,./internal/serve,TestCloseDrainsQueuedRequests,300s)
+	$(call race-run,./internal/experiments,TestSDC,600s)
 
 # Cluster smoke, race-enabled, each package once: the discrete-event core;
-# all of internal/cluster — routing properties and the concurrent router
-# churn test, golden snapshots and replay determinism, cross-host failover
-# and the autoscaler ramp, the failure model (revive, partitions, zone
-# kills, flapping and degraded hosts) with its retry-storm defenses and
-# plan parser, the rollout controller (cordon, graceful drain and deadline
-# failover, canary verdicts, waves, auto-rollback, chaos pause), and the
-# telemetry contracts (zero-alloc when off, passive when on, registry =
-# simulator books, concurrent scrape); then the three end-to-end campaigns
-# with their determinism twins — the eight-host ramp with a mid-ramp kill,
-# the zone kill at 75% load, and the bad-v2 / good-v2 rollout.
+# all of internal/cluster — routing properties and the router against its
+# eager oracle, golden snapshots and replay determinism, cross-host
+# failover and the autoscaler ramp, the failure model (revive, partitions,
+# zone kills, flapping and degraded hosts) with its retry-storm defenses
+# and plan parser, the rollout controller (cordon, graceful drain and
+# deadline failover, canary verdicts, waves, auto-rollback, chaos pause),
+# and the telemetry contracts (zero-alloc when off, passive when on,
+# registry = simulator books, concurrent scrape); then the three
+# end-to-end campaigns with their determinism twins — the eight-host ramp
+# with a mid-ramp kill, the zone kill at 75% load, and the bad-v2 / good-v2
+# rollout.
 cluster-smoke:
 	$(GO) test -race -count=1 -timeout 300s ./internal/des ./internal/cluster
-	$(GO) test -race -count=1 -timeout 900s ./internal/experiments -run 'TestCluster|TestRollout'
+	$(call race-run,./internal/experiments,TestCluster|TestRollout,900s)
 
 # Report smoke: build the CLI, run the seeded acceptance-default cluster
 # ramp, zone-kill campaign and rollout campaign, and diff the saturation
