@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"context"
 	"log/slog"
-	"time"
 
 	"tpusim/internal/obs"
 	"tpusim/internal/tensor"
@@ -33,7 +31,7 @@ const (
 )
 
 // event is one lifecycle transition of a lane, built on the stack and
-// handed to Server.emit, its one consumer.
+// handed to Server.emit (server.go), its one consumer.
 type event struct {
 	kind eventKind
 	// call is the request an admission event admits or refuses, and admit
@@ -71,81 +69,4 @@ var kinds = [numKinds]struct {
 	evServed:       {outcome: "ok", level: slog.LevelDebug, msg: "request served"},
 	evFailed:       {outcome: "error", level: slog.LevelError, msg: "request failed"},
 	evBreaker:      {level: slog.LevelWarn, msg: "breaker transition"},
-}
-
-// emit is the one consumer of lane events: it folds e into the model's
-// metrics, writes its log lines, ends the spans it settles and answers the
-// requests it settles. Admissions and takes arrive under the lane lock,
-// which keeps the queue-depth gauge in queue order; the rest without it.
-func (s *Server) emit(l *lane, e event) {
-	l.mm.record(&e)
-	k := &kinds[e.kind]
-	switch e.kind {
-	case evAdmitted:
-		if e.admit.Recording() {
-			e.admit.SetAttr(obs.String("outcome", k.outcome), obs.Int("queue_depth", e.depth))
-			e.admit.End()
-		}
-	case evShedQueue, evShedBrownout, evShedBreaker, evClosed:
-		// The refused request's queue span is dropped unemitted.
-		s.log(l, &e, e.call)
-		for _, sp := range [...]*obs.Span{e.admit, e.call.span} {
-			if sp.Recording() {
-				sp.SetAttr(obs.String("outcome", k.outcome))
-				sp.End()
-			}
-		}
-	case evExpired, evServed, evFailed:
-		err := e.err
-		if err == nil {
-			err = k.err
-		}
-		for i, c := range e.calls {
-			s.log(l, &e, c)
-			d := callDone{err: err, kind: e.kind}
-			if e.kind == evServed {
-				d.resp = Response{Output: e.outputs[i], BatchSize: len(e.calls),
-					Latency: time.Duration((e.at - c.arrived) * float64(time.Second))}
-			}
-			c.done <- d
-		}
-	case evBreaker:
-		s.log(l, &e, nil)
-		if s.tracer != nil {
-			_, sp := s.tracer.StartRoot(context.Background(), "breaker-transition",
-				l.laneTrack, obs.String("model", l.model),
-				obs.String("from", e.from.String()), obs.String("to", e.to.String()))
-			sp.End()
-		}
-	}
-}
-
-// log writes e's log line about request c (nil for a lane event): the one
-// place the server calls its logger.
-func (s *Server) log(l *lane, e *event, c *call) {
-	k := &kinds[e.kind]
-	if s.logger == nil || k.msg == "" || !s.logger.Enabled(context.Background(), k.level) {
-		return
-	}
-	args := []any{"model", l.model}
-	if c != nil {
-		args = append(args, "request_id", obs.RequestID(c.id))
-	}
-	switch e.kind {
-	case evShedQueue:
-		args = append(args, "reason", "queue_full", "queue_limit", l.q.Limit)
-	case evShedBrownout:
-		args = append(args, "reason", "brownout", "breaker", BreakerBrownout.String())
-	case evShedBreaker:
-		args = append(args, "reason", "breaker_open", "breaker", BreakerOpen.String())
-	case evExpired:
-		args = append(args, "reason", "deadline")
-	case evServed:
-		args = append(args, "latency_ms", (e.at-c.arrived)*1e3, "batch", len(e.calls))
-	case evFailed:
-		args = append(args, "error", e.err)
-	case evBreaker:
-		args = append(args, "from", e.from.String(), "to", e.to.String())
-	}
-	s.logger.Log(context.Background(), k.level, k.msg, args...)
 }
