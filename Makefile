@@ -194,13 +194,14 @@ obs-smoke:
 	$(call race-run,./internal/serve,TestSubmitSpanTree|TestOpsServesServeMetrics|TestServerLogLines)
 
 # Chaos smoke, race-enabled and bounded: the seeded fault injector's
-# determinism contract, the runtime's failover/quarantine/hedging paths,
+# determinism contract, the runtime's failover/quarantine/hedging paths
+# (RunAll's included) and its sinks read under a concurrent Observe,
 # the serve layer's circuit breaker, and the end-to-end chaos sweep (1
 # dead + 1 throttled device of 4 under load; per-app error and p99
 # bounds).
 chaos-smoke:
 	$(GO) test -race -count=1 -timeout 300s ./internal/fault
-	$(call race-run,./internal/runtime,TestFailover|TestQuarantine|TestTransientRetries|TestHedge|TestChaosDeterminism,300s)
+	$(call race-run,./internal/runtime,TestFailover|TestQuarantine|TestTransientRetries|TestHedge|TestChaosDeterminism|TestRunAll|TestObserveDuringScrub,300s)
 	$(call race-run,./internal/serve,TestBreaker|TestServerBreaker|TestServerBrownout|TestServerErroringBackend,300s)
 	$(call race-run,./internal/experiments,TestChaos,600s)
 

@@ -96,14 +96,15 @@ type methodDecl struct {
 }
 
 // unnamedAPI parses every non-test .go file of fsys, the root of module, and
-// returns, sorted, the keys of the exported functions, methods and types of
-// internal/ packages that no non-test file names outside their own
-// declaration (for a type: outside its declaration and its own methods).
+// returns, sorted, the keys of the exported functions, methods, types, vars
+// and consts of internal/ packages that no non-test file names outside their
+// own declaration (for a type: outside its declaration and its own methods).
 // A package-level name counts where pkg.Name appears outside its package and
 // where Name appears inside it. Without type information a method counts
 // wherever .Name appears in its own package or in one that imports it,
-// directly or not: any static call needs the receiver's type in scope, so
-// only a call through an interface declared elsewhere goes unseen.
+// directly or not, unless it selects from an imported package's name: any
+// static call needs the receiver's type in scope, so only a call through an
+// interface declared elsewhere goes unseen.
 func unnamedAPI(fsys fs.FS, module string) ([]string, error) {
 	pkgs, err := parseModule(fsys)
 	if err != nil {
@@ -119,19 +120,18 @@ func unnamedAPI(fsys fs.FS, module string) ([]string, error) {
 		short, internal := strings.CutPrefix(pdir, "internal/")
 		imports[pdir] = map[string]bool{}
 		for _, f := range files {
-			importDirs := map[string]string{} // local name -> module directory
+			importDirs := map[string]string{} // local name -> module directory, "" outside the module
 			for _, imp := range f.Imports {
 				ipath, _ := strconv.Unquote(imp.Path.Value)
-				dir, ok := strings.CutPrefix(ipath, module+"/")
-				if !ok {
-					continue
-				}
 				name := path.Base(ipath)
 				if imp.Name != nil {
 					name = imp.Name.Name
 				}
+				dir, ok := strings.CutPrefix(ipath, module+"/")
 				importDirs[name] = dir
-				imports[pdir][dir] = true
+				if ok {
+					imports[pdir][dir] = true
+				}
 			}
 			for _, d := range f.Decls {
 				// References inside d do not name the keys it declares: in.
@@ -154,12 +154,19 @@ func unnamedAPI(fsys fs.FS, module string) ([]string, error) {
 						declared[key] = true
 					}
 				case *ast.GenDecl:
+					var names []*ast.Ident
 					for _, s := range d.Specs {
-						if ts, ok := s.(*ast.TypeSpec); ok {
-							in = append(in, short+"."+ts.Name.Name)
-							if internal && ts.Name.IsExported() {
-								declared[short+"."+ts.Name.Name] = true
-							}
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							names = append(names, s.Name)
+						case *ast.ValueSpec:
+							names = append(names, s.Names...)
+						}
+					}
+					for _, name := range names {
+						in = append(in, short+"."+name.Name)
+						if internal && name.IsExported() {
+							declared[short+"."+name.Name] = true
 						}
 					}
 				}
@@ -169,8 +176,10 @@ func unnamedAPI(fsys fs.FS, module string) ([]string, error) {
 					} else if dir, ok := strings.CutPrefix(importDirs[pkgName], "internal/"); ok {
 						named[dir+"."+name] = true
 					}
-				}, func(name string) {
-					uses[methodUse{pdir, name, method}] = true
+				}, func(x, name string) {
+					if _, imported := importDirs[x]; !imported {
+						uses[methodUse{pdir, name, method}] = true
+					}
 				})
 			}
 		}
@@ -264,20 +273,21 @@ func receiverType(e ast.Expr) string {
 
 // walkNames reports every name node n refers to: pkg.Name selectors on an
 // identifier as ref(pkg, Name), bare identifiers as ref("", Name) and every
-// other selector as method(Name). Declared names — of the function, its
-// receiver and parameters, types, struct fields and composite-literal keys —
-// are not references.
-func walkNames(n ast.Node, ref func(pkg, name string), method func(name string)) {
+// selector as method(x, Name), x the identifier it selects from or "".
+// Declared names — of the function, its receiver and parameters, types,
+// struct fields and composite-literal keys — are not references.
+func walkNames(n ast.Node, ref func(pkg, name string), method func(x, name string)) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.SelectorExpr:
 			if id, ok := x.X.(*ast.Ident); ok {
 				ref(id.Name, x.Sel.Name)
 				ref("", id.Name)
+				method(id.Name, x.Sel.Name)
 			} else {
 				walkNames(x.X, ref, method)
+				method("", x.Sel.Name)
 			}
-			method(x.Sel.Name)
 			return false
 		case *ast.Ident:
 			ref("", x.Name)
@@ -310,16 +320,17 @@ func walkNames(n ast.Node, ref func(pkg, name string), method func(name string))
 	})
 }
 
-func walkFields(fl *ast.FieldList, ref func(pkg, name string), method func(name string)) {
+func walkFields(fl *ast.FieldList, ref func(pkg, name string), method func(x, name string)) {
 	for _, f := range fl.List {
 		walkNames(f.Type, ref, method)
 	}
 }
 
-// TestCallerScanFixture runs the scan on a small module: a function only a
-// _test.go calls is flagged, a caller in bench/ counts, a method counts in a
-// package that imports its own only indirectly, an allowlisted name passes,
-// and a row that excuses nothing — its function gone, or called now — is
+// TestCallerScanFixture runs the scan on a small module: a function, const
+// or var only a _test.go names is flagged, a caller in bench/ counts, a
+// method counts in a package that imports its own only indirectly but not
+// where a package-qualified name spells it, an allowlisted name passes, and
+// a row that excuses nothing — its function gone, or called now — is
 // flagged.
 func TestCallerScanFixture(t *testing.T) {
 	src := func(s string) *fstest.MapFile { return &fstest.MapFile{Data: []byte(s)} }
@@ -327,10 +338,16 @@ func TestCallerScanFixture(t *testing.T) {
 		"internal/a/a.go": src(`package a
 
 type T struct{}
+type Widget struct{}
+
+const Size, Limit = 4, 8
+
+var Registry = map[string]int{}
 
 func New() *T { return &T{} }
 func (t *T) Self() *T { return t.Self() }
 func (t *T) Chained() {}
+func (t *T) Widget() {}
 func OnlyTested() {}
 func Benched() {}
 func Allowed() {}
@@ -338,13 +355,13 @@ func Used() {}
 `),
 		"internal/a/a_test.go": src(`package a
 
-func use() { OnlyTested(); Allowed(); New().Self() }
+func use() { OnlyTested(); Allowed(); New().Self(); _ = Limit + Registry["x"] }
 `),
 		"internal/b/b.go": src(`package b
 
 import "m/internal/a"
 
-func Make() *a.T { return a.New() }
+func Make() *a.T { _ = a.Widget{}; return a.New() }
 `),
 		"bench/main.go": src(`package main
 
@@ -356,7 +373,7 @@ func main() { a.Benched() }
 
 import alias "m/internal/a"
 
-func main() { alias.Used() }
+func main() { alias.Used(); _ = alias.Size }
 `),
 		"cmd/d/main.go": src(`package main
 
@@ -370,8 +387,9 @@ func main() { b.Make().Chained() }
 		t.Fatal(err)
 	}
 	// Self calls only itself; cmd/d reaches Chained through b, which
-	// imports a.
-	if want := []string{"a.Allowed", "a.OnlyTested", "a.T.Self"}; !slices.Equal(unnamed, want) {
+	// imports a; b's a.Widget names the type, not the method; the
+	// declaration of Size and Limit names neither.
+	if want := []string{"a.Allowed", "a.Limit", "a.OnlyTested", "a.Registry", "a.T.Self", "a.T.Widget"}; !slices.Equal(unnamed, want) {
 		t.Fatalf("unnamed %v, want %v", unnamed, want)
 	}
 
@@ -381,7 +399,11 @@ func main() { b.Make().Chained() }
 		"a.Used":    "called by cmd/c now",
 		"a.Gone":    "deleted",
 	})
-	want := []string{"a.OnlyTested has no non-test caller", "allowlist row a.Gone excuses nothing", "allowlist row a.Used excuses nothing"}
+	want := []string{
+		"a.Limit has no non-test caller", "a.OnlyTested has no non-test caller",
+		"a.Registry has no non-test caller", "a.T.Widget has no non-test caller",
+		"allowlist row a.Gone excuses nothing", "allowlist row a.Used excuses nothing",
+	}
 	if len(got) != len(want) {
 		t.Fatalf("problems %q, want %d", got, len(want))
 	}

@@ -109,7 +109,7 @@ type ChaosApp struct {
 type ChaosPass struct {
 	Apps         []ChaosApp
 	Stats        runtime.ResilienceStats
-	Health       []runtime.DeviceHealth
+	Health       []runtime.DriverStats
 	FaultSummary string
 	// Events is each device's injected-fault log (chaotic pass only). The
 	// sequence is a pure function of the plan seed and the device's run
@@ -327,7 +327,7 @@ func chaosPass(cfg ChaosConfig, names []string, res runtime.Resilience, chaotic 
 
 	pass := &ChaosPass{
 		Stats:       rs.ResilienceStats(),
-		Health:      rs.Health(),
+		Health:      rs.Stats(),
 		WallSeconds: wall,
 	}
 	if chaotic {
@@ -388,7 +388,7 @@ func RenderChaos(r *ChaosResult) string {
 	fmt.Fprintf(&b, "\nresilience: retries %d, failovers %d, hedges %d (wins %d), attempt timeouts %d\n",
 		st.Retries, st.Failovers, st.Hedges, st.HedgeWins, st.AttemptTimeouts)
 	for _, h := range r.Chaos.Health {
-		fmt.Fprintf(&b, "%s: %s (failures %d, successes %d, probes %d", h.Device, h.State, h.Failures, h.Successes, h.Probes)
+		fmt.Fprintf(&b, "%s: %s (failures %d, successes %d, probes %d", h.Device, h.State, h.Failures, h.Runs, h.Probes)
 		if h.LastError != "" {
 			fmt.Fprintf(&b, ", last error %q", h.LastError)
 		}

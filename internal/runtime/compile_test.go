@@ -126,7 +126,7 @@ func TestServerDevicesAgree(t *testing.T) {
 		if n := s.ResilienceStats().CrossCheckMismatches; n != 0 {
 			t.Errorf("%d cross-check mismatches on a fault-free server", n)
 		}
-		for _, h := range s.Health() {
+		for _, h := range s.Stats() {
 			if h.Transitions != 0 {
 				t.Errorf("%s made %d health transitions (%s): %s", h.Device, h.Transitions, h.State, h.LastError)
 			}

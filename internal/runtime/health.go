@@ -10,9 +10,7 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"tpusim/internal/obs"
@@ -104,12 +102,14 @@ func (r *Resilience) maxAttempts() int {
 	return r.MaxAttempts
 }
 
+// probeEvery is the quarantine probe interval, 0 when probing is off. A
+// server without a policy (nil r) probes at the default interval.
 func (r *Resilience) probeEvery() time.Duration {
 	switch {
+	case r == nil || r.ProbeEvery == 0:
+		return 100 * time.Millisecond
 	case r.ProbeEvery < 0:
 		return 0
-	case r.ProbeEvery == 0:
-		return 100 * time.Millisecond
 	}
 	return r.ProbeEvery
 }
@@ -131,85 +131,39 @@ func (r *Resilience) hedgeFactor() float64 {
 	return r.HedgeAfterP99
 }
 
-// deviceHealth is one device's health record.
-type deviceHealth struct {
-	mu          sync.Mutex
-	state       HealthState
-	consecFail  int
-	lastErr     string
-	transitions int64
-	failures    int64
-	successes   int64
-	probes      int64
-	probeFails  int64
-	probeArmed  bool
-}
-
-// recordOutcome feeds a run outcome into the device's health record (and,
-// on success, the wall-latency learner). It is the single health entry
-// point for both the raw and resilient paths. Request-level cancellation
-// is not the device's fault and leaves the health record untouched; the
-// resilient path accounts its per-attempt timeouts explicitly.
-func (s *Server) recordOutcome(dev int, model string, r *InferenceResult, err error) {
-	if err == nil {
-		if r != nil {
-			s.observeWall(model, r)
-		}
-		s.recordSuccess(dev)
-		return
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return
-	}
-	s.recordFailure(dev, err)
-}
-
-// recordSuccess moves a device toward Healthy.
-func (s *Server) recordSuccess(dev int) {
-	h := s.health[dev]
-	h.mu.Lock()
-	h.successes++
-	h.consecFail = 0
-	from := h.state
-	if h.state != Healthy {
-		h.state = Healthy
-		h.transitions++
-	}
-	h.mu.Unlock()
-	if from != Healthy {
-		s.emitTransition(dev, from, Healthy, "success")
-	}
+// recordSuccess folds a successful batch into its device's record: the run
+// counters and the move toward Healthy in one critical section.
+func (s *Server) recordSuccess(dev int, r *InferenceResult) {
+	s.transition(dev, "success", func(d *Driver) HealthState {
+		d.runs++
+		d.cycles += r.Counters.Cycles
+		d.matrixActive += r.Counters.MatrixActive
+		d.deviceSeconds += r.DeviceSeconds
+		d.consecFail = 0
+		return Healthy
+	})
 }
 
 // recordFailure moves a device toward Quarantined and arms the background
 // probe when it gets there.
 func (s *Server) recordFailure(dev int, err error) {
-	h := s.health[dev]
-	h.mu.Lock()
-	h.failures++
-	h.consecFail++
-	h.lastErr = err.Error()
-	from := h.state
-	to := from
-	switch {
-	case h.consecFail >= quarantineAfter:
-		to = Quarantined
-	case from == Healthy:
-		to = Degraded
-	}
-	changed := to != from
-	if changed {
-		h.state = to
-		h.transitions++
-	}
-	arm := to == Quarantined && !h.probeArmed
-	if arm {
-		h.probeArmed = true
-	}
-	h.mu.Unlock()
-	if changed {
-		s.emitTransition(dev, from, to, err.Error())
-	}
+	why := err.Error()
+	arm := false
+	s.transition(dev, why, func(d *Driver) HealthState {
+		d.failures++
+		d.consecFail++
+		d.lastErr = why
+		to := d.state
+		switch {
+		case d.consecFail >= quarantineAfter:
+			to = Quarantined
+		case to == Healthy:
+			to = Degraded
+		}
+		arm = to == Quarantined && !d.probeArmed && s.res.probeEvery() > 0
+		d.probeArmed = d.probeArmed || arm
+		return to
+	})
 	if arm {
 		s.armProbe(dev)
 	}
@@ -217,17 +171,7 @@ func (s *Server) recordFailure(dev int, err error) {
 
 // armProbe schedules the next background probe of a quarantined device.
 func (s *Server) armProbe(dev int) {
-	var every time.Duration = 100 * time.Millisecond
-	if s.res != nil {
-		every = s.res.probeEvery()
-	}
-	if every <= 0 {
-		s.health[dev].mu.Lock()
-		s.health[dev].probeArmed = false
-		s.health[dev].mu.Unlock()
-		return
-	}
-	time.AfterFunc(every, func() { s.probeDevice(dev) })
+	time.AfterFunc(s.res.probeEvery(), func() { s.probeDevice(dev) })
 }
 
 // probeDevice runs one health probe against a quarantined device,
@@ -238,64 +182,74 @@ func (s *Server) probeDevice(dev int) {
 		return
 	default:
 	}
-	h := s.health[dev]
-	h.mu.Lock()
-	if h.state != Quarantined {
-		h.probeArmed = false
-		h.mu.Unlock()
+	d := s.drivers[dev]
+	d.mu.Lock()
+	if d.state != Quarantined {
+		d.probeArmed = false
+		d.mu.Unlock()
 		return
 	}
-	h.probes++
-	h.mu.Unlock()
+	d.probes++
+	d.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	err := s.drivers[dev].Probe(ctx)
+	err := d.Probe(ctx)
 	cancel()
 
-	h.mu.Lock()
 	if err != nil {
-		h.probeFails++
-		h.lastErr = err.Error()
-		h.mu.Unlock()
+		d.mu.Lock()
+		d.probeFails++
+		d.lastErr = err.Error()
+		d.mu.Unlock()
 		s.armProbe(dev) // stay quarantined, keep probing
 		return
 	}
-	from := h.state
-	h.state = Degraded
-	h.consecFail = 0
-	h.transitions++
-	h.probeArmed = false
-	h.mu.Unlock()
-	s.emitTransition(dev, from, Degraded, "probe ok")
+	s.transition(dev, "probe ok", func(d *Driver) HealthState {
+		d.consecFail = 0
+		d.probeArmed = false
+		return Degraded
+	})
 }
 
-// DeviceState returns a device's current health state.
-func (s *Server) DeviceState(dev int) HealthState {
-	h := s.health[dev]
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state
-}
-
-// emitTransition logs a health transition and drops an instantaneous span
-// on the device's health track when a tracer is attached.
-func (s *Server) emitTransition(dev int, from, to HealthState, why string) {
-	s.mu.Lock()
-	tracer, logger := s.tracer, s.logger
-	s.mu.Unlock()
+// transition applies f to device dev's record under its driver's mu and
+// moves the device to the state f returns. It is the one place a health
+// transition is written: a change bumps the device's transition count, is
+// logged, and drops an instantaneous span on the device's track when a
+// tracer is attached.
+func (s *Server) transition(dev int, why string, f func(d *Driver) HealthState) {
+	d := s.drivers[dev]
+	d.mu.Lock()
+	from := d.state
+	to := f(d)
+	if to != from {
+		d.state = to
+		d.transitions++
+	}
+	d.mu.Unlock()
+	if to == from {
+		return
+	}
+	tracer, logger := s.sinks()
 	if logger != nil {
 		logger.Warn("device health transition",
 			"device", dev, "from", from.String(), "to", to.String(), "why", why)
 	}
 	if tracer != nil {
-		_, sp := tracer.StartRoot(context.Background(), "health-transition",
-			s.drivers[dev].label,
+		_, sp := tracer.StartRoot(context.Background(), "health-transition", d.label,
 			obs.Int("device", dev),
 			obs.String("from", from.String()),
 			obs.String("to", to.String()),
 			obs.String("why", why))
 		sp.End()
 	}
+}
+
+// DeviceState returns a device's current health state.
+func (s *Server) DeviceState(dev int) HealthState {
+	d := s.drivers[dev]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.state
 }
 
 // pickDevice chooses a device for the next attempt: the preferred device if
@@ -312,10 +266,7 @@ func (s *Server) pickDevice(preferred int, excluded map[int]bool) (int, bool) {
 		eligible(preferred) && state(preferred) != Quarantined {
 		return preferred, true
 	}
-	s.mu.Lock()
-	start := s.next
-	s.next = (s.next + 1) % len(s.drivers)
-	s.mu.Unlock()
+	start := s.nextDevice()
 	best, bestState := -1, Quarantined+1
 	for k := 0; k < len(s.drivers); k++ {
 		i := (start + k) % len(s.drivers)

@@ -84,7 +84,8 @@ func (s *Server) Scrub(ctx context.Context) (scanned, repaired int) {
 func (s *Server) scrubOnSDC(ctx context.Context, dev int) {
 	_, repaired := s.drivers[dev].Scrub(ctx)
 	if repaired > 0 {
-		s.logger.Info("integrity scrub repaired weight tiles",
+		_, logger := s.sinks()
+		logger.Info("integrity scrub repaired weight tiles",
 			"device", s.drivers[dev].label, "tiles", repaired)
 	}
 }

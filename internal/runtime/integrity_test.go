@@ -2,6 +2,9 @@ package runtime
 
 import (
 	"context"
+	"io"
+	"log/slog"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,6 +74,48 @@ func TestDetectTierScrubsAndRetries(t *testing.T) {
 	}
 }
 
+// TestObserveDuringScrub: re-pointing the server's sinks while a detect-tier
+// run scrubs a flipped weight tile and logs the repair is race-free (run it
+// under -race).
+func TestObserveDuringScrub(t *testing.T) {
+	s := newChaosServer(t, 1, fault.Plan{Seed: 2},
+		&Resilience{Integrity: tpu.IntegrityDetect, ProbeEvery: -1})
+	m, p, in := testModel()
+	ctx := context.Background()
+	if _, err := s.RunCtx(ctx, m, p, in); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 4; k++ {
+		if err := s.Injectors()[0].FlipOnce(fault.KindFlipWeights, 100+k*37, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				s.Observe(nil, logger)
+			}
+		}
+	}()
+	_, err := s.RunCtx(ctx, m, p, in)
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("detect-tier run did not recover: %v", err)
+	}
+	if st := s.IntegrityStats(); st.ScrubRepairs == 0 {
+		t.Errorf("scrub-on-SDC repaired nothing, so logged nothing: %+v", st)
+	}
+}
+
 // TestCorrectTierRepairsInPlace: at detect+correct, PE and weight flips are
 // repaired on-device — the request succeeds on the first attempt with a
 // bit-exact output and no retries.
@@ -136,7 +181,7 @@ func TestRepeatedSDCWalksHealthMachine(t *testing.T) {
 	if got := s.DeviceState(0); got == Healthy {
 		t.Errorf("device 0 still healthy after repeated SDC, state=%v", got)
 	}
-	h := s.Health()
+	h := s.Stats()
 	if h[0].Failures < 3 {
 		t.Errorf("device 0 records %d failures, want >= 3", h[0].Failures)
 	}

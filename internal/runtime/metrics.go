@@ -7,10 +7,11 @@ import (
 	"tpusim/internal/tpu"
 )
 
-// DriverStats is one device's lifetime accounting, the material behind the
-// per-device gauges on the ops endpoint. Utilization here is the Table 3
-// headline ratio — matrix-unit active cycles over total cycles — computed
-// over everything the device has run since creation.
+// DriverStats is a snapshot of one device's record: its lifetime accounting
+// and health, the material behind the per-device gauges on the ops endpoint.
+// Utilization here is the Table 3 headline ratio — matrix-unit active cycles
+// over total cycles — computed over everything the device has run since
+// creation.
 type DriverStats struct {
 	// Device is the telemetry label ("tpu0".."tpu3" on a server).
 	Device string
@@ -34,6 +35,18 @@ type DriverStats struct {
 	// loaded model's device on this driver: checks executed, corruption
 	// detected/corrected, rows recomputed, scrub repairs.
 	Integrity tpu.IntegrityStats
+	// State is the current health state.
+	State HealthState
+	// ConsecutiveFailures is the current failure streak.
+	ConsecutiveFailures int
+	// Transitions counts health state changes since creation.
+	Transitions int64
+	// Failures counts failed run attempts charged to the device.
+	Failures int64
+	// Probes and ProbeFailures count quarantine probes.
+	Probes, ProbeFailures int64
+	// LastError is the most recent failure message, "" when none.
+	LastError string
 }
 
 // MatrixUtilization is lifetime matrix-active cycles / total cycles.
@@ -44,7 +57,7 @@ func (st DriverStats) MatrixUtilization() float64 {
 	return float64(st.MatrixActive) / float64(st.Cycles)
 }
 
-// Stats snapshots the driver's lifetime accounting.
+// Stats snapshots the driver's record: lifetime accounting and health.
 func (d *Driver) Stats() DriverStats {
 	integ := d.IntegrityStats()
 	d.srv.mu.Lock()
@@ -62,6 +75,13 @@ func (d *Driver) Stats() DriverStats {
 		Compilations:        d.compilations,
 		ModelsResident:      len(d.slots),
 		WeightBytesReserved: reserved,
+		State:               d.state,
+		ConsecutiveFailures: d.consecFail,
+		Transitions:         d.transitions,
+		Failures:            d.failures,
+		Probes:              d.probes,
+		ProbeFailures:       d.probeFails,
+		LastError:           d.lastErr,
 	}
 }
 
@@ -81,20 +101,18 @@ func (s *Server) Stats() []DriverStats {
 //	ops.AddCollector(func(w io.Writer) { runtimeSrv.WritePrometheus(w) })
 func (s *Server) WritePrometheus(w io.Writer) {
 	// A failed write is the scraper's to notice: an exposition has no error channel.
-	_, _ = w.Write(obs.Render(scrape{s.Stats(), s.Health(), s.ResilienceStats()}, families))
+	_, _ = w.Write(obs.Render(scrape{s.Stats(), s.ResilienceStats()}, families))
 }
 
-// scrape is what one exposition reads: every device's accounting and
-// health record, and the server's resilience counters.
+// scrape is what one exposition reads: every device's record and the
+// server's resilience counters.
 type scrape struct {
-	stats  []DriverStats
-	health []DeviceHealth
-	res    ResilienceStats
+	stats []DriverStats
+	res   ResilienceStats
 }
 
-// deviceRows and healthRows are the row sets of the per-device families.
-func deviceRows(s scrape) []DriverStats  { return s.stats }
-func healthRows(s scrape) []DeviceHealth { return s.health }
+// deviceRows is the row set of the per-device families.
+func deviceRows(s scrape) []DriverStats { return s.stats }
 
 var byDevice = []string{"device"}
 
@@ -108,10 +126,10 @@ var families = []obs.Family[scrape]{
 	{Name: "tpu_device_models_resident", Type: "gauge", Help: "Compiled models currently cached on the device's driver.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(int64(st.ModelsResident), st.Device) })},
 	{Name: "tpu_device_weight_bytes_reserved", Type: "gauge", Help: "Weight Memory allocation high-water mark in bytes.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Uint(st.WeightBytesReserved, st.Device) })},
 
-	{Name: "tpu_device_state", Type: "gauge", Help: "Device health state: 0 healthy, 1 degraded, 2 quarantined.", Labels: byDevice, Collect: obs.Each(healthRows, func(e *obs.Emitter, h DeviceHealth) { e.Int(int64(h.State), h.Device) })},
-	{Name: "tpu_device_state_transitions_total", Type: "counter", Help: "Health state transitions per device.", Labels: byDevice, Collect: obs.Each(healthRows, func(e *obs.Emitter, h DeviceHealth) { e.Int(h.Transitions, h.Device) })},
-	{Name: "tpu_device_failures_total", Type: "counter", Help: "Failed run attempts charged to the device (injected faults and timeouts).", Labels: byDevice, Collect: obs.Each(healthRows, func(e *obs.Emitter, h DeviceHealth) { e.Int(h.Failures, h.Device) })},
-	{Name: "tpu_device_probes_total", Type: "counter", Help: "Background health probes sent to the device while quarantined.", Labels: byDevice, Collect: obs.Each(healthRows, func(e *obs.Emitter, h DeviceHealth) { e.Int(h.Probes, h.Device) })},
+	{Name: "tpu_device_state", Type: "gauge", Help: "Device health state: 0 healthy, 1 degraded, 2 quarantined.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(int64(st.State), st.Device) })},
+	{Name: "tpu_device_state_transitions_total", Type: "counter", Help: "Health state transitions per device.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Transitions, st.Device) })},
+	{Name: "tpu_device_failures_total", Type: "counter", Help: "Failed run attempts charged to the device (injected faults and timeouts).", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Failures, st.Device) })},
+	{Name: "tpu_device_probes_total", Type: "counter", Help: "Background health probes sent to the device while quarantined.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Probes, st.Device) })},
 
 	{Name: "tpu_integrity_checks_total", Type: "counter", Help: "Integrity checks executed per device (ABFT rows, CRC ranges, parity, PCIe frames).", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Integrity.Checks, st.Device) })},
 	{Name: "tpu_integrity_detected_total", Type: "counter", Help: "Integrity checks that caught silent data corruption, per device.", Labels: byDevice, Collect: obs.Each(deviceRows, func(e *obs.Emitter, st DriverStats) { e.Int(st.Integrity.Detected, st.Device) })},
@@ -126,43 +144,4 @@ var families = []obs.Family[scrape]{
 	{Name: "tpu_attempt_timeouts_total", Type: "counter", Help: "Attempts cancelled by the per-attempt timeout.", Collect: func(s scrape, e *obs.Emitter) { e.Int(s.res.AttemptTimeouts) }},
 	{Name: "tpu_crosscheck_mismatches_total", Type: "counter", Help: "Output cross-checks whose two devices disagreed.", Collect: func(s scrape, e *obs.Emitter) { e.Int(s.res.CrossCheckMismatches) }},
 	{Name: "tpu_sdc_failures_total", Type: "counter", Help: "Attempts failed by a device-level integrity check catching corruption before it shipped.", Collect: func(s scrape, e *obs.Emitter) { e.Int(s.res.SDCFailures) }},
-}
-
-// DeviceHealth is one device's health snapshot for the ops endpoint.
-type DeviceHealth struct {
-	// Device is the telemetry label ("tpu0".."tpu3").
-	Device string
-	// State is the current health state.
-	State HealthState
-	// ConsecutiveFailures is the current failure streak.
-	ConsecutiveFailures int
-	// Transitions counts state changes since creation.
-	Transitions int64
-	// Failures and Successes count run attempts charged to the device.
-	Failures, Successes int64
-	// Probes and ProbeFailures count quarantine probes.
-	Probes, ProbeFailures int64
-	// LastError is the most recent failure message, "" when none.
-	LastError string
-}
-
-// Health snapshots every device's health record, in device order.
-func (s *Server) Health() []DeviceHealth {
-	out := make([]DeviceHealth, 0, len(s.health))
-	for i, h := range s.health {
-		h.mu.Lock()
-		out = append(out, DeviceHealth{
-			Device:              s.drivers[i].label,
-			State:               h.state,
-			ConsecutiveFailures: h.consecFail,
-			Transitions:         h.transitions,
-			Failures:            h.failures,
-			Successes:           h.successes,
-			Probes:              h.probes,
-			ProbeFailures:       h.probeFails,
-			LastError:           h.lastErr,
-		})
-		h.mu.Unlock()
-	}
-	return out
 }

@@ -33,18 +33,22 @@ func promFixture(t *testing.T) *Server {
 	t.Cleanup(s.Close)
 	boom := errors.New("synthetic failure")
 	s.recordFailure(0, boom)
-	s.recordSuccess(0)
+	// A recovery without a run, so the run counters stay at zero.
+	s.transition(0, "success", func(d *Driver) HealthState {
+		d.consecFail = 0
+		return Healthy
+	})
 	for i := 0; i < 3; i++ {
 		s.recordFailure(1, boom)
 	}
-	s.count(func(c *resilienceCounters) {
-		c.retries = 2
-		c.failovers = 1
-		c.hedges = 3
-		c.hedgeWins = 1
-		c.timeouts = 2
-		c.mismatches = 1
-	})
+	s.stats = ResilienceStats{
+		Retries:              2,
+		Failovers:            1,
+		Hedges:               3,
+		HedgeWins:            1,
+		AttemptTimeouts:      2,
+		CrossCheckMismatches: 1,
+	}
 	return s
 }
 
@@ -119,8 +123,8 @@ func TestRuntimePrometheusSeries(t *testing.T) {
 			}
 		}
 	}
-	// Health snapshot consistency with the state machine.
-	h := s.Health()
+	// Snapshot consistency with the state machine.
+	h := s.Stats()
 	if h[0].State != Healthy || h[1].State != Quarantined {
 		t.Errorf("health states = %v/%v, want healthy/quarantined", h[0].State, h[1].State)
 	}

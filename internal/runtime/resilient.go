@@ -2,8 +2,8 @@
 // model, capped-exponential-backoff retries with failover to a different
 // device, hedged requests after a p99-based delay, and an optional output
 // cross-check that catches silent corruption by running twice on distinct
-// devices. All of it sits behind Server.RunCtx/RunOnCtx when a Resilience
-// policy is installed; without one the raw dispatch path is untouched.
+// devices. All of it sits behind Server.RunCtx, RunOnCtx and RunAll when a
+// Resilience policy is installed; without one each batch is one dispatch.
 package runtime
 
 import (
@@ -13,7 +13,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"tpusim/internal/fault"
@@ -32,21 +31,8 @@ var (
 	ErrCorrupt = errors.New("runtime: output cross-check mismatch")
 )
 
-// resilienceCounters is the server-wide event accounting behind the
-// Prometheus resilience series.
-type resilienceCounters struct {
-	mu         sync.Mutex
-	retries    int64
-	failovers  int64
-	hedges     int64
-	hedgeWins  int64
-	timeouts   int64
-	crossRuns  int64
-	mismatches int64
-	sdcs       int64
-}
-
-// ResilienceStats is a snapshot of the recovery machinery's event counts.
+// ResilienceStats is the recovery machinery's event counts: the server keeps
+// one under its mu, behind the Prometheus resilience series.
 type ResilienceStats struct {
 	// Retries counts re-attempts after a failed attempt (first tries are
 	// not retries).
@@ -71,24 +57,16 @@ type ResilienceStats struct {
 
 // ResilienceStats returns the current event counts.
 func (s *Server) ResilienceStats() ResilienceStats {
-	s.stats.mu.Lock()
-	defer s.stats.mu.Unlock()
-	return ResilienceStats{
-		Retries:              s.stats.retries,
-		Failovers:            s.stats.failovers,
-		Hedges:               s.stats.hedges,
-		HedgeWins:            s.stats.hedgeWins,
-		AttemptTimeouts:      s.stats.timeouts,
-		CrossChecks:          s.stats.crossRuns,
-		CrossCheckMismatches: s.stats.mismatches,
-		SDCFailures:          s.stats.sdcs,
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
-func (s *Server) count(f func(c *resilienceCounters)) {
-	s.stats.mu.Lock()
+// count applies f to the server's event counts under mu.
+func (s *Server) count(f func(c *ResilienceStats)) {
+	s.mu.Lock()
 	f(&s.stats)
-	s.stats.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // wallStats is one model's observed wall-latency record: an EWMA for the
@@ -205,31 +183,11 @@ type attemptOut struct {
 	err error
 }
 
-// launchAttempt runs one attempt on dev under the per-attempt timeout,
-// records the outcome against the device's health, and delivers it to out.
+// launchAttempt dispatches one attempt to dev under the per-attempt timeout
+// and delivers its outcome to out.
 func (s *Server) launchAttempt(ctx context.Context, dev int, m *nn.Model, params *nn.Params, in *tensor.F32, out chan<- attemptOut) {
 	go func() {
-		actx, cancel := context.WithTimeout(ctx, s.attemptTimeout(dev, m.Name))
-		defer cancel()
-		start := time.Now()
-		r, err := s.drivers[dev].RunCtx(actx, m, params, in)
-		switch {
-		case err == nil:
-			if r != nil {
-				r.WallSeconds = time.Since(start).Seconds()
-				r.Device = dev
-			}
-			s.recordOutcome(dev, m.Name, r, nil)
-		case ctx.Err() != nil:
-			// The request itself was cancelled; not the device's fault.
-		case actx.Err() != nil && errors.Is(err, actx.Err()):
-			err = fmt.Errorf("runtime: device %d attempt timed out after %v: %w",
-				dev, s.attemptTimeout(dev, m.Name), err)
-			s.count(func(c *resilienceCounters) { c.timeouts++ })
-			s.recordFailure(dev, err)
-		default:
-			s.recordFailure(dev, err)
-		}
+		r, err := s.dispatch(ctx, dev, s.attemptTimeout(dev, m.Name), m, params, in)
 		out <- attemptOut{dev: dev, res: r, err: err}
 	}()
 }
@@ -280,7 +238,7 @@ func (s *Server) runResilient(ctx context.Context, preferred int, m *nn.Model, p
 			}
 		}
 		if attempt > 0 {
-			s.count(func(c *resilienceCounters) { c.retries++ })
+			s.count(func(c *ResilienceStats) { c.Retries++ })
 		}
 		s.pickSpan(ctx, dev, pickPolicy(preferred, attempt))
 
@@ -308,7 +266,7 @@ func (s *Server) runResilient(ctx context.Context, preferred int, m *nn.Model, p
 				if !hok {
 					continue
 				}
-				s.count(func(c *resilienceCounters) { c.hedges++ })
+				s.count(func(c *ResilienceStats) { c.Hedges++ })
 				if sp.Recording() {
 					sp.SetAttr(obs.Int("hedge_device", hdev))
 				}
@@ -324,17 +282,17 @@ func (s *Server) runResilient(ctx context.Context, preferred int, m *nn.Model, p
 						// The device caught corruption before shipping it.
 						// Scrub its weight DRAM so a persistent upset does
 						// not fail every retry that lands back on it.
-						s.count(func(c *resilienceCounters) { c.sdcs++ })
+						s.count(func(c *ResilienceStats) { c.SDCFailures++ })
 						s.scrubOnSDC(ctx, o.dev)
 					}
 					continue
 				}
 				// Winner. Account hedging and failover, then verify.
 				if len(inFlight) > 1 && o.dev != dev {
-					s.count(func(c *resilienceCounters) { c.hedgeWins++ })
+					s.count(func(c *ResilienceStats) { c.HedgeWins++ })
 				}
 				if preferred >= 0 && o.dev != preferred {
-					s.count(func(c *resilienceCounters) { c.failovers++ })
+					s.count(func(c *ResilienceStats) { c.Failovers++ })
 				}
 				if sp.Recording() {
 					sp.SetAttr(obs.Int("device", o.dev), obs.Int("attempts", attempt+1))
@@ -399,7 +357,7 @@ func (s *Server) crossCheck(ctx context.Context, first attemptOut, m *nn.Model, 
 	if !ok {
 		return first.res, nil
 	}
-	s.count(func(c *resilienceCounters) { c.crossRuns++ })
+	s.count(func(c *ResilienceStats) { c.CrossChecks++ })
 	out := make(chan attemptOut, 1)
 	s.launchAttempt(ctx, dev2, m, params, in, out)
 	var second attemptOut
@@ -416,7 +374,7 @@ func (s *Server) crossCheck(ctx context.Context, first attemptOut, m *nn.Model, 
 	if equalOutputs(first.res.Output, second.res.Output) {
 		return first.res, nil
 	}
-	s.count(func(c *resilienceCounters) { c.mismatches++ })
+	s.count(func(c *ResilienceStats) { c.CrossCheckMismatches++ })
 	// Majority vote on a third device.
 	dev3, ok := s.pickDevice(-1, map[int]bool{first.dev: true, second.dev: true})
 	if !ok {

@@ -61,7 +61,7 @@ func TestFailoverFromDeadDevice(t *testing.T) {
 	if rs.Retries == 0 {
 		t.Error("no retries recorded")
 	}
-	h := s.Health()
+	h := s.Stats()
 	if h[0].Failures == 0 || !strings.Contains(h[0].LastError, "dead") {
 		t.Errorf("device 0 health record %+v missing the death", h[0])
 	}
@@ -92,7 +92,7 @@ func TestQuarantineProbeReadmits(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for s.DeviceState(1) == Quarantined {
 		if time.Now().After(deadline) {
-			t.Fatalf("revived device never re-admitted; health: %+v", s.Health()[1])
+			t.Fatalf("revived device never re-admitted; health: %+v", s.Stats()[1])
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -106,7 +106,7 @@ func TestQuarantineProbeReadmits(t *testing.T) {
 	if st := s.DeviceState(1); st != Healthy {
 		t.Errorf("successful run left device %v, want healthy", st)
 	}
-	h := s.Health()[1]
+	h := s.Stats()[1]
 	if h.Probes == 0 {
 		t.Error("no probes recorded")
 	}
@@ -125,6 +125,63 @@ func TestTransientRetries(t *testing.T) {
 	}
 	if rs := s.ResilienceStats(); rs.Retries == 0 {
 		t.Error("30% transient rate over 40 requests injected nothing? retries=0")
+	}
+}
+
+// TestRunAllChargesDeadDevice: RunAll reaches each device through the one
+// dispatch path, so on a server without a recovery policy the batches striped
+// onto a dead device fail, are charged to that device's record, and leave
+// every other device's record clean.
+func TestRunAllChargesDeadDevice(t *testing.T) {
+	const dead = 2
+	plan := fault.Plan{Seed: 1, DeadDevices: []int{dead}}
+	s, err := NewServerWith(4, tpu.DefaultConfig(), ServerOptions{Faults: &plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	m, p, in := testModel()
+	res, err := s.RunAll(slices.Repeat([]Request{{m, p, in}}, 8))
+	if err == nil || !strings.Contains(err.Error(), "dead") {
+		t.Fatalf("RunAll with a dead device = %v, want its failure", err)
+	}
+	for i, r := range res {
+		if (r == nil) != (i%4 == dead) {
+			t.Errorf("request %d: result %v, want one exactly when it missed device %d", i, r, dead)
+		}
+	}
+	for dev, st := range s.Stats() {
+		wantRuns, wantFailures := int64(2), int64(0)
+		if dev == dead {
+			wantRuns, wantFailures = 0, 2
+		}
+		if st.Runs != wantRuns || st.Failures != wantFailures {
+			t.Errorf("%s: %d runs, %d failures, want %d and %d", st.Device, st.Runs, st.Failures, wantRuns, wantFailures)
+		}
+	}
+	if st := s.DeviceState(dead); st != Degraded {
+		t.Errorf("dead device state = %v after two failures, want degraded", st)
+	}
+}
+
+// TestRunAllRetriesTransients: on a server with a recovery policy, RunAll's
+// batches take the recovery path, so transient faults are retried and every
+// request gets its result.
+func TestRunAllRetriesTransients(t *testing.T) {
+	s := newChaosServer(t, 4, fault.Plan{Seed: 42, TransientRate: 0.3},
+		&Resilience{MaxAttempts: 8})
+	m, p, in := testModel()
+	res, err := s.RunAll(slices.Repeat([]Request{{m, p, in}}, 24))
+	if err != nil {
+		t.Fatalf("RunAll under a 30%% transient rate: %v", err)
+	}
+	for i, r := range res {
+		if r == nil {
+			t.Errorf("request %d has no result", i)
+		}
+	}
+	if rs := s.ResilienceStats(); rs.Retries == 0 {
+		t.Error("30% transient rate over 24 requests injected nothing? retries=0")
 	}
 }
 

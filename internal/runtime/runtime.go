@@ -25,6 +25,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -80,9 +81,13 @@ type Driver struct {
 	// probe (CompileErr) and for chaos scripts reaching the injector.
 	inj *fault.Injector
 
+	// mu guards the device's one record, below: its loaded models, its
+	// lifetime accounting and its health. It is only ever held briefly, and
+	// a successful batch updates its run counters and its health state in
+	// one critical section.
 	mu    sync.Mutex
 	slots map[string]*slot
-	// Lifetime per-device accounting behind the /metrics device gauges.
+	// Lifetime accounting behind the /metrics device gauges.
 	runs          int64
 	cycles        int64
 	matrixActive  int64
@@ -90,6 +95,16 @@ type Driver struct {
 	// compilations counts the server compiles this device's first
 	// evaluations ran.
 	compilations int
+	// The health record: the state machine's position, the failure streak
+	// that drives it and what it has seen.
+	state       HealthState
+	consecFail  int
+	lastErr     string
+	transitions int64
+	failures    int64
+	probes      int64
+	probeFails  int64
+	probeArmed  bool
 }
 
 // slot is one model loaded on one device. once single-flights the load.
@@ -145,11 +160,10 @@ type InferenceResult struct {
 	// deployment would observe from the accelerator.
 	DeviceSeconds float64
 	// WallSeconds is host wall-clock time for the attempt that produced
-	// this result; the resilient path fills it in to feed the latency
-	// learner behind timeouts and hedge delays. 0 on the raw path.
+	// this result; it feeds the latency learner behind timeouts and hedge
+	// delays.
 	WallSeconds float64
-	// Device is the device index that produced the result (set by the
-	// server's resilient path; 0 on the raw path).
+	// Device is the index of the server's device that produced the result.
 	Device int
 	// Cached reports whether the device already held the model's program,
 	// so the run neither compiled nor loaded it.
@@ -345,7 +359,7 @@ func (d *Driver) load(ctx context.Context, sl *slot, m *nn.Model, params *nn.Par
 // 0 anchored at the run's start, scaled so the cycle timeline tiles the
 // wall-clock run exactly). With no span in ctx the cost is one context
 // lookup.
-func (d *Driver) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {
+func (d *Driver) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in *tensor.F32) (res *InferenceResult, err error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -359,12 +373,18 @@ func (d *Driver) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in 
 	if obs.FromContext(ctx) != nil {
 		_, rsp = obs.Start(ctx, "run", d.label,
 			obs.String("model", m.Name), obs.Int("batch", art.Layout.Batch))
+		defer func() {
+			if err != nil {
+				rsp.SetAttr(obs.String("error", err.Error()))
+			} else {
+				rsp.SetAttr(obs.Int64("cycles", res.Counters.Cycles),
+					obs.Float("device_seconds", res.DeviceSeconds),
+					obs.Float("clock_mhz", d.cfg.ClockMHz))
+			}
+			rsp.End()
+		}()
 	}
 	if err := sl.acquire(ctx); err != nil {
-		if rsp.Recording() {
-			rsp.SetAttr(obs.String("error", err.Error()))
-			rsp.End()
-		}
 		return nil, err
 	}
 	// Quantize and pack inside the semaphore region so the slot's scratch
@@ -375,10 +395,6 @@ func (d *Driver) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in 
 	host, err := compiler.PackInputInto(art, sl.qin, sl.host)
 	if err != nil {
 		sl.release()
-		if rsp.Recording() {
-			rsp.SetAttr(obs.String("error", err.Error()))
-			rsp.End()
-		}
 		return nil, err
 	}
 	sl.host = host
@@ -405,11 +421,9 @@ func (d *Driver) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in 
 	// device. The dequantized output is freshly allocated — it escapes to
 	// the caller with the result.
 	var output *tensor.F32
-	var unpackErr error
 	if err == nil {
 		var qout *tensor.I8
-		qout, unpackErr = compiler.UnpackOutputInto(art, host, sl.qout)
-		if unpackErr == nil {
+		if qout, err = compiler.UnpackOutputInto(art, host, sl.qout); err == nil {
 			sl.qout = qout
 			output = qm.DequantizeOutput(qout)
 		}
@@ -419,32 +433,12 @@ func (d *Driver) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in 
 		rsp.Tracer().Emit(sd)
 	}
 	if err != nil {
-		if rsp.Recording() {
-			rsp.SetAttr(obs.String("error", err.Error()))
-			rsp.End()
-		}
 		return nil, fmt.Errorf("runtime: running %s: %w", m.Name, err)
-	}
-	devSeconds := c.Seconds(d.cfg.ClockMHz)
-	if rsp.Recording() {
-		rsp.SetAttr(obs.Int64("cycles", c.Cycles),
-			obs.Float("device_seconds", devSeconds),
-			obs.Float("clock_mhz", d.cfg.ClockMHz))
-		rsp.End()
-	}
-	d.mu.Lock()
-	d.runs++
-	d.cycles += c.Cycles
-	d.matrixActive += c.MatrixActive
-	d.deviceSeconds += devSeconds
-	d.mu.Unlock()
-	if unpackErr != nil {
-		return nil, unpackErr
 	}
 	return &InferenceResult{
 		Output:        output,
 		Counters:      c,
-		DeviceSeconds: devSeconds,
+		DeviceSeconds: c.Seconds(d.cfg.ClockMHz),
 		Cached:        cached,
 	}, nil
 }
@@ -500,8 +494,8 @@ func (s *Server) ExpectedCycles(modelName string) int64 {
 // retries with failover, hedged requests and output cross-checking.
 type Server struct {
 	drivers []*Driver
-	// mu guards next, the telemetry sinks, programs and the Weight Memory
-	// allocator.
+	// mu guards next, the telemetry sinks, the resilience counters, programs
+	// and the Weight Memory allocator.
 	mu   sync.Mutex
 	next int
 	// programs is the compile cache, one single-flight program per model
@@ -516,12 +510,10 @@ type Server struct {
 	weightNext uint64
 	weightFree []region
 
-	// Resilience state (nil res means the PR-3 fast path: no retries, no
-	// health tracking overhead on the run path beyond a success record).
-	res    *Resilience
-	injs   []*fault.Injector
-	health []*deviceHealth
-	stats  resilienceCounters
+	// res is the recovery policy; nil keeps the raw dispatch path (no
+	// retries, no failover), which still records every outcome.
+	res   *Resilience
+	stats ResilienceStats
 
 	tracer *obs.Tracer
 	logger *slog.Logger
@@ -587,8 +579,6 @@ func NewServerWith(n int, cfg tpu.Config, opts ServerOptions) (*Server, error) {
 			d.cfg.Hook = d.inj.ArmedHook()
 		}
 		s.drivers = append(s.drivers, d)
-		s.injs = append(s.injs, d.inj)
-		s.health = append(s.health, &deviceHealth{})
 	}
 	if opts.Resilience != nil && opts.Resilience.ScrubEvery > 0 {
 		go s.scrubLoop(opts.Resilience.ScrubEvery)
@@ -607,10 +597,24 @@ func (s *Server) Observe(tracer *obs.Tracer, logger *slog.Logger) {
 	s.mu.Unlock()
 }
 
+// sinks returns the tracer and logger Observe installed: the one read of
+// them behind every log line and span the server emits outside a request.
+func (s *Server) sinks() (*obs.Tracer, *slog.Logger) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tracer, s.logger
+}
+
 // Injectors returns the per-device fault injectors (entries are nil when the
 // server was built without a chaos plan). Chaos scripts use them to kill or
 // throttle devices mid-load.
-func (s *Server) Injectors() []*fault.Injector { return s.injs }
+func (s *Server) Injectors() []*fault.Injector {
+	injs := make([]*fault.Injector, len(s.drivers))
+	for i, d := range s.drivers {
+		injs[i] = d.inj
+	}
+	return injs
+}
 
 // Close stops background health probes. Safe to call more than once.
 func (s *Server) Close() { s.closeOnce.Do(func() { close(s.closed) }) }
@@ -630,21 +634,7 @@ func (s *Server) Run(m *nn.Model, params *nn.Params, in *tensor.F32) (*Inference
 // pick honours ctx: a cancelled request fails fast instead of consuming a
 // device turn.
 func (s *Server) RunCtx(ctx context.Context, m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.res != nil {
-		return s.runResilient(ctx, -1, m, params, in)
-	}
-	s.mu.Lock()
-	i := s.next
-	d := s.drivers[i]
-	s.next = (s.next + 1) % len(s.drivers)
-	s.mu.Unlock()
-	s.pickSpan(ctx, i, "round-robin")
-	r, err := d.RunCtx(ctx, m, params, in)
-	s.recordOutcome(i, m.Name, r, err)
-	return r, err
+	return s.run(ctx, -1, m, params, in)
 }
 
 // RunOn dispatches a batch to a specific device. The serving layer pins
@@ -662,15 +652,65 @@ func (s *Server) RunOnCtx(ctx context.Context, device int, m *nn.Model, params *
 	if device < 0 || device >= len(s.drivers) {
 		return nil, fmt.Errorf("runtime: device %d out of range [0, %d)", device, len(s.drivers))
 	}
+	return s.run(ctx, device, m, params, in)
+}
+
+// run is the one way in behind RunCtx, RunOnCtx and RunAll: the recovery
+// path under a Resilience policy, else one dispatch to the pinned device
+// (device -1: the next one round robin).
+func (s *Server) run(ctx context.Context, device int, m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if s.res != nil {
 		return s.runResilient(ctx, device, m, params, in)
 	}
-	s.pickSpan(ctx, device, "pinned")
-	r, err := s.drivers[device].RunCtx(ctx, m, params, in)
-	s.recordOutcome(device, m.Name, r, err)
+	policy := "pinned"
+	if device < 0 {
+		device, policy = s.nextDevice(), "round-robin"
+	}
+	s.pickSpan(ctx, device, policy)
+	return s.dispatch(ctx, device, 0, m, params, in)
+}
+
+// nextDevice advances the round-robin cursor and returns where it was.
+func (s *Server) nextDevice() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := s.next
+	s.next = (s.next + 1) % len(s.drivers)
+	return i
+}
+
+// dispatch runs one batch on device dev, under an attempt timeout when
+// timeout > 0, and folds the outcome into the device's record; every batch
+// reaches a device through it. A request cancelled while its batch runs is
+// not the device's fault and leaves the record untouched; an attempt that
+// outlives its timeout is the device's fault.
+func (s *Server) dispatch(ctx context.Context, dev int, timeout time.Duration, m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {
+	actx := ctx
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	start := time.Now()
+	r, err := s.drivers[dev].RunCtx(actx, m, params, in)
+	switch {
+	case err == nil:
+		r.WallSeconds = time.Since(start).Seconds()
+		r.Device = dev
+		s.observeWall(m.Name, r)
+		s.recordSuccess(dev, r)
+	case ctx.Err() != nil:
+		// The request itself was cancelled.
+	case actx.Err() != nil && errors.Is(err, actx.Err()):
+		err = fmt.Errorf("runtime: device %d attempt timed out after %v: %w", dev, timeout, err)
+		s.count(func(c *ResilienceStats) { c.AttemptTimeouts++ })
+		s.recordFailure(dev, err)
+	default:
+		s.recordFailure(dev, err)
+	}
 	return r, err
 }
 
@@ -692,19 +732,21 @@ type Request struct {
 }
 
 // RunAll dispatches the requests across the server's TPUs concurrently:
-// one worker per device drains a striped share of the queue, so a 4-TPU
-// server really runs four batches at once. Results are returned in request
-// order; the first error is reported after all workers finish.
+// one worker per device drains a striped share of the queue through
+// RunOnCtx, so a 4-TPU server really runs four batches at once and each
+// batch is recorded (and, under a Resilience policy, recovered) exactly like
+// a RunOn. Results are returned in request order; the first error is
+// reported after all workers finish.
 func (s *Server) RunAll(reqs []Request) ([]*InferenceResult, error) {
 	results := make([]*InferenceResult, len(reqs))
 	errs := make([]error, len(s.drivers))
 	var wg sync.WaitGroup
-	for w, dr := range s.drivers {
+	for w := range s.drivers {
 		wg.Add(1)
-		go func(w int, dr *Driver) {
+		go func() {
 			defer wg.Done()
 			for i := w; i < len(reqs); i += len(s.drivers) {
-				r, err := dr.RunCtx(context.Background(), reqs[i].Model, reqs[i].Params, reqs[i].Input)
+				r, err := s.RunOnCtx(context.Background(), w, reqs[i].Model, reqs[i].Params, reqs[i].Input)
 				if err != nil {
 					if errs[w] == nil {
 						errs[w] = fmt.Errorf("runtime: request %d: %w", i, err)
@@ -713,7 +755,7 @@ func (s *Server) RunAll(reqs []Request) ([]*InferenceResult, error) {
 				}
 				results[i] = r
 			}
-		}(w, dr)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -182,11 +182,11 @@ func (m *Metrics) Text() string {
 	snap := m.Snapshot()
 	var b strings.Builder
 	fmt.Fprintf(&b, "serve metrics (uptime %.1fs)\n", snap.UptimeSeconds)
-	fmt.Fprintf(&b, "%-8s %9s %9s %7s %7s %6s %7s %9s %5s %8s %8s %8s\n",
-		"model", "submitted", "completed", "shedQ", "expired", "errs", "batches", "meanbatch", "queue", "p50ms", "p99ms", "maxms")
+	fmt.Fprintf(&b, "%-8s %9s %9s %7s %7s %7s %7s %6s %7s %9s %5s %8s %8s %8s\n",
+		"model", "submitted", "completed", "shedQ", "shedBO", "shedBrk", "expired", "errs", "batches", "meanbatch", "queue", "p50ms", "p99ms", "maxms")
 	for _, s := range snap.Models {
-		fmt.Fprintf(&b, "%-8s %9d %9d %7d %7d %6d %7d %9.1f %5d %8.2f %8.2f %8.2f\n",
-			s.Model, s.Submitted, s.Completed, s.ShedQueue, s.Expired, s.Errored,
+		fmt.Fprintf(&b, "%-8s %9d %9d %7d %7d %7d %7d %6d %7d %9.1f %5d %8.2f %8.2f %8.2f\n",
+			s.Model, s.Submitted, s.Completed, s.ShedQueue, s.ShedBrownout, s.ShedBreaker, s.Expired, s.Errored,
 			s.Batches, s.MeanBatch, s.QueueDepth, s.P50Ms, s.P99Ms, s.MaxMs)
 	}
 	for _, s := range snap.Models {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -119,6 +120,19 @@ func TestMetricsTextRendering(t *testing.T) {
 		admitN(mm, evAdmitted, 1)
 		settle(mm, evServed, 1, 1e-3)
 	}
+	// A model whose breaker shed, and one that shed under brownout, beside
+	// the queue sheds, expiries and failures every model can have.
+	brk, bo := m.Model("Brk"), m.Model("BO")
+	admitN(brk, evAdmitted, 3)
+	admitN(brk, evShedBreaker, 4)
+	admitN(brk, evShedQueue, 1)
+	settle(brk, evServed, 2, 1e-3)
+	settle(brk, evFailed, 1, 0)
+	admitN(bo, evAdmitted, 2)
+	admitN(bo, evShedBrownout, 5)
+	settle(bo, evServed, 1, 1e-3)
+	settle(bo, evExpired, 1, 0)
+
 	text := m.Text()
 	for _, want := range []string{"model", "submitted", "p99ms", "A", "B", "batch sizes"} {
 		if !strings.Contains(text, want) {
@@ -128,6 +142,41 @@ func TestMetricsTextRendering(t *testing.T) {
 	// Deterministic ordering: A before B.
 	if strings.Index(text, "\nA ") > strings.Index(text, "\nB ") {
 		t.Error("models not sorted")
+	}
+
+	// Every row balances: each submitted request is completed, shed for
+	// one of three reasons, expired, failed or still queued.
+	lines := strings.Split(text, "\n")
+	header := strings.Fields(lines[1])
+	col := map[string]int{}
+	for i, h := range header {
+		col[h] = i
+	}
+	rows := 0
+	for _, line := range lines[2:] {
+		f := strings.Fields(line)
+		if len(f) != len(header) {
+			continue
+		}
+		rows++
+		v := func(name string) int {
+			i, ok := col[name]
+			if !ok {
+				t.Fatalf("no %q column in %q", name, lines[1])
+			}
+			n, err := strconv.Atoi(f[i])
+			if err != nil {
+				t.Fatalf("%s %s: %v", f[0], name, err)
+			}
+			return n
+		}
+		settled := v("completed") + v("shedQ") + v("shedBO") + v("shedBrk") + v("expired") + v("errs") + v("queue")
+		if v("submitted") != settled {
+			t.Errorf("%s: submitted %d, but its outcomes sum to %d:\n%s", f[0], v("submitted"), settled, text)
+		}
+	}
+	if rows != 4 {
+		t.Errorf("%d model rows, want 4:\n%s", rows, text)
 	}
 }
 
