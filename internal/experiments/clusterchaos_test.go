@@ -68,7 +68,7 @@ func TestClusterChaosAcceptance(t *testing.T) {
 	if !strings.Contains(render, "acceptance: PASS") {
 		t.Errorf("report does not say PASS:\n%s", render)
 	}
-	checkSaturationGolden(t, "cluster_chaos_campaign.txt", render)
+	checkGolden(t, "cluster_chaos_campaign.txt", render)
 }
 
 // TestClusterChaosDeterminism: the whole three-way campaign is a pure

@@ -2,51 +2,204 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"tpusim/internal/datacenter"
+	"tpusim/internal/models"
+	"tpusim/internal/platform"
+	"tpusim/internal/power"
+	"tpusim/internal/systolic/kerneltest"
 )
 
 // update regenerates the golden files:
 //
-//	go test ./internal/experiments -run TestGolden -update
+//	go test ./internal/experiments -run 'TestGolden|TestSaturation|TestClusterChaos|TestRollout' -update
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// goldenTables pins the rendered Table 2/3/4/6 output. Every generator is
-// seeded and deterministic, so any drift in the simulator, the perf model,
-// or the renderers shows up as a readable diff against testdata/golden/.
-func goldenTables(t *testing.T) map[string]func() (string, error) {
+// checkGolden compares got with testdata/golden/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
-	return map[string]func() (string, error){
-		"table2.txt": func() (string, error) {
-			return RenderTable2(Table2()), nil
-		},
-		"table3.txt": func() (string, error) {
-			rows, err := Table3()
-			if err != nil {
-				return "", err
-			}
-			return RenderTable3(rows), nil
-		},
-		"table4.txt": func() (string, error) {
-			rows, err := Table4()
-			if err != nil {
-				return "", err
-			}
-			return RenderTable4(rows), nil
-		},
-		"table6.txt": func() (string, error) {
-			res, err := Table6()
-			if err != nil {
-				return "", err
-			}
-			return RenderTable6(res), nil
-		},
+	path := filepath.Join("testdata", "golden", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read %s (run with -update to create): %v", path, err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s\nRegenerate with -update if the change is intentional.",
+			name, got, want)
 	}
 }
 
+// A goldenSection is one block of tpubench's report.
+type goldenSection struct {
+	ID     string
+	Render func() (string, error)
+}
+
+func section[T any](id string, gen func() (T, error), render func(T) string) goldenSection {
+	return goldenSection{id, func() (string, error) {
+		v, err := gen()
+		if err != nil {
+			return "", err
+		}
+		return render(v), nil
+	}}
+}
+
+func pure[T any](f func() T) func() (T, error) { return func() (T, error) { return f(), nil } }
+
+// goldenSections is tpubench's report, section by section.
+var goldenSections = []goldenSection{
+	section("t1", pure(Table1), RenderTable1),
+	section("t2", pure(Table2), RenderTable2),
+	section("t3", Table3, RenderTable3),
+	section("t4", Table4, RenderTable4),
+	section("t5", Table5, RenderTable5),
+	section("t6", Table6, RenderTable6),
+	section("t7", Table7, RenderTable7),
+	section("t8", Table8, RenderTable8),
+	section("f5", RooflineTPU, RenderRoofline),
+	section("f6", func() (Roofline, error) { return RooflineBaseline(platform.CPU) }, RenderRoofline),
+	section("f7", func() (Roofline, error) { return RooflineBaseline(platform.GPU) }, RenderRoofline),
+	section("f8", Figure8, func(rs []Roofline) string {
+		var b strings.Builder
+		for _, r := range rs {
+			b.WriteString(RenderRoofline(r))
+		}
+		return b.String()
+	}),
+	section("f9", Figure9, RenderFigure9),
+	{"f10", func() (string, error) {
+		rows, err := Figure10()
+		if err != nil {
+			return "", err
+		}
+		out := "CNN0 anchors (56/66/88% at 10% load):\n" + RenderFigure10(rows)
+		lrows, err := Figure10With(power.AnchorsLSTM1())
+		if err != nil {
+			return "", err
+		}
+		return out + "\nLSTM1 anchors (47/78/94% at 10% load):\n" + RenderFigure10(lrows), nil
+	}},
+	section("f11", Figure11, RenderFigure11),
+	{"s8", RenderSection8},
+	section("ab1", FIFODepthAblation, func(rows []AblationRow) string {
+		return RenderAblations("cycles by FIFO depth", rows, "cycles")
+	}),
+	section("ab2", PrecisionAblation, func(rows []AblationRow) string {
+		return RenderAblations("cycles by precision mode", rows, "cycles")
+	}),
+	section("ab3", AllocatorAblation, func(rows []AblationRow) string {
+		return RenderAblations("UB peak bytes by allocator", rows, "UB bytes")
+	}),
+	section("rw", pure(RelatedWork), RenderRelatedWork),
+	section("sla", SLAStudy, RenderSLA),
+	{"bs", func() (string, error) {
+		var b strings.Builder
+		for _, name := range []string{"MLP0", "CNN0"} {
+			rows, err := BatchSweep(name, nil)
+			if err != nil {
+				return "", err
+			}
+			b.WriteString(RenderBatchSweep(rows))
+		}
+		return b.String(), nil
+	}},
+	section("quant", QuantizationStudy, RenderQuantization),
+	section("energy", EnergyPerInference, RenderEnergy),
+	{"dc", func() (string, error) {
+		tpuIPS := map[string]float64{}
+		for _, name := range models.Names() {
+			p, err := SimulateTPU(name)
+			if err != nil {
+				return "", err
+			}
+			tpuIPS[name] = p.IPS
+		}
+		ps, err := datacenter.Compare(datacenter.UniformScaleDemand(10e6), tpuIPS)
+		if err != nil {
+			return "", err
+		}
+		return "fleet to serve 10M inferences/s at the datacenter mix:\n" + datacenter.Render(ps), nil
+	}},
+}
+
+// goldenCSV is tpubench -csv's output after its kernel line.
+func goldenCSV() (string, error) {
+	var b strings.Builder
+	for _, e := range []struct {
+		name string
+		fn   func() (string, error)
+	}{
+		{"rooflines", CSVRooflines},
+		{"table3", CSVTable3},
+		{"table6", CSVTable6},
+		{"figure10", CSVFigure10},
+		{"figure11", CSVFigure11},
+		{"batchsweep", CSVBatchSweep},
+		{"sla", CSVSLA},
+	} {
+		out, err := e.fn()
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "# %s\n%s\n", e.name, out)
+	}
+	return b.String(), nil
+}
+
+// goldenFile names a section's golden: Table 2 is table2.txt, Figure 10
+// figure10.txt, Section 8 section8.txt, the first ablation ablation1.txt;
+// an ID without a number names its own file.
+func goldenFile(id string) string {
+	i := strings.IndexAny(id, "0123456789")
+	if i < 0 {
+		return id + ".txt"
+	}
+	long := map[string]string{"t": "table", "f": "figure", "s": "section", "ab": "ablation"}[id[:i]]
+	return long + id[i:] + ".txt"
+}
+
+// goldens pins, by file, every section of tpubench's report, its -csv
+// output without the host-dependent kernel line, and tpuserve's default
+// load sweep. Every generator is seeded and deterministic, so any drift in
+// the simulator, the perf model or a renderer shows up as a readable diff
+// against testdata/golden/. sla and the load sweep reuse the results
+// SLAStudy and LoadSweepAll compute once per process.
+func goldens() map[string]func() (string, error) {
+	g := map[string]func() (string, error){
+		"csv.txt": goldenCSV,
+		"load_sweep.txt": func() (string, error) {
+			rows, err := LoadSweepAll()
+			if err != nil {
+				return "", err
+			}
+			return RenderLoadSweep(rows), nil
+		},
+	}
+	for _, s := range goldenSections {
+		g[goldenFile(s.ID)] = s.Render
+	}
+	return g
+}
+
 func TestGoldenTables(t *testing.T) {
-	for name, gen := range goldenTables(t) {
+	for name, gen := range goldens() {
 		t.Run(name, func(t *testing.T) {
 			got, err := gen()
 			if err != nil {
@@ -55,33 +208,29 @@ func TestGoldenTables(t *testing.T) {
 			if got == "" {
 				t.Fatal("empty rendering")
 			}
-			path := filepath.Join("testdata", "golden", name)
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("%s drifted from golden file.\n--- got ---\n%s--- want ---\n%s(run with -update to accept)",
-					name, got, want)
-			}
+			checkGolden(t, name, got)
 		})
 	}
+}
+
+// TestGoldenQuantUnderEachKernel: quant is the one section whose generator
+// runs the functional int8 datapath, so it is the one whose bytes could
+// follow the matrix kernel rung; every rung must print the same golden.
+func TestGoldenQuantUnderEachKernel(t *testing.T) {
+	kerneltest.Each(t, func(t *testing.T) {
+		got, err := goldens()["quant.txt"]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "quant.txt", got)
+	})
 }
 
 // TestGoldenDeterministic guards the premise of golden testing: rendering
 // twice gives byte-identical output (all randomness is seeded, caches are
 // transparent).
 func TestGoldenDeterministic(t *testing.T) {
-	for name, gen := range goldenTables(t) {
+	for name, gen := range goldens() {
 		a, err := gen()
 		if err != nil {
 			t.Fatal(err)

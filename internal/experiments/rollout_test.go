@@ -57,7 +57,7 @@ func TestRolloutAcceptance(t *testing.T) {
 	if !strings.Contains(render, "acceptance: PASS") {
 		t.Errorf("report does not say PASS:\n%s", render)
 	}
-	checkSaturationGolden(t, "rollout_campaign.txt", render)
+	checkGolden(t, "rollout_campaign.txt", render)
 }
 
 // TestRolloutDeterminism: the whole three-way campaign is a pure function

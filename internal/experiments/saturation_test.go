@@ -7,33 +7,8 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 )
-
-func checkSaturationGolden(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", "golden", name)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read %s (run with -update to create): %v", path, err)
-	}
-	if got != string(want) {
-		t.Errorf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s\nRegenerate with -update if the change is intentional.",
-			name, got, want)
-	}
-}
 
 func TestSaturationReport(t *testing.T) {
 	if testing.Short() {
@@ -46,7 +21,7 @@ func TestSaturationReport(t *testing.T) {
 	if r.Report == nil {
 		t.Fatal("RunCluster returned no saturation report")
 	}
-	checkSaturationGolden(t, "cluster_saturation.txt", r.Report.Render())
+	checkGolden(t, "cluster_saturation.txt", r.Report.Render())
 
 	var cnn1 *struct {
 		bottleneck string
