@@ -6,7 +6,6 @@ package tpusim
 
 import (
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -14,7 +13,6 @@ import (
 	"tpusim/internal/experiments"
 	"tpusim/internal/fault"
 	"tpusim/internal/models"
-	"tpusim/internal/platform"
 	"tpusim/internal/tpu"
 )
 
@@ -27,20 +25,22 @@ func report(b *testing.B, id, text string) {
 	}
 }
 
-func BenchmarkTable1(b *testing.B) {
-	var rows []experiments.Table1Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table1()
+// BenchmarkSections regenerates each section of tpubench's report, one
+// sub-benchmark per section ID (t1 is Table 1, f5 Figure 5, ...).
+func BenchmarkSections(b *testing.B) {
+	for _, sec := range experiments.Sections {
+		b.Run(sec.ID, func(b *testing.B) {
+			var text string
+			var err error
+			for i := 0; i < b.N; i++ {
+				text, err = sec.Render()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			report(b, sec.Title, text)
+		})
 	}
-	report(b, "Table 1", experiments.RenderTable1(rows))
-}
-
-func BenchmarkTable2(b *testing.B) {
-	var rows []experiments.Table2Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table2()
-	}
-	report(b, "Table 2", experiments.RenderTable2(rows))
 }
 
 // BenchmarkTable3 measures the full six-app cycle simulation (compile +
@@ -209,202 +209,6 @@ func BenchmarkTable3IntegrityDetect(b *testing.B) {
 // cheaper than duplication.
 func BenchmarkTable3CrossCheck(b *testing.B) {
 	table3IntegrityLoop(b, tpu.IntegrityOff, 2)
-}
-
-func BenchmarkTable4(b *testing.B) {
-	var rows []experiments.Table4Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table4()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Table 4", experiments.RenderTable4(rows))
-}
-
-func BenchmarkTable5(b *testing.B) {
-	var rows []experiments.Table5Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table5()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Table 5", experiments.RenderTable5(rows))
-}
-
-func BenchmarkTable6(b *testing.B) {
-	var res experiments.Table6Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.Table6()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Table 6", experiments.RenderTable6(res))
-}
-
-func BenchmarkTable7(b *testing.B) {
-	var rows []experiments.Table7Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table7()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Table 7", experiments.RenderTable7(rows))
-}
-
-func BenchmarkTable8(b *testing.B) {
-	var rows []experiments.Table8Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table8()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Table 8", experiments.RenderTable8(rows))
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	var r experiments.Roofline
-	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = experiments.RooflineTPU()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Figure 5", experiments.RenderRoofline(r))
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	var r experiments.Roofline
-	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = experiments.RooflineBaseline(platform.CPU)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Figure 6", experiments.RenderRoofline(r))
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	var r experiments.Roofline
-	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = experiments.RooflineBaseline(platform.GPU)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Figure 7", experiments.RenderRoofline(r))
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	var rs []experiments.Roofline
-	var err error
-	for i := 0; i < b.N; i++ {
-		rs, err = experiments.Figure8()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var s strings.Builder
-	for _, r := range rs {
-		s.WriteString(experiments.RenderRoofline(r))
-	}
-	report(b, "Figure 8", s.String())
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	var bars []experiments.Figure9Bar
-	var err error
-	for i := 0; i < b.N; i++ {
-		bars, err = experiments.Figure9()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Figure 9", experiments.RenderFigure9(bars))
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	var rows []experiments.Figure10Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure10()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Figure 10", experiments.RenderFigure10(rows))
-}
-
-func BenchmarkFigure11(b *testing.B) {
-	var rows []experiments.Figure11Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure11()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Figure 11", experiments.RenderFigure11(rows))
-}
-
-func BenchmarkSection8(b *testing.B) {
-	var text string
-	var err error
-	for i := 0; i < b.N; i++ {
-		text, err = experiments.RenderSection8()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Section 8", text)
-}
-
-func BenchmarkAblationFIFODepth(b *testing.B) {
-	var rows []experiments.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.FIFODepthAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Ablation: FIFO depth", experiments.RenderAblations("cycles by FIFO depth", rows, "cycles"))
-}
-
-func BenchmarkAblationPrecision(b *testing.B) {
-	var rows []experiments.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.PrecisionAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Ablation: precision", experiments.RenderAblations("cycles by precision mode", rows, "cycles"))
-}
-
-func BenchmarkAblationAllocator(b *testing.B) {
-	var rows []experiments.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AllocatorAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, "Ablation: allocator", experiments.RenderAblations("UB peak bytes by allocator", rows, "UB bytes"))
 }
 
 // BenchmarkSimulatePerApp measures each app's compile+simulate cost

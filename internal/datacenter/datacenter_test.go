@@ -1,9 +1,10 @@
-package datacenter
+package datacenter_test
 
 import (
 	"strings"
 	"testing"
 
+	"tpusim/internal/datacenter"
 	"tpusim/internal/experiments"
 	"tpusim/internal/models"
 	"tpusim/internal/platform"
@@ -24,7 +25,7 @@ func tpuPerf(t *testing.T) map[string]float64 {
 }
 
 func TestUniformScaleDemand(t *testing.T) {
-	d := UniformScaleDemand(1e6)
+	d := datacenter.UniformScaleDemand(1e6)
 	var sum float64
 	for _, v := range d {
 		sum += v
@@ -41,7 +42,7 @@ func TestUniformScaleDemand(t *testing.T) {
 // lower power than the CPU fleet — the cost-performance mandate that
 // justified building an ASIC.
 func TestFleetOrdering(t *testing.T) {
-	ps, err := Compare(UniformScaleDemand(5e6), tpuPerf(t))
+	ps, err := datacenter.Compare(datacenter.UniformScaleDemand(5e6), tpuPerf(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +71,14 @@ func TestFleetOrdering(t *testing.T) {
 // MLP-style demand multiplies the CPU fleet but barely registers for TPUs.
 func TestVoiceSearchScenario(t *testing.T) {
 	ips := tpuPerf(t)
-	base := Demand{"MLP0": 1e6}
-	surge := Demand{"MLP0": 3e6} // voice search triples MLP demand
-	cpuBase, err := ProvisionFor(platform.CPU, base, ips)
+	base := datacenter.Demand{"MLP0": 1e6}
+	surge := datacenter.Demand{"MLP0": 3e6} // voice search triples MLP demand
+	cpuBase, err := datacenter.ProvisionFor(platform.CPU, base, ips)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpuSurge, _ := ProvisionFor(platform.CPU, surge, ips)
-	tpuSurge, _ := ProvisionFor(platform.TPU, surge, ips)
+	cpuSurge, _ := datacenter.ProvisionFor(platform.CPU, surge, ips)
+	tpuSurge, _ := datacenter.ProvisionFor(platform.TPU, surge, ips)
 	if cpuSurge.Servers < 2.5*cpuBase.Servers {
 		t.Errorf("CPU fleet grew %vx, want ~3x", cpuSurge.Servers/cpuBase.Servers)
 	}
@@ -87,20 +88,20 @@ func TestVoiceSearchScenario(t *testing.T) {
 }
 
 func TestProvisionErrors(t *testing.T) {
-	if _, err := ProvisionFor(platform.TPUPrime, Demand{"MLP0": 1}, nil); err == nil {
+	if _, err := datacenter.ProvisionFor(platform.TPUPrime, datacenter.Demand{"MLP0": 1}, nil); err == nil {
 		t.Error("unsupported platform accepted")
 	}
-	if _, err := ProvisionFor(platform.TPU, Demand{"MLP0": 1}, map[string]float64{"MLP1": 1e5}); err == nil {
+	if _, err := datacenter.ProvisionFor(platform.TPU, datacenter.Demand{"MLP0": 1}, map[string]float64{"MLP1": 1e5}); err == nil {
 		t.Error("TPU demand without TPU throughput accepted")
 	}
 }
 
 func TestRender(t *testing.T) {
-	ps, err := Compare(UniformScaleDemand(1e6), tpuPerf(t))
+	ps, err := datacenter.Compare(datacenter.UniformScaleDemand(1e6), tpuPerf(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Render(ps)
+	s := datacenter.Render(ps)
 	for _, want := range []string{"Haswell", "K80", "TPU", "MW"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("render missing %q", want)

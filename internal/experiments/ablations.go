@@ -129,16 +129,19 @@ func AllocatorAblation() ([]AblationRow, error) {
 	return rows, nil
 }
 
-// RenderAblations formats ablation rows grouped by app.
-func RenderAblations(title string, rows []AblationRow, unit string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%-6s %-10s %14s %10s\n", title, "App", "Config", unit, "vs base")
-	for _, r := range rows {
-		if r.Cycles < 0 {
-			fmt.Fprintf(&b, "%-6s %-10s %14s %10s\n", r.App, r.Config, "exhausted", "-")
-			continue
+// renderAblations returns the renderer of one ablation's rows, grouped by
+// app under title, its measure in the unit column.
+func renderAblations(title, unit string) func([]AblationRow) string {
+	return func(rows []AblationRow) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s\n%-6s %-10s %14s %10s\n", title, "App", "Config", unit, "vs base")
+		for _, r := range rows {
+			if r.Cycles < 0 {
+				fmt.Fprintf(&b, "%-6s %-10s %14s %10s\n", r.App, r.Config, "exhausted", "-")
+				continue
+			}
+			fmt.Fprintf(&b, "%-6s %-10s %14d %9.2fx\n", r.App, r.Config, r.Cycles, r.Relative)
 		}
-		fmt.Fprintf(&b, "%-6s %-10s %14d %9.2fx\n", r.App, r.Config, r.Cycles, r.Relative)
+		return b.String()
 	}
-	return b.String()
 }

@@ -46,12 +46,26 @@ func BatchSweep(name string, batches []int) ([]BatchSweepRow, error) {
 	return rows, nil
 }
 
-// RenderBatchSweep formats a sweep.
-func RenderBatchSweep(rows []BatchSweepRow) string {
+// renderBatchSweep formats a sweep.
+func renderBatchSweep(rows []BatchSweepRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %6s %12s %12s %8s\n", "App", "Batch", "latency ms", "IPS", "TOPS")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-6s %6d %12.2f %12.0f %8.1f\n", r.App, r.Batch, r.LatencyMs, r.IPS, r.TOPS)
 	}
 	return b.String()
+}
+
+// batchSweepMLP0CNN0 renders the batch sweeps of MLP0 and CNN0, the two
+// ends of the batch-sensitivity range, one after the other.
+func batchSweepMLP0CNN0() (string, error) {
+	var b strings.Builder
+	for _, name := range []string{"MLP0", "CNN0"} {
+		rows, err := BatchSweep(name, nil)
+		if err != nil {
+			return "", err
+		}
+		b.WriteString(renderBatchSweep(rows))
+	}
+	return b.String(), nil
 }

@@ -83,7 +83,7 @@ func TestRenderBatchSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := RenderBatchSweep(rows); !strings.Contains(s, "LSTM0") {
+	if s := renderBatchSweep(rows); !strings.Contains(s, "LSTM0") {
 		t.Error("render incomplete")
 	}
 }

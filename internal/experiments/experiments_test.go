@@ -22,7 +22,7 @@ func TestTable1MatchesPublished(t *testing.T) {
 	if share := rows[0].DeployShare + rows[1].DeployShare; math.Abs(share-61) > 0.5 {
 		t.Errorf("MLP share = %v", share)
 	}
-	if !strings.Contains(RenderTable1(rows), "MLP0") {
+	if !strings.Contains(renderTable1(rows), "MLP0") {
 		t.Error("render missing MLP0")
 	}
 }
@@ -35,7 +35,7 @@ func TestTable2MatchesPublished(t *testing.T) {
 	if rows[2].TOPS8 != 92 || rows[2].GBs != 34 {
 		t.Errorf("TPU row = %+v", rows[2])
 	}
-	if !strings.Contains(RenderTable2(rows), "Haswell") {
+	if !strings.Contains(renderTable2(rows), "Haswell") {
 		t.Error("render missing Haswell")
 	}
 }
@@ -279,7 +279,7 @@ func TestFigure9Bands(t *testing.T) {
 			t.Errorf("TPU' not better than TPU (total=%v)", total)
 		}
 	}
-	if s := RenderFigure9(bars); !strings.Contains(s, "incremental") {
+	if s := renderFigure9(bars); !strings.Contains(s, "incremental") {
 		t.Error("render missing incremental rows")
 	}
 }
@@ -339,7 +339,7 @@ func TestFigure11Shape(t *testing.T) {
 			t.Errorf("%s 2x WM = %.2f, paper says it degrades", k, v)
 		}
 	}
-	if s := RenderFigure11(rows); !strings.Contains(s, "memory") {
+	if s := renderFigure11(rows); !strings.Contains(s, "memory") {
 		t.Error("render missing knob names")
 	}
 }
@@ -399,27 +399,27 @@ func TestRenderTables(t *testing.T) {
 		t.Error("Table 4 render incomplete")
 	}
 	t5, _ := Table5()
-	if !strings.Contains(RenderTable5(t5), "MLP0") {
+	if !strings.Contains(renderTable5(t5), "MLP0") {
 		t.Error("Table 5 render incomplete")
 	}
 	t6, _ := Table6()
-	if !strings.Contains(RenderTable6(t6), "TPU/GPU") {
+	if !strings.Contains(renderTable6(t6), "TPU/GPU") {
 		t.Error("Table 6 render incomplete")
 	}
 	t7, _ := Table7()
-	if !strings.Contains(RenderTable7(t7), "average difference") {
+	if !strings.Contains(renderTable7(t7), "average difference") {
 		t.Error("Table 7 render incomplete")
 	}
 	t8, _ := Table8()
-	if !strings.Contains(RenderTable8(t8), "CNN1") {
+	if !strings.Contains(renderTable8(t8), "CNN1") {
 		t.Error("Table 8 render incomplete")
 	}
 	f10, _ := Figure10()
-	if !strings.Contains(RenderFigure10(f10), "100%") {
+	if !strings.Contains(renderFigure10(f10), "100%") {
 		t.Error("Figure 10 render incomplete")
 	}
 	r, _ := RooflineTPU()
-	if !strings.Contains(RenderRoofline(r), "ridge") {
+	if !strings.Contains(renderRoofline(r), "ridge") {
 		t.Error("roofline render incomplete")
 	}
 	_ = models.Names()

@@ -95,8 +95,22 @@ func Figure8() ([]Roofline, error) {
 	return []Roofline{tpuR, cpuR, gpuR}, nil
 }
 
-// RenderRoofline formats one roofline.
-func RenderRoofline(r Roofline) string {
+// rooflineOf returns the generator of platform k's baseline roofline.
+func rooflineOf(k platform.Kind) func() (Roofline, error) {
+	return func() (Roofline, error) { return RooflineBaseline(k) }
+}
+
+// renderRooflines formats rooflines one after another.
+func renderRooflines(rs []Roofline) string {
+	var b strings.Builder
+	for _, r := range rs {
+		b.WriteString(renderRoofline(r))
+	}
+	return b.String()
+}
+
+// renderRoofline formats one roofline.
+func renderRoofline(r Roofline) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s roofline: peak %.1f TOPS, ridge %.0f ops/byte\n", r.Platform, r.PeakTOPS, r.RidgeOI)
 	fmt.Fprintf(&b, "%-6s %12s %12s %12s %9s\n", "App", "OI (ops/B)", "TOPS", "ceiling", "% ceiling")
@@ -215,8 +229,8 @@ func Figure9() ([]Figure9Bar, error) {
 	return bars, nil
 }
 
-// RenderFigure9 formats the bars.
-func RenderFigure9(bars []Figure9Bar) string {
+// renderFigure9 formats the bars.
+func renderFigure9(bars []Figure9Bar) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-9s %-12s %8s %8s %10s %10s\n", "Bar", "Accounting", "GM", "WM", "paper GM", "paper WM")
 	for _, bar := range bars {
@@ -280,8 +294,8 @@ func Figure10With(a power.Anchors) ([]Figure10Row, error) {
 	return rows, nil
 }
 
-// RenderFigure10 formats the power sweep.
-func RenderFigure10(rows []Figure10Row) string {
+// renderFigure10 formats the power sweep.
+func renderFigure10(rows []Figure10Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%5s %10s %10s %10s %10s %10s\n",
 		"Load", "CPU W/die", "GPU total", "GPU incr", "TPU total", "TPU incr")
@@ -290,6 +304,26 @@ func RenderFigure10(rows []Figure10Row) string {
 			r.Utilization*100, r.CPUTotal, r.GPUTotal, r.GPUIncrement, r.TPUTotal, r.TPUIncrement)
 	}
 	return b.String()
+}
+
+// figure10BothAnchors renders Figure 10 under the CNN0 anchors and, below
+// it, under the LSTM1 anchors, the paper's second data point.
+func figure10BothAnchors() (string, error) {
+	var b strings.Builder
+	for _, a := range []struct {
+		head    string
+		anchors power.Anchors
+	}{
+		{"CNN0 anchors (56/66/88% at 10% load):\n", power.AnchorsCNN0()},
+		{"\nLSTM1 anchors (47/78/94% at 10% load):\n", power.AnchorsLSTM1()},
+	} {
+		rows, err := Figure10With(a.anchors)
+		if err != nil {
+			return "", err
+		}
+		b.WriteString(a.head + renderFigure10(rows))
+	}
+	return b.String(), nil
 }
 
 // Figure11Row is the weighted-mean relative performance of one knob at one
@@ -328,8 +362,8 @@ func Figure11() ([]Figure11Row, error) {
 	return rows, nil
 }
 
-// RenderFigure11 formats the sensitivity sweep.
-func RenderFigure11(rows []Figure11Row) string {
+// renderFigure11 formats the sensitivity sweep.
+func renderFigure11(rows []Figure11Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %6s %6s  %s\n", "Knob", "Scale", "WM", "per-app (MLP0 MLP1 LSTM0 LSTM1 CNN0 CNN1)")
 	for _, r := range rows {

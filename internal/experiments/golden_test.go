@@ -2,16 +2,11 @@ package experiments
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"tpusim/internal/datacenter"
-	"tpusim/internal/models"
-	"tpusim/internal/platform"
-	"tpusim/internal/power"
 	"tpusim/internal/systolic/kerneltest"
 )
 
@@ -45,124 +40,6 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// A goldenSection is one block of tpubench's report.
-type goldenSection struct {
-	ID     string
-	Render func() (string, error)
-}
-
-func section[T any](id string, gen func() (T, error), render func(T) string) goldenSection {
-	return goldenSection{id, func() (string, error) {
-		v, err := gen()
-		if err != nil {
-			return "", err
-		}
-		return render(v), nil
-	}}
-}
-
-func pure[T any](f func() T) func() (T, error) { return func() (T, error) { return f(), nil } }
-
-// goldenSections is tpubench's report, section by section.
-var goldenSections = []goldenSection{
-	section("t1", pure(Table1), RenderTable1),
-	section("t2", pure(Table2), RenderTable2),
-	section("t3", Table3, RenderTable3),
-	section("t4", Table4, RenderTable4),
-	section("t5", Table5, RenderTable5),
-	section("t6", Table6, RenderTable6),
-	section("t7", Table7, RenderTable7),
-	section("t8", Table8, RenderTable8),
-	section("f5", RooflineTPU, RenderRoofline),
-	section("f6", func() (Roofline, error) { return RooflineBaseline(platform.CPU) }, RenderRoofline),
-	section("f7", func() (Roofline, error) { return RooflineBaseline(platform.GPU) }, RenderRoofline),
-	section("f8", Figure8, func(rs []Roofline) string {
-		var b strings.Builder
-		for _, r := range rs {
-			b.WriteString(RenderRoofline(r))
-		}
-		return b.String()
-	}),
-	section("f9", Figure9, RenderFigure9),
-	{"f10", func() (string, error) {
-		rows, err := Figure10()
-		if err != nil {
-			return "", err
-		}
-		out := "CNN0 anchors (56/66/88% at 10% load):\n" + RenderFigure10(rows)
-		lrows, err := Figure10With(power.AnchorsLSTM1())
-		if err != nil {
-			return "", err
-		}
-		return out + "\nLSTM1 anchors (47/78/94% at 10% load):\n" + RenderFigure10(lrows), nil
-	}},
-	section("f11", Figure11, RenderFigure11),
-	{"s8", RenderSection8},
-	section("ab1", FIFODepthAblation, func(rows []AblationRow) string {
-		return RenderAblations("cycles by FIFO depth", rows, "cycles")
-	}),
-	section("ab2", PrecisionAblation, func(rows []AblationRow) string {
-		return RenderAblations("cycles by precision mode", rows, "cycles")
-	}),
-	section("ab3", AllocatorAblation, func(rows []AblationRow) string {
-		return RenderAblations("UB peak bytes by allocator", rows, "UB bytes")
-	}),
-	section("rw", pure(RelatedWork), RenderRelatedWork),
-	section("sla", SLAStudy, RenderSLA),
-	{"bs", func() (string, error) {
-		var b strings.Builder
-		for _, name := range []string{"MLP0", "CNN0"} {
-			rows, err := BatchSweep(name, nil)
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(RenderBatchSweep(rows))
-		}
-		return b.String(), nil
-	}},
-	section("quant", QuantizationStudy, RenderQuantization),
-	section("energy", EnergyPerInference, RenderEnergy),
-	{"dc", func() (string, error) {
-		tpuIPS := map[string]float64{}
-		for _, name := range models.Names() {
-			p, err := SimulateTPU(name)
-			if err != nil {
-				return "", err
-			}
-			tpuIPS[name] = p.IPS
-		}
-		ps, err := datacenter.Compare(datacenter.UniformScaleDemand(10e6), tpuIPS)
-		if err != nil {
-			return "", err
-		}
-		return "fleet to serve 10M inferences/s at the datacenter mix:\n" + datacenter.Render(ps), nil
-	}},
-}
-
-// goldenCSV is tpubench -csv's output after its kernel line.
-func goldenCSV() (string, error) {
-	var b strings.Builder
-	for _, e := range []struct {
-		name string
-		fn   func() (string, error)
-	}{
-		{"rooflines", CSVRooflines},
-		{"table3", CSVTable3},
-		{"table6", CSVTable6},
-		{"figure10", CSVFigure10},
-		{"figure11", CSVFigure11},
-		{"batchsweep", CSVBatchSweep},
-		{"sla", CSVSLA},
-	} {
-		out, err := e.fn()
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "# %s\n%s\n", e.name, out)
-	}
-	return b.String(), nil
-}
-
 // goldenFile names a section's golden: Table 2 is table2.txt, Figure 10
 // figure10.txt, Section 8 section8.txt, the first ablation ablation1.txt;
 // an ID without a number names its own file.
@@ -183,7 +60,7 @@ func goldenFile(id string) string {
 // SLAStudy and LoadSweepAll compute once per process.
 func goldens() map[string]func() (string, error) {
 	g := map[string]func() (string, error){
-		"csv.txt": goldenCSV,
+		"csv.txt": CSV,
 		"load_sweep.txt": func() (string, error) {
 			rows, err := LoadSweepAll()
 			if err != nil {
@@ -192,7 +69,7 @@ func goldens() map[string]func() (string, error) {
 			return RenderLoadSweep(rows), nil
 		},
 	}
-	for _, s := range goldenSections {
+	for _, s := range Sections {
 		g[goldenFile(s.ID)] = s.Render
 	}
 	return g

@@ -90,8 +90,8 @@ func QuantizationStudy() ([]QuantizationRow, error) {
 	return rows, nil
 }
 
-// RenderQuantization formats the study.
-func RenderQuantization(rows []QuantizationRow) string {
+// renderQuantization formats the study.
+func renderQuantization(rows []QuantizationRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %12s %12s %12s %12s\n", "App", "max err", "rms err", "out range", "max err %")
 	for _, r := range rows {
@@ -146,8 +146,8 @@ func EnergyPerInference() ([]EnergyRow, error) {
 	return rows, nil
 }
 
-// RenderEnergy formats the J/inference table.
-func RenderEnergy(rows []EnergyRow) string {
+// renderEnergy formats the J/inference table.
+func renderEnergy(rows []EnergyRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %12s %12s %12s %10s\n", "App", "CPU mJ/inf", "GPU mJ/inf", "TPU mJ/inf", "CPU/TPU")
 	for _, r := range rows {

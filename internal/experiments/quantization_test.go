@@ -29,7 +29,7 @@ func TestQuantizationStudy(t *testing.T) {
 			t.Errorf("%s: rms %v exceeds max %v", r.App, r.RMSErr, r.MaxAbsErr)
 		}
 	}
-	if s := RenderQuantization(rows); !strings.Contains(s, "max err") {
+	if s := renderQuantization(rows); !strings.Contains(s, "max err") {
 		t.Error("render incomplete")
 	}
 }
@@ -56,7 +56,7 @@ func TestEnergyPerInference(t *testing.T) {
 			t.Errorf("MLP0 energy advantage = %.0fx, want >10x", r.TPUAdvantage)
 		}
 	}
-	if s := RenderEnergy(rows); !strings.Contains(s, "CPU/TPU") {
+	if s := renderEnergy(rows); !strings.Contains(s, "CPU/TPU") {
 		t.Error("render incomplete")
 	}
 }

@@ -50,8 +50,8 @@ func RelatedWork() []RelatedWorkRow {
 	}
 }
 
-// RenderRelatedWork formats the comparison.
-func RenderRelatedWork(rows []RelatedWorkRow) string {
+// renderRelatedWork formats the comparison.
+func renderRelatedWork(rows []RelatedWorkRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %6s %8s %5s %8s %6s %6s %9s %8s\n",
 		"Design", "MHz", "MACs", "bits", "MiB", "GB/s", "Watts", "peakTOPS", "TOPS/W")

@@ -27,7 +27,7 @@ func TestRelatedWork(t *testing.T) {
 	if tpu.PeakTOPS < 91 || tpu.PeakTOPS > 93 {
 		t.Errorf("TPU peak = %.1f, want ~92", tpu.PeakTOPS)
 	}
-	if s := RenderRelatedWork(rows); !strings.Contains(s, "Catapult") || !strings.Contains(s, "DianNao") {
+	if s := renderRelatedWork(rows); !strings.Contains(s, "Catapult") || !strings.Contains(s, "DianNao") {
 		t.Error("render incomplete")
 	}
 }

@@ -133,8 +133,8 @@ func ZeroSkipStudy() ([]ZeroSkipRow, float64, error) {
 	return rows, wm, nil
 }
 
-// RenderSection8 formats the fallacy/pitfall studies.
-func RenderSection8() (string, error) {
+// renderSection8 formats the fallacy/pitfall studies.
+func renderSection8() (string, error) {
 	var b strings.Builder
 	bm := BoostMode()
 	fmt.Fprintf(&b, "K80 Boost mode (LSTM1): clock x%.2f -> perf x%.2f, power x%.2f, perf/W x%.2f (paper: 1.1)\n",

@@ -85,7 +85,7 @@ func TestZeroSkipStudy(t *testing.T) {
 }
 
 func TestRenderSection8(t *testing.T) {
-	s, err := RenderSection8()
+	s, err := renderSection8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestAllocatorAblation(t *testing.T) {
 	if cnn1Naive == nil || cnn1Naive.Cycles >= 0 {
 		t.Error("CNN1 should exhaust the naive allocator")
 	}
-	if s := RenderAblations("alloc", rows, "UB bytes"); !strings.Contains(s, "exhausted") {
+	if s := renderAblations("alloc", "UB bytes")(rows); !strings.Contains(s, "exhausted") {
 		t.Error("render should show exhaustion")
 	}
 }

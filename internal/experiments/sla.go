@@ -96,8 +96,8 @@ func candidateBatches(prod int) []int {
 	return out
 }
 
-// RenderSLA formats the study grouped by app.
-func RenderSLA(rows []SLARow) string {
+// renderSLA formats the study grouped by app.
+func renderSLA(rows []SLARow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %-5s %6s %12s %10s\n", "App", "Plat", "Batch", "IPS @ SLA", "p99 ms")
 	for _, r := range rows {

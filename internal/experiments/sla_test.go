@@ -38,7 +38,7 @@ func TestSLAStudy(t *testing.T) {
 	if r := byKey["MLP0/TPU"]; r.IPS < 10*byKey["MLP0/CPU"].IPS {
 		t.Errorf("MLP0: TPU %.0f vs CPU %.0f — advantage too small", r.IPS, byKey["MLP0/CPU"].IPS)
 	}
-	if s := RenderSLA(rows); !strings.Contains(s, "MLP0") {
+	if s := renderSLA(rows); !strings.Contains(s, "MLP0") {
 		t.Error("render incomplete")
 	}
 }

@@ -45,8 +45,8 @@ func Table1() []Table1Row {
 	return rows
 }
 
-// RenderTable1 formats Table 1.
-func RenderTable1(rows []Table1Row) string {
+// renderTable1 formats Table 1.
+func renderTable1(rows []Table1Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %3s %4s %6s %4s %5s  %-14s %8s %10s %6s %6s\n",
 		"Name", "FC", "Conv", "Vector", "Pool", "Total", "Nonlinear", "Weights", "Ops/Byte", "Batch", "Share%")
@@ -86,8 +86,8 @@ func Table2() []Table2Row {
 	return rows
 }
 
-// RenderTable2 formats Table 2.
-func RenderTable2(rows []Table2Row) string {
+// renderTable2 formats Table 2.
+func renderTable2(rows []Table2Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %6s %5s %5s %5s %7s %5s %5s %5s %4s %7s %7s %7s\n",
 		"Platform", "MHz", "8bT", "FPT", "GB/s", "MiB", "TDP", "Idle", "Busy", "Dies", "SrvTDP", "SrvIdle", "SrvBusy")
@@ -271,8 +271,8 @@ func Table5() ([]Table5Row, error) {
 	return rows, nil
 }
 
-// RenderTable5 formats Table 5.
-func RenderTable5(rows []Table5Row) string {
+// renderTable5 formats Table 5.
+func renderTable5(rows []Table5Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %12s %12s\n", "App", "Host/TPU", "PCIe/TPU")
 	for _, r := range rows {
@@ -353,8 +353,8 @@ func Table6() (Table6Result, error) {
 	return res, nil
 }
 
-// RenderTable6 formats Table 6.
-func RenderTable6(r Table6Result) string {
+// renderTable6 formats Table 6.
+func renderTable6(r Table6Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %8s %8s %12s %12s\n", "App", "GPU/CPU", "TPU/CPU", "paper GPU", "paper TPU")
 	for _, row := range r.Rows {
@@ -398,8 +398,8 @@ func Table7() ([]Table7Row, error) {
 	return rows, nil
 }
 
-// RenderTable7 formats Table 7.
-func RenderTable7(rows []Table7Row) string {
+// renderTable7 formats Table 7.
+func renderTable7(rows []Table7Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %12s %12s %8s\n", "App", "Simulator", "Model", "Diff")
 	sum := 0.0
@@ -449,8 +449,8 @@ func Table8() ([]Table8Row, error) {
 	return rows, nil
 }
 
-// RenderTable8 formats Table 8.
-func RenderTable8(rows []Table8Row) string {
+// renderTable8 formats Table 8.
+func renderTable8(rows []Table8Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %12s %12s %12s\n", "App", "Reuse MiB", "Naive MiB", "paper MiB")
 	for _, r := range rows {

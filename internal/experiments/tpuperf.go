@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from the simulator and models in this repository. Each
 // experiment returns structured rows (for tests and downstream tooling)
-// and renders an aligned text report (for the command-line tools and
-// benchmark harness).
+// and renders an aligned text report; Sections lists the ones tpubench
+// prints, in order, and CSV its plotting data.
 package experiments
 
 import (
