@@ -3,7 +3,7 @@
 //
 //	tpubench            # everything
 //	tpubench -only t3   # one section (t1-t8, f5-f11, ...)
-//	tpubench -csv       # the plotting data as CSV
+//	tpubench -csv       # the plotting data as CSV, roofline curves last
 //
 // The first line names the matrix kernel rung the host runs (amx,
 // avx512vnni, avx2 or swar): the kernel-bound numbers move with it.
@@ -24,7 +24,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tpubench: ")
 	only := flag.String("only", "", "run a single section: "+experiments.SectionIDs()+" (default: all)")
-	csv := flag.Bool("csv", false, "emit machine-readable CSV (rooflines, t3, t6, f10, f11, batch sweep, SLA) instead of the full text report")
+	csv := flag.Bool("csv", false, "emit machine-readable CSV (rooflines, t3, t6, f10, f11, batch sweep, SLA, roofline curves) instead of the full text report")
 	flag.Parse()
 
 	if *csv {

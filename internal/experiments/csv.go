@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"tpusim/internal/models"
+	"tpusim/internal/platform"
 )
 
 // CSV renders tpubench -csv's blocks in order, each under a "# name" line
@@ -19,6 +21,7 @@ func CSV() (string, error) {
 		section("figure11", "", Figure11, csvFigure11),
 		{ID: "batchsweep", Render: csvBatchSweep},
 		section("sla", "", SLAStudy, csvSLA),
+		{ID: "roofline_curves", Render: csvRooflineCurves},
 	} {
 		out, err := s.Render()
 		if err != nil {
@@ -112,6 +115,22 @@ func csvBatchSweep() (string, error) {
 		}
 		for _, r := range rows {
 			fmt.Fprintf(&b, "%s,%d,%.3f,%.1f,%.2f\n", r.App, r.Batch, r.LatencyMs, r.IPS, r.TOPS)
+		}
+	}
+	return b.String(), nil
+}
+
+// csvRooflineCurves samples the roofline of Haswell, K80, TPU and TPU' at
+// 57 operational intensities, 2^0 to 2^14 ops/byte in quarter-octave steps:
+// the lines the rooflines block's points sit under.
+func csvRooflineCurves() (string, error) {
+	var b strings.Builder
+	b.WriteString("platform,ops_per_byte,tops\n")
+	for _, k := range []platform.Kind{platform.CPU, platform.GPU, platform.TPU, platform.TPUPrime} {
+		die := platform.MustSpecs(k).Die
+		for e := 0.0; e <= 14; e += 0.25 {
+			oi := math.Pow(2, e)
+			fmt.Fprintf(&b, "%s,%.2f,%.4f\n", k, oi, die.RooflineTOPS(oi))
 		}
 	}
 	return b.String(), nil
