@@ -455,6 +455,22 @@ func TestWallP99IsWindowMax(t *testing.T) {
 	}
 }
 
+// TestRawServerLearnsNoWall: without a Resilience policy nothing reads the
+// wall learner (only attempt timeouts and hedges do), so a raw server's
+// batches leave it empty.
+func TestRawServerLearnsNoWall(t *testing.T) {
+	s := newTestServer(t, 1, tpu.DefaultConfig())
+	m, p, in := testModel()
+	if _, err := s.Run(m, p, in); err != nil {
+		t.Fatal(err)
+	}
+	s.wallMu.Lock()
+	defer s.wallMu.Unlock()
+	if len(s.modelWall) != 0 || s.wallPerCycle != 0 {
+		t.Fatalf("raw server learned wall latency: %d models, %g s/cycle", len(s.modelWall), s.wallPerCycle)
+	}
+}
+
 // TestObserveWallRejectsNonFinite: a NaN or infinite latency never reaches a
 // model's wall record.
 func TestObserveWallRejectsNonFinite(t *testing.T) {

@@ -700,7 +700,11 @@ func (s *Server) dispatch(ctx context.Context, dev int, timeout time.Duration, m
 	case err == nil:
 		r.WallSeconds = time.Since(start).Seconds()
 		r.Device = dev
-		s.observeWall(m.Name, r)
+		if s.res != nil {
+			// Only the resilient path's timeouts and hedges read the
+			// wall learner.
+			s.observeWall(m.Name, r)
+		}
 		s.recordSuccess(dev, r)
 	case ctx.Err() != nil:
 		// The request itself was cancelled.
