@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -74,26 +75,17 @@ func slaStudy() ([]SLARow, error) {
 	return rows, nil
 }
 
+// candidateBatches is the batch sizes the SLA study tries, ascending and
+// each once: 8, 16 and half and all of the production batch.
 func candidateBatches(prod int) []int {
-	set := map[int]bool{}
+	var out []int
 	for _, b := range []int{8, 16, prod / 2, prod} {
 		if b >= 1 {
-			set[b] = true
+			out = append(out, b)
 		}
 	}
-	var out []int
-	for b := range set {
-		out = append(out, b)
-	}
-	// Deterministic ascending order.
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // renderSLA formats the study grouped by app.
