@@ -238,29 +238,45 @@ cluster-smoke:
 	$(GO) test -race -count=1 -timeout 300s ./internal/des ./internal/cluster
 	$(call race-run,./internal/experiments,TestCluster|TestRollout,900s)
 
-# Report smoke: build the CLI, run the seeded acceptance-default cluster
-# ramp, zone-kill campaign and rollout campaign, and diff the saturation
-# report and the two campaigns' stdout against the pinned goldens —
-# end-to-end proof that the binary, the experiment wiring and the analyzer
-# produce the exact bytes the test suite pins. Each campaign runs its arms
-# on goroutines of their own, so the campaigns are run a second time at
-# GOMAXPROCS=1 and diffed against the same goldens: the output must not
-# depend on the thread count. The ramp's exported Chrome trace (~65 MB) is
-# pinned by its sha256: every span, attribute and formatted value.
+# Report smoke: build the CLIs, run tpuserve's default load sweep, the
+# seeded acceptance-default cluster ramp, zone-kill campaign and rollout
+# campaign, and diff the sweep, the saturation report and the two
+# campaigns' stdout against the pinned goldens — end-to-end proof that the
+# binary, the experiment wiring and the analyzer produce the exact bytes the
+# test suite pins. Each campaign runs its arms on goroutines of their own,
+# so the campaigns are run a second time at GOMAXPROCS=1 and diffed against
+# the same goldens: the output must not depend on the thread count. The
+# ramp's exported Chrome trace (~65 MB) is pinned by its sha256: every span,
+# attribute and formatted value. tpubench's report and its -csv output
+# simulate the six apps on goroutines too, so each is run at the default
+# and at GOMAXPROCS=1 and the two must be byte-identical; -csv after its
+# kernel line is diffed against its golden.
 report-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; mkdir $$tmp/p1; \
 	$(GO) build -o $$tmp/tpuserve ./cmd/tpuserve; \
+	$(GO) build -o $$tmp/tpubench ./cmd/tpubench; \
+	$$tmp/tpuserve > $$tmp/load_sweep.txt; \
 	$$tmp/tpuserve -mode cluster -report $$tmp/cluster_saturation.txt -trace-json $$tmp/cluster_trace.json > /dev/null; \
 	sha256sum $$tmp/cluster_trace.json | cut -d' ' -f1 > $$tmp/cluster_trace.sha256; \
 	$$tmp/tpuserve -mode cluster-chaos > $$tmp/cluster_chaos_campaign.txt; \
 	$$tmp/tpuserve -mode rollout > $$tmp/rollout_campaign.txt; \
 	GOMAXPROCS=1 $$tmp/tpuserve -mode cluster-chaos > $$tmp/p1/cluster_chaos_campaign.txt; \
 	GOMAXPROCS=1 $$tmp/tpuserve -mode rollout > $$tmp/p1/rollout_campaign.txt; \
-	for f in cluster_saturation.txt cluster_trace.sha256 cluster_chaos_campaign.txt rollout_campaign.txt \
-		p1/cluster_chaos_campaign.txt p1/rollout_campaign.txt; do \
+	$$tmp/tpubench -csv > $$tmp/tpubench_csv.txt; \
+	tail -n +2 $$tmp/tpubench_csv.txt > $$tmp/csv.txt; \
+	for f in load_sweep.txt cluster_saturation.txt cluster_trace.sha256 cluster_chaos_campaign.txt rollout_campaign.txt \
+		p1/cluster_chaos_campaign.txt p1/rollout_campaign.txt csv.txt; do \
 		diff -u internal/experiments/testdata/golden/$${f#p1/} $$tmp/$$f \
 			&& echo "report-smoke: $$f matches golden" \
 			|| { echo "report-smoke: $$f drifted from golden"; exit 1; }; \
+	done; \
+	$$tmp/tpubench > $$tmp/tpubench.txt; \
+	GOMAXPROCS=1 $$tmp/tpubench > $$tmp/p1/tpubench.txt; \
+	GOMAXPROCS=1 $$tmp/tpubench -csv > $$tmp/p1/tpubench_csv.txt; \
+	for f in tpubench.txt tpubench_csv.txt; do \
+		diff -u $$tmp/$$f $$tmp/p1/$$f \
+			&& echo "report-smoke: $$f same at GOMAXPROCS=1" \
+			|| { echo "report-smoke: $$f depends on GOMAXPROCS"; exit 1; }; \
 	done
 
 # Coverage floor: the tier-1 packages must keep at least 80% statement
