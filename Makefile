@@ -240,12 +240,13 @@ cluster-smoke:
 
 # Report smoke: build the CLIs, run tpuserve's default load sweep, the
 # seeded acceptance-default cluster ramp, zone-kill campaign and rollout
-# campaign, and diff the sweep, the saturation report and the two
+# campaign, and diff the sweep, the saturation report and the three fleet
 # campaigns' stdout against the pinned goldens — end-to-end proof that the
 # binary, the experiment wiring and the analyzer produce the exact bytes the
-# test suite pins. Each campaign runs its arms on goroutines of their own,
-# so the campaigns are run a second time at GOMAXPROCS=1 and diffed against
-# the same goldens: the output must not depend on the thread count. The
+# test suite pins. The zone-kill and rollout campaigns run their arms on
+# goroutines of their own, so they are run a second time at GOMAXPROCS=1
+# and diffed against the same goldens: the output must not depend on the
+# thread count. The
 # ramp's exported Chrome trace (~65 MB) is pinned by its sha256: every span,
 # attribute and formatted value. tpubench's report and its -csv output
 # simulate the six apps on goroutines too, so each is run at the default
@@ -256,7 +257,7 @@ report-smoke:
 	$(GO) build -o $$tmp/tpuserve ./cmd/tpuserve; \
 	$(GO) build -o $$tmp/tpubench ./cmd/tpubench; \
 	$$tmp/tpuserve > $$tmp/load_sweep.txt; \
-	$$tmp/tpuserve -mode cluster -report $$tmp/cluster_saturation.txt -trace-json $$tmp/cluster_trace.json > /dev/null; \
+	$$tmp/tpuserve -mode cluster -report $$tmp/cluster_saturation.txt -trace-json $$tmp/cluster_trace.json > $$tmp/cluster_campaign.txt; \
 	sha256sum $$tmp/cluster_trace.json | cut -d' ' -f1 > $$tmp/cluster_trace.sha256; \
 	$$tmp/tpuserve -mode cluster-chaos > $$tmp/cluster_chaos_campaign.txt; \
 	$$tmp/tpuserve -mode rollout > $$tmp/rollout_campaign.txt; \
@@ -264,7 +265,7 @@ report-smoke:
 	GOMAXPROCS=1 $$tmp/tpuserve -mode rollout > $$tmp/p1/rollout_campaign.txt; \
 	$$tmp/tpubench -csv > $$tmp/tpubench_csv.txt; \
 	tail -n +2 $$tmp/tpubench_csv.txt > $$tmp/csv.txt; \
-	for f in load_sweep.txt cluster_saturation.txt cluster_trace.sha256 cluster_chaos_campaign.txt rollout_campaign.txt \
+	for f in load_sweep.txt cluster_campaign.txt cluster_saturation.txt cluster_trace.sha256 cluster_chaos_campaign.txt rollout_campaign.txt \
 		p1/cluster_chaos_campaign.txt p1/rollout_campaign.txt csv.txt; do \
 		diff -u internal/experiments/testdata/golden/$${f#p1/} $$tmp/$$f \
 			&& echo "report-smoke: $$f matches golden" \

@@ -13,6 +13,11 @@ import (
 // update regenerates the golden files:
 //
 //	go test ./internal/experiments -run 'TestGolden|TestSaturation|TestClusterChaos|TestRollout' -update
+//
+// TestSaturationReport writes cluster_saturation.txt and
+// cluster_campaign.txt, TestClusterChaosAcceptance
+// cluster_chaos_campaign.txt, TestRolloutAcceptance rollout_campaign.txt,
+// and the TestGolden tests the rest.
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 // checkGolden compares got with testdata/golden/name, or rewrites the file

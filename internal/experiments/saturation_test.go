@@ -1,9 +1,10 @@
 // Acceptance tests for the fleet saturation report on the six-app 8x4
-// ramp: the rendering is golden-pinned and byte-identical across
+// ramp: the rendering and the campaign report are golden-pinned, and
+// the saturation report is byte-identical across
 // same-seed runs, CNN1 — the app whose only deadline-safe operating point
 // leaves microseconds of fill window — is attributed fill-window-limited,
 // and the analyzer reports its knee rate and SLO burn. Regenerate the
-// golden with: go test ./internal/experiments -run TestSaturation -update
+// goldens with: go test ./internal/experiments -run TestSaturation -update
 package experiments
 
 import (
@@ -22,6 +23,7 @@ func TestSaturationReport(t *testing.T) {
 		t.Fatal("RunCluster returned no saturation report")
 	}
 	checkGolden(t, "cluster_saturation.txt", r.Report.Render())
+	checkGolden(t, "cluster_campaign.txt", RenderCluster(r))
 
 	var cnn1 *struct {
 		bottleneck string
