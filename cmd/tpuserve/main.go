@@ -102,6 +102,7 @@ import (
 	"sync"
 	"time"
 
+	"tpusim/internal/cluster"
 	"tpusim/internal/experiments"
 	"tpusim/internal/fault"
 	"tpusim/internal/latency"
@@ -114,10 +115,10 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tpuserve: ")
-	mode := flag.String("mode", "sweep", "sweep (virtual-time knee curves) or live (wall-clock server demo)")
-	duration := flag.Duration("duration", 2*time.Second, "live mode: how long to offer load")
+	mode := flag.String("mode", "sweep", "sweep (virtual-time knee curves), live (wall-clock server demo), chaos, sdc, cluster, cluster-chaos or rollout")
+	duration := flag.Duration("duration", 2*time.Second, "live and chaos modes: how long to offer load")
 	timescale := flag.Float64("timescale", 500, "live mode: slow modeled service times by this factor")
-	loadFrac := flag.Float64("load", 0.8, "live mode: offered load as a fraction of deadline-safe capacity")
+	loadFrac := flag.Float64("load", 0.8, "live and chaos modes: offered load as a fraction of deadline-safe capacity")
 	asJSON := flag.Bool("json", false, "live mode: print the metrics registry as JSON instead of text")
 	listen := flag.String("listen", "", "live mode: serve /metrics, /healthz, /trace, /debug/pprof on this address (e.g. :8080)")
 	metricsEvery := flag.Duration("metrics-every", 0, "live mode: flush the metrics registry to stdout at this interval (0 = off)")
@@ -130,14 +131,14 @@ func main() {
 	faultAt := flag.Float64("fault-at", 0.3, "chaos mode: fraction of the stream at which -kill/-slow strike")
 	sdcSeed := flag.Int64("seed", 11, "sdc mode: campaign seed (flip addresses, bits, weight init)")
 	sdcFlips := flag.Int("flips", 16, "sdc mode: injected flips per app")
-	hosts := flag.Int("hosts", 8, "cluster mode: fleet hosts")
-	devsPerHost := flag.Int("devices-per-host", 4, "cluster mode: devices per host")
-	router := flag.String("router", "bounded-hash", "cluster mode: routing policy (wrr, least-loaded, bounded-hash)")
+	hosts := flag.Int("hosts", 8, "fleet modes (cluster, cluster-chaos, rollout): fleet hosts")
+	devsPerHost := flag.Int("devices-per-host", 4, "fleet modes: devices per host")
+	router := flag.String("router", "bounded-hash", "fleet modes: routing policy (wrr, least-loaded, bounded-hash)")
 	noKill := flag.Bool("no-kill", false, "cluster mode: skip the mid-ramp host kill")
-	report := flag.String("report", "", "cluster mode: write the saturation report (text) to this file, or - for stdout")
+	report := flag.String("report", "", "fleet modes: write the saturation report (text) to this file, or - for stdout")
 	reportJSON := flag.String("report-json", "", "cluster mode: write the saturation report as JSON to this file, or - for stdout")
 	traceJSON := flag.String("trace-json", "", "cluster mode: export the ramp's virtual-time spans as Chrome trace-event JSON (Perfetto-loadable) to this file")
-	zones := flag.Int("zones", 4, "cluster-chaos mode: failure-domain count (a zone fails and recovers as one unit)")
+	zones := flag.Int("zones", 4, "cluster-chaos and rollout modes: failure-domain count (a zone fails and recovers as one unit)")
 	chaosPlan := flag.String("chaos-plan", "", "cluster-chaos mode: extra chaos actions layered on the zone kill (e.g. 'part=4@0.55-0.7,flap=5@0.9x2/0.1,slow=6x2.5@0.3')")
 	rolloutPlan := flag.String("rollout-plan", "", "rollout mode: override the bad run's plan (e.g. 'start=0.2,factor=4,canary=0.1,windows=2,window=0.05,wave=2,drain=0.05')")
 	badFactor := flag.Float64("bad-factor", 4, "rollout mode: the bad v2's service-time inflation")
@@ -176,7 +177,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(experiments.RenderCluster(r))
-		if err := clusterArtifacts(r, *report, *reportJSON, *traceJSON); err != nil {
+		if err := fleetArtifacts(r.Report, r.Spans, *report, *reportJSON, *traceJSON); err != nil {
 			log.Fatal(err)
 		}
 	case "cluster-chaos":
@@ -188,13 +189,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(experiments.RenderClusterChaos(r))
-		if *report != "" {
-			emit := []byte(r.Report.Render())
-			if *report == "-" {
-				os.Stdout.Write(emit)
-			} else if err := os.WriteFile(*report, emit, 0o644); err != nil {
-				log.Fatalf("write -report: %v", err)
-			}
+		if err := fleetArtifacts(r.Report, nil, *report, "", ""); err != nil {
+			log.Fatal(err)
 		}
 		if len(r.Acceptance()) > 0 {
 			os.Exit(1) // the campaign report already printed the violations
@@ -208,13 +204,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(experiments.RenderRollout(r))
-		if *report != "" {
-			emit := []byte(r.GoodReport.Render())
-			if *report == "-" {
-				os.Stdout.Write(emit)
-			} else if err := os.WriteFile(*report, emit, 0o644); err != nil {
-				log.Fatalf("write -report: %v", err)
-			}
+		if err := fleetArtifacts(r.GoodReport, nil, *report, "", ""); err != nil {
+			log.Fatal(err)
 		}
 		if len(r.Acceptance()) > 0 {
 			os.Exit(1) // the campaign report already printed the violations
@@ -224,10 +215,11 @@ func main() {
 	}
 }
 
-// clusterArtifacts writes the cluster mode's optional outputs: the
-// saturation report as text and/or JSON ("-" means stdout), and the
-// recorded virtual-time trace as Chrome trace-event JSON.
-func clusterArtifacts(r *experiments.ClusterResult, report, reportJSON, traceJSON string) error {
+// fleetArtifacts writes a fleet mode's optional outputs: its saturation
+// report as text and/or JSON ("-" means stdout), and its recorded
+// virtual-time spans as Chrome trace-event JSON. An empty path skips its
+// output; the cluster-chaos and rollout modes write only the text report.
+func fleetArtifacts(rep *cluster.SaturationReport, spans []obs.SpanData, report, reportJSON, traceJSON string) error {
 	emit := func(path string, data []byte) error {
 		if path == "-" {
 			_, err := os.Stdout.Write(data)
@@ -236,12 +228,12 @@ func clusterArtifacts(r *experiments.ClusterResult, report, reportJSON, traceJSO
 		return os.WriteFile(path, data, 0o644)
 	}
 	if report != "" {
-		if err := emit(report, []byte(r.Report.Render())); err != nil {
+		if err := emit(report, []byte(rep.Render())); err != nil {
 			return fmt.Errorf("write -report: %w", err)
 		}
 	}
 	if reportJSON != "" {
-		data, err := r.Report.JSON()
+		data, err := rep.JSON()
 		if err != nil {
 			return err
 		}
@@ -254,7 +246,7 @@ func clusterArtifacts(r *experiments.ClusterResult, report, reportJSON, traceJSO
 		if err != nil {
 			return fmt.Errorf("write -trace-json: %w", err)
 		}
-		if err := obs.WriteChromeTrace(f, r.Spans); err != nil {
+		if err := obs.WriteChromeTrace(f, spans); err != nil {
 			f.Close()
 			return err
 		}

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestBatchSweepMonotonic: for a memory-bound MLP, throughput rises with
 // batch (weights amortized over more examples) and so does latency — the
@@ -75,15 +72,5 @@ func TestBatchSweepMLP0ProductionPoint(t *testing.T) {
 func TestBatchSweepErrors(t *testing.T) {
 	if _, err := BatchSweep("nope", nil); err == nil {
 		t.Error("unknown app accepted")
-	}
-}
-
-func TestRenderBatchSweep(t *testing.T) {
-	rows, err := BatchSweep("LSTM0", []int{16, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := renderBatchSweep(rows); !strings.Contains(s, "LSTM0") {
-		t.Error("render incomplete")
 	}
 }

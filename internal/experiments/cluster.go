@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -56,25 +57,6 @@ type ClusterConfig struct {
 	Trace bool
 }
 
-func (c ClusterConfig) withDefaults() ClusterConfig {
-	if c.Hosts == 0 {
-		c.Hosts = 8
-	}
-	if c.DevicesPerHost == 0 {
-		c.DevicesPerHost = 4
-	}
-	if c.Router == "" {
-		c.Router = "bounded-hash"
-	}
-	if c.RampSeconds == 0 {
-		c.RampSeconds = 0.4
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
-}
-
 // ClusterAppInfo is one app's static serving profile in the experiment.
 type ClusterAppInfo struct {
 	Name string
@@ -106,30 +88,58 @@ type ClusterResult struct {
 	// Report is the saturation analysis: per-app knee rate, bottleneck
 	// attribution and SLO burn over the ramp's windowed series.
 	Report *cluster.SaturationReport
-	// Fleet is the metrics registry behind Report, for Text/Prometheus
-	// rendering or a live scrape during the run.
-	Fleet *cluster.FleetMetrics
 	// Spans is the recorded virtual-time trace when Cfg.Trace is set, ready
 	// for obs.WriteChromeTrace.
 	Spans []obs.SpanData
 }
 
-// fleetMix builds the app mix every fleet experiment serves: Table 1's six
-// models, each priced by the Table 4 analytic model and resolved to its
+// fleet is what every arm of a fleet campaign builds its cluster from:
+// the campaign's fleet shape with its defaults filled, its routing policy,
+// autoscaler tick and app mix, and the time unit its telemetry windows
+// are cut from.
+type fleet struct {
+	cfg  cluster.Config
+	unit float64
+}
+
+// newFleet fills, in place, the fleet shape a campaign's config holds —
+// each zero takes the acceptance default: an 8x4 fleet in 4 zones behind
+// bounded-load hashing, a 0.4 s time unit and seed 42 — and parses its
+// routing policy. The ramp has no failure domains and passes a nil zones.
+func newFleet(hosts, devicesPerHost, zones *int, router *string, unit *float64, seed *int64) (*fleet, error) {
+	*hosts = cmp.Or(*hosts, 8)
+	*devicesPerHost = cmp.Or(*devicesPerHost, 4)
+	*router = cmp.Or(*router, "bounded-hash")
+	*unit = cmp.Or(*unit, 0.4)
+	*seed = cmp.Or(*seed, 42)
+	f := &fleet{unit: *unit, cfg: cluster.Config{
+		Hosts:          *hosts,
+		DevicesPerHost: *devicesPerHost,
+		Seed:           *seed,
+		// The short virtual horizon needs a snappy decision window: ~10
+		// batch epochs per tick at the apps' millisecond service times.
+		Autoscale: cluster.AutoscaleConfig{Interval: *unit / 8},
+	}}
+	if zones != nil {
+		*zones = cmp.Or(*zones, 4)
+		f.cfg.Zones = *zones
+	}
+	var err error
+	f.cfg.Router, err = cluster.ParsePolicy(*router)
+	return f, err
+}
+
+// mix sets the app mix every fleet campaign serves: Table 1's six models,
+// each priced by the Table 4 analytic model and resolved to its
 // deadline-safe operating point at the fleet SLA, starting at the given
 // replica count. load turns one un-shared replica's saturation rate into the app's
 // offered-load curve and its peak. An app with no operating point at the
 // SLA (CNN1 under tight deadlines), or one the optional keep predicate
 // turns down, is dropped from the mix and named in skipped rather than
 // failing the experiment; the fleet serves the apps that remain.
-func fleetMix(replicas int, keep func(serve.Plan) bool,
+func (f *fleet) mix(replicas int, keep func(serve.Plan) bool,
 	load func(one float64) (curve workload.Curve, peak float64, err error),
-) ([]cluster.AppConfig, []ClusterAppInfo, []string, error) {
-	var (
-		apps    []cluster.AppConfig
-		info    []ClusterAppInfo
-		skipped []string
-	)
+) (info []ClusterAppInfo, skipped []string, err error) {
 	for _, b := range models.All() {
 		name := b.Model.Name
 		svc := latency.ServiceFunc(func(n int) (float64, error) { return TPUBatchSeconds(name, n) })
@@ -142,7 +152,7 @@ func fleetMix(replicas int, keep func(serve.Plan) bool,
 		one := float64(plan.SafeBatch) / plan.SafeServiceSeconds
 		curve, peak, err := load(one)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("experiments: %s load curve: %w", name, err)
+			return nil, nil, fmt.Errorf("experiments: %s load curve: %w", name, err)
 		}
 		weights := compiler.WeightFootprint(b.Model, false)
 		info = append(info, ClusterAppInfo{
@@ -153,7 +163,7 @@ func fleetMix(replicas int, keep func(serve.Plan) bool,
 			ReplicaRate: one,
 			PeakRate:    peak,
 		})
-		apps = append(apps, cluster.AppConfig{
+		f.cfg.Apps = append(f.cfg.Apps, cluster.AppConfig{
 			Name:            name,
 			Service:         svc,
 			Policy:          pol,
@@ -163,10 +173,30 @@ func fleetMix(replicas int, keep func(serve.Plan) bool,
 			MinReplicas:     replicas,
 		})
 	}
-	if len(apps) == 0 {
-		return nil, nil, nil, fmt.Errorf("experiments: no app has an operating point at SLA %.1f ms", fleetSLASeconds*1e3)
+	if len(f.cfg.Apps) == 0 {
+		return nil, nil, fmt.Errorf("experiments: no app has an operating point at SLA %.1f ms", fleetSLASeconds*1e3)
 	}
-	return apps, info, skipped, nil
+	return info, skipped, nil
+}
+
+// build makes one arm's cluster. Arms differ only in their retry policy
+// and tracer; all share the read-only app configs, so each can run on a
+// goroutine of its own. Fleet observability rides along on every arm: the
+// registry's sampler tick only reads simulator state, so the snapshot and
+// event log are byte-identical to an uninstrumented run, and 20 windows
+// per time unit give the knee detector resolution without starving each
+// window of arrivals. A tracer keeps every 4th batch (with its member
+// requests), so a ramp's spans fit its ring and nothing is evicted; host
+// kills, quarantines and autoscaler decisions are always recorded.
+func (f *fleet) build(retry cluster.RetryConfig, tracer *obs.Tracer) (*cluster.Cluster, error) {
+	cfg := f.cfg
+	cfg.Retry = retry
+	cfg.Telemetry = &cluster.Telemetry{
+		Metrics:     cluster.NewFleetMetrics(f.unit / 20),
+		Tracer:      tracer,
+		SampleEvery: 4,
+	}
+	return cluster.New(cfg)
 }
 
 // RunCluster builds the six-app fleet and drives it through the ramp.
@@ -174,13 +204,12 @@ func fleetMix(replicas int, keep func(serve.Plan) bool,
 // capacity, so every app — not just the big MLPs — crosses
 // its scale-up threshold and the autoscaler must act while a host dies.
 func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
-	cfg = cfg.withDefaults()
-	policy, err := cluster.ParsePolicy(cfg.Router)
+	f, err := newFleet(&cfg.Hosts, &cfg.DevicesPerHost, nil, &cfg.Router, &cfg.RampSeconds, &cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	res := &ClusterResult{Cfg: cfg}
-	apps, info, skipped, err := fleetMix(1, nil, func(one float64) (workload.Curve, float64, error) {
+	res.Apps, res.Skipped, err = f.mix(1, nil, func(one float64) (workload.Curve, float64, error) {
 		ramp, err := workload.NewPiecewiseLinear(
 			workload.Point{T: 0, Rate: clusterStartFrac * one},
 			workload.Point{T: cfg.RampSeconds, Rate: clusterPeakFrac * one},
@@ -190,33 +219,12 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Apps, res.Skipped = info, skipped
-	// Fleet observability rides along on every run: the registry's sampler
-	// tick only reads simulator state, so the snapshot and event log are
-	// byte-identical to an uninstrumented run. 20 windows across the ramp
-	// give the knee detector resolution without starving each window of
-	// arrivals; the trace (opt-in — it holds every batch span in memory)
-	// records the ramp unsampled so Perfetto shows the full storyline.
-	tel := &cluster.Telemetry{Metrics: cluster.NewFleetMetrics(cfg.RampSeconds / 20)}
+	// The trace is opt-in: it holds every sampled batch span in memory.
+	var tracer *obs.Tracer
 	if cfg.Trace {
-		// Every 4th batch (with its member requests) keeps the span volume
-		// inside the ring so nothing from the ramp is evicted; host kills,
-		// quarantines and autoscaler decisions are always recorded.
-		tel.Tracer = obs.NewTracer(1 << 18)
-		tel.SampleEvery = 4
+		tracer = obs.NewTracer(1 << 18)
 	}
-	res.Fleet = tel.Metrics
-	c, err := cluster.New(cluster.Config{
-		Hosts:          cfg.Hosts,
-		DevicesPerHost: cfg.DevicesPerHost,
-		Router:         policy,
-		Apps:           apps,
-		// The short virtual horizon needs a snappy decision window: ~10
-		// batch epochs per tick at the apps' millisecond service times.
-		Autoscale: cluster.AutoscaleConfig{Interval: cfg.RampSeconds / 8},
-		Seed:      cfg.Seed,
-		Telemetry: tel,
-	})
+	c, err := f.build(cluster.RetryConfig{}, tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -233,8 +241,8 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	if res.Report, err = c.SaturationReport(); err != nil {
 		return nil, err
 	}
-	if cfg.Trace {
-		res.Spans = tel.Tracer.Spans()
+	if tracer != nil {
+		res.Spans = tracer.Spans()
 	}
 	return res, nil
 }
@@ -250,19 +258,38 @@ func RenderCluster(r *ClusterResult) string {
 		fmt.Fprintf(&b, ", host0 killed at %.2fs", r.KilledAt)
 	}
 	b.WriteString("\n\n")
-	fmt.Fprintf(&b, "%-6s %7s %10s %6s %12s %12s\n",
-		"app", "share", "weights", "batch", "replica-cap", "peak-load")
-	for _, a := range r.Apps {
-		fmt.Fprintf(&b, "%-6s %6.1f%% %8.1fMiB %6d %10.0f/s %10.0f/s\n",
-			a.Name, a.DeployShare, float64(a.WeightBytes)/(1<<20), a.SafeBatch, a.ReplicaRate, a.PeakRate)
-	}
-	if len(r.Skipped) > 0 {
-		fmt.Fprintf(&b, "skipped (no operating point at %.1f ms SLA): %s\n",
-			fleetSLASeconds*1e3, strings.Join(r.Skipped, ", "))
-	}
+	renderApps(&b, r.Apps, r.Skipped, "peak-load", "no operating point")
 	b.WriteString("\n")
 	b.WriteString(r.Snap.Render())
 	// Digest the event log by kind: the log itself is pinned by tests.
 	fmt.Fprintf(&b, "\nevent log: %s\n", eventDigest(r.Events))
 	return b.String()
+}
+
+// renderApps writes a fleet campaign's app table: each served app's
+// operating point and offered load, under the given load column heading,
+// then the apps the mix skipped and why.
+func renderApps(b *strings.Builder, apps []ClusterAppInfo, skipped []string, load, why string) {
+	fmt.Fprintf(b, "%-6s %7s %10s %6s %12s %12s\n",
+		"app", "share", "weights", "batch", "replica-cap", load)
+	for _, a := range apps {
+		fmt.Fprintf(b, "%-6s %6.1f%% %8.1fMiB %6d %10.0f/s %10.0f/s\n",
+			a.Name, a.DeployShare, float64(a.WeightBytes)/(1<<20), a.SafeBatch, a.ReplicaRate, a.PeakRate)
+	}
+	if len(skipped) > 0 {
+		fmt.Fprintf(b, "skipped (%s at %.1f ms SLA): %s\n", why, fleetSLASeconds*1e3, strings.Join(skipped, ", "))
+	}
+}
+
+// renderAcceptance writes a campaign's verdict: PASS with the criteria it
+// checked, or FAIL with one line per violation.
+func renderAcceptance(b *strings.Builder, violations []string, criteria string) {
+	if len(violations) == 0 {
+		fmt.Fprintf(b, "\nacceptance: PASS (%s)\n", criteria)
+		return
+	}
+	b.WriteString("\nacceptance: FAIL\n")
+	for _, v := range violations {
+		fmt.Fprintf(b, "  - %s\n", v)
+	}
 }

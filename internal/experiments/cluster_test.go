@@ -52,8 +52,8 @@ func TestClusterAcceptance(t *testing.T) {
 	if kinds["scale-up"] == 0 {
 		t.Error("ramp to 150% forced no scale-ups")
 	}
-	if r.Snap.HostsAlive != cfg.withDefaults().Hosts-1 {
-		t.Errorf("hosts alive %d, want %d", r.Snap.HostsAlive, cfg.withDefaults().Hosts-1)
+	if r.Snap.HostsAlive != r.Cfg.Hosts-1 {
+		t.Errorf("hosts alive %d, want %d", r.Snap.HostsAlive, r.Cfg.Hosts-1)
 	}
 
 	// Determinism: an independent same-config run renders byte-identically.
@@ -93,5 +93,25 @@ func TestClusterRouterVariants(t *testing.T) {
 func TestClusterUnknownRouter(t *testing.T) {
 	if _, err := RunCluster(ClusterConfig{Router: "zebra"}); err == nil {
 		t.Fatal("unknown router accepted")
+	}
+}
+
+// TestCampaignVerdict pins the verdict block the zone-kill and rollout
+// campaigns end with. Their goldens hold only the PASS form; a FAIL lists
+// each violated criterion on its own line.
+func TestCampaignVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		violations []string
+		want       string
+	}{
+		{nil, "\nacceptance: PASS (errors < 1%)\n"},
+		{[]string{"MLP0 p99 9 ms", "2 hosts still cordoned"},
+			"\nacceptance: FAIL\n  - MLP0 p99 9 ms\n  - 2 hosts still cordoned\n"},
+	} {
+		var b strings.Builder
+		renderAcceptance(&b, tc.violations, "errors < 1%")
+		if b.String() != tc.want {
+			t.Errorf("verdict for %q:\n%q\nwant\n%q", tc.violations, b.String(), tc.want)
+		}
 	}
 }

@@ -48,28 +48,6 @@ type ClusterChaosConfig struct {
 	ExtraChaos string
 }
 
-func (c ClusterChaosConfig) withDefaults() ClusterChaosConfig {
-	if c.Hosts == 0 {
-		c.Hosts = 8
-	}
-	if c.DevicesPerHost == 0 {
-		c.DevicesPerHost = 4
-	}
-	if c.Zones == 0 {
-		c.Zones = 4
-	}
-	if c.Router == "" {
-		c.Router = "bounded-hash"
-	}
-	if c.RampSeconds == 0 {
-		c.RampSeconds = 0.4
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
-}
-
 // ZoneDownAt is the virtual time the zone dies: just past the ramp top,
 // with the fleet at its peak load.
 func (c ClusterChaosConfig) ZoneDownAt() float64 { return 1.25 * c.RampSeconds }
@@ -113,8 +91,7 @@ type ClusterChaosResult struct {
 
 // RunClusterChaos runs the three-way campaign.
 func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResult, error) {
-	cfg = cfg.withDefaults()
-	policy, err := cluster.ParsePolicy(cfg.Router)
+	f, err := newFleet(&cfg.Hosts, &cfg.DevicesPerHost, &cfg.Zones, &cfg.Router, &cfg.RampSeconds, &cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +109,7 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResult, error) {
 	// Two replicas per app: zone anti-affinity places them in distinct
 	// failure domains, so one dark zone leaves every app with quorum.
 	const initialReplicas = 2
-	apps, info, skipped, err := fleetMix(initialReplicas, nil, func(one float64) (workload.Curve, float64, error) {
+	res.Apps, res.Skipped, err = f.mix(initialReplicas, nil, func(one float64) (workload.Curve, float64, error) {
 		rated := initialReplicas * one
 		ramp, err := workload.NewPiecewiseLinear(
 			workload.Point{T: 0, Rate: clusterChaosStartFrac * rated},
@@ -143,38 +120,21 @@ func RunClusterChaos(cfg ClusterChaosConfig) (*ClusterChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Apps, res.Skipped = info, skipped
 
+	plan := cluster.ChaosPlan{Actions: append([]cluster.ChaosAction{
+		{Kind: "zone-down", Target: 0, At: cfg.ZoneDownAt()},
+		{Kind: "zone-up", Target: 0, At: cfg.ZoneUpAt()},
+	}, extra.Actions...)}
 	build := func(chaotic, noBudget bool) (*cluster.Cluster, error) {
-		tel := &cluster.Telemetry{Metrics: cluster.NewFleetMetrics(cfg.RampSeconds / 20)}
-		c, err := cluster.New(cluster.Config{
-			Hosts:          cfg.Hosts,
-			DevicesPerHost: cfg.DevicesPerHost,
-			Zones:          cfg.Zones,
-			Router:         policy,
-			Apps:           apps,
-			Autoscale:      cluster.AutoscaleConfig{Interval: cfg.RampSeconds / 8},
-			Retry:          cluster.RetryConfig{Enabled: true, NoBudget: noBudget},
-			Seed:           cfg.Seed,
-			Telemetry:      tel,
-		})
-		if err != nil {
-			return nil, err
+		c, err := f.build(cluster.RetryConfig{Enabled: true, NoBudget: noBudget}, nil)
+		if err != nil || !chaotic {
+			return c, err
 		}
-		if chaotic {
-			plan := cluster.ChaosPlan{Actions: append([]cluster.ChaosAction{
-				{Kind: "zone-down", Target: 0, At: cfg.ZoneDownAt()},
-				{Kind: "zone-up", Target: 0, At: cfg.ZoneUpAt()},
-			}, extra.Actions...)}
-			if err := c.ApplyChaos(plan); err != nil {
-				return nil, err
-			}
-		}
-		return c, nil
+		return c, c.ApplyChaos(plan)
 	}
 
-	// The three arms share only the read-only app configs and the parsed
-	// extra plan, so each runs its own cluster on a goroutine of its own.
+	// The three arms share only the read-only app configs and chaos plan,
+	// so each runs its own cluster on a goroutine of its own.
 	err = concurrently(
 		// Healthy baseline: same seed, same defenses, no failures.
 		func() error {
@@ -309,16 +269,7 @@ func RenderClusterChaos(r *ClusterChaosResult) string {
 	}
 	b.WriteString("\n")
 
-	fmt.Fprintf(&b, "%-6s %7s %10s %6s %12s %12s\n",
-		"app", "share", "weights", "batch", "replica-cap", "peak-load")
-	for _, a := range r.Apps {
-		fmt.Fprintf(&b, "%-6s %6.1f%% %8.1fMiB %6d %10.0f/s %10.0f/s\n",
-			a.Name, a.DeployShare, float64(a.WeightBytes)/(1<<20), a.SafeBatch, a.ReplicaRate, a.PeakRate)
-	}
-	if len(r.Skipped) > 0 {
-		fmt.Fprintf(&b, "skipped (no operating point at %.1f ms SLA): %s\n",
-			fleetSLASeconds*1e3, strings.Join(r.Skipped, ", "))
-	}
+	renderApps(&b, r.Apps, r.Skipped, "peak-load", "no operating point")
 
 	// The three-way comparison: healthy / defended / storm control.
 	b.WriteString("\nhealthy baseline vs defended chaos vs NoBudget storm control (same seed):\n")
@@ -342,14 +293,7 @@ func RenderClusterChaos(r *ClusterChaosResult) string {
 
 	fmt.Fprintf(&b, "\nevent log (defended run): %s\n", eventDigest(r.Events))
 
-	if bad := r.Acceptance(); len(bad) == 0 {
-		b.WriteString("\nacceptance: PASS (p99 <= 2x healthy, errors < 1%, retries within budget, full recovery, storm demonstrated)\n")
-	} else {
-		b.WriteString("\nacceptance: FAIL\n")
-		for _, v := range bad {
-			fmt.Fprintf(&b, "  - %s\n", v)
-		}
-	}
+	renderAcceptance(&b, r.Acceptance(), "p99 <= 2x healthy, errors < 1%, retries within budget, full recovery, storm demonstrated")
 	return b.String()
 }
 

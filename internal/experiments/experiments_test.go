@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"tpusim/internal/models"
 	"tpusim/internal/platform"
 	"tpusim/internal/power"
 )
@@ -381,48 +380,6 @@ func TestTPUPrimeSpeedupHostAdjusted(t *testing.T) {
 	if _, err := TPUPrimeSpeedup("nope"); err == nil {
 		t.Error("unknown app accepted")
 	}
-}
-
-func TestRenderTables(t *testing.T) {
-	t3, err := Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(RenderTable3(t3), "Weight stall") {
-		t.Error("Table 3 render incomplete")
-	}
-	t4, err := Table4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(RenderTable4(t4), "TPU") {
-		t.Error("Table 4 render incomplete")
-	}
-	t5, _ := Table5()
-	if !strings.Contains(renderTable5(t5), "MLP0") {
-		t.Error("Table 5 render incomplete")
-	}
-	t6, _ := Table6()
-	if !strings.Contains(renderTable6(t6), "TPU/GPU") {
-		t.Error("Table 6 render incomplete")
-	}
-	t7, _ := Table7()
-	if !strings.Contains(renderTable7(t7), "average difference") {
-		t.Error("Table 7 render incomplete")
-	}
-	t8, _ := Table8()
-	if !strings.Contains(renderTable8(t8), "CNN1") {
-		t.Error("Table 8 render incomplete")
-	}
-	f10, _ := Figure10()
-	if !strings.Contains(renderFigure10(f10), "100%") {
-		t.Error("Figure 10 render incomplete")
-	}
-	r, _ := RooflineTPU()
-	if !strings.Contains(renderRoofline(r), "ridge") {
-		t.Error("roofline render incomplete")
-	}
-	_ = models.Names()
 }
 
 func TestFigure10WithLSTM1Anchors(t *testing.T) {

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -46,31 +47,6 @@ type RolloutConfig struct {
 	// Plan is an optional -rollout-plan spec overriding the bad run's
 	// plan (the good run always reuses it with factor=1).
 	Plan string
-}
-
-func (c RolloutConfig) withDefaults() RolloutConfig {
-	if c.Hosts == 0 {
-		c.Hosts = 8
-	}
-	if c.DevicesPerHost == 0 {
-		c.DevicesPerHost = 4
-	}
-	if c.Zones == 0 {
-		c.Zones = 4
-	}
-	if c.Router == "" {
-		c.Router = "bounded-hash"
-	}
-	if c.BaseSeconds == 0 {
-		c.BaseSeconds = 0.4
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.BadFactor == 0 {
-		c.BadFactor = 4
-	}
-	return c
 }
 
 // Horizon is the campaign end: enough room for the canary stage plus a
@@ -125,11 +101,11 @@ type RolloutResult struct {
 
 // RunRollout runs the three-way campaign.
 func RunRollout(cfg RolloutConfig) (*RolloutResult, error) {
-	cfg = cfg.withDefaults()
-	policy, err := cluster.ParsePolicy(cfg.Router)
+	f, err := newFleet(&cfg.Hosts, &cfg.DevicesPerHost, &cfg.Zones, &cfg.Router, &cfg.BaseSeconds, &cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	cfg.BadFactor = cmp.Or(cfg.BadFactor, 4)
 	bad, err := cfg.badPlan()
 	if err != nil {
 		return nil, err
@@ -147,37 +123,20 @@ func RunRollout(cfg RolloutConfig) (*RolloutResult, error) {
 	// drowns in shed noise (CNN1's safe batch runs at ~100% of the
 	// 7 ms SLA). Skip apps without 2x deadline headroom.
 	headroom := func(plan serve.Plan) bool { return plan.SafeServiceSeconds <= 0.5*fleetSLASeconds }
-	apps, info, skipped, err := fleetMix(initialReplicas, headroom, func(one float64) (workload.Curve, float64, error) {
+	res.Apps, res.Skipped, err = f.mix(initialReplicas, headroom, func(one float64) (workload.Curve, float64, error) {
 		rate := rolloutLoadFrac * (initialReplicas * one)
 		return workload.Constant(rate), rate, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Apps, res.Skipped = info, skipped
 
 	build := func(plan *cluster.RolloutPlan) (*cluster.Cluster, error) {
-		tel := &cluster.Telemetry{Metrics: cluster.NewFleetMetrics(cfg.BaseSeconds / 20)}
-		c, err := cluster.New(cluster.Config{
-			Hosts:          cfg.Hosts,
-			DevicesPerHost: cfg.DevicesPerHost,
-			Zones:          cfg.Zones,
-			Router:         policy,
-			Apps:           apps,
-			Autoscale:      cluster.AutoscaleConfig{Interval: cfg.BaseSeconds / 8},
-			Retry:          cluster.RetryConfig{Enabled: true},
-			Seed:           cfg.Seed,
-			Telemetry:      tel,
-		})
-		if err != nil {
-			return nil, err
+		c, err := f.build(cluster.RetryConfig{Enabled: true}, nil)
+		if err != nil || plan == nil {
+			return c, err
 		}
-		if plan != nil {
-			if err := c.ApplyRollout(*plan); err != nil {
-				return nil, err
-			}
-		}
-		return c, nil
+		return c, c.ApplyRollout(*plan)
 	}
 
 	// The three arms share only the read-only app configs, so each runs
@@ -345,16 +304,7 @@ func RenderRollout(r *RolloutResult) string {
 	fmt.Fprintf(&b, "good plan: %s\n", r.GoodPlan)
 	b.WriteString("\n")
 
-	fmt.Fprintf(&b, "%-6s %7s %10s %6s %12s %12s\n",
-		"app", "share", "weights", "batch", "replica-cap", "load")
-	for _, a := range r.Apps {
-		fmt.Fprintf(&b, "%-6s %6.1f%% %8.1fMiB %6d %10.0f/s %10.0f/s\n",
-			a.Name, a.DeployShare, float64(a.WeightBytes)/(1<<20), a.SafeBatch, a.ReplicaRate, a.PeakRate)
-	}
-	if len(r.Skipped) > 0 {
-		fmt.Fprintf(&b, "skipped (no SLO-safe rolling change at %.1f ms SLA): %s\n",
-			fleetSLASeconds*1e3, strings.Join(r.Skipped, ", "))
-	}
+	renderApps(&b, r.Apps, r.Skipped, "load", "no SLO-safe rolling change")
 
 	// The three-way comparison: no change / bad v2 / good v2.
 	b.WriteString("\nhealthy baseline vs bad-v2 rollout vs good-v2 rollout (same seed):\n")
@@ -391,13 +341,6 @@ func RenderRollout(r *RolloutResult) string {
 	fmt.Fprintf(&b, "\nevent log (bad run):  %s\n", eventDigest(r.BadEvents))
 	fmt.Fprintf(&b, "event log (good run): %s\n", eventDigest(r.GoodEvents))
 
-	if bad := r.Acceptance(); len(bad) == 0 {
-		b.WriteString("\nacceptance: PASS (bad v2 caught at canary and fully rolled back; good v2 at 100% with zero SLO burn)\n")
-	} else {
-		b.WriteString("\nacceptance: FAIL\n")
-		for _, v := range bad {
-			fmt.Fprintf(&b, "  - %s\n", v)
-		}
-	}
+	renderAcceptance(&b, r.Acceptance(), "bad v2 caught at canary and fully rolled back; good v2 at 100% with zero SLO burn")
 	return b.String()
 }

@@ -84,18 +84,6 @@ func TestZeroSkipStudy(t *testing.T) {
 	}
 }
 
-func TestRenderSection8(t *testing.T) {
-	s, err := renderSection8()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Boost", "8-bit", "IPS", "Zero-skipping"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("render missing %q", want)
-		}
-	}
-}
-
 func TestFIFODepthAblation(t *testing.T) {
 	rows, err := FIFODepthAblation()
 	if err != nil {
