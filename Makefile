@@ -246,7 +246,9 @@ cluster-smoke:
 # test suite pins. The zone-kill and rollout campaigns run their arms on
 # goroutines of their own, so they are run a second time at GOMAXPROCS=1
 # and diffed against the same goldens: the output must not depend on the
-# thread count. The
+# thread count. Both runs of each also write -report-json, which must be
+# non-empty and the same at both thread counts, and -trace-json with either
+# mode must exit 2 before the campaign runs: neither records spans. The
 # ramp's exported Chrome trace (~65 MB) is pinned by its sha256: every span,
 # attribute and formatted value. tpubench's report and its -csv output
 # simulate the six apps on goroutines too, so each is run at the default
@@ -259,10 +261,10 @@ report-smoke:
 	$$tmp/tpuserve > $$tmp/load_sweep.txt; \
 	$$tmp/tpuserve -mode cluster -report $$tmp/cluster_saturation.txt -trace-json $$tmp/cluster_trace.json > $$tmp/cluster_campaign.txt; \
 	sha256sum $$tmp/cluster_trace.json | cut -d' ' -f1 > $$tmp/cluster_trace.sha256; \
-	$$tmp/tpuserve -mode cluster-chaos > $$tmp/cluster_chaos_campaign.txt; \
-	$$tmp/tpuserve -mode rollout > $$tmp/rollout_campaign.txt; \
-	GOMAXPROCS=1 $$tmp/tpuserve -mode cluster-chaos > $$tmp/p1/cluster_chaos_campaign.txt; \
-	GOMAXPROCS=1 $$tmp/tpuserve -mode rollout > $$tmp/p1/rollout_campaign.txt; \
+	$$tmp/tpuserve -mode cluster-chaos -report-json $$tmp/cluster_chaos_report.json > $$tmp/cluster_chaos_campaign.txt; \
+	$$tmp/tpuserve -mode rollout -report-json $$tmp/rollout_report.json > $$tmp/rollout_campaign.txt; \
+	GOMAXPROCS=1 $$tmp/tpuserve -mode cluster-chaos -report-json $$tmp/p1/cluster_chaos_report.json > $$tmp/p1/cluster_chaos_campaign.txt; \
+	GOMAXPROCS=1 $$tmp/tpuserve -mode rollout -report-json $$tmp/p1/rollout_report.json > $$tmp/p1/rollout_campaign.txt; \
 	$$tmp/tpubench -csv > $$tmp/tpubench_csv.txt; \
 	tail -n +2 $$tmp/tpubench_csv.txt > $$tmp/csv.txt; \
 	for f in load_sweep.txt cluster_campaign.txt cluster_saturation.txt cluster_trace.sha256 cluster_chaos_campaign.txt rollout_campaign.txt \
@@ -270,6 +272,17 @@ report-smoke:
 		diff -u internal/experiments/testdata/golden/$${f#p1/} $$tmp/$$f \
 			&& echo "report-smoke: $$f matches golden" \
 			|| { echo "report-smoke: $$f drifted from golden"; exit 1; }; \
+	done; \
+	for f in cluster_chaos_report.json rollout_report.json; do \
+		[ -s $$tmp/$$f ] && [ -s $$tmp/p1/$$f ] || { echo "report-smoke: $$f is empty"; exit 1; }; \
+		cmp -s $$tmp/$$f $$tmp/p1/$$f \
+			&& echo "report-smoke: $$f same at GOMAXPROCS=1" \
+			|| { echo "report-smoke: $$f depends on GOMAXPROCS"; exit 1; }; \
+	done; \
+	for m in cluster-chaos rollout; do \
+		$$tmp/tpuserve -mode $$m -trace-json $$tmp/rejected.json 2>/dev/null; st=$$?; \
+		[ $$st -eq 2 ] && echo "report-smoke: -mode $$m rejects -trace-json" \
+			|| { echo "report-smoke: -mode $$m -trace-json exited $$st, want 2"; exit 1; }; \
 	done; \
 	$$tmp/tpubench > $$tmp/tpubench.txt; \
 	GOMAXPROCS=1 $$tmp/tpubench > $$tmp/p1/tpubench.txt; \

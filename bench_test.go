@@ -80,7 +80,11 @@ func BenchmarkTable3Serial(b *testing.B) {
 // benchmarks differ only in the hook.
 func BenchmarkTable3ZeroRateFault(b *testing.B) {
 	names := models.Names()
-	injs := fault.Plan{Seed: 1}.Injectors(len(names)) // all rates zero
+	plan := fault.Plan{Seed: 1} // all rates zero
+	injs := make([]*fault.Injector, len(names))
+	for j := range injs {
+		injs[j] = plan.Injector(j)
+	}
 	runApp := func(name string, inj *fault.Injector) error {
 		bm, err := models.ByName(name)
 		if err != nil {

@@ -1,30 +1,34 @@
 package tpusim
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"maps"
 	"os"
 	"path"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/fstest"
 )
 
-// callerAllowlist names the exported API no non-test file has to name, one
+// callerAllowlist names the exported API no non-test file has to use, one
 // reason per row. A key is "pkg.Name" for a function or type, "pkg.Type.Name"
 // for a method (pkg is the directory under internal/), or "*.Name" for every
 // method of that name; TestEveryExportedNameHasACaller fails on a row that
 // matches nothing unnamed, so the list cannot outlive what it excuses.
 var callerAllowlist = map[string]string{
-	// Interface methods, called by the code that holds the interface.
+	// Interface methods, called by code outside the module that holds the
+	// interface.
 	"*.ServeHTTP": "http.Handler: net/http calls it",
-	"*.Fire":      "des.Handler: the event calendar calls it",
-	"*.ArrivedAt": "latency.Arrival: the batching lane reads a request's arrival time through it",
+	"*.String":    "fmt calls it through fmt.Stringer",
 
 	// Test-support API.
 	"obs.CheckExposition":      "the strict exposition-format check every package's Prometheus test runs on its output",
@@ -37,6 +41,7 @@ var callerAllowlist = map[string]string{
 	"des.Loop.Pending":            "cluster's chaos tests check that a rejected plan leaves the calendar as it was",
 	"fault.Injector.Revive":       "runtime's quarantine tests revive a killed device to watch a probe re-admit it",
 	"workload.NewMultiPeriod":     "cluster's golden and chaos tests drive their fleets with it, and the golden bytes depend on its rates",
+	"isa.Program.Count":           "compiler's tests count the halts, matrix multiplies and operand DMAs a compiled program holds",
 
 	// Oracles: the instruction wire form is what the decoder fuzz targets,
 	// the encode round trips and the compiler's instruction-budget golden
@@ -47,10 +52,16 @@ var callerAllowlist = map[string]string{
 
 // TestEveryExportedNameHasACaller holds DESIGN.md's rule "tests are not
 // callers" for functions: every exported function, method and type of an
-// internal/ package is named by a non-test .go file of the module, bench/
-// included, or has a row in callerAllowlist.
+// internal/ package is used by a non-test .go file of the module, bench/
+// included, or has a row in callerAllowlist. The standard library's types
+// come from its export data; the test fails if that cannot be loaded.
 func TestEveryExportedNameHasACaller(t *testing.T) {
-	unnamed, err := unnamedAPI(os.DirFS("."), "tpusim")
+	fset := token.NewFileSet()
+	pkgs, err := parseModule(fset, os.DirFS("."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unnamed, err := unnamedAPI(fset, pkgs, "tpusim", importer.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,135 +95,106 @@ func checkAllowlist(unnamed []string, allow map[string]string) []string {
 	return problems
 }
 
-// A methodUse is a selector .Name in a package, outside the declaration of
-// the method it appears in (in, "" for none).
-type methodUse struct {
-	dir, name, in string
-}
-
-// A methodDecl is an internal/ method's key and its package directory.
-type methodDecl struct {
-	key, dir string
-}
-
-// unnamedAPI parses every non-test .go file of fsys, the root of module, and
+// unnamedAPI type-checks pkgs, the non-test files of module by directory
+// ("." for the module root), importing every other package through std, and
 // returns, sorted, the keys of the exported functions, methods, types, vars
-// and consts of internal/ packages that no non-test file names outside their
-// own declaration (for a type: outside its declaration and its own methods).
-// A package-level name counts where pkg.Name appears outside its package and
-// where Name appears inside it. Without type information a method counts
-// wherever .Name appears in its own package or in one that imports it,
-// directly or not, unless it selects from an imported package's name: any
-// static call needs the receiver's type in scope, so only a call through an
-// interface declared elsewhere goes unseen.
-func unnamedAPI(fsys fs.FS, module string) ([]string, error) {
-	pkgs, err := parseModule(fsys)
-	if err != nil {
-		return nil, err
+// and consts of internal/ packages that no file uses outside their own
+// declaration (for a type: outside its declaration and its own methods).
+// Each identifier is resolved to the object it names, so a method counts
+// only where its own object is used — called, or taken as a method value or
+// expression — or where its type, or a pointer to it, implements an
+// interface whose method some file uses.
+func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string, std types.Importer) ([]string, error) {
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(ipath string) (*types.Package, error) {
+		dir, ok := strings.CutPrefix(ipath, module+"/")
+		if !ok {
+			return std.Import(ipath)
+		}
+		if p := checked[dir]; p != nil {
+			return p, nil
+		}
+		if pkgs[dir] == nil {
+			return nil, fmt.Errorf("%s: no non-test files", ipath)
+		}
+		conf := types.Config{Importer: imp}
+		p, err := conf.Check(ipath, fset, pkgs[dir], info)
+		checked[dir] = p
+		return p, err
 	}
 
-	declared := map[string]bool{}           // key -> exported declaration
-	methods := map[string][]methodDecl{}    // name -> the methods so named
-	imports := map[string]map[string]bool{} // directory -> module directories it imports
-	named := map[string]bool{}
-	uses := map[methodUse]bool{}
-	for pdir, files := range pkgs {
-		short, internal := strings.CutPrefix(pdir, "internal/")
-		imports[pdir] = map[string]bool{}
-		for _, f := range files {
-			importDirs := map[string]string{} // local name -> module directory, "" outside the module
-			for _, imp := range f.Imports {
-				ipath, _ := strconv.Unquote(imp.Path.Value)
-				name := path.Base(ipath)
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				dir, ok := strings.CutPrefix(ipath, module+"/")
-				importDirs[name] = dir
-				if ok {
-					imports[pdir][dir] = true
-				}
-			}
+	declared := map[types.Object]string{} // exported internal/ object -> its key
+	used := map[types.Object]bool{}
+	ifaceMethods := map[*types.Func]bool{} // the interface methods some file uses
+	for _, dir := range slices.Sorted(maps.Keys(pkgs)) {
+		ipath := module
+		if dir != "." {
+			ipath += "/" + dir
+		}
+		if _, err := imp(ipath); err != nil {
+			return nil, err
+		}
+		short, internal := strings.CutPrefix(dir, "internal/")
+		for _, f := range pkgs[dir] {
 			for _, d := range f.Decls {
-				// References inside d do not name the keys it declares: in.
-				var in []string
-				method := "" // the key of the method d declares, if any
+				// Uses inside d of the objects it declares do not count.
+				own := map[types.Object]bool{}
 				switch d := d.(type) {
 				case *ast.FuncDecl:
+					fn := info.Defs[d.Name].(*types.Func)
+					own[fn] = true
 					key := short + "." + d.Name.Name
-					if d.Recv != nil {
-						typ := receiverType(d.Recv.List[0].Type)
-						in = append(in, short+"."+typ)
-						key = short + "." + typ + "." + d.Name.Name
-						method = key
-						if internal {
-							methods[d.Name.Name] = append(methods[d.Name.Name], methodDecl{key, pdir})
-						}
+					if recv := receiverNamed(fn); recv != nil {
+						own[recv.Obj()] = true
+						key = short + "." + recv.Obj().Name() + "." + d.Name.Name
 					}
-					in = append(in, key)
 					if internal && d.Name.IsExported() {
-						declared[key] = true
+						declared[fn] = key
 					}
 				case *ast.GenDecl:
-					var names []*ast.Ident
 					for _, s := range d.Specs {
+						var names []*ast.Ident
 						switch s := s.(type) {
 						case *ast.TypeSpec:
-							names = append(names, s.Name)
+							names = []*ast.Ident{s.Name}
 						case *ast.ValueSpec:
-							names = append(names, s.Names...)
+							names = s.Names
 						}
-					}
-					for _, name := range names {
-						in = append(in, short+"."+name.Name)
-						if internal && name.IsExported() {
-							declared[short+"."+name.Name] = true
+						for _, name := range names {
+							obj := info.Defs[name]
+							own[obj] = true
+							if internal && name.IsExported() {
+								declared[obj] = short + "." + name.Name
+							}
 						}
 					}
 				}
-				walkNames(d, func(pkgName, name string) {
-					if pkgName == "" && !slices.Contains(in, short+"."+name) {
-						named[short+"."+name] = true
-					} else if dir, ok := strings.CutPrefix(importDirs[pkgName], "internal/"); ok {
-						named[dir+"."+name] = true
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok || info.Uses[id] == nil {
+						return true
 					}
-				}, func(x, name string) {
-					if _, imported := importDirs[x]; !imported {
-						uses[methodUse{pdir, name, method}] = true
+					obj := info.Uses[id]
+					if fn, ok := obj.(*types.Func); ok {
+						if isInterfaceMethod(fn) {
+							ifaceMethods[fn] = true
+						}
+						obj = fn.Origin() // a generic method's uses count for its declaration
 					}
+					if !own[obj] {
+						used[obj] = true
+					}
+					return true
 				})
 			}
 		}
 	}
 
-	// deps[dir] holds every module directory dir imports, directly or not.
-	deps := map[string]map[string]bool{}
-	var closure func(dir string) map[string]bool
-	closure = func(dir string) map[string]bool {
-		if d, ok := deps[dir]; ok {
-			return d
-		}
-		d := map[string]bool{}
-		deps[dir] = d
-		for imp := range imports[dir] {
-			d[imp] = true
-			for dd := range closure(imp) {
-				d[dd] = true
-			}
-		}
-		return d
-	}
-	for u := range uses {
-		for _, m := range methods[u.name] {
-			if m.key != u.in && (u.dir == m.dir || closure(u.dir)[m.dir]) {
-				named[m.key] = true
-			}
-		}
-	}
-
 	var unnamed []string
-	for key := range declared {
-		if !named[key] {
+	for obj, key := range declared {
+		if !used[obj] && !viaInterface(obj, ifaceMethods) {
 			unnamed = append(unnamed, key)
 		}
 	}
@@ -220,11 +202,63 @@ func unnamedAPI(fsys fs.FS, module string) ([]string, error) {
 	return unnamed, nil
 }
 
-// parseModule parses the non-test .go files of fsys by directory, skipping
-// testdata and directories whose names start with "." or "_".
-func parseModule(fsys fs.FS) (map[string][]*ast.File, error) {
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// isInterfaceMethod reports whether fn is an interface's method.
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// receiverNamed returns the named type fn is a method of, nil for a function.
+func receiverNamed(fn *types.Func) *types.Named {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// viaInterface reports whether obj is a method of a type that, as it is or
+// through a pointer, implements the interface of one of methods with obj's
+// name. A generic type's methods count only by their own uses: Implements
+// is unspecified for an uninstantiated type.
+func viaInterface(obj types.Object, methods map[*types.Func]bool) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := receiverNamed(fn)
+	if recv == nil || recv.TypeParams() != nil {
+		return false
+	}
+	for m := range methods {
+		if m.Name() != fn.Name() {
+			continue
+		}
+		iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// parseModule parses by directory the non-test .go files of fsys that build
+// for this platform, skipping testdata and directories whose names start
+// with "." or "_".
+func parseModule(fset *token.FileSet, fsys fs.FS) (map[string][]*ast.File, error) {
+	ctxt := build.Default
+	ctxt.JoinPath = path.Join
+	ctxt.OpenFile = func(name string) (io.ReadCloser, error) { return fsys.Open(name) }
 	pkgs := map[string][]*ast.File{}
-	fset := token.NewFileSet()
 	err := fs.WalkDir(fsys, ".", func(name string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -238,6 +272,10 @@ func parseModule(fsys fs.FS) (map[string][]*ast.File, error) {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
+		dir := path.Dir(name)
+		if ok, err := ctxt.MatchFile(dir, path.Base(name)); err != nil || !ok {
+			return err
+		}
 		src, err := fs.ReadFile(fsys, name)
 		if err != nil {
 			return err
@@ -246,92 +284,19 @@ func parseModule(fsys fs.FS) (map[string][]*ast.File, error) {
 		if err != nil {
 			return err
 		}
-		dir := path.Dir(name)
 		pkgs[dir] = append(pkgs[dir], f)
 		return nil
 	})
 	return pkgs, err
 }
 
-// receiverType returns the base type name of a method receiver.
-func receiverType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// walkNames reports every name node n refers to: pkg.Name selectors on an
-// identifier as ref(pkg, Name), bare identifiers as ref("", Name) and every
-// selector as method(x, Name), x the identifier it selects from or "".
-// Declared names — of the function, its receiver and parameters, types,
-// struct fields and composite-literal keys — are not references.
-func walkNames(n ast.Node, ref func(pkg, name string), method func(x, name string)) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SelectorExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				ref(id.Name, x.Sel.Name)
-				ref("", id.Name)
-				method(id.Name, x.Sel.Name)
-			} else {
-				walkNames(x.X, ref, method)
-				method("", x.Sel.Name)
-			}
-			return false
-		case *ast.Ident:
-			ref("", x.Name)
-		case *ast.FuncDecl:
-			if x.Recv != nil {
-				walkFields(x.Recv, ref, method)
-			}
-			walkNames(x.Type, ref, method)
-			if x.Body != nil {
-				walkNames(x.Body, ref, method)
-			}
-			return false
-		case *ast.TypeSpec:
-			if x.TypeParams != nil {
-				walkFields(x.TypeParams, ref, method)
-			}
-			walkNames(x.Type, ref, method)
-			return false
-		case *ast.FieldList:
-			walkFields(x, ref, method)
-			return false
-		case *ast.KeyValueExpr:
-			if _, ok := x.Key.(*ast.Ident); !ok {
-				walkNames(x.Key, ref, method)
-			}
-			walkNames(x.Value, ref, method)
-			return false
-		}
-		return true
-	})
-}
-
-func walkFields(fl *ast.FieldList, ref func(pkg, name string), method func(x, name string)) {
-	for _, f := range fl.List {
-		walkNames(f.Type, ref, method)
-	}
-}
-
-// TestCallerScanFixture runs the scan on a small module: a function, const
-// or var only a _test.go names is flagged, a caller in bench/ counts, a
-// method counts in a package that imports its own only indirectly but not
-// where a package-qualified name spells it, an allowlisted name passes, and
-// a row that excuses nothing — its function gone, or called now — is
-// flagged.
+// TestCallerScanFixture runs the scan on a small in-memory module: a
+// function, const or var only a _test.go uses is flagged, a caller in bench/
+// counts, a method counts where its own object is used — called, taken as a
+// method value, or reached through an interface it implements — but not
+// where a method of another type shares its name, an allowlisted name
+// passes, and a row that excuses nothing — its function gone, or called now
+// — is flagged.
 func TestCallerScanFixture(t *testing.T) {
 	src := func(s string) *fstest.MapFile { return &fstest.MapFile{Data: []byte(s)} }
 	fsys := fstest.MapFS{
@@ -348,6 +313,9 @@ func New() *T { return &T{} }
 func (t *T) Self() *T { return t.Self() }
 func (t *T) Chained() {}
 func (t *T) Widget() {}
+func (t *T) Len() int { return 0 }
+func (t *T) Hook() {}
+func (t T) Area() int { return 0 }
 func OnlyTested() {}
 func Benched() {}
 func Allowed() {}
@@ -361,6 +329,14 @@ func use() { OnlyTested(); Allowed(); New().Self(); _ = Limit + Registry["x"] }
 
 import "m/internal/a"
 
+type U struct{}
+
+func (U) Len() int { return 1 }
+
+type Shape interface{ Area() int }
+
+func Sum(s Shape) int { return s.Area() }
+
 func Make() *a.T { _ = a.Widget{}; return a.New() }
 `),
 		"bench/main.go": src(`package main
@@ -371,25 +347,35 @@ func main() { a.Benched() }
 `),
 		"cmd/c/main.go": src(`package main
 
-import alias "m/internal/a"
+import (
+	alias "m/internal/a"
+	"m/internal/b"
+)
 
-func main() { alias.Used(); _ = alias.Size }
+func main() { alias.Used(); _ = alias.Size; _ = b.U{}.Len(); hook := alias.New().Hook; hook() }
 `),
 		"cmd/d/main.go": src(`package main
 
 import "m/internal/b"
 
-func main() { b.Make().Chained() }
+func main() { b.Make().Chained(); _ = b.Sum(nil) }
 `),
 	}
-	unnamed, err := unnamedAPI(fsys, "m")
+	fset := token.NewFileSet()
+	pkgs, err := parseModule(fset, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Self calls only itself; cmd/d reaches Chained through b, which
-	// imports a; b's a.Widget names the type, not the method; the
-	// declaration of Size and Limit names neither.
-	if want := []string{"a.Allowed", "a.Limit", "a.OnlyTested", "a.Registry", "a.T.Self", "a.T.Widget"}; !slices.Equal(unnamed, want) {
+	unnamed, err := unnamedAPI(fset, pkgs, "m", importer.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Self calls only itself; cmd/d reaches Chained through b; b's
+	// a.Widget names the type, not the method; cmd/c calls b.U's Len, not
+	// a.T's; b.Sum calls Area through b.Shape, which a.T implements; cmd/c
+	// takes Hook as a method value; the declaration of Size and Limit names
+	// neither.
+	if want := []string{"a.Allowed", "a.Limit", "a.OnlyTested", "a.Registry", "a.T.Len", "a.T.Self", "a.T.Widget"}; !slices.Equal(unnamed, want) {
 		t.Fatalf("unnamed %v, want %v", unnamed, want)
 	}
 
@@ -401,7 +387,8 @@ func main() { b.Make().Chained() }
 	})
 	want := []string{
 		"a.Limit has no non-test caller", "a.OnlyTested has no non-test caller",
-		"a.Registry has no non-test caller", "a.T.Widget has no non-test caller",
+		"a.Registry has no non-test caller", "a.T.Len has no non-test caller",
+		"a.T.Widget has no non-test caller",
 		"allowlist row a.Gone excuses nothing", "allowlist row a.Used excuses nothing",
 	}
 	if len(got) != len(want) {

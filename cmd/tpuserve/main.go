@@ -74,6 +74,11 @@
 //	tpuserve -mode cluster-chaos -zones 4
 //	tpuserve -mode cluster-chaos -chaos-plan 'part=4@0.55-0.7,flap=5@0.9x2/0.1'
 //
+// The cluster-chaos and rollout modes write their saturation report with
+// -report and -report-json as the cluster mode does (the rollout mode's is
+// the good v2 run's). Neither campaign records spans, so each rejects
+// -trace-json with exit status 2 before it runs.
+//
 // The rollout mode runs the safe change management campaign: the fleet is
 // taken from model version v1 to v2 by the rollout controller — cordon,
 // graceful drain, re-place, canary analysis, wave-by-wave promotion. The
@@ -136,13 +141,17 @@ func main() {
 	router := flag.String("router", "bounded-hash", "fleet modes: routing policy (wrr, least-loaded, bounded-hash)")
 	noKill := flag.Bool("no-kill", false, "cluster mode: skip the mid-ramp host kill")
 	report := flag.String("report", "", "fleet modes: write the saturation report (text) to this file, or - for stdout")
-	reportJSON := flag.String("report-json", "", "cluster mode: write the saturation report as JSON to this file, or - for stdout")
-	traceJSON := flag.String("trace-json", "", "cluster mode: export the ramp's virtual-time spans as Chrome trace-event JSON (Perfetto-loadable) to this file")
+	reportJSON := flag.String("report-json", "", "fleet modes: write the saturation report as JSON to this file, or - for stdout")
+	traceJSON := flag.String("trace-json", "", "cluster mode: export the ramp's virtual-time spans as Chrome trace-event JSON (Perfetto-loadable) to this file; cluster-chaos and rollout record no spans and reject it")
 	zones := flag.Int("zones", 4, "cluster-chaos and rollout modes: failure-domain count (a zone fails and recovers as one unit)")
 	chaosPlan := flag.String("chaos-plan", "", "cluster-chaos mode: extra chaos actions layered on the zone kill (e.g. 'part=4@0.55-0.7,flap=5@0.9x2/0.1,slow=6x2.5@0.3')")
 	rolloutPlan := flag.String("rollout-plan", "", "rollout mode: override the bad run's plan (e.g. 'start=0.2,factor=4,canary=0.1,windows=2,window=0.05,wave=2,drain=0.05')")
 	badFactor := flag.Float64("bad-factor", 4, "rollout mode: the bad v2's service-time inflation")
 	flag.Parse()
+	if err := traceSupported(*mode, *traceJSON); err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
 
 	switch *mode {
 	case "sweep":
@@ -189,7 +198,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(experiments.RenderClusterChaos(r))
-		if err := fleetArtifacts(r.Report, nil, *report, "", ""); err != nil {
+		if err := fleetArtifacts(r.Report, nil, *report, *reportJSON, ""); err != nil {
 			log.Fatal(err)
 		}
 		if len(r.Acceptance()) > 0 {
@@ -204,7 +213,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(experiments.RenderRollout(r))
-		if err := fleetArtifacts(r.GoodReport, nil, *report, "", ""); err != nil {
+		if err := fleetArtifacts(r.GoodReport, nil, *report, *reportJSON, ""); err != nil {
 			log.Fatal(err)
 		}
 		if len(r.Acceptance()) > 0 {
@@ -215,10 +224,19 @@ func main() {
 	}
 }
 
+// traceSupported rejects -trace-json for the cluster-chaos and rollout
+// modes, whose campaigns record no spans, before either runs.
+func traceSupported(mode, traceJSON string) error {
+	if traceJSON != "" && (mode == "cluster-chaos" || mode == "rollout") {
+		return fmt.Errorf("-trace-json: -mode %s records no spans", mode)
+	}
+	return nil
+}
+
 // fleetArtifacts writes a fleet mode's optional outputs: its saturation
 // report as text and/or JSON ("-" means stdout), and its recorded
 // virtual-time spans as Chrome trace-event JSON. An empty path skips its
-// output; the cluster-chaos and rollout modes write only the text report.
+// output.
 func fleetArtifacts(rep *cluster.SaturationReport, spans []obs.SpanData, report, reportJSON, traceJSON string) error {
 	emit := func(path string, data []byte) error {
 		if path == "-" {

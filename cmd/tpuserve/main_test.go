@@ -7,6 +7,22 @@ import (
 	"time"
 )
 
+// TestTraceJSONRejected: -trace-json with a fleet mode that records no
+// spans is an error naming the mode; the cluster mode accepts it.
+func TestTraceJSONRejected(t *testing.T) {
+	for _, mode := range []string{"cluster-chaos", "rollout"} {
+		if err := traceSupported(mode, "t.json"); err == nil || !strings.Contains(err.Error(), "-mode "+mode+" ") {
+			t.Errorf("%s: got error %v, want one naming the mode", mode, err)
+		}
+		if err := traceSupported(mode, ""); err != nil {
+			t.Errorf("%s without -trace-json: %v", mode, err)
+		}
+	}
+	if err := traceSupported("cluster", "t.json"); err != nil {
+		t.Errorf("cluster: %v", err)
+	}
+}
+
 // TestMalformedFloatFlagsRejected: a float flag that is NaN, infinite, zero
 // or negative fails the run before any load is offered, with an error that
 // names the flag. NaN slips past a `<= 0` check, so each mode must reject

@@ -765,11 +765,11 @@ func TestPlansAndSchedulersReturnErrors(t *testing.T) {
 	} {
 		// Behind a good action, which must not be scheduled either.
 		if err := c.ApplyChaos(ChaosPlan{Actions: []ChaosAction{{Kind: "kill", At: 1.5}, bad}}); err == nil {
-			t.Errorf("%s: scheduled without error at now=%v", name, c.Now())
+			t.Errorf("%s: scheduled without error at now=%v", name, c.loop.Now())
 		}
 	}
 	if err := c.ApplyRollout(RolloutPlan{Start: 0.5}); err == nil {
-		t.Errorf("rollout in the past: scheduled without error at now=%v", c.Now())
+		t.Errorf("rollout in the past: scheduled without error at now=%v", c.loop.Now())
 	}
 	if got := c.loop.Pending(); got != pending {
 		t.Errorf("rejected plans left %d events on the calendar", got-pending)
@@ -872,7 +872,7 @@ func TestChaosConcurrentScrape(t *testing.T) {
 	tel := telemetry()
 	c := chaosCluster(t, tel)
 	ops := obs.NewOps(tel.Tracer)
-	ops.AddCollector(tel.Metrics.WritePrometheus)
+	ops.AddCollector(func(w io.Writer) { _, _ = io.WriteString(w, tel.Metrics.Prometheus()) })
 	srv, err := ops.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -482,9 +482,6 @@ func (c *Cluster) Events() []Event {
 	return out
 }
 
-// Now returns the cluster's virtual time.
-func (c *Cluster) Now() float64 { return c.loop.Now() }
-
 // EventsProcessed returns the discrete-event count executed so far.
 func (c *Cluster) EventsProcessed() uint64 { return c.loop.Processed() }
 

@@ -418,7 +418,7 @@ func TestBadValuesRejected(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if n := r.Len(); n != 0 {
+	if n := r.n; n != 0 {
 		t.Errorf("rejected Adds registered %d replicas", n)
 	}
 	// The defaults still hold: 0 and negative intervals mean 0.25 s.

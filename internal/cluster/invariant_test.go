@@ -41,7 +41,7 @@ func TestRouterAndHealthInvariants(t *testing.T) {
 			for k := 1; float64(k)*1e-4 <= sc.horizon; k++ {
 				c.Run(float64(k) * 1e-4)
 				if msg := checkInvariants(c); msg != "" {
-					t.Fatalf("t=%v: %s", c.Now(), msg)
+					t.Fatalf("t=%v: %s", c.loop.Now(), msg)
 				}
 			}
 		})
@@ -53,8 +53,8 @@ func checkInvariants(c *Cluster) string {
 	for _, a := range c.apps {
 		for _, id := range a.router.IDs() {
 			rep := a.replicas[id]
-			if held := int64(rep.lane.Len() + len(rep.inFlight)); a.router.Load(id) != held {
-				return fmt.Sprintf("%s r%d: router load %d, replica holds %d", a.cfg.Name, id, a.router.Load(id), held)
+			if held, load := int64(rep.lane.Len()+len(rep.inFlight)), a.router.get(id).load; load != held {
+				return fmt.Sprintf("%s r%d: router load %d, replica holds %d", a.cfg.Name, id, load, held)
 			}
 		}
 		for _, rep := range a.replicas {

@@ -114,9 +114,6 @@ func NewRouter(policy RouterPolicy) *Router {
 	return &Router{policy: policy}
 }
 
-// Policy returns the router's policy.
-func (r *Router) Policy() RouterPolicy { return r.policy }
-
 // Add registers a replica with the given weight (<=0 means 1). New
 // replicas start Healthy. Ids are non-negative and index a slice, so they
 // should be dense from 0, as the cluster's are.
@@ -182,14 +179,6 @@ func (r *Router) SetState(id int, st runtime.HealthState) {
 	}
 }
 
-// State returns a replica's health state (Healthy for unknown ids).
-func (r *Router) State(id int) runtime.HealthState {
-	if ep := r.get(id); ep != nil {
-		return ep.state
-	}
-	return runtime.Healthy
-}
-
 // AddLoad adjusts a replica's outstanding-request gauge (admitted queue
 // plus in-flight). The least-loaded and bounded-hash policies route on it.
 func (r *Router) AddLoad(id int, delta int64) {
@@ -200,19 +189,6 @@ func (r *Router) AddLoad(id int, delta int64) {
 		}
 		ep.load = load
 	}
-}
-
-// Load returns a replica's outstanding-request gauge.
-func (r *Router) Load(id int) int64 {
-	if ep := r.get(id); ep != nil {
-		return ep.load
-	}
-	return 0
-}
-
-// Len returns the registered replica count.
-func (r *Router) Len() int {
-	return r.n
 }
 
 // Route picks a replica for the key. ok is false when no routable (non-

@@ -485,8 +485,8 @@ func TestRingIndexMatchesSearch(t *testing.T) {
 	}
 	for _, id := range rng.Perm(300)[:290] {
 		r.Remove(id)
-		if r.Len()%10 == 0 {
-			check(fmt.Sprintf("%d replicas after removes", r.Len()))
+		if r.n%10 == 0 {
+			check(fmt.Sprintf("%d replicas after removes", r.n))
 		}
 	}
 }

@@ -56,7 +56,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"sync"
@@ -519,7 +518,7 @@ type hostMetrics struct {
 // FleetMetrics is the cluster metrics registry: per-app x per-host
 // rollups, latency-component histograms, and the windowed series behind
 // the saturation report. All methods are safe for concurrent use — a
-// scraper may call WritePrometheus from another goroutine while the
+// scraper may call Prometheus from another goroutine while the
 // simulator mutates the registry.
 type FleetMetrics struct {
 	mu             sync.Mutex
@@ -581,12 +580,6 @@ func (f *FleetMetrics) utilization(hm *hostMetrics) float64 {
 	}
 	return hm.busySeconds / (f.elapsed * float64(f.devicesPerHost))
 }
-
-// WritePrometheus renders the registry in Prometheus text exposition
-// format, mirroring the serve registry's family shapes with a
-// tpucluster_ prefix. A failed write is the scraper's to notice: an
-// exposition has no error channel.
-func (f *FleetMetrics) WritePrometheus(w io.Writer) { _, _ = io.WriteString(w, f.Prometheus()) }
 
 // Prometheus renders the exposition as a string. Families are
 // deterministic for a given registry state: apps in config order, hosts in

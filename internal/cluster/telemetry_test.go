@@ -15,9 +15,7 @@ import (
 	"testing"
 
 	"tpusim/internal/obs"
-	"tpusim/internal/runtime"
 	"tpusim/internal/serve"
-	"tpusim/internal/tpu"
 )
 
 // telemetry builds the golden scenario's Telemetry: a large span ring so
@@ -180,7 +178,7 @@ func checkOneSetOfBooks(t *testing.T, c *Cluster, f *FleetMetrics) {
 	t.Helper()
 	for i, a := range c.apps {
 		am := f.apps[i]
-		at := fmt.Sprintf("t=%.2f %s", c.Now(), a.cfg.Name)
+		at := fmt.Sprintf("t=%.2f %s", c.loop.Now(), a.cfg.Name)
 		if am.AppCounters != a.AppCounters {
 			t.Errorf("%s counters: registry %+v, simulator %+v", at, am.AppCounters, a.AppCounters)
 		}
@@ -273,8 +271,8 @@ func TestFleetMetricsPrometheus(t *testing.T) {
 }
 
 // TestOneScrapeServesEveryRegistry is the composition the ops endpoint
-// exists for: the serve registry, a runtime server and the fleet registry
-// as collectors of one Ops, scraped over HTTP. The concatenated body must
+// exists for: the serve registry and the fleet registry as collectors of
+// one Ops, scraped over HTTP. The concatenated body must
 // pass the strict checker — no family name declared by two registries, no
 // sample outside its family — with a model name that needs every escape.
 func TestOneScrapeServesEveryRegistry(t *testing.T) {
@@ -282,15 +280,9 @@ func TestOneScrapeServesEveryRegistry(t *testing.T) {
 	c.Run(1)
 	sm := serve.NewMetrics()
 	sm.Model("a\"b\\c\nd\te")
-	rs, err := runtime.NewServer(2, tpu.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
 	ops := obs.NewOps(tel.Tracer)
 	ops.AddCollector(sm.WritePrometheus)
-	ops.AddCollector(rs.WritePrometheus)
-	ops.AddCollector(tel.Metrics.WritePrometheus)
+	ops.AddCollector(func(w io.Writer) { _, _ = io.WriteString(w, tel.Metrics.Prometheus()) })
 	srv, err := ops.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +300,7 @@ func TestOneScrapeServesEveryRegistry(t *testing.T) {
 	if err := obs.CheckExposition(string(body)); err != nil {
 		t.Error(err)
 	}
-	for _, fam := range []string{"tpuserve_up", "tpu_device_runs_total", "tpucluster_virtual_seconds", "obs_spans_dropped_total"} {
+	for _, fam := range []string{"tpuserve_up", "tpucluster_virtual_seconds", "obs_spans_dropped_total"} {
 		if !strings.Contains(string(body), "# TYPE "+fam+" ") {
 			t.Errorf("scrape lacks family %s", fam)
 		}
@@ -318,7 +310,7 @@ func TestOneScrapeServesEveryRegistry(t *testing.T) {
 // TestGoldenFleetPrometheus pins the fleet exposition byte for byte on the
 // chaos scenario (slow host, zone kill, partition, flap, retries,
 // autoscaler), so every family and label the registry renders is covered
-// by a golden, as the serve and runtime expositions are.
+// by a golden, as the serve exposition is.
 func TestGoldenFleetPrometheus(t *testing.T) {
 	tel := telemetry()
 	c := chaosCluster(t, tel)
@@ -422,7 +414,7 @@ func spanAttr(s obs.SpanData, key string) (string, bool) {
 func TestFleetMetricsConcurrentScrape(t *testing.T) {
 	c, tel := telemeteredCluster(t)
 	ops := obs.NewOps(tel.Tracer)
-	ops.AddCollector(tel.Metrics.WritePrometheus)
+	ops.AddCollector(func(w io.Writer) { _, _ = io.WriteString(w, tel.Metrics.Prometheus()) })
 	srv, err := ops.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

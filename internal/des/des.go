@@ -74,7 +74,7 @@ type action struct {
 
 // Loop is a single-threaded discrete-event loop. The zero value is ready to
 // use at virtual time zero. Loops are not safe for concurrent use: all
-// scheduling happens from the goroutine driving Run/RunUntil (or before the
+// scheduling happens from the goroutine driving RunUntil (or before the
 // run starts), which is what makes the event order — and therefore the
 // simulation — deterministic.
 type Loop struct {
@@ -151,12 +151,6 @@ func (l *Loop) Every(d float64, fn func()) {
 		l.After(d, tick)
 	}
 	l.After(d, tick)
-}
-
-// Run executes events until the calendar is empty.
-func (l *Loop) Run() {
-	for l.step(math.Inf(1)) {
-	}
 }
 
 // RunUntil executes every event scheduled at or before deadline, then

@@ -10,6 +10,13 @@ import (
 	"testing"
 )
 
+// Run executes events until the calendar is empty. Unlike RunUntil(+Inf),
+// it leaves the clock at the last event's instant.
+func (l *Loop) Run() {
+	for l.step(math.Inf(1)) {
+	}
+}
+
 // TestOrdering: events fire in time order regardless of scheduling order.
 func TestOrdering(t *testing.T) {
 	var l Loop

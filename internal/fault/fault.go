@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -472,10 +473,10 @@ type Injector struct {
 	counts     [kindCount]int64
 	events     []Event
 
-	// targetedDone latches once the plan's TargetedFlips have been handed
-	// to an executing run; pending holds FlipOnce injections awaiting one.
-	targetedDone bool
-	pending      []TargetedFlip
+	// pending holds the flips awaiting an executing run: the plan's
+	// TargetedFlips, then FlipOnce injections. It is the injector's own
+	// copy, because next truncates and reuses it.
+	pending []TargetedFlip
 }
 
 // Injector builds the injector for one device index, mixing the device
@@ -486,6 +487,7 @@ func (p Plan) Injector(device int) *Injector {
 		device:     device,
 		runRNG:     rand.New(rand.NewSource(p.Seed*1000003 + int64(device) + 1)),
 		staticSlow: 1,
+		pending:    slices.Clone(p.TargetedFlips),
 	}
 	for _, d := range p.DeadDevices {
 		if d == device {
@@ -498,15 +500,6 @@ func (p Plan) Injector(device int) *Injector {
 		}
 	}
 	return in
-}
-
-// Injectors builds one injector per device for an n-device fleet.
-func (p Plan) Injectors(n int) []*Injector {
-	out := make([]*Injector, n)
-	for i := range out {
-		out[i] = p.Injector(i)
-	}
-	return out
 }
 
 // Device returns the injector's device index.
@@ -637,18 +630,12 @@ func (in *Injector) next() (kind Kind, slowFactor float64, corruptOff int, flips
 		in.dead = true
 	}
 	if kind == KindDead || kind == KindHang || kind == KindTransient {
-		// The run will not execute: targeted/pending flips stay queued for
-		// the next executing run.
+		// The run will not execute: pending flips stay queued for the next
+		// executing run.
 		in.record(kind, 0)
 		return kind, slowFactor, corruptOff, nil
 	}
 	// This run executes: hand it the deterministic flips first.
-	if !in.targetedDone && len(in.plan.TargetedFlips) > 0 {
-		in.targetedDone = true
-		for _, f := range in.plan.TargetedFlips {
-			flips = in.appendFlip(flips, f)
-		}
-	}
 	for _, f := range in.pending {
 		flips = in.appendFlip(flips, f)
 	}

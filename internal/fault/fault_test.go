@@ -316,7 +316,8 @@ func TestPlanValidate(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	injs := Plan{Seed: 1, TransientRate: 1}.Injectors(2)
+	plan := Plan{Seed: 1, TransientRate: 1}
+	injs := []*Injector{plan.Injector(0), plan.Injector(1)}
 	drive(t, injs[1], make([]int8, 4), 3)
 	s := Summary(injs)
 	if !strings.Contains(s, "device 1: transient=3") {

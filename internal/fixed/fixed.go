@@ -11,7 +11,6 @@
 package fixed
 
 import (
-	"fmt"
 	"math"
 
 	"tpusim/internal/cpu"
@@ -39,14 +38,6 @@ func useVector(on bool) bool {
 type Params struct {
 	Scale     float32
 	ZeroPoint int32
-}
-
-// Validate reports whether the parameters are usable.
-func (p Params) Validate() error {
-	if !(p.Scale > 0) || math.IsInf(float64(p.Scale), 0) || math.IsNaN(float64(p.Scale)) {
-		return fmt.Errorf("fixed: scale must be positive and finite, got %v", p.Scale)
-	}
-	return nil
 }
 
 // Quantize maps a real value to int8 under p, with round-to-nearest-even and

@@ -47,9 +47,6 @@ var zeroReg [isa.MatrixDim]int32
 // NewAccumulators returns the 4096-register file with no storage behind it.
 func NewAccumulators() *Accumulators { return &Accumulators{} }
 
-// Count returns the register count (4096).
-func (a *Accumulators) Count() int { return isa.AccumulatorCount }
-
 // reg returns register idx for reading: its storage, or zeroReg.
 func (a *Accumulators) reg(idx int) *[isa.MatrixDim]int32 {
 	if b := a.blocks[idx/accBlock]; b != nil {
@@ -95,23 +92,11 @@ func (a *Accumulators) Reset() {
 	a.dirty = 0
 }
 
-// Store writes one 256-wide partial sum into register idx. With accumulate
-// set, values add saturating into the existing contents (summing partial
-// products across weight-tile rows, fixed.SatAddRow); otherwise they
+// StoreRows writes consecutive 256-wide partial-sum rows starting at
+// register idx — the batched epilogue of one MatrixMultiply. With accumulate
+// set each row adds saturating into the existing register (summing partial
+// products across weight-tile rows, fixed.SatAddRow); otherwise the rows
 // overwrite.
-func (a *Accumulators) Store(idx int, row *[isa.MatrixDim]int32, accumulate bool) error {
-	if idx < 0 || idx >= isa.AccumulatorCount {
-		return fmt.Errorf("memory: accumulator index %d outside [0,%d)", idx, isa.AccumulatorCount)
-	}
-	a.touch(idx, 1)
-	a.store(idx, row, accumulate)
-	return nil
-}
-
-// StoreRows bulk-writes consecutive partial-sum rows starting at register
-// idx — the batched epilogue of one MatrixMultiply. Semantically identical
-// to calling Store row by row: with accumulate set each row saturating-adds
-// into the existing register, otherwise the rows overwrite.
 func (a *Accumulators) StoreRows(idx int, rows [][isa.MatrixDim]int32, accumulate bool) error {
 	if idx < 0 || idx+len(rows) > isa.AccumulatorCount {
 		return fmt.Errorf("memory: accumulator range [%d,%d) outside [0,%d)", idx, idx+len(rows), isa.AccumulatorCount)

@@ -79,11 +79,6 @@ func (s *Sidecar) VerifyRange(data []int8, addr, n int) []int {
 	return bad
 }
 
-// Verify checks the whole region.
-func (s *Sidecar) Verify(data []int8) []int {
-	return s.VerifyRange(data, 0, len(data))
-}
-
 // blockData slices block b out of the region.
 func (s *Sidecar) blockData(data []int8, b int) []int8 {
 	lo := b * s.block

@@ -27,14 +27,14 @@ func TestSidecarDetectsAndResyncs(t *testing.T) {
 		t.Fatalf("blocks = %d, want 4", len(s.sums))
 	}
 	s.Seed(data)
-	if bad := s.Verify(data); bad != nil {
+	if bad := s.VerifyRange(data, 0, len(data)); bad != nil {
 		t.Fatalf("clean region flagged: %v", bad)
 	}
 	for trial := 0; trial < 32; trial++ {
 		i := rng.Intn(len(data))
 		orig := data[i]
 		data[i] ^= 1 << uint(rng.Intn(8))
-		bad := s.Verify(data)
+		bad := s.VerifyRange(data, 0, len(data))
 		if len(bad) != 1 || bad[0] != i/256 {
 			t.Fatalf("flip at %d: bad blocks %v, want [%d]", i, bad, i/256)
 		}
@@ -44,7 +44,7 @@ func TestSidecarDetectsAndResyncs(t *testing.T) {
 		}
 		data[i] = orig
 		s.Resync(data, i/256)
-		if bad := s.Verify(data); bad != nil {
+		if bad := s.VerifyRange(data, 0, len(data)); bad != nil {
 			t.Fatalf("after repair: %v", bad)
 		}
 	}
@@ -67,7 +67,7 @@ func TestSidecarUpdateTracksWrites(t *testing.T) {
 			data[i] = int8(rng.Intn(256) - 128)
 		}
 		s.Update(data, addr, n)
-		if bad := s.Verify(data); bad != nil {
+		if bad := s.VerifyRange(data, 0, len(data)); bad != nil {
 			t.Fatalf("trial %d: legitimate write [%d,%d) flagged: %v", trial, addr, addr+n, bad)
 		}
 	}
@@ -121,7 +121,7 @@ func TestUBGuard(t *testing.T) {
 }
 
 // TestAccumulatorParity: stores keep parity current, FlipBit is detected
-// and localized to the register, recomputation (a fresh Store) repairs.
+// and localized to the register, recomputation (a fresh StoreRows) repairs.
 func TestAccumulatorParity(t *testing.T) {
 	a := NewAccumulators()
 	a.EnableGuard()
@@ -138,27 +138,27 @@ func TestAccumulatorParity(t *testing.T) {
 	if err := a.StoreRows(10, rows[:], false); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Store(10, &rows[1], true); err != nil { // accumulate path
+	if err := a.StoreRows(10, rows[1:2], true); err != nil { // accumulate path
 		t.Fatal(err)
 	}
-	if bad := a.VerifyParity(0, a.Count()); bad != nil {
+	if bad := a.VerifyParity(0, isa.AccumulatorCount); bad != nil {
 		t.Fatalf("clean file flagged: %v", bad)
 	}
 	a.FlipBit(12, 37, 5)
-	bad := a.VerifyParity(0, a.Count())
+	bad := a.VerifyParity(0, isa.AccumulatorCount)
 	if len(bad) != 1 || bad[0] != 12 {
 		t.Fatalf("flip in reg 12: bad %v", bad)
 	}
-	if err := a.Store(12, &rows[2], false); err != nil { // recompute repairs
+	if err := a.StoreRows(12, rows[2:3], false); err != nil { // recompute repairs
 		t.Fatal(err)
 	}
-	if bad := a.VerifyParity(0, a.Count()); bad != nil {
+	if bad := a.VerifyParity(0, isa.AccumulatorCount); bad != nil {
 		t.Fatalf("after recompute: %v", bad)
 	}
-	if err := a.Clear(0, a.Count()); err != nil {
+	if err := a.Clear(0, isa.AccumulatorCount); err != nil {
 		t.Fatal(err)
 	}
-	if bad := a.VerifyParity(0, a.Count()); bad != nil {
+	if bad := a.VerifyParity(0, isa.AccumulatorCount); bad != nil {
 		t.Fatalf("after clear: %v", bad)
 	}
 }
@@ -176,8 +176,8 @@ func TestGuardedWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Len() != len(golden) || g.Base() != 0 {
-		t.Fatalf("len %d base %d", g.Len(), g.Base())
+	if len(g.golden) != len(golden) || g.mem.base != 0 {
+		t.Fatalf("len %d base %d", len(g.golden), g.mem.base)
 	}
 	for tile := 0; tile < 3; tile++ {
 		if !g.VerifyTile(uint64(tile) * isa.WeightTileBytes) {
@@ -259,7 +259,7 @@ func TestGuardedWeightsFlipCopiesOneTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := g.Base() + 5*isa.WeightTileBytes
+	addr := g.mem.base + 5*isa.WeightTileBytes
 	grew := uint64(math.MaxUint64)
 	for range 5 {
 		var before, after runtime.MemStats
@@ -281,8 +281,8 @@ func TestGuardedWeightsFlipCopiesOneTile(t *testing.T) {
 	// repair still drops its copy.
 	g.FlipBit(9, 1)
 	g.FlipBit(9, 1)
-	if !g.VerifyTile(g.Base()) || g.RepairTile(g.Base()) || g.Copies() != 0 {
-		t.Fatalf("a flipped-back tile: clean %v, %d copies after repair", g.VerifyTile(g.Base()), g.Copies())
+	if !g.VerifyTile(g.mem.base) || g.RepairTile(g.mem.base) || g.Copies() != 0 {
+		t.Fatalf("a flipped-back tile: clean %v, %d copies after repair", g.VerifyTile(g.mem.base), g.Copies())
 	}
 }
 

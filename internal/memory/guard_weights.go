@@ -40,12 +40,6 @@ func NewGuardedWeights(golden []int8, bandwidthGBs float64, base uint64) (*Guard
 		copies: make([]*[isa.WeightTileBytes]int8, tiles), sums: make([]uint32, tiles)}, nil
 }
 
-// Base returns the tile-aligned DRAM base address of the image.
-func (g *GuardedWeights) Base() uint64 { return g.mem.base }
-
-// Len returns the image length in bytes.
-func (g *GuardedWeights) Len() int { return len(g.golden) }
-
 // Copies returns how many tiles hold bytes of their own: upset by a flip and
 // not repaired since.
 func (g *GuardedWeights) Copies() int {

@@ -72,12 +72,9 @@ func TestUnifiedBufferViewAliases(t *testing.T) {
 
 func TestAccumulatorsStoreLoad(t *testing.T) {
 	a := NewAccumulators()
-	if a.Count() != 4096 {
-		t.Errorf("Count = %d, want 4096", a.Count())
-	}
 	var row [isa.MatrixDim]int32
 	row[0], row[255] = 42, -7
-	if err := a.Store(100, &row, false); err != nil {
+	if err := a.StoreRows(100, [][isa.MatrixDim]int32{row}, false); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.Load(100)
@@ -93,10 +90,10 @@ func TestAccumulatorsAccumulate(t *testing.T) {
 	a := NewAccumulators()
 	var row [isa.MatrixDim]int32
 	row[3] = 10
-	if err := a.Store(0, &row, false); err != nil {
+	if err := a.StoreRows(0, [][isa.MatrixDim]int32{row}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Store(0, &row, true); err != nil {
+	if err := a.StoreRows(0, [][isa.MatrixDim]int32{row}, true); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := a.Load(0)
@@ -109,9 +106,9 @@ func TestAccumulatorsSaturate(t *testing.T) {
 	a := NewAccumulators()
 	var row [isa.MatrixDim]int32
 	row[0] = math.MaxInt32
-	a.Store(0, &row, false)
+	a.StoreRows(0, [][isa.MatrixDim]int32{row}, false)
 	row[0] = 1
-	a.Store(0, &row, true)
+	a.StoreRows(0, [][isa.MatrixDim]int32{row}, true)
 	got, _ := a.Load(0)
 	if got[0] != math.MaxInt32 {
 		t.Errorf("accumulator wrapped: %d", got[0])
@@ -121,7 +118,7 @@ func TestAccumulatorsSaturate(t *testing.T) {
 func TestAccumulatorsBounds(t *testing.T) {
 	a := NewAccumulators()
 	var row [isa.MatrixDim]int32
-	if err := a.Store(4096, &row, false); err == nil {
+	if err := a.StoreRows(4096, [][isa.MatrixDim]int32{row}, false); err == nil {
 		t.Error("out-of-range store accepted")
 	}
 	if _, err := a.Load(-1); err == nil {
@@ -136,7 +133,7 @@ func TestAccumulatorsClear(t *testing.T) {
 	a := NewAccumulators()
 	var row [isa.MatrixDim]int32
 	row[0] = 5
-	a.Store(10, &row, false)
+	a.StoreRows(10, [][isa.MatrixDim]int32{row}, false)
 	if err := a.Clear(10, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // reads as a freshly allocated file's does: all zero, parity clean.
 func requireFreshAccumulators(t *testing.T, a *Accumulators, guarded bool) {
 	t.Helper()
-	for i := 0; i < a.Count(); i++ {
+	for i := 0; i < isa.AccumulatorCount; i++ {
 		reg, err := a.Load(i)
 		if err != nil {
 			t.Fatal(err)
@@ -29,7 +29,7 @@ func requireFreshAccumulators(t *testing.T, a *Accumulators, guarded bool) {
 			t.Fatalf("parity word %d = %#x after Reset, fresh 0", i, p)
 		}
 	}
-	if bad := a.VerifyParity(0, a.Count()); bad != nil {
+	if bad := a.VerifyParity(0, isa.AccumulatorCount); bad != nil {
 		t.Fatalf("parity flags %v after Reset", bad)
 	}
 	if a.dirty != 0 {
@@ -77,7 +77,7 @@ func TestAccumulatorsResetEqualsFresh(t *testing.T) {
 				var err error
 				switch rng.Intn(4) {
 				case 0:
-					err = a.Store(idx, &rows[0], rng.Intn(2) == 0)
+					err = a.StoreRows(idx, rows[:1], rng.Intn(2) == 0)
 				case 1:
 					err = a.StoreRows(idx, rows[:1+rng.Intn(len(rows))], rng.Intn(2) == 0)
 				case 2:
@@ -129,13 +129,13 @@ func TestAccumulatorsDirtyMask(t *testing.T) {
 	if w0, w1 := a.written[0], a.written[1]; w0.lo != 0 || w0.hi != accBlock || w1.lo != 0 || w1.hi != 1 {
 		t.Fatalf("written rows of blocks 0 and 1: [%d, %d) and [%d, %d), want [0, %d) and [0, 1)", w0.lo, w0.hi, w1.lo, w1.hi, accBlock)
 	}
-	if err := a.Clear(0, a.Count()); err != nil {
+	if err := a.Clear(0, isa.AccumulatorCount); err != nil {
 		t.Fatal(err)
 	}
 	if backedBlocks(a) != 3 {
 		t.Fatalf("clearing the whole file backed %d blocks, want the 3 already written", backedBlocks(a))
 	}
-	if err := a.StoreRows(0, make([][isa.MatrixDim]int32, a.Count()), false); err != nil {
+	if err := a.StoreRows(0, make([][isa.MatrixDim]int32, isa.AccumulatorCount), false); err != nil {
 		t.Fatal(err)
 	}
 	if a.dirty != ^uint64(0) || backedBlocks(a) != accBlocks {
@@ -184,7 +184,7 @@ func TestAccumulatorsBackedOnDemand(t *testing.T) {
 	if backedBlocks(a) != 2 {
 		t.Fatalf("a store across one block boundary backed %d blocks, want 2", backedBlocks(a))
 	}
-	if bad := a.VerifyParity(0, a.Count()); bad != nil {
+	if bad := a.VerifyParity(0, isa.AccumulatorCount); bad != nil {
 		t.Fatalf("parity flags %v after clean stores", bad)
 	}
 	// Clear the middle four across the boundary; the outer two keep their sums.
@@ -197,7 +197,7 @@ func TestAccumulatorsBackedOnDemand(t *testing.T) {
 			t.Fatalf("register %d after Clear(%d, 4): zero = %v, want %v", at+i, at+1, zero, want)
 		}
 	}
-	if bad := a.VerifyParity(0, a.Count()); bad != nil {
+	if bad := a.VerifyParity(0, isa.AccumulatorCount); bad != nil {
 		t.Fatalf("parity flags %v after Clear", bad)
 	}
 	// An unbacked register far from anything written: zero, and not storage
@@ -256,7 +256,7 @@ func TestFlipBitDoesNotOutliveReset(t *testing.T) {
 		}
 		var row [isa.MatrixDim]int32
 		row[5] = 9
-		if err := a.Store(3, &row, false); err != nil {
+		if err := a.StoreRows(3, [][isa.MatrixDim]int32{row}, false); err != nil {
 			t.Fatal(err)
 		}
 		const ubAddr = 17<<20 + 123 // far beyond the written prefix
@@ -272,7 +272,7 @@ func TestFlipBitDoesNotOutliveReset(t *testing.T) {
 			if bad := u.VerifyGuard(ubAddr, 1); len(bad) != 1 || bad[0] != ubAddr/ubGuardBlock {
 				t.Fatalf("UB flip beyond the prefix: bad blocks %v", bad)
 			}
-			if bad := a.VerifyParity(0, a.Count()); len(bad) != 1 || bad[0] != 3000 {
+			if bad := a.VerifyParity(0, isa.AccumulatorCount); len(bad) != 1 || bad[0] != 3000 {
 				t.Fatalf("accumulator flip: bad registers %v", bad)
 			}
 		}

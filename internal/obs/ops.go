@@ -23,8 +23,8 @@ import (
 //	/debug/pprof/...      net/http/pprof (profile, heap, goroutine, trace, ...)
 //
 // Collectors are funcs writing Prometheus text; the endpoint concatenates
-// them so the serving layer's registry and the runtime's per-device gauges
-// compose without this package importing either.
+// them so the serving layer's registry and the fleet registry compose
+// without this package importing either.
 type Ops struct {
 	tracer *Tracer
 	start  time.Time

@@ -4,8 +4,6 @@
 // PCIe Gen3 x16 link the paper calls "relatively slow".
 package pcie
 
-import "fmt"
-
 // Link is one direction-shared PCIe connection.
 type Link struct {
 	// GBs is sustained effective bandwidth. PCIe Gen3 x16 is 15.75 GB/s
@@ -15,17 +13,6 @@ type Link struct {
 	// LatencyCycles is the fixed per-transfer setup cost in device cycles
 	// (DMA descriptor fetch, bus arbitration).
 	LatencyCycles float64
-}
-
-// Validate reports configuration errors.
-func (l Link) Validate() error {
-	if l.GBs <= 0 {
-		return fmt.Errorf("pcie: non-positive bandwidth %v", l.GBs)
-	}
-	if l.LatencyCycles < 0 {
-		return fmt.Errorf("pcie: negative latency %v", l.LatencyCycles)
-	}
-	return nil
 }
 
 // BytesPerCycle converts the link bandwidth to device-clock bytes/cycle.

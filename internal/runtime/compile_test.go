@@ -127,8 +127,8 @@ func TestServerDevicesAgree(t *testing.T) {
 			t.Errorf("%d cross-check mismatches on a fault-free server", n)
 		}
 		for _, h := range s.Stats() {
-			if h.Transitions != 0 {
-				t.Errorf("%s made %d health transitions (%s): %s", h.Device, h.Transitions, h.State, h.LastError)
+			if h.Failures != 0 || h.State != Healthy {
+				t.Errorf("%s failed %d runs (%s): %s", h.Device, h.Failures, h.State, h.LastError)
 			}
 		}
 		for dev := range outs {

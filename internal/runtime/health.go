@@ -132,13 +132,10 @@ func (r *Resilience) hedgeFactor() float64 {
 }
 
 // recordSuccess folds a successful batch into its device's record: the run
-// counters and the move toward Healthy in one critical section.
-func (s *Server) recordSuccess(dev int, r *InferenceResult) {
+// count and the move toward Healthy in one critical section.
+func (s *Server) recordSuccess(dev int) {
 	s.transition(dev, "success", func(d *Driver) HealthState {
 		d.runs++
-		d.cycles += r.Counters.Cycles
-		d.matrixActive += r.Counters.MatrixActive
-		d.deviceSeconds += r.DeviceSeconds
 		d.consecFail = 0
 		return Healthy
 	})
@@ -198,7 +195,6 @@ func (s *Server) probeDevice(dev int) {
 
 	if err != nil {
 		d.mu.Lock()
-		d.probeFails++
 		d.lastErr = err.Error()
 		d.mu.Unlock()
 		s.armProbe(dev) // stay quarantined, keep probing
@@ -213,18 +209,14 @@ func (s *Server) probeDevice(dev int) {
 
 // transition applies f to device dev's record under its driver's mu and
 // moves the device to the state f returns. It is the one place a health
-// transition is written: a change bumps the device's transition count, is
-// logged, and drops an instantaneous span on the device's track when a
-// tracer is attached.
+// transition is written: a change is logged, and drops an instantaneous
+// span on the device's track when a tracer is attached.
 func (s *Server) transition(dev int, why string, f func(d *Driver) HealthState) {
 	d := s.drivers[dev]
 	d.mu.Lock()
 	from := d.state
 	to := f(d)
-	if to != from {
-		d.state = to
-		d.transitions++
-	}
+	d.state = to
 	d.mu.Unlock()
 	if to == from {
 		return

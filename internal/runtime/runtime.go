@@ -87,24 +87,19 @@ type Driver struct {
 	// one critical section.
 	mu    sync.Mutex
 	slots map[string]*slot
-	// Lifetime accounting behind the /metrics device gauges.
-	runs          int64
-	cycles        int64
-	matrixActive  int64
-	deviceSeconds float64
+	// runs counts completed batches.
+	runs int64
 	// compilations counts the server compiles this device's first
 	// evaluations ran.
 	compilations int
 	// The health record: the state machine's position, the failure streak
 	// that drives it and what it has seen.
-	state       HealthState
-	consecFail  int
-	lastErr     string
-	transitions int64
-	failures    int64
-	probes      int64
-	probeFails  int64
-	probeArmed  bool
+	state      HealthState
+	consecFail int
+	lastErr    string
+	failures   int64
+	probes     int64
+	probeArmed bool
 }
 
 // slot is one model loaded on one device. once single-flights the load.
@@ -705,7 +700,7 @@ func (s *Server) dispatch(ctx context.Context, dev int, timeout time.Duration, m
 			// wall learner.
 			s.observeWall(m.Name, r)
 		}
-		s.recordSuccess(dev, r)
+		s.recordSuccess(dev)
 	case ctx.Err() != nil:
 		// The request itself was cancelled.
 	case actx.Err() != nil && errors.Is(err, actx.Err()):

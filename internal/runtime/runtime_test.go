@@ -123,11 +123,18 @@ func TestServerRoundRobin(t *testing.T) {
 	if n := compilations(s); n != 1 {
 		t.Errorf("total compilations = %d, want 1 (one per server)", n)
 	}
-	for _, st := range s.Stats() {
-		if st.Runs != 2 || st.ModelsResident != 1 {
-			t.Errorf("%s: %d runs, %d models loaded, want 2 and 1", st.Device, st.Runs, st.ModelsResident)
+	for i, st := range s.Stats() {
+		if loaded := modelsLoaded(s.drivers[i]); st.Runs != 2 || loaded != 1 {
+			t.Errorf("%s: %d runs, %d models loaded, want 2 and 1", st.Device, st.Runs, loaded)
 		}
 	}
+}
+
+// modelsLoaded returns how many models are loaded on d.
+func modelsLoaded(d *Driver) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.slots)
 }
 
 func TestServerErrors(t *testing.T) {
@@ -147,9 +154,9 @@ func TestServerRunOn(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st[0].Compilations != 0 || st[1].Compilations != 1 || st[0].ModelsResident != 0 {
+	if loaded := modelsLoaded(s.drivers[0]); st[0].Compilations != 0 || st[1].Compilations != 1 || loaded != 0 {
 		t.Errorf("compilations = %d/%d, device 0 holds %d models, want 0/1 and 0 (pinned to device 1)",
-			st[0].Compilations, st[1].Compilations, st[0].ModelsResident)
+			st[0].Compilations, st[1].Compilations, loaded)
 	}
 	// Pinned and round-robin runs agree on the answer.
 	rr, err := s.Run(m, p, in)

@@ -38,16 +38,12 @@ type SimBackend struct {
 	// TimeScale compresses simulated service time into wall time (0.01
 	// runs a 7 ms batch in 70 us). Zero means no sleeping at all.
 	TimeScale float64
-	// maxBatch records the largest batch each model ever executed, a probe
-	// for tests asserting no deadline-violating batch was admitted.
-	maxBatch map[string]int
 }
 
 // NewSimBackend creates an empty simulated backend.
 func NewSimBackend(timeScale float64) *SimBackend {
 	return &SimBackend{
 		models:    map[string]latency.ServiceModel{},
-		maxBatch:  map[string]int{},
 		TimeScale: timeScale,
 	}
 }
@@ -59,20 +55,10 @@ func (b *SimBackend) AddModel(name string, sm latency.ServiceModel) {
 	b.mu.Unlock()
 }
 
-// MaxBatch reports the largest batch the backend executed for a model.
-func (b *SimBackend) MaxBatch(name string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.maxBatch[name]
-}
-
 // Run implements Backend.
 func (b *SimBackend) Run(model string, inputs []*tensor.F32) ([]*tensor.F32, error) {
 	b.mu.Lock()
 	sm, ok := b.models[model]
-	if ok && len(inputs) > b.maxBatch[model] {
-		b.maxBatch[model] = len(inputs)
-	}
 	scale := b.TimeScale
 	b.mu.Unlock()
 	if !ok {

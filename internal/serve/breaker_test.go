@@ -220,7 +220,7 @@ func TestServerBreakerTripAndRecover(t *testing.T) {
 func TestServerBrownoutShrinksBatches(t *testing.T) {
 	g := newGateBackend()
 	s := NewServer(g)
-	_, err := s.Register("m", ModelConfig{
+	plan, err := s.Register("m", ModelConfig{
 		Policy:  Policy{MaxBatch: 8, SLASeconds: 1, MaxWaitSeconds: 5e-3},
 		Service: linearService(1e-4, 0),
 		Breaker: true,
@@ -228,7 +228,6 @@ func TestServerBrownoutShrinksBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _ := s.Plan("m")
 	if plan.SafeBatch != 8 {
 		t.Fatalf("safe batch = %d, want 8", plan.SafeBatch)
 	}

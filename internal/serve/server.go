@@ -495,17 +495,6 @@ func (s *Server) runBackend(ctx context.Context, model string, inputs []*tensor.
 	return s.backend.Run(model, inputs)
 }
 
-// Plan returns the resolved plan of a registered model.
-func (s *Server) Plan(model string) (Plan, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.lanes[model]
-	if !ok {
-		return Plan{}, fmt.Errorf("%w: %s", ErrUnknownModel, model)
-	}
-	return l.plan, nil
-}
-
 // Close is the graceful drain: stop admission (new Submits fail with
 // ErrClosed), flush every lane's queue — requests already admitted are
 // still batched, served or shed against their own deadlines, never

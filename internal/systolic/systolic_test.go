@@ -132,7 +132,7 @@ func TestMultiplyMatchesReferenceGEMM(t *testing.T) {
 		}
 		for i := 0; i < b; i++ {
 			for c := 0; c < isa.MatrixDim; c++ {
-				if got[i][c] != want.At(i, c) {
+				if got[i][c] != want.Data[i*want.Shape[1]+c] {
 					return false
 				}
 			}

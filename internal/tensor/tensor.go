@@ -49,19 +49,6 @@ func (s Shape) String() string {
 	return fmt.Sprint([]int(s))
 }
 
-// Validate reports an error for non-positive dimensions.
-func (s Shape) Validate() error {
-	if len(s) == 0 {
-		return fmt.Errorf("tensor: empty shape")
-	}
-	for i, d := range s {
-		if d <= 0 {
-			return fmt.Errorf("tensor: dimension %d is %d, must be positive", i, d)
-		}
-	}
-	return nil
-}
-
 // F32 is a row-major float32 tensor.
 type F32 struct {
 	Shape Shape
@@ -107,11 +94,6 @@ func NewI8(shape ...int) *I8 {
 	return &I8{Shape: s.Clone(), Data: make([]int8, s.Elems())}
 }
 
-// At returns the element at 2-D index (i, j); the tensor must be rank 2.
-func (t *I8) At(i, j int) int8 {
-	return t.Data[i*t.Shape[1]+j]
-}
-
 // I32 is a row-major int32 tensor (accumulator values).
 type I32 struct {
 	Shape Shape
@@ -122,9 +104,4 @@ type I32 struct {
 func NewI32(shape ...int) *I32 {
 	s := Shape(shape)
 	return &I32{Shape: s.Clone(), Data: make([]int32, s.Elems())}
-}
-
-// At returns the element at 2-D index (i, j); the tensor must be rank 2.
-func (t *I32) At(i, j int) int32 {
-	return t.Data[i*t.Shape[1]+j]
 }

@@ -43,21 +43,6 @@ func TestShapeCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestShapeValidate(t *testing.T) {
-	if err := (Shape{2, 3}).Validate(); err != nil {
-		t.Errorf("valid shape rejected: %v", err)
-	}
-	if err := (Shape{}).Validate(); err == nil {
-		t.Error("empty shape accepted")
-	}
-	if err := (Shape{2, 0}).Validate(); err == nil {
-		t.Error("zero dimension accepted")
-	}
-	if err := (Shape{-1}).Validate(); err == nil {
-		t.Error("negative dimension accepted")
-	}
-}
-
 func TestF32AtSet(t *testing.T) {
 	m := NewF32(2, 3)
 	m.Set(1, 2, 42)
@@ -115,8 +100,8 @@ func TestF32CloneIndependent(t *testing.T) {
 func TestI8AtSet(t *testing.T) {
 	m := NewI8(2, 2)
 	m.Set(0, 1, -7)
-	if m.At(0, 1) != -7 {
-		t.Errorf("At = %d, want -7", m.At(0, 1))
+	if got := m.Data[1]; got != -7 {
+		t.Errorf("row-major layout broken: Data[1] = %d, want -7", got)
 	}
 }
 
