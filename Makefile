@@ -167,13 +167,16 @@ fuzz-smoke:
 	$(call fuzz-run,./internal/des,FuzzCalendar)
 	$(call fuzz-run,./internal/obs,FuzzAttrValue)
 
-# Source size: non-test .go lines per internal package and in total — the
-# number a simplification PR is judged on.
+# Source size: non-test .go lines per internal/ package, nested packages
+# included, then the internal/, cmd/ and examples/ totals — the numbers a
+# simplification PR is judged on.
 loc:
-	@for d in internal/*/; do \
-		printf '%6d %s\n' $$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l) $$d; \
+	@for d in $$(find internal -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
 	done; \
-	printf '%6d total\n' $$(cat $$(ls internal/*/*.go | grep -v _test.go) | wc -l)
+	for d in internal cmd examples; do \
+		printf '%6d %s total\n' $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done
 
 # The four -race smokes below select tests by name too, so each pattern
 # passes the gates' "names a test" check first: a renamed or deleted test

@@ -13,7 +13,9 @@ import (
 	"maps"
 	"os"
 	"path"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/fstest"
@@ -40,8 +42,20 @@ var callerAllowlist = map[string]string{
 	"tpu.Device.WeightTileCopies": "runtime's compile_test.go (make bench-gate) counts the weight tiles a flip copied",
 	"des.Loop.Pending":            "cluster's chaos tests check that a rejected plan leaves the calendar as it was",
 	"fault.Injector.Revive":       "runtime's quarantine tests revive a killed device to watch a probe re-admit it",
+	"fault.Injector.Events":       "runtime's TestChaosDeterminism compares two servers' per-device fault logs",
+	"fault.Event.Seq":             "the fault log runtime's TestChaosDeterminism and fault's same-seed tests compare",
+	"fault.Event.Kind":            "the fault log runtime's TestChaosDeterminism and fault's same-seed tests compare",
+	"fault.Event.Addr":            "the fault log fault's same-seed tests compare",
 	"workload.NewMultiPeriod":     "cluster's golden and chaos tests drive their fleets with it, and the golden bytes depend on its rates",
 	"isa.Program.Count":           "compiler's tests count the halts, matrix multiplies and operand DMAs a compiled program holds",
+
+	// Settings whose fate is an open decision.
+	"runtime.Resilience.CrossCheck": "a documented defence layer only tests turn on; deleting it is ROADMAP item 15's decision",
+	"runtime.Resilience.ScrubEvery": "a documented defence layer only tests turn on; deleting it is ROADMAP item 15's decision",
+	"nn.Layer.PoolWindow":           "no program builds a Pool layer; whether the kind stays is ROADMAP item 17's decision",
+	"workload.Harmonic.Amp":         "reaches the code only through workload.NewMultiPeriod, allowlisted above",
+	"workload.Harmonic.Period":      "reaches the code only through workload.NewMultiPeriod, allowlisted above",
+	"workload.Harmonic.Phase":       "reaches the code only through workload.NewMultiPeriod, allowlisted above",
 
 	// Oracles: the instruction wire form is what the decoder fuzz targets,
 	// the encode round trips and the compiler's instruction-budget golden
@@ -73,10 +87,10 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 // checkAllowlist returns one problem per unnamed key no row excuses and per
 // row that excuses no unnamed key: the row names something that no longer
 // exists or that has a caller now.
-func checkAllowlist(unnamed []string, allow map[string]string) []string {
+func checkAllowlist(unnamed map[string]string, allow map[string]string) []string {
 	var problems []string
 	used := map[string]bool{}
-	for _, key := range unnamed {
+	for _, key := range slices.Sorted(maps.Keys(unnamed)) {
 		wild := "*." + key[strings.LastIndexByte(key, '.')+1:]
 		switch {
 		case allow[key] != "":
@@ -84,7 +98,7 @@ func checkAllowlist(unnamed []string, allow map[string]string) []string {
 		case strings.Count(key, ".") == 2 && allow[wild] != "":
 			used[wild] = true
 		default:
-			problems = append(problems, key+" has no non-test caller: delete it, unexport it, move it into a _test.go or allowlist it with a reason")
+			problems = append(problems, key+" "+unnamed[key]+": delete it, unexport it, move it into a _test.go or allowlist it with a reason")
 		}
 	}
 	for _, row := range slices.Sorted(maps.Keys(allow)) {
@@ -97,15 +111,27 @@ func checkAllowlist(unnamed []string, allow map[string]string) []string {
 
 // unnamedAPI type-checks pkgs, the non-test files of module by directory
 // ("." for the module root), importing every other package through std, and
-// returns, sorted, the keys of the exported functions, methods, types, vars
-// and consts of internal/ packages that no file uses outside their own
-// declaration (for a type: outside its declaration and its own methods).
+// returns, by key, what is missing from the exported API of internal/
+// packages: "has no non-test caller" for a function, method, type, var or
+// const no file uses outside its own declaration (for a type: outside its
+// declaration and its own methods), and "no program reads it" or "no
+// program writes it" for a named field of an exported struct type.
 // Each identifier is resolved to the object it names, so a method counts
 // only where its own object is used — called, or taken as a method value or
 // expression — or where its type, or a pointer to it, implements an
-// interface whose method some file uses.
-func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string, std types.Importer) ([]string, error) {
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+// interface whose method some file uses. A field is written by an
+// assignment (op= included), ++ or --, a literal's key or a positional
+// literal, an element assignment x.F[i] = v, or taking its address (&x.F,
+// or calling a pointer method on it); every other use reads it, except the
+// x.F inside x.F = append(x.F, ...). A json-tagged field counts as read:
+// encoding/json reads it where a program marshals its type.
+func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string, std types.Importer) (map[string]string, error) {
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	checked := map[string]*types.Package{}
 	var imp importerFunc
 	imp = func(ipath string) (*types.Package, error) {
@@ -127,6 +153,7 @@ func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string,
 
 	declared := map[types.Object]string{} // exported internal/ object -> its key
 	used := map[types.Object]bool{}
+	read, written := map[*types.Var]bool{}, map[*types.Var]bool{}
 	ifaceMethods := map[*types.Func]bool{} // the interface methods some file uses
 	for _, dir := range slices.Sorted(maps.Keys(pkgs)) {
 		ipath := module
@@ -159,6 +186,9 @@ func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string,
 						switch s := s.(type) {
 						case *ast.TypeSpec:
 							names = []*ast.Ident{s.Name}
+							if st, ok := s.Type.(*ast.StructType); ok && internal && s.Name.IsExported() {
+								declareFields(st, short+"."+s.Name.Name, info, declared, read)
+							}
 						case *ast.ValueSpec:
 							names = s.Names
 						}
@@ -171,17 +201,43 @@ func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string,
 						}
 					}
 				}
+				writes, skips := fieldWrites(d, info)
 				ast.Inspect(d, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.CompositeLit); ok && len(lit.Elts) > 0 {
+						if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); !keyed {
+							t := info.TypeOf(lit)
+							if p, ok := t.(*types.Pointer); ok {
+								t = p.Elem() // an elided &T in a literal of pointers
+							}
+							if st, ok := t.Underlying().(*types.Struct); ok {
+								for i := range st.NumFields() {
+									written[st.Field(i).Origin()] = true
+								}
+							}
+						}
+					}
 					id, ok := n.(*ast.Ident)
 					if !ok || info.Uses[id] == nil {
 						return true
 					}
 					obj := info.Uses[id]
-					if fn, ok := obj.(*types.Func); ok {
-						if isInterfaceMethod(fn) {
-							ifaceMethods[fn] = true
+					switch o := obj.(type) {
+					case *types.Var:
+						if o.IsField() {
+							v := o.Origin() // a generic struct's fields count for its declaration
+							switch {
+							case writes[id]:
+								written[v] = true
+							case !skips[id]:
+								read[v] = true
+							}
+							return true
 						}
-						obj = fn.Origin() // a generic method's uses count for its declaration
+					case *types.Func:
+						if isInterfaceMethod(o) {
+							ifaceMethods[o] = true
+						}
+						obj = o.Origin() // a generic method's uses count for its declaration
 					}
 					if !own[obj] {
 						used[obj] = true
@@ -192,14 +248,109 @@ func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string,
 		}
 	}
 
-	var unnamed []string
+	unnamed := map[string]string{}
 	for obj, key := range declared {
-		if !used[obj] && !viaInterface(obj, ifaceMethods) {
-			unnamed = append(unnamed, key)
+		v, _ := obj.(*types.Var)
+		field := v != nil && v.IsField()
+		switch {
+		case field && !read[v]:
+			unnamed[key] = "is a field, but no program reads it"
+		case field && !written[v]:
+			unnamed[key] = "is a field, but no program writes it"
+		case !field && !used[obj] && !viaInterface(obj, ifaceMethods):
+			unnamed[key] = "has no non-test caller"
 		}
 	}
-	slices.Sort(unnamed)
 	return unnamed, nil
+}
+
+// declareFields adds the exported named fields of st, a struct type whose
+// key is typeKey, to declared, and marks the json-tagged ones read.
+func declareFields(st *ast.StructType, typeKey string, info *types.Info, declared map[types.Object]string, read map[*types.Var]bool) {
+	for _, fl := range st.Fields.List {
+		for _, name := range fl.Names {
+			if !name.IsExported() {
+				continue
+			}
+			v := info.Defs[name].(*types.Var)
+			declared[v] = typeKey + "." + name.Name
+			if fl.Tag != nil {
+				if tag, err := strconv.Unquote(fl.Tag.Value); err == nil {
+					if _, ok := reflect.StructTag(tag).Lookup("json"); ok {
+						read[v] = true
+					}
+				}
+			}
+		}
+	}
+}
+
+// fieldWrites returns the field identifiers inside n that write their
+// field, and those that neither read nor write it: the x.F inside
+// x.F = append(x.F, ...).
+func fieldWrites(n ast.Node, info *types.Info) (writes, skips map[*ast.Ident]bool) {
+	writes, skips = map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
+	// lvalue marks the field e selects, through element indexing and the
+	// struct values it is part of, as written.
+	var lvalue func(e ast.Expr)
+	lvalue = func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			lvalue(e.X)
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				writes[e.Sel] = true
+				if !sel.Indirect() {
+					lvalue(e.X)
+				}
+			}
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				lvalue(l)
+			}
+			if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
+				if call, ok := n.Rhs[0].(*ast.CallExpr); ok && len(call.Args) > 0 && isBuiltin(info, call.Fun, "append") {
+					if sel, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr); ok && types.ExprString(sel) == types.ExprString(n.Lhs[0]) {
+						skips[sel.Sel] = true
+					}
+				}
+			}
+		case *ast.IncDecStmt:
+			lvalue(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				lvalue(n.X)
+			}
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				writes[id] = true // a struct literal's key; any other key is no field
+			}
+		case *ast.SelectorExpr:
+			// A pointer method called on an addressable value takes its address.
+			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+				_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				if _, ptr := sel.Recv().Underlying().(*types.Pointer); ptrRecv && !ptr {
+					lvalue(n.X)
+				}
+			}
+		}
+		return true
+	})
+	return writes, skips
+}
+
+// isBuiltin reports whether fun names the builtin function name.
+func isBuiltin(info *types.Info, fun ast.Expr, name string) bool {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -296,7 +447,11 @@ func parseModule(fset *token.FileSet, fsys fs.FS) (map[string][]*ast.File, error
 // method value, or reached through an interface it implements — but not
 // where a method of another type shares its name, an allowlisted name
 // passes, and a row that excuses nothing — its function gone, or called now
-// — is flagged.
+// — is flagged. A field only tests read, or only written — by a keyed or
+// positional literal, ++ or x.F = append(x.F, ...) — is flagged, and so is
+// one programs read and never set; writing through &x.F, a pointer method
+// or an element counts, a json tag counts as a read, and a generic struct's
+// fields count for its declaration.
 func TestCallerScanFixture(t *testing.T) {
 	src := func(s string) *fstest.MapFile { return &fstest.MapFile{Data: []byte(s)} }
 	fsys := fstest.MapFS{
@@ -320,10 +475,32 @@ func OnlyTested() {}
 func Benched() {}
 func Allowed() {}
 func Used() {}
+
+type Rec struct {
+	Name, Shown string
+	Hits        int
+	Log         []string
+	TestRead    int
+}
+type Pair struct{ X, Y int }
+type Config struct{ Limit int }
+type Counter struct{ n int }
+
+func (c *Counter) Add(n int) { c.n += n }
+
+type Acc struct {
+	Sum Counter
+	Ptr int
+	Buf [4]int
+}
+type Report struct {
+	Count int ` + "`json:\"count\"`" + `
+}
+type Box[V any] struct{ Val, Spare V }
 `),
 		"internal/a/a_test.go": src(`package a
 
-func use() { OnlyTested(); Allowed(); New().Self(); _ = Limit + Registry["x"] }
+func use() { OnlyTested(); Allowed(); New().Self(); _ = Limit + Registry["x"]; _ = Rec{TestRead: 1}.TestRead }
 `),
 		"internal/b/b.go": src(`package b
 
@@ -360,6 +537,29 @@ import "m/internal/b"
 
 func main() { b.Make().Chained(); _ = b.Sum(nil) }
 `),
+		"cmd/e/main.go": src(`package main
+
+import "m/internal/a"
+
+func main() {
+	r := a.Rec{Name: "n", Shown: "s"}
+	r.Hits++
+	r.Log = append(r.Log, r.Shown)
+	_ = a.Pair{1, 2}
+	var c a.Config
+	_ = c.Limit
+	var acc a.Acc
+	acc.Sum.Add(1)
+	p := &acc.Ptr
+	*p = 1
+	acc.Buf[0] = 1
+	_, _, _ = acc.Sum, acc.Ptr, acc.Buf
+	_ = a.Report{Count: 1}
+	box := a.Box[int]{Val: 1}
+	box.Spare = 2
+	_ = box.Val
+}
+`),
 	}
 	fset := token.NewFileSet()
 	pkgs, err := parseModule(fset, fsys)
@@ -374,29 +574,46 @@ func main() { b.Make().Chained(); _ = b.Sum(nil) }
 	// a.Widget names the type, not the method; cmd/c calls b.U's Len, not
 	// a.T's; b.Sum calls Area through b.Shape, which a.T implements; cmd/c
 	// takes Hook as a method value; the declaration of Size and Limit names
-	// neither.
-	if want := []string{"a.Allowed", "a.Limit", "a.OnlyTested", "a.Registry", "a.T.Len", "a.T.Self", "a.T.Widget"}; !slices.Equal(unnamed, want) {
+	// neither. Counter's n is unexported, so it is no key.
+	const caller, reads, writes = "has no non-test caller", "is a field, but no program reads it", "is a field, but no program writes it"
+	want := map[string]string{
+		"a.Allowed": caller, "a.Limit": caller, "a.OnlyTested": caller, "a.Registry": caller,
+		"a.T.Len": caller, "a.T.Self": caller, "a.T.Widget": caller,
+		"a.Rec.Name": reads, "a.Rec.Hits": reads, "a.Rec.Log": reads, "a.Rec.TestRead": reads,
+		"a.Pair.X": reads, "a.Pair.Y": reads, "a.Box.Spare": reads,
+		"a.Config.Limit": writes,
+	}
+	if !maps.Equal(unnamed, want) {
 		t.Fatalf("unnamed %v, want %v", unnamed, want)
 	}
 
 	got := checkAllowlist(unnamed, map[string]string{
-		"a.Allowed": "test support",
-		"*.Self":    "an interface method",
-		"a.Used":    "called by cmd/c now",
-		"a.Gone":    "deleted",
+		"a.Allowed":   "test support",
+		"*.Self":      "an interface method",
+		"a.Used":      "called by cmd/c now",
+		"a.Gone":      "deleted",
+		"a.Rec.Name":  "read by a program outside the module",
+		"a.Acc.Sum":   "read by cmd/e now",
+		"a.Pair.X":    "read by tests",
+		"a.Pair.Y":    "read by tests",
+		"a.Box.Spare": "read by tests",
 	})
-	want := []string{
+	wantProblems := []string{
+		"a.Config.Limit is a field, but no program writes it",
 		"a.Limit has no non-test caller", "a.OnlyTested has no non-test caller",
+		"a.Rec.Hits is a field, but no program reads it", "a.Rec.Log is a field, but no program reads it",
+		"a.Rec.TestRead is a field, but no program reads it",
 		"a.Registry has no non-test caller", "a.T.Len has no non-test caller",
 		"a.T.Widget has no non-test caller",
+		"allowlist row a.Acc.Sum excuses nothing",
 		"allowlist row a.Gone excuses nothing", "allowlist row a.Used excuses nothing",
 	}
-	if len(got) != len(want) {
-		t.Fatalf("problems %q, want %d", got, len(want))
+	if len(got) != len(wantProblems) {
+		t.Fatalf("problems %q, want %d", got, len(wantProblems))
 	}
-	for i := range want {
-		if !strings.HasPrefix(got[i], want[i]) {
-			t.Errorf("problem %d = %q, want it to start %q", i, got[i], want[i])
+	for i := range wantProblems {
+		if !strings.HasPrefix(got[i], wantProblems[i]) {
+			t.Errorf("problem %d = %q, want it to start %q", i, got[i], wantProblems[i])
 		}
 	}
 }

@@ -41,6 +41,10 @@ func main() {
 	clock := flag.Float64("clock", 700, "clock rate in MHz")
 	memGBs := flag.Float64("membw", 34, "weight memory bandwidth in GB/s (use ~184 for TPU')")
 	flag.Parse()
+	if *batch < 0 {
+		log.Printf("-batch: %d is negative (0 keeps the production batch)", *batch)
+		os.Exit(2)
+	}
 
 	cfg := tpu.DefaultConfig()
 	cfg.ClockMHz = *clock

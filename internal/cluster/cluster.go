@@ -340,7 +340,7 @@ type Cluster struct {
 	apps   []*app
 	events []logEntry
 	tel    *Telemetry
-	counts EventCounts
+	counts eventCounts
 
 	// Failure-domain and incident bookkeeping (see chaos.go).
 	zoneAlive []int // alive hosts per zone
@@ -485,19 +485,19 @@ func (c *Cluster) Events() []Event {
 // EventsProcessed returns the discrete-event count executed so far.
 func (c *Cluster) EventsProcessed() uint64 { return c.loop.Processed() }
 
-// EventCounts splits EventsProcessed by what fired. A voided fill timer or
+// eventCounts splits EventsProcessed by what fired. A voided fill timer or
 // completion found its replica's generation moved on — a dispatch, death
-// or drain came first — and did nothing but take a calendar slot. Tests
-// read it through EventCounts (cluster_test.go).
-type EventCounts struct {
-	Arrivals          uint64
-	FillTimers        uint64
-	FillTimersVoided  uint64
-	Completions       uint64
-	CompletionsVoided uint64
-	// Controller counts every closure event: autoscaler, chaos, rollout
+// or drain came first — and did nothing but take a calendar slot. Only
+// TestEventCounts reads it.
+type eventCounts struct {
+	arrivals          uint64
+	fillTimers        uint64
+	fillTimersVoided  uint64
+	completions       uint64
+	completionsVoided uint64
+	// controller counts every closure event: autoscaler, chaos, rollout
 	// and telemetry ticks, and actions scheduled through the Cluster.
-	Controller uint64
+	controller uint64
 }
 
 // Run advances the fleet to the given virtual time. Segments compose:
@@ -540,7 +540,7 @@ func (c *Cluster) scheduleNextArrival(a *app) {
 // controller wraps a closure event so its firing is counted.
 func (c *Cluster) controller(fn func()) func() {
 	return func() {
-		c.counts.Controller++
+		c.counts.controller++
 		fn()
 	}
 }
@@ -549,7 +549,7 @@ func (c *Cluster) controller(fn func()) func() {
 func (ar *arrival) Fire(key uint64) {
 	a := (*app)(ar)
 	c := a.c
-	c.counts.Arrivals++
+	c.counts.arrivals++
 	c.scheduleNextArrival(a)
 	a.Offered++
 	c.earnRetryToken(a)
@@ -562,10 +562,10 @@ func (ft *fillTimer) Fire(gen uint64) {
 	rep := (*replica)(ft)
 	c := rep.app.c
 	if rep.fillGen != gen {
-		c.counts.FillTimersVoided++
+		c.counts.fillTimersVoided++
 		return
 	}
-	c.counts.FillTimers++
+	c.counts.fillTimers++
 	c.maybeDispatch(rep)
 }
 
@@ -575,10 +575,10 @@ func (cp *completion) Fire(gen uint64) {
 	rep := (*replica)(cp)
 	c := rep.app.c
 	if rep.svcGen != gen {
-		c.counts.CompletionsVoided++
+		c.counts.completionsVoided++
 		return
 	}
-	c.counts.Completions++
+	c.counts.completions++
 	c.complete(rep)
 }
 
@@ -597,7 +597,6 @@ func (c *Cluster) route(a *app, r request) {
 	}
 	id, ok := a.router.Route(r.key)
 	if !ok {
-		a.RouterMiss++
 		a.Errors++
 		return
 	}

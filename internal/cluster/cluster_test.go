@@ -494,20 +494,20 @@ func TestEventCounts(t *testing.T) {
 		{"pod", steadyPod(t, 250, 10, 100, nil), 1},
 	} {
 		tc.c.Run(tc.until)
-		n := tc.c.EventCounts()
-		sum := n.Arrivals + n.FillTimers + n.FillTimersVoided + n.Completions + n.CompletionsVoided + n.Controller
+		n := tc.c.counts
+		sum := n.arrivals + n.fillTimers + n.fillTimersVoided + n.completions + n.completionsVoided + n.controller
 		t.Logf("%s: %+v", tc.name, n)
 		if processed := tc.c.EventsProcessed(); sum != processed {
 			t.Errorf("%s: the counts sum to %d, EventsProcessed is %d", tc.name, sum, processed)
 		}
-		if n.Arrivals == 0 || n.Completions == 0 || n.FillTimers == 0 {
+		if n.arrivals == 0 || n.completions == 0 || n.fillTimers == 0 {
 			t.Errorf("%s: %+v: the scenario does not exercise the request path", tc.name, n)
 		}
-		if tc.name != "pod" && n.Controller == 0 {
+		if tc.name != "pod" && n.controller == 0 {
 			t.Errorf("%s: no controller event fired", tc.name)
 		}
-		if tc.name == "pod" && (n.FillTimersVoided != 0 || n.Controller != 0) {
-			t.Errorf("pod: %d fill timers voided and %d controller events, want 0 and 0", n.FillTimersVoided, n.Controller)
+		if tc.name == "pod" && (n.fillTimersVoided != 0 || n.controller != 0) {
+			t.Errorf("pod: %d fill timers voided and %d controller events, want 0 and 0", n.fillTimersVoided, n.controller)
 		}
 	}
 }
@@ -524,10 +524,6 @@ func TestNonFiniteTelemetryWindow(t *testing.T) {
 		c.Run(0.2)
 	}
 }
-
-// EventCounts returns the events fired so far, by kind; the fields sum to
-// EventsProcessed.
-func (c *Cluster) EventCounts() EventCounts { return c.counts }
 
 // TestLatencyLogPercentiles: a latency log gathers to the slice a plain
 // append would have built, so the snapshot's p50 and p99 are bit-identical

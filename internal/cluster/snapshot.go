@@ -21,7 +21,7 @@ type AppCounters struct {
 	Completed, ShedQueue, Expired uint64
 	// Errors counts client-visible failures: router misses, and failovers
 	// refused for attempts, deadline or retry budget.
-	Failovers, Errors, RouterMiss uint64
+	Failovers, Errors uint64
 	// Retry-defense counters (nonzero only with Config.Retry.Enabled):
 	// granted vs budget-refused retries, retries refused because the SLA
 	// cannot be met anyway, and requests stranded behind a partition.

@@ -370,7 +370,6 @@ func (c *Cluster) telemetryTick() {
 			Shed:      cur.shed - am.closed.shed,
 			Errors:    cur.errors - am.closed.errors,
 			P99:       am.winLat.Quantile(0.99),
-			Replicas:  am.liveReplicas,
 		})
 		am.closed = cur
 		am.total.Merge(&am.winLat)
@@ -443,8 +442,6 @@ type Window struct {
 	Offered, Completed, Shed, Errors uint64
 	// P99 is the 99th-percentile served latency of the window, seconds.
 	P99 float64
-	// Replicas is the live replica count at window close.
-	Replicas int
 }
 
 // cell is one app x host rollup.

@@ -45,10 +45,10 @@ func (o Options) precisionFlags() uint16 {
 type Layout struct {
 	// HostBytes is the size of the host DMA buffer.
 	HostBytes int
-	// InputAddr/InputBytes locate the input image; each example occupies
+	// InputAddr locates the input image; each example occupies
 	// InputStride bytes (activations are padded to 256-byte rows except in
 	// raw convolution layouts).
-	InputAddr, InputBytes, InputStride int
+	InputAddr, InputStride int
 	// InElems is the count of valid input elements per example.
 	InElems int
 	// OutputAddr/OutputBytes/OutputStride/OutElems mirror the above for

@@ -115,7 +115,6 @@ func (lo *lowering) emitProgram() (Layout, error) {
 	inputHostAddr := lo.hostAlloc(specs[0].bytes)
 	layout := Layout{
 		InputAddr:   inputHostAddr,
-		InputBytes:  specs[0].bytes,
 		InputStride: specs[0].stride,
 		InElems:     specs[0].elems,
 		Batch:       lo.batch,

@@ -47,8 +47,6 @@ type Provision struct {
 	// BusyMegawatts is power at measured busy consumption (electricity
 	// bill at full load).
 	BusyMegawatts float64
-	// PerApp records servers needed per app.
-	PerApp map[string]float64
 }
 
 // serverIPS returns one server's throughput for an app on a platform;
@@ -77,7 +75,7 @@ func serverIPS(k platform.Kind, b models.Benchmark, tpuIPS map[string]float64) (
 // is the TPU's per-die throughput per app (see serverIPS).
 func ProvisionFor(k platform.Kind, d Demand, tpuIPS map[string]float64) (Provision, error) {
 	spec := platform.MustSpecs(k)
-	p := Provision{Platform: k, PerApp: map[string]float64{}}
+	p := Provision{Platform: k}
 	for _, b := range models.All() {
 		rps, ok := d[b.Model.Name]
 		if !ok || rps == 0 {
@@ -90,9 +88,7 @@ func ProvisionFor(k platform.Kind, d Demand, tpuIPS map[string]float64) (Provisi
 		// Provision at 70% target utilization: queueing headroom for the
 		// 99th-percentile limit.
 		const targetUtil = 0.7
-		servers := rps / (ips * targetUtil)
-		p.PerApp[b.Model.Name] = servers
-		p.Servers += servers
+		p.Servers += rps / (ips * targetUtil)
 	}
 	p.Servers = math.Ceil(p.Servers)
 	p.TDPMegawatts = p.Servers * spec.Server.TDPWatts / 1e6

@@ -91,18 +91,15 @@ func (c ChaosConfig) normalized() ChaosConfig {
 // ChaosApp is one app's outcome in one pass.
 type ChaosApp struct {
 	App    string
-	Model  string
 	Device int
 	// Rate is the offered arrival rate (requests/s); Requests is the
 	// stream length.
 	Rate     float64
 	Requests int
 	// Admission ledger from the serving layer.
-	Submitted, Completed, Errored, Shed uint64
-	// ErrorRate is Errored/Submitted.
-	ErrorRate float64
-	P50Ms     float64
-	P99Ms     float64
+	Completed, Errored, Shed uint64
+	// P99Ms is the served requests' p99 latency.
+	P99Ms float64
 }
 
 // ChaosPass is one full pass (baseline or chaotic) over every app.
@@ -111,11 +108,6 @@ type ChaosPass struct {
 	Stats        runtime.ResilienceStats
 	Health       []runtime.DriverStats
 	FaultSummary string
-	// Events is each device's injected-fault log (chaotic pass only). The
-	// sequence is a pure function of the plan seed and the device's run
-	// count — the replayability contract chaos debugging depends on.
-	Events      [][]fault.Event
-	WallSeconds float64
 }
 
 // ChaosResult pairs the healthy baseline with the chaotic pass.
@@ -299,7 +291,6 @@ func chaosPass(cfg ChaosConfig, names []string, res runtime.Resilience, chaotic 
 
 	// Open-loop Poisson arrivals per app; every request is a goroutine so a
 	// stalled request never blocks the arrival process.
-	start := time.Now()
 	var wg sync.WaitGroup
 	for i, a := range apps {
 		wg.Add(1)
@@ -321,20 +312,12 @@ func chaosPass(cfg ChaosConfig, names []string, res runtime.Resilience, chaotic 
 		}(i, a)
 	}
 	wg.Wait()
-	wall := time.Since(start).Seconds()
 	srv.Close()
 	rs.Close()
 
-	pass := &ChaosPass{
-		Stats:       rs.ResilienceStats(),
-		Health:      rs.Stats(),
-		WallSeconds: wall,
-	}
+	pass := &ChaosPass{Stats: rs.ResilienceStats(), Health: rs.Stats()}
 	if chaotic {
 		pass.FaultSummary = fault.Summary(rs.Injectors())
-		for _, in := range rs.Injectors() {
-			pass.Events = append(pass.Events, in.Events())
-		}
 	}
 	snap := srv.Metrics().Snapshot()
 	byName := map[string]serve.ModelSnapshot{}
@@ -343,17 +326,12 @@ func chaosPass(cfg ChaosConfig, names []string, res runtime.Resilience, chaotic 
 	}
 	for _, a := range apps {
 		s := byName[a.m.Name]
-		ca := ChaosApp{
-			App: a.name, Model: a.m.Name, Device: a.dev,
-			Rate: a.rate, Requests: a.n,
-			Submitted: s.Submitted, Completed: s.Completed, Errored: s.Errored,
+		pass.Apps = append(pass.Apps, ChaosApp{
+			App: a.name, Device: a.dev, Rate: a.rate, Requests: a.n,
+			Completed: s.Completed, Errored: s.Errored,
 			Shed:  s.ShedQueue + s.ShedBrownout + s.ShedBreaker + s.Expired,
-			P50Ms: s.P50Ms, P99Ms: s.P99Ms,
-		}
-		if s.Submitted > 0 {
-			ca.ErrorRate = float64(s.Errored) / float64(s.Submitted)
-		}
-		pass.Apps = append(pass.Apps, ca)
+			P99Ms: s.P99Ms,
+		})
 	}
 	return pass, nil
 }

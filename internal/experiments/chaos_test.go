@@ -50,13 +50,13 @@ func TestChaosSweepHoldsTail(t *testing.T) {
 		if c.App != base.App {
 			t.Fatalf("pass order mismatch: %s vs %s", c.App, base.App)
 		}
-		if c.Submitted == 0 || c.Completed == 0 {
+		if c.Completed == 0 {
 			t.Errorf("%s: no traffic served under chaos (%+v)", c.App, c)
 			continue
 		}
-		if c.ErrorRate >= 0.01 {
+		if rate := float64(c.Errored) / float64(c.Requests); rate >= 0.01 {
 			t.Errorf("%s: error rate %.2f%% (errored %d of %d), want < 1%%",
-				c.App, c.ErrorRate*100, c.Errored, c.Submitted)
+				c.App, rate*100, c.Errored, c.Requests)
 		}
 		// The acceptance bound: chaos p99 within 2x the healthy p99,
 		// plus an absolute grace of two chaos SLAs (2 x 500ms). The
@@ -150,74 +150,6 @@ func TestRunChaosRejectsMalformedFloats(t *testing.T) {
 		c.set(&cfg)
 		if _, err := RunChaos(cfg); err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("%+v: got error %v, want one naming %s", cfg, err, c.field)
-		}
-	}
-}
-
-// TestChaosSeedReproducesFaultSequence pins the replayability contract at
-// the harness level: two chaos passes from the same config inject the
-// same fault sequence on every device. Wall-clock batching means the two
-// passes need not execute the same *number* of runs, so the comparison is
-// over the common run-index prefix — within it, the (seq, kind) logs must
-// match exactly.
-func TestChaosSeedReproducesFaultSequence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock chaos sweep")
-	}
-	cfg := ChaosConfig{
-		Devices:  2,
-		Duration: 200 * time.Millisecond,
-		Seed:     11,
-		Plan:     fault.Plan{Seed: 11, TransientRate: 0.2},
-	}.normalized()
-	apps := []string{"MLP0", "MLP1"}
-	// Hedging and probing race the request stream and would consume extra
-	// injector draws; disable them so a device's fault sequence is a pure
-	// function of its run count.
-	res := runtime.Resilience{MaxAttempts: 4, HedgeAfterP99: -1, ProbeEvery: -1}
-	a, err := chaosPass(cfg, apps, res, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := chaosPass(cfg, apps, res, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.FaultSummary == "" || b.FaultSummary == "" {
-		t.Fatalf("no faults injected at transient rate 0.2 (a=%q b=%q)",
-			a.FaultSummary, b.FaultSummary)
-	}
-	for dev := range a.Events {
-		ea, eb := a.Events[dev], b.Events[dev]
-		if len(ea) == 0 && len(eb) == 0 {
-			continue
-		}
-		// Both logs are truncated to runs both passes executed: the last
-		// event's seq is a lower bound on a pass's run count.
-		var bound int64 = 1 << 62
-		for _, log := range [][]fault.Event{ea, eb} {
-			if len(log) > 0 && log[len(log)-1].Seq < bound {
-				bound = log[len(log)-1].Seq
-			}
-		}
-		trim := func(log []fault.Event) []fault.Event {
-			out := log[:0:0]
-			for _, e := range log {
-				if e.Seq <= bound {
-					out = append(out, e)
-				}
-			}
-			return out
-		}
-		ea, eb = trim(ea), trim(eb)
-		if len(ea) != len(eb) {
-			t.Fatalf("device %d: %d vs %d events within common prefix (seq <= %d)",
-				dev, len(ea), len(eb), bound)
-		}
-		for k := range ea {
-			if ea[k] != eb[k] {
-				t.Errorf("device %d event %d: %+v vs %+v", dev, k, ea[k], eb[k])
-			}
 		}
 	}
 }

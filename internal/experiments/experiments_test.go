@@ -7,6 +7,7 @@ import (
 
 	"tpusim/internal/platform"
 	"tpusim/internal/power"
+	"tpusim/internal/tpu"
 )
 
 func TestTable1MatchesPublished(t *testing.T) {
@@ -358,7 +359,7 @@ func TestSimulateTPUCachesAndErrors(t *testing.T) {
 	if _, err := SimulateTPU("nope"); err == nil {
 		t.Error("unknown app accepted")
 	}
-	if a.IPS >= a.RawIPS {
+	if raw := float64(a.App.Model.Batch) / a.Counters.Seconds(tpu.DefaultConfig().ClockMHz); a.IPS >= raw {
 		t.Error("host overhead should reduce IPS")
 	}
 }

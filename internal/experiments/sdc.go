@@ -47,8 +47,7 @@ func (c SDCConfig) normalized() SDCConfig {
 // SDCApp is one app's campaign ledger. Benign+Affecting = Flips;
 // Detected+Escaped = Affecting; CorrectExact+CorrectMiss = Affecting.
 type SDCApp struct {
-	App   string
-	Model string
+	App string
 	// Flips is the number of injected trials.
 	Flips int
 	// Benign flips left the integrity-off output bit-identical (masked by
@@ -236,7 +235,7 @@ func runSDC(cfg SDCConfig, names []string) (*SDCResult, error) {
 			}
 		}
 
-		app := SDCApp{App: name, Model: m.Name}
+		app := SDCApp{App: name}
 		rng := rand.New(rand.NewSource(cfg.Seed*7919 + int64(i)))
 		for t := 0; t < cfg.FlipsPerApp; t++ {
 			kind := sdcKinds[t%len(sdcKinds)]

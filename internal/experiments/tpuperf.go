@@ -21,15 +21,11 @@ type TPUPerf struct {
 	App models.Benchmark
 	// Counters is the device counter file from the cycle simulator.
 	Counters tpu.Counters
-	// DeviceSeconds is device time per batch; TotalSeconds adds the host
-	// interaction overhead of Table 5.
-	DeviceSeconds, TotalSeconds float64
-	// RawIPS is device-only inferences/s; IPS includes host overhead.
-	RawIPS, IPS float64
+	// IPS is inferences/s, the host interaction overhead of Table 5
+	// included.
+	IPS float64
 	// TOPS is delivered TeraOps/s (2 ops per MAC), device time base.
 	TOPS float64
-	// UBPeakBytes is the compiler's Unified Buffer high-water mark.
-	UBPeakBytes int
 }
 
 // perfEntry single-flights one app's simulation: concurrent callers block
@@ -77,19 +73,13 @@ func CompileAndRun(name string) (TPUPerf, error) {
 		return TPUPerf{}, err
 	}
 	devPool.Put(dev)
-	ubPeak := art.UBPeakBytes
 	compiler.Recycle(art)
-	devSec := c.Seconds(cfg.ClockMHz)
-	totSec := devSec * (1 + b.HostOverheadFrac)
+	totSec := c.Seconds(cfg.ClockMHz) * (1 + b.HostOverheadFrac)
 	return TPUPerf{
-		App:           b,
-		Counters:      c,
-		DeviceSeconds: devSec,
-		TotalSeconds:  totSec,
-		RawIPS:        float64(b.Model.Batch) / devSec,
-		IPS:           float64(b.Model.Batch) / totSec,
-		TOPS:          c.TeraOps(cfg.ClockMHz),
-		UBPeakBytes:   ubPeak,
+		App:      b,
+		Counters: c,
+		IPS:      float64(b.Model.Batch) / totSec,
+		TOPS:     c.TeraOps(cfg.ClockMHz),
 	}, nil
 }
 

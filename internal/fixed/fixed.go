@@ -1,6 +1,6 @@
 // Package fixed implements the quantized arithmetic used by the TPU
-// datapath: 8-bit signed/unsigned integer representations of real values
-// (scale + zero-point affine quantization), saturating integer helpers,
+// datapath: 8-bit signed integer representations of real values (symmetric,
+// scale-only quantization), saturating integer helpers,
 // and the fixed-point rounding used when accumulator values are requantized
 // on their way through the activation unit.
 //
@@ -32,18 +32,16 @@ func useVector(on bool) bool {
 	return vector
 }
 
-// Params describes an affine quantization: real = Scale * (q - ZeroPoint).
-// For int8 weights the TPU convention in this repo is symmetric quantization
-// (ZeroPoint 0); activations may use an asymmetric zero point.
+// Params describes a symmetric quantization: real = Scale * q. Weights and
+// activations alike use it, so zero is always exactly q = 0.
 type Params struct {
-	Scale     float32
-	ZeroPoint int32
+	Scale float32
 }
 
 // Quantize maps a real value to int8 under p, with round-to-nearest-even and
 // saturation to [-128, 127] (see roundSat for infinities and NaN).
 func (p Params) Quantize(x float32) int8 {
-	return roundSat(float64(x)/float64(p.Scale) + float64(p.ZeroPoint))
+	return roundSat(float64(x) / float64(p.Scale))
 }
 
 // QuantizeInto quantizes src into dst under p: dst[i] = p.Quantize(src[i])
@@ -56,8 +54,8 @@ func QuantizeInto(dst []int8, src []float32, p Params) {
 	n := 0
 	if vector && len(src) >= 8 {
 		n = len(src) &^ 7
-		// Quantize's x/scale + zp is (x*1)/scale + zp exactly.
-		quantizeAVX2(&dst[0], &src[0], n, 1, float64(p.Scale), float64(p.ZeroPoint))
+		// Quantize's x/scale is (x*1)/scale exactly.
+		quantizeAVX2(&dst[0], &src[0], n, 1, float64(p.Scale))
 	}
 	for i := n; i < len(src); i++ {
 		dst[i] = p.Quantize(src[i])
@@ -82,7 +80,7 @@ func roundSat(q float64) int8 {
 
 // Dequantize maps an int8 back to the real line under p.
 func (p Params) Dequantize(q int8) float32 {
-	return p.Scale * float32(int32(q)-p.ZeroPoint)
+	return p.Scale * float32(q)
 }
 
 // ChooseParams picks symmetric quantization parameters covering [-absMax,
@@ -149,10 +147,9 @@ func SatAddRow(dst, src []int32) (parity uint32) {
 }
 
 // Requantize converts a 32-bit accumulator value holding a product at scale
-// srcScale into an int8 at dstScale with zero point dstZero. This is the
-// fixed-point step performed as activations leave the accumulators for the
-// Unified Buffer.
+// srcScale into an int8 under dst. This is the fixed-point step performed as
+// activations leave the accumulators for the Unified Buffer.
 func Requantize(acc int32, srcScale float32, dst Params) int8 {
 	real := float64(acc) * float64(srcScale)
-	return roundSat(real/float64(dst.Scale) + float64(dst.ZeroPoint))
+	return roundSat(real / float64(dst.Scale))
 }

@@ -1,11 +1,10 @@
 #include "textflag.h"
 
 // CONSTS broadcasts the pass's operands and the int8 rails: Y12 = s,
-// Y13 = d, Y14 = zp, Y15 = -128, Y11 = 127.
+// Y13 = d, Y15 = -128, Y11 = 127.
 #define CONSTS \
 	VBROADCASTSD s+24(FP), Y12;          \
 	VBROADCASTSD d+32(FP), Y13;          \
-	VBROADCASTSD zp+40(FP), Y14;         \
 	MOVQ         $0xC060000000000000, AX; \
 	VMOVQ        AX, X15;                \
 	VBROADCASTSD X15, Y15;               \
@@ -13,7 +12,7 @@
 	VMOVQ        AX, X11;                \
 	VBROADCASTSD X11, Y11
 
-// REQUANT4 takes the four float64 lanes of y through ((y*s)/d + zp), rounds
+// REQUANT4 takes the four float64 lanes of y through (y*s)/d, rounds
 // them half to even (VROUNDPD mode 0), clamps them to [-128, 127] and
 // narrows them to four int32 in x. VMAXPD returns its second source, -128,
 // when either operand is NaN, so NaN lands on -128 as roundSat defines;
@@ -22,7 +21,6 @@
 #define REQUANT4(y, x) \
 	VMULPD     Y12, y, y; \
 	VDIVPD     Y13, y, y; \
-	VADDPD     Y14, y, y; \
 	VROUNDPD   $0, y, y;  \
 	VMAXPD     Y15, y, y; \
 	VMINPD     Y11, y, y; \
@@ -79,8 +77,8 @@ lanes:
 	VZEROUPPER
 	RET
 
-// func requantizeAVX2(dst *int8, src *int32, n int, s, d, zp float64)
-TEXT ·requantizeAVX2(SB), NOSPLIT, $0-48
+// func requantizeAVX2(dst *int8, src *int32, n int, s, d float64)
+TEXT ·requantizeAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX
@@ -99,8 +97,8 @@ lanes:
 	VZEROUPPER
 	RET
 
-// func quantizeAVX2(dst *int8, src *float32, n int, s, d, zp float64)
-TEXT ·quantizeAVX2(SB), NOSPLIT, $0-48
+// func quantizeAVX2(dst *int8, src *float32, n int, s, d float64)
+TEXT ·quantizeAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX

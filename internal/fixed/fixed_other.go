@@ -7,10 +7,10 @@ package fixed
 
 func satAddAVX2(dst, src *int32, n int) uint32 { panic("fixed: no AVX2 off amd64") }
 
-func requantizeAVX2(dst *int8, src *int32, n int, s, d, zp float64) {
+func requantizeAVX2(dst *int8, src *int32, n int, s, d float64) {
 	panic("fixed: no AVX2 off amd64")
 }
 
-func quantizeAVX2(dst *int8, src *float32, n int, s, d, zp float64) {
+func quantizeAVX2(dst *int8, src *float32, n int, s, d float64) {
 	panic("fixed: no AVX2 off amd64")
 }

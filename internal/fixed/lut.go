@@ -57,16 +57,12 @@ func (n Nonlinearity) Apply(x float64) float64 {
 // at 256 values per cycle, regardless of the transcendental being computed.
 type LUT struct {
 	Table [256]int8
-	// In and Out record the quantization domains the table was built for.
-	In, Out Params
-	// Fn is the nonlinearity the table approximates.
-	Fn Nonlinearity
 }
 
 // NewLUT builds the lookup table for fn from an input quantization domain to
 // an output quantization domain.
 func NewLUT(fn Nonlinearity, in, out Params) *LUT {
-	l := &LUT{In: in, Out: out, Fn: fn}
+	l := &LUT{}
 	for i := 0; i < 256; i++ {
 		q := int8(i - 128)
 		x := float64(in.Dequantize(q))
@@ -88,24 +84,24 @@ func (l *LUT) Lookup(q int8) int8 {
 //
 // Where the host has AVX2 the requantize is one vector pass, four lanes per
 // register: widen to float64, multiply by the source scale, divide by the
-// pre-activation scale, add the zero point, round half to even, clamp to
+// pre-activation scale, round half to even, clamp to
 // [-128, 127] (NaN to -128), narrow and saturating-pack to int8. Those are
 // the IEEE float64 operations of Requantize in the same order, and the clamp
 // is roundSat's, so the row is bit-identical. The table is then looked up
 // from the packed row.
 func (l *LUT) DrainRow(dst []int8, acc []int32, srcScale float32, pre Params) {
 	acc = acc[:len(dst)]
-	s, d, zp := float64(srcScale), float64(pre.Scale), float64(pre.ZeroPoint)
+	s, d := float64(srcScale), float64(pre.Scale)
 	tab := &l.Table
 	n := 0
 	if vector && len(dst) >= 8 {
 		n = len(dst) &^ 7
-		requantizeAVX2(&dst[0], &acc[0], n, s, d, zp)
+		requantizeAVX2(&dst[0], &acc[0], n, s, d)
 		for j, v := range dst[:n] {
 			dst[j] = tab[int(v)+128]
 		}
 	}
 	for j := n; j < len(dst); j++ {
-		dst[j] = tab[int(roundSat(float64(acc[j])*s/d+zp))+128]
+		dst[j] = tab[int(roundSat(float64(acc[j])*s/d))+128]
 	}
 }

@@ -149,9 +149,7 @@ func TestOutputParams(t *testing.T) {
 // identity preserve the input domain scaled by the requantization.
 func OutputParams(fn Nonlinearity, in Params) Params {
 	switch fn {
-	case Sigmoid:
-		return Params{Scale: 1.0 / 256.0, ZeroPoint: -128}
-	case Tanh:
+	case Sigmoid, Tanh:
 		return Params{Scale: 1.0 / 127.0}
 	default:
 		return in

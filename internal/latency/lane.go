@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"tpusim/internal/stats"
 	"tpusim/internal/workload"
 )
 
@@ -134,16 +133,6 @@ type Scan struct {
 	MaxQueue int
 	// Span is the time from the first arrival to the last completion.
 	Span float64
-}
-
-// Quantiles summarizes the served latencies.
-func (s Scan) Quantiles() (p50, p99, mean float64, err error) {
-	qs, err := stats.Percentiles(s.Latencies, 50, 99)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	mean, err = stats.Mean(s.Latencies)
-	return qs[0], qs[1], mean, err
 }
 
 // OpenLoop drives an empty lane with a seeded Poisson arrival stream of the

@@ -64,22 +64,13 @@ func oracleSimulate(sm ServiceModel, cfg Config) (Result, error) {
 		i = j
 	}
 
-	p50, err := stats.Percentile(latencies, 50)
-	if err != nil {
-		return Result{}, err
-	}
 	p99, err := stats.Percentile(latencies, 99)
-	if err != nil {
-		return Result{}, err
-	}
-	mean, err := stats.Mean(latencies)
 	if err != nil {
 		return Result{}, err
 	}
 	span := serverFree - arrivals[0]
 	return Result{
-		Offered: cfg.RatePerSecond,
-		P50:     p50, P99: p99, Mean: mean,
+		P99:        p99,
 		Throughput: float64(cfg.Requests) / span,
 		MeanBatch:  float64(cfg.Requests) / float64(batches),
 		MaxQueue:   maxQueue,
@@ -135,17 +126,23 @@ func TestSimulateMatchesOracle(t *testing.T) {
 func TestMD1MeanWait(t *testing.T) {
 	const s = 1e-3
 	sm := fixedService(s, 0)
+	const requests = 400000
 	for _, rho := range []float64{0.3, 0.6, 0.8} {
-		r, err := Simulate(sm, Config{Batch: 1, RatePerSecond: rho / s, Requests: 400000, Seed: 21})
+		run, err := OpenLoop(&Lane[At]{Cap: 1}, sm, rho/s, requests, 21)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := r.Mean-s, rho*s/(2*(1-rho))
+		var mean float64
+		for _, l := range run.Latencies {
+			mean += l
+		}
+		mean /= float64(len(run.Latencies))
+		got, want := mean-s, rho*s/(2*(1-rho))
 		if math.Abs(got-want) > 0.03*want {
 			t.Errorf("rho %.1f: mean wait %.4g s, M/D/1 says %.4g s (%.1f%% off)", rho, got, want, (got/want-1)*100)
 		}
-		if r.MeanBatch != 1 {
-			t.Errorf("rho %.1f: mean batch %v with cap 1", rho, r.MeanBatch)
+		if run.Batches != requests {
+			t.Errorf("rho %.1f: %d batches for %d requests with cap 1", rho, run.Batches, requests)
 		}
 	}
 }

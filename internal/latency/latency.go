@@ -12,7 +12,11 @@
 // arrival-scan driver (Drive), each cluster replica through des events.
 package latency
 
-import "fmt"
+import (
+	"fmt"
+
+	"tpusim/internal/stats"
+)
 
 // ServiceModel gives the time one batch of a given size takes to execute,
 // including host overheads.
@@ -40,11 +44,9 @@ type Config struct {
 
 // Result summarizes one simulation.
 type Result struct {
-	// Offered is the configured arrival rate in requests per second.
-	Offered float64
-	// P50, P99, Mean are request latencies in seconds (queue wait plus
-	// service of the whole batch the request rode in).
-	P50, P99, Mean float64
+	// P99 is the 99th-percentile request latency in seconds (queue wait
+	// plus service of the whole batch the request rode in).
+	P99 float64
 	// Throughput is achieved requests per second.
 	Throughput float64
 	// MeanBatch is the average assembled batch size; under light load
@@ -75,13 +77,12 @@ func simulate(sm ServiceModel, cfg Config, l *Lane[At]) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	p50, p99, mean, err := run.Quantiles()
+	p99, err := stats.Percentiles(run.Latencies, 99)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
-		Offered: cfg.RatePerSecond,
-		P50:     p50, P99: p99, Mean: mean,
+		P99:        p99[0],
 		Throughput: float64(cfg.Requests) / run.Span,
 		MeanBatch:  float64(cfg.Requests) / float64(run.Batches),
 		MaxQueue:   run.MaxQueue,

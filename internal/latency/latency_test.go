@@ -6,6 +6,7 @@ import (
 
 	"tpusim/internal/baseline"
 	"tpusim/internal/models"
+	"tpusim/internal/stats"
 )
 
 // fixedService has service = base + n*per seconds.
@@ -42,8 +43,12 @@ func TestSimulateLightLoad(t *testing.T) {
 	if r.MeanBatch > 1.2 {
 		t.Errorf("light-load mean batch = %v, want ~1", r.MeanBatch)
 	}
-	if r.P50 < 0.9e-3 || r.P50 > 2e-3 {
-		t.Errorf("light-load p50 = %v, want ~1ms", r.P50)
+	run, err := OpenLoop(&Lane[At]{Cap: 16}, sm, 10, 5000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p50, err := stats.Percentile(run.Latencies, 50); err != nil || p50 < 0.9e-3 || p50 > 2e-3 {
+		t.Errorf("light-load p50 = %v (%v), want ~1ms", p50, err)
 	}
 }
 
@@ -63,9 +68,6 @@ func TestSimulateHeavyLoadBatches(t *testing.T) {
 	svc16, _ := sm.BatchSeconds(16)
 	if r.P99 < svc16 {
 		t.Errorf("p99 %v below one batch service %v", r.P99, svc16)
-	}
-	if r.P99 < r.P50 {
-		t.Error("p99 below p50")
 	}
 }
 
@@ -171,15 +173,12 @@ func TestTable4CPUShape(t *testing.T) {
 	}
 }
 
-func TestSimulateQueueAndOfferedFields(t *testing.T) {
+func TestSimulateMaxQueue(t *testing.T) {
 	sm := fixedService(2e-3, 0.05e-3)
 	cap_, _ := Capacity(sm, 16)
 	r, err := Simulate(sm, Config{Batch: 16, RatePerSecond: cap_ * 0.95, Requests: 20000, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Offered != cap_*0.95 {
-		t.Errorf("offered = %v, want %v", r.Offered, cap_*0.95)
 	}
 	// Near saturation the queue must back up beyond one batch.
 	if r.MaxQueue <= 1 {

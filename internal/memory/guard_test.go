@@ -172,7 +172,7 @@ func TestGuardedWeights(t *testing.T) {
 		golden[i] = int8(rng.Intn(256) - 128)
 	}
 	crc := integrity.CRC(golden)
-	g, err := NewGuardedWeights(golden, 34, 0)
+	g, err := NewGuardedWeights(golden, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestGuardedWeightsFlipCopiesOneTile(t *testing.T) {
 	for i := range golden {
 		golden[i] = int8(i * 7)
 	}
-	g, err := NewGuardedWeights(golden, 34, 4*isa.WeightTileBytes)
+	g, err := NewGuardedWeights(golden, 4*isa.WeightTileBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

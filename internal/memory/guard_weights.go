@@ -30,8 +30,8 @@ type GuardedWeights struct {
 
 // NewGuardedWeights builds a guarded weight memory over a golden image at a
 // tile-aligned base, every tile golden.
-func NewGuardedWeights(golden []int8, bandwidthGBs float64, base uint64) (*GuardedWeights, error) {
-	mem, err := NewWeightMemoryAt(golden, bandwidthGBs, base)
+func NewGuardedWeights(golden []int8, base uint64) (*GuardedWeights, error) {
+	mem, err := NewWeightMemoryAt(golden, base)
 	if err != nil {
 		return nil, err
 	}

@@ -158,7 +158,7 @@ func (w *WeightMemory) fetchTile(addr uint64) []int8 {
 func TestWeightMemoryFetch(t *testing.T) {
 	img := make([]int8, 2*isa.WeightTileBytes)
 	img[isa.WeightTileBytes] = 99 // first byte of tile 1
-	wm, err := NewWeightMemoryAt(img, 34, 0)
+	wm, err := NewWeightMemoryAt(img, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestWeightMemoryFetch(t *testing.T) {
 }
 
 func TestWeightMemoryZeroFill(t *testing.T) {
-	wm, _ := NewWeightMemoryAt(make([]int8, isa.WeightTileBytes), 34, 0)
+	wm, _ := NewWeightMemoryAt(make([]int8, isa.WeightTileBytes), 0)
 	tile := wm.fetchTile(isa.WeightTileBytes * 5) // beyond image
 	for _, v := range tile {
 		if v != 0 {
@@ -179,10 +179,7 @@ func TestWeightMemoryZeroFill(t *testing.T) {
 }
 
 func TestWeightMemoryErrors(t *testing.T) {
-	if _, err := NewWeightMemoryAt(nil, 0, 0); err == nil {
-		t.Error("zero bandwidth accepted")
-	}
-	wm, _ := NewWeightMemoryAt(nil, 34, 0)
+	wm, _ := NewWeightMemoryAt(nil, 0)
 	if _, ok := wm.TileView(100); ok {
 		t.Error("unaligned fetch accepted")
 	}
@@ -212,7 +209,7 @@ func TestWeightMemoryTileView(t *testing.T) {
 	for i := range img {
 		img[i] = int8(i % 251)
 	}
-	wm, err := NewWeightMemoryAt(img, 34, base)
+	wm, err := NewWeightMemoryAt(img, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +258,7 @@ func TestWeightMemoryAtBase(t *testing.T) {
 	img := make([]int8, isa.WeightTileBytes)
 	img[0] = 42
 	base := uint64(isa.WeightTileBytes) * 100
-	wm, err := NewWeightMemoryAt(img, 34, base)
+	wm, err := NewWeightMemoryAt(img, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +276,10 @@ func TestWeightMemoryAtBase(t *testing.T) {
 }
 
 func TestWeightMemoryAtErrors(t *testing.T) {
-	if _, err := NewWeightMemoryAt(nil, 34, 100); err == nil {
+	if _, err := NewWeightMemoryAt(nil, 100); err == nil {
 		t.Error("unaligned base accepted")
 	}
-	if _, err := NewWeightMemoryAt(make([]int8, isa.WeightTileBytes), 34,
+	if _, err := NewWeightMemoryAt(make([]int8, isa.WeightTileBytes),
 		isa.WeightMemoryBytes-isa.WeightTileBytes/2); err == nil {
 		t.Error("image overflowing 8 GiB accepted")
 	}

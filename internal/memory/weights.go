@@ -12,32 +12,26 @@ import (
 type WeightMemory struct {
 	image []int8
 	base  uint64
-	// BandwidthGBs is the sustained fetch bandwidth (34 for DDR3; ~184 for
-	// the TPU' GDDR5 of Section 7).
-	BandwidthGBs float64
 }
 
 // NewWeightMemoryAt places the image at a tile-aligned base address,
 // supporting multiple resident models in the 8 GiB DRAM.
-func NewWeightMemoryAt(image []int8, bandwidthGBs float64, base uint64) (*WeightMemory, error) {
-	if err := CheckWeightPlacement(len(image), bandwidthGBs, base); err != nil {
+func NewWeightMemoryAt(image []int8, base uint64) (*WeightMemory, error) {
+	if err := CheckWeightPlacement(len(image), base); err != nil {
 		return nil, err
 	}
-	return &WeightMemory{image: image, base: base, BandwidthGBs: bandwidthGBs}, nil
+	return &WeightMemory{image: image, base: base}, nil
 }
 
 // CheckWeightPlacement is NewWeightMemoryAt's validation on its own (a device
 // run needs the verdict, not the memory): the base is tile-aligned, the image
-// ends inside the 8 GiB DRAM and the bandwidth is positive.
-func CheckWeightPlacement(imageBytes int, bandwidthGBs float64, base uint64) error {
+// ends inside the 8 GiB DRAM.
+func CheckWeightPlacement(imageBytes int, base uint64) error {
 	if base%isa.WeightTileBytes != 0 {
 		return fmt.Errorf("memory: weight base %#x not tile-aligned", base)
 	}
 	if base+uint64(imageBytes) > isa.WeightMemoryBytes {
 		return fmt.Errorf("memory: weight image %d bytes at %#x exceeds 8 GiB", imageBytes, base)
-	}
-	if bandwidthGBs <= 0 {
-		return fmt.Errorf("memory: non-positive weight bandwidth %v", bandwidthGBs)
 	}
 	return nil
 }

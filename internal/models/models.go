@@ -31,12 +31,8 @@ type Benchmark struct {
 	// HostOverheadFrac is Table 5: time the host CPU spends interacting
 	// with the TPU as a fraction of TPU execution time.
 	HostOverheadFrac float64
-	// PaperOI is Table 1's "TPU Ops / Weight Byte" column.
-	PaperOI float64
 	// PaperTOPS is Table 3 row 9: measured TeraOps/s on the TPU.
 	PaperTOPS float64
-	// PaperLOC is Table 1's lines-of-TensorFlow-code column (context only).
-	PaperLOC int
 }
 
 // Names returns the six benchmark names in Table 1 order.
@@ -83,23 +79,17 @@ func ByName(name string) (Benchmark, error) {
 func buildBenchmark(name string) (Benchmark, error) {
 	switch name {
 	case "MLP0":
-		return Benchmark{Model: mlp0(), DeployShare: 57.9, HostOverheadFrac: 0.21,
-			PaperOI: 200, PaperTOPS: 12.3, PaperLOC: 100}, nil
+		return Benchmark{Model: mlp0(), DeployShare: 57.9, HostOverheadFrac: 0.21, PaperTOPS: 12.3}, nil
 	case "MLP1":
-		return Benchmark{Model: mlp1(), DeployShare: 3.1, HostOverheadFrac: 0.76,
-			PaperOI: 168, PaperTOPS: 9.7, PaperLOC: 1000}, nil
+		return Benchmark{Model: mlp1(), DeployShare: 3.1, HostOverheadFrac: 0.76, PaperTOPS: 9.7}, nil
 	case "LSTM0":
-		return Benchmark{Model: lstm0(), DeployShare: 13.3, HostOverheadFrac: 0.11,
-			PaperOI: 64, PaperTOPS: 3.7, PaperLOC: 1000}, nil
+		return Benchmark{Model: lstm0(), DeployShare: 13.3, HostOverheadFrac: 0.11, PaperTOPS: 3.7}, nil
 	case "LSTM1":
-		return Benchmark{Model: lstm1(), DeployShare: 15.7, HostOverheadFrac: 0.20,
-			PaperOI: 96, PaperTOPS: 2.8, PaperLOC: 1500}, nil
+		return Benchmark{Model: lstm1(), DeployShare: 15.7, HostOverheadFrac: 0.20, PaperTOPS: 2.8}, nil
 	case "CNN0":
-		return Benchmark{Model: cnn0(), DeployShare: 2.5, HostOverheadFrac: 0.51,
-			PaperOI: 2888, PaperTOPS: 86.0, PaperLOC: 1000}, nil
+		return Benchmark{Model: cnn0(), DeployShare: 2.5, HostOverheadFrac: 0.51, PaperTOPS: 86.0}, nil
 	case "CNN1":
-		return Benchmark{Model: cnn1(), DeployShare: 2.5, HostOverheadFrac: 0.14,
-			PaperOI: 1750, PaperTOPS: 14.1, PaperLOC: 1000}, nil
+		return Benchmark{Model: cnn1(), DeployShare: 2.5, HostOverheadFrac: 0.14, PaperTOPS: 14.1}, nil
 	default:
 		return Benchmark{}, fmt.Errorf("models: unknown benchmark %q (want one of %v)", name, Names())
 	}
@@ -132,8 +122,8 @@ func mlp1() *nn.Model {
 
 // lstm0 is a GNM-Translate-subset-like LSTM: 24 gate matmuls (1472x1472,
 // 52M weights) and 34 vector layers = 58 layers, sigmoid+tanh, batch 64.
-// Gates are marked Recurrent: each depends on the previous group's output,
-// producing the RAW-stall-heavy behaviour of Table 3.
+// Each gate depends on the previous group's output, producing the
+// RAW-stall-heavy behaviour of Table 3.
 func lstm0() *nn.Model {
 	const dim = 1472
 	m := &nn.Model{Name: "LSTM0", Class: nn.LSTM, Batch: 64, TimeSteps: 1}
@@ -146,7 +136,7 @@ func lstm0() *nn.Model {
 		}
 		m.Layers = append(m.Layers, nn.Layer{
 			Name: fmt.Sprintf("gate%d", g), Kind: nn.FC, In: dim, Out: dim,
-			Act: act, Recurrent: true,
+			Act: act,
 		})
 		m.Layers = append(m.Layers, nn.Layer{
 			Name: fmt.Sprintf("vec%d", g), Kind: nn.Vector, Width: dim,
@@ -175,7 +165,7 @@ func lstm1() *nn.Model {
 		}
 		m.Layers = append(m.Layers, nn.Layer{
 			Name: fmt.Sprintf("gate%d", i), Kind: nn.FC, In: in, Out: out,
-			Act: act, Recurrent: true,
+			Act: act,
 		})
 	}
 	addVec := func(i, width int) {

@@ -39,8 +39,7 @@ func Tiny(name string) (*nn.Model, error) {
 				act = fixed.Tanh
 			}
 			m.Layers = append(m.Layers,
-				nn.Layer{Name: fmt.Sprintf("gate%d", g), Kind: nn.FC, In: 12, Out: 12,
-					Act: act, Recurrent: true},
+				nn.Layer{Name: fmt.Sprintf("gate%d", g), Kind: nn.FC, In: 12, Out: 12, Act: act},
 				nn.Layer{Name: fmt.Sprintf("vec%d", g), Kind: nn.Vector, Width: 12,
 					VOp: nn.VecScale, Act: fixed.Tanh},
 			)

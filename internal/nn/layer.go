@@ -79,12 +79,6 @@ type Layer struct {
 	// Act is the nonlinearity fused onto FC/Conv outputs or applied by
 	// VecActivation layers.
 	Act fixed.Nonlinearity
-
-	// Recurrent marks a layer whose input depends on the previous
-	// time-step's output of a later layer (LSTM state). The compiler must
-	// serialize across it, producing the RAW "delay slot" stalls of
-	// Section 2.
-	Recurrent bool
 }
 
 // Weights returns the number of weight parameters (1 byte each once

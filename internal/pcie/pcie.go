@@ -10,9 +10,6 @@ type Link struct {
 	// raw; ~14 GB/s is a realistic sustained figure after protocol
 	// overhead.
 	GBs float64
-	// LatencyCycles is the fixed per-transfer setup cost in device cycles
-	// (DMA descriptor fetch, bus arbitration).
-	LatencyCycles float64
 }
 
 // BytesPerCycle converts the link bandwidth to device-clock bytes/cycle.
@@ -23,7 +20,7 @@ func (l Link) BytesPerCycle(clockMHz float64) float64 {
 // TransferCycles returns device cycles to move n bytes.
 func (l Link) TransferCycles(n int64, clockMHz float64) float64 {
 	if n <= 0 {
-		return l.LatencyCycles
+		return 0
 	}
-	return l.LatencyCycles + float64(n)/l.BytesPerCycle(clockMHz)
+	return float64(n) / l.BytesPerCycle(clockMHz)
 }

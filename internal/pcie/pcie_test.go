@@ -30,10 +30,6 @@ func TestTransferCycles(t *testing.T) {
 	if got := l.TransferCycles(0, 700); got != 0 {
 		t.Errorf("zero transfer = %v", got)
 	}
-	withLat := Link{GBs: 14, LatencyCycles: 500}
-	if got := withLat.TransferCycles(0, 700); got != 500 {
-		t.Errorf("latency-only transfer = %v", got)
-	}
 }
 
 func TestTransferSeconds(t *testing.T) {
@@ -50,7 +46,7 @@ func TestTransferSeconds(t *testing.T) {
 }
 
 // Gen3x16 is the TPU's production link, the one tpu's pcieGBs prices.
-func Gen3x16() Link { return Link{GBs: 14, LatencyCycles: 0} }
+func Gen3x16() Link { return Link{GBs: 14} }
 
 // TransferSeconds returns wall time to move n bytes.
 func (l Link) TransferSeconds(n int64, clockMHz float64) float64 {

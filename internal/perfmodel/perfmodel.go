@@ -15,6 +15,8 @@ package perfmodel
 
 import (
 	"fmt"
+	"math"
+
 	"tpusim/internal/nn"
 )
 
@@ -125,14 +127,8 @@ func (p Params) Scale(k Knob, s float64) (Params, error) {
 type Result struct {
 	// Cycles is the estimated total device cycles per batch.
 	Cycles float64
-	// FetchCycles, ComputeCycles, ShiftCycles, ActCycles, DMACycles break
-	// the estimate down (overlapping categories; they do not sum to
-	// Cycles).
-	FetchCycles, ComputeCycles, ShiftCycles, ActCycles, DMACycles float64
 	// MACs is useful multiply-accumulates per batch.
 	MACs float64
-	// WeightTraffic is DRAM bytes fetched per batch, padding included.
-	WeightTraffic float64
 }
 
 // Seconds converts to wall time.
@@ -156,7 +152,7 @@ func Estimate(m *nn.Model, batch int, p Params) (Result, error) {
 	if batch <= 0 {
 		batch = m.Batch
 	}
-	if p.MatrixDim <= 0 || p.AccCount < 2 || p.ClockMHz <= 0 || p.MemGBs <= 0 || p.PCIeGBs <= 0 {
+	if p.MatrixDim <= 0 || p.AccCount < 2 || !positiveFinite(p.ClockMHz) || !positiveFinite(p.MemGBs) || !positiveFinite(p.PCIeGBs) {
 		return Result{}, fmt.Errorf("perfmodel: invalid params %+v", p)
 	}
 	if p.ActivationZeroFrac < 0 || p.ActivationZeroFrac >= 1 {
@@ -170,7 +166,6 @@ func Estimate(m *nn.Model, batch int, p Params) (Result, error) {
 	var r Result
 	// Input DMA (and the sync exposing it).
 	inBytes := float64(batch * align256(m.InputElems()))
-	r.DMACycles += inBytes / pcieBPC
 	r.Cycles += inBytes / pcieBPC
 
 	var lastEdgeBytes float64 = inBytes
@@ -180,38 +175,28 @@ func Estimate(m *nn.Model, batch int, p Params) (Result, error) {
 			case nn.FC, nn.Conv:
 				lc := matrixLayerCycles(l, batch, p, memBPC)
 				r.Cycles += lc.total
-				r.FetchCycles += lc.fetch
-				r.ComputeCycles += lc.compute
-				r.ShiftCycles += lc.shift
-				r.ActCycles += lc.act
 				r.MACs += lc.macs
-				r.WeightTraffic += lc.traffic
 				r.Cycles += fill // per-layer delay slot
 				lastEdgeBytes = lc.outBytes
 			case nn.Vector:
 				// The activation unit processes 256 bytes per cycle; a
 				// standalone vector layer is fully exposed because the
 				// next matrix layer synchronizes on it.
-				c := float64(batch*align256(l.Width)) / 256
-				r.ActCycles += c
-				r.Cycles += c
+				r.Cycles += float64(batch*align256(l.Width)) / 256
 				lastEdgeBytes = float64(batch * align256(l.Width))
 			case nn.Pool:
-				c := lastEdgeBytes / 256
-				r.ActCycles += c
-				r.Cycles += c
+				r.Cycles += lastEdgeBytes / 256
 				lastEdgeBytes /= float64(l.PoolWindow * l.PoolWindow)
 			}
 		}
 	}
 	// Output DMA.
-	r.DMACycles += lastEdgeBytes / pcieBPC
 	r.Cycles += lastEdgeBytes / pcieBPC
 	return r, nil
 }
 
 type layerCycles struct {
-	total, fetch, compute, shift, act, macs, traffic, outBytes float64
+	total, macs, outBytes float64
 }
 
 // matrixLayerCycles estimates one FC or convolution layer.
@@ -265,7 +250,6 @@ func matrixLayerCycles(l nn.Layer, batch int, p Params, memBPC float64) layerCyc
 	tileBytes := float64(dim * dim)
 	fetch := float64(tiles*fetchPasses) * tileBytes / memBPC
 	compute := float64(totalRows*tiles) * (1 - p.ActivationZeroFrac)
-	shift := float64(tiles * fetchPasses * dim)
 
 	perTileFetch := tileBytes / memBPC
 	var total float64
@@ -279,15 +263,9 @@ func matrixLayerCycles(l nn.Layer, batch int, p Params, memBPC float64) layerCyc
 	}
 	// Last chunk's activation drain is exposed by the next layer's sync
 	// (one accumulator register per cycle).
-	act := float64(totalRows) // total activate work
-	tail := float64(min(chunkRows, totalRows))
-	total += tail
+	total += float64(min(chunkRows, totalRows))
 
-	return layerCycles{
-		total: total, fetch: fetch, compute: compute, shift: shift,
-		act: act, macs: macs, traffic: float64(tiles*fetchPasses) * tileBytes,
-		outBytes: outEdgeBytes(l, batch),
-	}
+	return layerCycles{total: total, macs: macs, outBytes: outEdgeBytes(l, batch)}
 }
 
 func outEdgeBytes(l nn.Layer, batch int) float64 {
@@ -300,6 +278,10 @@ func outEdgeBytes(l nn.Layer, batch int) float64 {
 		return 0
 	}
 }
+
+// positiveFinite reports whether x is a usable rate: NaN, infinities, zero
+// and negatives are not.
+func positiveFinite(x float64) bool { return x > 0 && x < math.Inf(1) }
 
 func align256(n int) int { return (n + 255) &^ 255 }
 

@@ -61,6 +61,19 @@ func TestEstimateErrors(t *testing.T) {
 	if _, err := Estimate(b.Model, 8, Params{}); err == nil {
 		t.Error("zero params accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		for _, set := range []func(*Params){
+			func(p *Params) { p.ClockMHz = v },
+			func(p *Params) { p.MemGBs = v },
+			func(p *Params) { p.PCIeGBs = v },
+		} {
+			p := Production()
+			set(&p)
+			if _, err := Estimate(b.Model, 8, p); err == nil {
+				t.Errorf("params %+v accepted", p)
+			}
+		}
+	}
 }
 
 func TestScale(t *testing.T) {

@@ -84,8 +84,6 @@ func (d Die) RooflineTOPS(oi float64) float64 {
 // Server describes a benchmarked server (Table 2 right half).
 type Server struct {
 	Dies int
-	// DRAMGiB is host DRAM (plus device DRAM for GPU/TPU).
-	DRAMGiB int
 	// TDPWatts, IdleWatts, BusyWatts are measured server power.
 	TDPWatts, IdleWatts, BusyWatts float64
 }
@@ -115,7 +113,7 @@ func Specs(k Kind) (Platform, error) {
 				OnChipMiB:  51,
 				TDPWatts:   145, IdleWatts: 41, BusyWatts: 145,
 			},
-			Server: Server{Dies: 2, DRAMGiB: 256, TDPWatts: 504, IdleWatts: 159, BusyWatts: 455},
+			Server: Server{Dies: 2, TDPWatts: 504, IdleWatts: 159, BusyWatts: 455},
 		}, nil
 	case GPU:
 		return Platform{
@@ -130,7 +128,7 @@ func Specs(k Kind) (Platform, error) {
 				OnChipMiB:  8,
 				TDPWatts:   150, IdleWatts: 25, BusyWatts: 98,
 			},
-			Server: Server{Dies: 8, DRAMGiB: 256 + 12*8, TDPWatts: 1838, IdleWatts: 357, BusyWatts: 991},
+			Server: Server{Dies: 8, TDPWatts: 1838, IdleWatts: 357, BusyWatts: 991},
 		}, nil
 	case TPU:
 		return Platform{
@@ -143,7 +141,7 @@ func Specs(k Kind) (Platform, error) {
 				OnChipMiB: 28,
 				TDPWatts:  75, IdleWatts: 28, BusyWatts: 40,
 			},
-			Server: Server{Dies: 4, DRAMGiB: 256 + 8*4, TDPWatts: 861, IdleWatts: 290, BusyWatts: 384},
+			Server: Server{Dies: 4, TDPWatts: 861, IdleWatts: 290, BusyWatts: 384},
 		}, nil
 	case TPUPrime:
 		p, err := Specs(TPU)

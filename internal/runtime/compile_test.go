@@ -123,7 +123,7 @@ func TestServerDevicesAgree(t *testing.T) {
 			}
 			outs[dev] = r.Output
 		}
-		if n := s.ResilienceStats().CrossCheckMismatches; n != 0 {
+		if n := s.ResilienceStats().crossCheckMismatches; n != 0 {
 			t.Errorf("%d cross-check mismatches on a fault-free server", n)
 		}
 		for _, h := range s.Stats() {

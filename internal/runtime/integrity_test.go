@@ -205,11 +205,11 @@ func TestCrossCheckOnCorrectTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := s.ResilienceStats()
-	if rs.CrossChecks == 0 {
+	if rs.crossChecks == 0 {
 		t.Error("CrossCheck on the detect+correct tier ran no cross-check")
 	}
-	if rs.CrossCheckMismatches != 0 {
-		t.Errorf("clean cross-check mismatched %d times", rs.CrossCheckMismatches)
+	if rs.crossCheckMismatches != 0 {
+		t.Errorf("clean cross-check mismatched %d times", rs.crossCheckMismatches)
 	}
 }
 

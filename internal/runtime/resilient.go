@@ -46,10 +46,11 @@ type ResilienceStats struct {
 	HedgeWins int64
 	// AttemptTimeouts counts attempts cancelled by the per-attempt timeout.
 	AttemptTimeouts int64
-	// CrossChecks counts verification reruns; CrossCheckMismatches counts
-	// the ones whose outputs disagreed.
-	CrossChecks          int64
-	CrossCheckMismatches int64
+	// crossChecks counts verification reruns; crossCheckMismatches counts
+	// the ones whose outputs disagreed. Only the tests that turn CrossCheck
+	// on read them.
+	crossChecks          int64
+	crossCheckMismatches int64
 	// SDCFailures counts attempts that failed because a device-level
 	// integrity check caught silent data corruption before it shipped.
 	SDCFailures int64
@@ -357,7 +358,7 @@ func (s *Server) crossCheck(ctx context.Context, first attemptOut, m *nn.Model, 
 	if !ok {
 		return first.res, nil
 	}
-	s.count(func(c *ResilienceStats) { c.CrossChecks++ })
+	s.count(func(c *ResilienceStats) { c.crossChecks++ })
 	out := make(chan attemptOut, 1)
 	s.launchAttempt(ctx, dev2, m, params, in, out)
 	var second attemptOut
@@ -374,7 +375,7 @@ func (s *Server) crossCheck(ctx context.Context, first attemptOut, m *nn.Model, 
 	if equalOutputs(first.res.Output, second.res.Output) {
 		return first.res, nil
 	}
-	s.count(func(c *ResilienceStats) { c.CrossCheckMismatches++ })
+	s.count(func(c *ResilienceStats) { c.crossCheckMismatches++ })
 	// Majority vote on a third device.
 	dev3, ok := s.pickDevice(-1, map[int]bool{first.dev: true, second.dev: true})
 	if !ok {

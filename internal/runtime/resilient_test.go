@@ -214,10 +214,10 @@ func TestCrossCheckCatchesCorruption(t *testing.T) {
 		}
 	}
 	rs := s.ResilienceStats()
-	if rs.CrossChecks == 0 {
+	if rs.crossChecks == 0 {
 		t.Error("no cross-checks ran")
 	}
-	if rs.CrossCheckMismatches == 0 {
+	if rs.crossCheckMismatches == 0 {
 		t.Error("an always-corrupting device over 30 checked requests produced no mismatches")
 	}
 }

@@ -158,8 +158,6 @@ type InferenceResult struct {
 	// this result; it feeds the latency learner behind timeouts and hedge
 	// delays.
 	WallSeconds float64
-	// Device is the index of the server's device that produced the result.
-	Device int
 	// Cached reports whether the device already held the model's program,
 	// so the run neither compiled nor loaded it.
 	Cached bool
@@ -694,7 +692,6 @@ func (s *Server) dispatch(ctx context.Context, dev int, timeout time.Duration, m
 	switch {
 	case err == nil:
 		r.WallSeconds = time.Since(start).Seconds()
-		r.Device = dev
 		if s.res != nil {
 			// Only the resilient path's timeouts and hedges read the
 			// wall learner.

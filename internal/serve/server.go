@@ -33,8 +33,6 @@ type ModelConfig struct {
 type Response struct {
 	// Output is the backend's per-request output.
 	Output *tensor.F32
-	// Latency is enqueue-to-completion time.
-	Latency time.Duration
 	// BatchSize is how many requests rode in the same dispatch.
 	BatchSize int
 }
@@ -306,8 +304,7 @@ func (s *Server) emit(l *lane, e event) {
 			s.log(l, &e, c)
 			d := callDone{err: err, kind: e.kind}
 			if e.kind == evServed {
-				d.resp = Response{Output: e.outputs[i], BatchSize: len(e.calls),
-					Latency: time.Duration((e.at - c.arrived) * float64(time.Second))}
+				d.resp = Response{Output: e.outputs[i], BatchSize: len(e.calls)}
 			}
 			c.done <- d
 		}

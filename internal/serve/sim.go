@@ -1,6 +1,9 @@
 package serve
 
-import "tpusim/internal/latency"
+import (
+	"tpusim/internal/latency"
+	"tpusim/internal/stats"
+)
 
 // SimConfig drives one virtual-time serving simulation.
 type SimConfig struct {
@@ -16,8 +19,6 @@ type SimConfig struct {
 
 // SimResult summarizes one virtual-time simulation.
 type SimResult struct {
-	// Plan is the resolved policy the run used.
-	Plan Plan
 	// Offered is the configured arrival rate.
 	Offered float64
 	// Completed and Shed partition the arrivals: every request is either
@@ -29,16 +30,14 @@ type SimResult struct {
 	// Expired counts requests shed at dispatch because they could no
 	// longer make their deadline.
 	Expired int
-	// P50, P99, Mean are latencies of completed requests in seconds.
-	P50, P99, Mean float64
+	// P99 is the 99th-percentile latency of completed requests in seconds.
+	P99 float64
 	// Throughput is completed requests per second of simulated span.
 	Throughput float64
 	// MeanBatch is the average dispatched batch size.
 	MeanBatch float64
 	// Batches counts dispatches that served at least one request.
 	Batches int
-	// MaxQueue is the deepest the admitted queue got at a dispatch point.
-	MaxQueue int
 }
 
 // ShedFrac is the fraction of arrivals shed.
@@ -79,15 +78,17 @@ func Simulate(sm latency.ServiceModel, cfg SimConfig) (SimResult, error) {
 		return SimResult{}, err
 	}
 	res := SimResult{
-		Plan: plan, Offered: cfg.RatePerSecond,
+		Offered:   cfg.RatePerSecond,
 		Completed: len(run.Latencies), Shed: run.Refused + run.Expired,
 		ShedQueue: run.Refused, Expired: run.Expired,
-		Batches: run.Batches, MaxQueue: run.MaxQueue,
+		Batches: run.Batches,
 	}
 	if res.Completed > 0 {
-		if res.P50, res.P99, res.Mean, err = run.Quantiles(); err != nil {
+		p99, err := stats.Percentiles(run.Latencies, 99)
+		if err != nil {
 			return SimResult{}, err
 		}
+		res.P99 = p99[0]
 		if run.Span > 0 {
 			res.Throughput = float64(res.Completed) / run.Span
 		}

@@ -203,15 +203,3 @@ func partition(s []float64) int {
 	s[0], s[j] = s[j], s[0]
 	return j
 }
-
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: mean of empty slice")
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}

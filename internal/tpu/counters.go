@@ -33,18 +33,14 @@ type Counters struct {
 	// InputStall is cycles synchronization waited on PCIe input (row 8).
 	InputStall int64
 
-	// ActivationCycles is busy time of the activation/vector unit.
-	ActivationCycles int64
 	// DMAInBytes and DMAOutBytes are PCIe traffic.
 	DMAInBytes, DMAOutBytes int64
-	// WeightBytesFetched is DRAM weight traffic (including tile padding).
-	WeightBytesFetched int64
 	// WeightTilesFetched counts 64 KiB tile fetches.
 	WeightTilesFetched int64
 
-	// Instructions, Matmuls, Activates, Syncs count executed instructions
+	// Instructions, Matmuls, Activates count executed instructions
 	// (expanding repeat fields).
-	Instructions, Matmuls, Activates, Syncs int64
+	Instructions, Matmuls, Activates int64
 
 	// IntegrityChecks counts integrity checks executed this run (ABFT rows,
 	// CRC sidecar ranges, parity ranges, PCIe frames); IntegrityDetected

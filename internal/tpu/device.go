@@ -176,6 +176,10 @@ func New(cfg Config) (*Device, error) {
 	if cfg.ClockMHz <= 0 || cfg.WeightGBs <= 0 {
 		return nil, fmt.Errorf("tpu: non-positive config parameter: %+v", cfg)
 	}
+	// NaN fails every comparison, so this catches it along with +Inf.
+	if !(cfg.ClockMHz < math.Inf(1) && cfg.WeightGBs < math.Inf(1)) {
+		return nil, fmt.Errorf("tpu: non-finite config parameter: %+v", cfg)
+	}
 	d := &Device{cfg: cfg, ledger: &integrityLedger{}}
 	if cfg.Functional {
 		d.ub = memory.NewUnifiedBuffer()
@@ -240,14 +244,14 @@ func (d *Device) start(p *isa.Program, host []int8) error {
 	d.reset()
 	d.prog = p
 	d.host = host
-	if err := memory.CheckWeightPlacement(len(p.WeightImage), d.cfg.WeightGBs, p.WeightBase); err != nil {
+	if err := memory.CheckWeightPlacement(len(p.WeightImage), p.WeightBase); err != nil {
 		return err
 	}
 	if d.cfg.Functional {
 		// Functional fetches go through the live weight DRAM so injected
 		// corruption persists across runs of this program until scrubbed.
 		if d.gwProg != p {
-			gw, err := memory.NewGuardedWeights(p.WeightImage, d.cfg.WeightGBs, p.WeightBase)
+			gw, err := memory.NewGuardedWeights(p.WeightImage, p.WeightBase)
 			if err != nil {
 				return err
 			}
@@ -440,7 +444,6 @@ func (d *Device) execReadWeights(in *isa.Instruction) error {
 		d.fifoMeta = append(d.fifoMeta, d.tileMeta(addr))
 		d.fetchIdx++
 		d.c.WeightTilesFetched++
-		d.c.WeightBytesFetched += isa.WeightTileBytes
 		if d.cfg.Functional {
 			tile, err := d.fetchGuardedTile(addr)
 			if err != nil {
@@ -608,7 +611,6 @@ func (d *Device) execActivate(in *isa.Instruction) error {
 	if !fromUB {
 		d.accHalfFree[accHalf(in.AccAddr)] = d.actFree
 	}
-	d.c.ActivationCycles += int64(duration)
 	d.c.Activates++
 
 	if d.cfg.Functional {
@@ -630,7 +632,6 @@ func (d *Device) execSync() {
 	d.emitTrace("sync", fmin(d.issue, barrier), barrier)
 	d.barrier = barrier
 	d.issue = barrier
-	d.c.Syncs++
 }
 
 // fmax / fmin are branch-cheap float max/min for the timing math. The

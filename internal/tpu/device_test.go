@@ -1,6 +1,7 @@
 package tpu
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -11,15 +12,25 @@ import (
 	"tpusim/internal/tensor"
 )
 
+// TestNewRejectsBadConfig: a clock or weight bandwidth that is NaN,
+// infinite, zero or negative is an error, never a device whose counters
+// print nonsense.
 func TestNewRejectsBadConfig(t *testing.T) {
-	bad := []Config{
-		{ClockMHz: 0, WeightGBs: 34},
-		{ClockMHz: 700, WeightGBs: 0},
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		for _, field := range []string{"ClockMHz", "WeightGBs"} {
+			cfg := DefaultConfig()
+			if field == "ClockMHz" {
+				cfg.ClockMHz = v
+			} else {
+				cfg.WeightGBs = v
+			}
+			if _, err := New(cfg); err == nil {
+				t.Errorf("%s = %v accepted", field, v)
+			}
 		}
+	}
+	if _, err := New(DefaultConfig()); err != nil {
+		t.Errorf("production config rejected: %v", err)
 	}
 }
 

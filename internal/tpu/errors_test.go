@@ -98,20 +98,19 @@ func TestActivateMissingLUT(t *testing.T) {
 }
 
 // TestRunRejectsBadWeightPlacement: run builds no WeightMemory, but Weight
-// Memory's three placement errors still stop it — on a timing-only device
-// too, before anything executes.
+// Memory's two placement errors still stop it — on a timing-only device
+// too, before anything executes. New rejects a bad bandwidth before any run.
 func TestRunRejectsBadWeightPlacement(t *testing.T) {
 	for _, functional := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.Functional = functional
 		for _, tc := range []struct {
 			name   string
-			mutate func(d *Device, p *isa.Program)
+			mutate func(p *isa.Program)
 			want   string
 		}{
-			{"image past 8 GiB", func(d *Device, p *isa.Program) { p.WeightBase = isa.WeightMemoryBytes - isa.WeightTileBytes }, "exceeds 8 GiB"},
-			{"unaligned base", func(d *Device, p *isa.Program) { p.WeightBase = 100 }, "not tile-aligned"},
-			{"no bandwidth", func(d *Device, p *isa.Program) { d.cfg.WeightGBs = 0 }, "non-positive weight bandwidth"},
+			{"image past 8 GiB", func(p *isa.Program) { p.WeightBase = isa.WeightMemoryBytes - isa.WeightTileBytes }, "exceeds 8 GiB"},
+			{"unaligned base", func(p *isa.Program) { p.WeightBase = 100 }, "not tile-aligned"},
 		} {
 			dev, err := New(cfg)
 			if err != nil {
@@ -119,7 +118,7 @@ func TestRunRejectsBadWeightPlacement(t *testing.T) {
 			}
 			p := funcProg()
 			p.WeightImage = make([]int8, 2*isa.WeightTileBytes)
-			tc.mutate(dev, p)
+			tc.mutate(p)
 			_, err = dev.Run(p, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("functional=%v, %s: error %v, want one containing %q", functional, tc.name, err, tc.want)

@@ -12,8 +12,6 @@ import (
 // zero times (fail without running), once (the normal case), and may mutate
 // Host after Run returns (to model silent output corruption).
 type Invocation struct {
-	// Program is the compiled instruction stream about to execute.
-	Program *isa.Program
 	// Host is the run's host memory buffer (DMA source and destination).
 	Host []int8
 	// Run performs the real device execution exactly once.
@@ -48,9 +46,8 @@ func (d *Device) RunCtx(ctx context.Context, p *isa.Program, host []int8) (Count
 		return d.run(p, host)
 	}
 	return d.cfg.Hook(ctx, Invocation{
-		Program: p,
-		Host:    host,
-		Run:     func() (Counters, error) { return d.run(p, host) },
-		Inject:  d.inject,
+		Host:   host,
+		Run:    func() (Counters, error) { return d.run(p, host) },
+		Inject: d.inject,
 	})
 }

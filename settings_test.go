@@ -30,14 +30,10 @@ var settingsTypes = map[string]reflect.Type{
 	"tpu.Config":                     reflect.TypeFor[tpu.Config](),
 }
 
-// noCallerRows are the rows allowed to say a field has no caller: defence
-// layers only tests turn on, kept until deleting them is decided.
-var noCallerRows = []string{"runtime.Resilience CrossCheck", "runtime.Resilience ScrubEvery"}
-
 // TestSettingsTableCoversEveryField holds DESIGN.md's settings table to the
 // code: every exported field of every listed type has exactly one row, every
-// row names a field that exists, and no row outside noCallerRows says its
-// fields have no caller.
+// row names a field that exists, and a row says its fields have no caller
+// only where callerAllowlist (callers_test.go) excuses each of them.
 func TestSettingsTableCoversEveryField(t *testing.T) {
 	doc, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -61,11 +57,11 @@ func TestSettingsTableCoversEveryField(t *testing.T) {
 			continue
 		}
 		for _, f := range strings.Split(cells[1], ", ") {
-			rows[typ] = append(rows[typ], strings.Trim(f, "`"))
-		}
-		if setBy := cells[2]; strings.Contains(setBy, "no caller") &&
-			!slices.Contains(noCallerRows, typ+" "+strings.Trim(cells[1], "`")) {
-			t.Errorf("%s %s: set by %q, want a caller", typ, cells[1], setBy)
+			f = strings.Trim(f, "`")
+			rows[typ] = append(rows[typ], f)
+			if setBy := cells[2]; strings.Contains(setBy, "no caller") && callerAllowlist[typ+"."+f] == "" {
+				t.Errorf("%s.%s: set by %q, but callerAllowlist does not excuse it: want a caller", typ, f, setBy)
+			}
 		}
 	}
 
