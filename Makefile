@@ -142,7 +142,8 @@ flake-repeat:
 	$(GO) test -count=500 -run '^TestQuarantineProbeReadmits$$' ./internal/runtime
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
-# decoder, kernel-equivalence, row-pass-equivalence, float-matmul, CRC,
+# decoder, kernel-equivalence, row-pass-equivalence, device-vs-reference
+# (decoded model shapes under every kernel rung), float-matmul, CRC,
 # batching-lane, plan-spec parser, percentile-selection, event-calendar and
 # span-attribute-formatting regressions without a dedicated fuzzing job. `go test -fuzz` passes with
 # "no fuzz tests to fuzz" when the target is gone, so each target first
@@ -157,6 +158,7 @@ fuzz-smoke:
 	$(call fuzz-run,./internal/fixed,FuzzDrainRow)
 	$(call fuzz-run,./internal/fixed,FuzzSatAddRows)
 	$(call fuzz-run,./internal/fixed,FuzzQuantizeInto)
+	$(call fuzz-run,./internal/tpu,FuzzDeviceBitExact)
 	$(call fuzz-run,./internal/tensor,FuzzMatMulF32)
 	$(call fuzz-run,./internal/integrity,FuzzCRC)
 	$(call fuzz-run,./internal/isa,FuzzDecode)
