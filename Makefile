@@ -60,13 +60,14 @@ bench-test:
 # Quick benchmark smoke: proves the kernel benchmarks still run — every
 # kernel arm of BenchmarkMultiply (each assembly kernel the host can run,
 # swar, scalar) at the shapes the repo runs (batches of 2, 16 and 64 rows,
-# and 128 rows of a 36-deep contraction), both paths of the fixed-point row passes and of the float
+# and 128 rows of a 36-deep contraction), every path of the fixed-point row
+# passes (scalar, AVX2 and the AVX-512 drain, where the host has them) and of the float
 # calibration matmul, and the CRC against its table oracle — without paying
 # for a full measurement.
 bench-smoke:
 	$(GO) test ./internal/systolic -run xxx -bench BenchmarkMulRow -benchtime 100x
 	$(GO) test ./internal/systolic -run xxx -bench 'BenchmarkMultiply/^B=(2|16|64|128,K=36)$$/' -benchtime 20x
-	$(GO) test ./internal/fixed -run xxx -bench 'DrainRow|SatAddRows|QuantizeInto' -benchtime 100x
+	$(GO) test ./internal/fixed -run xxx -bench 'DrainRow|SatAddRows|QuantizeInto|DequantizeInto' -benchtime 100x
 	$(GO) test ./internal/tensor -run xxx -bench BenchmarkMatMulF32 -benchtime 5x
 	$(GO) test ./internal/integrity -run xxx -bench BenchmarkCRC -benchtime 100x
 
@@ -158,6 +159,7 @@ fuzz-smoke:
 	$(call fuzz-run,./internal/fixed,FuzzDrainRow)
 	$(call fuzz-run,./internal/fixed,FuzzSatAddRows)
 	$(call fuzz-run,./internal/fixed,FuzzQuantizeInto)
+	$(call fuzz-run,./internal/fixed,FuzzDequantizeInto)
 	$(call fuzz-run,./internal/tpu,FuzzDeviceBitExact)
 	$(call fuzz-run,./internal/tensor,FuzzMatMulF32)
 	$(call fuzz-run,./internal/integrity,FuzzCRC)

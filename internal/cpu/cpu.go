@@ -19,6 +19,9 @@ package cpu
 // AVX512VNNI is AVX-512 F, BW and VNNI with the opmask and both halves of the
 // ZMM file saved on top (XCR0 bits 5, 6 and 7): the avx512vnni kernel.
 //
+// AVX512VBMI is AVX-512 F, BW and VBMI with the same state saved: the
+// activation drain's 64-byte table lookup (VPERMT2B).
+//
 // AMX is AMX-TILE and AMX-INT8 with the tile state saved and granted to this
 // process: the tile half of the amx kernel.
-var AVX2, AVX512VNNI, AMX = detect()
+var AVX2, AVX512VNNI, AVX512VBMI, AMX = detect()

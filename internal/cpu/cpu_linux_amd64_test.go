@@ -39,6 +39,7 @@ func TestFlagsMatchProcCPUInfo(t *testing.T) {
 	}{
 		{"AVX2", AVX2, []string{"avx2"}},
 		{"AVX512VNNI", AVX512VNNI, []string{"avx512f", "avx512bw", "avx512_vnni"}},
+		{"AVX512VBMI", AVX512VBMI, []string{"avx512f", "avx512bw", "avx512vbmi"}},
 		{"AMX", AMX, []string{"amx_tile", "amx_int8"}},
 	} {
 		if want := has(c.flags...); c.got != want {

@@ -1,6 +1,9 @@
 package fixed
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkQuantize(b *testing.B) {
 	p := ChooseParams(4)
@@ -20,41 +23,40 @@ func BenchmarkRequantize(b *testing.B) {
 	_ = s
 }
 
-// benchPaths runs f as one sub-benchmark per path of the row passes: the
-// scalar loop, and the vector pass where the host has it.
+// benchPaths runs f as one sub-benchmark per path of the row passes the
+// host has (see paths).
 func benchPaths(b *testing.B, f func(b *testing.B)) {
 	defer useVector(true)
-	for _, on := range []bool{false, true} {
-		if useVector(on) != on {
+	for _, p := range paths {
+		if useVector(p.vector) != p.vector || useWide(p.wide) != p.wide {
 			continue
 		}
-		name := "scalar"
-		if on {
-			name = "vector"
-		}
-		b.Run(name, f)
+		b.Run(p.name, f)
 	}
 }
 
-// BenchmarkDrainRow drains one 256-wide accumulator row through a ReLU
-// table and a sigmoid table.
+// BenchmarkDrainRow drains an accumulator row through a ReLU table and a
+// sigmoid table: 256 lanes, the one register an Activate drains at a time,
+// and 1024, an FC 1024 layer's output row.
 func BenchmarkDrainRow(b *testing.B) {
-	var acc [256]int32
-	for i := range acc {
-		acc[i] = int32(i*7919%20000 - 10000)
-	}
-	var dst [256]int8
 	pre := ChooseParams(8)
 	for _, fn := range []Nonlinearity{ReLU, Sigmoid} {
 		lut := NewLUT(fn, pre, OutputParams(fn, pre))
-		b.Run(fn.String(), func(b *testing.B) {
-			benchPaths(b, func(b *testing.B) {
-				b.SetBytes(int64(len(acc)) * 4)
-				for b.Loop() {
-					lut.DrainRow(dst[:], acc[:], 0.001, pre)
-				}
+		for _, width := range []int{256, 1024} {
+			acc := make([]int32, width)
+			for i := range acc {
+				acc[i] = int32(i*7919%20000 - 10000)
+			}
+			dst := make([]int8, width)
+			b.Run(fmt.Sprintf("%v/w=%d", fn, width), func(b *testing.B) {
+				benchPaths(b, func(b *testing.B) {
+					b.SetBytes(int64(len(acc)) * 4)
+					for b.Loop() {
+						lut.DrainRow(dst, acc, 0.001, pre)
+					}
+				})
 			})
-		})
+		}
 	}
 }
 
@@ -88,6 +90,23 @@ func BenchmarkQuantizeInto(b *testing.B) {
 		b.SetBytes(int64(len(src)) * 4)
 		for b.Loop() {
 			QuantizeInto(dst, src, p)
+		}
+	})
+}
+
+// BenchmarkDequantizeInto dequantizes one 64 x 1024 int8 output batch, the
+// wide MLP's.
+func BenchmarkDequantizeInto(b *testing.B) {
+	src := make([]int8, 64*1024)
+	for i := range src {
+		src[i] = int8(i * 7)
+	}
+	dst := make([]float32, len(src))
+	p := ChooseParams(4)
+	benchPaths(b, func(b *testing.B) {
+		b.SetBytes(int64(len(src)))
+		for b.Loop() {
+			DequantizeInto(dst, src, p)
 		}
 	})
 }

@@ -16,20 +16,34 @@ import (
 	"tpusim/internal/cpu"
 )
 
-// vector selects the assembly row passes behind SatAddRow, QuantizeInto and
-// DrainRow where the host has AVX2. Each pass is bit-identical to the scalar
-// loop beside it, which is the portable path and the oracle the tests hold
-// the passes to. Only useVector writes it.
-var vector = cpu.AVX2
+// vector selects the assembly row passes behind SatAddRow, QuantizeInto,
+// DequantizeInto and DrainRow where the host has AVX2, and wide DrainRow's
+// AVX-512 pass where it also has AVX-512 VBMI. Each pass is bit-identical to
+// the scalar loop beside it, which is the portable path and the oracle the
+// tests hold the passes to. Only useVector and useWide write them.
+var (
+	vector = cpu.AVX2
+	wide   = cpu.AVX2 && cpu.AVX512VBMI
+)
 
 // useVector turns the row passes on, where the host has them, or off, and
-// reports whether they are on. It exists so that tests cover both paths:
-// this package's tests call it directly, other packages' tests go through
-// systolic/kerneltest, which reaches it by linkname and turns the passes off
-// on the portable kernel rung. The switch is process-wide.
+// reports whether they are on; on includes the AVX-512 drain where the host
+// has it. It exists so that tests cover every path: this package's tests
+// call it directly, other packages' tests go through systolic/kerneltest,
+// which reaches it by linkname and turns the passes off on the portable
+// kernel rung. The switch is process-wide.
 func useVector(on bool) bool {
 	vector = on && cpu.AVX2
+	wide = vector && cpu.AVX512VBMI
 	return vector
+}
+
+// useWide turns the AVX-512 drain off, leaving the AVX2 passes as they are,
+// or back on where the host has it and the passes are on, and reports
+// whether it is on: the AVX2 drain is what a host without AVX-512 runs.
+func useWide(on bool) bool {
+	wide = on && vector && cpu.AVX512VBMI
+	return wide
 }
 
 // Params describes a symmetric quantization: real = Scale * q. Weights and
@@ -81,6 +95,23 @@ func roundSat(q float64) int8 {
 // Dequantize maps an int8 back to the real line under p.
 func (p Params) Dequantize(q int8) float32 {
 	return p.Scale * float32(q)
+}
+
+// DequantizeInto dequantizes src into dst under p: dst[i] =
+// p.Dequantize(src[i]) for every element of src. len(dst) must be at least
+// len(src). Where the host has AVX2 it is one vector pass — sign-extend,
+// convert, multiply, eight elements at a time — doing Dequantize's one
+// float32 multiply, so the bits are the same.
+func DequantizeInto(dst []float32, src []int8, p Params) {
+	dst = dst[:len(src)]
+	n := 0
+	if vector && len(src) >= 8 {
+		n = len(src) &^ 7
+		dequantizeAVX2(&dst[0], &src[0], n, p.Scale)
+	}
+	for i := n; i < len(src); i++ {
+		dst[i] = p.Dequantize(src[i])
+	}
 }
 
 // ChooseParams picks symmetric quantization parameters covering [-absMax,

@@ -1,20 +1,34 @@
 package fixed
 
-// The AVX2 row passes (fixed_amd64.s). n is a positive multiple of 8; the
-// callers do the rest of a row with the scalar code.
+// The row passes (fixed_amd64.s): AVX2, and the drain on AVX-512 too. n is
+// a positive multiple of 8 (of 16 for drainAVX512); the callers do the rest
+// of a row with the narrower pass or the scalar code.
 
 // satAddAVX2 is SatAddRow over dst[:n] and src[:n].
 //
 //go:noescape
 func satAddAVX2(dst, src *int32, n int) uint32
 
-// requantizeAVX2 sets dst[j] to (src[j]*s)/d rounded half to even and
+// drainAVX2 sets dst[j] to tab[v+128], v being (src[j]*s)/d rounded half
+// to even and clamped to [-128, 127], NaN to -128, for j < n. r is s/d, or
+// NaN where that is not a normal float64: the pass rounds src[j]*r wherever
+// that provably gives the same v, and divides elsewhere.
+//
+//go:noescape
+func drainAVX2(dst *int8, src *int32, n int, s, d, r float64, tab *[256]int8)
+
+// drainAVX512 is drainAVX2 on AVX-512, for n a positive multiple of 16.
+//
+//go:noescape
+func drainAVX512(dst *int8, src *int32, n int, s, d, r float64, tab *[256]int8)
+
+// quantizeAVX2 sets dst[j] to (src[j]*s)/d rounded half to even and
 // clamped to [-128, 127], NaN to -128, for j < n.
 //
 //go:noescape
-func requantizeAVX2(dst *int8, src *int32, n int, s, d float64)
+func quantizeAVX2(dst *int8, src *float32, n int, s, d float64)
 
-// quantizeAVX2 is requantizeAVX2 from a float32 source.
+// dequantizeAVX2 sets dst[j] to scale*float32(src[j]) for j < n.
 //
 //go:noescape
-func quantizeAVX2(dst *int8, src *float32, n int, s, d float64)
+func dequantizeAVX2(dst *float32, src *int8, n int, scale float32)

@@ -77,25 +77,215 @@ lanes:
 	VZEROUPPER
 	RET
 
-// func requantizeAVX2(dst *int8, src *int32, n int, s, d float64)
-TEXT ·requantizeAVX2(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
+// NEAR sets out to |y-k| + 2^-50*|y| for the float64 lanes y and their
+// nearest integers k (Y8 holds the sign mask's complement, Y9 2^-50): below
+// 0.5, y is farther from every half-integer than y*r can be from
+// (y*s)/d. NaN and infinite y give NaN.
+#define NEAR(y, k, out) \
+	VSUBPD k, y, out;   \
+	VANDPD Y8, out, out; \
+	VANDPD Y8, y, Y6;   \
+	VMULPD Y9, Y6, Y6;  \
+	VADDPD Y6, out, out
+
+// CLAMP4 clamps the four rounded lanes of k to [-128, 127] and narrows them
+// to four int32 in x.
+#define CLAMP4(k, x) \
+	VMAXPD     Y15, k, k; \
+	VMINPD     Y11, k, k; \
+	VCVTPD2DQY k, x
+
+// LOOKUP2 maps the two table indices in AL and AH through the table at R9
+// into dst[k] and dst[k+1], and moves AX on to the next two.
+#define LOOKUP2(k) \
+	MOVBLZX AL, BX;         \
+	MOVBLZX AH, DX;         \
+	MOVBLZX (R9)(BX*1), BX; \
+	MOVBLZX (R9)(DX*1), DX; \
+	MOVB    BL, (k)(DI);    \
+	MOVB    DL, (k+1)(DI);  \
+	SHRQ    $16, AX
+
+// LOOKUP8 packs the eight int32 in X0 (lanes 0-3) and X1 (4-7), all in
+// [-128, 127], to eight int8, turns each v into its table index v+128 by
+// flipping its sign bit (R8 holds 0x80 in every byte) and stores the eight
+// table entries at DI.
+#define LOOKUP8 \
+	VPACKSSDW X1, X0, X0; \
+	VPACKSSWB X0, X0, X0; \
+	VMOVQ     X0, AX;     \
+	XORQ      R8, AX;     \
+	LOOKUP2(0);           \
+	LOOKUP2(2);           \
+	LOOKUP2(4);           \
+	LOOKUP2(6)
+
+// func drainAVX2(dst *int8, src *int32, n int, s, d, r float64, tab *[256]int8)
+//
+// Eight lanes at a time: y = src*r, rounded half to even (VROUNDPD mode 0)
+// and clamped. That is (src*s)/d's answer wherever y is far enough from a
+// half-integer (NEAR below 0.5 in every lane: see LUT.DrainRow); a group
+// with a lane that is not takes the divide, REQUANT4, which is (src*s)/d
+// itself. A NaN r fails every lane's check. The eight int8 are then looked
+// up in tab.
+TEXT ·drainAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	MOVQ         tab+48(FP), R9
+	MOVQ         $0x8080808080808080, R8
 	CONSTS
+	VBROADCASTSD r+40(FP), Y14
+	MOVQ         $0x3FE0000000000000, AX // 0.5
+	VMOVQ        AX, X10
+	VBROADCASTSD X10, Y10
+	MOVQ         $0x3CD0000000000000, AX // 2^-50
+	VMOVQ        AX, X9
+	VBROADCASTSD X9, Y9
+	MOVQ         $0x7FFFFFFFFFFFFFFF, AX
+	VMOVQ        AX, X8
+	VBROADCASTSD X8, Y8
 
 lanes:
 	VCVTDQ2PD (SI), Y0
 	VCVTDQ2PD 16(SI), Y1
-	REQUANT4(Y0, X0)
-	REQUANT4(Y1, X1)
-	STORE8
-	ADDQ      $32, SI
-	ADDQ      $8, DI
-	SUBQ      $8, CX
-	JNZ       lanes
+	VMULPD    Y14, Y0, Y0
+	VMULPD    Y14, Y1, Y1
+	VROUNDPD  $0, Y0, Y2
+	VROUNDPD  $0, Y1, Y3
+	NEAR(Y0, Y2, Y4)
+	NEAR(Y1, Y3, Y5)
+	VCMPPD    $0x11, Y10, Y4, Y4 // below 0.5, ordered: NaN fails
+	VCMPPD    $0x11, Y10, Y5, Y5
+	VANDPD    Y5, Y4, Y4
+	VMOVMSKPD Y4, AX
+	CMPL      AX, $15
+	JNE       divide
+	CLAMP4(Y2, X0)
+	CLAMP4(Y3, X1)
+
+lookup:
+	LOOKUP8
+	ADDQ $32, SI
+	ADDQ $8, DI
+	SUBQ $8, CX
+	JNZ  lanes
 	VZEROUPPER
 	RET
+
+divide:
+	VCVTDQ2PD (SI), Y0
+	VCVTDQ2PD 16(SI), Y1
+	REQUANT4(Y0, X0)
+	REQUANT4(Y1, X1)
+	JMP       lookup
+
+// NEAR16 is NEAR on eight float64 lanes of a ZMM register (Z8 holds the sign
+// mask's complement, Z9 2^-50).
+#define NEAR16(y, k, out) \
+	VSUBPD k, y, out;    \
+	VPANDQ Z8, out, out; \
+	VPANDQ Z8, y, Z7;    \
+	VMULPD Z9, Z7, Z7;   \
+	VADDPD Z7, out, out
+
+// func drainAVX512(dst *int8, src *int32, n int, s, d, r float64, tab *[256]int8)
+//
+// drainAVX2 sixteen lanes at a time (n is a positive multiple of 16): the
+// same float64 operations in the same order, eight lanes to a ZMM register
+// (VRNDSCALEPD mode 0 is VROUNDPD's round half to even), and a group with a
+// lane too near a half-integer takes the divide. The sixteen int8 are looked
+// up in the table all at once: the table is four ZMM registers, Z20-Z23, and
+// an index v+128 selects with its low seven bits within the half VPERMT2B
+// reads (Z20-Z21 or Z22-Z23) and with its top bit, through K3, between the
+// halves.
+TEXT ·drainAVX512(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	MOVQ         tab+48(FP), R9
+	VBROADCASTSD s+24(FP), Z12
+	VBROADCASTSD d+32(FP), Z13
+	VBROADCASTSD r+40(FP), Z14
+	MOVQ         $0xC060000000000000, AX // -128
+	VPBROADCASTQ AX, Z15
+	MOVQ         $0x405FC00000000000, AX // 127
+	VPBROADCASTQ AX, Z11
+	MOVQ         $0x3FE0000000000000, AX // 0.5
+	VPBROADCASTQ AX, Z10
+	MOVQ         $0x3CD0000000000000, AX // 2^-50
+	VPBROADCASTQ AX, Z9
+	MOVQ         $0x7FFFFFFFFFFFFFFF, AX
+	VPBROADCASTQ AX, Z8
+	MOVL         $0x80808080, AX
+	VPBROADCASTD AX, Z18
+	VMOVDQU64    (R9), Z20
+	VMOVDQU64    64(R9), Z21
+	VMOVDQU64    128(R9), Z22
+	VMOVDQU64    192(R9), Z23
+
+lanes:
+	VCVTDQ2PD   (SI), Z0
+	VCVTDQ2PD   32(SI), Z1
+	VMULPD      Z14, Z0, Z0
+	VMULPD      Z14, Z1, Z1
+	VRNDSCALEPD $0, Z0, Z2
+	VRNDSCALEPD $0, Z1, Z3
+	NEAR16(Z0, Z2, Z4)
+	NEAR16(Z1, Z3, Z5)
+	VCMPPD      $0x11, Z10, Z4, K1 // below 0.5, ordered: NaN fails
+	VCMPPD      $0x11, Z10, Z5, K2
+	KMOVW       K1, AX
+	KMOVW       K2, BX
+	ANDL        BX, AX
+	CMPL        AX, $0xFF
+	JNE         divide
+
+clamp:
+	VMAXPD       Z15, Z2, Z2 // a NaN lane, from the divide, is -128
+	VMINPD       Z11, Z2, Z2
+	VMAXPD       Z15, Z3, Z3
+	VMINPD       Z11, Z3, Z3
+	VCVTPD2DQ    Z2, Y16
+	VCVTPD2DQ    Z3, Y17
+	VINSERTI64X4 $1, Y17, Z16, Z16
+	VPMOVSDB     Z16, X16
+	VPXORD       Z18, Z16, Z16 // v+128
+	VMOVDQA64    Z20, Z6
+	VPERMT2B     Z21, Z16, Z6
+	VMOVDQA64    Z22, Z7
+	VPERMT2B     Z23, Z16, Z7
+	VPMOVB2M     Z16, K3
+	VMOVDQU8     Z7, K3, Z6
+	VMOVDQU      X6, (DI)
+	ADDQ         $64, SI
+	ADDQ         $16, DI
+	SUBQ         $16, CX
+	JNZ          lanes
+
+	// VZEROUPPER clears the upper halves of Z0-Z15 only. Left dirty, those
+	// of Z16-Z31 would make every later SSE instruction (Go's scalar float
+	// code) merge into them, slowing it down.
+	VPXORD     Z16, Z16, Z16
+	VPXORD     Z17, Z17, Z17
+	VPXORD     Z18, Z18, Z18
+	VPXORD     Z20, Z20, Z20
+	VPXORD     Z21, Z21, Z21
+	VPXORD     Z22, Z22, Z22
+	VPXORD     Z23, Z23, Z23
+	VZEROUPPER
+	RET
+
+divide:
+	VCVTDQ2PD   (SI), Z2
+	VCVTDQ2PD   32(SI), Z3
+	VMULPD      Z12, Z2, Z2
+	VMULPD      Z12, Z3, Z3
+	VDIVPD      Z13, Z2, Z2
+	VDIVPD      Z13, Z3, Z3
+	VRNDSCALEPD $0, Z2, Z2
+	VRNDSCALEPD $0, Z3, Z3
+	JMP         clamp
 
 // func quantizeAVX2(dst *int8, src *float32, n int, s, d float64)
 TEXT ·quantizeAVX2(SB), NOSPLIT, $0-40
@@ -112,6 +302,29 @@ lanes:
 	STORE8
 	ADDQ      $32, SI
 	ADDQ      $8, DI
+	SUBQ      $8, CX
+	JNZ       lanes
+	VZEROUPPER
+	RET
+
+// func dequantizeAVX2(dst *float32, src *int8, n int, scale float32)
+//
+// Eight lanes per register: sign-extend eight int8 to int32, convert them to
+// float32 (exact) and multiply by scale, the scale the first operand as in
+// Dequantize, so a NaN scale comes through with its own payload.
+TEXT ·dequantizeAVX2(SB), NOSPLIT, $0-28
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS scale+24(FP), Y1
+
+lanes:
+	VPMOVSXBD (SI), Y0
+	VCVTDQ2PS Y0, Y0
+	VMULPS    Y0, Y1, Y0
+	VMOVUPS   Y0, (DI)
+	ADDQ      $8, SI
+	ADDQ      $32, DI
 	SUBQ      $8, CX
 	JNZ       lanes
 	VZEROUPPER

@@ -82,26 +82,47 @@ func (l *LUT) Lookup(q int8) int8 {
 // each value through the table, dst[j] = Lookup(Requantize(acc[j],
 // srcScale, pre)). len(acc) must be at least len(dst).
 //
-// Where the host has AVX2 the requantize is one vector pass, four lanes per
-// register: widen to float64, multiply by the source scale, divide by the
-// pre-activation scale, round half to even, clamp to
-// [-128, 127] (NaN to -128), narrow and saturating-pack to int8. Those are
-// the IEEE float64 operations of Requantize in the same order, and the clamp
-// is roundSat's, so the row is bit-identical. The table is then looked up
-// from the packed row.
+// Where the host has AVX2 the requantize is one vector pass, eight lanes at
+// a time (sixteen where it has AVX-512 VBMI), that multiplies by the ratio
+// r = s/d of the source and pre-activation scales instead of dividing:
+// widen to float64, multiply by r, round half to even, clamp to
+// [-128, 127], narrow and saturating-pack to int8. Requantize computes
+// y = (x*s)/d, two roundings, and x*r is two roundings more, so with
+// q = x*s/d exactly, |y - x*r| <= |q|*2^-51, below |x*r|*2^-50. Rounding and
+// the clamp step only at half-integers, so wherever x*r is farther than
+// that from every half-integer, y gives the same int8. A group with a lane
+// that is not — a tie, its neighbours, NaN, an infinity — takes
+// Requantize's own float64 multiply and divide in the same order, with
+// roundSat's clamp, and so does every group when r is not a normal
+// float64. Either way the row is bit-identical. The same pass looks the
+// int8s up in the table and stores the entries.
 func (l *LUT) DrainRow(dst []int8, acc []int32, srcScale float32, pre Params) {
 	acc = acc[:len(dst)]
 	s, d := float64(srcScale), float64(pre.Scale)
 	tab := &l.Table
 	n := 0
 	if vector && len(dst) >= 8 {
-		n = len(dst) &^ 7
-		requantizeAVX2(&dst[0], &acc[0], n, s, d)
-		for j, v := range dst[:n] {
-			dst[j] = tab[int(v)+128]
+		r := ratio(s, d)
+		if wide && len(dst) >= 16 {
+			n = len(dst) &^ 15
+			drainAVX512(&dst[0], &acc[0], n, s, d, r, tab)
+		}
+		if m := len(dst) &^ 7; m > n {
+			drainAVX2(&dst[n], &acc[n], m-n, s, d, r, tab)
+			n = m
 		}
 	}
 	for j := n; j < len(dst); j++ {
 		dst[j] = tab[int(roundSat(float64(acc[j])*s/d))+128]
 	}
+}
+
+// ratio returns s/d for DrainRow's multiply, or NaN — which sends every
+// group to the divide — where s/d is zero, subnormal, infinite or NaN.
+func ratio(s, d float64) float64 {
+	r := s / d
+	if a := math.Abs(r); !(a >= 0x1p-1022 && a <= math.MaxFloat64) {
+		return math.NaN()
+	}
+	return r
 }

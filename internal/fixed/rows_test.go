@@ -6,20 +6,22 @@ import (
 	"testing"
 )
 
-// eachPath runs f with the row passes off, then on where the host has them,
-// and leaves them on.
+// paths are the ways the row passes can run: the scalar loops, the AVX2
+// passes, and the AVX2 passes with DrainRow's AVX-512 pass.
+var paths = []struct {
+	name         string
+	vector, wide bool
+}{{"scalar", false, false}, {"vector", true, false}, {"wide", true, true}}
+
+// eachPath runs f on each path the host has, and leaves the passes on.
 func eachPath(t testing.TB, f func(path string)) {
 	t.Helper()
 	defer useVector(true)
-	for _, on := range []bool{false, true} {
-		if useVector(on) != on {
+	for _, p := range paths {
+		if useVector(p.vector) != p.vector || useWide(p.wide) != p.wide {
 			continue
 		}
-		path := "scalar"
-		if on {
-			path = "vector"
-		}
-		f(path)
+		f(p.name)
 	}
 }
 
@@ -124,6 +126,9 @@ func FuzzDrainRow(f *testing.F) {
 		f.Add(rails, float32(math.NaN()), float32(1), fn)
 		f.Add(rails, float32(1), float32(0), fn)
 		f.Add(ties, float32(0.02), float32(0.1), fn)
+		for _, c := range requantizeCorpus() {
+			f.Add(row(c.acc...), c.s, c.d, fn)
+		}
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, srcScale, preScale float32, fn uint8) {
 		acc := int32s(raw)
@@ -145,6 +150,97 @@ func FuzzDrainRow(f *testing.F) {
 			}
 		})
 	})
+}
+
+// requantizeCase is one accumulator row and scale pair of the requantize
+// exactness corpus.
+type requantizeCase struct {
+	name string
+	acc  []int32
+	s, d float32
+}
+
+// requantizeCorpus is where DrainRow's multiply by r = s/d could part from
+// Requantize's (x*s)/d: values on a rounding step or a float64 ulp from one,
+// the accumulator rails, and scale pairs whose ratio is not a normal number.
+// Each value fills a row of 17 lanes, two vector groups and a scalar tail; a
+// mixed row puts one tie among ordinary lanes.
+func requantizeCorpus() []requantizeCase {
+	fill := func(v int32) []int32 {
+		acc := make([]int32, 17)
+		for i := range acc {
+			acc[i] = v
+		}
+		return acc
+	}
+	bits := math.Float32frombits
+	cases := []requantizeCase{
+		// x*s/d is exactly k+1/2, on the step itself; with d = 3, r = s/d
+		// is inexact, so x*r lands on either side of the tie.
+		{"tie 0.5", fill(2097152), 0x1p-22, 1},
+		{"tie 126.5", fill(268435456), 0x1.fap-22, 1},
+		{"tie 127.5 rail", fill(268435456), 0x1.fep-22, 1},
+		{"tie -128.5 rail", fill(-536870912), 0x1.01p-22, 1},
+		{"tie -127.5", fill(-268435456), 0x1.fep-22, 1},
+		{"ties over an inexact ratio", []int32{3, 9, 15, 21, -3, -9, -15, -21, 381, 387, -381, -387, 759, 765, -765, -771, 3}, 0.5, 3},
+		{"ties over a tenth", []int32{1, 3, 5, 7, -1, -3, -5, -7, 253, 255, -255, -257, 1, 3, 5, 7, 9}, 0.05, 0.1},
+		// Ties where x*r rounds past the step, so that multiplying alone
+		// would give 127 for 126 and -127 for -128 (found by searching
+		// x*s = (k+1/2)*d over float32 scales).
+		{"126.5 that x*r misses", []int32{7, 14, 28, 56, 112, 224, 448, 896, 7}, 126.5, 7},
+		{"126.5 over 0.3 that x*r misses", fill(115), bits(0x3ea8f5c3), bits(0x3e99999a)},
+		{"-127.5 that x*r misses", []int32{105, 105, 105, 105, 105, 105, 105, 105, 105}, -8.5, 7},
+		{"-127.5 over 11 that x*r misses", []int32{187, 374, 748, 935, 1496, 1870, 2992, 3740, 187}, -7.5, 11},
+		// The same ties with s one float32 ulp either side.
+		{"tie 0.5 s+ulp", fill(2097152), bits(0x34800001), 1},
+		{"tie 0.5 s-ulp", fill(2097152), bits(0x347fffff), 1},
+		{"ties over an inexact ratio s+ulp", []int32{3, 9, 15, 21, -3, -9, -15, -21, 381, 387, -381, -387, 759, 765, -765, -771, 3}, bits(0x3f000001), 3},
+		{"ties over an inexact ratio s-ulp", []int32{3, 9, 15, 21, -3, -9, -15, -21, 381, 387, -381, -387, 759, 765, -765, -771, 3}, bits(0x3effffff), 3},
+		// x*s one float64 ulp off a tie: 0.5±ulp, 2.5+ulp, 127.5-ulp and
+		// -128.5-ulp (found by searching x*m = (2k+1)*2^j ± 1 for a 24-bit m).
+		{"0.5+ulp", fill(308761441), 0x1.bd2142p-30, 1},
+		{"0.5-ulp", fill(335544315), 0x1.99999ap-30, 1},
+		{"2.5+ulp", fill(477153021), 0x1.680caap-28, 1},
+		{"127.5-ulp", fill(575926559), 0x1.db6a42p-23, 1},
+		{"-128.5-ulp", fill(-375355617), 0x1.6f9642p-22, 1},
+		{"one tie among ordinary lanes", []int32{100, 200, 300, 2097152, -100, -200, -300, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 0x1p-22, 1},
+		// The accumulator rails.
+		{"MaxInt32", fill(math.MaxInt32), 1e-7, 1},
+		{"MinInt32", fill(math.MinInt32), 1e-7, 1},
+		{"MaxInt32 at 127.5", fill(math.MaxInt32), 0x1.fep-25, 0x1p-7},
+		{"MinInt32 unit", fill(math.MinInt32), 1, 1},
+		// Ratios that are not normal float64s: zero (s = 0), infinite
+		// (d = 0) and NaN, and the smallest a float32 pair gives, 2^-277
+		// (still normal: float32 scales cannot make a subnormal ratio).
+		{"ratio zero", []int32{0, 1, -1, 7, math.MaxInt32, math.MinInt32, 3, 4, 5}, 0, 1},
+		{"ratio infinite", []int32{0, 1, -1, 7, math.MaxInt32, math.MinInt32, 3, 4, 5}, 1, 0},
+		{"ratio infinite from s", []int32{0, 1, -1, 7, math.MaxInt32, math.MinInt32, 3, 4, 5}, float32(math.Inf(1)), 1},
+		{"ratio NaN", []int32{0, 1, -1, 7, math.MaxInt32, math.MinInt32, 3, 4, 5}, 0, 0},
+		{"ratio 2^-277", []int32{0, 1, -1, 7, math.MaxInt32, math.MinInt32, 3, 4, 5}, bits(1), math.MaxFloat32},
+		{"subnormal scales", []int32{0, 1, -1, 7, math.MaxInt32, math.MinInt32, 3, 4, 5}, bits(3), bits(2)},
+	}
+	return cases
+}
+
+// TestRequantizeExactnessCorpus holds DrainRow to Lookup(Requantize) on the
+// requantize corpus, with the vector passes on and off.
+func TestRequantizeExactnessCorpus(t *testing.T) {
+	for _, c := range requantizeCorpus() {
+		pre := Params{Scale: c.d}
+		for _, fn := range []Nonlinearity{Identity, Sigmoid} {
+			lut := NewLUT(fn, pre, OutputParams(fn, pre))
+			eachPath(t, func(path string) {
+				got := make([]int8, len(c.acc))
+				lut.DrainRow(got, c.acc, c.s, pre)
+				for j, a := range c.acc {
+					if want := lut.Lookup(Requantize(a, c.s, pre)); got[j] != want {
+						t.Errorf("%s %s %v lane %d: acc %d s=%v d=%v: got %d, want %d",
+							c.name, path, fn, j, a, c.s, c.d, got[j], want)
+					}
+				}
+			})
+		}
+	}
 }
 
 // FuzzSatAddRows holds SatAddRow, on both paths, to SatAdd32 lane by lane
@@ -219,6 +315,39 @@ func FuzzQuantizeInto(f *testing.F) {
 			for i, x := range src {
 				if want := p.Quantize(x); dst[i] != want {
 					t.Fatalf("%s Quantize(%v) under %+v = %d, want %d", path, x, p, dst[i], want)
+				}
+			}
+		})
+	})
+}
+
+// FuzzDequantizeInto holds DequantizeInto, on both paths, to Dequantize
+// element by element, bit for bit: every int8 against scales that are
+// negative, subnormal, zero of either sign, infinite or NaN.
+func FuzzDequantizeInto(f *testing.F) {
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	f.Add(all, float32(1.0/127))
+	f.Add(all, float32(-0.5))
+	f.Add(all, math.Float32frombits(1))
+	f.Add(all, float32(math.Copysign(0, -1)))
+	f.Add(all, float32(math.Inf(1)))
+	f.Add(all, float32(math.NaN()))
+	f.Add([]byte{0x80, 0x7f, 0, 1, 0xff, 3, 5, 7, 9}, float32(3e38))
+	f.Fuzz(func(t *testing.T, raw []byte, scale float32) {
+		src := make([]int8, len(raw))
+		for i, b := range raw {
+			src[i] = int8(b)
+		}
+		p := Params{Scale: scale}
+		eachPath(t, func(path string) {
+			dst := make([]float32, len(src))
+			DequantizeInto(dst, src, p)
+			for i, q := range src {
+				if got, want := math.Float32bits(dst[i]), math.Float32bits(p.Dequantize(q)); got != want {
+					t.Fatalf("%s Dequantize(%d) under %+v = %#x, want %#x", path, q, p, got, want)
 				}
 			}
 		})

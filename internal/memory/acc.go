@@ -2,6 +2,7 @@ package memory
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"tpusim/internal/fixed"
@@ -31,7 +32,25 @@ type Accumulators struct {
 	// Reset zeroes those ranges.
 	dirty   uint64
 	written [accBlocks]struct{ lo, hi uint8 }
+	// tiles[i] bounds register i's magnitude by tiles[i]*tileBound: it is
+	// how many MatrixMultiply tiles have been stored into the register since
+	// it was last zero, and unbounded once anything else has written it (an
+	// injected upset). Reset returns it to zero with the register.
+	tiles [isa.AccumulatorCount]uint16
 }
+
+// tileBound is the most one MatrixMultiply tile adds to a lane: 256 products
+// of two int8s, each at most 2^14 in magnitude, 2^22 in all.
+const tileBound = isa.MatrixDim << 14
+
+// A register holding at most maxWrapTiles tiles is below 2^31-2^22 in
+// magnitude — (510+1)*2^22 = 2^31-2^22 — so adding one more tile cannot
+// leave int32's range, and a wrapping add is fixed.SatAdd32's answer.
+// unbounded is the count of a register nothing bounds.
+const (
+	maxWrapTiles = (math.MaxInt32 - tileBound) / tileBound
+	unbounded    = math.MaxUint16
+)
 
 // The file is backed and dirty-tracked in accBlocks blocks — one per bit of
 // the mask — of accBlock registers (64, so 64 KiB) each.
@@ -85,6 +104,7 @@ func (a *Accumulators) Reset() {
 		b := bits.TrailingZeros64(m)
 		lo, hi := int(a.written[b].lo), int(a.written[b].hi)
 		clear(a.blocks[b][lo:hi])
+		clear(a.tiles[b*accBlock+lo : b*accBlock+hi])
 		if a.parity != nil {
 			clear(a.parity[b*accBlock+lo : b*accBlock+hi])
 		}
@@ -102,10 +122,66 @@ func (a *Accumulators) StoreRows(idx int, rows [][isa.MatrixDim]int32, accumulat
 		return fmt.Errorf("memory: accumulator range [%d,%d) outside [0,%d)", idx, idx+len(rows), isa.AccumulatorCount)
 	}
 	a.touch(idx, len(rows))
+	a.count(idx, len(rows), accumulate)
 	for i := range rows {
 		a.store(idx+i, &rows[i], accumulate)
 	}
 	return nil
+}
+
+// count records one more tile stored into registers [idx, idx+n): the first
+// since they were zero when it overwrites them.
+func (a *Accumulators) count(idx, n int, accumulate bool) {
+	for i := idx; i < idx+n; i++ {
+		switch {
+		case !accumulate:
+			a.tiles[i] = 1
+		case a.tiles[i] < unbounded:
+			a.tiles[i]++
+		}
+	}
+}
+
+// Unbound forgets the bound on registers [idx, idx+n): what was last stored
+// there did not come from the matrix unit's arithmetic alone (a processing-
+// element upset between the array and the file), so its magnitude is
+// unknown until the registers are next overwritten.
+func (a *Accumulators) Unbound(idx, n int) {
+	for i := max(idx, 0); i < min(idx+n, isa.AccumulatorCount); i++ {
+		a.tiles[i] = unbounded
+	}
+}
+
+// Direct reports whether the matrix unit may write one tile's partial sums
+// straight into registers [idx, idx+n) through Rows: always when they
+// overwrite, and when they accumulate only while every register is bounded
+// below 2^31-2^22, where the array's wrapping add is the saturating one. A
+// guarded file takes every write through StoreRows, which keeps its parity.
+func (a *Accumulators) Direct(idx, n int, accumulate bool) bool {
+	if a.parity != nil || idx < 0 || idx+n > isa.AccumulatorCount {
+		return false
+	}
+	if accumulate {
+		for _, k := range a.tiles[idx : idx+n] {
+			if k > maxWrapTiles {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Rows backs registers [idx, idx+n), counts one more tile into them and
+// returns the run of them that idx's block holds — all n, or as many as fit
+// before the block ends — for the matrix unit to write into directly. The
+// caller has checked Direct and goes on from idx+len(result) until all n are
+// written.
+func (a *Accumulators) Rows(idx, n int, accumulate bool) [][isa.MatrixDim]int32 {
+	r := idx % accBlock
+	n = min(n, accBlock-r)
+	a.touch(idx, n)
+	a.count(idx, n, accumulate)
+	return a.blocks[idx/accBlock][r : r+n]
 }
 
 // store writes one row into the backed register idx, parity word included.

@@ -184,12 +184,14 @@ func (a *Accumulators) VerifyParity(idx, n int) []int {
 // FlipBit flips one bit of the byte at byte offset off within register
 // idx, bypassing parity — the fault-injection seam for accumulator SRAM.
 // The register's block is backed and marked dirty, so the upset does not
-// outlive Reset.
+// outlive Reset, and the register's magnitude bound is void until it is next
+// overwritten.
 func (a *Accumulators) FlipBit(idx int, off int, bit uint8) {
 	if idx < 0 || idx >= isa.AccumulatorCount {
 		return
 	}
 	a.touch(idx, 1)
+	a.tiles[idx] = unbounded
 	lane := (off / 4) % isa.MatrixDim
 	shift := uint(off%4)*8 + uint(bit%8)
 	a.blocks[idx/accBlock][idx%accBlock][lane] ^= 1 << shift

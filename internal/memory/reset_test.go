@@ -35,6 +35,11 @@ func requireFreshAccumulators(t *testing.T, a *Accumulators, guarded bool) {
 	if a.dirty != 0 {
 		t.Fatalf("dirty mask %#x after Reset", a.dirty)
 	}
+	for i, k := range a.tiles {
+		if k != 0 {
+			t.Fatalf("register %d counts %d tiles after Reset", i, k)
+		}
+	}
 }
 
 // backedBlocks counts the blocks of a that have storage.
@@ -49,7 +54,7 @@ func backedBlocks(a *Accumulators) int {
 }
 
 // TestAccumulatorsResetEqualsFresh is the differential test of the dirty-
-// block Reset: seeded random Store / StoreRows / Clear / FlipBit programs
+// block Reset: seeded random Store / StoreRows / Rows / Clear / FlipBit programs
 // over both halves of the file, with and without parity, must leave nothing
 // behind that a fresh file does not have. The same file is reused across
 // programs, as a device reuses it across runs.
@@ -75,7 +80,15 @@ func TestAccumulatorsResetEqualsFresh(t *testing.T) {
 					idx = isa.AccumulatorCount - len(rows) // ends at the last register
 				}
 				var err error
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
+				case 4:
+					// The array's direct write, wherever Direct allows it.
+					n, acc := 1+rng.Intn(len(rows)), rng.Intn(2) == 0
+					for done := 0; done < n && a.Direct(idx, n, acc); {
+						regs := a.Rows(idx+done, n-done, acc)
+						copy(regs, rows[done:])
+						done += len(regs)
+					}
 				case 0:
 					err = a.StoreRows(idx, rows[:1], rng.Intn(2) == 0)
 				case 1:
@@ -293,5 +306,49 @@ func TestFlipBitDoesNotOutliveReset(t *testing.T) {
 		if bad := u.VerifyGuard(0, u.Size()); bad != nil {
 			t.Fatalf("UB guard flags %v after Reset", bad)
 		}
+	}
+}
+
+// TestAccumulatorsDirectBound pins the tile count behind Direct: an
+// overwrite is always direct, an accumulate is while every register holds
+// at most 510 tiles (|v| < 2^31-2^22), an injected flip or Unbound voids the
+// count until the next overwrite, and a guarded file is never direct.
+func TestAccumulatorsDirectBound(t *testing.T) {
+	a := NewAccumulators()
+	var row [1][isa.MatrixDim]int32
+	if err := a.StoreRows(100, row[:], false); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k < maxWrapTiles; k++ {
+		if err := a.StoreRows(100, row[:], true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !a.Direct(99, 3, true) {
+		t.Fatalf("register holding %d tiles refused a direct accumulate", maxWrapTiles)
+	}
+	a.Rows(100, 1, true) // tile 511
+	if a.Direct(99, 3, true) || !a.Direct(99, 3, false) {
+		t.Fatal("register holding 511 tiles: want accumulate staged, overwrite direct")
+	}
+	a.Rows(100, 1, false)
+	if !a.Direct(100, 1, true) {
+		t.Fatal("overwrite did not restore the bound")
+	}
+	a.FlipBit(100, 0, 0)
+	if a.Direct(100, 1, true) {
+		t.Fatal("flipped register still bounded")
+	}
+	a.Rows(100, 1, false)
+	a.Unbound(100, 1)
+	if a.Direct(100, 1, true) {
+		t.Fatal("Unbound register still bounded")
+	}
+	if got := len(a.Rows(60, 10, false)); got != 4 {
+		t.Fatalf("Rows across a block boundary returned %d registers, want the 4 before it", got)
+	}
+	a.EnableGuard()
+	if a.Direct(0, 1, false) {
+		t.Fatal("guarded file took a direct write")
 	}
 }

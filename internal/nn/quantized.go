@@ -127,11 +127,8 @@ func (qm *QuantizedModel) QuantizeInputInto(in *tensor.F32, dst *tensor.I8) *ten
 
 // DequantizeOutput converts the model's int8 output back to real values.
 func (qm *QuantizedModel) DequantizeOutput(out *tensor.I8) *tensor.F32 {
-	p := qm.Edge[len(qm.Model.Layers)]
 	f := tensor.NewF32(out.Shape...)
-	for i, v := range out.Data {
-		f.Data[i] = p.Dequantize(v)
-	}
+	fixed.DequantizeInto(f.Data, out.Data, qm.Edge[len(qm.Model.Layers)])
 	return f
 }
 

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"tpusim/internal/cpu"
+	"tpusim/internal/fixed"
 	"tpusim/internal/isa"
 )
 
@@ -44,7 +45,7 @@ func hostKernels() []*kernel {
 func mulGroupAVX2(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim]uint32, vals *[isa.MatrixDim / 2][avx2Rows][2]int16, pairs int, out *[isa.MatrixDim]int32, n int)
 
 //go:noescape
-func mulBlocksAMX(w *[isa.WeightTileBytes]int8, in *[isa.MatrixDim]int8, out *[isa.MatrixDim]int32, blocks int)
+func mulBlocksAMX(w *[isa.WeightTileBytes]int8, in *[isa.MatrixDim]int8, out *[isa.MatrixDim]int32, blocks int, add bool)
 
 //go:noescape
 func mulGroupVNNI(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim / 4]uint32, vals *[isa.MatrixDim / 4][vnniRows]uint32, quads int, out *[isa.MatrixDim]int32, n int)
@@ -91,11 +92,13 @@ func nonzero8(act []*[isa.MatrixDim]int8, r0 int) uint64 {
 // input, both products (-32768)^2, is unreachable from int8), and 128 pairs
 // add to at most 2^22 per column. Integer addition is associative, so the
 // result is bit-identical to MulRow whatever the grouping and pairing.
-func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
+// With add, each group is computed into sums and added to its output rows.
+func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
 	var (
 		act  [avx2Rows]*[isa.MatrixDim]int8
 		rows [isa.MatrixDim]uint32
 		vals [isa.MatrixDim / 2][avx2Rows][2]int16
+		sums [avx2Rows][isa.MatrixDim]int32
 	)
 	for i := lo; i < hi; i += avx2Rows {
 		g := group(act[:], in, i, hi)
@@ -119,7 +122,21 @@ func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 			p[0][1], p[1][1], p[2][1], p[3][1] = 0, 0, 0, 0
 			n++
 		}
-		mulGroupAVX2(a.active.w, &rows, &vals, n/2, &out[i], g)
+		if !add {
+			mulGroupAVX2(a.active.w, &rows, &vals, n/2, &out[i], g)
+			continue
+		}
+		mulGroupAVX2(a.active.w, &rows, &vals, n/2, &sums[0], g)
+		addRows(out[i:i+g], sums[:g])
+	}
+}
+
+// addRows adds the partial-sum rows sums into out, row for row; the kernels'
+// callers keep every sum in int32's range (see AccumulateInto), where
+// SatAddRow's saturating add is the plain one.
+func addRows(out, sums [][isa.MatrixDim]int32) {
+	for j := range sums {
+		fixed.SatAddRow(out[j][:], sums[j][:])
 	}
 }
 
@@ -137,11 +154,13 @@ func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 // Every accumulator starts at -128*sum(a) of its activation row, at most 2^22
 // in magnitude, and 64 quads add at most 2^23 more, so nothing wraps on the
 // way to sum((w+128)*a) - 128*sum(a) = sum(w*a): bit-identical to MulRow.
-func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
+// With add, each group is computed into sums and added to its output rows.
+func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
 	var (
 		act  [vnniRows]*[isa.MatrixDim]int8
 		rows [isa.MatrixDim / 4]uint32
 		vals [isa.MatrixDim / 4][vnniRows]uint32
+		sums [vnniRows][isa.MatrixDim]int32
 	)
 	for i := lo; i < hi; i += vnniRows {
 		g := group(act[:], in, i, hi)
@@ -159,7 +178,12 @@ func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 				n++
 			}
 		}
-		mulGroupVNNI(a.active.w, &rows, &vals, n, &out[i], g)
+		if !add {
+			mulGroupVNNI(a.active.w, &rows, &vals, n, &out[i], g)
+			continue
+		}
+		mulGroupVNNI(a.active.w, &rows, &vals, n, &sums[0], g)
+		addRows(out[i:i+g], sums[:g])
 	}
 }
 
@@ -167,18 +191,21 @@ func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 // time, and the rows left over — all of them in a range shorter than amxRows
 // — with the VNNI kernel. mulBlocksAMX packs the tile into the tiles' weight
 // layout on each call, in its own frame, so nothing is built at Load and
-// nothing outlives the call.
+// nothing outlives the call. With add, the tiles start from the output rows
+// instead of from zero, so the sums land in out with no pass of their own.
 //
 // Exactness: TDPBSSD multiplies the signed weights by the signed
 // activations as they are, no bias, and adds four products per int32 lane
 // without saturating; a column's 256 products sum to at most 256*128*128 =
-// 2^22 in magnitude, so nothing wraps: bit-identical to MulRow.
-func (a *Array) mulRangeAMX(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
+// 2^22 in magnitude, so nothing wraps: bit-identical to MulRow. With add,
+// AccumulateInto's caller keeps the starting values far enough from the
+// int32 rails that nothing wraps either.
+func (a *Array) mulRangeAMX(in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
 	if blocks := (hi - lo) / amxRows; blocks > 0 {
-		mulBlocksAMX(a.active.w, (*[isa.MatrixDim]int8)(in[lo*isa.MatrixDim:]), &out[lo], blocks)
+		mulBlocksAMX(a.active.w, (*[isa.MatrixDim]int8)(in[lo*isa.MatrixDim:]), &out[lo], blocks, add)
 		lo += blocks * amxRows
 	}
 	if lo < hi {
-		a.mulRangeVNNI(in, out, lo, hi)
+		a.mulRangeVNNI(in, out, lo, hi, add)
 	}
 }

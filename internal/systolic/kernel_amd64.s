@@ -320,10 +320,12 @@ GLOBL amxTileConfig<>(SB), RODATA|NOPTR, $64
 	VMOVDQU64  Z24, (4096*s+2048)(DI); \
 	VMOVDQU64  Z26, (4096*s+3072)(DI)
 
-// func mulBlocksAMX(w *[65536]int8, in *[256]int8, out *[256]int32, blocks int)
+// func mulBlocksAMX(w *[65536]int8, in *[256]int8, out *[256]int32, blocks int, add bool)
 //
 // Computes blocks*16 consecutive activation rows, starting at in, against
-// the tile and stores them as consecutive 256-wide output rows at out.
+// the tile and stores them as consecutive 256-wide output rows at out — or,
+// with add, adds them to those rows: the C tiles are loaded from out
+// instead of zeroed, and TDPBSSD accumulates onto what they hold.
 //
 // TDPBSSD multiplies signed by signed bytes, four to an int32 lane, and adds
 // into int32 without saturating: C[m][n] += sum over k, i of A[m][4k+i] *
@@ -347,7 +349,7 @@ GLOBL amxTileConfig<>(SB), RODATA|NOPTR, $64
 // before the function returns; the whole tile section is one assembly
 // function with no calls, which Go never preempts, so it never changes
 // thread with live tiles.
-TEXT ·mulBlocksAMX(SB), 0, $65616-32
+TEXT ·mulBlocksAMX(SB), 0, $65616-33
 	NO_LOCAL_POINTERS
 
 	// Which contraction blocks are nonzero in some row: Z0-Z3 OR the
@@ -430,10 +432,21 @@ cpair:
 rpair:
 	CMPQ R9, $2
 	JLT  rone
+	CMPB add+32(FP), $0
+	JNE  rpairload
 	TILEZERO(0)
 	TILEZERO(1)
 	TILEZERO(2)
 	TILEZERO(3)
+	JMP  rpairgo
+
+rpairload:
+	TILELOADD(0, 0, 3, 0)
+	TILELOADD(1, 0, 3, 64)
+	TILELOADD(2, 0, 3, 16384)
+	TILELOADD(3, 0, 3, 16448)
+
+rpairgo:
 	MOVQ R13, SI
 	MOVQ R11, DI
 	MOVQ R10, R8
@@ -467,8 +480,17 @@ kpairnext:
 rone:
 	TESTQ R9, R9
 	JZ    cnext
+	CMPB  add+32(FP), $0
+	JNE   roneload
 	TILEZERO(0)
 	TILEZERO(1)
+	JMP   ronego
+
+roneload:
+	TILELOADD(0, 0, 3, 0)
+	TILELOADD(1, 0, 3, 64)
+
+ronego:
 	MOVQ  R13, SI
 	MOVQ  R11, DI
 	MOVQ  R10, R8

@@ -9,7 +9,7 @@ import (
 	"testing"
 	_ "unsafe" // for go:linkname
 
-	_ "tpusim/internal/fixed"    // defines useVector
+	_ "tpusim/internal/fixed"    // defines useVector and useWide
 	_ "tpusim/internal/systolic" // defines runUnder
 	_ "tpusim/internal/tensor"   // defines useVector
 )
@@ -20,6 +20,9 @@ func runUnder(i int) (name string, ok bool)
 //go:linkname useVector tpusim/internal/fixed.useVector
 func useVector(on bool) bool
 
+//go:linkname useWide tpusim/internal/fixed.useWide
+func useWide(on bool) bool
+
 //go:linkname useFloatVector tpusim/internal/tensor.useVector
 func useFloatVector(on bool) bool
 
@@ -27,8 +30,9 @@ func useFloatVector(on bool) bool
 // fastest first: "swar" always, above it "avx2", "avx512vnni" and "amx"
 // where the CPU and the OS provide them. The assembly rungs run with fixed's and tensor's vector
 // passes on; "swar", the portable rung, runs with them off too, so that it is
-// what a host without assembly runs. It must not be used from parallel
-// tests: the switches are process-wide.
+// what a host without assembly runs, and "avx2" with fixed's AVX-512 drain
+// off, as an AVX2-only host runs. It must not be used from parallel tests:
+// the switches are process-wide.
 func Each(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	t.Cleanup(func() {
@@ -42,6 +46,7 @@ func Each(t *testing.T, f func(t *testing.T)) {
 			return
 		}
 		useVector(name != "swar")
+		useWide(name != "avx2")
 		useFloatVector(name != "swar")
 		t.Run(name, f)
 	}

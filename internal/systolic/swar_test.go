@@ -74,6 +74,23 @@ func checkKernels(t *testing.T, a *Array, in []int8) {
 			t.Fatal(err)
 		}
 		compare(k.name)
+		// AccumulateInto from starting values out to the bound its caller
+		// keeps, |v| < 2^31-2^22, both signs: the sums must be exact.
+		const edge = 1<<31 - 1<<22 - 1
+		for i := range got {
+			for c := range got[i] {
+				got[i][c] = [4]int32{edge, -edge, int32(i*c) - 1<<20, 0}[(i+c)%4]
+			}
+		}
+		if err := a.AccumulateInto(in, got, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			for c := range got[i] {
+				got[i][c] -= [4]int32{edge, -edge, int32(i*c) - 1<<20, 0}[(i+c)%4]
+			}
+		}
+		compare(k.name + " AccumulateInto")
 	}
 }
 
@@ -318,9 +335,12 @@ func TestMultiplyIntoZeroAlloc(t *testing.T) {
 			if err := a.MultiplyInto(in, out, 1); err != nil {
 				t.Fatal(err)
 			}
+			if err := a.AccumulateInto(in, out, 1); err != nil {
+				t.Fatal(err)
+			}
 		})
 		if allocs != 0 {
-			t.Fatalf("MultiplyInto on a freshly loaded tile: %v allocs/op, want 0", allocs)
+			t.Fatalf("MultiplyInto and AccumulateInto on a freshly loaded tile: %v allocs/op, want 0", allocs)
 		}
 	})
 }

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"tpusim/internal/fixed"
 	"tpusim/internal/isa"
 )
 
@@ -162,11 +163,12 @@ func (a *Array) MulRow(in *[isa.MatrixDim]int8) (*[isa.MatrixDim]int32, error) {
 }
 
 // kernel is one batched kernel body: mulRange computes output rows [lo, hi),
-// taking activation rows `rows` at a time.
+// taking activation rows `rows` at a time, and stores them into out — or,
+// with add, adds them to what out holds.
 type kernel struct {
 	name     string
 	rows     int
-	mulRange func(a *Array, in []int8, out [][isa.MatrixDim]int32, lo, hi int)
+	mulRange func(a *Array, in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool)
 }
 
 var swar = kernel{name: "swar", rows: 1, mulRange: (*Array).mulRangeSWAR}
@@ -206,6 +208,24 @@ func Kernel() string { return running.name }
 // int32 sums of int8 products are exact in any order, so results are
 // deterministic and bit-identical for every worker count and kernel.
 func (a *Array) MultiplyInto(in []int8, out [][isa.MatrixDim]int32, workers int) error {
+	return a.multiply(in, out, workers, false)
+}
+
+// AccumulateInto is MultiplyInto adding the B partial-sum rows into out
+// instead of overwriting it: out[i][c] += sum over r of in[i][r]*w[r][c].
+// One tile adds at most 256*2^14 = 2^22 in magnitude to a lane, and the
+// caller keeps every lane of out below 2^31-2^22 in magnitude, so no sum
+// leaves int32's range and the add is exact — the same as fixed.SatAdd32's.
+// The amx rung adds on the tiles themselves, which load their accumulators
+// from out; the other rungs, and the rows amx leaves to the VNNI kernel,
+// compute a group of rows into a stack scratch and add it with
+// fixed.SatAddRow.
+func (a *Array) AccumulateInto(in []int8, out [][isa.MatrixDim]int32, workers int) error {
+	return a.multiply(in, out, workers, true)
+}
+
+// multiply is MultiplyInto (add false) and AccumulateInto (add true).
+func (a *Array) multiply(in []int8, out [][isa.MatrixDim]int32, workers int, add bool) error {
 	if a.active == nil {
 		return fmt.Errorf("systolic: no active weight tile")
 	}
@@ -227,7 +247,7 @@ func (a *Array) MultiplyInto(in []int8, out [][isa.MatrixDim]int32, workers int)
 	chunk := (b + workers - 1) / workers
 	chunk = (chunk + k.rows - 1) / k.rows * k.rows
 	if chunk >= b {
-		k.mulRange(a, in, out, 0, b)
+		k.mulRange(a, in, out, 0, b, add)
 		return nil
 	}
 	var wg sync.WaitGroup
@@ -236,7 +256,7 @@ func (a *Array) MultiplyInto(in []int8, out [][isa.MatrixDim]int32, workers int)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			k.mulRange(a, in, out, lo, hi)
+			k.mulRange(a, in, out, lo, hi, add)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -266,7 +286,8 @@ func (a *Array) MultiplyInto(in []int8, out [][isa.MatrixDim]int32, workers int)
 // 127*u) is subtracted once per column. Every step is exact integer
 // arithmetic, so results are bit-identical to MulRow for any worker count
 // and any accumulation order; the zero-row skip carries over from the gather.
-func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int) {
+// With add, each row is computed into sum and added to its output row.
+func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
 	t := a.active
 	// Gather scratch, reused across the range's activation rows: |v|, the
 	// weight row as 8-byte groups (group g is columns 8g..8g+7), and the
@@ -275,10 +296,14 @@ func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 		us  [isa.MatrixDim]uint64
 		rws [isa.MatrixDim]*[laneGroups][8]byte
 		xms [isa.MatrixDim]uint64
+		sum [isa.MatrixDim]int32
 	)
 	for i := lo; i < hi; i++ {
 		row := (*[isa.MatrixDim]int8)(in[i*isa.MatrixDim:])
 		o := &out[i]
+		if add {
+			o = &sum
+		}
 		n := 0
 		corr := int32(0)
 		for r := 0; r < isa.MatrixDim; r++ {
@@ -300,7 +325,9 @@ func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 			n++
 		}
 		if n == 0 {
-			*o = [isa.MatrixDim]int32{}
+			if !add {
+				*o = [isa.MatrixDim]int32{}
+			}
 			continue
 		}
 		if n%2 == 1 { // pair the last row with one times u = 0: it adds nothing
@@ -330,6 +357,9 @@ func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int) 
 			o[c+5] = int32(a15>>32) - corr
 			o[c+6] = int32(a26>>32) - corr
 			o[c+7] = int32(a37>>32) - corr
+		}
+		if add {
+			fixed.SatAddRow(out[i][:], sum[:])
 		}
 	}
 }

@@ -2,48 +2,62 @@ package tpu
 
 import (
 	"fmt"
-	"sync"
 
 	"tpusim/internal/isa"
 )
 
-// matmulScratch is the reusable flat staging area for one MatrixMultiply:
-// all B gathered input rows and all B partial-sum rows, pooled so the hot
-// loop performs no per-instruction allocation.
+// matmulScratch is the device's reusable flat staging area for one
+// MatrixMultiply: all B gathered input rows, and — on the staged path only —
+// all B partial-sum rows, so the hot loop performs no per-instruction
+// allocation. A device runs one program at a time, so it owns one.
 type matmulScratch struct {
 	in  []int8
 	out [][isa.MatrixDim]int32
 }
 
-var matmulPool = sync.Pool{New: func() any { return &matmulScratch{} }}
-
-// grab returns a scratch with capacity for rows input/output rows; the
-// input region is zeroed (gathers rely on zero padding beyond the valid
-// elements).
-func (s *matmulScratch) grab(rows int) {
+// gather returns the input region for rows input rows, zeroed unless the
+// gather overwrites every byte (gathers rely on zero padding beyond the
+// valid elements).
+func (s *matmulScratch) gather(rows int, full bool) []int8 {
 	n := rows * isa.MatrixDim
 	if cap(s.in) < n {
 		s.in = make([]int8, n)
 	} else {
 		s.in = s.in[:n]
-		clear(s.in)
+		if !full {
+			clear(s.in)
+		}
 	}
+	return s.in
+}
+
+// stage returns rows partial-sum rows for the staged path.
+func (s *matmulScratch) stage(rows int) [][isa.MatrixDim]int32 {
 	if cap(s.out) < rows {
 		s.out = make([][isa.MatrixDim]int32, rows)
-	} else {
-		s.out = s.out[:rows]
 	}
+	s.out = s.out[:rows]
+	return s.out
 }
 
 // matmulData executes the functional side of a MatrixMultiply: gather all B
 // input rows from the Unified Buffer (directly for FC, via the convolution
-// gather for Convolve) into a pooled flat buffer, push the whole batch
-// through the blocked systolic kernel — sharded across cfg.Parallelism
-// goroutines — and bulk-store the partial sums into the accumulators.
+// gather for Convolve) into the device's flat buffer and push the whole
+// batch through the blocked systolic kernel — sharded across
+// cfg.Parallelism goroutines — into the accumulators.
+//
+// The array writes its partial sums straight into the accumulator registers
+// when nothing needs to see them on the way: the device runs no integrity
+// checks, no processing-element upset is queued, and, for an accumulating
+// instruction, every target register is bounded below 2^31-2^22 so that the
+// array's add is the saturating one (Accumulators.Direct). Otherwise the
+// sums are staged — scratch rows, the PE fault seam, the ABFT check — and
+// stored with Accumulators.StoreRows. Both paths leave the same registers.
 func (d *Device) matmulData(in *isa.Instruction, rows, usedRows int) error {
 	accumulate := in.Flags&isa.FlagAccumulate != 0
-	if int(in.AccAddr)+rows > isa.AccumulatorCount {
-		return fmt.Errorf("matmul writes accumulators %d..%d beyond %d", in.AccAddr, int(in.AccAddr)+rows, isa.AccumulatorCount)
+	idx := int(in.AccAddr)
+	if idx+rows > isa.AccumulatorCount {
+		return fmt.Errorf("matmul writes accumulators %d..%d beyond %d", in.AccAddr, idx+rows, isa.AccumulatorCount)
 	}
 	// Fault seam: UB upsets land just before the first matmul consumes the
 	// buffer, mapped into the written extent so they hit bytes in use. The
@@ -64,13 +78,12 @@ func (d *Device) matmulData(in *isa.Instruction, rows, usedRows int) error {
 		return err
 	}
 
-	s := matmulPool.Get().(*matmulScratch)
-	defer matmulPool.Put(s)
-	s.grab(rows)
-
-	if in.Flags&isa.FlagConvolve != 0 {
+	s := &d.mm
+	conv := in.Flags&isa.FlagConvolve != 0
+	gathered := s.gather(rows, !conv && usedRows == isa.MatrixDim)
+	if conv {
 		for i := 0; i < rows; i++ {
-			if err := d.convGather(in.UBAddr, i, usedRows, s.in[i*isa.MatrixDim:(i+1)*isa.MatrixDim]); err != nil {
+			if err := d.convGather(in.UBAddr, i, usedRows, gathered[i*isa.MatrixDim:(i+1)*isa.MatrixDim]); err != nil {
 				return err
 			}
 		}
@@ -84,18 +97,53 @@ func (d *Device) matmulData(in *isa.Instruction, rows, usedRows int) error {
 			if err != nil {
 				return err
 			}
-			copy(s.in[i*isa.MatrixDim:], src)
+			copy(gathered[i*isa.MatrixDim:], src)
 		}
 	}
-	if err := d.arr.MultiplyInto(s.in, s.out, d.cfg.parallelism()); err != nil {
+	if d.cfg.Integrity == IntegrityOff && !d.flipQueued(FlipPE) && d.acc.Direct(idx, rows, accumulate) {
+		for done := 0; done < rows; {
+			regs := d.acc.Rows(idx+done, rows-done, accumulate)
+			part := gathered[done*isa.MatrixDim : (done+len(regs))*isa.MatrixDim]
+			var err error
+			if accumulate {
+				err = d.arr.AccumulateInto(part, regs, d.cfg.parallelism())
+			} else {
+				err = d.arr.MultiplyInto(part, regs, d.cfg.parallelism())
+			}
+			if err != nil {
+				return err
+			}
+			done += len(regs)
+		}
+	} else if err := d.matmulStaged(idx, rows, accumulate); err != nil {
+		return err
+	}
+	// Fault seam: accumulator upsets land in freshly written registers.
+	d.applyFlips(FlipAcc, func(f Flip) {
+		i := idx + int(f.Addr%uint64(rows))
+		off := int((f.Addr / uint64(rows)) % uint64(isa.MatrixDim*4))
+		d.acc.FlipBit(i, off, f.Bit)
+	})
+	return nil
+}
+
+// matmulStaged is the staged half of matmulData: the partial sums of the
+// gathered rows land in scratch, where the PE fault seam and the ABFT check
+// see them, and are then stored into registers [idx, idx+rows).
+func (d *Device) matmulStaged(idx, rows int, accumulate bool) error {
+	s := &d.mm
+	out := s.stage(rows)
+	if err := d.arr.MultiplyInto(s.in, out, d.cfg.parallelism()); err != nil {
 		return err
 	}
 	// Fault seam: PE upsets corrupt a partial sum between the array and the
 	// accumulators — exactly what the ABFT checksum columns guard.
+	upset := false
 	d.applyFlips(FlipPE, func(f Flip) {
 		r := int(f.Addr % uint64(rows))
 		c := int((f.Addr / uint64(rows)) % uint64(isa.MatrixDim))
-		s.out[r][c] ^= 1 << (f.Bit % 32)
+		out[r][c] ^= 1 << (f.Bit % 32)
+		upset = true
 	})
 	if err := d.verifyMatmulABFT(s, rows); err != nil {
 		return err
@@ -103,19 +151,18 @@ func (d *Device) matmulData(in *isa.Instruction, rows, usedRows int) error {
 	if accumulate {
 		// Read-modify-write: parity is checked on the read half, the point
 		// real parity SRAM catches a stored upset.
-		if err := d.verifyAcc(int(in.AccAddr), rows); err != nil {
+		if err := d.verifyAcc(idx, rows); err != nil {
 			return err
 		}
 	}
-	if err := d.acc.StoreRows(int(in.AccAddr), s.out, accumulate); err != nil {
+	if err := d.acc.StoreRows(idx, out, accumulate); err != nil {
 		return err
 	}
-	// Fault seam: accumulator upsets land in freshly written registers.
-	d.applyFlips(FlipAcc, func(f Flip) {
-		idx := int(in.AccAddr) + int(f.Addr%uint64(rows))
-		off := int((f.Addr / uint64(rows)) % uint64(isa.MatrixDim*4))
-		d.acc.FlipBit(idx, off, f.Bit)
-	})
+	if upset {
+		// Unless the ABFT check repaired it, the upset is in the registers
+		// now, of any magnitude.
+		d.acc.Unbound(idx, rows)
+	}
 	return nil
 }
 
@@ -228,9 +275,7 @@ func (d *Device) activateData(in *isa.Instruction, fromUB bool) error {
 	if err := d.verifyAcc(int(in.AccAddr), rows); err != nil {
 		return err
 	}
-	s := actPool.Get().(*actScratch)
-	defer actPool.Put(s)
-	outRow := s.growOut(cols)
+	outRow := d.act.growOut(cols)
 	for i := 0; i < rows; i++ {
 		acc, err := d.acc.Load(int(in.AccAddr) + i)
 		if err != nil {
@@ -244,15 +289,13 @@ func (d *Device) activateData(in *isa.Instruction, fromUB bool) error {
 	return nil
 }
 
-// actScratch is the pooled staging area for the activation unit: one output
-// row (or vector) and one pre-activation accumulator vector, so the drain
-// performs no per-instruction allocation.
+// actScratch is the device's staging area for the activation unit: one
+// output row (or vector) and one pre-activation accumulator vector, so the
+// drain performs no per-instruction allocation.
 type actScratch struct {
 	out []int8
 	acc []int32
 }
-
-var actPool = sync.Pool{New: func() any { return &actScratch{} }}
 
 func (s *actScratch) growOut(n int) []int8 {
 	if cap(s.out) < n {
@@ -293,10 +336,8 @@ func (d *Device) activateVector(in *isa.Instruction, meta isa.ActMeta) error {
 			return err
 		}
 	}
-	s := actPool.Get().(*actScratch)
-	defer actPool.Put(s)
-	out := s.growOut(n)
-	acc := s.growAcc(n)
+	out := d.act.growOut(n)
+	acc := d.act.growAcc(n)
 	if operand == nil {
 		for i, v := range src {
 			acc[i] = int32(v)
@@ -348,9 +389,7 @@ func (d *Device) activatePool(in *isa.Instruction) error {
 		return err
 	}
 	oh, ow := h/p, w/p
-	sc := actPool.Get().(*actScratch)
-	defer actPool.Put(sc)
-	out := sc.growOut(batch * oh * ow * c)
+	out := d.act.growOut(batch * oh * ow * c)
 	for img := 0; img < batch; img++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {

@@ -130,6 +130,10 @@ type Device struct {
 	// view plus the ABFT checksums it latched from the bytes. Behind a
 	// pointer so that reset's struct copy copies no lock; survives reset.
 	tiles *[2]systolic.Tile
+	// mm and act are the matrix and activation units' staging scratch,
+	// grown to the largest instruction seen and kept across runs.
+	mm  matmulScratch
+	act actScratch
 
 	// Integrity state. gw is the live weight DRAM — the program's golden
 	// image plus a copy of each tile a flip has upset, keyed to gwProg so
@@ -277,7 +281,7 @@ func (d *Device) reset() {
 	fifoMeta, popTimes := d.fifoMeta[:0], d.popTimes[:0]
 	*d = Device{cfg: d.cfg, ub: d.ub, acc: d.acc, arr: d.arr,
 		fifoTiles: fifoTiles, fifoReady: fifoReady, fifoMeta: fifoMeta, popTimes: popTimes,
-		fifoCRC: d.fifoCRC[:0], tiles: d.tiles,
+		fifoCRC: d.fifoCRC[:0], tiles: d.tiles, mm: d.mm, act: d.act,
 		profTags: d.profTags[:0], profMarks: d.profMarks[:0],
 		// Integrity state survives reset: the live weight DRAM keeps its
 		// corruption, the ledger its history, the flip queue its injections.

@@ -209,6 +209,16 @@ func (d *Device) WeightTileCopies() int {
 // inject queues a flip for the next run (see Invocation.Inject).
 func (d *Device) inject(f Flip) { d.pendingFlips = append(d.pendingFlips, f) }
 
+// flipQueued reports whether a pending flip is aimed at target.
+func (d *Device) flipQueued(target FlipTarget) bool {
+	for _, f := range d.pendingFlips {
+		if f.Target == target {
+			return true
+		}
+	}
+	return false
+}
+
 // applyFlips applies and consumes every pending flip aimed at target.
 func (d *Device) applyFlips(target FlipTarget, apply func(Flip)) {
 	if len(d.pendingFlips) == 0 {

@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"tpusim/internal/compiler"
+	"tpusim/internal/fixed"
 	"tpusim/internal/isa"
 	"tpusim/internal/models"
+	"tpusim/internal/nn"
+	"tpusim/internal/tensor"
 )
 
 // TestRecycledTilesSeeWeightCorruption is the device-level half of the
@@ -168,15 +171,26 @@ func TestNewDeviceFootprint(t *testing.T) {
 // zero register for every register of an unbacked block, so a datapath that
 // wrote through a loaded register would corrupt all of them. After every
 // tiny model has run (Activate drains are the device's only Load), registers
-// no model stores to still read as zero.
+// no model stores to still read as zero — with the integrity checks on,
+// where every MatrixMultiply stores through StoreRows, and off, where the
+// array writes into the registers Rows hands it.
 func TestNothingWritesThroughAccumulatorLoad(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Functional = true
-	cfg.Integrity = IntegrityCorrect
-	dev, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, level := range []IntegrityLevel{IntegrityCorrect, IntegrityOff} {
+		cfg := DefaultConfig()
+		cfg.Functional = true
+		cfg.Integrity = level
+		dev, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireUnstoredZero(t, dev)
 	}
+}
+
+// requireUnstoredZero runs every tiny model on dev and checks the registers
+// none of them stores to.
+func requireUnstoredZero(t *testing.T, dev *Device) {
+	t.Helper()
 	for _, name := range models.Names() {
 		art, _, qin := functionalSetup(t, name)
 		host, err := compiler.PackInput(art, qin)
@@ -209,5 +223,47 @@ func BenchmarkRunTiny(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// BenchmarkRunWide is one warmed-up functional run of the wide MLP — four FC
+// 1024 x 1024 ReLU layers at batch 64 — on one device with Parallelism 1:
+// the device run the infer_batch benchmark makes per batch. Each layer is 16
+// MatrixMultiply tiles (12 of them accumulating) and four 64-row drains.
+func BenchmarkRunWide(b *testing.B) {
+	m := &nn.Model{Name: "MLP-wide", Class: nn.MLP, Batch: 64, TimeSteps: 1}
+	for i := 0; i < 4; i++ {
+		m.Layers = append(m.Layers, nn.Layer{Kind: nn.FC, In: 1024, Out: 1024, Act: fixed.ReLU})
+	}
+	p := nn.InitRandom(m, 1, 0.05)
+	in := tensor.NewF32(m.BatchInputShape()...)
+	in.FillRandom(2, 1)
+	qm, err := nn.QuantizeModel(m, p, in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	art, err := compiler.Compile(qm, compiler.Options{Allocator: compiler.Reuse})
+	if err != nil {
+		b.Fatal(err)
+	}
+	host, err := compiler.PackInput(art, qm.QuantizeInput(in))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Functional = true
+	cfg.Parallelism = 1
+	dev, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := dev.Run(art.Program, host); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := dev.Run(art.Program, host); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
