@@ -145,8 +145,8 @@ flake-repeat:
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
 # decoder, kernel-equivalence, row-pass-equivalence, device-vs-reference
 # (decoded model shapes under every kernel rung), float-matmul, CRC,
-# batching-lane, plan-spec parser, percentile-selection, event-calendar and
-# span-attribute-formatting regressions without a dedicated fuzzing job. `go test -fuzz` passes with
+# batching-lane, plan-spec parser, placement-vs-full-scan, percentile-selection,
+# event-calendar and span-attribute-formatting regressions without a dedicated fuzzing job. `go test -fuzz` passes with
 # "no fuzz tests to fuzz" when the target is gone, so each target first
 # passes the gates' "names a test" check (`go test -list` lists fuzz targets).
 define fuzz-run
@@ -167,6 +167,7 @@ fuzz-smoke:
 	$(call fuzz-run,./internal/isa,FuzzProgramValidate)
 	$(call fuzz-run,./internal/latency,FuzzLane)
 	$(call fuzz-run,./internal/cluster,FuzzPlanSpecs)
+	$(call fuzz-run,./internal/cluster,FuzzPlacement)
 	$(call fuzz-run,./internal/stats,FuzzPercentiles)
 	$(call fuzz-run,./internal/des,FuzzCalendar)
 	$(call fuzz-run,./internal/obs,FuzzAttrValue)

@@ -160,9 +160,7 @@ func (c *Cluster) scaleUp(a *app, rate, capacity, shedFrac float64) {
 // once any in-flight batch completes.
 func (c *Cluster) scaleDown(a *app, rep *replica, rate float64) {
 	from := a.liveReplicas()
-	a.router.Remove(rep.id)
-	rep.draining = true
-	rep.fillGen++ // void any armed fill timer
+	rep.markDraining()
 	for _, r := range rep.lane.Drain(nil) {
 		// Drained requests keep their arrival time and re-route without
 		// burning a failover attempt: the replica left gracefully.

@@ -100,6 +100,15 @@ func BenchmarkClusterSim(b *testing.B) {
 	b.ReportMetric(float64(allocs)/float64(b.N)/float64(events), "allocs/event")
 }
 
+// BenchmarkClusterNew times construction alone: the 1000-device pod's
+// hosts, plans and its 1000 initial placements, one cluster per op.
+func BenchmarkClusterNew(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		steadyPod(b, 250, 10, 100, nil)
+	}
+}
+
 // BenchmarkClusterSimTelemetry is the enabled-overhead twin: the same pod
 // with the fleet registry, sampled spans and the window sampler running.
 // The PR 8 gate holds it at >= 90% of BenchmarkClusterSim's event rate.

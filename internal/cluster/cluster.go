@@ -203,6 +203,13 @@ type host struct {
 	// cordoned: placement skips the host while its residents keep serving —
 	// the rollout controller's wave primitive.
 	cordoned bool
+
+	// Placement state (see bestDevice): the host's non-draining replicas,
+	// and its summary — the fewest replicas on one device, and the most
+	// free bytes among the devices that hold that few.
+	live       int
+	fewest     int
+	fewestFree int64
 }
 
 // replica is one placed instance of an app: the batching lane of the app's
@@ -249,6 +256,9 @@ type app struct {
 	router   *Router
 	replicas []*replica // by id; nil once a replica is removed
 	nextID   int
+
+	// Non-draining replicas by host id and by zone, for placement.
+	onHost, inZone []int
 
 	arrivals *workload.NHPP
 	keys     *rand.Rand
@@ -379,6 +389,7 @@ func New(cfg Config) (*Cluster, error) {
 		for d := 0; d < cfg.DevicesPerHost; d++ {
 			hst.devices = append(hst.devices, &device{host: hst, idx: d, freeBytes: DeviceWeightBytes})
 		}
+		hst.summarize()
 		c.hosts = append(c.hosts, hst)
 		c.zoneAlive[hst.zone]++
 	}
@@ -414,6 +425,8 @@ func New(cfg Config) (*Cluster, error) {
 			plan:       plan,
 			router:     NewRouter(cfg.Router),
 			keys:       rand.New(rand.NewSource(cfg.Seed*7919 + int64(i)*104729 + 1)),
+			onHost:     make([]int, cfg.Hosts),
+			inZone:     make([]int, zones),
 			curVersion: 1,
 		}
 		// Memoize service times up to the safe batch: the dispatcher prices

@@ -8,12 +8,14 @@ import (
 )
 
 // TestRouterAndHealthInvariants steps the pinned scenarios in 0.1 ms
-// segments and checks two invariants after every segment:
+// segments and checks three invariants after every segment:
 //
 //   - every replica the router knows carries a load gauge equal to the
 //     requests it actually holds (queued plus in flight), so the
 //     least-loaded and bounded-hash policies see the fleet as it is;
-//   - every Healthy replica sits on an alive host the router can reach.
+//   - every Healthy replica sits on an alive host the router can reach;
+//   - the kept placement counts equal a recount, and bestDevice picks the
+//     full scan's device for every app (checkPlacement).
 //
 // The router clamps a load gauge at zero, so a gauge that starts short
 // hides its error until the replica drains; only a check at every step
@@ -66,5 +68,5 @@ func checkInvariants(c *Cluster) string {
 			}
 		}
 	}
-	return ""
+	return checkPlacement(c)
 }

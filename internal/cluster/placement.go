@@ -34,6 +34,11 @@ func (c *Cluster) placeReplica(a *app, version int, canary bool) (*replica, erro
 	d.freeBytes -= a.cfg.WeightBytes
 	d.replicas = append(d.replicas, rep)
 	a.replicas = append(a.replicas, rep) // rep.id == len(a.replicas)
+	h := d.host
+	h.live++
+	a.onHost[h.id]++
+	a.inZone[h.zone]++
+	h.summarize()
 	if !canary {
 		if err := a.router.Add(rep.id, 1); err != nil {
 			return nil, err
@@ -60,33 +65,21 @@ func (c *Cluster) versionScale(version int) float64 {
 	return 1
 }
 
-// bestDevice scans the fleet for the placement target: an alive device
-// with footprint room, ranked spread-first — fewest replicas of this app
-// in the host's failure domain (zone anti-affinity: one dark zone should
-// not take an app below quorum), then fewest of this app on the host (one
-// host death should not halve a replica set), then fewest replicas on the
-// host overall, then fewest on the device, then most free weight bytes.
-// With Zones <= 1 every host shares zone 0 and the ranking reduces exactly
-// to the pre-zone ordering. The scan-order tie-break keeps placement
-// deterministic.
+// bestDevice picks the placement target: an alive device with footprint
+// room, ranked spread-first — fewest replicas of this app in the host's
+// failure domain (zone anti-affinity: one dark zone should not take an app
+// below quorum), then fewest of this app on the host (one host death should
+// not halve a replica set), then fewest replicas on the host overall, then
+// fewest on the device, then most free weight bytes. Draining replicas
+// count only on the device. With Zones <= 1 every host shares zone 0 and
+// the ranking reduces exactly to the pre-zone ordering. The scan-order
+// tie-break keeps placement deterministic.
+//
+// The first three terms are kept counts (placeReplica adds, markDraining
+// takes away) and the host's summary bounds the last two, so a host whose
+// bound does not rank strictly ahead of the best so far holds no device
+// that could replace it and is skipped whole.
 func (c *Cluster) bestDevice(a *app) *device {
-	appOnHost := make([]int, len(c.hosts))
-	totalOnHost := make([]int, len(c.hosts))
-	appInZone := make([]int, c.cfg.zones())
-	for _, h := range c.hosts {
-		for _, d := range h.devices {
-			for _, rep := range d.replicas {
-				if rep.draining {
-					continue
-				}
-				totalOnHost[h.id]++
-				if rep.app == a {
-					appOnHost[h.id]++
-					appInZone[h.zone]++
-				}
-			}
-		}
-	}
 	var best *device
 	var bestKey [5]int64
 	for _, h := range c.hosts {
@@ -97,17 +90,37 @@ func (c *Cluster) bestDevice(a *app) *device {
 			// drain the new replica again.
 			continue
 		}
+		key := [5]int64{int64(a.inZone[h.zone]), int64(a.onHost[h.id]), int64(h.live), int64(h.fewest), -h.fewestFree}
+		if best != nil && !less5(key, bestKey) {
+			continue
+		}
 		for _, d := range h.devices {
 			if d.freeBytes < a.cfg.WeightBytes {
 				continue
 			}
-			key := [5]int64{int64(appInZone[h.zone]), int64(appOnHost[h.id]), int64(totalOnHost[h.id]), int64(len(d.replicas)), -d.freeBytes}
+			key[3], key[4] = int64(len(d.replicas)), -d.freeBytes
 			if best == nil || less5(key, bestKey) {
 				best, bestKey = d, key
 			}
 		}
 	}
 	return best
+}
+
+// summarize refreshes the host's placement bound: the fewest replicas on
+// one of its devices, and the most free weight bytes among the devices
+// that hold that few. Only placeReplica and finalizeRemoval change a
+// device's replicas or free bytes, and both call it.
+func (h *host) summarize() {
+	h.fewest, h.fewestFree = len(h.devices[0].replicas), h.devices[0].freeBytes
+	for _, d := range h.devices[1:] {
+		switch n := len(d.replicas); {
+		case n < h.fewest:
+			h.fewest, h.fewestFree = n, d.freeBytes
+		case n == h.fewest:
+			h.fewestFree = max(h.fewestFree, d.freeBytes)
+		}
+	}
 }
 
 // less5 is lexicographic comparison of placement rank keys.
@@ -118,6 +131,20 @@ func less5(a, b [5]int64) bool {
 		}
 	}
 	return false
+}
+
+// markDraining is the one place a replica starts draining: the router
+// stops admitting to it, any armed fill timer is voided, and it leaves the
+// placement counts. It keeps its device slot and weight bytes until
+// finalizeRemoval.
+func (rep *replica) markDraining() {
+	a, h := rep.app, rep.dev.host
+	a.router.Remove(rep.id) // no-op for canaries, which never joined
+	rep.draining = true
+	rep.fillGen++
+	h.live--
+	a.onHost[h.id]--
+	a.inZone[h.zone]--
 }
 
 // finalizeRemoval frees a drained replica's device residency. The router
@@ -132,6 +159,7 @@ func (c *Cluster) finalizeRemoval(rep *replica) {
 		}
 	}
 	d.freeBytes += a.cfg.WeightBytes
+	d.host.summarize()
 	c.tel.onRetire(rep)
 	a.replicas[rep.id] = nil
 	c.log(d.host.id, "drain", fmt.Sprintf("%s replica r%d removed from host%d/dev%d",

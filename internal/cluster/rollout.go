@@ -363,10 +363,8 @@ func (c *Cluster) drainReplica(rep *replica, deadline float64) {
 		return
 	}
 	a := rep.app
-	a.router.Remove(rep.id) // no-op for canaries, which never joined
-	rep.draining = true
+	rep.markDraining() // voids the fill timer: a drain dispatches immediately
 	rep.graceful = true
-	rep.fillGen++ // void any armed fill timer; drain dispatches immediately
 	if !rep.serving() && rep.lane.Len() == 0 {
 		c.finalizeRemoval(rep)
 		return
