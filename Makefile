@@ -217,16 +217,16 @@ chaos-smoke:
 # flip properties and the fuzz seed corpus), the CRC/parity guard units
 # (UB, accumulators, weight DRAM, PCIe frames), the new flip fault kinds'
 # determinism and parsing, the runtime's SDC recovery ladder
-# (detect/scrub/retry, in-place correction, health-machine walk, patrol
-# scrubber), the serve layer's graceful drain, and the end-to-end SDC
-# campaign over the six apps (>=99% of output-affecting flips detected,
-# detect+correct bit-exact).
+# (detect/scrub/retry, in-place correction, health-machine walk, a scrub
+# pass repairing an off-tier flip), the serve layer's graceful drain, and
+# the end-to-end SDC campaign over the six apps (>=99% of output-affecting
+# flips detected, detect+correct bit-exact).
 integrity-smoke:
 	$(GO) test -race -count=1 -timeout 300s ./internal/integrity ./internal/pcie
 	$(call race-run,./internal/systolic,TestABFT|FuzzChecksumVerify,300s)
 	$(call race-run,./internal/memory,TestSidecar|TestUBGuard|TestAccumulatorParity|TestGuardedWeights,300s)
 	$(call race-run,./internal/fault,TestFlip|TestParsePlanFlipKinds,300s)
-	$(call race-run,./internal/runtime,TestDetectTier|TestCorrectTier|TestRepeatedSDC|TestCrossCheckOnCorrectTier|TestBackgroundScrubber|TestIntegrityTier,300s)
+	$(call race-run,./internal/runtime,TestDetectTier|TestCorrectTier|TestRepeatedSDC|TestScrubRepairsOffTierFlip|TestIntegrityTier,300s)
 	$(call race-run,./internal/serve,TestCloseDrainsQueuedRequests,300s)
 	$(call race-run,./internal/experiments,TestSDC,600s)
 

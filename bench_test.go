@@ -191,7 +191,7 @@ func table3IntegrityLoop(b *testing.B, level tpu.IntegrityLevel, dup int) {
 }
 
 // BenchmarkTable3IntegrityOff is the integrity loop's own baseline: the
-// same code shape as the Detect/CrossCheck variants with every check off,
+// same code shape as the Detect/Duplicated variants with every check off,
 // so the three integrity benchmarks are directly comparable.
 func BenchmarkTable3IntegrityOff(b *testing.B) {
 	table3IntegrityLoop(b, tpu.IntegrityOff, 1)
@@ -206,12 +206,12 @@ func BenchmarkTable3IntegrityDetect(b *testing.B) {
 	table3IntegrityLoop(b, tpu.IntegrityDetect, 1)
 }
 
-// BenchmarkTable3CrossCheck prices what SDC coverage costs without ABFT:
-// full duplication, every program executed twice (Resilience.CrossCheck's
-// rerun on a second device). Read its added cost over the Off
-// baseline against the detect tier's — the bound is ABFT at least 2x
-// cheaper than duplication.
-func BenchmarkTable3CrossCheck(b *testing.B) {
+// BenchmarkTable3Duplicated prices what SDC coverage costs without ABFT:
+// full duplication, every program executed twice at the Off tier so the
+// two outputs could be compared. Read its added cost over the Off baseline
+// against the detect tier's — the bound is ABFT at least 2x cheaper than
+// duplication.
+func BenchmarkTable3Duplicated(b *testing.B) {
 	table3IntegrityLoop(b, tpu.IntegrityOff, 2)
 }
 

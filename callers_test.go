@@ -21,11 +21,12 @@ import (
 	"testing/fstest"
 )
 
-// callerAllowlist names the exported API no non-test file has to use, one
-// reason per row. A key is "pkg.Name" for a function or type, "pkg.Type.Name"
-// for a method (pkg is the directory under internal/), or "*.Name" for every
-// method of that name; TestEveryExportedNameHasACaller fails on a row that
-// matches nothing unnamed, so the list cannot outlive what it excuses.
+// callerAllowlist names the code of internal/ packages, exported or not,
+// that no non-test file has to use, one reason per row. A key is
+// "pkg.Name" for a function or type, "pkg.Type.Name" for a method or field
+// (pkg is the directory under internal/), or "*.Name" for every method of
+// that name; TestEveryExportedNameHasACaller fails on a row that matches
+// nothing unnamed, so the list cannot outlive what it excuses.
 var callerAllowlist = map[string]string{
 	// Interface methods, called by code outside the module that holds the
 	// interface.
@@ -35,6 +36,15 @@ var callerAllowlist = map[string]string{
 	// Test-support API.
 	"obs.CheckExposition":      "the strict exposition-format check every package's Prometheus test runs on its output",
 	"systolic/kerneltest.Each": "runs a test of another package once under each matrix kernel rung the host has",
+
+	// Test seams: the switches that hold a vector pass or a kernel rung to
+	// its scalar oracle. systolic/kerneltest.Each reaches them by
+	// go:linkname, which the scan does not follow; their own package's
+	// tests call them directly.
+	"fixed.useVector":   "turns fixed's row passes off so tests compare them with the scalar Go",
+	"fixed.useWide":     "turns fixed's AVX-512 drain off so tests run the AVX2 drain an AVX2-only host runs",
+	"tensor.useVector":  "turns tensor's float pass off so tests compare it with the scalar Go",
+	"systolic.runUnder": "picks the kernel rung MultiplyInto runs so tests cover every rung the host has, not only the fastest",
 
 	// Cross-package test helpers, which no _test.go of their own package can
 	// hold for another package's tests.
@@ -49,13 +59,22 @@ var callerAllowlist = map[string]string{
 	"workload.NewMultiPeriod":     "cluster's golden and chaos tests drive their fleets with it, and the golden bytes depend on its rates",
 	"isa.Program.Count":           "compiler's tests count the halts, matrix multiplies and operand DMAs a compiled program holds",
 
-	// Settings whose fate is an open decision.
-	"runtime.Resilience.CrossCheck": "a documented defence layer only tests turn on; deleting it is ROADMAP item 15's decision",
-	"runtime.Resilience.ScrubEvery": "a documented defence layer only tests turn on; deleting it is ROADMAP item 15's decision",
-	"nn.Layer.PoolWindow":           "no program builds a Pool layer; whether the kind stays is ROADMAP item 17's decision",
-	"workload.Harmonic.Amp":         "reaches the code only through workload.NewMultiPeriod, allowlisted above",
-	"workload.Harmonic.Period":      "reaches the code only through workload.NewMultiPeriod, allowlisted above",
-	"workload.Harmonic.Phase":       "reaches the code only through workload.NewMultiPeriod, allowlisted above",
+	// Code whose fate is an open decision.
+	"nn.Layer.PoolWindow":      "no program builds a Pool layer; whether the kind stays is ROADMAP item 17's decision",
+	"workload.Harmonic.Amp":    "reaches the code only through workload.NewMultiPeriod, allowlisted above",
+	"workload.Harmonic.Period": "reaches the code only through workload.NewMultiPeriod, allowlisted above",
+	"workload.Harmonic.Phase":  "reaches the code only through workload.NewMultiPeriod, allowlisted above",
+
+	// The fleet simulator's self-report: every fired event bumps one
+	// counter, and only TestEventCounts reads them. They are the evidence
+	// ROADMAP items 5(a) and 10 need; printing them is item 7(a)'s work.
+	"cluster.Cluster.counts":                "the by-kind split of EventsProcessed; printing it is ROADMAP item 7(a)'s work",
+	"cluster.eventCounts.arrivals":          "read by TestEventCounts; printing it is ROADMAP item 7(a)'s work",
+	"cluster.eventCounts.fillTimers":        "read by TestEventCounts; printing it is ROADMAP item 7(a)'s work",
+	"cluster.eventCounts.fillTimersVoided":  "read by TestEventCounts; printing it is ROADMAP item 7(a)'s work",
+	"cluster.eventCounts.completions":       "read by TestEventCounts; printing it is ROADMAP item 7(a)'s work",
+	"cluster.eventCounts.completionsVoided": "read by TestEventCounts; printing it is ROADMAP item 7(a)'s work",
+	"cluster.eventCounts.controller":        "read by TestEventCounts; printing it is ROADMAP item 7(a)'s work",
 
 	// Oracles: the instruction wire form is what the decoder fuzz targets,
 	// the encode round trips and the compiler's instruction-budget golden
@@ -65,10 +84,12 @@ var callerAllowlist = map[string]string{
 }
 
 // TestEveryExportedNameHasACaller holds DESIGN.md's rule "tests are not
-// callers" for functions: every exported function, method and type of an
-// internal/ package is used by a non-test .go file of the module, bench/
-// included, or has a row in callerAllowlist. The standard library's types
-// come from its export data; the test fails if that cannot be loaded.
+// callers" for exported and unexported names alike: every function,
+// method, type, var and const of an internal/ package is used by a non-test
+// .go file of the module, bench/ included, and every field of its structs
+// is read and written there, or has a row in callerAllowlist. The standard
+// library's types come from its export data; the test fails if that cannot
+// be loaded.
 func TestEveryExportedNameHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parseModule(fset, os.DirFS("."))
@@ -111,20 +132,23 @@ func checkAllowlist(unnamed map[string]string, allow map[string]string) []string
 
 // unnamedAPI type-checks pkgs, the non-test files of module by directory
 // ("." for the module root), importing every other package through std, and
-// returns, by key, what is missing from the exported API of internal/
-// packages: "has no non-test caller" for a function, method, type, var or
-// const no file uses outside its own declaration (for a type: outside its
-// declaration and its own methods), and "no program reads it" or "no
-// program writes it" for a named field of an exported struct type.
+// returns, by key, what is missing from the code of internal/ packages,
+// exported or not: "has no non-test caller" for a function (init aside),
+// method, type, var or const no file uses outside its own declaration (for
+// a type: outside its declaration and its own methods), and "no program
+// reads it" or "no program writes it" for a named field of a struct type.
 // Each identifier is resolved to the object it names, so a method counts
 // only where its own object is used — called, or taken as a method value or
 // expression — or where its type, or a pointer to it, implements an
 // interface whose method some file uses. A field is written by an
 // assignment (op= included), ++ or --, a literal's key or a positional
-// literal, an element assignment x.F[i] = v, or taking its address (&x.F,
-// or calling a pointer method on it); every other use reads it, except the
-// x.F inside x.F = append(x.F, ...). A json-tagged field counts as read:
-// encoding/json reads it where a program marshals its type.
+// literal, or an element assignment x.F[i] = v; taking its address (&x.F,
+// &x.F[i], or calling a pointer method on it, as mu.Lock() does) reads and
+// writes it; every other use reads it, except the x.F inside
+// x.F = append(x.F, ...). Every field of a struct used as a key of a map or
+// a sync.Map counts as read: hashing and comparing the key read them. A
+// json-tagged field counts as read: encoding/json reads it where a program
+// marshals its type.
 func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string, std types.Importer) (map[string]string, error) {
 	info := &types.Info{
 		Defs:       map[*ast.Ident]types.Object{},
@@ -151,7 +175,7 @@ func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string,
 		return p, err
 	}
 
-	declared := map[types.Object]string{} // exported internal/ object -> its key
+	declared := map[types.Object]string{} // internal/ object -> its key
 	used := map[types.Object]bool{}
 	read, written := map[*types.Var]bool{}, map[*types.Var]bool{}
 	ifaceMethods := map[*types.Func]bool{} // the interface methods some file uses
@@ -177,7 +201,7 @@ func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string,
 						own[recv.Obj()] = true
 						key = short + "." + recv.Obj().Name() + "." + d.Name.Name
 					}
-					if internal && d.Name.IsExported() {
+					if internal && (d.Recv != nil || d.Name.Name != "init") {
 						declared[fn] = key
 					}
 				case *ast.GenDecl:
@@ -186,7 +210,7 @@ func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string,
 						switch s := s.(type) {
 						case *ast.TypeSpec:
 							names = []*ast.Ident{s.Name}
-							if st, ok := s.Type.(*ast.StructType); ok && internal && s.Name.IsExported() {
+							if st, ok := s.Type.(*ast.StructType); ok && internal {
 								declareFields(st, short+"."+s.Name.Name, info, declared, read)
 							}
 						case *ast.ValueSpec:
@@ -195,14 +219,17 @@ func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string,
 						for _, name := range names {
 							obj := info.Defs[name]
 							own[obj] = true
-							if internal && name.IsExported() {
+							if internal && name.Name != "_" {
 								declared[obj] = short + "." + name.Name
 							}
 						}
 					}
 				}
-				writes, skips := fieldWrites(d, info)
+				acc := fieldAccess(d, info)
 				ast.Inspect(d, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok && isSyncMapKey(info, call) {
+						readKey(info.TypeOf(call.Args[0]), read)
+					}
 					if lit, ok := n.(*ast.CompositeLit); ok && len(lit.Elts) > 0 {
 						if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); !keyed {
 							t := info.TypeOf(lit)
@@ -225,12 +252,12 @@ func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string,
 					case *types.Var:
 						if o.IsField() {
 							v := o.Origin() // a generic struct's fields count for its declaration
-							switch {
-							case writes[id]:
-								written[v] = true
-							case !skips[id]:
-								read[v] = true
+							a, ok := acc[id]
+							if !ok {
+								a = reads
 							}
+							read[v] = read[v] || a&reads != 0
+							written[v] = written[v] || a&writes != 0
 							return true
 						}
 					case *types.Func:
@@ -245,6 +272,12 @@ func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string,
 					return true
 				})
 			}
+		}
+	}
+
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.(*types.Map); ok {
+			readKey(m.Key(), read)
 		}
 	}
 
@@ -264,12 +297,12 @@ func unnamedAPI(fset *token.FileSet, pkgs map[string][]*ast.File, module string,
 	return unnamed, nil
 }
 
-// declareFields adds the exported named fields of st, a struct type whose
-// key is typeKey, to declared, and marks the json-tagged ones read.
+// declareFields adds the named fields of st, a struct type whose key is
+// typeKey, to declared, and marks the json-tagged ones read.
 func declareFields(st *ast.StructType, typeKey string, info *types.Info, declared map[types.Object]string, read map[*types.Var]bool) {
 	for _, fl := range st.Fields.List {
 		for _, name := range fl.Names {
-			if !name.IsExported() {
+			if name.Name == "_" {
 				continue
 			}
 			v := info.Defs[name].(*types.Var)
@@ -285,23 +318,33 @@ func declareFields(st *ast.StructType, typeKey string, info *types.Info, declare
 	}
 }
 
-// fieldWrites returns the field identifiers inside n that write their
-// field, and those that neither read nor write it: the x.F inside
-// x.F = append(x.F, ...).
-func fieldWrites(n ast.Node, info *types.Info) (writes, skips map[*ast.Ident]bool) {
-	writes, skips = map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
-	// lvalue marks the field e selects, through element indexing and the
-	// struct values it is part of, as written.
-	var lvalue func(e ast.Expr)
-	lvalue = func(e ast.Expr) {
+// access is what a field identifier does with its field.
+type access uint8
+
+const (
+	reads access = 1 << iota
+	writes
+)
+
+// fieldAccess returns, for each field identifier inside n that does more or
+// less than read its field, what it does: an assignment (op= included), ++,
+// --, an element assignment x.F[i] = v or a literal's key writes it; taking
+// its address (&x.F, &x.F[i], or calling a pointer method on it) reads and
+// writes it; and the x.F inside x.F = append(x.F, ...) does neither.
+func fieldAccess(n ast.Node, info *types.Info) map[*ast.Ident]access {
+	acc := map[*ast.Ident]access{}
+	// lvalue gives the field e selects, through element indexing and the
+	// struct values it is part of, access a.
+	var lvalue func(e ast.Expr, a access)
+	lvalue = func(e ast.Expr, a access) {
 		switch e := ast.Unparen(e).(type) {
 		case *ast.IndexExpr:
-			lvalue(e.X)
+			lvalue(e.X, a)
 		case *ast.SelectorExpr:
 			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
-				writes[e.Sel] = true
+				acc[e.Sel] |= a
 				if !sel.Indirect() {
-					lvalue(e.X)
+					lvalue(e.X, a)
 				}
 			}
 		}
@@ -310,37 +353,64 @@ func fieldWrites(n ast.Node, info *types.Info) (writes, skips map[*ast.Ident]boo
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, l := range n.Lhs {
-				lvalue(l)
+				lvalue(l, writes)
 			}
 			if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
 				if call, ok := n.Rhs[0].(*ast.CallExpr); ok && len(call.Args) > 0 && isBuiltin(info, call.Fun, "append") {
 					if sel, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr); ok && types.ExprString(sel) == types.ExprString(n.Lhs[0]) {
-						skips[sel.Sel] = true
+						acc[sel.Sel] = 0
 					}
 				}
 			}
 		case *ast.IncDecStmt:
-			lvalue(n.X)
+			lvalue(n.X, writes)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				lvalue(n.X)
+				lvalue(n.X, reads|writes)
 			}
 		case *ast.KeyValueExpr:
 			if id, ok := n.Key.(*ast.Ident); ok {
-				writes[id] = true // a struct literal's key; any other key is no field
+				acc[id] = writes // a struct literal's key; any other key is no field
 			}
 		case *ast.SelectorExpr:
 			// A pointer method called on an addressable value takes its address.
 			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
 				_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
 				if _, ptr := sel.Recv().Underlying().(*types.Pointer); ptrRecv && !ptr {
-					lvalue(n.X)
+					lvalue(n.X, reads|writes)
 				}
 			}
 		}
 		return true
 	})
-	return writes, skips
+	return acc
+}
+
+// readKey marks every field of t read when t is a struct: hashing and
+// comparing a map key read them all.
+func readKey(t types.Type, read map[*types.Var]bool) {
+	if st, ok := t.Underlying().(*types.Struct); ok {
+		for i := range st.NumFields() {
+			read[st.Field(i).Origin()] = true
+		}
+	}
+}
+
+// isSyncMapKey reports whether call is a sync.Map method whose first
+// argument is a key.
+func isSyncMapKey(info *types.Info, call *ast.CallExpr) bool {
+	fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	sel := info.Selections[fun]
+	if sel == nil || sel.Kind() != types.MethodVal {
+		return false
+	}
+	fn := sel.Obj().(*types.Func)
+	recv := receiverNamed(fn)
+	params := fn.Type().(*types.Signature).Params()
+	return recv != nil && recv.Obj().Pkg().Path() == "sync" && recv.Obj().Name() == "Map" && params.At(0).Name() == "key"
 }
 
 // isBuiltin reports whether fun names the builtin function name.
@@ -451,7 +521,11 @@ func parseModule(fset *token.FileSet, fsys fs.FS) (map[string][]*ast.File, error
 // positional literal, ++ or x.F = append(x.F, ...) — is flagged, and so is
 // one programs read and never set; writing through &x.F, a pointer method
 // or an element counts, a json tag counts as a read, and a generic struct's
-// fields count for its declaration.
+// fields count for its declaration. Unexported names follow the same rules:
+// a write-only field and a function only a _test.go calls are flagged,
+// while a sync.Mutex or sync.Once used only through its pointer methods, a
+// field read only through &x.F, and the fields of a map or sync.Map key
+// are not.
 func TestCallerScanFixture(t *testing.T) {
 	src := func(s string) *fstest.MapFile { return &fstest.MapFile{Data: []byte(s)} }
 	fsys := fstest.MapFS{
@@ -498,9 +572,52 @@ type Report struct {
 }
 type Box[V any] struct{ Val, Spare V }
 `),
+		"internal/a/inner.go": src(`package a
+
+import "sync"
+
+type state struct {
+	mu      sync.Mutex
+	once    sync.Once
+	n       int
+	pending int
+}
+
+type key struct {
+	name  string
+	batch int
+}
+
+type syncKey struct{ id int }
+
+var (
+	cache = map[key]int{}
+	seen  sync.Map
+)
+
+func (s *state) bump() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.once.Do(func() {})
+	add(&s.n)
+	s.pending++
+}
+
+func add(p *int) { *p++ }
+
+func helper() {}
+
+func Run() int {
+	var s state
+	s.bump()
+	cache[key{"x", 1}]++
+	seen.Store(syncKey{id: 1}, true)
+	return len(cache)
+}
+`),
 		"internal/a/a_test.go": src(`package a
 
-func use() { OnlyTested(); Allowed(); New().Self(); _ = Limit + Registry["x"]; _ = Rec{TestRead: 1}.TestRead }
+func use() { OnlyTested(); Allowed(); New().Self(); _ = Limit + Registry["x"]; _ = Rec{TestRead: 1}.TestRead; helper() }
 `),
 		"internal/b/b.go": src(`package b
 
@@ -558,6 +675,7 @@ func main() {
 	box := a.Box[int]{Val: 1}
 	box.Spare = 2
 	_ = box.Val
+	_ = a.Run()
 }
 `),
 	}
@@ -574,13 +692,15 @@ func main() {
 	// a.Widget names the type, not the method; cmd/c calls b.U's Len, not
 	// a.T's; b.Sum calls Area through b.Shape, which a.T implements; cmd/c
 	// takes Hook as a method value; the declaration of Size and Limit names
-	// neither. Counter's n is unexported, so it is no key.
+	// neither. Counter's n is only added to; state's pending only
+	// incremented.
 	const caller, reads, writes = "has no non-test caller", "is a field, but no program reads it", "is a field, but no program writes it"
 	want := map[string]string{
 		"a.Allowed": caller, "a.Limit": caller, "a.OnlyTested": caller, "a.Registry": caller,
 		"a.T.Len": caller, "a.T.Self": caller, "a.T.Widget": caller,
 		"a.Rec.Name": reads, "a.Rec.Hits": reads, "a.Rec.Log": reads, "a.Rec.TestRead": reads,
 		"a.Pair.X": reads, "a.Pair.Y": reads, "a.Box.Spare": reads,
+		"a.Counter.n": reads, "a.state.pending": reads, "a.helper": caller,
 		"a.Config.Limit": writes,
 	}
 	if !maps.Equal(unnamed, want) {
@@ -600,11 +720,13 @@ func main() {
 	})
 	wantProblems := []string{
 		"a.Config.Limit is a field, but no program writes it",
+		"a.Counter.n is a field, but no program reads it",
 		"a.Limit has no non-test caller", "a.OnlyTested has no non-test caller",
 		"a.Rec.Hits is a field, but no program reads it", "a.Rec.Log is a field, but no program reads it",
 		"a.Rec.TestRead is a field, but no program reads it",
 		"a.Registry has no non-test caller", "a.T.Len has no non-test caller",
 		"a.T.Widget has no non-test caller",
+		"a.helper has no non-test caller", "a.state.pending is a field, but no program reads it",
 		"allowlist row a.Acc.Sum excuses nothing",
 		"allowlist row a.Gone excuses nothing", "allowlist row a.Used excuses nothing",
 	}

@@ -193,12 +193,8 @@ func (c *Cluster) partitionHost(h *host) {
 			a.cfg.Name, rep.id, inFlight, len(orphans)-inFlight, timeout*1e3), subject{})
 		for _, r := range orphans {
 			a.Blackholed++
-			a.blackholePending++
 			rr := r
-			c.loop.After(timeout, c.controller(func() {
-				a.blackholePending--
-				c.failover(a, rr)
-			}))
+			c.loop.After(timeout, c.controller(func() { c.failover(a, rr) }))
 		}
 	})
 }

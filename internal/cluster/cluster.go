@@ -268,7 +268,6 @@ type app struct {
 	latencies latencyLog
 
 	// Retry-defense state (active only with Config.Retry.Enabled).
-	blackholePending int // stranded requests whose timeout hasn't fired
 	budgetTokens     float64
 	budgetDenyStreak int
 

@@ -90,7 +90,6 @@ func (a *naiveAlloc) Peak() int { return a.next }
 
 // reuseAlloc is a first-fit free-list allocator with coalescing.
 type reuseAlloc struct {
-	size int
 	free []span // sorted by addr, coalesced
 	// live tracks outstanding allocations. The population is the model's
 	// simultaneously-live activation edges — a handful — so an unsorted
@@ -109,16 +108,12 @@ type liveBuf struct {
 }
 
 func newReuseAlloc(size int) *reuseAlloc {
-	return &reuseAlloc{
-		size: size,
-		free: []span{{0, size}},
-	}
+	return &reuseAlloc{free: []span{{0, size}}}
 }
 
 // reset returns the allocator to its freshly-constructed state, reusing the
 // free-list and live-tracking backing arrays (pooled-scratch compiles).
 func (a *reuseAlloc) reset(size int) {
-	a.size = size
 	a.free = append(a.free[:0], span{0, size})
 	a.live = a.live[:0]
 	a.peak = 0

@@ -94,7 +94,6 @@ type edge struct {
 	stride int // bytes per example (padded) or per position (conv raw)
 	elems  int // valid elements per example
 	bytes  int
-	raw    bool // conv layout: [B,H,W,C] flat, stride is per-example elems
 }
 
 type lowering struct {
@@ -136,7 +135,6 @@ type lowering struct {
 
 // operandDMA stages one vector layer's persistent operand upload.
 type operandDMA struct {
-	layer    int
 	ubAddr   uint32
 	hostAddr int
 	bytes    int

@@ -100,7 +100,7 @@ func (lo *lowering) emitProgram() (Layout, error) {
 		}
 		lo.operandAddr[i] = addr
 		hostAddr := lo.hostAlloc(period)
-		operands = append(operands, operandDMA{layer: i, ubAddr: addr, hostAddr: hostAddr, bytes: period})
+		operands = append(operands, operandDMA{ubAddr: addr, hostAddr: hostAddr, bytes: period})
 		if lo.qm != nil {
 			lo.appendOperandData(i, hostAddr, period)
 		}
@@ -133,7 +133,7 @@ func (lo *lowering) emitProgram() (Layout, error) {
 	lo.sync()
 
 	// Layer pipeline, unrolled over time steps.
-	cur := edge{addr: inAddr, stride: specs[0].stride, elems: specs[0].elems, raw: specs[0].raw, bytes: specs[0].bytes}
+	cur := edge{addr: inAddr, stride: specs[0].stride, elems: specs[0].elems, bytes: specs[0].bytes}
 	for step := 0; step < lo.m.TimeSteps; step++ {
 		for i, l := range lo.m.Layers {
 			// Layer marker for per-layer profiling (device attributes the
@@ -143,7 +143,7 @@ func (lo *lowering) emitProgram() (Layout, error) {
 			if err != nil {
 				return Layout{}, err
 			}
-			out := edge{addr: outAddr, stride: specs[i+1].stride, elems: specs[i+1].elems, raw: specs[i+1].raw, bytes: specs[i+1].bytes}
+			out := edge{addr: outAddr, stride: specs[i+1].stride, elems: specs[i+1].elems, bytes: specs[i+1].bytes}
 			switch l.Kind {
 			case nn.FC:
 				lo.sync()

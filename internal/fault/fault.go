@@ -7,7 +7,8 @@
 //   - transient run errors (ECC hiccups, driver resets): the run fails,
 //     an immediate retry usually succeeds;
 //   - silent output corruption: the run "succeeds" but bits in the output
-//     activations flipped — only a cross-check catches it;
+//     activations flipped in the host buffer, past every device check, so
+//     nothing in the runtime catches it;
 //   - latency spikes (thermal throttle, degraded PCIe link): the run
 //     completes with an inflated effective cycle count and wall time;
 //   - hangs: the device stops answering for a while; only a context-aware

@@ -108,7 +108,6 @@ type OpsServer struct {
 	// URL is the base URL, e.g. http://127.0.0.1:39123.
 	URL string
 	srv *http.Server
-	ln  net.Listener
 }
 
 // Start listens on addr (host:port; ":0" picks a free port) and serves the
@@ -120,7 +119,7 @@ func (o *Ops) Start(addr string) (*OpsServer, error) {
 	}
 	srv := &http.Server{Handler: o}
 	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
-	return &OpsServer{URL: "http://" + ln.Addr().String(), srv: srv, ln: ln}, nil
+	return &OpsServer{URL: "http://" + ln.Addr().String(), srv: srv}, nil
 }
 
 // Close stops the listener and in-flight handlers.

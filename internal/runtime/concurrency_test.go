@@ -58,12 +58,9 @@ func TestDriverRunConcurrentColdCache(t *testing.T) {
 	if pr == nil {
 		t.Fatal("model missing from the server's cache after concurrent runs")
 	}
-	if got := uint64(len(pr.art.Program.WeightImage)); pr.reg.size != got {
-		t.Errorf("reserved weight region %d bytes, image is %d", pr.reg.size, got)
-	}
-	if s.weightNext != pr.reg.base+pr.reg.size {
+	if reg := pr.weightRegion(); s.weightNext != reg.base+reg.size {
 		t.Errorf("weightNext = %#x, want %#x (weight region leaked)",
-			s.weightNext, pr.reg.base+pr.reg.size)
+			s.weightNext, reg.base+reg.size)
 	}
 }
 
@@ -121,8 +118,8 @@ func TestDriverConcurrentDistinctModels(t *testing.T) {
 		if pr == nil {
 			t.Fatalf("%s missing from cache", j.m.Name)
 		}
-		regs = append(regs, pr.reg)
-		total += pr.reg.size
+		regs = append(regs, pr.weightRegion())
+		total += pr.weightRegion().size
 	}
 	sort.Slice(regs, func(a, b int) bool { return regs[a].base < regs[b].base })
 	for i := 1; i < len(regs); i++ {

@@ -72,13 +72,6 @@ type Resilience struct {
 	// first has been out for HedgeAfterP99 x the model's observed p99
 	// wall latency. 0 means 2; negative disables hedging.
 	HedgeAfterP99 float64
-	// CrossCheck reruns every successful request on a second device and
-	// compares outputs byte-for-byte, catching silent output corruption at
-	// the cost of doubling device work. Mismatches are settled by majority
-	// vote on a third device when one is available. It composes with any
-	// Integrity tier: CrossCheck with tpu.IntegrityCorrect is the
-	// belt-and-suspenders setting.
-	CrossCheck bool
 	// Integrity selects the data-integrity tier (off, detect, correct).
 	// Non-off tiers build every device with the corresponding on-device
 	// machinery — ABFT matmul checks, CRC/parity
@@ -87,12 +80,6 @@ type Resilience struct {
 	// shipping corrupt output, so the resilient ladder scrubs the device
 	// and reruns cleanly.
 	Integrity tpu.IntegrityLevel
-	// ScrubEvery runs a background weight-DRAM scrub pass over every
-	// device at this interval, repairing persistent weight corruption from
-	// each program's golden image before a fetch trips over it. 0 disables
-	// the patrol scrubber (reactive scrub-on-SDC still runs at non-off
-	// integrity tiers).
-	ScrubEvery time.Duration
 }
 
 func (r *Resilience) maxAttempts() int {

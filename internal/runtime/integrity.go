@@ -10,7 +10,6 @@ package runtime
 
 import (
 	"context"
-	"time"
 
 	"tpusim/internal/tpu"
 )
@@ -87,20 +86,5 @@ func (s *Server) scrubOnSDC(ctx context.Context, dev int) {
 		_, logger := s.sinks()
 		logger.Info("integrity scrub repaired weight tiles",
 			"device", s.drivers[dev].label, "tiles", repaired)
-	}
-}
-
-// scrubLoop is the background scrubber: a patrol pass over every device
-// each ScrubEvery until the server closes.
-func (s *Server) scrubLoop(every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-t.C:
-			s.Scrub(context.Background())
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"sync"
 	"testing"
-	"time"
 
 	"tpusim/internal/fault"
 	"tpusim/internal/tensor"
@@ -158,10 +157,12 @@ func TestCorrectTierRepairsInPlace(t *testing.T) {
 // TestRepeatedSDCWalksHealthMachine: a device that keeps corrupting data
 // (UB upsets have no on-device repair) accumulates failures through the
 // PR-4 health machine exactly like one that keeps dying, while every
-// request still succeeds by failing over.
+// request still succeeds by failing over. Hedging is off: a hedge on
+// device 1 that wins before device 0's attempt fails leaves that failure
+// uncounted when the request returns.
 func TestRepeatedSDCWalksHealthMachine(t *testing.T) {
 	s := newChaosServer(t, 2, fault.Plan{Seed: 4},
-		&Resilience{Integrity: tpu.IntegrityDetect, ProbeEvery: -1})
+		&Resilience{Integrity: tpu.IntegrityDetect, ProbeEvery: -1, HedgeAfterP99: -1})
 	m, p, in := testModel()
 	ctx := context.Background()
 	// Warm both devices.
@@ -194,53 +195,45 @@ func TestRepeatedSDCWalksHealthMachine(t *testing.T) {
 	}
 }
 
-// TestCrossCheckOnCorrectTier: CrossCheck composes with the
-// detect+correct tier — successful requests rerun on a second device, and
-// a clean fleet's outputs agree.
-func TestCrossCheckOnCorrectTier(t *testing.T) {
-	s := newChaosServer(t, 2, fault.Plan{Seed: 5},
-		&Resilience{Integrity: tpu.IntegrityCorrect, CrossCheck: true, ProbeEvery: -1})
-	m, p, in := testModel()
-	if _, err := s.RunCtx(context.Background(), m, p, in); err != nil {
-		t.Fatal(err)
-	}
-	rs := s.ResilienceStats()
-	if rs.crossChecks == 0 {
-		t.Error("CrossCheck on the detect+correct tier ran no cross-check")
-	}
-	if rs.crossCheckMismatches != 0 {
-		t.Errorf("clean cross-check mismatched %d times", rs.crossCheckMismatches)
-	}
-}
-
-// TestBackgroundScrubberRepairsSilently: with the integrity machinery off,
-// a persistent weight flip survives runs untouched — until the patrol
-// scrubber's next pass repairs it from the golden image.
-func TestBackgroundScrubberRepairsSilently(t *testing.T) {
+// TestScrubRepairsOffTierFlip: with the integrity machinery off, a
+// persistent weight flip survives a run and corrupts its output silently;
+// one scrub pass repairs the tile from the golden image, a second finds
+// nothing left, and the next run matches the reference bit for bit.
+func TestScrubRepairsOffTierFlip(t *testing.T) {
+	ref := refOutput(t)
 	s := newChaosServer(t, 1, fault.Plan{Seed: 6},
-		&Resilience{Integrity: tpu.IntegrityOff, ProbeEvery: -1, ScrubEvery: 2 * time.Millisecond})
+		&Resilience{Integrity: tpu.IntegrityOff, ProbeEvery: -1})
 	m, p, in := testModel()
 	ctx := context.Background()
 	if _, err := s.RunCtx(ctx, m, p, in); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Injectors()[0].FlipOnce(fault.KindFlipWeights, 999, 4); err != nil {
-		t.Fatal(err)
+	// Sign-bit flips on the diagonal of the first layer's 16×16 weights, in
+	// one tile, so requantization cannot wash all of them out.
+	for k := uint64(0); k < 4; k++ {
+		if err := s.Injectors()[0].FlipOnce(fault.KindFlipWeights, k*257, 7); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The off-tier run carries the corruption silently.
-	if _, err := s.RunCtx(ctx, m, p, in); err != nil {
+	r, err := s.RunCtx(ctx, m, p, in)
+	if err != nil {
 		t.Fatalf("off-tier run failed: %v", err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.IntegrityStats().ScrubRepairs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("patrol scrubber repaired nothing within 2s")
-		}
-		time.Sleep(time.Millisecond)
+	if equalOutputs(r.Output, ref) {
+		t.Error("the off-tier run hid the weight flips: its output matches the reference")
 	}
-	// A manual pass right after finds nothing left to repair.
+	if _, repaired := s.Scrub(ctx); repaired != 1 {
+		t.Errorf("first scrub repaired %d tiles, want 1", repaired)
+	}
 	if _, repaired := s.Scrub(ctx); repaired != 0 {
-		t.Errorf("manual scrub after patrol repaired %d tiles, want 0", repaired)
+		t.Errorf("second scrub repaired %d tiles, want 0", repaired)
+	}
+	r, err = s.RunCtx(ctx, m, p, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalOutputs(r.Output, ref) {
+		t.Error("the run after the scrub differs from the clean reference")
 	}
 }
 

@@ -1,9 +1,8 @@
 // The resilient run path: per-attempt timeouts derived from the timing
 // model, capped-exponential-backoff retries with failover to a different
-// device, hedged requests after a p99-based delay, and an optional output
-// cross-check that catches silent corruption by running twice on distinct
-// devices. All of it sits behind Server.RunCtx, RunOnCtx and RunAll when a
-// Resilience policy is installed; without one each batch is one dispatch.
+// device, and hedged requests after a p99-based delay. All of it sits
+// behind Server.RunCtx, RunOnCtx and RunAll when a Resilience policy is
+// installed; without one each batch is one dispatch.
 package runtime
 
 import (
@@ -12,7 +11,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"slices"
 	"time"
 
 	"tpusim/internal/fault"
@@ -22,14 +20,8 @@ import (
 	"tpusim/internal/tpu"
 )
 
-// Resilient-path errors.
-var (
-	// ErrNoDevice means every device was excluded or quarantined.
-	ErrNoDevice = errors.New("runtime: no eligible device")
-	// ErrCorrupt means a cross-check mismatch could not be settled by a
-	// majority vote (fewer than three devices, or three distinct outputs).
-	ErrCorrupt = errors.New("runtime: output cross-check mismatch")
-)
+// ErrNoDevice means every device was excluded or quarantined.
+var ErrNoDevice = errors.New("runtime: no eligible device")
 
 // ResilienceStats is the recovery machinery's event counts: the server keeps
 // one under its mu, behind the Prometheus resilience series.
@@ -46,11 +38,6 @@ type ResilienceStats struct {
 	HedgeWins int64
 	// AttemptTimeouts counts attempts cancelled by the per-attempt timeout.
 	AttemptTimeouts int64
-	// crossChecks counts verification reruns; crossCheckMismatches counts
-	// the ones whose outputs disagreed. Only the tests that turn CrossCheck
-	// on read them.
-	crossChecks          int64
-	crossCheckMismatches int64
 	// SDCFailures counts attempts that failed because a device-level
 	// integrity check caught silent data corruption before it shipped.
 	SDCFailures int64
@@ -196,8 +183,8 @@ func (s *Server) launchAttempt(ctx context.Context, dev int, m *nn.Model, params
 // runResilient is the recovery-path dispatcher: pick a device (preferred
 // first, health-aware otherwise), run under a per-attempt timeout, hedge to
 // a second device when the first attempt outlives the p99-based delay,
-// retry with capped exponential backoff and the failed devices excluded,
-// and optionally cross-check the winning output on a distinct device.
+// and retry with capped exponential backoff and the failed devices
+// excluded.
 func (s *Server) runResilient(ctx context.Context, preferred int, m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {
 	// Attempts can outlive this function: a hedge loser keeps running after
 	// the winner returns, and ctx cancellation abandons whatever is in
@@ -288,7 +275,7 @@ func (s *Server) runResilient(ctx context.Context, preferred int, m *nn.Model, p
 					}
 					continue
 				}
-				// Winner. Account hedging and failover, then verify.
+				// Winner. Account hedging and failover.
 				if len(inFlight) > 1 && o.dev != dev {
 					s.count(func(c *ResilienceStats) { c.HedgeWins++ })
 				}
@@ -297,9 +284,6 @@ func (s *Server) runResilient(ctx context.Context, preferred int, m *nn.Model, p
 				}
 				if sp.Recording() {
 					sp.SetAttr(obs.Int("device", o.dev), obs.Int("attempts", attempt+1))
-				}
-				if s.res.CrossCheck {
-					return s.crossCheck(ctx, o, m, params, in)
 				}
 				return o.res, nil
 			}
@@ -345,74 +329,6 @@ func merged(a, b map[int]bool) map[int]bool {
 	out := maps.Clone(a)
 	maps.Copy(out, b)
 	return out
-}
-
-// crossCheck reruns the request on a device distinct from the winner and
-// compares outputs exactly (the simulator is bit-deterministic and every
-// device runs the server's one program, so any difference is corruption).
-// On mismatch a third device votes: the minority device is recorded as
-// failing and the majority output wins. With no distinct device available
-// the first result is returned unchecked.
-func (s *Server) crossCheck(ctx context.Context, first attemptOut, m *nn.Model, params *nn.Params, in *tensor.F32) (*InferenceResult, error) {
-	dev2, ok := s.pickDevice(-1, map[int]bool{first.dev: true})
-	if !ok {
-		return first.res, nil
-	}
-	s.count(func(c *ResilienceStats) { c.crossChecks++ })
-	out := make(chan attemptOut, 1)
-	s.launchAttempt(ctx, dev2, m, params, in, out)
-	var second attemptOut
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case second = <-out:
-	}
-	if second.err != nil {
-		// Verification run failed outright; the primary result stands
-		// (the failure is already in dev2's health record).
-		return first.res, nil
-	}
-	if equalOutputs(first.res.Output, second.res.Output) {
-		return first.res, nil
-	}
-	s.count(func(c *ResilienceStats) { c.crossCheckMismatches++ })
-	// Majority vote on a third device.
-	dev3, ok := s.pickDevice(-1, map[int]bool{first.dev: true, second.dev: true})
-	if !ok {
-		return nil, fmt.Errorf("%w: devices %d and %d disagree on %s",
-			ErrCorrupt, first.dev, second.dev, m.Name)
-	}
-	out3 := make(chan attemptOut, 1)
-	s.launchAttempt(ctx, dev3, m, params, in, out3)
-	var third attemptOut
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case third = <-out3:
-	}
-	if third.err != nil {
-		return nil, fmt.Errorf("%w: devices %d and %d disagree on %s and tiebreak failed: %v",
-			ErrCorrupt, first.dev, second.dev, m.Name, third.err)
-	}
-	switch {
-	case equalOutputs(third.res.Output, first.res.Output):
-		s.recordFailure(second.dev, fmt.Errorf("runtime: device %d outvoted on %s output", second.dev, m.Name))
-		return first.res, nil
-	case equalOutputs(third.res.Output, second.res.Output):
-		s.recordFailure(first.dev, fmt.Errorf("runtime: device %d outvoted on %s output", first.dev, m.Name))
-		return second.res, nil
-	default:
-		return nil, fmt.Errorf("%w: three-way disagreement on %s across devices %d/%d/%d",
-			ErrCorrupt, m.Name, first.dev, second.dev, dev3)
-	}
-}
-
-// equalOutputs compares two output tensors exactly.
-func equalOutputs(a, b *tensor.F32) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return slices.Equal(a.Data, b.Data)
 }
 
 // sleepCtx sleeps for d or until ctx is cancelled; it reports whether the

@@ -185,43 +185,6 @@ func TestRunAllRetriesTransients(t *testing.T) {
 	}
 }
 
-// TestCrossCheckCatchesCorruption pins the silent-corruption defence: with
-// CorruptRate=1 on one device and cross-checking on, the corrupted output
-// is outvoted, not returned. One corrupting device is the guarantee the
-// vote gives: two corrupters flip the same sparse offsets often enough to
-// agree with each other.
-func TestCrossCheckCatchesCorruption(t *testing.T) {
-	s := newChaosServer(t, 4, fault.Plan{Seed: 9}, &Resilience{CrossCheck: true})
-	// A plan's rates apply to every device, so arm device 0's hook alone
-	// (its driver builds its device at the model's first load, below).
-	s.drivers[0].cfg.Hook = fault.Plan{Seed: 9, CorruptRate: 1}.Injector(0).ArmedHook()
-	m, p, in := testModel()
-	clean, err := NewServer(1, tpu.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := clean.Run(m, p, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		r, err := s.RunCtx(context.Background(), m, p, in)
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		if !equalOutputs(r.Output, ref.Output) {
-			t.Fatalf("request %d returned corrupted output despite cross-check", i)
-		}
-	}
-	rs := s.ResilienceStats()
-	if rs.crossChecks == 0 {
-		t.Error("no cross-checks ran")
-	}
-	if rs.crossCheckMismatches == 0 {
-		t.Error("an always-corrupting device over 30 checked requests produced no mismatches")
-	}
-}
-
 // TestHedgeFiresOnStraggler makes device runs slow via a static throttle
 // and checks a hedge launches once a p99 is known.
 func TestHedgeFiresOnStraggler(t *testing.T) {

@@ -61,9 +61,8 @@ type program struct {
 	// qm is the quantized model's Model and Edge only: its layer weights
 	// live in art's weight image alone.
 	qm *nn.QuantizedModel
-	// reg and cycles (the timing model's cycle count for one batch, for
-	// timeout derivation) are written under the server's mu.
-	reg    region
+	// cycles is the timing model's cycle count for one batch, for timeout
+	// derivation, written under the server's mu.
 	cycles int64
 }
 
@@ -253,7 +252,7 @@ func (s *Server) compile(d *Driver, p *program, m *nn.Model, params *nn.Params, 
 	p.qm = &nn.QuantizedModel{Model: qm.Model, Edge: qm.Edge}
 	cycles := expectedCycles(d.cfg, art.Program)
 	s.mu.Lock()
-	p.reg, p.cycles = reg, cycles
+	p.cycles = cycles
 	s.mu.Unlock()
 	d.mu.Lock()
 	d.compilations++
@@ -484,7 +483,7 @@ func (s *Server) ExpectedCycles(modelName string) int64 {
 // in the benchmarked configuration), dispatching batches round robin. Built
 // with a fault plan and a Resilience policy (NewServerWith), it adds the
 // fleet-management layer: per-device health states, per-attempt timeouts,
-// retries with failover, hedged requests and output cross-checking.
+// retries with failover and hedged requests.
 type Server struct {
 	drivers []*Driver
 	// mu guards next, the telemetry sinks, the resilience counters, programs
@@ -528,7 +527,7 @@ type ServerOptions struct {
 	// injector wired into the device's run hook. nil injects nothing.
 	Faults *fault.Plan
 	// Resilience enables the recovery machinery (health states, retries,
-	// failover, hedging, cross-check). nil keeps the raw dispatch path.
+	// failover, hedging). nil keeps the raw dispatch path.
 	Resilience *Resilience
 }
 
@@ -572,9 +571,6 @@ func NewServerWith(n int, cfg tpu.Config, opts ServerOptions) (*Server, error) {
 			d.cfg.Hook = d.inj.ArmedHook()
 		}
 		s.drivers = append(s.drivers, d)
-	}
-	if opts.Resilience != nil && opts.Resilience.ScrubEvery > 0 {
-		go s.scrubLoop(opts.Resilience.ScrubEvery)
 	}
 	return s, nil
 }

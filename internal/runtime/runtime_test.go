@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"tpusim/internal/fixed"
@@ -44,6 +45,14 @@ func compilations(s *Server) int {
 		n += st.Compilations
 	}
 	return n
+}
+
+// equalOutputs compares two output tensors exactly.
+func equalOutputs(a, b *tensor.F32) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return slices.Equal(a.Data, b.Data)
 }
 
 func TestDriverCompileOnceRunMany(t *testing.T) {

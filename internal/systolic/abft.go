@@ -18,7 +18,7 @@
 // checksum columns ride through the 256-wide array as 2 extra columns of
 // 258 — the timing model charges the 1/256-per-column occupancy in
 // Device's integrity mode — instead of the 2-3x cost of full duplication
-// (the runtime's CrossCheck).
+// (running every program twice and comparing the outputs).
 //
 // The checks are exact (tolerance zero): the functional simulator's
 // partial sums are int32 dot products of int8 operands, far from
