@@ -136,17 +136,21 @@ bench-gate:
 # A test that once flaked runs 500 times (~5 s), so the race its fix closed
 # stays closed: TestQuarantineProbeReadmits failed about 1 run in 40 while a
 # hedge on another device could win its final run before the re-admitted
-# device's own success was recorded. The pattern passes the same "names a
-# test" check as the gates above.
+# device's own success was recorded. TestRepeatedSDCWalksHealthMachine and
+# TestHedgeLoserSDCScrubbed run 300 times (~5 ms a run): with hedging on, a
+# request can return before its losing attempt's corruption is counted.
+# Each pattern passes the same "names a test" check as the gates above.
 flake-repeat:
 	$(call gate-names,./internal/runtime,^TestQuarantineProbeReadmits$$)
 	$(GO) test -count=500 -run '^TestQuarantineProbeReadmits$$' ./internal/runtime
+	$(call gate-names,./internal/runtime,^TestRepeatedSDCWalksHealthMachine$$|^TestHedgeLoserSDCScrubbed$$)
+	$(GO) test -count=300 -run '^TestRepeatedSDCWalksHealthMachine$$|^TestHedgeLoserSDCScrubbed$$' ./internal/runtime
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
 # decoder, kernel-equivalence, row-pass-equivalence, device-vs-reference
 # (decoded model shapes under every kernel rung), float-matmul, CRC,
 # batching-lane, plan-spec parser, placement-vs-full-scan, percentile-selection,
-# event-calendar and span-attribute-formatting regressions without a dedicated fuzzing job. `go test -fuzz` passes with
+# event-calendar, span-attribute-formatting and span-ring regressions without a dedicated fuzzing job. `go test -fuzz` passes with
 # "no fuzz tests to fuzz" when the target is gone, so each target first
 # passes the gates' "names a test" check (`go test -list` lists fuzz targets).
 define fuzz-run
@@ -171,6 +175,7 @@ fuzz-smoke:
 	$(call fuzz-run,./internal/stats,FuzzPercentiles)
 	$(call fuzz-run,./internal/des,FuzzCalendar)
 	$(call fuzz-run,./internal/obs,FuzzAttrValue)
+	$(call fuzz-run,./internal/obs,FuzzTracerRing)
 
 # Source size: non-test .go lines per internal/ package, nested packages
 # included, then the internal/, cmd/ and examples/ totals — the numbers a

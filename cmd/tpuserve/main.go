@@ -56,7 +56,8 @@
 // run's fleet observability artifacts: -report and -report-json write the
 // saturation analysis (per-app knee rate, bottleneck attribution, SLO
 // burn) as text or JSON to a file or - for stdout, and -trace-json exports
-// the ramp's virtual-time spans as Chrome trace-event JSON for Perfetto:
+// the ramp's virtual-time spans as Chrome trace-event JSON for Perfetto
+// (saying on stderr if the span ring dropped any):
 //
 //	tpuserve -mode cluster -hosts 8 -devices-per-host 4 -router bounded-hash
 //	tpuserve -mode cluster -report - -report-json report.json -trace-json ramp.json
@@ -97,6 +98,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"math"
@@ -186,7 +188,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(experiments.RenderCluster(r))
-		if err := fleetArtifacts(r.Report, r.Spans, *report, *reportJSON, *traceJSON); err != nil {
+		if err := fleetArtifacts(r.Report, r.Trace, *report, *reportJSON, *traceJSON); err != nil {
 			log.Fatal(err)
 		}
 	case "cluster-chaos":
@@ -235,9 +237,9 @@ func traceSupported(mode, traceJSON string) error {
 
 // fleetArtifacts writes a fleet mode's optional outputs: its saturation
 // report as text and/or JSON ("-" means stdout), and its recorded
-// virtual-time spans as Chrome trace-event JSON. An empty path skips its
+// virtual-time trace as Chrome trace-event JSON. An empty path skips its
 // output.
-func fleetArtifacts(rep *cluster.SaturationReport, spans []obs.SpanData, report, reportJSON, traceJSON string) error {
+func fleetArtifacts(rep *cluster.SaturationReport, trace *obs.Tracer, report, reportJSON, traceJSON string) error {
 	emit := func(path string, data []byte) error {
 		if path == "-" {
 			_, err := os.Stdout.Write(data)
@@ -260,17 +262,28 @@ func fleetArtifacts(rep *cluster.SaturationReport, spans []obs.SpanData, report,
 		}
 	}
 	if traceJSON != "" {
-		f, err := os.Create(traceJSON)
-		if err != nil {
-			return fmt.Errorf("write -trace-json: %w", err)
-		}
-		if err := obs.WriteChromeTrace(f, spans); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return writeTrace(traceJSON, trace, os.Stderr)
 	}
 	return nil
+}
+
+// writeTrace writes trace's spans to path as Chrome trace-event JSON. When
+// the span ring evicted spans, it says so on warn: the file then holds
+// only the newest spans.
+func writeTrace(path string, trace *obs.Tracer, warn io.Writer) error {
+	spans := trace.Spans()
+	if d := trace.Dropped(); d > 0 {
+		fmt.Fprintf(warn, "tpuserve: -trace-json: the span ring dropped the oldest %d spans; %s keeps the last %d\n", d, path, len(spans))
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("write -trace-json: %w", err)
+	}
+	if err := obs.WriteChromeTrace(f, spans); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // chaos runs the fault-injected fleet sweep and prints the baseline/chaos

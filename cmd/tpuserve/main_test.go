@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"tpusim/internal/obs"
 )
 
 // TestTraceJSONRejected: -trace-json with a fleet mode that records no
@@ -20,6 +25,35 @@ func TestTraceJSONRejected(t *testing.T) {
 	}
 	if err := traceSupported("cluster", "t.json"); err != nil {
 		t.Errorf("cluster: %v", err)
+	}
+}
+
+// TestTraceJSONSaysWhenTruncated: a trace whose ring dropped spans is
+// written with a warning naming the dropped and kept counts; a whole one
+// is written without a word.
+func TestTraceJSONSaysWhenTruncated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	for _, c := range []struct {
+		capacity int
+		want     string
+	}{
+		{5, ""},
+		{2, "the span ring dropped the oldest 3 spans; " + path + " keeps the last 2\n"},
+	} {
+		tr := obs.NewTracer(c.capacity)
+		for range 5 {
+			tr.Emit(obs.SpanData{ID: tr.NextID(), Name: "s"})
+		}
+		var warn bytes.Buffer
+		if err := writeTrace(path, tr, &warn); err != nil {
+			t.Fatal(err)
+		}
+		if got := warn.String(); !strings.HasSuffix(got, c.want) || (c.want == "") != (got == "") {
+			t.Errorf("capacity %d: warned %q, want %q", c.capacity, got, c.want)
+		}
+		if data, err := os.ReadFile(path); err != nil || bytes.Count(data, []byte(`"ph": "X"`)) != min(5, c.capacity) {
+			t.Errorf("capacity %d: the file holds %d spans (%v), want %d", c.capacity, bytes.Count(data, []byte(`"ph": "X"`)), err, min(5, c.capacity))
+		}
 	}
 }
 

@@ -243,31 +243,61 @@ func (t *Telemetry) onComplete(rep *replica, batch []request, done float64) {
 		f.mu.Unlock()
 	}
 	if t.Tracer != nil && rep.span != nil {
-		// A sampled batch brings its member requests along: each gets a
-		// pre-timed span on the app's track spanning arrival to completion,
-		// parented under the batch span.
-		for _, r := range batch {
-			t.Tracer.Emit(obs.SpanData{
-				Trace:  rep.span.TraceID(),
-				ID:     t.Tracer.NextID(),
-				Parent: rep.span.ID(),
-				Name:   "request",
-				Track:  a.cfg.Name,
-				Proc:   "apps",
-				Start:  vtime(r.arrival),
-				End:    vtime(done),
-				Attrs: []obs.Attr{
-					obs.Int("host", hostID),
-					obs.Int("replica", rep.id),
-					obs.Int("attempts", r.attempts),
-					obs.Float("wait_ms", (rep.dispatchAt-r.enq)*1e3),
-					obs.Float("service_ms", svcSeconds*1e3),
-				},
-			})
+		// A sampled batch brings its member requests along: each is a
+		// span on the app's track spanning arrival to completion, parented
+		// under the batch span, kept as one group and built when read.
+		g := &requestSpans{
+			trace: rep.span.TraceID(), parent: rep.span.ID(),
+			app: a.cfg.Name, host: hostID, replica: rep.id,
+			dispatchAt: rep.dispatchAt, done: done,
+			reqs: make([]requestRecord, len(batch)),
 		}
+		for i, r := range batch {
+			g.reqs[i] = requestRecord{arrival: r.arrival, enq: r.enq, attempts: r.attempts}
+		}
+		t.Tracer.EmitGroup(g)
 		rep.span.SetAttr(obs.Int("served", len(batch)))
 		rep.span.End()
 		rep.span = nil
+	}
+}
+
+// requestSpans is a sampled batch's request spans as one obs.SpanGroup:
+// 24 bytes for each request and the values the batch shares once. It
+// holds values only, so a kept trace keeps no replica or cluster alive.
+type requestSpans struct {
+	trace, parent    uint64
+	app              string
+	host, replica    int
+	dispatchAt, done float64
+	reqs             []requestRecord
+}
+
+// requestRecord is what sets one request's span apart.
+type requestRecord struct {
+	arrival, enq float64 // enq: the last admission into a replica queue
+	attempts     int
+}
+
+func (g *requestSpans) Len() int { return len(g.reqs) }
+
+func (g *requestSpans) Span(i int) obs.SpanData {
+	r := g.reqs[i]
+	return obs.SpanData{
+		Trace:  g.trace,
+		Parent: g.parent,
+		Name:   "request",
+		Track:  g.app,
+		Proc:   "apps",
+		Start:  vtime(r.arrival),
+		End:    vtime(g.done),
+		Attrs: []obs.Attr{
+			obs.Int("host", g.host),
+			obs.Int("replica", g.replica),
+			obs.Int("attempts", r.attempts),
+			obs.Float("wait_ms", (g.dispatchAt-r.enq)*1e3),
+			obs.Float("service_ms", (g.done-g.dispatchAt)*1e3),
+		},
 	}
 }
 

@@ -74,12 +74,12 @@ func TestTelemetryDisabledAllocs(t *testing.T) {
 }
 
 // TestTelemetryTracedAllocs pins what a traced batch costs: with every
-// batch sampled, dispatching and completing a batch of n requests allocates
-// one []obs.Attr per request span and a constant for the batch span — its
-// Span, its context and its two attribute slices. An attribute formats
-// nothing when it is built, so no request span allocates a string.
+// batch sampled, dispatching and completing a batch allocates the same
+// whatever its size — the batch span's Span, context and two attribute
+// slices, and the request span group's record and its array of per-request
+// values. No request span is built, so none allocates.
 func TestTelemetryTracedAllocs(t *testing.T) {
-	const batchSpan = 4
+	const batchSpan, requestGroup = 4, 2
 	tel := &Telemetry{Tracer: obs.NewTracer(64), SampleEvery: 1}
 	c := goldenClusterWith(t, tel)
 	c.Run(0.5)
@@ -100,8 +100,8 @@ func TestTelemetryTracedAllocs(t *testing.T) {
 			tel.onDispatch(rep, n, trigFillWait)
 			tel.onComplete(rep, batch, 0.2)
 		})
-		if want := float64(n + batchSpan); allocs != want {
-			t.Errorf("a traced batch of %d allocates %v objects, want %v (one per request span, %d for the batch span)", n, allocs, want, batchSpan)
+		if want := float64(batchSpan + requestGroup); allocs != want {
+			t.Errorf("a traced batch of %d allocates %v objects, want %v (%d for the batch span, %d for the request span group)", n, allocs, want, batchSpan, requestGroup)
 		}
 	}
 }

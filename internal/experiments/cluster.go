@@ -53,7 +53,8 @@ type ClusterConfig struct {
 	Seed int64
 	// Trace records the whole ramp — every dispatched batch with its member
 	// requests, host kills, quarantines, autoscaler decisions — as
-	// virtual-time spans, returned in Spans for Chrome-trace export.
+	// virtual-time spans, kept in ClusterResult.Trace for Chrome-trace
+	// export.
 	Trace bool
 }
 
@@ -88,9 +89,9 @@ type ClusterResult struct {
 	// Report is the saturation analysis: per-app knee rate, bottleneck
 	// attribution and SLO burn over the ramp's windowed series.
 	Report *cluster.SaturationReport
-	// Spans is the recorded virtual-time trace when Cfg.Trace is set, ready
-	// for obs.WriteChromeTrace.
-	Spans []obs.SpanData
+	// Trace holds the recorded virtual-time trace when Cfg.Trace is set
+	// (nil otherwise): its Spans builds the spans for obs.WriteChromeTrace.
+	Trace *obs.Tracer
 }
 
 // fleet is what every arm of a fleet campaign builds its cluster from:
@@ -242,7 +243,10 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		return nil, err
 	}
 	if tracer != nil {
-		res.Spans = tracer.Spans()
+		// Detach the finished run's virtual clock, which would keep the
+		// whole cluster reachable from the trace.
+		tracer.SetClock(nil)
+		res.Trace = tracer
 	}
 	return res, nil
 }

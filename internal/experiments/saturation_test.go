@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -95,12 +96,13 @@ func TestClusterTraceOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Spans) == 0 {
+	spans := r.Trace.Spans()
+	if len(spans) == 0 {
 		t.Fatal("Trace run recorded no spans")
 	}
 	procs := map[string]bool{}
 	names := map[string]bool{}
-	for _, s := range r.Spans {
+	for _, s := range spans {
 		procs[s.Proc] = true
 		names[s.Name] = true
 	}
@@ -123,5 +125,52 @@ func TestClusterTraceOption(t *testing.T) {
 	}
 	if r.Snap.Render() != plain.Snap.Render() {
 		t.Error("tracing changed the simulation outcome")
+	}
+}
+
+// TestClusterTraceKeepsLittle: what a traced ramp at the acceptance
+// defaults leaves on the heap once collected — its trace, snapshot, event
+// log and report — is at most 48 bytes per request span the trace holds.
+// A request span is kept as 24 bytes of its batch's span group and built
+// only when the trace is read; kept as a span it costs 330.
+func TestClusterTraceKeepsLittle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet-scale simulation")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := RunCluster(ClusterConfig{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	requests := 0
+	for _, s := range r.Trace.Spans() {
+		if s.Name == "request" {
+			requests++
+		}
+	}
+	if d := r.Trace.Dropped(); d != 0 {
+		t.Fatalf("the trace dropped %d spans", d)
+	}
+	kept := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	if per := kept / float64(requests); per > 48 {
+		t.Errorf("a traced ramp keeps %.0f bytes, %.1f per request span of %d; want at most 48", kept, per, requests)
+	}
+}
+
+// BenchmarkRunCluster times the ramp at its acceptance defaults, untraced
+// and traced: the ratio is what recording the trace costs the run.
+func BenchmarkRunCluster(b *testing.B) {
+	for _, trace := range []bool{false, true} {
+		b.Run(map[bool]string{false: "untraced", true: "traced"}[trace], func(b *testing.B) {
+			for range b.N {
+				if _, err := RunCluster(ClusterConfig{Trace: trace}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 	"time"
@@ -26,11 +27,18 @@ func chromeSpans(t0 time.Time) []obs.SpanData {
 	}
 }
 
+// chromeTrace exports spans through obs.WriteChromeTrace.
+func chromeTrace(spans []obs.SpanData) ([]byte, error) {
+	var b bytes.Buffer
+	err := obs.WriteChromeTrace(&b, spans)
+	return b.Bytes(), err
+}
+
 // TestChromeTraceSchema validates the exported JSON against the trace
 // event format contract: a flat array where every event carries name, ph,
 // ts, pid, tid.
 func TestChromeTraceSchema(t *testing.T) {
-	data, err := obs.ChromeTrace(chromeSpans(time.Unix(1000, 0)))
+	data, err := chromeTrace(chromeSpans(time.Unix(1000, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +85,7 @@ func TestChromeTraceProcessGroups(t *testing.T) {
 		{Trace: 2, ID: 3, Name: "legacy", Track: "tpu0",
 			Start: t0, End: t0.Add(time.Millisecond)},
 	}
-	data, err := obs.ChromeTrace(spans)
+	data, err := chromeTrace(spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +133,7 @@ func TestChromeTraceProcessGroups(t *testing.T) {
 
 func TestChromeTraceDurationsAndArgs(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	data, err := obs.ChromeTrace(chromeSpans(t0))
+	data, err := chromeTrace(chromeSpans(t0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +183,7 @@ func TestChromeTraceDurationsAndArgs(t *testing.T) {
 }
 
 func TestChromeTraceEmpty(t *testing.T) {
-	data, err := obs.ChromeTrace(nil)
+	data, err := chromeTrace(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

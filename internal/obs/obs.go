@@ -118,6 +118,19 @@ type SpanData struct {
 	Links []uint64 `json:"links,omitempty"`
 }
 
+// A SpanGroup is n finished spans kept as one record: Tracer.EmitGroup
+// stores the record, and each span is built from it only when the ring is
+// read (Spans, and through it the exporters). A group holds values only —
+// what sets each span apart and, once, what they share — and must not
+// change once emitted. Its methods run under the tracer's lock, so they must
+// not call the tracer.
+type SpanGroup interface {
+	// Len is the number of spans in the group.
+	Len() int
+	// Span builds span i, 0 <= i < Len(). The tracer sets its ID.
+	Span(i int) SpanData
+}
+
 // Tracer collects finished spans into a bounded ring.
 //
 // The zero value is not usable; call NewTracer. A nil *Tracer is fully
@@ -132,17 +145,36 @@ type Tracer struct {
 	// SetClock before any span starts (see the data-race note there).
 	clock func() time.Time
 
-	// The ring: slot i is chunks[i/spanChunk][i%spanChunk], and a chunk is
-	// allocated when the ring first reaches it, so a large capacity costs
-	// only the slots spans have filled.
+	// The ring: a queue of slots, each one span or one span group, holding
+	// at most size spans. Slot i is chunks[i/spanChunk][i%spanChunk], and a
+	// chunk is allocated when the ring first reaches it, so a large
+	// capacity costs only the slots spans have filled. A slot keeps at
+	// least one span, so size slots always suffice.
 	mu     sync.Mutex
-	chunks [][]SpanData
-	size   int // capacity, in slots
-	next   int
-	full   bool
+	chunks [][]slot
+	size   int // capacity, in spans
+	head   int // the oldest slot
+	slots  int // slots in use
+	kept   int // spans kept, at most size
 }
 
-// spanChunk is the ring's allocation unit, in spans.
+// slot is one ring entry: a single span, or a group (g != nil) whose spans
+// [lo, g.Len()) are still kept and whose span i has ID d.ID + i.
+type slot struct {
+	d  SpanData
+	g  SpanGroup
+	lo int
+}
+
+// len is the number of spans the slot keeps.
+func (s *slot) len() int {
+	if s.g == nil {
+		return 1
+	}
+	return s.g.Len() - s.lo
+}
+
+// spanChunk is the ring's allocation unit, in slots.
 const spanChunk = 1024
 
 // DefaultCapacity is the span ring size when NewTracer is given n <= 0.
@@ -155,7 +187,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{chunks: make([][]SpanData, (capacity+spanChunk-1)/spanChunk), size: capacity}
+	return &Tracer{chunks: make([][]slot, (capacity+spanChunk-1)/spanChunk), size: capacity}
 }
 
 // SetSampleEvery keeps 1 in n root spans (head sampling: the decision is
@@ -173,10 +205,10 @@ func (t *Tracer) SetSampleEvery(n int) {
 // wall-clock time, so an exported cluster trace lines up with the event
 // log and renders identically across machines. nil restores time.Now.
 //
-// Call it before the first span starts: the clock is read without
-// synchronization on the span hot path, so installing it mid-flight is a
-// data race. A single-threaded simulator (the only caller that needs a
-// virtual clock) satisfies this trivially.
+// Call it before the first span starts, or after the last one ends: the
+// clock is read without synchronization on the span hot path, so
+// installing it mid-flight is a data race. A single-threaded simulator
+// (the only caller that needs a virtual clock) satisfies this trivially.
 func (t *Tracer) SetClock(now func() time.Time) {
 	if t == nil {
 		return
@@ -209,43 +241,95 @@ func (t *Tracer) Emit(d SpanData) {
 		return
 	}
 	t.mu.Lock()
-	if t.full {
-		t.dropped.Add(1)
-	}
-	c := &t.chunks[t.next/spanChunk]
-	if *c == nil {
-		*c = make([]SpanData, min(spanChunk, t.size-t.next))
-	}
-	(*c)[t.next%spanChunk] = d
-	t.next++
-	if t.next == t.size {
-		t.next = 0
-		t.full = true
-	}
+	t.push(slot{d: d}, 1)
 	t.mu.Unlock()
 }
 
-// Spans returns the ring's contents oldest-first. The slice is a copy.
+// EmitGroup appends a span group to the ring as one record. It mints the
+// group's Len() span IDs, consecutive, at once, and counts every span
+// against the ring's capacity: the ring keeps and evicts a group's spans
+// exactly as it would Len() Emit calls. Safe for concurrent use; nil-safe.
+func (t *Tracer) EmitGroup(g SpanGroup) {
+	if t == nil {
+		return
+	}
+	n := g.Len()
+	if n <= 0 {
+		return
+	}
+	last := t.idSeq.Add(uint64(n))
+	t.mu.Lock()
+	t.push(slot{d: SpanData{ID: last - uint64(n) + 1}, g: g}, n)
+	t.mu.Unlock()
+}
+
+// push appends s, which holds n spans, evicting the oldest spans — whole
+// slots, then the front of a group — until the ring holds at most size.
+// Each whole slot is evicted once, so a push costs O(1) amortized.
+// Called with t.mu held.
+func (t *Tracer) push(s slot, n int) {
+	for t.slots > 0 && t.kept+n > t.size {
+		h := &t.chunks[t.head/spanChunk][t.head%spanChunk]
+		excess, m := t.kept+n-t.size, h.len()
+		if excess < m { // only a group keeps more than one span
+			h.lo += excess
+			t.evicted(excess)
+			break
+		}
+		*h = slot{} // release the span's or the group's memory
+		t.evicted(m)
+		t.slots--
+		if t.head++; t.head == t.size {
+			t.head = 0
+		}
+	}
+	if excess := n - t.size; excess > 0 { // a group larger than the ring
+		s.lo += excess
+		t.dropped.Add(uint64(excess))
+		n = t.size
+	}
+	i := t.head + t.slots
+	if i >= t.size {
+		i -= t.size
+	}
+	c := &t.chunks[i/spanChunk]
+	if *c == nil {
+		*c = make([]slot, min(spanChunk, t.size-i/spanChunk*spanChunk))
+	}
+	(*c)[i%spanChunk] = s
+	t.slots++
+	t.kept += n
+}
+
+// evicted accounts n spans the ring dropped. Called with t.mu held.
+func (t *Tracer) evicted(n int) {
+	t.kept -= n
+	t.dropped.Add(uint64(n))
+}
+
+// Spans returns the ring's contents oldest-first, building each group's
+// spans. The slice is a copy.
 func (t *Tracer) Spans() []SpanData {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.full {
-		return t.appendSlots(make([]SpanData, 0, t.next), 0, t.next)
-	}
-	out := t.appendSlots(make([]SpanData, 0, t.size), t.next, t.size)
-	return t.appendSlots(out, 0, t.next)
-}
-
-// appendSlots appends the ring's slots [lo, hi) to out, chunk by chunk.
-func (t *Tracer) appendSlots(out []SpanData, lo, hi int) []SpanData {
-	for lo < hi {
-		c := t.chunks[lo/spanChunk][lo%spanChunk:]
-		c = c[:min(len(c), hi-lo)]
-		out = append(out, c...)
-		lo += len(c)
+	out := make([]SpanData, 0, t.kept)
+	for k, i := 0, t.head; k < t.slots; k++ {
+		s := &t.chunks[i/spanChunk][i%spanChunk]
+		if s.g == nil {
+			out = append(out, s.d)
+		} else {
+			for j := s.lo; j < s.g.Len(); j++ {
+				d := s.g.Span(j)
+				d.ID = s.d.ID + uint64(j)
+				out = append(out, d)
+			}
+		}
+		if i++; i == t.size {
+			i = 0
+		}
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"sync"
 	"testing"
+	"time"
 
 	"tpusim/internal/fault"
 	"tpusim/internal/tensor"
@@ -156,13 +157,13 @@ func TestCorrectTierRepairsInPlace(t *testing.T) {
 
 // TestRepeatedSDCWalksHealthMachine: a device that keeps corrupting data
 // (UB upsets have no on-device repair) accumulates failures through the
-// PR-4 health machine exactly like one that keeps dying, while every
-// request still succeeds by failing over. Hedging is off: a hedge on
-// device 1 that wins before device 0's attempt fails leaves that failure
-// uncounted when the request returns.
+// health machine exactly like one that keeps dying, while every request
+// still succeeds by failing over. Hedging is on: a hedge on device 1 can
+// win before device 0's attempt fails, and that losing attempt still
+// records its failure and counts its corruption when it ends.
 func TestRepeatedSDCWalksHealthMachine(t *testing.T) {
 	s := newChaosServer(t, 2, fault.Plan{Seed: 4},
-		&Resilience{Integrity: tpu.IntegrityDetect, ProbeEvery: -1, HedgeAfterP99: -1})
+		&Resilience{Integrity: tpu.IntegrityDetect, ProbeEvery: -1})
 	m, p, in := testModel()
 	ctx := context.Background()
 	// Warm both devices.
@@ -179,6 +180,10 @@ func TestRepeatedSDCWalksHealthMachine(t *testing.T) {
 			t.Fatalf("request %d failed despite a healthy second device: %v", i, err)
 		}
 	}
+	// A hedge loser is still running when its request returns.
+	for deadline := time.Now().Add(5 * time.Second); s.ResilienceStats().SDCFailures < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := s.DeviceState(0); got == Healthy {
 		t.Errorf("device 0 still healthy after repeated SDC, state=%v", got)
 	}
@@ -192,6 +197,56 @@ func TestRepeatedSDCWalksHealthMachine(t *testing.T) {
 	}
 	if rs.Failovers == 0 {
 		t.Error("no failovers recorded")
+	}
+}
+
+// TestHedgeLoserSDCScrubbed: a request whose hedge wins returns before
+// its first attempt has run. When that attempt does run and catches
+// corrupted weight tiles, it still counts the corruption and scrubs its
+// device, though no one reads its outcome.
+func TestHedgeLoserSDCScrubbed(t *testing.T) {
+	s := newChaosServer(t, 2, fault.Plan{Seed: 4},
+		&Resilience{Integrity: tpu.IntegrityDetect, ProbeEvery: -1, TimeoutFactor: 1000})
+	m, p, in := testModel()
+	ctx := context.Background()
+	// Load the model on both devices and learn the hedge delay's p99.
+	for i := 0; i < 8; i++ {
+		if _, err := s.RunOnCtx(ctx, i%2, m, p, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(0); k < 4; k++ {
+		if err := s.Injectors()[0].FlipOnce(fault.KindFlipWeights, k*257, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Hold device 0's run slot: the attempt pinned there waits for it, and
+	// the hedge to device 1 wins.
+	d := s.drivers[0]
+	d.mu.Lock()
+	sl := d.slots[m.Name]
+	d.mu.Unlock()
+	if err := sl.acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := s.ResilienceStats()
+	_, err := s.RunOnCtx(ctx, 0, m, p, in)
+	atReturn := s.ResilienceStats()
+	sl.release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wins := atReturn.HedgeWins - before.HedgeWins; wins != 1 || atReturn.SDCFailures != 0 {
+		t.Fatalf("at return: %d hedge wins, %d SDC failures; want the hedge to win before device 0 runs", wins, atReturn.SDCFailures)
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.ResilienceStats().SDCFailures == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.ResilienceStats().SDCFailures; got != 1 {
+		t.Fatalf("SDCFailures = %d after the losing attempt ran, want 1", got)
+	}
+	if _, repaired := s.Scrub(ctx); repaired != 0 {
+		t.Errorf("a full scrub repaired %d tiles the losing attempt's scrub left corrupted", repaired)
 	}
 }
 

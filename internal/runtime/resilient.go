@@ -172,10 +172,19 @@ type attemptOut struct {
 }
 
 // launchAttempt dispatches one attempt to dev under the per-attempt timeout
-// and delivers its outcome to out.
+// and delivers its outcome to out. An attempt that fails with detected
+// corruption is counted and its device scrubbed here, before the outcome
+// is delivered — so a retry onto the device finds it scrubbed — and
+// whether or not anyone still reads the outcome: a hedge loser's
+// corruption is as real as a winner's, and the scrub runs to completion
+// even when the request has returned and its context is done.
 func (s *Server) launchAttempt(ctx context.Context, dev int, m *nn.Model, params *nn.Params, in *tensor.F32, out chan<- attemptOut) {
 	go func() {
 		r, err := s.dispatch(ctx, dev, s.attemptTimeout(dev, m.Name), m, params, in)
+		if tpu.IsSDC(err) {
+			s.count(func(c *ResilienceStats) { c.SDCFailures++ })
+			s.scrubOnSDC(context.WithoutCancel(ctx), dev)
+		}
 		out <- attemptOut{dev: dev, res: r, err: err}
 	}()
 }
@@ -266,13 +275,6 @@ func (s *Server) runResilient(ctx context.Context, preferred int, m *nn.Model, p
 				if o.err != nil {
 					lastErr = o.err
 					excluded[o.dev] = true
-					if tpu.IsSDC(o.err) {
-						// The device caught corruption before shipping it.
-						// Scrub its weight DRAM so a persistent upset does
-						// not fail every retry that lands back on it.
-						s.count(func(c *ResilienceStats) { c.SDCFailures++ })
-						s.scrubOnSDC(ctx, o.dev)
-					}
 					continue
 				}
 				// Winner. Account hedging and failover.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -107,12 +108,12 @@ func TestSubmitSpanTree(t *testing.T) {
 	}
 
 	// The exported trace must be schema-valid Chrome trace-event JSON.
-	data, err := obs.ChromeTrace(spans)
-	if err != nil {
+	var data bytes.Buffer
+	if err := obs.WriteChromeTrace(&data, spans); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
-	if err := json.Unmarshal(data, &events); err != nil {
+	if err := json.Unmarshal(data.Bytes(), &events); err != nil {
 		t.Fatalf("exported trace is not a JSON array: %v", err)
 	}
 	for i, e := range events {
