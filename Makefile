@@ -87,8 +87,9 @@ bench:
 # Submit round trip, per-dispatch object and byte ceilings on the runtime
 # backend (printed with what the dispatch measured), a zero-allocation
 # des fire-and-reschedule cycle 2000 events deep that reuses its slot, percentiles that
-# allocate only their copy and their result, and a steady fleet run at no
-# more than one allocation per five hundred events.
+# allocate only their copy and their result (on chunks, the copy of the few
+# values near the ranks read), a router rebuild that reuses its slices, and a
+# steady fleet run at no more than one allocation per five hundred events.
 # The BenchmarkTable3 ceilings are min-of-3 wall clock (generous — the CI
 # container's scheduler jitter swings tens of percent, but the ceiling
 # still sits well under the pre-optimization ~1 ms) and an exact
@@ -123,7 +124,7 @@ bench-gate:
 	@out=$$($(GO) test -count=1 -v ./internal/serve -run SteadyStateAllocs) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -E 'backend dispatch:|^ok'
 	$(call gate-run,./internal/des,TestSteadyStateAllocs)
-	$(call gate-run,./internal/stats,TestPercentilesAllocs)
+	$(call gate-run,./internal/stats,TestPercentilesAllocs|TestChunkedPercentilesAllocs)
 	$(call gate-run,./internal/cluster,TestClusterRunAllocs|TestRouteZeroAlloc|TestRebuildAllocs)
 	@$(GO) test -run xxx -bench 'BenchmarkTable3$$' -cpu 1 -benchtime 600x -benchmem -count 3 . > bench-gate.out || { cat bench-gate.out; rm -f bench-gate.out; exit 1; }; \
 	min=$$(awk '/^BenchmarkTable3/ && $$4 == "ns/op" {if (min == "" || $$3+0 < min) min = $$3+0} END {print min}' bench-gate.out); \
@@ -149,8 +150,9 @@ flake-repeat:
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
 # decoder, kernel-equivalence, row-pass-equivalence, device-vs-reference
 # (decoded model shapes under every kernel rung), float-matmul, CRC,
-# batching-lane, plan-spec parser, placement-vs-full-scan, percentile-selection,
-# event-calendar, span-attribute-formatting and span-ring regressions without a dedicated fuzzing job. `go test -fuzz` passes with
+# batching-lane, plan-spec parser, placement-vs-full-scan, latency-log percentile,
+# percentile-selection, event-calendar, span-attribute-formatting and span-ring
+# regressions without a dedicated fuzzing job. `go test -fuzz` passes with
 # "no fuzz tests to fuzz" when the target is gone, so each target first
 # passes the gates' "names a test" check (`go test -list` lists fuzz targets).
 define fuzz-run
@@ -172,6 +174,7 @@ fuzz-smoke:
 	$(call fuzz-run,./internal/latency,FuzzLane)
 	$(call fuzz-run,./internal/cluster,FuzzPlanSpecs)
 	$(call fuzz-run,./internal/cluster,FuzzPlacement)
+	$(call fuzz-run,./internal/cluster,FuzzLatencyPercentiles)
 	$(call fuzz-run,./internal/stats,FuzzPercentiles)
 	$(call fuzz-run,./internal/des,FuzzCalendar)
 	$(call fuzz-run,./internal/obs,FuzzAttrValue)

@@ -109,6 +109,26 @@ func BenchmarkClusterNew(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshot times Snapshot alone on the BenchmarkClusterSim pod
+// after Run(10): ten apps' p50 and p99 over 40 000 logged latencies each,
+// plus the per-replica rows. log-B/op is the bytes those latency logs hold,
+// what a snapshot that copied them would allocate on top of its own.
+func BenchmarkSnapshot(b *testing.B) {
+	c := steadyPod(b, 250, 10, 100, nil)
+	c.Run(10)
+	logged := 0
+	for _, a := range c.apps {
+		for _, ch := range a.latencies.chunks {
+			logged += len(ch)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		c.Snapshot()
+	}
+	b.ReportMetric(float64(8*logged), "log-B/op")
+}
+
 // BenchmarkClusterSimTelemetry is the enabled-overhead twin: the same pod
 // with the fleet registry, sampled spans and the window sampler running.
 // The PR 8 gate holds it at >= 90% of BenchmarkClusterSim's event rate.

@@ -297,31 +297,21 @@ func (a *app) liveReplicas() int {
 }
 
 // latencyLog holds served latencies in completion order. It grows by
-// fixed chunks, so an append never copies what the log already holds; the
-// one copy is gather's, which a percentile then selects on.
+// fixed chunks, so an append never copies what the log already holds, and
+// a percentile reads the chunks where they lie (stats.ChunkedPercentiles).
 type latencyLog struct {
-	chunks [][]float64
-	n      int
+	chunks [][]float64 // each full but the last
 }
 
 // latencyChunk is latencyLog's allocation unit: 32 KiB of latencies.
 const latencyChunk = 4096
 
 func (l *latencyLog) add(lat float64) {
-	if l.n%latencyChunk == 0 {
-		l.chunks = append(l.chunks, make([]float64, latencyChunk))
+	if len(l.chunks) == 0 || len(l.chunks[len(l.chunks)-1]) == latencyChunk {
+		l.chunks = append(l.chunks, make([]float64, 0, latencyChunk))
 	}
-	l.chunks[l.n/latencyChunk][l.n%latencyChunk] = lat
-	l.n++
-}
-
-// gather returns a new slice of the log's latencies in completion order.
-func (l *latencyLog) gather() []float64 {
-	out := make([]float64, l.n)
-	for i, c := range l.chunks {
-		copy(out[i*latencyChunk:], c)
-	}
-	return out
+	last := &l.chunks[len(l.chunks)-1]
+	*last = append(*last, lat)
 }
 
 // Decision is one autoscaler action on one app.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -525,6 +526,16 @@ func TestNonFiniteTelemetryWindow(t *testing.T) {
 	}
 }
 
+// gather returns a new slice of the log's latencies in completion order:
+// the plain copy the chunked percentiles are checked against.
+func (l *latencyLog) gather() []float64 {
+	var out []float64
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
 // TestLatencyLogPercentiles: a latency log gathers to the slice a plain
 // append would have built, so the snapshot's p50 and p99 are bit-identical
 // to a plain slice's at every chunk edge.
@@ -556,4 +567,138 @@ func TestLatencyLogPercentiles(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkLatencyPercentiles fails t unless the snapshot's selection on the
+// log, stats.ChunkedPercentiles, equals the copy-and-select oracle,
+// stats.PercentilesInPlace on gather(), bit for bit.
+func checkLatencyPercentiles(t *testing.T, name string, log *latencyLog, ps ...float64) {
+	t.Helper()
+	got, err := stats.ChunkedPercentiles(log.chunks, ps...)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want, err := stats.PercentilesInPlace(log.gather(), ps...)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: p%v is %v (%#x) from the chunks, %v (%#x) from a copy",
+				name, ps[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestLatencyPercentilesMatchOracle: the snapshot's percentiles, selected on
+// the log where it lies, are bit-identical to a gathered copy's at every
+// chunk edge, on ties, on one value repeated throughout, on rare spikes, on
+// values a few ulps apart (spans of 8191 and 8192 ulps: one split resolves
+// the first to single patterns, not the second), and on values from +0 and
+// subnormals to MaxFloat64, at and beside the top buckets' floor (2^-24)
+// and clamp (2^8).
+func TestLatencyPercentilesMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(54, 54))
+	edges := []float64{
+		0, math.SmallestNonzeroFloat64, 1e-12, math.Nextafter(0x1p-24, 0), 0x1p-24,
+		math.Nextafter(0x1p-24, 1), 0x1p-24 * (1 + 1.0/256), math.Nextafter(0x1p8, 0), 0x1p8,
+		math.Nextafter(0x1p8, math.Inf(1)), 1e6, math.MaxFloat64,
+	}
+	values := []struct {
+		name  string
+		value func(i int) float64
+	}{
+		{"exp", func(int) float64 { return rng.ExpFloat64() * 1e-3 }},
+		{"ties", func(int) float64 { return float64(rng.IntN(4)) * 0.5e-3 }},
+		{"one-value", func(int) float64 { return 1.25e-3 }},
+		{"spikes", func(int) float64 {
+			if rng.IntN(200) == 0 {
+				return 0.1 + rng.Float64()
+			}
+			return 1e-3 + rng.Float64()*1e-5
+		}},
+		{"bucket-neighbours", func(int) float64 {
+			// 1 ms and its ulp neighbours: one bucket, values a bit apart.
+			return math.Float64frombits(math.Float64bits(1e-3) + uint64(rng.IntN(64)))
+		}},
+		{"span-8191-ulps", func(i int) float64 { return ulpsAbove(1e-3, i, 8191, rng) }},
+		{"span-8192-ulps", func(i int) float64 { return ulpsAbove(1e-3, i, 8192, rng) }},
+		{"extremes", func(i int) float64 {
+			if i%3 == 0 {
+				return rng.ExpFloat64() * 1e-3
+			}
+			return edges[rng.IntN(len(edges))]
+		}},
+	}
+	pss := [][]float64{{50, 99}, {99}, {0, 100}, {37.5, 12.34, 99.9, 66.6}}
+	for _, v := range values {
+		for _, n := range []int{1, 2, 17, latencyChunk - 1, latencyChunk, latencyChunk + 1, 2*latencyChunk + 1} {
+			var log latencyLog
+			for i := range n {
+				log.add(v.value(i))
+			}
+			for _, ps := range pss {
+				checkLatencyPercentiles(t, fmt.Sprintf("%s/n=%d", v.name, n), &log, ps...)
+			}
+		}
+	}
+}
+
+// ulpsAbove is the i-th of a run of values at most span ulps above base:
+// base itself, then base+span, then random ones between.
+func ulpsAbove(base float64, i, span int, rng *rand.Rand) float64 {
+	k := rng.IntN(span + 1)
+	switch i {
+	case 0:
+		k = 0
+	case 1:
+		k = span
+	}
+	return math.Float64frombits(math.Float64bits(base) + uint64(k))
+}
+
+// FuzzLatencyPercentiles: the chunked selection equals the gathered copy's
+// on any log. The log repeats data's latencies until it holds count of
+// them, so it crosses chunk edges; each byte is a latency of one class by
+// its top three bits: small tied values, values below 2^-24, subnormals
+// and +0, values at and above 2^8, distinct values near a millisecond, or
+// the domain's extremes. A percentile out of [0, 100] is an error.
+func FuzzLatencyPercentiles(f *testing.F) {
+	f.Add([]byte{3, 1, 2}, uint16(3), 50.0, 99.0)
+	f.Add([]byte{0x21, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef}, uint16(latencyChunk+1), 99.0, 50.0)
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint16(2*latencyChunk+1), 0.0, 100.0)
+	f.Fuzz(func(t *testing.T, data []byte, count uint16, p1, p2 float64) {
+		if len(data) == 0 {
+			return
+		}
+		var log latencyLog
+		for i := range int(count)%(3*latencyChunk) + 1 {
+			b := data[i%len(data)]
+			v := float64(b & 31)
+			var lat float64
+			switch b >> 5 {
+			case 0, 1:
+				lat = v * 1e-4
+			case 2:
+				lat = math.Ldexp(v+1, -40)
+			case 3:
+				lat = math.Float64frombits(uint64(b & 31))
+			case 4:
+				lat = math.Ldexp(v+1, 8+int(b&7))
+			case 5, 6:
+				lat = 1e-3 + v*1e-5 + float64(i)*1e-12
+			default:
+				lat = []float64{0, 0x1p-24, 0x1p8, math.MaxFloat64}[b&3]
+			}
+			log.add(lat)
+		}
+		ps := []float64{p1, p2}
+		if !(p1 >= 0 && p1 <= 100 && p2 >= 0 && p2 <= 100) {
+			if _, err := stats.ChunkedPercentiles(log.chunks, ps...); err == nil {
+				t.Fatalf("percentiles %v accepted", ps)
+			}
+			return
+		}
+		checkLatencyPercentiles(t, "fuzz", &log, ps...)
+	})
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"tpusim/internal/runtime"
@@ -15,7 +16,9 @@ import (
 //     least-loaded and bounded-hash policies see the fleet as it is;
 //   - every Healthy replica sits on an alive host the router can reach;
 //   - the kept placement counts equal a recount, and bestDevice picks the
-//     full scan's device for every app (checkPlacement).
+//     full scan's device for every app (checkPlacement);
+//   - every logged latency is finite and >= +0, never -0: the domain on
+//     which stats.ChunkedPercentiles orders values by their bits.
 //
 // The router clamps a load gauge at zero, so a gauge that starts short
 // hides its error until the replica drains; only a check at every step
@@ -40,9 +43,10 @@ func TestRouterAndHealthInvariants(t *testing.T) {
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			c := sc.build(t)
+			read := map[*latencyLog]int{}
 			for k := 1; float64(k)*1e-4 <= sc.horizon; k++ {
 				c.Run(float64(k) * 1e-4)
-				if msg := checkInvariants(c); msg != "" {
+				if msg := checkInvariants(c, read); msg != "" {
 					t.Fatalf("t=%v: %s", c.loop.Now(), msg)
 				}
 			}
@@ -50,9 +54,30 @@ func TestRouterAndHealthInvariants(t *testing.T) {
 	}
 }
 
-// checkInvariants returns the first violated invariant, or "".
-func checkInvariants(c *Cluster) string {
+// checkInvariants returns the first violated invariant, or "". read holds
+// how many of each latency log's entries earlier calls checked; only the
+// ones logged since are read.
+func checkInvariants(c *Cluster, read map[*latencyLog]int) string {
 	for _, a := range c.apps {
+		logs := []*latencyLog{&a.latencies}
+		if a.ro != nil {
+			logs = append(logs, &a.ro.cohorts[0].lats, &a.ro.cohorts[1].lats)
+		}
+		for _, l := range logs {
+			n := 0
+			for _, c := range l.chunks {
+				n += len(c)
+			}
+			if n < read[l] {
+				read[l] = 0 // a cohort reset at an observation start
+			}
+			for i := read[l]; i < n; i++ {
+				if lat := l.chunks[i/latencyChunk][i%latencyChunk]; math.IsNaN(lat) || math.IsInf(lat, 0) || math.Signbit(lat) {
+					return fmt.Sprintf("%s: logged latency %v is not finite and >= +0", a.cfg.Name, lat)
+				}
+			}
+			read[l] = n
+		}
 		for _, id := range a.router.IDs() {
 			rep := a.replicas[id]
 			if held, load := int64(rep.lane.Len()+len(rep.inFlight)), a.router.get(id).load; load != held {

@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 
 	"tpusim/internal/serve"
 )
@@ -44,16 +45,36 @@ func (c *Cluster) placeReplica(a *app, version int, canary bool) (*replica, erro
 			return nil, err
 		}
 	}
-	detail := fmt.Sprintf("%s replica r%d on host%d/dev%d (%d B weights, %d B free)",
-		a.cfg.Name, rep.id, d.host.id, d.idx, a.cfg.WeightBytes, d.freeBytes)
+	c.log(d.host.id, "place", placeDetail(a.cfg.Name, rep.id, d.host.id, d.idx, a.cfg.WeightBytes, d.freeBytes, version, canary), subject{})
+	return rep, nil
+}
+
+// placeDetail is a place event's detail, "<app> replica r<id> on
+// host<h>/dev<d> (<w> B weights, <f> B free)", then " v<version>" past v1
+// and " canary" for a canary. cluster.New logs one per replica, so it is
+// appended into one buffer, not formatted by fmt.
+func placeDetail(app string, id, host, dev int, weight, free int64, version int, canary bool) string {
+	var buf [128]byte
+	b := append(buf[:0], app...)
+	b = append(b, " replica r"...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, " on host"...)
+	b = strconv.AppendInt(b, int64(host), 10)
+	b = append(b, "/dev"...)
+	b = strconv.AppendInt(b, int64(dev), 10)
+	b = append(b, " ("...)
+	b = strconv.AppendInt(b, weight, 10)
+	b = append(b, " B weights, "...)
+	b = strconv.AppendInt(b, free, 10)
+	b = append(b, " B free)"...)
 	if version > 1 {
-		detail += fmt.Sprintf(" v%d", version)
+		b = append(b, " v"...)
+		b = strconv.AppendInt(b, int64(version), 10)
 	}
 	if canary {
-		detail += " canary"
+		b = append(b, " canary"...)
 	}
-	c.log(d.host.id, "place", detail, subject{})
-	return rep, nil
+	return string(b)
 }
 
 // versionScale is the service-time multiplier a version serves at: the

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -185,4 +186,31 @@ func FuzzPlacement(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPlaceDetailMatchesSprintf: the appended place detail is the line the
+// format string gives, byte for byte, at zero, large and negative counts,
+// long and non-ASCII app names, every version and both canary states.
+func TestPlaceDetailMatchesSprintf(t *testing.T) {
+	for _, app := range []string{"", "MLP0", "LSTM1-tiny", "ünïcode app", strings.Repeat("x", 200)} {
+		for _, n := range []int{0, 7, 999, 1 << 40, -3} {
+			for _, bytes := range []int64{0, 12 << 20, DeviceWeightBytes, -1} {
+				for version := 0; version <= 3; version++ {
+					for _, canary := range []bool{false, true} {
+						want := fmt.Sprintf("%s replica r%d on host%d/dev%d (%d B weights, %d B free)",
+							app, n, n+1, n+2, bytes, DeviceWeightBytes-bytes)
+						if version > 1 {
+							want += fmt.Sprintf(" v%d", version)
+						}
+						if canary {
+							want += " canary"
+						}
+						if got := placeDetail(app, n, n+1, n+2, bytes, DeviceWeightBytes-bytes, version, canary); got != want {
+							t.Fatalf("placeDetail = %q, want %q", got, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }

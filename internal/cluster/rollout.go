@@ -532,7 +532,7 @@ func (c *Cluster) rolloutVerdictFail() string {
 			}
 		}
 		// The percentile fails only when v2 served nothing.
-		if qs, err := stats.PercentilesInPlace(v2.lats.gather(), 99); err == nil && qs[0] > a.plan.SLASeconds {
+		if qs, err := stats.ChunkedPercentiles(v2.lats.chunks, 99); err == nil && qs[0] > a.plan.SLASeconds {
 			return fmt.Sprintf("%s: v2 p99 %.3f ms over the %.3f ms SLA",
 				a.cfg.Name, qs[0]*1e3, a.plan.SLASeconds*1e3)
 		}

@@ -314,21 +314,34 @@ func (r *Router) search(h uint64) int {
 // IDs calls this once, so a thousand Adds cost one build and not a
 // thousand. Ring positions depend only on replica ids, so a rejoining
 // replica reclaims exactly its old arcs (bounded key movement).
+//
+// The three slices are reused when they are large enough: nothing outside
+// the Router keeps them (IDs copies), so a membership change at a size the
+// router has had allocates nothing.
 func (r *Router) rebuild() {
 	r.stale = false
-	r.order = make([]*endpoint, 0, r.n)
+	r.order = resize(r.order, r.n)[:0]
 	for _, ep := range r.eps {
 		if ep != nil {
 			r.order = append(r.order, ep)
 		}
 	}
-	r.ring = make([]ringSlot, len(r.order)*vnodes)
+	r.ring = resize(r.ring, len(r.order)*vnodes)
 	// More buckets than ring slots / 4: a 100-replica ring of 6400 slots
 	// gets 2048 buckets, 8 KiB of index.
 	width := bits.Len(uint(len(r.ring) / 4))
 	r.shift = uint(64 - width)
-	r.index = make([]int32, 1<<width)
+	r.index = resize(r.index, 1<<width)
+	clear(r.index)
 	fillRing(r.ring, r.index, r.shift, r.order, vnodeHash)
+}
+
+// resize returns s at length n, reusing its array when it holds n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // fillRing lays the vnodes of order (ascending id) out on ring sorted by

@@ -546,8 +546,10 @@ func TestLoadBoundMatchesFloat(t *testing.T) {
 	}
 }
 
-// TestRebuildAllocs: a 100-replica rebuild allocates only the three slices
-// it keeps — order, ring and index — and no sort scratch.
+// TestRebuildAllocs: a 100-replica router's first build allocates only the
+// three slices it keeps — order, ring and index — and no sort scratch, and
+// a rebuild after a membership change that leaves it no larger allocates
+// nothing.
 func TestRebuildAllocs(t *testing.T) {
 	r := NewRouter(BoundedHash)
 	for id := 0; id < 100; id++ {
@@ -555,8 +557,19 @@ func TestRebuildAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(20, r.rebuild); n > 3 {
-		t.Errorf("100-replica rebuild: %v allocs, want <= 3 (order, ring, index)", n)
+	if n := testing.AllocsPerRun(1, func() { *r = Router{policy: r.policy, eps: r.eps, n: r.n}; r.rebuild() }); n > 3 {
+		t.Errorf("100-replica first build: %v allocs, want <= 3 (order, ring, index)", n)
+	}
+	churn := func() {
+		r.Remove(42)
+		r.rebuild()
+		if err := r.Add(42, 1); err != nil {
+			t.Fatal(err)
+		}
+		r.rebuild()
+	}
+	if n := testing.AllocsPerRun(20, churn); n > 1 {
+		t.Errorf("100-replica remove, rebuild, add, rebuild: %v allocs, want <= 1 (the added endpoint)", n)
 	}
 }
 

@@ -150,9 +150,10 @@ func (c *Cluster) Snapshot() *Snapshot {
 			Replicas:    a.liveReplicas(),
 			AppCounters: a.AppCounters,
 		}
-		// Percentiles select on the log's one gathered copy; the log stays in
-		// completion order. They fail on an empty log only.
-		if qs, err := stats.PercentilesInPlace(a.latencies.gather(), 50, 99); err == nil {
+		// Percentiles read the log where it lies and copy only the values
+		// near their ranks. They fail on an empty log only: every served
+		// latency is finite and >= +0 (checkInvariants).
+		if qs, err := stats.ChunkedPercentiles(a.latencies.chunks, 50, 99); err == nil {
 			as.P50Ms, as.P99Ms = qs[0]*1e3, qs[1]*1e3
 		}
 		if a.Offered > 0 {

@@ -115,6 +115,246 @@ func PercentilesInPlace(s []float64, ps ...float64) ([]float64, error) {
 	return out, nil
 }
 
+// ChunkedPercentiles returns the ps-th percentiles of the values in chunks,
+// taken as one sequence, bit-identical to Percentiles on their
+// concatenation. It only reads the chunks, and copies only values near the
+// ranks the interpolation reads.
+//
+// On the domain below, float64 bit patterns read as unsigned integers are
+// ordered as the values are, so a bucket of consecutive patterns holds
+// consecutive ranks. The first pass counts the values by top bucket: the
+// exponent and top 8 mantissa bits, 256 buckets an octave from 2^-24 up,
+// clamped to 8192 buckets at both ends. It also finds the smallest and
+// largest pattern and the low bits every pattern shares. The counts name
+// the bucket of each rank the interpolation reads. A bucket of one pattern
+// gives its ranks' value outright; one holding more than a sixteenth of the
+// values is split into 8192 by another counting pass; any other is copied
+// in a last pass, and selection on the copies finishes as
+// PercentilesInPlace does. So at most a sixteenth of the values is copied
+// per rank read, and a log of a few distinct values, as a deterministic
+// simulation writes, is not copied at all.
+//
+// The domain is finite values >= +0, where no two equal values differ in
+// bits; a negative value, -0, NaN or ±Inf is an error, not a guess at where
+// Percentiles would put it.
+func ChunkedPercentiles(chunks [][]float64, ps ...float64) ([]float64, error) {
+	for _, p := range ps {
+		if !(p >= 0 && p <= 100) {
+			return nil, fmt.Errorf("stats: percentile %v out of [0, 100]", p)
+		}
+	}
+	i := slices.IndexFunc(chunks, func(c []float64) bool { return len(c) > 0 })
+	if i < 0 {
+		return nil, fmt.Errorf("stats: percentile of empty slice")
+	}
+	var counts [buckets]int
+	first := math.Float64bits(chunks[i][0])
+	n, low, high, differ := 0, first, first, uint64(0)
+	for _, c := range chunks {
+		for _, x := range c {
+			b := math.Float64bits(x)
+			low, high, differ = min(low, b), max(high, b), differ|(b^first)
+			counts[topBucket(b)]++
+		}
+		n += len(c)
+	}
+	// Every pattern outside the domain is at or above +Inf's.
+	if high >= 0x7FF0_0000_0000_0000 {
+		return nil, fmt.Errorf("stats: chunked percentile of %v: values must be finite and >= +0", math.Float64frombits(high))
+	}
+	// Every pattern is first's in its low shared bits, so a bucket no wider
+	// than 1<<shared holds one pattern: the one with first's low bits.
+	shared := uint(bits.TrailingZeros64(differ))
+	var targetBuf [4]int
+	targets := targetBuf[:0]
+	for _, p := range ps {
+		_, lo, hi := rank(p, n)
+		targets = append(targets, lo, hi)
+	}
+
+	// Split buckets until each one holding a target rank is a leaf: one
+	// pattern, or few enough values to copy.
+	var workBuf, leafBuf [4]bucket
+	work := pick(workBuf[:0], counts[:], targets, 0, topEdge, low, high+1)
+	leaves := leafBuf[:0]
+	for len(work) > 0 {
+		w := work[len(work)-1]
+		work = work[:len(work)-1]
+		if w.one = (w.end-w.base-1)>>shared == 0; w.one {
+			w.base += (first - w.base) & (1<<shared - 1)
+		}
+		if w.one || w.n <= n/16 {
+			leaves = append(leaves, w)
+			continue
+		}
+		shift := uint(max(bits.Len64(w.end-w.base-1), bucketBits+int(shared)) - bucketBits)
+		clear(counts[:])
+		for _, c := range chunks {
+			for _, x := range c {
+				if d := math.Float64bits(x) - w.base; d < w.end-w.base {
+					counts[d>>shift]++
+				}
+			}
+		}
+		edge := func(j int) uint64 { return w.base + uint64(j)<<shift }
+		work = pick(work, counts[:(w.end-w.base-1)>>shift+1], targets, w.rank, edge, w.base, w.end)
+	}
+
+	// Lay the leaves out in s in rank order: a one-pattern leaf as its one
+	// value, any other as its members, copied in one last pass.
+	slices.SortFunc(leaves, func(a, b bucket) int { return a.rank - b.rank })
+	var copyBuf [4]bucket
+	var fillBuf [4]int
+	copies, fill, size := copyBuf[:0], fillBuf[:0], 0
+	for i := range leaves {
+		leaves[i].off = size
+		if leaves[i].one {
+			size++
+		} else {
+			copies, fill = append(copies, leaves[i]), append(fill, size)
+			size += leaves[i].n
+		}
+	}
+	s := make([]float64, size)
+	for _, l := range leaves {
+		if l.one {
+			s[l.off] = math.Float64frombits(l.base)
+		}
+	}
+	if len(copies) > 0 {
+		// Mark each top bucket holding a leaf to copy with its first such
+		// leaf, so a value outside them costs one lookup.
+		for j := range counts {
+			counts[j] = -1
+		}
+		for i := len(copies) - 1; i >= 0; i-- {
+			counts[topBucket(copies[i].base)] = i
+		}
+		for _, c := range chunks {
+			for _, x := range c {
+				b := math.Float64bits(x)
+				for i := counts[topBucket(b)]; i >= 0 && i < len(copies); i++ {
+					if b-copies[i].base < copies[i].end-copies[i].base {
+						s[fill[i]] = x
+						fill[i]++
+						break
+					}
+				}
+			}
+		}
+	}
+	return selectPercentiles(s, n, leaves, ps), nil
+}
+
+// ChunkedPercentiles' top buckets: a pattern's biased exponent and top
+// topBits mantissa bits, less those of 2^-24, clamped to [0, buckets).
+const (
+	bucketBits = 13
+	buckets    = 1 << bucketBits // a 64 KiB table of counts on the stack
+	topBits    = 8
+	topFloor   = (1023 - 24) << topBits
+)
+
+// topBucket is the top bucket of pattern b.
+func topBucket(b uint64) int {
+	return min(max(int(b>>(52-topBits))-topFloor, 0), buckets-1)
+}
+
+// topEdge is the smallest pattern of top bucket j, for j in [0, buckets];
+// buckets' edge is past every pattern.
+func topEdge(j int) uint64 {
+	switch j {
+	case 0:
+		return 0
+	case buckets:
+		return math.MaxUint64
+	}
+	return uint64(topFloor+j) << (52 - topBits)
+}
+
+// bucket is a run of ChunkedPercentiles' values: the n whose patterns lie
+// in [base, end), the smallest of rank rank among all the values. A leaf
+// sits in s from off: all its members, or, when one says they share one
+// pattern, that pattern's value once, base then being that pattern.
+type bucket struct {
+	base, end    uint64
+	rank, n, off int
+	one          bool
+}
+
+// pick appends to work each bucket of counts that holds a target rank.
+// Bucket j holds the patterns [edge(j), edge(j+1)) within [from, to), and
+// the ranks from below plus the counts before it.
+func pick(work []bucket, counts []int, targets []int, below int, edge func(int) uint64, from, to uint64) []bucket {
+	last := -1
+	for _, k := range targets {
+		last = max(last, k)
+	}
+	for j, c := range counts {
+		if below > last {
+			break
+		}
+		if c == 0 {
+			continue
+		}
+		for _, k := range targets {
+			if below <= k && k < below+c {
+				work = append(work, bucket{base: max(edge(j), from), end: min(edge(j+1), to), rank: below, n: c})
+				break
+			}
+		}
+		below += c
+	}
+	return work
+}
+
+// selectPercentiles interpolates the ps-th percentiles of n values from s,
+// which holds ChunkedPercentiles' leaves in rank order: rank k of the n is
+// rank off+k-rank of s for the leaf k falls in, or off itself for a
+// one-pattern leaf. The selection and the interpolation are
+// PercentilesInPlace's, on those ranks of s, so every value is the one it
+// would give; they are not shared so that its loop stays as fast as it is.
+func selectPercentiles(s []float64, n int, leaves []bucket, ps []float64) []float64 {
+	at := func(k int) int {
+		l := 0
+		for k >= leaves[l].rank+leaves[l].n {
+			l++
+		}
+		if leaves[l].one {
+			return leaves[l].off
+		}
+		return leaves[l].off + k - leaves[l].rank
+	}
+	// Select the largest rank not yet selected until none is left: s[bound:]
+	// holds selected ranks, s[:bound] the values below them.
+	for bound := len(s); ; {
+		k := -1
+		for _, p := range ps {
+			_, lo, hi := rank(p, n)
+			if lo, hi = at(lo), at(hi); hi < bound {
+				k = max(k, hi)
+			} else if lo < bound {
+				k = max(k, lo)
+			}
+		}
+		if k < 0 {
+			break
+		}
+		selectRank(s[:bound], k)
+		bound = k
+	}
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		r, lo, hi := rank(p, n)
+		out[i] = s[at(lo)]
+		if lo != hi {
+			frac := r - float64(lo)
+			out[i] = s[at(lo)]*(1-frac) + s[at(hi)]*frac
+		}
+	}
+	return out
+}
+
 // rank is where the p-th percentile of n sorted values falls, and the two
 // indices it interpolates between.
 func rank(p float64, n int) (r float64, lo, hi int) {

@@ -490,3 +490,94 @@ func FuzzPercentiles(f *testing.F) {
 		checkAgainstOracle(t, "fuzz", xs, ps)
 	})
 }
+
+// TestChunkedPercentilesRejects: a value outside the finite, >= +0 domain is
+// an error wherever it lies, as are no values at all and a percentile out
+// of [0, 100].
+func TestChunkedPercentilesRejects(t *testing.T) {
+	for _, bad := range []float64{-1e-3, math.Copysign(0, -1), math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), -math.MaxFloat64} {
+		chunks := [][]float64{{1, 2, 3}, {4, bad, 5}}
+		if qs, err := ChunkedPercentiles(chunks, 50); err == nil {
+			t.Errorf("value %v accepted: %v", bad, qs)
+		}
+	}
+	for _, chunks := range [][][]float64{nil, {}, {{}, {}}} {
+		if _, err := ChunkedPercentiles(chunks, 50); err == nil {
+			t.Errorf("no values (%v) accepted", chunks)
+		}
+	}
+	for _, p := range []float64{-1, 100.5, math.NaN()} {
+		if _, err := ChunkedPercentiles([][]float64{{1}}, p); err == nil {
+			t.Errorf("percentile %v accepted", p)
+		}
+	}
+}
+
+// TestChunkedPercentilesNone: asked for no percentiles, ChunkedPercentiles
+// answers as Percentiles does, with an empty result, once it has checked
+// the values.
+func TestChunkedPercentilesNone(t *testing.T) {
+	qs, err := ChunkedPercentiles([][]float64{{1, 2}, {3}})
+	if err != nil || len(qs) != 0 {
+		t.Errorf("no percentiles: %v, %v; want an empty result", qs, err)
+	}
+	if _, err := ChunkedPercentiles([][]float64{{1, math.NaN()}}); err == nil {
+		t.Error("NaN accepted when no percentiles were asked")
+	}
+}
+
+// TestChunkedPercentilesAllocs: ChunkedPercentiles allocates the copy of the
+// buckets it keeps and its result, nothing else, and leaves the chunks as
+// they were.
+func TestChunkedPercentilesAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	chunks := make([][]float64, 8)
+	for i := range chunks {
+		chunks[i] = make([]float64, 4096)
+		for j := range chunks[i] {
+			chunks[i][j] = rng.ExpFloat64() * 1e-3
+		}
+	}
+	orig := make([][]float64, len(chunks))
+	for i, c := range chunks {
+		orig[i] = slices.Clone(c)
+	}
+	if a := testing.AllocsPerRun(20, func() { _, _ = ChunkedPercentiles(chunks, 50, 99) }); a != 2 {
+		t.Errorf("ChunkedPercentiles: %v allocations, want 2", a)
+	}
+	for i := range chunks {
+		if !slices.Equal(chunks[i], orig[i]) {
+			t.Fatalf("ChunkedPercentiles wrote chunk %d", i)
+		}
+	}
+}
+
+// BenchmarkChunkedPercentiles: p50 and p99 of 2^19 exponential latencies
+// in 4096-value chunks, read where they lie (chunked) against a copy and
+// selection (copy).
+func BenchmarkChunkedPercentiles(b *testing.B) {
+	rng := rand.New(rand.NewSource(54))
+	chunks := make([][]float64, 128)
+	for i := range chunks {
+		chunks[i] = make([]float64, 4096)
+		for j := range chunks[i] {
+			chunks[i][j] = rng.ExpFloat64() * 1e-3
+		}
+	}
+	b.Run("chunked", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			_, _ = ChunkedPercentiles(chunks, 50, 99)
+		}
+	})
+	b.Run("copy", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			s := make([]float64, 0, 128*4096)
+			for _, c := range chunks {
+				s = append(s, c...)
+			}
+			_, _ = PercentilesInPlace(s, 50, 99)
+		}
+	})
+}

@@ -252,6 +252,26 @@ next:
 	ADDQ $256, DI
 	DECQ R10
 	JNZ  strip
+
+	// VZEROUPPER clears the upper halves of Z0-Z15 only. Left dirty, those
+	// of Z16-Z31 would make every later SSE instruction (Go's scalar float
+	// code) merge into them, slowing it down.
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	VPXORD Z24, Z24, Z24
+	VPXORD Z25, Z25, Z25
+	VPXORD Z26, Z26, Z26
+	VPXORD Z27, Z27, Z27
+	VPXORD Z28, Z28, Z28
+	VPXORD Z29, Z29, Z29
+	VPXORD Z30, Z30, Z30
+	VPXORD Z31, Z31, Z31
 	VZEROUPPER
 	RET
 
@@ -413,6 +433,14 @@ pnext:
 	JNZ  pblock
 
 tiles:
+	// The pack used Z24-Z29, whose upper halves VZEROUPPER leaves dirty
+	// (see mulGroupVNNI's return).
+	VPXORD Z24, Z24, Z24
+	VPXORD Z25, Z25, Z25
+	VPXORD Z26, Z26, Z26
+	VPXORD Z27, Z27, Z27
+	VPXORD Z28, Z28, Z28
+	VPXORD Z29, Z29, Z29
 	VZEROUPPER
 	LEAQ amxTileConfig<>(SB), AX
 	LDTILECFG_AX
