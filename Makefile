@@ -31,7 +31,8 @@ build:
 # vetted for a big-endian GOARCH. The float kernels must not fuse a multiply
 # into an add (that rounds once, and every quantization scale would differ
 # from amd64's), so arm64's assembly of internal/tensor may hold no
-# FMADD/FMSUB/FNMADD/FNMSUB. The AMX tiles are requested from Linux by
+# FMADD/FMSUB/FNMADD/FNMSUB, and the amd64 assembly files of internal/tensor
+# and internal/fixed no VFMADD/VFMSUB/VFNMADD/VFNMSUB outside a comment. The AMX tiles are requested from Linux by
 # syscall, so the CPU flags and the matrix kernel are also built and vetted
 # for amd64 on another OS. Works offline.
 cross:
@@ -44,6 +45,8 @@ cross:
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor 2>&1) || { echo "$$asm"; exit 1; }; \
 	if echo "$$asm" | grep -E '\sFN?M(ADD|SUB)[SD]\s'; then \
 		echo "cross: fused multiply-add in arm64 internal/tensor"; exit 1; fi
+	@if grep -nE '^[^/]*\<VFN?M(ADD|SUB)' internal/tensor/*_amd64.s internal/fixed/*_amd64.s; then \
+		echo "cross: fused multiply-add in the amd64 assembly of internal/tensor or internal/fixed"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -62,13 +65,16 @@ bench-test:
 # swar, scalar) at the shapes the repo runs (batches of 2, 16 and 64 rows,
 # and 128 rows of a 36-deep contraction), every path of the fixed-point row
 # passes (scalar, AVX2 and the AVX-512 drain, where the host has them) and of the float
-# calibration matmul, and the CRC against its table oracle — without paying
-# for a full measurement.
+# calibration matmul, the two halves of a model's cold start (the wide
+# MLP's quantize and compile), and the CRC against its table oracle —
+# without paying for a full measurement.
 bench-smoke:
 	$(GO) test ./internal/systolic -run xxx -bench BenchmarkMulRow -benchtime 100x
 	$(GO) test ./internal/systolic -run xxx -bench 'BenchmarkMultiply/^B=(2|16|64|128,K=36)$$/' -benchtime 20x
-	$(GO) test ./internal/fixed -run xxx -bench 'DrainRow|SatAddRows|QuantizeInto|DequantizeInto' -benchtime 100x
+	$(GO) test ./internal/fixed -run xxx -bench 'DrainRow|SatAddRows|QuantizeInto|DequantizeInto|AbsMax' -benchtime 100x
 	$(GO) test ./internal/tensor -run xxx -bench BenchmarkMatMulF32 -benchtime 5x
+	$(GO) test ./internal/nn -run xxx -bench BenchmarkQuantizeModelWide -benchtime 2x
+	$(GO) test ./internal/compiler -run xxx -bench BenchmarkCompileWide -benchtime 5x
 	$(GO) test ./internal/integrity -run xxx -bench BenchmarkCRC -benchtime 100x
 
 # Full benchmark sweep (tables, figures, kernels).
@@ -120,6 +126,7 @@ bench-gate:
 	$(call gate-run,./internal/systolic,TestMultiplyIntoZeroAlloc)
 	$(call gate-run,./internal/tpu,TestTileLoadAliasesWeightDRAM|TestNewDeviceFootprint)
 	$(call gate-run,./internal/runtime,TestServerWeightFootprint)
+	$(call gate-run,./internal/compiler,TestCompileAllocs)
 	$(call gate-names,./internal/serve,SteadyStateAllocs)
 	@out=$$($(GO) test -count=1 -v ./internal/serve -run SteadyStateAllocs) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -E 'backend dispatch:|^ok'

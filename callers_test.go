@@ -43,7 +43,8 @@ var callerAllowlist = map[string]string{
 	// tests call them directly.
 	"fixed.useVector":   "turns fixed's row passes off so tests compare them with the scalar Go",
 	"fixed.useWide":     "turns fixed's AVX-512 drain off so tests run the AVX2 drain an AVX2-only host runs",
-	"tensor.useVector":  "turns tensor's float pass off so tests compare it with the scalar Go",
+	"tensor.useVector":  "turns tensor's float passes off so tests compare them with the scalar Go",
+	"tensor.useWide":    "turns tensor's AVX-512 matmul off so tests run the AVX2 pass an AVX2-only host runs",
 	"systolic.runUnder": "picks the kernel rung MultiplyInto runs so tests cover every rung the host has, not only the fastest",
 
 	// Cross-package test helpers, which no _test.go of their own package can

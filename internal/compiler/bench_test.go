@@ -19,3 +19,15 @@ func BenchmarkCompileShape(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCompileWide is the compile half of infer_batch's cold start: a
+// functional compile of the wide model (four FC 1024 layers, batch 64),
+// weight image included.
+func BenchmarkCompileWide(b *testing.B) {
+	qm := wideModel(b)
+	for b.Loop() {
+		if _, err := Compile(qm, Options{Allocator: Reuse}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -244,13 +244,9 @@ func compile(m *nn.Model, qm *nn.QuantizedModel, opts Options) (*Artifact, error
 		ActTable:     lo.actTable,
 	}
 	if lo.qm != nil {
+		// Never nil, even empty for a model with no matrix layers: a
+		// functional program is told from a timing-only one by its image.
 		prog.WeightImage = lo.weightImage
-		if prog.WeightImage == nil {
-			// A model with no matrix layers has no tiles; functional runs
-			// still need a (empty) image to distinguish them from
-			// timing-only programs.
-			prog.WeightImage = []int8{}
-		}
 	} else {
 		prog.WeightBytes = lo.weightNext - int64(opts.WeightBase)
 	}

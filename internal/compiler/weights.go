@@ -11,7 +11,9 @@ import (
 // in Weight Memory order and records per-tile occupancy metadata. Tile
 // order within a layer is column-tile-major, row-tile-minor — the same
 // order the instruction schedule consumes them, so Read_Weights streams
-// sequentially through DRAM.
+// sequentially through DRAM. A functional compile allocates the image once,
+// at its exact footprint, and copies each tile's rows into place; the
+// padding of a partial tile stays zero.
 func (lo *lowering) buildWeights() error {
 	if n := len(lo.m.Layers); cap(lo.layerTiles) >= n {
 		lo.layerTiles = lo.layerTiles[:n] // every entry is assigned below
@@ -19,6 +21,10 @@ func (lo *lowering) buildWeights() error {
 		lo.layerTiles = make([]int64, n)
 	}
 	rowsPerTile := lo.tileRows()
+	base := lo.weightNext
+	if lo.qm != nil {
+		lo.weightImage = make([]int8, WeightFootprint(lo.m, lo.opts.Weights16))
+	}
 	for i, l := range lo.m.Layers {
 		lo.layerTiles[i] = lo.weightNext
 		rows, cols := weightMatrixDims(l)
@@ -39,12 +45,11 @@ func (lo *lowering) buildWeights() error {
 					Rows: uint16(usedRows), Cols: uint16(usedCols),
 				})
 				if lo.qm != nil {
-					tile := make([]int8, isa.WeightTileBytes)
+					tile := lo.weightImage[lo.weightNext-base:][:isa.WeightTileBytes]
 					for r := 0; r < usedRows; r++ {
 						srcBase := (rt*isa.MatrixDim+r)*cols + c*isa.MatrixDim
 						copy(tile[r*isa.MatrixDim:r*isa.MatrixDim+usedCols], data[srcBase:srcBase+usedCols])
 					}
-					lo.weightImage = append(lo.weightImage, tile...)
 				}
 				lo.weightNext += isa.WeightTileBytes
 			}

@@ -17,8 +17,8 @@ import (
 )
 
 // vector selects the assembly row passes behind SatAddRow, QuantizeInto,
-// DequantizeInto and DrainRow where the host has AVX2, and wide DrainRow's
-// AVX-512 pass where it also has AVX-512 VBMI. Each pass is bit-identical to
+// DequantizeInto, DrainRow and AbsMax where the host has AVX2, and wide
+// DrainRow's AVX-512 pass where it also has AVX-512 VBMI. Each pass is bit-identical to
 // the scalar loop beside it, which is the portable path and the oracle the
 // tests hold the passes to. Only useVector and useWide write them.
 var (
@@ -131,14 +131,28 @@ func ChooseParamsFor(data []float32) Params {
 
 // AbsMax returns the largest |v| in data, 0 when data is empty. NaNs are
 // ignored, so the result is never NaN; an infinity is returned as +Inf.
+//
+// The scalar loop compares bit patterns, without a branch: with the sign
+// bit cleared a float's pattern orders as its magnitude does, +Inf
+// (0x7f800000) above every finite one and every NaN above +Inf, so a NaN's
+// pattern is set to 0 before it is compared. Where the host has AVX2 it is
+// one vector pass (absMaxAVX2: VANDPS, then VMAXPS) over whole groups of
+// eight lanes, the loop doing the rest.
 func AbsMax(data []float32) float32 {
-	var m float32
-	for _, v := range data {
-		if a := float32(math.Abs(float64(v))); a > m {
-			m = a
-		}
+	var m uint32
+	n := 0
+	if vector && len(data) >= 8 {
+		n = len(data) &^ 7
+		m = math.Float32bits(absMaxAVX2(&data[0], n))
 	}
-	return m
+	for _, v := range data[n:] {
+		u := math.Float32bits(v) &^ (1 << 31)
+		if u > 0x7f800000 {
+			u = 0
+		}
+		m = max(m, u)
+	}
+	return math.Float32frombits(m)
 }
 
 // SatAdd32 adds two int32 values, saturating instead of wrapping. The TPU's

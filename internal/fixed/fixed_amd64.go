@@ -32,3 +32,8 @@ func quantizeAVX2(dst *int8, src *float32, n int, s, d float64)
 //
 //go:noescape
 func dequantizeAVX2(dst *float32, src *int8, n int, scale float32)
+
+// absMaxAVX2 is AbsMax over src[:n].
+//
+//go:noescape
+func absMaxAVX2(src *float32, n int) float32

@@ -329,3 +329,64 @@ lanes:
 	JNZ       lanes
 	VZEROUPPER
 	RET
+
+// func absMaxAVX2(src *float32, n int) float32
+//
+// Eight lanes per register, four registers of running maxima: VANDPS clears
+// each sign bit, and VMAXPS keeps the magnitude, its first source, only
+// where it is greater than the running maximum, its second: a NaN compares
+// false and is never kept, +Inf is kept, and with the sign bits clear there
+// is no -0 to tie with +0. The maxima start at +0 and are never NaN, so
+// folding them together in any order gives the same bits.
+TEXT ·absMaxAVX2(SB), NOSPLIT, $0-20
+	MOVQ         src+0(FP), SI
+	MOVQ         n+8(FP), CX
+	MOVL         $0x7fffffff, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15
+	VXORPS       Y0, Y0, Y0
+	VXORPS       Y1, Y1, Y1
+	VXORPS       Y2, Y2, Y2
+	VXORPS       Y3, Y3, Y3
+	CMPQ         CX, $32
+	JB           tail
+	PCALIGN      $32
+
+blocks:
+	VANDPS (SI), Y15, Y4
+	VANDPS 32(SI), Y15, Y5
+	VANDPS 64(SI), Y15, Y6
+	VANDPS 96(SI), Y15, Y7
+	VMAXPS Y0, Y4, Y0
+	VMAXPS Y1, Y5, Y1
+	VMAXPS Y2, Y6, Y2
+	VMAXPS Y3, Y7, Y3
+	ADDQ   $128, SI
+	SUBQ   $32, CX
+	CMPQ   CX, $32
+	JAE    blocks
+
+tail:
+	TESTQ CX, CX
+	JZ    fold
+
+lanes:
+	VANDPS (SI), Y15, Y4
+	VMAXPS Y0, Y4, Y0
+	ADDQ   $32, SI
+	SUBQ   $8, CX
+	JNZ    lanes
+
+fold:
+	VMAXPS       Y1, Y0, Y0
+	VMAXPS       Y3, Y2, Y2
+	VMAXPS       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPS       X1, X0, X0
+	VPSHUFD      $0x4E, X0, X1
+	VMAXPS       X1, X0, X0
+	VPSHUFD      $0xB1, X0, X1
+	VMAXPS       X1, X0, X0
+	VMOVSS       X0, ret+16(FP)
+	VZEROUPPER
+	RET

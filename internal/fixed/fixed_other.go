@@ -22,3 +22,5 @@ func quantizeAVX2(dst *int8, src *float32, n int, s, d float64) {
 func dequantizeAVX2(dst *float32, src *int8, n int, scale float32) {
 	panic("fixed: no AVX2 off amd64")
 }
+
+func absMaxAVX2(src *float32, n int) float32 { panic("fixed: no AVX2 off amd64") }

@@ -2,6 +2,7 @@ package fixed
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -103,4 +104,68 @@ func TestQuantizeRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// absMaxOracle is AbsMax as a float compare per element, the loop the
+// bit-pattern pass replaced.
+func absMaxOracle(data []float32) float32 {
+	var m float32
+	for _, v := range data {
+		if a := float32(math.Abs(float64(v))); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// TestAbsMaxMatchesOracle: AbsMax returns the float compare's bits, on
+// every path, on every prefix of slices long enough for the vector pass's
+// blocks of 32, its groups of eight and the scalar tail, holding NaNs of
+// either sign and payload, ±Inf, ±0, subnormals and the float32 extremes at
+// random places, and on random bit patterns.
+func TestAbsMaxMatchesOracle(t *testing.T) {
+	nan := float32(math.NaN())
+	negNaN := math.Float32frombits(0xffc00001)
+	inf := float32(math.Inf(1))
+	special := []float32{
+		0, float32(math.Copysign(0, -1)), nan, negNaN, 1e-45, -1e-45, 1.5, -2.5,
+		math.MaxFloat32, -math.MaxFloat32, -inf, inf, math.SmallestNonzeroFloat32, 3,
+	}
+	r := rand.New(rand.NewSource(1))
+	eachPath(t, func(path string) {
+		for trial := 0; trial < 100; trial++ {
+			data := make([]float32, trial)
+			for i := range data {
+				if r.Intn(3) == 0 {
+					data[i] = special[r.Intn(len(special))]
+				} else {
+					data[i] = math.Float32frombits(r.Uint32())
+				}
+			}
+			for n := 0; n <= len(data); n++ {
+				got, want := AbsMax(data[:n]), absMaxOracle(data[:n])
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("%s: AbsMax(%v) = %v, oracle %v", path, data[:n], got, want)
+				}
+			}
+		}
+		if got := AbsMax([]float32{nan, negNaN, nan, nan, nan, nan, nan, nan, nan}); math.Float32bits(got) != 0 {
+			t.Errorf("%s: AbsMax of NaNs = %v, want +0", path, got)
+		}
+	})
+}
+
+// BenchmarkAbsMax is one calibration record of the wide MLP: the range of
+// 64 x 1024 pre-activations.
+func BenchmarkAbsMax(b *testing.B) {
+	data := make([]float32, 64*1024)
+	r := rand.New(rand.NewSource(1))
+	for i := range data {
+		data[i] = r.Float32()*2 - 1
+	}
+	benchPaths(b, func(b *testing.B) {
+		for b.Loop() {
+			AbsMax(data)
+		}
+	})
 }

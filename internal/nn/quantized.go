@@ -62,11 +62,12 @@ func QuantizeModel(m *Model, p *Params, calib *tensor.F32) (*QuantizedModel, err
 			if err != nil {
 				return nil, fmt.Errorf("nn: calibration layer %d: %w", i, err)
 			}
+			// pre is the layer's own new tensor: the activation overwrites
+			// it once its range is recorded.
 			record(&preMax[i], pre)
-			out := pre.Clone()
-			applyAct(l, out)
-			record(&edgeMax[i+1], out)
-			x = out
+			applyAct(l, pre)
+			record(&edgeMax[i+1], pre)
+			x = pre
 		}
 	}
 

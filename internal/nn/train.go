@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"tpusim/internal/fixed"
 	"tpusim/internal/tensor"
@@ -83,9 +82,11 @@ func Train(m *Model, p *Params, inputs, targets *tensor.F32, cfg TrainConfig) (f
 // returning the batch's mean squared error before the update.
 func sgdStep(m *Model, p *Params, x, y *tensor.F32, lr float32) (float64, error) {
 	nLayers := len(m.Layers)
-	// Forward, keeping each layer's input and pre-activation.
+	// Forward, keeping each layer's input and the activation's derivative
+	// at each pre-activation, which overwrites the pre-activation: each
+	// nonlinearity is evaluated once, its float64 value giving both.
 	ins := make([]*tensor.F32, nLayers)
-	pres := make([]*tensor.F32, nLayers)
+	ders := make([]*tensor.F32, nLayers)
 	cur := x
 	for i, l := range m.Layers {
 		ins[i] = cur
@@ -93,9 +94,13 @@ func sgdStep(m *Model, p *Params, x, y *tensor.F32, lr float32) (float64, error)
 		if err != nil {
 			return 0, err
 		}
-		pres[i] = pre
-		out := pre.Clone()
-		applyAct(l, out)
+		out := tensor.NewF32(pre.Shape...)
+		for j, v := range pre.Data {
+			y := l.Act.Apply(float64(v))
+			out.Data[j] = float32(y)
+			pre.Data[j] = actDerivative(l.Act, v, y)
+		}
+		ders[i] = pre
 		cur = out
 	}
 
@@ -116,7 +121,7 @@ func sgdStep(m *Model, p *Params, x, y *tensor.F32, lr float32) (float64, error)
 		l := m.Layers[i]
 		// dPre = dOut * act'(pre)
 		for j := range grad.Data {
-			grad.Data[j] *= actDerivative(l.Act, pres[i].Data[j])
+			grad.Data[j] *= ders[i].Data[j]
 		}
 		// dIn = dPre * W^T, against the pre-update weights.
 		w := p.ByLayer[i]
@@ -151,8 +156,10 @@ func sgdStep(m *Model, p *Params, x, y *tensor.F32, lr float32) (float64, error)
 	return loss, nil
 }
 
-// actDerivative evaluates the nonlinearity's derivative at pre-activation v.
-func actDerivative(a fixed.Nonlinearity, v float32) float32 {
+// actDerivative returns the nonlinearity's derivative at pre-activation v,
+// given y, its value there as Apply computes it in float64: sigmoid's
+// s(1-s) and tanh's 1-t² reuse the forward pass's exponential.
+func actDerivative(a fixed.Nonlinearity, v float32, y float64) float32 {
 	switch a {
 	case fixed.ReLU:
 		if v > 0 {
@@ -160,11 +167,9 @@ func actDerivative(a fixed.Nonlinearity, v float32) float32 {
 		}
 		return 0
 	case fixed.Sigmoid:
-		s := 1 / (1 + math.Exp(-float64(v)))
-		return float32(s * (1 - s))
+		return float32(y * (1 - y))
 	case fixed.Tanh:
-		t := math.Tanh(float64(v))
-		return float32(1 - t*t)
+		return float32(1 - y*y)
 	default:
 		return 1
 	}

@@ -147,3 +147,43 @@ func TestTrainThenQuantize(t *testing.T) {
 		}
 	}
 }
+
+// actValues are pre-activations at the edges of every nonlinearity: ±0,
+// subnormals, the float32 extremes, ±Inf, a quiet and a signaling NaN, and
+// values where sigmoid and tanh saturate or round.
+var actValues = []float32{
+	0, float32(math.Copysign(0, -1)), 1e-45, -1e-45, 0.5, -0.5, 1, -1, 3.75, -3.75,
+	9.5, -9.5, 20, -20, 88.8, -88.8, 1e4, -1e4, math.MaxFloat32, -math.MaxFloat32,
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), math.Float32frombits(0x7f800001),
+}
+
+// TestActDerivativeFromForwardValue: the derivative taken from the forward
+// pass's float64 value equals the one that evaluates the nonlinearity again
+// at the pre-activation, bit for bit.
+func TestActDerivativeFromForwardValue(t *testing.T) {
+	again := func(a fixed.Nonlinearity, v float32) float32 {
+		switch a {
+		case fixed.ReLU:
+			if v > 0 {
+				return 1
+			}
+			return 0
+		case fixed.Sigmoid:
+			s := 1 / (1 + math.Exp(-float64(v)))
+			return float32(s * (1 - s))
+		case fixed.Tanh:
+			th := math.Tanh(float64(v))
+			return float32(1 - th*th)
+		default:
+			return 1
+		}
+	}
+	for _, act := range []fixed.Nonlinearity{fixed.Identity, fixed.ReLU, fixed.Sigmoid, fixed.Tanh} {
+		for _, v := range actValues {
+			got, want := actDerivative(act, v, act.Apply(float64(v))), again(act, v)
+			if math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
+				t.Errorf("%s'(%v) = %v, evaluated again %v", act, v, got, want)
+			}
+		}
+	}
+}

@@ -11,7 +11,7 @@ import (
 
 	_ "tpusim/internal/fixed"    // defines useVector and useWide
 	_ "tpusim/internal/systolic" // defines runUnder
-	_ "tpusim/internal/tensor"   // defines useVector
+	_ "tpusim/internal/tensor"   // defines useVector and useWide
 )
 
 //go:linkname runUnder tpusim/internal/systolic.runUnder
@@ -26,13 +26,16 @@ func useWide(on bool) bool
 //go:linkname useFloatVector tpusim/internal/tensor.useVector
 func useFloatVector(on bool) bool
 
+//go:linkname useFloatWide tpusim/internal/tensor.useWide
+func useFloatWide(on bool) bool
+
 // Each runs f as a subtest under every batched kernel this host can run,
 // fastest first: "swar" always, above it "avx2", "avx512vnni" and "amx"
 // where the CPU and the OS provide them. The assembly rungs run with fixed's and tensor's vector
 // passes on; "swar", the portable rung, runs with them off too, so that it is
 // what a host without assembly runs, and "avx2" with fixed's AVX-512 drain
-// off, as an AVX2-only host runs. It must not be used from parallel tests:
-// the switches are process-wide.
+// and tensor's AVX-512 matmul off, as an AVX2-only host runs. It must not
+// be used from parallel tests: the switches are process-wide.
 func Each(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	t.Cleanup(func() {
@@ -48,6 +51,7 @@ func Each(t *testing.T, f func(t *testing.T)) {
 		useVector(name != "swar")
 		useWide(name != "avx2")
 		useFloatVector(name != "swar")
+		useFloatWide(name != "avx2")
 		t.Run(name, f)
 	}
 }

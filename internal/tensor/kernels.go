@@ -6,19 +6,37 @@ import (
 	"tpusim/internal/cpu"
 )
 
-// vector selects the AVX2 pass behind axpy where the host has it. The pass is
-// bit-identical to the scalar loop beside it, which is the portable path and
-// the oracle the tests hold the pass to. Only useVector writes it.
-var vector = cpu.AVX2
+// vector selects the AVX2 pass behind axpy where the host has it, and wide
+// the AVX-512 register-blocked pass behind MatMulF32 where the host has
+// AVX-512 F too (with the opmask and ZMM state saved, which either of cpu's
+// AVX-512 flags implies). Both passes are bit-identical to the scalar loop,
+// which is the portable path and the oracle the tests hold them to. Only
+// useVector and useWide write them.
+var (
+	vector = cpu.AVX2
+	wide   = vector && hasAVX512
+)
 
-// useVector turns the pass on, where the host has it, or off, and reports
-// whether it is on. It exists so that tests cover both paths: this package's
-// tests call it directly, other packages' tests go through
-// systolic/kerneltest, which reaches it by linkname. The switch is
+// hasAVX512 is what gemmAVX512 needs of the host.
+var hasAVX512 = cpu.AVX512VNNI || cpu.AVX512VBMI
+
+// useVector turns the passes on, where the host has them, or off, and
+// reports whether the AVX2 pass is on. It exists so that tests cover every
+// path: this package's tests call it directly, other packages' tests go
+// through systolic/kerneltest, which reaches it by linkname. The switch is
 // process-wide.
 func useVector(on bool) bool {
 	vector = on && cpu.AVX2
+	wide = vector && hasAVX512
 	return vector
+}
+
+// useWide turns the AVX-512 pass on, where the host has it and the AVX2
+// pass is on, or off, and reports whether it is on: an AVX2-only host's
+// path is then testable on any AVX-512 one.
+func useWide(on bool) bool {
+	wide = on && vector && hasAVX512
+	return wide
 }
 
 // axpy adds a*x[j] to dst[j] for every lane of dst; len(x) must be at least
@@ -53,15 +71,28 @@ func fits(op string, s Shape, n int) error {
 	return nil
 }
 
-// rowBlock is how many rows of a MatMulF32 share one pass over w: each
+// rowBlock is how many rows of the axpy pass share one pass over w: each
 // weight row is read once per block, while the block's output rows stay in
 // cache.
 const rowBlock = 8
 
+// The register-blocked pass (gemmAVX512) keeps a panelRows x panelCols
+// block of out in registers while it walks panelDepth rows of w: one weight
+// load serves every row of the block, and the block is loaded and stored
+// once per depth panel, not once per product. The column panels run
+// outermost, so a panel's weights come from memory once and from cache for
+// every row block after the first.
+const (
+	panelRows  = 4
+	panelCols  = 64
+	panelDepth = 256
+)
+
 // MatMulF32 computes out = a (BxK) * w (KxN) in float32. It is the reference
 // kernel the quantized systolic datapath is validated against, and the
-// calibration pass of nn.QuantizeModel. Each output sums its products in kk
-// order, skipping zero activations, whatever the blocking or the path.
+// calibration pass of nn.QuantizeModel. Each output sums its rounded
+// products in kk order, and a zero activation adds nothing, whatever the
+// blocking or the path.
 func MatMulF32(a, w *F32) (*F32, error) {
 	if len(a.Shape) != 2 || len(w.Shape) != 2 {
 		return nil, fmt.Errorf("tensor: MatMulF32 needs rank-2 operands, got %v x %v", a.Shape, w.Shape)
@@ -78,18 +109,42 @@ func MatMulF32(a, w *F32) (*F32, error) {
 		return nil, fmt.Errorf("tensor: inner dimensions disagree: %d vs %d", k, k2)
 	}
 	out := NewF32(b, n)
-	for i0 := 0; i0 < b; i0 += rowBlock {
-		i1 := min(i0+rowBlock, b)
-		for kk := 0; kk < k; kk++ {
-			wrow := w.Data[kk*n : (kk+1)*n]
-			for i := i0; i < i1; i++ {
-				if av := a.Data[i*k+kk]; av != 0 {
-					axpy(out.Data[i*n:(i+1)*n], wrow, av)
+	rows, cols := 0, 0
+	if wide {
+		rows, cols = b&^(panelRows-1), n&^(panelCols-1)
+		for j0 := 0; j0 < cols; j0 += panelCols {
+			for k0 := 0; k0 < k; k0 += panelDepth {
+				depth := min(panelDepth, k-k0)
+				for i0 := 0; i0 < rows; i0 += panelRows {
+					gemmAVX512(&a.Data[i0*k+k0], k, &w.Data[k0*n+j0], n, &out.Data[i0*n+j0], n, depth)
 				}
 			}
 		}
 	}
+	// The axpy pass does what the blocks leave: the columns right of them
+	// in their rows, then every column of the rows below them.
+	axpyRows(out.Data, a.Data, w.Data, 0, rows, cols, k, n)
+	axpyRows(out.Data, a.Data, w.Data, rows, b, 0, k, n)
 	return out, nil
+}
+
+// axpyRows adds a*w into rows [i0, i1) of out, columns [j0, n) only, one
+// axpy per nonzero activation, in kk order.
+func axpyRows(out, a, w []float32, i0, i1, j0, k, n int) {
+	if j0 == n {
+		return
+	}
+	for r0 := i0; r0 < i1; r0 += rowBlock {
+		r1 := min(r0+rowBlock, i1)
+		for kk := 0; kk < k; kk++ {
+			wrow := w[kk*n+j0 : (kk+1)*n]
+			for i := r0; i < r1; i++ {
+				if av := a[i*k+kk]; av != 0 {
+					axpy(out[i*n+j0:(i+1)*n], wrow, av)
+				}
+			}
+		}
+	}
 }
 
 // MatMulI8 computes the int32 accumulator result of an int8 matmul, the

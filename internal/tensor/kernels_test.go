@@ -167,20 +167,20 @@ func TestIm2ColBadShape(t *testing.T) {
 	}
 }
 
-// eachPath runs f with the vector pass off, then on where the host has it,
-// and leaves it on.
+// eachPath runs f with the vector passes off ("scalar"), then with the
+// AVX2 pass on ("avx2") and with the AVX-512 pass on too ("avx512"), each
+// where the host has it, and leaves both on.
 func eachPath(t testing.TB, f func(path string)) {
 	t.Helper()
 	defer useVector(true)
-	for _, on := range []bool{false, true} {
-		if useVector(on) != on {
+	for _, p := range []struct {
+		name         string
+		vector, wide bool
+	}{{"scalar", false, false}, {"avx2", true, false}, {"avx512", true, true}} {
+		if useVector(p.vector) != p.vector || useWide(p.wide) != p.wide {
 			continue
 		}
-		path := "scalar"
-		if on {
-			path = "vector"
-		}
-		f(path)
+		f(p.name)
 	}
 }
 
@@ -210,12 +210,33 @@ func matMulOracle(a, w *F32) *F32 {
 	return out
 }
 
-// FuzzMatMulF32 holds MatMulF32, on both paths, to matMulOracle bit for bit
-// over any float32 bit patterns: b up to 20 rows (partial row blocks), n up
-// to 80 columns (whole groups of eight lanes and a scalar tail), and a mask
-// of zeroed activations. Seeds put zero activations against ±Inf
-// and NaN weights — a product taken instead of skipped would turn the
-// output NaN — sums that cancel to ±0, and inexact products that a fused
+// sameAsOracle fails t unless MatMulF32 gives matMulOracle's floats on
+// every path eachPath runs.
+func sameAsOracle(t *testing.T, a, w *F32) {
+	t.Helper()
+	want := matMulOracle(a, w)
+	eachPath(t, func(path string) {
+		got, err := MatMulF32(a, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if !sameFloat(got.Data[i], want.Data[i]) {
+				t.Fatalf("%s %v x %v: out[%d] = %v, oracle %v", path, a.Shape, w.Shape, i, got.Data[i], want.Data[i])
+			}
+		}
+	})
+}
+
+// FuzzMatMulF32 holds MatMulF32, on every path, to matMulOracle bit for bit
+// over any float32 bit patterns: b up to 24 rows (up to six of the AVX-512
+// pass's row blocks, with one to three rows left over or none), k up to 600
+// (two of its depth panels and a part), n up to 140 columns (two of its
+// column panels, a group of eight lanes and a scalar tail), and a mask of
+// zeroed activations. Seeds put zero and -0 activations against ±Inf and
+// NaN weights — a product taken instead of skipped or masked would turn the
+// output NaN — rows with none, half and all of their activations zero, as
+// after a ReLU, sums that cancel to ±0, and inexact products that a fused
 // multiply-add would round differently.
 func FuzzMatMulF32(f *testing.F) {
 	floats := func(vals ...float32) []byte {
@@ -227,13 +248,17 @@ func FuzzMatMulF32(f *testing.F) {
 	}
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
 	negZero := float32(math.Copysign(0, -1))
-	f.Add(floats(1, 2, 3, 4, 5, 6, 7), uint8(8), uint8(3), uint8(33), uint8(0))
-	f.Add(floats(0, 1, inf, -inf, 2, nan, -3), uint8(9), uint8(4), uint8(16), uint8(0x55))
-	f.Add(floats(inf, -inf, 0.5, 0), uint8(19), uint8(11), uint8(79), uint8(0xf0))
-	f.Add(floats(negZero, 1, -1, 1e-45, 3e38, -3e38), uint8(12), uint8(5), uint8(40), uint8(0x0f))
-	f.Add(floats(0.1, -0.7, 1.3, 2.9, -0.33, 0.61, 1e-3, 7.77, -5.5, 0.123, 3.3), uint8(9), uint8(7), uint8(24), uint8(0))
-	f.Add(floats(0.1, 0.2, 0.3), uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, raw []byte, b, k, n, zeros uint8) {
+	f.Add(floats(1, 2, 3, 4, 5, 6, 7), uint8(8), uint16(3), uint8(33), uint8(0))
+	f.Add(floats(0, 1, inf, -inf, 2, nan, -3), uint8(9), uint16(4), uint8(16), uint8(0x55))
+	f.Add(floats(inf, -inf, 0.5, 0), uint8(19), uint16(11), uint8(79), uint8(0xf0))
+	f.Add(floats(negZero, 1, -1, 1e-45, 3e38, -3e38), uint8(12), uint16(5), uint8(40), uint8(0x0f))
+	f.Add(floats(0.1, -0.7, 1.3, 2.9, -0.33, 0.61, 1e-3, 7.77, -5.5, 0.123, 3.3), uint8(9), uint16(7), uint8(24), uint8(0))
+	f.Add(floats(0.1, 0.2, 0.3), uint8(0), uint16(0), uint8(0), uint8(0))
+	f.Add(floats(0.1, -0.7, 1.3, 2.9, -0.33, 0.61, 1e-3, 7.77), uint8(12), uint16(599), uint8(139), uint8(0))
+	f.Add(floats(0.1, -0.7, 1.3, inf, -0.33, 0.61, nan, 7.77, -inf), uint8(8), uint16(257), uint8(64), uint8(0x55))
+	f.Add(floats(nan, inf, -inf, 1.5), uint8(4), uint16(300), uint8(128), uint8(0xff))
+	f.Add(floats(negZero, 2.5, inf, -0.25, nan), uint8(7), uint16(255), uint8(65), uint8(0x33))
+	f.Fuzz(func(t *testing.T, raw []byte, b uint8, k uint16, n, zeros uint8) {
 		words := make([]float32, min(len(raw)/4, 1024))
 		for i := range words {
 			words[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
@@ -244,8 +269,8 @@ func FuzzMatMulF32(f *testing.F) {
 			}
 			return words[i%len(words)]
 		}
-		a := NewF32(1+int(b%20), 1+int(k%12))
-		w := NewF32(a.Shape[1], 1+int(n%80))
+		a := NewF32(1+int(b%24), 1+int(k%600))
+		w := NewF32(a.Shape[1], 1+int(n%140))
 		for i := range a.Data {
 			if zeros>>(i%8)&1 == 0 {
 				a.Data[i] = word(i)
@@ -254,19 +279,53 @@ func FuzzMatMulF32(f *testing.F) {
 		for i := range w.Data {
 			w.Data[i] = word(len(a.Data) + i)
 		}
-		want := matMulOracle(a, w)
-		eachPath(t, func(path string) {
-			got, err := MatMulF32(a, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Data {
-				if !sameFloat(got.Data[i], want.Data[i]) {
-					t.Fatalf("%s %v x %v: out[%d] = %v, oracle %v", path, a.Shape, w.Shape, i, got.Data[i], want.Data[i])
-				}
-			}
-		})
+		sameAsOracle(t, a, w)
 	})
+}
+
+// TestMatMulF32Edges holds MatMulF32 to matMulOracle, bit for bit on every
+// path, at the edges of the AVX-512 pass's blocking — a row short of and
+// past a row block, a column short of and past a column panel, a depth short
+// of and past a depth panel — and at the wide MLP's calibration shape
+// (64 x 1024 times 1024 x 1024). The activations are ReLU-sparse, none,
+// half or all of them zero, every other zero a -0; in the second arm every
+// seventh column of the weights holds one NaN, +Inf or -Inf, which turns an
+// output NaN or infinite unless its row's activation there is zero.
+func TestMatMulF32Edges(t *testing.T) {
+	shapes := [][3]int{ // b, k, n
+		{panelRows, panelDepth, panelCols},
+		{panelRows - 1, 1, panelCols - 1},
+		{panelRows + 1, panelDepth + 1, panelCols + 1},
+		{2*panelRows + 3, 2*panelDepth + 5, 2*panelCols + 9},
+		{3 * panelRows, panelDepth - 1, 3*panelCols + 8},
+		{64, 1024, 1024},
+	}
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for _, s := range shapes {
+		for _, zeroPct := range []int{0, 50, 100} {
+			for _, special := range []bool{false, true} {
+				r := rand.New(rand.NewSource(int64(s[0]*s[1]*s[2] + zeroPct)))
+				a, w := NewF32(s[0], s[1]), NewF32(s[1], s[2])
+				for i := range a.Data {
+					switch {
+					case r.Intn(100) >= zeroPct:
+						a.Data[i] = r.Float32()*2 - 1
+					case i%2 == 1:
+						a.Data[i] = float32(math.Copysign(0, -1))
+					}
+				}
+				for i := range w.Data {
+					w.Data[i] = (r.Float32()*2 - 1) / 16
+				}
+				if special {
+					for j := 3; j < s[2]; j += 7 {
+						w.Data[r.Intn(s[1])*s[2]+j] = specials[j%3]
+					}
+				}
+				sameAsOracle(t, a, w)
+			}
+		}
+	}
 }
 
 // TestConv2DF32PathsAgree: the convolution's Cout run is the same pass, so
@@ -342,35 +401,34 @@ func TestKernelsRejectMalformedOperands(t *testing.T) {
 	}
 }
 
-// BenchmarkMatMulF32 is one calibration layer of the wide MLP: a 64 x 1024
-// batch, half its activations zero (as after a ReLU), times a 1024 x 1024
-// weight matrix, on each path.
+// BenchmarkMatMulF32 is MatMulF32 on each path at two shapes: one
+// calibration layer of the wide MLP ("calibration": a 64 x 1024 batch, 37%
+// of its activations zero, as after a ReLU, times a 1024 x 1024 weight
+// matrix) and one layer of MLP0's tiny serving variant ("tiny": 8 x 24 times
+// 24 x 24).
 func BenchmarkMatMulF32(b *testing.B) {
-	a := NewF32(64, 1024)
-	a.FillRandom(1, 1)
-	r := rand.New(rand.NewSource(2))
-	for i := range a.Data {
-		if r.Intn(2) == 0 {
-			a.Data[i] = 0
-		}
-	}
-	w := NewF32(1024, 1024)
-	w.FillRandom(3, 0.05)
-	defer useVector(true)
-	for _, on := range []bool{false, true} {
-		if useVector(on) != on {
-			continue
-		}
-		name := "scalar"
-		if on {
-			name = "vector"
-		}
-		b.Run(name, func(b *testing.B) {
-			for b.Loop() {
-				if _, err := MatMulF32(a, w); err != nil {
-					b.Fatal(err)
-				}
+	for _, s := range []struct {
+		name    string
+		b, k, n int
+	}{{"calibration", 64, 1024, 1024}, {"tiny", 8, 24, 24}} {
+		a := NewF32(s.b, s.k)
+		a.FillRandom(1, 1)
+		r := rand.New(rand.NewSource(2))
+		for i := range a.Data {
+			if r.Intn(100) < 37 {
+				a.Data[i] = 0
 			}
+		}
+		w := NewF32(s.k, s.n)
+		w.FillRandom(3, 0.05)
+		eachPath(b, func(path string) {
+			b.Run(s.name+"/"+path, func(b *testing.B) {
+				for b.Loop() {
+					if _, err := MatMulF32(a, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		})
 	}
 }
