@@ -148,11 +148,16 @@ bench-gate:
 # TestHedgeLoserSDCScrubbed run 300 times (~5 ms a run): with hedging on, a
 # request can return before its losing attempt's corruption is counted.
 # Each pattern passes the same "names a test" check as the gates above.
+# The whole runtime package then runs 50 times (~11 s): one of its
+# wall-clock tests failed once in a full `go test ./...`, its name lost
+# from the captured tail, and a failure here names the test.
 flake-repeat:
 	$(call gate-names,./internal/runtime,^TestQuarantineProbeReadmits$$)
 	$(GO) test -count=500 -run '^TestQuarantineProbeReadmits$$' ./internal/runtime
 	$(call gate-names,./internal/runtime,^TestRepeatedSDCWalksHealthMachine$$|^TestHedgeLoserSDCScrubbed$$)
 	$(GO) test -count=300 -run '^TestRepeatedSDCWalksHealthMachine$$|^TestHedgeLoserSDCScrubbed$$' ./internal/runtime
+	@out=$$($(GO) test -count=50 ./internal/runtime 2>&1) || { echo "$$out" | grep -E '^(--- FAIL|FAIL|panic:|    )'; exit 1; }; \
+	echo "$$out" | tail -1
 
 # Fuzz smoke: run each native fuzz target for a few seconds so CI notices
 # decoder, kernel-equivalence, row-pass-equivalence, device-vs-reference
@@ -219,14 +224,15 @@ obs-smoke:
 # Chaos smoke, race-enabled and bounded: the seeded fault injector's
 # determinism contract, the runtime's failover/quarantine/hedging paths
 # (RunAll's included) and its sinks read under a concurrent Observe,
-# the serve layer's circuit breaker, and the end-to-end chaos sweep (1
+# the serve layer's circuit breaker, the end-to-end chaos sweep (1
 # dead + 1 throttled device of 4 under load; per-app error and p99
-# bounds).
+# bounds), and the closed world of fault kinds (each one fails a run,
+# leaves its answer exact, or is a flip the SDC campaign ledgers).
 chaos-smoke:
 	$(GO) test -race -count=1 -timeout 300s ./internal/fault
 	$(call race-run,./internal/runtime,TestFailover|TestQuarantine|TestTransientRetries|TestHedge|TestChaosDeterminism|TestRunAll|TestObserveDuringScrub,300s)
 	$(call race-run,./internal/serve,TestBreaker|TestServerBreaker|TestServerBrownout|TestServerErroringBackend,300s)
-	$(call race-run,./internal/experiments,TestChaos,600s)
+	$(call race-run,./internal/experiments,TestChaos|TestEveryFaultKindAccounted,600s)
 
 # Integrity smoke, race-enabled: the ABFT algebra (clean/single/double
 # flip properties and the fuzz seed corpus), the CRC/parity guard units

@@ -130,7 +130,7 @@ func main() {
 	listen := flag.String("listen", "", "live mode: serve /metrics, /healthz, /trace, /debug/pprof on this address (e.g. :8080)")
 	metricsEvery := flag.Duration("metrics-every", 0, "live mode: flush the metrics registry to stdout at this interval (0 = off)")
 	sampleEvery := flag.Int("sample", 1, "live mode with -listen: record every Nth request's trace")
-	chaosSpec := flag.String("chaos", "seed=1", "chaos mode: fault plan spec (seed=7,rate=0.02,corrupt=0.01,...)")
+	chaosSpec := flag.String("chaos", "seed=1", "chaos mode: fault plan spec (seed=7,rate=0.02,slow=0.05,flip-ub=0.01,...)")
 	devices := flag.Int("devices", 4, "chaos mode: fleet size")
 	killDevs := flag.String("kill", "", "chaos mode: devices to hard-kill mid-stream ('+'-separated, e.g. 3 or 0+3)")
 	slowDevs := flag.String("slow", "", "chaos mode: devices to throttle mid-stream ('+'-separated)")

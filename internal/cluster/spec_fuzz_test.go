@@ -29,12 +29,12 @@ func specRoundTrip[P fmt.Stringer](parse func(string) (P, error), spec string) e
 // FuzzPlanSpecs runs every spec through the three plan parsers that share
 // fault.SpecTerms. Seeds: the specs in bench/fleet_ops.go, the README and
 // the golden chaos scenario, plus the malformed shapes the tokenizer sorts
-// and the NaN / Inf spellings strconv accepts. A cluster plan that parses
-// must hold only finite numbers: a NaN slips past every range comparison
-// and panics the calendar mid-run.
+// and the NaN / Inf spellings strconv accepts. A plan that parses must hold
+// only finite numbers: a NaN slips past every range comparison, panics the
+// calendar mid-run and silences a fault plan's draw.
 func FuzzPlanSpecs(f *testing.F) {
 	for _, seed := range []string{
-		"seed=7,rate=0.02,corrupt=0.01,slow=0.05,slowx=8,dead=0+2",
+		"seed=7,rate=0.02,flip-ub=0.01,slow=0.05,slowx=8,dead=0+2",
 		"flip=ub@0x4d2.3+weights@65536.7",
 		"zone-down=0@0.5,zone-up=0@0.8,part=4@0.55-0.7,slow=1x2.5@0.2,flap=3@0.1x4/0.05",
 		"part=4@0.55-0.7,flap=5@0.9x2/0.1",
@@ -43,6 +43,7 @@ func FuzzPlanSpecs(f *testing.F) {
 		"start=0.5,shedtol=0.02,errtol=0.01",
 		"", " , ,", "kill", "kill=", "=1", "a=b=c", "start=1,,wave", "seed=1, rate = 0.5 ,",
 		"slow=6xNaN@0.3", "kill=0@nan", "part=0@NaN-0.5", "flap=0@0.1x2/+Inf", "start=NaN", "start=1,window=inf",
+		"transient=NaN", "death=NaN,transient=0.5", "slowx=Inf", "hangms=Inf",
 	} {
 		f.Add(seed)
 	}
@@ -59,6 +60,11 @@ func FuzzPlanSpecs(f *testing.F) {
 			if err := p.roundTrip(spec); err != nil {
 				t.Errorf("%s: %v", p.name, err)
 			}
+		}
+		if p, err := fault.ParsePlan(spec); err == nil &&
+			!finite(p.TransientRate, p.SlowRate, p.HangRate, p.DeathRate, p.FlipUBRate, p.FlipWeightsRate,
+				p.FlipAccRate, p.FlipPERate, p.SlowFactor, p.HangSeconds) {
+			t.Errorf("fault.ParsePlan(%q) accepted a non-finite number: %s", spec, p)
 		}
 		if p, err := ParseChaosPlan(spec); err == nil {
 			for _, a := range p.Actions {

@@ -1,8 +1,18 @@
 package experiments
 
 import (
+	"context"
+	"io"
+	"log/slog"
+	"slices"
 	"strings"
 	"testing"
+
+	"tpusim/internal/fault"
+	"tpusim/internal/models"
+	"tpusim/internal/nn"
+	"tpusim/internal/runtime"
+	"tpusim/internal/tpu"
 )
 
 // TestSDCCampaignAcceptance pins the PR's headline robustness numbers over
@@ -100,5 +110,66 @@ func TestSDCCampaignReplays(t *testing.T) {
 func TestRunSDCRejectsNegativeFlips(t *testing.T) {
 	if _, err := RunSDC(SDCConfig{FlipsPerApp: -2}); err == nil || !strings.Contains(err.Error(), "FlipsPerApp") {
 		t.Errorf("FlipsPerApp = -2: got error %v, want one naming the field", err)
+	}
+}
+
+// TestEveryFaultKindAccounted is the closed world of fault kinds. It walks
+// fault.Kind by name until String reports kind(n), so a new kind joins the
+// walk without editing a list. Every kind is either a flip that
+// FlipTargetFor maps and RunSDC rotates through (sdcKinds), so a check
+// watches it and the campaign ledgers what escapes, or has a row below that
+// injects it on every run of a one-device server at IntegrityDetect and
+// sees each run fail or return the fault-free output bit for bit. A kind in
+// neither class could change an answer where nothing counts it, and fails.
+func TestEveryFaultKindAccounted(t *testing.T) {
+	rows := map[fault.Kind]fault.Plan{
+		fault.KindDead:      {DeathRate: 1},
+		fault.KindHang:      {HangRate: 1, HangSeconds: 1e-3},
+		fault.KindTransient: {TransientRate: 1},
+		fault.KindSlow:      {SlowRate: 1, SlowFactor: 2},
+	}
+	ctx := context.Background()
+	m, err := models.Tiny("MLP0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, in := nn.InitRandom(m, 1, 0.25), sdcInput(m, 1)
+	server := func(plan *fault.Plan) *runtime.Server {
+		srv, err := runtime.NewServerWith(1, tpu.DefaultConfig(), runtime.ServerOptions{
+			Faults:     plan,
+			Resilience: &runtime.Resilience{ProbeEvery: -1, HedgeAfterP99: -1, Integrity: tpu.IntegrityDetect},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Observe(nil, slog.New(slog.NewTextHandler(io.Discard, nil)))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	ref, err := server(nil).RunCtx(ctx, m, params, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := fault.KindNone + 1; !strings.HasPrefix(k.String(), "kind("); k++ {
+		_, flip := fault.FlipTargetFor(k)
+		if flip && slices.Contains(sdcKinds, k) {
+			continue
+		}
+		plan, ok := rows[k]
+		if !ok {
+			t.Errorf("fault kind %v is neither a flip RunSDC ledgers nor a row that fails the run or leaves its answer exact", k)
+			continue
+		}
+		plan.Seed = 1
+		srv := server(&plan)
+		for i := 0; i < 4; i++ {
+			r, err := srv.RunCtx(ctx, m, params, in)
+			if err == nil && !sdcEqual(r.Output, ref.Output) {
+				t.Errorf("%v at rate 1, run %d: served an answer that differs from the fault-free one", k, i)
+			}
+		}
+		if srv.Injectors()[0].Counts()[k.String()] == 0 {
+			t.Errorf("%v at rate 1 was never injected", k)
+		}
 	}
 }

@@ -6,9 +6,10 @@
 //
 //   - transient run errors (ECC hiccups, driver resets): the run fails,
 //     an immediate retry usually succeeds;
-//   - silent output corruption: the run "succeeds" but bits in the output
-//     activations flipped in the host buffer, past every device check, so
-//     nothing in the runtime catches it;
+//   - bit flips in the card's memories and datapath (Unified Buffer,
+//     weight DRAM, accumulators, matmul partial sums): the run proceeds
+//     with one upset bit, injected through tpu.Invocation.Inject at a seam
+//     the device's integrity tiers check;
 //   - latency spikes (thermal throttle, degraded PCIe link): the run
 //     completes with an inflated effective cycle count and wall time;
 //   - hangs: the device stops answering for a while; only a context-aware
@@ -27,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -52,9 +54,6 @@ const (
 	KindHang
 	// KindTransient fails the run immediately without executing it.
 	KindTransient
-	// KindCorrupt executes the run and then flips bits in the host buffer
-	// (silent output corruption).
-	KindCorrupt
 	// KindSlow executes the run, inflates its cycle count by
 	// Plan.SlowFactor and stretches wall time to match.
 	KindSlow
@@ -75,7 +74,7 @@ const (
 	kindCount
 )
 
-var kindNames = [...]string{"none", "dead", "hang", "transient", "corrupt", "slow",
+var kindNames = [...]string{"none", "dead", "hang", "transient", "slow",
 	"flip-ub", "flip-weights", "flip-acc", "flip-pe"}
 
 // FlipTargetFor maps a bit-flip kind to the device seam it lands in,
@@ -126,8 +125,6 @@ type Plan struct {
 
 	// TransientRate is the probability a run fails immediately.
 	TransientRate float64
-	// CorruptRate is the probability a run's output bytes are bit-flipped.
-	CorruptRate float64
 	// SlowRate is the probability a run is stretched by SlowFactor.
 	SlowRate float64
 	// HangRate is the probability a run stalls for HangSeconds.
@@ -182,37 +179,39 @@ func (f TargetedFlip) String() string {
 }
 
 func (p Plan) totalRate() float64 {
-	return p.TransientRate + p.CorruptRate + p.SlowRate + p.HangRate + p.DeathRate +
-		p.flipRate()
+	return p.TransientRate + p.SlowRate + p.HangRate + p.DeathRate + p.flipRate()
 }
 
 func (p Plan) flipRate() float64 {
 	return p.FlipUBRate + p.FlipWeightsRate + p.FlipAccRate + p.FlipPERate
 }
 
-// Validate checks rates and factors.
+// Validate checks rates and factors. Every number must be finite: a NaN
+// slips past each range comparison (and makes the rates' sum NaN, so the
+// injector draws nothing), and an infinite slow factor overflows the
+// stretched cycle count.
 func (p Plan) Validate() error {
 	for _, r := range []struct {
 		name string
 		v    float64
 	}{
-		{"transient", p.TransientRate}, {"corrupt", p.CorruptRate},
+		{"transient", p.TransientRate},
 		{"slow", p.SlowRate}, {"hang", p.HangRate}, {"death", p.DeathRate},
 		{"flip-ub", p.FlipUBRate}, {"flip-weights", p.FlipWeightsRate},
 		{"flip-acc", p.FlipAccRate}, {"flip-pe", p.FlipPERate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) {
 			return fmt.Errorf("fault: %s rate %v outside [0, 1]", r.name, r.v)
 		}
 	}
 	if t := p.totalRate(); t > 1 {
 		return fmt.Errorf("fault: rates sum to %v > 1", t)
 	}
-	if p.SlowFactor < 0 || (p.SlowFactor > 0 && p.SlowFactor < 1) {
-		return fmt.Errorf("fault: slow factor %v must be >= 1 (or 0 for the default)", p.SlowFactor)
+	if f := p.SlowFactor; f != 0 && !(f >= 1 && f <= math.MaxFloat64) {
+		return fmt.Errorf("fault: slow factor %v must be finite and >= 1 (or 0 for the default)", f)
 	}
-	if p.HangSeconds < 0 {
-		return fmt.Errorf("fault: negative hang seconds %v", p.HangSeconds)
+	if !(p.HangSeconds >= 0 && p.HangSeconds <= math.MaxFloat64) {
+		return fmt.Errorf("fault: hang seconds %v must be finite and >= 0", p.HangSeconds)
 	}
 	if p.FailCompiles < 0 {
 		return fmt.Errorf("fault: negative compile-failure count %d", p.FailCompiles)
@@ -252,7 +251,6 @@ func (p Plan) String() string {
 	}
 	parts = append(parts, "seed="+strconv.FormatInt(p.Seed, 10))
 	add("transient", p.TransientRate)
-	add("corrupt", p.CorruptRate)
 	add("slow", p.SlowRate)
 	add("hang", p.HangRate)
 	add("death", p.DeathRate)
@@ -296,7 +294,6 @@ func joinInts(xs []int) string {
 //	seed=7          PRNG seed (default 1)
 //	rate=0.05       shorthand for transient=0.05
 //	transient=0.05  per-run transient-error probability
-//	corrupt=0.01    per-run silent-output-corruption probability
 //	slow=0.02       per-run latency-spike probability
 //	hang=0.01       per-run hang probability
 //	death=0.001     per-run permanent-death probability
@@ -326,8 +323,6 @@ func ParsePlan(spec string) (Plan, error) {
 			p.Seed, err = strconv.ParseInt(v, 10, 64)
 		case "rate", "transient":
 			p.TransientRate, err = strconv.ParseFloat(v, 64)
-		case "corrupt":
-			p.CorruptRate, err = strconv.ParseFloat(v, 64)
 		case "slow":
 			p.SlowRate, err = strconv.ParseFloat(v, 64)
 		case "hang":
@@ -586,24 +581,23 @@ func (in *Injector) record(k Kind, addr uint64) {
 }
 
 // next draws the fault decision for one run. The cumulative order is fixed
-// — death, hang, transient, corrupt, slow, then the four flip kinds
-// (ub, weights, acc, pe) — and is part of the determinism contract: a
-// plan's seed fully determines the (kind, addr) sequence. flips carries
-// the bit flips for an executing run: the plan's targeted flips (first
-// executing run only), any FlipOnce injections, and the rate-drawn flip.
-func (in *Injector) next() (kind Kind, slowFactor float64, corruptOff int, flips []tpu.Flip) {
+// — death, hang, transient, slow, then the four flip kinds (ub, weights,
+// acc, pe) — and is part of the determinism contract: a plan's seed fully
+// determines the (kind, addr) sequence. flips carries the bit flips for an
+// executing run: the plan's targeted flips (first executing run only), any
+// FlipOnce injections, and the rate-drawn flip.
+func (in *Injector) next() (kind Kind, slowFactor float64, flips []tpu.Flip) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	defer func() { in.seq++ }()
 	slowFactor = in.staticSlow
 	if in.dead {
 		// Repeated failures of an already-dead device are not new events.
-		return KindDead, 1, 0, nil
+		return KindDead, 1, nil
 	}
 	if in.plan.totalRate() > 0 {
 		u := in.runRNG.Float64()
-		base := in.plan.DeathRate + in.plan.HangRate + in.plan.TransientRate +
-			in.plan.CorruptRate + in.plan.SlowRate
+		base := in.plan.DeathRate + in.plan.HangRate + in.plan.TransientRate + in.plan.SlowRate
 		switch {
 		case u < in.plan.DeathRate:
 			kind = KindDead
@@ -611,9 +605,6 @@ func (in *Injector) next() (kind Kind, slowFactor float64, corruptOff int, flips
 			kind = KindHang
 		case u < in.plan.DeathRate+in.plan.HangRate+in.plan.TransientRate:
 			kind = KindTransient
-		case u < base-in.plan.SlowRate:
-			kind = KindCorrupt
-			corruptOff = in.runRNG.Intn(corruptStride)
 		case u < base:
 			kind = KindSlow
 			slowFactor *= in.plan.slowFactor()
@@ -634,7 +625,7 @@ func (in *Injector) next() (kind Kind, slowFactor float64, corruptOff int, flips
 		// The run will not execute: pending flips stay queued for the next
 		// executing run.
 		in.record(kind, 0)
-		return kind, slowFactor, corruptOff, nil
+		return kind, slowFactor, nil
 	}
 	// This run executes: hand it the deterministic flips first.
 	for _, f := range in.pending {
@@ -644,15 +635,12 @@ func (in *Injector) next() (kind Kind, slowFactor float64, corruptOff int, flips
 	if tgt, ok := FlipTargetFor(kind); ok {
 		// Rate-drawn flip: address and bit come from the same seeded stream.
 		f := tpu.Flip{Target: tgt, Addr: uint64(in.runRNG.Int63()), Bit: uint8(in.runRNG.Intn(32))}
-		in.counts[kind]++
-		if len(in.events) < maxEvents {
-			in.events = append(in.events, Event{Seq: in.seq, Kind: kind, Addr: f.Addr})
-		}
+		in.record(kind, f.Addr)
 		flips = append(flips, f)
 	} else if kind != KindNone {
 		in.record(kind, 0)
 	}
-	return kind, slowFactor, corruptOff, flips
+	return kind, slowFactor, flips
 }
 
 // appendFlip converts a targeted flip, records its event, and appends it.
@@ -678,25 +666,13 @@ func (in *Injector) CompileErr() error {
 	return nil
 }
 
-// corruptStride: one bit flipped every corruptStride bytes guarantees any
-// output region of at least corruptStride bytes is hit.
-const corruptStride = 4
-
-// corrupt flips the low bit of every corruptStride-th byte starting at
-// off — sparse "bit flips in activations" that survive dequantization.
-func corrupt(host []int8, off int) {
-	for i := off; i < len(host); i += corruptStride {
-		host[i] ^= 1
-	}
-}
-
 // ArmedHook returns the tpu.RunHook realizing the injector's faults. Even
 // a plan that currently injects nothing keeps the injector attached, so a
 // chaos script can Kill or throttle the device mid-load. The runtime
 // server installs armed hooks whenever it is built with a plan.
 func (in *Injector) ArmedHook() tpu.RunHook {
 	return func(ctx context.Context, inv tpu.Invocation) (tpu.Counters, error) {
-		kind, factor, off, flips := in.next()
+		kind, factor, flips := in.next()
 		switch kind {
 		case KindDead:
 			return tpu.Counters{}, fmt.Errorf("device %d: %w", in.device, ErrDeviceDead)
@@ -717,9 +693,6 @@ func (in *Injector) ArmedHook() tpu.RunHook {
 		c, err := inv.Run()
 		if err != nil {
 			return c, err
-		}
-		if kind == KindCorrupt {
-			corrupt(inv.Host, off)
 		}
 		if factor > 1 {
 			// A throttled device does the same work in more effective

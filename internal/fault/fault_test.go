@@ -13,16 +13,18 @@ import (
 )
 
 // drive runs the injector's hook n times against a trivial always-succeeds
-// run and returns the per-run fault kinds (KindNone for untouched runs).
-func drive(t *testing.T, in *Injector, host []int8, n int) []Kind {
+// run and returns the per-run fault kinds (KindNone for untouched runs). A
+// run is classified by its error, by the flip it injected through the
+// Inject seam, or by its stretched cycle count.
+func drive(t *testing.T, in *Injector, n int) []Kind {
 	t.Helper()
 	hook := in.ArmedHook()
 	kinds := make([]Kind, 0, n)
 	for i := 0; i < n; i++ {
-		before := append([]int8(nil), host...)
+		flipped := KindNone
 		c, err := hook(context.Background(), tpu.Invocation{
-			Host: host,
-			Run:  func() (tpu.Counters, error) { return tpu.Counters{Cycles: 1000}, nil },
+			Run:    func() (tpu.Counters, error) { return tpu.Counters{Cycles: 1000}, nil },
+			Inject: func(f tpu.Flip) { flipped = flipKind(t, f.Target) },
 		})
 		switch {
 		case errors.Is(err, ErrDeviceDead):
@@ -33,9 +35,8 @@ func drive(t *testing.T, in *Injector, host []int8, n int) []Kind {
 			kinds = append(kinds, KindTransient)
 		case err != nil:
 			t.Fatalf("run %d: unexpected error %v", i, err)
-		case !reflect.DeepEqual(before, host):
-			kinds = append(kinds, KindCorrupt)
-			copy(host, before) // restore for the next run
+		case flipped != KindNone:
+			kinds = append(kinds, flipped)
 		case c.Cycles > 1000:
 			kinds = append(kinds, KindSlow)
 		default:
@@ -45,13 +46,24 @@ func drive(t *testing.T, in *Injector, host []int8, n int) []Kind {
 	return kinds
 }
 
+// flipKind is the rate kind whose flips land in target.
+func flipKind(t *testing.T, target tpu.FlipTarget) Kind {
+	for k := KindNone; k < kindCount; k++ {
+		if tgt, ok := FlipTargetFor(k); ok && tgt == target {
+			return k
+		}
+	}
+	t.Fatalf("no kind flips %v", target)
+	return KindNone
+}
+
 // chaosPlan is the reference plan for the determinism tests: every random
-// mode enabled at once.
+// failure mode enabled at once, plus one flip kind.
 func chaosPlan(seed int64) Plan {
 	return Plan{
 		Seed:          seed,
 		TransientRate: 0.15,
-		CorruptRate:   0.1,
+		FlipUBRate:    0.1,
 		SlowRate:      0.1,
 		HangRate:      0.05,
 		DeathRate:     0.02,
@@ -64,16 +76,15 @@ func chaosPlan(seed int64) Plan {
 // seed yields the same injected-fault sequence.
 func TestInjectorDeterministic(t *testing.T) {
 	const runs = 200
-	host := make([]int8, 64)
-	a := drive(t, chaosPlan(7).Injector(0), host, runs)
-	b := drive(t, chaosPlan(7).Injector(0), host, runs)
+	a := drive(t, chaosPlan(7).Injector(0), runs)
+	b := drive(t, chaosPlan(7).Injector(0), runs)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\n a=%v\n b=%v", a, b)
 	}
 	// The observed kinds match the injector's own event log (modulo
 	// KindNone, which is not logged, and dead-run repeats).
 	in := chaosPlan(7).Injector(0)
-	got := drive(t, in, host, runs)
+	got := drive(t, in, runs)
 	var fromLog []Kind
 	for _, e := range in.Events() {
 		fromLog = append(fromLog, e.Kind)
@@ -111,11 +122,11 @@ func TestInjectorDeterministic(t *testing.T) {
 	_ = observed
 	// Different seeds give different sequences; different devices of the
 	// same plan draw independent streams.
-	c := drive(t, chaosPlan(8).Injector(0), host, runs)
+	c := drive(t, chaosPlan(8).Injector(0), runs)
 	if reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical fault sequences")
 	}
-	d := drive(t, chaosPlan(7).Injector(1), host, runs)
+	d := drive(t, chaosPlan(7).Injector(1), runs)
 	if reflect.DeepEqual(a, d) {
 		t.Error("different devices produced identical fault sequences")
 	}
@@ -125,7 +136,7 @@ func TestInjectorDeterministic(t *testing.T) {
 	for _, k := range a {
 		seen[k] = true
 	}
-	for _, k := range []Kind{KindTransient, KindCorrupt, KindSlow} {
+	for _, k := range []Kind{KindTransient, KindFlipUB, KindSlow} {
 		if !seen[k] {
 			t.Errorf("no %v injected in %d runs", k, runs)
 		}
@@ -135,7 +146,7 @@ func TestInjectorDeterministic(t *testing.T) {
 func TestInjectorRates(t *testing.T) {
 	const runs = 4000
 	in := Plan{Seed: 3, TransientRate: 0.25}.Injector(0)
-	kinds := drive(t, in, make([]int8, 8), runs)
+	kinds := drive(t, in, runs)
 	faults := 0
 	for _, k := range kinds {
 		if k == KindTransient {
@@ -148,6 +159,25 @@ func TestInjectorRates(t *testing.T) {
 	}
 	if got := in.Counts()["transient"]; got != int64(faults) {
 		t.Errorf("Counts()=%d, observed %d", got, faults)
+	}
+}
+
+// TestEventLogBounded: the event log keeps the first maxEvents faults and
+// stops, while Counts keeps counting every one, so a long chaos run's
+// injector does not grow.
+func TestEventLogBounded(t *testing.T) {
+	const runs = maxEvents + 100
+	in := Plan{Seed: 4, TransientRate: 1}.Injector(0)
+	drive(t, in, runs)
+	ev := in.Events()
+	if len(ev) != 4096 || maxEvents != 4096 {
+		t.Fatalf("event log holds %d events (maxEvents %d), want 4096", len(ev), maxEvents)
+	}
+	if last := ev[len(ev)-1]; last.Seq != maxEvents-1 || last.Kind != KindTransient {
+		t.Errorf("last logged event %+v, want run %d's transient", last, maxEvents-1)
+	}
+	if got := in.Counts()["transient"]; got != runs {
+		t.Errorf("Counts()[transient] = %d, want %d", got, runs)
 	}
 }
 
@@ -218,27 +248,6 @@ func TestHangHonoursContext(t *testing.T) {
 	}
 }
 
-func TestCorruptFlipsOutputBytes(t *testing.T) {
-	in := Plan{Seed: 5, CorruptRate: 1}.Injector(0)
-	hook := in.ArmedHook()
-	host := make([]int8, 32)
-	if _, err := hook(context.Background(), tpu.Invocation{
-		Host: host,
-		Run:  func() (tpu.Counters, error) { return tpu.Counters{}, nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	flipped := 0
-	for _, b := range host {
-		if b != 0 {
-			flipped++
-		}
-	}
-	if want := len(host) / corruptStride; flipped < want {
-		t.Errorf("%d bytes flipped, want >= %d", flipped, want)
-	}
-}
-
 func TestCompileErrFailsFirstN(t *testing.T) {
 	in := Plan{Seed: 1, FailCompiles: 2}.Injector(0)
 	for i := 0; i < 2; i++ {
@@ -255,7 +264,7 @@ func TestCompileErrFailsFirstN(t *testing.T) {
 // through untouched and counts nothing.
 func TestZeroPlanIsFree(t *testing.T) {
 	in := Plan{Seed: 9}.Injector(0)
-	for i, k := range drive(t, in, make([]int8, 8), 1000) {
+	for i, k := range drive(t, in, 1000) {
 		if k != KindNone {
 			t.Fatalf("run %d: zero-rate plan injected %v", i, k)
 		}
@@ -266,13 +275,13 @@ func TestZeroPlanIsFree(t *testing.T) {
 }
 
 func TestParsePlanRoundTrip(t *testing.T) {
-	spec := "seed=7,transient=0.05,corrupt=0.01,slow=0.02,hang=0.01,death=0.001,slowx=8,hangms=50,compile=2,dead=0+2,slowdev=1"
+	spec := "seed=7,transient=0.05,flip-ub=0.01,slow=0.02,hang=0.01,death=0.001,slowx=8,hangms=50,compile=2,dead=0+2,slowdev=1"
 	p, err := ParsePlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Plan{
-		Seed: 7, TransientRate: 0.05, CorruptRate: 0.01, SlowRate: 0.02,
+		Seed: 7, TransientRate: 0.05, FlipUBRate: 0.01, SlowRate: 0.02,
 		HangRate: 0.01, DeathRate: 0.001, SlowFactor: 8, HangSeconds: 0.05,
 		FailCompiles: 2, DeadDevices: []int{0, 2}, SlowDevices: []int{1},
 	}
@@ -301,10 +310,32 @@ func TestParsePlanRoundTrip(t *testing.T) {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+	// A fault reaches a device only through a seam its checks watch; there
+	// is no host-buffer corruption kind.
+	if _, err := ParsePlan("seed=1,corrupt=0.3"); err == nil || !strings.Contains(err.Error(), `unknown key "corrupt"`) {
+		t.Errorf("corrupt= spec: err=%v, want unknown key", err)
+	}
+}
+
+// TestParsePlanRejectsNonFinite: every rate, the slow factor and the hang
+// stall must be finite. A NaN rate passes each range comparison and makes
+// the rates' sum NaN (so the injector draws nothing), and an infinite slow
+// factor overflows the stretched cycle count.
+func TestParsePlanRejectsNonFinite(t *testing.T) {
+	for _, spec := range []string{
+		"transient=NaN", "rate=nan", "slow=NaN", "hang=+Inf", "death=NaN,transient=0.5",
+		"flip-ub=NaN", "flip-weights=Inf", "flip-acc=-Inf", "flip-pe=nan",
+		"slowx=Inf", "slowx=+Inf", "slowx=NaN", "slowx=-Inf",
+		"hangms=Inf", "hangms=NaN", "hangms=-Inf",
+	} {
+		if p, err := ParsePlan(spec); err == nil {
+			t.Errorf("spec %q accepted as %+v", spec, p)
+		}
+	}
 }
 
 func TestPlanValidate(t *testing.T) {
-	if err := (Plan{TransientRate: 0.6, CorruptRate: 0.6}).Validate(); err == nil {
+	if err := (Plan{TransientRate: 0.6, SlowRate: 0.6}).Validate(); err == nil {
 		t.Error("rates summing past 1 accepted")
 	}
 	if err := (Plan{HangSeconds: -1}).Validate(); err == nil {
@@ -318,7 +349,7 @@ func TestPlanValidate(t *testing.T) {
 func TestSummary(t *testing.T) {
 	plan := Plan{Seed: 1, TransientRate: 1}
 	injs := []*Injector{plan.Injector(0), plan.Injector(1)}
-	drive(t, injs[1], make([]int8, 4), 3)
+	drive(t, injs[1], 3)
 	s := Summary(injs)
 	if !strings.Contains(s, "device 1: transient=3") {
 		t.Errorf("summary missing counts:\n%s", s)
@@ -342,7 +373,6 @@ func flipDrive(t *testing.T, in *Injector, n int) []tpu.Flip {
 	var flips []tpu.Flip
 	for i := 0; i < n; i++ {
 		_, err := hook(context.Background(), tpu.Invocation{
-			Host:   make([]int8, 8),
 			Run:    func() (tpu.Counters, error) { return tpu.Counters{Cycles: 1}, nil },
 			Inject: func(f tpu.Flip) { flips = append(flips, f) },
 		})

@@ -356,10 +356,10 @@ func TestCompileFaultRetryable(t *testing.T) {
 
 // TestChaosDeterminism pins the acceptance criterion at the fleet level:
 // two servers built from the same chaos plan observe the same injected
-// fault sequence under the same request stream.
+// fault sequence, flip addresses included, under the same request stream.
 func TestChaosDeterminism(t *testing.T) {
 	run := func() []string {
-		plan := fault.Plan{Seed: 11, TransientRate: 0.3, CorruptRate: 0.1}
+		plan := fault.Plan{Seed: 11, TransientRate: 0.3, FlipUBRate: 0.1}
 		s, err := NewServerWith(2, tpu.DefaultConfig(), ServerOptions{
 			Faults: &plan,
 			// Hedging and probing race the request stream, so disable both:
@@ -382,7 +382,7 @@ func TestChaosDeterminism(t *testing.T) {
 		var log []string
 		for dev, inj := range s.Injectors() {
 			for _, e := range inj.Events() {
-				log = append(log, fmt.Sprintf("%d:%d:%s", dev, e.Seq, e.Kind))
+				log = append(log, fmt.Sprintf("%d:%d:%s@%#x", dev, e.Seq, e.Kind, e.Addr))
 			}
 		}
 		return log
@@ -393,6 +393,11 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	if strings.Join(a, ";") != strings.Join(b, ";") {
 		t.Fatalf("same plan diverged:\n a=%v\n b=%v", a, b)
+	}
+	for _, kind := range []string{":transient@", ":flip-ub@"} {
+		if !strings.Contains(strings.Join(a, ";"), kind) {
+			t.Errorf("no %s event in the fault log %v", strings.Trim(kind, ":@"), a)
+		}
 	}
 }
 

@@ -6,14 +6,12 @@ import (
 	"tpusim/internal/isa"
 )
 
-// Invocation is one intercepted program execution: what the device was
-// asked to run, the host DMA buffer it will read inputs from and write
-// outputs into, and the real execution as a closure. A hook may call Run
-// zero times (fail without running), once (the normal case), and may mutate
-// Host after Run returns (to model silent output corruption).
+// Invocation is one intercepted program execution: the real execution as
+// a closure, and the seam through which a hook upsets the card's state. A
+// hook may call Run zero times (fail without running) or once (the normal
+// case). The host DMA buffer is not part of it: a fault reaches the data
+// only through Inject, where the device's integrity checks watch.
 type Invocation struct {
-	// Host is the run's host memory buffer (DMA source and destination).
-	Host []int8
 	// Run performs the real device execution exactly once.
 	Run func() (Counters, error)
 	// Inject queues a targeted bit flip the device applies at the flip
@@ -26,8 +24,8 @@ type Invocation struct {
 // RunHook intercepts every program execution on a device created with a
 // Config carrying it. It is the hardware-fault injection point: a hook can
 // fail the run, stall it (honouring ctx for context-aware hangs), inflate
-// its cycle count (thermal throttle / slow PCIe), or corrupt the output
-// bytes after a successful run. A nil hook costs one nil check per run.
+// its cycle count (thermal throttle / slow PCIe), or flip bits on the card
+// through Invocation.Inject. A nil hook costs one nil check per run.
 //
 // Hooks must be safe for concurrent use: one driver installs the same hook
 // on every device it creates (a TPU card fails as a unit, however many
@@ -46,7 +44,6 @@ func (d *Device) RunCtx(ctx context.Context, p *isa.Program, host []int8) (Count
 		return d.run(p, host)
 	}
 	return d.cfg.Hook(ctx, Invocation{
-		Host:   host,
 		Run:    func() (Counters, error) { return d.run(p, host) },
 		Inject: d.inject,
 	})
