@@ -27,8 +27,9 @@ build:
 # and the CPUID reads have amd64 assembly files; build everything and vet
 # their packages (tests included) for another GOARCH so the portable file
 # sets cannot rot. The portable matrix kernel reads weight words where they
-# lie, and the CRC views int8 data as bytes, so both are also built and
-# vetted for a big-endian GOARCH. The float kernels must not fuse a multiply
+# lie, the compiler writes the weight image as words, and the CRC views int8
+# data as bytes, so all three are also built and vetted for a big-endian
+# GOARCH. The float kernels must not fuse a multiply
 # into an add (that rounds once, and every quantization scale would differ
 # from amd64's), so arm64's assembly of internal/tensor may hold no
 # FMADD/FMSUB/FNMADD/FNMSUB, and the amd64 assembly files of internal/tensor
@@ -40,8 +41,8 @@ cross:
 	GOOS=darwin GOARCH=amd64 $(GO) vet ./internal/cpu/... ./internal/systolic/...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/systolic/... ./internal/fixed/... ./internal/cpu/... ./internal/tensor/... ./internal/integrity/...
-	GOARCH=s390x $(GO) build ./internal/systolic/... ./internal/tensor/... ./internal/integrity/...
-	GOARCH=s390x $(GO) vet ./internal/systolic/... ./internal/tensor/... ./internal/integrity/...
+	GOARCH=s390x $(GO) build ./internal/systolic/... ./internal/tensor/... ./internal/integrity/... ./internal/compiler/...
+	GOARCH=s390x $(GO) vet ./internal/systolic/... ./internal/tensor/... ./internal/integrity/... ./internal/compiler/...
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor 2>&1) || { echo "$$asm"; exit 1; }; \
 	if echo "$$asm" | grep -E '\sFN?M(ADD|SUB)[SD]\s'; then \
 		echo "cross: fused multiply-add in arm64 internal/tensor"; exit 1; fi
@@ -63,7 +64,8 @@ bench-test:
 # Quick benchmark smoke: proves the kernel benchmarks still run — every
 # kernel arm of BenchmarkMultiply (each assembly kernel the host can run,
 # swar, scalar) at the shapes the repo runs (batches of 2, 16 and 64 rows,
-# and 128 rows of a 36-deep contraction), every path of the fixed-point row
+# and 128 rows of a 36-deep contraction) and the wide MLP's stream of 64
+# tiles accumulated four to an output tile, every path of the fixed-point row
 # passes (scalar, AVX2 and the AVX-512 drain, where the host has them) and of the float
 # calibration matmul, the two halves of a model's cold start (the wide
 # MLP's quantize and compile), and the CRC against its table oracle —
@@ -71,6 +73,7 @@ bench-test:
 bench-smoke:
 	$(GO) test ./internal/systolic -run xxx -bench BenchmarkMulRow -benchtime 100x
 	$(GO) test ./internal/systolic -run xxx -bench 'BenchmarkMultiply/^B=(2|16|64|128,K=36)$$/' -benchtime 20x
+	$(GO) test ./internal/systolic -run xxx -bench BenchmarkMultiplyStream -benchtime 2x
 	$(GO) test ./internal/fixed -run xxx -bench 'DrainRow|SatAddRows|QuantizeInto|DequantizeInto|AbsMax' -benchtime 100x
 	$(GO) test ./internal/tensor -run xxx -bench BenchmarkMatMulF32 -benchtime 5x
 	$(GO) test ./internal/nn -run xxx -bench BenchmarkQuantizeModelWide -benchtime 2x

@@ -1,7 +1,9 @@
 package compiler
 
 import (
+	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"tpusim/internal/isa"
 	"tpusim/internal/nn"
@@ -12,8 +14,8 @@ import (
 // order within a layer is column-tile-major, row-tile-minor — the same
 // order the instruction schedule consumes them, so Read_Weights streams
 // sequentially through DRAM. A functional compile allocates the image once,
-// at its exact footprint, and copies each tile's rows into place; the
-// padding of a partial tile stays zero.
+// at its exact footprint, and writes each tile in place in the matrix unit's
+// order (putTile); the padding of a partial tile stays zero.
 func (lo *lowering) buildWeights() error {
 	if n := len(lo.m.Layers); cap(lo.layerTiles) >= n {
 		lo.layerTiles = lo.layerTiles[:n] // every entry is assigned below
@@ -45,11 +47,8 @@ func (lo *lowering) buildWeights() error {
 					Rows: uint16(usedRows), Cols: uint16(usedCols),
 				})
 				if lo.qm != nil {
-					tile := lo.weightImage[lo.weightNext-base:][:isa.WeightTileBytes]
-					for r := 0; r < usedRows; r++ {
-						srcBase := (rt*isa.MatrixDim+r)*cols + c*isa.MatrixDim
-						copy(tile[r*isa.MatrixDim:r*isa.MatrixDim+usedCols], data[srcBase:srcBase+usedCols])
-					}
+					tile := (*[isa.WeightTileBytes]int8)(lo.weightImage[lo.weightNext-base:])
+					putTile(tile, data[rt*isa.MatrixDim*cols+c*isa.MatrixDim:], cols, usedRows, usedCols)
 				}
 				lo.weightNext += isa.WeightTileBytes
 			}
@@ -59,6 +58,68 @@ func (lo *lowering) buildWeights() error {
 		return fmt.Errorf("compiler: weight image %d bytes exceeds 8 GiB Weight Memory", lo.weightNext)
 	}
 	return nil
+}
+
+// zeroRow stands in for the rows past a tile's last in putTile's quads.
+var zeroRow [isa.MatrixDim]int8
+
+// putTile writes the rows x cols weights at the top left of src, a row-major
+// matrix stride columns wide, into the zeroed tile in the matrix unit's order
+// (isa.WeightOffset); the tile's padding stays zero. A quad of rows goes
+// eight columns at a time: the four rows' eight-byte words are transposed in
+// registers into four words of two columns' four weights each, the quad
+// row's layout, and stored whole. Loads and stores are little-endian, so
+// byte k of a word is column (or weight) k on any host. The words are
+// addressed past the bounds checks: every row is checked to hold cols bytes
+// once, and a quad row holds 4*cols <= 1 KiB.
+func putTile(tile *[isa.WeightTileBytes]int8, src []int8, stride, rows, cols int) {
+	const (
+		evenBytes = 0x00FF00FF00FF00FF // bytes 0, 2, 4, 6
+		evenWords = 0x0000FFFF0000FFFF // 16-bit halves 0 and 2
+		loHalf    = 0x00000000FFFFFFFF
+	)
+	word := func(p unsafe.Pointer, off int) uint64 {
+		return binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(p, off))[:])
+	}
+	for r0 := 0; r0 < rows; r0 += 4 {
+		quad := (*[isa.WeightQuadBytes]int8)(tile[isa.WeightOffset(r0, 0):])
+		var rs [4]unsafe.Pointer
+		for i := range rs {
+			rs[i] = unsafe.Pointer(&zeroRow)
+			if r := r0 + i; r < rows {
+				rs[i] = unsafe.Pointer(&src[r*stride : r*stride+cols][0])
+			}
+		}
+		c := 0
+		for ; c+8 <= cols; c += 8 {
+			a, b, e, d := word(rs[0], c), word(rs[1], c), word(rs[2], c), word(rs[3], c)
+			// a, b, e and d are rows 0-3, byte k of each column k. Swap
+			// bytes between rows 0 and 1, and between rows 2 and 3:
+			// a = a0 b0 a2 b2 a4 b4 a6 b6, b = a1 b1 a3 b3 a5 b5 a7 b7, and
+			// e and d the same for rows 2 and 3.
+			t := (a>>8 ^ b) & evenBytes
+			a, b = a^t<<8, b^t
+			t = (e>>8 ^ d) & evenBytes
+			e, d = e^t<<8, d^t
+			// Swap byte pairs between the two: a now holds columns 0 and 4,
+			// b 1 and 5, e 2 and 6, d 3 and 7, each as its four bytes in row
+			// order.
+			t = (a>>16 ^ e) & evenWords
+			a, e = a^t<<16, e^t
+			t = (b>>16 ^ d) & evenWords
+			b, d = b^t<<16, d^t
+			out := (*[32]byte)(unsafe.Pointer(&quad[4*c]))
+			binary.LittleEndian.PutUint64(out[0:], a&loHalf|b<<32)
+			binary.LittleEndian.PutUint64(out[8:], e&loHalf|d<<32)
+			binary.LittleEndian.PutUint64(out[16:], a>>32|b&^loHalf)
+			binary.LittleEndian.PutUint64(out[24:], e>>32|d&^loHalf)
+		}
+		for ; c < cols; c++ {
+			for i, p := range rs {
+				quad[4*c+i] = *(*int8)(unsafe.Add(p, c))
+			}
+		}
+	}
 }
 
 // WeightFootprint returns the tile-aligned Weight Memory bytes a model's

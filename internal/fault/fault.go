@@ -186,10 +186,17 @@ func (p Plan) flipRate() float64 {
 	return p.FlipUBRate + p.FlipWeightsRate + p.FlipAccRate + p.FlipPERate
 }
 
+// maxSlowFactor bounds Plan.SlowFactor: a run of up to 2^43 cycles (over
+// three hours of device time at 700 MHz) stretched by it still counts its
+// cycles in an int64, and the stall of a run of up to 2^43 ns still fits a
+// time.Duration.
+const maxSlowFactor = 1 << 20
+
 // Validate checks rates and factors. Every number must be finite: a NaN
 // slips past each range comparison (and makes the rates' sum NaN, so the
-// injector draws nothing), and an infinite slow factor overflows the
-// stretched cycle count.
+// injector draws nothing). The slow factor is at most maxSlowFactor and the
+// hang stall inside time.Duration's range: past them a finite number wraps
+// the stretched cycle count or the stall negative.
 func (p Plan) Validate() error {
 	for _, r := range []struct {
 		name string
@@ -207,11 +214,11 @@ func (p Plan) Validate() error {
 	if t := p.totalRate(); t > 1 {
 		return fmt.Errorf("fault: rates sum to %v > 1", t)
 	}
-	if f := p.SlowFactor; f != 0 && !(f >= 1 && f <= math.MaxFloat64) {
-		return fmt.Errorf("fault: slow factor %v must be finite and >= 1 (or 0 for the default)", f)
+	if f := p.SlowFactor; f != 0 && !(f >= 1 && f <= maxSlowFactor) {
+		return fmt.Errorf("fault: slow factor %v must be in [1, %d] (or 0 for the default)", f, maxSlowFactor)
 	}
-	if !(p.HangSeconds >= 0 && p.HangSeconds <= math.MaxFloat64) {
-		return fmt.Errorf("fault: hang seconds %v must be finite and >= 0", p.HangSeconds)
+	if !(p.HangSeconds >= 0 && p.HangSeconds*float64(time.Second) < math.MaxInt64) {
+		return fmt.Errorf("fault: hang seconds %v must be >= 0 and below %v", p.HangSeconds, time.Duration(math.MaxInt64))
 	}
 	if p.FailCompiles < 0 {
 		return fmt.Errorf("fault: negative compile-failure count %d", p.FailCompiles)
@@ -698,13 +705,24 @@ func (in *Injector) ArmedHook() tpu.RunHook {
 			// A throttled device does the same work in more effective
 			// cycles; stretch wall time to match so wall-clock callers see
 			// the spike too.
-			c.Cycles = int64(float64(c.Cycles) * factor)
-			if !sleepCtx(ctx, time.Duration(float64(time.Since(start))*(factor-1))) {
+			c.Cycles = stretch(c.Cycles, factor)
+			if !sleepCtx(ctx, time.Duration(stretch(int64(time.Since(start)), factor-1))) {
 				return c, ctx.Err()
 			}
 		}
 		return c, nil
 	}
+}
+
+// stretch returns v*f for f >= 0, rounded toward zero and saturating at
+// math.MaxInt64: a static slowdown multiplies the plan's factor, and their
+// product may take a stretched count past int64's range, where the
+// conversion would wrap it negative.
+func stretch(v int64, f float64) int64 {
+	if x := float64(v) * f; x < math.MaxInt64 {
+		return int64(x)
+	}
+	return math.MaxInt64
 }
 
 // sleepCtx sleeps for d or until ctx is cancelled; it reports whether the

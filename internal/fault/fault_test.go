@@ -318,15 +318,19 @@ func TestParsePlanRoundTrip(t *testing.T) {
 }
 
 // TestParsePlanRejectsNonFinite: every rate, the slow factor and the hang
-// stall must be finite. A NaN rate passes each range comparison and makes
-// the rates' sum NaN (so the injector draws nothing), and an infinite slow
-// factor overflows the stretched cycle count.
+// stall must be finite, and the last two inside what their int64 results
+// can hold. A NaN rate passes each range comparison and makes the rates' sum
+// NaN (so the injector draws nothing), and a slow factor or stall past the
+// bound wraps the stretched cycle count or the stall negative.
 func TestParsePlanRejectsNonFinite(t *testing.T) {
 	for _, spec := range []string{
 		"transient=NaN", "rate=nan", "slow=NaN", "hang=+Inf", "death=NaN,transient=0.5",
 		"flip-ub=NaN", "flip-weights=Inf", "flip-acc=-Inf", "flip-pe=nan",
 		"slowx=Inf", "slowx=+Inf", "slowx=NaN", "slowx=-Inf",
 		"hangms=Inf", "hangms=NaN", "hangms=-Inf",
+		// Finite but past int64's range once converted: the stall would wrap
+		// negative, and so would the stretched cycle count.
+		"hang=1,hangms=1e300", "slow=1,slowx=1e300",
 	} {
 		if p, err := ParsePlan(spec); err == nil {
 			t.Errorf("spec %q accepted as %+v", spec, p)

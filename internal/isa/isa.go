@@ -115,13 +115,29 @@ const (
 	// AccumulatorCount is the 4096 256-wide 32-bit accumulator registers
 	// (4 MiB), sized for double buffering above the ~1350 ops/byte ridge.
 	AccumulatorCount = 4096
-	// WeightTileBytes is one 256x256 8-bit weight tile (64 KiB).
+	// WeightTileBytes is one 256x256 8-bit weight tile (64 KiB), laid out
+	// as WeightOffset says.
 	WeightTileBytes = MatrixDim * MatrixDim
+	// WeightQuadBytes is one quad row of a tile: the 256 columns' weights
+	// of four consecutive contraction rows (1 KiB).
+	WeightQuadBytes = 4 * MatrixDim
 	// WeightFIFODepth is the on-chip weight FIFO depth in tiles.
 	WeightFIFODepth = 4
 	// WeightMemoryBytes is the off-chip 8 GiB weight DRAM.
 	WeightMemoryBytes = 8 << 30
 )
+
+// WeightOffset returns where weight (r, c) of a tile — contraction row r,
+// output column c, both in [0, MatrixDim) — lies among its WeightTileBytes:
+// the matrix unit's order, the one Weight Memory holds and the array
+// consumes. Quad row r/4 is WeightQuadBytes long, and in it each column's
+// four weights (rows 4(r/4) .. 4(r/4)+3) are adjacent in row order. A quad
+// row's 64-byte stretches are therefore whole operands of the int8 dot-product
+// instructions that take four bytes per 32-bit lane (TDPBSSD's B rows,
+// VPDPBUSD's weights), and a multiply reads the tile where it lies.
+func WeightOffset(r, c int) int {
+	return r>>2*WeightQuadBytes + c<<2 + r&3
+}
 
 // Instruction is the decoded form of one CISC instruction. Only the fields
 // meaningful for the opcode are encoded; see EncodedLen for sizes.

@@ -204,3 +204,23 @@ func TestInstructionString(t *testing.T) {
 		t.Error("convolve flag not rendered")
 	}
 }
+
+// TestWeightOffsetIsABijection: the tile layout puts the 65,536 weights of a
+// tile on the 65,536 bytes of its image, one each, and is the matrix unit's
+// order: quad row r/4 is one 1 KiB stretch, in which column c's four weights
+// are adjacent in row order at 4c.
+func TestWeightOffsetIsABijection(t *testing.T) {
+	seen := make([]bool, WeightTileBytes)
+	for r := 0; r < MatrixDim; r++ {
+		for c := 0; c < MatrixDim; c++ {
+			o := WeightOffset(r, c)
+			if o < 0 || o >= WeightTileBytes || seen[o] {
+				t.Fatalf("weight (%d, %d) at %d: outside the tile or taken twice", r, c, o)
+			}
+			seen[o] = true
+			if want := r/4*WeightQuadBytes + 4*c + r%4; o != want {
+				t.Fatalf("weight (%d, %d) at %d, want quad row %d's byte %d", r, c, o, r/4, 4*c+r%4)
+			}
+		}
+	}
+}

@@ -14,9 +14,9 @@ import (
 type Program struct {
 	Name         string
 	Instructions []Instruction
-	// WeightImage is the Weight Memory contents, tile-aligned. It may be
-	// nil for timing-only programs, in which case WeightBytes declares the
-	// image extent.
+	// WeightImage is the Weight Memory contents, tile-aligned, each tile in
+	// the matrix unit's order (WeightOffset). It may be nil for timing-only
+	// programs, in which case WeightBytes declares the image extent.
 	WeightImage []int8
 	// WeightBytes is the weight image size when WeightImage is nil
 	// (timing-only compilation of full-size models).

@@ -208,8 +208,13 @@ func TestGuardedWeights(t *testing.T) {
 	if !ok || g.copies[1] == nil || &view[0] != &g.copies[1][0] || g.Copies() != 1 {
 		t.Fatalf("TileView: ok %v, not the upset tile's copy (%d copies)", ok, g.Copies())
 	}
-	if view[1234] == golden[isa.WeightTileBytes+1234] {
-		t.Fatal("corruption not visible in fetch")
+	// Logical byte 1234 of the tile is weight (4, 210), which lies at its
+	// offset in the matrix unit's order; no other byte changed.
+	phys := isa.WeightOffset(1234/isa.MatrixDim, 1234%isa.MatrixDim)
+	for j := range view {
+		if (view[j] != golden[isa.WeightTileBytes+j]) != (j == phys) {
+			t.Fatalf("after flipping weight (4, 210): byte %d changed %v, want only byte %d", j, view[j] != golden[isa.WeightTileBytes+j], phys)
+		}
 	}
 	scanned, repaired := g.Scrub()
 	if scanned != 3 || repaired != 1 {

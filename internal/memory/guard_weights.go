@@ -103,16 +103,20 @@ func (g *GuardedWeights) Scrub() (scanned, repaired int) {
 	return len(g.copies), repaired
 }
 
-// FlipBit flips one bit of the live image at byte offset off (mod image
-// length, so fault injection always lands in real weights), bypassing the
-// codeword — the DRAM-upset seam. The first flip of a tile copies that tile
-// and flips the copy; views of it taken before keep showing golden, so a
-// flip must precede a run's fetches. Empty images are a no-op.
+// FlipBit flips one bit of the live image at logical byte offset off (mod
+// image length, so fault injection always lands in real weights), bypassing
+// the codeword — the DRAM-upset seam. The offset names a weight as a
+// row-major matrix of its tile would, tile off/64 KiB, row, then column, and
+// physicalOffset maps it to where that weight lies in the matrix unit's order,
+// so a flip's address names the same weight whatever the layout. The first
+// flip of a tile copies that tile and flips the copy; views of it taken
+// before keep showing golden, so a flip must precede a run's fetches. Empty
+// images are a no-op.
 func (g *GuardedWeights) FlipBit(off uint64, bit uint8) {
 	if len(g.golden) == 0 {
 		return
 	}
-	i := int(off % uint64(len(g.golden)))
+	i := physicalOffset(int(off % uint64(len(g.golden))))
 	b := i / isa.WeightTileBytes
 	c := g.copies[b]
 	if c == nil {
@@ -123,6 +127,16 @@ func (g *GuardedWeights) FlipBit(off uint64, bit uint8) {
 		g.copies[b] = c
 	}
 	c[i%isa.WeightTileBytes] ^= 1 << (bit % 8)
+}
+
+// physicalOffset maps logical image offset i — tile i/64 KiB, row-major byte
+// i%64 KiB of it — to the offset where that weight lies (isa.WeightOffset).
+// The map stays inside the tile; in a last tile the image covers only partly
+// (which no compiled image has), a weight may map past the image's end, into
+// bytes no fetch or check reads.
+func physicalOffset(i int) int {
+	j := i % isa.WeightTileBytes
+	return i - j + isa.WeightOffset(j/isa.MatrixDim, j%isa.MatrixDim)
 }
 
 // block returns the index of the tile covering addr, ok false outside the

@@ -47,11 +47,10 @@ type Checksums struct {
 func Checksum(t *Tile) *Checksums {
 	cs := &Checksums{}
 	for r := 0; r < isa.MatrixDim; r++ {
-		w := t.row(r)
 		var s int32
 		var ws int64
 		for c := 0; c < isa.MatrixDim; c++ {
-			v := int32(w[c])
+			v := int32(t.at(r, c))
 			s += v
 			ws += int64(c+1) * int64(v)
 		}

@@ -140,7 +140,7 @@ func TestABFTWeightFlipDetected(t *testing.T) {
 	cs := Checksum(tile) // latch checksums of the clean tile
 	r := rng.Intn(isa.MatrixDim)
 	c := rng.Intn(isa.MatrixDim)
-	tile.set(r, c, tile.row(r)[c]^int8(1<<uint(rng.Intn(8))))
+	tile.set(r, c, tile.at(r, c)^int8(1<<uint(rng.Intn(8))))
 
 	detected := false
 	for i := 0; i < 16; i++ {

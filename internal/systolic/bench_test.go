@@ -2,6 +2,7 @@ package systolic
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -108,6 +109,61 @@ func BenchmarkMultiply(b *testing.B) {
 			b.SetBytes(int64(len(in)))
 			for i := 0; i < b.N; i++ {
 				a.mulRangeScalar(in, out, 0, batch)
+			}
+		})
+	}
+}
+
+// BenchmarkMultiplyStream is the wide MLP's matrix work as infer_batch's
+// device run does it, under every batched kernel this host can run: 64
+// distinct tiles (a 4 MiB weight image, more than the L2 holds), each loaded
+// once per op and multiplied serially against 64 activation rows, the four
+// row tiles of each output tile accumulated into it. One op is one batch
+// through the four FC 1024 layers; MB/s counts activation input bytes.
+func BenchmarkMultiplyStream(b *testing.B) {
+	const tiles, batch, rowTiles = 64, 64, 4
+	rng := rand.New(rand.NewSource(1))
+	img := make([]int8, tiles*isa.WeightTileBytes)
+	for i := range img {
+		img[i] = int8(rng.Intn(256) - 128)
+	}
+	ts := make([]Tile, tiles)
+	for k := range ts {
+		if err := ts[k].Load(img[k*isa.WeightTileBytes:][:isa.WeightTileBytes]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var in [rowTiles][]int8
+	for rt := range in {
+		in[rt] = make([]int8, batch*isa.MatrixDim)
+		for i := range in[rt] {
+			if rng.Intn(2) == 0 { // about half zero, like ReLU outputs
+				in[rt][i] = int8(rng.Intn(128))
+			}
+		}
+	}
+	out := make([][isa.MatrixDim]int32, batch)
+	a := New()
+	for ki, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			forceKernel(b, ki)
+			b.SetBytes(tiles * batch * isa.MatrixDim)
+			for b.Loop() {
+				for k := range ts {
+					if err := a.LoadShadow(&ts[k]); err != nil {
+						b.Fatal(err)
+					}
+					if err := a.Commit(); err != nil {
+						b.Fatal(err)
+					}
+					mul := a.AccumulateInto
+					if k%rowTiles == 0 {
+						mul = a.MultiplyInto
+					}
+					if err := mul(in[k%rowTiles], out, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package systolic
 
 import (
-	"math/bits"
 	"unsafe"
 
 	"tpusim/internal/cpu"
@@ -25,8 +24,8 @@ var (
 
 // hostKernels lists the kernels the CPU and the OS between them can run,
 // fastest first (see package cpu for what "can run" takes). The VNNI kernel
-// uses AVX-512 F, BW (the byte and word unpacks) and VNNI; the AMX kernel is
-// the VNNI kernel plus the tiles.
+// uses AVX-512 F and VNNI (package cpu's flag takes BW with them); the AMX
+// kernel is the VNNI kernel plus the tiles.
 func hostKernels() []*kernel {
 	var ks []*kernel
 	if cpu.AMX && cpu.AVX512VNNI {
@@ -42,7 +41,7 @@ func hostKernels() []*kernel {
 }
 
 //go:noescape
-func mulGroupAVX2(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim]uint32, vals *[isa.MatrixDim / 2][avx2Rows][2]int16, pairs int, out *[isa.MatrixDim]int32, n int)
+func mulGroupAVX2(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim / 4]uint32, vals *[isa.MatrixDim / 4][avx2Rows][4]int16, quads int, out *[isa.MatrixDim]int32, n int)
 
 //go:noescape
 func mulBlocksAMX(w *[isa.WeightTileBytes]int8, in *[isa.MatrixDim]int8, out *[isa.MatrixDim]int32, blocks int, add bool)
@@ -80,53 +79,47 @@ func nonzero8(act []*[isa.MatrixDim]int8, r0 int) uint64 {
 }
 
 // mulRangeAVX2 computes output rows [lo, hi) with the AVX2 assembly kernel,
-// which reads the tile's int8 bytes as Weight Memory delivered them.
-// Activation rows are taken avx2Rows at a time. For each
-// group the wrapper gathers the contraction rows where any of the group's
-// activations is nonzero — the zero-row skip — and pairs them, padding an odd
-// count with a zero activation, because VPMADDWD consumes two contraction
-// rows per int32 sum.
+// which reads the tile's int8 bytes where they lie. Activation rows are taken
+// avx2Rows at a time. For each group the wrapper gathers, like the VNNI one,
+// the aligned quads of contraction rows where any of the group's activations
+// is nonzero — the zero-row skip — with each activation row's four values of
+// the quad sign-extended to int16, the operand VPMADDWD takes.
 //
 // Exactness: sign-extended int8 operands in int16 lanes give pair sums of
 // magnitude at most 2*128*128 = 2^15 in int32 (VPMADDWD's only wrapping
-// input, both products (-32768)^2, is unreachable from int8), and 128 pairs
-// add to at most 2^22 per column. Integer addition is associative, so the
-// result is bit-identical to MulRow whatever the grouping and pairing.
+// input, both products (-32768)^2, is unreachable from int8); a lane adds one
+// pair sum per quad, at most 2^21 over 64 quads, and the two lanes of a column
+// add to at most 2^22. Integer addition is associative, so the result is
+// bit-identical to MulRow whatever the grouping.
 // With add, each group is computed into sums and added to its output rows.
 func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
 	var (
 		act  [avx2Rows]*[isa.MatrixDim]int8
-		rows [isa.MatrixDim]uint32
-		vals [isa.MatrixDim / 2][avx2Rows][2]int16
+		rows [isa.MatrixDim / 4]uint32
+		vals [isa.MatrixDim / 4][avx2Rows][4]int16
 		sums [avx2Rows][isa.MatrixDim]int32
 	)
 	for i := lo; i < hi; i += avx2Rows {
 		g := group(act[:], in, i, hi)
 		n := 0
 		for r0 := 0; r0 < isa.MatrixDim; r0 += 8 {
-			for m := nonzero8(act[:g], r0); m != 0; {
-				k := bits.TrailingZeros64(m) >> 3
-				m &^= 0xff << (k * 8)
-				r := r0 + k
-				rows[n] = uint32(r * isa.MatrixDim)
-				p, h := &vals[n>>1], n&1
+			m := nonzero8(act[:g], r0)
+			for r := r0; m != 0; r, m = r+4, m>>32 {
+				if uint32(m) == 0 {
+					continue
+				}
+				rows[n] = uint32(isa.WeightOffset(r, 0))
 				for j, aj := range act {
-					p[j][h] = int16(aj[r])
+					vals[n][j] = [4]int16{int16(aj[r]), int16(aj[r+1]), int16(aj[r+2]), int16(aj[r+3])}
 				}
 				n++
 			}
 		}
-		if n&1 == 1 {
-			rows[n] = rows[n-1]
-			p := &vals[n>>1]
-			p[0][1], p[1][1], p[2][1], p[3][1] = 0, 0, 0, 0
-			n++
-		}
 		if !add {
-			mulGroupAVX2(a.active.w, &rows, &vals, n/2, &out[i], g)
+			mulGroupAVX2(a.active.w, &rows, &vals, n, &out[i], g)
 			continue
 		}
-		mulGroupAVX2(a.active.w, &rows, &vals, n/2, &sums[0], g)
+		mulGroupAVX2(a.active.w, &rows, &vals, n, &sums[0], g)
 		addRows(out[i:i+g], sums[:g])
 	}
 }
@@ -141,7 +134,8 @@ func addRows(out, sums [][isa.MatrixDim]int32) {
 }
 
 // mulRangeVNNI computes output rows [lo, hi) with the AVX-512 VNNI assembly
-// kernel, which like the AVX2 one reads the tile's bytes where they lie.
+// kernel, which like the AVX2 one reads the tile's bytes where they lie: a
+// quad row's 64-column stretch is four VPDPBUSD weight operands as it stands.
 // Activation rows are taken vnniRows at a time. VPDPBUSD consumes four
 // contraction rows per int32 sum, so the zero-row skip works on aligned quads
 // of them: a quad is gathered when any of its 4 x vnniRows activations is
@@ -171,7 +165,7 @@ func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int, 
 				if uint32(m) == 0 {
 					continue
 				}
-				rows[n] = uint32(r * isa.MatrixDim)
+				rows[n] = uint32(isa.WeightOffset(r, 0))
 				for j, aj := range act {
 					vals[n][j] = *(*uint32)(unsafe.Pointer(&aj[r]))
 				}
@@ -189,10 +183,10 @@ func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int, 
 
 // mulRangeAMX computes output rows [lo, hi) with the AMX tiles, amxRows at a
 // time, and the rows left over — all of them in a range shorter than amxRows
-// — with the VNNI kernel. mulBlocksAMX packs the tile into the tiles' weight
-// layout on each call, in its own frame, so nothing is built at Load and
-// nothing outlives the call. With add, the tiles start from the output rows
-// instead of from zero, so the sums land in out with no pass of their own.
+// — with the VNNI kernel. The tile's quad rows are the B tiles' rows as they
+// lie, so mulBlocksAMX loads its weights from the tile itself and builds
+// nothing. With add, the tiles start from the output rows instead of from
+// zero, so the sums land in out with no pass of their own.
 //
 // Exactness: TDPBSSD multiplies the signed weights by the signed
 // activations as they are, no bias, and adds four products per int32 lane

@@ -1,45 +1,47 @@
-#include "funcdata.h"
 #include "textflag.h"
 
-// MADD4 multiplies the interleaved weight words in Y10 (columns 0-3, 8-11)
-// and Y11 (columns 4-7, 12-15) by activation row j's (v_r, v_r') pair and
-// adds the int32 pair sums into the row's two accumulators.
+// MADD4 multiplies the weight words in Y8 (columns 0-3 of the strip) and Y9
+// (columns 4-7), each column's four rows of the quad as four int16 lanes, by
+// activation row j's four values of the quad, broadcast, and adds the int32
+// pair sums — two per column — into the row's two accumulators.
 #define MADD4(j, lo, hi) \
-	VPBROADCASTD (4*j)(DX), Y12; \
-	VPMADDWD     Y12, Y10, Y13;  \
+	VPBROADCASTQ (8*j)(DX), Y12; \
+	VPMADDWD     Y12, Y8, Y13;   \
 	VPADDD       Y13, lo, lo;    \
-	VPMADDWD     Y12, Y11, Y13;  \
+	VPMADDWD     Y12, Y9, Y13;   \
 	VPADDD       Y13, hi, hi
 
-// STORE16 puts an activation row's 16 column sums back in column order: the
-// low 128-bit lanes of (lo, hi) are columns 0-7, the high lanes 8-15.
-#define STORE16(row, lo, hi) \
-	VPERM2I128 $0x20, hi, lo, Y8;  \
-	VPERM2I128 $0x31, hi, lo, Y9;  \
-	VMOVDQU    Y8, (1024*row)(DI); \
-	VMOVDQU    Y9, (1024*row+32)(DI)
+// STORE8 adds each column's two pair-sum lanes and stores the activation
+// row's 8 column sums. VPHADDD works within 128-bit lanes, so its result
+// holds columns 0, 1, 4, 5 in the low lane and 2, 3, 6, 7 in the high one,
+// and VPERMQ puts the four column pairs back in order.
+#define STORE8(row, lo, hi) \
+	VPHADDD   hi, lo, Y8;       \
+	VPERMQ    $0xD8, Y8, Y8;    \
+	VMOVDQU   Y8, (1024*row)(DI)
 
-// func mulGroupAVX2(w *[65536]int8, rows *[256]uint32, vals *[128][4][2]int16, pairs int, out *[256]int32, n int)
+// func mulGroupAVX2(w *[65536]int8, rows *[64]uint32, vals *[64][4][4]int16, quads int, out *[256]int32, n int)
 //
 // Computes four activation rows against the tile and stores the first n
-// (1..4) as consecutive 256-wide output rows at out. For each 16-column
-// strip it walks the gathered contraction-row pairs: rows[2k] and rows[2k+1]
-// are the byte offsets of pair k's weight rows in w, vals[k][j] its
-// activations (v_r, v_r') in activation row j. The two weight rows are
-// sign-extended to int16 and interleaved so that one VPMADDWD computes
-// w_r*v_r + w_r'*v_r' per column. Eight accumulators (four activation rows x
-// two lane halves) stay in registers for the whole walk and are stored once
-// per strip.
+// (1..4) as consecutive 256-wide output rows at out. For each 8-column strip
+// it walks the gathered quads: rows[k] is the byte offset of quad k's quad
+// row in w, vals[k][j] activation row j's four values of the quad as int16.
+// The strip's 32 weight bytes of the quad, each column's four rows adjacent,
+// are sign-extended to int16 so that one VPMADDWD against the broadcast
+// activations computes w_0*v_0 + w_1*v_1 and w_2*v_2 + w_3*v_3 per column.
+// Eight accumulators (four activation rows x two halves) stay in registers
+// for the whole walk; each column's two lanes are added and stored once per
+// strip.
 TEXT ·mulGroupAVX2(SB), NOSPLIT, $0-48
 	MOVQ w+0(FP), SI
 	MOVQ out+32(FP), DI
 	MOVQ n+40(FP), R11
-	MOVQ $16, R10 // strips left
+	MOVQ $32, R10 // strips left
 
 strip:
 	MOVQ  rows+8(FP), BX
 	MOVQ  vals+16(FP), DX
-	MOVQ  pairs+24(FP), CX
+	MOVQ  quads+24(FP), CX
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
@@ -51,45 +53,43 @@ strip:
 	TESTQ CX, CX
 	JZ    store
 
-pair:
-	MOVL       (BX), R8
-	MOVL       4(BX), R9
-	VPMOVSXBW  (SI)(R8*1), Y8
-	VPMOVSXBW  (SI)(R9*1), Y9
-	VPUNPCKLWD Y9, Y8, Y10
-	VPUNPCKHWD Y9, Y8, Y11
+quad:
+	MOVL      (BX), R8
+	VPMOVSXBW (SI)(R8*1), Y8
+	VPMOVSXBW 16(SI)(R8*1), Y9
 	MADD4(0, Y0, Y1)
 	MADD4(1, Y2, Y3)
 	MADD4(2, Y4, Y5)
 	MADD4(3, Y6, Y7)
-	ADDQ       $8, BX
-	ADDQ       $16, DX
-	DECQ       CX
-	JNZ        pair
+	ADDQ      $4, BX
+	ADDQ      $32, DX
+	DECQ      CX
+	JNZ       quad
 
 store:
-	STORE16(0, Y0, Y1)
+	STORE8(0, Y0, Y1)
 	CMPQ R11, $2
 	JLT  next
-	STORE16(1, Y2, Y3)
+	STORE8(1, Y2, Y3)
 	CMPQ R11, $3
 	JLT  next
-	STORE16(2, Y4, Y5)
+	STORE8(2, Y4, Y5)
 	CMPQ R11, $4
 	JLT  next
-	STORE16(3, Y6, Y7)
+	STORE8(3, Y6, Y7)
 
 next:
-	ADDQ $16, SI
-	ADDQ $64, DI
+	ADDQ $32, SI
+	ADDQ $32, DI
 	DECQ R10
 	JNZ  strip
 	VZEROUPPER
 	RET
 
 // DOT4 adds activation row j's four signed bytes of this quad, broadcast from
-// vals, times the four unsigned weight bytes in every int32 lane of Z26-Z29
-// into the row's four accumulators.
+// vals, times the four unsigned weight bytes in every int32 lane of Z26-Z29 —
+// columns 16k..16k+15 of the strip in register k — into the row's four
+// accumulators.
 #define DOT4(j, a0, a1, a2, a3) \
 	VPDPBUSD.BCST (4*j)(DX), Z26, a0; \
 	VPDPBUSD.BCST (4*j)(DX), Z27, a1; \
@@ -111,22 +111,12 @@ next:
 	VPSUBD acc, Z0, acc;     \
 	VMOVD  lo, bias-24+4*j(SP)
 
-// STORE64 puts an activation row's 64 column sums back in column order. In
-// accumulator ak, 128-bit lane L holds columns 16L+4k .. 16L+4k+3, so the
-// output's lane k of register L is lane L of ak: a 4x4 transpose of lanes.
+// STORE64 stores an activation row's 64 column sums, already in column order.
 #define STORE64(row, a0, a1, a2, a3) \
-	VSHUFI32X4 $0x44, a1, a0, Z24;   \
-	VSHUFI32X4 $0xEE, a1, a0, Z25;   \
-	VSHUFI32X4 $0x44, a3, a2, Z26;   \
-	VSHUFI32X4 $0xEE, a3, a2, Z27;   \
-	VSHUFI32X4 $0x88, Z26, Z24, Z28; \
-	VSHUFI32X4 $0xDD, Z26, Z24, Z29; \
-	VSHUFI32X4 $0x88, Z27, Z25, Z24; \
-	VSHUFI32X4 $0xDD, Z27, Z25, Z26; \
-	VMOVDQU32  Z28, (1024*row)(DI);     \
-	VMOVDQU32  Z29, (1024*row+64)(DI);  \
-	VMOVDQU32  Z24, (1024*row+128)(DI); \
-	VMOVDQU32  Z26, (1024*row+192)(DI)
+	VMOVDQU32 a0, (1024*row)(DI);     \
+	VMOVDQU32 a1, (1024*row+64)(DI);  \
+	VMOVDQU32 a2, (1024*row+128)(DI); \
+	VMOVDQU32 a3, (1024*row+192)(DI)
 
 // func mulGroupVNNI(w *[65536]int8, rows *[64]uint32, vals *[64][6]uint32, quads int, out *[256]int32, n int)
 //
@@ -143,11 +133,11 @@ next:
 // activation row j at -128*sum(a_j) leaves exactly sum(w*a). The bias pass
 // computes those sums with the same instruction against a register of ones.
 //
-// For each 64-column strip and quad the four 64-byte weight rows are loaded
-// as they lie and interleaved, bytes then words, so that each int32 lane
-// holds one column's four weights in row order. The 24 accumulators (six
-// activation rows x four registers) stay in Z0-Z23 for the whole walk and are
-// stored once per strip.
+// For each 64-column strip and quad the strip's 256 bytes of the quad row are
+// loaded as they lie: each int32 lane already holds one column's four
+// weights in row order, and the lanes are the columns in order. The 24
+// accumulators (six activation rows x four registers) stay in Z0-Z23 for the
+// whole walk and are stored once per strip.
 TEXT ·mulGroupVNNI(SB), NOSPLIT, $24-48
 	MOVQ w+0(FP), SI
 	MOVQ out+32(FP), DI
@@ -205,29 +195,21 @@ strip:
 	JZ    store
 
 quad:
-	MOVL       (BX), R8
-	VPXORD     (SI)(R8*1), Z31, Z24
-	VPXORD     256(SI)(R8*1), Z31, Z25
-	VPXORD     512(SI)(R8*1), Z31, Z26
-	VPXORD     768(SI)(R8*1), Z31, Z27
-	VPUNPCKLBW Z25, Z24, Z28 // rows 0,1 of columns 16L+0..7
-	VPUNPCKHBW Z25, Z24, Z29 // rows 0,1 of columns 16L+8..15
-	VPUNPCKLBW Z27, Z26, Z24 // rows 2,3 of columns 16L+0..7
-	VPUNPCKHBW Z27, Z26, Z25 // rows 2,3 of columns 16L+8..15
-	VPUNPCKLWD Z24, Z28, Z26 // columns 16L+0..3
-	VPUNPCKHWD Z24, Z28, Z27 // columns 16L+4..7
-	VPUNPCKLWD Z25, Z29, Z28 // columns 16L+8..11
-	VPUNPCKHWD Z25, Z29, Z29 // columns 16L+12..15
+	MOVL   (BX), R8
+	VPXORD (SI)(R8*1), Z31, Z26
+	VPXORD 64(SI)(R8*1), Z31, Z27
+	VPXORD 128(SI)(R8*1), Z31, Z28
+	VPXORD 192(SI)(R8*1), Z31, Z29
 	DOT4(0, Z0, Z1, Z2, Z3)
 	DOT4(1, Z4, Z5, Z6, Z7)
 	DOT4(2, Z8, Z9, Z10, Z11)
 	DOT4(3, Z12, Z13, Z14, Z15)
 	DOT4(4, Z16, Z17, Z18, Z19)
 	DOT4(5, Z20, Z21, Z22, Z23)
-	ADDQ       $4, BX
-	ADDQ       $24, DX
-	DECQ       CX
-	JNZ        quad
+	ADDQ   $4, BX
+	ADDQ   $24, DX
+	DECQ   CX
+	JNZ    quad
 
 store:
 	STORE64(0, Z0, Z1, Z2, Z3)
@@ -248,7 +230,7 @@ store:
 	STORE64(5, Z20, Z21, Z22, Z23)
 
 next:
-	ADDQ $64, SI
+	ADDQ $256, SI
 	ADDQ $256, DI
 	DECQ R10
 	JNZ  strip
@@ -308,38 +290,6 @@ GLOBL amxTileConfig<>(SB), RODATA|NOPTR, $64
 	NEGL     AX;       \
 	RCLL     $1, R10
 
-// PACKSTRIP packs columns 64s..64s+63 of the weight-row quad at SI into B
-// layout at DI: the four rows are interleaved bytes then words as in
-// mulGroupVNNI, so that 128-bit lane L of the k-th result holds columns
-// 16L+4k..16L+4k+3, four bytes each in row order; a 4x4 transpose of lanes
-// then gathers lane L of all four into the 64-byte row of column block
-// 4s+L, stored 1 KiB (one B tile) apart.
-#define PACKSTRIP(s) \
-	VMOVDQU64  (64*s)(SI), Z24;     \
-	VMOVDQU64  (256+64*s)(SI), Z25; \
-	VMOVDQU64  (512+64*s)(SI), Z26; \
-	VMOVDQU64  (768+64*s)(SI), Z27; \
-	VPUNPCKLBW Z25, Z24, Z28;       \
-	VPUNPCKHBW Z25, Z24, Z29;       \
-	VPUNPCKLBW Z27, Z26, Z24;       \
-	VPUNPCKHBW Z27, Z26, Z25;       \
-	VPUNPCKLWD Z24, Z28, Z26;       \
-	VPUNPCKHWD Z24, Z28, Z27;       \
-	VPUNPCKLWD Z25, Z29, Z28;       \
-	VPUNPCKHWD Z25, Z29, Z29;       \
-	VSHUFI64X2 $0x44, Z27, Z26, Z24; \
-	VSHUFI64X2 $0xEE, Z27, Z26, Z25; \
-	VSHUFI64X2 $0x44, Z29, Z28, Z26; \
-	VSHUFI64X2 $0xEE, Z29, Z28, Z27; \
-	VSHUFI64X2 $0x88, Z26, Z24, Z28; \
-	VSHUFI64X2 $0xDD, Z26, Z24, Z29; \
-	VSHUFI64X2 $0x88, Z27, Z25, Z24; \
-	VSHUFI64X2 $0xDD, Z27, Z25, Z26; \
-	VMOVDQU64  Z28, (4096*s)(DI);      \
-	VMOVDQU64  Z29, (4096*s+1024)(DI); \
-	VMOVDQU64  Z24, (4096*s+2048)(DI); \
-	VMOVDQU64  Z26, (4096*s+3072)(DI)
-
 // func mulBlocksAMX(w *[65536]int8, in *[256]int8, out *[256]int32, blocks int, add bool)
 //
 // Computes blocks*16 consecutive activation rows, starting at in, against
@@ -352,26 +302,24 @@ GLOBL amxTileConfig<>(SB), RODATA|NOPTR, $64
 // B[k][4n+i]. With A = 16 activation rows by contraction rows 64kb..64kb+63,
 // as they lie (stride 256), and B[k][4n+i] = weight row 64kb+4k+i of column
 // 16cb+n, C is the contribution of contraction block kb to the 16 rows'
-// columns 16cb..16cb+15. So the only work besides the tile instructions is
-// packing the weights into B layout: each 64-deep block into sixteen 1 KiB
-// tiles, B[kb][cb] at kb*16 KiB + cb*1 KiB, in the frame, which is neither
-// zeroed nor kept.
+// columns 16cb..16cb+15. That B is the tile as it lies (isa.WeightOffset):
+// B row k is bytes 64cb..64cb+63 of quad row 16kb+k, so B tile (kb, cb) is
+// loaded from w + kb*16 KiB + cb*64 with the quad row's 1 KiB as its stride,
+// and the only work besides the tile instructions is choosing the blocks.
 //
 // A contraction block that is zero in every activation row adds nothing, so
 // the first pass ORs the rows together and R10 gets bit kb for each block
-// that is not; blocks without the bit are neither packed nor multiplied.
+// that is not; blocks without the bit are not multiplied.
 //
 // Tile registers: C in 0-3, A in 4-5, B in 6-7. Each 32-column pair of
 // column blocks is walked over the row blocks two at a time (four C tiles,
 // each A and B tile used twice), a last odd row block on its own (two C
-// tiles), so the pair's B tiles, at most 8 KiB, stay in L1 for every row
-// block. TILERELEASE returns the tile state to its initial configuration
-// before the function returns; the whole tile section is one assembly
-// function with no calls, which Go never preempts, so it never changes
-// thread with live tiles.
-TEXT ·mulBlocksAMX(SB), 0, $65616-33
-	NO_LOCAL_POINTERS
-
+// tiles), so the pair's B tiles, at most 8 KiB, are read from the cache for
+// every row block after the first. TILERELEASE returns the tile state to its
+// initial configuration before the function returns; the whole tile section
+// is one assembly function with no calls, which Go never preempts, so it
+// never changes thread with live tiles.
+TEXT ·mulBlocksAMX(SB), NOSPLIT, $8-33
 	// Which contraction blocks are nonzero in some row: Z0-Z3 OR the
 	// rows' four 64-byte blocks together.
 	MOVQ   in+8(FP), SI
@@ -396,61 +344,16 @@ scan:
 	NONZERO64(Z1)
 	NONZERO64(Z0)
 
-	// Pack the nonzero blocks into the 64-byte aligned scratch at R8. The
-	// weight rows of quad q of block kb start at kb*16 KiB + q*1 KiB, its
-	// B rows at kb*16 KiB + q*64.
-	LEAQ 63(SP), R8
-	ANDQ $-64, R8
-	MOVQ w+0(FP), SI
-	MOVQ R8, DI
-	MOVQ R10, AX
-	TESTQ AX, AX
-	JZ   tiles
-
-pblock:
-	BTQ  $0, AX
-	JCC  pskip
-	MOVQ $16, CX
-
-pquad:
-	PACKSTRIP(0)
-	PACKSTRIP(1)
-	PACKSTRIP(2)
-	PACKSTRIP(3)
-	ADDQ $1024, SI
-	ADDQ $64, DI
-	DECQ CX
-	JNZ  pquad
-	ADDQ $(16384-1024), DI
-	JMP  pnext
-
-pskip:
-	ADDQ $16384, SI
-	ADDQ $16384, DI
-
-pnext:
-	SHRQ $1, AX
-	JNZ  pblock
-
-tiles:
-	// The pack used Z24-Z29, whose upper halves VZEROUPPER leaves dirty
-	// (see mulGroupVNNI's return).
-	VPXORD Z24, Z24, Z24
-	VPXORD Z25, Z25, Z25
-	VPXORD Z26, Z26, Z26
-	VPXORD Z27, Z27, Z27
-	VPXORD Z28, Z28, Z28
-	VPXORD Z29, Z29, Z29
 	VZEROUPPER
 	LEAQ amxTileConfig<>(SB), AX
 	LDTILECFG_AX
 	MOVQ $256, CX  // A stride: activation rows
-	MOVQ $64, DX   // B stride: packed quads
+	MOVQ $1024, DX // B stride: quad rows
 	MOVQ $1024, BX // C stride: output rows
-	MOVQ R8, R11   // B tiles of column-block pair p
+	MOVQ w+0(FP), R11 // B tiles of column-block pair p: w + 128p
 	MOVQ out+16(FP), R12
 	LEAQ 1024(R12), AX
-	MOVQ AX, 65600(SP) // end of the column pairs
+	MOVQ AX, end-8(SP) // end of the column pairs
 
 cpair:
 	MOVQ in+8(FP), R13     // A: first row of the row-block pair
@@ -485,7 +388,7 @@ kpair:
 	TILELOADD(4, 6, 1, 0)
 	TILELOADD(5, 6, 1, 4096)
 	TILELOADD(6, 7, 2, 0)
-	TILELOADD(7, 7, 2, 1024)
+	TILELOADD(7, 7, 2, 64)
 	TDPBSSD(0, 4, 6)
 	TDPBSSD(1, 4, 7)
 	TDPBSSD(2, 5, 6)
@@ -528,7 +431,7 @@ kone:
 	JCC konenext
 	TILELOADD(4, 6, 1, 0)
 	TILELOADD(6, 7, 2, 0)
-	TILELOADD(7, 7, 2, 1024)
+	TILELOADD(7, 7, 2, 64)
 	TDPBSSD(0, 4, 6)
 	TDPBSSD(1, 4, 7)
 
@@ -541,9 +444,9 @@ konenext:
 	TILESTORED(0, 3, 64, 1)
 
 cnext:
-	ADDQ $2048, R11
+	ADDQ $128, R11
 	ADDQ $128, R12
-	CMPQ R12, 65600(SP)
+	CMPQ R12, end-8(SP)
 	JNE  cpair
 	TILERELEASE
 	RET

@@ -21,13 +21,13 @@ func newTile() *Tile {
 }
 
 // set writes weight (r, c) through the view: the test owns the buffer.
-func (t *Tile) set(r, c int, v int8) { t.w[r*isa.MatrixDim+c] = v }
+func (t *Tile) set(r, c int, v int8) { t.w[isa.WeightOffset(r, c)] = v }
 
 // mulRangeScalar is the pre-SWAR cache-blocked kernel, kept as the scalar
 // arm of BenchmarkMultiply's kernel comparison and as a second reference
 // implementation (the oracle) for the differential tests. For each activation
 // row it walks the weight tile in blockRows x 256 blocks: the block's
-// nonzero activation values and weight-row pointers are gathered once (the
+// nonzero activation values and their contraction rows are gathered once (the
 // zero-row skip), then each 8-column group accumulates the whole block in
 // registers before storing. It visits rows in ascending order like MulRow,
 // so it too is bit-identical.
@@ -44,12 +44,12 @@ func (a *Array) mulRangeScalar(in []int8, out [][isa.MatrixDim]int32, lo, hi int
 			// zero-heavy (ReLU), and a zero contributes nothing to any
 			// column.
 			var vs [blockRows]int32
-			var ws [blockRows]*[isa.MatrixDim]int8
+			var rs [blockRows]int
 			n := 0
 			for r := r0; r < r0+blockRows; r++ {
 				if v := int32(row[r]); v != 0 {
 					vs[n] = v
-					ws[n] = t.row(r)
+					rs[n] = r
 					n++
 				}
 			}
@@ -60,16 +60,15 @@ func (a *Array) mulRangeScalar(in []int8, out [][isa.MatrixDim]int32, lo, hi int
 				a0, a1, a2, a3 := o[c], o[c+1], o[c+2], o[c+3]
 				a4, a5, a6, a7 := o[c+4], o[c+5], o[c+6], o[c+7]
 				for k := 0; k < n; k++ {
-					v := vs[k]
-					w := ws[k]
-					a0 += v * int32(w[c])
-					a1 += v * int32(w[c+1])
-					a2 += v * int32(w[c+2])
-					a3 += v * int32(w[c+3])
-					a4 += v * int32(w[c+4])
-					a5 += v * int32(w[c+5])
-					a6 += v * int32(w[c+6])
-					a7 += v * int32(w[c+7])
+					v, r := vs[k], rs[k]
+					a0 += v * int32(t.at(r, c))
+					a1 += v * int32(t.at(r, c+1))
+					a2 += v * int32(t.at(r, c+2))
+					a3 += v * int32(t.at(r, c+3))
+					a4 += v * int32(t.at(r, c+4))
+					a5 += v * int32(t.at(r, c+5))
+					a6 += v * int32(t.at(r, c+6))
+					a7 += v * int32(t.at(r, c+7))
 				}
 				o[c], o[c+1], o[c+2], o[c+3] = a0, a1, a2, a3
 				o[c+4], o[c+5], o[c+6], o[c+7] = a4, a5, a6, a7

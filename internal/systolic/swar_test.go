@@ -102,12 +102,12 @@ var groupBatches = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 63, 64, 65, 
 
 // TestSWAROverflowBoundary drives every lane of every kernel to its provable
 // maximum: all 256 weights in a column at -128 and all 256 activations at
-// -128. In the SWAR kernel each 16-bit lane product is then 128*255 = 32640,
-// each pair sum 65280 — the last value below a 16-bit carry — and each
-// widened 32-bit lane accumulates the full-rank maximum 256*32640 =
-// 8,355,840, the last point below a cross-lane carry at the widening step.
-// In the AVX2 kernel each VPMADDWD pair sum is 2*(-128)*(-128) = 2^15, its
-// largest, and 128 of them stack to 2^22. In the VNNI kernel the accumulators
+// -128. In the SWAR kernel each row's product is then 128*255 = 32640, each
+// 16-bit lane's two-row sum 65280 — the last value below a 16-bit carry —
+// and each widened 32-bit lane accumulates the full-rank maximum 256*32640 =
+// 8,355,840. In the AVX2 kernel each VPMADDWD pair sum is
+// 2*(-128)*(-128) = 2^15, its largest, 64 of them stack to 2^21 in a lane
+// and a column's two lanes to 2^22. In the VNNI kernel the accumulators
 // start at their largest bias, -128*256*(-128) = 2^22; against the weights at
 // +127 every VPDPBUSD lane then adds its most negative sum, 4*255*(-128), 64
 // times over, and against the weights at -128 the biased operand is zero and
@@ -151,7 +151,7 @@ func TestSWAROverflowBoundary(t *testing.T) {
 
 // TestKernelsAgreeOnGroupShapes covers what the assembly wrappers' gathers
 // have to get right, at every batch in groupBatches: an odd count of nonzero
-// contraction rows (the zero-padded pair tail), a contraction row that is
+// quads (swar's zero-padded last pair), a contraction row that is
 // nonzero in exactly one of a group's activation rows, all-zero activation
 // rows inside a group, all-zero groups, and a dense batch.
 func TestKernelsAgreeOnGroupShapes(t *testing.T) {
@@ -210,7 +210,7 @@ func TestKernelsAgreeOnGroupShapes(t *testing.T) {
 // fillBlocks fills the 64-deep contraction blocks of every activation row
 // whose bit is set in the low four bits of blocks with random values, a
 // quarter of them bias, and leaves the others zero in every row — the blocks
-// the AMX kernel neither packs nor multiplies.
+// the AMX kernel does not multiply.
 func fillBlocks(in []int8, blocks uint8, bias int8, rng *rand.Rand) {
 	for i := 0; i < len(in); i += isa.MatrixDim {
 		for kb := 0; kb < 4; kb++ {
@@ -265,8 +265,9 @@ func TestKernelsAgreeOnContractionBlocks(t *testing.T) {
 	}
 }
 
-// TestSWARSingleRowTail exercises the odd-n tail (a lone row in the pair
-// loop) at both magnitude extremes.
+// TestSWARSingleRowTail exercises a lone nonzero contraction row — one quad,
+// paired with a zero one in swar, one nonzero lane of the quad's operand in
+// the assembly rungs — at both magnitude extremes.
 func TestSWARSingleRowTail(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		for _, v := range []int8{1, -1, 127, -128} {

@@ -23,13 +23,14 @@ import (
 	"tpusim/internal/isa"
 )
 
-// Tile is one 256x256 weight tile: a view of the 64 KiB row-major buffer it
-// was loaded from (row indexes the input — contraction — dimension, col the
-// output dimension). Weight Memory delivers tiles in the form the array
-// consumes, so a tile owns no storage of its own and loading one copies
-// nothing: every multiply and every checksum reads the bytes of the buffer
-// itself, which nothing may write while the tile is loaded. Every kernel
-// multiplies those bytes where they lie; no kernel builds anything at Load.
+// Tile is one 256x256 weight tile: a view of the 64 KiB buffer it was loaded
+// from, in the matrix unit's order (isa.WeightOffset; row indexes the input —
+// contraction — dimension, col the output dimension). Weight Memory delivers
+// tiles in the form the array consumes, so a tile owns no storage of its own
+// and loading one copies nothing: every multiply and every checksum reads the
+// bytes of the buffer itself, which nothing may write while the tile is
+// loaded. Every kernel multiplies those bytes where they lie; no kernel
+// builds anything at Load.
 type Tile struct {
 	w *[isa.WeightTileBytes]int8
 
@@ -42,30 +43,27 @@ type Tile struct {
 	abft abft
 }
 
-// row returns weight row r of the viewed buffer.
-func (t *Tile) row(r int) *[isa.MatrixDim]int8 {
-	return (*[isa.MatrixDim]int8)(t.w[r*isa.MatrixDim:])
-}
+// at returns weight (r, c) of the viewed buffer.
+func (t *Tile) at(r, c int) int8 { return t.w[isa.WeightOffset(r, c)] }
 
-// SWAR kernel geometry: 8 weight bytes per 64-bit word, 32 words per row.
-const laneGroups = isa.MatrixDim / 8
+// SWAR kernel geometry: a quad row's 256 columns as 128 little-endian words
+// of two columns' four weights each.
+const quadWords = isa.WeightQuadBytes / 8
 
 const (
-	// biasWord flips every int8 sign bit: b ^ 0x80 == b+128 as a uint8, so
-	// a weight word XOR biasWord holds the bias-128 weights in [0, 255].
-	biasWord = 0x8080808080808080
 	// evenBytes extracts bytes 0,2,4,6 of a word into four 16-bit lanes.
 	evenBytes = 0x00FF00FF00FF00FF
 	// loHalves extracts 16-bit lanes 0 and 2 into two 32-bit lanes.
 	loHalves = 0x0000FFFF0000FFFF
 )
 
-// Load re-points the tile at b, the 64 KiB row-major layout Weight Memory
-// delivers, and drops the checksums latched from the previous contents (stale
-// checksums would fail every ABFT check). Nothing is copied — the tile
-// aliases b, so b must stay unwritten until the tile is loaded again. The
-// tile must not be loaded while an Array is multiplying against it; the
-// device loads the matrix unit's non-resident tile, between matmuls.
+// Load re-points the tile at b, the 64 KiB of one tile in the matrix unit's
+// order that Weight Memory delivers, and drops the checksums latched from the
+// previous contents (stale checksums would fail every ABFT check). Nothing is
+// copied — the tile aliases b, so b must stay unwritten until the tile is
+// loaded again. The tile must not be loaded while an Array is multiplying
+// against it; the device loads the matrix unit's non-resident tile, between
+// matmuls.
 func (t *Tile) Load(b []int8) error {
 	if len(b) != isa.WeightTileBytes {
 		return fmt.Errorf("systolic: tile is %d bytes, want %d", len(b), isa.WeightTileBytes)
@@ -82,8 +80,8 @@ func (t *Tile) Unload() {
 	t.abft = abft{}
 }
 
-// TileFromBytes returns a fresh tile viewing b, the 64 KiB row-major layout
-// Weight Memory delivers (see Load for the aliasing contract).
+// TileFromBytes returns a fresh tile viewing b, 64 KiB in the matrix unit's
+// order (see Load for the aliasing contract).
 func TileFromBytes(b []int8) (*Tile, error) {
 	t := &Tile{}
 	if err := t.Load(b); err != nil {
@@ -92,8 +90,8 @@ func TileFromBytes(b []int8) (*Tile, error) {
 	return t, nil
 }
 
-// Bytes returns the 64 KiB buffer the tile views, in the Weight Memory
-// layout (nil before the first Load); callers must not write through it.
+// Bytes returns the 64 KiB buffer the tile views, in the matrix unit's order
+// (nil before the first Load); callers must not write through it.
 func (t *Tile) Bytes() []int8 {
 	if t.w == nil {
 		return nil
@@ -154,9 +152,8 @@ func (a *Array) MulRow(in *[isa.MatrixDim]int8) (*[isa.MatrixDim]int32, error) {
 		if v == 0 {
 			continue
 		}
-		w := a.active.row(r)
 		for c := 0; c < isa.MatrixDim; c++ {
-			out[c] += v * int32(w[c])
+			out[c] += v * int32(a.active.at(r, c))
 		}
 	}
 	return &out, nil
@@ -264,7 +261,8 @@ func (a *Array) multiply(in []int8, out [][isa.MatrixDim]int32, workers int, add
 }
 
 // mulRangeSWAR computes output rows [lo, hi) of the batched matmul with the
-// portable SWAR kernel: one uint64 multiply handles 8 weight columns at once.
+// portable SWAR kernel: one uint64 multiply sums two contraction rows of two
+// weight columns at once.
 //
 // The trick is the bias-128 encoding: with w' = w+128 in [0,255] and
 // u = |v| in [1,128] for a nonzero activation v,
@@ -272,30 +270,39 @@ func (a *Array) multiply(in []int8, out [][isa.MatrixDim]int32, workers int, add
 //	v > 0: v*w = u*w'       - 128*u
 //	v < 0: v*w = u*(255-w') - 127*u
 //
-// Per byte, w' is w ^ 0x80 and 255-w' its complement, w ^ 0x7F, so one XOR
-// of the eight weight bytes as they lie in the tile — with biasWord (positive
-// v) or ^biasWord (negative v), the activation's mask — yields the operand
-// bytes in [0,255] either way; the words are loaded little-endian, so every
-// byte lands in the lane of its column on any host. The kernel multiplies
-// the masked even/odd bytes of the word by u — each 16-bit lane product is
-// at most 128*255 = 32640 < 2^15, so two rows' products sum to < 2^16 with
-// no cross-lane carry — then widens the four 16-bit lanes into four uint64
-// accumulators holding 2x32-bit lanes each. 256 contraction rows add at most
-// 256*32640 = 8,355,840 < 2^31 per 32-bit lane, so the widened sums never
-// carry and fit int32. The per-row scalar correction corr = sum(128*u |
-// 127*u) is subtracted once per column. Every step is exact integer
-// arithmetic, so results are bit-identical to MulRow for any worker count
-// and any accumulation order; the zero-row skip carries over from the gather.
+// Per byte, w' is w ^ 0x80 and 255-w' its complement, w ^ 0x7F. A quad row of
+// the tile is quadWords words, word p holding columns 2p and 2p+1, each as
+// its four weights in row order (isa.WeightOffset). The words are loaded
+// little-endian, so byte 4k+i — column 2p+k, row i of the quad — lands at bits
+// 8(4k+i) on any host, and one XOR with the quad's mask (byte i of each half
+// 0x80 or 0x7F as activation i is positive or negative) yields the operand
+// bytes in [0,255]. The even bytes, rows 0 and 2 of both columns, then sit in
+// four 16-bit lanes e0..e3, and their product with u2 + u0<<16 holds
+//
+//	lane 0: u2*e0   lane 1: u0*e0+u2*e1   lane 2: u0*e1+u2*e2   lane 3: u0*e2+u2*e3
+//
+// (u0*e3 leaves the word): lane 1 is column 2p's sum over rows 0 and 2, lane
+// 3 column 2p+1's. No lane exceeds 2*128*255 = 65280 < 2^16, so none carries
+// into the next, and (product >> 16) & loHalves moves the two sums into two
+// 32-bit lanes. The odd bytes times u3 + u1<<16 give rows 1 and 3 the same
+// way. A 32-bit lane gains at most 4*128*255 = 130560 per quad, so 64 quads
+// sum to at most 8,355,840 < 2^31: the accumulator words never carry across
+// lanes and each lane fits int32. The per-row scalar correction corr =
+// sum(128*u | 127*u) is subtracted once per column. Every step is exact
+// integer arithmetic, so results are bit-identical to MulRow for any worker
+// count and any accumulation order. A quad whose four activations are zero is
+// skipped; a zero activation inside a quad has u = 0 and adds nothing.
 // With add, each row is computed into sum and added to its output row.
 func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
 	t := a.active
-	// Gather scratch, reused across the range's activation rows: |v|, the
-	// weight row as 8-byte groups (group g is columns 8g..8g+7), and the
-	// bias-and-complement mask per nonzero row.
+	// Gather scratch, reused across the range's activation rows, one entry per
+	// nonzero quad: its quad row of the tile, the multipliers of its even and
+	// odd rows, and its bias-and-complement mask.
 	var (
-		us  [isa.MatrixDim]uint64
-		rws [isa.MatrixDim]*[laneGroups][8]byte
-		xms [isa.MatrixDim]uint64
+		qws [isa.MatrixDim / 4]*[quadWords][8]byte
+		m02 [isa.MatrixDim / 4]uint64
+		m13 [isa.MatrixDim / 4]uint64
+		xms [isa.MatrixDim / 4]uint64
 		sum [isa.MatrixDim]int32
 	)
 	for i := lo; i < hi; i++ {
@@ -306,22 +313,31 @@ func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int, 
 		}
 		n := 0
 		corr := int32(0)
-		for r := 0; r < isa.MatrixDim; r++ {
-			v := int32(row[r])
-			if v == 0 {
+		for r := 0; r < isa.MatrixDim; r += 4 {
+			var us [4]uint64
+			var xm uint64
+			for k := range us {
+				v := int32(row[r+k])
+				if v == 0 {
+					continue
+				}
+				u, x := v, uint64(0x80)
+				if v > 0 {
+					corr += u << 7 // 128*u
+				} else {
+					u, x = -v, 0x7F
+					corr += u<<7 - u // 127*u
+				}
+				us[k] = uint64(u)
+				xm |= x << (8 * k)
+			}
+			if xm == 0 {
 				continue
 			}
-			u := v
-			if v > 0 {
-				xms[n] = biasWord
-				corr += u << 7 // 128*u
-			} else {
-				u = -v
-				xms[n] = ^uint64(biasWord)
-				corr += u<<7 - u // 127*u
-			}
-			us[n] = uint64(u)
-			rws[n] = (*[laneGroups][8]byte)(unsafe.Pointer(t.row(r)))
+			qws[n] = (*[quadWords][8]byte)(unsafe.Pointer(&t.w[isa.WeightOffset(r, 0)]))
+			m02[n] = us[2] | us[0]<<16
+			m13[n] = us[3] | us[1]<<16
+			xms[n] = xm | xm<<32
 			n++
 		}
 		if n == 0 {
@@ -330,33 +346,21 @@ func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int, 
 			}
 			continue
 		}
-		if n%2 == 1 { // pair the last row with one times u = 0: it adds nothing
-			us[n], rws[n], xms[n] = 0, rws[n-1], 0
+		// acc is the widened accumulator strip, word p holding column 2p in
+		// its low 32 bits and 2p+1 in its high. At 1 KiB it stays L1-resident
+		// while the quads stream the tile sequentially, so the 64 KiB of
+		// weights are read once per activation row with unit stride.
+		var acc [quadWords]uint64
+		if n%2 == 1 { // pair the last quad with one of zero multipliers: it adds nothing
+			qws[n], m02[n], m13[n], xms[n] = qws[n-1], 0, 0, 0
 			n++
 		}
-		// acc is the widened accumulator strip: 4 words per 8-column group.
-		// acc[4g+0] holds columns 8g+0 (low 32 bits) and 8g+4 (high),
-		// acc[4g+1] 8g+1/8g+5, acc[4g+2] 8g+2/8g+6, acc[4g+3] 8g+3/8g+7.
-		// At 1 KiB it stays L1-resident while row pairs stream the tile
-		// sequentially — rows outer, groups inner, so the 64 KiB of weights
-		// are read once per activation row with unit stride instead of 32
-		// strided re-walks.
-		var acc [4 * laneGroups]uint64
 		for k := 0; k < n; k += 2 {
-			swarPair(&acc, rws[k], rws[k+1], us[k], us[k+1], xms[k], xms[k+1])
+			swarQuads(&acc, qws[k], qws[k+1], m02[k], m02[k+1], m13[k], m13[k+1], xms[k], xms[k+1])
 		}
-		for g := 0; g < laneGroups; g++ {
-			j := g * 4
-			a04, a15, a26, a37 := acc[j], acc[j+1], acc[j+2], acc[j+3]
-			c := g * 8
-			o[c] = int32(uint32(a04)) - corr
-			o[c+1] = int32(uint32(a15)) - corr
-			o[c+2] = int32(uint32(a26)) - corr
-			o[c+3] = int32(uint32(a37)) - corr
-			o[c+4] = int32(a04>>32) - corr
-			o[c+5] = int32(a15>>32) - corr
-			o[c+6] = int32(a26>>32) - corr
-			o[c+7] = int32(a37>>32) - corr
+		for p, s := range acc {
+			o[2*p] = int32(uint32(s)) - corr
+			o[2*p+1] = int32(s>>32) - corr
 		}
 		if add {
 			fixed.SatAddRow(out[i][:], sum[:])
@@ -364,20 +368,17 @@ func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int, 
 	}
 }
 
-// swarPair adds weight rows r1 and r2, masked with x1 and x2 and multiplied
-// by u1 and u2, into mulRangeSWAR's accumulator strip. A function of its own
-// so that the loop keeps its operands in registers.
-func swarPair(acc *[4 * laneGroups]uint64, r1, r2 *[laneGroups][8]byte, u1, u2, x1, x2 uint64) {
-	for g := 0; g < laneGroups; g++ {
-		w1 := binary.LittleEndian.Uint64(r1[g][:]) ^ x1
-		w2 := binary.LittleEndian.Uint64(r2[g][:]) ^ x2
-		se := (w1&evenBytes)*u1 + (w2&evenBytes)*u2
-		so := (w1>>8&evenBytes)*u1 + (w2>>8&evenBytes)*u2
-		j := g * 4
-		acc[j] += se & loHalves
-		acc[j+1] += so & loHalves
-		acc[j+2] += se >> 16 & loHalves
-		acc[j+3] += so >> 16 & loHalves
+// swarQuads adds quad rows q1 and q2 of the tile, masked with x1 and x2 and
+// multiplied by their rows' multipliers (m02: rows 0 and 2, m13: rows 1 and
+// 3), into mulRangeSWAR's accumulator strip. A function of its own so that
+// the loop keeps its operands in registers.
+func swarQuads(acc *[quadWords]uint64, q1, q2 *[quadWords][8]byte, e1, e2, o1, o2, x1, x2 uint64) {
+	for p := range acc {
+		w1 := binary.LittleEndian.Uint64(q1[p][:]) ^ x1
+		w2 := binary.LittleEndian.Uint64(q2[p][:]) ^ x2
+		s1 := ((w1&evenBytes)*e1)>>16&loHalves + ((w1>>8&evenBytes)*o1)>>16&loHalves
+		s2 := ((w2&evenBytes)*e2)>>16&loHalves + ((w2>>8&evenBytes)*o2)>>16&loHalves
+		acc[p] += s1 + s2
 	}
 }
 

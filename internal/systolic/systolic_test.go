@@ -24,8 +24,8 @@ func TestTileRoundTrip(t *testing.T) {
 			t.Fatalf("byte %d: %d != %d", i, back[i], b[i])
 		}
 	}
-	if tile.row(1)[0] != b[256] {
-		t.Error("row-major layout broken")
+	if tile.at(1, 0) != b[1] || tile.at(4, 0) != b[isa.WeightQuadBytes] || tile.at(0, 1) != b[4] {
+		t.Error("the matrix unit's layout broken")
 	}
 }
 

@@ -26,5 +26,6 @@ func TestUnderEachKernel(t *testing.T) {
 		t.Run("IntegrityDetectsEveryFlipKind", TestIntegrityDetectsEveryFlipKind)
 		t.Run("IntegrityCorrectsInPlace", TestIntegrityCorrectsInPlace)
 		t.Run("IntegrityWeightCorruptionPersistsUntilScrub", TestIntegrityWeightCorruptionPersistsUntilScrub)
+		t.Run("WeightFlipLandsOnItsWeight", TestWeightFlipLandsOnItsWeight)
 	})
 }
