@@ -66,10 +66,11 @@ bench-test:
 # swar, scalar) at the shapes the repo runs (batches of 2, 16 and 64 rows,
 # and 128 rows of a 36-deep contraction) and the wide MLP's stream of 64
 # tiles accumulated four to an output tile, every path of the fixed-point row
-# passes (scalar, AVX2 and the AVX-512 drain, where the host has them) and of the float
-# calibration matmul, the two halves of a model's cold start (the wide
-# MLP's quantize and compile), and the CRC against its table oracle —
-# without paying for a full measurement.
+# passes (scalar, AVX2 and the AVX-512 drain and quantize, where the host has
+# them) and of the float calibration matmul, the two halves of a model's cold
+# start (the wide MLP's quantize and compile), the wide MLP's warmed-up device
+# run, and the CRC against its table oracle — without paying for a full
+# measurement.
 bench-smoke:
 	$(GO) test ./internal/systolic -run xxx -bench BenchmarkMulRow -benchtime 100x
 	$(GO) test ./internal/systolic -run xxx -bench 'BenchmarkMultiply/^B=(2|16|64|128,K=36)$$/' -benchtime 20x
@@ -78,6 +79,7 @@ bench-smoke:
 	$(GO) test ./internal/tensor -run xxx -bench BenchmarkMatMulF32 -benchtime 5x
 	$(GO) test ./internal/nn -run xxx -bench BenchmarkQuantizeModelWide -benchtime 2x
 	$(GO) test ./internal/compiler -run xxx -bench BenchmarkCompileWide -benchtime 5x
+	$(GO) test ./internal/tpu -run xxx -bench BenchmarkRunWide -benchtime 5x
 	$(GO) test ./internal/integrity -run xxx -bench BenchmarkCRC -benchtime 100x
 
 # Full benchmark sweep (tables, figures, kernels).

@@ -42,7 +42,7 @@ var callerAllowlist = map[string]string{
 	// go:linkname, which the scan does not follow; their own package's
 	// tests call them directly.
 	"fixed.useVector":   "turns fixed's row passes off so tests compare them with the scalar Go",
-	"fixed.useWide":     "turns fixed's AVX-512 drain off so tests run the AVX2 drain an AVX2-only host runs",
+	"fixed.useWide":     "turns fixed's AVX-512 passes off so tests run the AVX2 passes an AVX2-only host runs",
 	"tensor.useVector":  "turns tensor's float passes off so tests compare them with the scalar Go",
 	"tensor.useWide":    "turns tensor's AVX-512 matmul off so tests run the AVX2 pass an AVX2-only host runs",
 	"systolic.runUnder": "picks the kernel rung MultiplyInto runs so tests cover every rung the host has, not only the fastest",

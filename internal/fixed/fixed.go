@@ -17,18 +17,19 @@ import (
 )
 
 // vector selects the assembly row passes behind SatAddRow, QuantizeInto,
-// DequantizeInto, DrainRow and AbsMax where the host has AVX2, and wide
-// DrainRow's AVX-512 pass where it also has AVX-512 VBMI. Each pass is bit-identical to
-// the scalar loop beside it, which is the portable path and the oracle the
-// tests hold the passes to. Only useVector and useWide write them.
+// DequantizeInto, DrainRow and AbsMax where the host has AVX2, and wide the
+// AVX-512 passes of DrainRow and QuantizeInto where it also has AVX-512 VBMI.
+// Each pass is bit-identical to the scalar loop beside it, which is the
+// portable path and the oracle the tests hold the passes to. Only useVector
+// and useWide write them.
 var (
 	vector = cpu.AVX2
 	wide   = cpu.AVX2 && cpu.AVX512VBMI
 )
 
 // useVector turns the row passes on, where the host has them, or off, and
-// reports whether they are on; on includes the AVX-512 drain where the host
-// has it. It exists so that tests cover every path: this package's tests
+// reports whether they are on; on includes the AVX-512 passes where the host
+// has them. It exists so that tests cover every path: this package's tests
 // call it directly, other packages' tests go through systolic/kerneltest,
 // which reaches it by linkname and turns the passes off on the portable
 // kernel rung. The switch is process-wide.
@@ -38,9 +39,9 @@ func useVector(on bool) bool {
 	return vector
 }
 
-// useWide turns the AVX-512 drain off, leaving the AVX2 passes as they are,
-// or back on where the host has it and the passes are on, and reports
-// whether it is on: the AVX2 drain is what a host without AVX-512 runs.
+// useWide turns the AVX-512 passes off, leaving the AVX2 passes as they are,
+// or back on where the host has them and the passes are on, and reports
+// whether they are on: the AVX2 passes are what a host without AVX-512 runs.
 func useWide(on bool) bool {
 	wide = on && vector && cpu.AVX512VBMI
 	return wide
@@ -60,16 +61,26 @@ func (p Params) Quantize(x float32) int8 {
 
 // QuantizeInto quantizes src into dst under p: dst[i] = p.Quantize(src[i])
 // for every element of src. len(dst) must be at least len(src). Where the
-// host has AVX2 it is one vector pass — widen, divide, add, round, clamp,
-// narrow, eight elements at a time — doing the same IEEE float64 operations
-// in the same order as Quantize, so the bytes are the same.
+// host has AVX2 it is one vector pass, eight elements at a time (sixteen
+// where it has the AVX-512 passes), built as LUT.DrainRow's is with s = 1:
+// it multiplies by r = 1/Scale in float32 and rounds, clamps and narrows
+// wherever a guard proves that gives Quantize's int8, and a group with a
+// lane the guard does not settle takes Quantize's own float64 divide. Either
+// way the bytes are the same.
 func QuantizeInto(dst []int8, src []float32, p Params) {
 	dst = dst[:len(src)]
 	n := 0
 	if vector && len(src) >= 8 {
-		n = len(src) &^ 7
-		// Quantize's x/scale is (x*1)/scale exactly.
-		quantizeAVX2(&dst[0], &src[0], n, 1, float64(p.Scale))
+		d := float64(p.Scale)
+		r := ratio(1, d)
+		if wide && len(src) >= 16 {
+			n = len(src) &^ 15
+			quantizeAVX512(&dst[0], &src[0], n, d, r)
+		}
+		if m := len(src) &^ 7; m > n {
+			quantizeAVX2(&dst[n], &src[n], m-n, d, r)
+			n = m
+		}
 	}
 	for i := n; i < len(src); i++ {
 		dst[i] = p.Quantize(src[i])

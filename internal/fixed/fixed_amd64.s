@@ -1,30 +1,72 @@
 #include "textflag.h"
 
-// CONSTS broadcasts the pass's operands and the int8 rails: Y12 = s,
-// Y13 = d, Y15 = -128, Y11 = 127.
-#define CONSTS \
-	VBROADCASTSD s+24(FP), Y12;          \
-	VBROADCASTSD d+32(FP), Y13;          \
-	MOVQ         $0xC060000000000000, AX; \
-	VMOVQ        AX, X15;                \
-	VBROADCASTSD X15, Y15;               \
-	MOVQ         $0x405FC00000000000, AX; \
-	VMOVQ        AX, X11;                \
-	VBROADCASTSD X11, Y11
+// rowConsts are the row passes' constants: -128 and 127 as float64, then
+// 0.5, 2^-20, the float32 sign mask's complement, 256 and 127 as float32.
+DATA rowConsts<>+0(SB)/8, $0xC060000000000000
+DATA rowConsts<>+8(SB)/8, $0x405FC00000000000
+DATA rowConsts<>+16(SB)/4, $0x3F000000
+DATA rowConsts<>+20(SB)/4, $0x35800000
+DATA rowConsts<>+24(SB)/4, $0x7FFFFFFF
+DATA rowConsts<>+28(SB)/4, $0x43800000
+DATA rowConsts<>+32(SB)/4, $0x42FE0000
+GLOBL rowConsts<>(SB), RODATA|NOPTR, $36
 
-// REQUANT4 takes the four float64 lanes of y through (y*s)/d, rounds
-// them half to even (VROUNDPD mode 0), clamps them to [-128, 127] and
-// narrows them to four int32 in x. VMAXPD returns its second source, -128,
-// when either operand is NaN, so NaN lands on -128 as roundSat defines;
-// after the clamp every lane is an integer in range and the conversion is
-// exact.
-#define REQUANT4(y, x) \
-	VMULPD     Y12, y, y; \
+// CONSTS broadcasts the divide's operands and rails, and the float32 pass's
+// constants, d and r read from the frame at dpos and rpos: Y13 = d, Y15 =
+// -128 and Y11 = 127 (float64), Y14 = r, Y10 = 0.5, Y9 = 2^-20, Y8 the
+// float32 sign mask's complement, Y7 = 256 and Y5 = 127 (float32).
+#define CONSTS(dpos, rpos) \
+	VBROADCASTSD dpos(FP), Y13;              \
+	VBROADCASTSD rowConsts<>+0(SB), Y15;     \
+	VBROADCASTSD rowConsts<>+8(SB), Y11;     \
+	VBROADCASTSS rpos(FP), Y14;              \
+	VBROADCASTSS rowConsts<>+16(SB), Y10;    \
+	VBROADCASTSS rowConsts<>+20(SB), Y9;     \
+	VBROADCASTSS rowConsts<>+24(SB), Y8;     \
+	VBROADCASTSS rowConsts<>+28(SB), Y7;     \
+	VBROADCASTSS rowConsts<>+32(SB), Y5
+
+// QUOT4 takes the four float64 lanes of y through y/d, rounds them half to
+// even (VROUNDPD mode 0), clamps them to [-128, 127] and narrows them to four
+// int32 in x. VMAXPD returns its second source, -128, when either operand is
+// NaN, so NaN lands on -128 as roundSat defines; after the clamp every lane
+// is an integer in range and the conversion is exact.
+#define QUOT4(y, x) \
 	VDIVPD     Y13, y, y; \
 	VROUNDPD   $0, y, y;  \
 	VMAXPD     Y15, y, y; \
 	VMINPD     Y11, y, y; \
 	VCVTPD2DQY y, x
+
+// REQUANT4 is QUOT4 of y*s: Requantize's (x*s)/d, rounded and clamped.
+#define REQUANT4(y, x) \
+	VMULPD Y12, y, y; \
+	QUOT4(y, x)
+
+// SETTLE8 rounds the eight float32 lanes of z half to even (VROUNDPS mode 0)
+// into k and sets AX's low eight bits to the lanes whose rounding is settled:
+// |z-k| + 2^-20*|z| < 0.5, or |z| >= 256 (both ordered, so a NaN lane is not
+// settled). See LUT.DrainRow for why a settled lane's k is the divide's.
+#define SETTLE8(z, k) \
+	VROUNDPS  $0, z, k;          \
+	VSUBPS    k, z, Y2;          \
+	VANDPS    Y8, Y2, Y2;        \
+	VANDPS    Y8, z, Y3;         \
+	VMULPS    Y9, Y3, Y4;        \
+	VADDPS    Y4, Y2, Y2;        \
+	VCMPPS    $0x11, Y10, Y2, Y2; \
+	VCMPPS    $0x1D, Y7, Y3, Y3; \
+	VORPS     Y3, Y2, Y2;        \
+	VMOVMSKPS Y2, AX
+
+// NARROW8 converts the eight rounded float32 lanes of k, none of them NaN,
+// to int32, lanes 0-3 in X0 and 4-7 in X1, clamped to 127 above first:
+// VCVTPS2DQ turns a lane below -2^31 into MinInt32, so every lane below -128
+// is at most -128 and the saturating packs that follow clamp it below.
+#define NARROW8(k) \
+	VMINPS       Y5, k, k; \
+	VCVTPS2DQ    k, Y0;    \
+	VEXTRACTI128 $1, Y0, X1
 
 // STORE8 packs the eight int32 in X0 (lanes 0-3) and X1 (4-7), all in
 // [-128, 127], to eight int8 at DI.
@@ -77,24 +119,6 @@ lanes:
 	VZEROUPPER
 	RET
 
-// NEAR sets out to |y-k| + 2^-50*|y| for the float64 lanes y and their
-// nearest integers k (Y8 holds the sign mask's complement, Y9 2^-50): below
-// 0.5, y is farther from every half-integer than y*r can be from
-// (y*s)/d. NaN and infinite y give NaN.
-#define NEAR(y, k, out) \
-	VSUBPD k, y, out;   \
-	VANDPD Y8, out, out; \
-	VANDPD Y8, y, Y6;   \
-	VMULPD Y9, Y6, Y6;  \
-	VADDPD Y6, out, out
-
-// CLAMP4 clamps the four rounded lanes of k to [-128, 127] and narrows them
-// to four int32 in x.
-#define CLAMP4(k, x) \
-	VMAXPD     Y15, k, k; \
-	VMINPD     Y11, k, k; \
-	VCVTPD2DQY k, x
-
 // LOOKUP2 maps the two table indices in AL and AH through the table at R9
 // into dst[k] and dst[k+1], and moves AX on to the next two.
 #define LOOKUP2(k) \
@@ -120,49 +144,29 @@ lanes:
 	LOOKUP2(4);           \
 	LOOKUP2(6)
 
-// func drainAVX2(dst *int8, src *int32, n int, s, d, r float64, tab *[256]int8)
+// func drainAVX2(dst *int8, src *int32, n int, s, d float64, r float32, tab *[256]int8)
 //
-// Eight lanes at a time: y = src*r, rounded half to even (VROUNDPD mode 0)
-// and clamped. That is (src*s)/d's answer wherever y is far enough from a
-// half-integer (NEAR below 0.5 in every lane: see LUT.DrainRow); a group
-// with a lane that is not takes the divide, REQUANT4, which is (src*s)/d
-// itself. A NaN r fails every lane's check. The eight int8 are then looked
-// up in tab.
+// Eight lanes at a time: z = float32(src)*r in float32, rounded half to even
+// and clamped. That is (src*s)/d's answer wherever SETTLE8 settles every
+// lane (see LUT.DrainRow); a group with a lane it does not takes the divide,
+// REQUANT4, which is (src*s)/d itself in float64. A NaN r settles no lane.
+// The eight int8 are then looked up in tab.
 TEXT ·drainAVX2(SB), NOSPLIT, $0-56
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         n+16(FP), CX
 	MOVQ         tab+48(FP), R9
 	MOVQ         $0x8080808080808080, R8
-	CONSTS
-	VBROADCASTSD r+40(FP), Y14
-	MOVQ         $0x3FE0000000000000, AX // 0.5
-	VMOVQ        AX, X10
-	VBROADCASTSD X10, Y10
-	MOVQ         $0x3CD0000000000000, AX // 2^-50
-	VMOVQ        AX, X9
-	VBROADCASTSD X9, Y9
-	MOVQ         $0x7FFFFFFFFFFFFFFF, AX
-	VMOVQ        AX, X8
-	VBROADCASTSD X8, Y8
+	VBROADCASTSD s+24(FP), Y12
+	CONSTS(d+32, r+40)
 
 lanes:
-	VCVTDQ2PD (SI), Y0
-	VCVTDQ2PD 16(SI), Y1
-	VMULPD    Y14, Y0, Y0
-	VMULPD    Y14, Y1, Y1
-	VROUNDPD  $0, Y0, Y2
-	VROUNDPD  $0, Y1, Y3
-	NEAR(Y0, Y2, Y4)
-	NEAR(Y1, Y3, Y5)
-	VCMPPD    $0x11, Y10, Y4, Y4 // below 0.5, ordered: NaN fails
-	VCMPPD    $0x11, Y10, Y5, Y5
-	VANDPD    Y5, Y4, Y4
-	VMOVMSKPD Y4, AX
-	CMPL      AX, $15
+	VCVTDQ2PS (SI), Y0
+	VMULPS    Y14, Y0, Y0
+	SETTLE8(Y0, Y1)
+	CMPL      AX, $0xFF
 	JNE       divide
-	CLAMP4(Y2, X0)
-	CLAMP4(Y3, X1)
+	NARROW8(Y1)
 
 lookup:
 	LOOKUP8
@@ -180,43 +184,72 @@ divide:
 	REQUANT4(Y1, X1)
 	JMP       lookup
 
-// NEAR16 is NEAR on eight float64 lanes of a ZMM register (Z8 holds the sign
-// mask's complement, Z9 2^-50).
-#define NEAR16(y, k, out) \
-	VSUBPD k, y, out;    \
-	VPANDQ Z8, out, out; \
-	VPANDQ Z8, y, Z7;    \
-	VMULPD Z9, Z7, Z7;   \
-	VADDPD Z7, out, out
+// WIDECONSTS is CONSTS on ZMM registers: Z13 = d, Z15 = -128 and Z11 = 127
+// (float64), Z14 = r, Z10 = 0.5, Z9 = 2^-20, Z8 the sign mask's complement,
+// Z7 = 256 and Z5 = 127 (float32).
+#define WIDECONSTS(dpos, rpos) \
+	VBROADCASTSD dpos(FP), Z13;              \
+	VBROADCASTSD rowConsts<>+0(SB), Z15;     \
+	VBROADCASTSD rowConsts<>+8(SB), Z11;     \
+	VBROADCASTSS rpos(FP), Z14;              \
+	VBROADCASTSS rowConsts<>+16(SB), Z10;    \
+	VBROADCASTSS rowConsts<>+20(SB), Z9;     \
+	VBROADCASTSS rowConsts<>+24(SB), Z8;     \
+	VBROADCASTSS rowConsts<>+28(SB), Z7;     \
+	VBROADCASTSS rowConsts<>+32(SB), Z5
 
-// func drainAVX512(dst *int8, src *int32, n int, s, d, r float64, tab *[256]int8)
+// SETTLE16 is SETTLE8 on sixteen lanes: k is z rounded half to even
+// (VRNDSCALEPS mode 0), and CF is set after it exactly when every lane is
+// settled (KORTESTW of the two conditions' masks).
+#define SETTLE16(z, k) \
+	VRNDSCALEPS $0, z, k;         \
+	VSUBPS      k, z, Z2;         \
+	VPANDD      Z8, Z2, Z2;       \
+	VPANDD      Z8, z, Z3;        \
+	VMULPS      Z9, Z3, Z4;       \
+	VADDPS      Z4, Z2, Z2;       \
+	VCMPPS      $0x11, Z10, Z2, K1; \
+	VCMPPS      $0x1D, Z7, Z3, K2; \
+	KORTESTW    K2, K1
+
+// NARROW16 is NARROW8 on sixteen lanes, into sixteen int32 in out, which
+// VPMOVSDB then clamps below as it narrows.
+#define NARROW16(k, out) \
+	VMINPS    Z5, k, k; \
+	VCVTPS2DQ k, out
+
+// QUOT16 is QUOT4 on the sixteen float64 lanes of Z2 and Z3, eight each:
+// divided by d, rounded half to even (VRNDSCALEPD mode 0), clamped (NaN to
+// -128) and narrowed to sixteen int32 in out.
+#define QUOT16(out) \
+	VDIVPD       Z13, Z2, Z2; \
+	VDIVPD       Z13, Z3, Z3; \
+	VRNDSCALEPD  $0, Z2, Z2;  \
+	VRNDSCALEPD  $0, Z3, Z3;  \
+	VMAXPD       Z15, Z2, Z2; \
+	VMINPD       Z11, Z2, Z2; \
+	VMAXPD       Z15, Z3, Z3; \
+	VMINPD       Z11, Z3, Z3; \
+	VCVTPD2DQ    Z2, Y2;      \
+	VCVTPD2DQ    Z3, Y3;      \
+	VINSERTI64X4 $1, Y3, Z2, out
+
+// func drainAVX512(dst *int8, src *int32, n int, s, d float64, r float32, tab *[256]int8)
 //
 // drainAVX2 sixteen lanes at a time (n is a positive multiple of 16): the
-// same float64 operations in the same order, eight lanes to a ZMM register
-// (VRNDSCALEPD mode 0 is VROUNDPD's round half to even), and a group with a
-// lane too near a half-integer takes the divide. The sixteen int8 are looked
-// up in the table all at once: the table is four ZMM registers, Z20-Z23, and
-// an index v+128 selects with its low seven bits within the half VPERMT2B
-// reads (Z20-Z21 or Z22-Z23) and with its top bit, through K3, between the
-// halves.
+// same float32 multiply and guard, sixteen lanes to a ZMM register, and a
+// group with a lane the guard does not settle takes the divide, eight float64
+// lanes to a register. The sixteen int8 are looked up in the table all at
+// once: the table is four ZMM registers, Z20-Z23, and an index v+128 selects
+// with its low seven bits within the half VPERMT2B reads (Z20-Z21 or Z22-Z23)
+// and with its top bit, through K3, between the halves.
 TEXT ·drainAVX512(SB), NOSPLIT, $0-56
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         n+16(FP), CX
 	MOVQ         tab+48(FP), R9
 	VBROADCASTSD s+24(FP), Z12
-	VBROADCASTSD d+32(FP), Z13
-	VBROADCASTSD r+40(FP), Z14
-	MOVQ         $0xC060000000000000, AX // -128
-	VPBROADCASTQ AX, Z15
-	MOVQ         $0x405FC00000000000, AX // 127
-	VPBROADCASTQ AX, Z11
-	MOVQ         $0x3FE0000000000000, AX // 0.5
-	VPBROADCASTQ AX, Z10
-	MOVQ         $0x3CD0000000000000, AX // 2^-50
-	VPBROADCASTQ AX, Z9
-	MOVQ         $0x7FFFFFFFFFFFFFFF, AX
-	VPBROADCASTQ AX, Z8
+	WIDECONSTS(d+32, r+40)
 	MOVL         $0x80808080, AX
 	VPBROADCASTD AX, Z18
 	VMOVDQU64    (R9), Z20
@@ -225,49 +258,31 @@ TEXT ·drainAVX512(SB), NOSPLIT, $0-56
 	VMOVDQU64    192(R9), Z23
 
 lanes:
-	VCVTDQ2PD   (SI), Z0
-	VCVTDQ2PD   32(SI), Z1
-	VMULPD      Z14, Z0, Z0
-	VMULPD      Z14, Z1, Z1
-	VRNDSCALEPD $0, Z0, Z2
-	VRNDSCALEPD $0, Z1, Z3
-	NEAR16(Z0, Z2, Z4)
-	NEAR16(Z1, Z3, Z5)
-	VCMPPD      $0x11, Z10, Z4, K1 // below 0.5, ordered: NaN fails
-	VCMPPD      $0x11, Z10, Z5, K2
-	KMOVW       K1, AX
-	KMOVW       K2, BX
-	ANDL        BX, AX
-	CMPL        AX, $0xFF
-	JNE         divide
+	VCVTDQ2PS (SI), Z0
+	VMULPS    Z14, Z0, Z0
+	SETTLE16(Z0, Z1)
+	JCC       divide
+	NARROW16(Z1, Z1)
 
-clamp:
-	VMAXPD       Z15, Z2, Z2 // a NaN lane, from the divide, is -128
-	VMINPD       Z11, Z2, Z2
-	VMAXPD       Z15, Z3, Z3
-	VMINPD       Z11, Z3, Z3
-	VCVTPD2DQ    Z2, Y16
-	VCVTPD2DQ    Z3, Y17
-	VINSERTI64X4 $1, Y17, Z16, Z16
-	VPMOVSDB     Z16, X16
-	VPXORD       Z18, Z16, Z16 // v+128
-	VMOVDQA64    Z20, Z6
-	VPERMT2B     Z21, Z16, Z6
-	VMOVDQA64    Z22, Z7
-	VPERMT2B     Z23, Z16, Z7
-	VPMOVB2M     Z16, K3
-	VMOVDQU8     Z7, K3, Z6
-	VMOVDQU      X6, (DI)
-	ADDQ         $64, SI
-	ADDQ         $16, DI
-	SUBQ         $16, CX
-	JNZ          lanes
+lookup:
+	VPMOVSDB  Z1, X16
+	VPXORD    Z18, Z16, Z16 // v+128
+	VMOVDQA64 Z20, Z2
+	VPERMT2B  Z21, Z16, Z2
+	VMOVDQA64 Z22, Z3
+	VPERMT2B  Z23, Z16, Z3
+	VPMOVB2M  Z16, K3
+	VMOVDQU8  Z3, K3, Z2
+	VMOVDQU   X2, (DI)
+	ADDQ      $64, SI
+	ADDQ      $16, DI
+	SUBQ      $16, CX
+	JNZ       lanes
 
 	// VZEROUPPER clears the upper halves of Z0-Z15 only. Left dirty, those
 	// of Z16-Z31 would make every later SSE instruction (Go's scalar float
 	// code) merge into them, slowing it down.
 	VPXORD     Z16, Z16, Z16
-	VPXORD     Z17, Z17, Z17
 	VPXORD     Z18, Z18, Z18
 	VPXORD     Z20, Z20, Z20
 	VPXORD     Z21, Z21, Z21
@@ -277,35 +292,77 @@ clamp:
 	RET
 
 divide:
-	VCVTDQ2PD   (SI), Z2
-	VCVTDQ2PD   32(SI), Z3
-	VMULPD      Z12, Z2, Z2
-	VMULPD      Z12, Z3, Z3
-	VDIVPD      Z13, Z2, Z2
-	VDIVPD      Z13, Z3, Z3
-	VRNDSCALEPD $0, Z2, Z2
-	VRNDSCALEPD $0, Z3, Z3
-	JMP         clamp
+	VCVTDQ2PD (SI), Z2
+	VCVTDQ2PD 32(SI), Z3
+	VMULPD    Z12, Z2, Z2
+	VMULPD    Z12, Z3, Z3
+	QUOT16(Z1)
+	JMP       lookup
 
-// func quantizeAVX2(dst *int8, src *float32, n int, s, d float64)
-TEXT ·quantizeAVX2(SB), NOSPLIT, $0-40
+// func quantizeAVX2(dst *int8, src *float32, n int, d float64, r float32)
+//
+// drainAVX2's pass on float32 sources, with no table: z = src*r, and a group
+// with a lane the guard does not settle takes Quantize's float64 divide.
+TEXT ·quantizeAVX2(SB), NOSPLIT, $0-36
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX
-	CONSTS
+	CONSTS(d+24, r+32)
 
 lanes:
-	VCVTPS2PD (SI), Y0
-	VCVTPS2PD 16(SI), Y1
-	REQUANT4(Y0, X0)
-	REQUANT4(Y1, X1)
+	VMULPS (SI), Y14, Y0
+	SETTLE8(Y0, Y1)
+	CMPL   AX, $0xFF
+	JNE    divide
+	NARROW8(Y1)
+
+store:
 	STORE8
-	ADDQ      $32, SI
-	ADDQ      $8, DI
-	SUBQ      $8, CX
-	JNZ       lanes
+	ADDQ $32, SI
+	ADDQ $8, DI
+	SUBQ $8, CX
+	JNZ  lanes
 	VZEROUPPER
 	RET
+
+divide:
+	VCVTPS2PD (SI), Y0
+	VCVTPS2PD 16(SI), Y1
+	QUOT4(Y0, X0)
+	QUOT4(Y1, X1)
+	JMP       store
+
+// func quantizeAVX512(dst *int8, src *float32, n int, d float64, r float32)
+//
+// quantizeAVX2 sixteen lanes at a time (n is a positive multiple of 16), the
+// divide eight float64 lanes to a register. It uses Z0-Z15 only, which
+// VZEROUPPER leaves clean.
+TEXT ·quantizeAVX512(SB), NOSPLIT, $0-36
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	WIDECONSTS(d+24, r+32)
+
+lanes:
+	VMULPS (SI), Z14, Z0
+	SETTLE16(Z0, Z1)
+	JCC    divide
+	NARROW16(Z1, Z1)
+
+store:
+	VPMOVSDB Z1, (DI)
+	ADDQ     $64, SI
+	ADDQ     $16, DI
+	SUBQ     $16, CX
+	JNZ      lanes
+	VZEROUPPER
+	RET
+
+divide:
+	VCVTPS2PD (SI), Z2
+	VCVTPS2PD 32(SI), Z3
+	QUOT16(Z1)
+	JMP       store
 
 // func dequantizeAVX2(dst *float32, src *int8, n int, scale float32)
 //

@@ -7,16 +7,20 @@ package fixed
 
 func satAddAVX2(dst, src *int32, n int) uint32 { panic("fixed: no AVX2 off amd64") }
 
-func drainAVX2(dst *int8, src *int32, n int, s, d, r float64, tab *[256]int8) {
+func drainAVX2(dst *int8, src *int32, n int, s, d float64, r float32, tab *[256]int8) {
 	panic("fixed: no AVX2 off amd64")
 }
 
-func drainAVX512(dst *int8, src *int32, n int, s, d, r float64, tab *[256]int8) {
+func drainAVX512(dst *int8, src *int32, n int, s, d float64, r float32, tab *[256]int8) {
 	panic("fixed: no AVX-512 off amd64")
 }
 
-func quantizeAVX2(dst *int8, src *float32, n int, s, d float64) {
+func quantizeAVX2(dst *int8, src *float32, n int, d float64, r float32) {
 	panic("fixed: no AVX2 off amd64")
+}
+
+func quantizeAVX512(dst *int8, src *float32, n int, d float64, r float32) {
+	panic("fixed: no AVX-512 off amd64")
 }
 
 func dequantizeAVX2(dst *float32, src *int8, n int, scale float32) {

@@ -83,19 +83,19 @@ func (l *LUT) Lookup(q int8) int8 {
 // srcScale, pre)). len(acc) must be at least len(dst).
 //
 // Where the host has AVX2 the requantize is one vector pass, eight lanes at
-// a time (sixteen where it has AVX-512 VBMI), that multiplies by the ratio
-// r = s/d of the source and pre-activation scales instead of dividing:
-// widen to float64, multiply by r, round half to even, clamp to
-// [-128, 127], narrow and saturating-pack to int8. Requantize computes
-// y = (x*s)/d, two roundings, and x*r is two roundings more, so with
-// q = x*s/d exactly, |y - x*r| <= |q|*2^-51, below |x*r|*2^-50. Rounding and
-// the clamp step only at half-integers, so wherever x*r is farther than
-// that from every half-integer, y gives the same int8. A group with a lane
-// that is not — a tie, its neighbours, NaN, an infinity — takes
-// Requantize's own float64 multiply and divide in the same order, with
-// roundSat's clamp, and so does every group when r is not a normal
-// float64. Either way the row is bit-identical. The same pass looks the
-// int8s up in the table and stores the entries.
+// a time (sixteen where it has AVX-512 VBMI), in float32: z =
+// float32(x)*r, with r = float32(s/d) the ratio of the source and
+// pre-activation scales, rounded half to even, clamped to [-128, 127],
+// narrowed and looked up in the table. Requantize computes y = (x*s)/d in
+// float64. With q = x*s/d exactly, z is three float32 roundings from q (x,
+// r, the product) and y is within 2^-51*|q| of it, so |y - z| < 2^-22*|z|.
+// Rounding and the clamp step only at half-integers, so a lane is settled —
+// y gives z's int8 — where |z - round(z)| + 2^-20*|z| < 0.5, or where
+// |z| >= 256, which y clamps to the same rail. A group with a lane that is
+// not settled — a tie, its neighbours, NaN — takes Requantize's own float64
+// multiply and divide in the same order, with roundSat's clamp, and so does
+// every group when r is not a normal float32. Either way the row is
+// bit-identical.
 func (l *LUT) DrainRow(dst []int8, acc []int32, srcScale float32, pre Params) {
 	acc = acc[:len(dst)]
 	s, d := float64(srcScale), float64(pre.Scale)
@@ -117,12 +117,13 @@ func (l *LUT) DrainRow(dst []int8, acc []int32, srcScale float32, pre Params) {
 	}
 }
 
-// ratio returns s/d for DrainRow's multiply, or NaN — which sends every
-// group to the divide — where s/d is zero, subnormal, infinite or NaN.
-func ratio(s, d float64) float64 {
-	r := s / d
-	if a := math.Abs(r); !(a >= 0x1p-1022 && a <= math.MaxFloat64) {
-		return math.NaN()
+// ratio returns s/d rounded to float32 for the row passes' multiply, or NaN
+// — which sends every group to the divide — where that is zero, subnormal,
+// infinite or NaN: only a normal float32 is within 2^-24 of s/d relatively.
+func ratio(s, d float64) float32 {
+	r := float32(s / d)
+	if a := math.Abs(float64(r)); !(a >= 0x1p-126 && a <= math.MaxFloat32) {
+		return float32(math.NaN())
 	}
 	return r
 }

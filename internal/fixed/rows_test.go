@@ -218,6 +218,27 @@ func requantizeCorpus() []requantizeCase {
 		{"ratio NaN", []int32{0, 1, -1, 7, math.MaxInt32, math.MinInt32, 3, 4, 5}, 0, 0},
 		{"ratio 2^-277", []int32{0, 1, -1, 7, math.MaxInt32, math.MinInt32, 3, 4, 5}, bits(1), math.MaxFloat32},
 		{"subnormal scales", []int32{0, 1, -1, 7, math.MaxInt32, math.MinInt32, 3, 4, 5}, bits(3), bits(2)},
+		// Ratios that are normal float64s but not normal float32s, so the
+		// passes' float32 r is NaN and every group divides: subnormal
+		// (1e-40) and past MaxFloat32 (1e40) in float32.
+		{"ratio subnormal in float32", []int32{0, 1, -1, 7, math.MaxInt32, math.MinInt32, 1 << 30, -(1 << 30), 5}, 1e-30, 1e10},
+		{"ratio past MaxFloat32", []int32{0, 1, -1, 7, math.MaxInt32, math.MinInt32, 1 << 30, -(1 << 30), 5}, 1e30, 1e-10},
+		// |x| >= 2^24, where float32(x) rounds, with the float32 product one
+		// float32 ulp (2^-17) from a half-integer and (x*s)/d across it:
+		// rounding the product alone gives the neighbouring int8 (found by
+		// searching float32 scales near t/x).
+		{"x>=2^24 z=-127.49999 for -127.5000025", fill(-16777217), bits(0x36190000), 0.3},
+		{"x>=2^24 z=-127.50001 for -127.49999996", fill(-33554435), bits(0x34cbffff), 0.1},
+		{"x>=2^24 z=126.49999 for 126.5000018", fill(16777217), bits(0x354a6666), 0.1},
+		{"x>=2^24 z=-126.49999 for -126.5000018", fill(-16777217), bits(0x354a6666), 0.1},
+		// The same x with the product an ulp off ±127.5 and ±128.5, both
+		// signs in one row.
+		{"x>=2^24 near ±127.5", []int32{16777217, -16777217, 16777217, -16777217, 16777219, -16777219, 16777217, -16777217, 16777217}, bits(0x36feffff), 1},
+		{"x>=2^24 near ±128.5", []int32{16777217, -16777217, 16777217, -16777217, 16777219, -16777219, 16777217, -16777217, 16777217}, bits(0x37007fff), 1},
+		{"x>=2^24 on ±128.5", []int32{16777217, -16777217, 16777217, -16777217, 16777219, -16777219, 16777217, -16777217, 16777217}, bits(0x37008000), 1},
+		// Dyadic ratios, where float32 x*r is exact and most lanes tie.
+		{"ratio 0.5 ties", []int32{1, 3, 5, 7, -1, -3, -5, -7, 253, 255, 257, -255, -257, 9, 11, 13, 15}, 0.5, 1},
+		{"ratio 2^-20 ties", []int32{1 << 19, 3 << 19, 5 << 19, -(1 << 19), -(3 << 19), 253 << 19, 255 << 19, -(255 << 19), -(257 << 19), 2, 1 << 19, 3 << 19, 5 << 19, 7 << 19, 9 << 19, 11 << 19, 13 << 19}, 0x1p-20, 1},
 	}
 	return cases
 }
@@ -287,8 +308,9 @@ func FuzzSatAddRows(f *testing.F) {
 	})
 }
 
-// FuzzQuantizeInto holds QuantizeInto, on both paths, to Quantize element by
-// element over every float32 bit pattern: ±Inf, NaN, subnormals, ties.
+// FuzzQuantizeInto holds QuantizeInto, on every path, to Quantize element by
+// element over every float32 bit pattern: ±Inf, NaN, subnormals, ties, and
+// inputs where the passes' float32 multiply is an ulp from a tie.
 func FuzzQuantizeInto(f *testing.F) {
 	floats := func(vals ...float32) []byte {
 		b := make([]byte, 0, 4*len(vals))
@@ -303,6 +325,24 @@ func FuzzQuantizeInto(f *testing.F) {
 	f.Add(floats(0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 126.5, 127.5, -127.5, -128.5, 3.5), float32(1))
 	f.Add(floats(sub, 2*sub, 1e-45, 1e-40), float32(1e-44))
 	f.Add(floats(1, 2, 3, 4, 5, 6, 7, 8, 9, 10), float32(0.0078125))
+	// The same specials on a scale whose float32 reciprocal the passes
+	// multiply by, and ±127.5*scale, ±128.5*scale exactly: ties at the
+	// rails, sixteen lanes and a tail.
+	f.Add(floats(inf, -inf, nan, -nan, sub, -sub, 0, float32(math.Copysign(0, -1)),
+		63.75, -63.75, 64.25, -64.25, 63.25, -63.25, 1e38, -1e38, 0.25), float32(0.5))
+	f.Add(floats(inf, -inf, nan, 0, float32(math.Copysign(0, -1)), 3*sub, 1e-39, -1e-39,
+		12.75, -12.75, 12.85, -12.85, 1, -1, 0.05, -0.05, 7), float32(0.1))
+	// The float32 product one ulp from a half-integer and x/scale on it:
+	// rounding the product alone gives 127 for 126.5's 126, and -127 for
+	// -127.5's -128.
+	f.Add(floats(885.5, -885.5, 885.5, -885.5, 885.5, -885.5, 885.5, -885.5, 885.5, -885.5, 885.5, -885.5, 885.5, -885.5, 885.5, -885.5, 885.5), float32(7))
+	f.Add(floats(-5.1049805, 5.1049805, -5.1049805, 5.1049805, -5.1049805, 5.1049805, -5.1049805, 5.1049805,
+		-5.1049805, 5.1049805, -5.1049805, 5.1049805, -5.1049805, 5.1049805, -5.1049805, 5.1049805, -5.1049805), math.Float32frombits(0x3d240000))
+	// Scales whose reciprocal is a normal float64 but not a normal float32:
+	// 1/MaxFloat32 is subnormal, 1/1e-39 is past MaxFloat32. Every group
+	// divides.
+	f.Add(floats(3e38, -3e38, 1, -1, 0, inf, -inf, nan, 1e-38, 2e38, 0.5, 7, -7, 1e30, -1e30, 3, 4), float32(math.MaxFloat32))
+	f.Add(floats(1e-43, -1e-43, 1e-44, -1e-44, 0, inf, nan, 1, 1e-39, -1e-39, sub, -sub, 2e-43, 5e-43, -5e-43, 1e-42, 3), float32(1e-39))
 	f.Fuzz(func(t *testing.T, raw []byte, scale float32) {
 		src := make([]float32, min(len(raw)/4, 512))
 		for i := range src {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"tpusim/internal/fixed"
 	"tpusim/internal/tensor"
@@ -125,11 +126,33 @@ func flatten2D(x *tensor.F32, want int) (*tensor.F32, error) {
 	return &tensor.F32{Shape: tensor.Shape{b, want}, Data: x.Data}, nil
 }
 
+// applyAct applies l's nonlinearity to t in place, each element as
+// float32(l.Act.Apply(float64(v))). ReLU is that bit for bit without the
+// round trip: a negative becomes +0, anything else stays, and a NaN comes out
+// quiet, as converting it to float64 and back leaves it.
 func applyAct(l Layer, t *tensor.F32) {
-	if l.Act == fixed.Identity {
-		return
-	}
-	for i, v := range t.Data {
-		t.Data[i] = float32(l.Act.Apply(float64(v)))
+	switch l.Act {
+	case fixed.Identity:
+	case fixed.ReLU:
+		// On the bits: above 0x7f800000 once the sign is cleared is a NaN;
+		// of the rest, above 1<<31 is below zero. Both tests compile to
+		// conditional moves, so a random sign costs no mispredicted branch.
+		for i, v := range t.Data {
+			b := math.Float32bits(v)
+			if b&^(1<<31) > 0x7f800000 {
+				b |= quietNaN
+			}
+			if b > 1<<31 && b < 0xff800001 {
+				b = 0
+			}
+			t.Data[i] = math.Float32frombits(b)
+		}
+	default:
+		for i, v := range t.Data {
+			t.Data[i] = float32(l.Act.Apply(float64(v)))
+		}
 	}
 }
+
+// quietNaN is the float32 quiet bit, the top bit of a NaN's significand.
+const quietNaN = 1 << 22

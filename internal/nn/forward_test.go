@@ -24,6 +24,35 @@ func TestForwardFCKnown(t *testing.T) {
 	}
 }
 
+// TestApplyActMatchesApply holds applyAct, element by element and bit for
+// bit, to float32(fn.Apply(float64(v))) for every nonlinearity on the values
+// where a shortcut could part from it: zeros of both signs, infinities,
+// subnormals, the float32 extremes, and quiet and signalling NaNs of both
+// signs, which the float64 round trip returns quiet.
+func TestApplyActMatchesApply(t *testing.T) {
+	bits := []uint32{
+		0, 1 << 31, 0x7f800000, 0xff800000, 1, 0x80000001, 0x007fffff, 0x807fffff,
+		0x7f7fffff, 0xff7fffff, 0x3f800000, 0xbf800000, 0x00800000, 0x80800000,
+		0x7fc00000, 0xffc00000, 0x7f800001, 0xff800001, 0x7fa5a5a5, 0xffbfffff, 0x7fffffff,
+	}
+	for fn := fixed.Identity; fn <= fixed.Tanh; fn++ {
+		x := tensor.NewF32(len(bits))
+		for i, b := range bits {
+			x.Data[i] = math.Float32frombits(b)
+		}
+		applyAct(Layer{Act: fn}, x)
+		for i, b := range bits {
+			want := math.Float32bits(float32(fn.Apply(float64(math.Float32frombits(b)))))
+			if fn == fixed.Identity {
+				want = b
+			}
+			if got := math.Float32bits(x.Data[i]); got != want {
+				t.Errorf("%v(%#08x) = %#08x, want %#08x", fn, b, got, want)
+			}
+		}
+	}
+}
+
 func TestForwardChainsShapes(t *testing.T) {
 	m := tinyMLP()
 	p := InitRandom(m, 1, 0.3)

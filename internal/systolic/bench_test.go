@@ -156,11 +156,8 @@ func BenchmarkMultiplyStream(b *testing.B) {
 					if err := a.Commit(); err != nil {
 						b.Fatal(err)
 					}
-					mul := a.AccumulateInto
-					if k%rowTiles == 0 {
-						mul = a.MultiplyInto
-					}
-					if err := mul(in[k%rowTiles], out, 1); err != nil {
+					add := k%rowTiles != 0
+					if err := a.MultiplyStrided(in[k%rowTiles], isa.MatrixDim, out, 1, add); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -44,7 +44,7 @@ func hostKernels() []*kernel {
 func mulGroupAVX2(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim / 4]uint32, vals *[isa.MatrixDim / 4][avx2Rows][4]int16, quads int, out *[isa.MatrixDim]int32, n int)
 
 //go:noescape
-func mulBlocksAMX(w *[isa.WeightTileBytes]int8, in *[isa.MatrixDim]int8, out *[isa.MatrixDim]int32, blocks int, add bool)
+func mulBlocksAMX(w *[isa.WeightTileBytes]int8, in *[isa.MatrixDim]int8, stride int, out *[isa.MatrixDim]int32, blocks int, add bool)
 
 //go:noescape
 func mulGroupVNNI(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim / 4]uint32, vals *[isa.MatrixDim / 4][vnniRows]uint32, quads int, out *[isa.MatrixDim]int32, n int)
@@ -53,14 +53,14 @@ func mulGroupVNNI(w *[isa.WeightTileBytes]int8, rows *[isa.MatrixDim / 4]uint32,
 var zeroRow [isa.MatrixDim]int8
 
 // group points act at the len(act) activation rows starting at row i of in,
-// padding a short last group (the batch ends at row hi) with zeroRow, and
-// returns how many of them are real.
-func group(act []*[isa.MatrixDim]int8, in []int8, i, hi int) int {
+// whose rows lie stride bytes apart, padding a short last group (the batch
+// ends at row hi) with zeroRow, and returns how many of them are real.
+func group(act []*[isa.MatrixDim]int8, in []int8, stride, i, hi int) int {
 	g := min(len(act), hi-i)
 	for j := range act {
 		act[j] = &zeroRow
 		if j < g {
-			act[j] = (*[isa.MatrixDim]int8)(in[(i+j)*isa.MatrixDim:])
+			act[j] = (*[isa.MatrixDim]int8)(in[(i+j)*stride:])
 		}
 	}
 	return g
@@ -92,7 +92,7 @@ func nonzero8(act []*[isa.MatrixDim]int8, r0 int) uint64 {
 // add to at most 2^22. Integer addition is associative, so the result is
 // bit-identical to MulRow whatever the grouping.
 // With add, each group is computed into sums and added to its output rows.
-func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
+func (a *Array) mulRangeAVX2(in []int8, stride int, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
 	var (
 		act  [avx2Rows]*[isa.MatrixDim]int8
 		rows [isa.MatrixDim / 4]uint32
@@ -100,21 +100,8 @@ func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int, 
 		sums [avx2Rows][isa.MatrixDim]int32
 	)
 	for i := lo; i < hi; i += avx2Rows {
-		g := group(act[:], in, i, hi)
-		n := 0
-		for r0 := 0; r0 < isa.MatrixDim; r0 += 8 {
-			m := nonzero8(act[:g], r0)
-			for r := r0; m != 0; r, m = r+4, m>>32 {
-				if uint32(m) == 0 {
-					continue
-				}
-				rows[n] = uint32(isa.WeightOffset(r, 0))
-				for j, aj := range act {
-					vals[n][j] = [4]int16{int16(aj[r]), int16(aj[r+1]), int16(aj[r+2]), int16(aj[r+3])}
-				}
-				n++
-			}
-		}
+		g := group(act[:], in, stride, i, hi)
+		n := quadsAVX2(&act, g, &rows, &vals)
 		if !add {
 			mulGroupAVX2(a.active.w, &rows, &vals, n, &out[i], g)
 			continue
@@ -124,8 +111,31 @@ func (a *Array) mulRangeAVX2(in []int8, out [][isa.MatrixDim]int32, lo, hi int, 
 	}
 }
 
+// quadsAVX2 is mulRangeAVX2's zero-row skip: it gathers into rows and vals
+// the aligned quads of contraction rows where any of the g real rows of act
+// is nonzero — each quad's offset in the tile and each activation row's four
+// values of it as int16 — and returns how many it gathered. A function of
+// its own, so that its loops keep their operands in registers.
+func quadsAVX2(act *[avx2Rows]*[isa.MatrixDim]int8, g int, rows *[isa.MatrixDim / 4]uint32, vals *[isa.MatrixDim / 4][avx2Rows][4]int16) int {
+	n := 0
+	for r0 := 0; r0 < isa.MatrixDim; r0 += 8 {
+		m := nonzero8(act[:g], r0)
+		for r := r0; m != 0; r, m = r+4, m>>32 {
+			if uint32(m) == 0 {
+				continue
+			}
+			rows[n] = uint32(isa.WeightOffset(r, 0))
+			for j, aj := range act {
+				vals[n][j] = [4]int16{int16(aj[r]), int16(aj[r+1]), int16(aj[r+2]), int16(aj[r+3])}
+			}
+			n++
+		}
+	}
+	return n
+}
+
 // addRows adds the partial-sum rows sums into out, row for row; the kernels'
-// callers keep every sum in int32's range (see AccumulateInto), where
+// callers keep every sum in int32's range (see MultiplyStrided), where
 // SatAddRow's saturating add is the plain one.
 func addRows(out, sums [][isa.MatrixDim]int32) {
 	for j := range sums {
@@ -149,7 +159,7 @@ func addRows(out, sums [][isa.MatrixDim]int32) {
 // in magnitude, and 64 quads add at most 2^23 more, so nothing wraps on the
 // way to sum((w+128)*a) - 128*sum(a) = sum(w*a): bit-identical to MulRow.
 // With add, each group is computed into sums and added to its output rows.
-func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
+func (a *Array) mulRangeVNNI(in []int8, stride int, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
 	var (
 		act  [vnniRows]*[isa.MatrixDim]int8
 		rows [isa.MatrixDim / 4]uint32
@@ -157,21 +167,8 @@ func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int, 
 		sums [vnniRows][isa.MatrixDim]int32
 	)
 	for i := lo; i < hi; i += vnniRows {
-		g := group(act[:], in, i, hi)
-		n := 0
-		for r0 := 0; r0 < isa.MatrixDim; r0 += 8 {
-			m := nonzero8(act[:g], r0)
-			for r := r0; m != 0; r, m = r+4, m>>32 {
-				if uint32(m) == 0 {
-					continue
-				}
-				rows[n] = uint32(isa.WeightOffset(r, 0))
-				for j, aj := range act {
-					vals[n][j] = *(*uint32)(unsafe.Pointer(&aj[r]))
-				}
-				n++
-			}
-		}
+		g := group(act[:], in, stride, i, hi)
+		n := quadsVNNI(&act, g, &rows, &vals)
 		if !add {
 			mulGroupVNNI(a.active.w, &rows, &vals, n, &out[i], g)
 			continue
@@ -179,6 +176,26 @@ func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int, 
 		mulGroupVNNI(a.active.w, &rows, &vals, n, &sums[0], g)
 		addRows(out[i:i+g], sums[:g])
 	}
+}
+
+// quadsVNNI is quadsAVX2 for mulRangeVNNI: each activation row's four
+// values of a gathered quad as they lie, one 32-bit load.
+func quadsVNNI(act *[vnniRows]*[isa.MatrixDim]int8, g int, rows *[isa.MatrixDim / 4]uint32, vals *[isa.MatrixDim / 4][vnniRows]uint32) int {
+	n := 0
+	for r0 := 0; r0 < isa.MatrixDim; r0 += 8 {
+		m := nonzero8(act[:g], r0)
+		for r := r0; m != 0; r, m = r+4, m>>32 {
+			if uint32(m) == 0 {
+				continue
+			}
+			rows[n] = uint32(isa.WeightOffset(r, 0))
+			for j, aj := range act {
+				vals[n][j] = *(*uint32)(unsafe.Pointer(&aj[r]))
+			}
+			n++
+		}
+	}
+	return n
 }
 
 // mulRangeAMX computes output rows [lo, hi) with the AMX tiles, amxRows at a
@@ -192,14 +209,14 @@ func (a *Array) mulRangeVNNI(in []int8, out [][isa.MatrixDim]int32, lo, hi int, 
 // activations as they are, no bias, and adds four products per int32 lane
 // without saturating; a column's 256 products sum to at most 256*128*128 =
 // 2^22 in magnitude, so nothing wraps: bit-identical to MulRow. With add,
-// AccumulateInto's caller keeps the starting values far enough from the
+// MultiplyStrided's caller keeps the starting values far enough from the
 // int32 rails that nothing wraps either.
-func (a *Array) mulRangeAMX(in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
+func (a *Array) mulRangeAMX(in []int8, stride int, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
 	if blocks := (hi - lo) / amxRows; blocks > 0 {
-		mulBlocksAMX(a.active.w, (*[isa.MatrixDim]int8)(in[lo*isa.MatrixDim:]), &out[lo], blocks, add)
+		mulBlocksAMX(a.active.w, (*[isa.MatrixDim]int8)(in[lo*stride:]), stride, &out[lo], blocks, add)
 		lo += blocks * amxRows
 	}
 	if lo < hi {
-		a.mulRangeVNNI(in, out, lo, hi, add)
+		a.mulRangeVNNI(in, stride, out, lo, hi, add)
 	}
 }

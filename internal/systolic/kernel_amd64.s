@@ -261,7 +261,7 @@ next:
 // VEX encodings (all VEX.128.0F38.W0, three-byte form). t, c, a and b name
 // tile registers 0-7. TILELOADD and TILESTORED address base + index*1 + disp
 // with the row stride in the index register; base and index are register
-// numbers (AX 0, CX 1, DX 2, BX 3, SI 6, DI 7, R8-R13 8-13), and their high
+// numbers (AX 0, CX 1, DX 2, BX 3, SI 6, DI 7, R8-R14 8-14), and their high
 // bits go into VEX's inverted X and B bits.
 #define VEX_BX(base, index) BYTE $0xC4; BYTE $(0xE2 ^ (((index)>>3)<<6) ^ (((base)>>3)<<5))
 #define SIBDISP(t, base, index, disp) BYTE $(0x84 | (t)<<3); BYTE $((((index)&7)<<3) | ((base)&7)); LONG $(disp)
@@ -290,18 +290,19 @@ GLOBL amxTileConfig<>(SB), RODATA|NOPTR, $64
 	NEGL     AX;       \
 	RCLL     $1, R10
 
-// func mulBlocksAMX(w *[65536]int8, in *[256]int8, out *[256]int32, blocks int, add bool)
+// func mulBlocksAMX(w *[65536]int8, in *[256]int8, stride int, out *[256]int32, blocks int, add bool)
 //
-// Computes blocks*16 consecutive activation rows, starting at in, against
-// the tile and stores them as consecutive 256-wide output rows at out — or,
-// with add, adds them to those rows: the C tiles are loaded from out
-// instead of zeroed, and TDPBSSD accumulates onto what they hold.
+// Computes blocks*16 activation rows, the first at in and each stride bytes
+// after the one before, against the tile and stores them as consecutive
+// 256-wide output rows at out — or, with add, adds them to those rows: the C
+// tiles are loaded from out instead of zeroed, and TDPBSSD accumulates onto
+// what they hold.
 //
 // TDPBSSD multiplies signed by signed bytes, four to an int32 lane, and adds
 // into int32 without saturating: C[m][n] += sum over k, i of A[m][4k+i] *
 // B[k][4n+i]. With A = 16 activation rows by contraction rows 64kb..64kb+63,
-// as they lie (stride 256), and B[k][4n+i] = weight row 64kb+4k+i of column
-// 16cb+n, C is the contribution of contraction block kb to the 16 rows'
+// as they lie (the A stride is the rows' stride), and B[k][4n+i] = weight
+// row 64kb+4k+i of column 16cb+n, C is the contribution of contraction block kb to the 16 rows'
 // columns 16cb..16cb+15. That B is the tile as it lies (isa.WeightOffset):
 // B row k is bytes 64cb..64cb+63 of quad row 16kb+k, so B tile (kb, cb) is
 // loaded from w + kb*16 KiB + cb*64 with the quad row's 1 KiB as its stride,
@@ -319,11 +320,12 @@ GLOBL amxTileConfig<>(SB), RODATA|NOPTR, $64
 // initial configuration before the function returns; the whole tile section
 // is one assembly function with no calls, which Go never preempts, so it
 // never changes thread with live tiles.
-TEXT ·mulBlocksAMX(SB), NOSPLIT, $8-33
+TEXT ·mulBlocksAMX(SB), NOSPLIT, $24-41
 	// Which contraction blocks are nonzero in some row: Z0-Z3 OR the
 	// rows' four 64-byte blocks together.
 	MOVQ   in+8(FP), SI
-	MOVQ   blocks+24(FP), CX
+	MOVQ   stride+16(FP), DX
+	MOVQ   blocks+32(FP), CX
 	SHLQ   $4, CX
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
@@ -335,7 +337,7 @@ scan:
 	VPORQ 64(SI), Z1, Z1
 	VPORQ 128(SI), Z2, Z2
 	VPORQ 192(SI), Z3, Z3
-	ADDQ  $256, SI
+	ADDQ  DX, SI
 	DECQ  CX
 	JNZ   scan
 	XORL  R10, R10
@@ -347,23 +349,28 @@ scan:
 	VZEROUPPER
 	LEAQ amxTileConfig<>(SB), AX
 	LDTILECFG_AX
-	MOVQ $256, CX  // A stride: activation rows
-	MOVQ $1024, DX // B stride: quad rows
-	MOVQ $1024, BX // C stride: output rows
-	MOVQ w+0(FP), R11 // B tiles of column-block pair p: w + 128p
-	MOVQ out+16(FP), R12
+	MOVQ stride+16(FP), CX // A stride: activation rows
+	MOVQ CX, AX
+	SHLQ $4, AX
+	MOVQ AX, rows16-16(SP) // from a row block's A tile to the next's
+	SHLQ $1, AX
+	MOVQ AX, rows32-24(SP) // from a row-block pair to the next
+	MOVQ $1024, DX         // B stride: quad rows
+	MOVQ $1024, BX         // C stride: output rows
+	MOVQ w+0(FP), R11      // B tiles of column-block pair p: w + 128p
+	MOVQ out+24(FP), R12
 	LEAQ 1024(R12), AX
 	MOVQ AX, end-8(SP) // end of the column pairs
 
 cpair:
 	MOVQ in+8(FP), R13     // A: first row of the row-block pair
 	MOVQ R12, AX           // C: its output
-	MOVQ blocks+24(FP), R9 // row blocks left
+	MOVQ blocks+32(FP), R9 // row blocks left
 
 rpair:
 	CMPQ R9, $2
 	JLT  rone
-	CMPB add+32(FP), $0
+	CMPB add+40(FP), $0
 	JNE  rpairload
 	TILEZERO(0)
 	TILEZERO(1)
@@ -379,6 +386,8 @@ rpairload:
 
 rpairgo:
 	MOVQ R13, SI
+	MOVQ R13, R14
+	ADDQ rows16-16(SP), R14 // the second row block's A
 	MOVQ R11, DI
 	MOVQ R10, R8
 
@@ -386,7 +395,7 @@ kpair:
 	BTQ $0, R8
 	JCC kpairnext
 	TILELOADD(4, 6, 1, 0)
-	TILELOADD(5, 6, 1, 4096)
+	TILELOADD(5, 14, 1, 0)
 	TILELOADD(6, 7, 2, 0)
 	TILELOADD(7, 7, 2, 64)
 	TDPBSSD(0, 4, 6)
@@ -396,6 +405,7 @@ kpair:
 
 kpairnext:
 	ADDQ $64, SI
+	ADDQ $64, R14
 	ADDQ $16384, DI
 	SHRQ $1, R8
 	JNZ  kpair
@@ -403,7 +413,7 @@ kpairnext:
 	TILESTORED(0, 3, 64, 1)
 	TILESTORED(0, 3, 16384, 2)
 	TILESTORED(0, 3, 16448, 3)
-	ADDQ $8192, R13
+	ADDQ rows32-24(SP), R13
 	ADDQ $32768, AX
 	SUBQ $2, R9
 	JMP  rpair
@@ -411,7 +421,7 @@ kpairnext:
 rone:
 	TESTQ R9, R9
 	JZ    cnext
-	CMPB  add+32(FP), $0
+	CMPB  add+40(FP), $0
 	JNE   roneload
 	TILEZERO(0)
 	TILEZERO(1)

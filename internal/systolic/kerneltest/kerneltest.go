@@ -33,7 +33,7 @@ func useFloatWide(on bool) bool
 // fastest first: "swar" always, above it "avx2", "avx512vnni" and "amx"
 // where the CPU and the OS provide them. The assembly rungs run with fixed's and tensor's vector
 // passes on; "swar", the portable rung, runs with them off too, so that it is
-// what a host without assembly runs, and "avx2" with fixed's AVX-512 drain
+// what a host without assembly runs, and "avx2" with fixed's AVX-512 passes
 // and tensor's AVX-512 matmul off, as an AVX2-only host runs. It must not
 // be used from parallel tests: the switches are process-wide.
 func Each(t *testing.T, f func(t *testing.T)) {

@@ -132,4 +132,10 @@ func TestMultiplyIntoRejectsBadShapes(t *testing.T) {
 	if err := a.MultiplyInto(make([]int8, 4*isa.MatrixDim), out, 1); err == nil {
 		t.Error("undersized output: want error")
 	}
+	if err := a.MultiplyStrided(make([]int8, 4*isa.MatrixDim), 0, out, 1, false); err == nil {
+		t.Error("zero stride: want error")
+	}
+	if err := a.MultiplyStrided(make([]int8, 2*isa.MatrixDim+9), 2*isa.MatrixDim-8, out, 1, true); err == nil {
+		t.Error("input one byte short of its last strided row: want error")
+	}
 }

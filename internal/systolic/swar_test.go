@@ -65,6 +65,7 @@ func checkKernels(t *testing.T, a *Array, in []int8) {
 	}
 	a.mulRangeScalar(in, got, 0, b)
 	compare("scalar")
+	spread := spreadRows(in, oddStride)
 	for i, k := range kernels {
 		forceKernel(t, i)
 		for i := range got {
@@ -74,7 +75,14 @@ func checkKernels(t *testing.T, a *Array, in []int8) {
 			t.Fatal(err)
 		}
 		compare(k.name)
-		// AccumulateInto from starting values out to the bound its caller
+		for i := range got {
+			got[i][0] = -1
+		}
+		if err := a.MultiplyStrided(spread, oddStride, got, 1, false); err != nil {
+			t.Fatal(err)
+		}
+		compare(k.name + " strided")
+		// Accumulate from starting values out to the bound its caller
 		// keeps, |v| < 2^31-2^22, both signs: the sums must be exact.
 		const edge = 1<<31 - 1<<22 - 1
 		for i := range got {
@@ -82,7 +90,7 @@ func checkKernels(t *testing.T, a *Array, in []int8) {
 				got[i][c] = [4]int32{edge, -edge, int32(i*c) - 1<<20, 0}[(i+c)%4]
 			}
 		}
-		if err := a.AccumulateInto(in, got, 1); err != nil {
+		if err := a.MultiplyStrided(spread, oddStride, got, 1, true); err != nil {
 			t.Fatal(err)
 		}
 		for i := range got {
@@ -90,8 +98,30 @@ func checkKernels(t *testing.T, a *Array, in []int8) {
 				got[i][c] -= [4]int32{edge, -edge, int32(i*c) - 1<<20, 0}[(i+c)%4]
 			}
 		}
-		compare(k.name + " AccumulateInto")
+		compare(k.name + " strided add")
 	}
+}
+
+// oddStride is the row stride the differential check also lays each batch
+// out at: wider than a row and odd, so the rows start at every alignment.
+const oddStride = isa.MatrixDim + 45
+
+// spreadRows lays the rows of in out stride bytes apart, with nonzero bytes
+// between them that a kernel must not read, and ends the slice at the last
+// row's last byte.
+func spreadRows(in []int8, stride int) []int8 {
+	b := len(in) / isa.MatrixDim
+	if b == 0 {
+		return nil
+	}
+	out := make([]int8, (b-1)*stride+isa.MatrixDim)
+	for i := range out {
+		out[i] = 0x5a
+	}
+	for i := 0; i < b; i++ {
+		copy(out[i*stride:], in[i*isa.MatrixDim:(i+1)*isa.MatrixDim])
+	}
+	return out
 }
 
 // groupBatches are the batch sizes around the AVX2 kernel's four-row group,
@@ -304,8 +334,8 @@ func TestScalarKernelMatchesPacked(t *testing.T) {
 // stays on the caller's goroutine — not even the first multiply against a
 // tile never multiplied before, since every kernel reads the weight bytes
 // where they lie and the assembly wrappers' gather scratch stays on the
-// stack. Each measured run loads a new tile, so a kernel that built anything
-// per tile would show up here.
+// stack, dense rows or rows spread stride bytes apart. Each measured run loads
+// a new tile, so a kernel that built anything per tile would show up here.
 func TestMultiplyIntoZeroAlloc(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		w := make([]int8, isa.WeightTileBytes)
@@ -317,6 +347,7 @@ func TestMultiplyIntoZeroAlloc(t *testing.T) {
 		for i := range in {
 			in[i] = int8(i * 7)
 		}
+		spread := spreadRows(in, oddStride)
 		out := make([][isa.MatrixDim]int32, batch)
 		const runs = 20
 		tiles := make([]Tile, runs+1) // AllocsPerRun warms up with one more run
@@ -336,12 +367,15 @@ func TestMultiplyIntoZeroAlloc(t *testing.T) {
 			if err := a.MultiplyInto(in, out, 1); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.AccumulateInto(in, out, 1); err != nil {
+			if err := a.MultiplyStrided(spread, oddStride, out, 1, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.MultiplyStrided(spread, oddStride, out, 1, true); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("MultiplyInto and AccumulateInto on a freshly loaded tile: %v allocs/op, want 0", allocs)
+			t.Fatalf("MultiplyInto and MultiplyStrided on a freshly loaded tile: %v allocs/op, want 0", allocs)
 		}
 	})
 }

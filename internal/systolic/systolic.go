@@ -160,12 +160,13 @@ func (a *Array) MulRow(in *[isa.MatrixDim]int8) (*[isa.MatrixDim]int32, error) {
 }
 
 // kernel is one batched kernel body: mulRange computes output rows [lo, hi),
-// taking activation rows `rows` at a time, and stores them into out — or,
-// with add, adds them to what out holds.
+// taking activation rows `rows` at a time — activation row i is the 256
+// bytes at in[i*stride:] — and stores them into out, or, with add, adds them
+// to what out holds.
 type kernel struct {
 	name     string
 	rows     int
-	mulRange func(a *Array, in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool)
+	mulRange func(a *Array, in []int8, stride int, out [][isa.MatrixDim]int32, lo, hi int, add bool)
 }
 
 var swar = kernel{name: "swar", rows: 1, mulRange: (*Array).mulRangeSWAR}
@@ -205,33 +206,37 @@ func Kernel() string { return running.name }
 // int32 sums of int8 products are exact in any order, so results are
 // deterministic and bit-identical for every worker count and kernel.
 func (a *Array) MultiplyInto(in []int8, out [][isa.MatrixDim]int32, workers int) error {
-	return a.multiply(in, out, workers, false)
-}
-
-// AccumulateInto is MultiplyInto adding the B partial-sum rows into out
-// instead of overwriting it: out[i][c] += sum over r of in[i][r]*w[r][c].
-// One tile adds at most 256*2^14 = 2^22 in magnitude to a lane, and the
-// caller keeps every lane of out below 2^31-2^22 in magnitude, so no sum
-// leaves int32's range and the add is exact — the same as fixed.SatAdd32's.
-// The amx rung adds on the tiles themselves, which load their accumulators
-// from out; the other rungs, and the rows amx leaves to the VNNI kernel,
-// compute a group of rows into a stack scratch and add it with
-// fixed.SatAddRow.
-func (a *Array) AccumulateInto(in []int8, out [][isa.MatrixDim]int32, workers int) error {
-	return a.multiply(in, out, workers, true)
-}
-
-// multiply is MultiplyInto (add false) and AccumulateInto (add true).
-func (a *Array) multiply(in []int8, out [][isa.MatrixDim]int32, workers int, add bool) error {
-	if a.active == nil {
-		return fmt.Errorf("systolic: no active weight tile")
-	}
 	if len(in)%isa.MatrixDim != 0 {
 		return fmt.Errorf("systolic: input length %d not a multiple of %d", len(in), isa.MatrixDim)
 	}
 	b := len(in) / isa.MatrixDim
 	if len(out) < b {
 		return fmt.Errorf("systolic: output has %d rows, need %d", len(out), b)
+	}
+	return a.MultiplyStrided(in, isa.MatrixDim, out[:b], workers, false)
+}
+
+// MultiplyStrided is MultiplyInto over len(out) activation rows that lie
+// stride bytes apart — row i is the 256 bytes at in[i*stride:], so the
+// device hands the array a batch where it lies in the Unified Buffer, with
+// no gather — and, with add, adds the partial-sum rows into out instead of
+// overwriting it: out[i][c] += sum over r of in[i][r]*w[r][c]. One tile adds
+// at most 256*2^14 = 2^22 in magnitude to a lane, and the caller keeps every
+// lane of out below 2^31-2^22 in magnitude, so no sum leaves int32's range
+// and the add is exact — the same as fixed.SatAdd32's. The amx rung adds on
+// the tiles themselves, which load their accumulators from out; the other
+// rungs, and the rows amx leaves to the VNNI kernel, compute a group of rows
+// into a stack scratch and add it with fixed.SatAddRow.
+func (a *Array) MultiplyStrided(in []int8, stride int, out [][isa.MatrixDim]int32, workers int, add bool) error {
+	if a.active == nil {
+		return fmt.Errorf("systolic: no active weight tile")
+	}
+	b := len(out)
+	if stride < 1 {
+		return fmt.Errorf("systolic: row stride %d", stride)
+	}
+	if b > 0 && len(in) < (b-1)*stride+isa.MatrixDim {
+		return fmt.Errorf("systolic: input has %d bytes, %d rows %d apart need %d", len(in), b, stride, (b-1)*stride+isa.MatrixDim)
 	}
 	k := running
 	if workers <= 0 {
@@ -244,7 +249,7 @@ func (a *Array) multiply(in []int8, out [][isa.MatrixDim]int32, workers int, add
 	chunk := (b + workers - 1) / workers
 	chunk = (chunk + k.rows - 1) / k.rows * k.rows
 	if chunk >= b {
-		k.mulRange(a, in, out, 0, b, add)
+		k.mulRange(a, in, stride, out, 0, b, add)
 		return nil
 	}
 	var wg sync.WaitGroup
@@ -253,7 +258,7 @@ func (a *Array) multiply(in []int8, out [][isa.MatrixDim]int32, workers int, add
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			k.mulRange(a, in, out, lo, hi, add)
+			k.mulRange(a, in, stride, out, lo, hi, add)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -293,7 +298,7 @@ func (a *Array) multiply(in []int8, out [][isa.MatrixDim]int32, workers int, add
 // count and any accumulation order. A quad whose four activations are zero is
 // skipped; a zero activation inside a quad has u = 0 and adds nothing.
 // With add, each row is computed into sum and added to its output row.
-func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
+func (a *Array) mulRangeSWAR(in []int8, stride int, out [][isa.MatrixDim]int32, lo, hi int, add bool) {
 	t := a.active
 	// Gather scratch, reused across the range's activation rows, one entry per
 	// nonzero quad: its quad row of the tile, the multipliers of its even and
@@ -306,7 +311,7 @@ func (a *Array) mulRangeSWAR(in []int8, out [][isa.MatrixDim]int32, lo, hi int, 
 		sum [isa.MatrixDim]int32
 	)
 	for i := lo; i < hi; i++ {
-		row := (*[isa.MatrixDim]int8)(in[i*isa.MatrixDim:])
+		row := (*[isa.MatrixDim]int8)(in[i*stride:])
 		o := &out[i]
 		if add {
 			o = &sum

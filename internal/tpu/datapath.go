@@ -53,6 +53,12 @@ func (s *matmulScratch) stage(rows int) [][isa.MatrixDim]int32 {
 // array's add is the saturating one (Accumulators.Direct). Otherwise the
 // sums are staged — scratch rows, the PE fault seam, the ABFT check — and
 // stored with Accumulators.StoreRows. Both paths leave the same registers.
+//
+// On that direct path an FC multiply whose rows use the array's full depth
+// gathers nothing either: each input row is 256 bytes of the Unified Buffer
+// as it lies, so the array reads the rows in place, RegMatStride apart. A
+// convolution, a partial-depth row (zero-padded past usedRows) and the
+// staged path still gather into the flat buffer.
 func (d *Device) matmulData(in *isa.Instruction, rows, usedRows int) error {
 	accumulate := in.Flags&isa.FlagAccumulate != 0
 	idx := int(in.AccAddr)
@@ -72,45 +78,22 @@ func (d *Device) matmulData(in *isa.Instruction, rows, usedRows int) error {
 			d.ub.FlipBit(uint32(f.Addr%uint64(hw)), f.Bit)
 		})
 	}
-	// Check the input span's CRC rows before gathering: corruption caught
+	// Check the input span's CRC rows before reading it: corruption caught
 	// here never reaches the array.
 	if err := d.verifyMatmulInput(in, rows, usedRows); err != nil {
 		return err
 	}
 
-	s := &d.mm
 	conv := in.Flags&isa.FlagConvolve != 0
-	gathered := s.gather(rows, !conv && usedRows == isa.MatrixDim)
-	if conv {
-		for i := 0; i < rows; i++ {
-			if err := d.convGather(in.UBAddr, i, usedRows, gathered[i*isa.MatrixDim:(i+1)*isa.MatrixDim]); err != nil {
-				return err
-			}
-		}
-	} else {
-		stride := d.regs[isa.RegMatStride]
-		if stride == 0 {
-			stride = isa.MatrixDim
-		}
-		for i := 0; i < rows; i++ {
-			src, err := d.ub.View(in.UBAddr+uint32(i)*stride+d.regs[isa.RegMatSrcOff], usedRows)
-			if err != nil {
-				return err
-			}
-			copy(gathered[i*isa.MatrixDim:], src)
-		}
+	direct := d.cfg.Integrity == IntegrityOff && !d.flipQueued(FlipPE) && d.acc.Direct(idx, rows, accumulate)
+	src, stride, err := d.matmulInput(in, rows, usedRows, conv, direct)
+	if err != nil {
+		return err
 	}
-	if d.cfg.Integrity == IntegrityOff && !d.flipQueued(FlipPE) && d.acc.Direct(idx, rows, accumulate) {
+	if direct {
 		for done := 0; done < rows; {
 			regs := d.acc.Rows(idx+done, rows-done, accumulate)
-			part := gathered[done*isa.MatrixDim : (done+len(regs))*isa.MatrixDim]
-			var err error
-			if accumulate {
-				err = d.arr.AccumulateInto(part, regs, d.cfg.parallelism())
-			} else {
-				err = d.arr.MultiplyInto(part, regs, d.cfg.parallelism())
-			}
-			if err != nil {
+			if err := d.arr.MultiplyStrided(src[done*stride:], stride, regs, d.cfg.parallelism(), accumulate); err != nil {
 				return err
 			}
 			done += len(regs)
@@ -125,6 +108,39 @@ func (d *Device) matmulData(in *isa.Instruction, rows, usedRows int) error {
 		d.acc.FlipBit(i, off, f.Bit)
 	})
 	return nil
+}
+
+// matmulInput returns a MatrixMultiply's rows input rows and the stride
+// between them: the Unified Buffer's own bytes for a full-depth FC multiply
+// on the direct path (inPlace), the device's flat buffer, 256 bytes a row,
+// gathered from the buffer otherwise.
+func (d *Device) matmulInput(in *isa.Instruction, rows, usedRows int, conv, inPlace bool) ([]int8, int, error) {
+	full := !conv && usedRows == isa.MatrixDim
+	stride := int(d.regs[isa.RegMatStride])
+	if stride == 0 {
+		stride = isa.MatrixDim
+	}
+	base := in.UBAddr + d.regs[isa.RegMatSrcOff]
+	if full && inPlace && rows > 0 {
+		src, err := d.ub.View(base, (rows-1)*stride+isa.MatrixDim)
+		return src, stride, err
+	}
+	gathered := d.mm.gather(rows, full)
+	for i := 0; i < rows; i++ {
+		row := gathered[i*isa.MatrixDim : (i+1)*isa.MatrixDim]
+		if conv {
+			if err := d.convGather(in.UBAddr, i, usedRows, row); err != nil {
+				return nil, 0, err
+			}
+			continue
+		}
+		src, err := d.ub.View(base+uint32(i*stride), usedRows)
+		if err != nil {
+			return nil, 0, err
+		}
+		copy(row, src)
+	}
+	return gathered, isa.MatrixDim, nil
 }
 
 // matmulStaged is the staged half of matmulData: the partial sums of the

@@ -15,8 +15,9 @@ import (
 // ladder: the assembly rungs run fixed's vector accumulate-store, drain and
 // quantize passes, the swar rung their scalar code, and the device is held
 // to nn's reference on every model structure (FC, LSTM, CNN with its
-// convolution gather and pooling) and on random models whose vector layers
-// and sigmoid / tanh tables take the table-lookup drain.
+// convolution gather and pooling), on FC rows read in place beside nonzero
+// bytes, and on random models whose vector layers and sigmoid / tanh tables
+// take the table-lookup drain.
 func TestUnderEachKernel(t *testing.T) {
 	kerneltest.Each(t, func(t *testing.T) {
 		t.Run("DeviceMatchesQuantizedReference", TestDeviceMatchesQuantizedReference)
@@ -27,5 +28,6 @@ func TestUnderEachKernel(t *testing.T) {
 		t.Run("IntegrityCorrectsInPlace", TestIntegrityCorrectsInPlace)
 		t.Run("IntegrityWeightCorruptionPersistsUntilScrub", TestIntegrityWeightCorruptionPersistsUntilScrub)
 		t.Run("WeightFlipLandsOnItsWeight", TestWeightFlipLandsOnItsWeight)
+		t.Run("FCInPlaceRowsMatchReference", TestFCInPlaceRowsMatchReference)
 	})
 }

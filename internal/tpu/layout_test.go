@@ -94,3 +94,89 @@ func TestWeightFlipLandsOnItsWeight(t *testing.T) {
 		})
 	}
 }
+
+// TestFCInPlaceRowsMatchReference holds FC layers to nn's reference where
+// the array reads full-depth input rows where they lie in the Unified Buffer
+// and the bytes beside them are not zero. In = 300 puts each example's first
+// row tile beside 44 bytes of its second, which the device still gathers (a
+// partial-depth tile, zero-padded); In = 520 does the same with two
+// full-depth tiles and an 8-deep one. The test also makes nonzero the bytes
+// no multiply may use — the input rows' padding in the host buffer and every
+// weight row past a layer's depth — so a partial-depth tile read in place,
+// or a full-depth one read with the wrong stride, changes the output. Batch
+// 37 is two of amx's 16-row blocks and five rows more.
+func TestFCInPlaceRowsMatchReference(t *testing.T) {
+	m := &nn.Model{Name: "in-place", Class: nn.MLP, Batch: 37, TimeSteps: 1, Layers: []nn.Layer{
+		{Name: "fc1", Kind: nn.FC, In: 300, Out: 520, Act: fixed.ReLU},
+		{Name: "fc2", Kind: nn.FC, In: 520, Out: 70, Act: fixed.Identity},
+	}}
+	in := tensor.NewF32(m.Batch, m.InputElems())
+	in.FillRandom(4, 1)
+	qm, err := nn.QuantizeModel(m, nn.InitRandom(m, 6, 0.25), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := compiler.Compile(qm, compiler.Options{Allocator: compiler.Reuse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A weight row that is zero in every column is a row past its layer's
+	// depth: the random weights leave no real row all zero.
+	img := slices.Clone(art.Program.WeightImage)
+	dirtied := 0
+	for tile := 0; tile < len(img); tile += isa.WeightTileBytes {
+		for r := 0; r < isa.MatrixDim; r++ {
+			zero := true
+			for c := 0; c < isa.MatrixDim && zero; c++ {
+				zero = img[tile+isa.WeightOffset(r, c)] == 0
+			}
+			if !zero {
+				continue
+			}
+			for c := 0; c < isa.MatrixDim; c++ {
+				img[tile+isa.WeightOffset(r, c)] = int8(r*7+c) | 1
+			}
+			dirtied++
+		}
+	}
+	if dirtied == 0 {
+		t.Fatal("no weight row past a layer's depth to make nonzero")
+	}
+	art.Program.WeightImage = img
+	qin := qm.QuantizeInput(in)
+	host, err := compiler.PackInput(art, qin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := art.Layout
+	for b := 0; b < lay.Batch; b++ {
+		row := host[lay.InputAddr+b*lay.InputStride : lay.InputAddr+(b+1)*lay.InputStride]
+		for i := lay.InElems; i < len(row); i++ {
+			row[i] = int8(0x5a ^ i)
+		}
+	}
+	for _, par := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Functional = true
+		cfg.Parallelism = par
+		dev, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := slices.Clone(host)
+		if _, err := dev.Run(art.Program, h); err != nil {
+			t.Fatal(err)
+		}
+		got, err := compiler.UnpackOutput(art, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := qm.Forward(qin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Data, want.Data) {
+			t.Fatalf("parallelism %d: the device's output is not nn's reference", par)
+		}
+	}
+}
