@@ -104,9 +104,11 @@ bench:
 # The BenchmarkTable3 ceilings are min-of-3 wall clock (generous — the CI
 # container's scheduler jitter swings tens of percent, but the ceiling
 # still sits well under the pre-optimization ~1 ms) and an exact
-# allocation count, which noise cannot move — but the worker count does
-# (one goroutine per worker: 37 allocs/op on one CPU, 52 on two), so the
-# benchmark is pinned to the one CPU the ceilings were set on.
+# allocation count, which noise cannot move; both are taken at the one CPU
+# they were set on. The six apps regenerate on one goroutine, so the
+# allocation count is the same at any CPU count (31 allocs/op): a second
+# run at -cpu 1,2 fails the gate if the two counts differ, as they do when
+# the apps fan out over goroutines (31 on one CPU, 47 on two).
 T3_CEILING_NS ?= 800000
 T3_CEILING_ALLOCS ?= 48
 
@@ -145,6 +147,12 @@ bench-gate:
 	echo "BenchmarkTable3: min $$min ns/op (ceiling $(T3_CEILING_NS)), $$allocs allocs/op (ceiling $(T3_CEILING_ALLOCS))"; \
 	[ -n "$$min" ] && [ "$$min" -le $(T3_CEILING_NS) ] || { echo "bench-gate: BenchmarkTable3 min $$min ns/op exceeds $(T3_CEILING_NS)"; exit 1; }; \
 	[ -n "$$allocs" ] && [ "$$allocs" -le $(T3_CEILING_ALLOCS) ] || { echo "bench-gate: BenchmarkTable3 $$allocs allocs/op exceeds $(T3_CEILING_ALLOCS)"; exit 1; }
+	@$(GO) test -run xxx -bench 'BenchmarkTable3$$' -cpu 1,2 -benchtime 200x -benchmem -count 3 . > bench-gate.out || { cat bench-gate.out; rm -f bench-gate.out; exit 1; }; \
+	a1=$$(awk '$$1 == "BenchmarkTable3" && $$8 == "allocs/op" {if (a == "" || $$7+0 < a) a = $$7+0} END {print a}' bench-gate.out); \
+	a2=$$(awk '$$1 == "BenchmarkTable3-2" && $$8 == "allocs/op" {if (a == "" || $$7+0 < a) a = $$7+0} END {print a}' bench-gate.out); \
+	rm -f bench-gate.out; \
+	echo "BenchmarkTable3: $$a1 allocs/op at -cpu 1, $$a2 at -cpu 2"; \
+	[ -n "$$a1" ] && [ "$$a1" = "$$a2" ] || { echo "bench-gate: BenchmarkTable3 allocs/op depends on the CPU count ($$a1 at -cpu 1, $$a2 at -cpu 2)"; exit 1; }
 
 # A test that once flaked runs 500 times (~5 s), so the race its fix closed
 # stays closed: TestQuarantineProbeReadmits failed about 1 run in 40 while a
@@ -284,10 +292,13 @@ cluster-smoke:
 # non-empty and the same at both thread counts, and -trace-json with either
 # mode must exit 2 before the campaign runs: neither records spans. The
 # ramp's exported Chrome trace (~65 MB) is pinned by its sha256: every span,
-# attribute and formatted value. tpubench's report and its -csv output
-# simulate the six apps on goroutines too, so each is run at the default
-# and at GOMAXPROCS=1 and the two must be byte-identical; -csv after its
-# kernel line is diffed against its golden.
+# attribute and formatted value. tpubench regenerates the six apps on one
+# goroutine, but its quantization study runs a functional device whose
+# matrix kernel shards rows over GOMAXPROCS goroutines, and a fan-out
+# brought back anywhere in the report would show here first: its report
+# and its -csv output are each run at the default and at GOMAXPROCS=1 and
+# the two must be byte-identical; -csv after its kernel line is diffed
+# against its golden.
 report-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; mkdir $$tmp/p1; \
 	$(GO) build -o $$tmp/tpuserve ./cmd/tpuserve; \

@@ -5,7 +5,6 @@
 package tpusim
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -44,12 +43,11 @@ func BenchmarkSections(b *testing.B) {
 }
 
 // BenchmarkTable3 measures the full six-app cycle simulation (compile +
-// run), the core of the reproduction, with the apps fanned out across
-// GOMAXPROCS workers (the production regeneration path).
+// run), the core of the reproduction: the serial loop bench/'s device_sim
+// workload times.
 func BenchmarkTable3(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CompileAndRunAll(workers); err != nil {
+		if _, err := experiments.CompileAndRunAll(1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,24 +58,13 @@ func BenchmarkTable3(b *testing.B) {
 	report(b, "Table 3", experiments.RenderTable3(rows))
 }
 
-// BenchmarkTable3Serial is the same six-app regeneration pinned to one
-// worker, isolating the single-threaded compile+simulate cost.
-func BenchmarkTable3Serial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CompileAndRunAll(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTable3ZeroRateFault is the six-app compile+simulate loop with
 // an *armed* zero-rate fault injector on every device: the hook runs on
 // every program execution (one mutex acquire, no PRNG draw, no fault ever
 // fires), pricing what a chaos-ready fleet pays when nothing is wrong.
-// Read it against BenchmarkTable3 (the path bench/'s device_sim workload
-// times); the acceptance bound is <=2% overhead. The loop mirrors experiments.CompileAndRunAll
-// (serial under one worker, one goroutine per app otherwise) so the two
-// benchmarks differ only in the hook.
+// Read it against BenchmarkTable3; the acceptance bound is <=2% overhead.
+// Like experiments.CompileAndRunAll, the loop runs the apps one after
+// another, so the two benchmarks differ only in the hook.
 func BenchmarkTable3ZeroRateFault(b *testing.B) {
 	names := models.Names()
 	plan := fault.Plan{Seed: 1} // all rates zero
@@ -85,47 +72,24 @@ func BenchmarkTable3ZeroRateFault(b *testing.B) {
 	for j := range injs {
 		injs[j] = plan.Injector(j)
 	}
-	runApp := func(name string, inj *fault.Injector) error {
-		bm, err := models.ByName(name)
-		if err != nil {
-			return err
-		}
-		art, err := compiler.CompileShape(bm.Model, compiler.Options{Allocator: compiler.Reuse})
-		if err != nil {
-			return err
-		}
-		cfg := tpu.DefaultConfig()
-		cfg.Hook = inj.ArmedHook()
-		dev, err := tpu.New(cfg)
-		if err != nil {
-			return err
-		}
-		_, err = dev.Run(art.Program, nil)
-		return err
-	}
-	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if workers <= 1 {
-			for j, name := range names {
-				if err := runApp(name, injs[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			continue
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(names))
 		for j, name := range names {
-			wg.Add(1)
-			go func(j int, name string) {
-				defer wg.Done()
-				errs[j] = runApp(name, injs[j])
-			}(j, name)
-		}
-		wg.Wait()
-		for _, err := range errs {
+			bm, err := models.ByName(name)
 			if err != nil {
+				b.Fatal(err)
+			}
+			art, err := compiler.CompileShape(bm.Model, compiler.Options{Allocator: compiler.Reuse})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := tpu.DefaultConfig()
+			cfg.Hook = injs[j].ArmedHook()
+			dev, err := tpu.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := dev.Run(art.Program, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -134,57 +98,33 @@ func BenchmarkTable3ZeroRateFault(b *testing.B) {
 
 // table3IntegrityLoop is the six-app compile+simulate loop at a given
 // device integrity level, with `dup` devices executing every program (1 =
-// normal, 2 = cross-check duplication). It mirrors CompileAndRunAll's
-// fan-out so the Table 3 benchmarks differ only in the integrity knob.
+// normal, 2 = cross-check duplication), the apps one after another like
+// CompileAndRunAll, so the Table 3 benchmarks differ only in the integrity
+// knob.
 func table3IntegrityLoop(b *testing.B, level tpu.IntegrityLevel, dup int) {
 	b.Helper()
 	names := models.Names()
-	runApp := func(name string) error {
-		bm, err := models.ByName(name)
-		if err != nil {
-			return err
-		}
-		art, err := compiler.CompileShape(bm.Model, compiler.Options{Allocator: compiler.Reuse})
-		if err != nil {
-			return err
-		}
-		for d := 0; d < dup; d++ {
-			cfg := tpu.DefaultConfig()
-			cfg.Integrity = level
-			dev, err := tpu.New(cfg)
-			if err != nil {
-				return err
-			}
-			if _, err := dev.Run(art.Program, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if workers <= 1 {
-			for _, name := range names {
-				if err := runApp(name); err != nil {
-					b.Fatal(err)
-				}
-			}
-			continue
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(names))
-		for j, name := range names {
-			wg.Add(1)
-			go func(j int, name string) {
-				defer wg.Done()
-				errs[j] = runApp(name)
-			}(j, name)
-		}
-		wg.Wait()
-		for _, err := range errs {
+		for _, name := range names {
+			bm, err := models.ByName(name)
 			if err != nil {
 				b.Fatal(err)
+			}
+			art, err := compiler.CompileShape(bm.Model, compiler.Options{Allocator: compiler.Reuse})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for d := 0; d < dup; d++ {
+				cfg := tpu.DefaultConfig()
+				cfg.Integrity = level
+				dev, err := tpu.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := dev.Run(art.Program, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

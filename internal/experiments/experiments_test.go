@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
+	"tpusim/internal/models"
 	"tpusim/internal/platform"
 	"tpusim/internal/power"
 	"tpusim/internal/tpu"
@@ -344,20 +348,72 @@ func TestFigure11Shape(t *testing.T) {
 	}
 }
 
+// TestSimulateTPUCachesAndErrors: SimulateTPU memoizes each app's result,
+// including under concurrent callers starting from an empty cache, and
+// caches no error: every result equals a serial, uncached CompileAndRun.
 func TestSimulateTPUCachesAndErrors(t *testing.T) {
+	names := models.Names()
+	want := make(map[string]TPUPerf, len(names))
+	for _, name := range names {
+		p, err := CompileAndRun(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = p
+	}
+	perfMu.Lock()
+	clear(perfCache)
+	perfMu.Unlock()
+
+	const callers = 8
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- func() error {
+				all, err := SimulateAll()
+				if err != nil {
+					return err
+				}
+				for i, name := range names {
+					if all[i] != want[name] {
+						return fmt.Errorf("SimulateAll %s = %+v, want %+v", name, all[i], want[name])
+					}
+				}
+				if _, err := SimulateTPU("nope"); err == nil {
+					return errors.New("unknown app accepted")
+				}
+				for _, name := range names {
+					p, err := SimulateTPU(name)
+					if err != nil {
+						return err
+					}
+					if p != want[name] {
+						return fmt.Errorf("SimulateTPU %s = %+v, want %+v", name, p, want[name])
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	perfMu.Lock()
+	_, cached := perfCache["nope"]
+	perfMu.Unlock()
+	if cached {
+		t.Error("an unknown app's error was cached")
+	}
 	a, err := SimulateTPU("MLP0")
 	if err != nil {
 		t.Fatal(err)
-	}
-	b, err := SimulateTPU("MLP0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Counters != b.Counters {
-		t.Error("cache returned different counters")
-	}
-	if _, err := SimulateTPU("nope"); err == nil {
-		t.Error("unknown app accepted")
 	}
 	if raw := float64(a.App.Model.Batch) / a.Counters.Seconds(tpu.DefaultConfig().ClockMHz); a.IPS >= raw {
 		t.Error("host overhead should reduce IPS")

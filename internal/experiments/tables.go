@@ -307,11 +307,6 @@ func Table6() (Table6Result, error) {
 	cpu := baseline.CPU()
 	gpu := baseline.GPU()
 	var res Table6Result
-	// Warm the per-app simulation cache with the parallel fan-out, so the
-	// serial aggregation loop below hits only cached results.
-	if _, err := SimulateAll(); err != nil {
-		return res, err
-	}
 	var gpuVals, tpuVals, weights []float64
 	for _, b := range models.All() {
 		c, err := cpu.SLAIPS(b)

@@ -28,17 +28,11 @@ type TPUPerf struct {
 	TOPS float64
 }
 
-// perfEntry single-flights one app's simulation: concurrent callers block
-// on the same Once, so a parallel SimulateAll never simulates an app twice.
-type perfEntry struct {
-	once sync.Once
-	perf TPUPerf
-	err  error
-}
-
+// perfMu guards perfCache and is held across a simulation, so concurrent
+// callers of SimulateTPU never simulate an app twice.
 var (
 	perfMu    sync.Mutex
-	perfCache = map[string]*perfEntry{}
+	perfCache = map[string]TPUPerf{}
 )
 
 // devPool recycles timing-only devices at the production configuration
@@ -85,24 +79,19 @@ func CompileAndRun(name string) (TPUPerf, error) {
 
 // SimulateTPU compiles (shape-only) and runs one benchmark on the cycle
 // simulator at the production configuration, caching the result. Safe for
-// concurrent use; each app simulates exactly once.
+// concurrent use; each app simulates once, and an error is not cached.
 func SimulateTPU(name string) (TPUPerf, error) {
 	perfMu.Lock()
-	e, ok := perfCache[name]
-	if !ok {
-		e = &perfEntry{}
-		perfCache[name] = e
+	defer perfMu.Unlock()
+	if p, ok := perfCache[name]; ok {
+		return p, nil
 	}
-	perfMu.Unlock()
-	e.once.Do(func() { e.perf, e.err = CompileAndRun(name) })
-	if e.err != nil {
-		perfMu.Lock()
-		if perfCache[name] == e {
-			delete(perfCache, name)
-		}
-		perfMu.Unlock()
+	p, err := CompileAndRun(name)
+	if err != nil {
+		return TPUPerf{}, err
 	}
-	return e.perf, e.err
+	perfCache[name] = p
+	return p, nil
 }
 
 // concurrently runs every fn on a goroutine of its own, waits for all of
@@ -129,64 +118,31 @@ func concurrently(fns ...func() error) error {
 	return nil
 }
 
-// forEachApp runs fn for every benchmark app concurrently (one goroutine
-// per app — the six-app fan-out behind Table 3, Table 6, and Figure 9
-// regeneration) and returns the first error. Results are indexed by the
-// models.Names() order, so output ordering is deterministic.
-func forEachApp(fn func(i int, name string) error) error {
-	names := models.Names()
-	fns := make([]func() error, len(names))
-	for i, name := range names {
-		fns[i] = func() error { return fn(i, name) }
-	}
-	return concurrently(fns...)
-}
-
-// SimulateAll runs every benchmark, in Table 1 order, fanning the six apps
-// out across goroutines; per-app results are deterministic (each device is
-// independent), so the table is bit-identical to a serial run.
+// SimulateAll runs every benchmark through SimulateTPU, in Table 1 order.
 func SimulateAll() ([]TPUPerf, error) {
-	out := make([]TPUPerf, len(models.Names()))
-	err := forEachApp(func(i int, name string) error {
-		p, err := SimulateTPU(name)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		out[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return eachApp(SimulateTPU)
 }
 
 // CompileAndRunAll regenerates every app's compile+run once, bypassing the
-// cache, with the apps sharded across workers goroutines (<= 1 serial).
-// This is the six-app loop the benchmark harness times.
+// cache, in Table 1 order. This is the six-app loop the benchmark harness
+// times. workers is unused: the apps run one after another on the calling
+// goroutine, and the argument stays only because the bench/ harness calls
+// CompileAndRunAll(1).
 func CompileAndRunAll(workers int) ([]TPUPerf, error) {
+	return eachApp(CompileAndRun)
+}
+
+// eachApp calls run for every benchmark app in Table 1 order, stopping at
+// the first error.
+func eachApp(run func(name string) (TPUPerf, error)) ([]TPUPerf, error) {
 	names := models.Names()
 	out := make([]TPUPerf, len(names))
-	if workers <= 1 {
-		for i, name := range names {
-			p, err := CompileAndRun(name)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", name, err)
-			}
-			out[i] = p
-		}
-		return out, nil
-	}
-	err := forEachApp(func(i int, name string) error {
-		p, err := CompileAndRun(name)
+	for i, name := range names {
+		p, err := run(name)
 		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", name, err)
+			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}
 		out[i] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -128,6 +128,44 @@ func TestTransientRetries(t *testing.T) {
 	}
 }
 
+// TestFaultPlanDeviceOutsideFleet: the injector matches dead and slow
+// device indices by equality, so a plan naming a device the fleet lacks
+// would inject nothing; the server refuses it, naming the index and the
+// fleet size.
+func TestFaultPlanDeviceOutsideFleet(t *testing.T) {
+	const n = 4
+	for _, tc := range []struct {
+		name string
+		plan fault.Plan
+		dev  int
+	}{
+		{"dead 9", fault.Plan{Seed: 1, DeadDevices: []int{9}}, 9},
+		{"dead -1", fault.Plan{Seed: 1, DeadDevices: []int{-1}}, -1},
+		{"dead n", fault.Plan{Seed: 1, DeadDevices: []int{0, n}}, n},
+		{"slow 9", fault.Plan{Seed: 1, SlowDevices: []int{9}}, 9},
+		{"slow -1", fault.Plan{Seed: 1, SlowDevices: []int{-1}}, -1},
+		{"slow n", fault.Plan{Seed: 1, SlowDevices: []int{n}}, n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewServerWith(n, tpu.DefaultConfig(), ServerOptions{Faults: &tc.plan})
+			if err == nil {
+				s.Close()
+				t.Fatal("plan naming a device outside the fleet accepted")
+			}
+			want := fmt.Sprintf("device %d, outside the fleet of %d", tc.dev, n)
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+		})
+	}
+	plan := fault.Plan{Seed: 1, DeadDevices: []int{0}, SlowDevices: []int{n - 1}}
+	s, err := NewServerWith(n, tpu.DefaultConfig(), ServerOptions{Faults: &plan})
+	if err != nil {
+		t.Fatalf("plan naming devices 0 and %d of %d rejected: %v", n-1, n, err)
+	}
+	s.Close()
+}
+
 // TestRunAllChargesDeadDevice: RunAll reaches each device through the one
 // dispatch path, so on a server without a recovery policy the batches striped
 // onto a dead device fail, are charged to that device's record, and leave

@@ -550,6 +550,15 @@ func NewServerWith(n int, cfg tpu.Config, opts ServerOptions) (*Server, error) {
 		if err := opts.Faults.Validate(); err != nil {
 			return nil, err
 		}
+		// The injector matches device indices by equality, so one the
+		// fleet lacks would inject nothing.
+		for _, devs := range [][]int{opts.Faults.DeadDevices, opts.Faults.SlowDevices} {
+			for _, d := range devs {
+				if d < 0 || d >= n {
+					return nil, fmt.Errorf("runtime: fault plan names device %d, outside the fleet of %d", d, n)
+				}
+			}
+		}
 	}
 	cfg.Functional = true
 	s := &Server{
