@@ -90,7 +90,8 @@ bench:
 # as allocs_per_op / bytes_per_op on device_sim, infer_batch, serve_closed
 # and fleet_pod, plus a Table 3 wall-clock ceiling. The alloc gates are exact and
 # noise-free: a zero-allocation packed matmul, a tile load that aliases the
-# live weight image by address with a warmed-up device run under 16 KiB, a
+# live weight image by address through the device's one tile, a warmed-up
+# device run of the tiny and of the wide MLP that allocates nothing, a
 # functional device that costs under 1 MiB to construct, a server whose four
 # devices warmed on the wide MLP run one program, compiled once, and hold no
 # quantized layer weights (the second device's warm-up grows the heap under

@@ -137,9 +137,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		return nil, fmt.Errorf("experiments: chaos Duration is %v, want a non-negative length", cfg.Duration)
 	}
 	// The fleets recover with tight attempt timeouts (3x expected) and
-	// aggressive hedging (1x observed p99).
+	// aggressive hedging (1x observed p99), and check their data: a flip the
+	// plan injects fails its attempt with an SDC error, which the fleet
+	// retries, instead of shipping a wrong answer. Both passes run the
+	// checks, so the comparison is like for like.
 	apps := models.Names()
-	res := runtime.Resilience{MaxAttempts: 4, TimeoutFactor: 3, HedgeAfterP99: 1}
+	res := runtime.Resilience{MaxAttempts: 4, TimeoutFactor: 3, HedgeAfterP99: 1, Integrity: tpu.IntegrityDetect}
 	base, err := chaosPass(cfg, apps, res, false)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos baseline: %w", err)
@@ -363,8 +366,8 @@ func RenderChaos(r *ChaosResult) string {
 			base.P99Ms, c.P99Ms, ratio)
 	}
 	st := r.Chaos.Stats
-	fmt.Fprintf(&b, "\nresilience: retries %d, failovers %d, hedges %d (wins %d), attempt timeouts %d\n",
-		st.Retries, st.Failovers, st.Hedges, st.HedgeWins, st.AttemptTimeouts)
+	fmt.Fprintf(&b, "\nresilience: retries %d, failovers %d, hedges %d (wins %d), attempt timeouts %d, sdc failures %d\n",
+		st.Retries, st.Failovers, st.Hedges, st.HedgeWins, st.AttemptTimeouts, st.SDCFailures)
 	for _, h := range r.Chaos.Health {
 		fmt.Fprintf(&b, "%s: %s (failures %d, successes %d, probes %d", h.Device, h.State, h.Failures, h.Runs, h.Probes)
 		if h.LastError != "" {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -112,6 +113,34 @@ func TestChaosSweepHoldsTail(t *testing.T) {
 	}
 	if res.Baseline.FaultSummary != "" {
 		t.Errorf("baseline injected faults: %q", res.Baseline.FaultSummary)
+	}
+}
+
+// TestChaosCatchesInjectedFlips: the chaos fleets run the integrity checks,
+// so a plan that flips Unified Buffer bits shows up as SDC failures the
+// fleet caught and retried — not as wrong answers served without an error —
+// and the report prints the count.
+func TestChaosCatchesInjectedFlips(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock chaos sweep")
+	}
+	res, err := RunChaos(ChaosConfig{
+		Devices:  2,
+		Duration: 200 * time.Millisecond,
+		Seed:     1,
+		Plan:     fault.Plan{Seed: 1, FlipUBRate: 0.3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Chaos.Stats.SDCFailures; n == 0 {
+		t.Fatalf("flip-ub=0.3 caught no SDC failures:\n%s", RenderChaos(res))
+	}
+	if n := res.Baseline.Stats.SDCFailures; n != 0 {
+		t.Errorf("the fault-free baseline caught %d SDC failures", n)
+	}
+	if want := fmt.Sprintf("sdc failures %d\n", res.Chaos.Stats.SDCFailures); !strings.Contains(RenderChaos(res), want) {
+		t.Errorf("report lacks %q:\n%s", want, RenderChaos(res))
 	}
 }
 

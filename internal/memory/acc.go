@@ -3,7 +3,6 @@ package memory
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"tpusim/internal/fixed"
 	"tpusim/internal/isa"
@@ -15,10 +14,12 @@ import (
 // unit runs at peak (Section 2) — so a compiled model alternates between
 // the two halves, and the registers it writes are a few rows at 0 and a few
 // at 2048, not a prefix. The file is 4096 registers to its callers — Count
-// and every bounds check say so — but it is backed, tracked and reset per
-// block of registers: a block has storage once something is written into
-// it, every register of an unbacked block reads as zero, and Reset costs
-// what the last run touched.
+// and every bounds check say so — but it is backed per block of registers:
+// a block has storage once something is written into it, and every register
+// of an unbacked block reads as zero. Nothing clears the file between runs:
+// a program overwrites a register with a MatrixMultiply before it
+// accumulates into it or drains it, as the chip's does, so what an earlier
+// run left in the file is never read.
 type Accumulators struct {
 	// blocks[b] backs registers [b*accBlock, (b+1)*accBlock): nil until a
 	// store or an injected flip lands in the block, kept from then on.
@@ -26,16 +27,10 @@ type Accumulators struct {
 	// parity is the optional per-register XOR parity sidecar (EnableGuard);
 	// nil costs one nil check per store.
 	parity []uint32
-	// dirty has one bit per block, set when a store or injected flip may
-	// have left the (then backed) block nonzero, and written[b] is the range
-	// of dirty block b's registers, [lo, hi), that it may have left nonzero.
-	// Reset zeroes those ranges.
-	dirty   uint64
-	written [accBlocks]struct{ lo, hi uint8 }
 	// tiles[i] bounds register i's magnitude by tiles[i]*tileBound: it is
 	// how many MatrixMultiply tiles have been stored into the register since
-	// it was last zero, and unbounded once anything else has written it (an
-	// injected upset). Reset returns it to zero with the register.
+	// it was last overwritten (none in a fresh file), and unbounded once
+	// anything else has written it (an injected upset).
 	tiles [isa.AccumulatorCount]uint16
 }
 
@@ -52,8 +47,8 @@ const (
 	unbounded    = math.MaxUint16
 )
 
-// The file is backed and dirty-tracked in accBlocks blocks — one per bit of
-// the mask — of accBlock registers (64, so 64 KiB) each.
+// The file is backed in accBlocks blocks of accBlock registers (64, so
+// 64 KiB) each.
 const (
 	accBlocks = 64
 	accBlock  = isa.AccumulatorCount / accBlocks
@@ -74,42 +69,17 @@ func (a *Accumulators) reg(idx int) *[isa.MatrixDim]int32 {
 	return &zeroReg
 }
 
-// touch backs the blocks covering registers [idx, idx+n) and marks the
-// registers dirty, ahead of a write. Callers have bounds-checked the range;
-// an empty range touches nothing.
+// touch backs the blocks covering registers [idx, idx+n), ahead of a write.
+// Callers have bounds-checked the range; an empty range touches nothing.
 func (a *Accumulators) touch(idx, n int) {
-	for i, end := idx, idx+n; i < end; {
-		b, r := i/accBlock, i%accBlock
-		rEnd := min(accBlock, r+end-i)
+	if n <= 0 {
+		return
+	}
+	for b := idx / accBlock; b <= (idx+n-1)/accBlock; b++ {
 		if a.blocks[b] == nil {
 			a.blocks[b] = new([accBlock][isa.MatrixDim]int32)
 		}
-		w := &a.written[b]
-		if a.dirty&(1<<b) == 0 {
-			w.lo, w.hi = uint8(r), uint8(rEnd)
-			a.dirty |= 1 << b
-		} else {
-			w.lo, w.hi = min(w.lo, uint8(r)), max(w.hi, uint8(rEnd))
-		}
-		i += rEnd - r
 	}
-}
-
-// Reset returns the file to its freshly-allocated state — every register
-// zero — keeping the storage it has grown. Only the written range of each
-// dirty block is zeroed; its parity words return to zero with it (the parity
-// of a zero register is zero).
-func (a *Accumulators) Reset() {
-	for m := a.dirty; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		lo, hi := int(a.written[b].lo), int(a.written[b].hi)
-		clear(a.blocks[b][lo:hi])
-		clear(a.tiles[b*accBlock+lo : b*accBlock+hi])
-		if a.parity != nil {
-			clear(a.parity[b*accBlock+lo : b*accBlock+hi])
-		}
-	}
-	a.dirty = 0
 }
 
 // StoreRows writes consecutive 256-wide partial-sum rows starting at
@@ -130,7 +100,7 @@ func (a *Accumulators) StoreRows(idx int, rows [][isa.MatrixDim]int32, accumulat
 }
 
 // count records one more tile stored into registers [idx, idx+n): the first
-// since they were zero when it overwrites them.
+// since they were last overwritten when it overwrites them.
 func (a *Accumulators) count(idx, n int, accumulate bool) {
 	for i := idx; i < idx+n; i++ {
 		switch {

@@ -183,9 +183,10 @@ func (a *Accumulators) VerifyParity(idx, n int) []int {
 
 // FlipBit flips one bit of the byte at byte offset off within register
 // idx, bypassing parity — the fault-injection seam for accumulator SRAM.
-// The register's block is backed and marked dirty, so the upset does not
-// outlive Reset, and the register's magnitude bound is void until it is next
-// overwritten.
+// The register's block is backed, and the register's magnitude bound is void
+// until it is next overwritten. The upset lasts until then too: a program
+// overwrites every register before it reads it, so an upset no later read of
+// this run reaches is never read at all.
 func (a *Accumulators) FlipBit(idx int, off int, bit uint8) {
 	if idx < 0 || idx >= isa.AccumulatorCount {
 		return

@@ -7,9 +7,10 @@
 //
 // The two on-chip memories are reused run after run by one device, so both
 // keep their cost proportional to what a program touches: the Unified
-// Buffer backs only its addressed prefix and the accumulator file only the
-// register blocks written, and both Reset in place over the extent the last
-// run dirtied (fault-injection flips included).
+// Buffer backs only its addressed prefix and Resets in place over the extent
+// the last run dirtied (fault-injection flips included), and the accumulator
+// file backs only the register blocks written and is never cleared, since a
+// program overwrites a register before it reads it.
 package memory
 
 import (

@@ -62,8 +62,7 @@ const (
 // previous contents (stale checksums would fail every ABFT check). Nothing is
 // copied — the tile aliases b, so b must stay unwritten until the tile is
 // loaded again. The tile must not be loaded while an Array is multiplying
-// against it; the device loads the matrix unit's non-resident tile, between
-// matmuls.
+// against it; the device re-points its one tile between matmuls.
 func (t *Tile) Load(b []int8) error {
 	if len(b) != isa.WeightTileBytes {
 		return fmt.Errorf("systolic: tile is %d bytes, want %d", len(b), isa.WeightTileBytes)
@@ -74,7 +73,8 @@ func (t *Tile) Load(b []int8) error {
 }
 
 // Unload drops the view and the checksums latched from it, so the tile keeps
-// no buffer reachable. LoadShadow refuses an unloaded tile.
+// no buffer reachable. LoadShadow refuses an unloaded tile, and an array
+// whose active tile is unloaded has no active tile.
 func (t *Tile) Unload() {
 	t.w = nil
 	t.abft = abft{}
@@ -135,15 +135,22 @@ func (a *Array) Commit() error {
 	return nil
 }
 
-// Active returns the resident weight tile (nil when none) — the device's
-// integrity layer reads its ABFT checksum columns through this.
-func (a *Array) Active() *Tile { return a.active }
+// Active returns the resident weight tile (nil when none, or when it has
+// been unloaded since it was committed) — the device's integrity layer reads
+// its ABFT checksum columns through this.
+func (a *Array) Active() *Tile {
+	if a.active == nil || a.active.w == nil {
+		return nil
+	}
+	return a.active
+}
 
 // MulRow pushes one 256-wide activation row through the array, producing
 // the 256-wide partial-sum row the accumulators receive. The systolic
 // wavefront is functionally equivalent to this dot-product-per-column.
 func (a *Array) MulRow(in *[isa.MatrixDim]int8) (*[isa.MatrixDim]int32, error) {
-	if a.active == nil {
+	t := a.Active()
+	if t == nil {
 		return nil, fmt.Errorf("systolic: no active weight tile")
 	}
 	var out [isa.MatrixDim]int32
@@ -153,7 +160,7 @@ func (a *Array) MulRow(in *[isa.MatrixDim]int8) (*[isa.MatrixDim]int32, error) {
 			continue
 		}
 		for c := 0; c < isa.MatrixDim; c++ {
-			out[c] += v * int32(a.active.at(r, c))
+			out[c] += v * int32(t.at(r, c))
 		}
 	}
 	return &out, nil
@@ -228,7 +235,7 @@ func (a *Array) MultiplyInto(in []int8, out [][isa.MatrixDim]int32, workers int)
 // rungs, and the rows amx leaves to the VNNI kernel, compute a group of rows
 // into a stack scratch and add it with fixed.SatAddRow.
 func (a *Array) MultiplyStrided(in []int8, stride int, out [][isa.MatrixDim]int32, workers int, add bool) error {
-	if a.active == nil {
+	if a.Active() == nil {
 		return fmt.Errorf("systolic: no active weight tile")
 	}
 	b := len(out)

@@ -74,6 +74,48 @@ func TestMulRowRequiresTile(t *testing.T) {
 	}
 }
 
+// TestUnloadedActiveTileIsNoTile: a device keeps one array and one tile for
+// its life and unloads the tile between runs, so an active tile with no view
+// must read as no tile — Active is nil and every multiply refuses — until a
+// Load and Commit put weights back.
+func TestUnloadedActiveTileIsNoTile(t *testing.T) {
+	a := New()
+	tile := newTile()
+	if err := a.LoadShadow(tile); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tile.Unload()
+	if a.Active() != nil {
+		t.Error("an unloaded active tile is still active")
+	}
+	var in [isa.MatrixDim]int8
+	if _, err := a.MulRow(&in); err == nil {
+		t.Error("MulRow against an unloaded tile accepted")
+	}
+	var out [1][isa.MatrixDim]int32
+	if err := a.MultiplyStrided(in[:], isa.MatrixDim, out[:], 1, false); err == nil {
+		t.Error("MultiplyStrided against an unloaded tile accepted")
+	}
+	if err := tile.Load(make([]int8, isa.WeightTileBytes)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.LoadShadow(tile); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Active() != tile {
+		t.Error("the reloaded tile is not active")
+	}
+	if err := a.MultiplyStrided(in[:], isa.MatrixDim, out[:], 1, false); err != nil {
+		t.Errorf("MultiplyStrided against the reloaded tile: %v", err)
+	}
+}
+
 func TestMulRowKnown(t *testing.T) {
 	a := New()
 	tile := newTile()

@@ -123,13 +123,14 @@ type Device struct {
 	tileHead  int
 	fetchIdx  int
 	popTimes  []float64
-	// tiles are the matrix unit's two tile buffers, "one 64 KiB tile of
-	// weights plus one for double-buffering", used alternately: a load
-	// re-points the one not resident at the FIFO entry, and the tile it
-	// displaces from the array is unloaded, so it views nothing. A tile is a
-	// view plus the ABFT checksums it latched from the bytes. Behind a
-	// pointer so that reset's struct copy copies no lock; survives reset.
-	tiles *[2]systolic.Tile
+	// tile is the matrix unit's weight tile, a view plus the ABFT checksums
+	// it latched from the bytes: each tile load re-points it at the FIFO
+	// entry and shifts it into arr. The chip's second, double-buffering tile
+	// hides the shift, which the timing model charges through shiftDone; the
+	// functional model loads a tile only between two matmuls, so one tile
+	// serves. tile and arr are built once, by New, and survive reset; tile is
+	// behind a pointer so that reset's struct copy copies no lock.
+	tile *systolic.Tile
 	// mm and act are the matrix and activation units' staging scratch,
 	// grown to the largest instruction seen and kept across runs.
 	mm  matmulScratch
@@ -189,7 +190,7 @@ func New(cfg Config) (*Device, error) {
 		d.ub = memory.NewUnifiedBuffer()
 		d.acc = memory.NewAccumulators()
 		d.arr = systolic.New()
-		d.tiles = new([2]systolic.Tile)
+		d.tile = new(systolic.Tile)
 	}
 	return d, nil
 }
@@ -281,26 +282,21 @@ func (d *Device) reset() {
 	fifoMeta, popTimes := d.fifoMeta[:0], d.popTimes[:0]
 	*d = Device{cfg: d.cfg, ub: d.ub, acc: d.acc, arr: d.arr,
 		fifoTiles: fifoTiles, fifoReady: fifoReady, fifoMeta: fifoMeta, popTimes: popTimes,
-		fifoCRC: d.fifoCRC[:0], tiles: d.tiles, mm: d.mm, act: d.act,
+		fifoCRC: d.fifoCRC[:0], tile: d.tile, mm: d.mm, act: d.act,
 		profTags: d.profTags[:0], profMarks: d.profMarks[:0],
 		// Integrity state survives reset: the live weight DRAM keeps its
 		// corruption, the ledger its history, the flip queue its injections.
 		gw: d.gw, gwProg: d.gwProg, ledger: d.ledger, pendingFlips: d.pendingFlips}
 	if d.cfg.Functional {
-		// Zero the storage in place instead of rebuilding it per run: Reset
-		// clears only what the previous run dirtied (the UB's written
-		// prefix, the accumulator blocks it stored to), so a model touching
-		// a few hundred KB pays that much memclr, and repeated runs on one
-		// device produce no garbage. The array is two pointers; a fresh one
-		// keeps the "no tile loaded" start state exactly, and the resident
-		// tile is unloaded so that no weight image stays reachable after the
-		// device has moved on to another program.
+		// Nothing is rebuilt per run. The Unified Buffer's Reset clears
+		// only the prefix the previous run dirtied, so a model touching a
+		// few hundred KB pays that much memclr. The accumulators are not
+		// cleared at all: a program overwrites a register before it reads
+		// it. The tile is unloaded, so that the array has no active tile
+		// at the start of a run and no weight image stays reachable after
+		// the device has moved on to another program.
 		d.ub.Reset()
-		d.acc.Reset()
-		if t := d.arr.Active(); t != nil {
-			t.Unload()
-		}
-		d.arr = systolic.New()
+		d.tile.Unload()
 	}
 }
 
@@ -506,26 +502,17 @@ func (d *Device) execMatmul(in *isa.Instruction) error {
 				return err
 			}
 			d.tileHead++
-			// The tile buffer not resident views the FIFO entry's bytes — for
-			// a tile the weight image covers, the live DRAM bytes themselves —
-			// so weight-DRAM corruption reaches every check and every
-			// multiply.
-			displaced := d.arr.Active()
-			tile := &d.tiles[0]
-			if tile == displaced {
-				tile = &d.tiles[1]
-			}
-			if err := tile.Load(entry); err != nil {
+			// The tile views the FIFO entry's bytes — for a tile the weight
+			// image covers, the live DRAM bytes themselves — so weight-DRAM
+			// corruption reaches every check and every multiply.
+			if err := d.tile.Load(entry); err != nil {
 				return err
 			}
-			if err := d.arr.LoadShadow(tile); err != nil {
+			if err := d.arr.LoadShadow(d.tile); err != nil {
 				return err
 			}
 			if err := d.arr.Commit(); err != nil {
 				return err
-			}
-			if displaced != nil {
-				displaced.Unload()
 			}
 		}
 	}

@@ -50,6 +50,27 @@ func TestMatmulBeyondAccumulatorFile(t *testing.T) {
 	), "accumulators")
 }
 
+// TestMatmulWithoutTileAfterRun: a run starts with no weight tile in the
+// array, also on a device whose last run left its tile resident — reset
+// unloads the device's one tile, and an array whose tile views nothing has
+// none — so a MatrixMultiply before the run's first tile load fails.
+func TestMatmulWithoutTileAfterRun(t *testing.T) {
+	host := make([]int8, 1<<16)
+	used := functionalDevice(t)
+	if _, err := used.Run(funcProg(
+		isa.Instruction{Op: isa.OpReadWeights, Addr: 0, TileCount: 1},
+		isa.Instruction{Op: isa.OpMatrixMultiply, Flags: isa.FlagLoadTile, Len: 1},
+	), host); err != nil {
+		t.Fatal(err)
+	}
+	bare := funcProg(isa.Instruction{Op: isa.OpMatrixMultiply, Len: 1})
+	for name, dev := range map[string]*Device{"fresh": functionalDevice(t), "used": used} {
+		if _, err := dev.Run(bare, host); err == nil || !strings.Contains(err.Error(), "no active weight tile") {
+			t.Errorf("%s device: a multiply before any tile load gave %v", name, err)
+		}
+	}
+}
+
 func TestActivateUnknownFunc(t *testing.T) {
 	expectRunError(t, funcProg(
 		isa.Instruction{Op: isa.OpActivate, AccAddr: 0, Len: 1, Func: 9},

@@ -170,7 +170,9 @@ func encodeShape(m *nn.Model) []byte {
 // under every kernel rung (kerneltest.Each, the row passes with it), with
 // both allocators, and both with the integrity checks off and at Detect,
 // where every MatrixMultiply's partial sums pass through the ABFT check on
-// their way to the accumulators. The seeds are boundaryModels. A compile
+// their way to the accumulators. Every compiled program must also pass the
+// accumulator write-before-read walk (accReadsWritten). The seeds are
+// boundaryModels. A compile
 // error passes only when it is the documented conv → FC alignment rule
 // (an FC input stride the raw conv output leaves off a 256-byte row).
 func FuzzDeviceBitExact(f *testing.F) {
@@ -203,6 +205,9 @@ func FuzzDeviceBitExact(f *testing.F) {
 					return
 				}
 				t.Fatalf("%+v: compile: %v", m, err)
+			}
+			if err := accReadsWritten(art.Program); err != nil {
+				t.Fatalf("%+v (allocator %v): %v", m, alloc, err)
 			}
 			packed, err := compiler.PackInput(art, qin)
 			if err != nil {

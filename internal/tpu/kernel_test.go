@@ -17,7 +17,8 @@ import (
 // to nn's reference on every model structure (FC, LSTM, CNN with its
 // convolution gather and pooling), on FC rows read in place beside nonzero
 // bytes, and on random models whose vector layers and sigmoid / tanh tables
-// take the table-lookup drain.
+// take the table-lookup drain. One device runs three programs in a row and
+// must answer each as a fresh device does.
 func TestUnderEachKernel(t *testing.T) {
 	kerneltest.Each(t, func(t *testing.T) {
 		t.Run("DeviceMatchesQuantizedReference", TestDeviceMatchesQuantizedReference)
@@ -29,5 +30,6 @@ func TestUnderEachKernel(t *testing.T) {
 		t.Run("IntegrityWeightCorruptionPersistsUntilScrub", TestIntegrityWeightCorruptionPersistsUntilScrub)
 		t.Run("WeightFlipLandsOnItsWeight", TestWeightFlipLandsOnItsWeight)
 		t.Run("FCInPlaceRowsMatchReference", TestFCInPlaceRowsMatchReference)
+		t.Run("RunsShareNoAccumulatorState", TestRunsShareNoAccumulatorState)
 	})
 }

@@ -16,11 +16,11 @@ import (
 
 // TestRecycledTilesSeeWeightCorruption is the device-level half of the
 // recycling contract: a device that has already run a program — so every
-// tile it loads next is one of its two tile buffers, which has latched
-// checksums before — still computes from the bytes weight DRAM delivers. A
-// burst of weight flips before the second run changes the output at
-// IntegrityOff, fails the run at Detect and is repaired at Correct; a load
-// that kept a stale copy would hide the corruption from all three.
+// tile it loads next is its one tile, which has latched checksums before —
+// still computes from the bytes weight DRAM delivers. A burst of weight
+// flips before the second run changes the output at IntegrityOff, fails the
+// run at Detect and is repaired at Correct; a load that kept a stale copy
+// would hide the corruption from all three.
 func TestRecycledTilesSeeWeightCorruption(t *testing.T) {
 	art, _, qin := functionalSetup(t, "MLP0")
 	packed, err := compiler.PackInput(art, qin)
@@ -111,28 +111,57 @@ func tinyRunner(tb testing.TB) (*Device, func()) {
 	}
 }
 
-// TestTileLoadAliasesWeightDRAM: a tile load copies nothing. After a
-// warmed-up run of a multi-layer program the array's resident tile is, by
-// address, the last tile of the device's live weight image; the device holds
-// exactly the matrix unit's two tiles — the resident one is always one of
-// them — and the non-resident one views nothing; and a warmed-up run
-// allocates no tile-sized object at all (no fetch buffer, no copy of the
-// weights — 64 KiB each).
+// wideRunner returns a closure that runs the wide MLP — four FC 1024 x 1024
+// ReLU layers at batch 64 — on one functional device with Parallelism 1: the
+// device run the infer_batch benchmark makes per batch. Each layer is 16
+// MatrixMultiply tiles (12 of them accumulating) and four 64-row drains.
+func wideRunner(tb testing.TB) func() {
+	tb.Helper()
+	m := &nn.Model{Name: "MLP-wide", Class: nn.MLP, Batch: 64, TimeSteps: 1}
+	for i := 0; i < 4; i++ {
+		m.Layers = append(m.Layers, nn.Layer{Kind: nn.FC, In: 1024, Out: 1024, Act: fixed.ReLU})
+	}
+	p := nn.InitRandom(m, 1, 0.05)
+	in := tensor.NewF32(m.BatchInputShape()...)
+	in.FillRandom(2, 1)
+	qm, err := nn.QuantizeModel(m, p, in)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	art, err := compiler.Compile(qm, compiler.Options{Allocator: compiler.Reuse})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	host, err := compiler.PackInput(art, qm.QuantizeInput(in))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Functional = true
+	cfg.Parallelism = 1
+	dev, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		if _, err := dev.Run(art.Program, host); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestTileLoadAliasesWeightDRAM: a tile load copies nothing, and a device
+// rebuilds nothing per run. After every warmed-up run of a multi-layer
+// program the array's resident tile is the device's one tile, viewing, by
+// address, the last tile of the device's live weight image; and a warmed-up
+// run of the tiny MLP or of the wide one allocates no object at all — no
+// fetch buffer, no copy of the weights, no array.
 func TestTileLoadAliasesWeightDRAM(t *testing.T) {
 	dev, run := tinyRunner(t)
 	for i := 0; i < 20; i++ {
 		run()
-		resident := dev.arr.Active()
-		idle := &dev.tiles[0]
-		switch resident {
-		case &dev.tiles[0]:
-			idle = &dev.tiles[1]
-		case &dev.tiles[1]:
-		default:
-			t.Fatalf("run %d: the resident tile is not one of the device's two tiles", i)
-		}
-		if idle.Bytes() != nil {
-			t.Fatalf("run %d: the non-resident tile still views a weight image", i)
+		if dev.arr.Active() != dev.tile {
+			t.Fatalf("run %d: the resident tile is not the device's tile", i)
 		}
 	}
 	last := dev.prog.WeightBase + uint64(dev.prog.WeightTiles()-1)*isa.WeightTileBytes
@@ -143,8 +172,11 @@ func TestTileLoadAliasesWeightDRAM(t *testing.T) {
 	if resident := dev.arr.Active().Bytes(); &resident[0] != &live[0] {
 		t.Fatal("the resident tile's bytes are not the live weight image's bytes")
 	}
-	if perRun := allocBytesPerRun(50, run); perRun > 16<<10 {
-		t.Fatalf("a warmed-up run allocates %d B, want well under one 64 KiB tile", perRun)
+	if n := testing.AllocsPerRun(50, run); n != 0 {
+		t.Fatalf("a warmed-up run of the tiny MLP allocates %v objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(5, wideRunner(t)); n != 0 {
+		t.Fatalf("a warmed-up run of the wide MLP allocates %v objects, want 0", n)
 	}
 }
 
@@ -213,9 +245,8 @@ func requireUnstoredZero(t *testing.T, dev *Device) {
 }
 
 // BenchmarkRunTiny is one warmed-up functional run of MLP0-tiny on one
-// device — what a serve dispatch costs below the runtime. B/op is the
-// number to watch: tile loads copy and allocate nothing, so it should stay
-// far below one 64 KiB tile.
+// device — what a serve dispatch costs below the runtime. It allocates
+// nothing (TestTileLoadAliasesWeightDRAM).
 func BenchmarkRunTiny(b *testing.B) {
 	_, run := tinyRunner(b)
 	run()
@@ -226,44 +257,13 @@ func BenchmarkRunTiny(b *testing.B) {
 	}
 }
 
-// BenchmarkRunWide is one warmed-up functional run of the wide MLP — four FC
-// 1024 x 1024 ReLU layers at batch 64 — on one device with Parallelism 1:
-// the device run the infer_batch benchmark makes per batch. Each layer is 16
-// MatrixMultiply tiles (12 of them accumulating) and four 64-row drains.
+// BenchmarkRunWide is one warmed-up functional run of the wide MLP
+// (wideRunner): the device run the infer_batch benchmark makes per batch.
 func BenchmarkRunWide(b *testing.B) {
-	m := &nn.Model{Name: "MLP-wide", Class: nn.MLP, Batch: 64, TimeSteps: 1}
-	for i := 0; i < 4; i++ {
-		m.Layers = append(m.Layers, nn.Layer{Kind: nn.FC, In: 1024, Out: 1024, Act: fixed.ReLU})
-	}
-	p := nn.InitRandom(m, 1, 0.05)
-	in := tensor.NewF32(m.BatchInputShape()...)
-	in.FillRandom(2, 1)
-	qm, err := nn.QuantizeModel(m, p, in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	art, err := compiler.Compile(qm, compiler.Options{Allocator: compiler.Reuse})
-	if err != nil {
-		b.Fatal(err)
-	}
-	host, err := compiler.PackInput(art, qm.QuantizeInput(in))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Functional = true
-	cfg.Parallelism = 1
-	dev, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := dev.Run(art.Program, host); err != nil {
-		b.Fatal(err)
-	}
+	run := wideRunner(b)
+	run()
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := dev.Run(art.Program, host); err != nil {
-			b.Fatal(err)
-		}
+		run()
 	}
 }
