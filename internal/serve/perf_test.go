@@ -89,10 +89,10 @@ func TestRuntimeBackendSteadyStateAllocs(t *testing.T) {
 	}
 	// Payload that must stay per-dispatch: each request's output tensor
 	// (header+shape+data, 3 per request) plus the driver's dequantized
-	// output and result struct. Measured 31 objects and ~2.5 KB per dispatch
+	// output and result struct. Measured 29 objects and ~2.3 KB per dispatch
 	// at Batch=8; the margins absorb jitter. Every weight-tile load views
-	// the tile's bytes in weight DRAM through one of the device's two tile
-	// buffers — fresh every load, so corruption injected there stays visible
+	// the tile's bytes in weight DRAM through the device's one tile —
+	// re-pointed every load, so corruption injected there stays visible
 	// to the integrity checks — and copies nothing: a copy of the weights per
 	// load costs 64 KiB per tile (hundreds of KB per dispatch here), and the
 	// byte ceiling fails loudly if that comes back.
