@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"tpusim/internal/baseline"
-	"tpusim/internal/compiler"
 	"tpusim/internal/latency"
 	"tpusim/internal/models"
 	"tpusim/internal/perfmodel"
@@ -420,26 +419,32 @@ var paperTable8 = map[string]float64{
 	"MLP0": 11.0, "MLP1": 2.3, "LSTM0": 4.8, "LSTM1": 4.5, "CNN0": 1.5, "CNN1": 13.9,
 }
 
-// Table8 measures both allocators' Unified Buffer high-water marks.
+// Table8 measures both allocators' Unified Buffer high-water marks: the
+// rows of AllocatorAblation, which come in (naive, reuse) pairs per app, in
+// MiB. The reuse allocator must fit every app.
 func Table8() ([]Table8Row, error) {
-	rows := make([]Table8Row, 0, 6)
-	for _, b := range models.All() {
-		reuse, err := compiler.CompileShape(b.Model, compiler.Options{Allocator: compiler.Reuse})
-		if err != nil {
-			return nil, err
+	ab, err := AllocatorAblation()
+	if err != nil {
+		return nil, err
+	}
+	mib := func(r AblationRow) float64 {
+		if r.Cycles < 0 {
+			return -1 // exhausted the 24 MiB buffer
 		}
-		row := Table8Row{
-			Name:     b.Model.Name,
-			ReuseMiB: float64(reuse.UBPeakBytes) / (1 << 20),
-			PaperMiB: paperTable8[b.Model.Name],
+		return float64(r.Cycles) / (1 << 20)
+	}
+	rows := make([]Table8Row, 0, len(ab)/2)
+	for i := 0; i+1 < len(ab); i += 2 {
+		naive, reuse := ab[i], ab[i+1]
+		if reuse.Cycles < 0 {
+			return nil, fmt.Errorf("table 8: %s exhausts the Unified Buffer under the reuse allocator", reuse.App)
 		}
-		naive, err := compiler.CompileShape(b.Model, compiler.Options{Allocator: compiler.Naive})
-		if err != nil {
-			row.NaiveMiB = -1 // exhausted the 24 MiB buffer
-		} else {
-			row.NaiveMiB = float64(naive.UBPeakBytes) / (1 << 20)
-		}
-		rows = append(rows, row)
+		rows = append(rows, Table8Row{
+			Name:     reuse.App,
+			ReuseMiB: mib(reuse),
+			NaiveMiB: mib(naive),
+			PaperMiB: paperTable8[reuse.App],
+		})
 	}
 	return rows, nil
 }
