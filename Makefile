@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: ci fmt-check vet build cross test race bench-test bench-smoke bench bench-gate flake-repeat fuzz-smoke loc cover report-smoke
+.PHONY: ci fmt-check vet build cross test race bench-test bench-smoke bench bench-gate flake-repeat fuzz-smoke loc cover report-smoke docs-check
 .PHONY: obs-smoke chaos-smoke integrity-smoke cluster-smoke
 
 # `race` runs every package under -race, so the four -race smokes below are
 # developer shortcuts (one subsystem's tests, named), not CI steps.
-ci: fmt-check vet build cross race bench-test fuzz-smoke cover bench-smoke bench-gate flake-repeat report-smoke
+ci: fmt-check vet build cross race bench-test fuzz-smoke cover bench-smoke bench-gate flake-repeat report-smoke docs-check
 
 # Fails when any file is not gofmt-clean. The benchmark's build directory
 # holds a Go cache, not source.
@@ -154,6 +154,14 @@ bench-gate:
 	rm -f bench-gate.out; \
 	echo "BenchmarkTable3: $$a1 allocs/op at -cpu 1, $$a2 at -cpu 2"; \
 	[ -n "$$a1" ] && [ "$$a1" = "$$a2" ] || { echo "bench-gate: BenchmarkTable3 allocs/op depends on the CPU count ($$a1 at -cpu 1, $$a2 at -cpu 2)"; exit 1; }
+
+# Every Go name README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md and the
+# verify skill cite in backticks resolves to a declaration of the module or
+# the standard library, or is cited as history in the one form
+# "`name` (deleted in PR N)" (docs_test.go; the fixture test checks the
+# check). The name check makes renaming either test away fail here.
+docs-check:
+	$(call gate-run,.,TestDocsNameLiveCode|TestDocNameCheckFixture)
 
 # A test that once flaked runs 500 times (~5 s), so the race its fix closed
 # stays closed: TestQuarantineProbeReadmits failed about 1 run in 40 while a

@@ -41,7 +41,11 @@ func TestDocsNameLiveCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	problems, err := checkDocNames(fsys, docs, newStdlib(filepath.Join(build.Default.GOROOT, "src")))
+	std, err := newStdlib()
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems, err := checkDocNames(fsys, docs, std)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,12 +358,27 @@ func (x *nameIndex) resolves(name string, std *stdlib) bool {
 // stdlib indexes standard-library packages by name, each the first time a
 // document cites it.
 type stdlib struct {
-	root   string              // GOROOT/src
-	dirs   map[string][]string // package name -> directories under root
+	dirs   map[string][]string // package name -> its directories under GOROOT/src
 	loaded map[string]*nameIndex
 }
 
-func newStdlib(root string) *stdlib { return &stdlib{root: root, loaded: map[string]*nameIndex{}} }
+// newStdlib lists the package directories of the toolchain's GOROOT/src,
+// skipping internal, vendor, cmd and testdata trees.
+func newStdlib() (*stdlib, error) {
+	s := &stdlib{dirs: map[string][]string{}, loaded: map[string]*nameIndex{}}
+	err := filepath.WalkDir(filepath.Join(build.Default.GOROOT, "src"), func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		switch d.Name() {
+		case "testdata", "internal", "vendor", "cmd":
+			return fs.SkipDir
+		}
+		s.dirs[d.Name()] = append(s.dirs[d.Name()], p)
+		return nil
+	})
+	return s, err
+}
 
 // index returns the declarations of the standard-library packages named
 // pkg, or nil if there is none.
@@ -367,31 +386,17 @@ func (s *stdlib) index(pkg string) *nameIndex {
 	if x, ok := s.loaded[pkg]; ok {
 		return x
 	}
-	if s.dirs == nil {
-		s.dirs = map[string][]string{}
-		filepath.WalkDir(s.root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return nil
-			}
-			switch d.Name() {
-			case "testdata", "internal", "vendor", "cmd":
-				return fs.SkipDir
-			}
-			s.dirs[d.Name()] = append(s.dirs[d.Name()], p)
-			return nil
-		})
-	}
 	var x *nameIndex
 	fset := token.NewFileSet()
 	for _, dir := range s.dirs[pkg] {
-		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		files, _ := filepath.Glob(filepath.Join(dir, "*.go")) // the pattern is well formed
 		for _, file := range files {
 			if strings.HasSuffix(file, "_test.go") {
 				continue
 			}
 			f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
 			if err != nil || f.Name.Name != pkg {
-				continue
+				continue // a file of another package (a command's main), or one for a newer toolchain
 			}
 			if x == nil {
 				x = newNameIndex()
@@ -433,7 +438,11 @@ type Resilience struct{ MaxAttempts int }
 			"and `binary.LittleEndian.Uint64` pass; `Resilience.AttemptTimeout` and `Tile.W` do not.\n" +
 			"```\nswarPair(a, b)\n```\n"),
 	}
-	got, err := checkDocNames(fsys, []string{"DOC.md"}, newStdlib(filepath.Join(build.Default.GOROOT, "src")))
+	std, err := newStdlib()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := checkDocNames(fsys, []string{"DOC.md"}, std)
 	if err != nil {
 		t.Fatal(err)
 	}
