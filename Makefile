@@ -158,8 +158,8 @@ bench-gate:
 # Every Go name README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md and the
 # verify skill cite in backticks resolves to a declaration of the module or
 # the standard library, or is cited as history in the one form
-# "`name` (deleted in PR N)" (docs_test.go; the fixture test checks the
-# check). The name check makes renaming either test away fail here.
+# "`name` (deleted in PR N)" (docs_test.go; TestDocNameCheckFixture tests
+# the check itself). Renaming either test away fails gate-run's name check.
 docs-check:
 	$(call gate-run,.,TestDocsNameLiveCode|TestDocNameCheckFixture)
 
