@@ -18,9 +18,9 @@ type Options struct {
 	BatchOverride int
 	// Weights16 and Acts16 mark 16-bit weights/activations: the matrix
 	// unit runs at half speed with either, quarter speed with both
-	// (Section 2). Timing-only — the functional datapath is 8-bit, and
-	// the doubled weight-byte traffic of 16-bit weights is not modeled
-	// (only the MAC-rate effect is).
+	// (Section 2). Timing-only — the functional datapath is 8-bit. A
+	// 16-bit weight tile holds 128 rows (tileRows), so Weights16 also
+	// doubles the tiles a program fetches from Weight Memory.
 	Weights16, Acts16 bool
 	// WeightBase places the model's weight image at a tile-aligned offset
 	// in the 8 GiB Weight Memory, letting several models stay resident
@@ -119,12 +119,6 @@ type lowering struct {
 	hostNext  int
 
 	chunkParity int
-
-	// Emit-time validation state (see Program.MarkValidated): the first
-	// invalid instruction latches here, and tilesEmitted accumulates the
-	// ReadWeights total that Program.Validate would otherwise recount.
-	emitErr      error
-	tilesEmitted int
 
 	// Pooled scratch (see loweringPool): per-compile working storage that
 	// never escapes into the Artifact, kept across compiles.
@@ -251,14 +245,11 @@ func compile(m *nn.Model, qm *nn.QuantizedModel, opts Options) (*Artifact, error
 		prog.WeightBytes = lo.weightNext - int64(opts.WeightBase)
 	}
 	prog.WeightBase = opts.WeightBase
-	// Every Validate invariant is already established: per-instruction
-	// checks and weight-range checks ran at emit time (emit), the image
-	// size bound in buildWeights, base alignment above, and a compiled
-	// program is never empty (emitProgram always ends with Halt).
-	if lo.emitErr != nil {
-		return nil, fmt.Errorf("compiler: generated invalid program: %w", lo.emitErr)
+	// The device validates every program it runs; a compiled one is walked
+	// here, once, and the cached verdict serves every later run.
+	if err := prog.Validate(); err != nil {
+		return nil, fmt.Errorf("compiler: generated invalid program: %w", err)
 	}
-	prog.MarkValidated(lo.tilesEmitted)
 	return &Artifact{
 		Program:     prog,
 		Layout:      layout,
@@ -317,28 +308,8 @@ func Recycle(art *Artifact) {
 	}
 }
 
-// emit appends one instruction. The compiler establishes operand validity
-// by construction rather than re-checking each instruction: Unified Buffer
-// addresses come from its allocator (row-aligned, bounds-checked on
-// allocation), accumulator indices from the chunk loop (always <
-// AccumulatorCount), and lengths from layer shapes the front end already
-// rejected if degenerate. Re-running isa.Instruction.Validate here costs a
-// fifth of the whole compile-and-simulate cycle for checks that cannot fire,
-// so compile marks the program validated wholesale (see
-// Program.MarkValidated) and a conformance test re-runs full Validate over
-// compiled output for every model and option set to keep the claim honest.
-// The weight-range check below stays: weight addressing crosses two
-// independently-computed layouts (buildWeights and the per-layer tile walk),
-// which construction alone does not tie together.
+// emit appends one instruction.
 func (lo *lowering) emit(in isa.Instruction) {
-	if in.Op == isa.OpReadWeights {
-		lo.tilesEmitted += int(in.TileCount) * in.Times()
-		end := in.Addr + uint64(in.TileCount)*isa.WeightTileBytes
-		if (in.Addr < lo.opts.WeightBase || end > uint64(lo.weightNext)) && lo.emitErr == nil {
-			lo.emitErr = fmt.Errorf("instruction %d reads weights [%#x,%#x) outside image [%#x,%#x)",
-				len(lo.ins), in.Addr, end, lo.opts.WeightBase, lo.weightNext)
-		}
-	}
 	lo.ins = append(lo.ins, in)
 }
 

@@ -18,49 +18,63 @@ type AblationRow struct {
 	Relative float64 // production cycles / these cycles (speedup > 1 is faster)
 }
 
-// runConfig simulates one app under a device configuration and a compile
-// option set.
-func runConfig(name string, cfg tpu.Config, opts compiler.Options) (int64, error) {
-	b, err := models.ByName(name)
-	if err != nil {
-		return 0, err
+// appCycles compiles each app once, shape-only, under opts and runs that
+// program on one device per configuration: cycles[app][cfg], apps in
+// Table 1 order. A program depends on no device knob, and a timing run
+// resets all run state, so each device is built once and runs every app.
+func appCycles(opts compiler.Options, cfgs ...tpu.Config) ([][]int64, error) {
+	devs := make([]*tpu.Device, len(cfgs))
+	for i, cfg := range cfgs {
+		dev, err := tpu.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		devs[i] = dev
 	}
-	art, err := compiler.CompileShape(b.Model, opts)
-	if err != nil {
-		return 0, err
+	names := models.Names()
+	cycles := make([][]int64, len(names))
+	for i, name := range names {
+		b, err := models.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		art, err := compiler.CompileShape(b.Model, opts)
+		if err != nil {
+			return nil, err
+		}
+		cycles[i] = make([]int64, len(devs))
+		for j, dev := range devs {
+			c, err := dev.Run(art.Program, nil)
+			if err != nil {
+				return nil, err
+			}
+			cycles[i][j] = c.Cycles
+		}
 	}
-	dev, err := tpu.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	c, err := dev.Run(art.Program, nil)
-	if err != nil {
-		return 0, err
-	}
-	return c.Cycles, nil
+	return cycles, nil
 }
 
 // FIFODepthAblation sweeps the weight FIFO depth (the shipped TPU uses 4):
 // design validation that four tiles of buffering suffice to decouple the
 // DRAM from the matrix unit.
 func FIFODepthAblation() ([]AblationRow, error) {
-	opts := compiler.Options{Allocator: compiler.Reuse}
+	depths := []int{1, 2, 4, 8}
+	const base = 2 // the production depth, 4
+	cfgs := make([]tpu.Config, len(depths))
+	for i, depth := range depths {
+		cfgs[i] = tpu.DefaultConfig()
+		cfgs[i].FIFODepth = depth
+	}
+	cycles, err := appCycles(compiler.Options{Allocator: compiler.Reuse}, cfgs...)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
-	for _, name := range models.Names() {
-		base, err := runConfig(name, tpu.DefaultConfig(), opts)
-		if err != nil {
-			return nil, err
-		}
-		for _, depth := range []int{1, 2, 4, 8} {
-			cfg := tpu.DefaultConfig()
-			cfg.FIFODepth = depth
-			cycles, err := runConfig(name, cfg, opts)
-			if err != nil {
-				return nil, err
-			}
+	for i, name := range models.Names() {
+		for j, depth := range depths {
 			rows = append(rows, AblationRow{
 				App: name, Config: fmt.Sprintf("fifo=%d", depth),
-				Cycles: cycles, Relative: float64(base) / float64(cycles),
+				Cycles: cycles[i][j], Relative: float64(cycles[i][base]) / float64(cycles[i][j]),
 			})
 		}
 	}
@@ -69,6 +83,7 @@ func FIFODepthAblation() ([]AblationRow, error) {
 
 // PrecisionAblation compares 8-bit, mixed, and 16-bit operand modes
 // (Section 2: half speed with one 16-bit operand, quarter speed with two).
+// The base is the production mode, int8.
 func PrecisionAblation() ([]AblationRow, error) {
 	modes := []struct {
 		name string
@@ -83,20 +98,20 @@ func PrecisionAblation() ([]AblationRow, error) {
 		{"w16", compiler.Options{Allocator: compiler.Reuse, Weights16: true}},
 		{"w16a16", compiler.Options{Allocator: compiler.Reuse, Weights16: true, Acts16: true}},
 	}
-	var rows []AblationRow
-	for _, name := range models.Names() {
-		base, err := runConfig(name, tpu.DefaultConfig(), modes[0].opts)
+	cycles := make([][][]int64, len(modes)) // [mode][app][0]
+	for m, mode := range modes {
+		c, err := appCycles(mode.opts, tpu.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
-		for _, mode := range modes {
-			cycles, err := runConfig(name, tpu.DefaultConfig(), mode.opts)
-			if err != nil {
-				return nil, err
-			}
+		cycles[m] = c
+	}
+	var rows []AblationRow
+	for i, name := range models.Names() {
+		for m, mode := range modes {
 			rows = append(rows, AblationRow{
 				App: name, Config: mode.name,
-				Cycles: cycles, Relative: float64(base) / float64(cycles),
+				Cycles: cycles[m][i][0], Relative: float64(cycles[0][i][0]) / float64(cycles[m][i][0]),
 			})
 		}
 	}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"tpusim/internal/models"
 )
 
 func TestBoostModeFallacy(t *testing.T) {
@@ -93,11 +95,8 @@ func TestFIFODepthAblation(t *testing.T) {
 	for _, r := range rows {
 		byKey[r.App+"/"+r.Config] = r
 	}
+	checkProductionRow(t, byKey, "fifo=4")
 	for _, name := range []string{"MLP0", "LSTM0"} {
-		// Depth 4 (production) must match the default exactly.
-		if r := byKey[name+"/fifo=4"]; r.Relative != 1.0 {
-			t.Errorf("%s fifo=4 relative = %v, want 1.0", name, r.Relative)
-		}
 		// A single-tile FIFO must not be faster; depth 8 must not help
 		// much beyond 4 (the design's point).
 		if r := byKey[name+"/fifo=1"]; r.Relative > 1.0001 {
@@ -118,6 +117,7 @@ func TestPrecisionAblation(t *testing.T) {
 	for _, r := range rows {
 		byKey[r.App+"/"+r.Config] = r
 	}
+	checkProductionRow(t, byKey, "int8")
 	// CNN0 is compute bound: 16-bit operands halve throughput, 16-bit
 	// everything quarters it.
 	w16 := byKey["CNN0/w16"].Relative
@@ -135,6 +135,28 @@ func TestPrecisionAblation(t *testing.T) {
 	}
 	if r := byKey["MLP0/w16"].Relative; r > 0.65 {
 		t.Errorf("MLP0 w16 relative = %.2f, doubled weight traffic should halve memory-bound throughput", r)
+	}
+}
+
+// checkProductionRow checks that every app's row for the production
+// configuration, config, is the base of its ablation and simulated what
+// SimulateTPU simulates on the production device (tpu.DefaultConfig).
+func checkProductionRow(t *testing.T, byKey map[string]AblationRow, config string) {
+	t.Helper()
+	for _, name := range models.Names() {
+		p, err := SimulateTPU(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, ok := byKey[name+"/"+config]
+		if !ok {
+			t.Errorf("%s: no %s row", name, config)
+			continue
+		}
+		if r.Cycles != p.Counters.Cycles || r.Relative != 1.0 {
+			t.Errorf("%s %s: %d cycles at %vx, want the production device's %d at 1x",
+				name, config, r.Cycles, r.Relative, p.Counters.Cycles)
+		}
 	}
 }
 

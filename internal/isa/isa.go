@@ -144,7 +144,7 @@ func WeightOffset(r, c int) int {
 //
 // Fields are declared widest-first so the struct packs into 32 bytes instead
 // of the 48 the encoding-order layout costs: every instruction-stream pass —
-// the compiler's emission loop, the per-emit validation, the device's issue
+// the compiler's emission loop, Program.Validate's walk, the device's issue
 // loop — streams the whole program, so a third less padding is a third less
 // memory traffic on each of them, and two instructions share each 64-byte
 // cache line.
@@ -194,13 +194,12 @@ func (in *Instruction) Times() int {
 }
 
 // Validate checks address ranges and opcode-specific requirements. The
-// pointer receiver (as on Times) keeps the per-instruction walks in
-// Program.Validate and the device's issue loop from copying the 32-byte
-// struct per call.
+// pointer receiver (as on Times) keeps Program.Validate's walk from copying
+// the 32-byte struct per call.
 func (in *Instruction) Validate() error {
 	// Opcodes are contiguous (OpNop..OpHalt), so a range check replaces the
-	// opNames map lookup on this hot path (Validate runs once per emitted
-	// instruction at compile time and once per program at device load).
+	// opNames map lookup on this hot path (Program.Validate's walk runs it
+	// once per instruction of every program).
 	if in.Op > OpHalt {
 		return fmt.Errorf("isa: unknown opcode %d", in.Op)
 	}

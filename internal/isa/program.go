@@ -112,20 +112,6 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// MarkValidated records that the caller has already established every
-// Validate invariant for this exact program, and the weight-tile total
-// Validate would have computed. It exists for incremental assemblers — the
-// compiler validates each instruction at emit time, while it is still
-// cache-hot, and checks weight ranges against its own image as it addresses
-// them — where re-streaming the finished multi-thousand-instruction array
-// through Validate costs more memory traffic than it re-checks. Callers
-// must perform the full equivalent of Validate; the compiler's conformance
-// is pinned by a test that re-runs full Validate over its output.
-func (p *Program) MarkValidated(weightTiles int) {
-	p.weightTiles.Store(int64(weightTiles))
-	p.validated.Store(true)
-}
-
 // Encode serializes the instruction stream to its wire form, the bytes sent
 // over PCIe into the instruction buffer.
 func (p *Program) Encode() ([]byte, error) {

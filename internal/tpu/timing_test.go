@@ -146,6 +146,14 @@ func TestFIFOBackpressure(t *testing.T) {
 	if _, err := dev.Run(p, nil); err == nil {
 		t.Error("FIFO overflow not reported")
 	}
+	// The production FIFO is four tiles deep (Section 2): four outstanding
+	// fetches fit.
+	full := &isa.Program{Name: "full", Instructions: []isa.Instruction{
+		{Op: isa.OpReadWeights, Addr: 0, TileCount: 4}, {Op: isa.OpHalt}},
+		WeightBytes: 4 * isa.WeightTileBytes}
+	if _, err := dev.Run(full, nil); err != nil {
+		t.Errorf("four-tile prefetch rejected by the production FIFO: %v", err)
+	}
 }
 
 // TestFIFODepthConfig: with a deeper FIFO the same 5-tile prefetch is
